@@ -15,6 +15,7 @@
 package repro
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -115,7 +116,7 @@ func BenchmarkFigure1_SQLFormulation(b *testing.B) {
 		spec := fig1Spec(b, card)
 		b.Run("card="+itoa(card), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := naive.Evaluate(spec, naive.Options{Timeout: 20 * time.Second}); err != nil {
+				if _, err := naive.EvaluateCtx(context.Background(), spec, naive.Options{Timeout: 20 * time.Second}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -130,7 +131,7 @@ func BenchmarkFigure1_ILPFormulation(b *testing.B) {
 		spec := fig1Spec(b, card)
 		b.Run("card="+itoa(card), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Direct(spec, ilp.Options{Gap: 1e-4}); err != nil {
+				if _, _, err := core.Direct(context.Background(), spec, ilp.Options{Gap: 1e-4}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -200,7 +201,7 @@ func scalabilityBench(b *testing.B, ds bench.Dataset) {
 		}
 		b.Run(q.Name+"/direct", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := core.Direct(spec, solver)
+				_, _, err := core.Direct(context.Background(), spec, solver, nil)
 				if err != nil && q.Hard {
 					b.Skipf("DIRECT failure on hard query (paper-consistent): %v", err)
 				} else if err != nil {
@@ -210,7 +211,7 @@ func scalabilityBench(b *testing.B, ds bench.Dataset) {
 		})
 		b.Run(q.Name+"/sketchrefine", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := sketchrefine.Evaluate(spec, part, sketchrefine.Options{Solver: solver, HybridSketch: true})
+				_, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{Solver: solver, HybridSketch: true})
 				if err != nil && q.Hard {
 					b.Skipf("hard query at bench scale: %v", err)
 				} else if err != nil {
@@ -266,7 +267,7 @@ func tauSweepBench(b *testing.B, ds bench.Dataset) {
 		}
 		b.Run("tau="+itoa(tau), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sketchrefine.Evaluate(spec, part, sketchrefine.Options{
+				if _, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{
 					Solver: benchSolver(e), HybridSketch: true,
 				}); err != nil {
 					b.Fatal(err)
@@ -301,7 +302,7 @@ func BenchmarkFigure9_Coverage(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sketchrefine.Evaluate(spec, part, sketchrefine.Options{
+				if _, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{
 					Solver: benchSolver(e), HybridSketch: true,
 				}); err != nil {
 					b.Fatal(err)
@@ -334,7 +335,7 @@ func BenchmarkSection521_EpsilonRepair(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := sketchrefine.Evaluate(spec, part, sketchrefine.Options{
+		if _, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{
 			Solver: benchSolver(e), HybridSketch: true,
 		}); err != nil {
 			b.Fatal(err)

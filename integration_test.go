@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -51,8 +52,8 @@ func TestEndToEndWorkloadConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: partition: %v", set.name, q.Name, err)
 			}
-			dPkg, _, dErr := core.Direct(spec, opt)
-			sPkg, _, sErr := sketchrefine.Evaluate(spec, part, sketchrefine.Options{Solver: opt, HybridSketch: true})
+			dPkg, _, dErr := core.Direct(context.Background(), spec, opt, nil)
+			sPkg, _, sErr := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{Solver: opt, HybridSketch: true})
 			if q.Hard {
 				continue // hard queries may exhaust budgets at test scale
 			}
@@ -107,7 +108,7 @@ MAXIMIZE SUM(P.petrorad)`, back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ MAXIMIZE SUM(P.value)`
 		if err != nil {
 			return false
 		}
-		dPkg, _, err := core.Direct(spec, ilp.Options{})
+		dPkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 		if err != nil {
 			return false
 		}
@@ -162,7 +163,7 @@ MAXIMIZE SUM(P.value)`
 		if err != nil {
 			return false
 		}
-		sPkg, _, err := sketchrefine.Evaluate(spec, part, sketchrefine.Options{HybridSketch: true})
+		sPkg, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{HybridSketch: true})
 		if err != nil {
 			// Allowed: false infeasibility. Not allowed: other errors.
 			return errors.Is(err, sketchrefine.ErrFalseInfeasible) || errors.Is(err, core.ErrInfeasible)
@@ -200,7 +201,7 @@ MAXIMIZE SUM(P.value)`
 	if err != nil {
 		t.Fatal(err)
 	}
-	dPkg, _, err := core.Direct(spec, ilp.Options{})
+	dPkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ MAXIMIZE SUM(P.value)`
 		if err != nil {
 			t.Fatal(err)
 		}
-		sPkg, _, err := sketchrefine.Evaluate(spec, part, sketchrefine.Options{HybridSketch: true})
+		sPkg, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{HybridSketch: true})
 		if err != nil {
 			continue // false infeasibility is permitted by the theorem
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -61,7 +62,7 @@ func mealSpec(rel *relation.Relation) *Spec {
 func TestDirectMealPlanner(t *testing.T) {
 	rel := recipes()
 	spec := mealSpec(rel)
-	pkg, stats, err := Direct(spec, ilp.Options{})
+	pkg, stats, err := Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatalf("Direct: %v", err)
 	}
@@ -134,7 +135,7 @@ func TestDirectInfeasible(t *testing.T) {
 	spec := mealSpec(rel)
 	// Demand an impossible calorie total.
 	spec.Constraints[1].RHS = 100
-	_, _, err := Direct(spec, ilp.Options{})
+	_, _, err := Direct(context.Background(), spec, ilp.Options{}, nil)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -150,7 +151,7 @@ func TestDirectUnbounded(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "kcal"}},
 	}
-	_, _, err := Direct(spec, ilp.Options{})
+	_, _, err := Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unbounded") {
 		t.Fatalf("err = %v, want unbounded", err)
 	}
@@ -168,7 +169,7 @@ func TestDirectRepeat(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "kcal"}},
 	}
-	pkg, _, err := Direct(spec, ilp.Options{})
+	pkg, _, err := Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestDirectConditionalCount(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "kcal"}},
 	}
-	pkg, _, err := Direct(spec, ilp.Options{})
+	pkg, _, err := Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestDirectAvgConstraintViaShiftedCoef(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "carbs"}},
 	}
-	pkg, _, err := Direct(spec, ilp.Options{})
+	pkg, _, err := Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestDirectRestrictions(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "carbs"}},
 	}
-	pkg, _, err := Direct(spec, ilp.Options{})
+	pkg, _, err := Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestDirectFeasibilityOnly(t *testing.T) {
 			{Coef: AttrCoef{Attr: "kcal"}, Op: lp.GE, RHS: 1.7},
 		},
 	}
-	pkg, _, err := Direct(spec, ilp.Options{})
+	pkg, _, err := Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestDirectResourceLimit(t *testing.T) {
 		},
 		Objective: &Objective{Maximize: true, Coef: AttrCoef{Attr: "v"}},
 	}
-	_, _, err := Direct(spec, ilp.Options{MaxNodes: 1})
+	_, _, err := Direct(context.Background(), spec, ilp.Options{MaxNodes: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "resource limit") {
 		t.Fatalf("err = %v, want resource limit", err)
 	}
@@ -461,7 +462,7 @@ func TestQuickDirectMatchesBruteForce(t *testing.T) {
 			},
 			Objective: &Objective{Maximize: rng.Intn(2) == 0, Coef: AttrCoef{Attr: "b"}},
 		}
-		pkg, _, err := Direct(spec, ilp.Options{})
+		pkg, _, err := Direct(context.Background(), spec, ilp.Options{}, nil)
 		rows := spec.BaseRows()
 		// Brute force over subsets.
 		best := math.NaN()

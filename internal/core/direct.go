@@ -149,7 +149,7 @@ type Incumbent struct {
 	Nodes int
 	// Subproblem identifies which ILP solve produced the incumbent
 	// (always 0 for DIRECT; SketchRefine numbers its sketch/refine
-	// solves in evaluation order).
+	// solves in evaluation order and tags them itself).
 	Subproblem int
 	// Sketch marks incumbents of solves over the representative
 	// relation (SketchRefine's sketch and hybrid-sketch queries), whose
@@ -162,92 +162,49 @@ type Incumbent struct {
 // fast and must not call back into the evaluation.
 type IncumbentFunc func(Incumbent)
 
-// hookSolver installs an ilp-level incumbent callback that maps raw
-// solution vectors over rows back to package coordinates and forwards
-// them to fn. A nil fn returns opt unchanged.
-func hookSolver(opt ilp.Options, spec *Spec, rows []int, sub int, sketch bool, fn IncumbentFunc) ilp.Options {
-	if fn == nil {
-		return opt
-	}
-	offset := 0.0
-	if spec.Objective != nil {
-		offset = spec.Objective.Offset
-	}
-	opt.OnIncumbent = func(x []float64, obj float64, nodes int) {
-		pkgRows := make([]int, 0, len(rows))
-		pkgMult := make([]int, 0, len(rows))
-		for j, v := range x {
-			if m := int(math.Round(v)); m > 0 {
-				pkgRows = append(pkgRows, rows[j])
-				pkgMult = append(pkgMult, m)
-			}
+// decode maps a solution vector over rows back to package coordinates:
+// the rows with a positive rounded multiplicity, and those
+// multiplicities.
+func decode(rows []int, x []float64) (pkgRows, pkgMult []int) {
+	pkgRows = make([]int, 0, len(rows))
+	pkgMult = make([]int, 0, len(rows))
+	for j, v := range x {
+		if m := int(math.Round(v)); m > 0 {
+			pkgRows = append(pkgRows, rows[j])
+			pkgMult = append(pkgMult, m)
 		}
-		fn(Incumbent{
-			Rows:       pkgRows,
-			Mult:       pkgMult,
-			Objective:  obj + offset,
-			Nodes:      nodes,
-			Subproblem: sub,
-			Sketch:     sketch,
-		})
 	}
-	return opt
+	return pkgRows, pkgMult
 }
 
-// SolveRows evaluates the spec restricted to the given candidate rows
-// with the DIRECT strategy: build one ILP and solve it. hi optionally
-// overrides per-variable upper bounds. The returned error is
-// ErrInfeasible, ErrResourceLimit (possibly wrapped), or an internal
-// failure.
-func SolveRows(spec *Spec, rows []int, hi []float64, opt ilp.Options) (*Package, *EvalStats, error) {
-	return SolveRowsCtx(context.Background(), spec, rows, hi, opt)
+type subproblemKey struct{}
+
+// WithSubproblem tags ctx with the ordinal of the ILP solve about to run
+// under it, for that solve's "ilp" span. The ordinal is trace metadata
+// only, which is why it rides on the context next to the span it
+// labels; an untagged solve (DIRECT's single ILP) records 0.
+func WithSubproblem(ctx context.Context, n int) context.Context {
+	return context.WithValue(ctx, subproblemKey{}, n)
 }
 
-// SolveRowsCtx is SolveRows under a context: cancellation or a context
-// deadline aborts the underlying branch-and-bound search and returns the
-// context's error.
-func SolveRowsCtx(ctx context.Context, spec *Spec, rows []int, hi []float64, opt ilp.Options) (*Package, *EvalStats, error) {
-	return SolveRowsStream(ctx, spec, rows, hi, opt, 0, nil)
-}
-
-// SolveRowsStream is SolveRowsCtx with anytime results: every improving
-// incumbent the branch-and-bound search installs is forwarded to fn
-// (tagged with subproblem number sub) before the final answer is
-// returned. A nil fn degrades to a plain solve.
-func SolveRowsStream(ctx context.Context, spec *Spec, rows []int, hi []float64, opt ilp.Options, sub int, fn IncumbentFunc) (*Package, *EvalStats, error) {
-	opt = hookSolver(opt, spec, rows, sub, false, fn)
+// SolveILP hands a built problem to the black-box solver — the one call
+// site of ilp.SolveCtx on the query path — under an "ilp" span, and
+// turns the outcome into the evaluation's terms: the work done, and
+// ErrInfeasible, ErrResourceLimit (wrapped), an unboundedness error or
+// the context's error for every status that carries no usable solution.
+// A budget-exhausted solve with an incumbent succeeds when
+// opt.AcceptIncumbent is set; its stats are marked Truncated.
+func SolveILP(ctx context.Context, prob *ilp.Problem, opt ilp.Options) (*ilp.Result, *EvalStats, error) {
 	ctx, sp := obs.Start(ctx, "ilp")
 	defer sp.Finish()
-	if sp != nil {
-		// Count incumbents on the span; SetAttr overwrites, so the
-		// final value is the incumbent total. The solver invokes the
-		// callback synchronously from one goroutine.
-		prev := opt.OnIncumbent
-		n := int64(0)
-		opt.OnIncumbent = func(x []float64, obj float64, nodes int) {
-			n++
-			sp.SetAttrInt("incumbents", n)
-			if prev != nil {
-				prev(x, obj, nodes)
-			}
-		}
-	}
-	stats := &EvalStats{Subproblems: 1}
-	t0 := time.Now()
-	prob, err := BuildILP(spec, rows, hi)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Vars = prob.LP.NumVars()
-	stats.Rows = prob.LP.NumRows()
-	stats.BuildTime = time.Since(t0)
+	stats := &EvalStats{Subproblems: 1, Vars: prob.LP.NumVars(), Rows: prob.LP.NumRows()}
+	sub, _ := ctx.Value(subproblemKey{}).(int)
 	sp.SetAttrInt("subproblem", int64(sub))
 	sp.SetAttrInt("vars", int64(stats.Vars))
 	sp.SetAttrInt("rows", int64(stats.Rows))
-
-	t1 := time.Now()
+	t0 := time.Now()
 	res, err := ilp.SolveCtx(ctx, prob, opt)
-	stats.SolveTime = time.Since(t1)
+	stats.SolveTime = time.Since(t0)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -255,6 +212,7 @@ func SolveRowsStream(ctx context.Context, spec *Spec, rows []int, hi []float64, 
 	stats.LPIterations = res.LPIterations
 	sp.SetAttrInt("nodes", int64(res.Nodes))
 	sp.SetAttrInt("lp_iterations", int64(res.LPIterations))
+	sp.SetAttrInt("incumbents", int64(res.Incumbents))
 	sp.SetAttrStr("status", res.Status.String())
 	switch res.Status {
 	case ilp.Infeasible:
@@ -269,15 +227,39 @@ func SolveRowsStream(ctx context.Context, spec *Spec, rows []int, hi []float64, 
 		// behavior of a production solver under a time limit).
 		stats.Truncated = true
 	}
-	pkgRows := make([]int, 0, len(rows))
-	pkgMult := make([]int, 0, len(rows))
-	for j, x := range res.X {
-		m := int(math.Round(x))
-		if m > 0 {
-			pkgRows = append(pkgRows, rows[j])
-			pkgMult = append(pkgMult, m)
+	return res, stats, nil
+}
+
+// Solve evaluates the spec restricted to the given candidate rows: build
+// one ILP over them and solve it. hi optionally overrides per-variable
+// upper bounds. Every improving incumbent the branch-and-bound search
+// installs is forwarded to fn, in package coordinates, before the final
+// answer is returned; a nil fn is a plain solve. Cancellation or a
+// context deadline aborts the search and returns the context's error;
+// otherwise the error is one of SolveILP's, or an internal failure.
+func Solve(ctx context.Context, spec *Spec, rows []int, hi []float64, opt ilp.Options, fn IncumbentFunc) (*Package, *EvalStats, error) {
+	t0 := time.Now()
+	prob, err := BuildILP(spec, rows, hi)
+	if err != nil {
+		return nil, &EvalStats{Subproblems: 1}, err
+	}
+	build := time.Since(t0)
+	if fn != nil {
+		offset := 0.0
+		if spec.Objective != nil {
+			offset = spec.Objective.Offset
+		}
+		opt.OnIncumbent = func(x []float64, obj float64, nodes int) {
+			pkgRows, pkgMult := decode(rows, x)
+			fn(Incumbent{Rows: pkgRows, Mult: pkgMult, Objective: obj + offset, Nodes: nodes})
 		}
 	}
+	res, stats, err := SolveILP(ctx, prob, opt)
+	stats.BuildTime = build
+	if err != nil {
+		return nil, stats, err
+	}
+	pkgRows, pkgMult := decode(rows, res.X)
 	pkg, err := NewPackage(spec.Rel, pkgRows, pkgMult)
 	if err != nil {
 		return nil, stats, err
@@ -287,23 +269,12 @@ func SolveRowsStream(ctx context.Context, spec *Spec, rows []int, hi []float64, 
 
 // Direct is the paper's DIRECT evaluation method: compute the base
 // relation, translate the whole query into a single ILP, and solve it
-// with the black-box solver.
-func Direct(spec *Spec, opt ilp.Options) (*Package, *EvalStats, error) {
-	return DirectCtx(context.Background(), spec, opt)
-}
-
-// DirectCtx is Direct under a context (see SolveRowsCtx).
-func DirectCtx(ctx context.Context, spec *Spec, opt ilp.Options) (*Package, *EvalStats, error) {
-	return DirectStream(ctx, spec, opt, nil)
-}
-
-// DirectStream is DirectCtx with anytime results: improving incumbents
-// of the single ILP solve are forwarded to fn as they are found, each a
-// feasible (possibly suboptimal) package over the input relation. A nil
-// fn degrades to a plain solve.
-func DirectStream(ctx context.Context, spec *Spec, opt ilp.Options, fn IncumbentFunc) (*Package, *EvalStats, error) {
+// with the black-box solver. fn receives the solve's improving
+// incumbents, each a feasible (possibly suboptimal) package over the
+// input relation; it may be nil.
+func Direct(ctx context.Context, spec *Spec, opt ilp.Options, fn IncumbentFunc) (*Package, *EvalStats, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, &EvalStats{}, err
 	}
-	return SolveRowsStream(ctx, spec, spec.BaseRows(), nil, opt, 0, fn)
+	return Solve(ctx, spec, spec.BaseRows(), nil, opt, fn)
 }

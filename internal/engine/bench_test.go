@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -39,7 +38,7 @@ func BenchmarkPartitionBuild(b *testing.B) {
 }
 
 // BenchmarkBatchEvaluate measures batch query evaluation over one shared
-// partitioning at several worker-pool sizes. Queries are independent
+// partitioning at several fan-out widths. Queries are independent
 // SketchRefine evaluations, so the speedup over workers=1 should track
 // the core count until the solver saturates memory bandwidth.
 func BenchmarkBatchEvaluate(b *testing.B) {
@@ -68,10 +67,8 @@ MAXIMIZE SUM(P.petrorad)`, card, 0.8*float64(card)+0.05*float64(i)), rel)
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := engine.New(engine.SketchRefine{Part: part, Opt: opt})
-				eng.Workers = workers
 				eng.NoCache = true // measure solves, not cache hits
-				results := eng.EvaluateBatch(context.Background(), specs)
-				for qi, r := range results {
+				for qi, r := range evaluateAll(eng, specs, workers) {
 					if r.Err != nil {
 						b.Fatalf("query %d: %v", qi, r.Err)
 					}

@@ -5,24 +5,27 @@
 //
 // It contributes three things on top of the strategy packages:
 //
-//   - a Solver interface with the three evaluation strategies of the
+//   - one Solver interface with the three evaluation strategies of the
 //     paper — NAIVE (Section 2), DIRECT (Section 3), and SKETCHREFINE
-//     (Section 4) — as interchangeable values;
-//   - context plumbing: every solve takes a context.Context whose
-//     cancellation or deadline reaches all the way into the simplex
-//     iterations of an in-flight ILP solve;
-//   - multicore execution: a bounded worker pool evaluates batches of
-//     queries over one shared partitioning concurrently (with a
-//     per-partitioning solution cache deduplicating identical queries),
-//     and SketchRefine can race several seeded refinement orders —
+//     (Section 4) — as interchangeable values; what varies per call (a
+//     pinned partitioning view, an incumbent listener) travels in a Call;
+//   - a solution cache per engine: identical queries over the same data
+//     are solved once, concurrent duplicates share one solve, and only
+//     definitive outcomes are retained (an Engine is safe for concurrent
+//     use; callers that want a batch fan Evaluate out themselves);
+//   - racing: SketchRefine can run several seeded refinement orders —
 //     Algorithm 2 starts from an arbitrary order — returning the first
 //     feasible package and canceling the losers.
+//
+// Every solve takes a context.Context whose cancellation or deadline
+// reaches all the way into the simplex iterations of an in-flight ILP.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,7 +35,6 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/naive"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/sketchrefine"
@@ -43,20 +45,24 @@ import (
 // returns the context's error. Implementations must be safe for
 // concurrent use — Engine calls Solve from many goroutines.
 type Solver interface {
-	// Name identifies the strategy ("naive", "direct", "sketchrefine").
-	Name() string
 	// Solve evaluates the query and returns the chosen package.
-	Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error)
+	Solve(ctx context.Context, spec *core.Spec, call Call) (*core.Package, *core.EvalStats, error)
 }
 
-// StreamingSolver is implemented by strategies that can surface
-// improving incumbents while a solve is still running (anytime
-// results). Direct and SketchRefine implement it; Naive does not (its
-// enumeration has no incumbent stream worth forwarding).
-type StreamingSolver interface {
-	Solver
-	// SolveStream is Solve with an incumbent callback; fn may be nil.
-	SolveStream(ctx context.Context, spec *core.Spec, fn core.IncumbentFunc) (*core.Package, *core.EvalStats, error)
+// Call carries what one evaluation adds to a strategy's fixed
+// configuration. The zero value is a plain solve; a strategy ignores
+// the inputs that do not apply to it.
+type Call struct {
+	// Part, when non-nil, replaces a partitioned strategy's own
+	// partitioning for this call — the seam snapshot-pinned solves use to
+	// run over a frozen view whose relation matches their pinned version.
+	Part *partition.Partitioning
+	// OnIncumbent, when non-nil, receives the solve's improving
+	// incumbents while it runs (anytime results; Naive has no stream
+	// worth forwarding). Racing SketchRefine lanes all forward to it: it
+	// must then be safe for concurrent calls, and the stream is a
+	// progress signal, not a monotone sequence.
+	OnIncumbent core.IncumbentFunc
 }
 
 // Direct is the paper's DIRECT strategy: one ILP over the whole base
@@ -65,17 +71,9 @@ type Direct struct {
 	Opt ilp.Options
 }
 
-// Name implements Solver.
-func (Direct) Name() string { return "direct" }
-
 // Solve implements Solver.
-func (d Direct) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
-	return core.DirectCtx(ctx, spec, d.Opt)
-}
-
-// SolveStream implements StreamingSolver.
-func (d Direct) SolveStream(ctx context.Context, spec *core.Spec, fn core.IncumbentFunc) (*core.Package, *core.EvalStats, error) {
-	return core.DirectStream(ctx, spec, d.Opt, fn)
+func (d Direct) Solve(ctx context.Context, spec *core.Spec, call Call) (*core.Package, *core.EvalStats, error) {
+	return core.Direct(ctx, spec, d.Opt, call.OnIncumbent)
 }
 
 // Naive is the traditional-SQL self-join baseline of Section 2. It only
@@ -84,11 +82,8 @@ type Naive struct {
 	Opt naive.Options
 }
 
-// Name implements Solver.
-func (Naive) Name() string { return "naive" }
-
 // Solve implements Solver.
-func (n Naive) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
+func (n Naive) Solve(ctx context.Context, spec *core.Spec, _ Call) (*core.Package, *core.EvalStats, error) {
 	t0 := time.Now()
 	res, err := naive.EvaluateCtx(ctx, spec, n.Opt)
 	stats := &core.EvalStats{Subproblems: 1, SolveTime: time.Since(t0)}
@@ -134,42 +129,15 @@ type SketchRefine struct {
 	Seed int64
 }
 
-// PartitionedSolver is implemented by strategies that refine over an
-// offline partitioning and can be rebound to a frozen view of it for
-// one call — the seam snapshot-pinned solves use to run over a
-// partitioning view whose relation matches their pinned version.
-type PartitionedSolver interface {
-	Solver
-	// WithPart returns a copy of the solver refining over part.
-	WithPart(part *partition.Partitioning) Solver
-}
-
-// Name implements Solver.
-func (SketchRefine) Name() string { return "sketchrefine" }
-
-// WithPart implements PartitionedSolver: the returned copy refines over
-// part (everything else — options, racers, seeds — is unchanged).
-func (s SketchRefine) WithPart(part *partition.Partitioning) Solver {
-	s.Part = part
-	return s
-}
-
-// Solve implements Solver.
-func (s SketchRefine) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
-	if s.Racers <= 1 {
-		return sketchrefine.EvaluateCtx(ctx, spec, s.Part, s.Opt)
+// Solve implements Solver: the call's partitioning view and incumbent
+// listener replace the configured ones for this evaluation only (s is a
+// copy).
+func (s SketchRefine) Solve(ctx context.Context, spec *core.Spec, call Call) (*core.Package, *core.EvalStats, error) {
+	if call.Part != nil {
+		s.Part = call.Part
 	}
-	return s.race(ctx, spec)
-}
-
-// SolveStream implements StreamingSolver. With Racers > 1 every lane
-// forwards its incumbents to fn, which must therefore be safe for
-// concurrent calls; lanes are independent searches, so the stream's
-// objectives are a progress signal, not a monotone sequence. With a
-// nil callback it behaves exactly like Solve.
-func (s SketchRefine) SolveStream(ctx context.Context, spec *core.Spec, fn core.IncumbentFunc) (*core.Package, *core.EvalStats, error) {
-	if fn != nil {
-		s.Opt.OnIncumbent = fn
+	if call.OnIncumbent != nil {
+		s.Opt.OnIncumbent = call.OnIncumbent
 	}
 	if s.Racers <= 1 {
 		return sketchrefine.EvaluateCtx(ctx, spec, s.Part, s.Opt)
@@ -259,16 +227,13 @@ type Result struct {
 	Time time.Duration
 }
 
-// Engine evaluates package queries with a pluggable strategy, a bounded
-// worker pool for batches, and a solution cache that deduplicates
-// identical queries against the same strategy (for SketchRefine: the
-// same shared partitioning). An Engine is safe for concurrent use.
+// Engine evaluates package queries with a pluggable strategy and a
+// solution cache that deduplicates identical queries against the same
+// strategy (for SketchRefine: the same shared partitioning). An Engine
+// is safe for concurrent use.
 type Engine struct {
 	// Solver is the evaluation strategy.
 	Solver Solver
-	// Workers bounds the number of queries evaluated concurrently by
-	// EvaluateBatch; 0 means runtime.GOMAXPROCS(0).
-	Workers int
 	// NoCache disables the solution cache (every Evaluate solves).
 	NoCache bool
 	// MaxCacheEntries bounds the solution cache; when full, an arbitrary
@@ -369,8 +334,7 @@ type cacheEntry struct {
 	ver uint64
 }
 
-// New returns an engine using the given strategy and the default worker
-// pool size (GOMAXPROCS).
+// New returns an engine using the given strategy.
 func New(s Solver) *Engine {
 	return &Engine{Solver: s}
 }
@@ -385,45 +349,22 @@ func New(s Solver) *Engine {
 // they are never retained, and a duplicate that was waiting on a solve
 // aborted by the *owner's* context retries with its own.
 func (e *Engine) Evaluate(ctx context.Context, spec *core.Spec) Result {
-	return e.EvaluateStream(ctx, spec, nil)
+	return e.EvaluateCall(ctx, spec, Call{})
 }
 
-// EvaluateStream is Evaluate with anytime results: while the solve is
-// running, every improving incumbent is forwarded to fn (see
-// core.IncumbentFunc). The incumbent stream comes from a live solve
-// only — a cache hit returns the finished result immediately with no
-// intermediate incumbents, and a caller that joins an in-flight
+// EvaluateCall is Evaluate with per-call inputs (see Call). A
+// partitioning view still shares the engine's solution cache with head
+// solves — it holds the same groups at the same relation version, so
+// keys and results are interchangeable. The incumbent stream comes from
+// a live solve only: a cache hit returns the finished result immediately
+// with no intermediate incumbents, and a caller that joins an in-flight
 // duplicate solve shares its result but not its stream (the callback
-// was bound by the first caller). A nil fn is exactly Evaluate.
-func (e *Engine) EvaluateStream(ctx context.Context, spec *core.Spec, fn core.IncumbentFunc) Result {
-	return e.evaluate(ctx, spec, e.Solver, fn)
-}
-
-// EvaluateStreamView is EvaluateStream with a per-call partitioning
-// view: when the engine's strategy implements PartitionedSolver, this
-// call solves over part instead of the strategy's baked-in live
-// partitioning, while still sharing the engine's solution cache — the
-// view holds the same groups at the same relation version, so keys and
-// results are interchangeable with head solves. A nil part (or a
-// non-partitioned strategy) behaves exactly like EvaluateStream.
-func (e *Engine) EvaluateStreamView(ctx context.Context, spec *core.Spec, part *partition.Partitioning, fn core.IncumbentFunc) Result {
-	solver := e.Solver
-	if part != nil {
-		if ps, ok := solver.(PartitionedSolver); ok {
-			solver = ps.WithPart(part)
-		}
-	}
-	return e.evaluate(ctx, spec, solver, fn)
-}
-
-func (e *Engine) evaluate(ctx context.Context, spec *core.Spec, solver Solver, fn core.IncumbentFunc) Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// was bound by the first caller).
+func (e *Engine) EvaluateCall(ctx context.Context, spec *core.Spec, call Call) Result {
 	if e.NoCache {
 		e.misses.Add(1)
 		obs.FromContext(ctx).SetAttrStr("cache", "off")
-		return e.solve(ctx, spec, solver, fn)
+		return e.solve(ctx, spec, call)
 	}
 	key := SpecKey(spec)
 
@@ -486,7 +427,7 @@ func (e *Engine) evaluate(ctx context.Context, spec *core.Spec, solver Solver, f
 		e.misses.Add(1)
 		obs.FromContext(ctx).SetAttrStr("cache", "miss")
 
-		ent.res = e.solve(ctx, spec, solver, fn)
+		ent.res = e.solve(ctx, spec, call)
 		if !definitive(ent.res) {
 			// Drop the entry before waking waiters so their retry finds
 			// the key free.
@@ -525,100 +466,38 @@ func ctxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func (e *Engine) solve(ctx context.Context, spec *core.Spec, solver Solver, fn core.IncumbentFunc) Result {
+func (e *Engine) solve(ctx context.Context, spec *core.Spec, call Call) Result {
 	t0 := time.Now()
-	var (
-		pkg   *core.Package
-		stats *core.EvalStats
-		err   error
-	)
-	if ss, ok := solver.(StreamingSolver); ok && fn != nil {
-		pkg, stats, err = ss.SolveStream(ctx, spec, fn)
-	} else {
-		pkg, stats, err = solver.Solve(ctx, spec)
-	}
+	pkg, stats, err := e.Solver.Solve(ctx, spec, call)
 	return Result{Pkg: pkg, Stats: stats, Err: err, Time: time.Since(t0)}
 }
 
-// EvaluateBatch evaluates many queries concurrently on the engine's
-// worker pool and returns their results in input order. All queries
-// share the strategy's state (for SketchRefine: one partitioning built
-// offline) and the solution cache, so duplicate queries in a batch are
-// solved once. Every result slot is filled; per-query failures are
-// reported in Result.Err, not returned.
-func (e *Engine) EvaluateBatch(ctx context.Context, specs []*core.Spec) []Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([]Result, len(specs))
-	par.For(len(specs), e.Workers, func(i int) {
-		out[i] = e.Evaluate(ctx, specs[i])
-	})
-	return out
-}
-
-// CacheLen reports the number of cached solutions (for tests and
-// diagnostics).
-func (e *Engine) CacheLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
-}
-
 // SpecKey fingerprints a compiled query for the solution cache: the
-// input relation's identity *at its current version* plus the canonical
-// rendering of the REPEAT bound, base predicate, restrictions,
-// constraints, and objective. Two specs with equal keys describe the
-// same optimization problem over the same data; mutating the relation
-// bumps its version, so entries solved against older data become
-// unreachable instead of being served stale (InvalidateRel reclaims
-// them). (The
+// input relation's identity *at its current version* plus QueryKey's
+// rendering of the query. Two specs with equal keys describe the same
+// optimization problem over the same data; mutating the relation bumps
+// its version, so entries solved against older data become unreachable
+// instead of being served stale (InvalidateRel reclaims them). (The
 // relation's address is sound as identity because every cache entry
-// pins its relation for the entry's lifetime.) Predicates without a
-// faithful rendering — a FuncPred with no Desc prints "<func>" — fall
-// back to pointer identity so distinct anonymous predicates never
-// collide: top-level ones by predicate pointer, and ones nested inside
-// coefficient renderings (e.g. a CondCoef's gate) by keying the whole
-// spec on its own identity. The PaQL compiler always sets Desc, so
-// translated queries never pay either fallback.
+// pins its relation for the entry's lifetime.)
 func SpecKey(spec *core.Spec) string {
 	var b strings.Builder
 	// Key on the relation's identity, not the view pointer: a snapshot
 	// and its head at the same version hold identical data, so solves
 	// pinned to different snapshots of one dataset share cache entries.
-	fmt.Fprintf(&b, "rel=%p@v%d;repeat=%d", spec.Rel.Identity(), spec.Rel.Version(), spec.Repeat)
-	pred := func(tag string, p relation.Predicate) {
-		s := p.String()
-		if s == "<func>" {
-			fmt.Fprintf(&b, ";%s=<func>@%p", tag, p)
-			return
-		}
-		fmt.Fprintf(&b, ";%s=%s", tag, s)
-	}
-	if spec.Base != nil {
-		pred("base", spec.Base)
-	}
-	for _, r := range spec.Restrictions {
-		pred("restrict", r)
-	}
-	for _, c := range spec.Constraints {
-		fmt.Fprintf(&b, ";cons=%s %s %g", c.Coef, c.Op, c.RHS)
-	}
-	if o := spec.Objective; o != nil {
-		sense := "min"
-		if o.Maximize {
-			sense = "max"
-		}
-		fmt.Fprintf(&b, ";obj=%s %s +%g", sense, o.Coef, o.Offset)
-	}
-	key := b.String()
-	if strings.Contains(key, "<func>") {
-		// An anonymous predicate leaked into a coefficient rendering;
-		// its text cannot distinguish different functions, so restrict
-		// the key to this exact spec value.
-		key += fmt.Sprintf(";spec=%p", spec)
-	}
-	return key
+	fmt.Fprintf(&b, "rel=%p@v%d", spec.Rel.Identity(), spec.Rel.Version())
+	renderQuery(&b, spec, true)
+	return b.String()
+}
+
+// QueryKey is the relation-independent part of SpecKey: the canonical
+// rendering of the REPEAT bound, base predicate, restrictions,
+// constraints, and objective, constants included. Callers that name the
+// relation their own way (a plan's displayed cache key) prefix it.
+func QueryKey(spec *core.Spec) string {
+	var b strings.Builder
+	renderQuery(&b, spec, true)
+	return b.String()
 }
 
 // ShapeKey fingerprints a query's *structure* for the adaptive
@@ -638,14 +517,34 @@ func ShapeKey(spec *core.Spec) string {
 	for n := len(spec.BaseRows()); n > 0; n >>= 1 {
 		bucket++
 	}
-	fmt.Fprintf(&b, "rel=%s;size=2^%d;repeat=%d", spec.Rel.Name(), bucket, spec.Repeat)
+	fmt.Fprintf(&b, "rel=%s;size=2^%d", spec.Rel.Name(), bucket)
+	renderQuery(&b, spec, false)
+	return b.String()
+}
+
+// renderQuery is the one renderer behind SpecKey, QueryKey and ShapeKey.
+// It appends the REPEAT bound, base predicate, restrictions, constraints
+// and objective to b, each introduced by ';'. With consts it prints the
+// constraint right-hand sides and the objective offset, which identify
+// one optimization problem; without, only the structure remains.
+//
+// Predicates without a faithful rendering — a FuncPred with no Desc
+// prints "<func>" — fall back to pointer identity so distinct anonymous
+// predicates never collide: top-level ones by predicate pointer, and
+// (with consts, where a collision would serve a wrong cached answer)
+// ones nested inside coefficient renderings, e.g. a CondCoef's gate, by
+// keying the whole spec on its own identity. The PaQL compiler always
+// sets Desc, so translated queries never pay either fallback.
+func renderQuery(b *strings.Builder, spec *core.Spec, consts bool) {
+	start := b.Len()
+	b.WriteString(";repeat=" + strconv.Itoa(spec.Repeat))
 	pred := func(tag string, p relation.Predicate) {
 		s := p.String()
 		if s == "<func>" {
-			fmt.Fprintf(&b, ";%s=<func>@%p", tag, p)
+			fmt.Fprintf(b, ";%s=<func>@%p", tag, p)
 			return
 		}
-		fmt.Fprintf(&b, ";%s=%s", tag, s)
+		fmt.Fprintf(b, ";%s=%s", tag, s)
 	}
 	if spec.Base != nil {
 		pred("base", spec.Base)
@@ -653,16 +552,28 @@ func ShapeKey(spec *core.Spec) string {
 	for _, r := range spec.Restrictions {
 		pred("restrict", r)
 	}
-	// Constraint structure without the RHS constants.
 	for _, c := range spec.Constraints {
-		fmt.Fprintf(&b, ";cons=%s %s", c.Coef, c.Op)
+		fmt.Fprintf(b, ";cons=%s %s", c.Coef, c.Op)
+		if consts {
+			// strconv prints what %g would, minus a Fprintf per constant:
+			// SpecKey runs on every cached execution.
+			b.WriteString(" " + strconv.FormatFloat(c.RHS, 'g', -1, 64))
+		}
 	}
 	if o := spec.Objective; o != nil {
 		sense := "min"
 		if o.Maximize {
 			sense = "max"
 		}
-		fmt.Fprintf(&b, ";obj=%s %s", sense, o.Coef)
+		fmt.Fprintf(b, ";obj=%s %s", sense, o.Coef)
+		if consts {
+			b.WriteString(" +" + strconv.FormatFloat(o.Offset, 'g', -1, 64))
+		}
 	}
-	return b.String()
+	if consts && strings.Contains(b.String()[start:], "<func>") {
+		// An anonymous predicate leaked into a coefficient rendering;
+		// its text cannot distinguish different functions, so restrict
+		// the key to this exact spec value.
+		fmt.Fprintf(b, ";spec=%p", spec)
+	}
 }

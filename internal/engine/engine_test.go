@@ -14,6 +14,7 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/lp"
 	"repro/internal/naive"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/sketchrefine"
@@ -53,10 +54,21 @@ MAXIMIZE SUM(P.petrorad)`, card, bound), rel)
 	return part, specs
 }
 
+// evaluateAll is the tests' batch: it fans eng.Evaluate out over at most
+// workers goroutines and returns the results in input order, after every
+// goroutine has exited.
+func evaluateAll(eng *engine.Engine, specs []*core.Spec, workers int) []engine.Result {
+	out := make([]engine.Result, len(specs))
+	par.For(len(specs), workers, func(i int) {
+		out[i] = eng.Evaluate(context.Background(), specs[i])
+	})
+	return out
+}
+
 // TestBatchWorkersDifferential is the query half of the issue's
 // differential suite: the same batch over the same shared partitioning
 // must yield identical objective values (and identical failure verdicts)
-// for Workers ∈ {1, 4, GOMAXPROCS} — parallelism may only change the
+// at 1, 4 and GOMAXPROCS goroutines — parallelism may only change the
 // wall clock, never the answers.
 func TestBatchWorkersDifferential(t *testing.T) {
 	part, specs := galaxyProblem(t, 1500, 10)
@@ -70,8 +82,7 @@ func TestBatchWorkersDifferential(t *testing.T) {
 			Part: part,
 			Opt:  sketchrefine.Options{Solver: solverOpt(), HybridSketch: true},
 		})
-		eng.Workers = workers
-		results := eng.EvaluateBatch(context.Background(), specs)
+		results := evaluateAll(eng, specs, workers)
 		got := make([]outcome, len(results))
 		for i, r := range results {
 			if r.Err != nil {
@@ -104,8 +115,7 @@ func TestDirectBatchDifferential(t *testing.T) {
 	var want []float64
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0), 4} {
 		eng := engine.New(engine.Direct{Opt: solverOpt()})
-		eng.Workers = workers
-		results := eng.EvaluateBatch(context.Background(), specs)
+		results := evaluateAll(eng, specs, workers)
 		got := make([]float64, len(results))
 		for i, r := range results {
 			if r.Err != nil {
@@ -163,9 +173,8 @@ func TestBatchCache(t *testing.T) {
 		Part: part,
 		Opt:  sketchrefine.Options{Solver: solverOpt(), HybridSketch: true},
 	})
-	eng.Workers = 4
-	results := eng.EvaluateBatch(context.Background(), batch)
-	if got, want := eng.CacheLen(), len(specs); got != want {
+	results := evaluateAll(eng, batch, 4)
+	if got, want := eng.Stats().Entries, len(specs); got != want {
 		t.Errorf("cache holds %d entries, want %d", got, want)
 	}
 	fresh := 0
@@ -199,8 +208,8 @@ func TestResourceLimitNotCached(t *testing.T) {
 	if !errors.Is(first.Err, core.ErrResourceLimit) {
 		t.Fatalf("error %v, want ErrResourceLimit", first.Err)
 	}
-	if eng.CacheLen() != 0 {
-		t.Errorf("resource-limit failure was cached (%d entries)", eng.CacheLen())
+	if eng.Stats().Entries != 0 {
+		t.Errorf("resource-limit failure was cached (%d entries)", eng.Stats().Entries)
 	}
 	second := eng.Evaluate(context.Background(), specs[0])
 	if second.Cached {
@@ -262,8 +271,8 @@ MAXIMIZE SUM(P.petrorad)`, rel)
 	if res.Stats == nil || !res.Stats.Truncated {
 		t.Error("timed-out incumbent not marked Truncated")
 	}
-	if eng.CacheLen() != 0 {
-		t.Errorf("budget-truncated result was cached (%d entries)", eng.CacheLen())
+	if eng.Stats().Entries != 0 {
+		t.Errorf("budget-truncated result was cached (%d entries)", eng.Stats().Entries)
 	}
 }
 
@@ -311,9 +320,8 @@ func TestSeededConcurrentBatch(t *testing.T) {
 			Seed:         9,
 		},
 	})
-	eng.Workers = 4
 	eng.NoCache = true // force every query through a real solve
-	for i, r := range eng.EvaluateBatch(context.Background(), specs) {
+	for i, r := range evaluateAll(eng, specs, 4) {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
 		}
@@ -381,8 +389,8 @@ func TestCancellationMidSolve(t *testing.T) {
 		if res.Err != nil && !errors.Is(res.Err, context.Canceled) {
 			t.Errorf("unexpected error: %v", res.Err)
 		}
-		if res.Err != nil && eng.CacheLen() != 0 {
-			t.Errorf("canceled result was cached (%d entries)", eng.CacheLen())
+		if res.Err != nil && eng.Stats().Entries != 0 {
+			t.Errorf("canceled result was cached (%d entries)", eng.Stats().Entries)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancellation did not stop the solve within 10s")
@@ -400,9 +408,9 @@ func TestPreCanceledContext(t *testing.T) {
 		engine.Direct{Opt: solverOpt()},
 		engine.SketchRefine{Part: part, Opt: sketchrefine.Options{Solver: solverOpt()}},
 	} {
-		_, _, err := s.Solve(ctx, specs[0])
+		_, _, err := s.Solve(ctx, specs[0], engine.Call{})
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: error %v, want context.Canceled", s.Name(), err)
+			t.Errorf("%T: error %v, want context.Canceled", s, err)
 		}
 	}
 }
@@ -429,12 +437,11 @@ func TestConcurrentEnginesSharedPartitioning(t *testing.T) {
 		Part: part,
 		Opt:  sketchrefine.Options{Solver: solverOpt(), HybridSketch: true},
 	})
-	eng.Workers = 4
-	want := eng.EvaluateBatch(context.Background(), specs)
+	want := evaluateAll(eng, specs, 4)
 	done := make(chan []engine.Result, 3)
 	for g := 0; g < 3; g++ {
 		go func() {
-			done <- eng.EvaluateBatch(context.Background(), specs)
+			done <- evaluateAll(eng, specs, 4)
 		}()
 	}
 	for g := 0; g < 3; g++ {
@@ -489,16 +496,16 @@ MAXIMIZE SUM(P.petrorad)`, rel)
 	if r2.Cached {
 		t.Fatal("query after a mutation must not be served from the stale entry")
 	}
-	if eng.CacheLen() != 2 {
-		t.Fatalf("cache holds %d entries, want 2 (stale + fresh)", eng.CacheLen())
+	if eng.Stats().Entries != 2 {
+		t.Fatalf("cache holds %d entries, want 2 (stale + fresh)", eng.Stats().Entries)
 	}
 
 	// …and InvalidateRel reclaims exactly the stale one.
 	if dropped := eng.InvalidateRel(rel); dropped != 1 {
 		t.Fatalf("InvalidateRel dropped %d entries, want 1", dropped)
 	}
-	if eng.CacheLen() != 1 {
-		t.Fatalf("cache holds %d entries after invalidation, want 1", eng.CacheLen())
+	if eng.Stats().Entries != 1 {
+		t.Fatalf("cache holds %d entries after invalidation, want 1", eng.Stats().Entries)
 	}
 	if got := eng.Stats().Invalidations; got != 1 {
 		t.Fatalf("Invalidations = %d, want 1", got)
@@ -557,5 +564,24 @@ SUCH THAT COUNT(P.*) = 3 AND SUM(P.redshift) <= 2.5
 MINIMIZE SUM(P.petrorad)`)
 	if engine.ShapeKey(a) == engine.ShapeKey(d) {
 		t.Error("different objective senses share a shape")
+	}
+}
+
+// TestSpecKeyConstantRendering: the key's constants are written without
+// fmt, and must stay byte-identical to the %g rendering every committed
+// cache key (the golden plan's included) was produced with.
+func TestSpecKeyConstantRendering(t *testing.T) {
+	rel := workload.Galaxy(20, 2)
+	for _, v := range []float64{0, -2.5, 0.1 + 0.2, 1e-7, 123456789, 1e21, 5e-324, math.Inf(1), math.Inf(-1)} {
+		spec := &core.Spec{
+			Rel:         rel,
+			Constraints: []core.Constraint{{Coef: core.UnitCoef{}, Op: lp.LE, RHS: v}},
+			Objective:   &core.Objective{Maximize: true, Coef: core.UnitCoef{}, Offset: v},
+		}
+		want := fmt.Sprintf("rel=%p@v%d;repeat=0;cons=%s %s %g;obj=max %s +%g",
+			rel.Identity(), rel.Version(), core.UnitCoef{}, lp.LE, v, core.UnitCoef{}, v)
+		if got := engine.SpecKey(spec); got != want {
+			t.Errorf("SpecKey = %q, want %q", got, want)
+		}
 	}
 }

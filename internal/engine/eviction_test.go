@@ -21,9 +21,7 @@ type countingSolver struct {
 	calls atomic.Int64
 }
 
-func (c *countingSolver) Name() string { return "counting" }
-
-func (c *countingSolver) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
+func (c *countingSolver) Solve(ctx context.Context, spec *core.Spec, _ engine.Call) (*core.Package, *core.EvalStats, error) {
 	c.calls.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, &core.EvalStats{}, err
@@ -92,7 +90,7 @@ MAXIMIZE SUM(P.x)`, 10+i), rel)
 	}
 	wg.Wait()
 
-	if got := eng.CacheLen(); got > maxEntries {
+	if got := eng.Stats().Entries; got > maxEntries {
 		t.Errorf("cache grew to %d entries, bound is %d", got, maxEntries)
 	}
 	st := eng.Stats()
@@ -163,9 +161,7 @@ type gateSolver struct {
 	gate <-chan struct{}
 }
 
-func (g *gateSolver) Name() string { return "gate" }
-
-func (g *gateSolver) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
+func (g *gateSolver) Solve(ctx context.Context, spec *core.Spec, _ engine.Call) (*core.Package, *core.EvalStats, error) {
 	select {
 	case <-g.gate:
 	case <-ctx.Done():

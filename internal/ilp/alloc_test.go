@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -40,7 +41,7 @@ func allocProblem() *Problem {
 // starts allocating.
 func TestSolveAllocationsBounded(t *testing.T) {
 	p := allocProblem()
-	res, err := Solve(p, Options{})
+	res, err := SolveCtx(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestSolveAllocationsBounded(t *testing.T) {
 	}
 
 	avg := testing.AllocsPerRun(20, func() {
-		if _, err := Solve(p, Options{}); err != nil {
+		if _, err := SolveCtx(context.Background(), p, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

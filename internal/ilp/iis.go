@@ -1,6 +1,8 @@
 package ilp
 
 import (
+	"context"
+
 	"repro/internal/lp"
 )
 
@@ -14,8 +16,8 @@ import (
 // infeasibility; this is that facility. The returned indices refer to rows
 // of p.A and are sorted ascending. If the problem is actually feasible,
 // FindIIS returns nil.
-func FindIIS(p *lp.Problem) ([]int, error) {
-	feasible, err := rowsFeasible(p, nil)
+func FindIIS(ctx context.Context, p *lp.Problem) ([]int, error) {
+	feasible, err := rowsFeasible(ctx, p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -29,7 +31,7 @@ func FindIIS(p *lp.Problem) ([]int, error) {
 	}
 	for i := 0; i < p.NumRows(); i++ {
 		active[i] = false
-		feasible, err := rowsFeasible(p, active)
+		feasible, err := rowsFeasible(ctx, p, active)
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +51,7 @@ func FindIIS(p *lp.Problem) ([]int, error) {
 
 // rowsFeasible solves the feasibility problem restricted to active rows
 // (all rows when active is nil).
-func rowsFeasible(p *lp.Problem, active []bool) (bool, error) {
+func rowsFeasible(ctx context.Context, p *lp.Problem, active []bool) (bool, error) {
 	sub := lp.Problem{
 		Maximize: true,
 		C:        make([]float64, p.NumVars()),
@@ -64,7 +66,7 @@ func rowsFeasible(p *lp.Problem, active []bool) (bool, error) {
 		sub.Op = append(sub.Op, p.Op[i])
 		sub.B = append(sub.B, p.B[i])
 	}
-	sol, err := lp.Solve(&sub)
+	sol, err := lp.SolveCtx(ctx, &sub)
 	if err != nil {
 		return false, err
 	}

@@ -8,15 +8,13 @@
 // or large problems (running out of memory even when the data fits in RAM)
 // is reproduced honestly through explicit resource budgets: MaxNodes
 // bounds the size of the branch-and-bound tree (the solver's working
-// memory) and LoadLimitVars bounds the number of variables the solver is
-// willing to load at all, mirroring CPLEX's requirement that the entire
-// problem fit in main memory.
+// memory) and TimeLimit the wall clock, mirroring the paper's one-hour
+// CPLEX cap.
 package ilp
 
 import (
 	"container/heap"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -50,7 +48,7 @@ const (
 	// Unbounded means the relaxation (and hence the ILP if feasible) is
 	// unbounded.
 	Unbounded
-	// ResourceLimit means a node, time, or load budget was exhausted
+	// ResourceLimit means a node or time budget was exhausted
 	// before the search finished — the emulation of the paper's solver
 	// failures. A best-effort incumbent may still be present.
 	ResourceLimit
@@ -81,10 +79,6 @@ type Options struct {
 	// 0 means DefaultMaxNodes. Exhausting it is reported as
 	// ResourceLimit, emulating solver memory/complexity failures.
 	MaxNodes int
-	// LoadLimitVars, when positive, refuses problems with more variables
-	// outright (ErrTooLarge), emulating the requirement that the whole
-	// model fit in the solver's main memory.
-	LoadLimitVars int
 	// Gap is the relative optimality gap at which search stops (e.g.
 	// 1e-6). Zero means prove optimality exactly (modulo tolerances).
 	Gap float64
@@ -108,10 +102,7 @@ type Options struct {
 // DefaultMaxNodes is the node budget used when Options.MaxNodes is 0.
 const DefaultMaxNodes = 200000
 
-// ErrTooLarge is returned when the problem exceeds LoadLimitVars.
-var ErrTooLarge = errors.New("ilp: problem exceeds solver load limit")
-
-// Result is the outcome of Solve.
+// Result is the outcome of SolveCtx.
 type Result struct {
 	Status    Status
 	X         []float64 // integral solution (valid for Optimal, and for ResourceLimit when HasIncumbent)
@@ -123,6 +114,9 @@ type Result struct {
 	HasIncumbent bool
 	// LPIterations is the total simplex iterations across all nodes.
 	LPIterations int
+	// Incumbents counts the strictly improving incumbents installed
+	// during the search (each one was also passed to OnIncumbent).
+	Incumbents int
 }
 
 const intTol = 1e-6
@@ -170,25 +164,14 @@ func (h *nodeHeap) Pop() any {
 	return n
 }
 
-// Solve runs branch and bound and returns the best integral solution.
-func Solve(p *Problem, opt Options) (*Result, error) {
-	return SolveCtx(context.Background(), p, opt)
-}
-
-// SolveCtx runs branch and bound under a context: cancellation (or a
-// context deadline) aborts the search — including any in-flight simplex
-// solve — and returns the context's error. This is what lets a caller
-// race several solves and cheaply cancel the losers.
+// SolveCtx runs branch and bound and returns the best integral solution.
+// Cancellation (or a context deadline) aborts the search — including any
+// in-flight simplex solve — and returns the context's error. This is
+// what lets a caller race several solves and cheaply cancel the losers.
 func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	n := p.LP.NumVars()
 	if p.Integer != nil && len(p.Integer) != n {
 		return nil, fmt.Errorf("ilp: Integer has length %d, want %d", len(p.Integer), n)
-	}
-	if opt.LoadLimitVars > 0 && n > opt.LoadLimitVars {
-		return nil, fmt.Errorf("%w: %d variables > limit %d", ErrTooLarge, n, opt.LoadLimitVars)
 	}
 	maxNodes := opt.MaxNodes
 	if maxNodes <= 0 {
@@ -418,6 +401,7 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 			res.HasIncumbent = true
 			res.X = xi
 			res.Objective = o
+			res.Incumbents++
 			if opt.OnIncumbent != nil {
 				cp := make([]float64, len(xi))
 				copy(cp, xi)

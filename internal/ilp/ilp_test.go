@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem, opt Options) *Result {
 	t.Helper()
-	r, err := Solve(p, opt)
+	r, err := SolveCtx(context.Background(), p, opt)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -181,19 +182,6 @@ func TestNodeBudgetResourceLimit(t *testing.T) {
 	}
 }
 
-func TestLoadLimit(t *testing.T) {
-	p := &Problem{
-		LP: lp.Problem{
-			Maximize: true,
-			C:        []float64{1, 1, 1},
-			Hi:       []float64{1, 1, 1},
-		},
-	}
-	if _, err := Solve(p, Options{LoadLimitVars: 2}); err == nil {
-		t.Fatal("load limit not enforced")
-	}
-}
-
 func TestTimeLimit(t *testing.T) {
 	// With an already-expired deadline the solver must stop quickly.
 	rng := rand.New(rand.NewSource(11))
@@ -227,7 +215,7 @@ func TestBadIntegerLength(t *testing.T) {
 		LP:      lp.Problem{Maximize: true, C: []float64{1}, Hi: []float64{1}},
 		Integer: []bool{true, false},
 	}
-	if _, err := Solve(p, Options{}); err == nil {
+	if _, err := SolveCtx(context.Background(), p, Options{}); err == nil {
 		t.Fatal("mismatched Integer length accepted")
 	}
 }
@@ -321,7 +309,7 @@ func TestQuickMatchesBruteForce(t *testing.T) {
 			p.LP.Op = append(p.LP.Op, op)
 			p.LP.B = append(p.LP.B, lhs)
 		}
-		r, err := Solve(p, Options{})
+		r, err := SolveCtx(context.Background(), p, Options{})
 		if err != nil {
 			return false
 		}
@@ -360,7 +348,7 @@ func TestQuickSolutionIntegralFeasible(t *testing.T) {
 		p.LP.A = [][]float64{row}
 		p.LP.Op = []lp.ConstraintOp{lp.LE}
 		p.LP.B = []float64{2 + rng.Float64()*10}
-		r, err := Solve(p, Options{})
+		r, err := SolveCtx(context.Background(), p, Options{})
 		if err != nil || r.Status != Optimal {
 			return false
 		}
@@ -390,7 +378,7 @@ func TestFindIIS(t *testing.T) {
 		Op:       []lp.ConstraintOp{lp.LE, lp.GE, lp.GE},
 		B:        []float64{2, 5, 1},
 	}
-	iis, err := FindIIS(p)
+	iis, err := FindIIS(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +395,7 @@ func TestFindIISFeasible(t *testing.T) {
 		Op:       []lp.ConstraintOp{lp.LE},
 		B:        []float64{2},
 	}
-	iis, err := FindIIS(p)
+	iis, err := FindIIS(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +428,7 @@ func TestQuickIISIrreducible(t *testing.T) {
 			p.Op = append(p.Op, []lp.ConstraintOp{lp.LE, lp.GE}[rng.Intn(2)])
 			p.B = append(p.B, float64(rng.Intn(13)-6))
 		}
-		iis, err := FindIIS(p)
+		iis, err := FindIIS(context.Background(), p)
 		if err != nil {
 			return false
 		}
@@ -456,7 +444,7 @@ func TestQuickIISIrreducible(t *testing.T) {
 			for i := range active {
 				active[i] = inIIS[i] && i != drop
 			}
-			ok, err := rowsFeasible(p, active)
+			ok, err := rowsFeasible(context.Background(), p, active)
 			if err != nil || !ok {
 				return false
 			}

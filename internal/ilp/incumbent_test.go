@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,7 +37,7 @@ func hardKnapsack(n int, seed int64) *Problem {
 
 func TestResourceLimitCarriesIncumbent(t *testing.T) {
 	p := hardKnapsack(40, 2)
-	r, err := Solve(p, Options{MaxNodes: 3})
+	r, err := SolveCtx(context.Background(), p, Options{MaxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +69,11 @@ func TestLocalSearchImprovesPlungeIncumbent(t *testing.T) {
 	// With swap local search, even a 1-node budget should land close to
 	// the optimum of a substitution-heavy instance.
 	p := hardKnapsack(60, 3)
-	limited, err := Solve(p, Options{MaxNodes: 1})
+	limited, err := SolveCtx(context.Background(), p, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Solve(p, Options{MaxNodes: 200000, Gap: 1e-6})
+	full, err := SolveCtx(context.Background(), p, Options{MaxNodes: 200000, Gap: 1e-6})
 	if err != nil || full.Status != Optimal {
 		t.Fatalf("reference solve: %v %v", err, full.Status)
 	}
@@ -86,11 +87,11 @@ func TestLocalSearchImprovesPlungeIncumbent(t *testing.T) {
 
 func TestGapTermination(t *testing.T) {
 	p := hardKnapsack(50, 4)
-	loose, err := Solve(p, Options{Gap: 0.10})
+	loose, err := SolveCtx(context.Background(), p, Options{Gap: 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Solve(p, Options{Gap: 1e-6})
+	tight, err := SolveCtx(context.Background(), p, Options{Gap: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestReducedCostFixingPreservesOptimum(t *testing.T) {
 		p.LP.A = [][]float64{row}
 		p.LP.Op = []lp.ConstraintOp{lp.LE}
 		p.LP.B = []float64{float64(rng.Intn(9) - 2)}
-		r, err := Solve(p, Options{})
+		r, err := SolveCtx(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

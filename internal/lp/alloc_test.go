@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -42,7 +43,7 @@ func allocProblem() *Problem {
 // allocating (one alloc per pivot on this problem adds hundreds).
 func TestSolveAllocationsIterationFree(t *testing.T) {
 	p := allocProblem()
-	sol, err := Solve(p)
+	sol, err := SolveCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestSolveAllocationsIterationFree(t *testing.T) {
 	}
 
 	avg := testing.AllocsPerRun(20, func() {
-		if _, err := Solve(p); err != nil {
+		if _, err := SolveCtx(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	})

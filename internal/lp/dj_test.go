@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,7 +65,7 @@ func TestQuickReducedCostBound(t *testing.T) {
 			B:        []float64{2 + rng.Float64()*3},
 			Hi:       hi,
 		}
-		s, err := Solve(p)
+		s, err := SolveCtx(context.Background(), p)
 		if err != nil || s.Status != Optimal {
 			return false
 		}
@@ -76,7 +77,7 @@ func TestQuickReducedCostBound(t *testing.T) {
 			forced := *p
 			forced.Lo = make([]float64, n)
 			forced.Lo[j] = 1
-			fs, err := Solve(&forced)
+			fs, err := SolveCtx(context.Background(), &forced)
 			if err != nil {
 				return false
 			}

@@ -409,11 +409,6 @@ func (tb *tableau) objective() float64 {
 	return z
 }
 
-// Solve solves the linear program.
-func Solve(p *Problem) (*Solution, error) {
-	return SolveCtx(context.Background(), p)
-}
-
 // SolveCtx solves the linear program, aborting early (with the context's
 // error) when ctx is canceled or its deadline passes. Cancellation is
 // polled every 64 simplex iterations, so an abandoned solve stops within

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	s, err := Solve(p)
+	s, err := SolveCtx(context.Background(), p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -228,7 +229,7 @@ func TestValidationErrors(t *testing.T) {
 		{C: []float64{1, 2}, A: nil, Op: nil, B: nil, Hi: []float64{1}},                     // hi length
 	}
 	for i, p := range cases {
-		if _, err := Solve(p); err == nil {
+		if _, err := SolveCtx(context.Background(), p); err == nil {
 			t.Errorf("case %d: invalid problem accepted", i)
 		}
 	}
@@ -340,7 +341,7 @@ func TestQuickGridDominance(t *testing.T) {
 			p.Op = append(p.Op, LE)
 			p.B = append(p.B, b)
 		}
-		s, err := Solve(p)
+		s, err := SolveCtx(context.Background(), p)
 		if err != nil || s.Status != Optimal {
 			return false
 		}
@@ -395,7 +396,7 @@ func TestQuickMinMaxDuality(t *testing.T) {
 			B:  []float64{1 + rng.Float64()*float64(n)},
 			Hi: hi,
 		}
-		minSol, err1 := Solve(base)
+		minSol, err1 := SolveCtx(context.Background(), base)
 		negC := make([]float64, n)
 		for j := range c {
 			negC[j] = -c[j]
@@ -403,7 +404,7 @@ func TestQuickMinMaxDuality(t *testing.T) {
 		maxP := *base
 		maxP.C = negC
 		maxP.Maximize = true
-		maxSol, err2 := Solve(&maxP)
+		maxSol, err2 := SolveCtx(context.Background(), &maxP)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -438,7 +439,7 @@ func TestQuickRedundantConstraint(t *testing.T) {
 			B:        []float64{float64(n) / 2},
 			Hi:       hi,
 		}
-		s1, err := Solve(p)
+		s1, err := SolveCtx(context.Background(), p)
 		if err != nil || s1.Status != Optimal {
 			return false
 		}
@@ -451,7 +452,7 @@ func TestQuickRedundantConstraint(t *testing.T) {
 		p2.A = append([][]float64{ones}, p.A...)
 		p2.Op = append([]ConstraintOp{LE}, p.Op...)
 		p2.B = append([]float64{float64(n)}, p.B...)
-		s2, err := Solve(&p2)
+		s2, err := SolveCtx(context.Background(), &p2)
 		if err != nil || s2.Status != Optimal {
 			return false
 		}

@@ -62,18 +62,11 @@ func Cardinality(spec *core.Spec) (int, error) {
 	return 0, ErrUnsupported
 }
 
-// Evaluate runs the self-join baseline on a compiled package query.
-func Evaluate(spec *core.Spec, opt Options) (*Result, error) {
-	return EvaluateCtx(context.Background(), spec, opt)
-}
-
-// EvaluateCtx is Evaluate under a context: cancellation or a context
-// deadline stops the enumeration and is reported as ErrTimeout alongside
-// the best package found so far, exactly like Options.Timeout.
+// EvaluateCtx runs the self-join baseline on a compiled package query.
+// Cancellation or a context deadline stops the enumeration and is
+// reported as ErrTimeout alongside the best package found so far,
+// exactly like Options.Timeout.
 func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if spec.Repeat != 0 {
 		return nil, ErrUnsupported
 	}

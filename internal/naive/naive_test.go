@@ -1,6 +1,7 @@
 package naive
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -44,11 +45,11 @@ func TestNaiveMatchesDirect(t *testing.T) {
 	for _, card := range []int{1, 2, 3} {
 		for _, maximize := range []bool{true, false} {
 			s := spec(rel, card, float64(card)*6, maximize)
-			nv, err := Evaluate(s, Options{})
+			nv, err := EvaluateCtx(context.Background(), s, Options{})
 			if err != nil {
 				t.Fatalf("card %d: naive: %v", card, err)
 			}
-			dPkg, _, err := core.Direct(s, ilp.Options{})
+			dPkg, _, err := core.Direct(context.Background(), s, ilp.Options{}, nil)
 			if err != nil {
 				t.Fatalf("card %d: direct: %v", card, err)
 			}
@@ -67,7 +68,7 @@ func TestNaiveMatchesDirect(t *testing.T) {
 func TestNaiveInfeasible(t *testing.T) {
 	rel := itemsRel(10, 2)
 	s := spec(rel, 3, 0.5, true) // three tuples of a ≥ 1 cannot sum ≤ 0.5
-	_, err := Evaluate(s, Options{})
+	_, err := EvaluateCtx(context.Background(), s, Options{})
 	if !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v, want infeasible", err)
 	}
@@ -82,12 +83,12 @@ func TestNaiveUnsupportedSpecs(t *testing.T) {
 			{Coef: core.AttrCoef{Attr: "a"}, Op: lp.LE, RHS: 5},
 		},
 	}
-	if _, err := Evaluate(noCard, Options{}); !errors.Is(err, ErrUnsupported) {
+	if _, err := EvaluateCtx(context.Background(), noCard, Options{}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("no-cardinality spec: err = %v, want unsupported", err)
 	}
 	withRepeat := spec(rel, 2, 10, true)
 	withRepeat.Repeat = 1
-	if _, err := Evaluate(withRepeat, Options{}); !errors.Is(err, ErrUnsupported) {
+	if _, err := EvaluateCtx(context.Background(), withRepeat, Options{}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("repeat spec: err = %v, want unsupported", err)
 	}
 }
@@ -95,7 +96,7 @@ func TestNaiveUnsupportedSpecs(t *testing.T) {
 func TestNaiveTimeout(t *testing.T) {
 	rel := itemsRel(200, 4)
 	s := spec(rel, 5, 30, true)
-	_, err := Evaluate(s, Options{Timeout: time.Millisecond})
+	_, err := EvaluateCtx(context.Background(), s, Options{Timeout: time.Millisecond})
 	if err != nil && !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want timeout or fast success", err)
 	}
@@ -105,7 +106,7 @@ func TestNaiveBasePredicate(t *testing.T) {
 	rel := itemsRel(20, 5)
 	s := spec(rel, 2, 12, true)
 	s.Base = relation.NewCompare("a", relation.LE, relation.F(5))
-	nv, err := Evaluate(s, Options{})
+	nv, err := EvaluateCtx(context.Background(), s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestNaiveFeasibilityOnly(t *testing.T) {
 	rel := itemsRel(15, 6)
 	s := spec(rel, 2, 100, true)
 	s.Objective = nil
-	nv, err := Evaluate(s, Options{})
+	nv, err := EvaluateCtx(context.Background(), s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +152,8 @@ func TestQuickNaiveAgreesWithDirect(t *testing.T) {
 		rel := itemsRel(8+rng.Intn(10), seed)
 		card := 1 + rng.Intn(3)
 		s := spec(rel, card, rng.Float64()*float64(card)*10, rng.Intn(2) == 0)
-		nv, nErr := Evaluate(s, Options{})
-		dPkg, _, dErr := core.Direct(s, ilp.Options{})
+		nv, nErr := EvaluateCtx(context.Background(), s, Options{})
+		dPkg, _, dErr := core.Direct(context.Background(), s, ilp.Options{}, nil)
 		if errors.Is(nErr, core.ErrInfeasible) || errors.Is(dErr, core.ErrInfeasible) {
 			return errors.Is(nErr, core.ErrInfeasible) && errors.Is(dErr, core.ErrInfeasible)
 		}

@@ -1,6 +1,6 @@
 // Package par holds the one worker-pool idiom shared by the parallel
-// partitioning and the query engine, so the clamping and channel
-// plumbing live in exactly one place.
+// partitioning and the SDK's batch execution, so the clamping and
+// channel plumbing live in exactly one place.
 package par
 
 import (

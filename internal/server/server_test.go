@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/relation"
 	"repro/internal/reltest"
 	"repro/internal/workload"
@@ -272,9 +273,7 @@ type blockingSolver struct {
 	started chan struct{} // one token per Solve entry
 }
 
-func (b *blockingSolver) Name() string { return "blocking" }
-
-func (b *blockingSolver) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
+func (b *blockingSolver) Solve(ctx context.Context, spec *core.Spec, _ engine.Call) (*core.Package, *core.EvalStats, error) {
 	select {
 	case b.started <- struct{}{}:
 	default:

@@ -1,12 +1,14 @@
 package sketchrefine
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ilp"
 	"repro/internal/lp"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/reltest"
@@ -24,7 +26,7 @@ func TestDynamicPartitioningEndToEnd(t *testing.T) {
 	spec := cardSpec(rel, 6, 40)
 	for _, omega := range []float64{4, 2, 1} {
 		part := tree.CoarsestForRadius(omega, 0)
-		pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 		if err != nil {
 			t.Fatalf("ω=%g: %v", omega, err)
 		}
@@ -40,7 +42,7 @@ func TestStatsAccumulation(t *testing.T) {
 	rel := genRel(300, 32)
 	part := buildPart(t, rel, 30, 0)
 	spec := cardSpec(rel, 8, 50)
-	_, stats, err := Evaluate(spec, part, Options{HybridSketch: true})
+	_, stats, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestBacktrackingExercised(t *testing.T) {
 		},
 		Objective: &core.Objective{Maximize: true, Coef: core.AttrCoef{Attr: "b"}},
 	}
-	pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatalf("backtracking scenario failed: %v", err)
 	}
@@ -133,7 +135,7 @@ func TestSketchCapsRespectRepeat(t *testing.T) {
 	for _, repeat := range []int{0, 1, 3} {
 		spec := cardSpec(rel, 10, 70)
 		spec.Repeat = repeat
-		pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 		if err != nil {
 			t.Fatalf("repeat %d: %v", repeat, err)
 		}
@@ -152,7 +154,7 @@ func TestSolverBudgetPropagates(t *testing.T) {
 	rel := genRel(300, 34)
 	part := buildPart(t, rel, 40, 0)
 	spec := cardSpec(rel, 8, 50)
-	pkg, _, err := Evaluate(spec, part, Options{
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{
 		HybridSketch: true,
 		Solver:       ilp.Options{MaxNodes: 2},
 	})
@@ -162,5 +164,89 @@ func TestSolverBudgetPropagates(t *testing.T) {
 	ok, err := pkg.IsFeasible(spec)
 	if err != nil || !ok {
 		t.Fatal("budget-limited evaluation returned an infeasible package")
+	}
+}
+
+// TestTraceSubproblemIDs: in a traced evaluation every ILP solve has its
+// own "ilp" span numbered in evaluation order — 0..k-1 for the k
+// subproblems the stats report — and the incumbents a solve streams
+// carry its span's number. The second case also pins that a hybrid
+// sketch's solve is visible in the trace.
+func TestTraceSubproblemIDs(t *testing.T) {
+	rel := genRel(300, 32)
+	// A SUM(a) window too narrow for any combination of centroids: the
+	// plain sketch is infeasible and the hybrid sketch tries group after
+	// group until one admits original tuples that hit the window.
+	small := genRel(60, 2)
+	window := cardSpec(small, 3, 21.72)
+	window.Constraints = append(window.Constraints,
+		core.Constraint{Coef: core.AttrCoef{Attr: "a"}, Op: lp.GE, RHS: 21.68})
+	for _, tc := range []struct {
+		name   string
+		spec   *core.Spec
+		part   *partition.Partitioning
+		hybrid bool // the plain sketch is infeasible
+	}{
+		{name: "sketch+refines", spec: cardSpec(rel, 8, 50), part: buildPart(t, rel, 30, 0)},
+		{name: "hybrid sketch", spec: window, part: buildPart(t, small, 12, 0), hybrid: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := obs.NewSpan("solve")
+			streamed := map[int]bool{}
+			_, stats, err := EvaluateCtx(obs.ContextWith(context.Background(), root), tc.spec, tc.part, Options{
+				HybridSketch: true,
+				OnIncumbent:  func(inc core.Incumbent) { streamed[inc.Subproblem] = true },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			root.Finish()
+
+			var ids []int64
+			hybrids := 0
+			var walk func(n *obs.Node)
+			walk = func(n *obs.Node) {
+				switch n.Name {
+				case "ilp":
+					id, ok := n.Attrs["subproblem"].(int64)
+					if !ok {
+						t.Fatalf("ilp span without a subproblem attr: %v", n.Attrs)
+					}
+					ids = append(ids, id)
+				case "hybrid_sketch":
+					hybrids++
+					if len(n.Children) != 1 || n.Children[0].Name != "ilp" {
+						t.Fatalf("hybrid_sketch span hides its solve: children %v", n.Children)
+					}
+					if _, ok := n.Children[0].Attrs["nodes"]; !ok {
+						t.Errorf("hybrid_sketch's ilp span carries no nodes attr: %v", n.Children[0].Attrs)
+					}
+				}
+				for _, c := range n.Children {
+					walk(c)
+				}
+			}
+			walk(root.Node())
+
+			if len(ids) != stats.Subproblems || len(ids) < 2 {
+				t.Fatalf("%d ilp spans for %d subproblems", len(ids), stats.Subproblems)
+			}
+			for i, id := range ids {
+				if id != int64(i) {
+					t.Fatalf("ilp spans numbered %v, want 0..%d in evaluation order", ids, len(ids)-1)
+				}
+			}
+			if len(streamed) == 0 {
+				t.Fatal("no incumbents streamed")
+			}
+			for sub := range streamed {
+				if sub < 0 || sub >= len(ids) {
+					t.Errorf("incumbent tagged subproblem %d, but the ilp spans are 0..%d", sub, len(ids)-1)
+				}
+			}
+			if tc.hybrid != (hybrids > 0) {
+				t.Errorf("%d hybrid_sketch spans, hybrid expected: %v", hybrids, tc.hybrid)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package sketchrefine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -60,7 +61,7 @@ func TestSeedStability(t *testing.T) {
 	} {
 		var first *core.Package
 		for run := 0; run < 4; run++ {
-			pkg, _, err := Evaluate(spec, part, tc.opt)
+			pkg, _, err := EvaluateCtx(context.Background(), spec, part, tc.opt)
 			if err != nil {
 				t.Fatalf("%s run %d: %v", tc.name, run, err)
 			}
@@ -80,14 +81,14 @@ func TestSeedStability(t *testing.T) {
 func TestSeedReproducible(t *testing.T) {
 	spec, part := seedTestProblem(t)
 	for _, seed := range []int64{1, 5, 23} {
-		first, _, err := Evaluate(spec, part, Options{HybridSketch: true, Seed: seed})
+		first, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Evaluate(spec, part, Options{HybridSketch: true, Seed: seed + 1}); err != nil {
+		if _, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true, Seed: seed + 1}); err != nil {
 			t.Fatal(err)
 		}
-		again, _, err := Evaluate(spec, part, Options{HybridSketch: true, Seed: seed})
+		again, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,43 +111,35 @@ type evaluator struct {
 	repRow map[int]int
 
 	backtracks int
-	// subs numbers the ILP subproblems in evaluation order for incumbent
-	// tagging.
-	subs int
 }
 
-// incumbentHook returns the IncumbentFunc for the next ILP subproblem,
-// tagging forwarded incumbents with the subproblem number and the
-// sketch flag, or nil when no caller is listening.
-func (ev *evaluator) incumbentHook(sketch bool) core.IncumbentFunc {
-	sub := ev.subs
-	ev.subs++
+// subproblem numbers the next ILP solve in evaluation order — the solves
+// already accounted in ev.stats, since every caller adds its solve's
+// stats before the next one starts. It returns ctx tagged so that
+// solve's "ilp" span records the number, and the hook that tags the
+// solve's forwarded incumbents with the same number and the sketch flag
+// (nil when no caller is listening).
+func (ev *evaluator) subproblem(ctx context.Context, sketch bool) (context.Context, core.IncumbentFunc) {
+	sub := ev.stats.Subproblems
+	ctx = core.WithSubproblem(ctx, sub)
 	fn := ev.opt.OnIncumbent
 	if fn == nil {
-		return nil
+		return ctx, nil
 	}
-	return func(inc core.Incumbent) {
+	return ctx, func(inc core.Incumbent) {
 		inc.Subproblem = sub
 		inc.Sketch = sketch
 		fn(inc)
 	}
 }
 
-// Evaluate runs SketchRefine on a compiled query over a partitioned
+// EvaluateCtx runs SketchRefine on a compiled query over a partitioned
 // relation. The partitioning must have been built on (a restriction of)
 // spec.Rel. It returns the package, accumulated statistics, and
-// ErrFalseInfeasible when no package is found.
-func Evaluate(spec *core.Spec, part *partition.Partitioning, opt Options) (*core.Package, *core.EvalStats, error) {
-	return EvaluateCtx(context.Background(), spec, part, opt)
-}
-
-// EvaluateCtx is Evaluate under a context: cancellation or a context
+// ErrFalseInfeasible when no package is found. Cancellation or a context
 // deadline aborts the evaluation — between refinement steps and inside
 // any in-flight ILP solve — and returns the context's error.
 func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partitioning, opt Options) (*core.Package, *core.EvalStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	stats := &core.EvalStats{}
 	if err := spec.Validate(); err != nil {
 		return nil, stats, err
@@ -257,25 +249,33 @@ func (ev *evaluator) groupCap(gid int) float64 {
 	return float64(len(ev.eligible[gid]) * (ev.spec.Repeat + 1))
 }
 
+// sketchColumns describes the given groups' representatives as the
+// columns of a sketch query: the query over R̃, one row of R̃ per group,
+// and the per-group count caps.
+func (ev *evaluator) sketchColumns(gids []int) (spec *core.Spec, repRows []int, caps []float64) {
+	repRows = make([]int, len(gids))
+	caps = make([]float64, len(gids))
+	for i, gid := range gids {
+		repRows[i] = ev.repRow[gid]
+		caps[i] = ev.groupCap(gid)
+	}
+	return &core.Spec{
+		Rel:         ev.part.Reps,
+		Repeat:      -1, // repetition is governed by the per-group caps
+		Constraints: ev.spec.Constraints,
+		Objective:   ev.spec.Objective,
+	}, repRows, caps
+}
+
 // sketch solves the sketch query Q[R̃] over the representative tuples,
 // returning the initial sketch state.
 func (ev *evaluator) sketch() (*state, error) {
 	ctx, sp := obs.Start(ev.ctx, "sketch")
 	defer sp.Finish()
 	sp.SetAttrInt("groups", int64(len(ev.gids)))
-	repRows := make([]int, len(ev.gids))
-	hi := make([]float64, len(ev.gids))
-	for i, gid := range ev.gids {
-		repRows[i] = ev.repRow[gid]
-		hi[i] = ev.groupCap(gid)
-	}
-	sketchSpec := &core.Spec{
-		Rel:         ev.part.Reps,
-		Repeat:      -1, // repetition is governed by the per-group caps
-		Constraints: ev.spec.Constraints,
-		Objective:   ev.spec.Objective,
-	}
-	pkg, st, err := core.SolveRowsStream(ctx, sketchSpec, repRows, hi, ev.opt.Solver, 0, ev.incumbentHook(true))
+	sketchSpec, repRows, caps := ev.sketchColumns(ev.gids)
+	ctx, hook := ev.subproblem(ctx, true)
+	pkg, st, err := core.Solve(ctx, sketchSpec, repRows, caps, ev.opt.Solver, hook)
 	ev.stats.Add(st)
 	if err != nil {
 		return nil, err
@@ -337,7 +337,8 @@ func (ev *evaluator) refineGroup(st *state, gid int) (*state, error) {
 			Desc: c.Desc,
 		})
 	}
-	pkg, stats, err := core.SolveRowsStream(ctx, sub, ev.eligible[gid], nil, ev.opt.Solver, 0, ev.incumbentHook(false))
+	ctx, hook := ev.subproblem(ctx, false)
+	pkg, stats, err := core.Solve(ctx, sub, ev.eligible[gid], nil, ev.opt.Solver, hook)
 	ev.stats.Add(stats)
 	if err != nil {
 		return nil, err
@@ -496,62 +497,28 @@ func (ev *evaluator) hybridSketchFor(gid int) (*state, error) {
 	defer sp.Finish()
 	sp.SetAttrInt("gid", int64(gid))
 	t0 := time.Now()
-	tupleRows := ev.eligible[gid]
-	var otherGids []int
-	for _, g := range ev.gids {
-		if g != gid {
-			otherGids = append(otherGids, g)
-		}
+	tupleRows, otherGids := ev.eligible[gid], remove(ev.gids, gid)
+	prob, err := core.BuildILP(ev.spec, tupleRows, nil)
+	if err != nil {
+		return nil, err
 	}
-	nT, nR := len(tupleRows), len(otherGids)
-	n := nT + nR
-	prob := &ilp.Problem{}
-	prob.LP.C = make([]float64, n)
-	prob.LP.Lo = make([]float64, n)
-	prob.LP.Hi = make([]float64, n)
-	maxMult := math.Inf(1)
-	if ev.spec.Repeat >= 0 {
-		maxMult = float64(ev.spec.Repeat + 1)
+	repSpec, repRows, caps := ev.sketchColumns(otherGids)
+	reps, err := core.BuildILP(repSpec, repRows, caps)
+	if err != nil {
+		return nil, err
 	}
-	for j := 0; j < nT; j++ {
-		prob.LP.Hi[j] = maxMult
-	}
-	for k, g := range otherGids {
-		prob.LP.Hi[nT+k] = ev.groupCap(g)
-	}
-	for ci, c := range ev.spec.Constraints {
-		row := make([]float64, n)
-		for j, r := range tupleRows {
-			row[j] = ev.consOnRel[ci](r)
-		}
-		for k, g := range otherGids {
-			row[nT+k] = ev.consOnReps[ci](ev.repRow[g])
-		}
-		prob.LP.A = append(prob.LP.A, row)
-		prob.LP.Op = append(prob.LP.Op, c.Op)
-		prob.LP.B = append(prob.LP.B, c.RHS)
-	}
-	if ev.spec.Objective != nil {
-		prob.LP.Maximize = ev.spec.Objective.Maximize
-		onRel, err := ev.spec.Objective.Coef.Bind(ev.spec.Rel)
-		if err != nil {
-			return nil, err
-		}
-		onReps, err := ev.spec.Objective.Coef.Bind(ev.part.Reps)
-		if err != nil {
-			return nil, err
-		}
-		for j, r := range tupleRows {
-			prob.LP.C[j] = onRel(r)
-		}
-		for k, g := range otherGids {
-			prob.LP.C[nT+k] = onReps(ev.repRow[g])
-		}
-	} else {
-		prob.LP.Maximize = true
+	// Both halves carry the query's constraint rows and objective sense;
+	// the hybrid problem is their columns side by side.
+	nT := len(tupleRows)
+	prob.LP.C = append(prob.LP.C, reps.LP.C...)
+	prob.LP.Lo = append(prob.LP.Lo, reps.LP.Lo...)
+	prob.LP.Hi = append(prob.LP.Hi, reps.LP.Hi...)
+	for i := range prob.LP.A {
+		prob.LP.A[i] = append(prob.LP.A[i], reps.LP.A[i]...)
 	}
 	solverOpt := ev.opt.Solver
-	if fn := ev.incumbentHook(true); fn != nil {
+	ctx, hook := ev.subproblem(ctx, true)
+	if hook != nil {
 		offset := 0.0
 		if ev.spec.Objective != nil {
 			offset = ev.spec.Objective.Offset
@@ -560,30 +527,16 @@ func (ev *evaluator) hybridSketchFor(gid int) (*state, error) {
 		// group plus other groups' representatives), so no single row
 		// mapping is faithful; forward objective progress only.
 		solverOpt.OnIncumbent = func(x []float64, obj float64, nodes int) {
-			fn(core.Incumbent{Objective: obj + offset, Nodes: nodes})
+			hook(core.Incumbent{Objective: obj + offset, Nodes: nodes})
 		}
 	}
-	sub := &core.EvalStats{Subproblems: 1, Vars: n, Rows: len(prob.LP.B), BuildTime: time.Since(t0)}
-	t1 := time.Now()
-	res, err := ilp.SolveCtx(ctx, prob, solverOpt)
-	sub.SolveTime = time.Since(t1)
+	build := time.Since(t0)
+	res, sub, err := core.SolveILP(ctx, prob, solverOpt)
+	sub.BuildTime = build
 	ev.stats.Add(sub)
 	if err != nil {
 		return nil, err
 	}
-	switch res.Status {
-	case ilp.Infeasible:
-		return nil, core.ErrInfeasible
-	case ilp.Unbounded:
-		return nil, fmt.Errorf("sketchrefine: hybrid sketch unbounded")
-	case ilp.ResourceLimit:
-		if !res.HasIncumbent {
-			return nil, fmt.Errorf("%w: hybrid sketch", core.ErrResourceLimit)
-		}
-		ev.stats.Truncated = true
-	}
-	ev.stats.SolverNodes += res.Nodes
-	ev.stats.LPIterations += res.LPIterations
 	st := &state{reps: make(map[int]int)}
 	for j, r := range tupleRows {
 		if m := int(math.Round(res.X[j])); m > 0 {
@@ -607,13 +560,8 @@ func (ev *evaluator) failOrMerge() (*core.Package, *core.EvalStats, error) {
 	}
 	ctx, sp := obs.Start(ev.ctx, "merge")
 	defer sp.Finish()
-	pkg, st, err := core.SolveRowsStream(ctx, ev.spec, ev.spec.BaseRows(), nil, ev.opt.Solver, 0, ev.incumbentHook(false))
+	ctx, hook := ev.subproblem(ctx, false)
+	pkg, st, err := core.Solve(ctx, ev.spec, ev.spec.BaseRows(), nil, ev.opt.Solver, hook)
 	ev.stats.Add(st)
-	if err != nil {
-		if errors.Is(err, core.ErrInfeasible) {
-			return nil, ev.stats, core.ErrInfeasible
-		}
-		return nil, ev.stats, err
-	}
-	return pkg, ev.stats, nil
+	return pkg, ev.stats, err
 }

@@ -1,6 +1,7 @@
 package sketchrefine
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -69,7 +70,7 @@ func TestSketchRefineFeasiblePackage(t *testing.T) {
 	rel := genRel(500, 1)
 	part := buildPart(t, rel, 60, 0)
 	spec := cardSpec(rel, 10, 60)
-	pkg, stats, err := Evaluate(spec, part, Options{HybridSketch: true})
+	pkg, stats, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestSketchRefineFeasiblePackage(t *testing.T) {
 		t.Errorf("expected sketch + refine subproblems, got %d", stats.Subproblems)
 	}
 	// SketchRefine's largest subproblem must be smaller than DIRECT's.
-	_, dStats, err := core.Direct(spec, ilp.Options{})
+	_, dStats, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +99,11 @@ func TestSketchRefineObjectiveCloseToDirect(t *testing.T) {
 	rel := genRel(400, 2)
 	part := buildPart(t, rel, 50, 0)
 	spec := cardSpec(rel, 8, 50)
-	pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dPkg, _, err := core.Direct(spec, ilp.Options{})
+	dPkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestSketchRefineMinimization(t *testing.T) {
 		},
 		Objective: &core.Objective{Maximize: false, Coef: core.AttrCoef{Attr: "a"}},
 	}
-	pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSketchRefineMinimization(t *testing.T) {
 	if !ok {
 		t.Fatal("minimization package infeasible")
 	}
-	dPkg, _, err := core.Direct(spec, ilp.Options{})
+	dPkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestSketchRefineWithBasePredicate(t *testing.T) {
 	part := buildPart(t, rel, 50, 0)
 	spec := cardSpec(rel, 5, 40)
 	spec.Base = relation.NewCompare("cat", relation.EQ, relation.S("x"))
-	pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestSketchRefineRepeat(t *testing.T) {
 	part := buildPart(t, rel, 20, 0)
 	spec := cardSpec(rel, 12, 80)
 	spec.Repeat = 2 // each tuple at most 3 times
-	pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestSketchRefineInfeasibleQuery(t *testing.T) {
 	part := buildPart(t, rel, 30, 0)
 	// SUM(a) <= 5 with 10 tuples each having a >= 1 is impossible.
 	spec := cardSpec(rel, 10, 5)
-	_, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+	_, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err == nil {
 		t.Fatal("infeasible query produced a package")
 	}
@@ -224,7 +225,7 @@ func TestSketchRefineMergeOnFailure(t *testing.T) {
 			{Coef: core.AttrCoef{Attr: "a"}, Op: lp.LE, RHS: 10.001},
 		},
 	}
-	pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true, MergeOnFailure: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true, MergeOnFailure: true})
 	if err != nil {
 		t.Fatalf("MergeOnFailure did not rescue: %v", err)
 	}
@@ -239,7 +240,7 @@ func TestSketchRefineWrongPartitioning(t *testing.T) {
 	rel2 := genRel(50, 8)
 	part := buildPart(t, rel1, 10, 0)
 	spec := cardSpec(rel2, 3, 20)
-	if _, _, err := Evaluate(spec, part, Options{}); err == nil {
+	if _, _, err := EvaluateCtx(context.Background(), spec, part, Options{}); err == nil {
 		t.Fatal("mismatched partitioning accepted")
 	}
 }
@@ -254,7 +255,7 @@ func TestSketchRefineRestrictedPartitioning(t *testing.T) {
 	}
 	part := full.Restrict(rows)
 	spec := cardSpec(rel, 7, 45)
-	pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ MAXIMIZE SUM(P.b)`, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestSketchRefineBacktrackBudget(t *testing.T) {
 	spec := cardSpec(rel, 5, 30)
 	// Degenerate budget: even one backtrack aborts. The query is easy,
 	// so it should still succeed without backtracking at all.
-	pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true, MaxBacktracks: 1})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true, MaxBacktracks: 1})
 	if err != nil {
 		t.Fatalf("easy query failed under tight backtrack budget: %v", err)
 	}
@@ -316,7 +317,7 @@ func TestSketchRefineShuffledOrder(t *testing.T) {
 	part := buildPart(t, rel, 25, 0)
 	spec := cardSpec(rel, 6, 35)
 	for seed := int64(1); seed < 4; seed++ {
-		pkg, _, err := Evaluate(spec, part, Options{
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{
 			HybridSketch: true,
 			Seed:         seed,
 		})
@@ -349,13 +350,13 @@ func TestApproximationBoundTheorem3(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := cardSpec(rel, 5, 35)
-		pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 		if err != nil {
 			// False infeasibility is allowed by the theorem (it only
 			// bounds the objective of produced packages).
 			continue
 		}
-		dPkg, _, err := core.Direct(spec, ilp.Options{})
+		dPkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +387,7 @@ func TestFalseInfeasibilityRare(t *testing.T) {
 			sumA += rel.Float(r, 0)
 		}
 		spec := cardSpec(rel, card, sumA+1) // the target package is feasible
-		_, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+		_, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 		if err != nil {
 			failures++
 		}
@@ -415,7 +416,7 @@ func TestQuickAlwaysFeasible(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			spec.Objective.Maximize = false
 		}
-		pkg, _, err := Evaluate(spec, part, Options{HybridSketch: true})
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 		if err != nil {
 			// Infeasibility reports are acceptable; wrong packages are not.
 			return errors.Is(err, ErrFalseInfeasible) || errors.Is(err, core.ErrInfeasible)

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -69,7 +70,7 @@ MINIMIZE SUM(P.saturated_fat)`, rel)
 	if got := len(spec.BaseRows()); got != 6 {
 		t.Errorf("base rows = %d, want 6", got)
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatalf("Direct: %v", err)
 	}
@@ -88,7 +89,7 @@ func TestCompileAvgRewrite(t *testing.T) {
 SELECT PACKAGE(R) AS P FROM recipes R REPEAT 0
 SUCH THAT COUNT(P.*) = 3 AND AVG(P.kcal) <= 0.6
 MAXIMIZE SUM(P.carbs)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ SELECT PACKAGE(R) AS P FROM recipes R REPEAT 0
 SUCH THAT COUNT(P.*) = 4 AND
           (SELECT COUNT(*) FROM P WHERE carbs > 0) >= (SELECT COUNT(*) FROM P WHERE protein <= 5)
 MAXIMIZE SUM(P.protein)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestCompileConditionalSum(t *testing.T) {
 SELECT PACKAGE(R) AS P FROM recipes R REPEAT 0
 SUCH THAT COUNT(P.*) = 3 AND (SELECT SUM(kcal) FROM P WHERE gluten = 'free') <= 1.5
 MAXIMIZE SUM(P.kcal)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ MAXIMIZE SUM(P.carbs)`, rel)
 	if len(spec.Restrictions) != 2 {
 		t.Fatalf("restrictions = %d, want 2", len(spec.Restrictions))
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ MAXIMIZE 2 * SUM(P.carbs) - SUM(P.protein) + 10`, rel)
 	if spec.Objective.Offset != 10 {
 		t.Errorf("objective offset = %g, want 10", spec.Objective.Offset)
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestCompileNegativeWeightNormalization(t *testing.T) {
 SELECT PACKAGE(R) AS P FROM recipes R REPEAT 0
 SUCH THAT COUNT(P.*) = 3 AND -2 * AVG(P.kcal) >= -1.2
 MAXIMIZE SUM(P.carbs)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestCompileVacuousObjective(t *testing.T) {
 	if spec.Objective != nil {
 		t.Error("feasibility-only query has an objective")
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ MAXIMIZE SUM(P.kcal)`, rel)
 	if !found {
 		t.Error("constant-folded COUNT bound not found")
 	}
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,13 +381,13 @@ func TestTheorem1ILPToPaQL(t *testing.T) {
 SELECT PACKAGE(R) AS P FROM ilprel R
 SUCH THAT SUM(P.attr_1) <= 5 AND SUM(P.attr_2) <= 11
 MAXIMIZE SUM(P.attr_obj)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obj, _ := pkg.ObjectiveValue(spec)
 
-	direct, err := ilp.Solve(&ilp.Problem{LP: lp.Problem{
+	direct, err := ilp.SolveCtx(context.Background(), &ilp.Problem{LP: lp.Problem{
 		Maximize: true,
 		C:        []float64{3, 5, 4},
 		A:        [][]float64{{2, 3, 1}, {4, 1, 2}},
@@ -406,7 +407,7 @@ func TestCompileObjectiveOverFromAlias(t *testing.T) {
 	// to it.
 	rel := recipesRel()
 	spec := compileOK(t, `SELECT PACKAGE(R) FROM recipes R REPEAT 0 SUCH THAT COUNT(R.*) = 2 MAXIMIZE SUM(R.kcal)`, rel)
-	pkg, _, err := core.Direct(spec, ilp.Options{})
+	pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,8 +435,8 @@ MINIMIZE SUM(P.saturated_fat)`
 	if err != nil {
 		t.Fatalf("compiling rendered query: %v", err)
 	}
-	p1, _, err1 := core.Direct(spec1, ilp.Options{})
-	p2, _, err2 := core.Direct(spec2, ilp.Options{})
+	p1, _, err1 := core.Direct(context.Background(), spec1, ilp.Options{}, nil)
+	p2, _, err2 := core.Direct(context.Background(), spec2, ilp.Options{}, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("direct: %v %v", err1, err2)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -173,7 +174,7 @@ func TestAllQueriesCompileAndSolve(t *testing.T) {
 			if q.Hard {
 				continue // hard queries are exercised in benches, not unit tests
 			}
-			pkg, _, err := core.Direct(spec, ilp.Options{MaxNodes: 200000})
+			pkg, _, err := core.Direct(context.Background(), spec, ilp.Options{MaxNodes: 200000}, nil)
 			if err != nil {
 				t.Errorf("%s/%s: DIRECT failed: %v", ds.rel.Name(), q.Name, err)
 				continue

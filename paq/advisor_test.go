@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/relation"
 	"repro/internal/reltest"
 	"repro/internal/workload"
@@ -109,13 +110,9 @@ func must(stmt *paq.Stmt, err error) *paq.Stmt {
 // stubSolver is an injected strategy with a fixed latency; it always
 // returns the first eligible row, so both methods agree on the
 // objective and the advisor's gap gate stays neutral.
-type stubSolver struct {
-	name  string
-	delay time.Duration
-}
+type stubSolver struct{ delay time.Duration }
 
-func (s stubSolver) Name() string { return s.name }
-func (s stubSolver) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
+func (s stubSolver) Solve(ctx context.Context, spec *core.Spec, _ engine.Call) (*core.Package, *core.EvalStats, error) {
 	time.Sleep(s.delay)
 	rows := spec.BaseRows()
 	return &core.Package{Rel: spec.Rel, Rows: rows[:1], Mult: []int{1}}, &core.EvalStats{}, nil
@@ -132,8 +129,8 @@ func TestAdvisorLearnsFasterMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.SetSolver(paq.MethodDirect, stubSolver{name: "direct", delay: time.Millisecond})
-	sess.SetSolver(paq.MethodSketchRefine, stubSolver{name: "sketchrefine", delay: 25 * time.Millisecond})
+	sess.SetSolver(paq.MethodDirect, stubSolver{delay: time.Millisecond})
+	sess.SetSolver(paq.MethodSketchRefine, stubSolver{delay: 25 * time.Millisecond})
 	q := `SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
 SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/ilp"
 	"repro/internal/naive"
 	"repro/internal/paql"
 	"repro/internal/relation"
@@ -114,7 +113,7 @@ func mapEvalErr(err error) error {
 		return tag(ErrTimeout, err)
 	case errors.Is(err, context.Canceled):
 		return err
-	case errors.Is(err, core.ErrResourceLimit), errors.Is(err, ilp.ErrTooLarge), errors.Is(err, naive.ErrTimeout):
+	case errors.Is(err, core.ErrResourceLimit), errors.Is(err, naive.ErrTimeout):
 		return tag(ErrBudget, err)
 	case errors.Is(err, naive.ErrUnsupported):
 		return tag(ErrUnsupported, err)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/sketchrefine"
 )
 
 // TraceNode is the JSON wire form of one span of an execution trace —
@@ -129,7 +128,9 @@ func WithRows(rows []int) ExecOption {
 // WithExecSeed overrides the session's SketchRefine refinement-order
 // seed for this execution only. Reseeded executions bypass the
 // solution cache (their answer depends on the order) and evaluate that
-// single order deterministically (WithRacers does not apply).
+// single order deterministically (WithRacers does not apply). On a
+// statement of any other method the seed cannot change the answer and
+// is ignored.
 func WithExecSeed(seed int64) ExecOption {
 	return ExecOption{apply: func(c *execCfg) { c.seed = seed; c.seedSet = true }}
 }
@@ -149,6 +150,8 @@ func WithTrace() ExecOption {
 // statements (same constraints, objective, and relation) are answered
 // from the session's solution cache when possible.
 func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error) {
+	// The SDK boundary is the one place a nil ctx is tolerated; every
+	// layer below takes the context as given.
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -222,9 +225,10 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 		}
 	}
 
-	// Bespoke executions (row subsets, reseeds) bypass the engine and are
-	// not representative workload evidence, so they skip the advisor.
-	bespoke := ec.rows != nil || ec.seedSet
+	// Bespoke executions (row subsets, reseeded refinement orders) bypass
+	// the engine and are not representative workload evidence, so they
+	// skip the advisor. Only SketchRefine has an order to reseed.
+	bespoke := ec.rows != nil || (ec.seedSet && st.method == MethodSketchRefine)
 	solveSp := root.Child("solve")
 	sctx := obs.ContextWith(ctx, solveSp)
 	var res engine.Result
@@ -232,7 +236,7 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 		res = st.executeBespoke(sctx, ec, spec, pin, hook)
 	} else {
 		eng := st.sess.engineFor(st.method, pin.part)
-		res = eng.EvaluateStreamView(sctx, spec, pin.view, hook)
+		res = eng.EvaluateCall(sctx, spec, engine.Call{Part: pin.view, OnIncumbent: hook})
 	}
 	solveSp.SetAttrBool("cached", res.Cached)
 	solveSp.Finish()
@@ -310,18 +314,22 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 }
 
 // executeBespoke runs row-subset or reseeded executions outside the
-// engine path (their answers are not cacheable under the statement's
+// engine's cache (their answers are not cacheable under the statement's
 // key). spec is the snapshot-bound spec and pin the pinned state, so
 // bespoke solves are as lock-free as engine ones.
 func (st *Stmt) executeBespoke(ctx context.Context, ec execCfg, spec *core.Spec, pin pinned, hook core.IncumbentFunc) engine.Result {
 	t0 := time.Now()
-	fail := func(err error) engine.Result {
-		return engine.Result{Err: err, Time: time.Since(t0)}
-	}
+	var (
+		pkg   *core.Package
+		stats *core.EvalStats
+		err   error
+	)
 	switch st.method {
 	case MethodNaive:
-		return fail(fmt.Errorf("%w: naive evaluation over row subsets", ErrUnsupported))
+		err = fmt.Errorf("%w: naive evaluation over row subsets", ErrUnsupported)
 	case MethodSketchRefine:
+		// The engine path's strategy value, minus the racers: one
+		// refinement order, over the restricted view, at the given seed.
 		part := pin.view
 		if ec.rows != nil {
 			part = part.Restrict(ec.rows)
@@ -330,17 +338,13 @@ func (st *Stmt) executeBespoke(ctx context.Context, ec execCfg, spec *core.Spec,
 		if ec.seedSet {
 			opt.Seed = ec.seed
 		}
-		opt.OnIncumbent = hook
-		pkg, stats, err := sketchrefine.EvaluateCtx(ctx, spec, part, opt)
-		return engine.Result{Pkg: pkg, Stats: stats, Err: err, Time: time.Since(t0)}
-	default: // direct
-		rows := spec.BaseRows()
-		if ec.rows != nil {
-			rows = spec.FilterRows(ec.rows)
-		}
-		pkg, stats, err := core.SolveRowsStream(ctx, spec, rows, nil, st.sess.cfg.solverOptions(), 0, hook)
-		return engine.Result{Pkg: pkg, Stats: stats, Err: err, Time: time.Since(t0)}
+		pkg, stats, err = engine.SketchRefine{Part: part, Opt: opt}.Solve(ctx, spec, engine.Call{OnIncumbent: hook})
+	default:
+		// DIRECT over a row subset is the one solve engine.Direct (the
+		// whole base relation) cannot express.
+		pkg, stats, err = core.Solve(ctx, spec, spec.FilterRows(ec.rows), nil, st.sess.cfg.solverOptions(), hook)
 	}
+	return engine.Result{Pkg: pkg, Stats: stats, Err: err, Time: time.Since(t0)}
 }
 
 // ExecuteBatch evaluates many prepared statements concurrently on the

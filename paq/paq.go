@@ -726,7 +726,6 @@ func (s *Session) engineFor(m Method, part *partition.Partitioning) *engine.Engi
 		solver = engine.Direct{Opt: s.cfg.solverOptions()}
 	}
 	e := engine.New(solver)
-	e.Workers = s.cfg.workers
 	e.NoCache = s.cfg.noCache
 	e.MaxCacheEntries = s.cfg.cacheEntries
 	s.engines[key] = e
@@ -740,7 +739,6 @@ func (s *Session) engineFor(m Method, part *partition.Partitioning) *engine.Engi
 // serves traffic.
 func (s *Session) SetSolver(m Method, solver Solver) {
 	e := engine.New(solver)
-	e.Workers = s.cfg.workers
 	e.NoCache = true
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -387,37 +387,61 @@ SUCH THAT COUNT(P.*) = 6 AND SUM(P.redshift) <= 4.0 MAXIMIZE SUM(P.petrorad)`)
 
 // TestRowSubsetExecution: WithRows restricts both strategies to a
 // sample, and the restricted answers stay feasible for the full spec.
+// A reseed is bespoke only where it can change the answer: alone, on a
+// method other than SketchRefine, it is an ordinary execution — naive
+// runs it, and the second call is served from the cache.
 func TestRowSubsetExecution(t *testing.T) {
 	rel := workload.Galaxy(1200, 9)
 	rows := make([]int, 0, 600)
 	for i := 0; i < rel.Len(); i += 2 {
 		rows = append(rows, i)
 	}
-	for _, m := range []paq.Method{paq.MethodDirect, paq.MethodSketchRefine} {
-		sess, err := paq.Open(paq.Table(rel), paq.WithMethod(m))
+	inSample := make(map[int]bool, len(rows))
+	for _, r := range rows {
+		inSample[r] = true
+	}
+	for _, tc := range []struct {
+		m      paq.Method
+		name   string
+		opt    paq.ExecOption
+		card   int
+		subset bool
+	}{
+		{paq.MethodDirect, "rows", paq.WithRows(rows), 5, true},
+		{paq.MethodSketchRefine, "rows", paq.WithRows(rows), 5, true},
+		{paq.MethodNaive, "seed", paq.WithExecSeed(7), 2, false},
+		{paq.MethodDirect, "seed", paq.WithExecSeed(7), 5, false},
+	} {
+		sess, err := paq.Open(paq.Table(rel), paq.WithMethod(tc.m))
 		if err != nil {
 			t.Fatal(err)
 		}
 		stmt, err := sess.Prepare(`SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
-SUCH THAT COUNT(P.*) = 5 AND SUM(P.redshift) <= 4.0 MAXIMIZE SUM(P.petrorad)`)
+SUCH THAT COUNT(P.*) = ` + strconv.Itoa(tc.card) + ` AND SUM(P.redshift) <= 4.0 MAXIMIZE SUM(P.petrorad)`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := stmt.Execute(context.Background(), paq.WithRows(rows))
+		res, err := stmt.Execute(context.Background(), tc.opt)
 		if err != nil {
-			t.Fatalf("%s: %v", m, err)
+			t.Fatalf("%s/%s: %v", tc.m, tc.name, err)
 		}
-		inSample := make(map[int]bool, len(rows))
-		for _, r := range rows {
-			inSample[r] = true
+		if res.Cached {
+			t.Errorf("%s/%s: first execution served from the cache", tc.m, tc.name)
+		}
+		again, err := stmt.Execute(context.Background(), tc.opt)
+		if err != nil {
+			t.Fatalf("%s/%s: second execution: %v", tc.m, tc.name, err)
+		}
+		if again.Cached == tc.subset {
+			t.Errorf("%s/%s: second execution Cached=%v (row subsets bypass the cache, a seed alone must not)", tc.m, tc.name, again.Cached)
+		}
+		if !tc.subset {
+			continue
 		}
 		for _, r := range res.Rows {
 			if !inSample[r] {
-				t.Fatalf("%s: row %d outside the sample", m, r)
+				t.Fatalf("%s: row %d outside the sample", tc.m, r)
 			}
-		}
-		if res.Cached {
-			t.Errorf("%s: row-subset execution must bypass the cache", m)
 		}
 	}
 }

@@ -285,7 +285,7 @@ func (st *Stmt) resolveMethod(m Method) error {
 		st.part = part
 	}
 	st.adaptive = &AdaptiveInfo{
-		Shape:    shapeHash(st.shape),
+		Shape:    shortHash(st.shape),
 		Chosen:   st.method,
 		Fallback: fallback,
 		Cold:     dec.Cold,
@@ -299,13 +299,13 @@ func (st *Stmt) resolveMethod(m Method) error {
 	return nil
 }
 
-// shapeHash compresses a shape key for display (the raw key spells out
-// the whole query structure).
-func shapeHash(shape string) string {
-	if shape == "" {
+// shortHash compresses a shape or cache key for display (the raw key
+// spells out the whole query structure); no key, no hash.
+func shortHash(key string) string {
+	if key == "" {
 		return ""
 	}
-	sum := sha256.Sum256([]byte(shape))
+	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:8])
 }
 
@@ -356,11 +356,5 @@ func (st *Stmt) QueryAttrs() []string { return st.spec.QueryAttrs() }
 // keys ⇒ the same method solving the same problem over identically
 // named relations with identical mutation histories.
 func stableCacheKey(m Method, spec *core.Spec) string {
-	key := engine.SpecKey(spec)
-	if i := strings.Index(key, ";"); i > 0 {
-		key = fmt.Sprintf("rel=%s/%d@v%d%s", spec.Rel.Name(), spec.Rel.Live(), spec.Rel.Version(), key[i:])
-	}
-	key = fmt.Sprintf("method=%s;%s", m, key)
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:8])
+	return shortHash(fmt.Sprintf("method=%s;rel=%s/%d@v%d%s", m, spec.Rel.Name(), spec.Rel.Live(), spec.Rel.Version(), engine.QueryKey(spec)))
 }
