@@ -17,7 +17,7 @@ import (
 // fixed-heuristic twin (paq.WithoutAdvisor) evaluate the same mixed
 // Galaxy + TPC-H workload with MethodAuto; after a warm-up phase the
 // adaptive session's total solve time must not exceed the fixed
-// heuristic's by more than Slack, with every query's objective within
+// heuristic's by more than adviseSlack, with every query's objective within
 // the quality bound. The adaptive sessions are durable: after the
 // measured phase they are closed and reopened, and the restarted
 // session must come back with its learned state — non-cold plans and
@@ -31,30 +31,31 @@ type AdviseConfig struct {
 	Warmup int
 	// Rounds is the number of measured workload rounds; 0 means 3.
 	Rounds int
-	// Quality multiplies the sessions' QualityBound to form the
-	// differential bound (0 means 1.15). The allowance is needed because
-	// the advisor may legitimately answer with a different method than
-	// the fixed heuristic: the two methods' objectives differ by the
-	// empirical approximation gap, which the advisor's own
-	// GapTolerance (10%, EWMA-smoothed) keeps small but nonzero. Only
-	// the adaptive session being WORSE counts against the bound.
-	Quality float64
-	// Slack is the multiplicative allowance on the adaptive session's
-	// total measured solve time versus the fixed twin's; 0 means 1.10.
-	// A small absolute grace (2ms per measured solve) is always added:
-	// sub-millisecond solves make a pure ratio flaky. Queries where
-	// only the adaptive session met the quality bound (QualityWin) are
-	// excluded from the comparison — there the advisor deliberately
-	// paid solve time the fixed heuristic saved by answering outside
-	// tolerance.
-	Slack float64
 	// Dir is the durability root for the adaptive sessions (one
 	// subdirectory per dataset); empty means a fresh temp dir (removed
 	// afterwards).
 	Dir string
-	// Seed drives session determinism; 0 means the Env's seed.
-	Seed int64
 }
+
+const (
+	// adviseQuality multiplies the sessions' QualityBound to form the
+	// differential bound. The allowance is needed because the advisor may
+	// legitimately answer with a different method than the fixed
+	// heuristic: the two methods' objectives differ by the empirical
+	// approximation gap, which the advisor's own GapTolerance (10%,
+	// EWMA-smoothed) keeps small but nonzero. Only the adaptive session
+	// being WORSE counts against the bound.
+	adviseQuality = 1.15
+	// adviseSlack is the multiplicative allowance on the adaptive
+	// session's total measured solve time versus the fixed twin's. A
+	// small absolute grace (2ms per measured solve) is always added:
+	// sub-millisecond solves make a pure ratio flaky. Queries where only
+	// the adaptive session met the quality bound (QualityWin) are
+	// excluded from the comparison — there the advisor deliberately paid
+	// solve time the fixed heuristic saved by answering outside
+	// tolerance.
+	adviseSlack = 1.10
+)
 
 // AdviseQueryResult is the per-query differential record.
 type AdviseQueryResult struct {
@@ -128,15 +129,6 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 3
 	}
-	if cfg.Quality <= 0 {
-		cfg.Quality = 1.15
-	}
-	if cfg.Slack <= 0 {
-		cfg.Slack = 1.10
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = e.cfg.Seed
-	}
 	dir := cfg.Dir
 	if dir == "" {
 		var err error
@@ -155,17 +147,10 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 	// measurement and real advisor evidence.
 	var pairs []*adviseSession
 	for _, ds := range []Dataset{Galaxy, TPCH} {
-		var queries []workload.Query
-		for _, q := range e.queries[ds] {
-			if q.Hard {
-				continue // combinatorially hard for the ILP stand-in under any method
-			}
-			queries = append(queries, q)
-		}
-		p := &adviseSession{ds: ds, dir: filepath.Join(dir, string(ds)), queries: queries}
+		p := &adviseSession{ds: ds, dir: filepath.Join(dir, string(ds)), queries: e.feasibleQueries(ds)}
 		opts := func(extra ...paq.Option) []paq.Option {
 			return e.sessionOpts(append([]paq.Option{
-				paq.WithSeed(cfg.Seed),
+				paq.WithSeed(e.cfg.Seed),
 				paq.WithWarmSetBudget(32),
 			}, extra...)...)
 		}
@@ -226,7 +211,7 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 			bound = b
 		}
 		for _, q := range p.queries {
-			qr := &AdviseQueryResult{Dataset: p.ds, Query: q.Name, Ratio: 1, FixedRatio: 1, Bound: bound * cfg.Quality}
+			qr := &AdviseQueryResult{Dataset: p.ds, Query: q.Name, Ratio: 1, FixedRatio: 1, Bound: bound * adviseQuality}
 			perQuery[p.ds][q.Name] = qr
 			order = append(order, qr)
 		}
@@ -245,12 +230,9 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 				if stmt != nil {
 					qr.Chosen = stmt.Plan().Method
 				}
-				aOK, fOK := ma.Err == nil, mf.Err == nil
-				switch {
-				case aOK != fOK:
-					violation("%s/%s: feasibility diverged (adaptive err %v, fixed err %v)",
-						p.ds, q.Name, ma.Err, mf.Err)
-				case aOK:
+				if err := agreeOnFeasibility(string(p.ds)+"/"+q.Name, ma, mf); err != nil {
+					violation("%w", err)
+				} else if ma.Err == nil {
 					qr.Adaptive.Objective, qr.Fixed.Objective = ma.Objective, mf.Objective
 					// Directional: only the adaptive session being worse
 					// than the fixed heuristic is a quality loss (being
@@ -303,9 +285,9 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 		res.Speedup = float64(res.ComparableFixed) / float64(res.ComparableAdaptive)
 	}
 	grace := 2 * time.Millisecond * time.Duration(comparable*cfg.Rounds)
-	if float64(res.ComparableAdaptive) > float64(res.ComparableFixed)*cfg.Slack+float64(grace) {
+	if float64(res.ComparableAdaptive) > float64(res.ComparableFixed)*adviseSlack+float64(grace) {
 		violation("adaptive total %v exceeds fixed-heuristic total %v beyond slack %.2f (+%v grace; %d quality win(s) excluded)",
-			res.ComparableAdaptive, res.ComparableFixed, cfg.Slack, grace, res.QualityWins)
+			res.ComparableAdaptive, res.ComparableFixed, adviseSlack, grace, res.QualityWins)
 	}
 
 	// --- restart: the learned state must survive a close + reopen -------
@@ -319,7 +301,7 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 			return nil, fmt.Errorf("bench: advise: closing %s: %w", p.ds, err)
 		}
 		reopened, err := paq.Open(nil, e.sessionOpts(
-			paq.WithSeed(cfg.Seed),
+			paq.WithSeed(e.cfg.Seed),
 			paq.WithWarmSetBudget(32),
 			paq.WithDurability(p.dir))...)
 		if err != nil {
@@ -383,29 +365,5 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 	fmt.Fprintf(e.cfg.Out, "restart restored %d outcomes, %d warm set(s), %d rebuild(s) in %v\n",
 		res.RestartOutcomes, res.RestartWarmSets, res.RestartPartBuilds, res.Elapsed.Round(time.Millisecond))
 
-	var solveMS []float64
-	for _, qr := range res.Queries {
-		if qr.Adaptive.Err == nil {
-			solveMS = append(solveMS, float64(qr.Adaptive.Time)/float64(time.Millisecond)/float64(cfg.Rounds))
-		}
-	}
-	e.Record(ExperimentResult{
-		Experiment: "advise",
-		P50SolveMS: percentile(solveMS, 0.50),
-		P95SolveMS: percentile(solveMS, 0.95),
-		Extra: map[string]float64{
-			"adaptive_total_ms":      float64(res.AdaptiveTotal) / float64(time.Millisecond),
-			"fixed_total_ms":         float64(res.FixedTotal) / float64(time.Millisecond),
-			"comparable_adaptive_ms": float64(res.ComparableAdaptive) / float64(time.Millisecond),
-			"comparable_fixed_ms":    float64(res.ComparableFixed) / float64(time.Millisecond),
-			"quality_wins":           float64(res.QualityWins),
-			"adaptive_speedup":       res.Speedup,
-			"restart_outcomes":       float64(res.RestartOutcomes),
-			"restart_warm_sets":      float64(res.RestartWarmSets),
-			"restart_part_builds":    float64(res.RestartPartBuilds),
-			"cold_plans":             float64(res.ColdPlans),
-			"queries":                float64(len(res.Queries)),
-		},
-	})
 	return res, firstViolation
 }

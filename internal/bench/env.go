@@ -1,20 +1,32 @@
-// Package bench is the experiment harness that regenerates every table
-// and figure of the paper's evaluation (Section 5). Each Fig* method
-// runs one experiment at a configurable scale, prints a paper-style
-// table, and returns the measurements for programmatic inspection
-// (bench_test.go wraps them as Go benchmarks; cmd/benchrunner exposes
-// them on the command line).
+// Package bench is the experiment harness. It has two halves.
 //
-// The harness consumes the solve path exclusively through the public
-// paq SDK — sessions, prepared statements, row-subset executions — so
-// it measures exactly what an embedding application would see.
+// The paper half regenerates every table and figure of the evaluation
+// (Section 5): each Fig*/Scalability/TauSweep/Coverage/Batch method runs
+// one experiment at a configurable scale, prints a paper-style table,
+// and returns the measurements for programmatic inspection (the root
+// bench_test.go wraps them as Go benchmarks). The protocol follows
+// Section 5.1: per-dataset workloads of seven package queries, offline
+// partitioning on the union of the workload's query attributes with
+// τ = 10% of the dataset and no radius condition, response time measured
+// as translate + load + solve (package materialization excluded), and
+// the empirical approximation ratio ObjD/ObjS for maximization queries
+// (ObjS/ObjD for minimization).
 //
-// The protocol follows Section 5.1: per-dataset workloads of seven
-// package queries, offline partitioning on the union of the workload's
-// query attributes with τ = 10% of the dataset and no radius condition,
-// response time measured as translate + load + solve (package
-// materialization excluded), and the empirical approximation ratio
-// ObjD/ObjS for maximization queries (ObjS/ObjD for minimization).
+// The operational half is six differentials over the live system —
+// Ingest, Recover, Repl, QoS, Advise, LoadGen — each a gate that returns
+// an error when a guarantee breaks (maintained vs rebuilt partitioning,
+// recovered vs never-crashed twin, replica vs acknowledgement-fed twin,
+// saturated vs quiescent latency, adaptive vs fixed planner, paqld vs
+// in-process answers). They share one kit (kit.go): one seeded mutation
+// stream, one relation comparator, one solve differential, one loopback
+// server, one JSON POST. They print their numbers and return them in
+// their *Result; the perf trajectory itself is benchmarks/paqbench and
+// its committed baseline, not this package.
+//
+// cmd/benchrunner exposes both halves on the command line. The harness
+// consumes the solve path exclusively through the public paq SDK —
+// sessions, prepared statements, row-subset executions — so it measures
+// exactly what an embedding application would see.
 package bench
 
 import (
@@ -106,9 +118,6 @@ type Env struct {
 	// sessions caches one uncached-solve session per query table,
 	// partitioned on the workload attributes at the default τ.
 	sessions map[Dataset]map[string]*paq.Session
-	// results accumulates machine-readable experiment records (see
-	// Record/WriteResults).
-	results []ExperimentResult
 }
 
 // NewEnv generates the datasets and workloads. Workload construction can
@@ -266,6 +275,24 @@ func meanMedian(xs []float64) (mean, median float64) {
 		median = (s[len(s)/2-1] + s[len(s)/2]) / 2
 	}
 	return mean, median
+}
+
+// percentile returns the p-th percentile (0 ≤ p ≤ 1) of the series by
+// nearest-rank, 0 for an empty series.
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	i := int(p*float64(len(s)) + 0.5)
+	if i < 1 {
+		i = 1
+	}
+	if i > len(s) {
+		i = len(s)
+	}
+	return s[i-1]
 }
 
 // sampleFraction draws a deterministic random subset of rows of the

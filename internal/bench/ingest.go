@@ -3,11 +3,8 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 	"time"
 
-	"repro/internal/relation"
 	"repro/internal/workload"
 	"repro/paq"
 )
@@ -21,21 +18,6 @@ type IngestConfig struct {
 	// Ops is the number of interleaved insert/delete operations applied
 	// to the live session; 0 means 1000.
 	Ops int
-	// Seed drives the op interleaving; 0 means the Env's seed.
-	Seed int64
-}
-
-// IngestQueryResult is the differential outcome for one workload query
-// after the ingest stream.
-type IngestQueryResult struct {
-	Query string
-	// Maintained and Rebuilt are the SketchRefine objectives over the
-	// incrementally maintained partitioning and over one rebuilt from
-	// scratch on the identical final data.
-	Maintained, Rebuilt Measurement
-	// Ratio is the worse-over-better objective ratio (≥ 1; 1 when both
-	// sides agree exactly, NaN when either side failed).
-	Ratio float64
 }
 
 // IngestResult summarizes the experiment.
@@ -52,7 +34,7 @@ type IngestResult struct {
 	// Maint is the session's cumulative maintenance work. Rebuilds must
 	// be zero: ingestion never repartitions on the hot path.
 	Maint   paq.MaintStats
-	Queries []IngestQueryResult
+	Queries []DiffQuery
 	Elapsed time.Duration
 }
 
@@ -69,51 +51,20 @@ func (e *Env) Ingest(ctx context.Context, cfg IngestConfig) (*IngestResult, erro
 	if cfg.Ops <= 0 {
 		cfg.Ops = 1000
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = e.cfg.Seed
-	}
 	base := e.cfg.GalaxyN
-	// The generator is sequential, so Galaxy(base+k, seed) extends
-	// Galaxy(base, seed): rows base.. form the deterministic insert pool.
 	full := workload.Galaxy(base+cfg.Ops, e.cfg.Seed)
-	queries := e.queries[Galaxy]
-	attrs := e.attrs[Galaxy]
-
-	sess, err := paq.Open(paq.Table(full.Subset("galaxy", full.AllRows()[:base])),
-		e.sessionOpts(
-			paq.WithPartitionAttrs(attrs...),
-			paq.WithSeed(e.cfg.Seed),
-			paq.WithMethod(paq.MethodSketchRefine),
-			paq.WithWarmPartitioning(),
-		)...)
+	sess, err := e.openLive(full)
 	if err != nil {
 		return nil, fmt.Errorf("bench: ingest: %w", err)
 	}
 
 	res := &IngestResult{Ops: cfg.Ops}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	live := sess.Rel().AllRows()
-	nextPool := base
-	for op := 0; op < cfg.Ops; op++ {
-		insert := nextPool < base+cfg.Ops && (rng.Float64() < 0.5 || len(live) < base/2)
-		if insert {
-			if _, _, err := sess.InsertRows([][]relation.Value{full.Row(nextPool)}); err != nil {
-				return nil, fmt.Errorf("bench: ingest op %d (insert): %w", op, err)
-			}
-			// The session assigns the next physical index; track it as live.
-			live = append(live, sess.Rel().Len()-1)
-			nextPool++
-		} else {
-			i := rng.Intn(len(live))
-			row := live[i]
-			live = append(live[:i], live[i+1:]...)
-			if _, err := sess.DeleteRows([]int{row}); err != nil {
-				return nil, fmt.Errorf("bench: ingest op %d (delete): %w", op, err)
-			}
-			res.Deleted++
-		}
+	stream := newMutationStream(e.cfg.Seed, full, base, opMix{insert: 0.5, delete: 0.5}, base/2,
+		sess.Rel().AllRows(), sessionSink{sess})
+	if err := stream.run(ctx, cfg.Ops); err != nil {
+		return nil, fmt.Errorf("bench: ingest: %w", err)
 	}
-	res.Inserted = nextPool - base
+	res.Inserted, res.Deleted = stream.inserted, stream.deleted
 	res.LiveRows = sess.Rel().Live()
 	res.Maint = sess.MaintStats()
 	if res.Maint.Rebuilds != 0 {
@@ -129,7 +80,7 @@ func (e *Env) Ingest(ctx context.Context, cfg IngestConfig) (*IngestResult, erro
 	}
 	rebuilt, err := paq.Open(paq.Table(sess.Rel().Subset("galaxy", sess.Rel().AllRows())),
 		e.sessionOpts(
-			paq.WithPartitionAttrs(attrs...),
+			paq.WithPartitionAttrs(e.attrs[Galaxy]...),
 			paq.WithSeed(e.cfg.Seed),
 			paq.WithMethod(paq.MethodSketchRefine),
 			paq.WithTauTuples(pi.Tau),
@@ -142,86 +93,11 @@ func (e *Env) Ingest(ctx context.Context, cfg IngestConfig) (*IngestResult, erro
 		base, res.LiveRows, res.Inserted, res.Deleted)
 	fmt.Fprintf(e.cfg.Out, "maintenance: %d splits, %d merges, %d heals, %d rebuilds; %d groups\n",
 		res.Maint.Splits, res.Maint.Merges, res.Maint.Heals, res.Maint.Rebuilds, pi.Groups)
-	fmt.Fprintf(e.cfg.Out, "%-6s %14s %14s %8s\n", "query", "maintained", "rebuilt", "ratio")
-
-	solve := func(s *paq.Session, paql string) Measurement {
-		return measure(func() (*paq.Result, error) {
-			stmt, err := s.Prepare(paql, paq.WithMethod(paq.MethodSketchRefine))
-			if err != nil {
-				return nil, err
-			}
-			return stmt.Execute(ctx)
-		})
-	}
-	var firstViolation error
-	for _, q := range queries {
-		if q.Hard {
-			continue // combinatorially hard for the ILP stand-in at any partitioning
-		}
-		bound := sess.QualityBound(q.Maximize)
-		if bound > res.Bound {
-			res.Bound = bound
-		}
-		qr := IngestQueryResult{Query: q.Name, Ratio: math.NaN()}
-		qr.Maintained = solve(sess, q.PaQL)
-		qr.Rebuilt = solve(rebuilt, q.PaQL)
-		mOK, rOK := qr.Maintained.Err == nil, qr.Rebuilt.Err == nil
-		switch {
-		case mOK != rOK:
-			if firstViolation == nil {
-				firstViolation = fmt.Errorf("bench: ingest: %s: feasibility diverged (maintained err %v, rebuilt err %v)",
-					q.Name, qr.Maintained.Err, qr.Rebuilt.Err)
-			}
-		case mOK:
-			lo, hi := qr.Maintained.Objective, qr.Rebuilt.Objective
-			if math.Abs(lo) > math.Abs(hi) {
-				lo, hi = hi, lo
-			}
-			qr.Ratio = 1
-			if lo != hi {
-				qr.Ratio = math.Abs(hi) / math.Abs(lo)
-			}
-			if math.IsNaN(qr.Ratio) || qr.Ratio > bound {
-				if firstViolation == nil {
-					firstViolation = fmt.Errorf("bench: ingest: %s: objective ratio %g exceeds quality bound %g (maintained %g, rebuilt %g)",
-						q.Name, qr.Ratio, bound, qr.Maintained.Objective, qr.Rebuilt.Objective)
-				}
-			}
-		}
-		res.Queries = append(res.Queries, qr)
-		fmt.Fprintf(e.cfg.Out, "%-6s %14s %14s %8.4f\n",
-			q.Name, fmtObjective(qr.Maintained), fmtObjective(qr.Rebuilt), qr.Ratio)
+	var violation error
+	res.Queries, res.Bound, violation = e.solveDifferential(ctx, "maintained", "rebuilt", []*paq.Session{sess}, rebuilt)
+	if violation != nil {
+		violation = fmt.Errorf("bench: ingest: %w", violation)
 	}
 	res.Elapsed = time.Since(start)
-	fmt.Fprintf(e.cfg.Out, "quality bound %.4g; %d queries differentially checked in %v\n",
-		res.Bound, len(res.Queries), res.Elapsed.Round(time.Millisecond))
-
-	var solveMS []float64
-	for _, q := range res.Queries {
-		if q.Maintained.Err == nil {
-			solveMS = append(solveMS, float64(q.Maintained.Time)/float64(time.Millisecond))
-		}
-	}
-	e.Record(ExperimentResult{
-		Experiment: "ingest",
-		P50SolveMS: percentile(solveMS, 0.50),
-		P95SolveMS: percentile(solveMS, 0.95),
-		Extra: map[string]float64{
-			"ops":           float64(res.Ops),
-			"inserted":      float64(res.Inserted),
-			"deleted":       float64(res.Deleted),
-			"live_rows":     float64(res.LiveRows),
-			"quality_bound": res.Bound,
-			"splits":        float64(res.Maint.Splits),
-			"merges":        float64(res.Maint.Merges),
-		},
-	})
-	return res, firstViolation
-}
-
-func fmtObjective(m Measurement) string {
-	if m.Err != nil {
-		return "FAIL"
-	}
-	return fmt.Sprintf("%.3f", m.Objective)
+	return res, violation
 }

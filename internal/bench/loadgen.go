@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -28,17 +27,10 @@ type LoadGenConfig struct {
 	Addr string
 	// N is the number of concurrent requests; 0 means 64.
 	N int
-	// TimeoutMS is the per-request deadline sent to the server; 0 means
-	// 60000.
-	TimeoutMS int64
-	// Obs enables the observability checks: a mid-run /metrics scrape
-	// validated against the exposition format, a quiesced /stats vs
-	// /metrics consistency check, and the tracing-overhead gate
-	// (trace-enabled p95 must stay within 5% of trace-disabled p95 over
-	// identical warm state). The measured percentiles are recorded under
-	// the "loadgen" experiment.
-	Obs bool
 }
+
+// loadTimeoutMS is the per-request deadline sent to the server.
+const loadTimeoutMS = 60000
 
 // LoadGenResult summarizes one load-generation run.
 type LoadGenResult struct {
@@ -50,7 +42,7 @@ type LoadGenResult struct {
 	Mismatches []string
 	Elapsed    time.Duration
 	// UntracedP95MS / TracedP95MS are the client-observed p95 request
-	// latencies of the paired overhead phases (only set with cfg.Obs).
+	// latencies of the paired overhead phases.
 	UntracedP95MS float64
 	TracedP95MS   float64
 	// OverheadRatio is TracedP95MS / UntracedP95MS.
@@ -73,13 +65,14 @@ type loadCase struct {
 // sketchrefine, feasible + infeasible) at a paqld instance and
 // differentially checks every response against in-process paq
 // executions over the same datasets. It returns an error when any
-// response mismatches the in-process ground truth.
+// response mismatches the in-process ground truth. The observability
+// checks ride along: a mid-run /metrics scrape validated against the
+// exposition format, a quiesced /stats vs /metrics consistency check,
+// and the tracing-overhead gate (trace-enabled p95 must stay within 5%
+// of trace-disabled p95 over identical warm state).
 func (e *Env) LoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenResult, error) {
 	if cfg.N <= 0 {
 		cfg.N = 64
-	}
-	if cfg.TimeoutMS <= 0 {
-		cfg.TimeoutMS = 60000
 	}
 	dcfg := server.DatasetConfig{
 		TauFrac:   e.cfg.TauFrac,
@@ -100,17 +93,17 @@ func (e *Env) LoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenResult, e
 	}
 
 	base := cfg.Addr
-	var shutdown func()
 	if base == "" {
-		base, shutdown, err = e.startInProcess(ctx, refDS)
+		var stop func()
+		base, stop, err = e.startInProcess(refDS)
 		if err != nil {
 			return nil, err
 		}
-		defer shutdown()
+		defer stop()
 		fmt.Fprintf(e.cfg.Out, "started in-process paqld at %s\n", base)
 	}
 
-	client := &http.Client{Timeout: time.Duration(cfg.TimeoutMS)*time.Millisecond + 30*time.Second}
+	client := &http.Client{Timeout: loadTimeoutMS*time.Millisecond + 30*time.Second}
 	res := &LoadGenResult{Requests: cfg.N}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -120,7 +113,7 @@ func (e *Env) LoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenResult, e
 		wg.Add(1)
 		go func(c loadCase) {
 			defer wg.Done()
-			verdict := e.fireOne(ctx, client, base, c, cfg.TimeoutMS)
+			verdict := fireOne(ctx, client, base, c)
 			mu.Lock()
 			defer mu.Unlock()
 			switch verdict.kind {
@@ -138,13 +131,10 @@ func (e *Env) LoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenResult, e
 			}
 		}(c)
 	}
-	var midScrapeErr error
-	if cfg.Obs {
-		// Mid-run scrape: the exposition must parse and validate while
-		// the burst is still in flight — collectors snapshot live QoS,
-		// cache, and pin state, so this is where interleaving bugs show.
-		_, midScrapeErr = scrapeMetrics(ctx, client, base)
-	}
+	// Mid-run scrape: the exposition must parse and validate while the
+	// burst is still in flight — collectors snapshot live QoS, cache, and
+	// pin state, so this is where interleaving bugs show.
+	_, midScrapeErr := scrapeMetrics(ctx, client, base)
 	wg.Wait()
 	res.Elapsed = time.Since(start)
 
@@ -165,22 +155,17 @@ func (e *Env) LoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenResult, e
 	if res.Errors > 0 {
 		return res, fmt.Errorf("loadgen: %d request errors", res.Errors)
 	}
-	if cfg.Obs {
-		if midScrapeErr != nil {
-			return res, fmt.Errorf("loadgen: mid-run /metrics scrape: %w", midScrapeErr)
-		}
-		if err := e.obsPhase(ctx, client, base, cases, cfg, res); err != nil {
-			return res, err
-		}
+	if midScrapeErr != nil {
+		return res, fmt.Errorf("loadgen: mid-run /metrics scrape: %w", midScrapeErr)
 	}
-	return res, nil
+	return res, e.obsPhase(ctx, client, base, cases, res)
 }
 
 // obsPhase runs the observability checks after the differential burst:
-// the tracing-overhead gate over warm state, the quiesced /stats vs
-// /metrics cross-check, and the machine-readable record.
-func (e *Env) obsPhase(ctx context.Context, client *http.Client, base string, cases []loadCase, cfg LoadGenConfig, res *LoadGenResult) error {
-	p95U, p95T, err := e.traceOverhead(ctx, client, base, cases, cfg.TimeoutMS)
+// the tracing-overhead gate over warm state and the quiesced /stats vs
+// /metrics cross-check.
+func (e *Env) obsPhase(ctx context.Context, client *http.Client, base string, cases []loadCase, res *LoadGenResult) error {
+	p95U, p95T, err := traceOverhead(ctx, client, base, cases)
 	if err != nil {
 		return fmt.Errorf("loadgen: trace overhead phase: %w", err)
 	}
@@ -195,16 +180,6 @@ func (e *Env) obsPhase(ctx context.Context, client *http.Client, base string, ca
 	if err := checkStatsMetricsConsistency(ctx, client, base); err != nil {
 		return fmt.Errorf("loadgen: /stats vs /metrics: %w", err)
 	}
-	e.Record(ExperimentResult{
-		Experiment: "loadgen",
-		P95SolveMS: p95T,
-		Extra: map[string]float64{
-			"p95_traced_ms":   p95T,
-			"p95_untraced_ms": p95U,
-			"overhead_ratio":  res.OverheadRatio,
-			"requests":        float64(res.Requests),
-		},
-	})
 	// The gate: tracing may cost at most 5% at the tail. The 1ms
 	// absolute slack absorbs scheduler jitter on sub-millisecond
 	// cache-hit requests, where 5% is tens of microseconds.
@@ -220,11 +195,11 @@ func (e *Env) obsPhase(ctx context.Context, client *http.Client, base string, ca
 // identical warm state, pairing every untraced request with a traced
 // one (order alternating per round to cancel ordering bias), and
 // returns the client-observed p95 of each side in milliseconds.
-func (e *Env) traceOverhead(ctx context.Context, client *http.Client, base string, cases []loadCase, timeoutMS int64) (p95Untraced, p95Traced float64, err error) {
+func traceOverhead(ctx context.Context, client *http.Client, base string, cases []loadCase) (p95Untraced, p95Traced float64, err error) {
 	// Warmup: solve every case once so both measured sides hit the same
 	// warm caches and partitionings.
 	for _, c := range cases {
-		if _, err := e.timedQuery(ctx, client, base, c, timeoutMS, false); err != nil {
+		if _, err := timedQuery(ctx, client, base, c, false); err != nil {
 			return 0, 0, fmt.Errorf("warmup %s/%s: %w", c.dataset, c.method, err)
 		}
 	}
@@ -240,7 +215,7 @@ func (e *Env) traceOverhead(ctx context.Context, client *http.Client, base strin
 				order = []bool{true, false}
 			}
 			for _, withTrace := range order {
-				d, err := e.timedQuery(ctx, client, base, c, timeoutMS, withTrace)
+				d, err := timedQuery(ctx, client, base, c, withTrace)
 				if err != nil {
 					return 0, 0, fmt.Errorf("%s/%s (trace=%v): %w", c.dataset, c.method, withTrace, err)
 				}
@@ -258,35 +233,15 @@ func (e *Env) traceOverhead(ctx context.Context, client *http.Client, base strin
 // timedQuery fires one query and returns the client-observed wall time
 // in milliseconds. A traced feasible request must come back with a
 // span tree — a missing tree is an error, not a slow sample.
-func (e *Env) timedQuery(ctx context.Context, client *http.Client, base string, c loadCase, timeoutMS int64, withTrace bool) (float64, error) {
-	body, err := json.Marshal(server.QueryRequest{
-		Dataset: c.dataset, Query: c.paql, Method: c.method,
-		TimeoutMS: timeoutMS, Trace: withTrace,
-	})
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/query", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
+func timedQuery(ctx context.Context, client *http.Client, base string, c loadCase, withTrace bool) (float64, error) {
+	var qr server.QueryResponse
 	t0 := time.Now()
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	_, err := postJSON(ctx, client, base+"/query", server.QueryRequest{
+		Dataset: c.dataset, Query: c.paql, Method: c.method,
+		TimeoutMS: loadTimeoutMS, Trace: withTrace,
+	}, &qr)
 	elapsed := time.Since(t0)
 	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
-	}
-	var qr server.QueryResponse
-	if err := json.Unmarshal(raw, &qr); err != nil {
 		return 0, err
 	}
 	if withTrace && !qr.Infeasible && qr.Trace == nil {
@@ -399,10 +354,7 @@ MAXIMIZE SUM(P.totalprice)`,
 		}
 		refDS[ds] = ref
 		var paqls []string
-		for _, q := range e.queries[ds] {
-			if q.Hard {
-				continue // DIRECT-killers would dominate the wall clock
-			}
+		for _, q := range e.feasibleQueries(ds) { // DIRECT-killers would dominate the wall clock
 			paqls = append(paqls, q.PaQL)
 		}
 		paqls = append(paqls, infeasiblePaQL[ds])
@@ -435,12 +387,12 @@ MAXIMIZE SUM(P.totalprice)`,
 }
 
 // startInProcess boots a paqld over the Env's datasets on a loopback
-// port and returns its base URL and a shutdown function. The server's
+// port and returns its base URL and a stop function. The server's
 // datasets are clones of the reference sessions: the partitionings —
 // deterministic and immutable, the most expensive warm-up — are shared,
 // while the engines and solution caches are fresh, keeping the solve
 // paths independent.
-func (e *Env) startInProcess(ctx context.Context, refDS map[Dataset]*server.Dataset) (string, func(), error) {
+func (e *Env) startInProcess(refDS map[Dataset]*server.Dataset) (string, func(), error) {
 	// A deep admission queue: the generator's burst should complete and
 	// be differentially checked, not shed. (Against a remote paqld the
 	// target's own -inflight/-queue bounds apply, and 429s are counted
@@ -460,21 +412,7 @@ func (e *Env) startInProcess(ctx context.Context, refDS map[Dataset]*server.Data
 		}
 		srv.Register(d)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	shutdown := func() {
-		// Bounded drain under the experiment's context: cancelling the
-		// experiment also abandons the graceful shutdown.
-		sctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(sctx)
-		_ = httpSrv.Shutdown(sctx)
-	}
-	return "http://" + ln.Addr().String(), shutdown, nil
+	return serve(srv.Handler())
 }
 
 // fireVerdict classifies one response.
@@ -483,38 +421,18 @@ type fireVerdict struct {
 	mismatch string
 }
 
-func (e *Env) fireOne(ctx context.Context, client *http.Client, base string, c loadCase, timeoutMS int64) fireVerdict {
-	body, err := json.Marshal(server.QueryRequest{
-		Dataset: c.dataset, Query: c.paql, Method: c.method, TimeoutMS: timeoutMS,
-	})
-	if err != nil {
-		return fireVerdict{kind: "error", mismatch: fmt.Sprintf("%s/%s: marshal: %v", c.dataset, c.method, err)}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/query", bytes.NewReader(body))
-	if err != nil {
-		return fireVerdict{kind: "error", mismatch: fmt.Sprintf("%s/%s: request: %v", c.dataset, c.method, err)}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return fireVerdict{kind: "error", mismatch: fmt.Sprintf("%s/%s: transport: %v", c.dataset, c.method, err)}
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fireVerdict{kind: "error", mismatch: fmt.Sprintf("%s/%s: read: %v", c.dataset, c.method, err)}
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
+func fireOne(ctx context.Context, client *http.Client, base string, c loadCase) fireVerdict {
+	var qr server.QueryResponse
+	status, err := postJSON(ctx, client, base+"/query", server.QueryRequest{
+		Dataset: c.dataset, Query: c.paql, Method: c.method, TimeoutMS: loadTimeoutMS,
+	}, &qr)
+	if status == http.StatusTooManyRequests {
 		// Admission control shedding load: a correct refusal, not a
 		// mismatch.
 		return fireVerdict{kind: "rejected"}
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fireVerdict{kind: "error", mismatch: fmt.Sprintf("%s/%s: status %d: %s", c.dataset, c.method, resp.StatusCode, raw)}
-	}
-	var qr server.QueryResponse
-	if err := json.Unmarshal(raw, &qr); err != nil {
-		return fireVerdict{kind: "error", mismatch: fmt.Sprintf("%s/%s: decode: %v", c.dataset, c.method, err)}
+	if err != nil {
+		return fireVerdict{kind: "error", mismatch: fmt.Sprintf("%s/%s: %v", c.dataset, c.method, err)}
 	}
 	if qr.Infeasible != c.infeasible {
 		return fireVerdict{kind: "error", mismatch: fmt.Sprintf("%s/%s: infeasible=%v, in-process %v",
@@ -534,18 +452,4 @@ func (e *Env) fireOne(ctx context.Context, client *http.Client, base string, c l
 			c.dataset, c.method, qr.Objective, c.objective)}
 	}
 	return fireVerdict{kind: "ok"}
-}
-
-// LoadGenQueries exposes the corpus size for tests.
-func (e *Env) LoadGenQueries() int {
-	n := 0
-	for _, ds := range []Dataset{Galaxy, TPCH} {
-		for _, q := range e.queries[ds] {
-			if !q.Hard {
-				n++
-			}
-		}
-		n++ // the infeasible query
-	}
-	return 2 * n // direct + sketchrefine
 }

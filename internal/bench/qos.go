@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math/rand"
-	"net"
 	"net/http"
 	"runtime"
 	"sync"
@@ -16,7 +11,6 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/workload"
-	"repro/paq"
 )
 
 // QoSConfig configures the ingest-vs-solve quality-of-service
@@ -29,17 +23,10 @@ import (
 type QoSConfig struct {
 	// Solves is the number of measured solves per phase; 0 means 48.
 	Solves int
-	// Mutators is the number of concurrent mutation streams; 0 means 4.
-	// The server is configured with a single ingest slot, so anything
-	// above 1 keeps the ingest class saturated (its queue non-empty)
-	// for the whole measured phase.
-	Mutators int
 	// DegradeLimit is the allowed p95 ratio saturated/quiescent; 0
 	// means 1.5 (the acceptance bound). A small absolute slack is
 	// always added on top to absorb timer granularity at toy scales.
 	DegradeLimit float64
-	// Seed drives the mutation mix; 0 means the Env's seed.
-	Seed int64
 }
 
 // QoSResult summarizes the experiment.
@@ -80,96 +67,11 @@ type qosSolve struct {
 	version uint64
 }
 
-// qosMutator streams single-row mutations at the server as fast as
-// acknowledgements return: inserts from a private pool of generator
-// rows, updates and deletes only of rows it inserted itself (the base
-// data stays intact, so the solve problem is comparable across
-// phases).
-type qosMutator struct {
-	client      *http.Client
-	base        string
-	rng         *rand.Rand
-	pool        [][]any // rows not yet inserted
-	owned       []int   // row ids of live rows this mutator inserted
-	acked       int
-	shed        int
-	ackedShared *atomic.Int64 // cross-mutator total the measurer watches
-}
-
-func (m *qosMutator) post(req server.MutateRequest) (*server.MutateResponse, bool, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := m.client.Post(m.base+"/datasets/galaxy/rows", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		io.Copy(io.Discard, resp.Body)
-		return nil, true, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return nil, false, fmt.Errorf("HTTP %d: %s", resp.StatusCode, msg)
-	}
-	var mr server.MutateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
-		return nil, false, err
-	}
-	return &mr, false, nil
-}
-
-// run streams mutations until stop closes.
-func (m *qosMutator) run(stop <-chan struct{}) error {
-	for {
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
-		var (
-			mr   *server.MutateResponse
-			shed bool
-			err  error
-		)
-		switch k := m.rng.Float64(); {
-		case (k < 0.5 || len(m.owned) < 4) && len(m.pool) > 0:
-			row := m.pool[0]
-			if mr, shed, err = m.post(server.MutateRequest{Insert: [][]any{row}}); err != nil {
-				return fmt.Errorf("insert: %w", err)
-			}
-			if mr != nil {
-				m.pool = m.pool[1:]
-				m.owned = append(m.owned, mr.InsertedRows...)
-			}
-		case k < 0.75 && len(m.owned) > 4:
-			i := m.rng.Intn(len(m.owned))
-			row := m.owned[i]
-			if mr, shed, err = m.post(server.MutateRequest{Delete: []int{row}}); err != nil {
-				return fmt.Errorf("delete: %w", err)
-			}
-			if mr != nil {
-				m.owned = append(m.owned[:i], m.owned[i+1:]...)
-			}
-		case len(m.owned) > 0:
-			victim := m.owned[m.rng.Intn(len(m.owned))]
-			vals := m.pool[m.rng.Intn(len(m.pool))] // any schema-shaped row
-			if mr, shed, err = m.post(server.MutateRequest{Update: []server.UpdateRow{{Row: victim, Values: vals}}}); err != nil {
-				return fmt.Errorf("update: %w", err)
-			}
-		default:
-			continue
-		}
-		if shed {
-			m.shed++
-			continue
-		}
-		m.acked++
-		m.ackedShared.Add(1)
-	}
-}
+// qosMutators is the number of concurrent mutation streams. The server
+// is configured with a single ingest slot, so anything above 1 keeps the
+// ingest class saturated (its queue non-empty) for the whole measured
+// phase.
+const qosMutators = 4
 
 // QoS measures solve latency quiescent vs under a saturating mutation
 // stream against an in-process paqld with split solve/ingest admission
@@ -183,14 +85,8 @@ func (e *Env) QoS(ctx context.Context, cfg QoSConfig) (*QoSResult, error) {
 	if cfg.Solves <= 0 {
 		cfg.Solves = 48
 	}
-	if cfg.Mutators <= 0 {
-		cfg.Mutators = 4
-	}
 	if cfg.DegradeLimit <= 0 {
 		cfg.DegradeLimit = 1.5
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = e.cfg.Seed
 	}
 	res := &QoSResult{Solves: cfg.Solves}
 	fail := func(format string, args ...any) (*QoSResult, error) {
@@ -204,20 +100,14 @@ func (e *Env) QoS(ctx context.Context, cfg QoSConfig) (*QoSResult, error) {
 	// unearned speedup and the comparison would measure the cache, not
 	// the pinning.
 	base := e.cfg.GalaxyN
-	attrs := e.attrs[Galaxy]
-	full := workload.Galaxy(2*base, cfg.Seed)
-	sess, err := paq.Open(paq.Table(full.Subset("galaxy", full.AllRows()[:base])), e.sessionOpts(
-		paq.WithPartitionAttrs(attrs...),
-		paq.WithSeed(e.cfg.Seed),
-		paq.WithMethod(paq.MethodSketchRefine),
-		paq.WithWarmPartitioning(),
-		paq.WithoutCache())...)
+	full := workload.Galaxy(2*base, e.cfg.Seed)
+	sess, err := e.openLive(full)
 	if err != nil {
-		return fail("session: %v", err)
+		return fail("session: %w", err)
 	}
 	ds, err := server.NewDatasetFromSession("galaxy", sess)
 	if err != nil {
-		return fail("dataset: %v", err)
+		return fail("dataset: %w", err)
 	}
 
 	// One ingest slot and more mutators than slots: the ingest class
@@ -230,28 +120,13 @@ func (e *Env) QoS(ctx context.Context, cfg QoSConfig) (*QoSResult, error) {
 		DefaultTimeout: e.cfg.TimeLimit + time.Minute,
 	})
 	srv.Register(ds)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	baseURL, stopServer, err := serve(srv.Handler())
 	if err != nil {
-		return fail("listen: %v", err)
+		return fail("listen: %w", err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	baseURL := "http://" + ln.Addr().String()
-	defer func() {
-		// Bounded drain under the experiment's context: cancelling the
-		// experiment also abandons the graceful shutdown.
-		sctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(sctx)
-		_ = httpSrv.Shutdown(sctx)
-	}()
+	defer stopServer()
 
-	var queries []workload.Query
-	for _, q := range e.queries[Galaxy] {
-		if !q.Hard {
-			queries = append(queries, q)
-		}
-	}
+	queries := e.feasibleQueries(Galaxy)
 	if len(queries) == 0 {
 		return fail("no feasible Galaxy queries")
 	}
@@ -259,27 +134,15 @@ func (e *Env) QoS(ctx context.Context, cfg QoSConfig) (*QoSResult, error) {
 	client := &http.Client{Timeout: e.cfg.TimeLimit + time.Minute}
 	timeoutMS := int64(e.cfg.TimeLimit / time.Millisecond)
 	solveOnce := func(q workload.Query) (qosSolve, error) {
-		body, err := json.Marshal(server.QueryRequest{
+		var qr server.QueryResponse
+		t0 := time.Now()
+		_, err := postJSON(ctx, client, baseURL+"/query", server.QueryRequest{
 			Dataset: "galaxy", Query: q.PaQL,
 			Method: server.MethodSketchRefine, TimeoutMS: timeoutMS,
-		})
-		if err != nil {
-			return qosSolve{}, err
-		}
-		t0 := time.Now()
-		resp, err := client.Post(baseURL+"/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return qosSolve{}, fmt.Errorf("%s: transport: %w", q.Name, err)
-		}
-		defer resp.Body.Close()
+		}, &qr)
 		lat := time.Since(t0)
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-			return qosSolve{}, fmt.Errorf("%s: HTTP %d (a solve was refused or blocked): %s", q.Name, resp.StatusCode, msg)
-		}
-		var qr server.QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			return qosSolve{}, fmt.Errorf("%s: decode: %w", q.Name, err)
+		if err != nil {
+			return qosSolve{}, fmt.Errorf("%s: a solve was lost, refused, or blocked: %w", q.Name, err)
 		}
 		if qr.Infeasible {
 			return qosSolve{}, fmt.Errorf("%s: went infeasible (mutation stream broke the base data)", q.Name)
@@ -318,45 +181,51 @@ func (e *Env) QoS(ctx context.Context, cfg QoSConfig) (*QoSResult, error) {
 	// quiescent baseline.
 	for _, q := range queries {
 		if _, err := solveOnce(q); err != nil {
-			return fail("warm-up: %v", err)
+			return fail("warm-up: %w", err)
 		}
 	}
 	quiescent, err := measurePhase(cfg.Solves, 0, nil)
 	if err != nil {
-		return fail("quiescent phase: %v", err)
+		return fail("quiescent phase: %w", err)
 	}
 
-	// Saturated phase: the same solve stream with cfg.Mutators mutation
-	// streams hammering the single ingest slot underneath it. The phase
-	// floor — one second of wall clock and a minimum acknowledged
-	// mutation count — guarantees the measured solves genuinely overlap
-	// a loaded ingest queue at any dataset scale.
+	// Saturated phase: the same solve stream with qosMutators mutation
+	// streams hammering the single ingest slot underneath it: inserts
+	// from a private slice of the pool, updates and deletes only of rows
+	// the stream inserted itself (the base data stays intact, so the
+	// solve problem is comparable across phases). The phase floor — one
+	// second of wall clock and a minimum acknowledged mutation count —
+	// guarantees the measured solves genuinely overlap a loaded ingest
+	// queue at any dataset scale.
 	const minMutations = 200
 	var ackedTotal atomic.Int64
 	stop := make(chan struct{})
-	muts := make([]*qosMutator, cfg.Mutators)
-	errs := make([]error, cfg.Mutators)
+	muts := make([]*mutationStream, qosMutators)
+	errs := make([]error, qosMutators)
 	var wg sync.WaitGroup
 	for i := range muts {
-		pool := make([][]any, 0, base/cfg.Mutators)
-		for j := base + i; j < full.Len(); j += cfg.Mutators {
-			vals, jerr := jsonRow(full.Row(j))
-			if jerr != nil {
-				return fail("pool row: %v", jerr)
-			}
-			pool = append(pool, vals)
-		}
-		muts[i] = &qosMutator{
-			client:      &http.Client{Timeout: 60 * time.Second},
-			base:        baseURL,
-			rng:         rand.New(rand.NewSource(cfg.Seed + int64(i))),
-			pool:        pool,
-			ackedShared: &ackedTotal,
-		}
+		m := newMutationStream(e.cfg.Seed+int64(i), full, base, opMix{insert: 0.5, delete: 0.25}, 4,
+			nil, httpSink{&http.Client{Timeout: 60 * time.Second}, baseURL})
+		m.offset, m.stride = i, qosMutators
+		muts[i] = m
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = muts[i].run(stop)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				acked, err := m.step(ctx)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				if acked {
+					ackedTotal.Add(1)
+				}
+			}
 		}(i)
 	}
 	saturated, err := measurePhase(cfg.Solves, time.Second, func() bool {
@@ -365,15 +234,15 @@ func (e *Env) QoS(ctx context.Context, cfg QoSConfig) (*QoSResult, error) {
 	close(stop)
 	wg.Wait()
 	if err != nil {
-		return fail("saturated phase: %v", err)
+		return fail("saturated phase: %w", err)
 	}
 	for i, merr := range errs {
 		if merr != nil {
-			return fail("mutator %d: %v", i, merr)
+			return fail("mutator %d: %w", i, merr)
 		}
 	}
 	for _, m := range muts {
-		res.MutationsAcked += m.acked
+		res.MutationsAcked += m.acked()
 		res.MutationsShed += m.shed
 	}
 	if res.MutationsAcked == 0 {
@@ -437,7 +306,7 @@ func (e *Env) QoS(ctx context.Context, cfg QoSConfig) (*QoSResult, error) {
 
 	// ---- report ---------------------------------------------------------
 	fmt.Fprintf(e.cfg.Out, "QoS under saturating ingest (Galaxy, %d rows; %d solves/phase, %d mutation streams over 1 ingest slot)\n",
-		base, cfg.Solves, cfg.Mutators)
+		base, cfg.Solves, qosMutators)
 	fmt.Fprintf(e.cfg.Out, "quiescent  p50 %v  p95 %v\n", res.QuiescentP50.Round(time.Microsecond), res.QuiescentP95.Round(time.Microsecond))
 	fmt.Fprintf(e.cfg.Out, "saturated  p50 %v  p95 %v  (p95 ratio %.2f; %d mutations acked, %d shed, versions spanned %d)\n",
 		res.SaturatedP50.Round(time.Microsecond), res.SaturatedP95.Round(time.Microsecond),
@@ -445,34 +314,10 @@ func (e *Env) QoS(ctx context.Context, cfg QoSConfig) (*QoSResult, error) {
 	fmt.Fprintf(e.cfg.Out, "pins %d, worst pin wait %v (budget %v); ingest queue wait %v total in %v\n",
 		pin.Pins, res.PinMaxWait, pinStallBudget, res.IngestWait.Round(time.Millisecond), res.Elapsed.Round(time.Millisecond))
 
-	e.Record(ExperimentResult{
-		Experiment: "qos",
-		P50SolveMS: percentile(ls, 0.50),
-		P95SolveMS: percentile(ls, 0.95),
-		Extra: map[string]float64{
-			"quiescent_p50_ms":  percentile(lq, 0.50),
-			"quiescent_p95_ms":  percentile(lq, 0.95),
-			"saturated_p50_ms":  percentile(ls, 0.50),
-			"saturated_p95_ms":  percentile(ls, 0.95),
-			"p95_degradation":   res.Degradation,
-			"mutations_acked":   float64(res.MutationsAcked),
-			"mutations_shed":    float64(res.MutationsShed),
-			"version_span":      float64(res.VersionSpan),
-			"pin_count":         float64(pin.Pins),
-			"pin_max_wait_ms":   pin.MaxWaitMS,
-			"ingest_wait_ms":    ingestQoS.WaitMSTotal,
-			"solves_per_phase":  float64(cfg.Solves),
-			"mutation_streams":  float64(cfg.Mutators),
-			"ingest_admitted":   float64(ingestQoS.Admitted),
-			"solve_admitted":    float64(solveQoS.Admitted),
-			"fairness_deferred": float64(ingestQoS.FairnessDeferrals),
-		},
-	})
-
-	// The acceptance bound, last so the record and report survive a
-	// failure for diagnosis. The absolute slack absorbs scheduler and
-	// timer granularity when the baseline is a few milliseconds; at
-	// paper scale it is noise against real solve times.
+	// The acceptance bound, last so the report survives a failure for
+	// diagnosis. The absolute slack absorbs scheduler and timer
+	// granularity when the baseline is a few milliseconds; at paper
+	// scale it is noise against real solve times.
 	const slack = 20 * time.Millisecond
 	if res.SaturatedP95 > time.Duration(cfg.DegradeLimit*float64(res.QuiescentP95))+slack {
 		return fail("p95 degraded %.2fx under saturation (quiescent %v → saturated %v, limit %.2fx)",

@@ -3,12 +3,10 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"time"
 
-	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/workload"
 	"repro/paq"
@@ -25,9 +23,6 @@ type RecoverConfig struct {
 	// operations before the crash becomes possible; 0 means 1000. The
 	// actual crash point adds a randomized tail of up to Ops/4 more.
 	Ops int
-	// Seed drives the op interleaving, crash point, and snapshot point;
-	// 0 means the Env's seed.
-	Seed int64
 	// Dir is the durability directory; empty means a fresh temp dir
 	// (removed afterwards).
 	Dir string
@@ -53,7 +48,7 @@ type RecoverResult struct {
 	// Bound is the worst quality bound across both sessions; every
 	// query's objective ratio must stay within it.
 	Bound   float64
-	Queries []IngestQueryResult
+	Queries []DiffQuery
 	Elapsed time.Duration
 }
 
@@ -67,9 +62,6 @@ func (e *Env) Recover(ctx context.Context, cfg RecoverConfig) (*RecoverResult, e
 	if cfg.Ops <= 0 {
 		cfg.Ops = 1000
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = e.cfg.Seed
-	}
 	dir := cfg.Dir
 	if dir == "" {
 		var err error
@@ -80,93 +72,42 @@ func (e *Env) Recover(ctx context.Context, cfg RecoverConfig) (*RecoverResult, e
 		defer os.RemoveAll(dir)
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(e.cfg.Seed))
 	res := &RecoverResult{
 		CrashAt:    cfg.Ops + 1 + rng.Intn(cfg.Ops/4+1),
 		SnapshotAt: cfg.Ops/4 + rng.Intn(cfg.Ops/4+1),
 	}
 	base := e.cfg.GalaxyN
-	// The generator is sequential, so Galaxy(base+k, seed) extends
-	// Galaxy(base, seed): rows base.. form the deterministic insert pool.
 	full := workload.Galaxy(base+res.CrashAt, e.cfg.Seed)
-	queries := e.queries[Galaxy]
-	attrs := e.attrs[Galaxy]
-	opts := func(extra ...paq.Option) []paq.Option {
-		return e.sessionOpts(append([]paq.Option{
-			paq.WithPartitionAttrs(attrs...),
-			paq.WithSeed(e.cfg.Seed),
-			paq.WithMethod(paq.MethodSketchRefine),
-			paq.WithWarmPartitioning(),
-		}, extra...)...)
-	}
-
-	durable, err := paq.Open(paq.Table(full.Subset("galaxy", full.AllRows()[:base])),
-		opts(paq.WithDurability(dir))...)
+	durable, err := e.openLive(full, paq.WithDurability(dir))
 	if err != nil {
 		return nil, fmt.Errorf("bench: recover: %w", err)
 	}
-	twin, err := paq.Open(paq.Table(full.Subset("galaxy", full.AllRows()[:base])), opts()...)
+	twin, err := e.openLive(full)
 	if err != nil {
 		return nil, fmt.Errorf("bench: recover: twin: %w", err)
 	}
 
-	// Identical interleaved stream into both sessions. Inserts draw from
-	// the deterministic pool; updates overwrite a live row with another
-	// pool row's values (keeping the objid column intact is not required
-	// — the twin sees the same bytes).
-	var expectReplay uint64
-	live := durable.Rel().AllRows()
-	nextPool := base
-	for op := 0; op < res.CrashAt; op++ {
-		if op == res.SnapshotAt {
-			// Mid-stream snapshot: the durable side compacts + persists;
-			// the twin mirrors the compaction so row indices and versions
-			// stay aligned.
-			if err := durable.Snapshot(); err != nil {
-				return nil, fmt.Errorf("bench: recover: snapshot at op %d: %w", op, err)
-			}
-			if _, err := twin.Compact(); err != nil {
-				return nil, fmt.Errorf("bench: recover: twin compact: %w", err)
-			}
-			live = durable.Rel().AllRows()
-			expectReplay = 0
-		}
-		switch k := rng.Float64(); {
-		case (k < 0.5 && nextPool < base+res.CrashAt) || len(live) < base/2:
-			row := full.Row(nextPool % full.Len())
-			nextPool++
-			if _, _, err := durable.InsertRows([][]relation.Value{row}); err != nil {
-				return nil, fmt.Errorf("bench: recover op %d (insert): %w", op, err)
-			}
-			if _, _, err := twin.InsertRows([][]relation.Value{row}); err != nil {
-				return nil, fmt.Errorf("bench: recover op %d (twin insert): %w", op, err)
-			}
-			live = append(live, durable.Rel().Len()-1)
-			res.Inserted++
-		case k < 0.8:
-			i := rng.Intn(len(live))
-			row := live[i]
-			live = append(live[:i], live[i+1:]...)
-			if _, err := durable.DeleteRows([]int{row}); err != nil {
-				return nil, fmt.Errorf("bench: recover op %d (delete): %w", op, err)
-			}
-			if _, err := twin.DeleteRows([]int{row}); err != nil {
-				return nil, fmt.Errorf("bench: recover op %d (twin delete): %w", op, err)
-			}
-			res.Deleted++
-		default:
-			victim := live[rng.Intn(len(live))]
-			vals := full.Row(rng.Intn(base))
-			if _, err := durable.UpdateRows([]int{victim}, [][]relation.Value{vals}); err != nil {
-				return nil, fmt.Errorf("bench: recover op %d (update): %w", op, err)
-			}
-			if _, err := twin.UpdateRows([]int{victim}, [][]relation.Value{vals}); err != nil {
-				return nil, fmt.Errorf("bench: recover op %d (twin update): %w", op, err)
-			}
-			res.Updated++
-		}
-		expectReplay++
+	// Identical interleaved stream into both sessions, with a mid-stream
+	// snapshot: the durable side compacts + persists; the twin mirrors
+	// the compaction so row indices and versions stay aligned.
+	stream := newMutationStream(e.cfg.Seed, full, base, opMix{insert: 0.5, delete: 0.3}, base/2,
+		durable.Rel().AllRows(), sessionSink{durable}, sessionSink{twin})
+	if err := stream.run(ctx, res.SnapshotAt); err != nil {
+		return nil, fmt.Errorf("bench: recover: %w", err)
 	}
+	if err := durable.Snapshot(); err != nil {
+		return nil, fmt.Errorf("bench: recover: snapshot at op %d: %w", res.SnapshotAt, err)
+	}
+	if _, err := twin.Compact(); err != nil {
+		return nil, fmt.Errorf("bench: recover: twin compact: %w", err)
+	}
+	stream.live = durable.Rel().AllRows()
+	expectReplay := res.CrashAt - res.SnapshotAt
+	if err := stream.run(ctx, expectReplay); err != nil {
+		return nil, fmt.Errorf("bench: recover: after snapshot: %w", err)
+	}
+	res.Inserted, res.Deleted, res.Updated = stream.inserted, stream.deleted, stream.updated
 
 	// CRASH: the durable session is dropped without Close or Snapshot —
 	// everything after the mid-stream snapshot lives only in the WAL —
@@ -185,7 +126,7 @@ func (e *Env) Recover(ctx context.Context, cfg RecoverConfig) (*RecoverResult, e
 	f.Close()
 
 	t0 := time.Now()
-	rec, err := paq.Open(nil, opts(paq.WithDurability(dir))...)
+	rec, err := paq.Open(nil, e.liveOpts(paq.WithDurability(dir))...)
 	if err != nil {
 		return nil, fmt.Errorf("bench: recover: reopening crashed store: %w", err)
 	}
@@ -194,31 +135,14 @@ func (e *Env) Recover(ctx context.Context, cfg RecoverConfig) (*RecoverResult, e
 	res.LiveRows = rec.Rel().Live()
 
 	// --- zero acknowledged-mutation loss --------------------------------
-	if rv, tv := rec.Version(), twin.Version(); rv != tv {
-		return res, fmt.Errorf("bench: recover: version %d after recovery, twin at %d (acknowledged mutations lost)", rv, tv)
-	}
-	ra, rb := rec.Rel(), twin.Rel()
-	if ra.Len() != rb.Len() || ra.Live() != rb.Live() {
-		return res, fmt.Errorf("bench: recover: %d/%d rows after recovery, twin has %d/%d", ra.Len(), ra.Live(), rb.Len(), rb.Live())
-	}
-	for r := 0; r < ra.Len(); r++ {
-		if ra.Deleted(r) != rb.Deleted(r) {
-			return res, fmt.Errorf("bench: recover: tombstone of row %d diverges", r)
-		}
-		if ra.Deleted(r) {
-			continue
-		}
-		for c := 0; c < ra.Schema().Len(); c++ {
-			if !ra.Value(r, c).Equal(rb.Value(r, c)) {
-				return res, fmt.Errorf("bench: recover: cell (%d,%d) diverges: %v vs %v", r, c, ra.Value(r, c), rb.Value(r, c))
-			}
-		}
+	if err := relationsEqual("bench: recover: recovered session", rec.Rel(), twin.Rel()); err != nil {
+		return res, err
 	}
 
 	// --- warm start, not rebuild ----------------------------------------
 	ds := rec.DurStats()
 	res.ReplayedOps = ds.ReplayedOps
-	if ds.ReplayedOps != expectReplay {
+	if ds.ReplayedOps != uint64(expectReplay) {
 		return res, fmt.Errorf("bench: recover: replayed %d ops, want %d", ds.ReplayedOps, expectReplay)
 	}
 	if ds.WarmPartitionings == 0 {
@@ -238,7 +162,7 @@ func (e *Env) Recover(ctx context.Context, cfg RecoverConfig) (*RecoverResult, e
 	// --- the avoided cost: reload + repartition from scratch ------------
 	t0 = time.Now()
 	if _, err := paq.Open(paq.Table(rec.Rel().Subset("galaxy", rec.Rel().AllRows())),
-		opts(paq.WithTauTuples(pi.Tau))...); err != nil {
+		e.liveOpts(paq.WithTauTuples(pi.Tau))...); err != nil {
 		return res, fmt.Errorf("bench: recover: rebuild: %w", err)
 	}
 	res.Rebuild = time.Since(t0)
@@ -252,86 +176,11 @@ func (e *Env) Recover(ctx context.Context, cfg RecoverConfig) (*RecoverResult, e
 	fmt.Fprintf(e.cfg.Out, "recovered %d live rows at version %d: %d WAL ops replayed in %v (rebuild from scratch: %v, %.1fx)\n",
 		res.LiveRows, rec.Version(), res.ReplayedOps, res.Recover.Round(time.Millisecond),
 		res.Rebuild.Round(time.Millisecond), res.Speedup)
-	fmt.Fprintf(e.cfg.Out, "%-6s %14s %14s %8s\n", "query", "recovered", "twin", "ratio")
-
-	solve := func(s *paq.Session, paql string) Measurement {
-		return measure(func() (*paq.Result, error) {
-			stmt, err := s.Prepare(paql, paq.WithMethod(paq.MethodSketchRefine))
-			if err != nil {
-				return nil, err
-			}
-			return stmt.Execute(ctx)
-		})
-	}
-	var firstViolation error
-	for _, q := range queries {
-		if q.Hard {
-			continue // combinatorially hard for the ILP stand-in at any partitioning
-		}
-		bound := rec.QualityBound(q.Maximize)
-		if tb := twin.QualityBound(q.Maximize); tb > bound {
-			bound = tb
-		}
-		if bound > res.Bound {
-			res.Bound = bound
-		}
-		qr := IngestQueryResult{Query: q.Name, Ratio: math.NaN()}
-		qr.Maintained = solve(rec, q.PaQL)
-		qr.Rebuilt = solve(twin, q.PaQL)
-		mOK, tOK := qr.Maintained.Err == nil, qr.Rebuilt.Err == nil
-		switch {
-		case mOK != tOK:
-			if firstViolation == nil {
-				firstViolation = fmt.Errorf("bench: recover: %s: feasibility diverged (recovered err %v, twin err %v)",
-					q.Name, qr.Maintained.Err, qr.Rebuilt.Err)
-			}
-		case mOK:
-			lo, hi := qr.Maintained.Objective, qr.Rebuilt.Objective
-			if math.Abs(lo) > math.Abs(hi) {
-				lo, hi = hi, lo
-			}
-			qr.Ratio = 1
-			if lo != hi {
-				qr.Ratio = math.Abs(hi) / math.Abs(lo)
-			}
-			if math.IsNaN(qr.Ratio) || qr.Ratio > bound {
-				if firstViolation == nil {
-					firstViolation = fmt.Errorf("bench: recover: %s: objective ratio %g exceeds quality bound %g (recovered %g, twin %g)",
-						q.Name, qr.Ratio, bound, qr.Maintained.Objective, qr.Rebuilt.Objective)
-				}
-			}
-		}
-		res.Queries = append(res.Queries, qr)
-		fmt.Fprintf(e.cfg.Out, "%-6s %14s %14s %8.4f\n",
-			q.Name, fmtObjective(qr.Maintained), fmtObjective(qr.Rebuilt), qr.Ratio)
+	var violation error
+	res.Queries, res.Bound, violation = e.solveDifferential(ctx, "recovered", "twin", []*paq.Session{rec}, twin)
+	if violation != nil {
+		violation = fmt.Errorf("bench: recover: %w", violation)
 	}
 	res.Elapsed = time.Since(start)
-	fmt.Fprintf(e.cfg.Out, "quality bound %.4g; %d queries differentially checked in %v\n",
-		res.Bound, len(res.Queries), res.Elapsed.Round(time.Millisecond))
-
-	var solveMS []float64
-	for _, q := range res.Queries {
-		if q.Maintained.Err == nil {
-			solveMS = append(solveMS, float64(q.Maintained.Time)/float64(time.Millisecond))
-		}
-	}
-	e.Record(ExperimentResult{
-		Experiment:       "recover",
-		P50SolveMS:       percentile(solveMS, 0.50),
-		P95SolveMS:       percentile(solveMS, 0.95),
-		RecoveryMS:       float64(res.Recover) / float64(time.Millisecond),
-		ReplayedOps:      res.ReplayedOps,
-		RebuildMS:        float64(res.Rebuild) / float64(time.Millisecond),
-		WarmStartSpeedup: res.Speedup,
-		Extra: map[string]float64{
-			"crash_at":      float64(res.CrashAt),
-			"snapshot_at":   float64(res.SnapshotAt),
-			"inserted":      float64(res.Inserted),
-			"deleted":       float64(res.Deleted),
-			"updated":       float64(res.Updated),
-			"live_rows":     float64(res.LiveRows),
-			"quality_bound": res.Bound,
-		},
-	})
-	return res, firstViolation
+	return res, violation
 }

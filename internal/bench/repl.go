@@ -3,12 +3,9 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -16,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/relation"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -38,9 +34,6 @@ type ReplConfig struct {
 	Ops int
 	// Followers is the replica count; minimum (and default) 2.
 	Followers int
-	// Seed drives the op interleaving and fault points; 0 means the
-	// Env's seed.
-	Seed int64
 	// Dir is the root durability directory (leader and follower stores
 	// under it); empty means a fresh temp dir (removed afterwards).
 	Dir string
@@ -76,7 +69,7 @@ type ReplResult struct {
 	InFlightReads      int
 	InFlightInfeasible int
 	ReadPinMaxWait     time.Duration
-	Queries            []IngestQueryResult
+	Queries            []DiffQuery
 	Elapsed            time.Duration
 }
 
@@ -125,11 +118,11 @@ func (c *cuttingTransport) count() uint64 {
 // replFollower is one running follower: its server, replication node,
 // and HTTP front.
 type replFollower struct {
-	srv     *server.Server
-	node    *repl.Node
-	httpSrv *http.Server
-	url     string
-	dir     string
+	srv  *server.Server
+	node *repl.Node
+	stop func() // closes the HTTP front
+	url  string
+	dir  string
 }
 
 // crash tears the follower down without closing its datasets — the
@@ -137,7 +130,7 @@ type replFollower struct {
 // them; only their own WALs carry the applied records across.
 func (f *replFollower) crash() {
 	f.node.Stop()
-	_ = f.httpSrv.Close()
+	f.stop()
 }
 
 func (f *replFollower) session() *paq.Session {
@@ -172,140 +165,12 @@ func (e *Env) startReplFollower(leaderURL, dir string, dsCfg server.DatasetConfi
 	if err := node.Start(); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	url, stop, err := serve(node.Handler())
 	if err != nil {
 		node.Stop()
 		return nil, err
 	}
-	httpSrv := &http.Server{Handler: node.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	return &replFollower{
-		srv: srv, node: node, httpSrv: httpSrv,
-		url: "http://" + ln.Addr().String(), dir: dir,
-	}, nil
-}
-
-// replMutator drives acknowledged mutations through the leader's HTTP
-// API and mirrors each acknowledgement into the in-memory twin — the
-// ground truth every replica is later compared against.
-type replMutator struct {
-	client   *http.Client
-	twin     *paq.Session
-	full     *relation.Relation
-	base     int
-	rng      *rand.Rand
-	live     []int
-	nextPool int
-
-	acked, inserted, deleted, updated int
-}
-
-func jsonRow(row []relation.Value) ([]any, error) {
-	out := make([]any, len(row))
-	for i, v := range row {
-		switch v.Type() {
-		case relation.Int:
-			n, err := v.Int()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = n
-		case relation.Float:
-			f, err := v.Float()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = f
-		default:
-			s, err := v.Str()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = s
-		}
-	}
-	return out, nil
-}
-
-func (m *replMutator) post(url string, req server.MutateRequest) (*server.MutateResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := m.client.Post(url+"/datasets/galaxy/rows", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, msg)
-	}
-	var mr server.MutateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
-		return nil, err
-	}
-	return &mr, nil
-}
-
-// run applies ops acknowledged single-row mutations against url. Every
-// acknowledgement is mirrored into the twin, and the reported version
-// must match the twin's after the mirror — the per-op zero-loss
-// anchor.
-func (m *replMutator) run(url string, ops int) error {
-	for op := 0; op < ops; op++ {
-		var (
-			mr  *server.MutateResponse
-			err error
-		)
-		switch k := m.rng.Float64(); {
-		case (k < 0.5 && m.nextPool < m.full.Len()) || len(m.live) < m.base/2:
-			row := m.full.Row(m.nextPool % m.full.Len())
-			m.nextPool++
-			vals, jerr := jsonRow(row)
-			if jerr != nil {
-				return jerr
-			}
-			if mr, err = m.post(url, server.MutateRequest{Insert: [][]any{vals}}); err != nil {
-				return fmt.Errorf("insert op %d: %w", op, err)
-			}
-			if _, _, err := m.twin.InsertRows([][]relation.Value{row}); err != nil {
-				return fmt.Errorf("twin insert op %d: %w", op, err)
-			}
-			m.live = append(m.live, m.twin.Rel().Len()-1)
-			m.inserted++
-		case k < 0.8:
-			i := m.rng.Intn(len(m.live))
-			row := m.live[i]
-			m.live = append(m.live[:i], m.live[i+1:]...)
-			if mr, err = m.post(url, server.MutateRequest{Delete: []int{row}}); err != nil {
-				return fmt.Errorf("delete op %d: %w", op, err)
-			}
-			if _, err := m.twin.DeleteRows([]int{row}); err != nil {
-				return fmt.Errorf("twin delete op %d: %w", op, err)
-			}
-			m.deleted++
-		default:
-			victim := m.live[m.rng.Intn(len(m.live))]
-			row := m.full.Row(m.rng.Intn(m.base))
-			vals, jerr := jsonRow(row)
-			if jerr != nil {
-				return jerr
-			}
-			if mr, err = m.post(url, server.MutateRequest{Update: []server.UpdateRow{{Row: victim, Values: vals}}}); err != nil {
-				return fmt.Errorf("update op %d: %w", op, err)
-			}
-			if _, err := m.twin.UpdateRows([]int{victim}, [][]relation.Value{row}); err != nil {
-				return fmt.Errorf("twin update op %d: %w", op, err)
-			}
-			m.updated++
-		}
-		m.acked++
-		if tv := m.twin.Version(); mr.Version != tv {
-			return fmt.Errorf("op %d: leader acknowledged version %d, twin at %d (streams diverged)", op, mr.Version, tv)
-		}
-	}
-	return nil
+	return &replFollower{srv: srv, node: node, stop: stop, url: url, dir: dir}, nil
 }
 
 // inflightReadStats summarizes the mid-replay read phase.
@@ -322,7 +187,7 @@ type inflightReadStats struct {
 // stalled read is a blocked read), and the pinned versions it reports
 // must never run backwards. Infeasible responses carry no version and
 // are counted separately.
-func inflightReads(client *http.Client, url, paql string, timeoutMS int64, stop <-chan struct{}) inflightReadStats {
+func inflightReads(ctx context.Context, client *http.Client, url, paql string, timeoutMS int64, stop <-chan struct{}) inflightReadStats {
 	var st inflightReadStats
 	var prev uint64
 	for {
@@ -331,32 +196,12 @@ func inflightReads(client *http.Client, url, paql string, timeoutMS int64, stop 
 			return st
 		default:
 		}
-		body, err := json.Marshal(server.QueryRequest{
+		var qr server.QueryResponse
+		if _, err := postJSON(ctx, client, url+"/query", server.QueryRequest{
 			Dataset: "galaxy", Query: paql,
 			Method: server.MethodSketchRefine, TimeoutMS: timeoutMS,
-		})
-		if err != nil {
-			st.err = err
-			return st
-		}
-		resp, err := client.Post(url+"/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			st.err = fmt.Errorf("read %d: transport: %w", st.reads, err)
-			return st
-		}
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			st.err = fmt.Errorf("read %d: %w", st.reads, rerr)
-			return st
-		}
-		if resp.StatusCode != http.StatusOK {
-			st.err = fmt.Errorf("read %d blocked or refused mid-replay: HTTP %d: %s", st.reads, resp.StatusCode, raw)
-			return st
-		}
-		var qr server.QueryResponse
-		if err := json.Unmarshal(raw, &qr); err != nil {
-			st.err = fmt.Errorf("read %d: decode: %w", st.reads, err)
+		}, &qr); err != nil {
+			st.err = fmt.Errorf("read %d blocked, refused, or lost mid-replay: %w", st.reads, err)
 			return st
 		}
 		st.reads++
@@ -374,10 +219,13 @@ func inflightReads(client *http.Client, url, paql string, timeoutMS int64, stop 
 
 // waitReplCaughtUp blocks until the follower's galaxy tail reports
 // zero lag at or past version.
-func waitReplCaughtUp(f *replFollower, version uint64, timeout time.Duration) error {
+func waitReplCaughtUp(ctx context.Context, f *replFollower, version uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	var st repl.TailStats
 	for time.Now().Before(deadline) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		st = f.node.Stats().Tails["galaxy"]
 		if st.CaughtUp && st.Lag == 0 && st.LocalVersion >= version {
 			return nil
@@ -385,32 +233,6 @@ func waitReplCaughtUp(f *replFollower, version uint64, timeout time.Duration) er
 		time.Sleep(2 * time.Millisecond)
 	}
 	return fmt.Errorf("follower %s never caught up to version %d: %+v", f.dir, version, st)
-}
-
-// replicaEqual compares a replica's relation cell-for-cell against the
-// twin's.
-func replicaEqual(who string, replica, twin *paq.Session) error {
-	if rv, tv := replica.Version(), twin.Version(); rv != tv {
-		return fmt.Errorf("%s: version %d, twin at %d (acknowledged mutations lost)", who, rv, tv)
-	}
-	ra, rb := replica.Rel(), twin.Rel()
-	if ra.Len() != rb.Len() || ra.Live() != rb.Live() {
-		return fmt.Errorf("%s: %d/%d rows, twin has %d/%d", who, ra.Len(), ra.Live(), rb.Len(), rb.Live())
-	}
-	for r := 0; r < ra.Len(); r++ {
-		if ra.Deleted(r) != rb.Deleted(r) {
-			return fmt.Errorf("%s: tombstone of row %d diverges", who, r)
-		}
-		if ra.Deleted(r) {
-			continue
-		}
-		for c := 0; c < ra.Schema().Len(); c++ {
-			if !ra.Value(r, c).Equal(rb.Value(r, c)) {
-				return fmt.Errorf("%s: cell (%d,%d) diverges: %v vs %v", who, r, c, ra.Value(r, c), rb.Value(r, c))
-			}
-		}
-	}
-	return nil
 }
 
 // Repl runs the leader/follower replication differential. Any
@@ -425,9 +247,6 @@ func (e *Env) Repl(ctx context.Context, cfg ReplConfig) (*ReplResult, error) {
 	}
 	if cfg.Followers < 2 {
 		cfg.Followers = 2
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = e.cfg.Seed
 	}
 	dir := cfg.Dir
 	if dir == "" {
@@ -445,61 +264,43 @@ func (e *Env) Repl(ctx context.Context, cfg ReplConfig) (*ReplResult, error) {
 	}
 
 	base := e.cfg.GalaxyN
-	maxInserts := cfg.Ops + cfg.Ops/8 + 16
-	full := workload.Galaxy(base+maxInserts, e.cfg.Seed)
-	queries := e.queries[Galaxy]
-	attrs := e.attrs[Galaxy]
+	full := workload.Galaxy(base+cfg.Ops+cfg.Ops/8, e.cfg.Seed)
 	dsCfg := server.DatasetConfig{
-		Attrs: attrs, TauFrac: e.cfg.TauFrac, Workers: e.cfg.Workers,
+		Attrs: e.attrs[Galaxy], TauFrac: e.cfg.TauFrac, Workers: e.cfg.Workers,
 		TimeLimit: e.cfg.TimeLimit, MaxNodes: e.cfg.MaxNodes, Gap: e.cfg.Gap,
 		Seed: e.cfg.Seed, Racers: 1,
 	}
+	fmt.Fprintf(e.cfg.Out, "Replication differential (Galaxy, %d rows; %d followers)\n", base, cfg.Followers)
 
 	// Leader: a durable Galaxy dataset behind a replication node.
 	leaderCfg := dsCfg
 	leaderCfg.DataDir = filepath.Join(dir, "leader")
 	leaderDS, err := server.NewDataset("galaxy", full.Subset("galaxy", full.AllRows()[:base]), leaderCfg)
 	if err != nil {
-		return fail("leader dataset: %v", err)
+		return fail("leader dataset: %w", err)
 	}
 	leaderSrv := server.New(server.Config{MaxQueued: 4096, DefaultTimeout: e.cfg.TimeLimit + time.Minute})
 	leaderSrv.Register(leaderDS)
 	leaderNode, err := repl.NewNode(leaderSrv, repl.Config{Role: repl.RoleLeader})
 	if err != nil {
-		return fail("leader node: %v", err)
+		return fail("leader node: %w", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	leaderURL, killLeader, err := serve(leaderNode.Handler())
 	if err != nil {
-		return fail("leader listen: %v", err)
+		return fail("leader listen: %w", err)
 	}
-	leaderHTTP := &http.Server{Handler: leaderNode.Handler()}
-	go func() { _ = leaderHTTP.Serve(ln) }()
-	leaderURL := "http://" + ln.Addr().String()
+	defer killLeader()
 
 	// The in-memory twin: same initial data, same solver configuration,
 	// fed only by acknowledgements.
-	twin, err := paq.Open(paq.Table(full.Subset("galaxy", full.AllRows()[:base])), e.sessionOpts(
-		paq.WithPartitionAttrs(attrs...),
-		paq.WithSeed(e.cfg.Seed),
-		paq.WithMethod(paq.MethodSketchRefine),
-		paq.WithWarmPartitioning())...)
+	twin, err := e.openLive(full)
 	if err != nil {
-		return fail("twin: %v", err)
+		return fail("twin: %w", err)
 	}
 
 	// Followers; follower 0's stream runs through the fault injector.
-	cut := &cuttingTransport{rng: rand.New(rand.NewSource(cfg.Seed + 1))}
+	cut := &cuttingTransport{rng: rand.New(rand.NewSource(e.cfg.Seed + 1))}
 	fols := make([]*replFollower, cfg.Followers)
-	for i := range fols {
-		var c *cuttingTransport
-		if i == 0 {
-			c = cut
-		}
-		fols[i], err = e.startReplFollower(leaderURL, filepath.Join(dir, fmt.Sprintf("follower%d", i)), dsCfg, c)
-		if err != nil {
-			return fail("follower %d: %v", i, err)
-		}
-	}
 	defer func() {
 		for _, f := range fols {
 			if f != nil {
@@ -507,22 +308,38 @@ func (e *Env) Repl(ctx context.Context, cfg ReplConfig) (*ReplResult, error) {
 			}
 		}
 	}()
+	for i := range fols {
+		var c *cuttingTransport
+		if i == 0 {
+			c = cut
+		}
+		fols[i], err = e.startReplFollower(leaderURL, filepath.Join(dir, fmt.Sprintf("follower%d", i)), dsCfg, c)
+		if err != nil {
+			return fail("follower %d: %w", i, err)
+		}
+	}
 
-	mut := &replMutator{
-		client: &http.Client{Timeout: 60 * time.Second},
-		twin:   twin, full: full, base: base,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		live: twin.Rel().AllRows(),
+	// Acknowledged mutations go through the leader's HTTP API and are
+	// mirrored into the twin; the stream checks per op that the
+	// acknowledged version is the twin's — the zero-loss anchor.
+	client := &http.Client{Timeout: 60 * time.Second}
+	stream := newMutationStream(e.cfg.Seed, full, base, opMix{insert: 0.5, delete: 0.3}, base/2,
+		twin.Rel().AllRows(), httpSink{client, leaderURL}, sessionSink{twin})
+	converge := func(phase string) error {
+		for i, f := range fols {
+			if err := waitReplCaughtUp(ctx, f, twin.Version(), convergeTimeout); err != nil {
+				return fmt.Errorf("%s: follower %d: %w", phase, i, err)
+			}
+		}
+		return nil
 	}
 
 	// ---- phase 1: mutations under stream cuts --------------------------
-	if err := mut.run(leaderURL, cfg.Ops/2); err != nil {
-		return fail("phase 1: %v", err)
+	if err := stream.run(ctx, cfg.Ops/2); err != nil {
+		return fail("phase 1: %w", err)
 	}
-	for i, f := range fols {
-		if err := waitReplCaughtUp(f, twin.Version(), convergeTimeout); err != nil {
-			return fail("phase 1: follower %d: %v", i, err)
-		}
+	if err := converge("phase 1"); err != nil {
+		return fail("%w", err)
 	}
 
 	// ---- fault: leader snapshot truncates the shipped log --------------
@@ -530,53 +347,47 @@ func (e *Env) Repl(ctx context.Context, cfg ReplConfig) (*ReplResult, error) {
 	// snapshot and return to zero lag. The twin mirrors the compaction
 	// so versions and row indices stay aligned.
 	if err := leaderDS.Session().Snapshot(); err != nil {
-		return fail("leader snapshot: %v", err)
+		return fail("leader snapshot: %w", err)
 	}
 	if _, err := twin.Compact(); err != nil {
-		return fail("twin compact: %v", err)
+		return fail("twin compact: %w", err)
 	}
-	mut.live = twin.Rel().AllRows()
+	stream.live = twin.Rel().AllRows()
 
 	// ---- phase 2: more mutations; follower 1 crash-restarts mid-way ----
-	if err := mut.run(leaderURL, cfg.Ops/4); err != nil {
-		return fail("phase 2: %v", err)
+	if err := stream.run(ctx, cfg.Ops/4); err != nil {
+		return fail("phase 2: %w", err)
 	}
 	fols[1].crash()
 	if fols[1], err = e.startReplFollower(leaderURL, fols[1].dir, dsCfg, nil); err != nil {
-		return fail("follower 1 restart: %v", err)
+		return fail("follower 1 restart: %w", err)
 	}
 	// ---- phase 2b + in-flight reads ------------------------------------
 	// While the restarted follower 1 tails the remaining mutations, a
 	// reader hammers its query API: snapshot pinning must keep every
 	// solve served and version-consistent mid-replay.
-	var readPaql string
-	for _, q := range queries {
-		if !q.Hard {
-			readPaql = q.PaQL
-			break
-		}
-	}
-	readStop := make(chan struct{})
-	readDone := make(chan inflightReadStats, 1)
+	var rd inflightReadStats
+	readStop, readDone := make(chan struct{}), make(chan struct{})
 	var stopReadsOnce sync.Once
-	stopReads := func() { stopReadsOnce.Do(func() { close(readStop) }) }
-	defer stopReads()
-	go func() {
-		readDone <- inflightReads(mut.client, fols[1].url, readPaql,
-			int64((e.cfg.TimeLimit+time.Minute)/time.Millisecond), readStop)
-	}()
-	if err := mut.run(leaderURL, cfg.Ops-cfg.Ops/2-cfg.Ops/4); err != nil {
-		return fail("phase 2b: %v", err)
+	stopReads := func() {
+		stopReadsOnce.Do(func() { close(readStop) })
+		<-readDone
 	}
-	for i, f := range fols {
-		if err := waitReplCaughtUp(f, twin.Version(), convergeTimeout); err != nil {
-			return fail("phase 2: follower %d: %v", i, err)
-		}
+	defer stopReads()
+	go func(url string) {
+		defer close(readDone)
+		rd = inflightReads(ctx, client, url, e.feasibleQueries(Galaxy)[0].PaQL,
+			int64((e.cfg.TimeLimit+time.Minute)/time.Millisecond), readStop)
+	}(fols[1].url)
+	if err := stream.run(ctx, cfg.Ops-cfg.Ops/2-cfg.Ops/4); err != nil {
+		return fail("phase 2b: %w", err)
+	}
+	if err := converge("phase 2"); err != nil {
+		return fail("%w", err)
 	}
 	stopReads()
-	rd := <-readDone
 	if rd.err != nil {
-		return fail("in-flight reads: %v", rd.err)
+		return fail("in-flight reads: %w", rd.err)
 	}
 	if rd.reads == 0 {
 		return fail("in-flight read phase served zero reads")
@@ -592,11 +403,12 @@ func (e *Env) Repl(ctx context.Context, cfg ReplConfig) (*ReplResult, error) {
 	}
 
 	// ---- convergence: every replica equals the twin --------------------
+	sessions := make([]*paq.Session, len(fols))
 	for i, f := range fols {
-		st := f.node.Stats().Tails["galaxy"]
-		res.Resyncs += st.Resyncs
-		if err := replicaEqual(fmt.Sprintf("follower %d", i), f.session(), twin); err != nil {
-			return fail("%v", err)
+		res.Resyncs += f.node.Stats().Tails["galaxy"].Resyncs
+		sessions[i] = f.session()
+		if err := relationsEqual(fmt.Sprintf("follower %d", i), sessions[i].Rel(), twin.Rel()); err != nil {
+			return fail("%w", err)
 		}
 	}
 	res.StreamCuts = cut.count()
@@ -606,81 +418,22 @@ func (e *Env) Repl(ctx context.Context, cfg ReplConfig) (*ReplResult, error) {
 	if res.Resyncs == 0 {
 		return fail("no follower resynced across the leader snapshot (fault never bit)")
 	}
-	res.Acked = mut.acked
+	res.Acked = stream.acked()
 
 	// ---- solve differential: followers vs twin -------------------------
-	solve := func(s *paq.Session, paql string) Measurement {
-		return measure(func() (*paq.Result, error) {
-			stmt, err := s.Prepare(paql, paq.WithMethod(paq.MethodSketchRefine))
-			if err != nil {
-				return nil, err
-			}
-			return stmt.Execute(ctx)
-		})
-	}
-	var firstViolation error
-	for _, q := range queries {
-		if q.Hard {
-			continue // combinatorially hard for the ILP stand-in at any partitioning
-		}
-		bound := twin.QualityBound(q.Maximize)
-		for _, f := range fols {
-			if fb := f.session().QualityBound(q.Maximize); fb > bound {
-				bound = fb
-			}
-		}
-		if bound > res.Bound {
-			res.Bound = bound
-		}
-		ref := solve(twin, q.PaQL)
-		for i, f := range fols {
-			qr := IngestQueryResult{Query: fmt.Sprintf("%s/f%d", q.Name, i), Ratio: math.NaN()}
-			qr.Maintained = solve(f.session(), q.PaQL)
-			qr.Rebuilt = ref
-			fOK, tOK := qr.Maintained.Err == nil, ref.Err == nil
-			switch {
-			case fOK != tOK:
-				if firstViolation == nil {
-					firstViolation = fmt.Errorf("bench: repl: %s: feasibility diverged on follower %d (follower err %v, twin err %v)",
-						q.Name, i, qr.Maintained.Err, ref.Err)
-				}
-			case fOK:
-				lo, hi := qr.Maintained.Objective, ref.Objective
-				if math.Abs(lo) > math.Abs(hi) {
-					lo, hi = hi, lo
-				}
-				qr.Ratio = 1
-				if lo != hi {
-					qr.Ratio = math.Abs(hi) / math.Abs(lo)
-				}
-				if math.IsNaN(qr.Ratio) || qr.Ratio > bound {
-					if firstViolation == nil {
-						firstViolation = fmt.Errorf("bench: repl: %s: follower %d objective ratio %g exceeds quality bound %g (follower %g, twin %g)",
-							q.Name, i, qr.Ratio, bound, qr.Maintained.Objective, ref.Objective)
-					}
-				}
-			}
-			res.Queries = append(res.Queries, qr)
-		}
-	}
-	if firstViolation != nil {
-		return res, firstViolation
+	var violation error
+	if res.Queries, res.Bound, violation = e.solveDifferential(ctx, "follower", "twin", sessions, twin); violation != nil {
+		return fail("%w", violation)
 	}
 
 	// ---- failover: kill the leader, promote follower 0 -----------------
 	// The shipped tail is fully drained (lag 0 above), so promotion must
 	// carry every acknowledged mutation across. The leader dies hard:
 	// listener closed, sessions abandoned.
-	_ = leaderHTTP.Close()
-	resp, err := mut.client.Post(fols[0].url+"/repl/promote", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		return fail("promote: %v", err)
-	}
+	killLeader()
 	var pr repl.PromoteResult
-	perr := json.NewDecoder(resp.Body).Decode(&pr)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || perr != nil {
-		return fail("promote: HTTP %d (decode err %v)", resp.StatusCode, perr)
+	if _, err := postJSON(ctx, client, fols[0].url+"/repl/promote", struct{}{}, &pr); err != nil {
+		return fail("promote: %w", err)
 	}
 	res.PromotedEpoch = pr.Epoch
 	res.DrainedRecords = pr.DrainedRecords
@@ -696,64 +449,31 @@ func (e *Env) Repl(ctx context.Context, cfg ReplConfig) (*ReplResult, error) {
 	// and converges — its cursor carries over because every follower
 	// writes its own WAL, which the new leader's version-indexed stream
 	// can resume from.
-	if err := mut.run(fols[0].url, cfg.Ops/8); err != nil {
-		return fail("post-failover mutations: %v", err)
+	stream.sinks[0] = httpSink{client, fols[0].url}
+	if err := stream.run(ctx, cfg.Ops/8); err != nil {
+		return fail("post-failover mutations: %w", err)
 	}
 	res.PostFailoverAcked = cfg.Ops / 8
 	fols[1].crash()
 	if fols[1], err = e.startReplFollower(fols[0].url, fols[1].dir, dsCfg, nil); err != nil {
-		return fail("follower 1 re-point: %v", err)
+		return fail("follower 1 re-point: %w", err)
 	}
-	if err := waitReplCaughtUp(fols[1], twin.Version(), convergeTimeout); err != nil {
-		return fail("post-failover: %v", err)
+	if err := waitReplCaughtUp(ctx, fols[1], twin.Version(), convergeTimeout); err != nil {
+		return fail("post-failover: %w", err)
 	}
-	if err := replicaEqual("promoted leader", fols[0].session(), twin); err != nil {
-		return fail("%v", err)
+	for i, who := range []string{"promoted leader", "re-pointed follower 1"} {
+		if err := relationsEqual(who, fols[i].session().Rel(), twin.Rel()); err != nil {
+			return fail("%w", err)
+		}
 	}
-	if err := replicaEqual("re-pointed follower 1", fols[1].session(), twin); err != nil {
-		return fail("%v", err)
-	}
-	res.Inserted, res.Deleted, res.Updated = mut.inserted, mut.deleted, mut.updated
+	res.Inserted, res.Deleted, res.Updated = stream.inserted, stream.deleted, stream.updated
 	res.Elapsed = time.Since(start)
 
-	// ---- report ---------------------------------------------------------
-	fmt.Fprintf(e.cfg.Out, "Replication differential (Galaxy, %d rows; %d followers)\n", base, cfg.Followers)
 	fmt.Fprintf(e.cfg.Out, "%d acked mutations (%d ins / %d del / %d upd) + %d after failover; %d stream cuts, %d resyncs\n",
 		res.Acked, res.Inserted, res.Deleted, res.Updated, res.PostFailoverAcked, res.StreamCuts, res.Resyncs)
 	fmt.Fprintf(e.cfg.Out, "promoted follower 0 to epoch %d (drained %d records); all replicas converged with the twin\n",
 		res.PromotedEpoch, res.DrainedRecords)
-	fmt.Fprintf(e.cfg.Out, "%d in-flight reads served mid-replay (%d infeasible), zero blocked; worst pin wait %v\n",
-		res.InFlightReads, res.InFlightInfeasible, res.ReadPinMaxWait)
-	fmt.Fprintf(e.cfg.Out, "%-10s %14s %14s %8s\n", "query", "follower", "twin", "ratio")
-	for _, qr := range res.Queries {
-		fmt.Fprintf(e.cfg.Out, "%-10s %14s %14s %8.4f\n",
-			qr.Query, fmtObjective(qr.Maintained), fmtObjective(qr.Rebuilt), qr.Ratio)
-	}
-	fmt.Fprintf(e.cfg.Out, "quality bound %.4g; %d follower solves differentially checked in %v\n",
-		res.Bound, len(res.Queries), res.Elapsed.Round(time.Millisecond))
-
-	var solveMS []float64
-	for _, q := range res.Queries {
-		if q.Maintained.Err == nil {
-			solveMS = append(solveMS, float64(q.Maintained.Time)/float64(time.Millisecond))
-		}
-	}
-	e.Record(ExperimentResult{
-		Experiment: "repl",
-		P50SolveMS: percentile(solveMS, 0.50),
-		P95SolveMS: percentile(solveMS, 0.95),
-		Extra: map[string]float64{
-			"followers":           float64(res.Followers),
-			"acked":               float64(res.Acked),
-			"post_failover_acked": float64(res.PostFailoverAcked),
-			"stream_cuts":         float64(res.StreamCuts),
-			"resyncs":             float64(res.Resyncs),
-			"promoted_epoch":      float64(res.PromotedEpoch),
-			"drained_records":     float64(res.DrainedRecords),
-			"quality_bound":       res.Bound,
-			"inflight_reads":      float64(res.InFlightReads),
-			"inflight_pin_max_ms": float64(res.ReadPinMaxWait) / float64(time.Millisecond),
-		},
-	})
+	fmt.Fprintf(e.cfg.Out, "%d in-flight reads served mid-replay (%d infeasible), zero blocked; worst pin wait %v in %v\n",
+		res.InFlightReads, res.InFlightInfeasible, res.ReadPinMaxWait, res.Elapsed.Round(time.Millisecond))
 	return res, nil
 }

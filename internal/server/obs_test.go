@@ -219,9 +219,12 @@ func TestQueryTrace(t *testing.T) {
 	}
 	traced := QueryRequest{
 		Dataset: "galaxy",
+		// Four constraints make this a multi-millisecond solve; a
+		// sub-millisecond one puts the 5% bound below timer jitter.
 		Query: `SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
-SUCH THAT COUNT(P.*) = 4
-MAXIMIZE SUM(P.petrorad)`,
+SUCH THAT COUNT(P.*) = 25 AND SUM(P.redshift) BETWEEN 11.5 AND 12.0
+AND SUM(P.petrorad) >= 200 AND SUM(P.r) <= 500
+MINIMIZE SUM(P.i)`,
 		Method: MethodSketchRefine,
 		Trace:  true,
 	}

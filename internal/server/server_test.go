@@ -425,10 +425,14 @@ func TestGracefulShutdown(t *testing.T) {
 		defer cancel()
 		shutdownDone <- srv.Shutdown(ctx)
 	}()
-	// Draining: a new query must be refused with 503.
+	// Draining: a new query must be refused with 503. A poll that lands
+	// before Shutdown flips draining is admitted to the one queue slot
+	// behind the blocked solve; the short per-request timeout makes it
+	// give up (504) so the loop retries instead of waiting out
+	// DefaultTimeout past its own deadline.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		status, _ := mustPostQuery(t, ts.Client(), ts.URL, QueryRequest{Dataset: "tiny", Query: paql})
+		status, _ := mustPostQuery(t, ts.Client(), ts.URL, QueryRequest{Dataset: "tiny", Query: paql, TimeoutMS: 50})
 		if status == http.StatusServiceUnavailable {
 			break
 		}
