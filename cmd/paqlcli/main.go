@@ -233,8 +233,8 @@ func run(o options) (truncated bool, err error) {
 		res.Size, res.Distinct, res.Objective, res.Time.Round(time.Millisecond))
 	if o.verbose && res.Stats != nil {
 		stats := res.Stats
-		fmt.Printf("stats: %d subproblem(s), largest %d vars × %d rows, %d B&B nodes, %d LP iterations, %d incumbent(s)\n",
-			stats.Subproblems, stats.Vars, stats.Rows, stats.SolverNodes, stats.LPIterations, res.Incumbents)
+		fmt.Printf("stats: %d subproblem(s), largest %d vars × %d rows, %d B&B nodes, %d LP iterations (%d warm / %d cold solves), %d incumbent(s)\n",
+			stats.Subproblems, stats.Vars, stats.Rows, stats.SolverNodes, stats.LPIterations, stats.WarmSolves, stats.ColdSolves, res.Incumbents)
 	}
 	mat := res.Package().Materialize("package")
 	if o.outPath != "" {

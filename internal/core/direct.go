@@ -31,6 +31,10 @@ type EvalStats struct {
 	SolverNodes int
 	// LPIterations is the total simplex iterations.
 	LPIterations int
+	// WarmSolves counts node relaxations re-optimized from the basis of
+	// the node before; ColdSolves those solved from scratch (each ILP's
+	// root, and any node whose warm start failed numerically).
+	WarmSolves, ColdSolves int
 	// BuildTime is the PaQL→ILP translation/materialization time.
 	BuildTime time.Duration
 	// SolveTime is the time spent inside the ILP solver.
@@ -61,6 +65,8 @@ func (s *EvalStats) Add(o *EvalStats) {
 	}
 	s.SolverNodes += o.SolverNodes
 	s.LPIterations += o.LPIterations
+	s.WarmSolves += o.WarmSolves
+	s.ColdSolves += o.ColdSolves
 	s.BuildTime += o.BuildTime
 	s.SolveTime += o.SolveTime
 	s.Subproblems += o.Subproblems
@@ -210,8 +216,14 @@ func SolveILP(ctx context.Context, prob *ilp.Problem, opt ilp.Options) (*ilp.Res
 	}
 	stats.SolverNodes = res.Nodes
 	stats.LPIterations = res.LPIterations
+	stats.WarmSolves, stats.ColdSolves = res.WarmSolves, res.ColdSolves
 	sp.SetAttrInt("nodes", int64(res.Nodes))
 	sp.SetAttrInt("lp_iterations", int64(res.LPIterations))
+	sp.SetAttrInt("warm_solves", int64(res.WarmSolves))
+	sp.SetAttrInt("cold_solves", int64(res.ColdSolves))
+	sp.SetAttrInt("dual_iterations", int64(res.DualIterations))
+	sp.SetAttrInt("primal_iterations", int64(res.PrimalIterations))
+	sp.SetAttrInt("refactorizations", int64(res.Refactorizations))
 	sp.SetAttrInt("incumbents", int64(res.Incumbents))
 	sp.SetAttrStr("status", res.Status.String())
 	switch res.Status {

@@ -32,13 +32,13 @@ func allocProblem() *Problem {
 }
 
 // TestSolveAllocationsBounded is the branch-and-bound allocation
-// regression gate. Each node legitimately pays one tableau (the LP
-// relaxation), but the per-node and per-incumbent loops — reduced-cost
-// fixing over the root duals, incumbent local search, bound
-// materialization — must reuse scratch and allocate nothing extra. The
-// fixture is deterministic, so the node count (and thus the legitimate
-// allocation total) is stable; the bound fails go test when a hot loop
-// starts allocating.
+// regression gate. A solve allocates its set-up — the LP workspace, the
+// bound and scratch vectors, the first node chunk, the heap — and one
+// vector per installed incumbent when a callback wants a copy; a node
+// allocates nothing (the relaxation re-optimizes in place, nodes come
+// from the arena, reduced-cost fixing and local search reuse scratch).
+// So the bound is a constant, not a multiple of the node count, and it
+// is well below one allocation per node on this fixture.
 func TestSolveAllocationsBounded(t *testing.T) {
 	p := allocProblem()
 	res, err := SolveCtx(context.Background(), p, Options{})
@@ -48,7 +48,7 @@ func TestSolveAllocationsBounded(t *testing.T) {
 	if res.Status != Optimal {
 		t.Fatalf("status %v, want optimal", res.Status)
 	}
-	if res.Nodes < 3 {
+	if res.Nodes < 40 {
 		t.Fatalf("fixture too easy: %d nodes, want a real search tree", res.Nodes)
 	}
 
@@ -57,12 +57,10 @@ func TestSolveAllocationsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("Solve: %.1f allocations, %d nodes", avg, res.Nodes)
-	// Measured ~30 allocations per node of setup on this fixture; a
-	// per-variable allocation in the fixing loop (40 vars × nodes) or a
-	// per-pair allocation in local search would multiply it.
-	limit := float64(40*res.Nodes + 60)
+	t.Logf("Solve: %.1f allocations, %d nodes, %d incumbents", avg, res.Nodes, res.Incumbents)
+	// Measured 36: 17 for lp.NewWorkspace, 19 for the search's own set-up.
+	const limit = 40
 	if avg > limit {
-		t.Errorf("Solve allocates %.1f objects across %d nodes (limit %.0f); a node-loop allocation regressed", avg, res.Nodes, limit)
+		t.Errorf("Solve allocates %.1f objects across %d nodes (limit %d); a node-loop allocation regressed", avg, res.Nodes, limit)
 	}
 }

@@ -1,6 +1,15 @@
 // Package ilp implements a branch-and-bound integer linear program solver
 // on top of the simplex in internal/lp.
 //
+// One lp.Workspace serves the whole search: the root relaxation is solved
+// cold, and every later node hands the workspace only the bounds in which
+// it differs from the node solved before it and re-optimizes from the
+// basis the workspace already holds (bounded dual simplex), so a node
+// costs a few pivots and no allocation. Branching is on the most
+// fractional variable with ties — fractionalities within branchTieTol of
+// the largest — broken by lowest index, which makes the tree a function
+// of the problem and not of the order the LP kernel happened to pivot in.
+//
 // It is the repository's stand-in for the black-box commercial solver
 // (IBM CPLEX) used in the paper: same contract — the caller hands over a
 // full ILP and receives an optimal solution, an infeasibility verdict, or
@@ -117,21 +126,69 @@ type Result struct {
 	// Incumbents counts the strictly improving incumbents installed
 	// during the search (each one was also passed to OnIncumbent).
 	Incumbents int
+	// Stats are the LP kernel's work counters over the whole search:
+	// WarmSolves (node relaxations re-optimized from the basis of the node
+	// before), ColdSolves (the root, and any node whose warm start failed
+	// numerically), DualIterations + PrimalIterations = LPIterations, and
+	// Refactorizations.
+	lp.Stats
 }
 
-const intTol = 1e-6
+const (
+	intTol = 1e-6
+
+	// branchTieTol is the band below the largest fractionality inside
+	// which branching candidates count as tied. Under a COUNT(*) = k row
+	// two fractional basics have fractional parts f and 1−f, exactly the
+	// same distance from an integer, and which of them floating point
+	// makes "larger" depends on the pivot order. LP values are only
+	// meaningful to the simplex's feasibility tolerance (1e-7), so that is
+	// the band: wide enough to swallow the noise (~1e-12 relative), far
+	// narrower than any gap between genuinely different candidates on the
+	// workloads (TestTreeIndependentOfPivotPath pins the consequence).
+	branchTieTol = 1e-7
+
+	// nodeChunk is how many nodes the arena allocates at a time.
+	nodeChunk = 128
+)
+
+// relaxation is what branch and bound needs from the LP kernel:
+// *lp.Workspace, or in tests an oracle standing in for it.
+type relaxation interface {
+	SetBounds(j int, lo, hi float64) error
+	Reoptimize(ctx context.Context) (lp.Status, error)
+	X() []float64
+	DJ() []float64
+	Objective() float64
+	Stats() lp.Stats
+}
 
 type node struct {
 	bound  float64 // LP relaxation objective (in the problem's own sense)
-	depth  int
 	parent *node
 	// Bound change introduced by this node relative to parent (root has
-	// varIdx < 0).
-	varIdx  int
-	newLo   float64
-	newHi   float64
-	hasLo   bool
-	heapIdx int
+	// varIdx < 0): a new lower bound when hasLo, else a new upper bound.
+	varIdx int
+	val    float64
+	hasLo  bool
+}
+
+// nodeArena hands out nodes from fixed-size chunks, so pointers stay
+// valid and the search allocates once per nodeChunk nodes, not per node.
+type nodeArena struct {
+	chunks [][]node
+	used   int // nodes taken from the last chunk
+}
+
+func (a *nodeArena) new(nd node) *node {
+	if len(a.chunks) == 0 || a.used == nodeChunk {
+		a.chunks = append(a.chunks, make([]node, nodeChunk))
+		a.used = 0
+	}
+	p := &a.chunks[len(a.chunks)-1][a.used]
+	a.used++
+	*p = nd
+	return p
 }
 
 // nodeHeap is a priority queue ordered best-bound-first.
@@ -147,16 +204,8 @@ func (h *nodeHeap) Less(i, j int) bool {
 	}
 	return h.nodes[i].bound < h.nodes[j].bound
 }
-func (h *nodeHeap) Swap(i, j int) {
-	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
-	h.nodes[i].heapIdx = i
-	h.nodes[j].heapIdx = j
-}
-func (h *nodeHeap) Push(x any) {
-	n := x.(*node)
-	n.heapIdx = len(h.nodes)
-	h.nodes = append(h.nodes, n)
-}
+func (h *nodeHeap) Swap(i, j int) { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
+func (h *nodeHeap) Push(x any)    { h.nodes = append(h.nodes, x.(*node)) }
 func (h *nodeHeap) Pop() any {
 	old := h.nodes
 	n := old[len(old)-1]
@@ -169,6 +218,17 @@ func (h *nodeHeap) Pop() any {
 // in-flight simplex solve — and returns the context's error. This is
 // what lets a caller race several solves and cheaply cancel the losers.
 func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
+	return solve(ctx, p, opt, func(q *lp.Problem) (relaxation, error) {
+		w, err := lp.NewWorkspace(q)
+		if err != nil {
+			return nil, err
+		}
+		return w, nil
+	})
+}
+
+// solve is SolveCtx over whichever LP kernel newRelaxation builds.
+func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.Problem) (relaxation, error)) (*Result, error) {
 	n := p.LP.NumVars()
 	if p.Integer != nil && len(p.Integer) != n {
 		return nil, fmt.Errorf("ilp: Integer has length %d, want %d", len(p.Integer), n)
@@ -181,8 +241,13 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	if opt.TimeLimit > 0 {
 		deadline = time.Now().Add(opt.TimeLimit)
 	}
+	rx, err := newRelaxation(&p.LP)
+	if err != nil {
+		return nil, err
+	}
 
-	// Scratch bound arrays reused across nodes.
+	// Base bounds: the problem's, with integral variables tightened to
+	// integers, later tightened further by reduced-cost fixing.
 	baseLo := make([]float64, n)
 	baseHi := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -193,8 +258,6 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		if p.LP.Hi != nil {
 			hi = p.LP.Hi[j]
 		}
-		// Integral variables can have their bounds tightened to integers
-		// immediately.
 		if p.integral(j) {
 			lo = math.Ceil(lo - intTol)
 			if !math.IsInf(hi, 1) {
@@ -203,73 +266,125 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		}
 		baseLo[j], baseHi[j] = lo, hi
 	}
-	scratchLo := make([]float64, n)
-	scratchHi := make([]float64, n)
+	// chain lists the variables the node in the relaxation has branched
+	// on, with their bounds there; slot[j]−1 is j's place in it, 0 for a
+	// variable at its base bounds. baseDirty marks base bounds the
+	// relaxation has not seen yet (all of them, before the root).
+	type branched struct {
+		j      int
+		lo, hi float64
+	}
+	var chain, prev []branched
+	slot := make([]int32, n)
+	baseDirty := true
 
-	// materialize fills scratch bounds for a node by walking its chain.
-	materialize := func(nd *node) ([]float64, []float64) {
-		copy(scratchLo, baseLo)
-		copy(scratchHi, baseHi)
-		for cur := nd; cur != nil && cur.varIdx >= 0; cur = cur.parent {
+	// solveNode moves the relaxation from the node it last solved to nd
+	// by handing it only the bounds that differ — those of the two nodes'
+	// branching chains, plus every variable after the base bounds moved —
+	// and re-optimizes (the root, with no basis to start from, is solved
+	// cold). The solution is read off rx until the next call. Walking up
+	// from nd meets each variable's tightest bounds first. Branching
+	// bounds can conflict with bounds tightened later by reduced-cost
+	// fixing; the relaxation reports the empty domain as an infeasible
+	// node.
+	solveNode := func(nd *node) (lp.Status, error) {
+		prev, chain = chain, prev[:0]
+		for _, b := range prev {
+			slot[b.j] = 0
+		}
+		for cur := nd; cur.varIdx >= 0; cur = cur.parent {
+			j := cur.varIdx
+			if slot[j] == 0 {
+				chain = append(chain, branched{j, baseLo[j], baseHi[j]})
+				slot[j] = int32(len(chain))
+			}
+			b := &chain[slot[j]-1]
 			if cur.hasLo {
-				if cur.newLo > scratchLo[cur.varIdx] {
-					scratchLo[cur.varIdx] = cur.newLo
-				}
+				b.lo = math.Max(b.lo, cur.val)
 			} else {
-				if cur.newHi < scratchHi[cur.varIdx] {
-					scratchHi[cur.varIdx] = cur.newHi
+				b.hi = math.Min(b.hi, cur.val)
+			}
+		}
+		// Back to base: everything the chain does not cover, after the
+		// base bounds moved; else only what the last node's chain covered.
+		if baseDirty {
+			for j := 0; j < n; j++ {
+				if slot[j] == 0 {
+					if err := rx.SetBounds(j, baseLo[j], baseHi[j]); err != nil {
+						return 0, err
+					}
+				}
+			}
+			baseDirty = false
+		}
+		for _, b := range prev {
+			if slot[b.j] == 0 {
+				if err := rx.SetBounds(b.j, baseLo[b.j], baseHi[b.j]); err != nil {
+					return 0, err
 				}
 			}
 		}
-		return scratchLo, scratchHi
+		for _, b := range chain {
+			if err := rx.SetBounds(b.j, b.lo, b.hi); err != nil {
+				return 0, err
+			}
+		}
+		return rx.Reoptimize(ctx)
 	}
 
-	relax := p.LP // shallow copy; Lo/Hi replaced per node
 	res := &Result{}
+	// done stamps the relaxation's work counters on the result.
+	done := func(st Status) (*Result, error) {
+		res.Status, res.Stats = st, rx.Stats()
+		res.LPIterations = res.DualIterations + res.PrimalIterations
+		return res, nil
+	}
 	better := func(a, b float64) bool {
 		if p.LP.Maximize {
 			return a > b
 		}
 		return a < b
 	}
-
-	solveNode := func(nd *node) (*lp.Solution, error) {
-		lo, hi := materialize(nd)
-		// Branching bounds can conflict with bounds tightened later by
-		// reduced-cost fixing; an empty domain just means the node is
-		// infeasible.
-		for j := 0; j < n; j++ {
-			if lo[j] > hi[j] {
-				return &lp.Solution{Status: lp.Infeasible}, nil
-			}
-		}
-		relax.Lo, relax.Hi = lo, hi
-		sol, err := lp.SolveCtx(ctx, &relax)
-		if err != nil {
-			return nil, err
-		}
-		res.LPIterations += sol.Iterations
-		return sol, nil
+	worst := math.Inf(1) // the bound that is better than nothing
+	if p.LP.Maximize {
+		worst = math.Inf(-1)
 	}
 
-	// mostFractional returns the index of the integral variable whose LP
-	// value is farthest from an integer, or -1 if all are integral.
+	// mostFractional returns the integral variable whose LP value is
+	// farthest from an integer — the lowest index among those within
+	// branchTieTol of the farthest — or -1 if all are integral.
+	frac := func(x []float64, j int) float64 {
+		if !p.integral(j) {
+			return 0
+		}
+		return math.Abs(x[j] - math.Round(x[j]))
+	}
 	mostFractional := func(x []float64) int {
-		best, bestFrac := -1, intTol
+		first, far := -1, intTol
 		for j := 0; j < n; j++ {
-			if !p.integral(j) {
-				continue
-			}
-			f := math.Abs(x[j] - math.Round(x[j]))
-			if f > bestFrac {
-				best, bestFrac = j, f
+			if f := frac(x, j); f > far {
+				far = f
+				if first < 0 {
+					first = j
+				}
 			}
 		}
-		return best
+		if first < 0 {
+			return -1
+		}
+		for j := first; j < n; j++ {
+			if f := frac(x, j); f > intTol && f >= far-branchTieTol {
+				return j
+			}
+		}
+		return first // unreachable: far is attained at or after first
 	}
 
-	// Root information for reduced-cost variable fixing.
-	var rootX, rootDJ []float64
+	// Root information for reduced-cost variable fixing: the reduced
+	// costs, and which bound (−1 lower, +1 upper, 0 neither) each variable
+	// sat at.
+	rootDJ := make([]float64, n)
+	rootAt := make([]int8, n)
 	rootBoundInt := math.Inf(1) // root LP bound in internal max sense
 	internal := func(v float64) float64 {
 		if p.LP.Maximize {
@@ -285,9 +400,6 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	// is decisive on package-query ILPs, where hundreds of
 	// near-substitutable tuples otherwise keep the search tree alive.
 	fixByReducedCost := func() {
-		if rootDJ == nil || !res.HasIncumbent {
-			return
-		}
 		slack := rootBoundInt - internal(res.Objective)
 		tol := 1e-7 * (1 + math.Abs(res.Objective))
 		for j := 0; j < n; j++ {
@@ -295,10 +407,12 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 				continue
 			}
 			dj := rootDJ[j]
-			if math.Abs(rootX[j]-baseLo[j]) < 1e-7 && dj <= 0 && -dj >= slack-tol {
+			if rootAt[j] < 0 && dj <= 0 && -dj >= slack-tol {
 				baseHi[j] = baseLo[j]
-			} else if !math.IsInf(baseHi[j], 1) && math.Abs(rootX[j]-baseHi[j]) < 1e-7 && dj >= 0 && dj >= slack-tol {
+				baseDirty = true
+			} else if rootAt[j] > 0 && dj >= 0 && dj >= slack-tol {
 				baseLo[j] = baseHi[j]
+				baseDirty = true
 			}
 		}
 	}
@@ -383,57 +497,67 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		}
 	}
 
-	// accept installs an integral LP solution as the incumbent if better.
-	accept := func(x []float64, obj float64) {
-		xi := make([]float64, n)
-		copy(xi, x)
+	// accept rounds an integral LP solution in place (x is the
+	// relaxation's buffer, dead until the next solve rewrites it),
+	// improves it by local search and installs it as the incumbent if it
+	// is better.
+	accept := func(x []float64) {
 		for j := 0; j < n; j++ {
 			if p.integral(j) {
-				xi[j] = math.Round(xi[j])
+				x[j] = math.Round(x[j])
 			}
 		}
-		localSearch(xi)
+		localSearch(x)
 		o := 0.0
 		for j := 0; j < n; j++ {
-			o += p.LP.C[j] * xi[j]
+			o += p.LP.C[j] * x[j]
 		}
-		if !res.HasIncumbent || better(o, res.Objective) {
-			res.HasIncumbent = true
-			res.X = xi
-			res.Objective = o
-			res.Incumbents++
-			if opt.OnIncumbent != nil {
-				cp := make([]float64, len(xi))
-				copy(cp, xi)
-				opt.OnIncumbent(cp, o, res.Nodes)
-			}
-			fixByReducedCost()
+		if res.HasIncumbent && !better(o, res.Objective) {
+			return
 		}
+		if res.X == nil {
+			res.X = make([]float64, n)
+		}
+		copy(res.X, x)
+		res.HasIncumbent = true
+		res.Objective = o
+		res.Incumbents++
+		if opt.OnIncumbent != nil {
+			cp := make([]float64, n)
+			copy(cp, x)
+			opt.OnIncumbent(cp, o, res.Nodes)
+		}
+		fixByReducedCost()
 	}
 
-	root := &node{varIdx: -1}
-	rootSol, err := solveNode(root)
+	var arena nodeArena
+	root := arena.new(node{varIdx: -1})
+	st, err := solveNode(root)
 	if err != nil {
 		return nil, err
 	}
-	switch rootSol.Status {
+	switch st {
 	case lp.Infeasible:
-		res.Status = Infeasible
-		return res, nil
+		return done(Infeasible)
 	case lp.Unbounded:
-		res.Status = Unbounded
-		return res, nil
+		return done(Unbounded)
 	case lp.IterLimit:
-		res.Status = ResourceLimit
-		return res, nil
+		res.BestBound = -worst // nothing is proven
+		return done(ResourceLimit)
 	}
-	root.bound = rootSol.Objective
-	rootX = rootSol.X
-	rootDJ = rootSol.DJ
-	rootBoundInt = internal(rootSol.Objective)
+	root.bound = rx.Objective()
+	copy(rootDJ, rx.DJ())
+	for j, v := range rx.X() {
+		switch {
+		case math.Abs(v-baseLo[j]) < 1e-7:
+			rootAt[j] = -1
+		case math.Abs(v-baseHi[j]) < 1e-7:
+			rootAt[j] = 1
+		}
+	}
+	rootBoundInt = internal(root.bound)
 
 	h := &nodeHeap{maximize: p.LP.Maximize}
-	heap.Init(h)
 
 	// pruned reports whether a bound cannot beat the incumbent. The
 	// tolerance is relative: package-query objectives can be ~1e5 in
@@ -460,15 +584,15 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 		return false
 	}
 
-	// branch creates the two children of a solved fractional node and
-	// returns (nearChild, farChild), where near is the child on the side
-	// the LP value rounds to — diving into it first (plunging) finds
+	// branch creates the two children of the fractional node just solved
+	// and returns (nearChild, farChild), where near is the child on the
+	// side the LP value rounds to — diving into it first (plunging) finds
 	// integral incumbents quickly, which best-first search alone can
 	// postpone almost indefinitely on knapsack-like package queries.
-	branch := func(nd *node, sol *lp.Solution, q int) (*node, *node) {
-		v := sol.X[q]
-		down := &node{parent: nd, depth: nd.depth + 1, varIdx: q, newHi: math.Floor(v), bound: sol.Objective}
-		up := &node{parent: nd, depth: nd.depth + 1, varIdx: q, newLo: math.Ceil(v), hasLo: true, bound: sol.Objective}
+	branch := func(nd *node, q int) (*node, *node) {
+		v := rx.X()[q]
+		down := arena.new(node{parent: nd, varIdx: q, val: math.Floor(v), bound: nd.bound})
+		up := arena.new(node{parent: nd, varIdx: q, val: math.Ceil(v), hasLo: true, bound: nd.bound})
 		if v-math.Floor(v) <= 0.5 {
 			return down, up
 		}
@@ -479,16 +603,19 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	// depth-first plunges: after branching, the near child is solved
 	// immediately and the far child is queued.
 	var current *node
-	if q := mostFractional(rootSol.X); q < 0 {
-		accept(rootSol.X, rootSol.Objective)
+	if q := mostFractional(rx.X()); q < 0 {
+		accept(rx.X())
 	} else {
-		near, far := branch(root, rootSol, q)
+		near, far := branch(root, q)
 		heap.Push(h, far)
 		current = near
 	}
 
 	res.BestBound = root.bound
-	limited := false
+	// limited: a budget ran out. lost: the best bound of any node whose
+	// relaxation failed (lp.IterLimit) — its subtree was dropped, not
+	// refuted, so the search can no longer prove optimality.
+	limited, lost := false, worst
 	for current != nil || h.Len() > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -514,43 +641,52 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 			continue
 		}
 		res.Nodes++
-		sol, err := solveNode(nd)
+		st, err := solveNode(nd)
 		if err != nil {
 			return nil, err
 		}
-		switch sol.Status {
+		switch st {
 		case lp.Infeasible:
 			continue
 		case lp.IterLimit:
-			continue // treat as un-exploitable node
+			if better(nd.bound, lost) {
+				lost = nd.bound
+			}
+			continue
 		case lp.Unbounded:
 			// A bounded parent relaxation cannot become unbounded by
 			// tightening bounds; defensive skip.
 			continue
 		}
-		nd.bound = sol.Objective
+		nd.bound = rx.Objective()
 		if pruned(nd.bound) {
 			continue
 		}
-		q := mostFractional(sol.X)
+		q := mostFractional(rx.X())
 		if q < 0 {
-			accept(sol.X, sol.Objective)
+			accept(rx.X())
 			continue
 		}
-		near, far := branch(nd, sol, q)
+		near, far := branch(nd, q)
 		heap.Push(h, far)
 		current = near // plunge
 	}
 
-	if limited {
-		res.Status = ResourceLimit
-		return res, nil
+	if !limited {
+		// The tree is exhausted: only the incumbent and what was lost remain.
+		res.BestBound = worst
+		if res.HasIncumbent {
+			res.BestBound = res.Objective
+		}
 	}
-	if !res.HasIncumbent {
-		res.Status = Infeasible
-		return res, nil
+	if better(lost, res.BestBound) {
+		res.BestBound = lost
 	}
-	res.Status = Optimal
-	res.BestBound = res.Objective
-	return res, nil
+	switch {
+	case limited || lost != worst:
+		return done(ResourceLimit)
+	case !res.HasIncumbent:
+		return done(Infeasible)
+	}
+	return done(Optimal)
 }

@@ -220,8 +220,9 @@ func TestBadIntegerLength(t *testing.T) {
 	}
 }
 
-// bruteForce enumerates all integer points in the (small) box and returns
-// the best feasible objective, or NaN when none is feasible.
+// bruteForce enumerates all integer points in the (small) box [Lo, Hi]
+// (Lo defaults to 0) and returns the best feasible objective, or NaN
+// when none is feasible.
 func bruteForce(p *Problem) float64 {
 	n := p.LP.NumVars()
 	best := math.NaN()
@@ -261,8 +262,11 @@ func bruteForce(p *Problem) float64 {
 			}
 			return
 		}
-		hi := int(p.LP.Hi[j])
-		for v := 0; v <= hi; v++ {
+		lo, hi := 0, int(p.LP.Hi[j])
+		if p.LP.Lo != nil {
+			lo = int(p.LP.Lo[j])
+		}
+		for v := lo; v <= hi; v++ {
 			x[j] = float64(v)
 			rec(j+1, x)
 		}

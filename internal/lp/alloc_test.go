@@ -8,10 +8,10 @@ import (
 
 // allocProblem builds a dense knapsack-style LP whose simplex run takes
 // many pivots — enough that any per-iteration allocation in the hot
-// loop (recomputeReducedCosts, chooseEntering, pivot, step) would
-// dominate the fixed setup cost and blow the regression bound below.
+// loop (price, chooseEntering, ftran, pivot, refactor) would dominate
+// the fixed setup cost and blow the regression bound below.
 func allocProblem() *Problem {
-	const n, m = 60, 8
+	const n, m = 120, 8
 	rng := rand.New(rand.NewSource(5))
 	p := &Problem{
 		Maximize: true,
@@ -37,9 +37,9 @@ func allocProblem() *Problem {
 }
 
 // TestSolveAllocationsIterationFree pins the simplex's allocation
-// profile: everything Solve allocates is tableau setup — a fixed count
-// for a fixed problem shape, independent of how many pivots the solve
-// takes. The bound fails go test if the iteration loop starts
+// profile: everything SolveCtx allocates is workspace setup — a fixed
+// count for a fixed problem shape, independent of how many pivots the
+// solve takes. The bound fails go test if the iteration loop starts
 // allocating (one alloc per pivot on this problem adds hundreds).
 func TestSolveAllocationsIterationFree(t *testing.T) {
 	p := allocProblem()
@@ -59,11 +59,47 @@ func TestSolveAllocationsIterationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Setup allocates the tableau (one slice per row plus ~a dozen
-	// vectors and the Solution). 40 gives that headroom; per-iteration
-	// allocation would add at least sol.Iterations on top.
+	// Setup allocates the workspace (its struct, sixteen vectors) and the
+	// Solution. 24 gives that headroom; per-iteration allocation would
+	// add at least sol.Iterations on top.
 	t.Logf("Solve: %.1f allocations, %d simplex iterations", avg, sol.Iterations)
-	if avg > 40 {
+	if avg > 24 {
 		t.Errorf("Solve allocates %.1f objects (%d iterations); the simplex loop must not allocate per pivot", avg, sol.Iterations)
+	}
+}
+
+// TestReoptimizeAllocatesZero: after NewWorkspace a bound change and the
+// warm re-optimize that follows it allocate nothing — the per-node cost
+// of branch and bound.
+func TestReoptimizeAllocatesZero(t *testing.T) {
+	ctx := context.Background()
+	w, err := NewWorkspace(packageLP(5, 500, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := w.Solve(ctx); err != nil || st != Optimal {
+		t.Fatalf("root %v, %v", st, err)
+	}
+	j := fractional(w)
+	if j < 0 {
+		t.Fatal("fixture has an integral relaxation")
+	}
+	k := 0
+	avg := testing.AllocsPerRun(300, func() {
+		if err := flip(w, j, k); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Reoptimize(ctx); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	s := w.Stats()
+	t.Logf("%d warm re-optimizations, %d dual pivots, %d refactorizations", s.WarmSolves, s.DualIterations, s.Refactorizations)
+	if s.DualIterations < 300 || s.Refactorizations == 0 || s.ColdSolves != 1 {
+		t.Fatalf("stats %+v: the run was meant to pivot, refactor and stay warm", s)
+	}
+	if avg != 0 {
+		t.Errorf("SetBounds + Reoptimize allocates %.2f objects per call, want 0", avg)
 	}
 }

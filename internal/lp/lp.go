@@ -1,5 +1,5 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs with bounded variables:
+// Package lp implements a revised bounded-variable simplex solver for
+// linear programs:
 //
 //	maximize (or minimize)  cᵀx
 //	subject to              Aᵢ·x (≤ | = | ≥) bᵢ   for each row i
@@ -10,6 +10,18 @@
 // solver (CPLEX) used in the paper. Variable bounds are handled natively
 // by the simplex (nonbasic variables rest at either bound), so the REPEAT
 // bounds and per-group count caps of package queries do not add rows.
+//
+// Package LPs are extreme in shape — a handful of rows, 10³–10⁶ bounded
+// columns — so the kernel never forms a tableau. A Workspace keeps the
+// basis header, an explicit m×m basis inverse, the at-lower/at-upper
+// status of the nonbasic columns and O(n) scratch, and prices straight
+// over the Problem's row slices. Workspace.Solve runs a bounded primal
+// simplex from the slack basis (infeasibilities are priced out by a
+// composite phase 1, so there are no artificial columns);
+// Workspace.Reoptimize runs a bounded dual simplex from the basis the
+// workspace already holds, which stays dual feasible under any change of
+// bounds — the one thing a branch-and-bound child differs by. SolveCtx is
+// the one-shot wrapper over the same workspace.
 //
 // Every variable must have at least one finite bound; free variables are
 // not supported (package-query translations always produce xⱼ ≥ 0).
@@ -160,426 +172,24 @@ type Solution struct {
 // ErrBadProblem wraps validation failures.
 var ErrBadProblem = errors.New("lp: invalid problem")
 
-const (
-	feasTol = 1e-7
-	optTol  = 1e-9
-	pivTol  = 1e-9
-)
-
-type varStatus uint8
-
-const (
-	atLower varStatus = iota
-	atUpper
-	basic
-)
-
-// tableau is the dense working state of the simplex: T = B⁻¹·[A | S | D]
-// maintained explicitly, plus the reduced-cost row.
-type tableau struct {
-	m, nTotal int
-	t         [][]float64 // m × nTotal
-	beta      []float64   // values of basic variables
-	basis     []int       // column index basic in each row
-	status    []varStatus
-	lo, hi    []float64
-	d         []float64 // reduced costs c_j − c_Bᵀ T_j
-	c         []float64 // current-phase objective (maximize)
-	cb        []float64 // scratch: c over the basis (recomputeReducedCosts)
-	iter      int
-	maxIter   int
-	done      <-chan struct{} // cancellation signal, checked periodically
-}
-
-// value returns the current value of column j.
-func (tb *tableau) value(j int) float64 {
-	switch tb.status[j] {
-	case atUpper:
-		return tb.hi[j]
-	case atLower:
-		return tb.lo[j]
-	default:
-		for i, bj := range tb.basis {
-			if bj == j {
-				return tb.beta[i]
-			}
-		}
-		return 0
-	}
-}
-
-// recomputeReducedCosts sets d_j = c_j − c_Bᵀ T_j for all columns.
-func (tb *tableau) recomputeReducedCosts() {
-	cb := tb.cb
-	for i, bj := range tb.basis {
-		cb[i] = tb.c[bj]
-	}
-	for j := 0; j < tb.nTotal; j++ {
-		s := tb.c[j]
-		for i := 0; i < tb.m; i++ {
-			if cb[i] != 0 {
-				s -= cb[i] * tb.t[i][j]
-			}
-		}
-		tb.d[j] = s
-	}
-	for _, bj := range tb.basis {
-		tb.d[bj] = 0
-	}
-}
-
-// chooseEntering picks the entering column, or -1 at optimality. When
-// bland is set it takes the lowest-index eligible column (anti-cycling);
-// otherwise the most violating reduced cost (Dantzig).
-func (tb *tableau) chooseEntering(bland bool) int {
-	best, bestScore := -1, optTol
-	for j := 0; j < tb.nTotal; j++ {
-		if tb.status[j] == basic || tb.hi[j]-tb.lo[j] <= pivTol {
-			continue
-		}
-		var score float64
-		if tb.status[j] == atLower {
-			score = tb.d[j]
-		} else {
-			score = -tb.d[j]
-		}
-		if score > optTol {
-			if bland {
-				return j
-			}
-			if score > bestScore {
-				best, bestScore = j, score
-			}
-		}
-	}
-	return best
-}
-
-// pivot performs the basis change with entering column q and leaving row
-// r, updating the tableau matrix and reduced-cost row. beta is not touched
-// here: it stores actual basic-variable values (not B⁻¹b), which the
-// caller has already advanced and will overwrite for row r.
-func (tb *tableau) pivot(r, q int) {
-	piv := tb.t[r][q]
-	row := tb.t[r]
-	inv := 1 / piv
-	for j := range row {
-		row[j] *= inv
-	}
-	for i := 0; i < tb.m; i++ {
-		if i == r {
-			continue
-		}
-		f := tb.t[i][q]
-		if f == 0 {
-			continue
-		}
-		ti := tb.t[i]
-		for j := range ti {
-			ti[j] -= f * row[j]
-		}
-	}
-	if f := tb.d[q]; f != 0 {
-		for j := range tb.d {
-			tb.d[j] -= f * row[j]
-		}
-	}
-	tb.basis[r] = q
-	tb.status[q] = basic
-	tb.d[q] = 0
-}
-
-// step runs one simplex iteration. It returns:
-// done=true when optimal, unbounded=true when the LP is unbounded.
-func (tb *tableau) step(bland bool) (done, unbounded bool) {
-	q := tb.chooseEntering(bland)
-	if q < 0 {
-		return true, false
-	}
-	// Direction: +1 when increasing from the lower bound, −1 when
-	// decreasing from the upper bound.
-	sigma := 1.0
-	if tb.status[q] == atUpper {
-		sigma = -1
-	}
-	deltaMax := tb.hi[q] - tb.lo[q] // may be +Inf
-	delta := deltaMax
-	leaveRow := -1
-	leaveToUpper := false
-	for i := 0; i < tb.m; i++ {
-		y := tb.t[i][q] * sigma
-		bj := tb.basis[i]
-		if y > pivTol {
-			// Basic variable decreases toward its lower bound.
-			if lim := (tb.beta[i] - tb.lo[bj]) / y; lim < delta-pivTol ||
-				(lim < delta+pivTol && leaveRow >= 0 && math.Abs(tb.t[i][q]) > math.Abs(tb.t[leaveRow][q])) {
-				if lim < 0 {
-					lim = 0
-				}
-				delta, leaveRow, leaveToUpper = lim, i, false
-			}
-		} else if y < -pivTol {
-			// Basic variable increases toward its upper bound.
-			if math.IsInf(tb.hi[bj], 1) {
-				continue
-			}
-			if lim := (tb.hi[bj] - tb.beta[i]) / -y; lim < delta-pivTol ||
-				(lim < delta+pivTol && leaveRow >= 0 && math.Abs(tb.t[i][q]) > math.Abs(tb.t[leaveRow][q])) {
-				if lim < 0 {
-					lim = 0
-				}
-				delta, leaveRow, leaveToUpper = lim, i, true
-			}
-		}
-	}
-	if math.IsInf(delta, 1) {
-		return false, true
-	}
-	// Update basic values for the movement of q by sigma·delta.
-	if delta != 0 {
-		for i := 0; i < tb.m; i++ {
-			tb.beta[i] -= sigma * delta * tb.t[i][q]
-		}
-	}
-	if leaveRow < 0 {
-		// Bound flip: q moves to its opposite bound, basis unchanged.
-		if tb.status[q] == atLower {
-			tb.status[q] = atUpper
-		} else {
-			tb.status[q] = atLower
-		}
-		return false, false
-	}
-	// q enters the basis at value bound + sigma·delta.
-	enterVal := tb.lo[q]
-	if tb.status[q] == atUpper {
-		enterVal = tb.hi[q]
-	}
-	enterVal += sigma * delta
-	leaving := tb.basis[leaveRow]
-	tb.pivot(leaveRow, q)
-	tb.beta[leaveRow] = enterVal
-	if leaveToUpper {
-		tb.status[leaving] = atUpper
-	} else {
-		tb.status[leaving] = atLower
-	}
-	return false, false
-}
-
-// run iterates to optimality, switching to Bland's rule after a stall.
-func (tb *tableau) run() Status {
-	stall := 0
-	lastObj := math.Inf(-1)
-	for tb.iter = 0; tb.iter < tb.maxIter; tb.iter++ {
-		if tb.done != nil && tb.iter&63 == 0 {
-			select {
-			case <-tb.done:
-				return canceled
-			default:
-			}
-		}
-		bland := stall > 2*(tb.m+8)
-		done, unbounded := tb.step(bland)
-		if done {
-			return Optimal
-		}
-		if unbounded {
-			return Unbounded
-		}
-		obj := tb.objective()
-		if obj > lastObj+1e-12 {
-			stall = 0
-			lastObj = obj
-		} else {
-			stall++
-		}
-	}
-	return IterLimit
-}
-
-func (tb *tableau) objective() float64 {
-	z := 0.0
-	for j := 0; j < tb.nTotal; j++ {
-		if tb.c[j] == 0 {
-			continue
-		}
-		z += tb.c[j] * tb.value(j)
-	}
-	return z
-}
-
-// SolveCtx solves the linear program, aborting early (with the context's
-// error) when ctx is canceled or its deadline passes. Cancellation is
-// polled every 64 simplex iterations, so an abandoned solve stops within
-// microseconds rather than running its full iteration budget.
+// SolveCtx solves the linear program from scratch in a private
+// Workspace, aborting early (with the context's error) when ctx is
+// canceled or its deadline passes. Cancellation is polled every 64
+// simplex iterations, so an abandoned solve stops within microseconds
+// rather than running its full iteration budget.
 func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadProblem, err)
+	w, err := NewWorkspace(p)
+	if err != nil {
+		return nil, err
 	}
-	n := p.NumVars()
-	m := p.NumRows()
-
-	// Count slacks: one per inequality row.
-	nSlack := 0
-	for _, op := range p.Op {
-		if op != EQ {
-			nSlack++
-		}
+	st, err := w.Solve(ctx)
+	if err != nil {
+		return nil, err
 	}
-	nTotal := n + nSlack + m // structural + slacks + artificials
-
-	tb := &tableau{
-		m:       m,
-		nTotal:  nTotal,
-		t:       make([][]float64, m),
-		beta:    make([]float64, m),
-		basis:   make([]int, m),
-		status:  make([]varStatus, nTotal),
-		lo:      make([]float64, nTotal),
-		hi:      make([]float64, nTotal),
-		d:       make([]float64, nTotal),
-		c:       make([]float64, nTotal),
-		cb:      make([]float64, m),
-		maxIter: 200*(m+n) + 5000,
+	sol := &Solution{Status: st, Iterations: w.stats.PrimalIterations + w.stats.DualIterations}
+	if st == Optimal {
+		// The workspace is private to this call: hand its buffers over.
+		sol.X, sol.Objective, sol.DJ = w.X(), w.Objective(), w.DJ()
 	}
-	if ctx != nil {
-		tb.done = ctx.Done()
-	}
-
-	// Structural bounds; nonbasic start at a finite bound.
-	for j := 0; j < n; j++ {
-		tb.lo[j], tb.hi[j] = p.boundsAt(j)
-		if math.IsInf(tb.lo[j], -1) {
-			tb.status[j] = atUpper
-		} else {
-			tb.status[j] = atLower
-		}
-	}
-	// Slack bounds: s ≥ 0 with coefficient +1 for ≤ rows, −1 for ≥ rows.
-	si := n
-	slackOf := make([]int, m)
-	for i, op := range p.Op {
-		if op == EQ {
-			slackOf[i] = -1
-			continue
-		}
-		slackOf[i] = si
-		tb.lo[si], tb.hi[si] = 0, math.Inf(1)
-		tb.status[si] = atLower
-		si++
-	}
-	// Artificial bounds (fixed to 0 after phase 1).
-	for k := 0; k < m; k++ {
-		j := n + nSlack + k
-		tb.lo[j], tb.hi[j] = 0, math.Inf(1)
-	}
-
-	// Residual b' = b − A·x_nonbasic(bounds). Structural nonbasic values:
-	startVal := make([]float64, n)
-	for j := 0; j < n; j++ {
-		if tb.status[j] == atUpper {
-			startVal[j] = tb.hi[j]
-		} else {
-			startVal[j] = tb.lo[j]
-		}
-	}
-	for i := 0; i < m; i++ {
-		tb.t[i] = make([]float64, nTotal)
-		resid := p.B[i]
-		for j := 0; j < n; j++ {
-			tb.t[i][j] = p.A[i][j]
-			resid -= p.A[i][j] * startVal[j]
-		}
-		if s := slackOf[i]; s >= 0 {
-			if p.Op[i] == LE {
-				tb.t[i][s] = 1
-			} else {
-				tb.t[i][s] = -1
-			}
-			// Slack starts nonbasic at 0, so no residual contribution.
-		}
-		sign := 1.0
-		if resid < 0 {
-			sign = -1
-		}
-		art := n + nSlack + i
-		tb.t[i][art] = sign
-		tb.basis[i] = art
-		tb.status[art] = basic
-		tb.beta[i] = resid * sign // = |resid| ≥ 0
-		// Row is stored as B⁻¹·row with B the ±1 diagonal of artificials:
-		if sign < 0 {
-			for j := range tb.t[i] {
-				tb.t[i][j] = -tb.t[i][j]
-			}
-			tb.beta[i] = -resid
-		}
-	}
-
-	// Phase 1: maximize −Σ artificials.
-	for k := 0; k < m; k++ {
-		tb.c[n+nSlack+k] = -1
-	}
-	tb.recomputeReducedCosts()
-	st := tb.run()
-	iters := tb.iter
-	if st == canceled {
-		return nil, ctx.Err()
-	}
-	if st == IterLimit {
-		return &Solution{Status: IterLimit, Iterations: iters}, nil
-	}
-	if tb.objective() < -feasTol {
-		return &Solution{Status: Infeasible, Iterations: iters}, nil
-	}
-	// Fix artificials at 0 so they cannot re-enter with positive value.
-	for k := 0; k < m; k++ {
-		j := n + nSlack + k
-		tb.hi[j] = 0
-		if tb.status[j] != basic {
-			tb.status[j] = atLower
-		}
-	}
-
-	// Phase 2: the real objective (negate C for minimization).
-	for j := range tb.c {
-		tb.c[j] = 0
-	}
-	for j := 0; j < n; j++ {
-		if p.Maximize {
-			tb.c[j] = p.C[j]
-		} else {
-			tb.c[j] = -p.C[j]
-		}
-	}
-	tb.recomputeReducedCosts()
-	st = tb.run()
-	iters += tb.iter
-	switch st {
-	case canceled:
-		return nil, ctx.Err()
-	case Unbounded:
-		return &Solution{Status: Unbounded, Iterations: iters}, nil
-	case IterLimit:
-		return &Solution{Status: IterLimit, Iterations: iters}, nil
-	}
-
-	x := make([]float64, n)
-	for j := 0; j < n; j++ {
-		x[j] = tb.value(j)
-		// Clamp tiny bound violations from floating-point drift.
-		if lo, hi := p.boundsAt(j); x[j] < lo {
-			x[j] = lo
-		} else if x[j] > hi {
-			x[j] = hi
-		}
-	}
-	obj := 0.0
-	for j := 0; j < n; j++ {
-		obj += p.C[j] * x[j]
-	}
-	dj := make([]float64, n)
-	copy(dj, tb.d[:n])
-	return &Solution{Status: Optimal, X: x, Objective: obj, Iterations: iters, DJ: dj}, nil
+	return sol, nil
 }
