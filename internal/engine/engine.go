@@ -120,13 +120,9 @@ type SketchRefine struct {
 	Opt sketchrefine.Options
 	// Racers is the number of refinement orders raced per query; 0 or 1
 	// evaluates the single configured order sequentially and
-	// deterministically.
+	// deterministically. Lane i>0 shuffles with seed 1+i, stepping past
+	// Opt.Seed so no lane duplicates lane 0's order.
 	Racers int
-	// Seed is the base seed for the extra racer lanes only (lane i>0
-	// shuffles with Seed+i, skipping Opt.Seed so no lane duplicates lane
-	// 0's order); 0 means 1. Lane 0 is steered by Opt.Seed, not by this
-	// field.
-	Seed int64
 }
 
 // Solve implements Solver: the call's partitioning view and incumbent
@@ -162,10 +158,6 @@ func (s SketchRefine) race(ctx context.Context, spec *core.Spec) (*core.Package,
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	base := s.Seed
-	if base == 0 {
-		base = 1
-	}
 	results := make(chan raceResult, s.Racers)
 	for lane := 0; lane < s.Racers; lane++ {
 		opt := s.Opt
@@ -174,7 +166,7 @@ func (s SketchRefine) race(ctx context.Context, spec *core.Spec) (*core.Package,
 			// distinct, reproducible seeds. Skip 0 (which would mean "no
 			// shuffle") and lane 0's own seed, so no racer duplicates the
 			// configured order.
-			seed := base + int64(lane)
+			seed := 1 + int64(lane)
 			for seed == 0 || seed == s.Opt.Seed {
 				seed += int64(s.Racers)
 			}

@@ -40,14 +40,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// AddInt adds a non-negative int64 (negative deltas are ignored — a
-// counter never goes down).
-func (c *Counter) AddInt(n int64) {
-	if n > 0 {
-		c.v.Add(uint64(n))
-	}
-}
-
 // Gauge is a settable float metric.
 type Gauge struct{ bits atomic.Uint64 }
 

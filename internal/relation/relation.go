@@ -310,9 +310,6 @@ func (r *Relation) Identity() *Relation {
 	return r
 }
 
-// Immutable reports whether the relation is a frozen snapshot.
-func (r *Relation) Immutable() bool { return r.immutable }
-
 // cowCol clones column col's backing array when a live snapshot may
 // share it, so the in-place write about to happen cannot be observed
 // through the snapshot's copied slice header.

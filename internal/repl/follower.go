@@ -366,24 +366,20 @@ func applyStream(sess *paq.Session, r io.Reader) (consumed int64, applied, skipp
 			}
 			return consumed, applied, skipped, ferr
 		}
-		_, pre, perr := store.RecordPreVersion(payload)
-		if perr != nil {
-			return consumed, applied, skipped, perr
+		rec, derr := store.DecodeRecord(schema, payload)
+		if derr != nil {
+			return consumed, applied, skipped, derr
 		}
 		version := sess.Version()
 		switch {
-		case pre < version:
+		case rec.PreVersion < version:
 			skipped++
-		case pre > version:
+		case rec.PreVersion > version:
 			return consumed, applied, skipped,
-				fmt.Errorf("%w: record at version %d, replica at %d", errGap, pre, version)
+				fmt.Errorf("%w: record at version %d, replica at %d", errGap, rec.PreVersion, version)
 		default:
-			rec, derr := store.DecodeRecord(schema, payload)
-			if derr != nil {
-				return consumed, applied, skipped, derr
-			}
 			if aerr := applyRecord(sess, rec); aerr != nil {
-				return consumed, applied, skipped, fmt.Errorf("repl: applying %s at version %d: %w", rec.Kind, pre, aerr)
+				return consumed, applied, skipped, fmt.Errorf("repl: applying %s at version %d: %w", rec.Kind, rec.PreVersion, aerr)
 			}
 			applied++
 		}

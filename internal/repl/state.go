@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/store"
 )
 
 // stateFile is the node's durable replication identity, stored at the
@@ -44,10 +46,10 @@ func loadState(dataDir string) (persistentState, error) {
 	return st, nil
 }
 
-// saveState atomically writes the replication state: tmp file, fsync,
-// rename, directory fsync — the same discipline the store's snapshots
-// use, so a crash leaves either the old state or the new, never a torn
-// file.
+// saveState atomically replaces the replication state file through the
+// store's one atomic writer, so a crash leaves either the old state or
+// the new, never a torn file — and a directory fsync the filesystem
+// refuses (EPERM) is tolerated here exactly as it is for snapshots.
 func saveState(dataDir string, st persistentState) error {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return err
@@ -56,34 +58,5 @@ func saveState(dataDir string, st persistentState) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dataDir, stateFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	dir, err := os.Open(dataDir)
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	return dir.Sync()
+	return store.WriteFileAtomic(filepath.Join(dataDir, stateFile), append(data, '\n'))
 }

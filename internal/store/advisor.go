@@ -1,9 +1,6 @@
 package store
 
-import (
-	"os"
-	"path/filepath"
-)
+import "path/filepath"
 
 // advFile is the advisor-state sidecar inside a store directory. It is
 // deliberately NOT part of the snapshot: the snapshot format is strict
@@ -32,10 +29,4 @@ func (s *Store) SaveAdvisorState(payload []byte) error {
 // a recovery failure.
 func (s *Store) LoadAdvisorState() ([]byte, error) {
 	return readFramedFile(filepath.Join(s.dir, advFile), advMagic)
-}
-
-// reapAdvisorTmp drops a temp file a crash mid-save may have left (it
-// was never renamed into place, so it holds nothing durable).
-func reapAdvisorTmp(dir string) {
-	os.Remove(filepath.Join(dir, advFile) + ".tmp")
 }

@@ -58,6 +58,21 @@ func (r *Record) Ops() int {
 	return len(r.Rows)
 }
 
+// fields reports which of Record's two slices a kind's batch entries
+// carry, in wire order (row index, then cells); ok is false for a kind
+// this format does not define.
+func (k Kind) fields() (indices, rows, ok bool) {
+	switch k {
+	case KindInsert:
+		return false, true, true
+	case KindDelete:
+		return true, false, true
+	case KindUpdate:
+		return true, true, true
+	}
+	return false, false, false
+}
+
 // --- primitive writers -------------------------------------------------
 
 type enc struct{ b bytes.Buffer }
@@ -201,114 +216,95 @@ func (d *dec) row(schema relation.Schema) ([]relation.Value, error) {
 
 // --- records -----------------------------------------------------------
 
-// EncodeInsert builds an insert-batch payload.
-func EncodeInsert(schema relation.Schema, preVersion uint64, rows [][]relation.Value) ([]byte, error) {
-	e := &enc{}
-	e.b.WriteByte(byte(KindInsert))
-	e.uvarint(preVersion)
-	e.uvarint(uint64(len(rows)))
-	for _, vals := range rows {
-		if err := e.putRow(schema, vals); err != nil {
-			return nil, err
-		}
-	}
-	return e.b.Bytes(), nil
-}
-
-// EncodeDelete builds a delete-batch payload.
-func EncodeDelete(preVersion uint64, rows []int) ([]byte, error) {
-	e := &enc{}
-	e.b.WriteByte(byte(KindDelete))
-	e.uvarint(preVersion)
-	e.uvarint(uint64(len(rows)))
-	for _, r := range rows {
-		if r < 0 {
-			return nil, fmt.Errorf("store: delete of negative row %d", r)
-		}
-		e.uvarint(uint64(r))
-	}
-	return e.b.Bytes(), nil
-}
-
-// EncodeUpdate builds an update-batch payload (vals[i] replaces row
-// rows[i]).
-func EncodeUpdate(schema relation.Schema, preVersion uint64, rows []int, vals [][]relation.Value) ([]byte, error) {
-	if len(rows) != len(vals) {
-		return nil, fmt.Errorf("store: update of %d rows with %d value tuples", len(rows), len(vals))
-	}
-	e := &enc{}
-	e.b.WriteByte(byte(KindUpdate))
-	e.uvarint(preVersion)
-	e.uvarint(uint64(len(rows)))
-	for i, r := range rows {
-		if r < 0 {
-			return nil, fmt.Errorf("store: update of negative row %d", r)
-		}
-		e.uvarint(uint64(r))
-		if err := e.putRow(schema, vals[i]); err != nil {
-			return nil, err
-		}
-	}
-	return e.b.Bytes(), nil
-}
-
 // maxBatchRows bounds a decoded batch's claimed row count before any
 // allocation; a count above it cannot fit in a maxWALRecord payload.
 const maxBatchRows = maxWALRecord
 
+// EncodeRecord builds the WAL payload of one mutation batch — the one
+// writer of the record format DecodeRecord reads: kind byte, pre-version
+// uvarint, batch-count uvarint, then per entry the row index (delete,
+// update) and the row's cells under the schema's column types (insert,
+// update). A delete ignores the schema.
+func EncodeRecord(schema relation.Schema, rec *Record) ([]byte, error) {
+	hasIdx, hasRows, ok := rec.Kind.fields()
+	if !ok {
+		return nil, fmt.Errorf("store: unknown record kind %d", byte(rec.Kind))
+	}
+	if hasIdx && hasRows && len(rec.Indices) != len(rec.Rows) {
+		return nil, fmt.Errorf("store: %s of %d rows with %d value tuples", rec.Kind, len(rec.Indices), len(rec.Rows))
+	}
+	n := rec.Ops()
+	e := &enc{}
+	e.b.WriteByte(byte(rec.Kind))
+	e.uvarint(rec.PreVersion)
+	e.uvarint(uint64(n))
+	for i := 0; i < n; i++ {
+		if hasIdx {
+			if rec.Indices[i] < 0 {
+				return nil, fmt.Errorf("store: %s of negative row %d", rec.Kind, rec.Indices[i])
+			}
+			e.uvarint(uint64(rec.Indices[i]))
+		}
+		if hasRows {
+			if err := e.putRow(schema, rec.Rows[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return e.b.Bytes(), nil
+}
+
+// recordHeader parses the schema-independent head every record starts
+// with — kind, pre-version, batch count — and returns the entries' bytes
+// after it. It is the one parser of those three fields: DecodeRecord
+// continues from body, OffsetOfVersion needs nothing more.
+func recordHeader(payload []byte) (kind Kind, preVersion, count uint64, body []byte, err error) {
+	if len(payload) == 0 {
+		return 0, 0, 0, nil, fmt.Errorf("%w: empty record", ErrCorrupt)
+	}
+	kind = Kind(payload[0])
+	if _, _, ok := kind.fields(); !ok {
+		return 0, 0, 0, nil, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, payload[0])
+	}
+	body = payload[1:]
+	preVersion, n := binary.Uvarint(body)
+	if n <= 0 {
+		return 0, 0, 0, nil, fmt.Errorf("%w: truncated record pre-version", ErrCorrupt)
+	}
+	body = body[n:]
+	count, n = binary.Uvarint(body)
+	if n <= 0 {
+		return 0, 0, 0, nil, fmt.Errorf("%w: truncated record batch count", ErrCorrupt)
+	}
+	if count > maxBatchRows {
+		return 0, 0, 0, nil, fmt.Errorf("%w: batch claims %d rows", ErrCorrupt, count)
+	}
+	return kind, preVersion, count, body[n:], nil
+}
+
 // DecodeRecord parses one WAL payload against the schema its rows were
 // encoded with. Malformed payloads are ErrCorrupt.
 func DecodeRecord(schema relation.Schema, payload []byte) (*Record, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty record", ErrCorrupt)
-	}
-	d := &dec{r: bytes.NewReader(payload[1:])}
-	rec := &Record{Kind: Kind(payload[0])}
-	switch rec.Kind {
-	case KindInsert, KindDelete, KindUpdate:
-	default:
-		return nil, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, payload[0])
-	}
-	pre, err := d.uvarint()
+	kind, pre, count, body, err := recordHeader(payload)
 	if err != nil {
 		return nil, err
 	}
-	rec.PreVersion = pre
-	count, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if count > maxBatchRows {
-		return nil, fmt.Errorf("%w: batch claims %d rows", ErrCorrupt, count)
-	}
-	switch rec.Kind {
-	case KindInsert:
-		for i := uint64(0); i < count; i++ {
-			vals, err := d.row(schema)
-			if err != nil {
-				return nil, err
-			}
-			rec.Rows = append(rec.Rows, vals)
-		}
-	case KindDelete:
-		for i := uint64(0); i < count; i++ {
+	hasIdx, hasRows, _ := kind.fields()
+	rec := &Record{Kind: kind, PreVersion: pre}
+	d := &dec{r: bytes.NewReader(body)}
+	for i := uint64(0); i < count; i++ {
+		if hasIdx {
 			r, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
 			rec.Indices = append(rec.Indices, int(r))
 		}
-	case KindUpdate:
-		for i := uint64(0); i < count; i++ {
-			r, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
+		if hasRows {
 			vals, err := d.row(schema)
 			if err != nil {
 				return nil, err
 			}
-			rec.Indices = append(rec.Indices, int(r))
 			rec.Rows = append(rec.Rows, vals)
 		}
 	}

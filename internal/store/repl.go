@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -28,27 +27,6 @@ var ErrNotBoundary = errors.New("store: offset is not a WAL record boundary")
 // WALStart is the offset of the first record in a WAL file (just past
 // the magic header) — the lowest valid replication offset.
 const WALStart = int64(len(walMagic))
-
-// RecordPreVersion parses only the kind and pre-version of an encoded
-// record payload — the replication path's version gate, which must not
-// pay a full decode (or need the schema) to decide whether a record is
-// already applied.
-func RecordPreVersion(payload []byte) (Kind, uint64, error) {
-	if len(payload) == 0 {
-		return 0, 0, fmt.Errorf("%w: empty record", ErrCorrupt)
-	}
-	k := Kind(payload[0])
-	switch k {
-	case KindInsert, KindDelete, KindUpdate:
-	default:
-		return 0, 0, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, payload[0])
-	}
-	pre, n := binary.Uvarint(payload[1:])
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("%w: truncated record pre-version", ErrCorrupt)
-	}
-	return k, pre, nil
-}
 
 // ReadWALSegment reads complete, checksum-verified record frames from
 // the WAL at path, starting at byte offset from (which must be a
@@ -77,8 +55,14 @@ func ReadWALSegment(path string, from, maxEnd, maxBytes int64) ([]byte, int64, e
 	}
 	defer f.Close()
 	var magic [WALStart]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != walMagic {
-		return nil, 0, fmt.Errorf("%w: %s: bad WAL magic", ErrCorrupt, path)
+	n, err := io.ReadFull(f, magic[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, 0, err
+	}
+	if torn, err := checkWALHeader(path, magic[:n]); err != nil {
+		return nil, 0, err
+	} else if torn {
+		return nil, WALStart, nil // an empty log: caught up
 	}
 	fi, err := f.Stat()
 	if err != nil {
@@ -104,8 +88,8 @@ func ReadWALSegment(path string, from, maxEnd, maxBytes int64) ([]byte, int64, e
 	if from == effEnd {
 		return nil, from, nil // caught up
 	}
-	notBoundary := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s: offset %d (%s)", ErrNotBoundary, path, from, fmt.Sprintf(format, args...))
+	notBoundary := func(why string) error {
+		return fmt.Errorf("%w: %s: offset %d (%s)", ErrNotBoundary, path, from, why)
 	}
 
 	want := effEnd - from
@@ -120,54 +104,40 @@ func ReadWALSegment(path string, from, maxEnd, maxBytes int64) ([]byte, int64, e
 		return nil, 0, fmt.Errorf("store: reading WAL segment %s@%d: %w", path, from, err)
 	}
 
-	var end int64 // verified whole-frame bytes, relative to from
-	for off := int64(0); off < int64(len(buf)); {
-		first := off == 0
-		if off+walFrameHeader > int64(len(buf)) {
-			break // segment full mid-header; stop on the previous whole record
-		}
-		length := int64(binary.LittleEndian.Uint32(buf[off : off+4]))
-		sum := binary.LittleEndian.Uint32(buf[off+4 : off+8])
-		if length == 0 || length > maxWALRecord {
-			if first {
-				return nil, 0, notBoundary("impossible record length %d", length)
+	// Walk whole frames; end counts their bytes, relative to from. The
+	// policy for what parseFrame reports: a bad first frame means from was
+	// not a boundary, a bad later one is corruption; a short frame ends
+	// the segment — unless it is the first, fits below effEnd and merely
+	// exceeds maxBytes, in which case it ships whole anyway.
+	var end int64
+walk:
+	for end < int64(len(buf)) {
+		_, size, err := parseFrame(buf[end:])
+		switch {
+		case err == nil:
+			end += size
+		case !errors.Is(err, errShortFrame):
+			if end == 0 {
+				return nil, 0, notBoundary(err.Error())
 			}
-			return nil, 0, fmt.Errorf("%w: %s: record at offset %d has impossible length %d", ErrCorrupt, path, from+off, length)
-		}
-		next := off + walFrameHeader + length
-		if from+next > effEnd {
-			if first && durable {
-				return nil, 0, notBoundary("record overruns durable end %d", effEnd)
-			}
-			break // torn tail past the watermark (no-watermark reads only)
-		}
-		if next > int64(len(buf)) {
-			if !first {
-				break // segment full; stop on the previous whole record
-			}
-			// The first record alone exceeds maxBytes: ship it whole anyway.
-			grown := make([]byte, next)
+			return nil, 0, fmt.Errorf("%s: record at offset %d: %w", path, from+end, err)
+		case end > 0 || size == 0 || from+size > effEnd:
+			break walk
+		default:
+			grown := make([]byte, size)
 			copy(grown, buf)
 			if _, err := f.ReadAt(grown[len(buf):], from+int64(len(buf))); err != nil {
 				return nil, 0, fmt.Errorf("store: reading WAL segment %s@%d: %w", path, from, err)
 			}
 			buf = grown
 		}
-		if crc32.Checksum(buf[off+walFrameHeader:next], castagnoli) != sum {
-			if first {
-				return nil, 0, notBoundary("record fails its checksum")
-			}
-			return nil, 0, fmt.Errorf("%w: %s: record at offset %d fails its checksum", ErrCorrupt, path, from+off)
-		}
-		end = next
-		off = next
 	}
 	if end == 0 {
 		if durable {
 			// from < effEnd yet no whole frame fits before the durable end:
 			// a real boundary below the watermark always starts a complete
 			// frame, so the cursor is mid-record.
-			return nil, 0, notBoundary("no complete record before durable end %d", effEnd)
+			return nil, 0, notBoundary(fmt.Sprintf("no complete record before durable end %d", effEnd))
 		}
 		return nil, from, nil // only a torn tail ahead; caught up
 	}
@@ -185,8 +155,8 @@ func ReadWALSegment(path string, from, maxEnd, maxBytes int64) ([]byte, int64, e
 func OffsetOfVersion(path string, version uint64) (int64, error) {
 	next := uint64(0) // version reached after the records walked so far
 	matched := false
-	end, err := scanWALOffsets(path, func(off int64, payload []byte) (bool, error) {
-		_, pre, err := RecordPreVersion(payload)
+	end, err := scanWAL(path, func(_ int64, payload []byte) (bool, error) {
+		_, pre, ops, _, err := recordHeader(payload)
 		if err != nil {
 			return false, err
 		}
@@ -196,16 +166,9 @@ func OffsetOfVersion(path string, version uint64) (int64, error) {
 			// the previous record's batch — neither is resumable.
 			return false, fmt.Errorf("%w: version %d not on a record boundary (record base %d)", ErrNotBoundary, version, pre)
 		}
-		if version == pre {
-			matched = true
-			return true, nil // resume here
-		}
-		ops, err := recordOps(payload)
-		if err != nil {
-			return false, err
-		}
-		next = pre + uint64(ops)
-		return false, nil
+		matched = version == pre // resume here
+		next = pre + ops
+		return matched, nil
 	})
 	if err != nil {
 		return 0, err
@@ -214,58 +177,9 @@ func OffsetOfVersion(path string, version uint64) (int64, error) {
 		// version falls inside the log's final record.
 		return 0, fmt.Errorf("%w: version %d is mid-record", ErrNotBoundary, version)
 	}
-	return end, nil
-}
-
-// recordOps parses the row count of an encoded record without the
-// schema (kind byte, pre-version uvarint, count uvarint).
-func recordOps(payload []byte) (int, error) {
-	if _, _, err := RecordPreVersion(payload); err != nil {
-		return 0, err
-	}
-	rest := payload[1:]
-	_, n := binary.Uvarint(rest)
-	count, m := binary.Uvarint(rest[n:])
-	if m <= 0 || count > maxBatchRows {
-		return 0, fmt.Errorf("%w: truncated record batch count", ErrCorrupt)
-	}
-	return int(count), nil
-}
-
-// scanWALOffsets is scanWAL with the record's own offset passed to fn;
-// fn returning stop=true ends the walk and returns that offset.
-func scanWALOffsets(path string, fn func(off int64, payload []byte) (stop bool, err error)) (int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		return 0, fmt.Errorf("%w: %s: bad WAL magic", ErrCorrupt, path)
-	}
-	off := WALStart
-	for {
-		rest := data[off:]
-		if int64(len(rest)) < walFrameHeader {
-			return off, nil
-		}
-		length := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if length == 0 || length > maxWALRecord {
-			return off, fmt.Errorf("%w: %s: record at offset %d has impossible length %d", ErrCorrupt, path, off, length)
-		}
-		if int64(len(rest)) < walFrameHeader+int64(length) {
-			return off, nil // torn tail
-		}
-		payload := rest[walFrameHeader : walFrameHeader+int64(length)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return off, fmt.Errorf("%w: %s: record at offset %d fails its checksum", ErrCorrupt, path, off)
-		}
-		stop, err := fn(off, payload)
-		if err != nil || stop {
-			return off, err
-		}
-		off += walFrameHeader + int64(length)
-	}
+	// A torn header is an empty log (see checkWALHeader): its first record
+	// will land at WALStart.
+	return max(end, WALStart), nil
 }
 
 // ReadFrame reads one length-prefixed, checksummed record frame from a
@@ -282,19 +196,22 @@ func ReadFrame(r io.Reader) ([]byte, int64, error) {
 		}
 		return nil, 0, io.ErrUnexpectedEOF
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > maxWALRecord {
-		return nil, 0, fmt.Errorf("%w: streamed record has impossible length %d", ErrCorrupt, length)
+	// A bare header is never a whole frame: parseFrame either sizes the
+	// frame or rejects its length.
+	_, size, err := parseFrame(hdr[:])
+	if !errors.Is(err, errShortFrame) {
+		return nil, 0, fmt.Errorf("streamed record: %w", err)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	frame := make([]byte, size)
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(r, frame[walFrameHeader:]); err != nil {
 		return nil, 0, io.ErrUnexpectedEOF
 	}
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, 0, fmt.Errorf("%w: streamed record fails its checksum", ErrCorrupt)
+	payload, _, err := parseFrame(frame)
+	if err != nil {
+		return nil, 0, fmt.Errorf("streamed record: %w", err)
 	}
-	return payload, walFrameHeader + int64(length), nil
+	return payload, size, nil
 }
 
 // ReadSnapshotBytes returns the raw, verified bytes of a store
@@ -308,7 +225,7 @@ func ReadSnapshotBytes(dir string) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, err := verifySnapshotFrame(path, data)
+	payload, err := verifyFramed(path, snapMagic, data)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -317,27 +234,6 @@ func ReadSnapshotBytes(dir string) ([]byte, uint64, error) {
 		return nil, 0, fmt.Errorf("%w: %s: truncated snapshot version", ErrCorrupt, path)
 	}
 	return data, version, nil
-}
-
-// verifySnapshotFrame checks a snapshot file's magic, length, and
-// checksum and returns its payload.
-func verifySnapshotFrame(path string, data []byte) ([]byte, error) {
-	if len(data) < len(snapMagic)+12 {
-		return nil, fmt.Errorf("%w: %s: truncated snapshot header", ErrCorrupt, path)
-	}
-	if string(data[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("%w: %s: bad snapshot magic", ErrCorrupt, path)
-	}
-	length := binary.LittleEndian.Uint64(data[len(snapMagic):])
-	sum := binary.LittleEndian.Uint32(data[len(snapMagic)+8:])
-	payload := data[len(snapMagic)+12:]
-	if uint64(len(payload)) != length {
-		return nil, fmt.Errorf("%w: %s: snapshot holds %d payload bytes, header says %d", ErrCorrupt, path, len(payload), length)
-	}
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, fmt.Errorf("%w: %s: snapshot fails its checksum", ErrCorrupt, path)
-	}
-	return payload, nil
 }
 
 // InstallSnapshot bootstraps (or resyncs) a follower's store directory
@@ -351,37 +247,14 @@ func InstallSnapshot(dir string, data []byte) error {
 		return err
 	}
 	path := filepath.Join(dir, snapFile)
-	payload, err := verifySnapshotFrame(path, data)
+	payload, err := verifyFramed(path, snapMagic, data)
 	if err != nil {
 		return err
 	}
 	if _, err := decodeSnapshot(payload); err != nil {
 		return fmt.Errorf("install snapshot: %w", err)
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(dir); err != nil {
+	if err := WriteFileAtomic(path, data); err != nil {
 		return err
 	}
 	w, err := CreateWAL(filepath.Join(dir, walFile))

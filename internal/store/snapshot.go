@@ -306,47 +306,6 @@ func writeSnapshotFile(path string, s *Snapshot) error {
 	return writeFramedFile(path, snapMagic, payload)
 }
 
-// writeFramedFile frames (magic + length + CRC-32C + payload) and
-// writes a durable file atomically: into a temp file, fsynced, renamed
-// over the target, directory fsynced. A crash at any point leaves
-// either the old file or the new one — never a torn mix. The snapshot
-// and the advisor sidecar share this path.
-func writeFramedFile(path, magic string, payload []byte) error {
-	header := make([]byte, len(magic)+12)
-	copy(header, magic)
-	binary.LittleEndian.PutUint64(header[len(magic):], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(header[len(magic)+8:], crc32.Checksum(payload, castagnoli))
-
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp) // don't leave an orphaned temp file behind
-		return err
-	}
-	if _, err := f.Write(header); err != nil {
-		return fail(err)
-	}
-	if _, err := f.Write(payload); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
 // readSnapshotFile loads and verifies a snapshot. A missing file is
 // (nil, nil): a fresh store.
 func readSnapshotFile(path string) (*Snapshot, error) {
@@ -361,8 +320,23 @@ func readSnapshotFile(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// readFramedFile loads and verifies a framed file written by
-// writeFramedFile, returning its payload. A missing file is (nil, nil).
+// framedHeader is what follows a framed file's magic: a little-endian
+// uint64 payload length and the payload's CRC-32C.
+const framedHeader = 12
+
+// writeFramedFile frames a payload (magic + length + CRC-32C + payload)
+// and replaces path with it atomically — the one writer of the framing
+// the snapshot and the advisor sidecar share; verifyFramed reads it.
+func writeFramedFile(path, magic string, payload []byte) error {
+	header := make([]byte, len(magic)+framedHeader)
+	copy(header, magic)
+	binary.LittleEndian.PutUint64(header[len(magic):], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(header[len(magic)+8:], crc32.Checksum(payload, castagnoli))
+	return WriteFileAtomic(path, header, payload)
+}
+
+// readFramedFile loads and verifies a framed file, returning its
+// payload. A missing file is (nil, nil).
 func readFramedFile(path, magic string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -371,7 +345,15 @@ func readFramedFile(path, magic string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(magic)+12 {
+	return verifyFramed(path, magic, data)
+}
+
+// verifyFramed checks a framed file's bytes — magic, length, checksum —
+// and returns the payload (aliasing data). It is the one reader of the
+// framing: local loads, the leader's snapshot shipping and the
+// follower's install all pass through it. Any mismatch is ErrCorrupt.
+func verifyFramed(path, magic string, data []byte) ([]byte, error) {
+	if len(data) < len(magic)+framedHeader {
 		return nil, fmt.Errorf("%w: %s: truncated header", ErrCorrupt, path)
 	}
 	if string(data[:len(magic)]) != magic {
@@ -379,7 +361,7 @@ func readFramedFile(path, magic string) ([]byte, error) {
 	}
 	length := binary.LittleEndian.Uint64(data[len(magic):])
 	sum := binary.LittleEndian.Uint32(data[len(magic)+8:])
-	payload := data[len(magic)+12:]
+	payload := data[len(magic)+framedHeader:]
 	if uint64(len(payload)) != length {
 		return nil, fmt.Errorf("%w: %s: holds %d payload bytes, header says %d", ErrCorrupt, path, len(payload), length)
 	}
@@ -389,17 +371,56 @@ func readFramedFile(path, magic string) ([]byte, error) {
 	return payload, nil
 }
 
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// tmpSuffix names the temp file WriteFileAtomic stages a replacement
+// in: path + tmpSuffix, in the same directory so the rename is atomic.
+const tmpSuffix = ".tmp"
+
+// WriteFileAtomic replaces path with the concatenation of parts: written
+// to a temp file beside it, fsynced, renamed over the target, directory
+// fsynced. A crash at any point leaves either the old file or the new
+// one — never a torn mix. It is the store's one durable write besides
+// the WAL's frame append; snapshots, the advisor sidecar, shipped
+// snapshots and the replication state file all go through it.
+//
+// A filesystem that rejects fsync on a directory (EPERM) does not fail
+// the write: the rename is then as durable as the platform allows. Every
+// other directory-fsync error is returned — the file is in place but its
+// name may not survive a crash.
+func WriteFileAtomic(path string, parts ...[]byte) error {
+	tmp := path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if _, err = f.Write(p); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // don't leave an orphaned temp file behind
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	// Some filesystems reject fsync on directories; the rename is then as
-	// durable as the platform allows.
 	if err := d.Sync(); err != nil && !os.IsPermission(err) {
 		return err
 	}
 	return nil
 }
+
+// reapTmp drops the temp file a crash mid-WriteFileAtomic may have left
+// for path: it was never renamed into place, so it holds nothing durable.
+func reapTmp(path string) { os.Remove(path + tmpSuffix) }

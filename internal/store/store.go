@@ -19,6 +19,15 @@
 //
 //	wal.paqlog        length-prefixed, CRC-32C-checksummed records
 //	snapshot.paqsnap  the latest snapshot (atomic tmp+rename)
+//	advisor.paqadv    advisor evidence, framed like the snapshot
+//
+// Each format decision has one owner. WAL frame: WAL.Stage writes it,
+// parseFrame reads it (the file scan, ReadWALSegment and ReadFrame only
+// add their policy for a short or bad frame). Mutation record:
+// EncodeRecord / DecodeRecord over one recordHeader. Framed files:
+// writeFramedFile / verifyFramed. And there are two durable writes —
+// the frame append and WriteFileAtomic — so a fault-injection seam has
+// two entry points to wrap.
 //
 // Crash-safety contract: a torn WAL tail (a crash mid-append) is
 // dropped silently — the write was never acknowledged; everything else
@@ -45,10 +54,10 @@ const (
 )
 
 // Store is one dataset's durability state: its WAL and latest snapshot.
-// The log methods (LogInsert/LogDelete/LogUpdate) are safe for
-// concurrent use; Replay and WriteSnapshot must be serialized with them
-// by the caller (paq.Session runs all of them under its dataset write
-// lock).
+// Stage and Log — one mutation Record in, one WAL record out — are safe
+// for concurrent use; Replay and WriteSnapshot must be serialized with
+// them by the caller (paq.Session runs all of them under its dataset
+// write lock).
 type Store struct {
 	dir  string
 	wal  *WAL
@@ -57,6 +66,7 @@ type Store struct {
 	snapVersion uint64
 	snapTime    time.Time
 	snapshots   uint64
+	compactions uint64
 	replayedOps uint64
 
 	// poisoned is set when the in-memory dataset diverged from the
@@ -81,8 +91,12 @@ type Stats struct {
 	// SnapshotAge is the time since the latest snapshot was written
 	// (zero when the store has never snapshotted).
 	SnapshotAge time.Duration
-	// Snapshots counts snapshots written by this process.
-	Snapshots uint64
+	// Snapshots counts snapshots written by this process; Compactions
+	// the tombstone-reclaiming compactions of the dataset among them
+	// (NoteCompaction) — on the store, not the session, so every session
+	// sharing it reports one number.
+	Snapshots   uint64
+	Compactions uint64
 	// ReplayedOps counts the row mutations replayed from the WAL at
 	// recovery.
 	ReplayedOps uint64
@@ -101,12 +115,8 @@ func Open(dir string) (*Store, error) {
 	}
 	s := &Store{dir: dir}
 	snapPath := filepath.Join(dir, snapFile)
-	// A crash mid-snapshot (or a failed write before this process's
-	// cleanup existed) can leave a stale temp file; it was never renamed
-	// into place, so it holds nothing durable — drop it. Same for the
-	// advisor sidecar's temp file.
-	os.Remove(snapPath + ".tmp")
-	reapAdvisorTmp(dir)
+	reapTmp(snapPath)
+	reapTmp(filepath.Join(dir, advFile))
 	snap, err := readSnapshotFile(snapPath)
 	if err != nil {
 		return nil, err
@@ -214,13 +224,15 @@ func (s *Store) Dirty(version uint64) bool {
 		s.snapVersion != version
 }
 
-// stage encodes nothing itself: it frames an already-encoded payload
-// into the WAL and returns the commit closure that makes it durable.
-// Callers stage under their data lock (cheap buffered write, keeps
-// records in version order) and commit after releasing it, so
-// concurrent committers share group-commit fsync rounds and readers
-// are never blocked behind a disk flush.
-func (s *Store) stage(payload []byte, err error) (func() error, error) {
+// Stage encodes the record, frames it into the WAL and returns the
+// commit func that blocks until it is durable. Stage before applying the
+// batch (write-ahead); commit before acknowledging it. Callers stage
+// under their data lock (cheap buffered write, keeps records in version
+// order) and commit after releasing it, so concurrent committers share
+// group-commit fsync rounds and readers are never blocked behind a disk
+// flush.
+func (s *Store) Stage(schema relation.Schema, rec *Record) (func() error, error) {
+	payload, err := EncodeRecord(schema, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -234,54 +246,35 @@ func (s *Store) stage(payload []byte, err error) (func() error, error) {
 	return func() error { return s.wal.Commit(tok) }, nil
 }
 
-// StageInsert writes an insert batch to the WAL and returns the commit
-// func that blocks until it is durable. Stage before applying the
-// batch (write-ahead); commit before acknowledging it.
-func (s *Store) StageInsert(schema relation.Schema, preVersion uint64, rows [][]relation.Value) (func() error, error) {
-	payload, err := EncodeInsert(schema, preVersion, rows)
-	return s.stage(payload, err)
+// Log stages and immediately commits a record (durable on return) — the
+// form for callers without a lock to step out of.
+func (s *Store) Log(schema relation.Schema, rec *Record) error {
+	commit, err := s.Stage(schema, rec)
+	if err != nil {
+		return err
+	}
+	return commit()
 }
 
-// StageDelete is StageInsert for a delete batch.
-func (s *Store) StageDelete(preVersion uint64, rows []int) (func() error, error) {
-	payload, err := EncodeDelete(preVersion, rows)
-	return s.stage(payload, err)
-}
-
-// StageUpdate is StageInsert for an update batch.
-func (s *Store) StageUpdate(schema relation.Schema, preVersion uint64, rows []int, vals [][]relation.Value) (func() error, error) {
-	payload, err := EncodeUpdate(schema, preVersion, rows, vals)
-	return s.stage(payload, err)
-}
-
-// LogInsert stages and immediately commits an insert batch (durable on
-// return) — the convenience form for callers without a lock to step
-// out of.
+// LogInsert is Log of an insert batch.
 func (s *Store) LogInsert(schema relation.Schema, preVersion uint64, rows [][]relation.Value) error {
-	commit, err := s.StageInsert(schema, preVersion, rows)
-	if err != nil {
-		return err
-	}
-	return commit()
+	return s.Log(schema, &Record{Kind: KindInsert, PreVersion: preVersion, Rows: rows})
 }
 
-// LogDelete stages and immediately commits a delete batch.
+// LogDelete is Log of a delete batch.
 func (s *Store) LogDelete(preVersion uint64, rows []int) error {
-	commit, err := s.StageDelete(preVersion, rows)
-	if err != nil {
-		return err
-	}
-	return commit()
+	return s.Log(relation.Schema{}, &Record{Kind: KindDelete, PreVersion: preVersion, Indices: rows})
 }
 
-// LogUpdate stages and immediately commits an update batch.
+// LogUpdate is Log of an update batch (vals[i] replaces row rows[i]).
 func (s *Store) LogUpdate(schema relation.Schema, preVersion uint64, rows []int, vals [][]relation.Value) error {
-	commit, err := s.StageUpdate(schema, preVersion, rows, vals)
-	if err != nil {
-		return err
-	}
-	return commit()
+	return s.Log(schema, &Record{Kind: KindUpdate, PreVersion: preVersion, Indices: rows, Rows: vals})
 }
+
+// NoteCompaction counts one tombstone-reclaiming compaction of the
+// dataset (Stats.Compactions). Called under the owning session's write
+// lock, like every other counter here.
+func (s *Store) NoteCompaction() { s.compactions++ }
 
 // WriteSnapshot atomically persists a new snapshot and truncates the
 // WAL past it (every logged record is now redundant). The snapshot's
@@ -312,6 +305,7 @@ func (s *Store) Stats() Stats {
 		WALSynced:       s.wal.SyncedSize(),
 		SnapshotVersion: s.snapVersion,
 		Snapshots:       s.snapshots,
+		Compactions:     s.compactions,
 		ReplayedOps:     s.replayedOps,
 	}
 	if !s.snapTime.IsZero() {

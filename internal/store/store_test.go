@@ -233,7 +233,7 @@ func TestStoreSnapshotCrashWindow(t *testing.T) {
 func TestRecordRoundTrip(t *testing.T) {
 	rel := storeFixtureRel(t, 5)
 	schema := rel.Schema()
-	ins, err := EncodeInsert(schema, 9, [][]relation.Value{rel.Row(0), rel.Row(1)})
+	ins, err := EncodeRecord(schema, &Record{Kind: KindInsert, PreVersion: 9, Rows: [][]relation.Value{rel.Row(0), rel.Row(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("cell %d: %v vs %v", c, rec.Rows[1][c], rel.Value(1, c))
 		}
 	}
-	del, err := EncodeDelete(10, []int{1, 4})
+	del, err := EncodeRecord(schema, &Record{Kind: KindDelete, PreVersion: 10, Indices: []int{1, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if rec.Kind != KindDelete || len(rec.Indices) != 2 || rec.Indices[1] != 4 {
 		t.Fatalf("decoded %+v", rec)
 	}
-	upd, err := EncodeUpdate(schema, 11, []int{2}, [][]relation.Value{rel.Row(3)})
+	upd, err := EncodeRecord(schema, &Record{Kind: KindUpdate, PreVersion: 11, Indices: []int{2}, Rows: [][]relation.Value{rel.Row(3)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -358,6 +358,51 @@ func (w *WAL) Close() error {
 	return err
 }
 
+// errShortFrame is parseFrame's verdict on bytes that end before the
+// frame they start does. What that means is the reader's policy: a torn
+// tail to a file scan, a cut stream to ReadFrame, a full segment or a
+// non-boundary cursor to ReadWALSegment.
+var errShortFrame = errors.New("store: short WAL frame")
+
+// parseFrame classifies the bytes at the head of b — the one reader of
+// the frame format Stage writes (u32 payload length, u32 CRC-32C,
+// payload, all little-endian). A whole valid frame returns its payload
+// (aliasing b) and total size with a nil error. Bytes that end inside
+// the frame return errShortFrame, with the frame's full size when the
+// header was readable and 0 when b ends inside the header. An
+// impossible length or a checksum mismatch is ErrCorrupt.
+func parseFrame(b []byte) (payload []byte, size int64, err error) {
+	if len(b) < walFrameHeader {
+		return nil, 0, errShortFrame
+	}
+	length := int64(binary.LittleEndian.Uint32(b[0:4]))
+	if length == 0 || length > maxWALRecord {
+		return nil, 0, fmt.Errorf("%w: impossible record length %d", ErrCorrupt, length)
+	}
+	size = walFrameHeader + length
+	if int64(len(b)) < size {
+		return nil, size, errShortFrame
+	}
+	payload = b[walFrameHeader:size]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, 0, fmt.Errorf("%w: record fails its checksum", ErrCorrupt)
+	}
+	return payload, size, nil
+}
+
+// checkWALHeader verifies the magic at the head of a WAL file, given
+// the file's first bytes (at most len(walMagic) of them). A file that
+// ends inside the magic, matching it so far, is a header torn by a crash
+// during creation: no record can exist yet, so every reader — recovery,
+// OffsetOfVersion, ReadWALSegment — sees an empty log (torn = true), and
+// OpenWAL rewrites the header. Any other mismatch is ErrCorrupt.
+func checkWALHeader(path string, head []byte) (torn bool, err error) {
+	if len(head) <= len(walMagic) && string(head) == walMagic[:len(head)] {
+		return len(head) < len(walMagic), nil
+	}
+	return false, fmt.Errorf("%w: %s: bad WAL magic %q", ErrCorrupt, path, head)
+}
+
 // ReplayWAL streams every complete, checksummed record of the file to
 // fn in append order. A cleanly truncated tail — a partial frame header
 // or a payload shorter than its length prefix, with nothing after it —
@@ -370,66 +415,46 @@ func (w *WAL) Close() error {
 // It returns the number of records delivered.
 func ReplayWAL(path string, fn func(payload []byte) error) (int, error) {
 	n := 0
-	_, err := scanWAL(path, func(payload []byte) error {
+	_, err := scanWAL(path, func(_ int64, payload []byte) (bool, error) {
 		n++
-		return fn(payload)
+		return false, fn(payload)
 	})
 	return n, err
 }
 
-// scanWAL walks the record stream, calling fn (when non-nil) for every
-// verified record, and returns the offset just past the last complete
-// record.
-func scanWAL(path string, fn func(payload []byte) error) (int64, error) {
+// scanWAL walks the whole file's record stream, calling fn (when
+// non-nil) with every verified record and the offset its frame starts
+// at; fn returning stop ends the walk at that offset. Otherwise the
+// walk ends, and returns the offset, just past the last complete record:
+// a short frame at the tail is a torn, never-acknowledged append and is
+// dropped. A torn header (see checkWALHeader) is an empty log whose end
+// lies below WALStart, which is how OpenWAL knows to rewrite it.
+func scanWAL(path string, fn func(off int64, payload []byte) (stop bool, err error)) (int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if len(data) < len(walMagic) {
-		// A header torn mid-write: nothing was ever committed to this log.
-		if isPrefix(data, []byte(walMagic)) {
-			return int64(len(data)), nil
-		}
-		return 0, fmt.Errorf("%w: %s: truncated WAL header", ErrCorrupt, path)
+	torn, err := checkWALHeader(path, data[:min(len(data), len(walMagic))])
+	if err != nil {
+		return 0, err
 	}
-	if string(data[:len(walMagic)]) != walMagic {
-		return 0, fmt.Errorf("%w: %s: bad WAL magic %q", ErrCorrupt, path, data[:len(walMagic)])
+	if torn {
+		return int64(len(data)), nil
 	}
-	off := int64(len(walMagic))
+	off := WALStart
 	for {
-		rest := data[off:]
-		if len(rest) == 0 {
+		payload, size, err := parseFrame(data[off:])
+		if errors.Is(err, errShortFrame) {
 			return off, nil
 		}
-		if len(rest) < walFrameHeader {
-			// Torn frame header at the tail: unacknowledged, drop it.
-			return off, nil
-		}
-		length := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if length == 0 || length > maxWALRecord {
-			return off, fmt.Errorf("%w: %s: record at offset %d has impossible length %d", ErrCorrupt, path, off, length)
-		}
-		if int64(len(rest)) < walFrameHeader+int64(length) {
-			// Torn payload at the tail: unacknowledged, drop it.
-			return off, nil
-		}
-		payload := rest[walFrameHeader : walFrameHeader+int64(length)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return off, fmt.Errorf("%w: %s: record at offset %d fails its checksum", ErrCorrupt, path, off)
+		if err != nil {
+			return off, fmt.Errorf("%s: record at offset %d: %w", path, off, err)
 		}
 		if fn != nil {
-			if err := fn(payload); err != nil {
+			if stop, err := fn(off, payload); stop || err != nil {
 				return off, err
 			}
 		}
-		off += walFrameHeader + int64(length)
+		off += size
 	}
-}
-
-func isPrefix(data, of []byte) bool {
-	if len(data) > len(of) {
-		return false
-	}
-	return string(data) == string(of[:len(data)])
 }

@@ -237,3 +237,68 @@ func TestWALBadMagicIsCorrupt(t *testing.T) {
 		t.Fatalf("OpenWAL err = %v, want ErrCorrupt", err)
 	}
 }
+
+// TestWALTornHeaderOneAnswer pins the single answer every reader gives
+// for a header torn by a crash during creation: an empty log, not
+// corruption (OffsetOfVersion used to say ErrCorrupt where recovery said
+// empty). A short file that is not a prefix of the magic stays corrupt.
+func TestWALTornHeaderOneAnswer(t *testing.T) {
+	cases := []struct {
+		name    string
+		data    string
+		corrupt bool
+	}{
+		{"empty file", "", false},
+		{"one byte", walMagic[:1], false},
+		{"all but one byte", walMagic[:len(walMagic)-1], false},
+		{"whole header", walMagic, false},
+		{"short, not the magic", "PAQX", true},
+		{"full length, not the magic", "NOTAWAL0", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := walPath(t)
+			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			n, replayErr := ReplayWAL(path, func([]byte) error { return nil })
+			off, offErr := OffsetOfVersion(path, 7)
+			seg, end, segErr := ReadWALSegment(path, WALStart, 0, 0)
+			if tc.corrupt {
+				for reader, err := range map[string]error{"ReplayWAL": replayErr, "OffsetOfVersion": offErr, "ReadWALSegment": segErr} {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Errorf("%s: err = %v, want ErrCorrupt", reader, err)
+					}
+				}
+				if _, err := OpenWAL(path); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("OpenWAL: err = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if n != 0 || replayErr != nil {
+				t.Errorf("ReplayWAL = (%d, %v), want (0, nil)", n, replayErr)
+			}
+			if off != WALStart || offErr != nil {
+				t.Errorf("OffsetOfVersion = (%d, %v), want (%d, nil)", off, offErr, WALStart)
+			}
+			if len(seg) != 0 || end != WALStart || segErr != nil {
+				t.Errorf("ReadWALSegment = (%d bytes, %d, %v), want (0, %d, nil)", len(seg), end, segErr, WALStart)
+			}
+			// OpenWAL rewrites the header, so the first append lands at
+			// WALStart and replays.
+			w, err := OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append([]byte("first")); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := ReplayWAL(path, func([]byte) error { return nil }); n != 1 || err != nil {
+				t.Errorf("after reopen: ReplayWAL = (%d, %v), want (1, nil)", n, err)
+			}
+		})
+	}
+}

@@ -69,7 +69,7 @@ func (s *Session) DurStats() DurStats {
 		SnapshotVersion:   st.SnapshotVersion,
 		SnapshotAge:       st.SnapshotAge,
 		Snapshots:         st.Snapshots,
-		Compactions:       s.compactions,
+		Compactions:       st.Compactions,
 		ReplayedOps:       st.ReplayedOps,
 		WarmPartitionings: s.warmParts,
 		WALAppends:        st.Appends,
@@ -108,22 +108,7 @@ func (s *Session) recover(boot *store.Snapshot) error {
 			return fmt.Errorf("%w: WAL record expects dataset version %d, relation is at %d",
 				ErrCorrupt, rec.PreVersion, got)
 		}
-		var err error
-		switch rec.Kind {
-		case store.KindInsert:
-			if err = s.validateInsert(rec.Rows); err == nil {
-				_, err = s.applyInsert(rec.Rows)
-			}
-		case store.KindDelete:
-			if err = s.validateDelete(rec.Indices); err == nil {
-				err = s.applyDelete(rec.Indices)
-			}
-		case store.KindUpdate:
-			if err = s.validateUpdate(rec.Indices, rec.Rows); err == nil {
-				err = s.applyUpdate(rec.Indices, rec.Rows)
-			}
-		}
-		if err != nil {
+		if _, _, err := s.absorbLocked(rec, false); err != nil {
 			return fmt.Errorf("%w: replaying %s at version %d: %v", ErrCorrupt, rec.Kind, rec.PreVersion, err)
 		}
 		return nil
@@ -279,7 +264,9 @@ func (s *Session) compactLocked() (int, error) {
 			return reclaimed, fmt.Errorf("paq: compact: %w", err)
 		}
 	}
-	s.compactions++
+	if s.st != nil {
+		s.st.NoteCompaction()
+	}
 	s.invalidateStale() // reaches every sibling's engines
 	return reclaimed, nil
 }

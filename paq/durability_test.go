@@ -273,6 +273,32 @@ func TestSessionCompactReclaims(t *testing.T) {
 	}
 }
 
+// TestCompactionsCountedOnSharedStore: clones share one store, so the
+// compaction one of them ran is the number all of them report — a
+// per-session counter left the clone (and paqld's /stats) at zero.
+func TestCompactionsCountedOnSharedStore(t *testing.T) {
+	s, err := paq.Open(paq.Table(durTable(t, 120, 6)), durOpts(paq.WithDurability(t.TempDir()))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	clone, err := s.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DeleteRows(s.Rel().AllRows()[:30]); err != nil {
+		t.Fatal(err)
+	}
+	if reclaimed, err := s.Compact(); err != nil || reclaimed != 30 {
+		t.Fatalf("Compact = (%d, %v), want (30, nil)", reclaimed, err)
+	}
+	for name, sess := range map[string]*paq.Session{"original": s, "clone": clone} {
+		if got := sess.DurStats().Compactions; got != 1 {
+			t.Errorf("%s: compactions = %d, want 1", name, got)
+		}
+	}
+}
+
 // TestDurabilityCorruptWALDetected flips a byte in a committed WAL
 // record: recovery must fail with the typed paq.ErrCorrupt, not panic
 // and not silently drop data.

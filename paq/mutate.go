@@ -6,6 +6,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/store"
 )
 
 // MaintStats counts the incremental partition-maintenance work a
@@ -49,34 +50,28 @@ func (s *Session) Version() uint64 {
 // may even be called from a WithIncumbent callback), while mutations
 // take the narrow write lock only for the apply itself.
 func (s *Session) InsertRows(rows [][]relation.Value) ([]int, uint64, error) {
+	return s.mutate(&store.Record{Kind: store.KindInsert, Rows: rows})
+}
+
+// mutate is the one write path: under the dataset write lock the record
+// is validated, staged to the write-ahead log (durable sessions) and
+// applied; the fsync that makes it durable runs after the lock is
+// released. The record's slices are the caller's — no row is copied —
+// and its PreVersion is filled in here, under the lock. It returns the
+// row indices an insert assigned and the dataset version reached.
+func (s *Session) mutate(rec *store.Record) ([]int, uint64, error) {
 	s.dataMu.Lock()
-	if len(rows) == 0 {
-		v := s.rel.Version()
-		s.dataMu.Unlock()
-		return nil, v, nil
-	}
-	if err := s.validateInsert(rows); err != nil {
-		v := s.rel.Version()
-		s.dataMu.Unlock()
-		return nil, v, err
-	}
-	commit, err := s.stageLocked(func() (func() error, error) {
-		return s.st.StageInsert(s.rel.Schema(), s.rel.Version(), rows)
-	})
-	if err != nil {
-		v := s.rel.Version()
-		s.dataMu.Unlock()
-		return nil, v, err
-	}
-	ids, err := s.applyInsert(rows)
-	s.failStagedLocked(err)
+	rec.PreVersion = s.rel.Version()
+	ids, commit, err := s.absorbLocked(rec, s.st != nil)
 	v := s.rel.Version()
 	s.dataMu.Unlock()
 	if err != nil {
 		return nil, v, err
 	}
-	if err := commit(); err != nil {
-		return ids, v, commitFailed(err)
+	if commit != nil {
+		if err := commit(); err != nil {
+			return ids, v, commitFailed(err)
+		}
 	}
 	return ids, v, nil
 }
@@ -88,29 +83,48 @@ func commitFailed(err error) error {
 	return tag(ErrIndeterminate, fmt.Errorf("paq: write-ahead log: %w", err))
 }
 
-// stageLocked stages a mutation record when the session is durable,
-// returning a commit closure that is never nil (a no-op for in-memory
-// sessions). Caller holds the write lock.
-func (s *Session) stageLocked(stage func() (func() error, error)) (func() error, error) {
-	if s.st == nil {
-		return func() error { return nil }, nil
+// absorbLocked validates the record against the dataset and applies it —
+// the steps live mutations and WAL replay share. With logged set the
+// record is staged to the WAL between the two (write-ahead) and the
+// commit func returned; an empty batch is a no-op that stages nothing.
+// Caller holds the write lock.
+func (s *Session) absorbLocked(rec *store.Record, logged bool) (ids []int, commit func() error, err error) {
+	validate, apply, err := s.halves(rec)
+	if err == nil {
+		err = validate()
 	}
-	commit, err := stage()
-	if err != nil {
-		return nil, fmt.Errorf("paq: write-ahead log: %w", err)
+	if err != nil || rec.Ops() == 0 {
+		return nil, nil, err
 	}
-	return commit, nil
+	if logged {
+		if commit, err = s.st.Stage(s.rel.Schema(), rec); err != nil {
+			return nil, nil, fmt.Errorf("paq: write-ahead log: %w", err)
+		}
+	}
+	if ids, err = apply(); err != nil && logged {
+		// Validation makes this unreachable; if it happens anyway the WAL
+		// holds a record memory never absorbed, so no later record could
+		// replay — poison until a snapshot re-roots the base.
+		s.st.Poison(err)
+	}
+	return ids, commit, err
 }
 
-// failStagedLocked handles the (validation-unreachable) case of an
-// apply failing after its record was staged: the WAL now holds a
-// record memory never absorbed, so no later record could replay —
-// poison until a snapshot re-roots the base. Caller holds the write
-// lock.
-func (s *Session) failStagedLocked(applyErr error) {
-	if applyErr != nil && s.st != nil {
-		s.st.Poison(applyErr)
+// halves returns the validate and apply steps for the record's kind —
+// the one place the SDK interprets a store.Kind.
+func (s *Session) halves(rec *store.Record) (validate func() error, apply func() ([]int, error), err error) {
+	switch rec.Kind {
+	case store.KindInsert:
+		return func() error { return s.validateInsert(rec.Rows) },
+			func() ([]int, error) { return s.applyInsert(rec.Rows) }, nil
+	case store.KindDelete:
+		return func() error { return s.validateDelete(rec.Indices) },
+			func() ([]int, error) { return nil, s.applyDelete(rec.Indices) }, nil
+	case store.KindUpdate:
+		return func() error { return s.validateUpdate(rec.Indices, rec.Rows) },
+			func() ([]int, error) { return nil, s.applyUpdate(rec.Indices, rec.Rows) }, nil
 	}
+	return nil, nil, fmt.Errorf("paq: unknown mutation kind %d", rec.Kind)
 }
 
 func (s *Session) validateInsert(rows [][]relation.Value) error {
@@ -153,36 +167,8 @@ func (s *Session) applyInsert(rows [][]relation.Value) ([]int, error) {
 // ErrIndeterminate (the delete is applied in memory; see InsertRows).
 // It returns the new dataset version.
 func (s *Session) DeleteRows(rows []int) (uint64, error) {
-	s.dataMu.Lock()
-	if len(rows) == 0 {
-		v := s.rel.Version()
-		s.dataMu.Unlock()
-		return v, nil
-	}
-	if err := s.validateDelete(rows); err != nil {
-		v := s.rel.Version()
-		s.dataMu.Unlock()
-		return v, err
-	}
-	commit, err := s.stageLocked(func() (func() error, error) {
-		return s.st.StageDelete(s.rel.Version(), rows)
-	})
-	if err != nil {
-		v := s.rel.Version()
-		s.dataMu.Unlock()
-		return v, err
-	}
-	err = s.applyDelete(rows)
-	s.failStagedLocked(err)
-	v := s.rel.Version()
-	s.dataMu.Unlock()
-	if err != nil {
-		return v, err
-	}
-	if err := commit(); err != nil {
-		return v, commitFailed(err)
-	}
-	return v, nil
+	_, v, err := s.mutate(&store.Record{Kind: store.KindDelete, Indices: rows})
+	return v, err
 }
 
 func (s *Session) validateDelete(rows []int) error {
@@ -227,44 +213,14 @@ func (s *Session) applyDelete(rows []int) error {
 // failure is tagged ErrIndeterminate (the update is applied in memory;
 // see InsertRows). It returns the new dataset version.
 func (s *Session) UpdateRows(rows []int, vals [][]relation.Value) (uint64, error) {
-	s.dataMu.Lock()
-	if len(rows) != len(vals) {
-		v := s.rel.Version()
-		s.dataMu.Unlock()
-		return v, fmt.Errorf("paq: update of %d rows with %d value tuples", len(rows), len(vals))
-	}
-	if len(rows) == 0 {
-		v := s.rel.Version()
-		s.dataMu.Unlock()
-		return v, nil
-	}
-	if err := s.validateUpdate(rows, vals); err != nil {
-		v := s.rel.Version()
-		s.dataMu.Unlock()
-		return v, err
-	}
-	commit, err := s.stageLocked(func() (func() error, error) {
-		return s.st.StageUpdate(s.rel.Schema(), s.rel.Version(), rows, vals)
-	})
-	if err != nil {
-		v := s.rel.Version()
-		s.dataMu.Unlock()
-		return v, err
-	}
-	err = s.applyUpdate(rows, vals)
-	s.failStagedLocked(err)
-	v := s.rel.Version()
-	s.dataMu.Unlock()
-	if err != nil {
-		return v, err
-	}
-	if err := commit(); err != nil {
-		return v, commitFailed(err)
-	}
-	return v, nil
+	_, v, err := s.mutate(&store.Record{Kind: store.KindUpdate, Indices: rows, Rows: vals})
+	return v, err
 }
 
 func (s *Session) validateUpdate(rows []int, vals [][]relation.Value) error {
+	if len(rows) != len(vals) {
+		return fmt.Errorf("paq: update of %d rows with %d value tuples", len(rows), len(vals))
+	}
 	seen := make(map[int]bool, len(rows))
 	for i, row := range rows {
 		if row < 0 || row >= s.rel.Len() || s.rel.Deleted(row) {

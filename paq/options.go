@@ -10,23 +10,22 @@ import (
 
 // config is the resolved session configuration.
 type config struct {
-	method       Method
-	partAttrs    []string
-	tauFrac      float64
-	tauAbs       int
-	radius       float64
-	workers      int
-	racers       int
-	seed         int64
-	timeLimit    time.Duration
-	maxNodes     int
-	gap          float64
-	noCache      bool
-	cacheEntries int
-	warm         bool
-	durDir       string
-	noAdvisor    bool
-	warmBudget   int
+	method     Method
+	partAttrs  []string
+	tauFrac    float64
+	tauAbs     int
+	radius     float64
+	workers    int
+	racers     int
+	seed       int64
+	timeLimit  time.Duration
+	maxNodes   int
+	gap        float64
+	noCache    bool
+	warm       bool
+	durDir     string
+	noAdvisor  bool
+	warmBudget int
 }
 
 func defaults() config {
@@ -215,15 +214,6 @@ func WithGap(g float64) Option {
 func WithoutCache() Option {
 	return opt(func(c *config) error {
 		c.noCache = true
-		return nil
-	})
-}
-
-// WithCacheEntries bounds each strategy's solution cache (0 keeps the
-// default of 4096; negative means unbounded).
-func WithCacheEntries(n int) Option {
-	return opt(func(c *config) error {
-		c.cacheEntries = n
 		return nil
 	})
 }

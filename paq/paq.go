@@ -107,11 +107,10 @@ type Session struct {
 	// st is the durability store (nil for a purely in-memory session).
 	// It is shared by every Clone, like the relation it persists; all
 	// store operations run under the dataMu write lock except DurStats
-	// reads (read lock). warmParts and compactions are durability
-	// counters (see DurStats).
-	st          *store.Store
-	warmParts   int
-	compactions uint64
+	// reads (read lock). warmParts is a durability counter (see
+	// DurStats).
+	st        *store.Store
+	warmParts int
 
 	// sibs registers every session sharing this relation (the original
 	// and all its Clones). Compaction renumbers the shared relation, so
@@ -569,21 +568,12 @@ func (s *Session) observeAttrDemand(attrs []string) {
 	s.adv.ObserveSet(partKey(attrs), attrs, s.rel.Version())
 }
 
-// livePartitioning re-resolves a planned partitioning by attribute set
-// at execution time. The advisor's maintenance pass may have evicted
-// the one the plan captured; refining over an evicted partitioning
-// would read stale row indices after a compaction, so Execute always
-// goes through the live map (rebuilding on a miss).
-func (s *Session) livePartitioning(planned *partition.Partitioning) (*partition.Partitioning, error) {
-	lp, err := s.livePart(planned, "")
-	if err != nil {
-		return nil, err
-	}
-	return lp.part, nil
-}
-
-// livePart is livePartitioning returning the lazyPart wrapper, which
-// additionally carries the per-version frozen view cache solves pin.
+// livePart re-resolves a planned partitioning by attribute set at
+// execution time. The advisor's maintenance pass may have evicted the
+// one the plan captured; refining over an evicted partitioning would
+// read stale row indices after a compaction, so Execute always goes
+// through the live map (rebuilding on a miss). It returns the lazyPart
+// wrapper, which carries the per-version frozen view cache solves pin.
 // key, when non-empty, is the precomputed partKey(planned.Attrs) — the
 // hot pin path passes the one cached on the statement so steady-state
 // pinning allocates nothing.
@@ -727,7 +717,6 @@ func (s *Session) engineFor(m Method, part *partition.Partitioning) *engine.Engi
 	}
 	e := engine.New(solver)
 	e.NoCache = s.cfg.noCache
-	e.MaxCacheEntries = s.cfg.cacheEntries
 	s.engines[key] = e
 	return e
 }

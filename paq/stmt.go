@@ -3,7 +3,6 @@ package paq
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -149,10 +148,6 @@ func (p *Plan) String() string {
 	fmt.Fprintf(&b, "cache-key:    %s", p.CacheKey)
 	return b.String()
 }
-
-// MarshalPlan is Plan as indented JSON (what paqld returns for
-// "explain": true requests).
-func (p *Plan) MarshalPlan() ([]byte, error) { return json.MarshalIndent(p, "", "  ") }
 
 // Prepare parses, validates, and translates a PaQL query against the
 // session's relation, chooses the evaluation method (resolving
