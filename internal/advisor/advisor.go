@@ -561,20 +561,6 @@ func (a *Advisor) IsPrewarmed(key string) bool {
 	return st != nil && st.Prewarmed
 }
 
-// PrewarmedKeys lists the advisor-managed warm set keys, sorted.
-func (a *Advisor) PrewarmedKeys() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []string
-	for k, st := range a.sets {
-		if st.Prewarmed {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stats snapshots the advisor's counters.
 func (a *Advisor) Stats() Stats {
 	a.mu.Lock()

@@ -63,6 +63,10 @@ type Call struct {
 	// must then be safe for concurrent calls, and the stream is a
 	// progress signal, not a monotone sequence.
 	OnIncumbent core.IncumbentFunc
+	// KeyPrefix is prepended to the solution-cache key. A caller serving
+	// several partitionings from one engine passes each one's shape key,
+	// so answers refined over different partitionings never collide.
+	KeyPrefix string
 }
 
 // Direct is the paper's DIRECT strategy: one ILP over the whole base
@@ -358,7 +362,7 @@ func (e *Engine) EvaluateCall(ctx context.Context, spec *core.Spec, call Call) R
 		obs.FromContext(ctx).SetAttrStr("cache", "off")
 		return e.solve(ctx, spec, call)
 	}
-	key := SpecKey(spec)
+	key := specKey(call.KeyPrefix, spec)
 
 	for {
 		e.mu.Lock()
@@ -472,8 +476,11 @@ func (e *Engine) solve(ctx context.Context, spec *core.Spec, call Call) Result {
 // instead of being served stale (InvalidateRel reclaims them). (The
 // relation's address is sound as identity because every cache entry
 // pins its relation for the entry's lifetime.)
-func SpecKey(spec *core.Spec) string {
+func SpecKey(spec *core.Spec) string { return specKey("", spec) }
+
+func specKey(prefix string, spec *core.Spec) string {
 	var b strings.Builder
+	b.WriteString(prefix)
 	// Key on the relation's identity, not the view pointer: a snapshot
 	// and its head at the same version hold identical data, so solves
 	// pinned to different snapshots of one dataset share cache entries.

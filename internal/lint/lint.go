@@ -1,5 +1,5 @@
 // Package lint assembles the project's invariant checks: six
-// analyzers (see docs/INVARIANTS.md for the catalogue) instantiated
+// analyzers (lockorder instantiated twice) (see docs/INVARIANTS.md for the catalogue) instantiated
 // with the repository's boundary, taxonomy, context, lock-order, and
 // no-panic configuration. cmd/paqlint runs them standalone and as a
 // `go vet -vettool`; the fixture suites under each analyzer package
@@ -92,9 +92,12 @@ func Analyzers() []*analysis.Analyzer {
 		}),
 		lockorder.New(lockorder.Config{
 			Packages: []string{Module + "/internal/store"},
-			Outer:    "syncMu",
-			Inner:    "mu",
+			Order:    []string{"mu", "syncMu"},
 			Cond:     "syncCond",
+		}),
+		lockorder.New(lockorder.Config{
+			Packages: []string{Module + "/paq"},
+			Order:    []string{"dataMu", "building", "regMu", "mu"},
 		}),
 		nopanic.New(nopanic.Config{
 			Packages: NoPanicPackages,

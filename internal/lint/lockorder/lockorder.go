@@ -1,25 +1,29 @@
-// Package lockorder enforces the WAL's mu→syncMu lock order (the PR 5
-// group-commit race class). Within the configured packages, a function
-// that holds the inner mutex (syncMu) may not acquire the outer mutex
-// (mu) — every site that needs both takes mu first — and the group
-// commit condition variable (syncCond) may only Wait while syncMu is
-// held.
+// Package lockorder enforces a declared mutex acquisition order within
+// the configured packages: a function that holds a mutex later in the
+// order may not acquire one earlier in it — every site that needs
+// several takes them outermost first — and a condition variable may
+// only Wait while its mutex (the innermost of the order) is held. Two
+// instances run in this repository: the WAL's mu→syncMu with syncCond
+// (the PR 5 group-commit race class) and the SDK's
+// dataMu→building→regMu→mu.
 //
 // The check is an intra-procedural, syntactic simulation: statements
-// are scanned in order, Lock/Unlock on the configured fields toggle a
-// held set keyed by receiver expression, and defer'd Unlocks
-// deliberately do not release (the mutex stays held for the rest of
-// the body, which is exactly the window the order rule protects).
-// Branch bodies are scanned with a copy of the held set, so lock state
-// changes inside a branch do not leak into the code after it — the
-// scan under-approximates cross-branch flows rather than inventing
-// false positives. Function literals start with an empty held set
-// (they run on other goroutines or after return).
+// are scanned in order, Lock/RLock and Unlock/RUnlock on the configured
+// fields toggle a held set, and defer'd Unlocks deliberately do not
+// release (the mutex stays held for the rest of the body, which is
+// exactly the window the order rule protects). Branch bodies are
+// scanned with a copy of the held set, so lock state changes inside a
+// branch do not leak into the code after it — the scan
+// under-approximates cross-branch flows rather than inventing false
+// positives. Function literals start with an empty held set (they run
+// on other goroutines or after return).
 package lockorder
 
 import (
 	"go/ast"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -29,22 +33,24 @@ import (
 type Config struct {
 	// Packages: import-path prefixes the rule applies to.
 	Packages []string
-	// Outer is the field name of the mutex acquired second (syncMu):
-	// while it is held, Inner may not be acquired.
-	Outer string
-	// Inner is the field name of the mutex acquired first (mu).
-	Inner string
+	// Order lists the mutex field names outermost (acquired first)
+	// first: while one is held, none before it may be acquired.
+	Order []string
 	// Cond is the field name of the condition variable that must only
-	// Wait under Outer ("" disables the cond check).
+	// Wait under the last mutex of Order ("" disables the cond check).
 	Cond string
 }
 
 // New returns the analyzer for one lock-order configuration.
 func New(cfg Config) *analysis.Analyzer {
+	order := strings.Join(cfg.Order, "→")
+	doc := "lock order is " + order + ": never acquire an earlier mutex while holding a later one"
+	if cfg.Cond != "" {
+		doc += ", and only Wait on " + cfg.Cond + " under " + cfg.Order[len(cfg.Order)-1]
+	}
 	return &analysis.Analyzer{
 		Name: "lockorder",
-		Doc: "lock order within the store is mu→syncMu: " +
-			"never acquire mu while holding syncMu, and only Wait on syncCond under syncMu",
+		Doc:  doc,
 		Run: func(pass *analysis.Pass) (interface{}, error) {
 			if !under(pass.Pkg.Path(), cfg.Packages) {
 				return nil, nil
@@ -55,8 +61,8 @@ func New(cfg Config) *analysis.Analyzer {
 					if !ok || fd.Body == nil {
 						continue
 					}
-					s := &scanner{pass: pass, cfg: cfg}
-					s.block(fd.Body.List, map[string]bool{})
+					s := &scanner{pass: pass, cfg: cfg, order: order}
+					s.block(fd.Body.List, map[string]string{})
 				}
 			}
 			return nil, nil
@@ -66,25 +72,31 @@ func New(cfg Config) *analysis.Analyzer {
 
 // scanner walks one function.
 type scanner struct {
-	pass *analysis.Pass
-	cfg  Config
+	pass  *analysis.Pass
+	cfg   Config
+	order string // cfg.Order rendered for messages
 }
 
-// block scans statements in order, mutating held ("<recv>" strings for
-// receivers whose Outer mutex is locked).
-func (s *scanner) block(stmts []ast.Stmt, held map[string]bool) {
+// rank is a field's position in the configured order, -1 if absent.
+func (s *scanner) rank(field string) int { return slices.Index(s.cfg.Order, field) }
+
+// block scans statements in order, mutating held: the locked mutexes by
+// field name — the ordered fields may live on different structs, so the
+// receiver is no part of a mutex's identity — each mapped to the
+// "<recv>.<field>" it was locked through, for messages.
+func (s *scanner) block(stmts []ast.Stmt, held map[string]string) {
 	for _, st := range stmts {
 		s.stmt(st, held)
 	}
 }
 
 // stmt dispatches one statement.
-func (s *scanner) stmt(st ast.Stmt, held map[string]bool) {
+func (s *scanner) stmt(st ast.Stmt, held map[string]string) {
 	switch st := st.(type) {
 	case *ast.ExprStmt:
 		s.expr(st.X, held, true)
 	case *ast.DeferStmt:
-		// A defer'd Outer Unlock keeps the region held to the end of
+		// A defer'd Unlock keeps the region held to the end of
 		// the body (correct for order checking); a defer'd Lock is
 		// nonsense we simply don't model. Still scan the arguments and
 		// any function literal being deferred.
@@ -105,30 +117,30 @@ func (s *scanner) stmt(st ast.Stmt, held map[string]bool) {
 		if st.Init != nil {
 			s.stmt(st.Init, held)
 		}
-		s.block(st.Body.List, copyOf(held))
+		s.block(st.Body.List, maps.Clone(held))
 		if st.Else != nil {
-			s.stmt(st.Else, copyOf(held))
+			s.stmt(st.Else, maps.Clone(held))
 		}
 	case *ast.ForStmt:
-		s.block(st.Body.List, copyOf(held))
+		s.block(st.Body.List, maps.Clone(held))
 	case *ast.RangeStmt:
-		s.block(st.Body.List, copyOf(held))
+		s.block(st.Body.List, maps.Clone(held))
 	case *ast.SwitchStmt:
 		for _, c := range st.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				s.block(cc.Body, copyOf(held))
+				s.block(cc.Body, maps.Clone(held))
 			}
 		}
 	case *ast.TypeSwitchStmt:
 		for _, c := range st.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				s.block(cc.Body, copyOf(held))
+				s.block(cc.Body, maps.Clone(held))
 			}
 		}
 	case *ast.SelectStmt:
 		for _, c := range st.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
-				s.block(cc.Body, copyOf(held))
+				s.block(cc.Body, maps.Clone(held))
 			}
 		}
 	case *ast.LabeledStmt:
@@ -140,11 +152,11 @@ func (s *scanner) stmt(st ast.Stmt, held map[string]bool) {
 // state changes apply to the caller's held set (false inside nested
 // expressions where evaluation order is unspecified — there we only
 // check, conservatively, against the current state).
-func (s *scanner) expr(e ast.Expr, held map[string]bool, track bool) {
+func (s *scanner) expr(e ast.Expr, held map[string]string, track bool) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		if fl, ok := e.(*ast.FuncLit); ok {
-			s.block(fl.Body.List, map[string]bool{})
+			s.block(fl.Body.List, map[string]string{})
 		}
 		return
 	}
@@ -154,27 +166,33 @@ func (s *scanner) expr(e ast.Expr, held map[string]bool, track bool) {
 	method, field, recv := s.mutexCall(call)
 	if method == "" {
 		if fl, ok := call.Fun.(*ast.FuncLit); ok {
-			s.block(fl.Body.List, map[string]bool{})
+			s.block(fl.Body.List, map[string]string{})
 		}
 		return
 	}
+	rank := s.rank(field)
 	switch {
-	case field == s.cfg.Outer && method == "Lock":
-		if track {
-			held[recv] = true
+	case rank >= 0 && (method == "Lock" || method == "RLock"):
+		for _, later := range s.cfg.Order[rank+1:] {
+			if name, ok := held[later]; ok {
+				s.pass.Reportf(call.Pos(), "%s.%s.%s() while %s is held; the established order is %s",
+					recv, field, method, name, s.order)
+			}
 		}
-	case field == s.cfg.Outer && method == "Unlock":
 		if track {
-			delete(held, recv)
+			held[field] = recv + "." + field
 		}
-	case field == s.cfg.Inner && method == "Lock" && held[recv]:
-		s.pass.Reportf(call.Pos(),
-			"%s.%s.Lock() while %s.%s is held; the established order is %s→%s",
-			recv, s.cfg.Inner, recv, s.cfg.Outer, s.cfg.Inner, s.cfg.Outer)
-	case s.cfg.Cond != "" && field == s.cfg.Cond && method == "Wait" && !held[recv]:
-		s.pass.Reportf(call.Pos(),
-			"%s.%s.Wait() outside %s.%s; Wait must run under the mutex the cond was built on",
-			recv, s.cfg.Cond, recv, s.cfg.Outer)
+	case rank >= 0 && (method == "Unlock" || method == "RUnlock"):
+		if track {
+			delete(held, field)
+		}
+	case field == s.cfg.Cond && method == "Wait":
+		last := s.cfg.Order[len(s.cfg.Order)-1]
+		if _, ok := held[last]; !ok {
+			s.pass.Reportf(call.Pos(),
+				"%s.%s.Wait() outside %s.%s; Wait must run under the mutex the cond was built on",
+				recv, field, recv, last)
+		}
 	}
 }
 
@@ -191,19 +209,10 @@ func (s *scanner) mutexCall(call *ast.CallExpr) (method, field, recv string) {
 		return "", "", ""
 	}
 	name := inner.Sel.Name
-	if name != s.cfg.Outer && name != s.cfg.Inner && name != s.cfg.Cond {
+	if s.rank(name) < 0 && name != s.cfg.Cond {
 		return "", "", ""
 	}
 	return sel.Sel.Name, name, types.ExprString(inner.X)
-}
-
-// copyOf clones a held set for branch-local scanning.
-func copyOf(held map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
 }
 
 // under reports whether path equals or lies beneath any prefix.

@@ -13,9 +13,19 @@ import (
 func TestFixtures(t *testing.T) {
 	a := lockorder.New(lockorder.Config{
 		Packages: []string{"fixture/a"},
-		Outer:    "syncMu",
-		Inner:    "mu",
+		Order:    []string{"mu", "syncMu"},
 		Cond:     "syncCond",
 	})
-	analysistest.Run(t, "testdata", a)
+	analysistest.Run(t, "testdata", a, "./a")
+}
+
+// TestPaqFixtures is the SDK's instance — a chain of four mutexes on
+// three structs, read locks included: good.go stays clean, every
+// inversion in bad.go is caught.
+func TestPaqFixtures(t *testing.T) {
+	a := lockorder.New(lockorder.Config{
+		Packages: []string{"fixture/paq"},
+		Order:    []string{"dataMu", "building", "regMu", "mu"},
+	})
+	analysistest.Run(t, "testdata", a, "./paq")
 }

@@ -41,8 +41,6 @@ type SlowLog struct {
 
 	mu sync.Mutex
 	w  io.Writer
-
-	emitted Counter
 }
 
 // NewSlowLog returns a slow-query log writing to w for entries at or
@@ -61,14 +59,6 @@ func (l *SlowLog) Threshold() time.Duration {
 		return 0
 	}
 	return l.threshold
-}
-
-// Emitted counts the lines written (0 for a nil log).
-func (l *SlowLog) Emitted() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.emitted.Value()
 }
 
 // Observe emits e as one JSON line when its duration is at or above
@@ -90,9 +80,5 @@ func (l *SlowLog) Observe(e SlowEntry) bool {
 	l.mu.Lock()
 	_, werr := l.w.Write(append(line, '\n'))
 	l.mu.Unlock()
-	if werr != nil {
-		return false
-	}
-	l.emitted.Inc()
-	return true
+	return werr == nil
 }

@@ -574,50 +574,6 @@ func (r *Relation) Select(pred Predicate) []int {
 	return rows
 }
 
-// Project returns a new relation containing only the named columns, in
-// the given order, for the given rows (all rows when rows is nil).
-func (r *Relation) Project(name string, colNames []string, rows []int) (*Relation, error) {
-	idx := make([]int, len(colNames))
-	cols := make([]Column, len(colNames))
-	for i, cn := range colNames {
-		j, err := r.schema.MustLookup(cn)
-		if err != nil {
-			return nil, err
-		}
-		idx[i] = j
-		cols[i] = r.schema.Col(j)
-	}
-	schema, err := NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	out := New(name, schema)
-	appendRow := func(row int) error {
-		vals := make([]Value, len(idx))
-		for i, j := range idx {
-			vals[i] = r.Value(row, j)
-		}
-		return out.Append(vals...)
-	}
-	if rows == nil {
-		for i := 0; i < r.n; i++ {
-			if r.Deleted(i) {
-				continue
-			}
-			if err := appendRow(i); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for _, i := range rows {
-			if err := appendRow(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
 // Subset materializes the given rows into a new relation with the same
 // schema. Used to build scaled-down datasets and per-query tables. The
 // copy goes through AppendFrom (identical schemas), so it cannot fail.
@@ -709,7 +665,7 @@ func (r *Relation) Compact() []int {
 // ([0, 1, ..., n-1] when nothing has been deleted). On a snapshot the
 // row set is frozen, so the index is computed once and shared by every
 // caller — treat the result as read-only (the solve paths only iterate
-// it; anything that reorders rows copies first, like SortRowsBy).
+// it; anything that reorders rows copies first).
 func (r *Relation) AllRows() []int {
 	if r.immutable {
 		r.liveOnce.Do(func() { r.liveRows = r.scanLive() })

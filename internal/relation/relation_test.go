@@ -51,8 +51,8 @@ func TestSchemaLookupCaseInsensitive(t *testing.T) {
 }
 
 // TestSchemaDuplicateError is the nopanic regression test: a malformed
-// schema — duplicate column names reach NewSchema from CSV headers,
-// snapshot files, and projection lists — must surface as an
+// schema — duplicate column names reach NewSchema from CSV headers and
+// snapshot files — must surface as an
 // ErrTypeMismatch-family error, never a panic.
 func TestSchemaDuplicateError(t *testing.T) {
 	_, err := NewSchema(Column{"a", Float}, Column{"A", Int})
@@ -62,23 +62,11 @@ func TestSchemaDuplicateError(t *testing.T) {
 	if !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("duplicate-column error = %v, want ErrTypeMismatch family", err)
 	}
-	if _, err := mustSchema(Column{"a", Float}).Extend(Column{"A", Int}); !errors.Is(err, ErrTypeMismatch) {
-		t.Fatalf("Extend collision error = %v, want ErrTypeMismatch family", err)
-	}
-	if _, err := recipeRelation(t).Project("p", []string{"kcal", "KCAL"}, nil); !errors.Is(err, ErrTypeMismatch) {
-		t.Fatalf("Project duplicate-column error = %v, want ErrTypeMismatch family", err)
-	}
 }
 
-func TestSchemaExtendAndEqual(t *testing.T) {
+func TestSchemaEqual(t *testing.T) {
 	s := mustSchema(Column{"a", Float})
-	s2, err := s.Extend(Column{"b", Int})
-	if err != nil {
-		t.Fatalf("Extend: %v", err)
-	}
-	if s2.Len() != 2 {
-		t.Fatalf("extended schema len = %d, want 2", s2.Len())
-	}
+	s2 := mustSchema(Column{"a", Float}, Column{"b", Int})
 	if s.Equal(s2) {
 		t.Error("schemas of different length compare equal")
 	}
@@ -297,85 +285,6 @@ func TestWeightedAggregate(t *testing.T) {
 	}
 }
 
-func TestGroupBy(t *testing.T) {
-	r := recipeRelation(t)
-	groups, err := GroupBy(r, "gluten", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(groups))
-	}
-	// Sorted by key: "free" < "full".
-	if groups[0].Key.String() != "free" || len(groups[0].Rows) != 5 {
-		t.Errorf("group[0] = %v × %d, want free × 5", groups[0].Key, len(groups[0].Rows))
-	}
-	if groups[1].Key.String() != "full" || len(groups[1].Rows) != 2 {
-		t.Errorf("group[1] = %v × %d, want full × 2", groups[1].Key, len(groups[1].Rows))
-	}
-
-	byServings, err := GroupBy(r, "servings", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(byServings) != 4 {
-		t.Fatalf("got %d servings groups, want 4", len(byServings))
-	}
-	prev := int64(-1)
-	total := 0
-	for _, g := range byServings {
-		k, err := g.Key.Int()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k <= prev {
-			t.Error("integer groups not sorted by key")
-		}
-		prev = k
-		total += len(g.Rows)
-	}
-	if total != r.Len() {
-		t.Errorf("groups cover %d rows, want %d", total, r.Len())
-	}
-	if _, err := GroupBy(r, "missing", nil); err == nil {
-		t.Error("GroupBy on missing column succeeded, want error")
-	}
-}
-
-func TestGroupByFloat(t *testing.T) {
-	r := New("t", mustSchema(Column{"v", Float}))
-	for _, v := range []float64{1.5, 2.5, 1.5, 3.5} {
-		r.mustAppend(F(v))
-	}
-	groups, err := GroupBy(r, "v", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 3 || len(groups[0].Rows) != 2 {
-		t.Fatalf("float group-by wrong: %+v", groups)
-	}
-}
-
-func TestSortRowsBy(t *testing.T) {
-	r := recipeRelation(t)
-	asc, err := SortRowsBy(r, "kcal", r.AllRows(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(asc); i++ {
-		if r.Float(asc[i-1], 2) > r.Float(asc[i], 2) {
-			t.Fatal("ascending sort out of order")
-		}
-	}
-	desc, _ := SortRowsBy(r, "kcal", r.AllRows(), false)
-	if r.Float(desc[0], 2) != 0.9 {
-		t.Errorf("descending sort first = %g, want 0.9", r.Float(desc[0], 2))
-	}
-	if _, err := SortRowsBy(r, "name", r.AllRows(), true); err == nil {
-		t.Error("sort by string column succeeded, want error")
-	}
-}
-
 func TestCentroidAndRadius(t *testing.T) {
 	r := New("t", mustSchema(Column{"x", Float}, Column{"y", Float}))
 	r.mustAppend(F(0), F(0))
@@ -396,22 +305,8 @@ func TestCentroidAndRadius(t *testing.T) {
 	}
 }
 
-func TestProjectAndSubset(t *testing.T) {
+func TestSubset(t *testing.T) {
 	r := recipeRelation(t)
-	p, err := r.Project("kcals", []string{"name", "kcal"}, []int{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 || p.Schema().Len() != 2 {
-		t.Fatalf("projection shape %dx%d, want 2x2", p.Len(), p.Schema().Len())
-	}
-	if p.Str(1, 0) != "steak" {
-		t.Errorf("projected row 1 name = %q, want steak", p.Str(1, 0))
-	}
-	if _, err := r.Project("bad", []string{"missing"}, nil); err == nil {
-		t.Error("projection of missing column succeeded, want error")
-	}
-
 	s := r.Subset("sub", []int{1, 3, 5})
 	if s.Len() != 3 || !s.Schema().Equal(r.Schema()) {
 		t.Fatal("subset shape or schema wrong")
@@ -499,35 +394,6 @@ func TestQuickWeightedAggregateConsistency(t *testing.T) {
 		w1, _ := WeightedAggregate(r, Sum, "v", rows, ones)
 		w2, _ := WeightedAggregate(r, Sum, "v", rows, twos)
 		return math.Abs(plain-w1) < 1e-6 && math.Abs(2*plain-w2) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: GroupBy always partitions the input rows (disjoint cover).
-func TestQuickGroupByPartitions(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(60)
-		r := New("t", mustSchema(Column{"k", Int}))
-		for i := 0; i < n; i++ {
-			r.mustAppend(I(int64(rng.Intn(5))))
-		}
-		groups, err := GroupBy(r, "k", nil)
-		if err != nil {
-			return false
-		}
-		seen := make(map[int]bool)
-		for _, g := range groups {
-			for _, row := range g.Rows {
-				if seen[row] {
-					return false
-				}
-				seen[row] = true
-			}
-		}
-		return len(seen) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -82,9 +82,6 @@ func (s Schema) Len() int { return len(s.cols) }
 // Col returns the i-th column.
 func (s Schema) Col(i int) Column { return s.cols[i] }
 
-// Columns returns a copy of the column list.
-func (s Schema) Columns() []Column { return append([]Column(nil), s.cols...) }
-
 // Lookup returns the index of the named column, or -1 if absent. Matching
 // is case-insensitive.
 func (s Schema) Lookup(name string) int {
@@ -101,12 +98,6 @@ func (s Schema) MustLookup(name string) (int, error) {
 		return 0, fmt.Errorf("relation: unknown column %q", name)
 	}
 	return i, nil
-}
-
-// Extend returns a new schema with extra columns appended. A column
-// name colliding with an existing one is an error, as in NewSchema.
-func (s Schema) Extend(cols ...Column) (Schema, error) {
-	return NewSchema(append(s.Columns(), cols...)...)
 }
 
 // Equal reports whether two schemas have identical column lists.

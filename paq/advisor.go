@@ -25,29 +25,28 @@ type WarmSet struct {
 	Pinned    bool `json:"pinned,omitempty"`
 }
 
-// WarmSets lists the session's warm partitionings, sorted by attribute
-// key for determinism.
+// WarmSets lists the warm partitionings of the session's shape, sorted
+// by attribute key for determinism.
 func (s *Session) WarmSets() []WarmSet {
 	pinned := partKey(s.partitionAttrsFor(nil))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.parts))
-	for k, lp := range s.parts {
-		if lp.built.Load() {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]WarmSet, 0, len(keys))
-	for _, k := range keys {
-		lp := s.parts[k]
+	s.d.dataMu.RLock()
+	defer s.d.dataMu.RUnlock()
+	var entries []*partEntry
+	_ = s.d.each(s.shape, func(e *partEntry) error {
+		entries = append(entries, e)
+		return nil
+	})
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key.attrs < entries[j].key.attrs })
+	out := make([]WarmSet, 0, len(entries))
+	for _, e := range entries {
+		p, attrKey := e.part.Load(), e.key.attrs
 		ws := WarmSet{
-			Attrs:  append([]string(nil), lp.part.Attrs...),
-			Groups: lp.part.NumGroups(),
-			Pinned: k == pinned,
+			Attrs:  append([]string(nil), p.Attrs...),
+			Groups: p.NumGroups(),
+			Pinned: attrKey == pinned,
 		}
 		if s.adv != nil {
-			if si, ok := s.adv.SetInfo(k); ok {
+			if si, ok := s.adv.SetInfo(attrKey); ok {
 				ws.Uses = si.Uses
 				ws.LastUsedVersion = si.LastVersion
 				ws.Prewarmed = si.Prewarmed
@@ -139,91 +138,89 @@ func (s *Session) AdvisorMaintain() AdvisorPass {
 	sort.SliceStable(hot, func(i, j int) bool {
 		return len(hot[i].Attrs) > len(hot[j].Attrs)
 	})
-	s.dataMu.RLock()
+	d := s.d
+	d.dataMu.RLock()
 	for _, h := range hot {
-		if _, shared, ok := s.lookupWarm(h.Attrs); ok {
-			if shared {
-				pass.Shared = append(pass.Shared, h.Key)
-			} else if !s.adv.IsPrewarmed(h.Key) {
-				// A query already built the exact set; adopt it so it can
-				// serve covered subsets and falls under the budget.
-				s.adv.MarkPrewarmed(h.Key)
-				pass.Prewarmed = append(pass.Prewarmed, h.Key)
-				s.mu.Lock()
-				s.advPrewarmed++
-				s.mu.Unlock()
-			}
-			continue
+		_, shared, err := s.resolve(s.regKey(h.Attrs), h.Attrs, true)
+		switch {
+		case err != nil:
+			// Advisory: an unbuildable set is just skipped.
+		case shared:
+			pass.Shared = append(pass.Shared, h.Key)
+		case !s.adv.IsPrewarmed(h.Key):
+			// Built just now, or by a query earlier: adopt it so it can
+			// serve covered subsets and falls under the budget.
+			s.adv.MarkPrewarmed(h.Key)
+			pass.Prewarmed = append(pass.Prewarmed, h.Key)
+			s.count(&s.advPrewarmed)
 		}
-		if _, err := s.partitioningFor(h.Attrs); err != nil {
-			continue // advisory: an unbuildable set is just skipped
-		}
-		s.adv.MarkPrewarmed(h.Key)
-		pass.Prewarmed = append(pass.Prewarmed, h.Key)
-		s.mu.Lock()
-		s.advPrewarmed++
-		s.mu.Unlock()
 	}
-	s.dataMu.RUnlock()
 	pass.Evicted = s.evictWarmSets()
-	if s.st != nil {
+	d.dataMu.RUnlock()
+	if d.st != nil {
 		// Store writes run under the dataset write lock (briefly — the
 		// sidecar write is independent of the WAL).
-		s.dataMu.Lock()
+		d.dataMu.Lock()
 		if err := s.saveAdvisorState(); err == nil {
 			pass.Persisted = true
 		}
-		s.dataMu.Unlock()
+		d.dataMu.Unlock()
 	}
 	return pass
 }
 
-// evictWarmSets drops least-recently-used advisor-managed warm sets
-// beyond the budget (the session-wide partitioning is pinned and never
-// counted). Evicting deletes the partitioning and its SketchRefine
-// engine (whose solution cache keys row indices into that
-// partitioning); a later query for the set rebuilds it lazily.
+// evictWarmSets drops the least-recently-used warm sets beyond the
+// budget, counting only registry entries this session's advisor
+// prewarmed (the session-wide partitioning is pinned and never
+// counted). The entry leaves the registry for every session of the
+// shape; whichever next asks for the set — this session or a sibling —
+// rebuilds it lazily through resolve.
 func (s *Session) evictWarmSets() []string {
 	budget := s.cfg.warmBudget
 	if budget < 0 {
 		return nil // unbounded
 	}
 	pinned := partKey(s.partitionAttrsFor(nil))
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	d := s.d
 	var managed []string
-	for k, lp := range s.parts {
-		if k != pinned && lp.built.Load() && s.adv.IsPrewarmed(k) {
-			managed = append(managed, k)
+	_ = d.each(s.shape, func(e *partEntry) error {
+		if e.key.attrs != pinned && s.adv.IsPrewarmed(e.key.attrs) {
+			managed = append(managed, e.key.attrs)
 		}
-	}
+		return nil
+	})
 	if len(managed) <= budget {
 		return nil
 	}
-	order := s.adv.EvictionOrder(managed)
-	evict := order[:len(managed)-budget]
-	for _, k := range evict {
-		delete(s.parts, k)
-		delete(s.engines, string(MethodSketchRefine)+"|"+k)
-		s.adv.ClearPrewarmed(k)
-		s.advEvicted++
+	var evicted []string
+	d.regMu.Lock()
+	defer d.regMu.Unlock()
+	for _, attrKey := range s.adv.EvictionOrder(managed)[:len(managed)-budget] {
+		key := setKey{s.shape, attrKey}
+		if d.parts[key] == nil {
+			continue // a concurrent pass got there first
+		}
+		delete(d.parts, key)
+		s.adv.ClearPrewarmed(attrKey)
+		s.count(&s.advEvicted)
+		evicted = append(evicted, attrKey)
 	}
-	s.partsDirty = true
-	return append([]string(nil), evict...)
+	d.dirty.Store(true)
+	return evicted
 }
 
 // saveAdvisorState flushes the advisor's evidence to the store's
 // sidecar. Callers hold the dataset write lock. Nil when there is
 // nothing to persist (no advisor, or an in-memory session).
 func (s *Session) saveAdvisorState() error {
-	if s.adv == nil || s.st == nil {
+	if s.adv == nil || s.d.st == nil {
 		return nil
 	}
 	payload, err := s.adv.MarshalState()
 	if err != nil {
 		return err
 	}
-	return s.st.SaveAdvisorState(payload)
+	return s.d.st.SaveAdvisorState(payload)
 }
 
 // reportOutcome feeds one execution's observed record to the advisor

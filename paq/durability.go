@@ -53,17 +53,19 @@ type DurStats struct {
 }
 
 // DurStats reports the session's durability state (zero-valued, with
-// Durable=false, for in-memory sessions).
+// Durable=false, for in-memory sessions). It reads the same on a clone
+// as on the original: all of it is the dataset's.
 func (s *Session) DurStats() DurStats {
-	s.dataMu.RLock()
-	defer s.dataMu.RUnlock()
-	if s.st == nil {
+	d := s.d
+	d.dataMu.RLock()
+	defer d.dataMu.RUnlock()
+	if d.st == nil {
 		return DurStats{}
 	}
-	st := s.st.Stats()
+	st := d.st.Stats()
 	return DurStats{
 		Durable:           true,
-		Dir:               s.st.Dir(),
+		Dir:               d.st.Dir(),
 		WALBytes:          st.WALBytes,
 		WALSyncedBytes:    st.WALSynced,
 		SnapshotVersion:   st.SnapshotVersion,
@@ -71,49 +73,48 @@ func (s *Session) DurStats() DurStats {
 		Snapshots:         st.Snapshots,
 		Compactions:       st.Compactions,
 		ReplayedOps:       st.ReplayedOps,
-		WarmPartitionings: s.warmParts,
+		WarmPartitionings: d.warm,
 		WALAppends:        st.Appends,
 		WALSyncs:          st.Syncs,
-		Poisoned:          s.st.Poisoned(),
+		Poisoned:          d.st.Poisoned(),
 	}
 }
 
-// recover rebuilds the session's warm state from a boot snapshot and
-// replays the WAL suffix. Called from Open before the session is
-// shared, so no locking is needed.
-func (s *Session) recover(boot *store.Snapshot) error {
+// recover rebuilds the dataset's warm state from a boot snapshot and
+// replays the WAL suffix. Called from Open before the dataset is
+// shared, so nothing runs beside it. shape is the opening session's: the
+// snapshot holds one partitioning per attribute set (see
+// snapshotLocked), and they re-register under it.
+func (d *dataset) recover(boot *store.Snapshot, shape string) error {
 	// Warm-start every serialized partitioning: reconstruct the group
 	// structure and representatives without any quad-tree build, and
 	// resume its incremental maintenance with the persisted counters.
 	for _, ps := range boot.Parts {
-		p, err := partition.FromGroups(s.rel, ps.Attrs, ps.Tau, ps.Omega, ps.Workers, ps.Groups)
+		p, err := partition.FromGroups(d.rel, ps.Attrs, ps.Tau, ps.Omega, ps.Workers, ps.Groups)
 		if err != nil {
 			return fmt.Errorf("%w: restoring partitioning over %v: %v", ErrCorrupt, ps.Attrs, err)
 		}
-		m := partition.NewMaintainer(p, partition.MaintOptions{})
-		m.RestoreStats(ps.Stats)
-		lp := &lazyPart{part: p, maint: m}
-		lp.once.Do(func() {}) // mark built: partitioningFor must not rebuild
-		lp.built.Store(true)
-		s.parts[partKey(ps.Attrs)] = lp
-		s.warmParts++
+		e := d.entry(setKey{shape, partKey(ps.Attrs)}, true)
+		e.maint = partition.NewMaintainer(p, partition.MaintOptions{})
+		e.maint.RestoreStats(ps.Stats)
+		e.part.Store(p)
+		d.warm++
 	}
 	// Replay the WAL suffix through the same apply path live mutations
 	// use, so maintainers and caches see exactly what they saw before
 	// the crash. Each record must line up with the version the dataset
 	// has reached — a gap or overlap is corruption, not a tolerable
 	// drift.
-	err := s.st.Replay(s.rel.Schema(), func(rec *store.Record) error {
-		if got := s.rel.Version(); rec.PreVersion != got {
+	return d.st.Replay(d.rel.Schema(), func(rec *store.Record) error {
+		if got := d.rel.Version(); rec.PreVersion != got {
 			return fmt.Errorf("%w: WAL record expects dataset version %d, relation is at %d",
 				ErrCorrupt, rec.PreVersion, got)
 		}
-		if _, _, err := s.absorbLocked(rec, false); err != nil {
+		if _, _, err := d.absorbLocked(rec, false); err != nil {
 			return fmt.Errorf("%w: replaying %s at version %d: %v", ErrCorrupt, rec.Kind, rec.PreVersion, err)
 		}
 		return nil
 	})
-	return err
 }
 
 // Snapshot persists a point-in-time image of the dataset: tombstones
@@ -126,80 +127,65 @@ func (s *Session) recover(boot *store.Snapshot) error {
 // Snapshot blocks mutations and solves for its duration (it holds the
 // dataset write lock). It is an error on a session without durability.
 func (s *Session) Snapshot() error {
-	s.dataMu.Lock()
-	defer s.dataMu.Unlock()
+	s.d.dataMu.Lock()
+	defer s.d.dataMu.Unlock()
 	return s.snapshotLocked()
 }
 
+// snapshotLocked snapshots the dataset as this session sees it. The
+// advisor's evidence rides every flush as a best-effort sidecar write —
+// advisory state must never fail (or dirty) the snapshot.
 func (s *Session) snapshotLocked() error {
-	if s.st == nil {
+	_ = s.saveAdvisorState()
+	return s.d.snapshotLocked(s.shape)
+}
+
+// snapshotLocked writes the snapshot. The persisted partitionings are
+// every built registry entry of the given shape — whichever session of
+// that shape built them — one PartState per attribute set; entries of
+// other shapes (a clone with its own τ or ω) are rebuilt on demand after
+// a restart. Caller holds the write lock.
+func (d *dataset) snapshotLocked(shape string) error {
+	if d.st == nil {
 		return fmt.Errorf("paq: session has no durability store (see WithDurability)")
 	}
-	// The advisor's evidence rides every flush as a best-effort sidecar
-	// write — advisory state must never fail (or dirty) the snapshot.
-	_ = s.saveAdvisorState()
-	s.mu.Lock()
-	partsDirty := s.partsDirty
-	s.mu.Unlock()
-	if s.rel.Len() == s.rel.Live() && !s.st.Dirty(s.rel.Version()) && !partsDirty {
+	if d.rel.Len() == d.rel.Live() && !d.st.Dirty(d.rel.Version()) && !d.dirty.Load() {
 		// Nothing to fold in: no tombstones to reclaim, no WAL records,
 		// the latest snapshot already holds this exact version, and no
 		// partitioning was built or evicted since. Skip the O(dataset)
 		// rewrite — this is every read-only run's Close.
 		return nil
 	}
-	compacted, err := s.compactLocked()
+	compacted, err := d.compactLocked()
 	if err != nil {
 		if compacted > 0 {
-			s.st.Poison(err)
+			d.st.Poison(err)
 		}
 		return err
 	}
-	snap := &store.Snapshot{Version: s.rel.Version(), Rel: s.rel, Parts: s.partStates()}
-	if err := s.st.WriteSnapshot(snap); err != nil {
+	snap := &store.Snapshot{Version: d.rel.Version(), Rel: d.rel}
+	_ = d.each(shape, func(e *partEntry) error {
+		p := e.part.Load()
+		ps := store.PartState{Attrs: p.Attrs, Tau: p.Tau, Omega: p.Omega, Workers: p.Workers, Groups: p.Groups}
+		if e.maint != nil {
+			ps.Stats = e.maint.Stats()
+		}
+		snap.Parts = append(snap.Parts, ps)
+		return nil
+	})
+	if err := d.st.WriteSnapshot(snap); err != nil {
 		if compacted > 0 {
 			// The in-memory state is compacted (rows renumbered, version
 			// bumped with no WAL record) but the durable base is not: no
 			// future mutation could be replayed correctly, so logging is
 			// poisoned until a snapshot succeeds and re-roots the base.
 			// Acknowledgements never outrun what recovery can rebuild.
-			s.st.Poison(err)
+			d.st.Poison(err)
 		}
 		return fmt.Errorf("paq: snapshot: %w", err)
 	}
-	s.mu.Lock()
-	s.partsDirty = false
-	s.mu.Unlock()
+	d.dirty.Store(false)
 	return nil
-}
-
-// partStates serializes every built partitioning (caller holds the
-// write lock, so no build or maintenance is in flight).
-func (s *Session) partStates() []store.PartState {
-	s.mu.Lock()
-	parts := make([]*lazyPart, 0, len(s.parts))
-	for _, lp := range s.parts {
-		parts = append(parts, lp)
-	}
-	s.mu.Unlock()
-	out := make([]store.PartState, 0, len(parts))
-	for _, lp := range parts {
-		if lp.part == nil {
-			continue // failed or never-run build
-		}
-		ps := store.PartState{
-			Attrs:   lp.part.Attrs,
-			Tau:     lp.part.Tau,
-			Omega:   lp.part.Omega,
-			Workers: lp.part.Workers,
-			Groups:  lp.part.Groups,
-		}
-		if lp.maint != nil {
-			ps.Stats = lp.maint.Stats()
-		}
-		out = append(out, ps)
-	}
-	return out
 }
 
 // Compact physically reclaims tombstoned rows, remapping every warm
@@ -215,59 +201,36 @@ func (s *Session) partStates() []store.PartState {
 // It returns the number of physical rows reclaimed (0 when there were
 // no tombstones — then nothing changes, not even the version).
 func (s *Session) Compact() (int, error) {
-	s.dataMu.Lock()
-	defer s.dataMu.Unlock()
-	reclaimed, err := s.compactLocked()
-	if err != nil {
-		if reclaimed > 0 && s.st != nil {
-			s.st.Poison(err)
-		}
-		return reclaimed, err
+	d := s.d
+	d.dataMu.Lock()
+	defer d.dataMu.Unlock()
+	reclaimed, err := d.compactLocked()
+	if err == nil && reclaimed > 0 && d.st != nil {
+		err = s.snapshotLocked()
 	}
-	if reclaimed > 0 && s.st != nil {
-		if err := s.snapshotLocked(); err != nil {
-			// Memory is compacted but the durable base is not (see
-			// snapshotLocked): refuse mutations until a snapshot lands.
-			s.st.Poison(err)
-			return reclaimed, err
-		}
+	if err != nil && reclaimed > 0 && d.st != nil {
+		// Memory is compacted but the durable base is not (see
+		// snapshotLocked): refuse mutations until a snapshot lands.
+		d.st.Poison(err)
 	}
-	return reclaimed, nil
+	return reclaimed, err
 }
 
-func (s *Session) compactLocked() (int, error) {
-	reclaimed := s.rel.Len() - s.rel.Live()
-	remap := s.rel.Compact()
+// compactLocked renumbers the relation and remaps every partitioning
+// over it — whatever its shape — through the renumbering.
+func (d *dataset) compactLocked() (int, error) {
+	reclaimed := d.rel.Len() - d.rel.Live()
+	remap := d.rel.Compact()
 	if remap == nil {
 		return 0, nil
 	}
-	// Remap every sibling session's partitionings, not just this one's:
-	// a clone with a different τ holds its own partitioning over the
-	// same (now renumbered) relation. Siblings with matching shapes
-	// share lazyPart pointers, so dedup by partitioning — remapping one
-	// twice would corrupt it.
-	siblings := s.sibs.list()
-	seen := make(map[*partition.Partitioning]bool)
-	var parts []*partition.Partitioning
-	for _, sib := range siblings {
-		sib.mu.Lock()
-		for _, lp := range sib.parts {
-			if lp.part != nil && !seen[lp.part] {
-				seen[lp.part] = true
-				parts = append(parts, lp.part)
-			}
-		}
-		sib.mu.Unlock()
+	if err := d.each("", func(e *partEntry) error { return e.part.Load().Remap(remap) }); err != nil {
+		return reclaimed, fmt.Errorf("paq: compact: %w", err)
 	}
-	for _, p := range parts {
-		if err := p.Remap(remap); err != nil {
-			return reclaimed, fmt.Errorf("paq: compact: %w", err)
-		}
+	if d.st != nil {
+		d.st.NoteCompaction()
 	}
-	if s.st != nil {
-		s.st.NoteCompaction()
-	}
-	s.invalidateStale() // reaches every sibling's engines
+	d.invalidateStale()
 	return reclaimed, nil
 }
 
@@ -280,21 +243,7 @@ func (s *Session) compactLocked() (int, error) {
 // final snapshot is skipped and the session's own WAL remains the
 // durable record — recovery replays it and rebuilds the tombstones in
 // place. Nothing acknowledged is lost either way.
-func (s *Session) ClosePreservingLayout() error {
-	s.dataMu.Lock()
-	defer s.dataMu.Unlock()
-	if s.st == nil || s.st.IsClosed() {
-		return nil
-	}
-	var err error
-	if s.rel.Len() == s.rel.Live() {
-		err = s.snapshotLocked()
-	}
-	if cerr := s.st.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (s *Session) ClosePreservingLayout() error { return s.close(false) }
 
 // Close flushes and closes a durable session: a final snapshot folds
 // every acknowledged mutation into the on-disk image, then the store
@@ -303,14 +252,22 @@ func (s *Session) ClosePreservingLayout() error {
 // this session or any clone fail with a "closed WAL" error — never
 // silently un-persisted. Close is idempotent; on an in-memory session
 // it is a no-op.
-func (s *Session) Close() error {
-	s.dataMu.Lock()
-	defer s.dataMu.Unlock()
-	if s.st == nil || s.st.IsClosed() {
+func (s *Session) Close() error { return s.close(true) }
+
+// close is Close; with renumber unset the final snapshot is taken only
+// if it would not compact.
+func (s *Session) close(renumber bool) error {
+	d := s.d
+	d.dataMu.Lock()
+	defer d.dataMu.Unlock()
+	if d.st == nil || d.st.IsClosed() {
 		return nil
 	}
-	err := s.snapshotLocked()
-	if cerr := s.st.Close(); err == nil {
+	var err error
+	if renumber || d.rel.Len() == d.rel.Live() {
+		err = s.snapshotLocked()
+	}
+	if cerr := d.st.Close(); err == nil {
 		err = cerr
 	}
 	return err

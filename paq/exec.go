@@ -125,7 +125,7 @@ func WithRows(rows []int) ExecOption {
 	return ExecOption{apply: func(c *execCfg) { c.rows = rows }}
 }
 
-// WithExecSeed overrides the session's SketchRefine refinement-order
+// WithExecSeed replaces the session's SketchRefine refinement-order
 // seed for this execution only. Reseeded executions bypass the
 // solution cache (their answer depends on the order) and evaluate that
 // single order deterministically (WithRacers does not apply). On a
@@ -235,8 +235,8 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 	if bespoke {
 		res = st.executeBespoke(sctx, ec, spec, pin, hook)
 	} else {
-		eng := st.sess.engineFor(st.method, pin.part)
-		res = eng.EvaluateCall(sctx, spec, engine.Call{Part: pin.view, OnIncumbent: hook})
+		res = st.sess.engineFor(st.method).EvaluateCall(sctx, spec,
+			engine.Call{Part: pin.view, KeyPrefix: pin.partKey, OnIncumbent: hook})
 	}
 	solveSp.SetAttrBool("cached", res.Cached)
 	solveSp.Finish()

@@ -3,7 +3,6 @@ package paq
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -19,9 +18,9 @@ type MaintStats = partition.MaintStats
 // cache entries are keyed to the version they were computed at, so two
 // equal versions bracket identical data.
 func (s *Session) Version() uint64 {
-	s.dataMu.RLock()
-	defer s.dataMu.RUnlock()
-	return s.rel.Version()
+	s.d.dataMu.RLock()
+	defer s.d.dataMu.RUnlock()
+	return s.d.rel.Version()
 }
 
 // InsertRows appends rows to the dataset and routes them into every
@@ -50,7 +49,7 @@ func (s *Session) Version() uint64 {
 // may even be called from a WithIncumbent callback), while mutations
 // take the narrow write lock only for the apply itself.
 func (s *Session) InsertRows(rows [][]relation.Value) ([]int, uint64, error) {
-	return s.mutate(&store.Record{Kind: store.KindInsert, Rows: rows})
+	return s.d.mutate(&store.Record{Kind: store.KindInsert, Rows: rows})
 }
 
 // mutate is the one write path: under the dataset write lock the record
@@ -59,12 +58,12 @@ func (s *Session) InsertRows(rows [][]relation.Value) ([]int, uint64, error) {
 // released. The record's slices are the caller's — no row is copied —
 // and its PreVersion is filled in here, under the lock. It returns the
 // row indices an insert assigned and the dataset version reached.
-func (s *Session) mutate(rec *store.Record) ([]int, uint64, error) {
-	s.dataMu.Lock()
-	rec.PreVersion = s.rel.Version()
-	ids, commit, err := s.absorbLocked(rec, s.st != nil)
-	v := s.rel.Version()
-	s.dataMu.Unlock()
+func (d *dataset) mutate(rec *store.Record) ([]int, uint64, error) {
+	d.dataMu.Lock()
+	rec.PreVersion = d.rel.Version()
+	ids, commit, err := d.absorbLocked(rec, d.st != nil)
+	v := d.rel.Version()
+	d.dataMu.Unlock()
 	if err != nil {
 		return nil, v, err
 	}
@@ -88,8 +87,8 @@ func commitFailed(err error) error {
 // record is staged to the WAL between the two (write-ahead) and the
 // commit func returned; an empty batch is a no-op that stages nothing.
 // Caller holds the write lock.
-func (s *Session) absorbLocked(rec *store.Record, logged bool) (ids []int, commit func() error, err error) {
-	validate, apply, err := s.halves(rec)
+func (d *dataset) absorbLocked(rec *store.Record, logged bool) (ids []int, commit func() error, err error) {
+	validate, apply, err := d.halves(rec)
 	if err == nil {
 		err = validate()
 	}
@@ -97,7 +96,7 @@ func (s *Session) absorbLocked(rec *store.Record, logged bool) (ids []int, commi
 		return nil, nil, err
 	}
 	if logged {
-		if commit, err = s.st.Stage(s.rel.Schema(), rec); err != nil {
+		if commit, err = d.st.Stage(d.rel.Schema(), rec); err != nil {
 			return nil, nil, fmt.Errorf("paq: write-ahead log: %w", err)
 		}
 	}
@@ -105,31 +104,31 @@ func (s *Session) absorbLocked(rec *store.Record, logged bool) (ids []int, commi
 		// Validation makes this unreachable; if it happens anyway the WAL
 		// holds a record memory never absorbed, so no later record could
 		// replay — poison until a snapshot re-roots the base.
-		s.st.Poison(err)
+		d.st.Poison(err)
 	}
 	return ids, commit, err
 }
 
 // halves returns the validate and apply steps for the record's kind —
 // the one place the SDK interprets a store.Kind.
-func (s *Session) halves(rec *store.Record) (validate func() error, apply func() ([]int, error), err error) {
+func (d *dataset) halves(rec *store.Record) (validate func() error, apply func() ([]int, error), err error) {
 	switch rec.Kind {
 	case store.KindInsert:
-		return func() error { return s.validateInsert(rec.Rows) },
-			func() ([]int, error) { return s.applyInsert(rec.Rows) }, nil
+		return func() error { return d.validateInsert(rec.Rows) },
+			func() ([]int, error) { return d.applyInsert(rec.Rows) }, nil
 	case store.KindDelete:
-		return func() error { return s.validateDelete(rec.Indices) },
-			func() ([]int, error) { return nil, s.applyDelete(rec.Indices) }, nil
+		return func() error { return d.validateDelete(rec.Indices) },
+			func() ([]int, error) { return nil, d.applyDelete(rec.Indices) }, nil
 	case store.KindUpdate:
-		return func() error { return s.validateUpdate(rec.Indices, rec.Rows) },
-			func() ([]int, error) { return nil, s.applyUpdate(rec.Indices, rec.Rows) }, nil
+		return func() error { return d.validateUpdate(rec.Indices, rec.Rows) },
+			func() ([]int, error) { return nil, d.applyUpdate(rec.Indices, rec.Rows) }, nil
 	}
 	return nil, nil, fmt.Errorf("paq: unknown mutation kind %d", rec.Kind)
 }
 
-func (s *Session) validateInsert(rows [][]relation.Value) error {
+func (d *dataset) validateInsert(rows [][]relation.Value) error {
 	for i, vals := range rows {
-		if err := s.rel.CheckRow(vals); err != nil {
+		if err := d.rel.CheckRow(vals); err != nil {
 			return fmt.Errorf("paq: insert row %d: %w", i, err)
 		}
 	}
@@ -138,22 +137,16 @@ func (s *Session) validateInsert(rows [][]relation.Value) error {
 
 // applyInsert is the post-validation, post-logging half of InsertRows
 // (shared with WAL replay). Caller holds the write lock.
-func (s *Session) applyInsert(rows [][]relation.Value) ([]int, error) {
+func (d *dataset) applyInsert(rows [][]relation.Value) ([]int, error) {
 	ids := make([]int, len(rows))
 	for i, vals := range rows {
-		ids[i] = s.rel.Len()
-		if err := s.rel.Append(vals...); err != nil {
+		ids[i] = d.rel.Len()
+		if err := d.rel.Append(vals...); err != nil {
 			// Unreachable: every row was validated before.
 			return nil, fmt.Errorf("paq: insert row %d: %w", i, err)
 		}
 	}
-	if err := s.eachMaintainer(func(m *partition.Maintainer) error {
-		return m.Insert(ids...)
-	}); err != nil {
-		return nil, err
-	}
-	s.invalidateStale()
-	return ids, nil
+	return ids, d.propagate(func(m *partition.Maintainer) error { return m.Insert(ids...) })
 }
 
 // DeleteRows removes the given rows (by row index, as reported in
@@ -167,17 +160,17 @@ func (s *Session) applyInsert(rows [][]relation.Value) ([]int, error) {
 // ErrIndeterminate (the delete is applied in memory; see InsertRows).
 // It returns the new dataset version.
 func (s *Session) DeleteRows(rows []int) (uint64, error) {
-	_, v, err := s.mutate(&store.Record{Kind: store.KindDelete, Indices: rows})
+	_, v, err := s.d.mutate(&store.Record{Kind: store.KindDelete, Indices: rows})
 	return v, err
 }
 
-func (s *Session) validateDelete(rows []int) error {
+func (d *dataset) validateDelete(rows []int) error {
 	seen := make(map[int]bool, len(rows))
 	for _, row := range rows {
-		if row < 0 || row >= s.rel.Len() {
-			return fmt.Errorf("paq: delete of row %d out of range [0, %d)", row, s.rel.Len())
+		if row < 0 || row >= d.rel.Len() {
+			return fmt.Errorf("paq: delete of row %d out of range [0, %d)", row, d.rel.Len())
 		}
-		if s.rel.Deleted(row) {
+		if d.rel.Deleted(row) {
 			return fmt.Errorf("paq: row %d is already deleted", row)
 		}
 		if seen[row] {
@@ -190,19 +183,13 @@ func (s *Session) validateDelete(rows []int) error {
 
 // applyDelete is the post-validation, post-logging half of DeleteRows
 // (shared with WAL replay). Caller holds the write lock.
-func (s *Session) applyDelete(rows []int) error {
+func (d *dataset) applyDelete(rows []int) error {
 	for _, row := range rows {
-		if err := s.rel.Delete(row); err != nil {
+		if err := d.rel.Delete(row); err != nil {
 			return err // unreachable: validated before
 		}
 	}
-	if err := s.eachMaintainer(func(m *partition.Maintainer) error {
-		return m.Delete(rows...)
-	}); err != nil {
-		return err
-	}
-	s.invalidateStale()
-	return nil
+	return d.propagate(func(m *partition.Maintainer) error { return m.Delete(rows...) })
 }
 
 // UpdateRows overwrites the given live rows in place (vals[i] replaces
@@ -213,24 +200,24 @@ func (s *Session) applyDelete(rows []int) error {
 // failure is tagged ErrIndeterminate (the update is applied in memory;
 // see InsertRows). It returns the new dataset version.
 func (s *Session) UpdateRows(rows []int, vals [][]relation.Value) (uint64, error) {
-	_, v, err := s.mutate(&store.Record{Kind: store.KindUpdate, Indices: rows, Rows: vals})
+	_, v, err := s.d.mutate(&store.Record{Kind: store.KindUpdate, Indices: rows, Rows: vals})
 	return v, err
 }
 
-func (s *Session) validateUpdate(rows []int, vals [][]relation.Value) error {
+func (d *dataset) validateUpdate(rows []int, vals [][]relation.Value) error {
 	if len(rows) != len(vals) {
 		return fmt.Errorf("paq: update of %d rows with %d value tuples", len(rows), len(vals))
 	}
 	seen := make(map[int]bool, len(rows))
 	for i, row := range rows {
-		if row < 0 || row >= s.rel.Len() || s.rel.Deleted(row) {
+		if row < 0 || row >= d.rel.Len() || d.rel.Deleted(row) {
 			return fmt.Errorf("paq: update of invalid row %d", row)
 		}
 		if seen[row] {
 			return fmt.Errorf("paq: row %d updated twice in one batch", row)
 		}
 		seen[row] = true
-		if err := s.rel.CheckRow(vals[i]); err != nil {
+		if err := d.rel.CheckRow(vals[i]); err != nil {
 			return fmt.Errorf("paq: update row %d: %w", row, err)
 		}
 	}
@@ -239,75 +226,15 @@ func (s *Session) validateUpdate(rows []int, vals [][]relation.Value) error {
 
 // applyUpdate is the post-validation, post-logging half of UpdateRows
 // (shared with WAL replay). Caller holds the write lock.
-func (s *Session) applyUpdate(rows []int, vals [][]relation.Value) error {
+func (d *dataset) applyUpdate(rows []int, vals [][]relation.Value) error {
 	for i, row := range rows {
 		for c, v := range vals[i] {
-			if err := s.rel.Set(row, c, v); err != nil {
+			if err := d.rel.Set(row, c, v); err != nil {
 				return err // unreachable: validated before
 			}
 		}
 	}
-	if err := s.eachMaintainer(func(m *partition.Maintainer) error {
-		return m.Update(rows...)
-	}); err != nil {
-		return err
-	}
-	s.invalidateStale()
-	return nil
-}
-
-// eachMaintainer applies one maintenance step to every built
-// partitioning of every sibling session (clones with a different τ
-// hold their own partitionings over the same relation — leaving those
-// unmaintained would let them keep naming deleted rows), creating
-// maintainers on first need. Siblings with matching shapes share
-// lazyPart pointers, so the step is deduplicated by lazyPart. Caller
-// holds the write lock, so no partitioning build is in flight.
-func (s *Session) eachMaintainer(fn func(*partition.Maintainer) error) error {
-	seen := make(map[*lazyPart]bool)
-	var parts []*lazyPart
-	for _, sib := range s.sibs.list() {
-		sib.mu.Lock()
-		for _, lp := range sib.parts {
-			if !seen[lp] {
-				seen[lp] = true
-				parts = append(parts, lp)
-			}
-		}
-		sib.mu.Unlock()
-	}
-	for _, lp := range parts {
-		if lp.part == nil {
-			continue // failed (or never-run) build; it will rebuild lazily
-		}
-		if lp.maint == nil {
-			lp.maint = partition.NewMaintainer(lp.part, partition.MaintOptions{})
-		}
-		if err := fn(lp.maint); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// invalidateStale reclaims solution-cache entries solved against older
-// dataset versions from every engine every sibling session has
-// instantiated (the relation — and so the staleness — is shared).
-func (s *Session) invalidateStale() {
-	var engines []*engine.Engine
-	for _, sib := range s.sibs.list() {
-		sib.mu.Lock()
-		for _, e := range sib.engines {
-			engines = append(engines, e)
-		}
-		for _, e := range sib.overrides {
-			engines = append(engines, e)
-		}
-		sib.mu.Unlock()
-	}
-	for _, e := range engines {
-		e.InvalidateRel(s.rel)
-	}
+	return d.propagate(func(m *partition.Maintainer) error { return m.Update(rows...) })
 }
 
 // View runs fn with the session's relation under the dataset read
@@ -316,9 +243,22 @@ func (s *Session) invalidateStale() {
 // tuples after a solve. fn must not mutate the dataset or call
 // Execute/Prepare/mutation methods (the lock is not reentrant).
 func (s *Session) View(fn func(rel *relation.Relation)) {
-	s.dataMu.RLock()
-	defer s.dataMu.RUnlock()
-	fn(s.rel)
+	s.d.dataMu.RLock()
+	defer s.d.dataMu.RUnlock()
+	fn(s.d.rel)
+}
+
+// readMaintainers runs fn on the maintainer of every partitioning of the
+// session's shape that a mutation has touched, under the read lock.
+func (s *Session) readMaintainers(fn func(*partition.Maintainer)) {
+	s.d.dataMu.RLock()
+	defer s.d.dataMu.RUnlock()
+	_ = s.d.each(s.shape, func(e *partEntry) error {
+		if e.maint != nil {
+			fn(e.maint)
+		}
+		return nil
+	})
 }
 
 // MaintStats sums the partition-maintenance counters across every warm
@@ -326,20 +266,9 @@ func (s *Session) View(fn func(rel *relation.Relation)) {
 // built partitioning). Rebuilds staying at zero is the contract that
 // ingestion never repartitions on the hot path.
 func (s *Session) MaintStats() MaintStats {
-	s.dataMu.RLock()
-	defer s.dataMu.RUnlock()
-	s.mu.Lock()
-	parts := make([]*lazyPart, 0, len(s.parts))
-	for _, lp := range s.parts {
-		parts = append(parts, lp)
-	}
-	s.mu.Unlock()
 	var agg MaintStats
-	for _, lp := range parts {
-		if lp.maint == nil {
-			continue
-		}
-		st := lp.maint.Stats()
+	s.readMaintainers(func(m *partition.Maintainer) {
+		st := m.Stats()
 		agg.Inserts += st.Inserts
 		agg.Deletes += st.Deletes
 		agg.Updates += st.Updates
@@ -347,7 +276,7 @@ func (s *Session) MaintStats() MaintStats {
 		agg.Merges += st.Merges
 		agg.Heals += st.Heals
 		agg.Rebuilds += st.Rebuilds
-	}
+	})
 	return agg
 }
 
@@ -356,22 +285,9 @@ func (s *Session) MaintStats() MaintStats {
 // has drifted; see partition.Maintainer.QualityBound). maximize selects
 // the sense of the queries being bounded.
 func (s *Session) QualityBound(maximize bool) float64 {
-	s.dataMu.RLock()
-	defer s.dataMu.RUnlock()
-	s.mu.Lock()
-	parts := make([]*lazyPart, 0, len(s.parts))
-	for _, lp := range s.parts {
-		parts = append(parts, lp)
-	}
-	s.mu.Unlock()
 	bound := 1.0
-	for _, lp := range parts {
-		if lp.maint == nil {
-			continue
-		}
-		if b := lp.maint.QualityBound(maximize); b > bound {
-			bound = b
-		}
-	}
+	s.readMaintainers(func(m *partition.Maintainer) {
+		bound = max(bound, m.QualityBound(maximize))
+	})
 	return bound
 }

@@ -2,6 +2,7 @@ package paq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -60,117 +61,58 @@ func (s tableSource) load() (*relation.Relation, error) {
 // Table sources the input relation from an in-memory table.
 func Table(rel *relation.Relation) Source { return tableSource{rel: rel} }
 
-// Session is an open package-query session over one input relation. It
-// lazily builds and caches offline partitionings (one per distinct
-// attribute set) and keeps one solution-caching engine per evaluation
-// strategy, all shared by every statement prepared on it. A Session is
-// safe for concurrent use.
+// Session is an open package-query session over one input relation. The
+// relation, its lock, its durability store and its offline
+// partitionings belong to the dataset the session shares with every
+// Clone; the session itself holds only what differs between clones —
+// configuration, the advisor, one solution-caching engine per
+// evaluation strategy, and counters. A Session is safe for concurrent
+// use.
 type Session struct {
-	rel *relation.Relation
+	d   *dataset
 	cfg config
-
-	// dataMu serializes dataset mutations (InsertRows, DeleteRows,
-	// UpdateRows — write side) against snapshot pinning and planning
-	// (Prepare, and the brief pin at the start of Execute — read side).
-	// It is shared by every Clone of the session, since clones share the
-	// relation and its partitionings. Solves do NOT run under it: they
-	// pin an immutable relation snapshot (plus a partitioning view) and
-	// evaluate lock-free, so a mutation stream never stalls behind an
-	// in-flight solve and vice versa.
-	dataMu *sync.RWMutex
-
-	// pin caches the current-version relation snapshot, shared by every
-	// Clone (one snapshot per relation version serves all siblings).
-	pin *pinCache
-
-	mu        sync.Mutex
-	parts     map[string]*lazyPart
-	engines   map[string]*engine.Engine
-	overrides map[Method]*engine.Engine
+	// shape renders the partitioning shape this session plans over (τ as
+	// fraction and absolute, ω), the first half of its registry keys:
+	// sessions with equal shapes resolve to — and share — the same entries.
+	shape string
 
 	// adv is the session's adaptive planner + partitioning advisor (nil
-	// with WithoutAdvisor). partBuilds counts the offline partitioning
-	// builds this session paid; advShared counts queries served by an
-	// overlapping warm superset instead of a build; advPrewarmed and
-	// advEvicted count AdvisorMaintain's actions; partsDirty marks warm
-	// sets built or evicted since the last snapshot (so a restart keeps
-	// them). All five counters are guarded by mu.
-	adv          *advisor.Advisor
+	// with WithoutAdvisor).
+	adv *advisor.Advisor
+
+	// mu guards the engine slots and the counters: partBuilds counts the
+	// offline partitioning builds this session paid; advShared queries
+	// served by an overlapping warm superset instead of a build;
+	// advPrewarmed and advEvicted AdvisorMaintain's actions.
+	mu           sync.Mutex
+	engines      map[Method]*engine.Engine
 	partBuilds   uint64
 	advShared    uint64
 	advPrewarmed uint64
 	advEvicted   uint64
-	partsDirty   bool
 
 	incumbents atomic.Uint64
-
-	// st is the durability store (nil for a purely in-memory session).
-	// It is shared by every Clone, like the relation it persists; all
-	// store operations run under the dataMu write lock except DurStats
-	// reads (read lock). warmParts is a durability counter (see
-	// DurStats).
-	st        *store.Store
-	warmParts int
-
-	// sibs registers every session sharing this relation (the original
-	// and all its Clones). Compaction renumbers the shared relation, so
-	// it must remap the partitionings of every sibling — a clone with a
-	// different τ holds its own — not just the compacting session's.
-	sibs *siblings
 }
 
-// siblings is the shared registry of sessions over one relation.
-// Sessions are only ever added (they have no end-of-life separate from
-// the relation's).
-type siblings struct {
-	mu  sync.Mutex
-	all []*Session
-}
-
-func (sb *siblings) add(s *Session) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	sb.all = append(sb.all, s)
-}
-
-func (sb *siblings) list() []*Session {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return append([]*Session(nil), sb.all...)
-}
-
-// pinCache caches one immutable relation snapshot per version so that
-// pinning a solve at steady state (no mutation since the last pin) is
-// a single atomic load — no allocation, no copying. It is shared by
-// every Clone of a session, exactly like the relation it snapshots.
-type pinCache struct {
-	// mu serializes snapshot creation (Relation.Snapshot writes the
-	// head's copy-on-write flags, so concurrent read-locked pinners must
-	// not race it).
-	mu   sync.Mutex
-	snap atomic.Pointer[relation.Relation]
-
-	// pins counts executions pinned; waitNanos and maxWait record the
-	// time spent acquiring the dataset read lock while pinning — the
-	// only instant a solve can wait on the mutation lock, so a bounded
-	// maxWait is the observable proof that ingest never blocks solves
-	// for longer than one in-flight batch apply.
-	pins      atomic.Uint64
-	waitNanos atomic.Int64
-	maxWait   atomic.Int64
-}
-
-// observeWait records one pin's lock-acquisition wait.
-func (pc *pinCache) observeWait(wait time.Duration) {
-	pc.pins.Add(1)
-	w := int64(wait)
-	pc.waitNanos.Add(w)
-	for {
-		cur := pc.maxWait.Load()
-		if w <= cur || pc.maxWait.CompareAndSwap(cur, w) {
-			return
-		}
+// newSession is the one constructor behind Open and Clone.
+func newSession(d *dataset, cfg config) *Session {
+	s := &Session{
+		d:       d,
+		cfg:     cfg,
+		shape:   fmt.Sprintf("τ=%g/%d ω=%g|", cfg.tauFrac, cfg.tauAbs, cfg.radius),
+		engines: make(map[Method]*engine.Engine),
 	}
+	if !cfg.noAdvisor {
+		// A clone learns afresh: its options may change solver budgets or
+		// τ, which would invalidate the original's timing evidence.
+		s.adv = advisor.New(advisor.Config{})
+	}
+	s.setEngine(MethodNaive, engine.Naive{Opt: naive.Options{Timeout: cfg.timeLimit}}, cfg.noCache)
+	s.setEngine(MethodDirect, engine.Direct{Opt: cfg.solverOptions()}, cfg.noCache)
+	// The partitioning arrives per call (the pinned view, with its entry's
+	// cacheKey as the cache-key prefix), so one engine serves every set.
+	s.setEngine(MethodSketchRefine, engine.SketchRefine{Opt: s.sketchOptions(), Racers: cfg.racers}, cfg.noCache)
+	return s
 }
 
 // PinStats reports how executions interacted with the mutation lock
@@ -188,69 +130,12 @@ type PinStats struct {
 
 // PinStats snapshots the session's pin-wait counters.
 func (s *Session) PinStats() PinStats {
+	pc := &s.d.pin
 	return PinStats{
-		Pins:      s.pin.pins.Load(),
-		WaitTotal: time.Duration(s.pin.waitNanos.Load()),
-		WaitMax:   time.Duration(s.pin.maxWait.Load()),
+		Pins:      pc.pins.Load(),
+		WaitTotal: time.Duration(pc.waitNanos.Load()),
+		WaitMax:   time.Duration(pc.maxWait.Load()),
 	}
-}
-
-// at returns the cached snapshot of rel at its current version,
-// refreshing the cache if a mutation has moved the version since the
-// last pin. The caller must hold the dataset read lock (so the version
-// cannot move underneath the check).
-func (pc *pinCache) at(rel *relation.Relation) *relation.Relation {
-	if snap := pc.snap.Load(); snap != nil && snap.Version() == rel.Version() {
-		return snap
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if snap := pc.snap.Load(); snap != nil && snap.Version() == rel.Version() {
-		return snap
-	}
-	snap := rel.Snapshot()
-	pc.snap.Store(snap)
-	return snap
-}
-
-// lazyPart builds one partitioning at most once, racing callers
-// blocking on the same build. Once built, maint maintains it
-// incrementally under dataset mutations (created on the first
-// mutation; only ever touched under the session's write lock).
-type lazyPart struct {
-	once  sync.Once
-	part  *partition.Partitioning
-	err   error
-	maint *partition.Maintainer
-	// built flips to true when part is usable (successful build or
-	// warm-start from a snapshot). It lets the advisor's warm-set lookup
-	// check availability without risking a blocking build under a lock:
-	// atomic Load after the builder's Store gives the happens-before
-	// needed to read part lock-free.
-	built atomic.Bool
-	// view caches the frozen partitioning view bound to the current
-	// pinned relation snapshot. Snapshot pointers are one-per-version
-	// (see pinCache), so pointer equality on view.Rel is exactly "view
-	// is current". viewMu serializes rebuilds after a mutation.
-	viewMu sync.Mutex
-	view   atomic.Pointer[partition.Partitioning]
-}
-
-// viewAt returns (building at most once per version) the frozen view of
-// lp.part bound to the pinned snapshot snap. The caller must hold the
-// dataset read lock and have pinned snap under that same lock.
-func (lp *lazyPart) viewAt(snap *relation.Relation) *partition.Partitioning {
-	if v := lp.view.Load(); v != nil && v.Rel == snap {
-		return v
-	}
-	lp.viewMu.Lock()
-	defer lp.viewMu.Unlock()
-	if v := lp.view.Load(); v != nil && v.Rel == snap {
-		return v
-	}
-	v := lp.part.View(snap)
-	lp.view.Store(v)
-	return v
 }
 
 // Open loads and validates the input relation and returns a session
@@ -271,92 +156,69 @@ func Open(src Source, opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	var st *store.Store
+	d := &dataset{parts: make(map[setKey]*partEntry)}
 	var boot *store.Snapshot
+	var err error
+	opened := false
 	if cfg.durDir != "" {
-		var err error
-		st, err = store.Open(cfg.durDir)
-		if err != nil {
+		if d.st, err = store.Open(cfg.durDir); err != nil {
 			return nil, err
 		}
-		boot = st.BootSnapshot()
+		// The one close-on-error: whichever step below fails, the store's
+		// file handles are released and the directory can be opened again.
+		defer func() {
+			if !opened {
+				d.st.Close()
+			}
+		}()
+		boot = d.st.BootSnapshot()
 	}
-	var rel *relation.Relation
-	if boot != nil {
-		rel = boot.Rel
-		if rel.Len() == 0 {
+	switch {
+	case boot != nil:
+		if d.rel = boot.Rel; d.rel.Len() == 0 {
 			// Mirror the empty-source rejection below: a store whose last
 			// snapshot holds zero rows (every row deleted, then closed)
 			// reopens to a session no query could run against.
-			st.Close()
-			return nil, fmt.Errorf("paq: durable state in %s holds an empty relation %q", cfg.durDir, rel.Name())
+			return nil, fmt.Errorf("paq: durable state in %s holds an empty relation %q", cfg.durDir, d.rel.Name())
 		}
-	} else {
-		if src == nil {
-			if st != nil {
-				st.Close()
-				return nil, fmt.Errorf("paq: nil source and no durable state in %s", cfg.durDir)
-			}
-			return nil, fmt.Errorf("paq: nil source")
-		}
-		var err error
-		rel, err = src.load()
-		if err != nil {
-			if st != nil {
-				st.Close()
-			}
+	case src == nil && d.st != nil:
+		return nil, fmt.Errorf("paq: nil source and no durable state in %s", cfg.durDir)
+	case src == nil:
+		return nil, fmt.Errorf("paq: nil source")
+	default:
+		if d.rel, err = src.load(); err != nil {
 			return nil, err
 		}
-		if rel.Len() == 0 {
-			if st != nil {
-				st.Close()
-			}
-			return nil, fmt.Errorf("paq: input relation %q is empty", rel.Name())
+		if d.rel.Len() == 0 {
+			return nil, fmt.Errorf("paq: input relation %q is empty", d.rel.Name())
 		}
 	}
-	s := &Session{
-		rel:     rel,
-		cfg:     cfg,
-		dataMu:  &sync.RWMutex{},
-		pin:     &pinCache{},
-		parts:   make(map[string]*lazyPart),
-		engines: make(map[string]*engine.Engine),
-		st:      st,
-		sibs:    &siblings{},
-	}
-	if !cfg.noAdvisor {
-		s.adv = advisor.New(advisor.Config{})
-	}
-	s.sibs.add(s)
+	s := newSession(d, cfg)
 	if boot != nil {
-		if err := s.recover(boot); err != nil {
-			st.Close()
+		if err := d.recover(boot, s.shape); err != nil {
 			return nil, err
 		}
 	}
-	if s.adv != nil && st != nil {
+	if s.adv != nil && d.st != nil {
 		// Reload the advisor's persisted evidence; a missing or corrupt
 		// sidecar just starts the advisor cold — never a recovery failure.
-		if payload, err := st.LoadAdvisorState(); err == nil && payload != nil {
+		if payload, err := d.st.LoadAdvisorState(); err == nil && payload != nil {
 			_ = s.adv.RestoreState(payload)
 		}
 	}
 	if cfg.warm {
-		if _, err := s.sessionPartitioning(); err != nil {
-			if st != nil {
-				st.Close()
-			}
+		if _, err := s.Partitioning(); err != nil {
 			return nil, err
 		}
 	}
-	if st != nil && boot == nil {
+	if d.st != nil && boot == nil {
 		// Fresh durable session: persist the baseline (data + any warm
 		// partitioning) so the WAL has a snapshot to replay against.
 		if err := s.Snapshot(); err != nil {
-			st.Close()
 			return nil, err
 		}
 	}
+	opened = true
 	return s, nil
 }
 
@@ -364,14 +226,15 @@ func Open(src Source, opts ...Option) (*Session, error) {
 // mutate the dataset through InsertRows, DeleteRows, and UpdateRows,
 // which keep the partitionings maintained and the solution caches
 // coherent. Mutating the relation directly bypasses both.
-func (s *Session) Rel() *relation.Relation { return s.rel }
+func (s *Session) Rel() *relation.Relation { return s.d.rel }
 
-// Clone returns a new session over the same relation with fresh engines
-// and solution caches, applying any additional options on top of the
-// original configuration. Already-built partitionings are shared —
-// they are immutable and expensive — unless an option changes the
-// partitioning shape (τ or the radius limit), in which case they are
-// dropped and rebuilt lazily.
+// Clone returns a new session over the same dataset — relation, lock,
+// store and partitioning registry — with fresh engines, solution caches
+// and advisor, applying any additional options on top of the original
+// configuration. Partitionings are shared in both directions, whenever
+// built, as long as the clone keeps the partitioning shape; an option
+// that changes it (τ or the radius limit) makes the clone resolve to its
+// own registry entries, built lazily and maintained alongside.
 func (s *Session) Clone(opts ...Option) (*Session, error) {
 	cfg := s.cfg
 	for _, o := range opts {
@@ -379,31 +242,9 @@ func (s *Session) Clone(opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	c := &Session{
-		rel:     s.rel,
-		cfg:     cfg,
-		dataMu:  s.dataMu, // clones share the relation, so they share its lock
-		pin:     s.pin,    // ...and its snapshot cache (one snapshot per version)
-		parts:   make(map[string]*lazyPart),
-		engines: make(map[string]*engine.Engine),
-		st:      s.st,   // ...and its durability store (one WAL per relation)
-		sibs:    s.sibs, // ...and the sibling registry compaction remaps through
-	}
-	if !cfg.noAdvisor {
-		// A clone learns afresh: its options may change solver budgets or
-		// τ, which would invalidate the original's timing evidence.
-		c.adv = advisor.New(advisor.Config{})
-	}
-	s.sibs.add(c)
-	if cfg.tauFrac == s.cfg.tauFrac && cfg.tauAbs == s.cfg.tauAbs && cfg.radius == s.cfg.radius {
-		s.mu.Lock()
-		for k, p := range s.parts {
-			c.parts[k] = p
-		}
-		s.mu.Unlock()
-	}
+	c := newSession(s.d, cfg)
 	if cfg.warm {
-		if _, err := c.sessionPartitioning(); err != nil {
+		if _, err := c.Partitioning(); err != nil {
 			return nil, err
 		}
 	}
@@ -416,13 +257,14 @@ func (s *Session) tau() int {
 	if s.cfg.tauAbs > 0 {
 		return s.cfg.tauAbs
 	}
-	return int(float64(s.rel.Live())*s.cfg.tauFrac) + 1
+	return int(float64(s.d.rel.Live())*s.cfg.tauFrac) + 1
 }
 
 // partitionAttrsFor resolves the partitioning attributes for a query:
 // the explicitly configured set, else the query's own attributes
 // (coverage 1, the paper's recommended setting), else every numeric
-// column.
+// column — the session-wide set, a superset of any query's attributes,
+// which is what a long-lived service wants warm.
 func (s *Session) partitionAttrsFor(queryAttrs []string) []string {
 	if len(s.cfg.partAttrs) > 0 {
 		return s.cfg.partAttrs
@@ -430,21 +272,18 @@ func (s *Session) partitionAttrsFor(queryAttrs []string) []string {
 	if len(queryAttrs) > 0 {
 		return queryAttrs
 	}
-	return s.numericColumns()
-}
-
-func (s *Session) numericColumns() []string {
 	var attrs []string
-	for i := 0; i < s.rel.Schema().Len(); i++ {
-		col := s.rel.Schema().Col(i)
-		if col.Type.Numeric() {
+	schema := s.d.rel.Schema()
+	for i := 0; i < schema.Len(); i++ {
+		if col := schema.Col(i); col.Type.Numeric() {
 			attrs = append(attrs, col.Name)
 		}
 	}
 	return attrs
 }
 
-// partKey canonicalizes an attribute set for the partitioning cache.
+// partKey canonicalizes an attribute set: the advisor's name for it, and
+// (with the session's shape) its registry key.
 func partKey(attrs []string) string {
 	lower := make([]string, len(attrs))
 	for i, a := range attrs {
@@ -454,108 +293,93 @@ func partKey(attrs []string) string {
 	return strings.Join(lower, ",")
 }
 
-// partitioningFor returns (building at most once) the partitioning over
-// the given attributes.
-func (s *Session) partitioningFor(attrs []string) (*partition.Partitioning, error) {
+// regKey is the registry key of attrs under this session's shape.
+func (s *Session) regKey(attrs []string) setKey { return setKey{s.shape, partKey(attrs)} }
+
+// resolve is the one function that maps an attribute set to a
+// partitioning. In order: the registry entry under key (the caller's
+// s.regKey(attrs), precomputed on the pin path so steady-state pinning
+// allocates nothing) when it is built; else the smallest built superset
+// this session's advisor prewarmed — a quad-tree over a superset of the
+// query's attributes partitions at least as finely on them, so
+// SketchRefine's radius reasoning still holds — reported as shared; else,
+// with build set, the entry is built, racing callers blocking on the one
+// build; without it the miss is (nil, false, nil). Execute re-resolves
+// the set its plan captured through here too, so an entry the advisor
+// evicted meanwhile is rebuilt rather than refined over stale row
+// indices. The caller holds the dataset read lock.
+func (s *Session) resolve(key setKey, attrs []string, build bool) (e *partEntry, shared bool, err error) {
 	if len(attrs) == 0 {
-		return nil, fmt.Errorf("paq: no numeric attributes to partition on")
+		return nil, false, fmt.Errorf("paq: no numeric attributes to partition on")
 	}
-	key := partKey(attrs)
-	s.mu.Lock()
-	lp, ok := s.parts[key]
-	if !ok {
-		lp = &lazyPart{}
-		s.parts[key] = lp
+	d := s.d
+	if e = d.entry(key, false); e != nil && e.part.Load() != nil {
+		return e, false, nil
 	}
-	s.mu.Unlock()
-	lp.once.Do(func() {
-		lp.part, lp.err = partition.Build(s.rel, partition.Options{
-			Attrs:         attrs,
-			SizeThreshold: s.tau(),
-			RadiusLimit:   s.cfg.radius,
-			Workers:       s.cfg.workers,
-		})
-		if lp.err == nil {
-			lp.built.Store(true)
-			s.mu.Lock()
-			s.partBuilds++
-			s.partsDirty = true
-			s.mu.Unlock()
-		}
+	if sup := s.prewarmedSuperset(attrs); sup != nil || !build {
+		return sup, sup != nil, nil
+	}
+	e = d.entry(key, true)
+	e.building.Lock()
+	defer e.building.Unlock()
+	if e.part.Load() != nil {
+		return e, false, nil
+	}
+	p, err := partition.Build(d.rel, partition.Options{
+		Attrs:         attrs,
+		SizeThreshold: s.tau(),
+		RadiusLimit:   s.cfg.radius,
+		Workers:       s.cfg.workers,
 	})
-	return lp.part, lp.err
+	if err != nil {
+		// e stays registered but unbuilt — invisible to each — so callers
+		// queued on this build, and any later one, retry it on e itself.
+		return nil, false, err
+	}
+	e.part.Store(p)
+	d.dirty.Store(true)
+	s.count(&s.partBuilds)
+	return e, false, nil
 }
 
-// lookupWarm returns an already-built partitioning that can serve a
-// query over attrs without building anything: the exact attribute set
-// if warm, else the smallest advisor-prewarmed superset (a quad-tree
-// over a superset of the query's attributes partitions at least as
-// finely on them, so SketchRefine's radius reasoning still holds).
-// shared reports whether a superset — rather than the exact set — was
-// used. It never triggers a build.
-func (s *Session) lookupWarm(attrs []string) (p *partition.Partitioning, shared bool, ok bool) {
-	key := partKey(attrs)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if lp, found := s.parts[key]; found && lp.built.Load() {
-		return lp.part, false, true
-	}
+// prewarmedSuperset returns the built same-shape entry over the fewest
+// attributes (ties broken by key) that covers attrs and that this
+// session's advisor prewarmed; nil if none.
+func (s *Session) prewarmedSuperset(attrs []string) *partEntry {
 	if s.adv == nil {
-		return nil, false, false
+		return nil
 	}
-	want := strings.Split(key, ",")
-	var bestKey string
-	var best *lazyPart
-	for k, lp := range s.parts {
-		if !lp.built.Load() || !s.adv.IsPrewarmed(k) {
-			continue
+	var best *partEntry
+	bestN := 0
+	_ = s.d.each(s.shape, func(e *partEntry) error {
+		have := e.part.Load().Attrs
+		if !s.adv.IsPrewarmed(e.key.attrs) || !covers(have, attrs) {
+			return nil
 		}
-		if !subsetOf(want, strings.Split(k, ",")) {
-			continue
+		if best == nil || len(have) < bestN || (len(have) == bestN && e.key.attrs < best.key.attrs) {
+			best, bestN = e, len(have)
 		}
-		if best == nil || len(lp.part.Attrs) < len(best.part.Attrs) ||
-			(len(lp.part.Attrs) == len(best.part.Attrs) && k < bestKey) {
-			best, bestKey = lp, k
-		}
-	}
-	if best == nil {
-		return nil, false, false
-	}
-	return best.part, true, true
+		return nil
+	})
+	return best
 }
 
-// subsetOf reports whether every element of want appears in have; both
-// slices are sorted lowercase key components.
-func subsetOf(want, have []string) bool {
-	i := 0
+// covers reports whether every attribute of want is one of have's
+// (attribute names compare case-insensitively, as in partKey).
+func covers(have, want []string) bool {
 	for _, w := range want {
-		for i < len(have) && have[i] < w {
-			i++
-		}
-		if i >= len(have) || have[i] != w {
+		if !slices.ContainsFunc(have, func(h string) bool { return strings.EqualFold(h, w) }) {
 			return false
 		}
-		i++
 	}
 	return true
 }
 
-// partitioningForQuery resolves the partitioning serving a query over
-// attrs: a warm exact or prewarmed-superset partitioning when one
-// exists (no build), else the usual build-once path for the exact set.
-// shared reports whether an overlapping superset served instead of the
-// exact set.
-func (s *Session) partitioningForQuery(attrs []string) (p *partition.Partitioning, shared bool, err error) {
-	if p, shared, ok := s.lookupWarm(attrs); ok {
-		if shared {
-			s.mu.Lock()
-			s.advShared++
-			s.mu.Unlock()
-		}
-		return p, shared, nil
-	}
-	p, err = s.partitioningFor(attrs)
-	return p, false, err
+// count bumps one of the session's mu-guarded counters.
+func (s *Session) count(c *uint64) {
+	s.mu.Lock()
+	*c++
+	s.mu.Unlock()
 }
 
 // observeAttrDemand feeds the advisor's query-log miner: the attribute
@@ -565,49 +389,18 @@ func (s *Session) observeAttrDemand(attrs []string) {
 	if s.adv == nil || len(attrs) == 0 {
 		return
 	}
-	s.adv.ObserveSet(partKey(attrs), attrs, s.rel.Version())
-}
-
-// livePart re-resolves a planned partitioning by attribute set at
-// execution time. The advisor's maintenance pass may have evicted the
-// one the plan captured; refining over an evicted partitioning would
-// read stale row indices after a compaction, so Execute always goes
-// through the live map (rebuilding on a miss). It returns the lazyPart
-// wrapper, which carries the per-version frozen view cache solves pin.
-// key, when non-empty, is the precomputed partKey(planned.Attrs) — the
-// hot pin path passes the one cached on the statement so steady-state
-// pinning allocates nothing.
-func (s *Session) livePart(planned *partition.Partitioning, key string) (*lazyPart, error) {
-	if planned == nil {
-		return nil, fmt.Errorf("paq: no partitioning planned")
-	}
-	if key == "" {
-		key = partKey(planned.Attrs)
-	}
-	s.mu.Lock()
-	lp, ok := s.parts[key]
-	s.mu.Unlock()
-	if ok && lp.built.Load() {
-		return lp, nil
-	}
-	if _, err := s.partitioningFor(planned.Attrs); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	lp = s.parts[key]
-	s.mu.Unlock()
-	return lp, nil
+	s.adv.ObserveSet(partKey(attrs), attrs, s.d.rel.Version())
 }
 
 // pinned is everything one execution needs to solve lock-free: an
-// immutable relation snapshot and — for SketchRefine — the live head
-// partitioning (the engine's cache identity) plus a frozen view of it
-// bound to the snapshot. All three are captured under one read-lock
+// immutable relation snapshot and — for SketchRefine — a frozen view of
+// the partitioning bound to it, with the partitioning's solution-cache
+// prefix. All are captured under one read-lock
 // acquisition, so they are mutually consistent at one version.
 type pinned struct {
-	snap *relation.Relation
-	part *partition.Partitioning // live head partitioning (engine identity)
-	view *partition.Partitioning // frozen view over snap (SketchRefine only)
+	snap    *relation.Relation
+	view    *partition.Partitioning
+	partKey string
 }
 
 // pinExec pins the statement's execution: a brief read lock captures
@@ -616,42 +409,30 @@ type pinned struct {
 // head. Steady state (no mutation since the last pin) allocates
 // nothing — the cached snapshot and view are reused.
 func (s *Session) pinExec(st *Stmt, sp *obs.Span) (pinned, error) {
+	d := s.d
 	t0 := time.Now()
-	s.dataMu.RLock()
+	d.dataMu.RLock()
 	wait := time.Since(t0)
-	s.pin.observeWait(wait)
+	d.pin.observeWait(wait)
 	if sp != nil {
 		sp.SetAttrFloat("lock_wait_ms", float64(wait)/float64(time.Millisecond))
 	}
-	defer s.dataMu.RUnlock()
-	p := pinned{snap: s.pin.at(s.rel)}
+	defer d.dataMu.RUnlock()
+	p := pinned{snap: d.pin.at(d.rel)}
 	if st.method == MethodSketchRefine {
-		// Re-resolve the partitioning by attribute set: the advisor's
-		// maintenance pass may have evicted the one the plan captured,
-		// and refining over an evicted copy would read row indices a
-		// later compaction has renumbered.
 		vsp := sp.Child("partition_view")
-		lp, err := s.livePart(st.part, st.partCacheKey)
+		e, _, err := s.resolve(st.partKey, st.part.Attrs, true)
 		if err != nil {
 			vsp.Finish()
 			return pinned{}, err
 		}
-		p.part = lp.part
-		p.view = lp.viewAt(p.snap)
+		p.view, p.partKey = e.viewAt(p.snap), e.cacheKey
 		if vsp != nil {
-			vsp.SetAttrInt("groups", int64(p.part.NumGroups()))
+			vsp.SetAttrInt("groups", int64(p.view.NumGroups()))
 			vsp.Finish()
 		}
 	}
 	return p, nil
-}
-
-// sessionPartitioning is the session-wide partitioning: the configured
-// attribute set, or every numeric column — a superset of any query's
-// attributes, so it can serve arbitrary queries (the setting a
-// long-lived service wants warm).
-func (s *Session) sessionPartitioning() (*partition.Partitioning, error) {
-	return s.partitioningFor(s.partitionAttrsFor(nil))
 }
 
 // PartitionInfo describes one offline partitioning (for EXPLAIN plans
@@ -678,47 +459,33 @@ func infoOf(p *partition.Partitioning) *PartitionInfo {
 // Partitioning warms (if necessary) and describes the session-wide
 // partitioning.
 func (s *Session) Partitioning() (*PartitionInfo, error) {
-	p, err := s.sessionPartitioning()
+	attrs := s.partitionAttrsFor(nil)
+	s.d.dataMu.RLock()
+	defer s.d.dataMu.RUnlock()
+	e, _, err := s.resolve(s.regKey(attrs), attrs, true)
 	if err != nil {
 		return nil, err
 	}
-	return infoOf(p), nil
+	return infoOf(e.part.Load()), nil
 }
 
-// engineFor returns (creating at most once) the engine serving a
-// method; part must be non-nil for MethodSketchRefine and is part of
-// the engine's identity, so distinct partitionings get distinct
-// solution caches.
-func (s *Session) engineFor(m Method, part *partition.Partitioning) *engine.Engine {
+// setEngine puts a fresh engine around solver in m's slot and registers
+// it with the dataset, whose mutations invalidate its stale entries.
+func (s *Session) setEngine(m Method, solver Solver, noCache bool) {
+	e := engine.New(solver)
+	e.NoCache = noCache
+	s.mu.Lock()
+	old := s.engines[m]
+	s.engines[m] = e
+	s.mu.Unlock()
+	s.d.register(old, e)
+}
+
+// engineFor returns the engine serving a (resolved) method.
+func (s *Session) engineFor(m Method) *engine.Engine {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.overrides[m]; ok {
-		return e
-	}
-	key := string(m)
-	if m == MethodSketchRefine {
-		key += "|" + partKey(part.Attrs)
-	}
-	if e, ok := s.engines[key]; ok {
-		return e
-	}
-	var solver engine.Solver
-	switch m {
-	case MethodNaive:
-		solver = engine.Naive{Opt: naive.Options{Timeout: s.cfg.timeLimit}}
-	case MethodSketchRefine:
-		solver = engine.SketchRefine{
-			Part:   part,
-			Opt:    s.sketchOptions(),
-			Racers: s.cfg.racers,
-		}
-	default:
-		solver = engine.Direct{Opt: s.cfg.solverOptions()}
-	}
-	e := engine.New(solver)
-	e.NoCache = s.cfg.noCache
-	s.engines[key] = e
-	return e
+	return s.engines[m]
 }
 
 // SetSolver replaces the engine serving a method with one wrapping the
@@ -726,42 +493,18 @@ func (s *Session) engineFor(m Method, part *partition.Partitioning) *engine.Engi
 // blocking strategies. The injected engine never caches, so every
 // execution reaches the solver. It must be called before the session
 // serves traffic.
-func (s *Session) SetSolver(m Method, solver Solver) {
-	e := engine.New(solver)
-	e.NoCache = true
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.overrides == nil {
-		s.overrides = make(map[Method]*engine.Engine)
-	}
-	s.overrides[m] = e
-}
+func (s *Session) SetSolver(m Method, solver Solver) { s.setEngine(m, solver, true) }
 
-// CacheStats snapshots the solution-cache counters of every engine the
-// session has instantiated, aggregated per method.
+// CacheStats snapshots the solution-cache counters per method, for the
+// methods whose engine has evaluated anything.
 func (s *Session) CacheStats() map[Method]CacheStats {
 	s.mu.Lock()
-	engines := make(map[Method][]*engine.Engine)
-	for key, e := range s.engines {
-		m := Method(strings.SplitN(key, "|", 2)[0])
-		engines[m] = append(engines[m], e)
-	}
-	for m, e := range s.overrides {
-		engines[m] = append(engines[m], e)
-	}
-	s.mu.Unlock()
-	out := make(map[Method]CacheStats, len(engines))
-	for m, es := range engines {
-		var agg CacheStats
-		for _, e := range es {
-			cs := e.Stats()
-			agg.Hits += cs.Hits
-			agg.Misses += cs.Misses
-			agg.Evictions += cs.Evictions
-			agg.Invalidations += cs.Invalidations
-			agg.Entries += cs.Entries
+	defer s.mu.Unlock()
+	out := make(map[Method]CacheStats, len(s.engines))
+	for m, e := range s.engines {
+		if cs := e.Stats(); cs.Hits+cs.Misses > 0 {
+			out[m] = cs
 		}
-		out[m] = agg
 	}
 	return out
 }

@@ -31,12 +31,12 @@ type Stmt struct {
 	method Method
 	reason string
 	// part is the partitioning the statement refines over (nil unless
-	// the method is sketchrefine); partCacheKey is part's warm-set map
-	// key, precomputed so pinning an execution does not re-derive it
-	// (the pin path is allocation-free at steady state).
-	part         *partition.Partitioning
-	partCacheKey string
-	plan         *Plan
+	// the method is sketchrefine); partKey is its registry key, kept so
+	// pinning an execution does not re-derive it (the pin path is
+	// allocation-free at steady state).
+	part    *partition.Partitioning
+	partKey setKey
+	plan    *Plan
 	// shape is the advisor's structural query key (empty without an
 	// advisor); adaptive is the advisor's decision record for MethodAuto
 	// statements.
@@ -171,9 +171,9 @@ func (s *Session) Prepare(query string, opts ...Option) (*Stmt, error) {
 	// Translation, method resolution, and planning read the relation and
 	// may build a partitioning; hold the dataset read lock so mutations
 	// cannot interleave.
-	s.dataMu.RLock()
-	defer s.dataMu.RUnlock()
-	spec, err := translate.Translate(q, s.rel)
+	s.d.dataMu.RLock()
+	defer s.d.dataMu.RUnlock()
+	spec, err := translate.Translate(q, s.d.rel)
 	if err != nil {
 		return nil, mapTranslateErr(err)
 	}
@@ -182,9 +182,6 @@ func (s *Session) Prepare(query string, opts ...Option) (*Stmt, error) {
 		return nil, err
 	}
 	st.buildPlan()
-	if st.part != nil {
-		st.partCacheKey = partKey(st.part.Attrs)
-	}
 	st.planDur = time.Since(t0)
 	return st, nil
 }
@@ -201,95 +198,80 @@ func (st *Stmt) resolveMethod(m Method) error {
 	if s.adv != nil {
 		st.shape = engine.ShapeKey(st.spec)
 	}
-	switch m {
-	case MethodDirect, MethodNaive:
+	if m == MethodDirect || m == MethodNaive {
 		st.method = m
 		st.reason = "method fixed by WithMethod"
 		return nil
-	case MethodSketchRefine:
-		attrs := s.partitionAttrsFor(st.spec.QueryAttrs())
-		s.observeAttrDemand(attrs)
-		part, shared, err := s.partitioningForQuery(attrs)
+	}
+	// Small auto inputs never pay a partitioning build just to offer the
+	// advisor an alternative — but an already-warm set costs nothing.
+	attrs := s.partitionAttrsFor(st.spec.QueryAttrs())
+	s.observeAttrDemand(attrs)
+	build := m == MethodSketchRefine || nBase > autoDirectMaxVars
+	e, shared, err := s.resolve(s.regKey(attrs), attrs, build)
+	var sharedAttrs []string
+	if e != nil {
+		st.part, st.partKey = e.part.Load(), e.key
+		if shared {
+			sharedAttrs = append([]string(nil), st.part.Attrs...)
+			if build {
+				s.count(&s.advShared)
+			}
+		}
+	}
+	if m == MethodSketchRefine {
 		if err != nil {
 			return err
 		}
 		st.method = m
 		st.reason = "method fixed by WithMethod"
 		if shared {
-			st.reason += fmt.Sprintf("; served by the warm partitioning over [%s]", strings.Join(part.Attrs, " "))
+			st.reason += fmt.Sprintf("; served by the warm partitioning over [%s]", strings.Join(sharedAttrs, " "))
 		}
-		st.part = part
 		return nil
 	}
 	// MethodAuto: compute the fixed heuristic's choice first — it is the
 	// answer without an advisor, and the advisor's fallback with one.
-	attrs := s.partitionAttrsFor(st.spec.QueryAttrs())
-	s.observeAttrDemand(attrs)
-	var fallback Method
+	fallback := MethodDirect
 	var fallbackReason string
-	var part *partition.Partitioning
-	var sharedAttrs []string
-	if nBase <= autoDirectMaxVars {
-		fallback = MethodDirect
+	switch {
+	case !build:
 		fallbackReason = fmt.Sprintf("auto: %d eligible tuples fit a single ILP (threshold %d)", nBase, autoDirectMaxVars)
-		// Small inputs never pay a partitioning build just to offer the
-		// advisor an alternative — but an already-warm set costs nothing.
-		if p, shared, ok := s.lookupWarm(attrs); ok {
-			part = p
-			if shared {
-				sharedAttrs = append([]string(nil), p.Attrs...)
-			}
-		}
-	} else {
-		p, shared, err := s.partitioningForQuery(attrs)
-		if err != nil {
-			fallback = MethodDirect
-			fallbackReason = fmt.Sprintf("auto: %d eligible tuples exceed the single-ILP threshold, but no partitioning is available (%v); falling back to DIRECT", nBase, err)
-		} else {
-			part = p
-			if shared {
-				sharedAttrs = append([]string(nil), p.Attrs...)
-			}
-			fallback = MethodSketchRefine
-			fallbackReason = fmt.Sprintf("auto: %d eligible tuples exceed the single-ILP threshold (%d); refining over %d groups (τ=%d)",
-				nBase, autoDirectMaxVars, part.NumGroups(), part.Tau)
-		}
+	case err != nil:
+		fallbackReason = fmt.Sprintf("auto: %d eligible tuples exceed the single-ILP threshold, but no partitioning is available (%v); falling back to DIRECT", nBase, err)
+	default:
+		fallback = MethodSketchRefine
+		fallbackReason = fmt.Sprintf("auto: %d eligible tuples exceed the single-ILP threshold (%d); refining over %d groups (τ=%d)",
+			nBase, autoDirectMaxVars, st.part.NumGroups(), st.part.Tau)
 	}
-	if s.adv == nil {
-		st.method = fallback
-		st.reason = fallbackReason
-		if fallback == MethodSketchRefine {
-			st.part = part
+	st.method, st.reason = fallback, fallbackReason
+	if s.adv != nil {
+		candidates := []string{string(MethodDirect)}
+		if st.part != nil {
+			candidates = append(candidates, string(MethodSketchRefine))
 		}
-		return nil
-	}
-	candidates := []string{string(MethodDirect)}
-	if part != nil {
-		candidates = append(candidates, string(MethodSketchRefine))
-	}
-	dec := s.adv.Decide(st.shape, string(fallback), candidates)
-	st.method = Method(dec.Method)
-	if dec.Cold {
+		dec := s.adv.Decide(st.shape, string(fallback), candidates)
+		st.method = Method(dec.Method)
 		// Cold decisions are the heuristic's verbatim: the plan reads
 		// identically to a session without the advisor.
-		st.reason = fallbackReason
-	} else {
-		st.reason = "adaptive: " + dec.Reason
+		if !dec.Cold {
+			st.reason = "adaptive: " + dec.Reason
+		}
+		st.adaptive = &AdaptiveInfo{
+			Shape:    shortHash(st.shape),
+			Chosen:   st.method,
+			Fallback: fallback,
+			Cold:     dec.Cold,
+			Probe:    dec.Probe,
+			Reason:   dec.Reason,
+			Scores:   dec.Scores,
+		}
+		if st.method == MethodSketchRefine {
+			st.adaptive.SharedPartitioning = sharedAttrs
+		}
 	}
-	if st.method == MethodSketchRefine {
-		st.part = part
-	}
-	st.adaptive = &AdaptiveInfo{
-		Shape:    shortHash(st.shape),
-		Chosen:   st.method,
-		Fallback: fallback,
-		Cold:     dec.Cold,
-		Probe:    dec.Probe,
-		Reason:   dec.Reason,
-		Scores:   dec.Scores,
-	}
-	if st.method == MethodSketchRefine && len(sharedAttrs) > 0 {
-		st.adaptive.SharedPartitioning = sharedAttrs
+	if st.method != MethodSketchRefine {
+		st.part, st.partKey = nil, setKey{}
 	}
 	return nil
 }
@@ -310,13 +292,13 @@ func (st *Stmt) buildPlan() {
 	plan := &Plan{
 		Method:         st.method,
 		Reason:         st.reason,
-		Relation:       st.sess.rel.Name(),
-		Rows:           st.sess.rel.Live(),
+		Relation:       st.sess.d.rel.Name(),
+		Rows:           st.sess.d.rel.Live(),
 		Variables:      len(spec.BaseRows()),
 		Constraints:    len(spec.Constraints),
 		Restrictions:   len(spec.Restrictions),
 		Repeat:         spec.Repeat,
-		DatasetVersion: st.sess.rel.Version(),
+		DatasetVersion: st.sess.d.rel.Version(),
 		CacheKey:       stableCacheKey(st.method, spec),
 	}
 	if spec.Objective != nil {
