@@ -274,6 +274,38 @@ func TestDirectRestrictions(t *testing.T) {
 	}
 }
 
+// TestCountBaseMatchesBaseRows: CountBase is len(BaseRows()) for every
+// kind of filter, tombstones included, on a head relation and on a
+// snapshot, and it allocates nothing per row to get there.
+func TestCountBaseMatchesBaseRows(t *testing.T) {
+	rel := recipes()
+	if err := rel.Delete(2); err != nil { // steak: gluten-free, kcal 0.8
+		t.Fatal(err)
+	}
+	free := relation.NewCompare("gluten", relation.EQ, relation.S("free"))
+	minKcal := relation.NewCompare("kcal", relation.GE, relation.F(0.5))
+	maxFat := relation.NewCompare("saturated_fat", relation.LE, relation.F(1.0))
+	for name, spec := range map[string]*Spec{
+		"no filter":    {},
+		"where":        {Base: free},
+		"restriction":  {Restrictions: []relation.Predicate{minKcal}},
+		"where + two":  {Base: free, Restrictions: []relation.Predicate{minKcal, maxFat}},
+		"none passes":  {Base: relation.NewCompare("kcal", relation.GT, relation.F(9))},
+		"unknown attr": {Restrictions: []relation.Predicate{relation.NewCompare("nope", relation.GT, relation.F(0))}},
+	} {
+		for _, r := range []*relation.Relation{rel, rel.Snapshot()} {
+			spec.Rel = r
+			if got, want := spec.CountBase(), len(spec.BaseRows()); got != want {
+				t.Errorf("%s: CountBase = %d, BaseRows has %d", name, got, want)
+			}
+			// The conjunction it evaluates, at most; nothing per row.
+			if allocs := testing.AllocsPerRun(10, func() { spec.CountBase() }); allocs > 2 {
+				t.Errorf("%s: CountBase allocates %.0f objects a call", name, allocs)
+			}
+		}
+	}
+}
+
 func TestDirectFeasibilityOnly(t *testing.T) {
 	rel := recipes()
 	spec := &Spec{

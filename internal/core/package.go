@@ -95,7 +95,7 @@ func (v Violation) String() string { return v.Desc }
 func (p *Package) Check(spec *Spec) ([]Violation, error) {
 	var out []Violation
 	maxMult := spec.MaxMult()
-	filter := spec.combinedFilter()
+	filter := spec.Filter()
 	for k, r := range p.Rows {
 		if p.Mult[k] > maxMult {
 			out = append(out, Violation{fmt.Sprintf("tuple %d repeated %d times, REPEAT %d allows %d", r, p.Mult[k], spec.Repeat, maxMult)})

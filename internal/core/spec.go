@@ -86,14 +86,31 @@ func (s *Spec) MaxMult() int {
 // eliminated from the problem, exactly like the xᵢ = 0 rule of the
 // paper's translation.
 func (s *Spec) BaseRows() []int {
-	pred := s.combinedFilter()
+	pred := s.Filter()
 	return s.Rel.Select(pred)
+}
+
+// CountBase returns len(BaseRows()) without materializing the rows: the
+// live row count when nothing filters, one counting pass otherwise.
+// Planning needs only the number.
+func (s *Spec) CountBase() int {
+	pred := s.Filter()
+	if pred == nil {
+		return s.Rel.Live()
+	}
+	n := 0
+	for i := 0; i < s.Rel.Len(); i++ {
+		if !s.Rel.Deleted(i) && pred.Eval(s.Rel, i) {
+			n++
+		}
+	}
+	return n
 }
 
 // FilterRows restricts an existing row set with the base predicate and
 // restrictions.
 func (s *Spec) FilterRows(rows []int) []int {
-	pred := s.combinedFilter()
+	pred := s.Filter()
 	if pred == nil {
 		return rows
 	}
@@ -106,7 +123,10 @@ func (s *Spec) FilterRows(rows []int) []int {
 	return out
 }
 
-func (s *Spec) combinedFilter() relation.Predicate {
+// Filter is the conjunction of the base predicate and every MIN/MAX
+// restriction — what a tuple must pass to be in the base relation — or
+// nil when the query eliminates no tuple up front.
+func (s *Spec) Filter() relation.Predicate {
 	kids := make([]relation.Predicate, 0, 1+len(s.Restrictions))
 	if s.Base != nil {
 		kids = append(kids, s.Base)

@@ -513,7 +513,7 @@ func ShapeKey(spec *core.Spec) string {
 	// with problem size, but pooling within a 2x band keeps shapes warm
 	// across inserts and deletes.
 	bucket := 0
-	for n := len(spec.BaseRows()); n > 0; n >>= 1 {
+	for n := spec.CountBase(); n > 0; n >>= 1 {
 		bucket++
 	}
 	fmt.Fprintf(&b, "rel=%s;size=2^%d", spec.Rel.Name(), bucket)

@@ -17,6 +17,12 @@
 //
 // Every subproblem is solved with the same black-box ILP solver DIRECT
 // uses, so the two strategies are directly comparable.
+//
+// The partitioning is read as the offline index it is (Section 4.1): a
+// query's eligible tuples come group by group from the member lists it
+// already holds (eligibleByGroup) — shared as they are when nothing
+// filters, one predicate pass over them otherwise — never from a scan of
+// the relation, and row i of the representative relation is group i's.
 package sketchrefine
 
 import (
@@ -25,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -101,16 +108,49 @@ type evaluator struct {
 	part     *partition.Partitioning
 	opt      Options
 	stats    *core.EvalStats
-	eligible map[int][]int // gid → base rows in that group
-	gids     []int         // gids with eligible rows, ascending
+	eligible [][]int // gid → base rows in that group, ascending
+	gids     []int   // gids with eligible rows, ascending
 	// Per-constraint coefficient evaluators bound to the input relation
-	// and to the representative relation.
+	// and to the representative relation (whose row i is gid i).
 	consOnRel  []func(int) float64
 	consOnReps []func(int) float64
-	// repRow maps gid to its row in part.Reps.
-	repRow map[int]int
 
 	backtracks int
+}
+
+// eligibleByGroup lays the spec's base relation — the tuples passing its
+// WHERE predicate and every MIN/MAX restriction — out along part: rows[gid]
+// are group gid's eligible rows, gids the groups that have any, n their
+// total. Member lists are ascending, so every group's rows come out in the
+// order a scan of the relation would give; they are not checked against
+// the relation's tombstones (see EvaluateCtx). When nothing filters,
+// rows[gid] is the member slice itself, shared read-only — every
+// maintenance path writes fresh storage, see partition.Partitioning.View;
+// otherwise it is a fresh slice of exactly what passed.
+func eligibleByGroup(spec *core.Spec, part *partition.Partitioning) (rows [][]int, gids []int, n int) {
+	rows = make([][]int, len(part.Groups))
+	gids = make([]int, 0, len(part.Groups))
+	pred := spec.Filter()
+	var passed []int // one group's, before it is copied out at its own length
+	for gid := range part.Groups {
+		members := part.Groups[gid].Rows
+		if pred != nil {
+			passed = passed[:0]
+			for _, r := range members {
+				if pred.Eval(spec.Rel, r) {
+					passed = append(passed, r)
+				}
+			}
+			members = slices.Clone(passed)
+		}
+		if len(members) == 0 {
+			continue
+		}
+		rows[gid] = members
+		gids = append(gids, gid)
+		n += len(members)
+	}
+	return rows, gids, n
 }
 
 // subproblem numbers the next ILP solve in evaluation order — the solves
@@ -135,7 +175,9 @@ func (ev *evaluator) subproblem(ctx context.Context, sketch bool) (context.Conte
 
 // EvaluateCtx runs SketchRefine on a compiled query over a partitioned
 // relation. The partitioning must have been built on (a restriction of)
-// spec.Rel. It returns the package, accumulated statistics, and
+// spec.Rel and maintained through every delete since: its member lists
+// are taken as they are, so they must hold only rows live in spec.Rel. It
+// returns the package, accumulated statistics, and
 // ErrFalseInfeasible when no package is found. Cancellation or a context
 // deadline aborts the evaluation — between refinement steps and inside
 // any in-flight ILP solve — and returns the context's error.
@@ -158,12 +200,11 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partition
 	opt.Solver.AcceptIncumbent = true
 	ev := &evaluator{ctx: ctx, spec: spec, part: part, opt: opt, stats: stats}
 	_, psp := obs.Start(ctx, "prepare")
-	if err := ev.prepare(); err != nil {
-		psp.Finish()
+	err := ev.prepare(psp)
+	psp.Finish()
+	if err != nil {
 		return nil, stats, err
 	}
-	psp.SetAttrInt("groups", int64(len(ev.gids)))
-	psp.Finish()
 	if len(ev.gids) == 0 {
 		return nil, stats, core.ErrInfeasible
 	}
@@ -203,28 +244,15 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partition
 	return pkg, stats, nil
 }
 
-// prepare computes eligible rows per group and binds constraint
+// prepare lays the query's eligible rows out by group (sp, its span,
+// records how many and whether a filter was applied) and binds constraint
 // coefficients against both relations.
-func (ev *evaluator) prepare() error {
-	base := ev.spec.BaseRows()
-	ev.eligible = make(map[int][]int)
-	for _, r := range base {
-		gid := ev.part.GID[r]
-		if gid < 0 {
-			continue // row outside the (restricted) partitioning
-		}
-		ev.eligible[gid] = append(ev.eligible[gid], r)
-	}
-	for _, g := range ev.part.Groups {
-		if len(ev.eligible[g.ID]) > 0 {
-			ev.gids = append(ev.gids, g.ID)
-		}
-	}
-	ev.repRow = make(map[int]int, ev.part.Reps.Len())
-	gidCol := ev.part.Reps.Schema().Lookup("gid")
-	for i := 0; i < ev.part.Reps.Len(); i++ {
-		ev.repRow[int(ev.part.Reps.IntColumn(gidCol)[i])] = i
-	}
+func (ev *evaluator) prepare(sp *obs.Span) error {
+	var n int
+	ev.eligible, ev.gids, n = eligibleByGroup(ev.spec, ev.part)
+	sp.SetAttrInt("groups", int64(len(ev.gids)))
+	sp.SetAttrInt("eligible_rows", int64(n))
+	sp.SetAttrBool("filtered", ev.spec.Filter() != nil)
 	for _, c := range ev.spec.Constraints {
 		onRel, err := c.Coef.Bind(ev.spec.Rel)
 		if err != nil {
@@ -250,13 +278,12 @@ func (ev *evaluator) groupCap(gid int) float64 {
 }
 
 // sketchColumns describes the given groups' representatives as the
-// columns of a sketch query: the query over R̃, one row of R̃ per group,
-// and the per-group count caps.
-func (ev *evaluator) sketchColumns(gids []int) (spec *core.Spec, repRows []int, caps []float64) {
-	repRows = make([]int, len(gids))
+// columns of a sketch query: the query over R̃ — whose candidate rows are
+// the gids themselves, one row of R̃ per group in gid order — and the
+// per-group count caps.
+func (ev *evaluator) sketchColumns(gids []int) (spec *core.Spec, caps []float64) {
 	caps = make([]float64, len(gids))
 	for i, gid := range gids {
-		repRows[i] = ev.repRow[gid]
 		caps[i] = ev.groupCap(gid)
 	}
 	return &core.Spec{
@@ -264,7 +291,7 @@ func (ev *evaluator) sketchColumns(gids []int) (spec *core.Spec, repRows []int, 
 		Repeat:      -1, // repetition is governed by the per-group caps
 		Constraints: ev.spec.Constraints,
 		Objective:   ev.spec.Objective,
-	}, repRows, caps
+	}, caps
 }
 
 // sketch solves the sketch query Q[R̃] over the representative tuples,
@@ -273,17 +300,15 @@ func (ev *evaluator) sketch() (*state, error) {
 	ctx, sp := obs.Start(ev.ctx, "sketch")
 	defer sp.Finish()
 	sp.SetAttrInt("groups", int64(len(ev.gids)))
-	sketchSpec, repRows, caps := ev.sketchColumns(ev.gids)
+	sketchSpec, caps := ev.sketchColumns(ev.gids)
 	ctx, hook := ev.subproblem(ctx, true)
-	pkg, st, err := core.Solve(ctx, sketchSpec, repRows, caps, ev.opt.Solver, hook)
+	pkg, st, err := core.Solve(ctx, sketchSpec, ev.gids, caps, ev.opt.Solver, hook)
 	ev.stats.Add(st)
 	if err != nil {
 		return nil, err
 	}
 	out := &state{reps: make(map[int]int)}
-	gidCol := ev.part.Reps.Schema().Lookup("gid")
-	for k, repRow := range pkg.Rows {
-		gid := int(ev.part.Reps.IntColumn(gidCol)[repRow])
+	for k, gid := range pkg.Rows {
 		out.reps[gid] = pkg.Mult[k]
 	}
 	return out, nil
@@ -311,7 +336,7 @@ func (ev *evaluator) contribution(ci int, st *state, skipGID int) float64 {
 		if gid == skipGID || m == 0 {
 			continue
 		}
-		v += float64(m) * onReps(ev.repRow[gid])
+		v += float64(m) * onReps(gid)
 	}
 	return v
 }
@@ -502,8 +527,8 @@ func (ev *evaluator) hybridSketchFor(gid int) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	repSpec, repRows, caps := ev.sketchColumns(otherGids)
-	reps, err := core.BuildILP(repSpec, repRows, caps)
+	repSpec, caps := ev.sketchColumns(otherGids)
+	reps, err := core.BuildILP(repSpec, otherGids, caps)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package paq
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/relation"
@@ -77,4 +78,40 @@ func TestPinExecSteadyStateAllocateZero(t *testing.T) {
 			WithMethod(MethodSketchRefine), WithTauTuples(40), WithWarmPartitioning())
 		run(t, s, stmt)
 	})
+}
+
+// Prepare plans from the base relation's size, not its rows: on a query
+// with no filter it allocates the same at ten times the rows.
+func TestPrepareAllocationIndependentOfRows(t *testing.T) {
+	bytesPerPrepare := func(n int) uint64 {
+		rel := relation.New("items", reltest.Schema(
+			relation.Column{Name: "cost", Type: relation.Float},
+			relation.Column{Name: "gain", Type: relation.Float},
+		))
+		for i := 0; i < n; i++ {
+			reltest.Append(rel, relation.F(1+float64(i%9)), relation.F(1+float64((i*7)%11)))
+		}
+		s, err := Open(Table(rel), WithMethod(MethodDirect))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const reps = 10
+		for i := 0; i < reps; i++ {
+			st, err := s.Prepare(pinAllocQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Plan().Variables != n {
+				t.Fatalf("plan counts %d variables over %d rows", st.Plan().Variables, n)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / reps
+	}
+	small, large := bytesPerPrepare(2_000), bytesPerPrepare(20_000)
+	if large > small+4096 {
+		t.Errorf("Prepare allocates %d bytes over 2 000 rows and %d over 20 000", small, large)
+	}
 }

@@ -178,10 +178,11 @@ func (s *Session) Prepare(query string, opts ...Option) (*Stmt, error) {
 		return nil, mapTranslateErr(err)
 	}
 	st := &Stmt{sess: s, query: query, spec: spec}
-	if err := st.resolveMethod(cfg.method); err != nil {
+	nBase := spec.CountBase() // planning needs the base relation's size, not its rows
+	if err := st.resolveMethod(cfg.method, nBase); err != nil {
 		return nil, err
 	}
-	st.buildPlan()
+	st.buildPlan(nBase)
 	st.planDur = time.Since(t0)
 	return st, nil
 }
@@ -191,10 +192,9 @@ func (s *Session) Prepare(query string, opts ...Option) (*Stmt, error) {
 // with the advisor enabled, the fixed heuristic only nominates the
 // fallback: the advisor's bandit loop decides among the candidates the
 // session can serve without building anything new, and the decision is
-// recorded in the plan's Adaptive block.
-func (st *Stmt) resolveMethod(m Method) error {
+// recorded in the plan's Adaptive block. nBase counts the eligible tuples.
+func (st *Stmt) resolveMethod(m Method, nBase int) error {
 	s := st.sess
-	nBase := len(st.spec.BaseRows())
 	if s.adv != nil {
 		st.shape = engine.ShapeKey(st.spec)
 	}
@@ -287,14 +287,14 @@ func shortHash(key string) string {
 }
 
 // buildPlan materializes the typed plan once at Prepare.
-func (st *Stmt) buildPlan() {
+func (st *Stmt) buildPlan(nBase int) {
 	spec := st.spec
 	plan := &Plan{
 		Method:         st.method,
 		Reason:         st.reason,
 		Relation:       st.sess.d.rel.Name(),
 		Rows:           st.sess.d.rel.Live(),
-		Variables:      len(spec.BaseRows()),
+		Variables:      nBase,
 		Constraints:    len(spec.Constraints),
 		Restrictions:   len(spec.Restrictions),
 		Repeat:         spec.Repeat,
