@@ -15,25 +15,35 @@ import (
 // the contribution of tuple t to f(P) per unit of multiplicity. COUNT
 // contributes 1 per tuple, SUM(attr) contributes t.attr, the AVG rewrite
 // contributes t.attr − v, and conditional aggregates contribute through an
-// indicator. Coefficients bind to a relation once and are then evaluated
-// per row, so the same Coef works on the input relation, on partition
-// groups (row subsets), and on representative relations — as long as the
-// referenced attributes exist in the schema.
+// indicator. Coefficients bind to a relation once and are then gathered
+// a row list at a time, so the same Coef works on the input relation, on
+// partition groups (row subsets), and on representative relations — as
+// long as the referenced attributes exist in the schema.
 type Coef interface {
-	// Bind resolves attribute references against a relation and returns
-	// a per-row evaluator.
-	Bind(r *relation.Relation) (func(row int) float64, error)
+	// Bind resolves attribute references against a relation — column
+	// index and type, once — and returns the gather over its columns.
+	Bind(r *relation.Relation) (Fill, error)
 	fmt.Stringer
 	// Attrs appends the attribute names this coefficient reads.
 	Attrs(dst []string) []string
 }
 
+// Fill is a coefficient bound to one relation: it writes the coefficient
+// of rows[j] to dst[j], for every j (dst is at least as long as rows).
+// Like a relation.Selection it may keep scratch and holds the relation's
+// columns: one goroutine, dropped with the call that bound it.
+type Fill func(rows []int, dst []float64)
+
 // UnitCoef contributes 1 per tuple: the COUNT(P.*) coefficient.
 type UnitCoef struct{}
 
 // Bind implements Coef.
-func (UnitCoef) Bind(*relation.Relation) (func(int) float64, error) {
-	return func(int) float64 { return 1 }, nil
+func (UnitCoef) Bind(*relation.Relation) (Fill, error) {
+	return func(rows []int, dst []float64) {
+		for j := range rows {
+			dst[j] = 1
+		}
+	}, nil
 }
 
 // String implements Coef.
@@ -47,15 +57,29 @@ func (UnitCoef) Attrs(dst []string) []string { return dst }
 type AttrCoef struct{ Attr string }
 
 // Bind implements Coef.
-func (c AttrCoef) Bind(r *relation.Relation) (func(int) float64, error) {
-	idx, err := r.Schema().MustLookup(c.Attr)
+func (c AttrCoef) Bind(r *relation.Relation) (Fill, error) { return gather(r, c.Attr) }
+
+// gather binds the numeric column attr of r as a Fill of its cells.
+func gather(r *relation.Relation, attr string) (Fill, error) {
+	idx, err := r.Schema().MustLookup(attr)
 	if err != nil {
 		return nil, err
 	}
-	if !r.Schema().Col(idx).Type.Numeric() {
-		return nil, fmt.Errorf("core: %w: aggregate over non-numeric column %q", relation.ErrTypeMismatch, c.Attr)
+	switch r.Schema().Col(idx).Type {
+	case relation.Float:
+		return gatherColumn(r.FloatColumn(idx)), nil
+	case relation.Int:
+		return gatherColumn(r.IntColumn(idx)), nil
 	}
-	return func(row int) float64 { return r.Float(row, idx) }, nil
+	return nil, fmt.Errorf("core: %w: aggregate over non-numeric column %q", relation.ErrTypeMismatch, attr)
+}
+
+func gatherColumn[T int64 | float64](col []T) Fill {
+	return func(rows []int, dst []float64) {
+		for j, i := range rows {
+			dst[j] = float64(col[i])
+		}
+	}
 }
 
 // String implements Coef.
@@ -73,16 +97,17 @@ type ShiftedAttrCoef struct {
 }
 
 // Bind implements Coef.
-func (c ShiftedAttrCoef) Bind(r *relation.Relation) (func(int) float64, error) {
-	idx, err := r.Schema().MustLookup(c.Attr)
+func (c ShiftedAttrCoef) Bind(r *relation.Relation) (Fill, error) {
+	attr, err := gather(r, c.Attr)
 	if err != nil {
 		return nil, err
 	}
-	if !r.Schema().Col(idx).Type.Numeric() {
-		return nil, fmt.Errorf("core: %w: aggregate over non-numeric column %q", relation.ErrTypeMismatch, c.Attr)
-	}
-	s := c.Shift
-	return func(row int) float64 { return r.Float(row, idx) + s }, nil
+	return func(rows []int, dst []float64) {
+		attr(rows, dst)
+		for j := range rows {
+			dst[j] += c.Shift
+		}
+	}, nil
 }
 
 // String implements Coef.
@@ -105,17 +130,24 @@ type CondCoef struct {
 }
 
 // Bind implements Coef.
-func (c CondCoef) Bind(r *relation.Relation) (func(int) float64, error) {
+func (c CondCoef) Bind(r *relation.Relation) (Fill, error) {
 	inner, err := c.Inner.Bind(r)
 	if err != nil {
 		return nil, err
 	}
-	pred := c.Pred
-	return func(row int) float64 {
-		if pred.Eval(r, row) {
-			return inner(row)
+	pred := c.Pred.Bind(r)
+	var pass []int
+	return func(rows []int, dst []float64) {
+		inner(rows, dst)
+		pass = pred(rows, pass)
+		k := 0
+		for j, i := range rows {
+			if k < len(pass) && pass[k] == i {
+				k++
+			} else {
+				dst[j] = 0
+			}
 		}
-		return 0
 	}, nil
 }
 
@@ -135,13 +167,17 @@ type ScaledCoef struct {
 }
 
 // Bind implements Coef.
-func (c ScaledCoef) Bind(r *relation.Relation) (func(int) float64, error) {
+func (c ScaledCoef) Bind(r *relation.Relation) (Fill, error) {
 	inner, err := c.Inner.Bind(r)
 	if err != nil {
 		return nil, err
 	}
-	w := c.W
-	return func(row int) float64 { return w * inner(row) }, nil
+	return func(rows []int, dst []float64) {
+		inner(rows, dst)
+		for j := range rows {
+			dst[j] = c.W * dst[j]
+		}
+	}, nil
 }
 
 // String implements Coef.
@@ -155,21 +191,27 @@ func (c ScaledCoef) Attrs(dst []string) []string { return c.Inner.Attrs(dst) }
 type SumCoef struct{ Parts []Coef }
 
 // Bind implements Coef.
-func (c SumCoef) Bind(r *relation.Relation) (func(int) float64, error) {
-	fns := make([]func(int) float64, len(c.Parts))
+func (c SumCoef) Bind(r *relation.Relation) (Fill, error) {
+	parts := make([]Fill, len(c.Parts))
 	for i, p := range c.Parts {
-		fn, err := p.Bind(r)
+		part, err := p.Bind(r)
 		if err != nil {
 			return nil, err
 		}
-		fns[i] = fn
+		parts[i] = part
 	}
-	return func(row int) float64 {
-		s := 0.0
-		for _, fn := range fns {
-			s += fn(row)
+	var term []float64
+	return func(rows []int, dst []float64) {
+		if cap(term) < len(rows) {
+			term = make([]float64, len(rows))
 		}
-		return s
+		clear(dst[:len(rows)])
+		for _, part := range parts {
+			part(rows, term)
+			for j := range rows {
+				dst[j] += term[j]
+			}
+		}
 	}, nil
 }
 

@@ -86,9 +86,16 @@ func (s *EvalStats) Add(o *EvalStats) {
 //
 // hi optionally overrides the per-variable upper bounds (used by the
 // sketch query's per-group count caps); nil applies the REPEAT bound.
+// Coefficients are bound to spec.Rel here, once; one that does not bind
+// (an unknown or non-numeric attribute) is the build's error.
 func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 	n := len(rows)
-	if hi != nil && len(hi) != n {
+	switch {
+	case spec.Rel == nil:
+		return nil, fmt.Errorf("core: spec has no input relation")
+	case spec.Repeat < -1:
+		return nil, fmt.Errorf("core: invalid repeat %d", spec.Repeat)
+	case hi != nil && len(hi) != n:
 		return nil, fmt.Errorf("core: hi has length %d, want %d", len(hi), n)
 	}
 	prob := &ilp.Problem{
@@ -96,6 +103,9 @@ func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 			C:  make([]float64, n),
 			Lo: make([]float64, n),
 			Hi: make([]float64, n),
+			A:  make([][]float64, 0, len(spec.Constraints)),
+			Op: make([]lp.ConstraintOp, 0, len(spec.Constraints)),
+			B:  make([]float64, 0, len(spec.Constraints)),
 		},
 	}
 	defaultHi := math.Inf(1)
@@ -110,27 +120,23 @@ func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 		}
 	}
 	for _, c := range spec.Constraints {
-		fn, err := c.Coef.Bind(spec.Rel)
+		fill, err := c.Coef.Bind(spec.Rel)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: constraint %q: %w", c, err)
 		}
 		row := make([]float64, n)
-		for j, r := range rows {
-			row[j] = fn(r)
-		}
+		fill(rows, row)
 		prob.LP.A = append(prob.LP.A, row)
 		prob.LP.Op = append(prob.LP.Op, c.Op)
 		prob.LP.B = append(prob.LP.B, c.RHS)
 	}
 	if spec.Objective != nil {
 		prob.LP.Maximize = spec.Objective.Maximize
-		fn, err := spec.Objective.Coef.Bind(spec.Rel)
+		fill, err := spec.Objective.Coef.Bind(spec.Rel)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: objective %q: %w", spec.Objective, err)
 		}
-		for j, r := range rows {
-			prob.LP.C[j] = fn(r)
-		}
+		fill(rows, prob.LP.C)
 	} else {
 		// Vacuous objective: max Σ 0·xᵢ.
 		prob.LP.Maximize = true
@@ -285,8 +291,5 @@ func Solve(ctx context.Context, spec *Spec, rows []int, hi []float64, opt ilp.Op
 // incumbents, each a feasible (possibly suboptimal) package over the
 // input relation; it may be nil.
 func Direct(ctx context.Context, spec *Spec, opt ilp.Options, fn IncumbentFunc) (*Package, *EvalStats, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, &EvalStats{}, err
-	}
 	return Solve(ctx, spec, spec.BaseRows(), nil, opt, fn)
 }

@@ -53,13 +53,15 @@ func (p *Package) Distinct() int { return len(p.Rows) }
 
 // AggregateValue computes Σ_t coef(t)·mult(t) over the package.
 func (p *Package) AggregateValue(coef Coef) (float64, error) {
-	fn, err := coef.Bind(p.Rel)
+	fill, err := coef.Bind(p.Rel)
 	if err != nil {
 		return 0, err
 	}
+	vals := make([]float64, len(p.Rows))
+	fill(p.Rows, vals)
 	s := 0.0
-	for k, r := range p.Rows {
-		s += float64(p.Mult[k]) * fn(r)
+	for k, v := range vals {
+		s += float64(p.Mult[k]) * v
 	}
 	return s, nil
 }
@@ -95,12 +97,14 @@ func (v Violation) String() string { return v.Desc }
 func (p *Package) Check(spec *Spec) ([]Violation, error) {
 	var out []Violation
 	maxMult := spec.MaxMult()
-	filter := spec.Filter()
+	pass := spec.FilterRows(p.Rows)
 	for k, r := range p.Rows {
 		if p.Mult[k] > maxMult {
 			out = append(out, Violation{fmt.Sprintf("tuple %d repeated %d times, REPEAT %d allows %d", r, p.Mult[k], spec.Repeat, maxMult)})
 		}
-		if filter != nil && !filter.Eval(spec.Rel, r) {
+		if len(pass) > 0 && pass[0] == r {
+			pass = pass[1:]
+		} else {
 			out = append(out, Violation{fmt.Sprintf("tuple %d fails the base predicate/restrictions", r)})
 		}
 	}

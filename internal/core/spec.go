@@ -85,27 +85,12 @@ func (s *Spec) MaxMult() int {
 // predicate and every MIN/MAX restriction. All other tuples are
 // eliminated from the problem, exactly like the xᵢ = 0 rule of the
 // paper's translation.
-func (s *Spec) BaseRows() []int {
-	pred := s.Filter()
-	return s.Rel.Select(pred)
-}
+func (s *Spec) BaseRows() []int { return s.Rel.Select(s.Filter()) }
 
 // CountBase returns len(BaseRows()) without materializing the rows: the
 // live row count when nothing filters, one counting pass otherwise.
 // Planning needs only the number.
-func (s *Spec) CountBase() int {
-	pred := s.Filter()
-	if pred == nil {
-		return s.Rel.Live()
-	}
-	n := 0
-	for i := 0; i < s.Rel.Len(); i++ {
-		if !s.Rel.Deleted(i) && pred.Eval(s.Rel, i) {
-			n++
-		}
-	}
-	return n
-}
+func (s *Spec) CountBase() int { return s.Rel.Count(s.Filter()) }
 
 // FilterRows restricts an existing row set with the base predicate and
 // restrictions.
@@ -114,13 +99,7 @@ func (s *Spec) FilterRows(rows []int) []int {
 	if pred == nil {
 		return rows
 	}
-	out := make([]int, 0, len(rows))
-	for _, i := range rows {
-		if pred.Eval(s.Rel, i) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return pred.Bind(s.Rel)(rows, nil)
 }
 
 // Filter is the conjunction of the base predicate and every MIN/MAX
@@ -165,24 +144,9 @@ func (s *Spec) QueryAttrs() []string {
 	return out
 }
 
-// Validate binds every coefficient against the relation to surface
-// unknown or non-numeric attributes before evaluation.
+// Validate checks the spec against its relation — an ILP build over no
+// rows: an unknown or non-numeric attribute is what binding reports.
 func (s *Spec) Validate() error {
-	if s.Rel == nil {
-		return fmt.Errorf("core: spec has no input relation")
-	}
-	if s.Repeat < -1 {
-		return fmt.Errorf("core: invalid repeat %d", s.Repeat)
-	}
-	for _, c := range s.Constraints {
-		if _, err := c.Coef.Bind(s.Rel); err != nil {
-			return fmt.Errorf("core: constraint %q: %w", c, err)
-		}
-	}
-	if s.Objective != nil {
-		if _, err := s.Objective.Coef.Bind(s.Rel); err != nil {
-			return fmt.Errorf("core: objective %q: %w", s.Objective, err)
-		}
-	}
-	return nil
+	_, err := BuildILP(s, nil, nil)
+	return err
 }

@@ -506,14 +506,15 @@ func QueryKey(spec *core.Spec) string {
 // template at different constants and dataset versions pool their
 // observed outcomes. Two statements with equal shape keys are expected
 // to behave alike under each evaluation method — which is exactly the
-// granularity the advisor scores at.
-func ShapeKey(spec *core.Spec) string {
+// granularity the advisor scores at. nBase is spec.CountBase(), which
+// the caller planning the statement has already taken.
+func ShapeKey(spec *core.Spec, nBase int) string {
 	var b strings.Builder
 	// log2 bucket of the eligible-row count: method trade-offs shift
 	// with problem size, but pooling within a 2x band keeps shapes warm
 	// across inserts and deletes.
 	bucket := 0
-	for n := spec.CountBase(); n > 0; n >>= 1 {
+	for n := nBase; n > 0; n >>= 1 {
 		bucket++
 	}
 	fmt.Fprintf(&b, "rel=%s;size=2^%d", spec.Rel.Name(), bucket)

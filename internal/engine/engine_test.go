@@ -281,7 +281,7 @@ MAXIMIZE SUM(P.petrorad)`, rel)
 // distinct cache keys, while the same spec always keys identically.
 func TestSpecKeyAnonymousPredicates(t *testing.T) {
 	rel := workload.Galaxy(50, 2)
-	mkSpec := func(fn func(*relation.Relation, int) bool) *core.Spec {
+	mkSpec := func(fn func(*relation.Relation) func(int) bool) *core.Spec {
 		return &core.Spec{
 			Rel:    rel,
 			Repeat: 0,
@@ -292,16 +292,19 @@ func TestSpecKeyAnonymousPredicates(t *testing.T) {
 			}},
 		}
 	}
-	a := mkSpec(func(r *relation.Relation, row int) bool { return true })
-	b := mkSpec(func(r *relation.Relation, row int) bool { return false })
+	always := func(v bool) func(*relation.Relation) func(int) bool {
+		return func(*relation.Relation) func(int) bool { return func(int) bool { return v } }
+	}
+	a := mkSpec(always(true))
+	b := mkSpec(always(false))
 	if engine.SpecKey(a) == engine.SpecKey(b) {
 		t.Error("distinct anonymous CondCoef predicates share a cache key")
 	}
 	if engine.SpecKey(a) != engine.SpecKey(a) {
 		t.Error("same spec keys differently across calls")
 	}
-	c := &core.Spec{Rel: rel, Repeat: 0, Base: &relation.FuncPred{Fn: func(*relation.Relation, int) bool { return true }}}
-	d := &core.Spec{Rel: rel, Repeat: 0, Base: &relation.FuncPred{Fn: func(*relation.Relation, int) bool { return false }}}
+	c := &core.Spec{Rel: rel, Repeat: 0, Base: &relation.FuncPred{Fn: always(true)}}
+	d := &core.Spec{Rel: rel, Repeat: 0, Base: &relation.FuncPred{Fn: always(false)}}
 	if engine.SpecKey(c) == engine.SpecKey(d) {
 		t.Error("distinct anonymous base predicates share a cache key")
 	}
@@ -528,22 +531,24 @@ func TestShapeKeyPoolsTemplates(t *testing.T) {
 		}
 		return spec
 	}
+	// The size bucket is the statement's own count, as Prepare passes it.
+	shape := func(spec *core.Spec) string { return engine.ShapeKey(spec, spec.CountBase()) }
 	const tmpl = `
 SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
 SUCH THAT COUNT(P.*) = 3 AND SUM(P.redshift) <= %.3f
 MAXIMIZE SUM(P.petrorad)`
 	a := compile(fmt.Sprintf(tmpl, 2.5))
 	b := compile(fmt.Sprintf(tmpl, 9.75)) // same template, different RHS
-	if engine.ShapeKey(a) != engine.ShapeKey(b) {
+	if shape(a) != shape(b) {
 		t.Errorf("same template at different constants got distinct shapes:\n%s\n%s",
-			engine.ShapeKey(a), engine.ShapeKey(b))
+			shape(a), shape(b))
 	}
 	// A version bump must not move the shape (unlike SpecKey).
-	before := engine.ShapeKey(a)
+	before := shape(a)
 	if err := rel.Set(0, 1, relation.F(123)); err != nil {
 		t.Fatal(err)
 	}
-	if engine.ShapeKey(a) != before {
+	if shape(a) != before {
 		t.Error("dataset version leaked into the shape key")
 	}
 	if engine.SpecKey(a) == engine.SpecKey(b) {
@@ -554,7 +559,7 @@ MAXIMIZE SUM(P.petrorad)`
 SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
 SUCH THAT COUNT(P.*) = 3 AND SUM(P.redshift) <= 2.5 AND SUM(P.ra) >= 1
 MAXIMIZE SUM(P.petrorad)`)
-	if engine.ShapeKey(a) == engine.ShapeKey(c) {
+	if shape(a) == shape(c) {
 		t.Error("different constraint structures share a shape")
 	}
 	// Different objective sense → different shape.
@@ -562,7 +567,7 @@ MAXIMIZE SUM(P.petrorad)`)
 SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
 SUCH THAT COUNT(P.*) = 3 AND SUM(P.redshift) <= 2.5
 MINIMIZE SUM(P.petrorad)`)
-	if engine.ShapeKey(a) == engine.ShapeKey(d) {
+	if shape(a) == shape(d) {
 		t.Error("different objective senses share a shape")
 	}
 }

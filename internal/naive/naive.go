@@ -74,36 +74,31 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	rows := spec.BaseRows()
 	n := len(rows)
 
-	// Bind the non-cardinality constraints and the objective once.
+	// The ILP's matrix is every coefficient over the base relation, a
+	// column per constraint: bind and gather once, index by position.
+	prob, err := core.BuildILP(spec, rows, nil)
+	if err != nil {
+		return nil, err
+	}
 	type boundCons struct {
-		fn  func(int) float64
-		op  lp.ConstraintOp
-		rhs float64
+		coef []float64
+		op   lp.ConstraintOp
+		rhs  float64
 	}
 	var cons []boundCons
-	for _, c := range spec.Constraints {
+	for ci, c := range spec.Constraints {
 		if _, isUnit := c.Coef.(core.UnitCoef); isUnit && c.Op == lp.EQ {
 			continue // the cardinality constraint is enforced structurally
 		}
-		fn, err := c.Coef.Bind(spec.Rel)
-		if err != nil {
-			return nil, err
-		}
-		cons = append(cons, boundCons{fn: fn, op: c.Op, rhs: c.RHS})
+		cons = append(cons, boundCons{coef: prob.LP.A[ci], op: c.Op, rhs: c.RHS})
 	}
-	var objFn func(int) float64
+	var objCoef []float64
 	maximize := false
 	if spec.Objective != nil {
-		objFn, err = spec.Objective.Coef.Bind(spec.Rel)
-		if err != nil {
-			return nil, err
-		}
+		objCoef = prob.LP.C
 		maximize = spec.Objective.Maximize
 	}
 
@@ -152,7 +147,7 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, er
 				}
 			}
 			better := math.IsNaN(res.Objective)
-			if !better && objFn != nil {
+			if !better && objCoef != nil {
 				if maximize {
 					better = objSum > res.Objective
 				} else {
@@ -160,7 +155,7 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, er
 				}
 			}
 			if better {
-				if objFn != nil {
+				if objCoef != nil {
 					res.Objective = objSum
 				} else {
 					res.Objective = 0
@@ -171,21 +166,20 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, er
 		}
 		// r_k ranges over pk > previous pk (the r1.pk < r2.pk < ... joins).
 		for i := start; i <= n-(card-len(chosen)); i++ {
-			r := rows[i]
 			for ci, c := range cons {
-				consSum[ci] += c.fn(r)
+				consSum[ci] += c.coef[i]
 			}
-			if objFn != nil {
-				objSum += objFn(r)
+			if objCoef != nil {
+				objSum += objCoef[i]
 			}
-			chosen = append(chosen, r)
+			chosen = append(chosen, rows[i])
 			ok := rec(i + 1)
 			chosen = chosen[:len(chosen)-1]
 			for ci, c := range cons {
-				consSum[ci] -= c.fn(r)
+				consSum[ci] -= c.coef[i]
 			}
-			if objFn != nil {
-				objSum -= objFn(r)
+			if objCoef != nil {
+				objSum -= objCoef[i]
 			}
 			if !ok {
 				return false

@@ -3,15 +3,68 @@ package relation
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // Predicate is a per-tuple boolean condition — the engine's representation
-// of a PaQL/SQL WHERE clause (the paper's "base predicates"). Predicates
-// are evaluated against a single row of a relation.
+// of a PaQL/SQL WHERE clause (the paper's "base predicates"). A predicate
+// is immutable and names its columns; Bind resolves them against one
+// relation, and the Selection it returns does the evaluating, a column
+// and a row list at a time.
 type Predicate interface {
-	Eval(r *Relation, row int) bool
+	// Bind resolves the predicate's columns against r — index and type,
+	// once — and returns its selection pass over r's column storage. A
+	// column r lacks (the representative relation has only the
+	// partitioning attributes) or of the wrong type selects nothing.
+	Bind(r *Relation) Selection
 	String() string
+}
+
+// Selection is a predicate bound to one relation. It writes those of rows
+// that pass to out, in order, and returns them; out is reallocated when
+// it cannot hold len(rows), and may be rows itself (filtering in place)
+// but must not otherwise overlap it. It reads cells, not liveness. It may
+// keep scratch between calls and holds the relation's columns: use it
+// from one goroutine and drop it with the call that bound it.
+type Selection func(rows, out []int) []int
+
+// fit returns out sized to receive a selection from n rows.
+func fit(out []int, n int) []int {
+	if cap(out) < n {
+		return make([]int, n)
+	}
+	return out[:n]
+}
+
+// selectIf is the row-at-a-time selection: string comparisons, FuncPred.
+func selectIf(test func(row int) bool) Selection {
+	return func(rows, out []int) []int {
+		out = fit(out, len(rows))
+		n := 0
+		for _, i := range rows {
+			if test(i) {
+				out[n] = i
+				n++
+			}
+		}
+		return out[:n]
+	}
+}
+
+func selectNone(_, out []int) []int { return out[:0] }
+
+// without writes rows minus sub, a subsequence of it, to out.
+func without(rows, sub, out []int) []int {
+	out = fit(out, len(rows))
+	n, k := 0, 0
+	for _, i := range rows {
+		if k < len(sub) && sub[k] == i {
+			k++
+			continue
+		}
+		out[n] = i
+		n++
+	}
+	return out[:n]
 }
 
 // CmpOp is a comparison operator in a base predicate.
@@ -52,7 +105,8 @@ func (op CmpOp) String() string {
 	}
 }
 
-func cmpFloats(op CmpOp, a, b float64) bool {
+// Holds reports whether "a op b" is true of two cells of one kind.
+func Holds[T float64 | string](op CmpOp, a, b T) bool {
 	switch op {
 	case EQ:
 		return a == b
@@ -70,44 +124,68 @@ func cmpFloats(op CmpOp, a, b float64) bool {
 	return false
 }
 
-func cmpStrings(op CmpOp, a, b string) bool {
-	c := strings.Compare(a, b)
-	switch op {
-	case EQ:
-		return c == 0
-	case NE:
-		return c != 0
-	case LT:
-		return c < 0
-	case LE:
-		return c <= 0
-	case GT:
-		return c > 0
-	case GE:
-		return c >= 0
+// cmpSelection is "column op c" over a numeric column, compared as float64
+// whatever the column's type. Each loop writes every row and advances only
+// past the ones that pass, so it has no data-dependent branch.
+func cmpSelection[T int64 | float64](col []T, op CmpOp, c float64) Selection {
+	return func(rows, out []int) []int {
+		out = fit(out, len(rows))
+		n := 0
+		switch op {
+		case EQ:
+			for _, i := range rows {
+				out[n] = i
+				if float64(col[i]) == c {
+					n++
+				}
+			}
+		case NE:
+			for _, i := range rows {
+				out[n] = i
+				if float64(col[i]) != c {
+					n++
+				}
+			}
+		case LT:
+			for _, i := range rows {
+				out[n] = i
+				if float64(col[i]) < c {
+					n++
+				}
+			}
+		case LE:
+			for _, i := range rows {
+				out[n] = i
+				if float64(col[i]) <= c {
+					n++
+				}
+			}
+		case GT:
+			for _, i := range rows {
+				out[n] = i
+				if float64(col[i]) > c {
+					n++
+				}
+			}
+		case GE:
+			for _, i := range rows {
+				out[n] = i
+				if float64(col[i]) >= c {
+					n++
+				}
+			}
+		}
+		return out[:n]
 	}
-	return false
 }
 
-// Compare is a predicate of the form "column op constant". It is safe
-// for concurrent evaluation (the engine races SketchRefine refinement
-// orders over one shared spec, so the same predicate is evaluated from
-// several goroutines, possibly against different relations).
+// Compare is a predicate of the form "column op constant". A string
+// constant matches only a TEXT column and a numeric one only a numeric
+// column; any other pairing selects nothing.
 type Compare struct {
 	Col   string
 	Op    CmpOp
 	Const Value
-
-	// cached holds the last (relation, column-index) resolution as an
-	// immutable snapshot swapped atomically: concurrent evaluators can
-	// never pair one relation's column index with another relation.
-	cached atomic.Pointer[compareResolution]
-}
-
-// compareResolution is one immutable column lookup.
-type compareResolution struct {
-	res *Relation
-	idx int
 }
 
 // NewCompare builds a comparison predicate on the named column.
@@ -115,24 +193,21 @@ func NewCompare(col string, op CmpOp, c Value) *Compare {
 	return &Compare{Col: col, Op: op, Const: c}
 }
 
-// Eval implements Predicate.
-func (p *Compare) Eval(r *Relation, row int) bool {
-	cr := p.cached.Load()
-	if cr == nil || cr.res != r {
-		cr = &compareResolution{res: r, idx: r.Schema().Lookup(p.Col)}
-		p.cached.Store(cr)
+// Bind implements Predicate.
+func (p *Compare) Bind(r *Relation) Selection {
+	idx := r.schema.Lookup(p.Col)
+	if idx < 0 || (r.cols[idx].typ == String) != (p.Const.typ == String) {
+		return selectNone
 	}
-	if cr.idx < 0 {
-		return false
+	switch c := r.cols[idx]; c.typ {
+	case Float:
+		return cmpSelection(c.f, p.Op, p.Const.num())
+	case Int:
+		return cmpSelection(c.i, p.Op, p.Const.num())
+	default:
+		col, op, s := c.s, p.Op, p.Const.s
+		return selectIf(func(row int) bool { return Holds(op, col[row], s) })
 	}
-	cell := r.Value(row, cr.idx)
-	if cell.Type() == String || p.Const.Type() == String {
-		if cell.Type() != String || p.Const.Type() != String {
-			return false
-		}
-		return cmpStrings(p.Op, cell.s, p.Const.s)
-	}
-	return cmpFloats(p.Op, cell.num(), p.Const.num())
 }
 
 // String implements Predicate.
@@ -149,14 +224,9 @@ type Between struct {
 	Lo, Hi float64
 }
 
-// Eval implements Predicate.
-func (p *Between) Eval(r *Relation, row int) bool {
-	c := r.Schema().Lookup(p.Col)
-	if c < 0 || !r.Schema().Col(c).Type.Numeric() {
-		return false
-	}
-	v := r.Float(row, c)
-	return v >= p.Lo && v <= p.Hi
+// Bind implements Predicate: column >= lo AND column <= hi, literally.
+func (p *Between) Bind(r *Relation) Selection {
+	return (&And{Kids: []Predicate{NewCompare(p.Col, GE, F(p.Lo)), NewCompare(p.Col, LE, F(p.Hi))}}).Bind(r)
 }
 
 // String implements Predicate.
@@ -167,14 +237,23 @@ func (p *Between) String() string {
 // And is the conjunction of its children.
 type And struct{ Kids []Predicate }
 
-// Eval implements Predicate.
-func (p *And) Eval(r *Relation, row int) bool {
-	for _, k := range p.Kids {
-		if !k.Eval(r, row) {
-			return false
-		}
+// Bind implements Predicate: each child passes over what the ones before
+// it left. The empty conjunction is TRUE.
+func (p *And) Bind(r *Relation) Selection {
+	kids := make([]Selection, len(p.Kids))
+	for i, k := range p.Kids {
+		kids[i] = k.Bind(r)
 	}
-	return true
+	return func(rows, out []int) []int {
+		if len(kids) == 0 {
+			out = append(out[:0], rows...)
+		}
+		for _, k := range kids {
+			out = k(rows, out)
+			rows = out
+		}
+		return out
+	}
 }
 
 // String implements Predicate.
@@ -183,14 +262,14 @@ func (p *And) String() string { return joinPreds(p.Kids, " AND ") }
 // Or is the disjunction of its children.
 type Or struct{ Kids []Predicate }
 
-// Eval implements Predicate.
-func (p *Or) Eval(r *Relation, row int) bool {
-	for _, k := range p.Kids {
-		if k.Eval(r, row) {
-			return true
-		}
+// Bind implements Predicate, by De Morgan: NOT (NOT k1 AND NOT k2 ...),
+// so each child sees only the rows no earlier child took.
+func (p *Or) Bind(r *Relation) Selection {
+	nots := make([]Predicate, len(p.Kids))
+	for i, k := range p.Kids {
+		nots[i] = &Not{Kid: k}
 	}
-	return false
+	return (&Not{Kid: &And{Kids: nots}}).Bind(r)
 }
 
 // String implements Predicate.
@@ -199,8 +278,15 @@ func (p *Or) String() string { return joinPreds(p.Kids, " OR ") }
 // Not negates its child.
 type Not struct{ Kid Predicate }
 
-// Eval implements Predicate.
-func (p *Not) Eval(r *Relation, row int) bool { return !p.Kid.Eval(r, row) }
+// Bind implements Predicate.
+func (p *Not) Bind(r *Relation) Selection {
+	kid := p.Kid.Bind(r)
+	var hit []int
+	return func(rows, out []int) []int {
+		hit = kid(rows, hit)
+		return without(rows, hit, out)
+	}
+}
 
 // String implements Predicate.
 func (p *Not) String() string { return "NOT (" + p.Kid.String() + ")" }
@@ -209,12 +295,14 @@ func (p *Not) String() string { return "NOT (" + p.Kid.String() + ")" }
 // used by the PaQL compiler for conditions (e.g. arithmetic comparisons)
 // that the structured predicate types do not cover.
 type FuncPred struct {
-	Fn   func(r *Relation, row int) bool
+	// Fn resolves whatever the function reads against r and returns the
+	// per-row test.
+	Fn   func(r *Relation) func(row int) bool
 	Desc string
 }
 
-// Eval implements Predicate.
-func (p *FuncPred) Eval(r *Relation, row int) bool { return p.Fn(r, row) }
+// Bind implements Predicate.
+func (p *FuncPred) Bind(r *Relation) Selection { return selectIf(p.Fn(r)) }
 
 // String implements Predicate.
 func (p *FuncPred) String() string {
@@ -227,8 +315,8 @@ func (p *FuncPred) String() string {
 // True is the always-true predicate.
 type True struct{}
 
-// Eval implements Predicate.
-func (True) Eval(*Relation, int) bool { return true }
+// Bind implements Predicate.
+func (True) Bind(r *Relation) Selection { return (&And{}).Bind(r) }
 
 // String implements Predicate.
 func (True) String() string { return "TRUE" }

@@ -562,16 +562,29 @@ func (r *Relation) Select(pred Predicate) []int {
 	if pred == nil {
 		return r.AllRows()
 	}
-	rows := make([]int, 0, r.Live())
+	rows := r.scanLive()
+	return pred.Bind(r)(rows, rows)
+}
+
+// Count returns len(Select(pred)) without holding the rows: the live rows
+// go through pred's selection a fixed-size block at a time.
+func (r *Relation) Count(pred Predicate) int {
+	if pred == nil {
+		return r.Live()
+	}
+	sel := pred.Bind(r)
+	block := make([]int, 0, 1024)
+	n := 0
 	for i := 0; i < r.n; i++ {
-		if r.Deleted(i) {
-			continue
+		if !r.Deleted(i) {
+			block = append(block, i)
 		}
-		if pred.Eval(r, i) {
-			rows = append(rows, i)
+		if len(block) == cap(block) || i == r.n-1 {
+			n += len(sel(block, block))
+			block = block[:0]
 		}
 	}
-	return rows
+	return n
 }
 
 // Subset materializes the given rows into a new relation with the same

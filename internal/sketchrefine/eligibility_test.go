@@ -126,7 +126,7 @@ func TestEligibilityMatchesBaseRowScan(t *testing.T) {
 			spec := cardSpec(part.Rel, 5, 40)
 			filter(spec)
 			want, wantGIDs := scanEligibility(spec, part)
-			got, gotGIDs, gotN := eligibleByGroup(spec, part)
+			got, gotGIDs, gotN, filtered := eligibleByGroup(spec, part)
 			if !slices.Equal(gotGIDs, wantGIDs) {
 				t.Errorf("%s / %s: gids %v, scan gives %v", pname, fname, gotGIDs, wantGIDs)
 			}
@@ -140,7 +140,10 @@ func TestEligibilityMatchesBaseRowScan(t *testing.T) {
 			if gotN != n || n != len(spec.FilterRows(allMembers(part))) {
 				t.Errorf("%s / %s: n = %d, rows held %d", pname, fname, gotN, n)
 			}
-			if spec.Filter() == nil && len(gotGIDs) > 0 {
+			if filtered != (spec.Filter() != nil) {
+				t.Errorf("%s / %s: filtered = %v", pname, fname, filtered)
+			}
+			if !filtered && len(gotGIDs) > 0 {
 				g := gotGIDs[0]
 				if &got[g][0] != &part.Groups[g].Rows[0] {
 					t.Errorf("%s / %s: unfiltered rows were copied, not shared", pname, fname)
@@ -173,11 +176,11 @@ func TestEligibilityTakesMemberListsAsTheyAre(t *testing.T) {
 		if scan, _ := scanEligibility(spec, stale); slices.Contains(scan[0], victim) {
 			t.Fatalf("%s: the scan offers deleted row %d", fname, victim)
 		}
-		if got, _, _ := eligibleByGroup(spec, stale); !slices.Contains(got[0], victim) {
+		if got, _, _, _ := eligibleByGroup(spec, stale); !slices.Contains(got[0], victim) {
 			t.Errorf("%s: an unmaintained member list lost deleted row %d; EvaluateCtx's precondition is out of date", fname, victim)
 		}
 		want, _ := scanEligibility(spec, m.Partitioning())
-		got, _, _ := eligibleByGroup(spec, m.Partitioning())
+		got, _, _, _ := eligibleByGroup(spec, m.Partitioning())
 		for gid, rows := range got {
 			if !slices.Equal(rows, want[gid]) {
 				t.Errorf("%s: maintained group %d rows %v, scan gives %v", fname, gid, rows, want[gid])
@@ -260,7 +263,7 @@ func BenchmarkEligibility(b *testing.B) {
 			spec := galaxySpec(rel, filtered)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink, _, _ = eligibleByGroup(spec, part)
+				benchSink, _, _, _ = eligibleByGroup(spec, part)
 			}
 		})
 	}

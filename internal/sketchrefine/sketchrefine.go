@@ -38,6 +38,7 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/relation"
 )
 
 // Options configures SketchRefine.
@@ -110,10 +111,10 @@ type evaluator struct {
 	stats    *core.EvalStats
 	eligible [][]int // gid → base rows in that group, ascending
 	gids     []int   // gids with eligible rows, ascending
-	// Per-constraint coefficient evaluators bound to the input relation
-	// and to the representative relation (whose row i is gid i).
-	consOnRel  []func(int) float64
-	consOnReps []func(int) float64
+	// Per-constraint coefficients bound to the input relation and to the
+	// representative relation (whose row i is gid i).
+	consOnRel  []core.Fill
+	consOnReps []core.Fill
 
 	backtracks int
 }
@@ -126,21 +127,25 @@ type evaluator struct {
 // the relation's tombstones (see EvaluateCtx). When nothing filters,
 // rows[gid] is the member slice itself, shared read-only — every
 // maintenance path writes fresh storage, see partition.Partitioning.View;
-// otherwise it is a fresh slice of exactly what passed.
-func eligibleByGroup(spec *core.Spec, part *partition.Partitioning) (rows [][]int, gids []int, n int) {
+// otherwise — filtered — it is a fresh slice of exactly what passed the
+// filter's selection, bound once and run over each member list.
+func eligibleByGroup(spec *core.Spec, part *partition.Partitioning) (rows [][]int, gids []int, n int, filtered bool) {
 	rows = make([][]int, len(part.Groups))
 	gids = make([]int, 0, len(part.Groups))
-	pred := spec.Filter()
+	var sel relation.Selection
 	var passed []int // one group's, before it is copied out at its own length
+	if pred := spec.Filter(); pred != nil {
+		sel = pred.Bind(spec.Rel)
+		largest := 0
+		for _, g := range part.Groups {
+			largest = max(largest, len(g.Rows))
+		}
+		passed = make([]int, largest)
+	}
 	for gid := range part.Groups {
 		members := part.Groups[gid].Rows
-		if pred != nil {
-			passed = passed[:0]
-			for _, r := range members {
-				if pred.Eval(spec.Rel, r) {
-					passed = append(passed, r)
-				}
-			}
+		if sel != nil {
+			passed = sel(members, passed)
 			members = slices.Clone(passed)
 		}
 		if len(members) == 0 {
@@ -150,7 +155,7 @@ func eligibleByGroup(spec *core.Spec, part *partition.Partitioning) (rows [][]in
 		gids = append(gids, gid)
 		n += len(members)
 	}
-	return rows, gids, n
+	return rows, gids, n, sel != nil
 }
 
 // subproblem numbers the next ILP solve in evaluation order — the solves
@@ -183,9 +188,6 @@ func (ev *evaluator) subproblem(ctx context.Context, sketch bool) (context.Conte
 // any in-flight ILP solve — and returns the context's error.
 func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partitioning, opt Options) (*core.Package, *core.EvalStats, error) {
 	stats := &core.EvalStats{}
-	if err := spec.Validate(); err != nil {
-		return nil, stats, err
-	}
 	// Identity + version equality, not pointer equality: a solve pinned
 	// to a relation snapshot runs against a partitioning view whose Rel
 	// is a (possibly different) snapshot of the same dataset at the same
@@ -248,15 +250,15 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partition
 // records how many and whether a filter was applied) and binds constraint
 // coefficients against both relations.
 func (ev *evaluator) prepare(sp *obs.Span) error {
-	var n int
-	ev.eligible, ev.gids, n = eligibleByGroup(ev.spec, ev.part)
+	eligible, gids, n, filtered := eligibleByGroup(ev.spec, ev.part)
+	ev.eligible, ev.gids = eligible, gids
 	sp.SetAttrInt("groups", int64(len(ev.gids)))
 	sp.SetAttrInt("eligible_rows", int64(n))
-	sp.SetAttrBool("filtered", ev.spec.Filter() != nil)
+	sp.SetAttrBool("filtered", filtered)
 	for _, c := range ev.spec.Constraints {
 		onRel, err := c.Coef.Bind(ev.spec.Rel)
 		if err != nil {
-			return err
+			return fmt.Errorf("sketchrefine: constraint %q: %w", c, err)
 		}
 		onReps, err := c.Coef.Bind(ev.part.Reps)
 		if err != nil {
@@ -321,22 +323,26 @@ var errRefineFailed = errors.New("sketchrefine: refinement failed")
 // contribution computes, for constraint ci, the aggregate contribution of
 // the partial state excluding group skipGID's representatives.
 func (ev *evaluator) contribution(ci int, st *state, skipGID int) float64 {
-	v := 0.0
-	onRel := ev.consOnRel[ci]
-	for k, r := range st.rows {
-		v += float64(st.mult[k]) * onRel(r)
-	}
+	v := weighted(0, ev.consOnRel[ci], st.rows, st.mult)
 	// Iterate representatives in ascending gid order, not map order:
 	// floating-point addition is order-sensitive, and map iteration order
 	// would make the adjusted RHS — and with it the refine solutions —
 	// differ between otherwise identical runs.
-	onReps := ev.consOnReps[ci]
+	var gids, mult []int
 	for _, gid := range ev.gids {
-		m := st.reps[gid]
-		if gid == skipGID || m == 0 {
-			continue
+		if m := st.reps[gid]; gid != skipGID && m != 0 {
+			gids, mult = append(gids, gid), append(mult, m)
 		}
-		v += float64(m) * onReps(gid)
+	}
+	return weighted(v, ev.consOnReps[ci], gids, mult)
+}
+
+// weighted adds Σ mult[k]·coef(rows[k]) to v, a term at a time in order.
+func weighted(v float64, coef core.Fill, rows, mult []int) float64 {
+	coefs := make([]float64, len(rows))
+	coef(rows, coefs)
+	for k, c := range coefs {
+		v += float64(mult[k]) * c
 	}
 	return v
 }

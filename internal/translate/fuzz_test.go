@@ -1,8 +1,10 @@
 package translate
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/reltest"
 )
@@ -25,7 +27,9 @@ func fuzzRel() *relation.Relation {
 // FuzzCompile asserts the whole user-query path — lex, parse, validate,
 // translate, spec validation — never panics, whatever the query text.
 // This is the paqld server's contract: arbitrary POST /query bodies
-// must surface as errors, not process death.
+// must surface as errors, not process death. A query that compiles has
+// its filter run both ways — one selection over the whole table, and a
+// row at a time — and they must name the same rows.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		`SELECT PACKAGE(T) AS P FROM t T REPEAT 0 SUCH THAT COUNT(P.*) = 2 MINIMIZE SUM(P.a)`,
@@ -37,6 +41,7 @@ func FuzzCompile(f *testing.F) {
 		`SELECT PACKAGE(T) AS P FROM t SUCH THAT SUM(P.a) * SUM(P.b) <= 1`, // non-linear
 		`SELECT PACKAGE(T) AS P FROM t SUCH THAT (SELECT SUM(a) FROM P WHERE c = 'y''z') >= 0`,
 		`SELECT PACKAGE(T) AS P FROM t SUCH THAT MIN(P.nope) >= 0`,
+		`SELECT PACKAGE(T) AS P FROM t WHERE NOT (a BETWEEN -1 AND 1 OR b + a > 3) AND c <> 'x' SUCH THAT MAX(P.b) <= 5`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -53,7 +58,20 @@ func FuzzCompile(f *testing.F) {
 		if spec != nil && err == nil {
 			// A compiled spec must be evaluable machinery: binding its
 			// coefficients and filtering rows must not panic either.
-			_ = spec.BaseRows()
+			rows := spec.BaseRows()
+			if n := spec.CountBase(); n != len(rows) {
+				t.Fatalf("CountBase = %d, BaseRows has %d", n, len(rows))
+			}
+			var single []int
+			for _, r := range rel.AllRows() {
+				single = append(single, spec.FilterRows([]int{r})...)
+			}
+			if !slices.Equal(rows, single) {
+				t.Fatalf("one pass selects %v, row by row %v", rows, single)
+			}
+			if _, err := core.BuildILP(spec, rows, nil); err != nil {
+				t.Fatalf("compiled spec does not build: %v", err)
+			}
 		}
 	})
 }

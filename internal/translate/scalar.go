@@ -22,36 +22,10 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/paql"
 	"repro/internal/relation"
 )
-
-// colResolver caches a column lookup per relation, so one compiled
-// closure can evaluate against both the input relation and the
-// representative relation. The cache is an atomically swapped immutable
-// snapshot: compiled predicates live in a spec that racing SketchRefine
-// lanes evaluate concurrently, against different relations.
-type colResolver struct {
-	name   string
-	cached atomic.Pointer[colResolution]
-}
-
-// colResolution is one immutable (relation, index) lookup.
-type colResolution struct {
-	rel *relation.Relation
-	idx int
-}
-
-func (cr *colResolver) resolve(r *relation.Relation) int {
-	c := cr.cached.Load()
-	if c == nil || c.rel != r {
-		c = &colResolution{rel: r, idx: r.Schema().Lookup(cr.name)}
-		cr.cached.Store(c)
-	}
-	return c.idx
-}
 
 // scalarKind distinguishes numeric from string scalar expressions.
 type scalarKind int
@@ -61,11 +35,17 @@ const (
 	strScalar
 )
 
-// scalarFn evaluates a per-tuple scalar expression.
+// scalarFn is a per-tuple scalar expression: bound to a relation — its
+// columns resolved once — it yields the per-row evaluator of its kind.
 type scalarFn struct {
 	kind scalarKind
-	num  func(r *relation.Relation, row int) float64
-	str  func(r *relation.Relation, row int) string
+	num  func(r *relation.Relation) func(row int) float64
+	str  func(r *relation.Relation) func(row int) string
+}
+
+// constScalar is the bound form of a literal.
+func constScalar[T any](v T) func(*relation.Relation) func(int) T {
+	return func(*relation.Relation) func(int) T { return func(int) T { return v } }
 }
 
 // compileScalar compiles a tuple-level PaQL expression (a WHERE operand)
@@ -74,11 +54,9 @@ type scalarFn struct {
 func compileScalar(e paql.Expr, schema relation.Schema, alias string) (*scalarFn, error) {
 	switch x := e.(type) {
 	case paql.NumLit:
-		v := x.Val
-		return &scalarFn{kind: numScalar, num: func(*relation.Relation, int) float64 { return v }}, nil
+		return &scalarFn{kind: numScalar, num: constScalar(x.Val)}, nil
 	case paql.StrLit:
-		s := x.Val
-		return &scalarFn{kind: strScalar, str: func(*relation.Relation, int) string { return s }}, nil
+		return &scalarFn{kind: strScalar, str: constScalar(x.Val)}, nil
 	case paql.ColRef:
 		if x.Star {
 			return nil, fmt.Errorf("translate: %s is not a scalar", x)
@@ -90,28 +68,26 @@ func compileScalar(e paql.Expr, schema relation.Schema, alias string) (*scalarFn
 		if err != nil {
 			return nil, err
 		}
-		// The closure re-resolves the column per relation: compiled
-		// predicates are also evaluated against the representative
-		// relation (whose schema differs), so a compile-time index is
-		// not safe to bake in. Missing columns yield NaN, which makes
-		// any comparison false.
+		// The column is resolved per bind, not here: compiled predicates
+		// are also bound to the representative relation, whose schema
+		// differs. A column missing there reads as NaN (every comparison
+		// false) or "" — what a cell of the other kind reads as.
 		name := x.Name
-		res := &colResolver{name: name}
 		if schema.Col(idx).Type.Numeric() {
-			return &scalarFn{kind: numScalar, num: func(r *relation.Relation, row int) float64 {
-				c := res.resolve(r)
-				if c < 0 || !r.Schema().Col(c).Type.Numeric() {
-					return math.NaN()
+			return &scalarFn{kind: numScalar, num: func(r *relation.Relation) func(int) float64 {
+				c := r.Schema().Lookup(name)
+				if c < 0 {
+					return constScalar(math.NaN())(r)
 				}
-				return r.Float(row, c)
+				return func(row int) float64 { return r.Float(row, c) }
 			}}, nil
 		}
-		return &scalarFn{kind: strScalar, str: func(r *relation.Relation, row int) string {
-			c := res.resolve(r)
-			if c < 0 || r.Schema().Col(c).Type != relation.String {
-				return ""
+		return &scalarFn{kind: strScalar, str: func(r *relation.Relation) func(int) string {
+			c := r.Schema().Lookup(name)
+			if c < 0 {
+				return constScalar("")(r)
 			}
-			return r.Str(row, c)
+			return func(row int) string { return r.Str(row, c) }
 		}}, nil
 	case paql.Neg:
 		inner, err := compileScalar(x.E, schema, alias)
@@ -121,9 +97,9 @@ func compileScalar(e paql.Expr, schema relation.Schema, alias string) (*scalarFn
 		if inner.kind != numScalar {
 			return nil, fmt.Errorf("translate: cannot negate a string expression")
 		}
-		f := inner.num
-		return &scalarFn{kind: numScalar, num: func(r *relation.Relation, row int) float64 {
-			return -f(r, row)
+		return &scalarFn{kind: numScalar, num: func(r *relation.Relation) func(int) float64 {
+			f := inner.num(r)
+			return func(row int) float64 { return -f(row) }
 		}}, nil
 	case paql.Arith:
 		l, err := compileScalar(x.L, schema, alias)
@@ -137,19 +113,20 @@ func compileScalar(e paql.Expr, schema relation.Schema, alias string) (*scalarFn
 		if l.kind != numScalar || r.kind != numScalar {
 			return nil, fmt.Errorf("translate: arithmetic over string expressions")
 		}
-		lf, rf := l.num, r.num
-		var fn func(rel *relation.Relation, row int) float64
-		switch x.Op {
-		case paql.Add:
-			fn = func(rel *relation.Relation, row int) float64 { return lf(rel, row) + rf(rel, row) }
-		case paql.Sub:
-			fn = func(rel *relation.Relation, row int) float64 { return lf(rel, row) - rf(rel, row) }
-		case paql.Mul:
-			fn = func(rel *relation.Relation, row int) float64 { return lf(rel, row) * rf(rel, row) }
-		case paql.Div:
-			fn = func(rel *relation.Relation, row int) float64 { return lf(rel, row) / rf(rel, row) }
-		}
-		return &scalarFn{kind: numScalar, num: fn}, nil
+		op := x.Op
+		return &scalarFn{kind: numScalar, num: func(rel *relation.Relation) func(int) float64 {
+			lf, rf := l.num(rel), r.num(rel)
+			switch op {
+			case paql.Add:
+				return func(row int) float64 { return lf(row) + rf(row) }
+			case paql.Sub:
+				return func(row int) float64 { return lf(row) - rf(row) }
+			case paql.Mul:
+				return func(row int) float64 { return lf(row) * rf(row) }
+			default:
+				return func(row int) float64 { return lf(row) / rf(row) }
+			}
+		}}, nil
 	case paql.Agg:
 		return nil, fmt.Errorf("translate: aggregate %s in tuple-level expression", x)
 	default:
@@ -208,9 +185,12 @@ func CompilePredicate(e paql.Expr, schema relation.Schema, alias string) (relati
 			return nil, fmt.Errorf("translate: BETWEEN over string expressions")
 		}
 		desc := x.String()
-		return &relation.FuncPred{Desc: desc, Fn: func(r *relation.Relation, row int) bool {
-			v := ef.num(r, row)
-			return v >= lof.num(r, row) && v <= hif.num(r, row)
+		return &relation.FuncPred{Desc: desc, Fn: func(r *relation.Relation) func(int) bool {
+			e, lo, hi := ef.num(r), lof.num(r), hif.num(r)
+			return func(row int) bool {
+				v := e(row)
+				return v >= lo(row) && v <= hi(row)
+			}
 		}}, nil
 	default:
 		return nil, fmt.Errorf("translate: %q is not a boolean tuple predicate", e)
@@ -287,17 +267,16 @@ func compileComparison(x paql.Cmp, schema relation.Schema, alias string) (relati
 		return nil, fmt.Errorf("translate: comparing string with numeric in %q", x)
 	}
 	desc := x.String()
+	op := cmpOp(x.Op)
 	if l.kind == strScalar {
-		ls, rs := l.str, r.str
-		op := x.Op
-		return &relation.FuncPred{Desc: desc, Fn: func(rel *relation.Relation, row int) bool {
-			return cmpStringsOp(op, ls(rel, row), rs(rel, row))
+		return &relation.FuncPred{Desc: desc, Fn: func(rel *relation.Relation) func(int) bool {
+			ls, rs := l.str(rel), r.str(rel)
+			return func(row int) bool { return relation.Holds(op, ls(row), rs(row)) }
 		}}, nil
 	}
-	lf, rf := l.num, r.num
-	op := x.Op
-	return &relation.FuncPred{Desc: desc, Fn: func(rel *relation.Relation, row int) bool {
-		return cmpFloatsOp(op, lf(rel, row), rf(rel, row))
+	return &relation.FuncPred{Desc: desc, Fn: func(rel *relation.Relation) func(int) bool {
+		lf, rf := l.num(rel), r.num(rel)
+		return func(row int) bool { return relation.Holds(op, lf(row), rf(row)) }
 	}}, nil
 }
 
@@ -376,40 +355,5 @@ func flipOp(op relation.CmpOp) relation.CmpOp {
 		return relation.LE
 	default:
 		return op
-	}
-}
-
-func cmpFloatsOp(op paql.CmpOp, a, b float64) bool {
-	switch op {
-	case paql.Eq:
-		return a == b
-	case paql.Ne:
-		return a != b
-	case paql.Lt:
-		return a < b
-	case paql.Le:
-		return a <= b
-	case paql.Gt:
-		return a > b
-	default:
-		return a >= b
-	}
-}
-
-func cmpStringsOp(op paql.CmpOp, a, b string) bool {
-	c := strings.Compare(a, b)
-	switch op {
-	case paql.Eq:
-		return c == 0
-	case paql.Ne:
-		return c != 0
-	case paql.Lt:
-		return c < 0
-	case paql.Le:
-		return c <= 0
-	case paql.Gt:
-		return c > 0
-	default:
-		return c >= 0
 	}
 }

@@ -2,7 +2,9 @@ package translate
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -444,5 +446,52 @@ MINIMIZE SUM(P.saturated_fat)`
 	o2, _ := p2.ObjectiveValue(spec2)
 	if math.Abs(o1-o2) > 1e-9 {
 		t.Errorf("objective drift through String(): %g vs %g", o1, o2)
+	}
+}
+
+// TestBetweenIsPairedInequalities: "e BETWEEN lo AND hi" and
+// "e >= lo AND e <= hi" are one query — over a column, over arithmetic,
+// inside a sub-query filter and as a global predicate: the same base
+// rows, the same count, and the same ILP bit for bit.
+func TestBetweenIsPairedInequalities(t *testing.T) {
+	rel := recipesRel()
+	reltest.Append(rel, relation.S("void"), relation.S("free"), relation.F(math.NaN()),
+		relation.F(0.5), relation.F(math.Inf(1)), relation.F(0))
+	const tmpl = `SELECT PACKAGE(R) AS P FROM recipes R REPEAT 1 WHERE %s
+SUCH THAT %s AND (SELECT COUNT(*) FROM P WHERE %s) >= 1 MINIMIZE SUM(P.saturated_fat)`
+	for _, c := range []struct{ e, lo, hi string }{
+		{"R.kcal", "0.4", "0.8"},
+		{"R.kcal", "0.8", "0.4"}, // empty window
+		{"R.carbs", "0", "1e9"},
+		{"R.kcal + R.protein / 10", "0.5", "2 * 0.9"},
+	} {
+		between := fmt.Sprintf("%s BETWEEN %s AND %s", c.e, c.lo, c.hi)
+		paired := fmt.Sprintf("%s >= %s AND %s <= %s", c.e, c.lo, c.e, c.hi)
+		global := "SUM(P.kcal) BETWEEN 1 AND 3"
+		globalPaired := "SUM(P.kcal) >= 1 AND SUM(P.kcal) <= 3"
+		a := compileOK(t, fmt.Sprintf(tmpl, between, global, between), rel)
+		b := compileOK(t, fmt.Sprintf(tmpl, paired, globalPaired, paired), rel)
+		rows := a.BaseRows()
+		if !slices.Equal(rows, b.BaseRows()) || a.CountBase() != b.CountBase() {
+			t.Errorf("%s selects %v, %s selects %v", between, rows, paired, b.BaseRows())
+		}
+		pa, err := core.BuildILP(a, rel.AllRows(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := core.BuildILP(b, rel.AllRows(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(pa.LP.B, pb.LP.B) || !slices.Equal(pa.LP.Op, pb.LP.Op) || len(pa.LP.A) != len(pb.LP.A) {
+			t.Fatalf("%s: rows %v %v vs %v %v", between, pa.LP.Op, pa.LP.B, pb.LP.Op, pb.LP.B)
+		}
+		for i := range pa.LP.A {
+			for j := range pa.LP.A[i] {
+				if math.Float64bits(pa.LP.A[i][j]) != math.Float64bits(pb.LP.A[i][j]) {
+					t.Errorf("%s: A[%d][%d] = %v, paired form %v", between, i, j, pa.LP.A[i][j], pb.LP.A[i][j])
+				}
+			}
+		}
 	}
 }

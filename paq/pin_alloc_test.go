@@ -1,8 +1,10 @@
 package paq
 
 import (
+	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/relation"
 	"repro/internal/reltest"
@@ -114,4 +116,64 @@ func TestPrepareAllocationIndependentOfRows(t *testing.T) {
 	if large > small+4096 {
 		t.Errorf("Prepare allocates %d bytes over 2 000 rows and %d over 20 000", small, large)
 	}
+}
+
+// An idle filtered statement must not keep the snapshot it last ran on
+// alive: a bound predicate lasts one call, so once a mutation has given
+// head its own copy of a column and a later pin has replaced the
+// dataset's cached snapshot, the old snapshot and the column array only it
+// held are garbage (compiled predicates used to cache the last relation
+// they ran on: 4.4 MB at this size).
+func TestIdleFilteredStmtDoesNotPinSnapshot(t *testing.T) {
+	const n = 50_000
+	rel := relation.New("items", reltest.Schema(
+		relation.Column{Name: "cost", Type: relation.Float},
+		relation.Column{Name: "gain", Type: relation.Float},
+	))
+	for i := 0; i < n; i++ {
+		reltest.Append(rel, relation.F(1+float64(i%997)), relation.F(1+float64((i*7)%11)))
+	}
+	s, err := Open(Table(rel), WithMethod(MethodDirect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	filtered, err := s.Prepare(`
+SELECT PACKAGE(I) AS P FROM items I REPEAT 0 WHERE I.cost <= 3 AND I.gain + 1 > 2
+SUCH THAT COUNT(P.*) = 3 AND MAX(P.gain) <= 9
+MAXIMIZE SUM(P.gain)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := filtered.Execute(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	collected := make(chan string, 2)
+	snap := s.d.pin.snap.Load()
+	runtime.SetFinalizer(snap, func(*relation.Relation) { collected <- "snapshot" })
+	runtime.SetFinalizer(&snap.FloatColumn(0)[0], func(*float64) { collected <- "cost column" })
+	snap = nil
+
+	// The update makes head clone "cost"; the next pin drops the
+	// dataset's own reference to the old snapshot.
+	if _, err := s.UpdateRows([]int{0}, [][]relation.Value{{relation.F(2), relation.F(5)}}); err != nil {
+		t.Fatal(err)
+	}
+	other, err := s.Prepare(pinAllocQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.pinExec(other, nil); err != nil {
+		t.Fatal(err)
+	}
+	for got := 0; got < 2; {
+		runtime.GC()
+		select {
+		case <-collected:
+			got++
+		case <-time.After(2 * time.Second):
+			t.Fatalf("the superseded snapshot is still reachable (%d of 2 finalizers ran)", got)
+		}
+	}
+	runtime.KeepAlive(filtered)
 }

@@ -196,7 +196,7 @@ func (s *Session) Prepare(query string, opts ...Option) (*Stmt, error) {
 func (st *Stmt) resolveMethod(m Method, nBase int) error {
 	s := st.sess
 	if s.adv != nil {
-		st.shape = engine.ShapeKey(st.spec)
+		st.shape = engine.ShapeKey(st.spec, nBase)
 	}
 	if m == MethodDirect || m == MethodNaive {
 		st.method = m
