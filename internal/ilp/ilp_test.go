@@ -372,90 +372,3 @@ func TestQuickSolutionIntegralFeasible(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestFindIIS(t *testing.T) {
-	// Rows: {x<=2, x>=5, x>=1}: the IIS is rows {0,1}.
-	p := &lp.Problem{
-		Maximize: true,
-		C:        []float64{0},
-		A:        [][]float64{{1}, {1}, {1}},
-		Op:       []lp.ConstraintOp{lp.LE, lp.GE, lp.GE},
-		B:        []float64{2, 5, 1},
-	}
-	iis, err := FindIIS(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(iis) != 2 || iis[0] != 0 || iis[1] != 1 {
-		t.Fatalf("IIS = %v, want [0 1]", iis)
-	}
-}
-
-func TestFindIISFeasible(t *testing.T) {
-	p := &lp.Problem{
-		Maximize: true,
-		C:        []float64{0},
-		A:        [][]float64{{1}},
-		Op:       []lp.ConstraintOp{lp.LE},
-		B:        []float64{2},
-	}
-	iis, err := FindIIS(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iis != nil {
-		t.Fatalf("IIS of feasible problem = %v, want nil", iis)
-	}
-}
-
-// Property: removing any single row of a reported IIS yields feasibility
-// (irreducibility).
-func TestQuickIISIrreducible(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(3)
-		rows := 2 + rng.Intn(4)
-		p := &lp.Problem{
-			Maximize: true,
-			C:        make([]float64, n),
-			Hi:       make([]float64, n),
-		}
-		for j := 0; j < n; j++ {
-			p.Hi[j] = 3
-		}
-		for i := 0; i < rows; i++ {
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = float64(rng.Intn(5) - 2)
-			}
-			p.A = append(p.A, row)
-			p.Op = append(p.Op, []lp.ConstraintOp{lp.LE, lp.GE}[rng.Intn(2)])
-			p.B = append(p.B, float64(rng.Intn(13)-6))
-		}
-		iis, err := FindIIS(context.Background(), p)
-		if err != nil {
-			return false
-		}
-		if iis == nil {
-			return true // feasible instance
-		}
-		inIIS := make(map[int]bool, len(iis))
-		for _, i := range iis {
-			inIIS[i] = true
-		}
-		for _, drop := range iis {
-			active := make([]bool, p.NumRows())
-			for i := range active {
-				active[i] = inIIS[i] && i != drop
-			}
-			ok, err := rowsFeasible(context.Background(), p, active)
-			if err != nil || !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}

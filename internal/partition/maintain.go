@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/relation"
@@ -33,16 +34,18 @@ import (
 // equals MaxRadiusBound — instead of silently. QualityBound exposes the
 // resulting multiplicative factor.
 
-// MaintOptions configures a Maintainer.
-type MaintOptions struct {
-	// MinFill is the merge floor: a group shrinking below it is merged
-	// into its nearest sibling. 0 means τ/4; negative disables merging.
-	MinFill int
-	// HealEvery is the number of mutations a group absorbs between
-	// exact centroid/radius recomputations (the self-healing cadence).
-	// 0 means 32; negative disables healing (bounds then only grow).
-	HealEvery int
-}
+const (
+	// minFillDivisor sets the merge floor: a group shrinking below
+	// τ/minFillDivisor rows is merged into its nearest sibling.
+	minFillDivisor = 4
+	// healEvery is the number of mutations a group absorbs between exact
+	// centroid/radius recomputations (the self-healing cadence).
+	healEvery = 32
+)
+
+// MaintOptions is the (empty) configuration of a Maintainer: the merge
+// floor and the healing cadence are constants.
+type MaintOptions struct{}
 
 // MaintStats counts maintenance work, monotonically.
 type MaintStats struct {
@@ -75,15 +78,15 @@ type gState struct {
 	dirty bool
 }
 
-// Maintainer keeps one Partitioning valid and its representatives fresh
-// under interleaved row inserts, deletes, and updates. It mutates the
-// Partitioning in place (Groups, GID, Reps), so readers must be
-// serialized against maintenance by the caller — paq.Session holds a
-// read-write lock around the solve path. A Maintainer is not itself
-// safe for concurrent use.
+// Maintainer is the one writer of a head Partitioning: it keeps it valid
+// and its representatives fresh under interleaved row inserts, deletes,
+// and updates, mutating Groups, GID and Reps in place, and it alone reads
+// GID. Solves never read the head — they read a View taken under the
+// lock that serializes maintenance (paq's dataset holds a read-write lock
+// around it), so update propagation is a stage of its own with its own
+// state. A Maintainer is not itself safe for concurrent use.
 type Maintainer struct {
-	p   *Partitioning
-	opt MaintOptions
+	p *Partitioning
 	// numIdx are the relation's numeric column indices in schema order
 	// (the representative relation's attribute order).
 	numIdx []int
@@ -98,31 +101,14 @@ type Maintainer struct {
 	structChanged bool
 }
 
-// NewMaintainer wraps an existing partitioning for incremental
+// NewMaintainer wraps an existing head partitioning for incremental
 // maintenance. The partitioning must satisfy its invariants; its groups
 // are adopted as-is (radii become the initial — exact — bounds).
-func NewMaintainer(p *Partitioning, opt MaintOptions) *Maintainer {
-	if opt.MinFill == 0 {
-		opt.MinFill = p.Tau / 4
-	}
-	if opt.HealEvery == 0 {
-		opt.HealEvery = 32
-	}
-	m := &Maintainer{p: p, opt: opt}
-	schema := p.Rel.Schema()
-	for i := 0; i < schema.Len(); i++ {
-		if schema.Col(i).Type.Numeric() {
-			m.numIdx = append(m.numIdx, i)
-		}
-	}
+func NewMaintainer(p *Partitioning, _ MaintOptions) *Maintainer {
+	m := &Maintainer{p: p, numIdx: numericCols(p.Rel)}
 	m.attrPos = make([]int, len(p.AttrIdx))
 	for a, idx := range p.AttrIdx {
-		m.attrPos[a] = -1
-		for pos, c := range m.numIdx {
-			if c == idx {
-				m.attrPos[a] = pos
-			}
-		}
+		m.attrPos[a] = slices.Index(m.numIdx, idx)
 	}
 	m.groups = make([]*gState, len(p.Groups))
 	for gid := range p.Groups {
@@ -158,54 +144,75 @@ func (m *Maintainer) exactState(g *Group) *gState {
 	return st
 }
 
+// heal recomputes group gid exactly, collapsing its radius bound back to
+// the true radius.
+func (m *Maintainer) heal(gid int) {
+	m.groups[gid] = m.exactState(&m.p.Groups[gid])
+	m.stats.Heals++
+}
+
+// mean is a running sum over count members; an empty group reads zero.
+func mean(sum float64, count int) float64 {
+	if count == 0 {
+		return 0
+	}
+	return sum / float64(count)
+}
+
+// meansOf fills dst with group gid's mean on every numeric column, from
+// its running sums: its R̃ row.
+func (m *Maintainer) meansOf(gid int, dst []float64) {
+	for pos, s := range m.groups[gid].sums {
+		dst[pos] = mean(s, len(m.p.Groups[gid].Rows))
+	}
+}
+
 // centroidOf derives the partitioning-attribute centroid from running
 // sums.
 func (m *Maintainer) centroidOf(st *gState, count int) []float64 {
 	out := make([]float64, len(m.attrPos))
-	if count == 0 {
-		return out
-	}
 	for a, pos := range m.attrPos {
-		if pos >= 0 {
-			out[a] = st.sums[pos] / float64(count)
-		}
+		out[a] = mean(st.sums[pos], count)
 	}
 	return out
 }
 
-// distInf is the L∞ distance between a row and a centroid over the
-// partitioning attributes — the same metric as Definition 2's radius.
-func (m *Maintainer) distInf(row int, centroid []float64) float64 {
-	d := 0.0
-	for a, c := range m.p.AttrIdx {
-		v := math.Abs(m.p.Rel.Float(row, c) - centroid[a])
-		if v > d {
-			d = v
-		}
-	}
-	return d
+// recentre re-derives group gid's centroid after its membership and sums
+// changed, marks the group touched, and returns how far the centroid
+// moved. Members that were within Radius of the old centroid are within
+// Radius+shift of the new one (triangle inequality).
+func (m *Maintainer) recentre(gid int) (shift float64) {
+	g, st := &m.p.Groups[gid], m.groups[gid]
+	old := g.Centroid
+	g.Centroid = m.centroidOf(st, len(g.Rows))
+	st.ops++
+	st.noSplit = false
+	st.dirty = true
+	return distInf(old, g.Centroid)
 }
 
-func distInfVec(a, b []float64) float64 {
+// distInf is the L∞ distance between two points over the partitioning
+// attributes — the same metric as Definition 2's radius.
+func distInf(a, b []float64) float64 {
 	d := 0.0
 	for i := range a {
-		v := math.Abs(a[i] - b[i])
-		if v > d {
+		if v := math.Abs(a[i] - b[i]); v > d {
 			d = v
 		}
 	}
 	return d
 }
 
-// nearestGroup returns the gid with the centroid closest to the row
-// (lowest gid on ties — deterministic), excluding `skip` (-1 for none).
-func (m *Maintainer) nearestGroup(row, skip int) int {
+// nearest returns the gid whose centroid is closest to point (lowest gid
+// on ties — deterministic), excluding skip (-1 for none); -1 when no
+// other group exists. It is the one routing scan, linear in the groups.
+func (m *Maintainer) nearest(point []float64, skip int) int {
 	best, bestD := -1, math.Inf(1)
 	for gid := range m.p.Groups {
 		if gid == skip {
 			continue
 		}
-		if d := m.distInf(row, m.p.Groups[gid].Centroid); d < bestD {
+		if d := distInf(point, m.p.Groups[gid].Centroid); d < bestD {
 			best, bestD = gid, d
 		}
 	}
@@ -217,11 +224,17 @@ func (m *Maintainer) nearestGroup(row, skip int) int {
 // any group pushed past τ (or past ω when a radius limit is enforced)
 // is split in place. Call it after appending the rows to the relation.
 func (m *Maintainer) Insert(rows ...int) error {
+	return m.batch(rows, &m.stats.Inserts, m.insertOne)
+}
+
+// batch runs one maintenance step per row, counting each, and refreshes
+// the representatives once at the end.
+func (m *Maintainer) batch(rows []int, count *uint64, step func(row int) error) error {
 	for _, row := range rows {
-		if err := m.insertOne(row); err != nil {
+		if err := step(row); err != nil {
 			return err
 		}
-		m.stats.Inserts++
+		*count++
 	}
 	m.flushReps()
 	return nil
@@ -232,18 +245,17 @@ func (m *Maintainer) insertOne(row int) error {
 		return fmt.Errorf("partition: insert of invalid row %d", row)
 	}
 	// Grow the gid map to cover appended rows.
-	for len(m.p.GID) < m.p.Rel.Len() {
-		m.p.GID = append(m.p.GID, -1)
-	}
+	m.p.GID = unassigned(m.p.GID, m.p.Rel.Len())
 	if m.p.GID[row] != -1 {
 		return fmt.Errorf("partition: row %d is already in group %d", row, m.p.GID[row])
 	}
-	gid := m.nearestGroup(row, -1)
+	// The row as a point over the partitioning attributes: its own centroid.
+	pt := relation.Centroid(m.p.Rel, m.p.AttrIdx, []int{row})
+	gid := m.nearest(pt, -1)
 	if gid < 0 {
 		// Every group was deleted away: found a new first cell.
 		m.p.Groups = append(m.p.Groups, Group{ID: 0, Rows: []int{row}})
-		m.groups = append(m.groups, nil)
-		m.groups[0] = m.exactState(&m.p.Groups[0])
+		m.groups = append(m.groups, m.exactState(&m.p.Groups[0]))
 		m.p.GID[row] = 0
 		m.structChanged = true
 		return nil
@@ -253,60 +265,47 @@ func (m *Maintainer) insertOne(row int) error {
 	for pos, c := range m.numIdx {
 		st.sums[pos] += m.p.Rel.Float(row, c)
 	}
-	oldC := g.Centroid
-	g.Centroid = m.centroidOf(st, len(g.Rows))
-	shift := distInfVec(oldC, g.Centroid)
-	g.Radius = math.Max(g.Radius+shift, m.distInf(row, g.Centroid))
 	m.p.GID[row] = gid
-	st.ops++
-	st.noSplit = false
-	st.dirty = true
+	shift := m.recentre(gid)
+	g.Radius = math.Max(g.Radius+shift, distInf(pt, g.Centroid))
 	m.healMaybe(gid)
 	m.splitMaybe(gid)
 	return nil
+}
+
+// detach takes a row out of its group's member list and the gid map and
+// returns the group, which may be left empty.
+func (m *Maintainer) detach(row int) (int, error) {
+	if row < 0 || row >= len(m.p.GID) || m.p.GID[row] < 0 {
+		return -1, fmt.Errorf("partition: row %d is in no group", row)
+	}
+	gid := m.p.GID[row]
+	m.p.Groups[gid].Rows = removeSorted(m.p.Groups[gid].Rows, row)
+	m.p.GID[row] = -1
+	return gid, nil
 }
 
 // Delete removes just-tombstoned rows from their groups. Call it after
 // tombstoning the rows in the relation (their cells must still be
 // readable, which relation.Delete guarantees).
 func (m *Maintainer) Delete(rows ...int) error {
-	for _, row := range rows {
-		if err := m.deleteOne(row); err != nil {
-			return err
-		}
-		m.stats.Deletes++
-	}
-	m.flushReps()
-	return nil
+	return m.batch(rows, &m.stats.Deletes, m.deleteOne)
 }
 
 func (m *Maintainer) deleteOne(row int) error {
-	if row < 0 || row >= len(m.p.GID) {
-		return fmt.Errorf("partition: delete of unknown row %d", row)
+	gid, err := m.detach(row)
+	if err != nil {
+		return err
 	}
-	gid := m.p.GID[row]
-	if gid < 0 {
-		return fmt.Errorf("partition: row %d is in no group", row)
-	}
-	g, st := &m.p.Groups[gid], m.groups[gid]
-	g.Rows = removeSorted(g.Rows, row)
-	m.p.GID[row] = -1
+	g := &m.p.Groups[gid]
 	if len(g.Rows) == 0 {
 		m.dropGroup(gid)
 		return nil
 	}
 	for pos, c := range m.numIdx {
-		st.sums[pos] -= m.p.Rel.Float(row, c)
+		m.groups[gid].sums[pos] -= m.p.Rel.Float(row, c)
 	}
-	oldC := g.Centroid
-	g.Centroid = m.centroidOf(st, len(g.Rows))
-	// Surviving members were within Radius of the old centroid; after
-	// the centroid moves by shift they are within Radius+shift of the
-	// new one (triangle inequality).
-	g.Radius += distInfVec(oldC, g.Centroid)
-	st.ops++
-	st.noSplit = false
-	st.dirty = true
+	g.Radius += m.recentre(gid)
 	m.healMaybe(gid)
 	m.mergeMaybe(gid)
 	return nil
@@ -317,47 +316,28 @@ func (m *Maintainer) deleteOne(row int) error {
 // contribution to its group is unknown, so the group is recomputed
 // exactly and the row re-routed as a fresh insert.
 func (m *Maintainer) Update(rows ...int) error {
-	for _, row := range rows {
-		if row < 0 || row >= len(m.p.GID) || m.p.Rel.Deleted(row) {
-			return fmt.Errorf("partition: update of invalid row %d", row)
-		}
-		gid := m.p.GID[row]
-		if gid < 0 {
-			return fmt.Errorf("partition: row %d is in no group", row)
-		}
-		g := &m.p.Groups[gid]
-		g.Rows = removeSorted(g.Rows, row)
-		m.p.GID[row] = -1
-		if len(g.Rows) == 0 {
-			m.dropGroup(gid)
-		} else {
-			m.groups[gid] = m.exactState(g)
-			m.groups[gid].ops = 0
-			m.stats.Heals++
-			m.mergeMaybe(gid)
-		}
-		if err := m.insertOne(row); err != nil {
-			return err
-		}
-		m.stats.Updates++
-	}
-	m.flushReps()
-	return nil
+	return m.batch(rows, &m.stats.Updates, m.updateOne)
 }
 
-// healMaybe recomputes a group exactly once enough mutations have
-// accumulated, collapsing the radius bound back to the true radius.
+func (m *Maintainer) updateOne(row int) error {
+	gid, err := m.detach(row)
+	if err != nil {
+		return err
+	}
+	if len(m.p.Groups[gid].Rows) == 0 {
+		m.dropGroup(gid)
+	} else {
+		m.heal(gid)
+		m.mergeMaybe(gid)
+	}
+	return m.insertOne(row)
+}
+
+// healMaybe heals a group once enough mutations have accumulated.
 func (m *Maintainer) healMaybe(gid int) {
-	if m.opt.HealEvery < 0 {
-		return
+	if m.groups[gid].ops >= healEvery {
+		m.heal(gid)
 	}
-	st := m.groups[gid]
-	if st.ops < m.opt.HealEvery {
-		return
-	}
-	g := &m.p.Groups[gid]
-	m.groups[gid] = m.exactState(g)
-	m.stats.Heals++
 }
 
 // splitMaybe splits a group violating τ (or ω) with the offline
@@ -369,17 +349,13 @@ func (m *Maintainer) splitMaybe(gid int) {
 	if !over && m.p.Omega > 0 && g.Radius > m.p.Omega && !m.groups[gid].noSplit {
 		// Radius splits go through an exact heal first: splitting on a
 		// loose bound would churn groups whose true radius is fine.
-		m.groups[gid] = m.exactState(g)
-		m.stats.Heals++
+		m.heal(gid)
 		over = g.Radius > m.p.Omega
-		if !over {
-			return
-		}
 	}
 	if !over {
 		return
 	}
-	b := &treeBuilder{rel: m.p.Rel, attrIdx: m.p.AttrIdx, maxDepth: 64}
+	b := &treeBuilder{rel: m.p.Rel, attrIdx: m.p.AttrIdx}
 	parts := b.buildGroups(g.Rows, 0, m.p.Tau, m.p.Omega)
 	if len(parts) <= 1 {
 		// Degenerate (duplicate points): no split exists. Remember, so
@@ -389,7 +365,13 @@ func (m *Maintainer) splitMaybe(gid int) {
 	}
 	m.stats.Splits++
 	m.structChanged = true
-	assign := func(slot int, ng Group) {
+	for i, ng := range parts {
+		slot := gid
+		if i > 0 {
+			slot = len(m.p.Groups)
+			m.p.Groups = append(m.p.Groups, Group{})
+			m.groups = append(m.groups, nil)
+		}
 		ng.ID = slot
 		m.p.Groups[slot] = ng
 		for _, r := range ng.Rows {
@@ -397,37 +379,18 @@ func (m *Maintainer) splitMaybe(gid int) {
 		}
 		m.groups[slot] = m.exactState(&m.p.Groups[slot])
 	}
-	assign(gid, parts[0])
-	for _, ng := range parts[1:] {
-		slot := len(m.p.Groups)
-		m.p.Groups = append(m.p.Groups, Group{})
-		m.groups = append(m.groups, nil)
-		assign(slot, ng)
-	}
 }
 
 // mergeMaybe folds an underfull group into its nearest sibling,
 // re-splitting the result if the merge overshoots τ.
 func (m *Maintainer) mergeMaybe(gid int) {
-	if m.opt.MinFill < 0 || len(m.p.Groups) <= 1 {
-		return
-	}
 	g := &m.p.Groups[gid]
-	if len(g.Rows) >= m.opt.MinFill {
+	if len(g.Rows) >= m.p.Tau/minFillDivisor {
 		return
 	}
-	// Nearest sibling by centroid distance (lowest gid on ties).
-	best, bestD := -1, math.Inf(1)
-	for other := range m.p.Groups {
-		if other == gid {
-			continue
-		}
-		if d := distInfVec(g.Centroid, m.p.Groups[other].Centroid); d < bestD {
-			best, bestD = other, d
-		}
-	}
+	best := m.nearest(g.Centroid, gid)
 	if best < 0 {
-		return
+		return // the only group
 	}
 	m.stats.Merges++
 	t, ts := &m.p.Groups[best], m.groups[best]
@@ -436,19 +399,13 @@ func (m *Maintainer) mergeMaybe(gid int) {
 	for pos := range ts.sums {
 		ts.sums[pos] += m.groups[gid].sums[pos]
 	}
-	oldC := t.Centroid
-	t.Centroid = m.centroidOf(ts, len(t.Rows))
-	// Every point of either side is within its old radius of its old
-	// centroid; bound both against the merged centroid.
-	t.Radius = math.Max(
-		t.Radius+distInfVec(oldC, t.Centroid),
-		srcR+distInfVec(srcC, t.Centroid))
 	for _, r := range srcRows {
 		m.p.GID[r] = best
 	}
-	ts.ops++
-	ts.noSplit = false
-	ts.dirty = true
+	// Every point of either side is within its old radius of its old
+	// centroid; bound both against the merged centroid.
+	shift := m.recentre(best)
+	t.Radius = math.Max(t.Radius+shift, srcR+distInf(srcC, t.Centroid))
 	// Drop the emptied source slot first so the split below sees dense
 	// ids. dropGroup may move the last group into gid — best tracks it.
 	g.Rows = nil
@@ -480,63 +437,20 @@ func (m *Maintainer) dropGroup(gid int) {
 
 // flushReps refreshes the representative relation after a batch: cell
 // updates in place for dirty groups, or a full (cheap, O(m)) rebuild
-// when the group set itself changed shape.
+// from the sums when the group set itself changed shape.
 func (m *Maintainer) flushReps() {
-	if m.structChanged || m.p.Reps == nil || m.p.Reps.Len() != len(m.p.Groups) {
-		m.p.Reps = m.repsFromSums()
+	rebuilt, row := m.structChanged, make([]float64, len(m.numIdx))
+	if rebuilt {
+		m.p.Reps = newReps(m.p.Rel, m.numIdx, len(m.groups), m.meansOf)
 		m.structChanged = false
-		for _, st := range m.groups {
-			st.dirty = false
-		}
-		return
 	}
 	for gid, st := range m.groups {
-		if !st.dirty {
-			continue
-		}
-		count := len(m.p.Groups[gid].Rows)
-		for pos := range m.numIdx {
-			// Reps schema is gid followed by the numeric columns in
-			// numIdx order; column pos+1 is the pos-th numeric mean.
-			mean := 0.0
-			if count > 0 {
-				mean = st.sums[pos] / float64(count)
-			}
-			// The schemas are fixed; Set cannot fail here.
-			_ = m.p.Reps.Set(gid, pos+1, relation.F(mean))
+		if st.dirty && !rebuilt {
+			m.meansOf(gid, row)
+			setRep(m.p.Reps, gid, row)
 		}
 		st.dirty = false
 	}
-}
-
-// repsFromSums rebuilds the representative relation from the maintained
-// sums (same schema as buildReps, without rescanning members).
-func (m *Maintainer) repsFromSums() *relation.Relation {
-	schema := m.p.Rel.Schema()
-	cols := []relation.Column{{Name: "gid", Type: relation.Int}}
-	for _, c := range m.numIdx {
-		cols = append(cols, relation.Column{Name: schema.Col(c).Name, Type: relation.Float})
-	}
-	// The maintained partitioning built this same schema when it was
-	// constructed (Partition and BuildTree both reject gid collisions),
-	// so the error is impossible.
-	repSchema, _ := relation.NewSchema(cols...)
-	reps := relation.New(m.p.Rel.Name()+"_reps", repSchema)
-	for gid, st := range m.groups {
-		vals := make([]relation.Value, 0, 1+len(st.sums))
-		vals = append(vals, relation.I(int64(gid)))
-		count := len(m.p.Groups[gid].Rows)
-		for _, s := range st.sums {
-			mean := 0.0
-			if count > 0 {
-				mean = s / float64(count)
-			}
-			vals = append(vals, relation.F(mean))
-		}
-		// Fixed numeric schema; Append cannot fail.
-		_ = reps.Append(vals...)
-	}
-	return reps
 }
 
 // MaxRadiusBound returns the maintained upper bound on the largest
@@ -568,27 +482,14 @@ func (m *Maintainer) QualityBound(maximize bool) float64 {
 	if omega == 0 {
 		return 1
 	}
-	minAbs := math.Inf(1)
-	rel := m.p.Rel
-	for _, c := range m.p.AttrIdx {
-		for r := 0; r < rel.Len(); r++ {
-			if rel.Deleted(r) {
-				continue
-			}
-			if v := math.Abs(rel.Float(r, c)); v > 0 && v < minAbs {
-				minAbs = v
-			}
-		}
-	}
+	minAbs := minAbsLive(m.p.Rel, m.p.AttrIdx)
 	if math.IsInf(minAbs, 1) {
 		return math.Inf(1)
 	}
-	var eps float64
-	if maximize {
-		eps = omega / minAbs
-	} else {
+	gamma := omega / minAbs
+	eps := gamma
+	if !maximize {
 		// γ = ε/(1+ε) ⇒ ε = γ/(1-γ), unbounded once γ ≥ 1.
-		gamma := omega / minAbs
 		if gamma >= 1 {
 			return math.Inf(1)
 		}
@@ -597,71 +498,26 @@ func (m *Maintainer) QualityBound(maximize bool) float64 {
 	return math.Pow(1+eps, 6)
 }
 
-// CheckInvariants verifies the maintained partitioning: groups are
-// disjoint, cover exactly the live rows, respect τ, keep their member
-// lists sorted, agree with the gid map, carry centroids equal to the
-// member means, radii that are sound upper bounds on the true radii,
-// and representatives consistent with the centroids.
+// CheckInvariants verifies the maintained head: everything the shared
+// walk asserts of any partitioning (see Partitioning.check), and what
+// only its writer can — member lists stay sorted, radii are sound upper
+// bounds on the true ones, and the gid map is the one the lists imply.
 func (m *Maintainer) CheckInvariants() error {
 	p := m.p
-	live := 0
-	seen := make(map[int]int)
-	for gid, g := range p.Groups {
-		if g.ID != gid {
-			return fmt.Errorf("partition: maintained group %d has ID %d", gid, g.ID)
-		}
-		if len(g.Rows) == 0 {
-			return fmt.Errorf("partition: maintained group %d is empty", gid)
-		}
-		if len(g.Rows) > p.Tau {
-			return fmt.Errorf("partition: maintained group %d has %d > τ=%d rows", gid, len(g.Rows), p.Tau)
-		}
+	gids, err := p.check(func(g *Group) error {
 		if !sort.IntsAreSorted(g.Rows) {
-			return fmt.Errorf("partition: maintained group %d member list is not sorted", gid)
-		}
-		exactC := relation.Centroid(p.Rel, p.AttrIdx, g.Rows)
-		for a := range exactC {
-			if math.Abs(exactC[a]-g.Centroid[a]) > 1e-6*(1+math.Abs(exactC[a])) {
-				return fmt.Errorf("partition: maintained group %d centroid drift on %s: %g vs %g",
-					gid, p.Attrs[a], g.Centroid[a], exactC[a])
-			}
+			return fmt.Errorf("partition: maintained group %d member list is not sorted", g.ID)
 		}
 		if exact := relation.Radius(p.Rel, p.AttrIdx, g.Rows, g.Centroid); g.Radius < exact-1e-9*(1+exact) {
-			return fmt.Errorf("partition: maintained group %d radius bound %g below true radius %g",
-				gid, g.Radius, exact)
+			return fmt.Errorf("partition: maintained group %d radius bound %g below true radius %g", g.ID, g.Radius, exact)
 		}
-		for _, r := range g.Rows {
-			if p.Rel.Deleted(r) {
-				return fmt.Errorf("partition: maintained group %d contains deleted row %d", gid, r)
-			}
-			if prev, dup := seen[r]; dup {
-				return fmt.Errorf("partition: row %d in groups %d and %d", r, prev, gid)
-			}
-			seen[r] = gid
-			if p.GID[r] != gid {
-				return fmt.Errorf("partition: row %d gid %d, want %d", r, p.GID[r], gid)
-			}
-		}
-		live += len(g.Rows)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if live != p.Rel.Live() {
-		return fmt.Errorf("partition: maintained groups cover %d of %d live rows", live, p.Rel.Live())
-	}
-	for r, gid := range p.GID {
-		if gid >= 0 {
-			if _, ok := seen[r]; !ok {
-				return fmt.Errorf("partition: gid map names row %d in group %d, but the group lacks it", r, gid)
-			}
-		}
-	}
-	if p.Reps.Len() != len(p.Groups) {
-		return fmt.Errorf("partition: %d representatives for %d maintained groups", p.Reps.Len(), len(p.Groups))
-	}
-	gidCol := p.Reps.Schema().Lookup("gid")
-	for gid := range p.Groups {
-		if got := int(p.Reps.IntColumn(gidCol)[gid]); got != gid {
-			return fmt.Errorf("partition: representative row %d carries gid %d", gid, got)
-		}
+	if !slices.Equal(gids, p.GID) {
+		return fmt.Errorf("partition: the maintained gid map is not the one the member lists imply")
 	}
 	return nil
 }
@@ -673,11 +529,7 @@ func (m *Maintainer) CheckInvariants() error {
 // sibling group's members.
 func insertSorted(s []int, v int) []int {
 	i := sort.SearchInts(s, v)
-	out := make([]int, len(s)+1)
-	copy(out, s[:i])
-	out[i] = v
-	copy(out[i+1:], s[i:])
-	return out
+	return slices.Concat(s[:i], []int{v}, s[i:])
 }
 
 // removeSorted removes v from a sorted slice (no-op if absent). Like
@@ -687,28 +539,20 @@ func insertSorted(s []int, v int) []int {
 // view a lock-free solve is reading.
 func removeSorted(s []int, v int) []int {
 	i := sort.SearchInts(s, v)
-	if i < len(s) && s[i] == v {
-		out := make([]int, len(s)-1)
-		copy(out, s[:i])
-		copy(out[i:], s[i+1:])
-		return out
+	if i == len(s) || s[i] != v {
+		return s
 	}
-	return s
+	return slices.Concat(s[:i], s[i+1:])
 }
 
 // mergeSorted merges two sorted slices into a new sorted slice.
 func mergeSorted(a, b []int) []int {
 	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+	for len(a) > 0 && len(b) > 0 {
+		if b[0] < a[0] {
+			a, b = b, a
 		}
+		out, a = append(out, a[0]), a[1:]
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return append(append(out, a...), b...)
 }

@@ -56,6 +56,14 @@ func TestMaintainerInsertRoutesAndSplits(t *testing.T) {
 	if m.Stats().Rebuilds != 0 {
 		t.Error("maintenance must never repartition from scratch")
 	}
+	// The audit compares representative values: a stale one is caught.
+	reps := m.Partitioning().Reps
+	if err := reps.Set(0, 3, relation.F(reps.Float(0, 3)+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariants(); err == nil {
+		t.Error("a stale representative passed the maintainer's CheckInvariants")
+	}
 }
 
 func TestMaintainerDeleteMergesAndDrops(t *testing.T) {

@@ -114,50 +114,6 @@ func TestBuildRunToRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestBuildTreeWorkersDifferential checks the retained-hierarchy build:
-// parallel and sequential trees must be node-for-node identical, and the
-// partitionings derived from them must agree too.
-func TestBuildTreeWorkersDifferential(t *testing.T) {
-	rel := workload.Galaxy(1500, 13)
-	attrs := []string{"ra", "dec"}
-	seq, err := BuildTreeWorkers(rel, attrs, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		par, err := BuildTreeWorkers(rel, attrs, 0, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := par.NumNodes(), seq.NumNodes(); got != want {
-			t.Fatalf("workers=%d: %d nodes, want %d", workers, got, want)
-		}
-		var walk func(a, b *TreeNode)
-		walk = func(a, b *TreeNode) {
-			if len(a.Rows) != len(b.Rows) || a.Radius != b.Radius {
-				t.Fatalf("workers=%d: node mismatch: %d/%g rows/radius vs %d/%g",
-					workers, len(b.Rows), b.Radius, len(a.Rows), a.Radius)
-			}
-			for k := range a.Rows {
-				if a.Rows[k] != b.Rows[k] {
-					t.Fatalf("workers=%d: row order diverged", workers)
-				}
-			}
-			if len(a.Children) != len(b.Children) {
-				t.Fatalf("workers=%d: child count diverged", workers)
-			}
-			for i := range a.Children {
-				walk(a.Children[i], b.Children[i])
-			}
-		}
-		walk(seq.Root, par.Root)
-
-		pSeq := seq.CoarsestForRadius(0.5, 0)
-		pPar := par.CoarsestForRadius(0.5, 0)
-		equalPartitionings(t, pSeq, pPar, "coarsest")
-	}
-}
-
 // TestConcurrentBuildsShareNothing races independent parallel builds of
 // the same relation — the builds must not interfere (caught by -race if
 // any shared state sneaks into the tree builder).

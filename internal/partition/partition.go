@@ -15,8 +15,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -34,9 +33,6 @@ type Options struct {
 	// attributes. Zero or negative disables the radius condition (the
 	// configuration the paper uses for all scalability experiments).
 	RadiusLimit float64
-	// MaxDepth bounds the quad-tree recursion as a safety stop for
-	// pathological data; 0 means the default of 64.
-	MaxDepth int
 	// Workers bounds the number of goroutines splitting quad-tree child
 	// groups concurrently. 0 means runtime.GOMAXPROCS(0); 1 forces the
 	// sequential build. The resulting partitioning — group IDs, member
@@ -45,6 +41,10 @@ type Options struct {
 	// back positionally, so parallelism changes only the wall clock.
 	Workers int
 }
+
+// maxDepth bounds the quad-tree recursion, a safety stop for
+// pathological data.
+const maxDepth = 64
 
 // Group is one partition: its member rows, centroid (the representative
 // tuple), and radius.
@@ -55,14 +55,23 @@ type Group struct {
 	Radius   float64
 }
 
-// Partitioning is the result of offline partitioning: the gid assignment,
-// the groups, and the representative relation.
+// Partitioning is the result of offline partitioning, in one of two kinds
+// (stated here once):
+//
+//   - A view (View, Restrict) is what a solve reads and nothing more:
+//     Groups and Reps over a pinned Rel. GID is nil, nothing writes it, and
+//     any number of goroutines may read it.
+//   - A head (Build, FromGroups) is bound to the mutable relation and also
+//     carries GID. Its Maintainer is the only code that writes it or reads
+//     its GID — but for Remap, which renumbers rows after a compaction
+//     whether or not a maintainer exists yet. Solves never read a head.
 type Partitioning struct {
 	Rel   *relation.Relation
 	Attrs []string
 	// AttrIdx are the column indices of Attrs in Rel.
 	AttrIdx []int
-	// GID maps each row of Rel to its group index.
+	// GID maps each row of Rel to its group index, -1 for a row in no
+	// group (tombstoned). Head partitionings only; nil on a view.
 	GID []int
 	// Groups holds the final groups, indexed by gid.
 	Groups []Group
@@ -81,91 +90,151 @@ type Partitioning struct {
 	BuildTime time.Duration
 }
 
+// resolveAttrs is the one place partitioning attributes are looked up and
+// held to the package's rules: 1–30 distinct numeric columns (the quadrant
+// mask is a word; two spellings of one column are a duplicate) of a
+// relation with no "gid" column of its own, which R̃ prepends.
+func resolveAttrs(rel *relation.Relation, attrs []string) ([]int, error) {
+	schema := rel.Schema()
+	switch {
+	case len(attrs) == 0:
+		return nil, fmt.Errorf("partition: no partitioning attributes")
+	case len(attrs) > 30:
+		return nil, fmt.Errorf("partition: %d partitioning attributes exceed the 30-dimension limit", len(attrs))
+	case schema.Lookup("gid") >= 0:
+		return nil, fmt.Errorf("partition: input relation already has a %q column", "gid")
+	}
+	idx := make([]int, 0, len(attrs))
+	for _, a := range attrs {
+		c, err := schema.MustLookup(a)
+		if err != nil {
+			return nil, err
+		}
+		if !schema.Col(c).Type.Numeric() {
+			return nil, fmt.Errorf("partition: attribute %q is not numeric", a)
+		}
+		if slices.Contains(idx, c) {
+			return nil, fmt.Errorf("partition: duplicate attribute %q", a)
+		}
+		idx = append(idx, c)
+	}
+	return idx, nil
+}
+
+// newHead is the one constructor of head partitionings: it validates the
+// parameters and assembles the groups groupsOf makes for the resolved
+// attribute columns.
+func newHead(rel *relation.Relation, attrs []string, tau int, omega float64, workers int, groupsOf func(attrIdx []int) []Group) (*Partitioning, error) {
+	if tau < 1 {
+		return nil, fmt.Errorf("partition: size threshold τ must be ≥ 1, got %d", tau)
+	}
+	attrIdx, err := resolveAttrs(rel, attrs)
+	if err != nil {
+		return nil, err
+	}
+	p := &Partitioning{
+		Rel:     rel,
+		Attrs:   slices.Clone(attrs),
+		AttrIdx: attrIdx,
+		Tau:     tau,
+		Omega:   omega,
+		Workers: workers,
+	}
+	if err := p.assemble(groupsOf(attrIdx), true); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // Build partitions the relation with the recursive quad-tree method.
 func Build(rel *relation.Relation, opt Options) (*Partitioning, error) {
 	start := time.Now()
 	if rel.Live() == 0 {
 		return nil, fmt.Errorf("partition: empty relation")
 	}
-	if opt.SizeThreshold < 1 {
-		return nil, fmt.Errorf("partition: size threshold τ must be ≥ 1, got %d", opt.SizeThreshold)
-	}
-	if len(opt.Attrs) == 0 {
-		return nil, fmt.Errorf("partition: no partitioning attributes")
-	}
-	if len(opt.Attrs) > 30 {
-		return nil, fmt.Errorf("partition: %d partitioning attributes exceed the 30-dimension limit", len(opt.Attrs))
-	}
-	if rel.Schema().Lookup("gid") >= 0 {
-		return nil, fmt.Errorf("partition: input relation already has a %q column", "gid")
-	}
-	attrIdx := make([]int, len(opt.Attrs))
-	seenAttr := make(map[string]bool, len(opt.Attrs))
-	for i, a := range opt.Attrs {
-		key := strings.ToLower(a)
-		if seenAttr[key] {
-			return nil, fmt.Errorf("partition: duplicate attribute %q", a)
-		}
-		seenAttr[key] = true
-		idx, err := rel.Schema().MustLookup(a)
-		if err != nil {
-			return nil, err
-		}
-		if !rel.Schema().Col(idx).Type.Numeric() {
-			return nil, fmt.Errorf("partition: attribute %q is not numeric", a)
-		}
-		attrIdx[i] = idx
-	}
-	maxDepth := opt.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 64
-	}
-
-	b := &treeBuilder{
-		rel:      rel,
-		attrIdx:  attrIdx,
-		maxDepth: maxDepth,
-	}
-	b.setWorkers(opt.Workers)
-	groups := b.buildGroups(rel.AllRows(), 0, opt.SizeThreshold, opt.RadiusLimit)
-
-	p := &Partitioning{
-		Rel:     rel,
-		Attrs:   append([]string(nil), opt.Attrs...),
-		AttrIdx: attrIdx,
-		GID:     make([]int, rel.Len()),
-		Groups:  groups,
-		Tau:     opt.SizeThreshold,
-		Omega:   opt.RadiusLimit,
-		Workers: opt.Workers,
-	}
-	// Rows outside any group — tombstoned rows of a mutated relation —
-	// carry gid -1, the same convention Restrict uses.
-	for i := range p.GID {
-		p.GID[i] = -1
-	}
-	for gid := range p.Groups {
-		p.Groups[gid].ID = gid
-		for _, r := range p.Groups[gid].Rows {
-			p.GID[r] = gid
-		}
-	}
-	reps, err := buildReps(p, opt.Workers)
+	p, err := newHead(rel, opt.Attrs, opt.SizeThreshold, opt.RadiusLimit, opt.Workers, func(attrIdx []int) []Group {
+		b := &treeBuilder{rel: rel, attrIdx: attrIdx}
+		b.setWorkers(opt.Workers)
+		return b.buildGroups(rel.AllRows(), 0, opt.SizeThreshold, opt.RadiusLimit)
+	})
 	if err != nil {
 		return nil, err
 	}
-	p.Reps = reps
 	p.BuildTime = time.Since(start)
 	return p, nil
+}
+
+// FromGroups reconstructs a partitioning from a serialized group set —
+// the warm-start path of the durability subsystem: groups (member rows,
+// centroids, radii) come from a snapshot, and the gid map and
+// representative relation are rebuilt from them without any quad-tree
+// recursion. The parameters are held to Build's rules and the groups must
+// cover exactly the relation's live rows, each once; the caller can run
+// CheckInvariants for the full audit.
+func FromGroups(rel *relation.Relation, attrs []string, tau int, omega float64, workers int, groups []Group) (*Partitioning, error) {
+	return newHead(rel, attrs, tau, omega, workers, func([]int) []Group { return groups })
+}
+
+// assemble is the tail of every constructor: it numbers the groups, maps
+// their rows when p is a head (a view has no gid map and cannot fail), and
+// builds R̃ from their members.
+func (p *Partitioning) assemble(groups []Group, head bool) (err error) {
+	p.Groups = groups
+	for gid := range groups {
+		groups[gid].ID = gid
+	}
+	if head {
+		if p.GID, err = gidMap(p.Rel, groups); err != nil {
+			return err
+		}
+	}
+	means := make([][]float64, len(groups))
+	numIdx := numericCols(p.Rel)
+	par.For(len(groups), p.Workers, func(gid int) {
+		means[gid] = relation.Centroid(p.Rel, numIdx, groups[gid].Rows)
+	})
+	p.Reps = newReps(p.Rel, numIdx, len(groups), func(gid int, dst []float64) { copy(dst, means[gid]) })
+	return nil
+}
+
+// unassigned extends a gid map to n rows, the new ones in no group.
+func unassigned(gid []int, n int) []int {
+	for len(gid) < n {
+		gid = append(gid, -1)
+	}
+	return gid
+}
+
+// gidMap inverts member lists into the row → gid map over rel. The lists
+// must name exactly the live rows of rel, each once.
+func gidMap(rel *relation.Relation, groups []Group) ([]int, error) {
+	n := rel.Len()
+	gids := unassigned(make([]int, 0, n), n)
+	covered := 0
+	for gid, g := range groups {
+		for _, r := range g.Rows {
+			if r < 0 || r >= n || rel.Deleted(r) {
+				return nil, fmt.Errorf("partition: group %d names invalid row %d", gid, r)
+			}
+			if gids[r] != -1 {
+				return nil, fmt.Errorf("partition: row %d is in groups %d and %d", r, gids[r], gid)
+			}
+			gids[r] = gid
+		}
+		covered += len(g.Rows)
+	}
+	if covered != rel.Live() {
+		return nil, fmt.Errorf("partition: groups cover %d of %d live rows", covered, rel.Live())
+	}
+	return gids, nil
 }
 
 // treeBuilder carries the shared state of one quad-tree construction:
 // the relation, the partitioning attributes, and the worker-pool tokens
 // that bound fan-out concurrency.
 type treeBuilder struct {
-	rel      *relation.Relation
-	attrIdx  []int
-	maxDepth int
+	rel     *relation.Relation
+	attrIdx []int
 	// tokens is a counting semaphore of size workers−1 (the calling
 	// goroutine is the extra worker); nil disables concurrency.
 	tokens chan struct{}
@@ -198,39 +267,37 @@ func (b *treeBuilder) setWorkers(workers int) {
 // inline otherwise; results must be written to per-index slots, which
 // keeps the output independent of scheduling.
 func (b *treeBuilder) forEachChild(depth, n int, fn func(i int)) {
-	if b.tokens == nil || depth >= b.fanGate || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
 	var wg sync.WaitGroup
-	for i := 0; i < n-1; i++ {
-		select {
-		case b.tokens <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-b.tokens }()
-				fn(i)
-			}(i)
-		default:
-			fn(i)
+	for i := 0; i < n; i++ {
+		// The caller is itself a worker: the last child always runs inline.
+		if b.tokens != nil && depth < b.fanGate && i < n-1 {
+			select {
+			case b.tokens <- struct{}{}:
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					defer func() { <-b.tokens }()
+					fn(i)
+				}(i)
+				continue
+			default:
+			}
 		}
+		fn(i)
 	}
-	fn(n - 1) // the caller is itself a worker: run the last child inline
 	wg.Wait()
 }
 
 // buildGroups recursively splits rows into groups satisfying τ (and ω
 // when positive), returning them in canonical depth-first quadrant order
-// regardless of how many goroutines participated.
+// regardless of how many goroutines participated. It is the split rule of
+// Build and of the Maintainer's splits alike.
 func (b *treeBuilder) buildGroups(rows []int, depth, tau int, omega float64) []Group {
 	centroid := relation.Centroid(b.rel, b.attrIdx, rows)
 	radius := relation.Radius(b.rel, b.attrIdx, rows, centroid)
 	sizeOK := len(rows) <= tau
 	radiusOK := omega <= 0 || radius <= omega
-	if (sizeOK && radiusOK) || len(rows) <= 1 || depth >= b.maxDepth {
+	if (sizeOK && radiusOK) || len(rows) <= 1 || depth >= maxDepth {
 		return []Group{{Rows: rows, Centroid: centroid, Radius: radius}}
 	}
 	children := splitQuadrants(b.rel, b.attrIdx, rows, centroid)
@@ -238,15 +305,13 @@ func (b *treeBuilder) buildGroups(rows []int, depth, tau int, omega float64) []G
 		// Degenerate split (all tuples in one quadrant, e.g. exact
 		// duplicates): fall back to chunking by τ, which always
 		// terminates and preserves the size condition. Radius is
-		// already as small as the data allows.
+		// already as small as the data allows, so each chunk is a leaf
+		// (depth maxDepth) as it stands.
 		var out []Group
-		for _, chunk := range chunkRows(rows, tau) {
-			c := relation.Centroid(b.rel, b.attrIdx, chunk)
-			out = append(out, Group{
-				Rows:     chunk,
-				Centroid: c,
-				Radius:   relation.Radius(b.rel, b.attrIdx, chunk, c),
-			})
+		for len(rows) > 0 {
+			n := min(tau, len(rows))
+			out = append(out, b.buildGroups(rows[:n], maxDepth, tau, omega)...)
+			rows = rows[n:]
 		}
 		return out
 	}
@@ -254,11 +319,7 @@ func (b *treeBuilder) buildGroups(rows []int, depth, tau int, omega float64) []G
 	b.forEachChild(depth, len(children), func(i int) {
 		sub[i] = b.buildGroups(children[i], depth+1, tau, omega)
 	})
-	out := sub[0]
-	for _, gs := range sub[1:] {
-		out = append(out, gs...)
-	}
-	return out
+	return slices.Concat(sub...)
 }
 
 // splitQuadrants distributes rows into sub-quadrants around the centroid:
@@ -281,7 +342,7 @@ func splitQuadrants(rel *relation.Relation, attrIdx, rows []int, centroid []floa
 	for mask := range byMask {
 		masks = append(masks, mask)
 	}
-	sort.Slice(masks, func(i, j int) bool { return masks[i] < masks[j] })
+	slices.Sort(masks)
 	out := make([][]int, 0, len(masks))
 	for _, mask := range masks {
 		out = append(out, byMask[mask])
@@ -289,61 +350,56 @@ func splitQuadrants(rel *relation.Relation, attrIdx, rows []int, centroid []floa
 	return out
 }
 
-func chunkRows(rows []int, size int) [][]int {
-	var out [][]int
-	for len(rows) > size {
-		out = append(out, rows[:size])
-		rows = rows[size:]
+// numericCols lists the relation's numeric columns in schema order — the
+// attribute order of R̃.
+func numericCols(rel *relation.Relation) []int {
+	var idx []int
+	for i, schema := 0, rel.Schema(); i < schema.Len(); i++ {
+		if schema.Col(i).Type.Numeric() {
+			idx = append(idx, i)
+		}
 	}
-	if len(rows) > 0 {
-		out = append(out, rows)
-	}
-	return out
+	return idx
 }
 
-// buildReps materializes the representative relation R̃. Its schema is
-// gid plus the mean of every numeric attribute of the input relation (not
-// just the partitioning attributes): queries whose attributes are not
-// fully covered by the partitioning (coverage < 1, Section 5.2.3) can
-// then still be sketched — the representatives are simply worse proxies
-// on the uncovered attributes.
-//
-// Group centroids are computed concurrently by up to `workers`
-// goroutines (0 means GOMAXPROCS, 1 sequential) into per-group slots and
-// appended in gid order, so the relation is identical for any setting.
-func buildReps(p *Partitioning, workers int) (*relation.Relation, error) {
-	schema := p.Rel.Schema()
+// repCol is R̃'s layout, known here and nowhere else: column 0 is gid,
+// column repCol(pos) the mean of the pos-th numeric column of the input.
+func repCol(pos int) int { return pos + 1 }
+
+// newReps materializes the representative relation R̃: one row per group
+// in gid order, gid plus the mean of every numeric attribute of the input
+// relation (not just the partitioning attributes) — queries whose
+// attributes are not fully covered by the partitioning (coverage < 1,
+// Section 5.2.3) can then still be sketched; the representatives are
+// simply worse proxies on the uncovered attributes. mean fills dst with
+// group gid's means in numIdx order. It cannot fail: the columns are rel's
+// own plus the gid resolveAttrs made sure rel lacks, the cells numbers.
+func newReps(rel *relation.Relation, numIdx []int, groups int, mean func(gid int, dst []float64)) *relation.Relation {
 	cols := []relation.Column{{Name: "gid", Type: relation.Int}}
-	var numIdx []int
-	for i := 0; i < schema.Len(); i++ {
-		if schema.Col(i).Type.Numeric() {
-			cols = append(cols, relation.Column{Name: schema.Col(i).Name, Type: relation.Float})
-			numIdx = append(numIdx, i)
-		}
+	for _, c := range numIdx {
+		cols = append(cols, relation.Column{Name: rel.Schema().Col(c).Name, Type: relation.Float})
 	}
-	repSchema, err := relation.NewSchema(cols...)
-	if err != nil {
-		// The input relation carries a column named "gid" (the entry
-		// points reject this, but a restored or hand-built partitioning
-		// could still reach here).
-		return nil, fmt.Errorf("partition: representative schema: %w", err)
-	}
-	means := make([][]float64, len(p.Groups))
-	par.For(len(p.Groups), workers, func(gi int) {
-		means[gi] = relation.Centroid(p.Rel, numIdx, p.Groups[gi].Rows)
-	})
-	reps := relation.New(p.Rel.Name()+"_reps", repSchema)
-	for gi, g := range p.Groups {
-		vals := make([]relation.Value, 0, 1+len(means[gi]))
-		vals = append(vals, relation.I(int64(g.ID)))
-		for _, m := range means[gi] {
-			vals = append(vals, relation.F(m))
+	schema, _ := relation.NewSchema(cols...)
+	reps := relation.New(rel.Name()+"_reps", schema)
+	dst := make([]float64, len(numIdx))
+	vals := make([]relation.Value, len(cols))
+	for gid := 0; gid < groups; gid++ {
+		mean(gid, dst)
+		vals[0] = relation.I(int64(gid))
+		for pos, v := range dst {
+			vals[repCol(pos)] = relation.F(v)
 		}
-		if err := reps.Append(vals...); err != nil {
-			return nil, fmt.Errorf("partition: representative row: %w", err)
-		}
+		_ = reps.Append(vals...)
 	}
-	return reps, nil
+	return reps
+}
+
+// setRep overwrites group gid's means in place; like newReps' Append, the
+// Set cannot fail.
+func setRep(reps *relation.Relation, gid int, mean []float64) {
+	for pos, v := range mean {
+		_ = reps.Set(gid, repCol(pos), relation.F(v))
+	}
 }
 
 // NumGroups returns the number of groups m.
@@ -361,222 +417,145 @@ func (p *Partitioning) NumGroups() int { return len(p.Groups) }
 //
 // Compaction preserves relative row order (survivors shift down), so
 // sorted member lists stay sorted.
-func (p *Partitioning) Remap(remap []int) error {
-	newLen := 0
-	for _, n := range remap {
-		if n >= 0 {
-			newLen++
-		}
-	}
-	gid := make([]int, newLen)
-	for i := range gid {
-		gid[i] = -1
-	}
+func (p *Partitioning) Remap(remap []int) (err error) {
 	for g := range p.Groups {
 		rows := p.Groups[g].Rows
 		// Build the renumbered member list in fresh storage: a published
-		// partitioning view (see paq's snapshot pinning) shares these
-		// slices with lock-free readers, so rewriting in place would tear
-		// the frozen view mid-solve.
+		// view shares these slices with lock-free readers, so rewriting
+		// in place would tear it mid-solve.
 		fresh := make([]int, len(rows))
 		for i, r := range rows {
 			if r < 0 || r >= len(remap) || remap[r] < 0 {
 				return fmt.Errorf("partition: remap of group %d member %d, which was compacted away", g, r)
 			}
 			fresh[i] = remap[r]
-			gid[fresh[i]] = g
 		}
 		p.Groups[g].Rows = fresh
 	}
-	p.GID = gid
-	return nil
+	p.GID, err = gidMap(p.Rel, p.Groups)
+	return err
 }
 
-// FromGroups reconstructs a partitioning from a serialized group set —
-// the warm-start path of the durability subsystem: groups (member rows,
-// centroids, radii) come from a snapshot, and the gid map and
-// representative relation are rebuilt from them without any quad-tree
-// recursion. The relation must already hold the snapshot's rows; the
-// groups must cover exactly its live rows (verified cheaply here; the
-// caller can run CheckInvariants for the full audit).
-func FromGroups(rel *relation.Relation, attrs []string, tau int, omega float64, workers int, groups []Group) (*Partitioning, error) {
-	if tau < 1 {
-		return nil, fmt.Errorf("partition: size threshold τ must be ≥ 1, got %d", tau)
-	}
-	if len(attrs) == 0 {
-		return nil, fmt.Errorf("partition: no partitioning attributes")
-	}
-	attrIdx := make([]int, len(attrs))
-	for i, a := range attrs {
-		idx, err := rel.Schema().MustLookup(a)
-		if err != nil {
-			return nil, err
-		}
-		if !rel.Schema().Col(idx).Type.Numeric() {
-			return nil, fmt.Errorf("partition: attribute %q is not numeric", a)
-		}
-		attrIdx[i] = idx
-	}
-	p := &Partitioning{
-		Rel:     rel,
-		Attrs:   append([]string(nil), attrs...),
-		AttrIdx: attrIdx,
-		GID:     make([]int, rel.Len()),
-		Groups:  groups,
-		Tau:     tau,
-		Omega:   omega,
-		Workers: workers,
-	}
-	for i := range p.GID {
-		p.GID[i] = -1
-	}
-	covered := 0
-	for gid := range p.Groups {
-		p.Groups[gid].ID = gid
-		for _, r := range p.Groups[gid].Rows {
-			if r < 0 || r >= rel.Len() || rel.Deleted(r) {
-				return nil, fmt.Errorf("partition: restored group %d names invalid row %d", gid, r)
-			}
-			if p.GID[r] != -1 {
-				return nil, fmt.Errorf("partition: restored row %d is in groups %d and %d", r, p.GID[r], gid)
-			}
-			p.GID[r] = gid
-			covered++
-		}
-	}
-	if covered != rel.Live() {
-		return nil, fmt.Errorf("partition: restored groups cover %d of %d live rows", covered, rel.Live())
-	}
-	reps, err := buildReps(p, workers)
-	if err != nil {
-		return nil, err
-	}
-	p.Reps = reps
-	return p, nil
-}
-
-// Restrict derives a partitioning for a subset of the rows, keeping the
-// group structure and representatives and dropping rows outside the
-// subset. This is how the paper derives partitionings for scaled-down
-// datasets ("randomly removing tuples from the original partitions"),
-// which preserves the size condition.
+// Restrict derives a view over a subset of the rows, keeping the group
+// structure and dropping rows outside the subset, with representatives
+// recomputed from the members that remain. This is how the paper derives
+// partitionings for scaled-down datasets ("randomly removing tuples from
+// the original partitions"), which preserves the size condition. Every
+// row must be in range.
 func (p *Partitioning) Restrict(rows []int) *Partitioning {
 	keep := make([]bool, p.Rel.Len())
 	for _, r := range rows {
 		keep[r] = true
 	}
-	out := &Partitioning{
-		Rel:     p.Rel,
-		Attrs:   p.Attrs,
-		AttrIdx: p.AttrIdx,
-		GID:     make([]int, p.Rel.Len()),
-		Tau:     p.Tau,
-		Omega:   p.Omega,
-		Workers: p.Workers,
-	}
-	for i := range out.GID {
-		out.GID[i] = -1
-	}
-	for _, g := range p.Groups {
-		var sub []int
-		for _, r := range g.Rows {
-			if keep[r] {
-				sub = append(sub, r)
-			}
-		}
-		if len(sub) == 0 {
-			continue
-		}
-		gid := len(out.Groups)
-		out.Groups = append(out.Groups, Group{
-			ID:       gid,
-			Rows:     sub,
-			Centroid: g.Centroid,
-			Radius:   g.Radius,
-		})
-		for _, r := range sub {
-			out.GID[r] = gid
+	out := *p
+	out.GID = nil
+	var groups []Group
+	for _, g := range p.Groups { // g is a copy: centroid and radius stay the parent group's
+		g.Rows = slices.DeleteFunc(slices.Clone(g.Rows), func(r int) bool { return !keep[r] })
+		if len(g.Rows) > 0 {
+			groups = append(groups, g)
 		}
 	}
-	// p.Reps was built from the identical schema; the error is
-	// impossible.
-	out.Reps, _ = buildReps(out, p.Workers)
-	return out
+	_ = out.assemble(groups, false)
+	return &out
 }
 
-// View returns a frozen copy of the partitioning bound to an immutable
-// snapshot of its relation, for lock-free solves: the caller pins a
-// relation snapshot, takes a view at the same version, and releases the
-// dataset lock — subsequent Maintainer work on the live partitioning
-// cannot tear the view. The Group structs and GID map are copied (the
-// Maintainer rewrites GID in place and replaces group fields); member
-// and centroid slices are shared read-only, which is safe because every
-// maintenance path writes fresh backing storage (see insertSorted,
+// View returns the frozen image of a head that a solve reads, bound to an
+// immutable snapshot of its relation at the same version; Maintainer work
+// on the head afterwards cannot tear it. It costs O(groups), not O(rows):
+// the Group structs are copied (the Maintainer replaces group fields), no
+// gid map is made, and member and centroid slices are shared read-only —
+// every maintenance path writes fresh backing storage (see insertSorted,
 // removeSorted, Remap). Reps becomes its own relation snapshot, so
 // in-place representative refreshes copy-on-write around it.
 //
-// Callers must hold the same lock that serializes mutations while
-// taking the view (it reads the live structures).
+// The caller holds the lock that serializes mutations while taking the
+// view (it reads the live structures).
 func (p *Partitioning) View(snap *relation.Relation) *Partitioning {
-	return &Partitioning{
-		Rel:       snap,
-		Attrs:     p.Attrs,
-		AttrIdx:   p.AttrIdx,
-		GID:       append([]int(nil), p.GID...),
-		Groups:    append([]Group(nil), p.Groups...),
-		Reps:      p.Reps.Snapshot(),
-		Tau:       p.Tau,
-		Omega:     p.Omega,
-		Workers:   p.Workers,
-		BuildTime: p.BuildTime,
-	}
+	v := *p
+	v.Rel, v.GID, v.Groups, v.Reps = snap, nil, slices.Clone(p.Groups), p.Reps.Snapshot()
+	return &v
 }
 
-// CheckInvariants verifies the structural guarantees of the partitioning:
-// groups are disjoint and cover the relation, every group respects the
-// size threshold, the radius limit (when enforced), and representatives
-// are the group centroids. It returns the first violation found.
-func (p *Partitioning) CheckInvariants() error {
-	seen := make([]bool, p.Rel.Len())
-	total := 0
-	for gid, g := range p.Groups {
-		if g.ID != gid {
-			return fmt.Errorf("partition: group %d has ID %d", gid, g.ID)
-		}
-		if len(g.Rows) == 0 {
-			return fmt.Errorf("partition: group %d is empty", gid)
-		}
-		if len(g.Rows) > p.Tau {
-			return fmt.Errorf("partition: group %d has %d > τ=%d rows", gid, len(g.Rows), p.Tau)
-		}
-		if p.Omega > 0 && g.Radius > p.Omega+1e-9 {
-			return fmt.Errorf("partition: group %d radius %g > ω=%g", gid, g.Radius, p.Omega)
-		}
-		centroid := relation.Centroid(p.Rel, p.AttrIdx, g.Rows)
-		for a := range centroid {
-			if math.Abs(centroid[a]-g.Centroid[a]) > 1e-6*(1+math.Abs(centroid[a])) {
-				return fmt.Errorf("partition: group %d centroid drift on %s: %g vs %g",
-					gid, p.Attrs[a], g.Centroid[a], centroid[a])
-			}
-		}
-		for _, r := range g.Rows {
-			if seen[r] {
-				return fmt.Errorf("partition: row %d in multiple groups", r)
-			}
-			seen[r] = true
-			if p.GID[r] != gid {
-				return fmt.Errorf("partition: row %d gid %d, want %d", r, p.GID[r], gid)
-			}
-		}
-		total += len(g.Rows)
-	}
-	if total != p.Rel.Live() {
-		return fmt.Errorf("partition: groups cover %d of %d live rows", total, p.Rel.Live())
-	}
+// drifted reports whether a stored mean has left the exact one by more
+// than the package's one tolerance for incrementally maintained sums.
+func drifted(stored, exact float64) bool {
+	return math.Abs(exact-stored) > 1e-6*(1+math.Abs(exact))
+}
+
+// check is the walk under both CheckInvariants. It reads only what a view
+// carries: group g has ID g, is non-empty and within τ, and carries its
+// members' mean as centroid and — on every numeric column — as R̃ row g;
+// together the groups name exactly the live rows, each once. own adds the
+// caller's assertions on each group. The gid map the member lists imply
+// is returned for the caller that keeps one.
+func (p *Partitioning) check(own func(g *Group) error) ([]int, error) {
 	if p.Reps.Len() != len(p.Groups) {
-		return fmt.Errorf("partition: %d representatives for %d groups", p.Reps.Len(), len(p.Groups))
+		return nil, fmt.Errorf("partition: %d representatives for %d groups", p.Reps.Len(), len(p.Groups))
 	}
-	return nil
+	gids, err := gidMap(p.Rel, p.Groups)
+	if err != nil {
+		return nil, err
+	}
+	numIdx := numericCols(p.Rel)
+	for gid := range p.Groups {
+		g := &p.Groups[gid]
+		switch {
+		case g.ID != gid:
+			return nil, fmt.Errorf("partition: group %d has ID %d", gid, g.ID)
+		case len(g.Rows) == 0:
+			return nil, fmt.Errorf("partition: group %d is empty", gid)
+		case len(g.Rows) > p.Tau:
+			return nil, fmt.Errorf("partition: group %d has %d > τ=%d rows", gid, len(g.Rows), p.Tau)
+		}
+		for a, exact := range relation.Centroid(p.Rel, p.AttrIdx, g.Rows) {
+			if drifted(g.Centroid[a], exact) {
+				return nil, fmt.Errorf("partition: group %d centroid drift on %s: %g vs %g", gid, p.Attrs[a], g.Centroid[a], exact)
+			}
+		}
+		if got := p.Reps.IntColumn(0)[gid]; got != int64(gid) {
+			return nil, fmt.Errorf("partition: representative row %d carries gid %d", gid, got)
+		}
+		for pos, exact := range relation.Centroid(p.Rel, numIdx, g.Rows) {
+			if got := p.Reps.Float(gid, repCol(pos)); drifted(got, exact) {
+				return nil, fmt.Errorf("partition: representative %d stale on %s: %g vs %g",
+					gid, p.Reps.Schema().Col(repCol(pos)).Name, got, exact)
+			}
+		}
+		if err := own(g); err != nil {
+			return nil, err
+		}
+	}
+	return gids, nil
+}
+
+// CheckInvariants verifies a built partitioning or a view of one:
+// everything check walks, and that every group respects the radius limit
+// when one is enforced (a maintained head may exceed it between heals; see
+// Maintainer.CheckInvariants). It returns the first violation found.
+func (p *Partitioning) CheckInvariants() error {
+	_, err := p.check(func(g *Group) error {
+		if p.Omega > 0 && g.Radius > p.Omega+1e-9 {
+			return fmt.Errorf("partition: group %d radius %g > ω=%g", g.ID, g.Radius, p.Omega)
+		}
+		return nil
+	})
+	return err
+}
+
+// minAbsLive is the smallest non-zero |value| the live rows hold on the
+// given columns — the data term of Equation 1 — or +Inf when every value
+// is zero.
+func minAbsLive(rel *relation.Relation, cols []int) float64 {
+	minAbs := math.Inf(1)
+	for _, c := range cols {
+		for r := 0; r < rel.Len(); r++ {
+			if v := math.Abs(rel.Float(r, c)); v > 0 && v < minAbs && !rel.Deleted(r) {
+				minAbs = v
+			}
+		}
+	}
+	return minAbs
 }
 
 // RadiusForEpsilon computes the radius limit ω of Equation 1 that yields
@@ -584,7 +563,7 @@ func (p *Partitioning) CheckInvariants() error {
 //
 //	ω = min_{t, attr∈A} γ·|t.attr|,  γ = ε (maximize) or ε/(1+ε) (minimize)
 //
-// The minimum is taken over the data (a lower bound for the paper's
+// The minimum is taken over the live data (a lower bound for the paper's
 // minimum over representatives, hence at least as strict). Attributes
 // with zero values make the multiplicative guarantee vacuous; zeros are
 // skipped and the function returns 0 — meaning "no positive ω achieves
@@ -593,25 +572,15 @@ func RadiusForEpsilon(rel *relation.Relation, attrs []string, eps float64, maxim
 	if eps < 0 {
 		return 0, fmt.Errorf("partition: ε must be non-negative")
 	}
+	attrIdx, err := resolveAttrs(rel, attrs)
+	if err != nil {
+		return 0, err
+	}
 	gamma := eps
 	if !maximize {
 		gamma = eps / (1 + eps)
 	}
-	minAbs := math.Inf(1)
-	for _, a := range attrs {
-		idx, err := rel.Schema().MustLookup(a)
-		if err != nil {
-			return 0, err
-		}
-		if !rel.Schema().Col(idx).Type.Numeric() {
-			return 0, fmt.Errorf("partition: attribute %q is not numeric", a)
-		}
-		for r := 0; r < rel.Len(); r++ {
-			if v := math.Abs(rel.Float(r, idx)); v > 0 && v < minAbs {
-				minAbs = v
-			}
-		}
-	}
+	minAbs := minAbsLive(rel, attrIdx)
 	if math.IsInf(minAbs, 1) {
 		return 0, nil
 	}

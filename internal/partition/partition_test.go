@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +42,13 @@ func TestBuildSizeThreshold(t *testing.T) {
 	// Representative schema: gid + attrs.
 	if p.Reps.Schema().Len() != 3 {
 		t.Errorf("reps schema %s, want (gid, x, y)", p.Reps.Schema())
+	}
+	// The audit compares representative values, not just their count.
+	if err := p.Reps.Set(3, 2, relation.F(p.Reps.Float(3, 2)+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckInvariants(); err == nil {
+		t.Error("a stale representative passed CheckInvariants")
 	}
 }
 
@@ -148,20 +156,28 @@ func TestRestrict(t *testing.T) {
 		rows = append(rows, i)
 	}
 	sub := p.Restrict(rows)
-	// Every kept row appears in exactly one group; dropped rows in none.
+	if sub.GID != nil {
+		t.Error("a restricted view carries a gid map")
+	}
+	// Every kept row appears in exactly one group — the one that held it
+	// before; dropped rows in none.
 	seen := make(map[int]bool)
-	for _, g := range sub.Groups {
+	for gid, g := range sub.Groups {
 		if len(g.Rows) == 0 {
 			t.Error("restricted partitioning has an empty group")
 		}
 		if len(g.Rows) > p.Tau {
 			t.Error("restriction violated the size condition")
 		}
+		if g.ID != gid {
+			t.Errorf("group %d numbered %d after restrict", gid, g.ID)
+		}
+		from := p.GID[g.Rows[0]]
 		for _, r := range g.Rows {
-			seen[r] = true
-			if sub.GID[r] != g.ID {
-				t.Error("gid mapping wrong after restrict")
+			if seen[r] || p.GID[r] != from {
+				t.Errorf("row %d: repeated, or regrouped by restrict", r)
 			}
+			seen[r] = true
 		}
 	}
 	if len(seen) != len(rows) {
@@ -174,6 +190,24 @@ func TestRestrict(t *testing.T) {
 	}
 	if sub.Reps.Len() != len(sub.Groups) {
 		t.Error("restricted reps out of sync")
+	}
+	// The other view, View, costs O(groups): at 10⁵ rows a gid map alone
+	// would be 800 kB.
+	big := randomRel(t, 100_000, 6)
+	bp, err := Build(big, Options{Attrs: []string{"x", "y"}, SizeThreshold: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := big.Snapshot()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v := bp.View(snap)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; v.GID != nil || got > 64<<10 {
+		t.Errorf("View of %d groups over 10⁵ rows allocated %d bytes (gid map nil: %v)", v.NumGroups(), got, v.GID == nil)
+	}
+	if err := v.CheckInvariants(); err != nil {
+		t.Errorf("view fails the audit a head passes: %v", err)
 	}
 }
 
@@ -209,6 +243,16 @@ func TestRadiusForEpsilon(t *testing.T) {
 	w, err = RadiusForEpsilon(zero, []string{"a"}, 0.5, true)
 	if err != nil || w != 0 {
 		t.Errorf("all-zero column: ω = %g err %v, want 0 nil", w, err)
+	}
+	// A tombstoned row no longer tightens ω: with the row holding the
+	// minimum deleted, ω is that of a compacted copy (min |a| = 3).
+	if err := rel.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	w, err = RadiusForEpsilon(rel, []string{"a"}, 0.5, true)
+	want, _ := RadiusForEpsilon(rel.Subset("compacted", rel.AllRows()), []string{"a"}, 0.5, true)
+	if err != nil || w != want || w != 1.5 {
+		t.Errorf("after deleting the minimum: ω = %g err %v, want %g (1.5) as compacted", w, err, want)
 	}
 }
 

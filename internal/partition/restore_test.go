@@ -76,6 +76,12 @@ func TestFromGroupsRejectsBadCoverage(t *testing.T) {
 	if _, err := FromGroups(rel, p.Attrs, p.Tau, p.Omega, p.Workers, groups); err == nil {
 		t.Fatal("FromGroups accepted groups that do not cover the relation")
 	}
+	// A restored snapshot is held to Build's attribute rules too.
+	for _, attrs := range [][]string{{"x", "X"}, make([]string, 31), {"nope"}, nil} {
+		if _, err := FromGroups(rel, attrs, p.Tau, p.Omega, p.Workers, p.Groups); err == nil {
+			t.Errorf("FromGroups accepted attributes %q", attrs)
+		}
+	}
 }
 
 // TestRemapAfterCompact tombstones rows, maintains them out of the

@@ -15,13 +15,20 @@ import (
 
 // scanEligibility is the oracle: the definition of a group's eligible
 // rows, computed the slow way — materialize the base relation with a
-// scan, push every row through the gid map into a map of slices, and list
-// the groups that received any.
+// scan, push every row through a row→gid map into a map of slices, and
+// list the groups that received any. The row→gid map is the oracle's own,
+// inverted from the member lists: a view carries none.
 func scanEligibility(spec *core.Spec, part *partition.Partitioning) (map[int][]int, []int) {
+	gidOf := make(map[int]int)
+	for _, g := range part.Groups {
+		for _, r := range g.Rows {
+			gidOf[r] = g.ID
+		}
+	}
 	eligible := make(map[int][]int)
 	for _, r := range spec.BaseRows() {
-		gid := part.GID[r]
-		if gid < 0 {
+		gid, ok := gidOf[r]
+		if !ok {
 			continue // row outside the (restricted) partitioning
 		}
 		eligible[gid] = append(eligible[gid], r)

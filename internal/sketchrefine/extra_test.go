@@ -14,18 +14,15 @@ import (
 	"repro/internal/reltest"
 )
 
-// TestDynamicPartitioningEndToEnd runs SketchRefine over a partitioning
-// derived at query time from the retained quad-tree (Section 4.1's
-// dynamic alternative).
+// TestDynamicPartitioningEndToEnd runs SketchRefine over partitionings
+// bounded by the radius condition alone (τ = the whole relation), from a
+// lax ω to a strict one — the partitionings Section 4.1's dynamic
+// alternative would pick per query.
 func TestDynamicPartitioningEndToEnd(t *testing.T) {
 	rel := genRel(400, 31)
-	tree, err := partition.BuildTree(rel, []string{"a", "b"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := cardSpec(rel, 6, 40)
 	for _, omega := range []float64{4, 2, 1} {
-		part := tree.CoarsestForRadius(omega, 0)
+		part := buildPart(t, rel, rel.Len(), omega)
 		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
 		if err != nil {
 			t.Fatalf("ω=%g: %v", omega, err)

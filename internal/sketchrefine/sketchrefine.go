@@ -12,8 +12,8 @@
 //     already placed (Section 4.2.2, Algorithm 2), greedily backtracking
 //     — prioritizing failed groups — when a refinement is infeasible;
 //  3. optionally falls back to the hybrid sketch query (Section 4.4 #1)
-//     when the plain sketch is infeasible, and to full group merging
-//     (Section 4.4 #4) when refinement fails outright.
+//     when the plain sketch is infeasible, and reports
+//     ErrFalseInfeasible when refinement fails outright.
 //
 // Every subproblem is solved with the same black-box ILP solver DIRECT
 // uses, so the two strategies are directly comparable.
@@ -48,13 +48,6 @@ type Options struct {
 	// HybridSketch enables the hybrid sketch fallback on sketch
 	// infeasibility (the strategy the paper's experiments use).
 	HybridSketch bool
-	// MergeOnFailure falls back to solving the whole problem directly
-	// (the limit of iterative group merging) when refinement fails.
-	// It trades SketchRefine's speed for completeness.
-	MergeOnFailure bool
-	// MaxBacktracks bounds the total number of backtracking steps across
-	// the refinement search; 0 means DefaultMaxBacktracks.
-	MaxBacktracks int
 	// Seed, when nonzero, shuffles the initial refinement order
 	// (Algorithm 2 starts from an arbitrary order) with a private
 	// generator seeded here. Equal seeds give equal orders, every
@@ -63,8 +56,8 @@ type Options struct {
 	// ascending group order.
 	Seed int64
 	// OnIncumbent, when non-nil, receives every improving incumbent of
-	// every ILP subproblem (sketch, hybrid sketch, refine, and merge
-	// solves) as it is found, turning the evaluation into an anytime
+	// every ILP subproblem (sketch, hybrid sketch, and refine solves) as
+	// it is found, turning the evaluation into an anytime
 	// computation. Incumbents are tagged with their subproblem number;
 	// sketch and hybrid-sketch incumbents have Sketch set (their rows —
 	// when present — index the representative relation, not the input).
@@ -72,14 +65,14 @@ type Options struct {
 	OnIncumbent core.IncumbentFunc
 }
 
-// DefaultMaxBacktracks bounds refinement backtracking when
-// Options.MaxBacktracks is zero.
+// DefaultMaxBacktracks bounds the total number of backtracking steps
+// across the refinement search.
 const DefaultMaxBacktracks = 1000
 
 // ErrFalseInfeasible is reported when SketchRefine cannot find a package.
 // Per Theorem 4 the query is usually genuinely infeasible, but this may
-// be false infeasibility; callers can retry with MergeOnFailure or a
-// different partitioning.
+// be false infeasibility; callers can retry over a different partitioning
+// or with DIRECT.
 var ErrFalseInfeasible = errors.New("sketchrefine: no package found (query infeasible, or false infeasibility — see Section 4.4)")
 
 // state is the partial package during refinement: tuples already chosen
@@ -218,7 +211,7 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partition
 		}
 		if err != nil {
 			if errors.Is(err, core.ErrInfeasible) {
-				return ev.failOrMerge()
+				err = ErrFalseInfeasible
 			}
 			return nil, stats, err
 		}
@@ -235,7 +228,7 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partition
 	rsp.Finish()
 	if err != nil {
 		if errors.Is(err, errRefineFailed) {
-			return ev.failOrMerge()
+			err = ErrFalseInfeasible
 		}
 		return nil, stats, err
 	}
@@ -386,12 +379,7 @@ func (ev *evaluator) refineGroup(st *state, gid int) (*state, error) {
 // representatives dropped out, failing upward on infeasible refine
 // queries, and prioritizing failed groups on retry.
 func (ev *evaluator) refine(st *state) (*state, error) {
-	maxBT := ev.opt.MaxBacktracks
-	if maxBT <= 0 {
-		maxBT = DefaultMaxBacktracks
-	}
-	order := ev.initialOrder(st)
-	final, _, err := ev.refineRec(st, order, true, maxBT)
+	final, _, err := ev.refineRec(st, ev.initialOrder(st), true, DefaultMaxBacktracks)
 	return final, err
 }
 
@@ -581,18 +569,4 @@ func (ev *evaluator) hybridSketchFor(gid int) (*state, error) {
 		}
 	}
 	return st, nil
-}
-
-// failOrMerge applies the MergeOnFailure fallback (solve the merged
-// problem directly) or reports false infeasibility.
-func (ev *evaluator) failOrMerge() (*core.Package, *core.EvalStats, error) {
-	if !ev.opt.MergeOnFailure {
-		return nil, ev.stats, ErrFalseInfeasible
-	}
-	ctx, sp := obs.Start(ev.ctx, "merge")
-	defer sp.Finish()
-	ctx, hook := ev.subproblem(ctx, false)
-	pkg, st, err := core.Solve(ctx, ev.spec, ev.spec.BaseRows(), nil, ev.opt.Solver, hook)
-	ev.stats.Add(st)
-	return pkg, ev.stats, err
 }

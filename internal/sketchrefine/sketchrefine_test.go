@@ -202,39 +202,6 @@ func TestSketchRefineInfeasibleQuery(t *testing.T) {
 	}
 }
 
-func TestSketchRefineMergeOnFailure(t *testing.T) {
-	// A query where sketching over centroids is infeasible but the
-	// original problem is feasible: demand a very tight SUM window that
-	// only specific original tuples hit. With MergeOnFailure the engine
-	// must still find it.
-	rel := relation.New("items", reltest.Schema(
-		relation.Column{Name: "a", Type: relation.Float},
-		relation.Column{Name: "b", Type: relation.Float},
-	))
-	vals := []float64{1.0, 9.0, 1.1, 8.9, 1.2, 8.8, 5.01, 4.99}
-	for _, v := range vals {
-		reltest.Append(rel, relation.F(v), relation.F(v))
-	}
-	part := buildPart(t, rel, 2, 0)
-	spec := &core.Spec{
-		Rel:    rel,
-		Repeat: 0,
-		Constraints: []core.Constraint{
-			{Coef: core.UnitCoef{}, Op: lp.EQ, RHS: 2},
-			{Coef: core.AttrCoef{Attr: "a"}, Op: lp.GE, RHS: 9.999},
-			{Coef: core.AttrCoef{Attr: "a"}, Op: lp.LE, RHS: 10.001},
-		},
-	}
-	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true, MergeOnFailure: true})
-	if err != nil {
-		t.Fatalf("MergeOnFailure did not rescue: %v", err)
-	}
-	ok, _ := pkg.IsFeasible(spec)
-	if !ok {
-		t.Fatal("merged package infeasible")
-	}
-}
-
 func TestSketchRefineWrongPartitioning(t *testing.T) {
 	rel1 := genRel(50, 7)
 	rel2 := genRel(50, 8)
@@ -294,21 +261,6 @@ MAXIMIZE SUM(P.b)`, rel)
 	if err != nil || !ok {
 		viol, _ := pkg.Check(spec)
 		t.Fatalf("PaQL end-to-end package infeasible: %v (err %v)", viol, err)
-	}
-}
-
-func TestSketchRefineBacktrackBudget(t *testing.T) {
-	rel := genRel(100, 11)
-	part := buildPart(t, rel, 10, 0)
-	spec := cardSpec(rel, 5, 30)
-	// Degenerate budget: even one backtrack aborts. The query is easy,
-	// so it should still succeed without backtracking at all.
-	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true, MaxBacktracks: 1})
-	if err != nil {
-		t.Fatalf("easy query failed under tight backtrack budget: %v", err)
-	}
-	if ok, _ := pkg.IsFeasible(spec); !ok {
-		t.Fatal("package infeasible")
 	}
 }
 

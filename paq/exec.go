@@ -117,10 +117,11 @@ func WithIncumbent(fn func(Incumbent)) ExecOption {
 }
 
 // WithRows restricts the evaluation to a subset of the relation's rows
-// — the paper's protocol for derived smaller datasets. Row-subset
-// executions bypass the solution cache and evaluate the single
-// configured refinement order (WithRacers does not apply). Not
-// supported by MethodNaive.
+// — the paper's protocol for derived smaller datasets. The rows must be
+// in range, live and distinct at the version the execution pins, as for
+// DeleteRows. Row-subset executions bypass the solution cache and
+// evaluate the single configured refinement order (WithRacers does not
+// apply). Not supported by MethodNaive.
 func WithRows(rows []int) ExecOption {
 	return ExecOption{apply: func(c *execCfg) { c.rows = rows }}
 }
@@ -318,6 +319,11 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 // key). spec is the snapshot-bound spec and pin the pinned state, so
 // bespoke solves are as lock-free as engine ones.
 func (st *Stmt) executeBespoke(ctx context.Context, ec execCfg, spec *core.Spec, pin pinned, hook core.IncumbentFunc) engine.Result {
+	// WithRows is caller input: held to DeleteRows' rule against the
+	// pinned snapshot before Restrict or a column gather indexes by it.
+	if err := checkRows(spec.Rel, ec.rows, "execute"); err != nil {
+		return engine.Result{Err: err}
+	}
 	t0 := time.Now()
 	var (
 		pkg   *core.Package

@@ -117,7 +117,7 @@ func (d *dataset) halves(rec *store.Record) (validate func() error, apply func()
 		return func() error { return d.validateInsert(rec.Rows) },
 			func() ([]int, error) { return d.applyInsert(rec.Rows) }, nil
 	case store.KindDelete:
-		return func() error { return d.validateDelete(rec.Indices) },
+		return func() error { return checkRows(d.rel, rec.Indices, "delete") },
 			func() ([]int, error) { return nil, d.applyDelete(rec.Indices) }, nil
 	case store.KindUpdate:
 		return func() error { return d.validateUpdate(rec.Indices, rec.Rows) },
@@ -164,17 +164,18 @@ func (s *Session) DeleteRows(rows []int) (uint64, error) {
 	return v, err
 }
 
-func (d *dataset) validateDelete(rows []int) error {
+// checkRows holds a caller's row list to the one rule DeleteRows,
+// UpdateRows and WithRows share: every index in range, live and distinct.
+func checkRows(rel *relation.Relation, rows []int, verb string) error {
 	seen := make(map[int]bool, len(rows))
 	for _, row := range rows {
-		if row < 0 || row >= d.rel.Len() {
-			return fmt.Errorf("paq: delete of row %d out of range [0, %d)", row, d.rel.Len())
-		}
-		if d.rel.Deleted(row) {
-			return fmt.Errorf("paq: row %d is already deleted", row)
-		}
-		if seen[row] {
-			return fmt.Errorf("paq: row %d deleted twice in one batch", row)
+		switch {
+		case row < 0 || row >= rel.Len():
+			return fmt.Errorf("paq: %s of row %d out of range [0, %d)", verb, row, rel.Len())
+		case rel.Deleted(row):
+			return fmt.Errorf("paq: %s of deleted row %d", verb, row)
+		case seen[row]:
+			return fmt.Errorf("paq: row %d named twice in one %s", row, verb)
 		}
 		seen[row] = true
 	}
@@ -208,15 +209,10 @@ func (d *dataset) validateUpdate(rows []int, vals [][]relation.Value) error {
 	if len(rows) != len(vals) {
 		return fmt.Errorf("paq: update of %d rows with %d value tuples", len(rows), len(vals))
 	}
-	seen := make(map[int]bool, len(rows))
+	if err := checkRows(d.rel, rows, "update"); err != nil {
+		return err
+	}
 	for i, row := range rows {
-		if row < 0 || row >= d.rel.Len() || d.rel.Deleted(row) {
-			return fmt.Errorf("paq: update of invalid row %d", row)
-		}
-		if seen[row] {
-			return fmt.Errorf("paq: row %d updated twice in one batch", row)
-		}
-		seen[row] = true
 		if err := d.rel.CheckRow(vals[i]); err != nil {
 			return fmt.Errorf("paq: update row %d: %w", row, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -391,9 +392,9 @@ SUCH THAT COUNT(P.*) = 6 AND SUM(P.redshift) <= 4.0 MAXIMIZE SUM(P.petrorad)`)
 // method other than SketchRefine, it is an ordinary execution — naive
 // runs it, and the second call is served from the cache.
 func TestRowSubsetExecution(t *testing.T) {
-	rel := workload.Galaxy(1200, 9)
-	rows := make([]int, 0, 600)
-	for i := 0; i < rel.Len(); i += 2 {
+	const n = 1200
+	rows := make([]int, 0, n/2)
+	for i := 0; i < n; i += 2 {
 		rows = append(rows, i)
 	}
 	inSample := make(map[int]bool, len(rows))
@@ -412,7 +413,7 @@ func TestRowSubsetExecution(t *testing.T) {
 		{paq.MethodNaive, "seed", paq.WithExecSeed(7), 2, false},
 		{paq.MethodDirect, "seed", paq.WithExecSeed(7), 5, false},
 	} {
-		sess, err := paq.Open(paq.Table(rel), paq.WithMethod(tc.m))
+		sess, err := paq.Open(paq.Table(workload.Galaxy(n, 9)), paq.WithMethod(tc.m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,6 +442,31 @@ SUCH THAT COUNT(P.*) = ` + strconv.Itoa(tc.card) + ` AND SUM(P.redshift) <= 4.0 
 		for _, r := range res.Rows {
 			if !inSample[r] {
 				t.Fatalf("%s: row %d outside the sample", tc.m, r)
+			}
+		}
+		// A row list is caller input: out of range, negative, tombstoned
+		// or repeated, it is a validation error naming the row — not a
+		// panic, and not a package holding a deleted row.
+		if _, err := sess.DeleteRows([]int{7}); err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []struct {
+			rows  []int
+			names string
+		}{
+			{[]int{0, 1, 2, 5000}, "row 5000"},
+			{[]int{-1, 4}, "row -1"},
+			{[]int{7, 8}, "row 7"},
+			{[]int{8, 10, 8}, "row 8"},
+		} {
+			_, err := stmt.Execute(context.Background(), paq.WithRows(bad.rows))
+			if err == nil || !strings.Contains(err.Error(), bad.names) {
+				t.Errorf("%s: WithRows(%v): err = %v, want one naming %s", tc.m, bad.rows, err, bad.names)
+			}
+			for _, tagged := range []error{paq.ErrInfeasible, paq.ErrUnsupported, paq.ErrBudget} {
+				if errors.Is(err, tagged) {
+					t.Errorf("%s: WithRows(%v): validation error tagged %v", tc.m, bad.rows, tagged)
+				}
 			}
 		}
 	}
