@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/relation"
 )
@@ -76,6 +75,7 @@ type gState struct {
 	noSplit bool
 	// dirty marks the group's representative row as stale.
 	dirty bool
+	stamp uint64 // the batch (Maintainer.epoch) that allocated the member list
 }
 
 // Maintainer is the one writer of a head Partitioning: it keeps it valid
@@ -99,6 +99,11 @@ type Maintainer struct {
 	// last representative flush (splits, merges, drops), forcing a full
 	// Reps rebuild instead of in-place cell updates.
 	structChanged bool
+	epoch         uint64 // numbers the running batch (see own)
+	// pendRows are the rows of the running UpdateFrom still to be re-routed
+	// and pendPre the cells their groups' sums hold for them (see exactState).
+	pendRows []int
+	pendPre  [][]float64
 }
 
 // NewMaintainer wraps an existing head partitioning for incremental
@@ -131,16 +136,18 @@ func (m *Maintainer) Stats() MaintStats { return m.stats }
 func (m *Maintainer) RestoreStats(st MaintStats) { m.stats = st }
 
 // exactState computes a group's bookkeeping from scratch and overwrites
-// its centroid and radius with exact values.
+// its centroid and radius with exact values. A member still waiting in the
+// running UpdateFrom was just summed at its new cells, so those are what
+// it will take out when it leaves.
 func (m *Maintainer) exactState(g *Group) *gState {
-	st := &gState{sums: make([]float64, len(m.numIdx)), dirty: true}
-	for _, r := range g.Rows {
-		for pos, c := range m.numIdx {
-			st.sums[pos] += m.p.Rel.Float(r, c)
-		}
-	}
+	st := &gState{sums: relation.Sums(m.p.Rel, m.numIdx, g.Rows), dirty: true}
 	g.Centroid = m.centroidOf(st, len(g.Rows))
 	g.Radius = relation.Radius(m.p.Rel, m.p.AttrIdx, g.Rows, g.Centroid)
+	for i, r := range m.pendRows {
+		if m.p.GID[r] == g.ID {
+			m.pendPre[i] = numericCells(m.p.Rel, m.numIdx, r, make([]float64, len(m.numIdx)))
+		}
+	}
 	return st
 }
 
@@ -224,20 +231,37 @@ func (m *Maintainer) nearest(point []float64, skip int) int {
 // any group pushed past τ (or past ω when a radius limit is enforced)
 // is split in place. Call it after appending the rows to the relation.
 func (m *Maintainer) Insert(rows ...int) error {
-	return m.batch(rows, &m.stats.Inserts, m.insertOne)
+	return m.batch(rows, &m.stats.Inserts, func(_, row int) error { return m.insertOne(row) })
 }
 
 // batch runs one maintenance step per row, counting each, and refreshes
 // the representatives once at the end.
-func (m *Maintainer) batch(rows []int, count *uint64, step func(row int) error) error {
-	for _, row := range rows {
-		if err := step(row); err != nil {
+func (m *Maintainer) batch(rows []int, count *uint64, step func(i, row int) error) error {
+	m.epoch++
+	for i, row := range rows {
+		if err := step(i, row); err != nil {
 			return err
 		}
 		*count++
 	}
 	m.flushReps()
 	return nil
+}
+
+// own returns group gid with a member list this batch may edit in place:
+// the batch's first touch clones the list, with headroom, and stamps the
+// group. The frozen-view rule rests on this alone: the only arrays written
+// in place were allocated here, in the running batch and under the caller's
+// write lock, so nothing taken between batches (a View, a Remap result) and
+// no other group (a degenerate split's chunks share one array, and start
+// unstamped as every exactState does) can alias them.
+func (m *Maintainer) own(gid int) *Group {
+	g, st := &m.p.Groups[gid], m.groups[gid]
+	if st.stamp != m.epoch {
+		g.Rows = slices.Grow(slices.Clip(g.Rows), len(g.Rows)/8+8) // clipped, so Grow reallocates
+		st.stamp = m.epoch
+	}
+	return g
 }
 
 func (m *Maintainer) insertOne(row int) error {
@@ -260,8 +284,9 @@ func (m *Maintainer) insertOne(row int) error {
 		m.structChanged = true
 		return nil
 	}
-	g, st := &m.p.Groups[gid], m.groups[gid]
-	g.Rows = insertSorted(g.Rows, row)
+	g, st := m.own(gid), m.groups[gid]
+	at, _ := slices.BinarySearch(g.Rows, row)
+	g.Rows = slices.Insert(g.Rows, at, row)
 	for pos, c := range m.numIdx {
 		st.sums[pos] += m.p.Rel.Float(row, c)
 	}
@@ -274,13 +299,19 @@ func (m *Maintainer) insertOne(row int) error {
 }
 
 // detach takes a row out of its group's member list and the gid map and
-// returns the group, which may be left empty.
+// returns the group, which may be left empty. Only the maintainer writes
+// either, so a list lacking the row is a breach, reported with both intact.
 func (m *Maintainer) detach(row int) (int, error) {
 	if row < 0 || row >= len(m.p.GID) || m.p.GID[row] < 0 {
 		return -1, fmt.Errorf("partition: row %d is in no group", row)
 	}
 	gid := m.p.GID[row]
-	m.p.Groups[gid].Rows = removeSorted(m.p.Groups[gid].Rows, row)
+	at, found := slices.BinarySearch(m.p.Groups[gid].Rows, row)
+	if !found {
+		return -1, fmt.Errorf("partition: the gid map puts row %d in group %d, whose member list lacks it", row, gid)
+	}
+	g := m.own(gid)
+	g.Rows = slices.Delete(g.Rows, at, at+1)
 	m.p.GID[row] = -1
 	return gid, nil
 }
@@ -289,49 +320,67 @@ func (m *Maintainer) detach(row int) (int, error) {
 // tombstoning the rows in the relation (their cells must still be
 // readable, which relation.Delete guarantees).
 func (m *Maintainer) Delete(rows ...int) error {
-	return m.batch(rows, &m.stats.Deletes, m.deleteOne)
-}
-
-func (m *Maintainer) deleteOne(row int) error {
-	gid, err := m.detach(row)
-	if err != nil {
+	cells := make([]float64, len(m.numIdx))
+	return m.batch(rows, &m.stats.Deletes, func(_, row int) error {
+		gid, err := m.detach(row)
+		if err == nil {
+			m.shrink(gid, numericCells(m.p.Rel, m.numIdx, row, cells))
+		}
 		return err
-	}
-	g := &m.p.Groups[gid]
-	if len(g.Rows) == 0 {
-		m.dropGroup(gid)
-		return nil
-	}
-	for pos, c := range m.numIdx {
-		m.groups[gid].sums[pos] -= m.p.Rel.Float(row, c)
-	}
-	g.Radius += m.recentre(gid)
-	m.healMaybe(gid)
-	m.mergeMaybe(gid)
-	return nil
+	})
 }
 
-// Update re-routes live rows whose attribute values were changed in
-// place (relation.Set). Call it after the cells change: the row's old
-// contribution to its group is unknown, so the group is recomputed
-// exactly and the row re-routed as a fresh insert.
-func (m *Maintainer) Update(rows ...int) error {
-	return m.batch(rows, &m.stats.Updates, m.updateOne)
-}
-
-func (m *Maintainer) updateOne(row int) error {
-	gid, err := m.detach(row)
-	if err != nil {
-		return err
-	}
-	if len(m.p.Groups[gid].Rows) == 0 {
+// shrink settles group gid after detach took out a member whose numeric
+// cells read old while it was one (nil: not known, so the group is healed).
+func (m *Maintainer) shrink(gid int, old []float64) {
+	g, st := &m.p.Groups[gid], m.groups[gid]
+	switch {
+	case len(g.Rows) == 0:
 		m.dropGroup(gid)
-	} else {
+		return
+	case old == nil:
 		m.heal(gid)
-		m.mergeMaybe(gid)
+	default:
+		for pos, v := range old {
+			st.sums[pos] -= v
+		}
+		g.Radius += m.recentre(gid)
+		m.healMaybe(gid)
 	}
+	m.mergeMaybe(gid)
+}
+
+// UpdateFrom re-routes live, distinct rows whose cells were overwritten in
+// place (relation.Set): each leaves its group as a deleted row does and
+// re-enters as a fresh insert. pre[i] is rows[i]'s NumericCells from before
+// the Set, which the maintainer must predate too (one built afterwards has
+// summed the new cells). Subtracting it keeps Radius an upper bound: taking
+// a member away cannot enlarge the true radius about the old centroid, and
+// the centroid then moves by exactly the shift added. With pre == nil every
+// row's group is healed instead, O(|group|) per row.
+func (m *Maintainer) UpdateFrom(rows []int, pre [][]float64) error {
+	pre = slices.Clone(pre) // exactState replaces entries; the caller's serve every maintainer
+	defer func() { m.pendRows, m.pendPre = nil, nil }()
+	return m.batch(rows, &m.stats.Updates, func(i, row int) error {
+		if pre == nil {
+			return m.updateOne(row, nil)
+		}
+		m.pendRows, m.pendPre = rows[i+1:], pre[i+1:]
+		return m.updateOne(row, pre[i])
+	})
+}
+
+func (m *Maintainer) updateOne(row int, pre []float64) error {
+	gid, err := m.detach(row)
+	if err != nil {
+		return err
+	}
+	m.shrink(gid, pre)
 	return m.insertOne(row)
 }
+
+// Update is UpdateFrom with no pre-image: call it after the cells change.
+func (m *Maintainer) Update(rows ...int) error { return m.UpdateFrom(rows, nil) }
 
 // healMaybe heals a group once enough mutations have accumulated.
 func (m *Maintainer) healMaybe(gid int) {
@@ -505,7 +554,7 @@ func (m *Maintainer) QualityBound(maximize bool) float64 {
 func (m *Maintainer) CheckInvariants() error {
 	p := m.p
 	gids, err := p.check(func(g *Group) error {
-		if !sort.IntsAreSorted(g.Rows) {
+		if !slices.IsSorted(g.Rows) {
 			return fmt.Errorf("partition: maintained group %d member list is not sorted", g.ID)
 		}
 		if exact := relation.Radius(p.Rel, p.AttrIdx, g.Rows, g.Centroid); g.Radius < exact-1e-9*(1+exact) {
@@ -520,29 +569,6 @@ func (m *Maintainer) CheckInvariants() error {
 		return fmt.Errorf("partition: the maintained gid map is not the one the member lists imply")
 	}
 	return nil
-}
-
-// insertSorted inserts v into a sorted slice, keeping it sorted. It
-// always copies into fresh backing storage: group member slices can
-// alias one another (the degenerate-split fallback chunks one array
-// into several groups), so growing one in place could overwrite a
-// sibling group's members.
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	return slices.Concat(s[:i], []int{v}, s[i:])
-}
-
-// removeSorted removes v from a sorted slice (no-op if absent). Like
-// insertSorted it always copies into fresh backing storage: beyond the
-// aliasing hazard, a published partitioning view may still reference
-// the old slice, and shifting members in place would corrupt the frozen
-// view a lock-free solve is reading.
-func removeSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	if i == len(s) || s[i] != v {
-		return s
-	}
-	return slices.Concat(s[:i], s[i+1:])
 }
 
 // mergeSorted merges two sorted slices into a new sorted slice.

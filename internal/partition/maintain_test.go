@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
 	"repro/internal/reltest"
+	"repro/internal/workload"
 )
 
 // maintRel builds a small numeric relation for maintenance tests.
@@ -114,52 +117,157 @@ func TestMaintainerUpdateReroutes(t *testing.T) {
 	}
 }
 
-// applyOps drives one deterministic interleaving of inserts, deletes,
-// and updates against a fresh relation + maintainer and returns them.
+// mixedRow is one row of applyOps' relation: the partitioning attributes
+// x and y, a numeric non-attribute of each type, and a TEXT column the
+// maintainer must step over.
+func mixedRow(rng *rand.Rand) []relation.Value {
+	return []relation.Value{
+		relation.F(rng.NormFloat64() * 10), relation.F(rng.NormFloat64() * 10), relation.F(rng.Float64()),
+		relation.I(rng.Int63n(50)), relation.S(fmt.Sprint("t", rng.Intn(9))),
+	}
+}
+
+// side is one of applyOps' two twins: a relation and its maintainer.
+type side struct {
+	rel *relation.Relation
+	m   *Maintainer
+}
+
+func newSide(t *testing.T, seed int64, omega float64) side {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	rel := relation.New("pts", reltest.Schema(
+		relation.Column{Name: "x", Type: relation.Float},
+		relation.Column{Name: "y", Type: relation.Float},
+		relation.Column{Name: "w", Type: relation.Float},
+		relation.Column{Name: "k", Type: relation.Int},
+		relation.Column{Name: "tag", Type: relation.String},
+	))
+	for i := 0; i < 150; i++ {
+		reltest.Append(rel, mixedRow(rng)...)
+	}
+	p, err := Build(rel, Options{Attrs: []string{"x", "y"}, SizeThreshold: 20, RadiusLimit: omega, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return side{rel, NewMaintainer(p, MaintOptions{})}
+}
+
+// sameStructure holds the pre-image side to the reference: identical
+// member lists and gid maps, centroids and representatives within the
+// package's one tolerance for running sums.
+func sameStructure(t *testing.T, at string, got, ref *Maintainer) {
+	t.Helper()
+	p, q := got.p, ref.p
+	if !reflect.DeepEqual(p.GID, q.GID) || len(p.Groups) != len(q.Groups) {
+		t.Fatalf("%s: gid maps diverged (%d vs %d groups)", at, len(p.Groups), len(q.Groups))
+	}
+	row, refRow := make([]float64, len(got.numIdx)), make([]float64, len(got.numIdx))
+	for gid := range p.Groups {
+		if !reflect.DeepEqual(p.Groups[gid].Rows, q.Groups[gid].Rows) {
+			t.Fatalf("%s: group %d membership diverged", at, gid)
+		}
+		for a, c := range p.Groups[gid].Centroid {
+			if drifted(c, q.Groups[gid].Centroid[a]) {
+				t.Fatalf("%s: group %d centroid %v vs reference %v", at, gid, p.Groups[gid].Centroid, q.Groups[gid].Centroid)
+			}
+		}
+		got.meansOf(gid, row)
+		ref.meansOf(gid, refRow)
+		for pos := range row {
+			if drifted(row[pos], refRow[pos]) || drifted(p.Reps.Float(gid, repCol(pos)), q.Reps.Float(gid, repCol(pos))) {
+				t.Fatalf("%s: group %d representative diverged on numeric column %d", at, gid, pos)
+			}
+		}
+	}
+}
+
+// applyOps drives one deterministic interleaving of inserts, deletes and
+// updates — draining the table to empty and refilling it half way —
+// through twin relations and maintainers: one is handed every update's
+// pre-image (UpdateFrom), the reference is told after the Set (Update) and
+// heals. After every op the two must agree (sameStructure), both pass
+// CheckInvariants when check is set, and healed, they are bit-equal. Odd
+// seeds enforce a radius limit. It returns the pre-image side.
 func applyOps(t *testing.T, seed int64, nOps int, check bool) (*relation.Relation, *Maintainer) {
 	t.Helper()
-	rel := maintRel(150, seed)
-	m := newMaintained(t, rel, 20)
+	omega := float64(seed%2) * 12
+	sides := [2]side{newSide(t, seed, omega), newSide(t, seed, omega)}
+	got, ref := sides[0], sides[1]
 	rng := rand.New(rand.NewSource(seed + 1000))
-	live := rel.AllRows()
+	live := got.rel.AllRows()
+	draining, refill, updates, updateHeals := false, 0, uint64(0), uint64(0)
 	for op := 0; op < nOps; op++ {
+		if op == nOps/2 {
+			draining = true
+		}
+		if draining && len(live) == 0 {
+			draining, refill = false, 60
+		}
+		refill = max(refill-1, 0)
+		var err [2]error
 		switch r := rng.Float64(); {
-		case r < 0.45 || len(live) < 5:
-			row := rel.Len()
-			reltest.Append(rel, relation.F(rng.NormFloat64()*10), relation.F(rng.NormFloat64()*10), relation.F(rng.Float64()))
-			if err := m.Insert(row); err != nil {
-				t.Fatal(err)
+		case !draining && (r < 0.45 || len(live) < 5 || refill > 0):
+			row, vals := got.rel.Len(), mixedRow(rng)
+			for i, s := range sides {
+				reltest.Append(s.rel, vals...)
+				err[i] = s.m.Insert(row)
 			}
 			live = append(live, row)
-		case r < 0.85:
+		case draining || r < 0.85:
 			i := rng.Intn(len(live))
 			row := live[i]
 			live = append(live[:i], live[i+1:]...)
-			if err := rel.Delete(row); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Delete(row); err != nil {
-				t.Fatal(err)
+			for i, s := range sides {
+				if err := s.rel.Delete(row); err != nil {
+					t.Fatal(err)
+				}
+				err[i] = s.m.Delete(row)
 			}
 		default:
-			row := live[rng.Intn(len(live))]
-			if err := rel.Set(row, rng.Intn(2), relation.F(rng.NormFloat64()*30)); err != nil {
-				t.Fatal(err)
+			row, col := live[rng.Intn(len(live))], []int{0, 1, 3, 4}[rng.Intn(4)]
+			v := mixedRow(rng)[col]
+			if col < 2 {
+				v = relation.F(rng.NormFloat64() * 30)
 			}
-			if err := m.Update(row); err != nil {
-				t.Fatal(err)
+			pre, heals := NumericCells(got.rel, []int{row}), got.m.Stats().Heals
+			for _, s := range sides {
+				if err := s.rel.Set(row, col, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err[0], err[1] = got.m.UpdateFrom([]int{row}, pre), ref.m.Update(row)
+			updates, updateHeals = updates+1, updateHeals+got.m.Stats().Heals-heals
+		}
+		at := fmt.Sprintf("seed %d op %d", seed, op)
+		for i, s := range sides {
+			if err[i] != nil {
+				t.Fatalf("%s side %d: %v", at, i, err[i])
+			}
+			if check || op == nOps-1 {
+				if err := s.m.CheckInvariants(); err != nil {
+					t.Fatalf("%s side %d: %v", at, i, err)
+				}
 			}
 		}
-		if check && op%25 == 24 {
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d op %d: %v", seed, op, err)
-			}
+		sameStructure(t, at, got.m, ref.m)
+	}
+	// An update with its pre-image heals on the cadence (and, under ω, to
+	// settle a bound that outgrew it), no longer once per row as the
+	// reference must.
+	if (omega == 0 && updateHeals*4 > updates) || updateHeals*2 > updates || ref.m.Stats().Heals < got.m.Stats().Heals+updates/2 {
+		t.Errorf("seed %d: %d updates healed %d times with pre-images (%d heals in all, reference %d)",
+			seed, updates, updateHeals, got.m.Stats().Heals, ref.m.Stats().Heals)
+	}
+	for gid := range got.m.p.Groups {
+		got.m.heal(gid)
+		ref.m.heal(gid)
+		g, r := got.m.p.Groups[gid], ref.m.p.Groups[gid]
+		if !reflect.DeepEqual(got.m.groups[gid].sums, ref.m.groups[gid].sums) || !reflect.DeepEqual(g.Centroid, r.Centroid) || g.Radius != r.Radius {
+			t.Fatalf("seed %d: healed group %d differs from the reference's", seed, gid)
 		}
 	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatalf("seed %d final: %v", seed, err)
-	}
-	return rel, m
+	return got.rel, got.m
 }
 
 // Property: after any interleaving of inserts, deletes, and updates,
@@ -171,7 +279,10 @@ func TestMaintainerPropertyInterleavings(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			applyOps(t, seed, 400, true)
+			_, m := applyOps(t, seed, 400, true)
+			if st := m.Stats(); st.Splits == 0 || st.Merges == 0 {
+				t.Errorf("the stream reached %d splits and %d merges", st.Splits, st.Merges)
+			}
 		})
 	}
 }
@@ -261,5 +372,185 @@ func TestMaintainerAliasedChunksSurviveInsert(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Frozen views: a View taken between batches shares member lists with the
+// head, and the maintainer edits lists in place within a batch. Whatever
+// follows — splits, merges, dropped slots, a Compact + Remap, the
+// duplicate-point chunks that share one backing array — every kept view's
+// lists stay element for element what they were and each still passes
+// CheckInvariants against its own snapshot. Multi-row UpdateFrom batches
+// also put a cadence heal between a row's Set and its re-routing.
+func TestMaintainerViewsStayFrozen(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rel := relation.New("pts", reltest.Schema(
+		relation.Column{Name: "x", Type: relation.Float},
+		relation.Column{Name: "y", Type: relation.Float},
+	))
+	point := func(dup bool) []relation.Value {
+		if dup {
+			return []relation.Value{relation.F(1), relation.F(1)}
+		}
+		return []relation.Value{relation.F(rng.NormFloat64() * 10), relation.F(rng.NormFloat64() * 10)}
+	}
+	for i := 0; i < 120; i++ {
+		reltest.Append(rel, point(i < 30)...)
+	}
+	p, err := Build(rel, Options{Attrs: []string{"x", "y"}, SizeThreshold: 12, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMaintainer(p, MaintOptions{})
+	type kept struct {
+		view *Partitioning
+		rows [][]int
+	}
+	var views []kept
+	for batch := 0; batch < 90; batch++ {
+		v := kept{view: p.View(rel.Snapshot())}
+		for _, g := range v.view.Groups {
+			v.rows = append(v.rows, slices.Clone(g.Rows))
+		}
+		views = append(views, v)
+		live := rel.AllRows()
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		switch batch % 3 {
+		case 0:
+			var rows []int
+			for i := 0; i < 9; i++ {
+				rows = append(rows, rel.Len())
+				reltest.Append(rel, point(i%3 == 0)...)
+			}
+			err = m.Insert(rows...)
+		case 1:
+			rows := live[:8]
+			for _, row := range rows {
+				if err := rel.Delete(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = m.Delete(rows...)
+		default:
+			rows := live[:25]
+			pre := NumericCells(rel, rows)
+			for i, row := range rows {
+				for c, v := range point(i%5 == 0) {
+					if err := rel.Set(row, c, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			err = m.UpdateFrom(rows, pre)
+		}
+		if err == nil && batch%30 == 29 {
+			err = p.Remap(rel.Compact())
+		}
+		if err == nil {
+			err = m.CheckInvariants()
+		}
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+	}
+	if st := m.Stats(); st.Splits == 0 || st.Merges == 0 {
+		t.Errorf("the batches reached %d splits and %d merges", st.Splits, st.Merges)
+	}
+	for i, v := range views {
+		for gid, g := range v.view.Groups {
+			if !slices.Equal(g.Rows, v.rows[gid]) {
+				t.Fatalf("view %d: group %d's member list changed after the view was taken", i, gid)
+			}
+		}
+		if err := v.view.CheckInvariants(); err != nil {
+			t.Fatalf("view %d: %v", i, err)
+		}
+	}
+}
+
+// A member list that lacks the row its gid map names is a breach only the
+// maintainer could have made: Delete and Update report it and leave both
+// as they were, rather than clearing the gid and leaving them to disagree.
+func TestMaintainerReportsListGIDDisagreement(t *testing.T) {
+	rel := maintRel(60, 7)
+	m := newMaintained(t, rel, 20)
+	p := m.Partitioning()
+	row := p.Groups[0].Rows[1]
+	p.Groups[0].Rows = slices.Delete(slices.Clone(p.Groups[0].Rows), 1, 2)
+	for name, step := range map[string]func(...int) error{"Delete": m.Delete, "Update": m.Update} {
+		if err := step(row); err == nil || !strings.HasPrefix(err.Error(), "partition:") {
+			t.Errorf("%s of a row its group's list lacks: error %v", name, err)
+		}
+		if p.GID[row] != 0 {
+			t.Errorf("%s moved row %d's gid to %d", name, row, p.GID[row])
+		}
+	}
+}
+
+// BenchmarkMaintainer is the committed command behind ROADMAP 2(a)'s gate
+// (update ≤ 2 × (insert + delete) per row): paqbench's ingest setting —
+// 200 000 Galaxy rows, the ten workload attributes, τ = 10 % — in batches
+// of 100 with a View between them, reported per row. update hands over
+// pre-images (UpdateFrom); update_no_preimage is Update after the Set.
+func BenchmarkMaintainer(b *testing.B) {
+	const n, batch = 200_000, 100
+	src := workload.Galaxy(n+n/10, 1)
+	vals := func(rng *rand.Rand) []relation.Value { return src.Row(rng.Intn(src.Len())) }
+	for _, kind := range []string{"insert", "delete", "update", "update_no_preimage"} {
+		b.Run(kind, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			rel := src.Subset("galaxy", src.AllRows()[:n])
+			p, err := Build(rel, Options{Attrs: workload.GalaxyAttrs, SizeThreshold: n / 10})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := NewMaintainer(p, MaintOptions{})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p.View(rel.Snapshot())
+				rows := make([]int, batch)
+				for j := range rows {
+					switch kind {
+					case "insert":
+						rows[j] = rel.Len()
+						reltest.Append(rel, vals(rng)...)
+					case "delete":
+						rows[j] = (i*batch + j) * 7 % n
+						if err := rel.Delete(rows[j]); err != nil {
+							b.Fatal(err)
+						}
+					default:
+						rows[j] = n/2 + (i*batch+j)*7%(n/2)
+					}
+				}
+				var pre [][]float64
+				if kind == "update" {
+					pre = NumericCells(rel, rows)
+				}
+				if strings.HasPrefix(kind, "update") {
+					for _, row := range rows {
+						for c, v := range vals(rng) {
+							if err := rel.Set(row, c, v); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+				}
+				b.StartTimer()
+				switch kind {
+				case "insert":
+					err = m.Insert(rows...)
+				case "delete":
+					err = m.Delete(rows...)
+				default:
+					err = m.UpdateFrom(rows, pre)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "µs/row")
+		})
 	}
 }

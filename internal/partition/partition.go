@@ -362,6 +362,24 @@ func numericCols(rel *relation.Relation) []int {
 	return idx
 }
 
+// numericCells reads row's cells on numIdx into dst.
+func numericCells(rel *relation.Relation, numIdx []int, row int, dst []float64) []float64 {
+	for pos, c := range numIdx {
+		dst[pos] = rel.Float(row, c)
+	}
+	return dst
+}
+
+// NumericCells gathers each row's cells on numericCols, the layout of every
+// Maintainer's sums over rel: read before a Set, UpdateFrom's pre-images.
+func NumericCells(rel *relation.Relation, rows []int) [][]float64 {
+	numIdx, out := numericCols(rel), make([][]float64, len(rows))
+	for i, row := range rows {
+		out[i] = numericCells(rel, numIdx, row, make([]float64, len(numIdx)))
+	}
+	return out
+}
+
 // repCol is R̃'s layout, known here and nowhere else: column 0 is gid,
 // column repCol(pos) the mean of the pos-th numeric column of the input.
 func repCol(pos int) int { return pos + 1 }
@@ -421,8 +439,8 @@ func (p *Partitioning) Remap(remap []int) (err error) {
 	for g := range p.Groups {
 		rows := p.Groups[g].Rows
 		// Build the renumbered member list in fresh storage: a published
-		// view shares these slices with lock-free readers, so rewriting
-		// in place would tear it mid-solve.
+		// view shares these slices with lock-free readers, and Remap runs
+		// in no Maintainer batch, so it owns none of them (Maintainer.own).
 		fresh := make([]int, len(rows))
 		for i, r := range rows {
 			if r < 0 || r >= len(remap) || remap[r] < 0 {
@@ -465,9 +483,9 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 // on the head afterwards cannot tear it. It costs O(groups), not O(rows):
 // the Group structs are copied (the Maintainer replaces group fields), no
 // gid map is made, and member and centroid slices are shared read-only —
-// every maintenance path writes fresh backing storage (see insertSorted,
-// removeSorted, Remap). Reps becomes its own relation snapshot, so
-// in-place representative refreshes copy-on-write around it.
+// every maintenance path writes only storage allocated in the batch that
+// writes it (see Maintainer.own, Remap). Reps becomes its own relation
+// snapshot, so in-place representative refreshes copy-on-write around it.
 //
 // The caller holds the lock that serializes mutations while taking the
 // view (it reads the live structures).

@@ -1,18 +1,50 @@
 package relation
 
+import "math"
+
+// sumOver adds col's cells over rows, in row order.
+func sumOver[T int64 | float64](col []T, rows []int) (s float64) {
+	for _, i := range rows {
+		s += float64(col[i])
+	}
+	return s
+}
+
+// spreadOver is the largest |cell − centre| of col over rows.
+func spreadOver[T int64 | float64](col []T, rows []int, centre float64) (far float64) {
+	for _, i := range rows {
+		if d := math.Abs(float64(col[i]) - centre); d > far {
+			far = d
+		}
+	}
+	return far
+}
+
+// Sums computes the per-attribute sum of rows over the given numeric
+// column indices, one typed column at a time (a TEXT column reads NaN).
+func Sums(r *Relation, colIdx []int, rows []int) []float64 {
+	out := make([]float64, len(colIdx))
+	for a, c := range colIdx {
+		switch col := r.cols[c]; col.typ {
+		case Float:
+			out[a] = sumOver(col.f, rows)
+		case Int:
+			out[a] = sumOver(col.i, rows)
+		default:
+			out[a] = math.NaN()
+		}
+	}
+	return out
+}
+
 // Centroid computes the per-attribute mean of rows over the given numeric
 // column indices. It is the representative-tuple construction of the
 // paper's partitioner. Empty input returns a zero vector.
 func Centroid(r *Relation, colIdx []int, rows []int) []float64 {
-	out := make([]float64, len(colIdx))
 	if len(rows) == 0 {
-		return out
+		return make([]float64, len(colIdx))
 	}
-	for _, i := range rows {
-		for a, c := range colIdx {
-			out[a] += r.Float(i, c)
-		}
-	}
+	out := Sums(r, colIdx, rows)
 	for a := range out {
 		out[a] /= float64(len(rows))
 	}
@@ -24,15 +56,12 @@ func Centroid(r *Relation, colIdx []int, rows []int) []float64 {
 // given numeric columns.
 func Radius(r *Relation, colIdx []int, rows []int, centroid []float64) float64 {
 	radius := 0.0
-	for _, i := range rows {
-		for a, c := range colIdx {
-			d := r.Float(i, c) - centroid[a]
-			if d < 0 {
-				d = -d
-			}
-			if d > radius {
-				radius = d
-			}
+	for a, c := range colIdx {
+		switch col := r.cols[c]; col.typ {
+		case Float:
+			radius = max(radius, spreadOver(col.f, rows, centroid[a]))
+		case Int:
+			radius = max(radius, spreadOver(col.i, rows, centroid[a]))
 		}
 	}
 	return radius

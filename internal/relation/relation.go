@@ -312,7 +312,8 @@ func (r *Relation) Identity() *Relation {
 
 // cowCol clones column col's backing array when a live snapshot may
 // share it, so the in-place write about to happen cannot be observed
-// through the snapshot's copied slice header.
+// through the snapshot's copied slice header. The clone keeps the old
+// capacity: at cap == len the next Append would copy the column again.
 func (r *Relation) cowCol(col int) {
 	if r.shared == nil || !r.shared[col] {
 		return
@@ -320,11 +321,11 @@ func (r *Relation) cowCol(col int) {
 	c := r.cols[col]
 	switch c.typ {
 	case Float:
-		c.f = append(make([]float64, 0, len(c.f)), c.f...)
+		c.f = append(make([]float64, 0, cap(c.f)), c.f...)
 	case Int:
-		c.i = append(make([]int64, 0, len(c.i)), c.i...)
+		c.i = append(make([]int64, 0, cap(c.i)), c.i...)
 	default:
-		c.s = append(make([]string, 0, len(c.s)), c.s...)
+		c.s = append(make([]string, 0, cap(c.s)), c.s...)
 	}
 	r.shared[col] = false
 }

@@ -181,3 +181,37 @@ func TestSnapshotAcrossCompactKeepsRowSet(t *testing.T) {
 		t.Fatalf("post-compact snapshot: %v", err)
 	}
 }
+
+// A copy-on-write clone keeps the column's spare capacity, so the Append
+// that follows a Set finds room and the column is cloned once, not twice;
+// the snapshot goes on reading the old cell and the old Len.
+func TestCopyOnWriteKeepsCapacity(t *testing.T) {
+	r := New("t", mustSchema(Column{Name: "v", Type: Float}, Column{Name: "k", Type: Int}, Column{Name: "s", Type: String}))
+	for i := 0; i < 9; i++ { // one Append past the growth step at 8
+		r.mustAppend(F(float64(i)), I(int64(i)), S("old"))
+	}
+	if cap(r.cols[0].f) == 9 || cap(r.cols[1].i) == 9 || cap(r.cols[2].s) == 9 {
+		t.Fatal("the fixture's columns have no spare capacity")
+	}
+	snap := r.Snapshot()
+	for c, v := range []Value{F(99), I(99), S("new")} {
+		if err := r.Set(4, c, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backing := func() [3]any { return [3]any{&r.cols[0].f[0], &r.cols[1].i[0], &r.cols[2].s[0]} }
+	afterSet := backing()
+	if afterSet == [3]any{&snap.cols[0].f[0], &snap.cols[1].i[0], &snap.cols[2].s[0]} {
+		t.Fatal("Set wrote through storage the snapshot shares")
+	}
+	r.mustAppend(F(9), I(9), S("old"))
+	if backing() != afterSet {
+		t.Error("the Append after a copy-on-write Set copied the columns a second time")
+	}
+	if snap.Len() != 9 || snap.Float(4, 0) != 4 || snap.IntColumn(1)[4] != 4 || snap.Str(4, 2) != "old" {
+		t.Errorf("snapshot reads Len %d and row 4 = %v", snap.Len(), snap.Row(4))
+	}
+	if r.Len() != 10 || r.Float(4, 0) != 99 || r.Str(4, 2) != "new" || r.Float(9, 0) != 9 {
+		t.Errorf("head reads Len %d, row 4 = %v, row 9 = %v", r.Len(), r.Row(4), r.Row(9))
+	}
+}

@@ -148,21 +148,30 @@ func (d *dataset) register(old, e *engine.Engine) {
 	d.engines = append(d.engines, e)
 }
 
-// propagate carries an applied mutation to everything derived from the
-// relation: step runs on every partitioning's maintainer (created on
-// first need), then solution-cache entries solved against older versions
-// are reclaimed. Caller holds the write lock, so no build is in flight.
-func (d *dataset) propagate(step func(*partition.Maintainer) error) error {
-	err := d.each("", func(e *partEntry) error {
+// maintainers lists the maintainer of every built partitioning, created on
+// first need. Caller holds the write lock, so no build is in flight.
+func (d *dataset) maintainers() (ms []*partition.Maintainer) {
+	_ = d.each("", func(e *partEntry) error {
 		if e.maint == nil {
 			e.maint = partition.NewMaintainer(e.part.Load(), partition.MaintOptions{})
 		}
-		return step(e.maint)
+		ms = append(ms, e.maint)
+		return nil
 	})
-	if err == nil {
-		d.invalidateStale()
+	return ms
+}
+
+// propagate carries an applied mutation to everything derived from the
+// relation: step runs on every partitioning's maintainer, then
+// solution-cache entries solved against older versions are reclaimed.
+func (d *dataset) propagate(ms []*partition.Maintainer, step func(*partition.Maintainer) error) error {
+	for _, m := range ms {
+		if err := step(m); err != nil {
+			return err
+		}
 	}
-	return err
+	d.invalidateStale()
+	return nil
 }
 
 // invalidateStale reclaims solution-cache entries solved against older

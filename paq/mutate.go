@@ -146,7 +146,7 @@ func (d *dataset) applyInsert(rows [][]relation.Value) ([]int, error) {
 			return nil, fmt.Errorf("paq: insert row %d: %w", i, err)
 		}
 	}
-	return ids, d.propagate(func(m *partition.Maintainer) error { return m.Insert(ids...) })
+	return ids, d.propagate(d.maintainers(), func(m *partition.Maintainer) error { return m.Insert(ids...) })
 }
 
 // DeleteRows removes the given rows (by row index, as reported in
@@ -190,7 +190,7 @@ func (d *dataset) applyDelete(rows []int) error {
 			return err // unreachable: validated before
 		}
 	}
-	return d.propagate(func(m *partition.Maintainer) error { return m.Delete(rows...) })
+	return d.propagate(d.maintainers(), func(m *partition.Maintainer) error { return m.Delete(rows...) })
 }
 
 // UpdateRows overwrites the given live rows in place (vals[i] replaces
@@ -223,6 +223,10 @@ func (d *dataset) validateUpdate(rows []int, vals [][]relation.Value) error {
 // applyUpdate is the post-validation, post-logging half of UpdateRows
 // (shared with WAL replay). Caller holds the write lock.
 func (d *dataset) applyUpdate(rows []int, vals [][]relation.Value) error {
+	// Before the cells change: every maintainer exists (one made afterwards
+	// would have summed the new cells) and the old ones are read, once for
+	// all of them.
+	ms, pre := d.maintainers(), partition.NumericCells(d.rel, rows)
 	for i, row := range rows {
 		for c, v := range vals[i] {
 			if err := d.rel.Set(row, c, v); err != nil {
@@ -230,7 +234,7 @@ func (d *dataset) applyUpdate(rows []int, vals [][]relation.Value) error {
 			}
 		}
 	}
-	return d.propagate(func(m *partition.Maintainer) error { return m.Update(rows...) })
+	return d.propagate(ms, func(m *partition.Maintainer) error { return m.UpdateFrom(rows, pre) })
 }
 
 // View runs fn with the session's relation under the dataset read

@@ -2,10 +2,15 @@ package paq
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/reltest"
 )
@@ -176,4 +181,140 @@ MAXIMIZE SUM(P.gain)`)
 		}
 	}
 	runtime.KeepAlive(filtered)
+}
+
+// A copy-on-write clone keeps its column's spare capacity, so the insert
+// batch that follows an update batch — with a pinned snapshot alive, as a
+// serving session always has — allocates for the rows it appends, not for
+// the table (each cloned column used to be re-grown by its first Append).
+func TestInsertAfterUpdateAllocationIndependentOfRows(t *testing.T) {
+	const batch = 100
+	bytesPerInsert := func(n int) uint64 {
+		rel := relation.New("items", reltest.Schema(
+			relation.Column{Name: "cost", Type: relation.Float},
+			relation.Column{Name: "gain", Type: relation.Float},
+		))
+		for i := 0; i < n || cap(rel.FloatColumn(0))-rel.Len() < 2*batch; i++ {
+			reltest.Append(rel, relation.F(1+float64(i%9)), relation.F(1+float64((i*7)%11)))
+		}
+		s, err := Open(Table(rel), WithMethod(MethodDirect))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmt, err := s.Prepare(pinAllocQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.pinExec(stmt, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.UpdateRows([]int{0}, [][]relation.Value{{relation.F(2), relation.F(5)}}); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]relation.Value, batch)
+		for i := range rows {
+			rows[i] = []relation.Value{relation.F(3), relation.F(4)}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := s.InsertRows(rows); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := bytesPerInsert(2_000), bytesPerInsert(20_000)
+	if large > small+4096 {
+		t.Errorf("a %d-row insert after an update allocates %d bytes over 2 000 rows and %d over 20 000", batch, small, large)
+	}
+}
+
+// Frozen views under load: a solve reads the view it pinned, lock-free,
+// while the next batches edit the head's member lists in place. Every view
+// kept from before a batch must stay element for element what it was and
+// pass CheckInvariants against its own snapshot, the head must pass its
+// own after every batch — the first is an update, so the maintainer has
+// to exist before the cells change — and the race detector must stay
+// silent about the solver goroutine.
+func TestViewsStayFrozenWhileBatchesApply(t *testing.T) {
+	s, stmt := pinFixture(t, WithMethod(MethodSketchRefine), WithTauTuples(30), WithWarmPartitioning(), WithoutCache())
+	var solved atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if _, err := stmt.Execute(context.Background()); err == nil {
+					solved.Add(1)
+				}
+			}
+		}
+	}()
+	halt := sync.OnceFunc(func() { close(stop); <-done })
+	defer halt()
+	type kept struct {
+		view *partition.Partitioning
+		rows [][]int
+	}
+	var views []kept
+	rng := rand.New(rand.NewSource(3))
+	vals := func(n int) [][]relation.Value {
+		out := make([][]relation.Value, n)
+		for i := range out {
+			out[i] = []relation.Value{relation.F(1 + float64(rng.Intn(9))), relation.F(1 + float64(rng.Intn(40)))}
+		}
+		return out
+	}
+	for batch := 0; batch < 60; batch++ {
+		p, err := s.pinExec(stmt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := kept{view: p.view}
+		for _, g := range p.view.Groups {
+			v.rows = append(v.rows, slices.Clone(g.Rows))
+		}
+		views = append(views, v)
+		live := slices.Clone(p.snap.AllRows())
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		switch batch % 3 {
+		case 0:
+			_, err = s.UpdateRows(live[:20], vals(20))
+		case 1:
+			_, _, err = s.InsertRows(vals(12))
+		default:
+			_, err = s.DeleteRows(live[:10])
+		}
+		if err == nil && batch%20 == 19 {
+			_, err = s.Compact()
+		}
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		s.readMaintainers(func(m *partition.Maintainer) {
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("batch %d: %v", batch, err)
+			}
+		})
+	}
+	halt()
+	if solved.Load() == 0 {
+		t.Error("no solve finished while the batches applied")
+	}
+	if ms := s.MaintStats(); ms.Updates != 20*20 || ms.Splits == 0 {
+		t.Errorf("maintenance saw %d updated rows and %d splits", ms.Updates, ms.Splits)
+	}
+	for i, v := range views {
+		for gid, g := range v.view.Groups {
+			if !slices.Equal(g.Rows, v.rows[gid]) {
+				t.Fatalf("view %d: group %d's member list changed after it was pinned", i, gid)
+			}
+		}
+		if err := v.view.CheckInvariants(); err != nil {
+			t.Fatalf("view %d: %v", i, err)
+		}
+	}
 }
