@@ -29,65 +29,38 @@ import (
 	"sync"
 )
 
-// Config tunes the advisor. The zero value means defaults.
-type Config struct {
-	// MinSamples is how many outcomes a method needs before its score is
-	// trusted: the fallback stays in charge until it has MinSamples, and
-	// alternatives are probed until they do too. Default 3.
-	MinSamples int
-	// ProbeEvery re-checks a non-chosen candidate after that many
+// The advisor's tuning. One value each serves every session; they are
+// not persisted, so a restart keeps the evidence but follows these.
+const (
+	// minSamples is how many outcomes a method needs before its score is
+	// trusted: the fallback stays in charge until it has minSamples, and
+	// alternatives are probed until they do too.
+	minSamples = 3
+	// probeEvery re-checks a non-chosen candidate after that many
 	// consecutive exploit decisions on one shape, so a method that
 	// regressed (or improved) after its last samples is eventually
-	// re-observed. Default 32.
-	ProbeEvery uint64
-	// Alpha is the EWMA smoothing factor for all per-method signals
-	// (higher = faster to adapt, noisier). Default 0.3.
-	Alpha float64
-	// FailPenalty multiplies a method's mean solve time by
-	// (1 + FailPenalty·failRate): a method that times out is scored as
-	// if it were that much slower. Default 4.
-	FailPenalty float64
-	// GapTolerance is the observed relative objective gap (vs the best
+	// re-observed.
+	probeEvery = 32
+	// alpha is the EWMA smoothing factor for all per-method signals
+	// (higher = faster to adapt, noisier).
+	alpha = 0.3
+	// failPenalty multiplies a method's mean solve time by
+	// (1 + failPenalty·failRate): a method that times out is scored as if
+	// it were that much slower.
+	failPenalty = 4
+	// gapTolerance is the observed relative objective gap (vs the best
 	// objective seen for the shape) beyond which a method is ineligible
-	// for exploitation — speed never buys answers worse than this,
-	// unless every candidate is beyond it. Default 0.10.
-	GapTolerance float64
-	// HotUses is how many times an attribute set must recur before the
-	// partitioning advisor calls it hot. Default 3.
-	HotUses uint64
-	// MaxShapes and MaxSets bound the tracked state; least-recently-seen
-	// entries are evicted past the cap. Defaults 256 each.
-	MaxShapes int
-	MaxSets   int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinSamples <= 0 {
-		c.MinSamples = 3
-	}
-	if c.ProbeEvery == 0 {
-		c.ProbeEvery = 32
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.FailPenalty <= 0 {
-		c.FailPenalty = 4
-	}
-	if c.GapTolerance <= 0 {
-		c.GapTolerance = 0.10
-	}
-	if c.HotUses == 0 {
-		c.HotUses = 3
-	}
-	if c.MaxShapes <= 0 {
-		c.MaxShapes = 256
-	}
-	if c.MaxSets <= 0 {
-		c.MaxSets = 256
-	}
-	return c
-}
+	// for exploitation — speed never buys answers worse than this, unless
+	// every candidate is beyond it.
+	gapTolerance = 0.10
+	// hotUses is how many times an attribute set must recur before the
+	// partitioning advisor calls it hot.
+	hotUses = 3
+	// maxShapes and maxSets bound the tracked state; least-recently-seen
+	// entries are evicted past the cap.
+	maxShapes = 256
+	maxSets   = 256
+)
 
 // Outcome is one execution's observed record, reported by the session
 // after every real (non-cached) solve.
@@ -156,9 +129,6 @@ type SetInfo struct {
 	// dataset version at its most recent use.
 	Uses        uint64 `json:"uses"`
 	LastVersion uint64 `json:"last_version"`
-	// Prewarmed marks sets whose partitioning the advisor built (or
-	// adopted) during a maintenance pass.
-	Prewarmed bool `json:"prewarmed,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of the advisor's counters.
@@ -199,13 +169,10 @@ type setState struct {
 	Uses        uint64   `json:"uses"`
 	LastVersion uint64   `json:"last_version"`
 	LastSeq     uint64   `json:"last_seq"`
-	Prewarmed   bool     `json:"prewarmed,omitempty"`
 }
 
 // Advisor is one session's adaptive state. Safe for concurrent use.
 type Advisor struct {
-	cfg Config
-
 	mu        sync.Mutex
 	seq       uint64 // logical clock: every Observe/Decide/ObserveSet tick
 	outcomes  uint64
@@ -216,11 +183,9 @@ type Advisor struct {
 	sets      map[string]*setState
 }
 
-// New returns an advisor with the given configuration (zero-valued
-// fields get defaults).
-func New(cfg Config) *Advisor {
+// New returns an advisor with no evidence.
+func New() *Advisor {
 	return &Advisor{
-		cfg:    cfg.withDefaults(),
 		shapes: make(map[string]*shapeState),
 		sets:   make(map[string]*setState),
 	}
@@ -257,7 +222,7 @@ func (a *Advisor) Observe(o Outcome) {
 		if first {
 			return x
 		}
-		return a.cfg.Alpha*x + (1-a.cfg.Alpha)*cur
+		return alpha*x + (1-alpha)*cur
 	}
 	first := ms.N == 1
 	ms.MS = ewma(ms.MS, o.SolveMS, first)
@@ -279,7 +244,7 @@ func (a *Advisor) Observe(o Outcome) {
 		ms.Gap = ewma(ms.Gap, g, ms.GapN == 0)
 		ms.GapN++
 	}
-	a.trimShapesLocked()
+	a.trimLocked()
 }
 
 func betterObj(maximize bool, x, best float64) bool {
@@ -307,8 +272,8 @@ func gapOf(maximize bool, obj, best float64) float64 {
 }
 
 // score is the penalized time the decision loop minimizes.
-func (a *Advisor) score(ms *methodStats) float64 {
-	return ms.MS * (1 + a.cfg.FailPenalty*ms.Fail)
+func score(ms *methodStats) float64 {
+	return ms.MS * (1 + failPenalty*ms.Fail)
 }
 
 // Decide picks the method for one prepared statement. fallback is what
@@ -327,20 +292,19 @@ func (a *Advisor) Decide(shape, fallback string, candidates []string) Decision {
 		sc := MethodScore{Method: m}
 		if ms := ss.Methods[m]; ms != nil {
 			sc.N, sc.MeanMS, sc.FailRate, sc.Gap = ms.N, ms.MS, ms.Fail, ms.Gap
-			sc.Score = a.score(ms)
+			sc.Score = score(ms)
 		}
 		dec.Scores = append(dec.Scores, sc)
 	}
-	min := uint64(a.cfg.MinSamples)
 	fb := ss.Methods[fallback]
-	if fb == nil || fb.N < min {
+	if fb == nil || fb.N < minSamples {
 		var n uint64
 		if fb != nil {
 			n = fb.N
 		}
 		a.cold++
 		dec.Cold = true
-		dec.Reason = fmt.Sprintf("cold: %d/%d runs observed for %s; using the planner heuristic", n, min, fallback)
+		dec.Reason = fmt.Sprintf("cold: %d/%d runs observed for %s; using the planner heuristic", n, minSamples, fallback)
 		return dec
 	}
 	// Probe under-sampled alternatives before trusting any comparison.
@@ -349,7 +313,7 @@ func (a *Advisor) Decide(shape, fallback string, candidates []string) Decision {
 			continue
 		}
 		ms := ss.Methods[m]
-		if ms == nil || ms.N < min {
+		if ms == nil || ms.N < minSamples {
 			var n uint64
 			if ms != nil {
 				n = ms.N
@@ -358,7 +322,7 @@ func (a *Advisor) Decide(shape, fallback string, candidates []string) Decision {
 			ss.SinceProbe = 0
 			dec.Method = m
 			dec.Probe = true
-			dec.Reason = fmt.Sprintf("probe: %s has %d/%d runs observed", m, n, min)
+			dec.Reason = fmt.Sprintf("probe: %s has %d/%d runs observed", m, n, minSamples)
 			return dec
 		}
 	}
@@ -378,10 +342,10 @@ func (a *Advisor) Decide(shape, fallback string, candidates []string) Decision {
 	for pass := 0; pass < 2 && pick == ""; pass++ {
 		for _, m := range ordered {
 			ms := ss.Methods[m]
-			if pass == 0 && ms.Gap > a.cfg.GapTolerance {
+			if pass == 0 && ms.Gap > gapTolerance {
 				continue
 			}
-			if sc := a.score(ms); pick == "" || sc < pickScore {
+			if sc := score(ms); pick == "" || sc < pickScore {
 				pick, pickScore = m, sc
 				eligible = pass == 0
 			}
@@ -396,12 +360,12 @@ func (a *Advisor) Decide(shape, fallback string, candidates []string) Decision {
 			pick, best.MS, best.N, fallback, fb.MS, fb.N)
 	}
 	if !eligible {
-		dec.Reason += fmt.Sprintf(" (all candidates exceed the %.0f%% objective-gap tolerance)", a.cfg.GapTolerance*100)
+		dec.Reason += fmt.Sprintf(" (all candidates exceed the %.0f%% objective-gap tolerance)", gapTolerance*100)
 	}
-	// Staleness refresh: after ProbeEvery consecutive exploits on this
+	// Staleness refresh: after probeEvery consecutive exploits on this
 	// shape, re-observe the least recently seen alternative.
 	ss.SinceProbe++
-	if len(ordered) > 1 && ss.SinceProbe >= a.cfg.ProbeEvery {
+	if len(ordered) > 1 && ss.SinceProbe >= probeEvery {
 		stale, staleSeq := "", uint64(math.MaxUint64)
 		for _, m := range ordered {
 			if m == pick {
@@ -416,22 +380,27 @@ func (a *Advisor) Decide(shape, fallback string, candidates []string) Decision {
 			ss.SinceProbe = 0
 			dec.Method = stale
 			dec.Probe = true
-			dec.Reason = fmt.Sprintf("probe: refreshing %s (stale for %d decisions)", stale, a.cfg.ProbeEvery)
+			dec.Reason = fmt.Sprintf("probe: refreshing %s (stale for %d decisions)", stale, probeEvery)
 		}
 	}
 	return dec
 }
 
-// trimShapesLocked evicts least-recently-seen shapes past the cap.
-func (a *Advisor) trimShapesLocked() {
-	for len(a.shapes) > a.cfg.MaxShapes {
+// trimLocked evicts least-recently-seen shapes and sets past their caps.
+func (a *Advisor) trimLocked() {
+	trimLRU(a.shapes, maxShapes, func(ss *shapeState) uint64 { return ss.LastSeq })
+	trimLRU(a.sets, maxSets, func(st *setState) uint64 { return st.LastSeq })
+}
+
+func trimLRU[V any](m map[string]V, max int, lastSeq func(V) uint64) {
+	for len(m) > max {
 		victim, victimSeq := "", uint64(math.MaxUint64)
-		for k, ss := range a.shapes {
-			if ss.LastSeq < victimSeq {
-				victim, victimSeq = k, ss.LastSeq
+		for k, v := range m {
+			if seq := lastSeq(v); seq < victimSeq {
+				victim, victimSeq = k, seq
 			}
 		}
-		delete(a.shapes, victim)
+		delete(m, victim)
 	}
 }
 
@@ -452,18 +421,7 @@ func (a *Advisor) ObserveSet(key string, attrs []string, version uint64) {
 	st.Uses++
 	st.LastVersion = version
 	st.LastSeq = a.seq
-	for len(a.sets) > a.cfg.MaxSets {
-		victim, victimSeq := "", uint64(math.MaxUint64)
-		for k, s := range a.sets {
-			if !s.Prewarmed && s.LastSeq < victimSeq {
-				victim, victimSeq = k, s.LastSeq
-			}
-		}
-		if victim == "" {
-			break // every tracked set is prewarmed; nothing safe to forget
-		}
-		delete(a.sets, victim)
-	}
+	a.trimLocked()
 }
 
 // HotSets returns the attribute sets recurring often enough to pre-warm,
@@ -473,8 +431,8 @@ func (a *Advisor) HotSets() []SetInfo {
 	defer a.mu.Unlock()
 	var out []SetInfo
 	for k, st := range a.sets {
-		if st.Uses >= a.cfg.HotUses {
-			out = append(out, a.setInfoLocked(k, st))
+		if st.Uses >= hotUses {
+			out = append(out, setInfoOf(k, st))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -486,13 +444,12 @@ func (a *Advisor) HotSets() []SetInfo {
 	return out
 }
 
-func (a *Advisor) setInfoLocked(key string, st *setState) SetInfo {
+func setInfoOf(key string, st *setState) SetInfo {
 	return SetInfo{
 		Key:         key,
 		Attrs:       append([]string(nil), st.Attrs...),
 		Uses:        st.Uses,
 		LastVersion: st.LastVersion,
-		Prewarmed:   st.Prewarmed,
 	}
 }
 
@@ -504,61 +461,7 @@ func (a *Advisor) SetInfo(key string) (SetInfo, bool) {
 	if st == nil {
 		return SetInfo{}, false
 	}
-	return a.setInfoLocked(key, st), true
-}
-
-// EvictionOrder sorts keys least-recently-used first — the order a
-// budget-bound caller should evict warm partitionings in. Keys the
-// advisor never saw sort first (nothing argues for keeping them).
-func (a *Advisor) EvictionOrder(keys []string) []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := append([]string(nil), keys...)
-	seqOf := func(k string) uint64 {
-		if st := a.sets[k]; st != nil {
-			return st.LastSeq
-		}
-		return 0
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := seqOf(out[i]), seqOf(out[j])
-		if si != sj {
-			return si < sj
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
-
-// MarkPrewarmed records that the set's partitioning is advisor-managed
-// (built or adopted by a maintenance pass); ClearPrewarmed undoes it on
-// eviction. Prewarmed sets may serve covered subsets (see paq).
-func (a *Advisor) MarkPrewarmed(key string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st := a.sets[key]
-	if st == nil {
-		st = &setState{}
-		a.sets[key] = st
-	}
-	st.Prewarmed = true
-}
-
-// ClearPrewarmed marks the set's partitioning as no longer warm.
-func (a *Advisor) ClearPrewarmed(key string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if st := a.sets[key]; st != nil {
-		st.Prewarmed = false
-	}
-}
-
-// IsPrewarmed reports whether the set is advisor-managed warm.
-func (a *Advisor) IsPrewarmed(key string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st := a.sets[key]
-	return st != nil && st.Prewarmed
+	return setInfoOf(key, st), true
 }
 
 // Stats snapshots the advisor's counters.
@@ -574,7 +477,7 @@ func (a *Advisor) Stats() Stats {
 		Sets:      len(a.sets),
 	}
 	for _, s := range a.sets {
-		if s.Uses >= a.cfg.HotUses {
+		if s.Uses >= hotUses {
 			st.HotSets++
 		}
 	}
@@ -582,8 +485,8 @@ func (a *Advisor) Stats() Stats {
 }
 
 // persistedState is the advisor's durable form (JSON inside the store's
-// framed sidecar file). The configuration is NOT persisted: a restart
-// keeps the evidence but follows the current process's tuning.
+// framed sidecar file). The tuning constants are NOT persisted: a
+// restart keeps the evidence but follows the current process's tuning.
 type persistedState struct {
 	Seq       uint64                 `json:"seq"`
 	Outcomes  uint64                 `json:"outcomes"`
@@ -645,6 +548,6 @@ func (a *Advisor) RestoreState(data []byte) error {
 			a.sets[k] = st
 		}
 	}
-	a.trimShapesLocked()
+	a.trimLocked()
 	return nil
 }

@@ -13,13 +13,13 @@ func feed(a *Advisor, shape, method string, ms float64, n int) {
 }
 
 // TestDecideColdThenProbeThenExploit walks the full bandit loop: cold
-// until the fallback has MinSamples, probe the alternative until it
+// until the fallback has minSamples, probe the alternative until it
 // does, then exploit the faster method.
 func TestDecideColdThenProbeThenExploit(t *testing.T) {
-	a := New(Config{MinSamples: 3})
+	a := New()
 	cands := []string{"direct", "sketchrefine"}
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < minSamples; i++ {
 		dec := a.Decide("q", "direct", cands)
 		if !dec.Cold || dec.Method != "direct" {
 			t.Fatalf("decision %d: want cold fallback, got %+v", i, dec)
@@ -27,7 +27,7 @@ func TestDecideColdThenProbeThenExploit(t *testing.T) {
 		a.Observe(Outcome{Shape: "q", Method: "direct", SolveMS: 10,
 			HasObjective: true, Objective: 10})
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < minSamples; i++ {
 		dec := a.Decide("q", "direct", cands)
 		if !dec.Probe || dec.Method != "sketchrefine" {
 			t.Fatalf("decision %d: want probe of sketchrefine, got %+v", i, dec)
@@ -42,7 +42,7 @@ func TestDecideColdThenProbeThenExploit(t *testing.T) {
 	if dec.Fallback != "direct" {
 		t.Fatalf("fallback not carried: %+v", dec)
 	}
-	if len(dec.Scores) != 2 || dec.Scores[0].N != 3 || dec.Scores[1].N != 3 {
+	if len(dec.Scores) != 2 || dec.Scores[0].N != minSamples || dec.Scores[1].N != minSamples {
 		t.Fatalf("scores snapshot wrong: %+v", dec.Scores)
 	}
 }
@@ -50,11 +50,11 @@ func TestDecideColdThenProbeThenExploit(t *testing.T) {
 // TestGapToleranceDisqualifies: a faster method whose observed
 // objectives are beyond the gap tolerance never wins exploitation.
 func TestGapToleranceDisqualifies(t *testing.T) {
-	a := New(Config{MinSamples: 2, GapTolerance: 0.10})
+	a := New()
 	// direct: slow but optimal (objective 10, minimizing).
-	feed(a, "q", "direct", 50, 2)
+	feed(a, "q", "direct", 50, minSamples)
 	// sketchrefine: 10x faster but 90% worse objectives.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < minSamples; i++ {
 		a.Observe(Outcome{Shape: "q", Method: "sketchrefine", SolveMS: 5,
 			HasObjective: true, Objective: 19, Maximize: false})
 	}
@@ -66,9 +66,9 @@ func TestGapToleranceDisqualifies(t *testing.T) {
 
 // TestFailurePenalty: timeouts make a nominally fast method lose.
 func TestFailurePenalty(t *testing.T) {
-	a := New(Config{MinSamples: 2, FailPenalty: 10})
-	feed(a, "q", "direct", 10, 2)
-	for i := 0; i < 2; i++ {
+	a := New()
+	feed(a, "q", "direct", 10, minSamples)
+	for i := 0; i < minSamples; i++ {
 		a.Observe(Outcome{Shape: "q", Method: "sketchrefine", SolveMS: 5, Failed: true})
 	}
 	dec := a.Decide("q", "direct", []string{"direct", "sketchrefine"})
@@ -77,35 +77,38 @@ func TestFailurePenalty(t *testing.T) {
 	}
 }
 
-// TestStalenessProbe: after ProbeEvery exploits, the loser is
+// TestStalenessProbe: after probeEvery exploits, the loser is
 // re-observed once, then exploitation resumes.
 func TestStalenessProbe(t *testing.T) {
-	a := New(Config{MinSamples: 1, ProbeEvery: 3})
-	feed(a, "q", "direct", 1, 1)
-	feed(a, "q", "sketchrefine", 50, 1)
+	a := New()
+	feed(a, "q", "direct", 1, minSamples)
+	feed(a, "q", "sketchrefine", 50, minSamples)
 	cands := []string{"direct", "sketchrefine"}
 	probes := 0
-	for i := 0; i < 8; i++ {
+	for i := 0; i < probeEvery+5; i++ {
 		dec := a.Decide("q", "direct", cands)
 		if dec.Probe {
 			probes++
 			if dec.Method != "sketchrefine" {
 				t.Fatalf("staleness probe picked %q", dec.Method)
 			}
+			if i != probeEvery-1 {
+				t.Fatalf("staleness probe at decision %d, want %d", i, probeEvery-1)
+			}
 			feed(a, "q", "sketchrefine", 50, 1)
 		} else if dec.Method != "direct" {
 			t.Fatalf("exploit picked %q", dec.Method)
 		}
 	}
-	if probes == 0 {
-		t.Fatal("no staleness probe in 8 decisions with ProbeEvery=3")
+	if probes != 1 {
+		t.Fatalf("%d staleness probes in %d decisions, want 1", probes, probeEvery+5)
 	}
 }
 
 // TestInfeasibleIsNotFailure: definitive infeasibility keeps the
 // method's failure rate at zero.
 func TestInfeasibleIsNotFailure(t *testing.T) {
-	a := New(Config{})
+	a := New()
 	a.Observe(Outcome{Shape: "q", Method: "direct", SolveMS: 2, Infeasible: true})
 	dec := a.Decide("q", "direct", []string{"direct"})
 	if len(dec.Scores) != 1 || dec.Scores[0].FailRate != 0 {
@@ -114,56 +117,63 @@ func TestInfeasibleIsNotFailure(t *testing.T) {
 }
 
 // TestHotSetsAndEvictionOrder exercises the miner: recurrence makes a
-// set hot, and eviction order is least-recently-used first.
+// set hot, and past maxSets the set table forgets the least recently
+// observed sets first.
 func TestHotSetsAndEvictionOrder(t *testing.T) {
-	a := New(Config{HotUses: 3})
-	for i := 0; i < 3; i++ {
+	a := New()
+	for i := 0; i < hotUses; i++ {
 		a.ObserveSet("price,weight", []string{"price", "weight"}, uint64(10+i))
 	}
 	a.ObserveSet("mass", []string{"mass"}, 20)
 	hot := a.HotSets()
-	if len(hot) != 1 || hot[0].Key != "price,weight" || hot[0].Uses != 3 || hot[0].LastVersion != 12 {
+	if len(hot) != 1 || hot[0].Key != "price,weight" || hot[0].Uses != hotUses || hot[0].LastVersion != 10+hotUses-1 {
 		t.Fatalf("hot sets: %+v", hot)
 	}
-	order := a.EvictionOrder([]string{"mass", "price,weight", "never-seen"})
-	want := []string{"never-seen", "price,weight", "mass"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("eviction order %v, want %v", order, want)
-		}
+	for i := 0; i < maxSets-1; i++ {
+		a.ObserveSet(fmt.Sprintf("s%d", i), []string{"x"}, 30)
+	}
+	if _, ok := a.SetInfo("price,weight"); ok {
+		t.Fatal("least recently observed set survived the cap")
+	}
+	if _, ok := a.SetInfo("mass"); !ok {
+		t.Fatal("a set inside the cap was forgotten")
+	}
+	if got := a.Stats().Sets; got != maxSets {
+		t.Fatalf("tracked %d sets, cap is %d", got, maxSets)
 	}
 }
 
 // TestShapeCapEvictsLRU: the shape table stays bounded.
 func TestShapeCapEvictsLRU(t *testing.T) {
-	a := New(Config{MaxShapes: 4})
-	for i := 0; i < 10; i++ {
+	a := New()
+	for i := 0; i < maxShapes+6; i++ {
 		a.Observe(Outcome{Shape: fmt.Sprintf("s%d", i), Method: "direct", SolveMS: 1})
 	}
-	if got := a.Stats().Shapes; got != 4 {
-		t.Fatalf("tracked %d shapes, cap is 4", got)
+	if got := a.Stats().Shapes; got != maxShapes {
+		t.Fatalf("tracked %d shapes, cap is %d", got, maxShapes)
 	}
-	// The most recent shape must have survived.
-	dec := a.Decide("s9", "direct", []string{"direct"})
-	if dec.Scores[0].N != 1 {
+	// The most recent shape must have survived, the oldest must not.
+	if dec := a.Decide(fmt.Sprintf("s%d", maxShapes+5), "direct", []string{"direct"}); dec.Scores[0].N != 1 {
 		t.Fatalf("most recent shape evicted: %+v", dec.Scores)
+	}
+	if dec := a.Decide("s0", "direct", []string{"direct"}); dec.Scores[0].N != 0 {
+		t.Fatalf("oldest shape kept: %+v", dec.Scores)
 	}
 }
 
-// TestStateRoundtrip: marshal → restore preserves evidence, prewarmed
-// marks, and counters; corrupt input errors without mutating state.
+// TestStateRoundtrip: marshal → restore preserves evidence, mined sets,
+// and counters; corrupt input errors without mutating state.
 func TestStateRoundtrip(t *testing.T) {
-	a := New(Config{MinSamples: 2})
-	feed(a, "q", "direct", 7, 3)
+	a := New()
+	feed(a, "q", "direct", 7, minSamples)
 	a.ObserveSet("price", []string{"price"}, 42)
-	a.MarkPrewarmed("price")
 	a.Decide("q", "direct", []string{"direct"})
 
 	data, err := a.MarshalState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := New(Config{MinSamples: 2})
+	b := New()
 	if err := b.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
@@ -171,15 +181,12 @@ func TestStateRoundtrip(t *testing.T) {
 	if as != bs {
 		t.Fatalf("stats diverge after restore: %+v vs %+v", as, bs)
 	}
-	if !b.IsPrewarmed("price") {
-		t.Fatal("prewarmed mark lost")
-	}
 	si, ok := b.SetInfo("price")
 	if !ok || si.Uses != 1 || si.LastVersion != 42 {
 		t.Fatalf("set info lost: %+v ok=%v", si, ok)
 	}
 	dec := b.Decide("q", "direct", []string{"direct"})
-	if dec.Cold || dec.Scores[0].N != 3 {
+	if dec.Cold || dec.Scores[0].N != minSamples {
 		t.Fatalf("method evidence lost: %+v", dec)
 	}
 
@@ -188,19 +195,5 @@ func TestStateRoundtrip(t *testing.T) {
 	}
 	if b.Stats().Outcomes != bs.Outcomes {
 		t.Fatal("failed restore mutated state")
-	}
-}
-
-// TestPrewarmedLifecycle: mark → clear → eviction candidates again.
-func TestPrewarmedLifecycle(t *testing.T) {
-	a := New(Config{})
-	a.ObserveSet("a", []string{"a"}, 1)
-	a.MarkPrewarmed("a")
-	if !a.IsPrewarmed("a") {
-		t.Fatal("mark did not stick")
-	}
-	a.ClearPrewarmed("a")
-	if a.IsPrewarmed("a") {
-		t.Fatal("clear did not stick")
 	}
 }

@@ -25,9 +25,9 @@ import (
 type AdviseConfig struct {
 	// Warmup is the number of workload rounds the advisor learns over
 	// before measurement starts (0 means 8). It must cover the advisor's
-	// cold-start (MinSamples fallback runs) plus its probing of every
-	// alternative (MinSamples more) — 2·MinSamples = 6 rounds with the
-	// defaults — or probe solves leak into the measured phase.
+	// cold-start (minSamples fallback runs) plus its probing of every
+	// alternative (minSamples more) — 2·minSamples = 6 rounds — or probe
+	// solves leak into the measured phase.
 	Warmup int
 	// Rounds is the number of measured workload rounds; 0 means 3.
 	Rounds int
@@ -312,17 +312,11 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 			violation("%s: restart lost the advisor's observed outcomes", p.ds)
 		}
 		res.RestartOutcomes += stats.Outcomes
-		warm := reopened.WarmSets()
-		prewarmed := 0
-		for _, ws := range warm {
-			if ws.Prewarmed {
-				prewarmed++
-			}
+		warm := len(reopened.WarmSets())
+		if warm == 0 {
+			violation("%s: restart lost every warm attribute set", p.ds)
 		}
-		if prewarmed == 0 {
-			violation("%s: restart lost every pre-warmed attribute set", p.ds)
-		}
-		res.RestartWarmSets += prewarmed
+		res.RestartWarmSets += warm
 		for _, q := range p.queries {
 			stmt, m := run(reopened, q.PaQL)
 			if m.Err != nil {

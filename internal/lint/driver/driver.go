@@ -230,7 +230,7 @@ func Run(pkgs []*Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 			name := a.Name
 			pass.Report = func(d analysis.Diagnostic) {
 				pos := pkg.Fset.Position(d.Pos)
-				if ignores.covers(name, pos) {
+				if ignores.suppresses(name, pos) {
 					return
 				}
 				findings = append(findings, Finding{Pos: pos, Analyzer: name, Message: d.Message})
@@ -262,9 +262,9 @@ type ignoreKey struct {
 // ignoreSet maps lines to the analyzer names ignored there.
 type ignoreSet map[ignoreKey][]string
 
-// covers reports whether a finding by analyzer name at pos is
+// suppresses reports whether a finding by analyzer name at pos is
 // suppressed by a directive on its line or the line above.
-func (s ignoreSet) covers(name string, pos token.Position) bool {
+func (s ignoreSet) suppresses(name string, pos token.Position) bool {
 	for _, line := range []int{pos.Line, pos.Line - 1} {
 		for _, n := range s[ignoreKey{pos.Filename, line}] {
 			if n == name {

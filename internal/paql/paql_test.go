@@ -282,14 +282,18 @@ func TestWalkCoversAllNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	countW, countS := 0, 0
-	Walk(q.Where, func(Expr) { countW++ })
-	Walk(q.SuchThat, func(Expr) { countS++ })
+	countW, countS, tops := 0, 0, 0
+	Inspect(q.Where, func(Expr) bool { countW++; return true })
+	Inspect(q.SuchThat, func(Expr) bool { countS++; return true })
+	Inspect(q.SuchThat, func(Expr) bool { tops++; return false })
 	if countW < 3 {
 		t.Errorf("WHERE walk visited %d nodes, want >= 3", countW)
 	}
 	if countS < 6 {
 		t.Errorf("SUCH THAT walk visited %d nodes, want >= 6", countS)
 	}
-	Walk(nil, func(Expr) { t.Error("walk of nil expression visited a node") })
+	if tops != 1 {
+		t.Errorf("a walk refused at the root visited %d nodes, want 1", tops)
+	}
+	Inspect(nil, func(Expr) bool { t.Error("walk of nil expression visited a node"); return true })
 }

@@ -5,32 +5,32 @@ import (
 	"strings"
 )
 
-// Walk calls fn for every node of the expression tree in pre-order. A nil
-// expression is a no-op.
-func Walk(e Expr, fn func(Expr)) {
-	if e == nil {
+// Inspect calls fn for every node of the expression tree in pre-order,
+// descending into a node's children (an aggregate's are its sub-query
+// WHERE) only while fn returns true for it. A nil expression is a no-op.
+func Inspect(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
 		return
 	}
-	fn(e)
 	switch x := e.(type) {
 	case Arith:
-		Walk(x.L, fn)
-		Walk(x.R, fn)
+		Inspect(x.L, fn)
+		Inspect(x.R, fn)
 	case Neg:
-		Walk(x.E, fn)
+		Inspect(x.E, fn)
 	case Cmp:
-		Walk(x.L, fn)
-		Walk(x.R, fn)
+		Inspect(x.L, fn)
+		Inspect(x.R, fn)
 	case Between:
-		Walk(x.E, fn)
-		Walk(x.Lo, fn)
-		Walk(x.Hi, fn)
+		Inspect(x.E, fn)
+		Inspect(x.Lo, fn)
+		Inspect(x.Hi, fn)
 	case Bool:
 		for _, k := range x.Kids {
-			Walk(k, fn)
+			Inspect(k, fn)
 		}
 	case Agg:
-		Walk(x.Where, fn)
+		Inspect(x.Where, fn)
 	}
 }
 
@@ -38,33 +38,11 @@ func Walk(e Expr, fn func(Expr)) {
 // at its top level (not inside a sub-query WHERE).
 func containsAgg(e Expr) bool {
 	found := false
-	var visit func(Expr)
-	visit = func(e Expr) {
-		if e == nil || found {
-			return
-		}
-		switch x := e.(type) {
-		case Agg:
-			found = true
-		case Arith:
-			visit(x.L)
-			visit(x.R)
-		case Neg:
-			visit(x.E)
-		case Cmp:
-			visit(x.L)
-			visit(x.R)
-		case Between:
-			visit(x.E)
-			visit(x.Lo)
-			visit(x.Hi)
-		case Bool:
-			for _, k := range x.Kids {
-				visit(k)
-			}
-		}
-	}
-	visit(e)
+	Inspect(e, func(n Expr) bool {
+		_, agg := n.(Agg)
+		found = found || agg
+		return !found
+	})
 	return found
 }
 
@@ -112,9 +90,9 @@ func Validate(q *Query) error {
 	pkg := strings.ToLower(q.PackageName)
 	checkAggScope := func(e Expr, clause string) error {
 		var errOut error
-		Walk(e, func(n Expr) {
+		Inspect(e, func(n Expr) bool {
 			if errOut != nil {
-				return
+				return false
 			}
 			if a, ok := n.(Agg); ok {
 				over := strings.ToLower(a.Over)
@@ -125,6 +103,7 @@ func Validate(q *Query) error {
 					errOut = fmt.Errorf("paql: nested aggregates are not allowed")
 				}
 			}
+			return true
 		})
 		return errOut
 	}
@@ -181,35 +160,19 @@ func mustBeBoolean(e Expr, clause string) error {
 // calls in package-level clauses.
 func noBareColumns(e Expr, clause string) error {
 	var errOut error
-	var visit func(Expr)
-	visit = func(e Expr) {
-		if e == nil || errOut != nil {
-			return
+	Inspect(e, func(n Expr) bool {
+		if errOut != nil {
+			return false
 		}
-		switch x := e.(type) {
+		switch x := n.(type) {
 		case ColRef:
 			errOut = fmt.Errorf("paql: bare column %s in %s; package-level clauses may only use aggregates", x, clause)
-		case Arith:
-			visit(x.L)
-			visit(x.R)
-		case Neg:
-			visit(x.E)
-		case Cmp:
-			visit(x.L)
-			visit(x.R)
-		case Between:
-			visit(x.E)
-			visit(x.Lo)
-			visit(x.Hi)
-		case Bool:
-			for _, k := range x.Kids {
-				visit(k)
-			}
 		case Agg:
 			// Aggregate arguments and sub-query filters are tuple-level;
 			// stop descending.
+			return false
 		}
-	}
-	visit(e)
+		return true
+	})
 	return errOut
 }

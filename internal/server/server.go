@@ -430,15 +430,12 @@ func (s *Server) AdviseOnce() []string {
 	var actions []string
 	for _, ds := range datasets {
 		pass := ds.Session().AdvisorMaintain()
-		if len(pass.Prewarmed) == 0 && len(pass.Shared) == 0 && len(pass.Evicted) == 0 {
+		if len(pass.Prewarmed) == 0 && len(pass.Evicted) == 0 {
 			continue
 		}
 		msg := ds.Name() + ":"
 		if len(pass.Prewarmed) > 0 {
 			msg += fmt.Sprintf(" prewarmed %v", pass.Prewarmed)
-		}
-		if len(pass.Shared) > 0 {
-			msg += fmt.Sprintf(" shared %v", pass.Shared)
 		}
 		if len(pass.Evicted) > 0 {
 			msg += fmt.Sprintf(" evicted %v", pass.Evicted)
@@ -892,7 +889,7 @@ type DatasetStats struct {
 	Durability *DurJSON              `json:"durability,omitempty"`
 	Caches     map[string]CacheStats `json:"caches"`
 	// WarmSets lists the dataset's warm partitionings with the advisor's
-	// evidence (uses, last-used version, prewarmed/pinned) — what makes
+	// evidence (uses, last-used version, pinned) — what makes
 	// advisor evictions observable. Advisor is the adaptive planner's
 	// counter block.
 	WarmSets []paq.WarmSet `json:"warm_sets,omitempty"`

@@ -638,8 +638,8 @@ MAXIMIZE SUM(P.petrorad)`,
 }
 
 // TestAdvisorStatsExposed: warm partitionings and the adaptive
-// planner's counters are observable at /stats, and AdviseOnce's
-// adoption of a hot attribute set shows up there as a prewarmed set.
+// planner's counters are observable at /stats; the dataset's hot set is
+// its pinned, already-warm partitioning, so AdviseOnce has nothing to do.
 func TestAdvisorStatsExposed(t *testing.T) {
 	srv := New(Config{})
 	ds, err := NewDataset("galaxy", workload.Galaxy(500, 3), testDatasetConfig())
@@ -658,10 +658,10 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 			t.Fatalf("query %d: status %d: %s", i, status, raw)
 		}
 	}
-	// Three uses make the dataset's (fixed) attribute set hot; the
-	// advisor pass adopts the warm partitioning as advisor-managed.
-	if acts := srv.AdviseOnce(); len(acts) == 0 {
-		t.Fatal("AdviseOnce took no action on a hot attribute set")
+	// Three uses make the dataset's (fixed) attribute set hot; it is warm
+	// since registration, so the pass neither builds nor evicts anything.
+	if acts := srv.AdviseOnce(); len(acts) != 0 {
+		t.Fatalf("AdviseOnce acted on an already-warm pinned set: %v", acts)
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/stats")
@@ -684,16 +684,15 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 	if len(dst.WarmSets) == 0 {
 		t.Fatal("/stats reports no warm_sets")
 	}
-	var prewarmed, pinned bool
+	var pinned bool
 	for _, ws := range dst.WarmSets {
-		prewarmed = prewarmed || ws.Prewarmed
 		pinned = pinned || ws.Pinned
 		if ws.Uses < 3 {
 			t.Errorf("warm set %v uses = %d, want the three queries counted", ws.Attrs, ws.Uses)
 		}
 	}
-	if !prewarmed || !pinned {
-		t.Errorf("warm sets %+v: want the session set both pinned and advisor-adopted", dst.WarmSets)
+	if !pinned {
+		t.Errorf("warm sets %+v: want the session set pinned", dst.WarmSets)
 	}
 	if dst.Advisor == nil {
 		t.Fatal("/stats has no advisor block")

@@ -1,6 +1,8 @@
 package paq
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/advisor"
@@ -18,17 +20,14 @@ type WarmSet struct {
 	// advisor or a set built before mining began).
 	Uses            uint64 `json:"uses"`
 	LastUsedVersion uint64 `json:"last_used_version"`
-	// Prewarmed marks advisor-managed sets (built or adopted by
-	// AdvisorMaintain; subject to the warm-set budget). Pinned marks the
-	// session-wide partitioning, which is never evicted.
-	Prewarmed bool `json:"prewarmed,omitempty"`
-	Pinned    bool `json:"pinned,omitempty"`
+	// Pinned marks a session-wide partitioning (of this session or a
+	// same-shape clone), which the warm-set budget never evicts.
+	Pinned bool `json:"pinned,omitempty"`
 }
 
 // WarmSets lists the warm partitionings of the session's shape, sorted
 // by attribute key for determinism.
 func (s *Session) WarmSets() []WarmSet {
-	pinned := partKey(s.partitionAttrsFor(nil))
 	s.d.dataMu.RLock()
 	defer s.d.dataMu.RUnlock()
 	var entries []*partEntry
@@ -39,17 +38,16 @@ func (s *Session) WarmSets() []WarmSet {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key.attrs < entries[j].key.attrs })
 	out := make([]WarmSet, 0, len(entries))
 	for _, e := range entries {
-		p, attrKey := e.part.Load(), e.key.attrs
+		p := e.part.Load()
 		ws := WarmSet{
 			Attrs:  append([]string(nil), p.Attrs...),
 			Groups: p.NumGroups(),
-			Pinned: attrKey == pinned,
+			Pinned: e.pinned.Load(),
 		}
 		if s.adv != nil {
-			if si, ok := s.adv.SetInfo(attrKey); ok {
+			if si, ok := s.adv.SetInfo(e.key.attrs); ok {
 				ws.Uses = si.Uses
 				ws.LastUsedVersion = si.LastVersion
-				ws.Prewarmed = si.Prewarmed
 			}
 		}
 		out = append(out, ws)
@@ -74,12 +72,11 @@ type AdvisorStats struct {
 	SetsTracked int `json:"sets_tracked"`
 	HotSets     int `json:"hot_sets"`
 	// PartBuilds counts offline partitioning builds this session paid;
-	// SharedServes counts queries served by an overlapping warm superset
-	// instead; Prewarmed and Evicted count AdvisorMaintain's actions.
-	PartBuilds   uint64 `json:"part_builds"`
-	SharedServes uint64 `json:"shared_serves"`
-	Prewarmed    uint64 `json:"prewarmed"`
-	Evicted      uint64 `json:"evicted"`
+	// Prewarmed counts the ones AdvisorMaintain made, Evicted its
+	// evictions.
+	PartBuilds uint64 `json:"part_builds"`
+	Prewarmed  uint64 `json:"prewarmed"`
+	Evicted    uint64 `json:"evicted"`
 }
 
 // AdvisorStats snapshots the advisor's counters (Enabled=false under
@@ -98,7 +95,6 @@ func (s *Session) AdvisorStats() AdvisorStats {
 	}
 	s.mu.Lock()
 	st.PartBuilds = s.partBuilds
-	st.SharedServes = s.advShared
 	st.Prewarmed = s.advPrewarmed
 	st.Evicted = s.advEvicted
 	s.mu.Unlock()
@@ -108,11 +104,8 @@ func (s *Session) AdvisorStats() AdvisorStats {
 // AdvisorPass reports what one AdvisorMaintain pass did.
 type AdvisorPass struct {
 	// Prewarmed lists hot attribute sets whose partitioning this pass
-	// built (or adopted, if a query had already built it); Shared lists
-	// hot sets left to an overlapping prewarmed superset; Evicted lists
-	// warm sets dropped to fit the budget.
+	// built; Evicted lists warm sets dropped to fit the budget.
 	Prewarmed []string `json:"prewarmed,omitempty"`
-	Shared    []string `json:"shared,omitempty"`
 	Evicted   []string `json:"evicted,omitempty"`
 	// Persisted reports whether the advisor's evidence was flushed to
 	// the durability store.
@@ -120,10 +113,10 @@ type AdvisorPass struct {
 }
 
 // AdvisorMaintain runs one partitioning-advisor maintenance pass: it
-// pre-warms partitionings for attribute sets the workload uses often
-// (sharing across overlapping sets where a prewarmed superset already
-// covers a subset), evicts the least-recently-used warm sets beyond
-// the WithWarmSetBudget, and — on a durable session — persists the
+// builds the partitionings of attribute sets the workload uses often
+// that are not warm, evicts the least-recently-resolved unpinned warm
+// sets of the session's shape beyond the WithWarmSetBudget — whichever
+// session built them — and, on a durable session, persists the
 // advisor's evidence so a restart keeps the tuning. The pass is meant
 // for a maintenance ticker (paqld runs it alongside snapshotting), off
 // the query path. A no-op under WithoutAdvisor.
@@ -132,25 +125,15 @@ func (s *Session) AdvisorMaintain() AdvisorPass {
 	if s.adv == nil {
 		return pass
 	}
-	hot := s.adv.HotSets()
-	// Build supersets first: a wide set built early can absorb narrower
-	// hot sets below it in the same pass, saving their builds entirely.
-	sort.SliceStable(hot, func(i, j int) bool {
-		return len(hot[i].Attrs) > len(hot[j].Attrs)
-	})
 	d := s.d
 	d.dataMu.RLock()
-	for _, h := range hot {
-		_, shared, err := s.resolve(s.regKey(h.Attrs), h.Attrs, true)
-		switch {
-		case err != nil:
-			// Advisory: an unbuildable set is just skipped.
-		case shared:
-			pass.Shared = append(pass.Shared, h.Key)
-		case !s.adv.IsPrewarmed(h.Key):
-			// Built just now, or by a query earlier: adopt it so it can
-			// serve covered subsets and falls under the budget.
-			s.adv.MarkPrewarmed(h.Key)
+	for _, h := range s.adv.HotSets() {
+		key := s.regKey(h.Attrs)
+		if e := d.entry(key, false); e != nil && e.part.Load() != nil {
+			continue // warm already: not the pass's build, nor a use
+		}
+		// Advisory: an unbuildable set is just skipped.
+		if _, err := s.resolve(key, h.Attrs, true); err == nil {
 			pass.Prewarmed = append(pass.Prewarmed, h.Key)
 			s.count(&s.advPrewarmed)
 		}
@@ -169,41 +152,41 @@ func (s *Session) AdvisorMaintain() AdvisorPass {
 	return pass
 }
 
-// evictWarmSets drops the least-recently-used warm sets beyond the
-// budget, counting only registry entries this session's advisor
-// prewarmed (the session-wide partitioning is pinned and never
-// counted). The entry leaves the registry for every session of the
-// shape; whichever next asks for the set — this session or a sibling —
-// rebuilds it lazily through resolve.
+// evictWarmSets drops the least-recently-resolved unpinned partitionings
+// of the session's shape beyond the budget, whoever built them. The
+// entry leaves the registry for every session of the shape; whichever
+// next asks for the set rebuilds it lazily through resolve. The caller
+// holds the dataset read lock.
 func (s *Session) evictWarmSets() []string {
 	budget := s.cfg.warmBudget
 	if budget < 0 {
 		return nil // unbounded
 	}
-	pinned := partKey(s.partitionAttrsFor(nil))
 	d := s.d
-	var managed []string
+	var warm []*partEntry
 	_ = d.each(s.shape, func(e *partEntry) error {
-		if e.key.attrs != pinned && s.adv.IsPrewarmed(e.key.attrs) {
-			managed = append(managed, e.key.attrs)
+		if !e.pinned.Load() {
+			warm = append(warm, e)
 		}
 		return nil
 	})
-	if len(managed) <= budget {
+	if len(warm) <= budget {
 		return nil
 	}
+	// Recovered entries were never resolved (all 0): the key breaks ties.
+	slices.SortFunc(warm, func(a, b *partEntry) int {
+		return cmp.Or(cmp.Compare(a.lastUsed.Load(), b.lastUsed.Load()), cmp.Compare(a.key.attrs, b.key.attrs))
+	})
 	var evicted []string
 	d.regMu.Lock()
 	defer d.regMu.Unlock()
-	for _, attrKey := range s.adv.EvictionOrder(managed)[:len(managed)-budget] {
-		key := setKey{s.shape, attrKey}
-		if d.parts[key] == nil {
+	for _, e := range warm[:len(warm)-budget] {
+		if d.parts[e.key] != e {
 			continue // a concurrent pass got there first
 		}
-		delete(d.parts, key)
-		s.adv.ClearPrewarmed(attrKey)
+		delete(d.parts, e.key)
 		s.count(&s.advEvicted)
-		evicted = append(evicted, attrKey)
+		evicted = append(evicted, e.key.attrs)
 	}
 	d.dirty.Store(true)
 	return evicted

@@ -42,11 +42,13 @@ type dataset struct {
 	// ω) and an attribute set to its partitioning; engines lists every
 	// registered solution cache over the relation. dirty (its own atomic)
 	// marks partitionings built or evicted since the last snapshot, so a
-	// restart keeps them.
+	// restart keeps them; clock (also its own) ticks once per entry
+	// resolve hands out, the recency the warm-set budget evicts by.
 	regMu   sync.Mutex
 	parts   map[setKey]*partEntry
 	engines []*engine.Engine
 	dirty   atomic.Bool
+	clock   atomic.Uint64
 
 	// warm counts the partitionings recovery warm-started (see DurStats);
 	// written only before the dataset is shared.
@@ -72,6 +74,11 @@ type partEntry struct {
 	building sync.Mutex
 	part     atomic.Pointer[partition.Partitioning]
 	maint    *partition.Maintainer
+	// lastUsed is the dataset clock when resolve last handed the entry
+	// out (0: never, since recovery). pinned marks a set some session
+	// plans over session-wide; the warm-set budget never evicts it.
+	lastUsed atomic.Uint64
+	pinned   atomic.Bool
 	// view caches the frozen partitioning view bound to the current
 	// pinned relation snapshot. Snapshot pointers are one-per-version
 	// (see pinCache), so pointer equality on view.Rel is exactly "view
@@ -114,7 +121,7 @@ func (d *dataset) entry(key setKey, create bool) *partEntry {
 // visits the built registry entries of the given shape — "" for every
 // shape (maintenance, compaction), a session's own for the ones that
 // session plans over (snapshot, MaintStats, QualityBound, WarmSets, the
-// advisor's superset search and eviction).
+// warm-set budget).
 // The caller holds dataMu; the write side for anything that touches a
 // maintainer or the partitioning itself.
 func (d *dataset) each(shape string, fn func(*partEntry) error) error {

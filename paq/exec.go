@@ -241,24 +241,45 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 	}
 	solveSp.SetAttrBool("cached", res.Cached)
 	solveSp.Finish()
-	if res.Err != nil {
-		// A canceled caller says nothing about the method; everything else
-		// is evidence (a definitive "no such package" is a correct answer,
-		// timeouts and exhausted budgets are failures).
-		if !bespoke && !errors.Is(res.Err, context.Canceled) {
-			o := advisor.Outcome{
-				Shape:   st.shape,
-				Method:  string(st.method),
-				SolveMS: float64(res.Time.Microseconds()) / 1000,
-			}
-			if errors.Is(mapEvalErr(res.Err), ErrInfeasible) {
-				o.Infeasible = true
-			} else {
-				o.Failed = true
-			}
-			st.sess.reportOutcome(o)
+	// Evaluate the objective against the pinned snapshot, not head: a
+	// mutation racing this solve must not make the reported objective
+	// disagree with the version the package was chosen at.
+	var obj float64
+	err = res.Err
+	if err == nil {
+		objSp := root.Child("objective")
+		obj, err = res.Pkg.ObjectiveValue(spec)
+		objSp.Finish()
+	}
+	err = mapEvalErr(err)
+	// Every real solve is evidence — a definitive "no such package" is a
+	// correct answer, timeouts and exhausted budgets are failures — but a
+	// cache hit's solve was paid before, and a canceled caller says
+	// nothing about the method.
+	if !bespoke && !res.Cached && !errors.Is(err, context.Canceled) {
+		o := advisor.Outcome{
+			Shape:   st.shape,
+			Method:  string(st.method),
+			SolveMS: float64(res.Time.Microseconds()) / 1000,
 		}
-		return nil, mapEvalErr(res.Err)
+		switch {
+		case err == nil:
+			o.Truncated = res.Stats != nil && res.Stats.Truncated
+			if res.Stats != nil {
+				o.Backtracks = res.Stats.Backtracks
+			}
+			if st.spec.Objective != nil {
+				o.HasObjective, o.Objective, o.Maximize = true, obj, st.spec.Objective.Maximize
+			}
+		case errors.Is(err, ErrInfeasible):
+			o.Infeasible = true
+		default:
+			o.Failed = true
+		}
+		st.sess.reportOutcome(o)
+	}
+	if err != nil {
+		return nil, err
 	}
 	// Copy the package slices: the underlying *core.Package may live in
 	// the session's solution cache and be shared by every future cache
@@ -266,6 +287,7 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 	out := &Result{
 		Rows:       append([]int(nil), res.Pkg.Rows...),
 		Mult:       append([]int(nil), res.Pkg.Mult...),
+		Objective:  obj,
 		Size:       res.Pkg.Size(),
 		Distinct:   res.Pkg.Distinct(),
 		Version:    spec.Rel.Version(),
@@ -277,39 +299,12 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 		pkg:        res.Pkg,
 		spec:       spec,
 	}
-	// Evaluate the objective against the pinned snapshot, not head: a
-	// mutation racing this solve must not make the reported objective
-	// disagree with the version the package was chosen at.
-	objSp := root.Child("objective")
-	obj, err := res.Pkg.ObjectiveValue(spec)
-	objSp.Finish()
-	if err != nil {
-		return nil, mapEvalErr(err)
-	}
-	out.Objective = obj
 	if root != nil {
 		root.SetAttrBool("cached", res.Cached)
 		root.SetAttrInt("version", int64(out.Version))
 		root.SetAttrInt("incumbents", int64(nInc))
 		root.Finish()
 		out.trace = root
-	}
-	if !bespoke && !res.Cached {
-		o := advisor.Outcome{
-			Shape:     st.shape,
-			Method:    string(st.method),
-			SolveMS:   float64(res.Time.Microseconds()) / 1000,
-			Truncated: out.Truncated,
-		}
-		if res.Stats != nil {
-			o.Backtracks = res.Stats.Backtracks
-		}
-		if st.spec.Objective != nil {
-			o.HasObjective = true
-			o.Objective = obj
-			o.Maximize = st.spec.Objective.Maximize
-		}
-		st.sess.reportOutcome(o)
 	}
 	return out, nil
 }

@@ -240,14 +240,16 @@ func WithoutAdvisor() Option {
 	})
 }
 
-// DefaultWarmSetBudget is how many advisor-managed warm partitionings a
-// session keeps when WithWarmSetBudget is not given.
+// DefaultWarmSetBudget is how many unpinned warm partitionings of its
+// shape a session's maintenance pass keeps when WithWarmSetBudget is not
+// given.
 const DefaultWarmSetBudget = 8
 
-// WithWarmSetBudget bounds the number of warm partitionings the
-// advisor's maintenance pass keeps; least-recently-used sets beyond the
-// budget are evicted (the session-wide partitioning is pinned and never
-// counts). Negative means unbounded.
+// WithWarmSetBudget bounds the number of warm partitionings of the
+// session's shape that the advisor's maintenance pass keeps, whichever
+// session built them; the least recently used sets beyond the budget are
+// evicted. A session-wide partitioning (of this session or a same-shape
+// clone) is pinned and never counts. Negative means unbounded.
 func WithWarmSetBudget(n int) Option {
 	return opt(func(c *config) error {
 		if n == 0 {

@@ -2,7 +2,6 @@ package paq
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -81,13 +80,11 @@ type Session struct {
 	adv *advisor.Advisor
 
 	// mu guards the engine slots and the counters: partBuilds counts the
-	// offline partitioning builds this session paid; advShared queries
-	// served by an overlapping warm superset instead of a build;
-	// advPrewarmed and advEvicted AdvisorMaintain's actions.
+	// offline partitioning builds this session paid; advPrewarmed and
+	// advEvicted AdvisorMaintain's builds and evictions.
 	mu           sync.Mutex
 	engines      map[Method]*engine.Engine
 	partBuilds   uint64
-	advShared    uint64
 	advPrewarmed uint64
 	advEvicted   uint64
 
@@ -105,7 +102,13 @@ func newSession(d *dataset, cfg config) *Session {
 	if !cfg.noAdvisor {
 		// A clone learns afresh: its options may change solver budgets or
 		// τ, which would invalidate the original's timing evidence.
-		s.adv = advisor.New(advisor.Config{})
+		s.adv = advisor.New()
+	}
+	// The session-wide set is pinned in the registry for as long as the
+	// dataset lives (a session has no end-of-life call): no session's
+	// warm-set budget may evict what another plans over by default.
+	if attrs := s.partitionAttrsFor(nil); len(attrs) > 0 {
+		d.entry(s.regKey(attrs), true).pinned.Store(true)
 	}
 	s.setEngine(MethodNaive, engine.Naive{Opt: naive.Options{Timeout: cfg.timeLimit}}, cfg.noCache)
 	s.setEngine(MethodDirect, engine.Direct{Opt: cfg.solverOptions()}, cfg.noCache)
@@ -297,35 +300,40 @@ func partKey(attrs []string) string {
 func (s *Session) regKey(attrs []string) setKey { return setKey{s.shape, partKey(attrs)} }
 
 // resolve is the one function that maps an attribute set to a
-// partitioning. In order: the registry entry under key (the caller's
+// partitioning: the registry entry under key (the caller's
 // s.regKey(attrs), precomputed on the pin path so steady-state pinning
-// allocates nothing) when it is built; else the smallest built superset
-// this session's advisor prewarmed — a quad-tree over a superset of the
-// query's attributes partitions at least as finely on them, so
-// SketchRefine's radius reasoning still holds — reported as shared; else,
-// with build set, the entry is built, racing callers blocking on the one
-// build; without it the miss is (nil, false, nil). Execute re-resolves
-// the set its plan captured through here too, so an entry the advisor
-// evicted meanwhile is rebuilt rather than refined over stale row
-// indices. The caller holds the dataset read lock.
-func (s *Session) resolve(key setKey, attrs []string, build bool) (e *partEntry, shared bool, err error) {
+// allocates nothing), built first when it is not — racing callers block
+// on the one build — or, without build, a miss as (nil, nil). Each entry
+// handed out is stamped with the dataset clock, the recency the warm-set
+// budget evicts by. Execute re-resolves the set its plan captured
+// through here too, so an entry evicted meanwhile is rebuilt rather than
+// refined over stale row indices. The caller holds the dataset read lock.
+func (s *Session) resolve(key setKey, attrs []string, build bool) (*partEntry, error) {
 	if len(attrs) == 0 {
-		return nil, false, fmt.Errorf("paq: no numeric attributes to partition on")
+		return nil, fmt.Errorf("paq: no numeric attributes to partition on")
 	}
-	d := s.d
-	if e = d.entry(key, false); e != nil && e.part.Load() != nil {
-		return e, false, nil
+	e := s.d.entry(key, build)
+	if e == nil || (!build && e.part.Load() == nil) {
+		return nil, nil
 	}
-	if sup := s.prewarmedSuperset(attrs); sup != nil || !build {
-		return sup, sup != nil, nil
+	if err := s.build(e, attrs); err != nil {
+		return nil, err
 	}
-	e = d.entry(key, true)
+	e.lastUsed.Store(s.d.clock.Add(1))
+	return e, nil
+}
+
+// build builds e's partitioning unless it is built already.
+func (s *Session) build(e *partEntry, attrs []string) error {
+	if e.part.Load() != nil {
+		return nil
+	}
 	e.building.Lock()
 	defer e.building.Unlock()
 	if e.part.Load() != nil {
-		return e, false, nil
+		return nil
 	}
-	p, err := partition.Build(d.rel, partition.Options{
+	p, err := partition.Build(s.d.rel, partition.Options{
 		Attrs:         attrs,
 		SizeThreshold: s.tau(),
 		RadiusLimit:   s.cfg.radius,
@@ -334,45 +342,12 @@ func (s *Session) resolve(key setKey, attrs []string, build bool) (e *partEntry,
 	if err != nil {
 		// e stays registered but unbuilt — invisible to each — so callers
 		// queued on this build, and any later one, retry it on e itself.
-		return nil, false, err
+		return err
 	}
 	e.part.Store(p)
-	d.dirty.Store(true)
+	s.d.dirty.Store(true)
 	s.count(&s.partBuilds)
-	return e, false, nil
-}
-
-// prewarmedSuperset returns the built same-shape entry over the fewest
-// attributes (ties broken by key) that covers attrs and that this
-// session's advisor prewarmed; nil if none.
-func (s *Session) prewarmedSuperset(attrs []string) *partEntry {
-	if s.adv == nil {
-		return nil
-	}
-	var best *partEntry
-	bestN := 0
-	_ = s.d.each(s.shape, func(e *partEntry) error {
-		have := e.part.Load().Attrs
-		if !s.adv.IsPrewarmed(e.key.attrs) || !covers(have, attrs) {
-			return nil
-		}
-		if best == nil || len(have) < bestN || (len(have) == bestN && e.key.attrs < best.key.attrs) {
-			best, bestN = e, len(have)
-		}
-		return nil
-	})
-	return best
-}
-
-// covers reports whether every attribute of want is one of have's
-// (attribute names compare case-insensitively, as in partKey).
-func covers(have, want []string) bool {
-	for _, w := range want {
-		if !slices.ContainsFunc(have, func(h string) bool { return strings.EqualFold(h, w) }) {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 // count bumps one of the session's mu-guarded counters.
@@ -421,7 +396,7 @@ func (s *Session) pinExec(st *Stmt, sp *obs.Span) (pinned, error) {
 	p := pinned{snap: d.pin.at(d.rel)}
 	if st.method == MethodSketchRefine {
 		vsp := sp.Child("partition_view")
-		e, _, err := s.resolve(st.partKey, st.part.Attrs, true)
+		e, err := s.resolve(st.partKey, st.part.Attrs, true)
 		if err != nil {
 			vsp.Finish()
 			return pinned{}, err
@@ -462,7 +437,7 @@ func (s *Session) Partitioning() (*PartitionInfo, error) {
 	attrs := s.partitionAttrsFor(nil)
 	s.d.dataMu.RLock()
 	defer s.d.dataMu.RUnlock()
-	e, _, err := s.resolve(s.regKey(attrs), attrs, true)
+	e, err := s.resolve(s.regKey(attrs), attrs, true)
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,7 @@ func TestFailedBuildKeepsEntryRegistered(t *testing.T) {
 	resolve := func(attrs []string) (*partEntry, error) {
 		s.d.dataMu.RLock()
 		defer s.d.dataMu.RUnlock()
-		e, _, err := s.resolve(key, attrs, true)
-		return e, err
+		return s.resolve(key, attrs, true)
 	}
 	if _, err := resolve(bad); err == nil {
 		t.Fatal("build over an unknown attribute succeeded")

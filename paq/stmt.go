@@ -69,10 +69,6 @@ type AdaptiveInfo struct {
 	Reason string `json:"reason"`
 	// Scores snapshots the observed evidence per candidate.
 	Scores []advisor.MethodScore `json:"scores,omitempty"`
-	// SharedPartitioning names the attribute set of the warm superset
-	// partitioning serving this query, when the advisor shared one
-	// instead of building the query's exact set.
-	SharedPartitioning []string `json:"shared_partitioning,omitempty"`
 }
 
 // Plan is the typed EXPLAIN output of a prepared statement: the chosen
@@ -141,9 +137,6 @@ func (p *Plan) String() string {
 	}
 	if a := p.Adaptive; a != nil {
 		fmt.Fprintf(&b, "adaptive:     %s\n", a.Reason)
-		if len(a.SharedPartitioning) > 0 {
-			fmt.Fprintf(&b, "adaptive:     sharing warm partitioning over [%s]\n", strings.Join(a.SharedPartitioning, " "))
-		}
 	}
 	fmt.Fprintf(&b, "cache-key:    %s", p.CacheKey)
 	return b.String()
@@ -208,16 +201,9 @@ func (st *Stmt) resolveMethod(m Method, nBase int) error {
 	attrs := s.partitionAttrsFor(st.spec.QueryAttrs())
 	s.observeAttrDemand(attrs)
 	build := m == MethodSketchRefine || nBase > autoDirectMaxVars
-	e, shared, err := s.resolve(s.regKey(attrs), attrs, build)
-	var sharedAttrs []string
+	e, err := s.resolve(s.regKey(attrs), attrs, build)
 	if e != nil {
 		st.part, st.partKey = e.part.Load(), e.key
-		if shared {
-			sharedAttrs = append([]string(nil), st.part.Attrs...)
-			if build {
-				s.count(&s.advShared)
-			}
-		}
 	}
 	if m == MethodSketchRefine {
 		if err != nil {
@@ -225,9 +211,6 @@ func (st *Stmt) resolveMethod(m Method, nBase int) error {
 		}
 		st.method = m
 		st.reason = "method fixed by WithMethod"
-		if shared {
-			st.reason += fmt.Sprintf("; served by the warm partitioning over [%s]", strings.Join(sharedAttrs, " "))
-		}
 		return nil
 	}
 	// MethodAuto: compute the fixed heuristic's choice first — it is the
@@ -265,9 +248,6 @@ func (st *Stmt) resolveMethod(m Method, nBase int) error {
 			Probe:    dec.Probe,
 			Reason:   dec.Reason,
 			Scores:   dec.Scores,
-		}
-		if st.method == MethodSketchRefine {
-			st.adaptive.SharedPartitioning = sharedAttrs
 		}
 	}
 	if st.method != MethodSketchRefine {
