@@ -126,6 +126,9 @@ type Result struct {
 	// Incumbents counts the strictly improving incumbents installed
 	// during the search (each one was also passed to OnIncumbent).
 	Incumbents int
+	// Retired counts the variables reduced-cost fixing fixed for good,
+	// which the LP kernel then stops pricing.
+	Retired int
 	// Stats are the LP kernel's work counters over the whole search:
 	// WarmSolves (node relaxations re-optimized from the basis of the node
 	// before), ColdSolves (the root, and any node whose warm start failed
@@ -156,8 +159,10 @@ const (
 // *lp.Workspace, or in tests an oracle standing in for it.
 type relaxation interface {
 	SetBounds(j int, lo, hi float64) error
+	Retire(j int)
 	Reoptimize(ctx context.Context) (lp.Status, error)
 	X() []float64
+	Basis() []int
 	DJ() []float64
 	Objective() float64
 	Stats() lp.Stats
@@ -352,32 +357,28 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 
 	// mostFractional returns the integral variable whose LP value is
 	// farthest from an integer — the lowest index among those within
-	// branchTieTol of the farthest — or -1 if all are integral.
+	// branchTieTol of the farthest — or -1 if all are integral. Only basic
+	// variables can be fractional: every bound an integral variable gets
+	// is an integer, and a nonbasic variable rests on one.
 	frac := func(x []float64, j int) float64 {
-		if !p.integral(j) {
+		if j >= n || !p.integral(j) {
 			return 0
 		}
 		return math.Abs(x[j] - math.Round(x[j]))
 	}
-	mostFractional := func(x []float64) int {
-		first, far := -1, intTol
-		for j := 0; j < n; j++ {
-			if f := frac(x, j); f > far {
-				far = f
-				if first < 0 {
-					first = j
-				}
+	mostFractional := func() int {
+		x, basis := rx.X(), rx.Basis()
+		far := intTol
+		for _, j := range basis {
+			far = math.Max(far, frac(x, j))
+		}
+		q := -1
+		for _, j := range basis {
+			if f := frac(x, j); f > intTol && f >= far-branchTieTol && (q < 0 || j < q) {
+				q = j
 			}
 		}
-		if first < 0 {
-			return -1
-		}
-		for j := first; j < n; j++ {
-			if f := frac(x, j); f > intTol && f >= far-branchTieTol {
-				return j
-			}
-		}
-		return first // unreachable: far is attained at or after first
+		return q
 	}
 
 	// Root information for reduced-cost variable fixing: the reduced
@@ -407,13 +408,17 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 				continue
 			}
 			dj := rootDJ[j]
-			if rootAt[j] < 0 && dj <= 0 && -dj >= slack-tol {
+			switch {
+			case rootAt[j] < 0 && dj <= 0 && -dj >= slack-tol:
 				baseHi[j] = baseLo[j]
-				baseDirty = true
-			} else if rootAt[j] > 0 && dj >= 0 && dj >= slack-tol {
+			case rootAt[j] > 0 && dj >= 0 && dj >= slack-tol:
 				baseLo[j] = baseHi[j]
-				baseDirty = true
+			default:
+				continue
 			}
+			baseDirty = true
+			rx.Retire(j)
+			res.Retired++
 		}
 	}
 
@@ -603,7 +608,7 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 	// depth-first plunges: after branching, the near child is solved
 	// immediately and the far child is queued.
 	var current *node
-	if q := mostFractional(rx.X()); q < 0 {
+	if q := mostFractional(); q < 0 {
 		accept(rx.X())
 	} else {
 		near, far := branch(root, q)
@@ -662,7 +667,7 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 		if pruned(nd.bound) {
 			continue
 		}
-		q := mostFractional(rx.X())
+		q := mostFractional()
 		if q < 0 {
 			accept(rx.X())
 			continue

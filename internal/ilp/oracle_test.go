@@ -458,14 +458,13 @@ func boundsAt(p *lp.Problem, j int) (lo, hi float64) {
 }
 
 // denseRelaxation drives branch and bound with the dense oracle: it
-// keeps the node's bounds and solves cold on every Reoptimize. objs
-// records the LP objective of every Optimal node, in solve order.
+// keeps the node's bounds and solves cold on every Reoptimize.
 type denseRelaxation struct {
 	p       lp.Problem // shallow copy with private Lo/Hi
 	sol     *lp.Solution
 	stats   lp.Stats
 	maxIter int
-	objs    []float64
+	basis   []int
 }
 
 func newDenseRelaxation(q *lp.Problem) *denseRelaxation {
@@ -483,6 +482,21 @@ func (r *denseRelaxation) SetBounds(j int, lo, hi float64) error {
 	return nil
 }
 
+func (r *denseRelaxation) Retire(int) {}
+
+// Basis stands in for the basis header with every column strictly inside
+// its bounds: the tableau's basis is not kept, and a column resting on a
+// bound is never one branch and bound looks for.
+func (r *denseRelaxation) Basis() []int {
+	r.basis = r.basis[:0]
+	for j, v := range r.sol.X {
+		if v > r.p.Lo[j] && v < r.p.Hi[j] {
+			r.basis = append(r.basis, j)
+		}
+	}
+	return r.basis
+}
+
 func (r *denseRelaxation) Reoptimize(ctx context.Context) (lp.Status, error) {
 	r.stats.ColdSolves++
 	for j := range r.p.Lo {
@@ -496,9 +510,6 @@ func (r *denseRelaxation) Reoptimize(ctx context.Context) (lp.Status, error) {
 	}
 	r.sol = sol
 	r.stats.PrimalIterations += sol.Iterations
-	if sol.Status == lp.Optimal {
-		r.objs = append(r.objs, sol.Objective)
-	}
 	return sol.Status, nil
 }
 

@@ -122,6 +122,55 @@ func TestTreeIndependentOfPivotPath(t *testing.T) {
 	}
 }
 
+// TestRetiredColumnsKeepTheTree: the columns reduced-cost fixing retires
+// leave the LP kernel's loops and nothing else. A search whose kernel
+// ignores Retire — and so prices every column to the end — walks the same
+// tree bit for bit: status, node and iteration counts, incumbents, the
+// answer and every node's LP objective.
+func TestRetiredColumnsKeepTheTree(t *testing.T) {
+	names, probs := galaxyProblems(t, 3000)
+	names = append(names, "knapsack-40", "knapsack-2x120", "knapsack-repeat-3")
+	probs = append(probs, ilp.AllocProblem(), knapsack(120, 2, 1, 5), knapsack(60, 1, 3, 9))
+	opt := ilp.Options{MaxNodes: 50000, Gap: 1e-4}
+	ctx := context.Background()
+	retired := 0
+	for i, p := range probs {
+		got, gotObjs, err := ilp.SolveRecording(ctx, p, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		want, wantObjs, err := ilp.SolveRecordingUnretired(ctx, p, opt)
+		if err != nil {
+			t.Fatalf("%s: unretired: %v", names[i], err)
+		}
+		retired += got.Retired
+		if got.Status != want.Status || got.Nodes != want.Nodes || got.LPIterations != want.LPIterations || got.Incumbents != want.Incumbents {
+			t.Errorf("%s: %v/%d nodes/%d iterations/%d incumbents, unretired %v/%d/%d/%d", names[i],
+				got.Status, got.Nodes, got.LPIterations, got.Incumbents, want.Status, want.Nodes, want.LPIterations, want.Incumbents)
+			continue
+		}
+		for j := range want.X {
+			if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+				t.Errorf("%s: x[%d] = %v, unretired %v", names[i], j, got.X[j], want.X[j])
+				break
+			}
+		}
+		if len(gotObjs) != len(wantObjs) {
+			t.Errorf("%s: %d node objectives, unretired %d", names[i], len(gotObjs), len(wantObjs))
+			continue
+		}
+		for k := range wantObjs {
+			if math.Float64bits(gotObjs[k]) != math.Float64bits(wantObjs[k]) {
+				t.Errorf("%s: node %d: LP objective %v, unretired %v", names[i], k, gotObjs[k], wantObjs[k])
+				break
+			}
+		}
+	}
+	if retired == 0 {
+		t.Error("no column was retired: the fixtures no longer exercise the kernel's active list")
+	}
+}
+
 // BenchmarkNodeThroughput is the branch-and-bound rung of the ladder:
 // the seven Galaxy templates over 3000 rows, solved to the benchmark's
 // gap, reported per node (root included).

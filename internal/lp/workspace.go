@@ -81,6 +81,15 @@ type Workspace struct {
 	lu     []float64   // m×m scratch for refactor
 	x      []float64   // structural values: the last optimum, else scratch
 
+	// The columns the dual simplex and pricing visit, as ascending runs of
+	// consecutive indices: every structural column except the retired ones
+	// resting fixed (the first nStruct runs), then the m logicals. stale
+	// says a retired column changed status since the runs were built.
+	retired []bool
+	runs    []colRun
+	nStruct int
+	stale   bool
+
 	obj      float64
 	peak     float64 // largest |basic value| since beta was last rebuilt
 	hasBasis bool    // the held basis is dual feasible for the current bounds
@@ -114,6 +123,9 @@ func NewWorkspace(p *Problem) (*Workspace, error) {
 		cb:      make([]float64, m),
 		lu:      make([]float64, m*m),
 		x:       make([]float64, n),
+		retired: make([]bool, n),
+		runs:    make([]colRun, 0, n/2+2),
+		stale:   true,
 		maxIter: 200*(m+n) + 5000,
 	}
 	if p.Maximize {
@@ -140,15 +152,60 @@ func (w *Workspace) X() []float64 { return w.x }
 
 // DJ returns the structural reduced costs after a solve that returned
 // Optimal, under Solution.DJ's sign contract. The slice is the
-// workspace's own and read-only: the dual simplex carries it forward.
+// workspace's own and read-only: the dual simplex carries it forward. The
+// entry of a retired column stops being kept once it rests fixed.
 func (w *Workspace) DJ() []float64 { return w.d[:w.n:w.n] }
 
 // Objective returns cᵀx, in the problem's own sense, after a solve that
 // returned Optimal.
 func (w *Workspace) Objective() float64 { return w.obj }
 
+// Basis returns the columns basic in the last solve, one per row; an
+// entry j ≥ NumVars is the logical of row j − NumVars. Every other
+// structural variable rests at one of its bounds. The slice is the
+// workspace's own and read-only.
+func (w *Workspace) Basis() []int { return w.basis }
+
 // Stats returns the work counters.
 func (w *Workspace) Stats() Stats { return w.stats }
+
+// Retire says that structural column j keeps an empty-width domain
+// (lo = hi) for the rest of the workspace's life. From the moment it is
+// nonbasic and fixed, the dual simplex and pricing skip it — its reduced
+// cost and pivot-row entry are no longer kept — so a search that fixes
+// most columns for good pays per pivot only for the rest. Every value the
+// remaining columns read is computed as before. A later SetBounds that
+// gives j room again brings it back, and the next Reoptimize starts cold.
+func (w *Workspace) Retire(j int) {
+	if j >= 0 && j < w.n && !w.retired[j] {
+		w.retired[j], w.stale = true, true
+	}
+}
+
+// colRun is the columns lo..hi−1.
+type colRun struct{ lo, hi int32 }
+
+// active returns the runs of columns the dual simplex and pricing visit,
+// rebuilding them first if a retired column changed status. Runs keep the
+// loops over them contiguous: with nothing retired there is one run of
+// structural columns.
+func (w *Workspace) active() []colRun {
+	if w.stale {
+		w.runs, w.stale = w.runs[:0], false
+		for j, r := range w.retired {
+			switch k := len(w.runs); {
+			case r && w.status[j] == fixed:
+			case k > 0 && int(w.runs[k-1].hi) == j:
+				w.runs[k-1].hi++
+			default:
+				w.runs = append(w.runs, colRun{int32(j), int32(j) + 1})
+			}
+		}
+		w.nStruct = len(w.runs)
+		w.runs = append(w.runs, colRun{int32(w.n), int32(w.n + w.m)})
+	}
+	return w.runs
+}
 
 // value returns the current value of nonbasic column j.
 func (w *Workspace) value(j int) float64 {
@@ -161,6 +218,9 @@ func (w *Workspace) value(j int) float64 {
 // rest makes column j nonbasic at its upper or lower bound, or fixed when
 // its domain leaves it no room to move.
 func (w *Workspace) rest(j int, upper bool) {
+	if j < w.n && w.retired[j] {
+		w.stale = true
+	}
 	switch {
 	case w.hi[j]-w.lo[j] <= pivTol:
 		w.status[j] = fixed
@@ -211,6 +271,10 @@ func (w *Workspace) SetBounds(j int, lo, hi float64) error {
 	}
 	if lo > hi {
 		w.empty++
+	}
+	if w.retired[j] && hi-lo > pivTol {
+		// Back in play: its reduced cost may not have been kept.
+		w.retired[j], w.stale, w.hasBasis = false, true, false
 	}
 	st := w.status[j]
 	if !w.hasBasis || st == basic {
@@ -317,10 +381,15 @@ func (w *Workspace) finish(ctx context.Context, st Status) (Status, error) {
 			w.x[bj] = math.Min(math.Max(w.beta[i], w.lo[bj]), w.hi[bj])
 		}
 	}
-	w.obj = 0
-	for j, cj := range w.p.C {
-		w.obj += cj * w.x[j]
+	// Skipping the ±0 terms of the columns at zero leaves the sum's bits
+	// as they are.
+	obj := 0.0
+	for j, xj := range w.x {
+		if xj != 0 {
+			obj += w.p.C[j] * xj
+		}
 	}
+	w.obj = obj
 	return Optimal, nil
 }
 
@@ -471,10 +540,11 @@ func (w *Workspace) rebuild() bool {
 }
 
 // price sets y = c_Bᵀ B⁻¹ from the basic costs in cb, then the reduced
-// cost of every column: d_j = c_j − y·A_j, with c ≡ 0 off the basis in
-// phase 1.
+// cost of every active column: d_j = c_j − y·A_j, with c ≡ 0 off the
+// basis in phase 1.
 func (w *Workspace) price(phase1 bool) {
 	n, m := w.n, w.m
+	runs := w.active()[:w.nStruct]
 	clear(w.y)
 	for i, c := range w.cb {
 		if c == 0 {
@@ -484,12 +554,14 @@ func (w *Workspace) price(phase1 bool) {
 			w.y[k] += c * b
 		}
 	}
-	d := w.d[:n]
-	if phase1 {
-		clear(d)
-	} else {
-		for j, c := range w.p.C {
-			d[j] = w.sense * c
+	for _, c := range runs {
+		d := w.d[c.lo:c.hi]
+		if phase1 {
+			clear(d)
+			continue
+		}
+		for k, cj := range w.p.C[c.lo:c.hi] {
+			d[k] = w.sense * cj
 		}
 	}
 	for i, yi := range w.y {
@@ -497,8 +569,11 @@ func (w *Workspace) price(phase1 bool) {
 		if yi == 0 {
 			continue
 		}
-		for j, a := range w.p.A[i][:n] {
-			d[j] -= yi * a
+		for _, c := range runs {
+			d := w.d[c.lo:c.hi]
+			for k, a := range w.p.A[i][c.lo:c.hi] {
+				d[k] -= yi * a
+			}
 		}
 	}
 }
@@ -727,17 +802,22 @@ func (w *Workspace) dual(done <-chan struct{}) Status {
 			}
 			return Optimal
 		}
-		// Pivot row alpha_j = e_rᵀ B⁻¹ A_j over every column.
+		// Pivot row alpha_j = e_rᵀ B⁻¹ A_j over every active column.
+		runs := w.active()
 		rho := w.binv[r*m : (r+1)*m]
-		alpha := w.alpha[:n]
-		clear(alpha)
+		for _, c := range runs[:w.nStruct] {
+			clear(w.alpha[c.lo:c.hi])
+		}
 		for i, ri := range rho {
 			w.alpha[n+i] = ri
 			if ri == 0 {
 				continue
 			}
-			for j, a := range w.p.A[i][:n] {
-				alpha[j] += ri * a
+			for _, c := range runs[:w.nStruct] {
+				alpha := w.alpha[c.lo:c.hi]
+				for k, a := range w.p.A[i][c.lo:c.hi] {
+					alpha[k] += ri * a
+				}
 			}
 		}
 		// Ratio test (Harris). Basic r changes by −alpha_j·Δx_j, so with s
@@ -748,23 +828,26 @@ func (w *Workspace) dual(done <-chan struct{}) Status {
 		// step, the largest pivot. A tolerance on the ratios themselves
 		// would be meaningless: they scale with 1/|alpha|.
 		maxStep, cand := math.Inf(1), w.cand[:0]
-		for j, st := range w.status {
-			if st >= fixed {
-				continue
+		for _, c := range runs {
+			for j := c.lo; j < c.hi; j++ {
+				st := w.status[j]
+				if st >= fixed {
+					continue
+				}
+				a := s * w.alpha[j]
+				if st == atUpper {
+					a = -a
+				}
+				if a <= pivTol {
+					continue
+				}
+				// |d_j| is −d_j at a lower bound and d_j at an upper one, up
+				// to the optTol by which either may already overshoot.
+				if step := (math.Abs(w.d[j]) + optTol) / a; step < maxStep {
+					maxStep = step
+				}
+				cand = append(cand, j)
 			}
-			a := s * w.alpha[j]
-			if st == atUpper {
-				a = -a
-			}
-			if a <= pivTol {
-				continue
-			}
-			// |d_j| is −d_j at a lower bound and d_j at an upper one, up to
-			// the optTol by which either may already overshoot.
-			if step := (math.Abs(w.d[j]) + optTol) / a; step < maxStep {
-				maxStep = step
-			}
-			cand = append(cand, int32(j))
 		}
 		q, best, bestA := -1, 0.0, 0.0
 		for _, j := range cand {
@@ -811,8 +894,11 @@ func (w *Workspace) dual(done <-chan struct{}) Status {
 		}
 		w.notePeak()
 		if theta := w.d[q] / w.col[r]; theta != 0 {
-			for j, a := range w.alpha {
-				w.d[j] -= theta * a
+			for _, c := range runs {
+				d := w.d[c.lo:c.hi]
+				for k, a := range w.alpha[c.lo:c.hi] {
+					d[k] -= theta * a
+				}
 			}
 		}
 		w.d[q] = 0
