@@ -231,6 +231,9 @@ func SolveILP(ctx context.Context, prob *ilp.Problem, opt ilp.Options) (*ilp.Res
 	sp.SetAttrInt("primal_iterations", int64(res.PrimalIterations))
 	sp.SetAttrInt("refactorizations", int64(res.Refactorizations))
 	sp.SetAttrInt("incumbents", int64(res.Incumbents))
+	sp.SetAttrInt("retired", int64(res.Retired))
+	sp.SetAttrInt("core_nodes", int64(res.CoreNodes))
+	sp.SetAttrBool("core_incumbent", res.CoreIncumbent)
 	sp.SetAttrStr("status", res.Status.String())
 	switch res.Status {
 	case ilp.Infeasible:

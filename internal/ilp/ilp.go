@@ -6,9 +6,12 @@
 // it differs from the node solved before it and re-optimizes from the
 // basis the workspace already holds (bounded dual simplex), so a node
 // costs a few pivots and no allocation. Branching is on the most
-// fractional variable with ties — fractionalities within branchTieTol of
-// the largest — broken by lowest index, which makes the tree a function
-// of the problem and not of the order the LP kernel happened to pivot in.
+// fractional basic variable with ties — fractionalities within
+// branchTieTol of the largest — broken by lowest index, which makes the
+// tree a function of the problem and not of the order the LP kernel
+// happened to pivot in. Variables that reduced-cost fixing pins for good
+// leave the workspace's pivoting, and a large search still without an
+// incumbent after a few nodes takes one from a small core of variables.
 //
 // It is the repository's stand-in for the black-box commercial solver
 // (IBM CPLEX) used in the paper: same contract — the caller hands over a
@@ -22,10 +25,12 @@
 package ilp
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/lp"
@@ -129,16 +134,28 @@ type Result struct {
 	// Retired counts the variables reduced-cost fixing fixed for good,
 	// which the LP kernel then stops pricing.
 	Retired int
-	// Stats are the LP kernel's work counters over the whole search:
-	// WarmSolves (node relaxations re-optimized from the basis of the node
-	// before), ColdSolves (the root, and any node whose warm start failed
-	// numerically), DualIterations + PrimalIterations = LPIterations, and
-	// Refactorizations.
+	// CoreNodes is the restricted-core solve's share of Nodes, its root
+	// included; CoreIncumbent says its package became an incumbent.
+	CoreNodes     int
+	CoreIncumbent bool
+	// Stats are the LP kernel's work counters over the whole search, the
+	// core's included: WarmSolves (node relaxations re-optimized from the
+	// basis of the node before), ColdSolves (the roots, and any node whose
+	// warm start failed numerically), DualIterations + PrimalIterations =
+	// LPIterations, and Refactorizations.
 	lp.Stats
 }
 
 const (
 	intTol = 1e-6
+
+	rowTol = 1e-7 // the LP kernel's feasibility tolerance
+
+	// A search over more than 2·coreVars variables that has explored
+	// coreAfterNodes nodes without an incumbent solves the problem
+	// restricted to coreVars of them once (see tryCore).
+	coreAfterNodes = 16
+	coreVars       = 128
 
 	// branchTieTol is the band below the largest fractionality inside
 	// which branching candidates count as tied. Under a COUNT(*) = k row
@@ -338,9 +355,15 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 	}
 
 	res := &Result{}
-	// done stamps the relaxation's work counters on the result.
+	var coreStats lp.Stats // the restricted core's, once it ran
+	// done stamps the relaxations' work counters on the result.
 	done := func(st Status) (*Result, error) {
 		res.Status, res.Stats = st, rx.Stats()
+		res.WarmSolves += coreStats.WarmSolves
+		res.ColdSolves += coreStats.ColdSolves
+		res.DualIterations += coreStats.DualIterations
+		res.PrimalIterations += coreStats.PrimalIterations
+		res.Refactorizations += coreStats.Refactorizations
 		res.LPIterations = res.DualIterations + res.PrimalIterations
 		return res, nil
 	}
@@ -422,52 +445,39 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 		}
 	}
 
-	// localSearch improves an integral solution by unit swaps: move one
-	// unit from variable a to variable b when that improves the
-	// objective and keeps every constraint satisfied. Package queries
-	// are full of near-substitutable tuples, so swap improvement
-	// routinely lifts plunge incumbents to (near-)optimal, which lets
-	// bound pruning and reduced-cost fixing finish the search. Skipped
-	// for very large problems where the pair scan would dominate.
+	// act is the row activity A·x of the point accept is looking at, and
+	// rowOK says whether row i holds at activity v.
+	m := p.LP.NumRows()
+	act := make([]float64, m)
+	rowOK := func(i int, v float64) bool {
+		switch p.LP.Op[i] {
+		case lp.LE:
+			return v <= p.LP.B[i]+rowTol
+		case lp.GE:
+			return v >= p.LP.B[i]-rowTol
+		}
+		return math.Abs(v-p.LP.B[i]) <= rowTol
+	}
+
+	// localSearch improves an integral solution, whose activity is in
+	// act, by unit swaps: move one unit from variable a to variable b when
+	// that improves the objective and keeps every constraint satisfied.
+	// Package queries are full of near-substitutable tuples, so swap
+	// improvement routinely lifts plunge incumbents to (near-)optimal,
+	// which lets bound pruning and reduced-cost fixing finish the search.
+	// Skipped for very large problems where the pair scan would dominate.
 	const localSearchMaxVars = 4000
-	lsAct := make([]float64, p.LP.NumRows()) // reused across incumbents
 	localSearch := func(x []float64) {
 		if n > localSearchMaxVars {
 			return
 		}
-		m := p.LP.NumRows()
-		act := lsAct
-		for i := 0; i < m; i++ {
-			act[i] = 0
-		}
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				act[i] += p.LP.A[i][j] * x[j]
-			}
-		}
 		feasibleAfter := func(a, b int) bool {
 			for i := 0; i < m; i++ {
-				v := act[i] - p.LP.A[i][a] + p.LP.A[i][b]
-				switch p.LP.Op[i] {
-				case lp.LE:
-					if v > p.LP.B[i]+1e-7 {
-						return false
-					}
-				case lp.GE:
-					if v < p.LP.B[i]-1e-7 {
-						return false
-					}
-				case lp.EQ:
-					if math.Abs(v-p.LP.B[i]) > 1e-7 {
-						return false
-					}
+				if !rowOK(i, act[i]-p.LP.A[i][a]+p.LP.A[i][b]) {
+					return false
 				}
 			}
 			return true
-		}
-		sign := 1.0
-		if !p.LP.Maximize {
-			sign = -1
 		}
 		for pass := 0; pass < 4; pass++ {
 			improved := false
@@ -479,7 +489,7 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 					if b == a || !p.integral(b) || x[b] >= baseHi[b]-1e-9 {
 						continue
 					}
-					if sign*(p.LP.C[b]-p.LP.C[a]) <= 1e-12 {
+					if internal(p.LP.C[b]-p.LP.C[a]) <= 1e-12 {
 						continue
 					}
 					if !feasibleAfter(a, b) {
@@ -503,13 +513,31 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 	}
 
 	// accept rounds an integral LP solution in place (x is the
-	// relaxation's buffer, dead until the next solve rewrites it),
-	// improves it by local search and installs it as the incumbent if it
-	// is better.
-	accept := func(x []float64) {
+	// relaxation's buffer, dead until the next solve rewrites it). When
+	// rounding moved a value, the rows are checked again: a point that
+	// violates one is not installed, and accept returns the variable that
+	// was farthest from an integer, to branch on, with its value before
+	// rounding. Otherwise it improves the point by local search, installs
+	// it as the incumbent if it is better, and returns -1.
+	accept := func(x []float64) (q int, v float64) {
+		q, far := -1, 0.0
 		for j := 0; j < n; j++ {
-			if p.integral(j) {
-				x[j] = math.Round(x[j])
+			if !p.integral(j) {
+				continue
+			}
+			r := math.Round(x[j])
+			if f := math.Abs(x[j] - r); f > far {
+				q, v, far = j, x[j], f
+			}
+			x[j] = r
+		}
+		for i, row := range p.LP.A {
+			act[i] = 0
+			for j, a := range row {
+				act[i] += a * x[j]
+			}
+			if q >= 0 && !rowOK(i, act[i]) {
+				return q, v
 			}
 		}
 		localSearch(x)
@@ -518,7 +546,7 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 			o += p.LP.C[j] * x[j]
 		}
 		if res.HasIncumbent && !better(o, res.Objective) {
-			return
+			return -1, 0
 		}
 		if res.X == nil {
 			res.X = make([]float64, n)
@@ -533,6 +561,7 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 			opt.OnIncumbent(cp, o, res.Nodes)
 		}
 		fixByReducedCost()
+		return -1, 0
 	}
 
 	var arena nodeArena
@@ -569,58 +598,108 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 	// magnitude, where LP degeneracy noise far exceeds any absolute
 	// epsilon and would otherwise keep equal-bound nodes alive.
 	pruned := func(bound float64) bool {
-		if !res.HasIncumbent {
-			return false
-		}
-		tol := 1e-7 * (1 + math.Abs(res.Objective))
-		if p.LP.Maximize {
-			if bound <= res.Objective+tol {
-				return true
-			}
-		} else if bound >= res.Objective-tol {
-			return true
-		}
-		if opt.Gap > 0 {
-			gap := math.Abs(bound-res.Objective) / math.Max(1, math.Abs(res.Objective))
-			if gap <= opt.Gap {
-				return true
-			}
-		}
-		return false
+		o := res.Objective
+		return res.HasIncumbent && (internal(bound) <= internal(o)+1e-7*(1+math.Abs(o)) ||
+			opt.Gap > 0 && math.Abs(bound-o)/math.Max(1, math.Abs(o)) <= opt.Gap)
 	}
 
-	// branch creates the two children of the fractional node just solved
-	// and returns (nearChild, farChild), where near is the child on the
-	// side the LP value rounds to — diving into it first (plunging) finds
-	// integral incumbents quickly, which best-first search alone can
-	// postpone almost indefinitely on knapsack-like package queries.
-	branch := func(nd *node, q int) (*node, *node) {
-		v := rx.X()[q]
+	// branch takes the node just solved: an integral point goes to accept,
+	// and otherwise — or when accept asks — it queues the far child and
+	// returns the near one, on the side the LP value rounds to. Diving into
+	// it (plunging) finds incumbents quickly, which best-first search alone
+	// can postpone almost indefinitely on knapsack-like package queries.
+	branch := func(nd *node) *node {
+		q, v := mostFractional(), 0.0
+		if q >= 0 {
+			v = rx.X()[q]
+		} else if q, v = accept(rx.X()); q < 0 {
+			return nil
+		}
 		down := arena.new(node{parent: nd, varIdx: q, val: math.Floor(v), bound: nd.bound})
 		up := arena.new(node{parent: nd, varIdx: q, val: math.Ceil(v), hasLo: true, bound: nd.bound})
 		if v-math.Floor(v) <= 0.5 {
-			return down, up
+			heap.Push(h, up)
+			return down
 		}
-		return up, down
+		heap.Push(h, down)
+		return up
+	}
+
+	// tryCore looks for a first incumbent where the tree has found none:
+	// it solves the problem restricted to coreVars variables — the root
+	// LP's support, then the smallest root reduced costs, ties to the lower
+	// index — with every other one held at its lower bound and the
+	// right-hand sides moved to match, and hands the package to accept.
+	// The restricted solve streams nothing; its work counts in the result
+	// and against the budgets.
+	tryCore := func() error {
+		var order []int
+		for j := 0; j < n; j++ {
+			if math.IsInf(baseLo[j], -1) {
+				return nil // no bound to hold it at
+			} else if baseLo[j] < baseHi[j] {
+				order = append(order, j)
+			}
+		}
+		subOpt := Options{MaxNodes: maxNodes - res.Nodes - 1, Gap: opt.Gap}
+		if !deadline.IsZero() {
+			subOpt.TimeLimit = max(time.Until(deadline), 1)
+		}
+		if len(order) <= coreVars || subOpt.MaxNodes <= 0 {
+			return nil
+		}
+		atLower := func(j int) int { return int(-min(rootAt[j], 0)) }
+		slices.SortFunc(order, func(a, b int) int {
+			return cmp.Or(cmp.Compare(atLower(a), atLower(b)), cmp.Compare(math.Abs(rootDJ[a]), math.Abs(rootDJ[b])), a-b)
+		})
+		core := order[:coreVars]
+		slices.Sort(core)
+		sub := &Problem{Integer: make([]bool, coreVars), LP: lp.Problem{
+			Maximize: p.LP.Maximize, Op: p.LP.Op, B: slices.Clone(p.LP.B),
+			C: make([]float64, coreVars), Lo: make([]float64, coreVars), Hi: make([]float64, coreVars),
+		}}
+		x := slices.Clone(baseLo) // the held values, and then the package
+		for k, j := range core {
+			sub.Integer[k], x[j] = p.integral(j), 0
+			sub.LP.C[k], sub.LP.Lo[k], sub.LP.Hi[k] = p.LP.C[j], baseLo[j], baseHi[j]
+		}
+		for i, row := range p.LP.A {
+			sub.LP.A = append(sub.LP.A, make([]float64, coreVars))
+			for k, j := range core {
+				sub.LP.A[i][k] = row[j]
+			}
+			for j, xj := range x {
+				if xj != 0 {
+					sub.LP.B[i] -= row[j] * xj
+				}
+			}
+		}
+		r, err := solve(ctx, sub, subOpt, newRelaxation)
+		if err != nil {
+			return err
+		}
+		coreStats, res.CoreNodes = r.Stats, r.Nodes+1
+		res.Nodes += res.CoreNodes
+		if r.HasIncumbent {
+			for k, j := range core {
+				x[j] = r.X[k]
+			}
+			accept(x)
+			res.CoreIncumbent = res.HasIncumbent
+		}
+		return nil
 	}
 
 	// The search interleaves best-first selection from the heap with
 	// depth-first plunges: after branching, the near child is solved
 	// immediately and the far child is queued.
-	var current *node
-	if q := mostFractional(); q < 0 {
-		accept(rx.X())
-	} else {
-		near, far := branch(root, q)
-		heap.Push(h, far)
-		current = near
-	}
+	current := branch(root)
 
 	res.BestBound = root.bound
 	// limited: a budget ran out. lost: the best bound of any node whose
 	// relaxation failed (lp.IterLimit) — its subtree was dropped, not
 	// refuted, so the search can no longer prove optimality.
-	limited, lost := false, worst
+	limited, lost, coreTried := false, worst, false
 	for current != nil || h.Len() > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -632,6 +711,13 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			limited = true
 			break
+		}
+		if res.Nodes >= coreAfterNodes && !res.HasIncumbent && n > 2*coreVars && !coreTried {
+			coreTried = true
+			if err := tryCore(); err != nil {
+				return nil, err
+			}
+			continue // the budgets again, and the new incumbent may prune
 		}
 		nd := current
 		current = nil
@@ -667,14 +753,7 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 		if pruned(nd.bound) {
 			continue
 		}
-		q := mostFractional()
-		if q < 0 {
-			accept(rx.X())
-			continue
-		}
-		near, far := branch(nd, q)
-		heap.Push(h, far)
-		current = near // plunge
+		current = branch(nd) // plunge
 	}
 
 	if !limited {

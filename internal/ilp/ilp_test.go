@@ -96,6 +96,27 @@ func TestIntegerInfeasibleButLPFeasible(t *testing.T) {
 	}
 }
 
+// TestRoundingKeepsRowsFeasible: an LP value within 1e-6 of an integer is
+// taken as that integer only if the rounded point still satisfies every
+// row. x = 0.9999995 is optimal for the relaxation; rounded to 1 it breaks
+// 1000·x ≤ 999.9995, so the search branches on it and finds x = 0.
+func TestRoundingKeepsRowsFeasible(t *testing.T) {
+	p := &Problem{
+		LP: lp.Problem{
+			Maximize: true,
+			C:        []float64{1},
+			A:        [][]float64{{1000}},
+			Op:       []lp.ConstraintOp{lp.LE},
+			B:        []float64{999.9995},
+			Hi:       []float64{1},
+		},
+	}
+	r := solveOK(t, p, Options{})
+	if r.Status != Optimal || r.X[0] != 0 {
+		t.Fatalf("got %v x = %v, want optimal x = [0]", r.Status, r.X)
+	}
+}
+
 func TestUnboundedILP(t *testing.T) {
 	p := &Problem{
 		LP: lp.Problem{

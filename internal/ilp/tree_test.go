@@ -2,6 +2,7 @@ package ilp_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -36,6 +37,86 @@ func galaxyProblems(tb testing.TB, n int) (names []string, probs []*ilp.Problem)
 		probs = append(probs, prob)
 	}
 	return names, probs
+}
+
+// refineShape is a SketchRefine refine query over one group: template
+// tmpl's DIRECT ILP over an n-row Galaxy table — the group — with every
+// right-hand side moved by rest tuples at the table's mean, the rest of
+// the package held outside the group. Q3 and Q6 refine groups of
+// paqbench's sketchrefine workload have this shape, and find their first
+// incumbent late.
+type refineShape struct {
+	name    string
+	n, tmpl int
+	seed    int64
+	rest    int
+	// The search without the restricted core: its node count, and the
+	// objective's bits, which the core may not move.
+	parentNodes int
+	parentObj   uint64
+}
+
+var refineShapes = []refineShape{
+	// COUNT 6 over 9 000 columns; the first incumbent came at node 74 of 123.
+	{name: "Q3-shaped", n: 9000, tmpl: 2, seed: 8, rest: 6, parentNodes: 123, parentObj: 0x40634578d4fdf3b6},
+	// COUNT 1 with two windows over 3 000 columns; first incumbent at 51 of 76.
+	{name: "Q6-shaped", n: 3000, tmpl: 5, seed: 2, rest: 8, parentNodes: 76, parentObj: 0x4033b78d4fdf3b64},
+}
+
+func (s refineShape) problem(tb testing.TB) *ilp.Problem {
+	tb.Helper()
+	rel := workload.Galaxy(s.n, s.seed)
+	queries, err := workload.GalaxyQueries(rel)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec, err := translate.Compile(queries[s.tmpl].PaQL, rel)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := core.BuildILP(spec, spec.BaseRows(), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, row := range p.LP.A {
+		sum := 0.0
+		for _, a := range row {
+			sum += a
+		}
+		p.LP.B[i] -= float64(s.rest) * sum / float64(s.n)
+	}
+	return p
+}
+
+// TestCoreIncumbentOnRefineShapes: on the refine shapes, where the tree
+// alone finds its first incumbent late, the restricted core supplies one
+// before the 17th node, and the answer is the one the search found
+// without it.
+func TestCoreIncumbentOnRefineShapes(t *testing.T) {
+	for _, s := range refineShapes {
+		first := -1
+		opt := ilp.Options{MaxNodes: 50000, Gap: 1e-4, OnIncumbent: func(_ []float64, _ float64, nodes int) {
+			if first < 0 {
+				first = nodes
+			}
+		}}
+		res, err := ilp.SolveCtx(context.Background(), s.problem(t), opt)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		t.Logf("%s: %v, %d nodes (%d in the core), %d LP iterations; without the core %d nodes",
+			s.name, res.Status, res.Nodes, res.CoreNodes, res.LPIterations, s.parentNodes)
+		if res.Status != ilp.Optimal || math.Float64bits(res.Objective) != s.parentObj {
+			t.Errorf("%s: %v objective %v (%#x), want optimal %v", s.name, res.Status, res.Objective,
+				math.Float64bits(res.Objective), math.Float64frombits(s.parentObj))
+		}
+		// The callback counts the core's nodes; the main tree had explored
+		// the rest.
+		if !res.CoreIncumbent || first-res.CoreNodes > 17 {
+			t.Errorf("%s: core incumbent %v, first incumbent after %d main-tree nodes; want the core's by node 17",
+				s.name, res.CoreIncumbent, first-res.CoreNodes)
+		}
+	}
 }
 
 // knapsack builds a multi-row knapsack with near-substitutable items —
@@ -113,8 +194,8 @@ func TestTreeIndependentOfPivotPath(t *testing.T) {
 				break
 			}
 		}
-		if warm.ColdSolves != 1 {
-			t.Errorf("%s: %d cold solves, want the root only", names[i], warm.ColdSolves)
+		if roots := 1 + min(warm.CoreNodes, 1); warm.ColdSolves != roots {
+			t.Errorf("%s: %d cold solves, want the roots only (%d)", names[i], warm.ColdSolves, roots)
 		}
 	}
 	if branched < 1000 {
@@ -195,4 +276,27 @@ func BenchmarkNodeThroughput(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(nodes), "B/node")
+}
+
+// BenchmarkRefineGroup is the refine ILP's rung: the Q3- and Q6-shaped
+// groups above, solved to the benchmark's gap.
+func BenchmarkRefineGroup(b *testing.B) {
+	for _, s := range refineShapes {
+		b.Run(fmt.Sprintf("%s/n=%d", s.name, s.n), func(b *testing.B) {
+			p := s.problem(b)
+			opt := ilp.Options{MaxNodes: 50000, Gap: 1e-4}
+			nodes, iters := 0, 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := ilp.SolveCtx(context.Background(), p, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes, iters = nodes+res.Nodes, iters+res.LPIterations
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(iters)/float64(b.N), "lp_iterations/op")
+		})
+	}
 }

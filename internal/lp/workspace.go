@@ -81,10 +81,9 @@ type Workspace struct {
 	lu     []float64   // m×m scratch for refactor
 	x      []float64   // structural values: the last optimum, else scratch
 
-	// The columns the dual simplex and pricing visit, as ascending runs of
-	// consecutive indices: every structural column except the retired ones
-	// resting fixed (the first nStruct runs), then the m logicals. stale
-	// says a retired column changed status since the runs were built.
+	// runs are the columns the dual simplex and pricing visit, ascending:
+	// every structural one but the retired ones resting fixed (the first
+	// nStruct runs), then the logicals. stale: a retired column moved.
 	retired []bool
 	runs    []colRun
 	nStruct int
@@ -160,35 +159,30 @@ func (w *Workspace) DJ() []float64 { return w.d[:w.n:w.n] }
 // returned Optimal.
 func (w *Workspace) Objective() float64 { return w.obj }
 
-// Basis returns the columns basic in the last solve, one per row; an
-// entry j ≥ NumVars is the logical of row j − NumVars. Every other
-// structural variable rests at one of its bounds. The slice is the
-// workspace's own and read-only.
+// Basis returns the column basic in each row after a solve, n+i standing
+// for the logical of row i; every other column rests on a bound. The
+// slice is the workspace's own and read-only.
 func (w *Workspace) Basis() []int { return w.basis }
 
 // Stats returns the work counters.
 func (w *Workspace) Stats() Stats { return w.stats }
 
-// Retire says that structural column j keeps an empty-width domain
-// (lo = hi) for the rest of the workspace's life. From the moment it is
+// Retire says that structural column j keeps lo = hi for good. Once it is
 // nonbasic and fixed, the dual simplex and pricing skip it — its reduced
-// cost and pivot-row entry are no longer kept — so a search that fixes
-// most columns for good pays per pivot only for the rest. Every value the
-// remaining columns read is computed as before. A later SetBounds that
-// gives j room again brings it back, and the next Reoptimize starts cold.
+// cost and pivot-row entry are no longer kept — and compute every other
+// value as before. A SetBounds that gives j room again brings it back,
+// and the next Reoptimize starts cold.
 func (w *Workspace) Retire(j int) {
 	if j >= 0 && j < w.n && !w.retired[j] {
 		w.retired[j], w.stale = true, true
 	}
 }
 
-// colRun is the columns lo..hi−1.
+// colRun is the columns lo..hi−1. Runs keep the loops over them
+// contiguous: with nothing retired there is one run of structural columns.
 type colRun struct{ lo, hi int32 }
 
-// active returns the runs of columns the dual simplex and pricing visit,
-// rebuilding them first if a retired column changed status. Runs keep the
-// loops over them contiguous: with nothing retired there is one run of
-// structural columns.
+// active returns the runs, rebuilt first if a retired column moved.
 func (w *Workspace) active() []colRun {
 	if w.stale {
 		w.runs, w.stale = w.runs[:0], false
@@ -272,8 +266,7 @@ func (w *Workspace) SetBounds(j int, lo, hi float64) error {
 	if lo > hi {
 		w.empty++
 	}
-	if w.retired[j] && hi-lo > pivTol {
-		// Back in play: its reduced cost may not have been kept.
+	if w.retired[j] && hi-lo > pivTol { // its reduced cost may be stale
 		w.retired[j], w.stale, w.hasBasis = false, true, false
 	}
 	st := w.status[j]
@@ -305,9 +298,7 @@ func (w *Workspace) SetBounds(j int, lo, hi float64) error {
 	}
 	if delta := w.value(j) - old; delta != 0 {
 		w.ftran(j)
-		for i := range w.beta {
-			w.beta[i] -= w.col[i] * delta
-		}
+		axpy(w.beta, -delta, w.col)
 		w.notePeak()
 	}
 	return nil
@@ -381,9 +372,7 @@ func (w *Workspace) finish(ctx context.Context, st Status) (Status, error) {
 			w.x[bj] = math.Min(math.Max(w.beta[i], w.lo[bj]), w.hi[bj])
 		}
 	}
-	// Skipping the ±0 terms of the columns at zero leaves the sum's bits
-	// as they are.
-	obj := 0.0
+	obj := 0.0 // skipping the ±0 terms leaves the sum's bits as they are
 	for j, xj := range w.x {
 		if xj != 0 {
 			obj += w.p.C[j] * xj
@@ -427,6 +416,14 @@ func (w *Workspace) reset() {
 	w.updates = 0
 	w.peak = 0
 	w.notePeak()
+}
+
+// axpy adds a·x to y.
+func axpy(y []float64, a float64, x []float64) {
+	x = x[:len(y)]
+	for k, v := range x {
+		y[k] += a * v
+	}
 }
 
 func dot(a, b []float64) float64 {
@@ -485,10 +482,8 @@ func (w *Workspace) refactor() bool {
 			if i == k || f == 0 {
 				continue
 			}
-			for j := 0; j < m; j++ {
-				w.lu[i*m+j] -= f * w.lu[k*m+j]
-				w.binv[i*m+j] -= f * w.binv[k*m+j]
-			}
+			axpy(w.lu[i*m:(i+1)*m], -f, w.lu[k*m:(k+1)*m])
+			axpy(w.binv[i*m:(i+1)*m], -f, w.binv[k*m:(k+1)*m])
 		}
 	}
 	// x_B = B⁻¹(b − N x_N). A nonbasic logical always rests at its finite
@@ -550,9 +545,7 @@ func (w *Workspace) price(phase1 bool) {
 		if c == 0 {
 			continue
 		}
-		for k, b := range w.binv[i*m : (i+1)*m] {
-			w.y[k] += c * b
-		}
+		axpy(w.y, c, w.binv[i*m:(i+1)*m])
 	}
 	for _, c := range runs {
 		d := w.d[c.lo:c.hi]
@@ -570,10 +563,7 @@ func (w *Workspace) price(phase1 bool) {
 			continue
 		}
 		for _, c := range runs {
-			d := w.d[c.lo:c.hi]
-			for k, a := range w.p.A[i][c.lo:c.hi] {
-				d[k] -= yi * a
-			}
+			axpy(w.d[c.lo:c.hi], -yi, w.p.A[i][c.lo:c.hi])
 		}
 	}
 }
@@ -647,9 +637,7 @@ func (w *Workspace) pivot(r, q int) {
 		if i == r || f == 0 {
 			continue
 		}
-		for k, b := range row {
-			w.binv[i*m+k] -= f * b
-		}
+		axpy(w.binv[i*m:(i+1)*m], -f, row)
 	}
 	w.basis[r] = q
 	w.status[q] = basic
@@ -737,9 +725,7 @@ func (w *Workspace) primal(done <-chan struct{}) Status {
 			stall++
 		}
 		if delta != 0 {
-			for i := 0; i < m; i++ {
-				w.beta[i] -= sigma * delta * w.col[i]
-			}
+			axpy(w.beta, -(sigma * delta), w.col)
 			w.notePeak()
 		}
 		if leave < 0 {
@@ -814,10 +800,7 @@ func (w *Workspace) dual(done <-chan struct{}) Status {
 				continue
 			}
 			for _, c := range runs[:w.nStruct] {
-				alpha := w.alpha[c.lo:c.hi]
-				for k, a := range w.p.A[i][c.lo:c.hi] {
-					alpha[k] += ri * a
-				}
+				axpy(w.alpha[c.lo:c.hi], ri, w.p.A[i][c.lo:c.hi])
 			}
 		}
 		// Ratio test (Harris). Basic r changes by −alpha_j·Δx_j, so with s
@@ -889,16 +872,11 @@ func (w *Workspace) dual(done <-chan struct{}) Status {
 			target = w.hi[leaving]
 		}
 		step := (w.beta[r] - target) / w.col[r] // Δx_q
-		for i := 0; i < m; i++ {
-			w.beta[i] -= w.col[i] * step
-		}
+		axpy(w.beta, -step, w.col)
 		w.notePeak()
 		if theta := w.d[q] / w.col[r]; theta != 0 {
 			for _, c := range runs {
-				d := w.d[c.lo:c.hi]
-				for k, a := range w.alpha[c.lo:c.hi] {
-					d[k] -= theta * a
-				}
+				axpy(w.d[c.lo:c.hi], -theta, w.alpha[c.lo:c.hi])
 			}
 		}
 		w.d[q] = 0

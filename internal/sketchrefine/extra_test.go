@@ -210,6 +210,11 @@ func TestTraceSubproblemIDs(t *testing.T) {
 						t.Fatalf("ilp span without a subproblem attr: %v", n.Attrs)
 					}
 					ids = append(ids, id)
+					for _, a := range []string{"retired", "core_nodes", "core_incumbent"} {
+						if _, ok := n.Attrs[a]; !ok {
+							t.Errorf("ilp span without a %s attr: %v", a, n.Attrs)
+						}
+					}
 				case "hybrid_sketch":
 					hybrids++
 					if len(n.Children) != 1 || n.Children[0].Name != "ilp" {
