@@ -61,7 +61,8 @@ type Stats struct {
 // copy of the bounds, which SetBounds changes between solves. Columns
 // 0..n-1 are the structural variables; column n+i is the logical of row
 // i, a unit column with Aᵢ·x + sᵢ = bᵢ and sᵢ ∈ [0,∞) for ≤, (−∞,0] for ≥
-// and [0,0] for =. After NewWorkspace no method allocates.
+// and [0,0] for =. After NewWorkspace no method allocates but the first
+// Retire.
 type Workspace struct {
 	p    *Problem
 	n, m int
@@ -84,8 +85,10 @@ type Workspace struct {
 	// runs are the columns the dual simplex and pricing visit, ascending:
 	// every structural one but the retired ones resting fixed (the first
 	// nStruct runs), then the logicals. stale: a retired column moved.
+	// Until the first Retire, retired is nil and runs is whole.
 	retired []bool
 	runs    []colRun
+	whole   [2]colRun
 	nStruct int
 	stale   bool
 
@@ -122,11 +125,11 @@ func NewWorkspace(p *Problem) (*Workspace, error) {
 		cb:      make([]float64, m),
 		lu:      make([]float64, m*m),
 		x:       make([]float64, n),
-		retired: make([]bool, n),
-		runs:    make([]colRun, 0, n/2+2),
-		stale:   true,
+		whole:   [2]colRun{{0, int32(n)}, {int32(n), int32(n + m)}},
+		nStruct: 1,
 		maxIter: 200*(m+n) + 5000,
 	}
+	w.runs = w.whole[:]
 	if p.Maximize {
 		w.sense = 1
 	}
@@ -171,15 +174,23 @@ func (w *Workspace) Stats() Stats { return w.stats }
 // nonbasic and fixed, the dual simplex and pricing skip it — its reduced
 // cost and pivot-row entry are no longer kept — and compute every other
 // value as before. A SetBounds that gives j room again brings it back,
-// and the next Reoptimize starts cold.
+// and the next Reoptimize starts cold. The first call allocates the
+// workspace's retirement state.
 func (w *Workspace) Retire(j int) {
-	if j >= 0 && j < w.n && !w.retired[j] {
+	if j < 0 || j >= w.n {
+		return
+	}
+	if w.retired == nil {
+		w.retired, w.runs = make([]bool, w.n), make([]colRun, 0, w.n/2+2)
+	}
+	if !w.retired[j] {
 		w.retired[j], w.stale = true, true
 	}
 }
 
 // colRun is the columns lo..hi−1. Runs keep the loops over them
-// contiguous: with nothing retired there is one run of structural columns.
+// contiguous: with nothing retired there is one run of structural columns
+// and one of logicals.
 type colRun struct{ lo, hi int32 }
 
 // active returns the runs, rebuilt first if a retired column moved.
@@ -212,7 +223,7 @@ func (w *Workspace) value(j int) float64 {
 // rest makes column j nonbasic at its upper or lower bound, or fixed when
 // its domain leaves it no room to move.
 func (w *Workspace) rest(j int, upper bool) {
-	if j < w.n && w.retired[j] {
+	if j < len(w.retired) && w.retired[j] {
 		w.stale = true
 	}
 	switch {
@@ -266,7 +277,7 @@ func (w *Workspace) SetBounds(j int, lo, hi float64) error {
 	if lo > hi {
 		w.empty++
 	}
-	if w.retired[j] && hi-lo > pivTol { // its reduced cost may be stale
+	if j < len(w.retired) && w.retired[j] && hi-lo > pivTol { // its reduced cost may be stale
 		w.retired[j], w.stale, w.hasBasis = false, true, false
 	}
 	st := w.status[j]
@@ -298,7 +309,9 @@ func (w *Workspace) SetBounds(j int, lo, hi float64) error {
 	}
 	if delta := w.value(j) - old; delta != 0 {
 		w.ftran(j)
-		axpy(w.beta, -delta, w.col)
+		for i := range w.beta {
+			w.beta[i] -= w.col[i] * delta
+		}
 		w.notePeak()
 	}
 	return nil
@@ -482,8 +495,10 @@ func (w *Workspace) refactor() bool {
 			if i == k || f == 0 {
 				continue
 			}
-			axpy(w.lu[i*m:(i+1)*m], -f, w.lu[k*m:(k+1)*m])
-			axpy(w.binv[i*m:(i+1)*m], -f, w.binv[k*m:(k+1)*m])
+			for j := 0; j < m; j++ {
+				w.lu[i*m+j] -= f * w.lu[k*m+j]
+				w.binv[i*m+j] -= f * w.binv[k*m+j]
+			}
 		}
 	}
 	// x_B = B⁻¹(b − N x_N). A nonbasic logical always rests at its finite
@@ -545,7 +560,9 @@ func (w *Workspace) price(phase1 bool) {
 		if c == 0 {
 			continue
 		}
-		axpy(w.y, c, w.binv[i*m:(i+1)*m])
+		for k, b := range w.binv[i*m : (i+1)*m] {
+			w.y[k] += c * b
+		}
 	}
 	for _, c := range runs {
 		d := w.d[c.lo:c.hi]
@@ -637,7 +654,9 @@ func (w *Workspace) pivot(r, q int) {
 		if i == r || f == 0 {
 			continue
 		}
-		axpy(w.binv[i*m:(i+1)*m], -f, row)
+		for k, b := range row {
+			w.binv[i*m+k] -= f * b
+		}
 	}
 	w.basis[r] = q
 	w.status[q] = basic
@@ -725,7 +744,9 @@ func (w *Workspace) primal(done <-chan struct{}) Status {
 			stall++
 		}
 		if delta != 0 {
-			axpy(w.beta, -(sigma * delta), w.col)
+			for i := 0; i < m; i++ {
+				w.beta[i] -= sigma * delta * w.col[i]
+			}
 			w.notePeak()
 		}
 		if leave < 0 {
@@ -872,7 +893,9 @@ func (w *Workspace) dual(done <-chan struct{}) Status {
 			target = w.hi[leaving]
 		}
 		step := (w.beta[r] - target) / w.col[r] // Δx_q
-		axpy(w.beta, -step, w.col)
+		for i := 0; i < m; i++ {
+			w.beta[i] -= w.col[i] * step
+		}
 		w.notePeak()
 		if theta := w.d[q] / w.col[r]; theta != 0 {
 			for _, c := range runs {
