@@ -153,9 +153,11 @@ const (
 
 	// A search over more than 2·coreVars variables that has explored
 	// coreAfterNodes nodes without an incumbent solves the problem
-	// restricted to coreVars of them once (see tryCore).
+	// restricted to coreVars of them once, in at most coreMaxNodes nodes
+	// (see tryCore).
 	coreAfterNodes = 16
 	coreVars       = 128
+	coreMaxNodes   = 128
 
 	// branchTieTol is the band below the largest fractionality inside
 	// which branching candidates count as tied. Under a COUNT(*) = k row
@@ -479,6 +481,10 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 			}
 			return true
 		}
+		sign := 1.0
+		if !p.LP.Maximize {
+			sign = -1
+		}
 		for pass := 0; pass < 4; pass++ {
 			improved := false
 			for a := 0; a < n; a++ {
@@ -489,7 +495,7 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 					if b == a || !p.integral(b) || x[b] >= baseHi[b]-1e-9 {
 						continue
 					}
-					if internal(p.LP.C[b]-p.LP.C[a]) <= 1e-12 {
+					if sign*(p.LP.C[b]-p.LP.C[a]) <= 1e-12 {
 						continue
 					}
 					if !feasibleAfter(a, b) {
@@ -598,9 +604,24 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 	// magnitude, where LP degeneracy noise far exceeds any absolute
 	// epsilon and would otherwise keep equal-bound nodes alive.
 	pruned := func(bound float64) bool {
-		o := res.Objective
-		return res.HasIncumbent && (internal(bound) <= internal(o)+1e-7*(1+math.Abs(o)) ||
-			opt.Gap > 0 && math.Abs(bound-o)/math.Max(1, math.Abs(o)) <= opt.Gap)
+		if !res.HasIncumbent {
+			return false
+		}
+		tol := 1e-7 * (1 + math.Abs(res.Objective))
+		if p.LP.Maximize {
+			if bound <= res.Objective+tol {
+				return true
+			}
+		} else if bound >= res.Objective-tol {
+			return true
+		}
+		if opt.Gap > 0 {
+			gap := math.Abs(bound-res.Objective) / math.Max(1, math.Abs(res.Objective))
+			if gap <= opt.Gap {
+				return true
+			}
+		}
+		return false
 	}
 
 	// branch takes the node just solved: an integral point goes to accept,
@@ -630,8 +651,10 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 	// LP's support, then the smallest root reduced costs, ties to the lower
 	// index — with every other one held at its lower bound and the
 	// right-hand sides moved to match, and hands the package to accept.
-	// The restricted solve streams nothing; its work counts in the result
-	// and against the budgets.
+	// The restricted solve streams nothing and stops after coreMaxNodes
+	// nodes with whatever it has, so a hard or infeasible core costs the
+	// search a bounded detour; its work counts in the result and against
+	// the budgets.
 	tryCore := func() error {
 		var order []int
 		for j := 0; j < n; j++ {
@@ -641,7 +664,7 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 				order = append(order, j)
 			}
 		}
-		subOpt := Options{MaxNodes: maxNodes - res.Nodes - 1, Gap: opt.Gap}
+		subOpt := Options{MaxNodes: min(maxNodes-res.Nodes-1, coreMaxNodes), Gap: opt.Gap}
 		if !deadline.IsZero() {
 			subOpt.TimeLimit = max(time.Until(deadline), 1)
 		}

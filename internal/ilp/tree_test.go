@@ -119,6 +119,56 @@ func TestCoreIncumbentOnRefineShapes(t *testing.T) {
 	}
 }
 
+// TestInfeasibleCoreLeavesTheBudget: a restricted core with no integral
+// point, and no quick proof of that, costs the search a bounded detour
+// and not its node budget. Twenty gadgets a + b ≤ 1.5 (a worth 100, b
+// worth 1) each leave b at ½ in the LP, and so does y under 2y + s ≥ 1,
+// 2y ≤ 1: an integral point needs s = 1, which costs 1. Two hundred and
+// thirty free variables worth 0 rank ahead of s, so the core leaves it
+// out, and with no incumbent to prune by its tree would enumerate the
+// gadgets' 2²⁰ combinations. The search plunges through all twenty
+// gadgets before y gives it s, so the core runs first; after it gives up,
+// the tree finishes well within the budget.
+func TestInfeasibleCoreLeavesTheBudget(t *testing.T) {
+	const gadgets, free = 20, 230
+	n := 2*gadgets + 2 + free
+	y, s := 2*gadgets, 2*gadgets+1
+	p := &ilp.Problem{LP: lp.Problem{Maximize: true, C: make([]float64, n), Hi: make([]float64, n)}}
+	row := func(op lp.ConstraintOp, b float64, coef map[int]float64) {
+		a := make([]float64, n)
+		for j, v := range coef {
+			a[j] = v
+		}
+		p.LP.A, p.LP.Op, p.LP.B = append(p.LP.A, a), append(p.LP.Op, op), append(p.LP.B, b)
+	}
+	for g := 0; g < gadgets; g++ {
+		p.LP.C[2*g], p.LP.C[2*g+1] = 100, 1
+		row(lp.LE, 1.5, map[int]float64{2 * g: 1, 2*g + 1: 1})
+	}
+	p.LP.C[s] = -1
+	row(lp.GE, 1, map[int]float64{y: 2, s: 1})
+	row(lp.LE, 1, map[int]float64{y: 2})
+	all := map[int]float64{}
+	for j := 2*gadgets + 2; j < n; j++ {
+		all[j] = 1
+	}
+	row(lp.LE, free, all)
+	for j := range p.LP.Hi {
+		p.LP.Hi[j] = 1
+	}
+	res, err := ilp.SolveCtx(context.Background(), p, ilp.Options{MaxNodes: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%v, %d nodes (%d in the core), objective %v", res.Status, res.Nodes, res.CoreNodes, res.Objective)
+	if res.CoreNodes == 0 || res.CoreIncumbent {
+		t.Errorf("core ran %d nodes, incumbent %v; want a core run without one", res.CoreNodes, res.CoreIncumbent)
+	}
+	if want := 100.0*gadgets - 1; res.Status != ilp.Optimal || res.Objective != want {
+		t.Errorf("%v objective %v, want optimal %v", res.Status, res.Objective, want)
+	}
+}
+
 // knapsack builds a multi-row knapsack with near-substitutable items —
 // capacity rows that bind and a COUNT(*) = n/5 row — over variables in
 // [0, hi].
