@@ -301,55 +301,85 @@ SUCH THAT COUNT(P.*) = 1 MINIMIZE SUM(P.name)`)
 }
 
 // TestIncumbentStreamDirect is the acceptance test for anytime results:
-// a DIRECT solve over the galaxy workload streams at least two
-// improving incumbents (beyond the first) before returning the optimal
-// package, each one a feasible package whose objective improves
-// monotonically toward the final optimum. The table is small enough that
-// the tree finds its incumbents itself: over more than 256 rows the
-// restricted core tends to hand over the optimum first.
+// a DIRECT solve over the galaxy workload streams feasible packages whose
+// objectives improve monotonically toward the optimal package it returns.
+// Over 250 rows the tree finds its incumbents itself, and at least two
+// improve on the first. Over 3 000 rows the first incumbent comes from
+// the restricted core, which tends to hand over the optimum at once, so
+// one incumbent is all the stream promises; the trace says where it came
+// from.
 func TestIncumbentStreamDirect(t *testing.T) {
-	rel := workload.Galaxy(250, 5)
-	sess, err := paq.Open(paq.Table(rel), paq.WithMethod(paq.MethodDirect))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stmt, err := sess.Prepare(`SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
+	for _, tc := range []struct {
+		rows, atLeast int
+		core          bool
+	}{{250, 3, false}, {3000, 1, true}} {
+		t.Run(strconv.Itoa(tc.rows), func(t *testing.T) {
+			rel := workload.Galaxy(tc.rows, 5)
+			sess, err := paq.Open(paq.Table(rel), paq.WithMethod(paq.MethodDirect))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stmt, err := sess.Prepare(`SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
 SUCH THAT COUNT(P.*) = 12 AND SUM(P.petrorad) <= 30 AND SUM(P.r) BETWEEN 150 AND 200
 MINIMIZE SUM(P.redshift)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var incs []paq.Incumbent
-	res, err := stmt.Execute(context.Background(), paq.WithIncumbent(func(inc paq.Incumbent) {
-		incs = append(incs, inc)
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(incs) < 3 {
-		t.Fatalf("observed %d incumbents, want the first plus ≥ 2 improvements", len(incs))
-	}
-	for i := 1; i < len(incs); i++ {
-		if incs[i].Objective >= incs[i-1].Objective {
-			t.Errorf("incumbent %d objective %g does not improve on %g (minimization)",
-				i, incs[i].Objective, incs[i-1].Objective)
-		}
-		if incs[i].Seq != i+1 {
-			t.Errorf("incumbent %d has Seq %d", i, incs[i].Seq)
-		}
-	}
-	last := incs[len(incs)-1]
-	if diff := last.Objective - res.Objective; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("final incumbent objective %g != result objective %g", last.Objective, res.Objective)
-	}
-	if len(last.Rows) == 0 {
-		t.Error("incumbents of a DIRECT solve must carry the package rows")
-	}
-	if res.Incumbents != len(incs) {
-		t.Errorf("Result.Incumbents = %d, streamed %d", res.Incumbents, len(incs))
-	}
-	if got := sess.Incumbents(); got != uint64(len(incs)) {
-		t.Errorf("session incumbent counter = %d, want %d", got, len(incs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var incs []paq.Incumbent
+			res, err := stmt.Execute(context.Background(), paq.WithTrace(), paq.WithIncumbent(func(inc paq.Incumbent) {
+				incs = append(incs, inc)
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(incs) < tc.atLeast {
+				t.Fatalf("observed %d incumbents, want at least %d", len(incs), tc.atLeast)
+			}
+			petrorad, r := rel.Schema().Lookup("petrorad"), rel.Schema().Lookup("r")
+			for i, inc := range incs {
+				count, sumP, sumR := 0, 0.0, 0.0
+				for k, row := range inc.Rows {
+					count += inc.Mult[k]
+					sumP += float64(inc.Mult[k]) * rel.Float(row, petrorad)
+					sumR += float64(inc.Mult[k]) * rel.Float(row, r)
+				}
+				if count != 12 || sumP > 30+1e-6 || sumR < 150-1e-6 || sumR > 200+1e-6 {
+					t.Errorf("incumbent %d is infeasible: COUNT %d, SUM(petrorad) %g, SUM(r) %g", i, count, sumP, sumR)
+				}
+				if inc.Seq != i+1 {
+					t.Errorf("incumbent %d has Seq %d", i, inc.Seq)
+				}
+				if i > 0 && inc.Objective >= incs[i-1].Objective {
+					t.Errorf("incumbent %d objective %g does not improve on %g (minimization)",
+						i, inc.Objective, incs[i-1].Objective)
+				}
+			}
+			last := incs[len(incs)-1]
+			if diff := last.Objective - res.Objective; diff > 1e-9 || diff < -1e-9 {
+				t.Errorf("final incumbent objective %g != result objective %g", last.Objective, res.Objective)
+			}
+			if len(last.Rows) == 0 {
+				t.Error("incumbents of a DIRECT solve must carry the package rows")
+			}
+			if res.Incumbents != len(incs) {
+				t.Errorf("Result.Incumbents = %d, streamed %d", res.Incumbents, len(incs))
+			}
+			if got := sess.Incumbents(); got != uint64(len(incs)) {
+				t.Errorf("session incumbent counter = %d, want %d", got, len(incs))
+			}
+			fromCore := false
+			var walk func(n *paq.TraceNode)
+			walk = func(n *paq.TraceNode) {
+				fromCore = fromCore || n.Name == "ilp" && n.Attrs["core_incumbent"] == true
+				for _, c := range n.Children {
+					walk(c)
+				}
+			}
+			walk(res.Trace())
+			if fromCore != tc.core {
+				t.Errorf("core incumbent %v, want %v", fromCore, tc.core)
+			}
+		})
 	}
 }
 
