@@ -270,10 +270,11 @@ func scrapeMetrics(ctx context.Context, client *http.Client, base string) (*obs.
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
 	}
-	if err := obs.ValidateExposition(bytes.NewReader(raw)); err != nil {
+	expo, err := obs.ParseExposition(bytes.NewReader(raw))
+	if err != nil {
 		return nil, fmt.Errorf("invalid exposition: %w", err)
 	}
-	return obs.ParseExposition(bytes.NewReader(raw))
+	return expo, nil
 }
 
 // checkStatsMetricsConsistency asserts the /stats JSON block and the

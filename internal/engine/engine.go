@@ -1,7 +1,8 @@
-// Package engine is the shared evaluation entry point for package
-// queries: the command-line tools, the benchmark harness, and the
-// examples all route through it instead of calling the individual
-// strategies directly.
+// Package engine is the evaluation entry point the paq SDK calls
+// instead of the individual strategies. The command-line tools, the
+// benchmark harness and the examples go through paq, never here: the
+// SDK boundary (docs/INVARIANTS.md) forbids them this import. Outside
+// tests, only paq and benchmarks/paqbench import engine.
 //
 // It contributes three things on top of the strategy packages:
 //

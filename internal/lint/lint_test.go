@@ -1,133 +1,208 @@
-package lint_test
+// Package lint checks the invariants docs/INVARIANTS.md catalogues. It is
+// test-only: `go test ./internal/lint/` parses every Go file of the
+// module and runs seven rule instances over it, and a table test proves
+// on fixtures under testdata/ that each one still fires. A rule reads one
+// file's syntax and resolves names through that file's imports, so
+// nothing is built or type-checked.
+package lint
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
-	"sort"
+	"path"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/lint"
-	"repro/internal/lint/driver"
 )
 
-// dataOnly are the internal packages deliberately outside the SDK
-// boundary: they carry data or infrastructure, not evaluation, so
-// consumers may import them directly. Every internal/ directory must
-// be classified here or in lint.SDKForbidden — a new package cannot
-// dodge the decision.
-var dataOnly = map[string]string{
-	"bench":    "the harness is itself a consumer (and is bound by the boundary as one)",
-	"lint":     "developer tooling; never on the solve path",
-	"obs":      "tracing and metrics plumbing; carries measurements, not evaluation",
-	"par":      "generic worker pool; no solver knowledge",
-	"relation": "the data container",
-	"reltest":  "test-only construction helpers; never on the solve path",
-	"repl":     "replication plumbing over the store",
-	"server":   "the service layer consumers embed or talk to",
-	"store":    "durability substrate",
-	"workload": "synthetic data generators",
+// file is one parsed source file and what the rules ask of it.
+type file struct {
+	fset    *token.FileSet
+	syntax  *ast.File
+	pkg     string            // import path, from the directory
+	test    bool              // a _test.go file
+	imports map[string]string // local name → import path
 }
 
-// panicAllowed are the internal packages exempt from the no-panic
-// contract, with the reasons docs/INVARIANTS.md documents.
-var panicAllowed = map[string]string{
-	"bench":    "experiment harness, not a serving path",
-	"lint":     "developer tooling, never linked into paqld",
-	"reltest":  "panicking by design: test helpers for constant schemas/rows",
-	"workload": "boot-time generators fed by program constants, not requests",
+// parse reads every .go file under root, skipping testdata and
+// dot-directories. A file's import path is prefix plus its directory
+// relative to root, and findings name it relative to root.
+func parse(root, prefix string) ([]*file, error) {
+	fset := token.NewFileSet()
+	var files []*file
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		syntax, err := parser.ParseFile(fset, filepath.ToSlash(rel), src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		f := &file{fset: fset, syntax: syntax, pkg: path.Join(prefix, filepath.ToSlash(filepath.Dir(rel))),
+			test: strings.HasSuffix(p, "_test.go"), imports: map[string]string{}}
+		for _, imp := range syntax.Imports {
+			target, _ := strconv.Unquote(imp.Path.Value)
+			name := path.Base(target)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			f.imports[name] = target
+		}
+		files = append(files, f)
+		return nil
+	})
+	return files, err
 }
 
-// internalDirs lists the checked-out internal/ packages.
-func internalDirs(t *testing.T) []string {
-	t.Helper()
+// at renders a finding as file:line: message.
+func (f *file) at(pos token.Pos, format string, args ...any) string {
+	p := f.fset.Position(pos)
+	return fmt.Sprintf("%s:%d: ", p.Filename, p.Line) + fmt.Sprintf(format, args...)
+}
+
+// qualified renders e as "<import path>.<name>" when it selects a name
+// from one of the file's imports, and "" otherwise.
+func (f *file) qualified(e ast.Expr) string {
+	if s, ok := e.(*ast.SelectorExpr); ok {
+		if x, ok := s.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+			return f.imports[x.Name] + "." + s.Sel.Name
+		}
+	}
+	return ""
+}
+
+// TestTreeClean is the merge gate: every rule instance over every file
+// of the module reports nothing.
+func TestTreeClean(t *testing.T) {
+	files, err := parse("../..", module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var findings []string
+	for _, check := range checks(files) {
+		for _, f := range files {
+			findings = append(findings, check(f)...)
+		}
+	}
+	slices.Sort(findings)
+	for _, finding := range findings {
+		t.Error(finding)
+	}
+}
+
+// quoted matches one regexp of a want comment, "..." or `...`.
+var quoted = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
+
+// TestFixtures runs each rule instance over testdata/<name>, whose
+// directories stand in for the module's import paths. Every finding
+// must match a `// want "regexp"` on its line and every want must be
+// matched.
+func TestFixtures(t *testing.T) {
+	for name := range checks(nil) {
+		t.Run(name, func(t *testing.T) {
+			files, err := parse(filepath.Join("testdata", name), module)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants := map[string][]*regexp.Regexp{}
+			for _, f := range files {
+				for _, cg := range f.syntax.Comments {
+					for _, c := range cg.List {
+						_, rest, ok := strings.Cut(c.Text, "// want ")
+						if !ok {
+							continue
+						}
+						p := f.fset.Position(c.Pos())
+						for _, q := range quoted.FindAllString(rest, -1) {
+							pat, err := strconv.Unquote(q)
+							if err != nil {
+								t.Fatalf("%s:%d: %v", p.Filename, p.Line, err)
+							}
+							key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
+							wants[key] = append(wants[key], regexp.MustCompile(pat))
+						}
+					}
+				}
+			}
+			check := checks(files)[name]
+			for _, f := range files {
+				for _, finding := range check(f) {
+					loc, msg, _ := strings.Cut(finding, ": ")
+					i := slices.IndexFunc(wants[loc], func(re *regexp.Regexp) bool { return re.MatchString(msg) })
+					if i < 0 {
+						t.Errorf("unexpected finding %s", finding)
+						continue
+					}
+					wants[loc] = slices.Delete(wants[loc], i, i+1)
+				}
+			}
+			for loc, res := range wants {
+				for _, re := range res {
+					t.Errorf("%s: no finding matched want %q", loc, re)
+				}
+			}
+		})
+	}
+}
+
+// classify checks that every internal/ directory is in exactly one of
+// listed and documented, and that every listed one still exists.
+func classify(t *testing.T, listName string, listed []string, documented map[string]string) {
 	ents, err := os.ReadDir("../../internal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dirs []string
+	var onDisk []string
 	for _, e := range ents {
 		if e.IsDir() {
-			dirs = append(dirs, e.Name())
+			onDisk = append(onDisk, e.Name())
 		}
 	}
-	sort.Strings(dirs)
-	return dirs
+	for _, name := range listed {
+		if !slices.Contains(onDisk, name) {
+			t.Errorf("%s names internal/%s, which no longer exists", listName, name)
+		}
+	}
+	for _, name := range onDisk {
+		_, doc := documented[name]
+		switch inList := slices.Contains(listed, name); {
+		case inList && doc:
+			t.Errorf("internal/%s is both in %s and documented as exempt; pick one", name, listName)
+		case !inList && !doc:
+			t.Errorf("internal/%s is unclassified: add it to %s or document the exemption in rules_test.go", name, listName)
+		}
+	}
 }
 
-// TestBoundaryConfigTracksTree replaces paq/imports_test.go's
-// hand-rolled list with a sync guarantee: every internal package is
-// either forbidden to consumers or explicitly classified data-only,
-// and every configured path still exists on disk.
+// TestBoundaryConfigTracksTree: every internal package is either
+// forbidden to consumers or explicitly classified data-only.
 func TestBoundaryConfigTracksTree(t *testing.T) {
-	forbidden := make(map[string]bool)
-	for _, p := range lint.SDKForbidden {
-		name, ok := strings.CutPrefix(p, lint.Module+"/internal/")
-		if !ok || strings.Contains(name, "/") {
-			t.Errorf("SDKForbidden entry %q is not a direct internal package", p)
-			continue
-		}
-		forbidden[name] = true
-	}
-	onDisk := internalDirs(t)
-	for _, name := range onDisk {
-		_, isForbidden := forbidden[name]
-		_, isData := dataOnly[name]
-		switch {
-		case isForbidden && isData:
-			t.Errorf("internal/%s is both forbidden and data-only; pick one", name)
-		case !isForbidden && !isData:
-			t.Errorf("internal/%s is unclassified: add it to lint.SDKForbidden or document it as data-only here", name)
-		}
-	}
-	disk := make(map[string]bool, len(onDisk))
-	for _, d := range onDisk {
-		disk[d] = true
-	}
-	for name := range forbidden {
-		if !disk[name] {
-			t.Errorf("lint.SDKForbidden names internal/%s, which no longer exists", name)
-		}
-	}
+	classify(t, "sdkForbidden", sdkForbidden, dataOnly)
 }
 
 // TestNoPanicConfigTracksTree gives the no-panic contract the same
 // guarantee: every internal package is bound or documented exempt.
 func TestNoPanicConfigTracksTree(t *testing.T) {
-	bound := make(map[string]bool)
-	for _, p := range lint.NoPanicPackages {
-		if name, ok := strings.CutPrefix(p, lint.Module+"/internal/"); ok {
-			bound[name] = true
-		}
-	}
-	for _, name := range internalDirs(t) {
-		_, exempt := panicAllowed[name]
-		switch {
-		case bound[name] && exempt:
-			t.Errorf("internal/%s is both bound by nopanic and exempt; pick one", name)
-		case !bound[name] && !exempt:
-			t.Errorf("internal/%s is unclassified: add it to lint.NoPanicPackages or document the exemption here", name)
-		}
-	}
-}
-
-// TestPaqlintCleanOnTree is the merge gate in test form: the full
-// analyzer suite over the whole repository, test variants included,
-// must report nothing. CI also runs cmd/paqlint standalone and under
-// `go vet -vettool`; this copy keeps plain `go test ./...` sufficient
-// to catch an invariant regression.
-func TestPaqlintCleanOnTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the entire module")
-	}
-	pkgs, err := driver.Load("../..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := driver.Run(pkgs, lint.Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("%s", f)
-	}
+	classify(t, "noPanic", noPanic, panicAllowed)
 }

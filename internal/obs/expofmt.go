@@ -133,12 +133,6 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 	return exp, checkHistograms(exp)
 }
 
-// ValidateExposition parses the exposition purely for its verdict.
-func ValidateExposition(r io.Reader) error {
-	_, err := ParseExposition(r)
-	return err
-}
-
 // familyOf strips histogram sample suffixes when the base name has a
 // histogram TYPE declared.
 func familyOf(name string, types map[string]string) string {

@@ -112,7 +112,7 @@ func TestCollectFunc(t *testing.T) {
 	if gi < 0 || ti < 0 || gi > ti {
 		t.Fatalf("collector series missing or unsorted:\n%s", got)
 	}
-	if err := ValidateExposition(strings.NewReader(got)); err != nil {
+	if _, err := ParseExposition(strings.NewReader(got)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -139,13 +139,13 @@ func TestValidatorCatchesViolations(t *testing.T) {
 		"histogram bare sample": "# TYPE h histogram\nh 1\n",
 	}
 	for name, in := range cases {
-		if err := ValidateExposition(strings.NewReader(in)); err == nil {
+		if _, err := ParseExposition(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: validator accepted %q", name, in)
 		}
 	}
 	// And a well-formed document passes.
 	ok := "# HELP x_total fine\n# TYPE x_total counter\nx_total{l=\"a\"} 1\nx_total{l=\"b\"} 2\n"
-	if err := ValidateExposition(strings.NewReader(ok)); err != nil {
+	if _, err := ParseExposition(strings.NewReader(ok)); err != nil {
 		t.Errorf("validator rejected well-formed input: %v", err)
 	}
 }

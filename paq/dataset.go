@@ -21,7 +21,8 @@ import (
 // caches on top.
 //
 // Lock order: dataMu → partEntry.building → regMu → Session.mu, never
-// the reverse (paqlint's lockorder analyzer holds the package to it).
+// the reverse (the lockorder rule in internal/lint holds the package to
+// it).
 type dataset struct {
 	rel *relation.Relation
 
