@@ -68,8 +68,8 @@ type loadCase struct {
 // response mismatches the in-process ground truth. The observability
 // checks ride along: a mid-run /metrics scrape validated against the
 // exposition format, a quiesced /stats vs /metrics consistency check,
-// and the tracing-overhead gate (trace-enabled p95 must stay within 5%
-// of trace-disabled p95 over identical warm state).
+// and the tracing-overhead gate (a traced request, paired with an
+// untraced twin over identical warm state, must stay within 5% of it).
 func (e *Env) LoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenResult, error) {
 	if cfg.N <= 0 {
 		cfg.N = 64
@@ -165,7 +165,7 @@ func (e *Env) LoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenResult, e
 // the tracing-overhead gate over warm state and the quiesced /stats vs
 // /metrics cross-check.
 func (e *Env) obsPhase(ctx context.Context, client *http.Client, base string, cases []loadCase, res *LoadGenResult) error {
-	p95U, p95T, err := traceOverhead(ctx, client, base, cases)
+	p95U, p95T, excess, err := traceOverhead(ctx, client, base, cases)
 	if err != nil {
 		return fmt.Errorf("loadgen: trace overhead phase: %w", err)
 	}
@@ -173,19 +173,23 @@ func (e *Env) obsPhase(ctx context.Context, client *http.Client, base string, ca
 	if p95U > 0 {
 		res.OverheadRatio = p95T / p95U
 	}
-	fmt.Fprintf(e.cfg.Out, "trace overhead: p95 untraced %.3fms, traced %.3fms (ratio %.3f)\n",
-		p95U, p95T, res.OverheadRatio)
+	fmt.Fprintf(e.cfg.Out, "trace overhead: p95 untraced %.3fms, traced %.3fms (ratio %.3f); p95 pair %+.3fms against the gate\n",
+		p95U, p95T, res.OverheadRatio, excess)
 	// Quiesced now: the JSON block and the exposition render the same
 	// registry cells, so the shared counters must agree exactly.
 	if err := checkStatsMetricsConsistency(ctx, client, base); err != nil {
 		return fmt.Errorf("loadgen: /stats vs /metrics: %w", err)
 	}
-	// The gate: tracing may cost at most 5% at the tail. The 1ms
-	// absolute slack absorbs scheduler jitter on sub-millisecond
-	// cache-hit requests, where 5% is tens of microseconds.
-	if p95T > p95U*1.05+1.0 {
-		return fmt.Errorf("loadgen: tracing overhead gate failed: traced p95 %.3fms > 1.05 × untraced p95 %.3fms + 1ms",
-			p95T, p95U)
+	// The gate: tracing may cost at most 5%, plus 1ms of slack for
+	// scheduler jitter on sub-millisecond cache-hit requests, where 5% is
+	// tens of microseconds. It is judged at the tail, but pair by pair:
+	// each traced request against its untraced twin, at the p95 of the
+	// per-pair excess. The two sides' own p95s are single order statistics
+	// of a few dozen samples each, which one stall on one side moves apart
+	// on a busy host; the p95 pair of at least 40 lets two such stalls go.
+	if excess > 0 {
+		return fmt.Errorf("loadgen: tracing overhead gate failed: at the p95 pair the traced request is %.3fms over 1.05 × its untraced twin + 1ms (p95 untraced %.3fms, traced %.3fms)",
+			excess, p95U, p95T)
 	}
 	return nil
 }
@@ -194,13 +198,14 @@ func (e *Env) obsPhase(ctx context.Context, client *http.Client, base string, ca
 // per-case warmup, it replays the corpus for several rounds over
 // identical warm state, pairing every untraced request with a traced
 // one (order alternating per round to cancel ordering bias), and
-// returns the client-observed p95 of each side in milliseconds.
-func traceOverhead(ctx context.Context, client *http.Client, base string, cases []loadCase) (p95Untraced, p95Traced float64, err error) {
+// returns the client-observed p95 of each side and the p95 over pairs
+// of traced − (1.05 × untraced + 1), in milliseconds.
+func traceOverhead(ctx context.Context, client *http.Client, base string, cases []loadCase) (p95Untraced, p95Traced, excess float64, err error) {
 	// Warmup: solve every case once so both measured sides hit the same
 	// warm caches and partitionings.
 	for _, c := range cases {
 		if _, err := timedQuery(ctx, client, base, c, false); err != nil {
-			return 0, 0, fmt.Errorf("warmup %s/%s: %w", c.dataset, c.method, err)
+			return 0, 0, 0, fmt.Errorf("warmup %s/%s: %w", c.dataset, c.method, err)
 		}
 	}
 	rounds := 5
@@ -217,7 +222,7 @@ func traceOverhead(ctx context.Context, client *http.Client, base string, cases 
 			for _, withTrace := range order {
 				d, err := timedQuery(ctx, client, base, c, withTrace)
 				if err != nil {
-					return 0, 0, fmt.Errorf("%s/%s (trace=%v): %w", c.dataset, c.method, withTrace, err)
+					return 0, 0, 0, fmt.Errorf("%s/%s (trace=%v): %w", c.dataset, c.method, withTrace, err)
 				}
 				if withTrace {
 					traced = append(traced, d)
@@ -227,7 +232,11 @@ func traceOverhead(ctx context.Context, client *http.Client, base string, cases 
 			}
 		}
 	}
-	return percentile(untraced, 0.95), percentile(traced, 0.95), nil
+	over := make([]float64, len(traced))
+	for i := range traced {
+		over[i] = traced[i] - (1.05*untraced[i] + 1)
+	}
+	return percentile(untraced, 0.95), percentile(traced, 0.95), percentile(over, 0.95), nil
 }
 
 // timedQuery fires one query and returns the client-observed wall time

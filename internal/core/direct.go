@@ -232,8 +232,8 @@ func SolveILP(ctx context.Context, prob *ilp.Problem, opt ilp.Options) (*ilp.Res
 	sp.SetAttrInt("refactorizations", int64(res.Refactorizations))
 	sp.SetAttrInt("incumbents", int64(res.Incumbents))
 	sp.SetAttrInt("retired", int64(res.Retired))
-	sp.SetAttrInt("core_nodes", int64(res.CoreNodes))
-	sp.SetAttrBool("core_incumbent", res.CoreIncumbent)
+	sp.SetAttrInt("rounds", int64(res.Rounds))
+	sp.SetAttrInt("working_set", int64(res.WorkingSet))
 	sp.SetAttrStr("status", res.Status.String())
 	switch res.Status {
 	case ilp.Infeasible:

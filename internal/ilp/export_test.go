@@ -11,8 +11,8 @@ import (
 // dense oracle through these.
 
 // recorder notes the LP objective of every node solved to optimality.
-// The relaxations of one solve share objs, so a nested solve's nodes
-// land in it too, in solve order.
+// The relaxations of one solve share objs, so every round's nodes land
+// in it, in solve order.
 type recorder struct {
 	relaxation
 	objs *[]float64
@@ -26,46 +26,43 @@ func (r *recorder) Reoptimize(ctx context.Context) (lp.Status, error) {
 	return st, err
 }
 
-// keepAll ignores Retire: the LP kernel keeps pricing every column.
-type keepAll struct{ relaxation }
-
-func (keepAll) Retire(int) {}
-
-// solveRecording is SolveCtx over whatever relaxation wrap makes of each
-// workspace, returning the LP objective of every node, in solve order.
-func solveRecording(ctx context.Context, p *Problem, opt Options, wrap func(relaxation) relaxation) (*Result, []float64, error) {
+// solveRecording is solve with a first working set of initial variables,
+// over whatever relaxation kernel makes of each problem, returning the LP
+// objective of every node, in solve order.
+func solveRecording(ctx context.Context, p *Problem, opt Options, initial int, kernel func(*lp.Problem) (relaxation, error)) (*Result, []float64, error) {
 	var objs []float64
-	res, err := solve(ctx, p, opt, func(q *lp.Problem) (relaxation, error) {
-		w, err := lp.NewWorkspace(q)
+	res, err := solve(ctx, p, opt, initial, func(q *lp.Problem) (relaxation, error) {
+		r, err := kernel(q)
 		if err != nil {
 			return nil, err
 		}
-		return &recorder{relaxation: wrap(w), objs: &objs}, nil
+		return &recorder{relaxation: r, objs: &objs}, nil
 	})
 	return res, objs, err
 }
 
+// workspace is the kernel SolveCtx builds.
+func workspace(q *lp.Problem) (relaxation, error) { return lp.NewWorkspace(q) }
+
 // SolveRecording is SolveCtx that also returns the LP objective of every
 // node, in solve order.
 func SolveRecording(ctx context.Context, p *Problem, opt Options) (*Result, []float64, error) {
-	return solveRecording(ctx, p, opt, func(r relaxation) relaxation { return r })
+	return solveRecording(ctx, p, opt, workingSet, workspace)
 }
 
-// SolveRecordingUnretired is SolveRecording with Retire ignored, so no
-// column ever leaves the kernel's loops.
-func SolveRecordingUnretired(ctx context.Context, p *Problem, opt Options) (*Result, []float64, error) {
-	return solveRecording(ctx, p, opt, func(r relaxation) relaxation { return keepAll{r} })
+// SolveFullWidth is SolveRecording with no working set: every node's
+// relaxation is over every variable.
+func SolveFullWidth(ctx context.Context, p *Problem, opt Options) (*Result, []float64, error) {
+	return solveRecording(ctx, p, opt, p.LP.NumVars(), workspace)
 }
 
 // SolveOverOracle is SolveRecording with every node's relaxation solved
 // cold by the dense oracle instead of the warm workspace, one oracle per
 // problem solved.
 func SolveOverOracle(ctx context.Context, p *Problem, opt Options) (*Result, []float64, error) {
-	var objs []float64
-	res, err := solve(ctx, p, opt, func(q *lp.Problem) (relaxation, error) {
-		return &recorder{relaxation: newDenseRelaxation(q), objs: &objs}, nil
+	return solveRecording(ctx, p, opt, workingSet, func(q *lp.Problem) (relaxation, error) {
+		return newDenseRelaxation(q), nil
 	})
-	return res, objs, err
 }
 
 // AllocProblem is the knapsack fixture of the allocation gate.

@@ -436,12 +436,15 @@ func emptyDomain(p *lp.Problem) bool {
 
 // FuzzILP holds branch and bound over the warm workspace to exhaustive
 // enumeration on small all-integer problems decoded from the same
-// format, with bounds clipped to a box the enumerator can walk. The rows
-// are taken as decoded: the solver takes an LP value within 1e-6 of an
-// integer as that integer only if the rounded point still satisfies
-// every row. Every incumbent must satisfy the rows within the LP
-// kernel's tolerances; a disagreement with the enumerator is tolerated
-// only on an instance that is not wellScaled.
+// format, with bounds clipped to a box the enumerator can walk. Each
+// instance is solved twice: as SolveCtx does, which at n ≤ 8 searches
+// every variable, and from a working set of one variable, which puts the
+// rounds — doubling, certification, the incumbent carried over as a
+// cutoff — under the enumerator. The rows are taken as decoded: the
+// solver takes an LP value within 1e-6 of an integer as that integer only
+// if the rounded point still satisfies every row. Every incumbent must
+// satisfy the rows within the LP kernel's tolerances; a disagreement with
+// the enumerator is tolerated only on an instance that is not wellScaled.
 func FuzzILP(f *testing.F) {
 	for _, s := range lpSeeds() {
 		f.Add(s)
@@ -469,25 +472,28 @@ func FuzzILP(f *testing.F) {
 			q.Lo[j], q.Hi[j] = lo, hi
 		}
 		p := &Problem{LP: *q}
-		res, err := SolveCtx(context.Background(), p, Options{})
-		if err != nil {
-			t.Fatalf("SolveCtx: %v", err)
-		}
-		if res.HasIncumbent {
-			if worst, ok := rowSlack(&p.LP, res.X); !ok {
-				t.Fatalf("incumbent %v is infeasible (relative violation %g)", res.X, worst)
+		want, bad := bruteForce(p), ""
+		for _, initial := range []int{workingSet, 1} {
+			res, err := solve(context.Background(), p, Options{}, initial, workspace)
+			if err != nil {
+				t.Fatalf("working set %d: %v", initial, err)
 			}
-		}
-		bad := ""
-		switch want := bruteForce(p); {
-		case math.IsNaN(want):
-			if res.Status != Infeasible {
-				bad = fmt.Sprintf("status %v (objective %g), enumeration finds no feasible point", res.Status, res.Objective)
+			if res.HasIncumbent {
+				if worst, ok := rowSlack(&p.LP, res.X); !ok {
+					t.Fatalf("working set %d: incumbent %v is infeasible (relative violation %g)", initial, res.X, worst)
+				}
 			}
-		case res.Status != Optimal:
-			bad = fmt.Sprintf("status %v, enumeration finds %g", res.Status, want)
-		case math.Abs(res.Objective-want) > 1e-6*math.Max(1, math.Abs(want)):
-			bad = fmt.Sprintf("objective %.10g, enumeration finds %.10g", res.Objective, want)
+			switch {
+			case bad != "":
+			case math.IsNaN(want):
+				if res.Status != Infeasible {
+					bad = fmt.Sprintf("working set %d: status %v (objective %g), enumeration finds no feasible point", initial, res.Status, res.Objective)
+				}
+			case res.Status != Optimal:
+				bad = fmt.Sprintf("working set %d: status %v, enumeration finds %g", initial, res.Status, want)
+			case math.Abs(res.Objective-want) > 1e-6*math.Max(1, math.Abs(want)):
+				bad = fmt.Sprintf("working set %d: objective %.10g, enumeration finds %.10g", initial, res.Objective, want)
+			}
 		}
 		if bad == "" {
 			return

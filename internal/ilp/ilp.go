@@ -1,7 +1,7 @@
 // Package ilp implements a branch-and-bound integer linear program solver
 // on top of the simplex in internal/lp.
 //
-// One lp.Workspace serves the whole search: the root relaxation is solved
+// One lp.Workspace serves a whole tree: its root relaxation is solved
 // cold, and every later node hands the workspace only the bounds in which
 // it differs from the node solved before it and re-optimizes from the
 // basis the workspace already holds (bounded dual simplex), so a node
@@ -9,9 +9,10 @@
 // fractional basic variable with ties — fractionalities within
 // branchTieTol of the largest — broken by lowest index, which makes the
 // tree a function of the problem and not of the order the LP kernel
-// happened to pivot in. Variables that reduced-cost fixing pins for good
-// leave the workspace's pivoting, and a large search still without an
-// incumbent after a few nodes takes one from a small core of variables.
+// happened to pivot in. A search over many variables branches over a
+// working set that the root's reduced costs choose, and reports an
+// optimum only once the same reduced costs certify every variable left
+// out of it.
 //
 // It is the repository's stand-in for the black-box commercial solver
 // (IBM CPLEX) used in the paper: same contract — the caller hands over a
@@ -25,7 +26,6 @@
 package ilp
 
 import (
-	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
@@ -131,15 +131,14 @@ type Result struct {
 	// Incumbents counts the strictly improving incumbents installed
 	// during the search (each one was also passed to OnIncumbent).
 	Incumbents int
-	// Retired counts the variables reduced-cost fixing fixed for good,
-	// which the LP kernel then stops pricing.
+	// Retired counts the variables reduced-cost fixing fixed for good.
 	Retired int
-	// CoreNodes is the restricted-core solve's share of Nodes, its root
-	// included; CoreIncumbent says its package became an incumbent.
-	CoreNodes     int
-	CoreIncumbent bool
-	// Stats are the LP kernel's work counters over the whole search, the
-	// core's included: WarmSolves (node relaxations re-optimized from the
+	// Rounds counts the working-set rounds, each one's root included in
+	// Nodes (0: the search ran over every variable); WorkingSet is how
+	// many variables the last round branched over.
+	Rounds, WorkingSet int
+	// Stats are the LP kernel's work counters over the whole search, every
+	// round's included: WarmSolves (node relaxations re-optimized from the
 	// basis of the node before), ColdSolves (the roots, and any node whose
 	// warm start failed numerically), DualIterations + PrimalIterations =
 	// LPIterations, and Refactorizations.
@@ -151,13 +150,9 @@ const (
 
 	rowTol = 1e-7 // the LP kernel's feasibility tolerance
 
-	// A search over more than 2·coreVars variables that has explored
-	// coreAfterNodes nodes without an incumbent solves the problem
-	// restricted to coreVars of them once, in at most coreMaxNodes nodes
-	// (see tryCore).
-	coreAfterNodes = 16
-	coreVars       = 128
-	coreMaxNodes   = 128
+	// workingSet is the size of the first working set of a search over
+	// more than twice as many variables (see solve).
+	workingSet = 64
 
 	// branchTieTol is the band below the largest fractionality inside
 	// which branching candidates count as tied. Under a COUNT(*) = k row
@@ -178,7 +173,6 @@ const (
 // *lp.Workspace, or in tests an oracle standing in for it.
 type relaxation interface {
 	SetBounds(j int, lo, hi float64) error
-	Retire(j int)
 	Reoptimize(ctx context.Context) (lp.Status, error)
 	X() []float64
 	Basis() []int
@@ -242,17 +236,25 @@ func (h *nodeHeap) Pop() any {
 // in-flight simplex solve — and returns the context's error. This is
 // what lets a caller race several solves and cheaply cancel the losers.
 func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
-	return solve(ctx, p, opt, func(q *lp.Problem) (relaxation, error) {
-		w, err := lp.NewWorkspace(q)
-		if err != nil {
-			return nil, err
-		}
-		return w, nil
-	})
+	return solve(ctx, p, opt, workingSet, func(q *lp.Problem) (relaxation, error) { return lp.NewWorkspace(q) })
 }
 
-// solve is SolveCtx over whichever LP kernel newRelaxation builds.
-func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.Problem) (relaxation, error)) (*Result, error) {
+// solve is SolveCtx over whichever LP kernel newRelaxation builds, with a
+// first working set of initial variables for a problem over more than
+// 2·initial.
+//
+// Such a search solves the root relaxation over every variable and, unless
+// it is integral, branches in rounds, each over the problem restricted to
+// a working set W with every other variable held at its lower bound. The
+// first W is the root's variables off their lower bound and the
+// continuous ones, filled up to initial with the smallest root |dⱼ|.
+// A round that explores |W| nodes without an incumbent ends and W doubles.
+// A round that ends with an incumbent has its left-out variables checked
+// by the test reduced-cost fixing applies (root bound − |dⱼ| cannot beat
+// the incumbent, so xⱼ stays at its lower bound): any that fail join W,
+// and the next round starts with the incumbent as its cutoff. The answer
+// is optimal only when none fails.
+func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxation func(*lp.Problem) (relaxation, error)) (*Result, error) {
 	n := p.LP.NumVars()
 	if p.Integer != nil && len(p.Integer) != n {
 		return nil, fmt.Errorf("ilp: Integer has length %d, want %d", len(p.Integer), n)
@@ -275,13 +277,7 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 	baseLo := make([]float64, n)
 	baseHi := make([]float64, n)
 	for j := 0; j < n; j++ {
-		lo, hi := 0.0, math.Inf(1)
-		if p.LP.Lo != nil {
-			lo = p.LP.Lo[j]
-		}
-		if p.LP.Hi != nil {
-			hi = p.LP.Hi[j]
-		}
+		lo, hi := p.LP.Bounds(j)
 		if p.integral(j) {
 			lo = math.Ceil(lo - intTol)
 			if !math.IsInf(hi, 1) {
@@ -290,12 +286,24 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 		}
 		baseLo[j], baseHi[j] = lo, hi
 	}
-	// chain lists the variables the node in the relaxation has branched
-	// on, with their bounds there; slot[j]−1 is j's place in it, 0 for a
-	// variable at its base bounds. baseDirty marks base bounds the
-	// relaxation has not seen yet (all of them, before the root).
+	// Column k of rx is variable full(k): the identity, or in a
+	// working-set round the variables listed in cols, with the others held
+	// at their lower bounds adding offset to the objective. Nodes branch on
+	// columns; bounds, incumbents and reduced costs speak of variables.
+	var cols []int
+	width, offset := n, 0.0
+	full := func(k int) int {
+		if cols == nil {
+			return k
+		}
+		return cols[k]
+	}
+	// chain lists the columns the node in the relaxation has branched on,
+	// with their bounds there; slot[k]−1 is k's place in it, 0 for a column
+	// at its base bounds. baseDirty marks base bounds the relaxation has not
+	// seen yet (all of them, before the root).
 	type branched struct {
-		j      int
+		k      int
 		lo, hi float64
 	}
 	var chain, prev []branched
@@ -304,25 +312,25 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 
 	// solveNode moves the relaxation from the node it last solved to nd
 	// by handing it only the bounds that differ — those of the two nodes'
-	// branching chains, plus every variable after the base bounds moved —
+	// branching chains, plus every column after the base bounds moved —
 	// and re-optimizes (the root, with no basis to start from, is solved
 	// cold). The solution is read off rx until the next call. Walking up
-	// from nd meets each variable's tightest bounds first. Branching
+	// from nd meets each column's tightest bounds first. Branching
 	// bounds can conflict with bounds tightened later by reduced-cost
 	// fixing; the relaxation reports the empty domain as an infeasible
 	// node.
 	solveNode := func(nd *node) (lp.Status, error) {
 		prev, chain = chain, prev[:0]
 		for _, b := range prev {
-			slot[b.j] = 0
+			slot[b.k] = 0
 		}
 		for cur := nd; cur.varIdx >= 0; cur = cur.parent {
-			j := cur.varIdx
-			if slot[j] == 0 {
-				chain = append(chain, branched{j, baseLo[j], baseHi[j]})
-				slot[j] = int32(len(chain))
+			k := cur.varIdx
+			if slot[k] == 0 {
+				chain = append(chain, branched{k, baseLo[full(k)], baseHi[full(k)]})
+				slot[k] = int32(len(chain))
 			}
-			b := &chain[slot[j]-1]
+			b := &chain[slot[k]-1]
 			if cur.hasLo {
 				b.lo = math.Max(b.lo, cur.val)
 			} else {
@@ -332,9 +340,9 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 		// Back to base: everything the chain does not cover, after the
 		// base bounds moved; else only what the last node's chain covered.
 		if baseDirty {
-			for j := 0; j < n; j++ {
-				if slot[j] == 0 {
-					if err := rx.SetBounds(j, baseLo[j], baseHi[j]); err != nil {
+			for k := 0; k < width; k++ {
+				if slot[k] == 0 {
+					if err := rx.SetBounds(k, baseLo[full(k)], baseHi[full(k)]); err != nil {
 						return 0, err
 					}
 				}
@@ -342,14 +350,14 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 			baseDirty = false
 		}
 		for _, b := range prev {
-			if slot[b.j] == 0 {
-				if err := rx.SetBounds(b.j, baseLo[b.j], baseHi[b.j]); err != nil {
+			if slot[b.k] == 0 {
+				if err := rx.SetBounds(b.k, baseLo[full(b.k)], baseHi[full(b.k)]); err != nil {
 					return 0, err
 				}
 			}
 		}
 		for _, b := range chain {
-			if err := rx.SetBounds(b.j, b.lo, b.hi); err != nil {
+			if err := rx.SetBounds(b.k, b.lo, b.hi); err != nil {
 				return 0, err
 			}
 		}
@@ -357,16 +365,19 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 	}
 
 	res := &Result{}
-	var coreStats lp.Stats // the restricted core's, once it ran
-	// done stamps the relaxations' work counters on the result.
+	// tally adds the relaxation's work counters to the result's; done
+	// stamps the final ones.
+	tally := func() {
+		s := rx.Stats()
+		res.WarmSolves += s.WarmSolves
+		res.ColdSolves += s.ColdSolves
+		res.DualIterations += s.DualIterations
+		res.PrimalIterations += s.PrimalIterations
+		res.Refactorizations += s.Refactorizations
+	}
 	done := func(st Status) (*Result, error) {
-		res.Status, res.Stats = st, rx.Stats()
-		res.WarmSolves += coreStats.WarmSolves
-		res.ColdSolves += coreStats.ColdSolves
-		res.DualIterations += coreStats.DualIterations
-		res.PrimalIterations += coreStats.PrimalIterations
-		res.Refactorizations += coreStats.Refactorizations
-		res.LPIterations = res.DualIterations + res.PrimalIterations
+		tally()
+		res.Status, res.LPIterations = st, res.DualIterations+res.PrimalIterations
 		return res, nil
 	}
 	better := func(a, b float64) bool {
@@ -380,16 +391,16 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 		worst = math.Inf(-1)
 	}
 
-	// mostFractional returns the integral variable whose LP value is
-	// farthest from an integer — the lowest index among those within
-	// branchTieTol of the farthest — or -1 if all are integral. Only basic
-	// variables can be fractional: every bound an integral variable gets
-	// is an integer, and a nonbasic variable rests on one.
-	frac := func(x []float64, j int) float64 {
-		if j >= n || !p.integral(j) {
+	// mostFractional returns the column of an integral variable whose LP
+	// value is farthest from an integer — the lowest index among those
+	// within branchTieTol of the farthest — or -1 if all are integral. Only
+	// basic columns can be fractional: every bound an integral variable gets
+	// is an integer, and a nonbasic column rests on one.
+	frac := func(x []float64, k int) float64 {
+		if k >= width || !p.integral(full(k)) {
 			return 0
 		}
-		return math.Abs(x[j] - math.Round(x[j]))
+		return math.Abs(x[k] - math.Round(x[k]))
 	}
 	mostFractional := func() int {
 		x, basis := rx.X(), rx.Basis()
@@ -442,7 +453,6 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 				continue
 			}
 			baseDirty = true
-			rx.Retire(j)
 			res.Retired++
 		}
 	}
@@ -519,24 +529,32 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 	}
 
 	// accept rounds an integral LP solution in place (x is the
-	// relaxation's buffer, dead until the next solve rewrites it). When
-	// rounding moved a value, the rows are checked again: a point that
-	// violates one is not installed, and accept returns the variable that
-	// was farthest from an integer, to branch on, with its value before
-	// rounding. Otherwise it improves the point by local search, installs
-	// it as the incumbent if it is better, and returns -1.
+	// relaxation's buffer, dead until the next solve rewrites it; in a
+	// round the rounded values go to a copy of baseLo, where every variable
+	// the round holds sits). When rounding moved a value, the rows are
+	// checked again: a point that violates one is not installed, and accept
+	// returns the column that was farthest from an integer, to branch on,
+	// with its value before rounding. Otherwise it improves the point by
+	// local search, installs it as the incumbent if it is better, and
+	// returns -1.
+	var lifted []float64
 	accept := func(x []float64) (q int, v float64) {
-		q, far := -1, 0.0
-		for j := 0; j < n; j++ {
-			if !p.integral(j) {
-				continue
-			}
-			r := math.Round(x[j])
-			if f := math.Abs(x[j] - r); f > far {
-				q, v, far = j, x[j], f
-			}
-			x[j] = r
+		xf := x
+		if cols != nil {
+			lifted = append(lifted[:0], baseLo...)
+			xf = lifted
 		}
+		q, far := -1, 0.0
+		for k, xk := range x {
+			j := full(k)
+			if xf[j] = xk; p.integral(j) {
+				xf[j] = math.Round(xk)
+				if f := math.Abs(xk - xf[j]); f > far {
+					q, v, far = k, xk, f
+				}
+			}
+		}
+		x = xf
 		for i, row := range p.LP.A {
 			act[i] = 0
 			for j, a := range row {
@@ -646,137 +664,167 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 		return up
 	}
 
-	// tryCore looks for a first incumbent where the tree has found none:
-	// it solves the problem restricted to coreVars variables — the root
-	// LP's support, then the smallest root reduced costs, ties to the lower
-	// index — with every other one held at its lower bound and the
-	// right-hand sides moved to match, and hands the package to accept.
-	// The restricted solve streams nothing and stops after coreMaxNodes
-	// nodes with whatever it has, so a hard or infeasible core costs the
-	// search a bounded detour; its work counts in the result and against
-	// the budgets.
-	tryCore := func() error {
-		var order []int
-		for j := 0; j < n; j++ {
-			if math.IsInf(baseLo[j], -1) {
-				return nil // no bound to hold it at
-			} else if baseLo[j] < baseHi[j] {
-				order = append(order, j)
+	// search runs branch and bound over rx from current, the node to solve
+	// next, until the tree is exhausted, a budget runs out (limited), or —
+	// with giveUp — width nodes pass without an incumbent. It interleaves
+	// best-first selection from the heap with depth-first plunges: after
+	// branching, the near child is solved immediately and the far child is
+	// queued. It returns the best bound of any node whose relaxation failed
+	// (lp.IterLimit): that subtree was dropped, not refuted, so the search
+	// can no longer prove optimality.
+	limited := false
+	search := func(current *node, giveUp bool) (lost float64, err error) {
+		lost, start := worst, res.Nodes
+		res.BestBound = root.bound
+		for current != nil || h.Len() > 0 {
+			if err := ctx.Err(); err != nil {
+				return lost, err
+			}
+			if res.Nodes >= maxNodes || !deadline.IsZero() && time.Now().After(deadline) {
+				limited = true
+				break
+			}
+			if giveUp && !res.HasIncumbent && res.Nodes-start >= width {
+				break
+			}
+			nd := current
+			current = nil
+			if nd == nil {
+				nd = heap.Pop(h).(*node)
+				res.BestBound = nd.bound
+				if pruned(nd.bound) {
+					// Best-first: every remaining heap node is no better.
+					break
+				}
+			} else if pruned(nd.bound) {
+				continue
+			}
+			res.Nodes++
+			st, err := solveNode(nd)
+			if err != nil {
+				return lost, err
+			}
+			if st != lp.Optimal {
+				// Infeasible, or failed; a bounded parent relaxation cannot
+				// become unbounded by tightening bounds (a defensive skip).
+				if st == lp.IterLimit && better(nd.bound, lost) {
+					lost = nd.bound
+				}
+				continue
+			}
+			nd.bound = rx.Objective() + offset
+			if pruned(nd.bound) {
+				continue
+			}
+			current = branch(nd) // plunge
+		}
+		return lost, nil
+	}
+
+	// The working set: inW marks its variables. movable says variable j is
+	// outside it and may still leave its lower bound, which reduced-cost
+	// fixing rules out for every one that passes the exclusion test.
+	var inW []bool
+	movable := func(j int) bool { return !inW[j] && baseHi[j] > baseLo[j] }
+
+	// grow fills the working set up to size variables with movable ones
+	// of the smallest root |dⱼ|: with k places left and t the k-th smallest
+	// value, every one below t less a band of branchTieTol·(1+t), then the
+	// lowest indices within the band — so the set is a function of the
+	// problem, not of the kernel's pivot path, as mostFractional's is. It
+	// returns how many it added; left is how many stay out.
+	var mag []float64
+	left := 0
+	grow := func(size int) int {
+		mag, k := mag[:0], size
+		for j, in := range inW {
+			if in {
+				k--
+			} else if movable(j) {
+				mag = append(mag, math.Abs(rootDJ[j]))
 			}
 		}
-		subOpt := Options{MaxNodes: min(maxNodes-res.Nodes-1, coreMaxNodes), Gap: opt.Gap}
-		if !deadline.IsZero() {
-			subOpt.TimeLimit = max(time.Until(deadline), 1)
+		k = max(k, 0)
+		k0, t, band := k, math.Inf(1), 0.0
+		if 0 < k && k < len(mag) {
+			t = kth(mag, k)
+			band = branchTieTol * (1 + t)
 		}
-		if len(order) <= coreVars || subOpt.MaxNodes <= 0 {
-			return nil
-		}
-		atLower := func(j int) int { return int(-min(rootAt[j], 0)) }
-		slices.SortFunc(order, func(a, b int) int {
-			return cmp.Or(cmp.Compare(atLower(a), atLower(b)), cmp.Compare(math.Abs(rootDJ[a]), math.Abs(rootDJ[b])), a-b)
-		})
-		core := order[:coreVars]
-		slices.Sort(core)
-		sub := &Problem{Integer: make([]bool, coreVars), LP: lp.Problem{
-			Maximize: p.LP.Maximize, Op: p.LP.Op, B: slices.Clone(p.LP.B),
-			C: make([]float64, coreVars), Lo: make([]float64, coreVars), Hi: make([]float64, coreVars),
-		}}
-		x := slices.Clone(baseLo) // the held values, and then the package
-		for k, j := range core {
-			sub.Integer[k], x[j] = p.integral(j), 0
-			sub.LP.C[k], sub.LP.Lo[k], sub.LP.Hi[k] = p.LP.C[j], baseLo[j], baseHi[j]
-		}
-		for i, row := range p.LP.A {
-			sub.LP.A = append(sub.LP.A, make([]float64, coreVars))
-			for k, j := range core {
-				sub.LP.A[i][k] = row[j]
-			}
-			for j, xj := range x {
-				if xj != 0 {
-					sub.LP.B[i] -= row[j] * xj
+		for pass := 0; pass < 2; pass++ {
+			for j := range inW {
+				if d := math.Abs(rootDJ[j]); k > 0 && movable(j) && (d < t-band || pass == 1 && d <= t+band) {
+					inW[j] = true
+					k--
 				}
 			}
 		}
-		r, err := solve(ctx, sub, subOpt, newRelaxation)
+		left = len(mag) - (k0 - k)
+		return k0 - k
+	}
+
+	// enter makes rx the problem over the working set, with every other
+	// variable held at its lower bound and the right-hand sides moved to
+	// match.
+	enter := func() error {
+		q := &lp.Problem{Maximize: p.LP.Maximize, Op: p.LP.Op, B: slices.Clone(p.LP.B), A: make([][]float64, m)}
+		cols, offset = cols[:0], 0
+		for j, in := range inW {
+			if in {
+				cols = append(cols, j)
+				q.C, q.Lo, q.Hi = append(q.C, p.LP.C[j]), append(q.Lo, baseLo[j]), append(q.Hi, baseHi[j])
+			} else if lo := baseLo[j]; lo != 0 {
+				offset += p.LP.C[j] * lo
+				for i, row := range p.LP.A {
+					q.B[i] -= row[j] * lo
+				}
+			}
+		}
+		for i, row := range p.LP.A {
+			for _, j := range cols {
+				q.A[i] = append(q.A[i], row[j])
+			}
+		}
+		next, err := newRelaxation(q)
 		if err != nil {
 			return err
 		}
-		coreStats, res.CoreNodes = r.Stats, r.Nodes+1
-		res.Nodes += res.CoreNodes
-		if r.HasIncumbent {
-			for k, j := range core {
-				x[j] = r.X[k]
-			}
-			accept(x)
-			res.CoreIncumbent = res.HasIncumbent
-		}
+		tally()
+		rx, width = next, len(cols)
+		res.Rounds, res.WorkingSet = res.Rounds+1, width
 		return nil
 	}
 
-	// The search interleaves best-first selection from the heap with
-	// depth-first plunges: after branching, the near child is solved
-	// immediately and the far child is queued.
-	current := branch(root)
-
-	res.BestBound = root.bound
-	// limited: a budget ran out. lost: the best bound of any node whose
-	// relaxation failed (lp.IterLimit) — its subtree was dropped, not
-	// refuted, so the search can no longer prove optimality.
-	limited, lost, coreTried := false, worst, false
-	for current != nil || h.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	var lost float64
+	if n <= 2*initial || mostFractional() < 0 {
+		lost, err = search(branch(root), false)
+	} else {
+		// Rounds, as solve's comment describes: a round that gives up
+		// doubles the working set, and one that ends with an incumbent
+		// takes in whatever reduced-cost fixing left movable. The basis is
+		// not read: a degenerate basic variable rests on its lower bound
+		// with dⱼ = 0, so grow takes it in by index, not by the pivot path.
+		inW = make([]bool, n)
+		for j := range inW {
+			inW[j] = rootAt[j] >= 0 || !p.integral(j)
 		}
-		if res.Nodes >= maxNodes {
-			limited = true
-			break
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			limited = true
-			break
-		}
-		if res.Nodes >= coreAfterNodes && !res.HasIncumbent && n > 2*coreVars && !coreTried {
-			coreTried = true
-			if err := tryCore(); err != nil {
-				return nil, err
-			}
-			continue // the budgets again, and the new incumbent may prune
-		}
-		nd := current
-		current = nil
-		if nd == nil {
-			nd = heap.Pop(h).(*node)
-			res.BestBound = nd.bound
-			if pruned(nd.bound) {
-				// Best-first: every remaining heap node is no better.
+		grow(initial)
+		for err == nil {
+			if err = enter(); err != nil {
 				break
 			}
-		} else if pruned(nd.bound) {
-			continue
-		}
-		res.Nodes++
-		st, err := solveNode(nd)
-		if err != nil {
-			return nil, err
-		}
-		switch st {
-		case lp.Infeasible:
-			continue
-		case lp.IterLimit:
-			if better(nd.bound, lost) {
-				lost = nd.bound
+			h.nodes = h.nodes[:0] // what the last round left open
+			lost, err = search(arena.new(node{varIdx: -1, bound: root.bound}), left > 0)
+			size := 2 * width
+			if res.HasIncumbent {
+				size = n
 			}
-			continue
-		case lp.Unbounded:
-			// A bounded parent relaxation cannot become unbounded by
-			// tightening bounds; defensive skip.
-			continue
+			if err != nil || limited || grow(size) == 0 {
+				break
+			}
 		}
-		nd.bound = rx.Objective()
-		if pruned(nd.bound) {
-			continue
-		}
-		current = branch(nd) // plunge
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	if !limited {
@@ -791,9 +839,46 @@ func solve(ctx context.Context, p *Problem, opt Options, newRelaxation func(*lp.
 	}
 	switch {
 	case limited || lost != worst:
+		// A variable left out of the working set could still reach the
+		// root bound less its reduced cost.
+		for j := range inW {
+			if b := internal(rootBoundInt - math.Abs(rootDJ[j])); movable(j) && better(b, res.BestBound) {
+				res.BestBound = b
+			}
+		}
 		return done(ResourceLimit)
 	case !res.HasIncumbent:
 		return done(Infeasible)
 	}
 	return done(Optimal)
+}
+
+// kth returns the k-th smallest of v, 1 ≤ k ≤ len(v), reordering v: a
+// quickselect, O(len(v)) expected where a sort is O(n log n).
+func kth(v []float64, k int) float64 {
+	k--
+	for lo, hi := 0, len(v)-1; lo < hi; {
+		p, i, j := v[(lo+hi)/2], lo, hi
+		for i <= j {
+			for v[i] < p {
+				i++
+			}
+			for v[j] > p {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i, j = i+1, j-1
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return v[k]
+		}
+	}
+	return v[k]
 }

@@ -482,8 +482,6 @@ func (r *denseRelaxation) SetBounds(j int, lo, hi float64) error {
 	return nil
 }
 
-func (r *denseRelaxation) Retire(int) {}
-
 // Basis stands in for the basis header with every column strictly inside
 // its bounds: the tableau's basis is not kept, and a column resting on a
 // bound is never one branch and bound looks for.

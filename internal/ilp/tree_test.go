@@ -43,24 +43,23 @@ func galaxyProblems(tb testing.TB, n int) (names []string, probs []*ilp.Problem)
 // tmpl's DIRECT ILP over an n-row Galaxy table — the group — with every
 // right-hand side moved by rest tuples at the table's mean, the rest of
 // the package held outside the group. Q3 and Q6 refine groups of
-// paqbench's sketchrefine workload have this shape, and find their first
-// incumbent late.
+// paqbench's sketchrefine workload have this shape, and a search over
+// every variable finds their first incumbent late.
 type refineShape struct {
 	name    string
 	n, tmpl int
 	seed    int64
 	rest    int
-	// The search without the restricted core: its node count, and the
-	// objective's bits, which the core may not move.
-	parentNodes int
-	parentObj   uint64
+	// The optimum's bits, which the search over every variable finds too.
+	obj uint64
 }
 
 var refineShapes = []refineShape{
-	// COUNT 6 over 9 000 columns; the first incumbent came at node 74 of 123.
-	{name: "Q3-shaped", n: 9000, tmpl: 2, seed: 8, rest: 6, parentNodes: 123, parentObj: 0x40634578d4fdf3b6},
+	// COUNT 6 over 9 000 columns; over every variable the first incumbent
+	// comes at node 74 of 123.
+	{name: "Q3-shaped", n: 9000, tmpl: 2, seed: 8, rest: 6, obj: 0x40634578d4fdf3b6},
 	// COUNT 1 with two windows over 3 000 columns; first incumbent at 51 of 76.
-	{name: "Q6-shaped", n: 3000, tmpl: 5, seed: 2, rest: 8, parentNodes: 76, parentObj: 0x4033b78d4fdf3b64},
+	{name: "Q6-shaped", n: 3000, tmpl: 5, seed: 2, rest: 8, obj: 0x4033b78d4fdf3b64},
 }
 
 func (s refineShape) problem(tb testing.TB) *ilp.Problem {
@@ -88,10 +87,9 @@ func (s refineShape) problem(tb testing.TB) *ilp.Problem {
 	return p
 }
 
-// TestCoreIncumbentOnRefineShapes: on the refine shapes, where the tree
-// alone finds its first incumbent late, the restricted core supplies one
-// before the 17th node, and the answer is the one the search found
-// without it.
+// TestCoreIncumbentOnRefineShapes: on the refine shapes the working-set
+// search proves the optimum the search over every variable found, bit for
+// bit, and finds its first incumbent in its first round.
 func TestCoreIncumbentOnRefineShapes(t *testing.T) {
 	for _, s := range refineShapes {
 		first := -1
@@ -104,31 +102,27 @@ func TestCoreIncumbentOnRefineShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		t.Logf("%s: %v, %d nodes (%d in the core), %d LP iterations; without the core %d nodes",
-			s.name, res.Status, res.Nodes, res.CoreNodes, res.LPIterations, s.parentNodes)
-		if res.Status != ilp.Optimal || math.Float64bits(res.Objective) != s.parentObj {
+		t.Logf("%s: %v, %d nodes in %d rounds over %d variables, first incumbent at node %d, %d LP iterations",
+			s.name, res.Status, res.Nodes, res.Rounds, res.WorkingSet, first, res.LPIterations)
+		if res.Status != ilp.Optimal || math.Float64bits(res.Objective) != s.obj {
 			t.Errorf("%s: %v objective %v (%#x), want optimal %v", s.name, res.Status, res.Objective,
-				math.Float64bits(res.Objective), math.Float64frombits(s.parentObj))
+				math.Float64bits(res.Objective), math.Float64frombits(s.obj))
 		}
-		// The callback counts the core's nodes; the main tree had explored
-		// the rest.
-		if !res.CoreIncumbent || first-res.CoreNodes > 17 {
-			t.Errorf("%s: core incumbent %v, first incumbent after %d main-tree nodes; want the core's by node 17",
-				s.name, res.CoreIncumbent, first-res.CoreNodes)
+		if res.Rounds == 0 || first < 0 || first > 64 {
+			t.Errorf("%s: %d rounds, first incumbent at node %d; want one within the first round's 64 nodes", s.name, res.Rounds, first)
 		}
 	}
 }
 
-// TestInfeasibleCoreLeavesTheBudget: a restricted core with no integral
+// TestInfeasibleCoreLeavesTheBudget: a working set with no integral
 // point, and no quick proof of that, costs the search a bounded detour
 // and not its node budget. Twenty gadgets a + b ≤ 1.5 (a worth 100, b
 // worth 1) each leave b at ½ in the LP, and so does y under 2y + s ≥ 1,
 // 2y ≤ 1: an integral point needs s = 1, which costs 1. Two hundred and
-// thirty free variables worth 0 rank ahead of s, so the core leaves it
-// out, and with no incumbent to prune by its tree would enumerate the
-// gadgets' 2²⁰ combinations. The search plunges through all twenty
-// gadgets before y gives it s, so the core runs first; after it gives up,
-// the tree finishes well within the budget.
+// thirty free variables worth 0 rank ahead of s, so the first working set
+// leaves it out, and with no incumbent to prune by a round would
+// enumerate the gadgets' 2²⁰ combinations. Each round gives up after as
+// many nodes as it has variables, and the set doubles until s is in it.
 func TestInfeasibleCoreLeavesTheBudget(t *testing.T) {
 	const gadgets, free = 20, 230
 	n := 2*gadgets + 2 + free
@@ -160,13 +154,75 @@ func TestInfeasibleCoreLeavesTheBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%v, %d nodes (%d in the core), objective %v", res.Status, res.Nodes, res.CoreNodes, res.Objective)
-	if res.CoreNodes == 0 || res.CoreIncumbent {
-		t.Errorf("core ran %d nodes, incumbent %v; want a core run without one", res.CoreNodes, res.CoreIncumbent)
+	t.Logf("%v, %d nodes in %d rounds over %d variables, objective %v", res.Status, res.Nodes, res.Rounds, res.WorkingSet, res.Objective)
+	if res.Rounds < 2 {
+		t.Errorf("%d rounds; want the first working set to give up", res.Rounds)
 	}
 	if want := 100.0*gadgets - 1; res.Status != ilp.Optimal || res.Objective != want {
 		t.Errorf("%v objective %v, want optimal %v", res.Status, res.Objective, want)
 	}
+}
+
+// TestWorkingSetMatchesFullWidth: the working-set search and the search
+// over every variable, through the same seam, agree on the status and on
+// the objective's bits for every fixture. Where their packages differ
+// they must tie: both satisfy every row and sum to the same objective,
+// and the test shows where they differ.
+func TestWorkingSetMatchesFullWidth(t *testing.T) {
+	names, probs := galaxyProblems(t, 3000)
+	for _, s := range refineShapes {
+		names, probs = append(names, s.name), append(probs, s.problem(t))
+	}
+	names = append(names, "knapsack-40", "knapsack-2x120", "knapsack-repeat-3")
+	probs = append(probs, ilp.AllocProblem(), knapsack(120, 2, 1, 5), knapsack(60, 1, 3, 9))
+	opt := ilp.Options{MaxNodes: 50000, Gap: 1e-4}
+	ctx := context.Background()
+	for i, p := range probs {
+		got, _, err := ilp.SolveRecording(ctx, p, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		want, _, err := ilp.SolveFullWidth(ctx, p, opt)
+		if err != nil {
+			t.Fatalf("%s: full width: %v", names[i], err)
+		}
+		t.Logf("%s: %v, %d nodes in %d rounds over %d of %d variables; full width %d nodes",
+			names[i], got.Status, got.Nodes, got.Rounds, got.WorkingSet, p.LP.NumVars(), want.Nodes)
+		if got.Status != want.Status || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+			t.Errorf("%s: %v objective %v, full width %v %v", names[i], got.Status, got.Objective, want.Status, want.Objective)
+			continue
+		}
+		var differ []int
+		for j := range want.X {
+			if got.X[j] != want.X[j] {
+				differ = append(differ, j)
+			}
+		}
+		if len(differ) == 0 {
+			continue
+		}
+		for _, x := range [][]float64{got.X, want.X} {
+			if !rowsHold(p, x) {
+				t.Errorf("%s: package %v breaks a row", names[i], x)
+			}
+		}
+		t.Logf("%s: a tie at objective %v: the packages differ at variables %v", names[i], got.Objective, differ)
+	}
+}
+
+// rowsHold reports whether x satisfies every row of p within the LP
+// kernel's feasibility tolerance.
+func rowsHold(p *ilp.Problem, x []float64) bool {
+	for i, row := range p.LP.A {
+		lhs := 0.0
+		for j, a := range row {
+			lhs += a * x[j]
+		}
+		if p.LP.Op[i] != lp.GE && lhs > p.LP.B[i]+1e-6 || p.LP.Op[i] != lp.LE && lhs < p.LP.B[i]-1e-6 {
+			return false
+		}
+	}
+	return true
 }
 
 // knapsack builds a multi-row knapsack with near-substitutable items —
@@ -220,8 +276,8 @@ func TestTreeIndependentOfPivotPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", names[i], err)
 		}
-		t.Logf("%s: %v, %d nodes, %d warm + %d cold solves, %d LP iterations (oracle-driven: %d)",
-			names[i], warm.Status, warm.Nodes, warm.WarmSolves, warm.ColdSolves, warm.LPIterations, cold.LPIterations)
+		t.Logf("%s: %v, %d nodes in %d rounds over %d variables, %d warm + %d cold solves, %d LP iterations (oracle-driven: %d)",
+			names[i], warm.Status, warm.Nodes, warm.Rounds, warm.WorkingSet, warm.WarmSolves, warm.ColdSolves, warm.LPIterations, cold.LPIterations)
 		branched += warm.Nodes
 		if warm.Status != cold.Status || warm.Nodes != cold.Nodes || warm.Incumbents != cold.Incumbents {
 			t.Errorf("%s: warm %v/%d nodes/%d incumbents, oracle-driven %v/%d/%d",
@@ -244,61 +300,13 @@ func TestTreeIndependentOfPivotPath(t *testing.T) {
 				break
 			}
 		}
-		if roots := 1 + min(warm.CoreNodes, 1); warm.ColdSolves != roots {
-			t.Errorf("%s: %d cold solves, want the roots only (%d)", names[i], warm.ColdSolves, roots)
+		if roots := 1 + warm.Rounds; warm.ColdSolves != roots || warm.Rounds != cold.Rounds || warm.WorkingSet != cold.WorkingSet {
+			t.Errorf("%s: %d cold solves, want the roots only (1 + %d rounds); oracle-driven %d rounds over %d, warm over %d",
+				names[i], warm.ColdSolves, warm.Rounds, cold.Rounds, cold.WorkingSet, warm.WorkingSet)
 		}
 	}
 	if branched < 1000 {
 		t.Errorf("only %d nodes in all: the fixtures no longer exercise the tree", branched)
-	}
-}
-
-// TestRetiredColumnsKeepTheTree: the columns reduced-cost fixing retires
-// leave the LP kernel's loops and nothing else. A search whose kernel
-// ignores Retire — and so prices every column to the end — walks the same
-// tree bit for bit: status, node and iteration counts, incumbents, the
-// answer and every node's LP objective.
-func TestRetiredColumnsKeepTheTree(t *testing.T) {
-	names, probs := galaxyProblems(t, 3000)
-	names = append(names, "knapsack-40", "knapsack-2x120", "knapsack-repeat-3")
-	probs = append(probs, ilp.AllocProblem(), knapsack(120, 2, 1, 5), knapsack(60, 1, 3, 9))
-	opt := ilp.Options{MaxNodes: 50000, Gap: 1e-4}
-	ctx := context.Background()
-	retired := 0
-	for i, p := range probs {
-		got, gotObjs, err := ilp.SolveRecording(ctx, p, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", names[i], err)
-		}
-		want, wantObjs, err := ilp.SolveRecordingUnretired(ctx, p, opt)
-		if err != nil {
-			t.Fatalf("%s: unretired: %v", names[i], err)
-		}
-		retired += got.Retired
-		if got.Status != want.Status || got.Nodes != want.Nodes || got.LPIterations != want.LPIterations || got.Incumbents != want.Incumbents {
-			t.Errorf("%s: %v/%d nodes/%d iterations/%d incumbents, unretired %v/%d/%d/%d", names[i],
-				got.Status, got.Nodes, got.LPIterations, got.Incumbents, want.Status, want.Nodes, want.LPIterations, want.Incumbents)
-			continue
-		}
-		for j := range want.X {
-			if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
-				t.Errorf("%s: x[%d] = %v, unretired %v", names[i], j, got.X[j], want.X[j])
-				break
-			}
-		}
-		if len(gotObjs) != len(wantObjs) {
-			t.Errorf("%s: %d node objectives, unretired %d", names[i], len(gotObjs), len(wantObjs))
-			continue
-		}
-		for k := range wantObjs {
-			if math.Float64bits(gotObjs[k]) != math.Float64bits(wantObjs[k]) {
-				t.Errorf("%s: node %d: LP objective %v, unretired %v", names[i], k, gotObjs[k], wantObjs[k])
-				break
-			}
-		}
-	}
-	if retired == 0 {
-		t.Error("no column was retired: the fixtures no longer exercise the kernel's active list")
 	}
 }
 

@@ -131,7 +131,7 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("lp: Hi has length %d, want %d", len(p.Hi), n)
 	}
 	for j := 0; j < n; j++ {
-		lo, hi := p.boundsAt(j)
+		lo, hi := p.Bounds(j)
 		if lo > hi {
 			return fmt.Errorf("lp: variable %d has empty domain [%g, %g]", j, lo, hi)
 		}
@@ -142,7 +142,8 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-func (p *Problem) boundsAt(j int) (lo, hi float64) {
+// Bounds returns variable j's bounds, the defaults filled in.
+func (p *Problem) Bounds(j int) (lo, hi float64) {
 	lo, hi = 0, math.Inf(1)
 	if p.Lo != nil {
 		lo = p.Lo[j]

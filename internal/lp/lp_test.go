@@ -20,7 +20,7 @@ func solveOK(t *testing.T, p *Problem) *Solution {
 func checkFeasible(t *testing.T, p *Problem, x []float64, tol float64) {
 	t.Helper()
 	for j := range x {
-		lo, hi := p.boundsAt(j)
+		lo, hi := p.Bounds(j)
 		if x[j] < lo-tol || x[j] > hi+tol {
 			t.Errorf("x[%d] = %g violates bounds [%g, %g]", j, x[j], lo, hi)
 		}

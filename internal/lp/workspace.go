@@ -61,8 +61,7 @@ type Stats struct {
 // copy of the bounds, which SetBounds changes between solves. Columns
 // 0..n-1 are the structural variables; column n+i is the logical of row
 // i, a unit column with Aᵢ·x + sᵢ = bᵢ and sᵢ ∈ [0,∞) for ≤, (−∞,0] for ≥
-// and [0,0] for =. After NewWorkspace no method allocates but the first
-// Retire.
+// and [0,0] for =. After NewWorkspace no method allocates.
 type Workspace struct {
 	p    *Problem
 	n, m int
@@ -81,16 +80,6 @@ type Workspace struct {
 	cb     []float64   // costs of the basic variables for the current phase
 	lu     []float64   // m×m scratch for refactor
 	x      []float64   // structural values: the last optimum, else scratch
-
-	// runs are the columns the dual simplex and pricing visit, ascending:
-	// every structural one but the retired ones resting fixed (the first
-	// nStruct runs), then the logicals. stale: a retired column moved.
-	// Until the first Retire, retired is nil and runs is whole.
-	retired []bool
-	runs    []colRun
-	whole   [2]colRun
-	nStruct int
-	stale   bool
 
 	obj      float64
 	peak     float64 // largest |basic value| since beta was last rebuilt
@@ -125,16 +114,13 @@ func NewWorkspace(p *Problem) (*Workspace, error) {
 		cb:      make([]float64, m),
 		lu:      make([]float64, m*m),
 		x:       make([]float64, n),
-		whole:   [2]colRun{{0, int32(n)}, {int32(n), int32(n + m)}},
-		nStruct: 1,
 		maxIter: 200*(m+n) + 5000,
 	}
-	w.runs = w.whole[:]
 	if p.Maximize {
 		w.sense = 1
 	}
 	for j := 0; j < n; j++ {
-		w.lo[j], w.hi[j] = p.boundsAt(j)
+		w.lo[j], w.hi[j] = p.Bounds(j)
 	}
 	for i, op := range p.Op {
 		switch op {
@@ -154,8 +140,7 @@ func (w *Workspace) X() []float64 { return w.x }
 
 // DJ returns the structural reduced costs after a solve that returned
 // Optimal, under Solution.DJ's sign contract. The slice is the
-// workspace's own and read-only: the dual simplex carries it forward. The
-// entry of a retired column stops being kept once it rests fixed.
+// workspace's own and read-only: the dual simplex carries it forward.
 func (w *Workspace) DJ() []float64 { return w.d[:w.n:w.n] }
 
 // Objective returns cᵀx, in the problem's own sense, after a solve that
@@ -170,48 +155,6 @@ func (w *Workspace) Basis() []int { return w.basis }
 // Stats returns the work counters.
 func (w *Workspace) Stats() Stats { return w.stats }
 
-// Retire says that structural column j keeps lo = hi for good. Once it is
-// nonbasic and fixed, the dual simplex and pricing skip it — its reduced
-// cost and pivot-row entry are no longer kept — and compute every other
-// value as before. A SetBounds that gives j room again brings it back,
-// and the next Reoptimize starts cold. The first call allocates the
-// workspace's retirement state.
-func (w *Workspace) Retire(j int) {
-	if j < 0 || j >= w.n {
-		return
-	}
-	if w.retired == nil {
-		w.retired, w.runs = make([]bool, w.n), make([]colRun, 0, w.n/2+2)
-	}
-	if !w.retired[j] {
-		w.retired[j], w.stale = true, true
-	}
-}
-
-// colRun is the columns lo..hi−1. Runs keep the loops over them
-// contiguous: with nothing retired there is one run of structural columns
-// and one of logicals.
-type colRun struct{ lo, hi int32 }
-
-// active returns the runs, rebuilt first if a retired column moved.
-func (w *Workspace) active() []colRun {
-	if w.stale {
-		w.runs, w.stale = w.runs[:0], false
-		for j, r := range w.retired {
-			switch k := len(w.runs); {
-			case r && w.status[j] == fixed:
-			case k > 0 && int(w.runs[k-1].hi) == j:
-				w.runs[k-1].hi++
-			default:
-				w.runs = append(w.runs, colRun{int32(j), int32(j) + 1})
-			}
-		}
-		w.nStruct = len(w.runs)
-		w.runs = append(w.runs, colRun{int32(w.n), int32(w.n + w.m)})
-	}
-	return w.runs
-}
-
 // value returns the current value of nonbasic column j.
 func (w *Workspace) value(j int) float64 {
 	if w.status[j] == atUpper {
@@ -223,9 +166,6 @@ func (w *Workspace) value(j int) float64 {
 // rest makes column j nonbasic at its upper or lower bound, or fixed when
 // its domain leaves it no room to move.
 func (w *Workspace) rest(j int, upper bool) {
-	if j < len(w.retired) && w.retired[j] {
-		w.stale = true
-	}
 	switch {
 	case w.hi[j]-w.lo[j] <= pivTol:
 		w.status[j] = fixed
@@ -276,9 +216,6 @@ func (w *Workspace) SetBounds(j int, lo, hi float64) error {
 	}
 	if lo > hi {
 		w.empty++
-	}
-	if j < len(w.retired) && w.retired[j] && hi-lo > pivTol { // its reduced cost may be stale
-		w.retired[j], w.stale, w.hasBasis = false, true, false
 	}
 	st := w.status[j]
 	if !w.hasBasis || st == basic {
@@ -550,11 +487,10 @@ func (w *Workspace) rebuild() bool {
 }
 
 // price sets y = c_Bᵀ B⁻¹ from the basic costs in cb, then the reduced
-// cost of every active column: d_j = c_j − y·A_j, with c ≡ 0 off the
-// basis in phase 1.
+// cost of every column: d_j = c_j − y·A_j, with c ≡ 0 off the basis in
+// phase 1.
 func (w *Workspace) price(phase1 bool) {
 	n, m := w.n, w.m
-	runs := w.active()[:w.nStruct]
 	clear(w.y)
 	for i, c := range w.cb {
 		if c == 0 {
@@ -564,23 +500,18 @@ func (w *Workspace) price(phase1 bool) {
 			w.y[k] += c * b
 		}
 	}
-	for _, c := range runs {
-		d := w.d[c.lo:c.hi]
-		if phase1 {
-			clear(d)
-			continue
-		}
-		for k, cj := range w.p.C[c.lo:c.hi] {
-			d[k] = w.sense * cj
+	d := w.d[:n]
+	if phase1 {
+		clear(d)
+	} else {
+		for j, cj := range w.p.C {
+			d[j] = w.sense * cj
 		}
 	}
 	for i, yi := range w.y {
 		w.d[n+i] = -yi
-		if yi == 0 {
-			continue
-		}
-		for _, c := range runs {
-			axpy(w.d[c.lo:c.hi], -yi, w.p.A[i][c.lo:c.hi])
+		if yi != 0 {
+			axpy(d, -yi, w.p.A[i])
 		}
 	}
 }
@@ -809,19 +740,13 @@ func (w *Workspace) dual(done <-chan struct{}) Status {
 			}
 			return Optimal
 		}
-		// Pivot row alpha_j = e_rᵀ B⁻¹ A_j over every active column.
-		runs := w.active()
+		// Pivot row alpha_j = e_rᵀ B⁻¹ A_j over every column.
 		rho := w.binv[r*m : (r+1)*m]
-		for _, c := range runs[:w.nStruct] {
-			clear(w.alpha[c.lo:c.hi])
-		}
+		clear(w.alpha[:n])
 		for i, ri := range rho {
 			w.alpha[n+i] = ri
-			if ri == 0 {
-				continue
-			}
-			for _, c := range runs[:w.nStruct] {
-				axpy(w.alpha[c.lo:c.hi], ri, w.p.A[i][c.lo:c.hi])
+			if ri != 0 {
+				axpy(w.alpha[:n], ri, w.p.A[i])
 			}
 		}
 		// Ratio test (Harris). Basic r changes by −alpha_j·Δx_j, so with s
@@ -832,26 +757,23 @@ func (w *Workspace) dual(done <-chan struct{}) Status {
 		// step, the largest pivot. A tolerance on the ratios themselves
 		// would be meaningless: they scale with 1/|alpha|.
 		maxStep, cand := math.Inf(1), w.cand[:0]
-		for _, c := range runs {
-			for j := c.lo; j < c.hi; j++ {
-				st := w.status[j]
-				if st >= fixed {
-					continue
-				}
-				a := s * w.alpha[j]
-				if st == atUpper {
-					a = -a
-				}
-				if a <= pivTol {
-					continue
-				}
-				// |d_j| is −d_j at a lower bound and d_j at an upper one, up
-				// to the optTol by which either may already overshoot.
-				if step := (math.Abs(w.d[j]) + optTol) / a; step < maxStep {
-					maxStep = step
-				}
-				cand = append(cand, j)
+		for j, st := range w.status {
+			if st >= fixed {
+				continue
 			}
+			a := s * w.alpha[j]
+			if st == atUpper {
+				a = -a
+			}
+			if a <= pivTol {
+				continue
+			}
+			// |d_j| is −d_j at a lower bound and d_j at an upper one, up to
+			// the optTol by which either may already overshoot.
+			if step := (math.Abs(w.d[j]) + optTol) / a; step < maxStep {
+				maxStep = step
+			}
+			cand = append(cand, int32(j))
 		}
 		q, best, bestA := -1, 0.0, 0.0
 		for _, j := range cand {
@@ -898,9 +820,7 @@ func (w *Workspace) dual(done <-chan struct{}) Status {
 		}
 		w.notePeak()
 		if theta := w.d[q] / w.col[r]; theta != 0 {
-			for _, c := range runs {
-				axpy(w.d[c.lo:c.hi], -theta, w.alpha[c.lo:c.hi])
-			}
+			axpy(w.d, -theta, w.alpha)
 		}
 		w.d[q] = 0
 		enterVal := w.value(q) + step

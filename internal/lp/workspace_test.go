@@ -177,67 +177,6 @@ func TestIterationCapReportsIterLimit(t *testing.T) {
 	}
 }
 
-// TestRetiredColumnComesBack: a retired column leaves the dual simplex's
-// loops and keeps no reduced cost, so giving it room again must not let a
-// warm start trust the stale one — the workspace re-optimizes cold and
-// agrees with a cold solve, before and after.
-func TestRetiredColumnComesBack(t *testing.T) {
-	ctx := context.Background()
-	p := packageLP(3, 300, 7)
-	w, err := NewWorkspace(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err := w.Solve(ctx); err != nil || st != Optimal {
-		t.Fatalf("root %v, %v", st, err)
-	}
-	cur := *p
-	cur.Lo, cur.Hi = make([]float64, 300), append([]float64(nil), p.Hi...)
-	check := func(what string) {
-		t.Helper()
-		st, err := w.Reoptimize(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := SolveCtx(ctx, &cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != cold.Status || (st == Optimal && math.Abs(w.Objective()-cold.Objective) > 1e-9*math.Max(1, math.Abs(cold.Objective))) {
-			t.Fatalf("%s: warm %v %.12g, cold %v %.12g", what, st, w.Objective(), cold.Status, cold.Objective)
-		}
-	}
-	// Retire every other column at zero, then branch on what is left.
-	for j := 0; j < 300; j += 2 {
-		cur.Hi[j] = 0
-		w.Retire(j)
-		if err := w.SetBounds(j, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("retired")
-	for k := 0; k < 6; k++ {
-		j := fractional(w)
-		if j < 0 {
-			break
-		}
-		cur.Lo[j], cur.Hi[j] = 1, 1
-		if err := w.SetBounds(j, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-		check("branched")
-	}
-	cold := w.Stats().ColdSolves
-	cur.Hi[0] = 1
-	if err := w.SetBounds(0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	check("column 0 back in play")
-	if w.Stats().ColdSolves != cold+1 {
-		t.Errorf("%d cold solves after the column came back, want %d", w.Stats().ColdSolves, cold+1)
-	}
-}
-
 func TestSetBoundsContract(t *testing.T) {
 	ctx := context.Background()
 	w, err := NewWorkspace(packageLP(3, 50, 2))

@@ -303,16 +303,12 @@ SUCH THAT COUNT(P.*) = 1 MINIMIZE SUM(P.name)`)
 // TestIncumbentStreamDirect is the acceptance test for anytime results:
 // a DIRECT solve over the galaxy workload streams feasible packages whose
 // objectives improve monotonically toward the optimal package it returns.
-// Over 250 rows the tree finds its incumbents itself, and at least two
-// improve on the first. Over 3 000 rows the first incumbent comes from
-// the restricted core, which tends to hand over the optimum at once, so
-// one incumbent is all the stream promises; the trace says where it came
-// from.
+// Over 250 rows at least two incumbents improve on the first. Over 3 000
+// rows the search branches over a working set, where local search tends
+// to hand over the optimum at once, so one incumbent is all the stream
+// promises.
 func TestIncumbentStreamDirect(t *testing.T) {
-	for _, tc := range []struct {
-		rows, atLeast int
-		core          bool
-	}{{250, 3, false}, {3000, 1, true}} {
+	for _, tc := range []struct{ rows, atLeast int }{{250, 3}, {3000, 1}} {
 		t.Run(strconv.Itoa(tc.rows), func(t *testing.T) {
 			rel := workload.Galaxy(tc.rows, 5)
 			sess, err := paq.Open(paq.Table(rel), paq.WithMethod(paq.MethodDirect))
@@ -326,7 +322,7 @@ MINIMIZE SUM(P.redshift)`)
 				t.Fatal(err)
 			}
 			var incs []paq.Incumbent
-			res, err := stmt.Execute(context.Background(), paq.WithTrace(), paq.WithIncumbent(func(inc paq.Incumbent) {
+			res, err := stmt.Execute(context.Background(), paq.WithIncumbent(func(inc paq.Incumbent) {
 				incs = append(incs, inc)
 			}))
 			if err != nil {
@@ -366,18 +362,6 @@ MINIMIZE SUM(P.redshift)`)
 			}
 			if got := sess.Incumbents(); got != uint64(len(incs)) {
 				t.Errorf("session incumbent counter = %d, want %d", got, len(incs))
-			}
-			fromCore := false
-			var walk func(n *paq.TraceNode)
-			walk = func(n *paq.TraceNode) {
-				fromCore = fromCore || n.Name == "ilp" && n.Attrs["core_incumbent"] == true
-				for _, c := range n.Children {
-					walk(c)
-				}
-			}
-			walk(res.Trace())
-			if fromCore != tc.core {
-				t.Errorf("core incumbent %v, want %v", fromCore, tc.core)
 			}
 		})
 	}
