@@ -32,8 +32,9 @@ type EvalStats struct {
 	// LPIterations is the total simplex iterations.
 	LPIterations int
 	// WarmSolves counts node relaxations re-optimized from the basis of
-	// the node before; ColdSolves those solved from scratch (each ILP's
-	// root, and any node whose warm start failed numerically).
+	// the node before; ColdSolves those solved from scratch (each sifting
+	// round of an ILP's root, each working-set round's root, and any node
+	// whose warm start failed numerically).
 	WarmSolves, ColdSolves int
 	// BuildTime is the PaQL→ILP translation/materialization time.
 	BuildTime time.Duration
@@ -234,6 +235,8 @@ func SolveILP(ctx context.Context, prob *ilp.Problem, opt ilp.Options) (*ilp.Res
 	sp.SetAttrInt("retired", int64(res.Retired))
 	sp.SetAttrInt("rounds", int64(res.Rounds))
 	sp.SetAttrInt("working_set", int64(res.WorkingSet))
+	sp.SetAttrInt("root_rounds", int64(res.RootRounds))
+	sp.SetAttrInt("root_columns", int64(res.RootColumns))
 	sp.SetAttrStr("status", res.Status.String())
 	switch res.Status {
 	case ilp.Infeasible:

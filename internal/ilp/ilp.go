@@ -9,10 +9,10 @@
 // fractional basic variable with ties — fractionalities within
 // branchTieTol of the largest — broken by lowest index, which makes the
 // tree a function of the problem and not of the order the LP kernel
-// happened to pivot in. A search over many variables branches over a
-// working set that the root's reduced costs choose, and reports an
-// optimum only once the same reduced costs certify every variable left
-// out of it.
+// happened to pivot in. A search over many variables sifts its root over
+// a working set its own duals price, branches over one that the root's
+// reduced costs choose, and reports an optimum only once the same reduced
+// costs certify every variable left out of it.
 //
 // It is the repository's stand-in for the black-box commercial solver
 // (IBM CPLEX) used in the paper: same contract — the caller hands over a
@@ -135,13 +135,14 @@ type Result struct {
 	Retired int
 	// Rounds counts the working-set rounds, each one's root included in
 	// Nodes (0: the search ran over every variable); WorkingSet is how
-	// many variables the last round branched over.
-	Rounds, WorkingSet int
+	// many variables the last round branched over. RootRounds and
+	// RootColumns say the same of the root LP's sifting (1 and n: unsifted).
+	Rounds, WorkingSet, RootRounds, RootColumns int
 	// Stats are the LP kernel's work counters over the whole search, every
 	// round's included: WarmSolves (node relaxations re-optimized from the
-	// basis of the node before), ColdSolves (the roots, and any node whose
-	// warm start failed numerically), DualIterations + PrimalIterations =
-	// LPIterations, and Refactorizations.
+	// basis of the node before), ColdSolves (RootRounds + Rounds, and any
+	// node whose warm start failed numerically), DualIterations +
+	// PrimalIterations = LPIterations, and Refactorizations.
 	lp.Stats
 }
 
@@ -149,9 +150,10 @@ const (
 	intTol = 1e-6
 
 	rowTol = 1e-7 // the LP kernel's feasibility tolerance
+	optTol = 1e-9 // the LP kernel's optimality tolerance
 
-	// workingSet is the size of the first working set of a search over
-	// more than twice as many variables (see solve).
+	// workingSet is the size of a search's first working sets, and of a
+	// sifting round's additions, over more than twice as many variables.
 	workingSet = 64
 
 	// branchTieTol is the band below the largest fractionality inside
@@ -177,6 +179,7 @@ type relaxation interface {
 	X() []float64
 	Basis() []int
 	DJ() []float64
+	Duals() []float64
 	Objective() float64
 	Stats() lp.Stats
 }
@@ -243,21 +246,26 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 // first working set of initial variables for a problem over more than
 // 2·initial.
 //
-// Such a search solves the root relaxation over every variable and, unless
-// it is integral, branches in rounds, each over the problem restricted to
-// a working set W with every other variable held at its lower bound. The
-// first W is the root's variables off their lower bound and the
-// continuous ones, filled up to initial with the smallest root |dⱼ|.
-// A round that explores |W| nodes without an incumbent ends and W doubles.
-// A round that ends with an incumbent has its left-out variables checked
-// by the test reduced-cost fixing applies (root bound − |dⱼ| cannot beat
-// the incumbent, so xⱼ stays at its lower bound): any that fail join W,
-// and the next round starts with the incumbent as its cutoff. The answer
-// is optimal only when none fails.
+// Such a search sifts the root relaxation: it solves it over a working
+// set W, every other variable held at its lower bound, and up to initial
+// of those whose reduced cost under the duals would improve the objective
+// (or cut the infeasibility of W alone) join W, until none would. W starts
+// as the initial best objective coefficients, the continuous variables
+// and those with no lower bound. Unless the root is integral, the search
+// then branches in rounds, each over a fresh W: first the root's variables
+// off their lower bound and the continuous ones, filled up to initial with
+// the smallest root |dⱼ|. A round that explores |W| nodes without an
+// incumbent ends and W doubles. One that ends with an incumbent z checks
+// the variables left out by reduced-cost fixing's test (root bound − |dⱼ|
+// cannot beat z): any that fail join W for another round with z as its
+// cutoff. The answer is optimal only when none fails.
 func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxation func(*lp.Problem) (relaxation, error)) (*Result, error) {
 	n := p.LP.NumVars()
 	if p.Integer != nil && len(p.Integer) != n {
 		return nil, fmt.Errorf("ilp: Integer has length %d, want %d", len(p.Integer), n)
+	}
+	if err := p.LP.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", lp.ErrBadProblem, err)
 	}
 	maxNodes := opt.MaxNodes
 	if maxNodes <= 0 {
@@ -267,10 +275,7 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	if opt.TimeLimit > 0 {
 		deadline = time.Now().Add(opt.TimeLimit)
 	}
-	rx, err := newRelaxation(&p.LP)
-	if err != nil {
-		return nil, err
-	}
+	var rx relaxation
 
 	// Base bounds: the problem's, with integral variables tightened to
 	// integers, later tightened further by reduced-cost fixing.
@@ -368,6 +373,9 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	// tally adds the relaxation's work counters to the result's; done
 	// stamps the final ones.
 	tally := func() {
+		if rx == nil {
+			return
+		}
 		s := rx.Stats()
 		res.WarmSolves += s.WarmSolves
 		res.ColdSolves += s.ColdSolves
@@ -554,20 +562,27 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 				}
 			}
 		}
+		// Sum over the package alone: a zero xⱼ's ±0 term moves no bit of a sum that is never −0.
 		x = xf
-		for i, row := range p.LP.A {
-			act[i] = 0
-			for j, a := range row {
-				act[i] += a * x[j]
+		clear(act)
+		for j, xj := range x {
+			if xj != 0 {
+				for i, row := range p.LP.A {
+					act[i] += row[j] * xj
+				}
 			}
+		}
+		for i := range act {
 			if q >= 0 && !rowOK(i, act[i]) {
 				return q, v
 			}
 		}
 		localSearch(x)
 		o := 0.0
-		for j := 0; j < n; j++ {
-			o += p.LP.C[j] * x[j]
+		for j, xj := range x {
+			if xj != 0 {
+				o += p.LP.C[j] * xj
+			}
 		}
 		if res.HasIncumbent && !better(o, res.Objective) {
 			return -1, 0
@@ -590,31 +605,6 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 
 	var arena nodeArena
 	root := arena.new(node{varIdx: -1})
-	st, err := solveNode(root)
-	if err != nil {
-		return nil, err
-	}
-	switch st {
-	case lp.Infeasible:
-		return done(Infeasible)
-	case lp.Unbounded:
-		return done(Unbounded)
-	case lp.IterLimit:
-		res.BestBound = -worst // nothing is proven
-		return done(ResourceLimit)
-	}
-	root.bound = rx.Objective()
-	copy(rootDJ, rx.DJ())
-	for j, v := range rx.X() {
-		switch {
-		case math.Abs(v-baseLo[j]) < 1e-7:
-			rootAt[j] = -1
-		case math.Abs(v-baseHi[j]) < 1e-7:
-			rootAt[j] = 1
-		}
-	}
-	rootBoundInt = internal(root.bound)
-
 	h := &nodeHeap{maximize: p.LP.Maximize}
 
 	// pruned reports whether a bound cannot beat the incumbent. The
@@ -728,37 +718,38 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	movable := func(j int) bool { return !inW[j] && baseHi[j] > baseLo[j] }
 
 	// grow fills the working set up to size variables with movable ones
-	// of the smallest root |dⱼ|: with k places left and t the k-th smallest
-	// value, every one below t less a band of branchTieTol·(1+t), then the
-	// lowest indices within the band — so the set is a function of the
-	// problem, not of the kernel's pivot path, as mostFractional's is. It
-	// returns how many it added; left is how many stay out.
-	var mag []float64
-	left := 0
-	grow := func(size int) int {
-		mag, k := mag[:0], size
+	// of the smallest key below cut: with k places left and t the k-th
+	// smallest key, every one below t less a band of branchTieTol·(1+|t|),
+	// then the lowest indices within the band — so the set is a function of
+	// the problem, not of the kernel's pivot path, as mostFractional's is.
+	// It returns how many it added; left is how many stay out.
+	cand, val, left := []int(nil), []float64(nil), 0
+	grow := func(size int, key func(j int) float64, cut float64) int {
+		k, cand, val := size, cand[:0], val[:0]
 		for j, in := range inW {
 			if in {
 				k--
-			} else if movable(j) {
-				mag = append(mag, math.Abs(rootDJ[j]))
+			} else if baseHi[j] > baseLo[j] {
+				if v := key(j); v < cut {
+					cand, val = append(cand, j), append(val, v)
+				}
 			}
 		}
 		k = max(k, 0)
 		k0, t, band := k, math.Inf(1), 0.0
-		if 0 < k && k < len(mag) {
-			t = kth(mag, k)
-			band = branchTieTol * (1 + t)
+		if 0 < k && k < len(val) {
+			t = kth(val, k)
+			band = branchTieTol * (1 + math.Abs(t))
 		}
 		for pass := 0; pass < 2; pass++ {
-			for j := range inW {
-				if d := math.Abs(rootDJ[j]); k > 0 && movable(j) && (d < t-band || pass == 1 && d <= t+band) {
+			for c, j := range cand {
+				if v := val[c]; k > 0 && !inW[j] && (v < t-band || pass == 1 && v <= t+band) {
 					inW[j] = true
 					k--
 				}
 			}
 		}
-		left = len(mag) - (k0 - k)
+		left = len(cand) - (k0 - k)
 		return k0 - k
 	}
 
@@ -790,35 +781,111 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		}
 		tally()
 		rx, width = next, len(cols)
-		res.Rounds, res.WorkingSet = res.Rounds+1, width
 		return nil
 	}
 
-	var lost float64
-	if n <= 2*initial || mostFractional() < 0 {
-		lost, err = search(branch(root), false)
+	// sift solves the root relaxation over a working set, as solve's
+	// comment describes, and prices every variable outside it into rootDJ.
+	sift := func() (lp.Status, error) {
+		for j := range baseLo {
+			if baseLo[j] > baseHi[j] {
+				return lp.Infeasible, nil // as the kernel's empty-domain count is
+			}
+		}
+		inW, cols = make([]bool, n), []int{} // cols: a subset from now on, even an empty one
+		cand, val = make([]int, 0, n), make([]float64, 0, n)
+		grow(initial, func(j int) float64 { return -internal(p.LP.C[j]) }, math.Inf(1))
+		for j := range inW {
+			inW[j] = inW[j] || !p.integral(j) || math.IsInf(baseLo[j], -1)
+		}
+		for {
+			if err := enter(); err != nil {
+				return 0, err
+			}
+			res.RootRounds, res.RootColumns = res.RootRounds+1, width
+			st, err := solveNode(root)
+			if err != nil || st != lp.Optimal && st != lp.Infeasible {
+				return st, err
+			}
+			for j, c := range p.LP.C {
+				rootDJ[j], rootAt[j] = internal(c), -1 // at the lower bound, unless in W
+			}
+			if st == lp.Infeasible {
+				clear(rootDJ) // phase 1 prices the infeasibility alone
+			}
+			for i, yi := range rx.Duals() {
+				if yi != 0 {
+					for j, a := range p.LP.A[i] {
+						rootDJ[j] -= yi * a
+					}
+				}
+			}
+			if grow(width+initial, func(j int) float64 { return -rootDJ[j] }, -optTol) == 0 {
+				return st, nil
+			}
+		}
+	}
+
+	var st lp.Status
+	var err error
+	if n > 2*initial {
+		st, err = sift()
 	} else {
-		// Rounds, as solve's comment describes: a round that gives up
-		// doubles the working set, and one that ends with an incumbent
-		// takes in whatever reduced-cost fixing left movable. The basis is
-		// not read: a degenerate basic variable rests on its lower bound
-		// with dⱼ = 0, so grow takes it in by index, not by the pivot path.
-		inW = make([]bool, n)
+		res.RootRounds, res.RootColumns = 1, n
+		if rx, err = newRelaxation(&p.LP); err == nil {
+			st, err = solveNode(root)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch st {
+	case lp.Infeasible:
+		return done(Infeasible)
+	case lp.Unbounded:
+		return done(Unbounded)
+	case lp.IterLimit:
+		res.BestBound = -worst // nothing is proven
+		return done(ResourceLimit)
+	}
+	root.bound = rx.Objective() + offset
+	rootBoundInt = internal(root.bound)
+	for k, v := range rx.X() {
+		j := full(k)
+		rootDJ[j], rootAt[j] = rx.DJ()[k], 0
+		switch {
+		case math.Abs(v-baseLo[j]) < 1e-7:
+			rootAt[j] = -1
+		case math.Abs(v-baseHi[j]) < 1e-7:
+			rootAt[j] = 1
+		}
+	}
+
+	lost := worst
+	if n <= 2*initial {
+		lost, err = search(branch(root), false)
+	} else if mostFractional() >= 0 || branch(root) != nil {
+		// Rounds, as solve's comment describes (after an integral root too, if
+		// rounding it breaks a row: branch's children go with the heap). The
+		// basis is not read: a degenerate basic variable rests on its lower
+		// bound with dⱼ = 0, so grow takes it in by index, not pivot path.
 		for j := range inW {
 			inW[j] = rootAt[j] >= 0 || !p.integral(j)
 		}
-		grow(initial)
+		rootMag := func(j int) float64 { return math.Abs(rootDJ[j]) }
+		grow(initial, rootMag, math.Inf(1))
 		for err == nil {
 			if err = enter(); err != nil {
 				break
 			}
+			res.Rounds, res.WorkingSet = res.Rounds+1, width
 			h.nodes = h.nodes[:0] // what the last round left open
 			lost, err = search(arena.new(node{varIdx: -1, bound: root.bound}), left > 0)
 			size := 2 * width
 			if res.HasIncumbent {
 				size = n
 			}
-			if err != nil || limited || grow(size) == 0 {
+			if err != nil || limited || grow(size, rootMag, math.Inf(1)) == 0 {
 				break
 			}
 		}
@@ -853,32 +920,27 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	return done(Optimal)
 }
 
-// kth returns the k-th smallest of v, 1 ≤ k ≤ len(v), reordering v: a
-// quickselect, O(len(v)) expected where a sort is O(n log n).
+// kth returns the k-th smallest of v, 1 ≤ k ≤ len(v): it keeps the k
+// smallest so far in a max-heap, so a later value costs one comparison
+// unless it displaces the largest — O(len(v)) for a working set's small k.
 func kth(v []float64, k int) float64 {
-	k--
-	for lo, hi := 0, len(v)-1; lo < hi; {
-		p, i, j := v[(lo+hi)/2], lo, hi
-		for i <= j {
-			for v[i] < p {
-				i++
-			}
-			for v[j] > p {
-				j--
-			}
-			if i <= j {
-				v[i], v[j] = v[j], v[i]
-				i, j = i+1, j-1
-			}
+	h := slices.Clone(v[:k])
+	slices.Sort(h)
+	slices.Reverse(h) // descending order is a max-heap
+	for _, x := range v[k:] {
+		if x >= h[0] {
+			continue
 		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return v[k]
+		h[0] = x
+		for i, c := 0, 1; c < k; i, c = c, 2*c+1 {
+			if c+1 < k && h[c+1] > h[c] {
+				c++
+			}
+			if h[i] >= h[c] {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
 		}
 	}
-	return v[k]
+	return h[0]
 }

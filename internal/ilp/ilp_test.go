@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -238,6 +239,26 @@ func TestBadIntegerLength(t *testing.T) {
 	}
 	if _, err := SolveCtx(context.Background(), p, Options{}); err == nil {
 		t.Fatal("mismatched Integer length accepted")
+	}
+}
+
+// TestKth: kth agrees with sorting, ties and descending input included.
+func TestKth(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		v := make([]float64, 1+rng.Intn(300))
+		for i := range v {
+			v[i] = float64(rng.Intn(50))
+			if trial%3 == 0 {
+				v[i] = -float64(i) // every value displaces the heap's largest
+			}
+		}
+		k := 1 + rng.Intn(len(v))
+		sorted := slices.Clone(v)
+		slices.Sort(sorted)
+		if got := kth(v, k); got != sorted[k-1] {
+			t.Fatalf("kth(%v, %d) = %v, want %v", sorted, k, got, sorted[k-1])
+		}
 	}
 }
 

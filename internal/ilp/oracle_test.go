@@ -18,7 +18,6 @@ import (
 
 const (
 	feasTol = 1e-7
-	optTol  = 1e-9
 	pivTol  = 1e-9
 )
 
@@ -268,13 +267,16 @@ func (tb *tableau) objective() float64 {
 	return z
 }
 
-// SolveCtx solves the linear program, aborting early (with the context's
+// denseSolve solves the linear program, aborting early (with the context's
 // error) when ctx is denseCanceled or its deadline passes. Cancellation is
 // polled every 64 simplex iterations, so an abandoned solve stops within
-// microseconds rather than running its full iteration budget.
-func denseSolve(ctx context.Context, p *lp.Problem, maxIter int) (*lp.Solution, error) {
+// microseconds rather than running its full iteration budget. Besides the
+// solution it returns the duals y = c_Bᵀ B⁻¹ of the phase it ended in: the
+// real objective's at an optimum, phase 1's when that proves the rows
+// infeasible.
+func denseSolve(ctx context.Context, p *lp.Problem, maxIter int) (*lp.Solution, []float64, error) {
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", lp.ErrBadProblem, err)
+		return nil, nil, fmt.Errorf("%w: %v", lp.ErrBadProblem, err)
 	}
 	n := p.NumVars()
 	m := p.NumRows()
@@ -346,6 +348,7 @@ func denseSolve(ctx context.Context, p *lp.Problem, maxIter int) (*lp.Solution, 
 			startVal[j] = tb.lo[j]
 		}
 	}
+	signs := make([]float64, m)
 	for i := 0; i < m; i++ {
 		tb.t[i] = make([]float64, nTotal)
 		resid := p.B[i]
@@ -366,6 +369,7 @@ func denseSolve(ctx context.Context, p *lp.Problem, maxIter int) (*lp.Solution, 
 			sign = -1
 		}
 		art := n + nSlack + i
+		signs[i] = sign
 		tb.t[i][art] = sign
 		tb.basis[i] = art
 		tb.status[art] = basic
@@ -379,6 +383,17 @@ func denseSolve(ctx context.Context, p *lp.Problem, maxIter int) (*lp.Solution, 
 		}
 	}
 
+	// duals reads y off the tableau: the artificial of row i is the column
+	// signs[i]·eᵢ, so B⁻¹eᵢ = signs[i]·T[:,art] and yᵢ = signs[i]·(c_art − d_art).
+	duals := func() []float64 {
+		y := make([]float64, m)
+		for i := range y {
+			art := n + nSlack + i
+			y[i] = signs[i] * (tb.c[art] - tb.d[art])
+		}
+		return y
+	}
+
 	// Phase 1: maximize −Σ artificials.
 	for k := 0; k < m; k++ {
 		tb.c[n+nSlack+k] = -1
@@ -387,13 +402,13 @@ func denseSolve(ctx context.Context, p *lp.Problem, maxIter int) (*lp.Solution, 
 	st := tb.run()
 	iters := tb.iter
 	if st == denseCanceled {
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 	if st == lp.IterLimit {
-		return &lp.Solution{Status: lp.IterLimit, Iterations: iters}, nil
+		return &lp.Solution{Status: lp.IterLimit, Iterations: iters}, nil, nil
 	}
 	if tb.objective() < -feasTol {
-		return &lp.Solution{Status: lp.Infeasible, Iterations: iters}, nil
+		return &lp.Solution{Status: lp.Infeasible, Iterations: iters}, duals(), nil
 	}
 	// Fix artificials at 0 so they cannot re-enter with positive value.
 	for k := 0; k < m; k++ {
@@ -420,11 +435,11 @@ func denseSolve(ctx context.Context, p *lp.Problem, maxIter int) (*lp.Solution, 
 	iters += tb.iter
 	switch st {
 	case denseCanceled:
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	case lp.Unbounded:
-		return &lp.Solution{Status: lp.Unbounded, Iterations: iters}, nil
+		return &lp.Solution{Status: lp.Unbounded, Iterations: iters}, nil, nil
 	case lp.IterLimit:
-		return &lp.Solution{Status: lp.IterLimit, Iterations: iters}, nil
+		return &lp.Solution{Status: lp.IterLimit, Iterations: iters}, nil, nil
 	}
 
 	x := make([]float64, n)
@@ -443,7 +458,7 @@ func denseSolve(ctx context.Context, p *lp.Problem, maxIter int) (*lp.Solution, 
 	}
 	dj := make([]float64, n)
 	copy(dj, tb.d[:n])
-	return &lp.Solution{Status: lp.Optimal, X: x, Objective: obj, Iterations: iters, DJ: dj}, nil
+	return &lp.Solution{Status: lp.Optimal, X: x, Objective: obj, Iterations: iters, DJ: dj}, duals(), nil
 }
 
 func boundsAt(p *lp.Problem, j int) (lo, hi float64) {
@@ -462,6 +477,7 @@ func boundsAt(p *lp.Problem, j int) (lo, hi float64) {
 type denseRelaxation struct {
 	p       lp.Problem // shallow copy with private Lo/Hi
 	sol     *lp.Solution
+	y       []float64 // the last solve's duals, phase 1's after an infeasible one
 	stats   lp.Stats
 	maxIter int
 	basis   []int
@@ -502,16 +518,17 @@ func (r *denseRelaxation) Reoptimize(ctx context.Context) (lp.Status, error) {
 			return lp.Infeasible, nil
 		}
 	}
-	sol, err := denseSolve(ctx, &r.p, r.maxIter)
+	sol, y, err := denseSolve(ctx, &r.p, r.maxIter)
 	if err != nil {
 		return 0, err
 	}
-	r.sol = sol
+	r.sol, r.y = sol, y
 	r.stats.PrimalIterations += sol.Iterations
 	return sol.Status, nil
 }
 
 func (r *denseRelaxation) X() []float64       { return r.sol.X }
 func (r *denseRelaxation) DJ() []float64      { return r.sol.DJ }
+func (r *denseRelaxation) Duals() []float64   { return r.y }
 func (r *denseRelaxation) Objective() float64 { return r.sol.Objective }
 func (r *denseRelaxation) Stats() lp.Stats    { return r.stats }

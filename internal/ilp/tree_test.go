@@ -163,11 +163,20 @@ func TestInfeasibleCoreLeavesTheBudget(t *testing.T) {
 	}
 }
 
+// galaxyTrees pins the working-set search on the seven Galaxy templates
+// at 3 000 rows: nodes, rounds and the last round's |W|. Q5 and Q7 are
+// integral at the root.
+var galaxyTrees = map[string][3]int{
+	"Q1": {70, 1, 64}, "Q2": {93, 1, 64}, "Q3": {27, 1, 64}, "Q4": {88, 1, 64},
+	"Q5": {0, 0, 0}, "Q6": {1127, 1, 64}, "Q7": {0, 0, 0},
+}
+
 // TestWorkingSetMatchesFullWidth: the working-set search and the search
 // over every variable, through the same seam, agree on the status and on
 // the objective's bits for every fixture. Where their packages differ
 // they must tie: both satisfy every row and sum to the same objective,
-// and the test shows where they differ.
+// and the test shows where they differ. On the Galaxy templates the tree
+// is pinned too (galaxyTrees): sifting the root must not move it.
 func TestWorkingSetMatchesFullWidth(t *testing.T) {
 	names, probs := galaxyProblems(t, 3000)
 	for _, s := range refineShapes {
@@ -186,8 +195,11 @@ func TestWorkingSetMatchesFullWidth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: full width: %v", names[i], err)
 		}
-		t.Logf("%s: %v, %d nodes in %d rounds over %d of %d variables; full width %d nodes",
-			names[i], got.Status, got.Nodes, got.Rounds, got.WorkingSet, p.LP.NumVars(), want.Nodes)
+		t.Logf("%s: %v, root in %d rounds over %d, %d nodes in %d rounds over %d of %d variables; full width %d nodes",
+			names[i], got.Status, got.RootRounds, got.RootColumns, got.Nodes, got.Rounds, got.WorkingSet, p.LP.NumVars(), want.Nodes)
+		if tree, ok := galaxyTrees[names[i]]; ok && tree != [3]int{got.Nodes, got.Rounds, got.WorkingSet} {
+			t.Errorf("%s: %d nodes in %d rounds over %d, want %d in %d over %d", names[i], got.Nodes, got.Rounds, got.WorkingSet, tree[0], tree[1], tree[2])
+		}
 		if got.Status != want.Status || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
 			t.Errorf("%s: %v objective %v, full width %v %v", names[i], got.Status, got.Objective, want.Status, want.Objective)
 			continue
@@ -276,8 +288,8 @@ func TestTreeIndependentOfPivotPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", names[i], err)
 		}
-		t.Logf("%s: %v, %d nodes in %d rounds over %d variables, %d warm + %d cold solves, %d LP iterations (oracle-driven: %d)",
-			names[i], warm.Status, warm.Nodes, warm.Rounds, warm.WorkingSet, warm.WarmSolves, warm.ColdSolves, warm.LPIterations, cold.LPIterations)
+		t.Logf("%s: %v, root in %d rounds over %d variables, %d nodes in %d rounds over %d, %d warm + %d cold solves, %d LP iterations (oracle-driven: %d)",
+			names[i], warm.Status, warm.RootRounds, warm.RootColumns, warm.Nodes, warm.Rounds, warm.WorkingSet, warm.WarmSolves, warm.ColdSolves, warm.LPIterations, cold.LPIterations)
 		branched += warm.Nodes
 		if warm.Status != cold.Status || warm.Nodes != cold.Nodes || warm.Incumbents != cold.Incumbents {
 			t.Errorf("%s: warm %v/%d nodes/%d incumbents, oracle-driven %v/%d/%d",
@@ -300,9 +312,12 @@ func TestTreeIndependentOfPivotPath(t *testing.T) {
 				break
 			}
 		}
-		if roots := 1 + warm.Rounds; warm.ColdSolves != roots || warm.Rounds != cold.Rounds || warm.WorkingSet != cold.WorkingSet {
-			t.Errorf("%s: %d cold solves, want the roots only (1 + %d rounds); oracle-driven %d rounds over %d, warm over %d",
-				names[i], warm.ColdSolves, warm.Rounds, cold.Rounds, cold.WorkingSet, warm.WorkingSet)
+		if roots := warm.RootRounds + warm.Rounds; warm.ColdSolves != roots {
+			t.Errorf("%s: %d cold solves, want the roots only (%d root rounds + %d rounds)", names[i], warm.ColdSolves, warm.RootRounds, warm.Rounds)
+		}
+		if warm.RootRounds != cold.RootRounds || warm.RootColumns != cold.RootColumns || warm.Rounds != cold.Rounds || warm.WorkingSet != cold.WorkingSet {
+			t.Errorf("%s: root in %d rounds over %d, tree in %d over %d; oracle-driven %d over %d, %d over %d", names[i],
+				warm.RootRounds, warm.RootColumns, warm.Rounds, warm.WorkingSet, cold.RootRounds, cold.RootColumns, cold.Rounds, cold.WorkingSet)
 		}
 	}
 	if branched < 1000 {
@@ -312,7 +327,8 @@ func TestTreeIndependentOfPivotPath(t *testing.T) {
 
 // BenchmarkNodeThroughput is the branch-and-bound rung of the ladder:
 // the seven Galaxy templates over 3000 rows, solved to the benchmark's
-// gap, reported per node (root included).
+// gap, reported per node (root included), with the sifted root's rounds
+// and final width per solve.
 func BenchmarkNodeThroughput(b *testing.B) {
 	_, probs := galaxyProblems(b, 3000)
 	opt := ilp.Options{MaxNodes: 50000, Gap: 1e-4}
@@ -320,7 +336,7 @@ func BenchmarkNodeThroughput(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
-	nodes := 0
+	nodes, rootRounds, rootColumns := 0, 0, 0
 	for i := 0; i < b.N; i++ {
 		for _, p := range probs {
 			res, err := ilp.SolveCtx(ctx, p, opt)
@@ -328,22 +344,27 @@ func BenchmarkNodeThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			nodes += res.Nodes + 1
+			rootRounds, rootColumns = rootRounds+res.RootRounds, rootColumns+res.RootColumns
 		}
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
+	solves := float64(b.N * len(probs))
 	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(nodes), "B/node")
+	b.ReportMetric(float64(rootRounds)/solves, "root_rounds/solve")
+	b.ReportMetric(float64(rootColumns)/solves, "root_columns/solve")
 }
 
 // BenchmarkRefineGroup is the refine ILP's rung: the Q3- and Q6-shaped
-// groups above, solved to the benchmark's gap.
+// groups above, solved to the benchmark's gap, with the sifted root's
+// rounds and final width.
 func BenchmarkRefineGroup(b *testing.B) {
 	for _, s := range refineShapes {
 		b.Run(fmt.Sprintf("%s/n=%d", s.name, s.n), func(b *testing.B) {
 			p := s.problem(b)
 			opt := ilp.Options{MaxNodes: 50000, Gap: 1e-4}
-			nodes, iters := 0, 0
+			nodes, iters, rootRounds, rootColumns := 0, 0, 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := ilp.SolveCtx(context.Background(), p, opt)
@@ -351,10 +372,13 @@ func BenchmarkRefineGroup(b *testing.B) {
 					b.Fatal(err)
 				}
 				nodes, iters = nodes+res.Nodes, iters+res.LPIterations
+				rootRounds, rootColumns = rootRounds+res.RootRounds, rootColumns+res.RootColumns
 			}
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 			b.ReportMetric(float64(iters)/float64(b.N), "lp_iterations/op")
+			b.ReportMetric(float64(rootRounds)/float64(b.N), "root_rounds/op")
+			b.ReportMetric(float64(rootColumns)/float64(b.N), "root_columns/op")
 		})
 	}
 }

@@ -166,7 +166,8 @@ type Solution struct {
 	// nonbasic at its lower bound has DJ ≤ 0 and raising it by Δ can
 	// improve the (maximization) objective by at most DJ·Δ; a variable
 	// at its upper bound has DJ ≥ 0. Branch-and-bound uses these for
-	// reduced-cost variable fixing.
+	// reduced-cost variable fixing. They come from the duals y that
+	// Workspace.Duals returns, in the same sense: DJⱼ = ±Cⱼ − y·Aⱼ.
 	DJ []float64
 }
 

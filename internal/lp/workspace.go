@@ -143,6 +143,12 @@ func (w *Workspace) X() []float64 { return w.x }
 // workspace's own and read-only: the dual simplex carries it forward.
 func (w *Workspace) DJ() []float64 { return w.d[:w.n:w.n] }
 
+// Duals returns y = c_Bᵀ B⁻¹ of the last Solve (Reoptimize does not keep
+// it), read-only: DJ()ⱼ = ±Cⱼ − y·Aⱼ (+ to maximize) after an optimum, and
+// after Infeasible y is the composite phase-1 duals, under which −y·Aⱼ > 0
+// marks a column whose rise would cut the infeasibility.
+func (w *Workspace) Duals() []float64 { return w.y }
+
 // Objective returns cᵀx, in the problem's own sense, after a solve that
 // returned Optimal.
 func (w *Workspace) Objective() float64 { return w.obj }

@@ -210,7 +210,7 @@ func TestTraceSubproblemIDs(t *testing.T) {
 						t.Fatalf("ilp span without a subproblem attr: %v", n.Attrs)
 					}
 					ids = append(ids, id)
-					for _, a := range []string{"retired", "rounds", "working_set"} {
+					for _, a := range []string{"retired", "rounds", "working_set", "root_rounds", "root_columns"} {
 						if _, ok := n.Attrs[a]; !ok {
 							t.Errorf("ilp span without a %s attr: %v", a, n.Attrs)
 						}
