@@ -66,8 +66,8 @@ type loadCase struct {
 // differentially checks every response against in-process paq
 // executions over the same datasets. It returns an error when any
 // response mismatches the in-process ground truth. The observability
-// checks ride along: a mid-run /metrics scrape validated against the
-// exposition format, a quiesced /stats vs /metrics consistency check,
+// checks ride along: a mid-run /metrics scrape read back by series key,
+// a quiesced /stats vs /metrics consistency check,
 // and the tracing-overhead gate (a traced request, paired with an
 // untraced twin over identical warm state, must stay within 5% of it).
 func (e *Env) LoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenResult, error) {
@@ -131,9 +131,9 @@ func (e *Env) LoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenResult, e
 			}
 		}(c)
 	}
-	// Mid-run scrape: the exposition must parse and validate while the
-	// burst is still in flight — collectors snapshot live QoS, cache, and
-	// pin state, so this is where interleaving bugs show.
+	// Mid-run scrape: the exposition must read back while the burst is
+	// still in flight — collectors snapshot live QoS, cache, and pin
+	// state, so this is where a series rendered twice would show.
 	_, midScrapeErr := scrapeMetrics(ctx, client, base)
 	wg.Wait()
 	res.Elapsed = time.Since(start)
@@ -259,10 +259,9 @@ func timedQuery(ctx context.Context, client *http.Client, base string, c loadCas
 	return float64(elapsed) / float64(time.Millisecond), nil
 }
 
-// scrapeMetrics GETs /metrics, validates the text exposition (TYPE
-// declarations, family grouping, histogram invariants), and returns
-// the parsed samples.
-func scrapeMetrics(ctx context.Context, client *http.Client, base string) (*obs.Exposition, error) {
+// scrapeMetrics GETs /metrics and reads it back: each sample's value by
+// the series key it was written under (obs.SeriesKey).
+func scrapeMetrics(ctx context.Context, client *http.Client, base string) (map[string]float64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
 		return nil, err
@@ -279,11 +278,11 @@ func scrapeMetrics(ctx context.Context, client *http.Client, base string) (*obs.
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
 	}
-	expo, err := obs.ParseExposition(bytes.NewReader(raw))
+	_, values, err := obs.ReadText(bytes.NewReader(raw))
 	if err != nil {
-		return nil, fmt.Errorf("invalid exposition: %w", err)
+		return nil, fmt.Errorf("exposition does not read back: %w", err)
 	}
-	return expo, nil
+	return values, nil
 }
 
 // checkStatsMetricsConsistency asserts the /stats JSON block and the
@@ -291,7 +290,7 @@ func scrapeMetrics(ctx context.Context, client *http.Client, base string) (*obs.
 // the same obs.Registry cells; with the generator quiesced any drift
 // is a bug, so the comparison is exact.
 func checkStatsMetricsConsistency(ctx context.Context, client *http.Client, base string) error {
-	expo, err := scrapeMetrics(ctx, client, base)
+	values, err := scrapeMetrics(ctx, client, base)
 	if err != nil {
 		return err
 	}
@@ -321,7 +320,7 @@ func checkStatsMetricsConsistency(ctx context.Context, client *http.Client, base
 		{"paqld_rejected_total", st.Rejected},
 		{"paqld_failures_total", st.Failures},
 	} {
-		got, ok := expo.Value(chk.name, nil)
+		got, ok := values[chk.name]
 		if !ok {
 			return fmt.Errorf("%s missing from /metrics", chk.name)
 		}
@@ -330,7 +329,7 @@ func checkStatsMetricsConsistency(ctx context.Context, client *http.Client, base
 		}
 	}
 	for method, n := range st.Methods {
-		got, ok := expo.Value("paqld_solves_total", map[string]string{"method": method})
+		got, ok := values[obs.SeriesKey("paqld_solves_total", obs.Label{Name: "method", Value: method})]
 		if !ok {
 			return fmt.Errorf("paqld_solves_total{method=%q} missing from /metrics", method)
 		}

@@ -11,8 +11,10 @@ import (
 // allocProblem is a deterministic 0/1 knapsack with near-substitutable
 // items — the package-query shape that makes branch and bound lean on
 // incumbent local search and root reduced-cost fixing.
-func allocProblem() *Problem {
-	const n = 40
+func allocProblem() *Problem { return allocKnapsack(40) }
+
+// allocKnapsack is allocProblem's knapsack over n items.
+func allocKnapsack(n int) *Problem {
 	rng := rand.New(rand.NewSource(11))
 	p := &Problem{LP: lp.Problem{
 		Maximize: true,
@@ -64,5 +66,38 @@ func TestSolveAllocationsBounded(t *testing.T) {
 	const limit = 40
 	if avg > limit {
 		t.Errorf("Solve allocates %.1f objects across %d nodes (limit %d); a node-loop allocation regressed", avg, res.Nodes, limit)
+	}
+}
+
+// TestSolveAllocationsWorkingSet is the same gate over more than 128
+// variables, where the root is sifted and the tree searches in rounds:
+// each sifting round and each working-set round builds its problem and
+// workspace once, sized to the set, and a node still allocates nothing.
+func TestSolveAllocationsWorkingSet(t *testing.T) {
+	p := allocKnapsack(400)
+	res, err := SolveCtx(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != Optimal {
+		t.Fatalf("status %v, want optimal", res.Status)
+	}
+	if res.RootColumns >= 400 || res.Rounds < 1 || res.Nodes < 40 {
+		t.Fatalf("fixture too easy: root over %d variables, %d nodes in %d rounds; want a sifted root and a working-set search",
+			res.RootColumns, res.Nodes, res.Rounds)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := SolveCtx(context.Background(), p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Solve: %.1f allocations, root in %d rounds over %d, %d nodes in %d rounds over %d",
+		avg, res.RootRounds, res.RootColumns, res.Nodes, res.Rounds, res.WorkingSet)
+	// Measured 91 in one root round and one working-set round over 64 of
+	// the 400; appending each round's problem from nil instead of sizing
+	// it to the set cost 151.
+	const limit = 100
+	if avg > limit {
+		t.Errorf("Solve allocates %.1f objects (limit %d); a working-set round or a node allocates more", avg, limit)
 	}
 }

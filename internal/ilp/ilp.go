@@ -762,7 +762,6 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		for j, in := range inW {
 			if in {
 				cols = append(cols, j)
-				q.C, q.Lo, q.Hi = append(q.C, p.LP.C[j]), append(q.Lo, baseLo[j]), append(q.Hi, baseHi[j])
 			} else if lo := baseLo[j]; lo != 0 {
 				offset += p.LP.C[j] * lo
 				for i, row := range p.LP.A {
@@ -770,9 +769,15 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 				}
 			}
 		}
+		k := len(cols)
+		q.C, q.Lo, q.Hi = make([]float64, k), make([]float64, k), make([]float64, k)
+		for c, j := range cols {
+			q.C[c], q.Lo[c], q.Hi[c] = p.LP.C[j], baseLo[j], baseHi[j]
+		}
 		for i, row := range p.LP.A {
-			for _, j := range cols {
-				q.A[i] = append(q.A[i], row[j])
+			q.A[i] = make([]float64, k)
+			for c, j := range cols {
+				q.A[i][c] = row[j]
 			}
 		}
 		next, err := newRelaxation(q)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -223,28 +224,31 @@ func (r *Registry) CollectFunc(name, typ, help string, fn func() []Sample) {
 // seriesFor returns the series for one label combination, creating it
 // on first use.
 func (f *family) seriesFor(labels []Label) *series {
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
-	sig := labelSig(ls)
+	key := SeriesKey(f.name, labels...)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.series[sig]
+	s := f.series[key]
 	if s == nil {
-		s = &series{labels: ls}
-		f.series[sig] = s
+		s = &series{labels: slices.Clone(labels)}
+		f.series[key] = s
 	}
 	return s
 }
 
-// labelSig renders a sorted label set as the exposition's label block
-// ("" for no labels) — both the series key and the rendered form.
-func labelSig(labels []Label) string {
+// SeriesKey renders one series as WriteText writes it: the name, then
+// the labels sorted by name with their values escaped. A family keeps
+// its series under this key, and ReadText returns a scrape's values by
+// it.
+func SeriesKey(name string, labels ...Label) string {
 	if len(labels) == 0 {
-		return ""
+		return name
 	}
+	ls := slices.Clone(labels)
+	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
 	var b strings.Builder
+	b.WriteString(name)
 	b.WriteByte('{')
-	for i, l := range labels {
+	for i, l := range ls {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -281,7 +285,7 @@ func formatValue(v float64) string {
 
 // WriteText renders the registry in the text exposition format:
 // families sorted by name, one HELP/TYPE header each, series sorted
-// by label signature.
+// by series key.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.RLock()
 	names := make([]string, 0, len(r.fams))
@@ -304,24 +308,22 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 func (f *family) write(w io.Writer) error {
 	f.mu.Lock()
-	sigs := make([]string, 0, len(f.series))
-	for s := range f.series {
-		sigs = append(sigs, s)
-	}
+	keys := make([]string, 0, len(f.series))
 	sers := make(map[string]*series, len(f.series))
-	for s, v := range f.series {
-		sers[s] = v
+	for k, s := range f.series {
+		keys = append(keys, k)
+		sers[k] = s
 	}
 	collect := f.collect
 	f.mu.Unlock()
-	sort.Strings(sigs)
+	sort.Strings(keys)
 
 	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
 		f.name, escapeHelp(f.help), f.name, f.typ); err != nil {
 		return err
 	}
-	for _, sig := range sigs {
-		if err := sers[sig].write(w, f.name, sig); err != nil {
+	for _, k := range keys {
+		if err := sers[k].write(w, f.name, k); err != nil {
 			return err
 		}
 	}
@@ -332,9 +334,7 @@ func (f *family) write(w io.Writer) error {
 			if math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
 				continue
 			}
-			ls := append([]Label(nil), s.Labels...)
-			sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
-			lines = append(lines, f.name+labelSig(ls)+" "+formatValue(s.Value))
+			lines = append(lines, SeriesKey(f.name, s.Labels...)+" "+formatValue(s.Value))
 		}
 		sort.Strings(lines)
 		for _, l := range lines {
@@ -346,24 +346,24 @@ func (f *family) write(w io.Writer) error {
 	return nil
 }
 
-func (s *series) write(w io.Writer, name, sig string) error {
+func (s *series) write(w io.Writer, name, key string) error {
 	switch {
 	case s.ctr != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, sig, s.ctr.Value())
+		_, err := fmt.Fprintf(w, "%s %d\n", key, s.ctr.Value())
 		return err
 	case s.gaugeF != nil:
 		v := s.gaugeF()
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil
 		}
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, sig, formatValue(v))
+		_, err := fmt.Fprintf(w, "%s %s\n", key, formatValue(v))
 		return err
 	case s.gauge != nil:
 		v := s.gauge.Value()
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil
 		}
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, sig, formatValue(v))
+		_, err := fmt.Fprintf(w, "%s %s\n", key, formatValue(v))
 		return err
 	case s.histo != nil:
 		return s.writeHisto(w, name)
@@ -371,28 +371,28 @@ func (s *series) write(w io.Writer, name, sig string) error {
 	return nil
 }
 
-// writeHisto renders the cumulative bucket series plus _sum and
-// _count, re-rendering the label block with the le label appended.
+// writeHisto renders the cumulative bucket series, the last one at
+// le="+Inf", then _sum and _count. The bucket's label list is its own
+// copy: two scrapes may render the same series at once.
 func (s *series) writeHisto(w io.Writer, name string) error {
 	h := s.histo
+	ls := append(slices.Clip(s.labels), Label{Name: "le"})
 	var cum uint64
-	for i, ub := range h.bounds {
+	for i := range h.counts {
 		cum += h.counts[i].Load()
-		ls := append(append([]Label(nil), s.labels...),
-			Label{Name: "le", Value: strconv.FormatFloat(ub, 'g', -1, 64)})
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelSig(ls), cum); err != nil {
+		ub := math.Inf(1)
+		if i < len(h.bounds) {
+			ub = h.bounds[i]
+		}
+		ls[len(ls)-1].Value = strconv.FormatFloat(ub, 'g', -1, 64)
+		if _, err := fmt.Fprintf(w, "%s %d\n", SeriesKey(name+"_bucket", ls...), cum); err != nil {
 			return err
 		}
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	ls := append(append([]Label(nil), s.labels...), Label{Name: "le", Value: "+Inf"})
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelSig(ls), cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %s\n", SeriesKey(name+"_sum", s.labels...), formatValue(h.Sum())); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labelSig(s.labels), formatValue(h.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labelSig(s.labels), h.Count())
+	_, err := fmt.Fprintf(w, "%s %d\n", SeriesKey(name+"_count", s.labels...), h.Count())
 	return err
 }
 

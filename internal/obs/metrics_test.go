@@ -2,12 +2,13 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
 // TestExpositionGolden: a registry with one of each metric kind must
 // render the exact text-format bytes — names, types, escaping, bucket
-// series — and the rendering must survive its own validator.
+// series — and every series must read back under its SeriesKey.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("paqld_queries_total", "Total queries.")
@@ -58,15 +59,46 @@ paqld_weird_total{q="a\\b\"c\nd"} 1
 	if got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	exp, err := ParseExposition(strings.NewReader(got))
+	_, values, err := ReadText(strings.NewReader(got))
 	if err != nil {
-		t.Fatalf("own exposition fails validation: %v", err)
+		t.Fatalf("own exposition does not read back: %v", err)
 	}
-	if v, ok := exp.Value("paqld_solves_total", map[string]string{"method": "sketchrefine"}); !ok || v != 2 {
-		t.Fatalf("parsed value = %v, %v", v, ok)
+	if v, ok := values[SeriesKey("paqld_solves_total", Label{Name: "method", Value: "sketchrefine"})]; !ok || v != 2 {
+		t.Fatalf("read-back value = %v, %v", v, ok)
 	}
-	if v, ok := exp.Value("paqld_weird_total", map[string]string{"q": "a\\b\"c\nd"}); !ok || v != 1 {
+	if v, ok := values[SeriesKey("paqld_weird_total", Label{Name: "q", Value: "a\\b\"c\nd"})]; !ok || v != 1 {
 		t.Fatalf("escaped label round-trip failed: %v, %v", v, ok)
+	}
+
+	// A labelled histogram: le sorts in among the series' own labels, and
+	// _sum and _count carry the labels without it.
+	r = NewRegistry()
+	lh := r.Histogram("paqld_wait_seconds", "Wait.", []float64{0.5},
+		Label{Name: "queue", Value: "solve"}, Label{Name: "class", Value: "a"})
+	lh.Observe(0.25)
+	lh.Observe(2)
+	b.Reset()
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	want = `# HELP paqld_wait_seconds Wait.
+# TYPE paqld_wait_seconds histogram
+paqld_wait_seconds_bucket{class="a",le="0.5",queue="solve"} 1
+paqld_wait_seconds_bucket{class="a",le="+Inf",queue="solve"} 2
+paqld_wait_seconds_sum{class="a",queue="solve"} 2.25
+paqld_wait_seconds_count{class="a",queue="solve"} 2
+`
+	if got := b.String(); got != want {
+		t.Fatalf("labelled histogram mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	_, values, err = ReadText(strings.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := SeriesKey("paqld_wait_seconds_bucket", Label{Name: "queue", Value: "solve"},
+		Label{Name: "le", Value: "+Inf"}, Label{Name: "class", Value: "a"})
+	if v, ok := values[inf]; !ok || v != 2 {
+		t.Fatalf("%s = %v, %v", inf, v, ok)
 	}
 }
 
@@ -112,40 +144,65 @@ func TestCollectFunc(t *testing.T) {
 	if gi < 0 || ti < 0 || gi > ti {
 		t.Fatalf("collector series missing or unsorted:\n%s", got)
 	}
-	if _, err := ParseExposition(strings.NewReader(got)); err != nil {
+	if _, _, err := ReadText(strings.NewReader(got)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestValidatorCatchesViolations: the validator must reject the
-// malformations the golden test can't produce.
-func TestValidatorCatchesViolations(t *testing.T) {
-	cases := map[string]string{
-		"bad name": "# TYPE 9bad counter\n9bad 1\n",
-		"bad type": "# TYPE x_total jauge\nx_total 1\n",
-		"interleaved families": "# TYPE a_total counter\na_total{x=\"1\"} 1\n" +
-			"# TYPE b_total counter\nb_total 1\na_total{x=\"2\"} 2\n",
-		"histogram non-cumulative": "# TYPE h histogram\n" +
-			"h_bucket{le=\"0.1\"} 5\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
-		"histogram missing +Inf": "# TYPE h histogram\n" +
-			"h_bucket{le=\"0.1\"} 1\nh_bucket{le=\"1\"} 2\nh_sum 1\nh_count 2\n",
-		"histogram count mismatch": "# TYPE h histogram\n" +
-			"h_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 2\n",
-		"unescaped quote":       "# TYPE x counter\nx{l=\"a\"b\"} 1\n",
-		"bad escape":            "# TYPE x counter\nx{l=\"a\\t\"} 1\n",
-		"duplicate label":       "# TYPE x counter\nx{l=\"a\",l=\"b\"} 1\n",
-		"duplicate TYPE":        "# TYPE x counter\n# TYPE x counter\nx 1\n",
-		"not a number":          "# TYPE x counter\nx one\n",
-		"histogram bare sample": "# TYPE h histogram\nh 1\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseExposition(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: validator accepted %q", name, in)
+// TestReadTextRejects: the reader refuses the lines a lookup by series
+// key could not trust.
+func TestReadTextRejects(t *testing.T) {
+	for name, in := range map[string]string{
+		"no value":             "# TYPE x_total counter\nx_total\n",
+		"no value, labelled":   "# TYPE x_total counter\nx_total{q=\"a b\"}\n",
+		"non-numeric value":    "# TYPE x_total counter\nx_total one\n",
+		"series written twice": "# TYPE x_total counter\nx_total{l=\"a\"} 1\nx_total{l=\"a\"} 2\n",
+	} {
+		if _, _, err := ReadText(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted %q", name, in)
 		}
 	}
-	// And a well-formed document passes.
-	ok := "# HELP x_total fine\n# TYPE x_total counter\nx_total{l=\"a\"} 1\nx_total{l=\"b\"} 2\n"
-	if _, err := ParseExposition(strings.NewReader(ok)); err != nil {
-		t.Errorf("validator rejected well-formed input: %v", err)
+	types, values, err := ReadText(strings.NewReader("# HELP x_total fine\n# TYPE x_total counter\nx_total{l=\"a b\"} 1\nx_total{l=\"c\"} 2\n"))
+	if err != nil {
+		t.Fatalf("rejected well-formed input: %v", err)
 	}
+	if types["x_total"] != "counter" || values[SeriesKey("x_total", Label{Name: "l", Value: "a b"})] != 1 || len(values) != 2 {
+		t.Fatalf("read types %v, values %v", types, values)
+	}
+}
+
+// TestConcurrentScrapes: scrapes render the same labelled histogram
+// while it is observed, and each one reads back. Run it under -race: with
+// 18 labels the series' stored copy has spare capacity, so a bucket's
+// label list appended onto it would be written by both scrapes at once.
+func TestConcurrentScrapes(t *testing.T) {
+	r := NewRegistry()
+	var labels []Label
+	for _, n := range strings.Split("abcdefghijklmnopqr", "") {
+		labels = append(labels, Label{Name: n, Value: n})
+	}
+	h := r.Histogram("paqld_wait_seconds", "Wait.", nil, labels...)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if g == 0 {
+					h.Observe(float64(i) / 10)
+					continue
+				}
+				var b strings.Builder
+				if err := r.WriteText(&b); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := ReadText(strings.NewReader(b.String())); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -107,21 +107,6 @@ func (s *Span) SetAttr(key string, val any) {
 	s.mu.Unlock()
 }
 
-// FinishIn stamps the span as finished with an externally measured
-// duration (e.g. the plan span replaying a statement's Prepare
-// timing). Like Finish, the first stamp wins.
-func (s *Span) FinishIn(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.done {
-		s.done = true
-		s.dur = d
-	}
-	s.mu.Unlock()
-}
-
 // The typed attr setters below exist for hot paths: a call through
 // SetAttr boxes its value into an interface at the call site even
 // when s is nil (tracing off), which would show up in the solve

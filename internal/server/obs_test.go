@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -39,11 +41,12 @@ const obsInfeasibleQuery = `SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
 SUCH THAT COUNT(P.*) = 3 AND SUM(P.redshift) <= -1
 MINIMIZE SUM(P.r)`
 
-// TestMetricsExposition drives a mixed workload and validates the
-// /metrics response as a Prometheus 0.0.4 exposition: parseable, types
-// declared, histogram buckets monotone (ParseExposition checks all of
-// that), and the families the dashboards depend on present with the
-// right types and values.
+// galaxyLabel is the label of the test server's one dataset's series.
+var galaxyLabel = obs.Label{Name: "dataset", Value: "galaxy"}
+
+// TestMetricsExposition drives a mixed workload and reads the /metrics
+// response back by series key: the families the dashboards depend on
+// must be present with the right types and values.
 func TestMetricsExposition(t *testing.T) {
 	_, ts := newObsServer(t, Config{})
 	client := ts.Client()
@@ -70,9 +73,9 @@ func TestMetricsExposition(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Errorf("Content-Type %q lacks the exposition version", ct)
 	}
-	exp, err := obs.ParseExposition(resp.Body)
+	types, values, err := obs.ReadText(resp.Body)
 	if err != nil {
-		t.Fatalf("exposition invalid: %v", err)
+		t.Fatalf("exposition does not read back: %v", err)
 	}
 
 	for family, typ := range map[string]string{
@@ -89,29 +92,96 @@ func TestMetricsExposition(t *testing.T) {
 		"paqld_uptime_seconds":     "gauge",
 		"paqld_draining":           "gauge",
 	} {
-		if got := exp.Types[family]; got != typ {
+		if got := types[family]; got != typ {
 			t.Errorf("family %s: TYPE %q, want %q", family, got, typ)
 		}
 	}
 
-	if v, ok := exp.Value("paqld_queries_total", nil); !ok || v != 4 {
+	if v, ok := values["paqld_queries_total"]; !ok || v != 4 {
 		t.Errorf("paqld_queries_total = %v (present %v), want 4", v, ok)
 	}
-	if v, ok := exp.Value("paqld_solves_total", map[string]string{"method": MethodSketchRefine}); !ok || v != 1 {
+	if v, ok := values[obs.SeriesKey("paqld_solves_total", obs.Label{Name: "method", Value: MethodSketchRefine})]; !ok || v != 1 {
 		t.Errorf("paqld_solves_total{method=sketchrefine} = %v (present %v), want 1", v, ok)
 	}
-	if v, ok := exp.Value("paqld_dataset_rows", map[string]string{"dataset": "galaxy"}); !ok || v != 2000 {
+	if v, ok := values[obs.SeriesKey("paqld_dataset_rows", galaxyLabel)]; !ok || v != 2000 {
 		t.Errorf("paqld_dataset_rows{dataset=galaxy} = %v (present %v), want 2000", v, ok)
 	}
 	// The latency histogram sees the two feasible fresh solves (an
 	// infeasibility verdict carries no result to time); its +Inf bucket
 	// and _count must agree.
-	if v, ok := exp.Value("paqld_solve_seconds_count", nil); !ok || v != 2 {
+	if v, ok := values["paqld_solve_seconds_count"]; !ok || v != 2 {
 		t.Errorf("paqld_solve_seconds_count = %v (present %v), want 2", v, ok)
 	}
-	inf, ok := exp.Value("paqld_solve_seconds_bucket", map[string]string{"le": "+Inf"})
+	inf, ok := values[obs.SeriesKey("paqld_solve_seconds_bucket", obs.Label{Name: "le", Value: "+Inf"})]
 	if !ok || inf != 2 {
 		t.Errorf("paqld_solve_seconds_bucket{le=+Inf} = %v (present %v), want 2", inf, ok)
+	}
+}
+
+// TestMetricsNamesAreLegal fills every family the server registers — a
+// durable dataset, the advisor on, replication metrics installed, the
+// runtime gauges — and holds each line of the exposition to the
+// Prometheus text grammar: every TYPE'd name and every label name legal,
+// every label value quoted and escaped, and every family with a sample.
+func TestMetricsNamesAreLegal(t *testing.T) {
+	const (
+		metricName = `[a-zA-Z_:][a-zA-Z0-9_:]*`
+		label      = `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"`
+	)
+	var (
+		typeRE   = regexp.MustCompile(`^# TYPE (` + metricName + `) (counter|gauge|histogram)$`)
+		helpRE   = regexp.MustCompile(`^# HELP ` + metricName + ` `)
+		sampleRE = regexp.MustCompile(`^(` + metricName + `)(?:\{` + label + `(?:,` + label + `)*\})? \S+$`)
+	)
+
+	srv := New(Config{})
+	obs.RegisterRuntimeMetrics(srv.Metrics())
+	ds, err := NewDataset("galaxy", workload.Galaxy(300, 3), durableConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	srv.Register(ds)
+	srv.SetReplMetrics(func() ReplMetrics {
+		return ReplMetrics{Epoch: 1, Leader: true, Lag: map[string]uint64{"galaxy": 0}}
+	})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	for _, m := range []string{MethodDirect, MethodSketchRefine} {
+		if status, raw := mustPostQuery(t, ts.Client(), ts.URL, QueryRequest{Dataset: "galaxy", Query: obsFeasibleQuery, Method: m}); status != http.StatusOK {
+			t.Fatalf("%s solve: status %d (%s)", m, status, raw)
+		}
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := obs.ReadText(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	types, sampled := map[string]string{}, map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if m := typeRE.FindStringSubmatch(line); m != nil {
+			types[m[1]] = m[2]
+		} else if m := sampleRE.FindStringSubmatch(line); m != nil {
+			sampled[m[1]] = true
+		} else if !helpRE.MatchString(line) {
+			t.Errorf("line %q is outside the grammar", line)
+		}
+	}
+	for name, typ := range types {
+		if typ == "histogram" {
+			name += "_count"
+		}
+		if !sampled[name] {
+			t.Errorf("family %s (%s) has no sample: the test leaves it empty", name, typ)
+		}
 	}
 }
 
@@ -140,7 +210,7 @@ func TestStatsMetricsConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	exp, err := obs.ParseExposition(resp.Body)
+	_, values, err := obs.ReadText(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,32 +226,32 @@ func TestStatsMetricsConsistency(t *testing.T) {
 		"paqld_backtracks_total":   st.Backtracks,
 		"paqld_subproblems_total":  st.Subproblems,
 	} {
-		if got, ok := exp.Value(name, nil); !ok || got != float64(want) {
+		if got, ok := values[name]; !ok || got != float64(want) {
 			t.Errorf("%s = %v (present %v), /stats says %d", name, got, ok, want)
 		}
 	}
 	for method, want := range st.Methods {
-		got, ok := exp.Value("paqld_solves_total", map[string]string{"method": method})
+		got, ok := values[obs.SeriesKey("paqld_solves_total", obs.Label{Name: "method", Value: method})]
 		if !ok || got != float64(want) {
 			t.Errorf("paqld_solves_total{method=%s} = %v (present %v), /stats says %d", method, got, ok, want)
 		}
 	}
 	for class, qs := range st.QoS {
-		got, ok := exp.Value("paqld_qos_admitted_total", map[string]string{"class": class})
+		got, ok := values[obs.SeriesKey("paqld_qos_admitted_total", obs.Label{Name: "class", Value: class})]
 		if !ok || got != float64(qs.Admitted) {
 			t.Errorf("paqld_qos_admitted_total{class=%s} = %v (present %v), /stats says %d", class, got, ok, qs.Admitted)
 		}
 	}
 	gal := st.Datasets["galaxy"]
-	if got, ok := exp.Value("paqld_dataset_version", map[string]string{"dataset": "galaxy"}); !ok || got != float64(gal.Version) {
+	if got, ok := values[obs.SeriesKey("paqld_dataset_version", galaxyLabel)]; !ok || got != float64(gal.Version) {
 		t.Errorf("paqld_dataset_version = %v (present %v), /stats says %d", got, ok, gal.Version)
 	}
 	for method, cs := range gal.Caches {
-		labels := map[string]string{"dataset": "galaxy", "method": method}
-		if got, ok := exp.Value("paqld_cache_hits_total", labels); !ok || got != float64(cs.Hits) {
+		labels := []obs.Label{galaxyLabel, {Name: "method", Value: method}}
+		if got, ok := values[obs.SeriesKey("paqld_cache_hits_total", labels...)]; !ok || got != float64(cs.Hits) {
 			t.Errorf("paqld_cache_hits_total{method=%s} = %v (present %v), /stats says %d", method, got, ok, cs.Hits)
 		}
-		if got, ok := exp.Value("paqld_cache_misses_total", labels); !ok || got != float64(cs.Misses) {
+		if got, ok := values[obs.SeriesKey("paqld_cache_misses_total", labels...)]; !ok || got != float64(cs.Misses) {
 			t.Errorf("paqld_cache_misses_total{method=%s} = %v (present %v), /stats says %d", method, got, ok, cs.Misses)
 		}
 	}
@@ -258,13 +328,24 @@ MINIMIZE SUM(P.i)`,
 			root.DurationMS, qr.TimeMS, 100*rel)
 	}
 
-	// Direct children must account for ≥90% of the root.
+	// Direct children must account for ≥90% of the root, and for no more
+	// than the root: every child is timed inside this execution.
 	var childSum float64
 	for _, c := range root.Children {
 		childSum += c.DurationMS
 	}
 	if childSum < 0.9*root.DurationMS {
 		t.Errorf("children cover %.3fms of the root's %.3fms (<90%%)", childSum, root.DurationMS)
+	}
+	if childSum > root.DurationMS {
+		t.Errorf("children sum to %.3fms, more than the root's %.3fms", childSum, root.DurationMS)
+	}
+	// Planning happened at Prepare: the root carries it as attributes.
+	if _, ok := root.Attrs["plan_ms"].(float64); !ok {
+		t.Errorf("root attrs %v lack plan_ms", root.Attrs)
+	}
+	if _, ok := root.Attrs["plan_reason"].(string); !ok {
+		t.Errorf("root attrs %v lack plan_reason", root.Attrs)
 	}
 
 	// Structure: the paper's pipeline must be visible in the tree.
@@ -277,7 +358,10 @@ MINIMIZE SUM(P.i)`,
 		}
 	}
 	walk(root)
-	for _, want := range []string{"plan", "pin", "solve", "sketch", "refine", "refine_group", "ilp", "objective"} {
+	if names["plan"] != 0 {
+		t.Errorf("a plan span is timed under the root (have %v)", names)
+	}
+	for _, want := range []string{"pin", "solve", "sketch", "refine", "refine_group", "ilp", "objective"} {
 		if names[want] == 0 {
 			t.Errorf("span %q missing from the trace (have %v)", want, names)
 		}

@@ -166,13 +166,10 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 		root = obs.NewSpan("execute")
 		root.SetAttrStr("method", string(st.method))
 		ctx = obs.ContextWith(ctx, root)
-		// Planning happens once, at Prepare; the trace replays its cost
-		// so the tree shows the full query lifecycle. The replayed span
-		// is marked: its time was not spent inside this execution.
-		psp := root.Child("plan")
-		psp.SetAttrBool("replayed", true)
-		psp.SetAttrStr("reason", st.reason)
-		psp.FinishIn(st.planDur)
+		// Planning happened once, at Prepare, outside this execution: the
+		// root carries its cost and reason as attributes, not as a child.
+		root.SetAttrFloat("plan_ms", float64(st.planDur)/float64(time.Millisecond))
+		root.SetAttrStr("plan_reason", st.reason)
 	}
 
 	// Pin the execution: a brief read lock captures an immutable

@@ -44,7 +44,7 @@ type Stmt struct {
 	adaptive *AdaptiveInfo
 	// planDur is the wall-clock cost of Prepare (parse, translate,
 	// method resolution, plan build). Planning happens once per
-	// statement, so a traced Execute replays this as its "plan" span.
+	// statement, so a traced Execute records it as the root's plan_ms.
 	planDur time.Duration
 }
 
