@@ -177,10 +177,16 @@ type IncumbentFunc func(Incumbent)
 
 // decode maps a solution vector over rows back to package coordinates:
 // the rows with a positive rounded multiplicity, and those
-// multiplicities.
+// multiplicities, in one allocation sized to the package.
 func decode(rows []int, x []float64) (pkgRows, pkgMult []int) {
-	pkgRows = make([]int, 0, len(rows))
-	pkgMult = make([]int, 0, len(rows))
+	size := 0
+	for _, v := range x {
+		if int(math.Round(v)) > 0 {
+			size++
+		}
+	}
+	buf := make([]int, 2*size)
+	pkgRows, pkgMult = buf[:0:size], buf[size:size]
 	for j, v := range x {
 		if m := int(math.Round(v)); m > 0 {
 			pkgRows = append(pkgRows, rows[j])

@@ -2,7 +2,10 @@ package ilp
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/lp"
@@ -60,9 +63,11 @@ func TestSolveAllocationsBounded(t *testing.T) {
 		}
 	})
 	t.Logf("Solve: %.1f allocations, %d nodes, %d incumbents", avg, res.Nodes, res.Incumbents)
-	// Measured 40: 15 for lp.NewWorkspace and 25 for the search's own
-	// set-up. The fixture's 40 variables are searched all at once, so no
-	// working-set round builds a problem of its own.
+	// Measured 22: 15 for lp.NewWorkspace and 7 for the search's own
+	// set-up (40 before its storage sized by the variable count was reused
+	// across solves and its chain and heap were sized up front). The
+	// fixture's 40 variables are searched all at once, so no working-set
+	// round builds a problem of its own.
 	const limit = 40
 	if avg > limit {
 		t.Errorf("Solve allocates %.1f objects across %d nodes (limit %d); a node-loop allocation regressed", avg, res.Nodes, limit)
@@ -93,11 +98,68 @@ func TestSolveAllocationsWorkingSet(t *testing.T) {
 	})
 	t.Logf("Solve: %.1f allocations, root in %d rounds over %d, %d nodes in %d rounds over %d",
 		avg, res.RootRounds, res.RootColumns, res.Nodes, res.Rounds, res.WorkingSet)
-	// Measured 91 in one root round and one working-set round over 64 of
-	// the 400; appending each round's problem from nil instead of sizing
-	// it to the set cost 151.
+	// Measured 59 in one root round and one working-set round over 64 of
+	// the 400 (91 before the solver's scratch was reused across solves);
+	// appending each round's problem from nil instead of sizing it to the
+	// set cost 151.
 	const limit = 100
 	if avg > limit {
 		t.Errorf("Solve allocates %.1f objects (limit %d); a working-set round or a node allocates more", avg, limit)
+	}
+}
+
+// TestSolveAllocationsWide is the gate on what a solve allocates per
+// column over many more variables than its LP ever holds: from the second
+// solve on, everything sized by the variable count comes from the solver's
+// reused scratch, so the bytes per column are Result.X's 8 plus slack.
+func TestSolveAllocationsWide(t *testing.T) {
+	const n = 200000
+	p := allocKnapsack(n)
+	ctx := context.Background()
+	if _, err := SolveCtx(ctx, p, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	perColumn := make([]float64, 5)
+	var before, after runtime.MemStats
+	for i := range perColumn {
+		runtime.ReadMemStats(&before)
+		if _, err := SolveCtx(ctx, p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perColumn[i] = float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	// The least: a collection between two solves empties the pool, and
+	// under the race detector the pool drops a quarter of what it is given,
+	// but what every solve allocates shows in each of them.
+	least := slices.Min(perColumn)
+	t.Logf("Solve over %d variables: %.2f B per column (least of %v)", n, least, perColumn)
+	const limit = 9
+	if least > limit {
+		t.Errorf("Solve allocates %.2f B per column (limit %d); something sized by the variable count is allocated per solve", least, limit)
+	}
+}
+
+// BenchmarkSolveWide is the wide rung of the ladder: allocKnapsack over
+// 20 000 and 200 000 variables, whose sifted LP stays 64 to 128 columns
+// wide, so what a solve costs beyond it is per-column bookkeeping.
+func BenchmarkSolveWide(b *testing.B) {
+	for _, n := range []int{20000, 200000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p := allocKnapsack(n)
+			ctx := context.Background()
+			var res *Result
+			var err error
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err = SolveCtx(ctx, p, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Nodes), "nodes")
+			b.ReportMetric(float64(res.RootRounds), "root_rounds")
+			b.ReportMetric(float64(res.Incumbents), "incumbents")
+		})
 	}
 }

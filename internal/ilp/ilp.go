@@ -1,27 +1,22 @@
 // Package ilp implements a branch-and-bound integer linear program solver
 // on top of the simplex in internal/lp.
 //
-// One lp.Workspace serves a whole tree: its root relaxation is solved
-// cold, and every later node hands the workspace only the bounds in which
-// it differs from the node solved before it and re-optimizes from the
-// basis the workspace already holds (bounded dual simplex), so a node
-// costs a few pivots and no allocation. Branching is on the most
-// fractional basic variable with ties — fractionalities within
-// branchTieTol of the largest — broken by lowest index, which makes the
-// tree a function of the problem and not of the order the LP kernel
-// happened to pivot in. A search over many variables sifts its root over
-// a working set its own duals price, branches over one that the root's
-// reduced costs choose, and reports an optimum only once the same reduced
-// costs certify every variable left out of it.
+// One lp.Workspace serves a whole tree: each node hands it only the
+// bounds in which it differs from the node solved before and re-optimizes
+// from the basis it holds (bounded dual simplex), so a node costs a few
+// pivots and no allocation. Branching is on the most fractional basic
+// variable, ties within branchTieTol broken by lowest index, so the tree
+// is a function of the problem and not of the kernel's pivot order. A
+// search over many variables sifts its root over a working set its own
+// duals price, branches over one that the root's reduced costs choose,
+// and reports an optimum only once they certify every variable left out.
 //
-// It is the repository's stand-in for the black-box commercial solver
-// (IBM CPLEX) used in the paper: same contract — the caller hands over a
-// full ILP and receives an optimal solution, an infeasibility verdict, or
-// a resource failure. The paper's observation that solvers "choke" on hard
-// or large problems (running out of memory even when the data fits in RAM)
-// is reproduced honestly through explicit resource budgets: MaxNodes
-// bounds the size of the branch-and-bound tree (the solver's working
-// memory) and TimeLimit the wall clock, mirroring the paper's one-hour
+// It is the repository's stand-in for the black-box solver (IBM CPLEX) of
+// the paper: the caller hands over a full ILP and receives an optimal
+// solution, an infeasibility verdict, or a resource failure. The paper's
+// solvers "choking" on hard or large problems is reproduced through
+// explicit budgets: MaxNodes bounds the size of the tree (the solver's
+// working memory) and TimeLimit the wall clock, as the paper's one-hour
 // CPLEX cap.
 package ilp
 
@@ -31,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/lp"
@@ -70,18 +66,10 @@ const (
 
 // String names the status.
 func (s Status) String() string {
-	switch s {
-	case Optimal:
-		return "optimal"
-	case Infeasible:
-		return "infeasible"
-	case Unbounded:
-		return "unbounded"
-	case ResourceLimit:
-		return "resource-limit"
-	default:
-		return fmt.Sprintf("Status(%d)", int(s))
+	if names := [...]string{"optimal", "infeasible", "unbounded", "resource-limit"}; s >= 0 && int(s) < len(names) {
+		return names[s]
 	}
+	return fmt.Sprintf("Status(%d)", int(s))
 }
 
 // Options configures the search budgets.
@@ -97,19 +85,18 @@ type Options struct {
 	// 1e-6). Zero means prove optimality exactly (modulo tolerances).
 	Gap float64
 	// AcceptIncumbent makes a budget-exhausted solve with a feasible
-	// incumbent acceptable to callers: Result.Status is still
-	// ResourceLimit, but SketchRefine subproblems use the incumbent
-	// rather than failing (the behavior of production solvers under a
-	// time limit). DIRECT keeps it off, reproducing the paper's hard
-	// solver failures.
+	// incumbent acceptable: Result.Status is still ResourceLimit, but
+	// SketchRefine uses the incumbent rather than failing, as production
+	// solvers do under a time limit. DIRECT keeps it off, reproducing the
+	// paper's hard solver failures.
 	AcceptIncumbent bool
 	// OnIncumbent, when non-nil, is invoked from inside the search each
 	// time a strictly better integral incumbent is installed — the hook
 	// that turns a solve into an anytime computation. The callback
-	// receives a private copy of the solution vector, the objective in
-	// the problem's own sense, and the number of nodes explored so far.
-	// It runs synchronously on the solving goroutine: keep it cheap, and
-	// do not call back into the solver from it.
+	// receives the solution vector (read-only, valid during the call only:
+	// copy it to keep it), the objective in the problem's own sense, and the
+	// number of nodes explored so far. It runs synchronously on the solving
+	// goroutine: keep it cheap, and do not call back into the solver.
 	OnIncumbent func(x []float64, obj float64, nodes int)
 }
 
@@ -157,14 +144,12 @@ const (
 	workingSet = 64
 
 	// branchTieTol is the band below the largest fractionality inside
-	// which branching candidates count as tied. Under a COUNT(*) = k row
-	// two fractional basics have fractional parts f and 1−f, exactly the
-	// same distance from an integer, and which of them floating point
-	// makes "larger" depends on the pivot order. LP values are only
-	// meaningful to the simplex's feasibility tolerance (1e-7), so that is
-	// the band: wide enough to swallow the noise (~1e-12 relative), far
-	// narrower than any gap between genuinely different candidates on the
-	// workloads (TestTreeIndependentOfPivotPath pins the consequence).
+	// which branching candidates count as tied. Under a COUNT(*) = k row two
+	// fractional basics sit at f and 1−f, and which of them floating point
+	// makes "larger" depends on the pivot order. LP values mean something
+	// to the simplex's feasibility tolerance, 1e-7, so that is the band:
+	// wider than the noise (~1e-12 relative), narrower than any real gap
+	// on the workloads (TestTreeIndependentOfPivotPath pins it).
 	branchTieTol = 1e-7
 
 	// nodeChunk is how many nodes the arena allocates at a time.
@@ -220,10 +205,8 @@ type nodeHeap struct {
 
 func (h *nodeHeap) Len() int { return len(h.nodes) }
 func (h *nodeHeap) Less(i, j int) bool {
-	if h.maximize {
-		return h.nodes[i].bound > h.nodes[j].bound
-	}
-	return h.nodes[i].bound < h.nodes[j].bound
+	a, b := h.nodes[i].bound, h.nodes[j].bound
+	return h.maximize && a > b || !h.maximize && a < b
 }
 func (h *nodeHeap) Swap(i, j int) { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
 func (h *nodeHeap) Push(x any)    { h.nodes = append(h.nodes, x.(*node)) }
@@ -242,6 +225,25 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 	return solve(ctx, p, opt, workingSet, func(q *lp.Problem) (relaxation, error) { return lp.NewWorkspace(q) })
 }
 
+// scratch is a solve's storage sized by the variable count, reused across solves.
+type scratch struct {
+	baseLo, baseHi, rootDJ, xs []float64
+	rootAt                     []int8
+	inW                        []bool
+	slot                       []int32
+	lowNZ, cols                []int
+	pkg, best                  []term
+	pick                       picker
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// term is a nonzero entry xⱼ of a point.
+type term struct {
+	j int
+	x float64
+}
+
 // solve is SolveCtx over whichever LP kernel newRelaxation builds, with a
 // first working set of initial variables for a problem over more than
 // 2·initial.
@@ -249,16 +251,21 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 // Such a search sifts the root relaxation: it solves it over a working
 // set W, every other variable held at its lower bound, and up to initial
 // of those whose reduced cost under the duals would improve the objective
-// (or cut the infeasibility of W alone) join W, until none would. W starts
-// as the initial best objective coefficients, the continuous variables
-// and those with no lower bound. Unless the root is integral, the search
-// then branches in rounds, each over a fresh W: first the root's variables
-// off their lower bound and the continuous ones, filled up to initial with
-// the smallest root |dⱼ|. A round that explores |W| nodes without an
-// incumbent ends and W doubles. One that ends with an incumbent z checks
-// the variables left out by reduced-cost fixing's test (root bound − |dⱼ|
-// cannot beat z): any that fail join W for another round with z as its
-// cutoff. The answer is optimal only when none fails.
+// (or cut W's infeasibility) join W, until none would. W starts as the
+// initial best objective coefficients, the continuous variables and those
+// with no lower bound. Unless the root is integral, the search branches in
+// rounds, each over a fresh W: first the root's variables off their lower
+// bound and the continuous ones, filled up to initial with the smallest
+// root |dⱼ|. A round that explores |W| nodes without an incumbent ends and
+// W doubles. One that ends with an incumbent z checks the variables left
+// out by reduced-cost fixing's test (root bound − |dⱼ| cannot beat z): any
+// that fail join W for another round with z as its cutoff. The answer is
+// optimal only when none fails.
+//
+// Past Validate and the pass that sets the base bounds, it reads every
+// variable once per sifting round and once per working-set round, on the
+// pass that chooses the next W, and never per node or per incumbent (held
+// as its nonzero entries) but for local search over at most 4 000.
 func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxation func(*lp.Problem) (relaxation, error)) (*Result, error) {
 	n := p.LP.NumVars()
 	if p.Integer != nil && len(p.Integer) != n {
@@ -267,63 +274,74 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	if err := p.LP.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", lp.ErrBadProblem, err)
 	}
-	maxNodes := opt.MaxNodes
+	maxNodes, deadline := opt.MaxNodes, time.Time{}
 	if maxNodes <= 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	deadline := time.Time{}
 	if opt.TimeLimit > 0 {
 		deadline = time.Now().Add(opt.TimeLimit)
 	}
 	var rx relaxation
+	sense := 1.0 // internal(v) is v in the internal max sense
+	if !p.LP.Maximize {
+		sense = -1
+	}
+	internal := func(v float64) float64 { return sense * v }
+	sc := scratchPool.Get().(*scratch)
+	baseLo, baseHi := slices.Grow(sc.baseLo[:0], n)[:n], slices.Grow(sc.baseHi[:0], n)[:n]
+	rootDJ, rootAt, slot := slices.Grow(sc.rootDJ[:0], n)[:n], slices.Grow(sc.rootAt[:0], n)[:n], slices.Grow(sc.slot[:0], n)[:n]
+	lowNZ, cols, pkg, best, pick := sc.lowNZ[:0], sc.cols[:0], sc.pkg[:0], sc.best[:0], &sc.pick
+	// The working set: inW marks it, cols lists it in ascending order; an
+	// unsifted search, over at most 2·initial variables, holds them all.
+	inW, sifted := slices.Grow(sc.inW[:0], n)[:n], n > 2*initial
+	pick.reset(initial, math.Inf(1))
+	defer func() {
+		*sc = scratch{baseLo, baseHi, rootDJ, sc.xs, rootAt, inW, slot, lowNZ, cols, pkg, best, *pick}
+		scratchPool.Put(sc)
+	}()
 
-	// Base bounds: the problem's, with integral variables tightened to
-	// integers, later tightened further by reduced-cost fixing.
-	baseLo := make([]float64, n)
-	baseHi := make([]float64, n)
+	// Base bounds: the problem's, integral variables' tightened to integers
+	// (and later by reduced-cost fixing). The same pass starts a sifted W:
+	// the continuous and lower-unbounded variables join it, every movable
+	// one is offered by its objective coefficient, lowNZ lists the others
+	// with a lower bound not 0, and empty says a domain is.
+	empty := false
 	for j := 0; j < n; j++ {
 		lo, hi := p.LP.Bounds(j)
 		if p.integral(j) {
-			lo = math.Ceil(lo - intTol)
-			if !math.IsInf(hi, 1) {
-				hi = math.Floor(hi + intTol)
-			}
+			lo, hi = math.Ceil(lo-intTol), math.Floor(hi+intTol)
 		}
-		baseLo[j], baseHi[j] = lo, hi
+		baseLo[j], baseHi[j], slot[j] = lo, hi, 0
+		if inW[j] = !sifted || !p.integral(j) || math.IsInf(lo, -1); inW[j] {
+			cols = append(cols, j)
+		} else if lo != 0 {
+			lowNZ = append(lowNZ, j)
+		}
+		if empty = empty || lo > hi; sifted && hi > lo {
+			pick.offer(j, -internal(p.LP.C[j]))
+		}
 	}
-	// Column k of rx is variable full(k): the identity, or in a
-	// working-set round the variables listed in cols, with the others held
-	// at their lower bounds adding offset to the objective. Nodes branch on
-	// columns; bounds, incumbents and reduced costs speak of variables.
-	var cols []int
+	// Column k of rx is variable cols[k], those outside W held at their
+	// lower bounds adding offset to the objective. Nodes branch on columns;
+	// bounds, incumbents and reduced costs speak of variables.
 	width, offset := n, 0.0
-	full := func(k int) int {
-		if cols == nil {
-			return k
-		}
-		return cols[k]
-	}
-	// chain lists the columns the node in the relaxation has branched on,
-	// with their bounds there; slot[k]−1 is k's place in it, 0 for a column
-	// at its base bounds. baseDirty marks base bounds the relaxation has not
-	// seen yet (all of them, before the root).
+	// chain lists the columns the relaxation's node branched on, with their
+	// bounds there; slot[k]−1 is k's place in it, 0 for one at its base
+	// bounds. baseDirty marks base bounds rx has not seen (all, at first).
 	type branched struct {
 		k      int
 		lo, hi float64
 	}
-	var chain, prev []branched
-	slot := make([]int32, n)
+	chain, prev := make([]branched, 0, 32), make([]branched, 0, 32)
 	baseDirty := true
 
 	// solveNode moves the relaxation from the node it last solved to nd
 	// by handing it only the bounds that differ — those of the two nodes'
 	// branching chains, plus every column after the base bounds moved —
-	// and re-optimizes (the root, with no basis to start from, is solved
-	// cold). The solution is read off rx until the next call. Walking up
-	// from nd meets each column's tightest bounds first. Branching
-	// bounds can conflict with bounds tightened later by reduced-cost
-	// fixing; the relaxation reports the empty domain as an infeasible
-	// node.
+	// and re-optimizes (the root, with no basis to start from, cold); the
+	// solution is read off rx until the next call. Walking up from nd meets
+	// each column's tightest bounds first. A branching bound that conflicts
+	// with reduced-cost fixing makes an empty domain, an infeasible node.
 	solveNode := func(nd *node) (lp.Status, error) {
 		prev, chain = chain, prev[:0]
 		for _, b := range prev {
@@ -332,7 +350,7 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		for cur := nd; cur.varIdx >= 0; cur = cur.parent {
 			k := cur.varIdx
 			if slot[k] == 0 {
-				chain = append(chain, branched{k, baseLo[full(k)], baseHi[full(k)]})
+				chain = append(chain, branched{k, baseLo[cols[k]], baseHi[cols[k]]})
 				slot[k] = int32(len(chain))
 			}
 			b := &chain[slot[k]-1]
@@ -344,27 +362,28 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		}
 		// Back to base: everything the chain does not cover, after the
 		// base bounds moved; else only what the last node's chain covered.
-		if baseDirty {
-			for k := 0; k < width; k++ {
-				if slot[k] == 0 {
-					if err := rx.SetBounds(k, baseLo[full(k)], baseHi[full(k)]); err != nil {
-						return 0, err
-					}
-				}
+		var err error
+		set := func(k int, lo, hi float64) {
+			if e := rx.SetBounds(k, lo, hi); err == nil {
+				err = e
 			}
-			baseDirty = false
 		}
+		for k := 0; k < width && baseDirty; k++ {
+			if slot[k] == 0 {
+				set(k, baseLo[cols[k]], baseHi[cols[k]])
+			}
+		}
+		baseDirty = false
 		for _, b := range prev {
 			if slot[b.k] == 0 {
-				if err := rx.SetBounds(b.k, baseLo[full(b.k)], baseHi[full(b.k)]); err != nil {
-					return 0, err
-				}
+				set(b.k, baseLo[cols[b.k]], baseHi[cols[b.k]])
 			}
 		}
 		for _, b := range chain {
-			if err := rx.SetBounds(b.k, b.lo, b.hi); err != nil {
-				return 0, err
-			}
+			set(b.k, b.lo, b.hi)
+		}
+		if err != nil {
+			return 0, err
 		}
 		return rx.Reoptimize(ctx)
 	}
@@ -388,24 +407,15 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		res.Status, res.LPIterations = st, res.DualIterations+res.PrimalIterations
 		return res, nil
 	}
-	better := func(a, b float64) bool {
-		if p.LP.Maximize {
-			return a > b
-		}
-		return a < b
-	}
-	worst := math.Inf(1) // the bound that is better than nothing
-	if p.LP.Maximize {
-		worst = math.Inf(-1)
-	}
+	better := func(a, b float64) bool { return internal(a) > internal(b) }
+	worst := internal(math.Inf(-1)) // the bound that is better than nothing
 
 	// mostFractional returns the column of an integral variable whose LP
-	// value is farthest from an integer — the lowest index among those
-	// within branchTieTol of the farthest — or -1 if all are integral. Only
-	// basic columns can be fractional: every bound an integral variable gets
-	// is an integer, and a nonbasic column rests on one.
+	// value is farthest from an integer — the lowest index within
+	// branchTieTol of the farthest — or -1 if all are integral. Only basic
+	// columns can be: an integral variable's bounds are integers.
 	frac := func(x []float64, k int) float64 {
-		if k >= width || !p.integral(full(k)) {
+		if k >= width || !p.integral(cols[k]) {
 			return 0
 		}
 		return math.Abs(x[k] - math.Round(x[k]))
@@ -425,44 +435,33 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		return q
 	}
 
-	// Root information for reduced-cost variable fixing: the reduced
-	// costs, and which bound (−1 lower, +1 upper, 0 neither) each variable
-	// sat at.
-	rootDJ := make([]float64, n)
-	rootAt := make([]int8, n)
+	// Root information for reduced-cost fixing: the reduced costs (rootDJ),
+	// and the bound (−1 lower, +1 upper, 0 neither) each sat at (rootAt).
 	rootBoundInt := math.Inf(1) // root LP bound in internal max sense
-	internal := func(v float64) float64 {
-		if p.LP.Maximize {
-			return v
-		}
-		return -v
-	}
 
-	// fixByReducedCost tightens base bounds using the root LP duals:
-	// a variable nonbasic at a bound in the root relaxation whose
-	// reduced cost alone already closes the incumbent gap can never
-	// move in an improving solution, so it is fixed permanently. This
-	// is decisive on package-query ILPs, where hundreds of
-	// near-substitutable tuples otherwise keep the search tree alive.
-	fixByReducedCost := func() {
-		slack := rootBoundInt - internal(res.Objective)
-		tol := 1e-7 * (1 + math.Abs(res.Objective))
-		for j := 0; j < n; j++ {
-			if !p.integral(j) || baseHi[j]-baseLo[j] < 1 {
-				continue
-			}
-			dj := rootDJ[j]
-			switch {
-			case rootAt[j] < 0 && dj <= 0 && -dj >= slack-tol:
-				baseHi[j] = baseLo[j]
-			case rootAt[j] > 0 && dj >= 0 && dj >= slack-tol:
-				baseLo[j] = baseHi[j]
-			default:
-				continue
-			}
-			baseDirty = true
-			res.Retired++
+	// fix fixes variable j for good if it sat at a bound of the root
+	// relaxation and its reduced cost alone closes the incumbent gap: it can
+	// never move in an improving solution — decisive on package-query ILPs,
+	// whose near-substitutable tuples otherwise keep the tree alive. cutoff
+	// is the least gap (less a tolerance) of any incumbent so far, so a
+	// variable tested late is fixed just when an earlier test would have.
+	// fix reports whether j may still leave its lower bound.
+	cutoff := math.Inf(1)
+	fix := func(j int) bool {
+		dj, lo, hi := rootDJ[j], baseLo[j], baseHi[j]
+		switch {
+		case !res.HasIncumbent || !p.integral(j) || hi-lo < 1:
+			return hi > lo
+		case rootAt[j] < 0 && dj <= 0 && -dj >= cutoff:
+			baseHi[j] = lo
+		case rootAt[j] > 0 && dj >= 0 && dj >= cutoff:
+			baseLo[j] = hi
+		default:
+			return true
 		}
+		baseDirty = true
+		res.Retired++
+		return false
 	}
 
 	// act is the row activity A·x of the point accept is looking at, and
@@ -479,18 +478,13 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		return math.Abs(v-p.LP.B[i]) <= rowTol
 	}
 
-	// localSearch improves an integral solution, whose activity is in
-	// act, by unit swaps: move one unit from variable a to variable b when
-	// that improves the objective and keeps every constraint satisfied.
-	// Package queries are full of near-substitutable tuples, so swap
-	// improvement routinely lifts plunge incumbents to (near-)optimal,
-	// which lets bound pruning and reduced-cost fixing finish the search.
-	// Skipped for very large problems where the pair scan would dominate.
+	// localSearch improves an integral solution, whose activity is in act,
+	// by unit swaps from variable a to b that improve the objective and keep
+	// every row: on near-substitutable tuples they routinely lift plunge
+	// incumbents to (near-)optimal, so pruning and fixing finish the
+	// search. Skipped where the pair scan would dominate.
 	const localSearchMaxVars = 4000
 	localSearch := func(x []float64) {
-		if n > localSearchMaxVars {
-			return
-		}
 		feasibleAfter := func(a, b int) bool {
 			for i := 0; i < m; i++ {
 				if !rowOK(i, act[i]-p.LP.A[i][a]+p.LP.A[i][b]) {
@@ -499,24 +493,14 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 			}
 			return true
 		}
-		sign := 1.0
-		if !p.LP.Maximize {
-			sign = -1
-		}
-		for pass := 0; pass < 4; pass++ {
-			improved := false
+		for pass, improved := 0, true; pass < 4 && improved; pass++ {
+			improved = false
 			for a := 0; a < n; a++ {
 				if !p.integral(a) || x[a] <= baseLo[a]+1e-9 {
 					continue
 				}
 				for b := 0; b < n; b++ {
-					if b == a || !p.integral(b) || x[b] >= baseHi[b]-1e-9 {
-						continue
-					}
-					if sign*(p.LP.C[b]-p.LP.C[a]) <= 1e-12 {
-						continue
-					}
-					if !feasibleAfter(a, b) {
+					if b == a || !p.integral(b) || x[b] >= baseHi[b]-1e-9 || sense*(p.LP.C[b]-p.LP.C[a]) <= 1e-12 || !feasibleAfter(a, b) {
 						continue
 					}
 					x[a]--
@@ -524,52 +508,46 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 					for i := 0; i < m; i++ {
 						act[i] += p.LP.A[i][b] - p.LP.A[i][a]
 					}
-					improved = true
-					if x[a] <= baseLo[a]+1e-9 {
+					if improved = true; x[a] <= baseLo[a]+1e-9 {
 						break
 					}
 				}
 			}
-			if !improved {
-				break
-			}
 		}
 	}
 
-	// accept rounds an integral LP solution in place (x is the
-	// relaxation's buffer, dead until the next solve rewrites it; in a
-	// round the rounded values go to a copy of baseLo, where every variable
-	// the round holds sits). When rounding moved a value, the rows are
-	// checked again: a point that violates one is not installed, and accept
-	// returns the column that was farthest from an integer, to branch on,
-	// with its value before rounding. Otherwise it improves the point by
-	// local search, installs it as the incumbent if it is better, and
-	// returns -1.
-	var lifted []float64
+	// accept rounds an integral LP solution, x over the columns, into pkg:
+	// its nonzero entries in ascending order, lowNZ's held ones included.
+	// When rounding moved a value and a row no longer holds, it returns the
+	// column farthest from an integer, to branch on, with its value before
+	// rounding. Otherwise it improves the point by local search, installs it
+	// if better (best keeps its entries; res.X is moved by them), returns -1.
 	accept := func(x []float64) (q int, v float64) {
-		xf := x
-		if cols != nil {
-			lifted = append(lifted[:0], baseLo...)
-			xf = lifted
-		}
+		pkg = pkg[:0]
 		q, far := -1, 0.0
 		for k, xk := range x {
-			j := full(k)
-			if xf[j] = xk; p.integral(j) {
-				xf[j] = math.Round(xk)
-				if f := math.Abs(xk - xf[j]); f > far {
+			j, xj := cols[k], xk
+			if p.integral(j) {
+				xj = math.Round(xk)
+				if f := math.Abs(xk - xj); f > far {
 					q, v, far = k, xk, f
 				}
 			}
-		}
-		// Sum over the package alone: a zero xⱼ's ±0 term moves no bit of a sum that is never −0.
-		x = xf
-		clear(act)
-		for j, xj := range x {
 			if xj != 0 {
-				for i, row := range p.LP.A {
-					act[i] += row[j] * xj
-				}
+				pkg = append(pkg, term{j, xj})
+			}
+		}
+		for _, j := range lowNZ {
+			if !inW[j] {
+				pkg = append(pkg, term{j, baseLo[j]})
+			}
+		}
+		slices.SortFunc(pkg, func(a, b term) int { return a.j - b.j }) // in order already, unless lowNZ added some
+		// Sum over the package alone: a zero xⱼ's ±0 term moves no bit of a sum that is never −0.
+		clear(act)
+		for _, t := range pkg {
+			for i, row := range p.LP.A {
+				act[i] += row[t.j] * t.x
 			}
 		}
 		for i := range act {
@@ -577,12 +555,23 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 				return q, v
 			}
 		}
-		localSearch(x)
-		o := 0.0
-		for j, xj := range x {
-			if xj != 0 {
-				o += p.LP.C[j] * xj
+		if n <= localSearchMaxVars {
+			sc.xs = slices.Grow(sc.xs[:0], n)[:n]
+			clear(sc.xs)
+			for _, t := range pkg {
+				sc.xs[t.j] = t.x
 			}
+			localSearch(sc.xs)
+			pkg = pkg[:0]
+			for j, xj := range sc.xs {
+				if xj != 0 {
+					pkg = append(pkg, term{j, xj})
+				}
+			}
+		}
+		o := 0.0
+		for _, t := range pkg {
+			o += p.LP.C[t.j] * t.x
 		}
 		if res.HasIncumbent && !better(o, res.Objective) {
 			return -1, 0
@@ -590,53 +579,46 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		if res.X == nil {
 			res.X = make([]float64, n)
 		}
-		copy(res.X, x)
-		res.HasIncumbent = true
-		res.Objective = o
-		res.Incumbents++
-		if opt.OnIncumbent != nil {
-			cp := make([]float64, n)
-			copy(cp, x)
-			opt.OnIncumbent(cp, o, res.Nodes)
+		for _, t := range best {
+			res.X[t.j] = 0
 		}
-		fixByReducedCost()
+		for _, t := range pkg {
+			res.X[t.j] = t.x
+		}
+		pkg, best = best, pkg
+		res.HasIncumbent, res.Objective, res.Incumbents = true, o, res.Incumbents+1
+		if opt.OnIncumbent != nil {
+			opt.OnIncumbent(res.X, o, res.Nodes)
+		}
+		// Fix what the search sees: the columns, or every variable where
+		// local search can move any; the rest are tested on joining W.
+		cutoff = math.Min(cutoff, rootBoundInt-internal(o)-1e-7*(1+math.Abs(o)))
+		for _, j := range cols[:width] {
+			fix(j)
+		}
+		for j := 0; j < n && n <= localSearchMaxVars; j++ {
+			fix(j)
+		}
 		return -1, 0
 	}
 
 	var arena nodeArena
 	root := arena.new(node{varIdx: -1})
-	h := &nodeHeap{maximize: p.LP.Maximize}
+	h := &nodeHeap{nodes: make([]*node, 0, 64), maximize: p.LP.Maximize}
 
-	// pruned reports whether a bound cannot beat the incumbent. The
-	// tolerance is relative: package-query objectives can be ~1e5 in
-	// magnitude, where LP degeneracy noise far exceeds any absolute
-	// epsilon and would otherwise keep equal-bound nodes alive.
+	// pruned reports whether a bound cannot beat the incumbent, within a
+	// relative tolerance: at objectives of ~1e5 LP degeneracy noise exceeds
+	// any absolute epsilon and would keep equal-bound nodes alive.
 	pruned := func(bound float64) bool {
-		if !res.HasIncumbent {
-			return false
-		}
-		tol := 1e-7 * (1 + math.Abs(res.Objective))
-		if p.LP.Maximize {
-			if bound <= res.Objective+tol {
-				return true
-			}
-		} else if bound >= res.Objective-tol {
-			return true
-		}
-		if opt.Gap > 0 {
-			gap := math.Abs(bound-res.Objective) / math.Max(1, math.Abs(res.Objective))
-			if gap <= opt.Gap {
-				return true
-			}
-		}
-		return false
+		z := res.Objective
+		return res.HasIncumbent && (internal(bound) <= internal(z)+1e-7*(1+math.Abs(z)) ||
+			opt.Gap > 0 && math.Abs(bound-z)/math.Max(1, math.Abs(z)) <= opt.Gap)
 	}
 
 	// branch takes the node just solved: an integral point goes to accept,
 	// and otherwise — or when accept asks — it queues the far child and
-	// returns the near one, on the side the LP value rounds to. Diving into
-	// it (plunging) finds incumbents quickly, which best-first search alone
-	// can postpone almost indefinitely on knapsack-like package queries.
+	// returns the near one, where the LP value rounds to. Plunging into it
+	// finds incumbents that best-first search alone can postpone for long.
 	branch := func(nd *node) *node {
 		q, v := mostFractional(), 0.0
 		if q >= 0 {
@@ -644,24 +626,21 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		} else if q, v = accept(rx.X()); q < 0 {
 			return nil
 		}
-		down := arena.new(node{parent: nd, varIdx: q, val: math.Floor(v), bound: nd.bound})
-		up := arena.new(node{parent: nd, varIdx: q, val: math.Ceil(v), hasLo: true, bound: nd.bound})
-		if v-math.Floor(v) <= 0.5 {
-			heap.Push(h, up)
-			return down
+		near := arena.new(node{parent: nd, varIdx: q, val: math.Floor(v), bound: nd.bound})
+		far := arena.new(node{parent: nd, varIdx: q, val: math.Ceil(v), hasLo: true, bound: nd.bound})
+		if v-math.Floor(v) > 0.5 {
+			near, far = far, near
 		}
-		heap.Push(h, down)
-		return up
+		heap.Push(h, far)
+		return near
 	}
 
 	// search runs branch and bound over rx from current, the node to solve
 	// next, until the tree is exhausted, a budget runs out (limited), or —
-	// with giveUp — width nodes pass without an incumbent. It interleaves
-	// best-first selection from the heap with depth-first plunges: after
-	// branching, the near child is solved immediately and the far child is
-	// queued. It returns the best bound of any node whose relaxation failed
-	// (lp.IterLimit): that subtree was dropped, not refuted, so the search
-	// can no longer prove optimality.
+	// with giveUp — width nodes pass without an incumbent, interleaving
+	// best-first selection with plunges into the near child. It returns
+	// the best bound of any node whose relaxation failed (lp.IterLimit):
+	// that subtree was dropped, not refuted, so optimality is not proven.
 	limited := false
 	search := func(current *node, giveUp bool) (lost float64, err error) {
 		lost, start := worst, res.Nodes
@@ -711,58 +690,37 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		return lost, nil
 	}
 
-	// The working set: inW marks its variables. movable says variable j is
-	// outside it and may still leave its lower bound, which reduced-cost
-	// fixing rules out for every one that passes the exclusion test.
-	var inW []bool
-	movable := func(j int) bool { return !inW[j] && baseHi[j] > baseLo[j] }
-
-	// grow fills the working set up to size variables with movable ones
-	// of the smallest key below cut: with k places left and t the k-th
-	// smallest key, every one below t less a band of branchTieTol·(1+|t|),
-	// then the lowest indices within the band — so the set is a function of
-	// the problem, not of the kernel's pivot path, as mostFractional's is.
-	// It returns how many it added; left is how many stay out.
-	cand, val, left := []int(nil), []float64(nil), 0
-	grow := func(size int, key func(j int) float64, cut float64) int {
-		k, cand, val := size, cand[:0], val[:0]
+	// take adds pick's choice to W and returns how many joined; left is how many stay out.
+	left := 0
+	take := func() int {
+		k := len(cols)
+		cols = pick.picked(cols)
+		left = pick.seen - (len(cols) - k)
+		for _, j := range cols[k:] {
+			inW[j] = true
+		}
+		slices.Sort(cols)
+		cols = slices.Compact(cols) // the first W's continuous variables may be picked too
+		return len(cols) - k
+	}
+	// grow offers W every variable outside it that fix leaves movable, by
+	// root |dⱼ|, up to size in all.
+	grow := func(size int) int {
+		pick.reset(size-len(cols), math.Inf(1))
 		for j, in := range inW {
-			if in {
-				k--
-			} else if baseHi[j] > baseLo[j] {
-				if v := key(j); v < cut {
-					cand, val = append(cand, j), append(val, v)
-				}
+			if !in && fix(j) {
+				pick.offer(j, math.Abs(rootDJ[j]))
 			}
 		}
-		k = max(k, 0)
-		k0, t, band := k, math.Inf(1), 0.0
-		if 0 < k && k < len(val) {
-			t = kth(val, k)
-			band = branchTieTol * (1 + math.Abs(t))
-		}
-		for pass := 0; pass < 2; pass++ {
-			for c, j := range cand {
-				if v := val[c]; k > 0 && !inW[j] && (v < t-band || pass == 1 && v <= t+band) {
-					inW[j] = true
-					k--
-				}
-			}
-		}
-		left = len(cand) - (k0 - k)
-		return k0 - k
+		return take()
 	}
 
-	// enter makes rx the problem over the working set, with every other
-	// variable held at its lower bound and the right-hand sides moved to
-	// match.
+	// enter makes rx the problem over W, every other variable held at its lower bound.
 	enter := func() error {
 		q := &lp.Problem{Maximize: p.LP.Maximize, Op: p.LP.Op, B: slices.Clone(p.LP.B), A: make([][]float64, m)}
-		cols, offset = cols[:0], 0
-		for j, in := range inW {
-			if in {
-				cols = append(cols, j)
-			} else if lo := baseLo[j]; lo != 0 {
+		offset = 0
+		for _, j := range lowNZ {
+			if lo := baseLo[j]; !inW[j] {
 				offset += p.LP.C[j] * lo
 				for i, row := range p.LP.A {
 					q.B[i] -= row[j] * lo
@@ -785,57 +743,43 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 			return err
 		}
 		tally()
-		rx, width = next, len(cols)
+		rx, width = next, k
+		clear(slot[:k])
 		return nil
 	}
 
-	// sift solves the root relaxation over a working set, as solve's
-	// comment describes, and prices every variable outside it into rootDJ.
-	sift := func() (lp.Status, error) {
-		for j := range baseLo {
-			if baseLo[j] > baseHi[j] {
-				return lp.Infeasible, nil // as the kernel's empty-domain count is
-			}
+	// A sifted root, as solve's comment describes: each round prices every
+	// variable into rootDJ, sense·cⱼ − y·Aⱼ (−y·Aⱼ after phase 1) over the
+	// rows with yᵢ ≠ 0 in row order, and offers W the violating ones.
+	take()
+	st, err := lp.Infeasible, error(nil) // an empty domain is infeasible, as the kernel's count is
+	for added := 1; sifted && !empty && added > 0; added = take() {
+		if err = enter(); err != nil {
+			break
 		}
-		inW, cols = make([]bool, n), []int{} // cols: a subset from now on, even an empty one
-		cand, val = make([]int, 0, n), make([]float64, 0, n)
-		grow(initial, func(j int) float64 { return -internal(p.LP.C[j]) }, math.Inf(1))
-		for j := range inW {
-			inW[j] = inW[j] || !p.integral(j) || math.IsInf(baseLo[j], -1)
+		res.RootRounds, res.RootColumns = res.RootRounds+1, width
+		if st, err = solveNode(root); err != nil || st != lp.Optimal && st != lp.Infeasible {
+			break
 		}
-		for {
-			if err := enter(); err != nil {
-				return 0, err
+		y := rx.Duals()
+		pick.reset(initial, -optTol)
+		for j, c := range p.LP.C {
+			d := 0.0 // phase 1 prices the infeasibility alone
+			if st == lp.Optimal {
+				d = internal(c)
 			}
-			res.RootRounds, res.RootColumns = res.RootRounds+1, width
-			st, err := solveNode(root)
-			if err != nil || st != lp.Optimal && st != lp.Infeasible {
-				return st, err
-			}
-			for j, c := range p.LP.C {
-				rootDJ[j], rootAt[j] = internal(c), -1 // at the lower bound, unless in W
-			}
-			if st == lp.Infeasible {
-				clear(rootDJ) // phase 1 prices the infeasibility alone
-			}
-			for i, yi := range rx.Duals() {
+			for i, yi := range y {
 				if yi != 0 {
-					for j, a := range p.LP.A[i] {
-						rootDJ[j] -= yi * a
-					}
+					d -= yi * p.LP.A[i][j]
 				}
 			}
-			if grow(width+initial, func(j int) float64 { return -rootDJ[j] }, -optTol) == 0 {
-				return st, nil
+			rootDJ[j], rootAt[j] = d, -1 // at the lower bound, unless in W
+			if !inW[j] && baseHi[j] > baseLo[j] {
+				pick.offer(j, -d)
 			}
 		}
 	}
-
-	var st lp.Status
-	var err error
-	if n > 2*initial {
-		st, err = sift()
-	} else {
+	if !sifted {
 		res.RootRounds, res.RootColumns = 1, n
 		if rx, err = newRelaxation(&p.LP); err == nil {
 			st, err = solveNode(root)
@@ -856,7 +800,7 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	root.bound = rx.Objective() + offset
 	rootBoundInt = internal(root.bound)
 	for k, v := range rx.X() {
-		j := full(k)
+		j := cols[k]
 		rootDJ[j], rootAt[j] = rx.DJ()[k], 0
 		switch {
 		case math.Abs(v-baseLo[j]) < 1e-7:
@@ -867,22 +811,18 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	}
 
 	lost := worst
-	if n <= 2*initial {
+	if !sifted {
 		lost, err = search(branch(root), false)
 	} else if mostFractional() >= 0 || branch(root) != nil {
-		// Rounds, as solve's comment describes (after an integral root too, if
-		// rounding it breaks a row: branch's children go with the heap). The
-		// basis is not read: a degenerate basic variable rests on its lower
-		// bound with dⱼ = 0, so grow takes it in by index, not pivot path.
-		for j := range inW {
+		// Rounds, as solve's comment describes (after an integral root whose
+		// rounding breaks a row too). The basis is not read: a degenerate basic
+		// rests on its lower bound, dⱼ = 0, so grow takes it in by index.
+		cols = slices.DeleteFunc(cols, func(j int) bool { // marking what stays
 			inW[j] = rootAt[j] >= 0 || !p.integral(j)
-		}
-		rootMag := func(j int) float64 { return math.Abs(rootDJ[j]) }
-		grow(initial, rootMag, math.Inf(1))
-		for err == nil {
-			if err = enter(); err != nil {
-				break
-			}
+			return !inW[j]
+		})
+		grow(initial)
+		for err = enter(); err == nil; err = enter() {
 			res.Rounds, res.WorkingSet = res.Rounds+1, width
 			h.nodes = h.nodes[:0] // what the last round left open
 			lost, err = search(arena.new(node{varIdx: -1, bound: root.bound}), left > 0)
@@ -890,7 +830,7 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 			if res.HasIncumbent {
 				size = n
 			}
-			if err != nil || limited || grow(size, rootMag, math.Inf(1)) == 0 {
+			if err != nil || limited || grow(size) == 0 {
 				break
 			}
 		}
@@ -913,8 +853,8 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	case limited || lost != worst:
 		// A variable left out of the working set could still reach the
 		// root bound less its reduced cost.
-		for j := range inW {
-			if b := internal(rootBoundInt - math.Abs(rootDJ[j])); movable(j) && better(b, res.BestBound) {
+		for j, in := range inW {
+			if b := internal(rootBoundInt - math.Abs(rootDJ[j])); !in && fix(j) && better(b, res.BestBound) {
 				res.BestBound = b
 			}
 		}
@@ -925,27 +865,95 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	return done(Optimal)
 }
 
-// kth returns the k-th smallest of v, 1 ≤ k ≤ len(v): it keeps the k
-// smallest so far in a max-heap, so a later value costs one comparison
-// unless it displaces the largest — O(len(v)) for a working set's small k.
-func kth(v []float64, k int) float64 {
-	h := slices.Clone(v[:k])
-	slices.Sort(h)
-	slices.Reverse(h) // descending order is a max-heap
-	for _, x := range v[k:] {
-		if x >= h[0] {
-			continue
-		}
-		h[0] = x
-		for i, c := 0, 1; c < k; i, c = c, 2*c+1 {
-			if c+1 < k && h[c+1] > h[c] {
-				c++
-			}
-			if h[i] >= h[c] {
-				break
-			}
-			h[i], h[c] = h[c], h[i]
+// picker chooses on the one pass that offers it the candidates, in
+// ascending index order, k with the smallest keys below cut: with t the
+// k-th smallest, every one below t less a band of branchTieTol·(1+|t|),
+// then the lowest indices within the band, so W is a function of the
+// problem and not of the pivot path. It keeps the k smallest keys in a
+// heap, and only candidates not two bands above the heap's largest.
+type picker struct {
+	k, seen, next int
+	cut, lim      float64
+	top           kHeap
+	cand          []int
+	val           []float64
+}
+
+func (s *picker) reset(k int, cut float64) {
+	*s = picker{k: max(k, 0), next: 4 * max(k, 16), cut: cut, lim: math.Inf(1), top: s.top[:0], cand: s.cand[:0], val: s.val[:0]}
+}
+
+func (s *picker) offer(j int, v float64) {
+	if !(v < s.cut) {
+		return
+	}
+	if s.seen++; s.k == 0 || v > s.lim {
+		return
+	}
+	if s.top.push(v, s.k) {
+		s.lim = s.top[0] + 2*branchTieTol*(1+math.Abs(s.top[0]))
+	}
+	if s.cand, s.val = append(s.cand, j), append(s.val, v); len(s.val) < s.next {
+		return
+	}
+	kept := 0
+	for c, v := range s.val {
+		if !(v > s.lim) {
+			s.cand[kept], s.val[kept] = s.cand[c], v
+			kept++
 		}
 	}
-	return h[0]
+	s.cand, s.val, s.next = s.cand[:kept], s.val[:kept], max(s.next, 2*kept)
+}
+
+// picked appends the picked candidates to dst in ascending index order.
+func (s *picker) picked(dst []int) []int {
+	t, band := math.Inf(1), 0.0
+	if 0 < s.k && s.k < s.seen {
+		t = s.top[0]
+		band = branchTieTol * (1 + math.Abs(t))
+	}
+	inBand := s.k // the places left once every key below the band is in
+	for _, v := range s.val {
+		if v < t-band {
+			inBand--
+		}
+	}
+	for c, v := range s.val {
+		if below := v < t-band; below || v <= t+band && inBand > 0 {
+			if !below {
+				inBand--
+			}
+			dst = append(dst, s.cand[c])
+		}
+	}
+	return dst
+}
+
+// kHeap is a max-heap of the k smallest values pushed: h[0] is the k-th
+// smallest once k are in, and a later value costs one comparison.
+type kHeap []float64
+
+// push adds x and reports whether the heap holds k values.
+func (h *kHeap) push(x float64, k int) bool {
+	q := *h
+	if len(q) < k {
+		q = append(q, x)
+		for i := len(q) - 1; i > 0 && q[(i-1)/2] < q[i]; i = (i - 1) / 2 {
+			q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+		}
+	} else if x < q[0] {
+		q[0] = x
+		for i, c := 0, 1; c < k; i, c = c, 2*c+1 {
+			if c+1 < k && q[c+1] > q[c] {
+				c++
+			}
+			if q[i] >= q[c] {
+				break
+			}
+			q[i], q[c] = q[c], q[i]
+		}
+	}
+	*h = q
+	return len(q) == k
 }

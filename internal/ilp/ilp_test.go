@@ -242,6 +242,16 @@ func TestBadIntegerLength(t *testing.T) {
 	}
 }
 
+// kth returns the k-th smallest of v, 1 ≤ k ≤ len(v), through the heap
+// the working-set selection keeps.
+func kth(v []float64, k int) float64 {
+	var h kHeap
+	for _, x := range v {
+		h.push(x, k)
+	}
+	return h[0]
+}
+
 // TestKth: kth agrees with sorting, ties and descending input included.
 func TestKth(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

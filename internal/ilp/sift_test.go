@@ -113,3 +113,15 @@ func TestSiftedIntegralRootBreaksRow(t *testing.T) {
 		t.Errorf("x₀ = %v after %d rounds over %d; want 0, branched in a working-set round", res.X[0], res.Rounds, res.WorkingSet)
 	}
 }
+
+// TestSiftAllContinuous: when every variable is continuous the first
+// working set is all of them, the objective's picks included, and the
+// root is solved once over every column.
+func TestSiftAllContinuous(t *testing.T) {
+	p := siftProblem(200)
+	p.Integer = make([]bool, 200)
+	res := solveBoth(t, p)
+	if res.Status != ilp.Optimal || res.RootRounds != 1 || res.RootColumns != 200 {
+		t.Errorf("%v, root in %d rounds over %d; want optimal in one round over all 200", res.Status, res.RootRounds, res.RootColumns)
+	}
+}

@@ -171,6 +171,43 @@ var galaxyTrees = map[string][3]int{
 	"Q5": {0, 0, 0}, "Q6": {1127, 1, 64}, "Q7": {0, 0, 0},
 }
 
+// wideTrees pins the search on the seven Galaxy templates at 20 000
+// rows, where the passes over every variable cost more than the LP: the
+// status, nodes, rounds, the last round's |W|, the root's sifting rounds
+// and final width, and the objective's bits.
+var wideTrees = map[string]struct {
+	status                                             ilp.Status
+	nodes, rounds, workingSet, rootRounds, rootColumns int
+	obj                                                uint64
+}{
+	"Q1": {ilp.Optimal, 7, 1, 64, 1, 64, 0x4010a6e978d4fdf4},
+	"Q2": {ilp.Optimal, 0, 0, 0, 1, 64, 0x4042451eb851eb85},
+	"Q3": {ilp.Optimal, 5, 1, 64, 1, 64, 0x407393b22d0e5604},
+	"Q4": {ilp.Optimal, 18, 1, 64, 1, 64, 0x40519ab020c49ba6},
+	"Q5": {ilp.Optimal, 0, 0, 0, 1, 64, 0x405f6189374bc6a9},
+	"Q6": {ilp.Optimal, 1389, 2, 128, 3, 192, 0x4066329fbe76c8b4},
+	"Q7": {ilp.Optimal, 0, 0, 0, 1, 64, 0x404640e560418936},
+}
+
+// TestWideTreesPinned: at 20 000 rows the search walks the pinned trees.
+func TestWideTreesPinned(t *testing.T) {
+	names, probs := galaxyProblems(t, 20000)
+	for i, p := range probs {
+		res, err := ilp.SolveCtx(context.Background(), p, ilp.Options{MaxNodes: 50000, Gap: 1e-4})
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		want := wideTrees[names[i]]
+		got := want
+		got.status, got.nodes, got.rounds, got.workingSet = res.Status, res.Nodes, res.Rounds, res.WorkingSet
+		got.rootRounds, got.rootColumns, got.obj = res.RootRounds, res.RootColumns, math.Float64bits(res.Objective)
+		t.Logf("%s: %+v", names[i], got)
+		if got != want {
+			t.Errorf("%s: %+v, want %+v", names[i], got, want)
+		}
+	}
+}
+
 // TestWorkingSetMatchesFullWidth: the working-set search and the search
 // over every variable, through the same seam, agree on the status and on
 // the objective's bits for every fixture. Where their packages differ

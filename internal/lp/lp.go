@@ -48,16 +48,10 @@ const (
 
 // String returns the mathematical spelling of the operator.
 func (op ConstraintOp) String() string {
-	switch op {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "="
-	default:
-		return fmt.Sprintf("ConstraintOp(%d)", int(op))
+	if names := [...]string{"<=", ">=", "="}; op >= 0 && int(op) < len(names) {
+		return names[op]
 	}
+	return fmt.Sprintf("ConstraintOp(%d)", int(op))
 }
 
 // Status reports the outcome of a solve.
@@ -81,18 +75,10 @@ const canceled Status = -1
 
 // String names the status.
 func (s Status) String() string {
-	switch s {
-	case Optimal:
-		return "optimal"
-	case Infeasible:
-		return "infeasible"
-	case Unbounded:
-		return "unbounded"
-	case IterLimit:
-		return "iteration-limit"
-	default:
-		return fmt.Sprintf("Status(%d)", int(s))
+	if names := [...]string{"optimal", "infeasible", "unbounded", "iteration-limit"}; s >= 0 && int(s) < len(names) {
+		return names[s]
 	}
+	return fmt.Sprintf("Status(%d)", int(s))
 }
 
 // Problem is a linear program. A and B must have the same number of rows;

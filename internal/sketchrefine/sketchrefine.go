@@ -313,11 +313,11 @@ func (ev *evaluator) sketch() (*state, error) {
 // exhausted without completing the package.
 var errRefineFailed = errors.New("sketchrefine: refinement failed")
 
-// contribution computes, for constraint ci, the aggregate contribution of
-// the partial state excluding group skipGID's representatives.
-func (ev *evaluator) contribution(ci int, st *state, skipGID int) float64 {
-	v := weighted(0, ev.consOnRel[ci], st.rows, st.mult)
-	// Iterate representatives in ascending gid order, not map order:
+// contributions computes, for every constraint, the aggregate
+// contribution of the partial state excluding group skipGID's
+// representatives, term by term in order.
+func (ev *evaluator) contributions(st *state, skipGID int) []float64 {
+	// Representatives in ascending gid order, not map order:
 	// floating-point addition is order-sensitive, and map iteration order
 	// would make the adjusted RHS — and with it the refine solutions —
 	// differ between otherwise identical runs.
@@ -327,12 +327,19 @@ func (ev *evaluator) contribution(ci int, st *state, skipGID int) float64 {
 			gids, mult = append(gids, gid), append(mult, m)
 		}
 	}
-	return weighted(v, ev.consOnReps[ci], gids, mult)
+	out := make([]float64, len(ev.spec.Constraints))
+	coefs := make([]float64, max(len(st.rows), len(gids)))
+	for ci := range out {
+		v := weighted(0, ev.consOnRel[ci], st.rows, st.mult, coefs)
+		out[ci] = weighted(v, ev.consOnReps[ci], gids, mult, coefs)
+	}
+	return out
 }
 
-// weighted adds Σ mult[k]·coef(rows[k]) to v, a term at a time in order.
-func weighted(v float64, coef core.Fill, rows, mult []int) float64 {
-	coefs := make([]float64, len(rows))
+// weighted adds Σ mult[k]·coef(rows[k]) to v, a term at a time in order,
+// with coefs as scratch.
+func weighted(v float64, coef core.Fill, rows, mult []int, coefs []float64) float64 {
+	coefs = coefs[:len(rows)]
 	coef(rows, coefs)
 	for k, c := range coefs {
 		v += float64(mult[k]) * c
@@ -353,11 +360,12 @@ func (ev *evaluator) refineGroup(st *state, gid int) (*state, error) {
 		Repeat:    ev.spec.Repeat,
 		Objective: ev.spec.Objective,
 	}
+	rest := ev.contributions(st, gid)
 	for ci, c := range ev.spec.Constraints {
 		sub.Constraints = append(sub.Constraints, core.Constraint{
 			Coef: c.Coef,
 			Op:   c.Op,
-			RHS:  c.RHS - ev.contribution(ci, st, gid),
+			RHS:  c.RHS - rest[ci],
 			Desc: c.Desc,
 		})
 	}
