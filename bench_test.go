@@ -211,7 +211,7 @@ func scalabilityBench(b *testing.B, ds bench.Dataset) {
 		})
 		b.Run(q.Name+"/sketchrefine", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{Solver: solver, HybridSketch: true})
+				_, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{Solver: solver})
 				if err != nil && q.Hard {
 					b.Skipf("hard query at bench scale: %v", err)
 				} else if err != nil {
@@ -268,7 +268,7 @@ func tauSweepBench(b *testing.B, ds bench.Dataset) {
 		b.Run("tau="+itoa(tau), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{
-					Solver: benchSolver(e), HybridSketch: true,
+					Solver: benchSolver(e),
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -303,7 +303,7 @@ func BenchmarkFigure9_Coverage(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{
-					Solver: benchSolver(e), HybridSketch: true,
+					Solver: benchSolver(e),
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -336,7 +336,7 @@ func BenchmarkSection521_EpsilonRepair(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{
-			Solver: benchSolver(e), HybridSketch: true,
+			Solver: benchSolver(e),
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -6,7 +6,7 @@
 //	paqlcli -data table.csv [-query query.paql | -q "SELECT PACKAGE..."]
 //	        [-data-dir state/] [-append extra.csv]
 //	        [-method auto|naive|direct|sketchrefine]
-//	        [-tau 0.1] [-timeout 60s] [-workers 0] [-racers 1] [-deadline 0]
+//	        [-tau 0.1] [-timeout 60s] [-workers 0] [-deadline 0]
 //	        [-explain] [-progress] [-trace] [-out pkg.csv]
 //
 // The CSV header uses name:type fields (type f=float, i=int, s=string), as
@@ -64,7 +64,6 @@ type options struct {
 	timeout    time.Duration
 	maxNodes   int
 	workers    int
-	racers     int
 	deadline   time.Duration
 	explain    bool
 	progress   bool
@@ -113,7 +112,6 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "solver time limit per ILP")
 	flag.IntVar(&o.maxNodes, "maxnodes", paq.DefaultNodeLimit, "solver branch-and-bound node budget per ILP")
 	flag.IntVar(&o.workers, "workers", 0, "worker pool size for parallel partitioning (0 = GOMAXPROCS)")
-	flag.IntVar(&o.racers, "racers", 1, "sketchrefine: refinement orders raced in parallel")
 	flag.DurationVar(&o.deadline, "deadline", 0, "overall evaluation deadline (0 = none)")
 	flag.BoolVar(&o.explain, "explain", false, "print the statement's plan (method, partitioning, ILP size) without solving")
 	flag.BoolVar(&o.progress, "progress", false, "stream improving incumbents to stderr while solving")
@@ -160,7 +158,6 @@ func run(o options) (truncated bool, err error) {
 		paq.WithTimeLimit(o.timeout),
 		paq.WithNodeLimit(o.maxNodes),
 		paq.WithWorkers(o.workers),
-		paq.WithRacers(o.racers),
 	}
 	var source paq.Source
 	if o.dataPath != "" {

@@ -31,7 +31,6 @@ func baseOpts(data string) options {
 		tauFrac:  0.10,
 		timeout:  20 * time.Second,
 		maxNodes: paq.DefaultNodeLimit,
-		racers:   1,
 	}
 }
 

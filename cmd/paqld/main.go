@@ -104,7 +104,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generator seed for synthetic datasets")
 		tau      = flag.Float64("tau", 0.10, "partition size threshold as a fraction of each dataset")
 		workers  = flag.Int("workers", 0, "partition-build worker pool (0 = GOMAXPROCS)")
-		racers   = flag.Int("racers", 1, "sketchrefine refinement orders raced per query (1 = deterministic)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "default per-request evaluation deadline")
 		maxTime  = flag.Duration("maxtimeout", 5*time.Minute, "cap on client-requested deadlines")
 		maxNodes = flag.Int("maxnodes", paq.DefaultNodeLimit, "solver branch-and-bound node budget per ILP")
@@ -122,7 +121,7 @@ func main() {
 	flag.Var(&loads, "load", "load a CSV dataset as name=path (repeatable)")
 	flag.Parse()
 
-	if err := run(*addr, loads, *galaxyN, *tpchN, *seed, *tau, *workers, *racers,
+	if err := run(*addr, loads, *galaxyN, *tpchN, *seed, *tau, *workers,
 		*timeout, *maxTime, *maxNodes, *inflight, *queue, *ingestIF, *ingestQ, *dataDir, *maintEv, *follow, *replPoll,
 		*slowMS, *pprofAdr); err != nil {
 		fmt.Fprintln(os.Stderr, "paqld:", err)
@@ -131,7 +130,7 @@ func main() {
 }
 
 func run(addr string, loads []string, galaxyN, tpchN int, seed int64, tau float64,
-	workers, racers int, timeout, maxTime time.Duration, maxNodes, inflight, queue, ingestIF, ingestQ int,
+	workers int, timeout, maxTime time.Duration, maxNodes, inflight, queue, ingestIF, ingestQ int,
 	dataDir string, maintEvery time.Duration, follow string, replPoll time.Duration,
 	slowMS int64, pprofAddr string) error {
 	srv := server.New(server.Config{
@@ -158,7 +157,6 @@ func run(addr string, loads []string, galaxyN, tpchN int, seed int64, tau float6
 	dcfg := server.DatasetConfig{
 		TauFrac:   tau,
 		Workers:   workers,
-		Racers:    racers,
 		Seed:      seed,
 		TimeLimit: maxTime,
 		MaxNodes:  maxNodes,

@@ -6,8 +6,7 @@
 // yield.
 //
 // The example demonstrates REPEAT 1 (a bond can be bought twice) and
-// compares DIRECT with SKETCHREFINE; the SketchRefine session races two
-// seeded refinement orders and keeps the first feasible portfolio.
+// compares DIRECT with SKETCHREFINE.
 //
 // Run with: go run ./examples/portfolio
 package main
@@ -66,7 +65,6 @@ func main() {
 	sketched := run("SKETCHREFINE",
 		paq.WithMethod(paq.MethodSketchRefine),
 		paq.WithPartitionAttrs("price", "risk", "duration", "yield"),
-		paq.WithRacers(2),
 	)
 
 	for _, m := range outcomes {

@@ -53,7 +53,7 @@ func TestEndToEndWorkloadConsistency(t *testing.T) {
 				t.Fatalf("%s/%s: partition: %v", set.name, q.Name, err)
 			}
 			dPkg, _, dErr := core.Direct(context.Background(), spec, opt, nil)
-			sPkg, _, sErr := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{Solver: opt, HybridSketch: true})
+			sPkg, _, sErr := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{Solver: opt})
 			if q.Hard {
 				continue // hard queries may exhaust budgets at test scale
 			}
@@ -163,7 +163,7 @@ MAXIMIZE SUM(P.value)`
 		if err != nil {
 			return false
 		}
-		sPkg, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{HybridSketch: true})
+		sPkg, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{})
 		if err != nil {
 			// Allowed: false infeasibility. Not allowed: other errors.
 			return errors.Is(err, sketchrefine.ErrFalseInfeasible) || errors.Is(err, core.ErrInfeasible)
@@ -217,7 +217,7 @@ MAXIMIZE SUM(P.value)`
 		if err != nil {
 			t.Fatal(err)
 		}
-		sPkg, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{HybridSketch: true})
+		sPkg, _, err := sketchrefine.EvaluateCtx(context.Background(), spec, part, sketchrefine.Options{})
 		if err != nil {
 			continue // false infeasibility is permitted by the theorem
 		}

@@ -81,7 +81,6 @@ func (e *Env) LoadGen(ctx context.Context, cfg LoadGenConfig) (*LoadGenResult, e
 		MaxNodes:  e.cfg.MaxNodes,
 		Gap:       e.cfg.Gap,
 		Seed:      e.cfg.Seed,
-		Racers:    1, // determinism: the differential check needs one refinement order
 	}
 
 	// In-process ground truth: one server.Dataset per dataset, same

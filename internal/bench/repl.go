@@ -268,7 +268,7 @@ func (e *Env) Repl(ctx context.Context, cfg ReplConfig) (*ReplResult, error) {
 	dsCfg := server.DatasetConfig{
 		Attrs: e.attrs[Galaxy], TauFrac: e.cfg.TauFrac, Workers: e.cfg.Workers,
 		TimeLimit: e.cfg.TimeLimit, MaxNodes: e.cfg.MaxNodes, Gap: e.cfg.Gap,
-		Seed: e.cfg.Seed, Racers: 1,
+		Seed: e.cfg.Seed,
 	}
 	fmt.Fprintf(e.cfg.Out, "Replication differential (Galaxy, %d rows; %d followers)\n", base, cfg.Followers)
 

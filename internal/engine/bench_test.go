@@ -62,7 +62,7 @@ MAXIMIZE SUM(P.petrorad)`, card, 0.8*float64(card)+0.05*float64(i)), rel)
 		}
 		specs = append(specs, spec)
 	}
-	opt := sketchrefine.Options{Solver: ilp.Options{MaxNodes: 50000, Gap: 1e-4}, HybridSketch: true}
+	opt := sketchrefine.Options{Solver: ilp.Options{MaxNodes: 50000, Gap: 1e-4}}
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

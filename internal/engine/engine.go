@@ -4,7 +4,7 @@
 // SDK boundary (docs/INVARIANTS.md) forbids them this import. Outside
 // tests, only paq and benchmarks/paqbench import engine.
 //
-// It contributes three things on top of the strategy packages:
+// It contributes two things on top of the strategy packages:
 //
 //   - one Solver interface with the three evaluation strategies of the
 //     paper — NAIVE (Section 2), DIRECT (Section 3), and SKETCHREFINE
@@ -13,10 +13,7 @@
 //   - a solution cache per engine: identical queries over the same data
 //     are solved once, concurrent duplicates share one solve, and only
 //     definitive outcomes are retained (an Engine is safe for concurrent
-//     use; callers that want a batch fan Evaluate out themselves);
-//   - racing: SketchRefine can run several seeded refinement orders —
-//     Algorithm 2 starts from an arbitrary order — returning the first
-//     feasible package and canceling the losers.
+//     use; callers that want a batch fan Evaluate out themselves).
 //
 // Every solve takes a context.Context whose cancellation or deadline
 // reaches all the way into the simplex iterations of an in-flight ILP.
@@ -60,9 +57,8 @@ type Call struct {
 	Part *partition.Partitioning
 	// OnIncumbent, when non-nil, receives the solve's improving
 	// incumbents while it runs (anytime results; Naive has no stream
-	// worth forwarding). Racing SketchRefine lanes all forward to it: it
-	// must then be safe for concurrent calls, and the stream is a
-	// progress signal, not a monotone sequence.
+	// worth forwarding). It is called synchronously on the solving
+	// goroutine.
 	OnIncumbent core.IncumbentFunc
 	// KeyPrefix is prepended to the solution-cache key. A caller serving
 	// several partitionings from one engine passes each one's shape key,
@@ -111,23 +107,14 @@ func (n Naive) Solve(ctx context.Context, spec *core.Spec, _ Call) (*core.Packag
 }
 
 // SketchRefine is the paper's scalable strategy over a shared offline
-// partitioning. With Racers > 1 it runs that many seeded refinement
-// orders in parallel workers and returns the first feasible package,
-// canceling the rest — Algorithm 2's starting order is arbitrary, so any
-// winner is a valid SketchRefine answer, and orders that would backtrack
-// heavily no longer gate the response time.
+// partitioning: one evaluation is one refinement order, the one Opt.Seed
+// selects.
 type SketchRefine struct {
 	// Part is the offline partitioning the strategy refines over. It is
 	// shared read-only across all concurrent evaluations.
 	Part *partition.Partitioning
-	// Opt configures the evaluation; Opt.Seed steers lane 0's
-	// refinement order (the one a non-racing evaluation would use).
+	// Opt configures the evaluation.
 	Opt sketchrefine.Options
-	// Racers is the number of refinement orders raced per query; 0 or 1
-	// evaluates the single configured order sequentially and
-	// deterministically. Lane i>0 shuffles with seed 1+i, stepping past
-	// Opt.Seed so no lane duplicates lane 0's order.
-	Racers int
 }
 
 // Solve implements Solver: the call's partitioning view and incumbent
@@ -140,76 +127,7 @@ func (s SketchRefine) Solve(ctx context.Context, spec *core.Spec, call Call) (*c
 	if call.OnIncumbent != nil {
 		s.Opt.OnIncumbent = call.OnIncumbent
 	}
-	if s.Racers <= 1 {
-		return sketchrefine.EvaluateCtx(ctx, spec, s.Part, s.Opt)
-	}
-	return s.race(ctx, spec)
-}
-
-// raceResult is one racer's outcome, tagged with its lane.
-type raceResult struct {
-	lane  int
-	pkg   *core.Package
-	stats *core.EvalStats
-	err   error
-}
-
-// race runs Racers refinement orders concurrently and returns the first
-// feasible package. Losers are canceled through the shared context; the
-// function returns only after every racer goroutine has exited, so a
-// solve never leaks goroutines into the caller. When every order fails,
-// the canonical lane-0 error (deterministic order) is returned.
-func (s SketchRefine) race(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make(chan raceResult, s.Racers)
-	for lane := 0; lane < s.Racers; lane++ {
-		opt := s.Opt
-		if lane > 0 {
-			// Lane 0 keeps the configured order; the others shuffle with
-			// distinct, reproducible seeds. Skip 0 (which would mean "no
-			// shuffle") and lane 0's own seed, so no racer duplicates the
-			// configured order.
-			seed := 1 + int64(lane)
-			for seed == 0 || seed == s.Opt.Seed {
-				seed += int64(s.Racers)
-			}
-			opt.Seed = seed
-		}
-		go func(lane int, opt sketchrefine.Options) {
-			pkg, stats, err := sketchrefine.EvaluateCtx(raceCtx, spec, s.Part, opt)
-			results <- raceResult{lane: lane, pkg: pkg, stats: stats, err: err}
-		}(lane, opt)
-	}
-
-	// The winner's own stats are returned — not an aggregate. Folding in
-	// canceled losers would misattribute their work to the package and
-	// could mark a clean win Truncated (a loser's budget-limited
-	// sub-solve), making the result wrongly uncacheable. On an all-fail
-	// race the lanes' stats are aggregated, since they all contributed
-	// to the verdict.
-	agg := &core.EvalStats{}
-	var winner *raceResult
-	var lane0Err error
-	for i := 0; i < s.Racers; i++ {
-		r := <-results
-		agg.Add(r.stats)
-		if r.err == nil && winner == nil {
-			winner = &r
-			cancel() // first feasible package wins; stop the losers
-		}
-		if r.lane == 0 {
-			lane0Err = r.err
-		}
-	}
-	if winner != nil {
-		return winner.pkg, winner.stats, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, agg, err
-	}
-	return nil, agg, lane0Err
+	return sketchrefine.EvaluateCtx(ctx, spec, s.Part, s.Opt)
 }
 
 // Result is the outcome of one engine evaluation.

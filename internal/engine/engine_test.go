@@ -80,7 +80,7 @@ func TestBatchWorkersDifferential(t *testing.T) {
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		eng := engine.New(engine.SketchRefine{
 			Part: part,
-			Opt:  sketchrefine.Options{Solver: solverOpt(), HybridSketch: true},
+			Opt:  sketchrefine.Options{Solver: solverOpt()},
 		})
 		results := evaluateAll(eng, specs, workers)
 		got := make([]outcome, len(results))
@@ -171,7 +171,7 @@ func TestBatchCache(t *testing.T) {
 	batch := append(append([]*core.Spec{}, specs...), specs...) // every query twice
 	eng := engine.New(engine.SketchRefine{
 		Part: part,
-		Opt:  sketchrefine.Options{Solver: solverOpt(), HybridSketch: true},
+		Opt:  sketchrefine.Options{Solver: solverOpt()},
 	})
 	results := evaluateAll(eng, batch, 4)
 	if got, want := eng.Stats().Entries, len(specs); got != want {
@@ -224,7 +224,7 @@ func TestCacheHitTime(t *testing.T) {
 	part, specs := galaxyProblem(t, 800, 1)
 	eng := engine.New(engine.SketchRefine{
 		Part: part,
-		Opt:  sketchrefine.Options{Solver: solverOpt(), HybridSketch: true},
+		Opt:  sketchrefine.Options{Solver: solverOpt()},
 	})
 	first := eng.Evaluate(context.Background(), specs[0])
 	if first.Err != nil {
@@ -318,9 +318,8 @@ func TestSeededConcurrentBatch(t *testing.T) {
 	eng := engine.New(engine.SketchRefine{
 		Part: part,
 		Opt: sketchrefine.Options{
-			Solver:       solverOpt(),
-			HybridSketch: true,
-			Seed:         9,
+			Solver: solverOpt(),
+			Seed:   9,
 		},
 	})
 	eng.NoCache = true // force every query through a real solve
@@ -331,32 +330,8 @@ func TestSeededConcurrentBatch(t *testing.T) {
 	}
 }
 
-// TestRacedRefineOrders: racing several seeded refinement orders must
-// still return a feasible package (any order is a valid SketchRefine
-// run), and the racer goroutines must all be gone when Solve returns.
-func TestRacedRefineOrders(t *testing.T) {
-	part, specs := galaxyProblem(t, 1200, 3)
-	before := runtime.NumGoroutine()
-	eng := engine.New(engine.SketchRefine{
-		Part:   part,
-		Opt:    sketchrefine.Options{Solver: solverOpt(), HybridSketch: true},
-		Racers: 4,
-	})
-	for i, spec := range specs {
-		res := eng.Evaluate(context.Background(), spec)
-		if res.Err != nil {
-			t.Fatalf("query %d: %v", i, res.Err)
-		}
-		ok, err := res.Pkg.IsFeasible(spec)
-		if err != nil || !ok {
-			t.Errorf("query %d: raced package infeasible (%v)", i, err)
-		}
-	}
-	waitForGoroutines(t, before)
-}
-
 // waitForGoroutines asserts the goroutine count settles back to the
-// baseline (canceled losers must exit, not linger).
+// baseline (a canceled solve must leave nothing running).
 func waitForGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -376,9 +351,8 @@ func TestCancellationMidSolve(t *testing.T) {
 	part, specs := galaxyProblem(t, 2500, 1)
 	before := runtime.NumGoroutine()
 	eng := engine.New(engine.SketchRefine{
-		Part:   part,
-		Opt:    sketchrefine.Options{Solver: ilp.Options{MaxNodes: 1 << 30}, HybridSketch: true},
-		Racers: 3,
+		Part: part,
+		Opt:  sketchrefine.Options{Solver: ilp.Options{MaxNodes: 1 << 30}},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan engine.Result, 1)
@@ -438,7 +412,7 @@ func TestConcurrentEnginesSharedPartitioning(t *testing.T) {
 	part, specs := galaxyProblem(t, 1000, 6)
 	eng := engine.New(engine.SketchRefine{
 		Part: part,
-		Opt:  sketchrefine.Options{Solver: solverOpt(), HybridSketch: true},
+		Opt:  sketchrefine.Options{Solver: solverOpt()},
 	})
 	want := evaluateAll(eng, specs, 4)
 	done := make(chan []engine.Result, 3)

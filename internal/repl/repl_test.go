@@ -18,14 +18,13 @@ import (
 )
 
 // dsConfig is the shared dataset shape: explicit partition attributes
-// so leader and follower key the same warm partitioning, one racer so
-// evaluations are deterministic, and a fixed seed.
+// so leader and follower key the same warm partitioning, and a fixed
+// seed so evaluations are deterministic.
 func dsConfig(dataDir string) server.DatasetConfig {
 	return server.DatasetConfig{
 		Attrs:   []string{"ra", "dec"},
 		TauFrac: 0.25,
 		Workers: 2,
-		Racers:  1,
 		Seed:    7,
 		DataDir: dataDir,
 	}

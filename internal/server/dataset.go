@@ -34,7 +34,8 @@ type DatasetConfig struct {
 	// Workers bounds partition-build concurrency; 0 means GOMAXPROCS.
 	Workers int
 	// TimeLimit, MaxNodes, and Gap are the per-ILP solver budgets.
-	// Zero-valued fields get paqld defaults (30s, 200k nodes, 1e-4 gap).
+	// Zero-valued fields get paqld's 30s time limit and paq's defaults
+	// otherwise (200k nodes, 1e-4 gap).
 	TimeLimit time.Duration
 	MaxNodes  int
 	Gap       float64
@@ -42,9 +43,8 @@ type DatasetConfig struct {
 	// identical queries give identical answers across requests (and match
 	// an in-process evaluation with the same seed).
 	Seed int64
-	// Racers is the number of SketchRefine refinement orders raced per
-	// query. 0 or 1 keeps evaluation deterministic; the differential load
-	// checker requires 1.
+	// Racers is ignored: SketchRefine runs one refinement order. The
+	// field stays only for the benchmark harness, which still sets it.
 	Racers int
 	// DataDir, when non-empty, makes the dataset durable: its WAL and
 	// snapshots live in DataDir/<name>. If that directory already holds
@@ -57,26 +57,21 @@ type DatasetConfig struct {
 // budgetOptions lowers the relation-independent configuration (solver
 // budgets, partitioning shape, concurrency) to paq session options.
 func (c DatasetConfig) budgetOptions() []paq.Option {
-	tau := c.TauFrac
-	if tau <= 0 {
-		tau = 0.10
-	}
 	tl := c.TimeLimit
 	if tl == 0 {
 		tl = 30 * time.Second
 	}
-	gap := c.Gap
-	if gap == 0 {
-		gap = 1e-4
-	}
 	opts := []paq.Option{
-		paq.WithTau(tau),
 		paq.WithWorkers(c.Workers),
 		paq.WithTimeLimit(tl),
-		paq.WithGap(gap),
 		paq.WithSeed(c.Seed),
-		paq.WithRacers(c.Racers),
 		paq.WithWarmPartitioning(),
+	}
+	if c.TauFrac > 0 {
+		opts = append(opts, paq.WithTau(c.TauFrac))
+	}
+	if c.Gap != 0 {
+		opts = append(opts, paq.WithGap(c.Gap))
 	}
 	if c.MaxNodes > 0 {
 		opts = append(opts, paq.WithNodeLimit(c.MaxNodes))

@@ -27,7 +27,7 @@ import (
 // enough that a runaway query cannot stall CI.
 func testDatasetConfig() DatasetConfig {
 	return DatasetConfig{
-		TauFrac: 0.10, Workers: 0, Seed: 7, Racers: 1,
+		TauFrac: 0.10, Workers: 0, Seed: 7,
 		TimeLimit: 30 * time.Second, MaxNodes: 100000, Gap: 1e-4,
 	}
 }

@@ -23,7 +23,7 @@ func TestDynamicPartitioningEndToEnd(t *testing.T) {
 	spec := cardSpec(rel, 6, 40)
 	for _, omega := range []float64{4, 2, 1} {
 		part := buildPart(t, rel, rel.Len(), omega)
-		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 		if err != nil {
 			t.Fatalf("ω=%g: %v", omega, err)
 		}
@@ -39,7 +39,7 @@ func TestStatsAccumulation(t *testing.T) {
 	rel := genRel(300, 32)
 	part := buildPart(t, rel, 30, 0)
 	spec := cardSpec(rel, 8, 50)
-	_, stats, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+	_, stats, err := EvaluateCtx(context.Background(), spec, part, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBacktrackingExercised(t *testing.T) {
 		},
 		Objective: &core.Objective{Maximize: true, Coef: core.AttrCoef{Attr: "b"}},
 	}
-	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 	if err != nil {
 		t.Fatalf("backtracking scenario failed: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestSketchCapsRespectRepeat(t *testing.T) {
 	for _, repeat := range []int{0, 1, 3} {
 		spec := cardSpec(rel, 10, 70)
 		spec.Repeat = repeat
-		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 		if err != nil {
 			t.Fatalf("repeat %d: %v", repeat, err)
 		}
@@ -152,8 +152,7 @@ func TestSolverBudgetPropagates(t *testing.T) {
 	part := buildPart(t, rel, 40, 0)
 	spec := cardSpec(rel, 8, 50)
 	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{
-		HybridSketch: true,
-		Solver:       ilp.Options{MaxNodes: 2},
+		Solver: ilp.Options{MaxNodes: 2},
 	})
 	if err != nil {
 		return // acceptable: budget too small to finish
@@ -191,8 +190,7 @@ func TestTraceSubproblemIDs(t *testing.T) {
 			root := obs.NewSpan("solve")
 			streamed := map[int]bool{}
 			_, stats, err := EvaluateCtx(obs.ContextWith(context.Background(), root), tc.spec, tc.part, Options{
-				HybridSketch: true,
-				OnIncumbent:  func(inc core.Incumbent) { streamed[inc.Subproblem] = true },
+				OnIncumbent: func(inc core.Incumbent) { streamed[inc.Subproblem] = true },
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -55,9 +55,9 @@ func TestSeedStability(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"nil-rand", Options{HybridSketch: true}},
-		{"seed-17", Options{HybridSketch: true, Seed: 17}},
-		{"seed-99", Options{HybridSketch: true, Seed: 99}},
+		{"nil-rand", Options{}},
+		{"seed-17", Options{Seed: 17}},
+		{"seed-99", Options{Seed: 99}},
 	} {
 		var first *core.Package
 		for run := 0; run < 4; run++ {
@@ -81,14 +81,14 @@ func TestSeedStability(t *testing.T) {
 func TestSeedReproducible(t *testing.T) {
 	spec, part := seedTestProblem(t)
 	for _, seed := range []int64{1, 5, 23} {
-		first, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true, Seed: seed})
+		first, _, err := EvaluateCtx(context.Background(), spec, part, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true, Seed: seed + 1}); err != nil {
+		if _, _, err := EvaluateCtx(context.Background(), spec, part, Options{Seed: seed + 1}); err != nil {
 			t.Fatal(err)
 		}
-		again, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true, Seed: seed})
+		again, _, err := EvaluateCtx(context.Background(), spec, part, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

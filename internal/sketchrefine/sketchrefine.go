@@ -11,8 +11,8 @@
 //     right-hand sides are adjusted by the aggregates of everything
 //     already placed (Section 4.2.2, Algorithm 2), greedily backtracking
 //     — prioritizing failed groups — when a refinement is infeasible;
-//  3. optionally falls back to the hybrid sketch query (Section 4.4 #1)
-//     when the plain sketch is infeasible, and reports
+//  3. falls back to the hybrid sketch query (Section 4.4 #1) when the
+//     plain sketch is infeasible, and reports
 //     ErrFalseInfeasible when refinement fails outright.
 //
 // Every subproblem is solved with the same black-box ILP solver DIRECT
@@ -45,8 +45,9 @@ import (
 type Options struct {
 	// Solver configures the per-subproblem ILP budgets.
 	Solver ilp.Options
-	// HybridSketch enables the hybrid sketch fallback on sketch
-	// infeasibility (the strategy the paper's experiments use).
+	// HybridSketch is ignored: an infeasible sketch always falls back to
+	// the hybrid sketch of Section 4.4. The field stays only for the
+	// benchmark harness, which still sets it.
 	HybridSketch bool
 	// Seed, when nonzero, shuffles the initial refinement order
 	// (Algorithm 2 starts from an arbitrary order) with a private
@@ -206,7 +207,7 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partition
 
 	st, err := ev.sketch()
 	if err != nil {
-		if errors.Is(err, core.ErrInfeasible) && opt.HybridSketch {
+		if errors.Is(err, core.ErrInfeasible) {
 			st, err = ev.hybridSketch()
 		}
 		if err != nil {

@@ -70,7 +70,7 @@ func TestSketchRefineFeasiblePackage(t *testing.T) {
 	rel := genRel(500, 1)
 	part := buildPart(t, rel, 60, 0)
 	spec := cardSpec(rel, 10, 60)
-	pkg, stats, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+	pkg, stats, err := EvaluateCtx(context.Background(), spec, part, Options{})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestSketchRefineObjectiveCloseToDirect(t *testing.T) {
 	rel := genRel(400, 2)
 	part := buildPart(t, rel, 50, 0)
 	spec := cardSpec(rel, 8, 50)
-	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSketchRefineMinimization(t *testing.T) {
 		},
 		Objective: &core.Objective{Maximize: false, Coef: core.AttrCoef{Attr: "a"}},
 	}
-	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSketchRefineWithBasePredicate(t *testing.T) {
 	part := buildPart(t, rel, 50, 0)
 	spec := cardSpec(rel, 5, 40)
 	spec.Base = relation.NewCompare("cat", relation.EQ, relation.S("x"))
-	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSketchRefineRepeat(t *testing.T) {
 	part := buildPart(t, rel, 20, 0)
 	spec := cardSpec(rel, 12, 80)
 	spec.Repeat = 2 // each tuple at most 3 times
-	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSketchRefineInfeasibleQuery(t *testing.T) {
 	part := buildPart(t, rel, 30, 0)
 	// SUM(a) <= 5 with 10 tuples each having a >= 1 is impossible.
 	spec := cardSpec(rel, 10, 5)
-	_, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+	_, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 	if err == nil {
 		t.Fatal("infeasible query produced a package")
 	}
@@ -222,7 +222,7 @@ func TestSketchRefineRestrictedPartitioning(t *testing.T) {
 	}
 	part := full.Restrict(rows)
 	spec := cardSpec(rel, 7, 45)
-	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ MAXIMIZE SUM(P.b)`, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+	pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +270,7 @@ func TestSketchRefineShuffledOrder(t *testing.T) {
 	spec := cardSpec(rel, 6, 35)
 	for seed := int64(1); seed < 4; seed++ {
 		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{
-			HybridSketch: true,
-			Seed:         seed,
+			Seed: seed,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -302,7 +301,7 @@ func TestApproximationBoundTheorem3(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := cardSpec(rel, 5, 35)
-		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 		if err != nil {
 			// False infeasibility is allowed by the theorem (it only
 			// bounds the objective of produced packages).
@@ -339,7 +338,7 @@ func TestFalseInfeasibilityRare(t *testing.T) {
 			sumA += rel.Float(r, 0)
 		}
 		spec := cardSpec(rel, card, sumA+1) // the target package is feasible
-		_, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+		_, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 		if err != nil {
 			failures++
 		}
@@ -368,7 +367,7 @@ func TestQuickAlwaysFeasible(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			spec.Objective.Maximize = false
 		}
-		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{HybridSketch: true})
+		pkg, _, err := EvaluateCtx(context.Background(), spec, part, Options{})
 		if err != nil {
 			// Infeasibility reports are acceptable; wrong packages are not.
 			return errors.Is(err, ErrFalseInfeasible) || errors.Is(err, core.ErrInfeasible)

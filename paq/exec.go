@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/advisor"
@@ -109,9 +108,8 @@ type ExecOption struct{ apply func(*execCfg) }
 
 // WithIncumbent streams improving incumbents to fn as they are found,
 // turning the solve into an anytime computation. fn runs synchronously
-// on the solving goroutine (serialized even when refinement orders
-// race): keep it cheap. Cache hits return immediately and stream
-// nothing.
+// on the solving goroutine: keep it cheap. Cache hits return immediately
+// and stream nothing.
 func WithIncumbent(fn func(Incumbent)) ExecOption {
 	return ExecOption{apply: func(c *execCfg) { c.fn = fn }}
 }
@@ -119,19 +117,16 @@ func WithIncumbent(fn func(Incumbent)) ExecOption {
 // WithRows restricts the evaluation to a subset of the relation's rows
 // — the paper's protocol for derived smaller datasets. The rows must be
 // in range, live and distinct at the version the execution pins, as for
-// DeleteRows. Row-subset executions bypass the solution cache and
-// evaluate the single configured refinement order (WithRacers does not
-// apply). Not supported by MethodNaive.
+// DeleteRows. Row-subset executions bypass the solution cache. Not
+// supported by MethodNaive.
 func WithRows(rows []int) ExecOption {
 	return ExecOption{apply: func(c *execCfg) { c.rows = rows }}
 }
 
 // WithExecSeed replaces the session's SketchRefine refinement-order
 // seed for this execution only. Reseeded executions bypass the
-// solution cache (their answer depends on the order) and evaluate that
-// single order deterministically (WithRacers does not apply). On a
-// statement of any other method the seed cannot change the answer and
-// is ignored.
+// solution cache (their answer depends on the order). On a statement of
+// any other method the seed cannot change the answer and is ignored.
 func WithExecSeed(seed int64) ExecOption {
 	return ExecOption{apply: func(c *execCfg) { c.seed = seed; c.seedSet = true }}
 }
@@ -197,16 +192,11 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 
 	// The incumbent hook: incumbents are always counted (Result and the
 	// session's anytime counter) and forwarded to the caller when asked.
-	// Racing refinement orders share the hook, so the whole callback —
-	// sequencing and the user fn — runs under one mutex.
-	var (
-		hookMu sync.Mutex
-		nInc   int
-	)
+	// Every solver calls it on this goroutine, and a caller that joins
+	// another's in-flight solve never gets its own hook called.
+	nInc := 0
 	fn := ec.fn
 	hook := func(inc core.Incumbent) {
-		hookMu.Lock()
-		defer hookMu.Unlock()
 		nInc++
 		st.sess.incumbents.Add(1)
 		if fn != nil {
@@ -326,8 +316,6 @@ func (st *Stmt) executeBespoke(ctx context.Context, ec execCfg, spec *core.Spec,
 	case MethodNaive:
 		err = fmt.Errorf("%w: naive evaluation over row subsets", ErrUnsupported)
 	case MethodSketchRefine:
-		// The engine path's strategy value, minus the racers: one
-		// refinement order, over the restricted view, at the given seed.
 		part := pin.view
 		if ec.rows != nil {
 			part = part.Restrict(ec.rows)

@@ -16,7 +16,6 @@ type config struct {
 	tauAbs     int
 	radius     float64
 	workers    int
-	racers     int
 	seed       int64
 	timeLimit  time.Duration
 	maxNodes   int
@@ -48,9 +47,8 @@ func (c config) solverOptions() ilp.Options {
 // path and the bespoke (row-subset / reseeded) path.
 func (s *Session) sketchOptions() sketchrefine.Options {
 	return sketchrefine.Options{
-		Solver:       s.cfg.solverOptions(),
-		HybridSketch: true,
-		Seed:         s.cfg.seed,
+		Solver: s.cfg.solverOptions(),
+		Seed:   s.cfg.seed,
 	}
 }
 
@@ -144,16 +142,6 @@ func WithRadiusLimit(omega float64) Option {
 func WithWorkers(n int) Option {
 	return opt(func(c *config) error {
 		c.workers = n
-		return nil
-	})
-}
-
-// WithRacers races that many SketchRefine refinement orders per query
-// and keeps the first feasible package; 0 or 1 (the default) evaluates
-// the single configured order deterministically.
-func WithRacers(n int) Option {
-	return opt(func(c *config) error {
-		c.racers = n
 		return nil
 	})
 }

@@ -114,7 +114,7 @@ func newSession(d *dataset, cfg config) *Session {
 	s.setEngine(MethodDirect, engine.Direct{Opt: cfg.solverOptions()}, cfg.noCache)
 	// The partitioning arrives per call (the pinned view, with its entry's
 	// cacheKey as the cache-key prefix), so one engine serves every set.
-	s.setEngine(MethodSketchRefine, engine.SketchRefine{Opt: s.sketchOptions(), Racers: cfg.racers}, cfg.noCache)
+	s.setEngine(MethodSketchRefine, engine.SketchRefine{Opt: s.sketchOptions()}, cfg.noCache)
 	return s
 }
 

@@ -3,6 +3,8 @@ package paq_test
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -483,6 +485,58 @@ SUCH THAT COUNT(P.*) = ` + strconv.Itoa(tc.card) + ` AND SUM(P.redshift) <= 4.0 
 				if errors.Is(err, tagged) {
 					t.Errorf("%s: WithRows(%v): validation error tagged %v", tc.m, bad.rows, tagged)
 				}
+			}
+		}
+	}
+}
+
+// TestExecSeedMatchesSessionSeed: a reseeded SketchRefine execution
+// takes the bespoke path, which builds its own strategy value. It must be
+// the engine path's at that seed: the same rows, multiplicities,
+// objective bits and subproblem count as a session opened WithSeed.
+func TestExecSeedMatchesSessionSeed(t *testing.T) {
+	rel := workload.Galaxy(2500, 7)
+	queries, err := workload.GalaxyQueries(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := paq.WithPartitionAttrs(workload.WorkloadAttrs(queries)...)
+	sess, err := paq.Open(paq.Table(rel), attrs, paq.WithMethod(paq.MethodSketchRefine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{3, 11, 29} {
+		ref, err := paq.Open(paq.Table(rel), attrs, paq.WithMethod(paq.MethodSketchRefine),
+			paq.WithSeed(seed), paq.WithoutCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			if q.Hard {
+				continue // budget-dependent at test scale
+			}
+			name := q.Name + "/seed=" + strconv.FormatInt(seed, 10)
+			run := func(s *paq.Session, opts ...paq.ExecOption) *paq.Result {
+				t.Helper()
+				stmt, err := s.Prepare(q.PaQL)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				res, err := stmt.Execute(context.Background(), opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return res
+			}
+			got, want := run(sess, paq.WithExecSeed(seed)), run(ref)
+			if !slices.Equal(got.Rows, want.Rows) || !slices.Equal(got.Mult, want.Mult) {
+				t.Errorf("%s: package %v×%v, want %v×%v", name, got.Rows, got.Mult, want.Rows, want.Mult)
+			}
+			if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+				t.Errorf("%s: objective %v, want %v", name, got.Objective, want.Objective)
+			}
+			if got.Stats.Subproblems != want.Stats.Subproblems {
+				t.Errorf("%s: %d subproblems, want %d", name, got.Stats.Subproblems, want.Stats.Subproblems)
 			}
 		}
 	}
