@@ -14,29 +14,6 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkPartitionBuild measures the offline partitioning at several
-// worker counts; on a multi-core machine the GOMAXPROCS row should beat
-// workers=1 by roughly the core count (the quad-tree fan-out is
-// embarrassingly parallel below the first few levels).
-func BenchmarkPartitionBuild(b *testing.B) {
-	rel := workload.Galaxy(40000, 17)
-	attrs := []string{"ra", "dec", "redshift", "petrorad"}
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := partition.Build(rel, partition.Options{
-					Attrs:         attrs,
-					SizeThreshold: rel.Len()/10 + 1,
-					Workers:       workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBatchEvaluate measures batch query evaluation over one shared
 // partitioning at several fan-out widths. Queries are independent
 // SketchRefine evaluations, so the speedup over workers=1 should track
@@ -62,13 +39,12 @@ MAXIMIZE SUM(P.petrorad)`, card, 0.8*float64(card)+0.05*float64(i)), rel)
 		}
 		specs = append(specs, spec)
 	}
-	opt := sketchrefine.Options{Solver: ilp.Options{MaxNodes: 50000, Gap: 1e-4}}
+	sr := sketchRefine(part, sketchrefine.Options{Solver: ilp.Options{MaxNodes: 50000, Gap: 1e-4}})
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := engine.New(engine.SketchRefine{Part: part, Opt: opt})
-				eng.NoCache = true // measure solves, not cache hits
-				for qi, r := range evaluateAll(eng, specs, workers) {
+				eng := &engine.Engine{NoCache: true} // measure solves, not cache hits
+				for qi, r := range evaluateAll(eng, sr, specs, workers) {
 					if r.Err != nil {
 						b.Fatalf("query %d: %v", qi, r.Err)
 					}

@@ -1,22 +1,15 @@
-// Package engine is the evaluation entry point the paq SDK calls
-// instead of the individual strategies. The command-line tools, the
-// benchmark harness and the examples go through paq, never here: the
-// SDK boundary (docs/INVARIANTS.md) forbids them this import. Outside
-// tests, only paq and benchmarks/paqbench import engine.
+// Package engine is the solution cache behind the paq SDK: identical
+// queries over the same data are solved once, concurrent duplicates
+// share one solve, only definitive outcomes are retained, and entries
+// solved against an older relation version are reclaimed. It never
+// picks an evaluation strategy — the caller passes the solve to Do (paq
+// has the one DIRECT / SketchRefine / NAIVE dispatch). The command-line
+// tools, the benchmark harness and the examples go through paq, never
+// here: the SDK boundary (docs/INVARIANTS.md) forbids them this import.
+// Outside tests, only paq and benchmarks/paqbench import engine.
 //
-// It contributes two things on top of the strategy packages:
-//
-//   - one Solver interface with the three evaluation strategies of the
-//     paper — NAIVE (Section 2), DIRECT (Section 3), and SKETCHREFINE
-//     (Section 4) — as interchangeable values; what varies per call (a
-//     pinned partitioning view, an incumbent listener) travels in a Call;
-//   - a solution cache per engine: identical queries over the same data
-//     are solved once, concurrent duplicates share one solve, and only
-//     definitive outcomes are retained (an Engine is safe for concurrent
-//     use; callers that want a batch fan Evaluate out themselves).
-//
-// Every solve takes a context.Context whose cancellation or deadline
-// reaches all the way into the simplex iterations of an in-flight ILP.
+// An Engine is safe for concurrent use; callers that want a batch fan
+// Do out themselves.
 package engine
 
 import (
@@ -30,104 +23,28 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ilp"
-	"repro/internal/naive"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/sketchrefine"
 )
 
-// Solver is one evaluation strategy for compiled package queries. Solve
-// must honor ctx: cancellation or a deadline aborts the evaluation and
-// returns the context's error. Implementations must be safe for
-// concurrent use — Engine calls Solve from many goroutines.
-type Solver interface {
-	// Solve evaluates the query and returns the chosen package.
-	Solve(ctx context.Context, spec *core.Spec, call Call) (*core.Package, *core.EvalStats, error)
-}
+// Func is the solve Do runs on a cache miss (on every call, with
+// NoCache). It must honor ctx: cancellation or a deadline aborts it with
+// the context's error.
+type Func func(ctx context.Context) (*core.Package, *core.EvalStats, error)
 
-// Call carries what one evaluation adds to a strategy's fixed
-// configuration. The zero value is a plain solve; a strategy ignores
-// the inputs that do not apply to it.
-type Call struct {
-	// Part, when non-nil, replaces a partitioned strategy's own
-	// partitioning for this call — the seam snapshot-pinned solves use to
-	// run over a frozen view whose relation matches their pinned version.
-	Part *partition.Partitioning
-	// OnIncumbent, when non-nil, receives the solve's improving
-	// incumbents while it runs (anytime results; Naive has no stream
-	// worth forwarding). It is called synchronously on the solving
-	// goroutine.
-	OnIncumbent core.IncumbentFunc
-	// KeyPrefix is prepended to the solution-cache key. A caller serving
-	// several partitionings from one engine passes each one's shape key,
-	// so answers refined over different partitionings never collide.
-	KeyPrefix string
-}
-
-// Direct is the paper's DIRECT strategy: one ILP over the whole base
-// relation, solved by the black-box solver.
-type Direct struct {
-	Opt ilp.Options
-}
-
-// Solve implements Solver.
-func (d Direct) Solve(ctx context.Context, spec *core.Spec, call Call) (*core.Package, *core.EvalStats, error) {
-	return core.Direct(ctx, spec, d.Opt, call.OnIncumbent)
-}
-
-// Naive is the traditional-SQL self-join baseline of Section 2. It only
-// supports REPEAT 0 queries with a strict cardinality constraint.
-type Naive struct {
-	Opt naive.Options
-}
-
-// Solve implements Solver.
-func (n Naive) Solve(ctx context.Context, spec *core.Spec, _ Call) (*core.Package, *core.EvalStats, error) {
-	t0 := time.Now()
-	res, err := naive.EvaluateCtx(ctx, spec, n.Opt)
-	stats := &core.EvalStats{Subproblems: 1, SolveTime: time.Since(t0)}
-	if err != nil {
-		if errors.Is(err, naive.ErrTimeout) {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, stats, cerr
-			}
-			if res != nil && res.Package != nil {
-				// Options.Timeout expired with a feasible (possibly
-				// suboptimal) package in hand: return it, matching the
-				// AcceptIncumbent behavior of the ILP-based strategies.
-				stats.Truncated = true
-				return res.Package, stats, nil
-			}
-		}
-		return nil, stats, err
-	}
-	return res.Package, stats, nil
-}
-
-// SketchRefine is the paper's scalable strategy over a shared offline
-// partitioning: one evaluation is one refinement order, the one Opt.Seed
-// selects.
+// SketchRefine is the strategy Evaluate runs: the paper's scalable
+// strategy over a fixed partitioning, one refinement order (the one
+// Opt.Seed selects) per evaluation. Harness-only shim for
+// benchmarks/paqbench's ladder (ROADMAP 1(c)); paq passes its solve to
+// Do instead.
 type SketchRefine struct {
 	// Part is the offline partitioning the strategy refines over. It is
 	// shared read-only across all concurrent evaluations.
 	Part *partition.Partitioning
 	// Opt configures the evaluation.
 	Opt sketchrefine.Options
-}
-
-// Solve implements Solver: the call's partitioning view and incumbent
-// listener replace the configured ones for this evaluation only (s is a
-// copy).
-func (s SketchRefine) Solve(ctx context.Context, spec *core.Spec, call Call) (*core.Package, *core.EvalStats, error) {
-	if call.Part != nil {
-		s.Part = call.Part
-	}
-	if call.OnIncumbent != nil {
-		s.Opt.OnIncumbent = call.OnIncumbent
-	}
-	return sketchrefine.EvaluateCtx(ctx, spec, s.Part, s.Opt)
 }
 
 // Result is the outcome of one engine evaluation.
@@ -142,20 +59,13 @@ type Result struct {
 	Time time.Duration
 }
 
-// Engine evaluates package queries with a pluggable strategy and a
-// solution cache that deduplicates identical queries against the same
-// strategy (for SketchRefine: the same shared partitioning). An Engine
-// is safe for concurrent use.
+// Engine is one solution cache. The zero value is ready to use.
 type Engine struct {
-	// Solver is the evaluation strategy.
-	Solver Solver
-	// NoCache disables the solution cache (every Evaluate solves).
+	// NoCache disables the cache: every Do solves (and counts a miss).
 	NoCache bool
-	// MaxCacheEntries bounds the solution cache; when full, an arbitrary
-	// entry is evicted to make room (the cache is an optimization, not a
-	// registry, so approximate eviction is fine). 0 means
-	// DefaultMaxCacheEntries; negative means unbounded.
-	MaxCacheEntries int
+	// Solver is the strategy Evaluate runs. Harness-only shim for
+	// benchmarks/paqbench's ladder (ROADMAP 1(c)).
+	Solver SketchRefine
 
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
@@ -170,13 +80,13 @@ type Engine struct {
 
 // CacheStats is a snapshot of the engine's solution-cache counters.
 type CacheStats struct {
-	// Hits counts Evaluate calls served from a completed or in-flight
+	// Hits counts Do calls served from a completed or in-flight
 	// cache entry (duplicate solves shared with the owner count as hits).
 	Hits uint64
-	// Misses counts Evaluate calls that claimed a key and solved
-	// (including NoCache evaluations).
+	// Misses counts Do calls that claimed a key and solved (including
+	// NoCache evaluations).
 	Misses uint64
-	// Evictions counts entries dropped to respect MaxCacheEntries.
+	// Evictions counts entries dropped to keep the cache bounded.
 	Evictions uint64
 	// Invalidations counts entries dropped because their input relation
 	// moved past the version they were solved at (see InvalidateRel).
@@ -229,11 +139,11 @@ func (e *Engine) InvalidateRel(rel *relation.Relation) int {
 	return dropped
 }
 
-// DefaultMaxCacheEntries bounds the solution cache when
-// Engine.MaxCacheEntries is zero. Each entry pins a package and its
-// input relation, so an unbounded cache on a long-lived engine serving
-// a stream of distinct queries would grow without limit.
-const DefaultMaxCacheEntries = 4096
+// maxEntries bounds the solution cache. Each entry pins a package and
+// its input relation, so an unbounded cache on a long-lived engine
+// serving a stream of distinct queries would grow without limit. A
+// variable only so the eviction tests can lower it (export_test.go).
+var maxEntries = 4096
 
 // cacheEntry is a singleflight slot: the first goroutine to claim a key
 // solves and closes done; later goroutines wait on done and share res.
@@ -249,39 +159,43 @@ type cacheEntry struct {
 	ver uint64
 }
 
-// New returns an engine using the given strategy.
-func New(s Solver) *Engine {
+// New returns an engine whose Evaluate runs s. Harness-only shim for
+// benchmarks/paqbench's ladder (ROADMAP 1(c)).
+func New(s SketchRefine) *Engine {
 	return &Engine{Solver: s}
 }
 
-// Evaluate runs one query through the engine. Identical queries (same
-// constraints, objective, and input relation) are solved once and served
-// from the cache afterwards; concurrent duplicates share a single solve.
+// Evaluate is Do with no key prefix over e.Solver. Harness-only shim for
+// benchmarks/paqbench's ladder (ROADMAP 1(c)).
+func (e *Engine) Evaluate(ctx context.Context, spec *core.Spec) Result {
+	return e.Do(ctx, "", spec, func(ctx context.Context) (*core.Package, *core.EvalStats, error) {
+		return sketchrefine.EvaluateCtx(ctx, spec, e.Solver.Part, e.Solver.Opt)
+	})
+}
+
+// Do answers spec from the cache, or runs solve and caches its outcome.
+// The key is prefix followed by SpecKey(spec): identical queries (same
+// constraints, objective, and input relation at the same version) under
+// one prefix are solved once and served from the cache afterwards, and
+// concurrent duplicates share a single solve. A caller serving several
+// partitionings from one engine passes each one's shape key as the
+// prefix, so answers refined over different partitionings never collide.
 //
 // Only definitive outcomes are cached: a package, or a proven
 // infeasibility verdict. Wall-clock-dependent failures — cancellation,
 // deadline, solver resource limits — say nothing about the query, so
 // they are never retained, and a duplicate that was waiting on a solve
-// aborted by the *owner's* context retries with its own.
-func (e *Engine) Evaluate(ctx context.Context, spec *core.Spec) Result {
-	return e.EvaluateCall(ctx, spec, Call{})
-}
-
-// EvaluateCall is Evaluate with per-call inputs (see Call). A
-// partitioning view still shares the engine's solution cache with head
-// solves — it holds the same groups at the same relation version, so
-// keys and results are interchangeable. The incumbent stream comes from
-// a live solve only: a cache hit returns the finished result immediately
-// with no intermediate incumbents, and a caller that joins an in-flight
-// duplicate solve shares its result but not its stream (the callback
-// was bound by the first caller).
-func (e *Engine) EvaluateCall(ctx context.Context, spec *core.Spec, call Call) Result {
+// aborted by the *owner's* context retries with its own. Incumbents
+// stream from a live solve only: a cache hit returns the finished result
+// at once, and a caller that joins an in-flight duplicate shares its
+// result but not its stream (the first caller's solve is the one run).
+func (e *Engine) Do(ctx context.Context, prefix string, spec *core.Spec, solve Func) Result {
 	if e.NoCache {
 		e.misses.Add(1)
 		obs.FromContext(ctx).SetAttrStr("cache", "off")
-		return e.solve(ctx, spec, call)
+		return run(ctx, solve)
 	}
-	key := specKey(call.KeyPrefix, spec)
+	key := specKey(prefix, spec)
 
 	for {
 		e.mu.Lock()
@@ -325,11 +239,7 @@ func (e *Engine) EvaluateCall(ctx context.Context, spec *core.Spec, call Call) R
 				return Result{Err: ctx.Err()}
 			}
 		}
-		limit := e.MaxCacheEntries
-		if limit == 0 {
-			limit = DefaultMaxCacheEntries
-		}
-		if limit > 0 && len(e.cache) >= limit {
+		if len(e.cache) >= maxEntries {
 			for k := range e.cache {
 				delete(e.cache, k)
 				e.evictions.Add(1)
@@ -342,7 +252,7 @@ func (e *Engine) EvaluateCall(ctx context.Context, spec *core.Spec, call Call) R
 		e.misses.Add(1)
 		obs.FromContext(ctx).SetAttrStr("cache", "miss")
 
-		ent.res = e.solve(ctx, spec, call)
+		ent.res = run(ctx, solve)
 		if !definitive(ent.res) {
 			// Drop the entry before waking waiters so their retry finds
 			// the key free.
@@ -381,9 +291,10 @@ func ctxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func (e *Engine) solve(ctx context.Context, spec *core.Spec, call Call) Result {
+// run times one solve.
+func run(ctx context.Context, solve Func) Result {
 	t0 := time.Now()
-	pkg, stats, err := e.Solver.Solve(ctx, spec, call)
+	pkg, stats, err := solve(ctx)
 	return Result{Pkg: pkg, Stats: stats, Err: err, Time: time.Since(t0)}
 }
 

@@ -54,13 +54,46 @@ MAXIMIZE SUM(P.petrorad)`, card, bound), rel)
 	return part, specs
 }
 
-// evaluateAll is the tests' batch: it fans eng.Evaluate out over at most
+// strategy maps a spec to the solve a caller hands the engine, the way
+// paq's dispatch builds one per execution.
+type strategy func(spec *core.Spec) engine.Func
+
+func direct(opt ilp.Options) strategy {
+	return func(spec *core.Spec) engine.Func {
+		return func(ctx context.Context) (*core.Package, *core.EvalStats, error) {
+			return core.Direct(ctx, spec, opt, nil)
+		}
+	}
+}
+
+func sketchRefine(part *partition.Partitioning, opt sketchrefine.Options) strategy {
+	return func(spec *core.Spec) engine.Func {
+		return func(ctx context.Context) (*core.Package, *core.EvalStats, error) {
+			return sketchrefine.EvaluateCtx(ctx, spec, part, opt)
+		}
+	}
+}
+
+func naiveStrategy(opt naive.Options) strategy {
+	return func(spec *core.Spec) engine.Func {
+		return func(ctx context.Context) (*core.Package, *core.EvalStats, error) {
+			return naive.Solve(ctx, spec, opt)
+		}
+	}
+}
+
+// evaluate runs one spec through eng under no key prefix.
+func evaluate(ctx context.Context, eng *engine.Engine, s strategy, spec *core.Spec) engine.Result {
+	return eng.Do(ctx, "", spec, s(spec))
+}
+
+// evaluateAll is the tests' batch: it fans evaluate out over at most
 // workers goroutines and returns the results in input order, after every
 // goroutine has exited.
-func evaluateAll(eng *engine.Engine, specs []*core.Spec, workers int) []engine.Result {
+func evaluateAll(eng *engine.Engine, s strategy, specs []*core.Spec, workers int) []engine.Result {
 	out := make([]engine.Result, len(specs))
 	par.For(len(specs), workers, func(i int) {
-		out[i] = eng.Evaluate(context.Background(), specs[i])
+		out[i] = evaluate(context.Background(), eng, s, specs[i])
 	})
 	return out
 }
@@ -77,12 +110,9 @@ func TestBatchWorkersDifferential(t *testing.T) {
 		fail string
 	}
 	var want []outcome
+	sr := sketchRefine(part, sketchrefine.Options{Solver: solverOpt()})
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		eng := engine.New(engine.SketchRefine{
-			Part: part,
-			Opt:  sketchrefine.Options{Solver: solverOpt()},
-		})
-		results := evaluateAll(eng, specs, workers)
+		results := evaluateAll(&engine.Engine{}, sr, specs, workers)
 		got := make([]outcome, len(results))
 		for i, r := range results {
 			if r.Err != nil {
@@ -114,8 +144,7 @@ func TestDirectBatchDifferential(t *testing.T) {
 	_, specs := galaxyProblem(t, 600, 6)
 	var want []float64
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0), 4} {
-		eng := engine.New(engine.Direct{Opt: solverOpt()})
-		results := evaluateAll(eng, specs, workers)
+		results := evaluateAll(&engine.Engine{}, direct(solverOpt()), specs, workers)
 		got := make([]float64, len(results))
 		for i, r := range results {
 			if r.Err != nil {
@@ -152,8 +181,8 @@ MAXIMIZE SUM(P.petrorad)`, rel)
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	dir := engine.New(engine.Direct{Opt: solverOpt()}).Evaluate(ctx, spec)
-	nai := engine.New(engine.Naive{Opt: naive.Options{}}).Evaluate(ctx, spec)
+	dir := evaluate(ctx, &engine.Engine{}, direct(solverOpt()), spec)
+	nai := evaluate(ctx, &engine.Engine{}, naiveStrategy(naive.Options{}), spec)
 	if dir.Err != nil || nai.Err != nil {
 		t.Fatalf("direct err %v, naive err %v", dir.Err, nai.Err)
 	}
@@ -169,11 +198,8 @@ MAXIMIZE SUM(P.petrorad)`, rel)
 func TestBatchCache(t *testing.T) {
 	part, specs := galaxyProblem(t, 800, 4)
 	batch := append(append([]*core.Spec{}, specs...), specs...) // every query twice
-	eng := engine.New(engine.SketchRefine{
-		Part: part,
-		Opt:  sketchrefine.Options{Solver: solverOpt()},
-	})
-	results := evaluateAll(eng, batch, 4)
+	eng := &engine.Engine{}
+	results := evaluateAll(eng, sketchRefine(part, sketchrefine.Options{Solver: solverOpt()}), batch, 4)
 	if got, want := eng.Stats().Entries, len(specs); got != want {
 		t.Errorf("cache holds %d entries, want %d", got, want)
 	}
@@ -203,15 +229,15 @@ func TestBatchCache(t *testing.T) {
 // cached verdict).
 func TestResourceLimitNotCached(t *testing.T) {
 	_, specs := galaxyProblem(t, 800, 1)
-	eng := engine.New(engine.Direct{Opt: ilp.Options{MaxNodes: 1}})
-	first := eng.Evaluate(context.Background(), specs[0])
+	eng, s := &engine.Engine{}, direct(ilp.Options{MaxNodes: 1})
+	first := evaluate(context.Background(), eng, s, specs[0])
 	if !errors.Is(first.Err, core.ErrResourceLimit) {
 		t.Fatalf("error %v, want ErrResourceLimit", first.Err)
 	}
 	if eng.Stats().Entries != 0 {
 		t.Errorf("resource-limit failure was cached (%d entries)", eng.Stats().Entries)
 	}
-	second := eng.Evaluate(context.Background(), specs[0])
+	second := evaluate(context.Background(), eng, s, specs[0])
 	if second.Cached {
 		t.Error("retry of a non-definitive failure was served from cache")
 	}
@@ -219,7 +245,8 @@ func TestResourceLimitNotCached(t *testing.T) {
 
 // TestCacheHitTime: a cache hit reports Cached=true and zero Time — the
 // solve's cost was paid by the first caller, and summing Result.Time
-// across a batch must not double-count it.
+// across a batch must not double-count it. It drives the harness shims
+// (New, SketchRefine, Evaluate), as benchmarks/paqbench's ladder does.
 func TestCacheHitTime(t *testing.T) {
 	part, specs := galaxyProblem(t, 800, 1)
 	eng := engine.New(engine.SketchRefine{
@@ -248,8 +275,9 @@ func TestCacheHitTime(t *testing.T) {
 }
 
 // TestNaiveTimeoutKeepsIncumbent: when the naive enumeration hits its
-// own Options.Timeout with a feasible package already found, the engine
-// returns that package (AcceptIncumbent behavior) instead of dropping it.
+// own Options.Timeout with a feasible package already found, the solve
+// returns that package (AcceptIncumbent behavior) instead of dropping it,
+// and the engine does not retain it.
 func TestNaiveTimeoutKeepsIncumbent(t *testing.T) {
 	rel := workload.Galaxy(3000, 4)
 	spec, err := translate.Compile(`
@@ -259,8 +287,8 @@ MAXIMIZE SUM(P.petrorad)`, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(engine.Naive{Opt: naive.Options{Timeout: 30 * time.Millisecond}})
-	res := eng.Evaluate(context.Background(), spec)
+	eng := &engine.Engine{}
+	res := evaluate(context.Background(), eng, naiveStrategy(naive.Options{Timeout: 30 * time.Millisecond}), spec)
 	if res.Err != nil {
 		t.Fatalf("timed-out naive run with an incumbent returned error %v", res.Err)
 	}
@@ -315,15 +343,9 @@ func TestSpecKeyAnonymousPredicates(t *testing.T) {
 // -race if any shared mutable state sneaks back into the shuffle path).
 func TestSeededConcurrentBatch(t *testing.T) {
 	part, specs := galaxyProblem(t, 800, 8)
-	eng := engine.New(engine.SketchRefine{
-		Part: part,
-		Opt: sketchrefine.Options{
-			Solver: solverOpt(),
-			Seed:   9,
-		},
-	})
-	eng.NoCache = true // force every query through a real solve
-	for i, r := range evaluateAll(eng, specs, 4) {
+	eng := &engine.Engine{NoCache: true} // force every query through a real solve
+	sr := sketchRefine(part, sketchrefine.Options{Solver: solverOpt(), Seed: 9})
+	for i, r := range evaluateAll(eng, sr, specs, 4) {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
 		}
@@ -350,13 +372,11 @@ func waitForGoroutines(t *testing.T, baseline int) {
 func TestCancellationMidSolve(t *testing.T) {
 	part, specs := galaxyProblem(t, 2500, 1)
 	before := runtime.NumGoroutine()
-	eng := engine.New(engine.SketchRefine{
-		Part: part,
-		Opt:  sketchrefine.Options{Solver: ilp.Options{MaxNodes: 1 << 30}},
-	})
+	eng := &engine.Engine{}
+	sr := sketchRefine(part, sketchrefine.Options{Solver: ilp.Options{MaxNodes: 1 << 30}})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan engine.Result, 1)
-	go func() { done <- eng.Evaluate(ctx, specs[0]) }()
+	go func() { done <- evaluate(ctx, eng, sr, specs[0]) }()
 	time.Sleep(15 * time.Millisecond)
 	cancel()
 	select {
@@ -376,18 +396,21 @@ func TestCancellationMidSolve(t *testing.T) {
 }
 
 // TestPreCanceledContext: a context canceled before the call must fail
-// fast with context.Canceled at every strategy.
+// fast with context.Canceled at every strategy, and leave nothing cached.
 func TestPreCanceledContext(t *testing.T) {
 	part, specs := galaxyProblem(t, 400, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, s := range []engine.Solver{
-		engine.Direct{Opt: solverOpt()},
-		engine.SketchRefine{Part: part, Opt: sketchrefine.Options{Solver: solverOpt()}},
+	for name, s := range map[string]strategy{
+		"direct":       direct(solverOpt()),
+		"sketchrefine": sketchRefine(part, sketchrefine.Options{Solver: solverOpt()}),
 	} {
-		_, _, err := s.Solve(ctx, specs[0], engine.Call{})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%T: error %v, want context.Canceled", s, err)
+		eng := &engine.Engine{}
+		if r := evaluate(ctx, eng, s, specs[0]); !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("%s: error %v, want context.Canceled", name, r.Err)
+		}
+		if n := eng.Stats().Entries; n != 0 {
+			t.Errorf("%s: canceled solve cached (%d entries)", name, n)
 		}
 	}
 }
@@ -399,7 +422,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	res := engine.New(engine.Direct{Opt: ilp.Options{MaxNodes: 1 << 30}}).Evaluate(ctx, specs[0])
+	res := evaluate(ctx, &engine.Engine{}, direct(ilp.Options{MaxNodes: 1 << 30}), specs[0])
 	if !errors.Is(res.Err, context.DeadlineExceeded) {
 		t.Errorf("error %v, want context.DeadlineExceeded", res.Err)
 	}
@@ -410,15 +433,13 @@ func TestDeadlineExceeded(t *testing.T) {
 // guards the "shared partitioning is read-only" contract.
 func TestConcurrentEnginesSharedPartitioning(t *testing.T) {
 	part, specs := galaxyProblem(t, 1000, 6)
-	eng := engine.New(engine.SketchRefine{
-		Part: part,
-		Opt:  sketchrefine.Options{Solver: solverOpt()},
-	})
-	want := evaluateAll(eng, specs, 4)
+	eng := &engine.Engine{}
+	sr := sketchRefine(part, sketchrefine.Options{Solver: solverOpt()})
+	want := evaluateAll(eng, sr, specs, 4)
 	done := make(chan []engine.Result, 3)
 	for g := 0; g < 3; g++ {
 		go func() {
-			done <- evaluateAll(eng, specs, 4)
+			done <- evaluateAll(eng, sr, specs, 4)
 		}()
 	}
 	for g := 0; g < 3; g++ {
@@ -452,13 +473,14 @@ MAXIMIZE SUM(P.petrorad)`, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(engine.Direct{Opt: solverOpt()})
+	eng, d := &engine.Engine{}, direct(solverOpt())
+	ev := func() engine.Result { return evaluate(context.Background(), eng, d, spec) }
 
-	r1 := eng.Evaluate(context.Background(), spec)
+	r1 := ev()
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
 	}
-	if hit := eng.Evaluate(context.Background(), spec); !hit.Cached {
+	if hit := ev(); !hit.Cached {
 		t.Fatal("identical query on unchanged data must hit the cache")
 	}
 
@@ -466,7 +488,7 @@ MAXIMIZE SUM(P.petrorad)`, rel)
 	if err := rel.Delete(0); err != nil {
 		t.Fatal(err)
 	}
-	r2 := eng.Evaluate(context.Background(), spec)
+	r2 := ev()
 	if r2.Err != nil {
 		t.Fatal(r2.Err)
 	}
@@ -488,7 +510,7 @@ MAXIMIZE SUM(P.petrorad)`, rel)
 		t.Fatalf("Invalidations = %d, want 1", got)
 	}
 	// The fresh entry still serves.
-	if hit := eng.Evaluate(context.Background(), spec); !hit.Cached {
+	if hit := ev(); !hit.Cached {
 		t.Fatal("current-version entry must survive invalidation")
 	}
 }

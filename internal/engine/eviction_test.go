@@ -15,17 +15,22 @@ import (
 	"repro/internal/translate"
 )
 
-// countingSolver is a trivially fast Solver that counts its Solve calls;
-// it returns a fixed single-tuple package for any spec.
-type countingSolver struct {
-	calls atomic.Int64
+// counting is a trivially fast strategy that counts its solves; it
+// returns a fixed single-tuple package for any spec.
+func counting(calls *atomic.Int64) strategy {
+	return func(spec *core.Spec) engine.Func {
+		return func(ctx context.Context) (*core.Package, *core.EvalStats, error) {
+			calls.Add(1)
+			if err := ctx.Err(); err != nil {
+				return nil, &core.EvalStats{}, err
+			}
+			return firstRow(spec)
+		}
+	}
 }
 
-func (c *countingSolver) Solve(ctx context.Context, spec *core.Spec, _ engine.Call) (*core.Package, *core.EvalStats, error) {
-	c.calls.Add(1)
-	if err := ctx.Err(); err != nil {
-		return nil, &core.EvalStats{}, err
-	}
+// firstRow is the single-tuple package of row 0.
+func firstRow(spec *core.Spec) (*core.Package, *core.EvalStats, error) {
 	pkg, err := core.NewPackage(spec.Rel, []int{0}, []int{1})
 	if err != nil {
 		return nil, &core.EvalStats{}, err
@@ -34,7 +39,7 @@ func (c *countingSolver) Solve(ctx context.Context, spec *core.Spec, _ engine.Ca
 }
 
 // TestConcurrentCacheEvictionUnderLoad hammers one Engine from many
-// goroutines with far more distinct queries than MaxCacheEntries, so the
+// goroutines with far more distinct queries than the cache bound, so the
 // eviction path, the singleflight claim/drop path, and the hit path all
 // run concurrently under -race. This is the long-lived-service regression
 // test: paqld keeps one Engine per dataset alive across millions of
@@ -65,9 +70,10 @@ MAXIMIZE SUM(P.x)`, 10+i), rel)
 		specs[i] = spec
 	}
 
-	solver := &countingSolver{}
-	eng := engine.New(solver)
-	eng.MaxCacheEntries = maxEntries
+	var calls atomic.Int64
+	solve := counting(&calls)
+	eng := &engine.Engine{}
+	engine.SetMaxEntries(t, maxEntries)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -76,7 +82,7 @@ MAXIMIZE SUM(P.x)`, 10+i), rel)
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				spec := specs[(w*31+i*7)%distinct]
-				res := eng.Evaluate(context.Background(), spec)
+				res := evaluate(context.Background(), eng, solve, spec)
 				if res.Err != nil {
 					t.Errorf("worker %d iter %d: %v", w, i, res.Err)
 					return
@@ -101,11 +107,11 @@ MAXIMIZE SUM(P.x)`, 10+i), rel)
 	if st.Evictions == 0 {
 		t.Error("no evictions recorded despite distinct queries >> cache bound")
 	}
-	if solver.calls.Load() != int64(st.Misses) {
-		t.Errorf("solver calls %d != cache misses %d", solver.calls.Load(), st.Misses)
+	if calls.Load() != int64(st.Misses) {
+		t.Errorf("solver calls %d != cache misses %d", calls.Load(), st.Misses)
 	}
 	t.Logf("hits=%d misses=%d evictions=%d entries=%d solves=%d",
-		st.Hits, st.Misses, st.Evictions, st.Entries, solver.calls.Load())
+		st.Hits, st.Misses, st.Evictions, st.Entries, calls.Load())
 }
 
 // TestEvictionDoesNotCorruptInFlightSolves pins a subtle property: an
@@ -118,9 +124,9 @@ func TestEvictionDoesNotCorruptInFlightSolves(t *testing.T) {
 	reltest.Append(rel, relation.F(1))
 
 	release := make(chan struct{})
-	slow := &gateSolver{gate: release}
-	eng := engine.New(slow)
-	eng.MaxCacheEntries = 1
+	slow := gated(release)
+	eng := &engine.Engine{}
+	engine.SetMaxEntries(t, 1)
 
 	spec, err := translate.Compile(`
 SELECT PACKAGE(T) AS P FROM t T REPEAT 0
@@ -130,7 +136,7 @@ SUCH THAT COUNT(P.*) = 1 MAXIMIZE SUM(P.x)`, rel)
 	}
 	done := make(chan engine.Result, 2)
 	for i := 0; i < 2; i++ {
-		go func() { done <- eng.Evaluate(context.Background(), spec) }()
+		go func() { done <- evaluate(context.Background(), eng, slow, spec) }()
 	}
 	// Let both goroutines attach to the same in-flight entry, then evict
 	// it by solving a different query in the size-1 cache.
@@ -142,7 +148,7 @@ SUCH THAT COUNT(P.*) = 1 MINIMIZE SUM(P.x)`, rel)
 		t.Fatal(err)
 	}
 	close(release)
-	if res := eng.Evaluate(context.Background(), other); res.Err != nil {
+	if res := evaluate(context.Background(), eng, slow, other); res.Err != nil {
 		t.Fatalf("evicting solve failed: %v", res.Err)
 	}
 	for i := 0; i < 2; i++ {
@@ -156,20 +162,16 @@ SUCH THAT COUNT(P.*) = 1 MINIMIZE SUM(P.x)`, rel)
 	}
 }
 
-// gateSolver blocks Solve until its gate closes.
-type gateSolver struct {
-	gate <-chan struct{}
-}
-
-func (g *gateSolver) Solve(ctx context.Context, spec *core.Spec, _ engine.Call) (*core.Package, *core.EvalStats, error) {
-	select {
-	case <-g.gate:
-	case <-ctx.Done():
-		return nil, &core.EvalStats{}, ctx.Err()
+// gated is a strategy whose solves block until gate closes.
+func gated(gate <-chan struct{}) strategy {
+	return func(spec *core.Spec) engine.Func {
+		return func(ctx context.Context) (*core.Package, *core.EvalStats, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, &core.EvalStats{}, ctx.Err()
+			}
+			return firstRow(spec)
+		}
 	}
-	pkg, err := core.NewPackage(spec.Rel, []int{0}, []int{1})
-	if err != nil {
-		return nil, &core.EvalStats{}, err
-	}
-	return pkg, &core.EvalStats{Subproblems: 1}, nil
 }

@@ -62,6 +62,27 @@ func Cardinality(spec *core.Spec) (int, error) {
 	return 0, ErrUnsupported
 }
 
+// Solve is EvaluateCtx as an evaluation strategy, under the budget rule
+// the ILP-based strategies follow (AcceptIncumbent): an enumeration that
+// ran out of Options.Timeout with a package in hand returns it, marked
+// Truncated, unless ctx was canceled or its deadline passed — then the
+// context's error is returned.
+func Solve(ctx context.Context, spec *core.Spec, opt Options) (*core.Package, *core.EvalStats, error) {
+	t0 := time.Now()
+	res, err := EvaluateCtx(ctx, spec, opt)
+	stats := &core.EvalStats{Subproblems: 1, SolveTime: time.Since(t0)}
+	switch {
+	case errors.Is(err, ErrTimeout) && ctx.Err() != nil:
+		return nil, stats, ctx.Err()
+	case errors.Is(err, ErrTimeout) && res.Package != nil:
+		stats.Truncated = true
+		return res.Package, stats, nil
+	case err != nil:
+		return nil, stats, err
+	}
+	return res.Package, stats, nil
+}
+
 // EvaluateCtx runs the self-join baseline on a compiled package query.
 // Cancellation or a context deadline stops the enumeration and is
 // reported as ErrTimeout alongside the best package found so far,

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/relation"
 	"repro/internal/reltest"
 	"repro/internal/workload"
@@ -273,7 +272,7 @@ type blockingSolver struct {
 	started chan struct{} // one token per Solve entry
 }
 
-func (b *blockingSolver) Solve(ctx context.Context, spec *core.Spec, _ engine.Call) (*core.Package, *core.EvalStats, error) {
+func (b *blockingSolver) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
 	select {
 	case b.started <- struct{}{}:
 	default:
@@ -300,8 +299,8 @@ func tinyDataset(t *testing.T, srv *Server, solver paq.Solver) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SetSolver's engines never cache, so every request reaches the
-	// solver (blocking tests depend on it).
+	// SetSolver turns the method's cache off, so every request reaches
+	// the solver (blocking tests depend on it).
 	ds.Session().SetSolver(paq.MethodDirect, solver)
 	srv.Register(ds)
 	return `SELECT PACKAGE(T) AS P FROM tiny T REPEAT 0

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/relation"
 	"repro/internal/reltest"
 	"repro/internal/workload"
@@ -114,7 +113,7 @@ func must(stmt *paq.Stmt, err error) *paq.Stmt {
 // objective and the advisor's gap gate stays neutral.
 type stubSolver struct{ delay time.Duration }
 
-func (s stubSolver) Solve(ctx context.Context, spec *core.Spec, _ engine.Call) (*core.Package, *core.EvalStats, error) {
+func (s stubSolver) Solve(ctx context.Context, spec *core.Spec) (*core.Package, *core.EvalStats, error) {
 	time.Sleep(s.delay)
 	rows := spec.BaseRows()
 	return &core.Package{Rel: spec.Rel, Rows: rows[:1], Mult: []int{1}}, &core.EvalStats{}, nil

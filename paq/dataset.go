@@ -1,7 +1,6 @@
 package paq
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,17 +142,12 @@ func (d *dataset) each(shape string, fn func(*partEntry) error) error {
 }
 
 // register puts a session's engine on the list version invalidation
-// reaches, in place of old — the engine it replaces in that session's
-// slot — when there is one. A session has no end-of-life call, so the
-// engines of a dropped Clone stay listed for the dataset's lifetime.
-func (d *dataset) register(old, e *engine.Engine) {
+// reaches. A session has no end-of-life call, so the engines of a
+// dropped Clone stay listed for the dataset's lifetime.
+func (d *dataset) register(e *engine.Engine) {
 	d.regMu.Lock()
-	defer d.regMu.Unlock()
-	if i := slices.Index(d.engines, old); i >= 0 {
-		d.engines[i] = e
-		return
-	}
 	d.engines = append(d.engines, e)
+	d.regMu.Unlock()
 }
 
 // maintainers lists the maintainer of every built partitioning, created on

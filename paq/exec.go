@@ -9,8 +9,11 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/naive"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/partition"
+	"repro/internal/sketchrefine"
 )
 
 // TraceNode is the JSON wire form of one span of an execution trace —
@@ -214,17 +217,21 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 	}
 
 	// Bespoke executions (row subsets, reseeded refinement orders) bypass
-	// the engine and are not representative workload evidence, so they
-	// skip the advisor. Only SketchRefine has an order to reseed.
+	// the solution cache and are not representative workload evidence, so
+	// they skip the advisor too. Only SketchRefine has an order to reseed.
 	bespoke := ec.rows != nil || (ec.seedSet && st.method == MethodSketchRefine)
 	solveSp := root.Child("solve")
 	sctx := obs.ContextWith(ctx, solveSp)
+	solve := func(ctx context.Context) (*core.Package, *core.EvalStats, error) {
+		return st.solve(ctx, spec, pin.view, ec, hook)
+	}
 	var res engine.Result
 	if bespoke {
-		res = st.executeBespoke(sctx, ec, spec, pin, hook)
+		t := time.Now()
+		res.Pkg, res.Stats, res.Err = solve(sctx)
+		res.Time = time.Since(t)
 	} else {
-		res = st.sess.engineFor(st.method).EvaluateCall(sctx, spec,
-			engine.Call{Part: pin.view, KeyPrefix: pin.partKey, OnIncumbent: hook})
+		res = st.sess.engines[st.method].Do(sctx, pin.partKey, spec, solve)
 	}
 	solveSp.SetAttrBool("cached", res.Cached)
 	solveSp.Finish()
@@ -296,41 +303,41 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 	return out, nil
 }
 
-// executeBespoke runs row-subset or reseeded executions outside the
-// engine's cache (their answers are not cacheable under the statement's
-// key). spec is the snapshot-bound spec and pin the pinned state, so
-// bespoke solves are as lock-free as engine ones.
-func (st *Stmt) executeBespoke(ctx context.Context, ec execCfg, spec *core.Spec, pin pinned, hook core.IncumbentFunc) engine.Result {
+// solve is the one strategy dispatch, behind the cached and the bespoke
+// path alike: the statement's method (or SetSolver's override) over the
+// snapshot-bound spec and — for SketchRefine — the pinned partitioning
+// view, restricted to ec.rows and reseeded by ec.seed when they are set.
+func (st *Stmt) solve(ctx context.Context, spec *core.Spec, view *partition.Partitioning, ec execCfg, hook core.IncumbentFunc) (*core.Package, *core.EvalStats, error) {
 	// WithRows is caller input: held to DeleteRows' rule against the
 	// pinned snapshot before Restrict or a column gather indexes by it.
 	if err := checkRows(spec.Rel, ec.rows, "execute"); err != nil {
-		return engine.Result{Err: err}
+		return nil, nil, err
 	}
-	t0 := time.Now()
-	var (
-		pkg   *core.Package
-		stats *core.EvalStats
-		err   error
-	)
+	s := st.sess
+	if solver := s.solvers[st.method]; solver != nil {
+		return solver.Solve(ctx, spec)
+	}
 	switch st.method {
 	case MethodNaive:
-		err = fmt.Errorf("%w: naive evaluation over row subsets", ErrUnsupported)
-	case MethodSketchRefine:
-		part := pin.view
 		if ec.rows != nil {
-			part = part.Restrict(ec.rows)
+			return nil, nil, fmt.Errorf("%w: naive evaluation over row subsets", ErrUnsupported)
 		}
-		opt := st.sess.sketchOptions()
+		return naive.Solve(ctx, spec, naive.Options{Timeout: s.cfg.timeLimit})
+	case MethodSketchRefine:
+		if ec.rows != nil {
+			view = view.Restrict(ec.rows)
+		}
+		opt := sketchrefine.Options{Solver: s.cfg.solverOptions(), Seed: s.cfg.seed, OnIncumbent: hook}
 		if ec.seedSet {
 			opt.Seed = ec.seed
 		}
-		pkg, stats, err = engine.SketchRefine{Part: part, Opt: opt}.Solve(ctx, spec, engine.Call{OnIncumbent: hook})
+		return sketchrefine.EvaluateCtx(ctx, spec, view, opt)
 	default:
-		// DIRECT over a row subset is the one solve engine.Direct (the
-		// whole base relation) cannot express.
-		pkg, stats, err = core.Solve(ctx, spec, spec.FilterRows(ec.rows), nil, st.sess.cfg.solverOptions(), hook)
+		if ec.rows != nil {
+			return core.Solve(ctx, spec, spec.FilterRows(ec.rows), nil, s.cfg.solverOptions(), hook)
+		}
+		return core.Direct(ctx, spec, s.cfg.solverOptions(), hook)
 	}
-	return engine.Result{Pkg: pkg, Stats: stats, Err: err, Time: time.Since(t0)}
 }
 
 // ExecuteBatch evaluates many prepared statements concurrently on the

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/ilp"
-	"repro/internal/sketchrefine"
 )
 
 // config is the resolved session configuration.
@@ -41,15 +40,6 @@ func defaults() config {
 // solverOptions maps the session budgets to the internal solver.
 func (c config) solverOptions() ilp.Options {
 	return ilp.Options{TimeLimit: c.timeLimit, MaxNodes: c.maxNodes, Gap: c.gap}
-}
-
-// sketchOptions is the SketchRefine configuration shared by the engine
-// path and the bespoke (row-subset / reseeded) path.
-func (s *Session) sketchOptions() sketchrefine.Options {
-	return sketchrefine.Options{
-		Solver: s.cfg.solverOptions(),
-		Seed:   s.cfg.seed,
-	}
 }
 
 // Option configures a Session at Open (and, for a restricted subset, a

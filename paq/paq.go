@@ -1,6 +1,7 @@
 package paq
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/naive"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -29,10 +29,12 @@ type Stats = core.EvalStats
 // CacheStats is a snapshot of one strategy's solution-cache counters.
 type CacheStats = engine.CacheStats
 
-// Solver is the pluggable evaluation-strategy interface of the
-// underlying engine; it is exported for test seams (see
-// Session.SetSolver), not for everyday use.
-type Solver = engine.Solver
+// Solver is an evaluation strategy that replaces a method's own; it is
+// exported for test seams (see Session.SetSolver), not for everyday use.
+// Solve must honor ctx and be safe for concurrent use.
+type Solver interface {
+	Solve(ctx context.Context, spec *core.Spec) (*Package, *Stats, error)
+}
 
 // Source is where Open loads the input relation from.
 type Source interface {
@@ -79,11 +81,16 @@ type Session struct {
 	// with WithoutAdvisor).
 	adv *advisor.Advisor
 
-	// mu guards the engine slots and the counters: partBuilds counts the
-	// offline partitioning builds this session paid; advPrewarmed and
-	// advEvicted AdvisorMaintain's builds and evictions.
+	// engines holds one solution cache per concrete method, fixed by
+	// newSession; solvers holds SetSolver's overrides. Both are written
+	// only before the session serves traffic and read without a lock.
+	engines map[Method]*engine.Engine
+	solvers map[Method]Solver
+
+	// mu guards the counters: partBuilds counts the offline partitioning
+	// builds this session paid; advPrewarmed and advEvicted
+	// AdvisorMaintain's builds and evictions.
 	mu           sync.Mutex
-	engines      map[Method]*engine.Engine
 	partBuilds   uint64
 	advPrewarmed uint64
 	advEvicted   uint64
@@ -98,6 +105,7 @@ func newSession(d *dataset, cfg config) *Session {
 		cfg:     cfg,
 		shape:   fmt.Sprintf("τ=%g/%d ω=%g|", cfg.tauFrac, cfg.tauAbs, cfg.radius),
 		engines: make(map[Method]*engine.Engine),
+		solvers: make(map[Method]Solver),
 	}
 	if !cfg.noAdvisor {
 		// A clone learns afresh: its options may change solver budgets or
@@ -110,11 +118,13 @@ func newSession(d *dataset, cfg config) *Session {
 	if attrs := s.partitionAttrsFor(nil); len(attrs) > 0 {
 		d.entry(s.regKey(attrs), true).pinned.Store(true)
 	}
-	s.setEngine(MethodNaive, engine.Naive{Opt: naive.Options{Timeout: cfg.timeLimit}}, cfg.noCache)
-	s.setEngine(MethodDirect, engine.Direct{Opt: cfg.solverOptions()}, cfg.noCache)
-	// The partitioning arrives per call (the pinned view, with its entry's
-	// cacheKey as the cache-key prefix), so one engine serves every set.
-	s.setEngine(MethodSketchRefine, engine.SketchRefine{Opt: s.sketchOptions()}, cfg.noCache)
+	// SketchRefine's solves key under their partitioning's cacheKey, so
+	// one engine serves every set.
+	for _, m := range Methods() {
+		e := &engine.Engine{NoCache: cfg.noCache}
+		s.engines[m] = e
+		d.register(e)
+	}
 	return s
 }
 
@@ -444,37 +454,19 @@ func (s *Session) Partitioning() (*PartitionInfo, error) {
 	return infoOf(e.part.Load()), nil
 }
 
-// setEngine puts a fresh engine around solver in m's slot and registers
-// it with the dataset, whose mutations invalidate its stale entries.
-func (s *Session) setEngine(m Method, solver Solver, noCache bool) {
-	e := engine.New(solver)
-	e.NoCache = noCache
-	s.mu.Lock()
-	old := s.engines[m]
-	s.engines[m] = e
-	s.mu.Unlock()
-	s.d.register(old, e)
+// SetSolver replaces a method's strategy with the given solver — a seam
+// for tests that need to inject instrumented or blocking strategies —
+// and turns that method's solution cache off, so every execution
+// reaches the solver. It must be called before the session serves
+// traffic.
+func (s *Session) SetSolver(m Method, solver Solver) {
+	s.solvers[m] = solver
+	s.engines[m].NoCache = true
 }
-
-// engineFor returns the engine serving a (resolved) method.
-func (s *Session) engineFor(m Method) *engine.Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engines[m]
-}
-
-// SetSolver replaces the engine serving a method with one wrapping the
-// given solver — a seam for tests that need to inject instrumented or
-// blocking strategies. The injected engine never caches, so every
-// execution reaches the solver. It must be called before the session
-// serves traffic.
-func (s *Session) SetSolver(m Method, solver Solver) { s.setEngine(m, solver, true) }
 
 // CacheStats snapshots the solution-cache counters per method, for the
 // methods whose engine has evaluated anything.
 func (s *Session) CacheStats() map[Method]CacheStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make(map[Method]CacheStats, len(s.engines))
 	for m, e := range s.engines {
 		if cs := e.Stats(); cs.Hits+cs.Misses > 0 {

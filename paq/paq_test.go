@@ -542,6 +542,78 @@ func TestExecSeedMatchesSessionSeed(t *testing.T) {
 	}
 }
 
+// TestDispatchPathsAgree: the cached path and the bespoke path run one
+// strategy dispatch, so for DIRECT and SketchRefine the same statement
+// answers identically — rows, multiplicities, objective bits and
+// subproblem count — cached (the solve and then the hit), with the cache
+// off, over WithRows naming every live row, and reseeded at the
+// session's own seed (bespoke for SketchRefine only).
+func TestDispatchPathsAgree(t *testing.T) {
+	rel := workload.Galaxy(2500, 7)
+	queries, err := workload.GalaxyQueries(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 5
+	all := make([]int, 0, rel.Live())
+	for row := 0; row < rel.Len(); row++ {
+		if !rel.Deleted(row) {
+			all = append(all, row)
+		}
+	}
+	for _, m := range []paq.Method{paq.MethodDirect, paq.MethodSketchRefine} {
+		sess, err := paq.Open(paq.Table(rel), paq.WithMethod(m), paq.WithSeed(seed),
+			paq.WithPartitionAttrs(workload.WorkloadAttrs(queries)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		uncached, err := sess.Clone(paq.WithoutCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			if q.Hard {
+				continue // budget-dependent at test scale
+			}
+			name := string(m) + "/" + q.Name
+			run := func(s *paq.Session, opts ...paq.ExecOption) *paq.Result {
+				t.Helper()
+				stmt, err := s.Prepare(q.PaQL)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				res, err := stmt.Execute(context.Background(), opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return res
+			}
+			want := run(sess)
+			for path, got := range map[string]*paq.Result{
+				"cache hit": run(sess),
+				"no cache":  run(uncached),
+				"all rows":  run(sess, paq.WithRows(all)),
+				"own seed":  run(sess, paq.WithExecSeed(seed)),
+			} {
+				if !slices.Equal(got.Rows, want.Rows) || !slices.Equal(got.Mult, want.Mult) {
+					t.Errorf("%s, %s: package %v×%v, want %v×%v", name, path, got.Rows, got.Mult, want.Rows, want.Mult)
+				}
+				if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+					t.Errorf("%s, %s: objective %v, want %v", name, path, got.Objective, want.Objective)
+				}
+				if got.Stats.Subproblems != want.Stats.Subproblems {
+					t.Errorf("%s, %s: %d subproblems, want %d", name, path, got.Stats.Subproblems, want.Stats.Subproblems)
+				}
+				// A reseed is bespoke only where there is an order to reseed.
+				cached := path == "cache hit" || (path == "own seed" && m == paq.MethodDirect)
+				if got.Cached != cached {
+					t.Errorf("%s, %s: Cached = %v, want %v", name, path, got.Cached, cached)
+				}
+			}
+		}
+	}
+}
+
 // TestSessionClone: a clone shares the (expensive, immutable)
 // partitioning but not the solution cache.
 func TestSessionClone(t *testing.T) {

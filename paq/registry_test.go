@@ -1,11 +1,13 @@
 package paq
 
 import (
+	"context"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/engine"
+	"repro/internal/core"
 )
 
 // TestFailedBuildKeepsEntryRegistered: a failed build leaves its entry
@@ -56,17 +58,38 @@ func TestFailedBuildKeepsEntryRegistered(t *testing.T) {
 	}
 }
 
-// TestSetSolverReplacesRegistration: swapping a method's engine swaps its
-// registration too, so mutations stop invalidating the engine it replaced.
+// TestSetSolverReplacesRegistration: SetSolver replaces a method's
+// strategy, not its engine — the registration mutations invalidate stays
+// as Open made it — and turns that method's cache off, so every
+// execution reaches the injected solver.
 func TestSetSolverReplacesRegistration(t *testing.T) {
-	s, _ := pinFixture(t, WithMethod(MethodDirect))
-	before := len(s.d.engines)
-	old := s.engineFor(MethodDirect)
-	s.SetSolver(MethodDirect, engine.Direct{})
-	if got := len(s.d.engines); got != before {
-		t.Errorf("%d engines registered after SetSolver, want %d", got, before)
+	s, stmt := pinFixture(t, WithMethod(MethodDirect))
+	registered := slices.Clone(s.d.engines)
+	eng := s.engines[MethodDirect]
+	solver := &countingSolver{}
+	s.SetSolver(MethodDirect, solver)
+	if !slices.Equal(s.d.engines, registered) || s.engines[MethodDirect] != eng {
+		t.Error("SetSolver changed the session's engines or their registration")
 	}
-	if slices.Contains(s.d.engines, old) || !slices.Contains(s.d.engines, s.engineFor(MethodDirect)) {
-		t.Error("registration does not follow the session's engine slot")
+	for i := 0; i < 3; i++ {
+		if _, err := stmt.Execute(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if got := solver.calls.Load(); got != 3 {
+		t.Errorf("injected solver ran %d times for 3 executions, want 3 (cache off)", got)
+	}
+	if cs := s.CacheStats()[MethodDirect]; cs.Hits != 0 || cs.Misses != 3 || cs.Entries != 0 {
+		t.Errorf("direct cache stats %+v, want 3 misses and nothing cached", cs)
+	}
+}
+
+// countingSolver answers every query with its first base row and counts
+// its calls.
+type countingSolver struct{ calls atomic.Int64 }
+
+func (c *countingSolver) Solve(ctx context.Context, spec *core.Spec) (*Package, *Stats, error) {
+	c.calls.Add(1)
+	pkg, err := core.NewPackage(spec.Rel, spec.BaseRows()[:1], []int{1})
+	return pkg, &Stats{Subproblems: 1}, err
 }
