@@ -141,7 +141,9 @@ func (e *Engine) InvalidateRel(rel *relation.Relation) int {
 
 // maxEntries bounds the solution cache. Each entry pins a package and
 // its input relation, so an unbounded cache on a long-lived engine
-// serving a stream of distinct queries would grow without limit. A
+// serving a stream of distinct queries would grow without limit. When
+// full, an arbitrary entry is evicted to make room (the cache is an
+// optimization, not a registry, so approximate eviction is fine). A
 // variable only so the eviction tests can lower it (export_test.go).
 var maxEntries = 4096
 
