@@ -28,8 +28,8 @@ type IngestResult struct {
 	// LiveRows is the live row count after the stream.
 	LiveRows int
 	// Bound is the session's reported quality bound (the maintained
-	// partitioning behaves like an offline one with ω = the maintained
-	// radius bound); every Ratio must stay within it.
+	// partitioning behaves like an offline one with ω = its largest
+	// radius); every Ratio must stay within it.
 	Bound float64
 	// Maint is the session's cumulative maintenance work. Rebuilds must
 	// be zero: ingestion never repartitions on the hot path.

@@ -22,28 +22,24 @@ import (
 //   - a group falling below the fill floor is merged into its nearest
 //     sibling (and re-split if the merge overshoots τ);
 //   - group centroids are maintained incrementally from running sums,
-//     and radii as conservative upper bounds via the triangle
-//     inequality, periodically "healed" back to exact values so the
-//     bound cannot drift without limit.
+//     and radii exactly from each group's least and greatest member cell
+//     on every partitioning attribute: an insert widens them, a merge
+//     takes both sides', and only a removed member that was one of them
+//     sends the maintainer back over the group's cells, for that one
+//     attribute.
 //
 // SketchRefine's quality guarantees (Theorem 3) are stated in terms of
-// the maximum group radius; because maintenance tracks a sound upper
-// bound on every radius, the guarantee degrades gracefully — the
-// maintained partitioning is exactly as good as a rebuilt one whose ω
-// equals MaxRadiusBound — instead of silently. QualityBound exposes the
-// resulting multiplicative factor.
+// the maximum group radius; because maintenance keeps every radius exact,
+// the maintained partitioning is exactly as good as a rebuilt one whose ω
+// equals MaxRadiusBound. QualityBound exposes the resulting multiplicative
+// factor.
 
-const (
-	// minFillDivisor sets the merge floor: a group shrinking below
-	// τ/minFillDivisor rows is merged into its nearest sibling.
-	minFillDivisor = 4
-	// healEvery is the number of mutations a group absorbs between exact
-	// centroid/radius recomputations (the self-healing cadence).
-	healEvery = 32
-)
+// minFillDivisor sets the merge floor: a group shrinking below
+// τ/minFillDivisor rows is merged into its nearest sibling.
+const minFillDivisor = 4
 
 // MaintOptions is the (empty) configuration of a Maintainer: the merge
-// floor and the healing cadence are constants.
+// floor is a constant.
 type MaintOptions struct{}
 
 // MaintStats counts maintenance work, monotonically.
@@ -53,7 +49,8 @@ type MaintStats struct {
 	// Splits counts groups split for exceeding τ (or ω); Merges counts
 	// underfull groups folded into a sibling.
 	Splits, Merges uint64
-	// Heals counts exact centroid/radius recomputations (self-healing).
+	// Heals counts whole-group recomputations of an update's old group
+	// when the update came without its pre-image (Maintainer.Update).
 	Heals uint64
 	// Rebuilds counts full from-scratch repartitions. The maintainer
 	// itself never rebuilds — the field exists so callers can assert the
@@ -67,8 +64,11 @@ type gState struct {
 	// every numeric column of the relation (the representative tuple is
 	// sums/count). Indexed like Maintainer.numIdx.
 	sums []float64
-	// ops counts mutations since the last exact recomputation.
-	ops int
+	// lo and hi hold the least and greatest member cell on each
+	// partitioning attribute (p.AttrIdx order), the group's radius in
+	// O(d). A member still waiting in the running UpdateFrom counts at its
+	// pre-image, as in the sums.
+	lo, hi []float64
 	// noSplit marks a group whose last radius-driven split attempt was
 	// degenerate (duplicate points); cleared on the next membership
 	// change so the maintainer does not retry hopeless splits every op.
@@ -108,7 +108,7 @@ type Maintainer struct {
 
 // NewMaintainer wraps an existing head partitioning for incremental
 // maintenance. The partitioning must satisfy its invariants; its groups
-// are adopted as-is (radii become the initial — exact — bounds).
+// are adopted as-is, their centroids and radii recomputed exactly.
 func NewMaintainer(p *Partitioning, _ MaintOptions) *Maintainer {
 	m := &Maintainer{p: p, numIdx: numericCols(p.Rel)}
 	m.attrPos = make([]int, len(p.AttrIdx))
@@ -136,23 +136,81 @@ func (m *Maintainer) Stats() MaintStats { return m.stats }
 func (m *Maintainer) RestoreStats(st MaintStats) { m.stats = st }
 
 // exactState computes a group's bookkeeping from scratch and overwrites
-// its centroid and radius with exact values. A member still waiting in the
-// running UpdateFrom was just summed at its new cells, so those are what
-// it will take out when it leaves.
+// its centroid and radius. A member still waiting in the running
+// UpdateFrom was just summed at its new cells, so those become its
+// pre-image — what it will take out when it leaves — before the gather,
+// which reads a waiting member at its pre-image.
 func (m *Maintainer) exactState(g *Group) *gState {
 	st := &gState{sums: relation.Sums(m.p.Rel, m.numIdx, g.Rows), dirty: true}
-	g.Centroid = m.centroidOf(st, len(g.Rows))
-	g.Radius = relation.Radius(m.p.Rel, m.p.AttrIdx, g.Rows, g.Centroid)
-	for i, r := range m.pendRows {
-		if m.p.GID[r] == g.ID {
-			m.pendPre[i] = numericCells(m.p.Rel, m.numIdx, r, make([]float64, len(m.numIdx)))
-		}
+	for _, i := range m.waiting(g) {
+		m.pendPre[i] = numericCells(m.p.Rel, m.numIdx, m.pendRows[i], make([]float64, len(m.numIdx)))
 	}
+	st.lo, st.hi = make([]float64, len(m.attrPos)), make([]float64, len(m.attrPos))
+	m.gather(g, st, 0, len(m.attrPos))
+	g.Centroid = m.centroidOf(st, len(g.Rows))
+	g.Radius = st.radius(g.Centroid)
 	return st
 }
 
-// heal recomputes group gid exactly, collapsing its radius bound back to
-// the true radius.
+// gather recomputes group g's extremes on partitioning attributes
+// [from, to) over its members, one typed column pass each. A member still
+// waiting in the running UpdateFrom is read at its pre-image, the cells
+// the group's sums hold for it, not at the new cells the relation shows.
+func (m *Maintainer) gather(g *Group, st *gState, from, to int) {
+	rows, waiting := g.Rows, m.waiting(g)
+	if len(waiting) > 0 {
+		rows = slices.DeleteFunc(slices.Clone(rows), func(r int) bool {
+			return slices.ContainsFunc(waiting, func(i int) bool { return m.pendRows[i] == r })
+		})
+	}
+	lo, hi := relation.Extremes(m.p.Rel, m.p.AttrIdx[from:to], rows)
+	copy(st.lo[from:to], lo)
+	copy(st.hi[from:to], hi)
+	for _, i := range waiting {
+		for a := from; a < to; a++ {
+			st.widen(a, m.pendPre[i][m.attrPos[a]])
+		}
+	}
+}
+
+// waiting returns the positions in pendRows of group g's members still
+// waiting in the running UpdateFrom.
+func (m *Maintainer) waiting(g *Group) (w []int) {
+	for i, r := range m.pendRows {
+		if _, ok := slices.BinarySearch(g.Rows, r); ok {
+			w = append(w, i)
+		}
+	}
+	return w
+}
+
+// widen takes cell v on partitioning attribute a into the extremes (a NaN
+// is stepped over, as relation.Extremes does).
+func (st *gState) widen(a int, v float64) {
+	if v < st.lo[a] {
+		st.lo[a] = v
+	}
+	if v > st.hi[a] {
+		st.hi[a] = v
+	}
+}
+
+// radius is Definition 2's radius about centroid c, read off the extremes:
+// fl(x − c) is monotone in x, so it is relation.Radius's bit for bit.
+func (st *gState) radius(c []float64) float64 {
+	r := 0.0
+	for a, ca := range c {
+		for _, v := range [2]float64{st.lo[a], st.hi[a]} {
+			if d := math.Abs(v - ca); d > r {
+				r = d
+			}
+		}
+	}
+	return r
+}
+
+// heal recomputes group gid from scratch: the settling of an update that
+// came without its pre-image.
 func (m *Maintainer) heal(gid int) {
 	m.groups[gid] = m.exactState(&m.p.Groups[gid])
 	m.stats.Heals++
@@ -184,18 +242,15 @@ func (m *Maintainer) centroidOf(st *gState, count int) []float64 {
 	return out
 }
 
-// recentre re-derives group gid's centroid after its membership and sums
-// changed, marks the group touched, and returns how far the centroid
-// moved. Members that were within Radius of the old centroid are within
-// Radius+shift of the new one (triangle inequality).
-func (m *Maintainer) recentre(gid int) (shift float64) {
+// recentre re-derives group gid's centroid from its sums and its radius
+// from its extremes after its membership changed, and marks the group
+// touched.
+func (m *Maintainer) recentre(gid int) {
 	g, st := &m.p.Groups[gid], m.groups[gid]
-	old := g.Centroid
 	g.Centroid = m.centroidOf(st, len(g.Rows))
-	st.ops++
+	g.Radius = st.radius(g.Centroid)
 	st.noSplit = false
 	st.dirty = true
-	return distInf(old, g.Centroid)
 }
 
 // distInf is the L∞ distance between two points over the partitioning
@@ -290,10 +345,11 @@ func (m *Maintainer) insertOne(row int) error {
 	for pos, c := range m.numIdx {
 		st.sums[pos] += m.p.Rel.Float(row, c)
 	}
+	for a, v := range pt {
+		st.widen(a, v)
+	}
 	m.p.GID[row] = gid
-	shift := m.recentre(gid)
-	g.Radius = math.Max(g.Radius+shift, distInf(pt, g.Centroid))
-	m.healMaybe(gid)
+	m.recentre(gid)
 	m.splitMaybe(gid)
 	return nil
 }
@@ -332,6 +388,7 @@ func (m *Maintainer) Delete(rows ...int) error {
 
 // shrink settles group gid after detach took out a member whose numeric
 // cells read old while it was one (nil: not known, so the group is healed).
+// Only an attribute on which the member held an extreme is gathered again.
 func (m *Maintainer) shrink(gid int, old []float64) {
 	g, st := &m.p.Groups[gid], m.groups[gid]
 	switch {
@@ -344,8 +401,12 @@ func (m *Maintainer) shrink(gid int, old []float64) {
 		for pos, v := range old {
 			st.sums[pos] -= v
 		}
-		g.Radius += m.recentre(gid)
-		m.healMaybe(gid)
+		for a, pos := range m.attrPos {
+			if v := old[pos]; v == st.lo[a] || v == st.hi[a] {
+				m.gather(g, st, a, a+1)
+			}
+		}
+		m.recentre(gid)
 	}
 	m.mergeMaybe(gid)
 }
@@ -354,10 +415,10 @@ func (m *Maintainer) shrink(gid int, old []float64) {
 // place (relation.Set): each leaves its group as a deleted row does and
 // re-enters as a fresh insert. pre[i] is rows[i]'s NumericCells from before
 // the Set, which the maintainer must predate too (one built afterwards has
-// summed the new cells). Subtracting it keeps Radius an upper bound: taking
-// a member away cannot enlarge the true radius about the old centroid, and
-// the centroid then moves by exactly the shift added. With pre == nil every
-// row's group is healed instead, O(|group|) per row.
+// summed the new cells): the group subtracts it from its sums and compares
+// it with its extremes, so rows still waiting in the batch count at their
+// pre-images throughout. With pre == nil every row's group is healed
+// instead, O(|group|) per row.
 func (m *Maintainer) UpdateFrom(rows []int, pre [][]float64) error {
 	pre = slices.Clone(pre) // exactState replaces entries; the caller's serve every maintainer
 	defer func() { m.pendRows, m.pendPre = nil, nil }()
@@ -382,26 +443,12 @@ func (m *Maintainer) updateOne(row int, pre []float64) error {
 // Update is UpdateFrom with no pre-image: call it after the cells change.
 func (m *Maintainer) Update(rows ...int) error { return m.UpdateFrom(rows, nil) }
 
-// healMaybe heals a group once enough mutations have accumulated.
-func (m *Maintainer) healMaybe(gid int) {
-	if m.groups[gid].ops >= healEvery {
-		m.heal(gid)
-	}
-}
-
 // splitMaybe splits a group violating τ (or ω) with the offline
 // builder's deterministic quadrant recursion. The first replacement
 // keeps the slot; the rest are appended, so surviving gids stay stable.
 func (m *Maintainer) splitMaybe(gid int) {
 	g := &m.p.Groups[gid]
-	over := len(g.Rows) > m.p.Tau
-	if !over && m.p.Omega > 0 && g.Radius > m.p.Omega && !m.groups[gid].noSplit {
-		// Radius splits go through an exact heal first: splitting on a
-		// loose bound would churn groups whose true radius is fine.
-		m.heal(gid)
-		over = g.Radius > m.p.Omega
-	}
-	if !over {
+	if len(g.Rows) <= m.p.Tau && (m.p.Omega <= 0 || g.Radius <= m.p.Omega || m.groups[gid].noSplit) {
 		return
 	}
 	b := &treeBuilder{rel: m.p.Rel, attrIdx: m.p.AttrIdx}
@@ -442,19 +489,18 @@ func (m *Maintainer) mergeMaybe(gid int) {
 		return // the only group
 	}
 	m.stats.Merges++
-	t, ts := &m.p.Groups[best], m.groups[best]
-	srcRows, srcC, srcR := g.Rows, g.Centroid, g.Radius
-	t.Rows = mergeSorted(t.Rows, srcRows)
+	t, ts, src := &m.p.Groups[best], m.groups[best], m.groups[gid]
+	t.Rows = mergeSorted(t.Rows, g.Rows)
 	for pos := range ts.sums {
-		ts.sums[pos] += m.groups[gid].sums[pos]
+		ts.sums[pos] += src.sums[pos]
 	}
-	for _, r := range srcRows {
+	for a := range ts.lo {
+		ts.lo[a], ts.hi[a] = min(ts.lo[a], src.lo[a]), max(ts.hi[a], src.hi[a])
+	}
+	for _, r := range g.Rows {
 		m.p.GID[r] = best
 	}
-	// Every point of either side is within its old radius of its old
-	// centroid; bound both against the merged centroid.
-	shift := m.recentre(best)
-	t.Radius = math.Max(t.Radius+shift, srcR+distInf(srcC, t.Centroid))
+	m.recentre(best)
 	// Drop the emptied source slot first so the split below sees dense
 	// ids. dropGroup may move the last group into gid — best tracks it.
 	g.Rows = nil
@@ -463,7 +509,6 @@ func (m *Maintainer) mergeMaybe(gid int) {
 	if best == last {
 		best = gid
 	}
-	m.healMaybe(best)
 	m.splitMaybe(best)
 }
 
@@ -502,10 +547,10 @@ func (m *Maintainer) flushReps() {
 	}
 }
 
-// MaxRadiusBound returns the maintained upper bound on the largest
-// group radius — the effective ω of the partitioning. SketchRefine's
-// guarantees for a maintained partitioning are those of an offline
-// partitioning built with this radius limit.
+// MaxRadiusBound returns the largest maintained group radius, which is
+// exact — the effective ω of the partitioning. SketchRefine's guarantees
+// for a maintained partitioning are those of an offline partitioning built
+// with this radius limit.
 func (m *Maintainer) MaxRadiusBound() float64 {
 	max := 0.0
 	for _, g := range m.p.Groups {
@@ -522,10 +567,10 @@ func (m *Maintainer) MaxRadiusBound() float64 {
 // maintained partitioning behaves like an offline one with
 // ω = MaxRadiusBound, giving ε = ω·γ⁻¹ via Equation 1 (γ = ε for
 // maximization, ε/(1+ε) for minimization against the smallest non-zero
-// |t.attr| of the live data) and F = (1+ε)⁶. The bound is conservative
-// — it grows with radius drift and collapses back as groups heal — and
-// +Inf when the data admits no multiplicative guarantee (zero-valued
-// attributes), mirroring RadiusForEpsilon.
+// |t.attr| of the live data) and F = (1+ε)⁶. The radii it rests on are
+// exact, so it moves with the groups' true spread, and it is +Inf when the
+// data admits no multiplicative guarantee (zero-valued attributes),
+// mirroring RadiusForEpsilon.
 func (m *Maintainer) QualityBound(maximize bool) float64 {
 	omega := m.MaxRadiusBound()
 	if omega == 0 {
@@ -549,16 +594,24 @@ func (m *Maintainer) QualityBound(maximize bool) float64 {
 
 // CheckInvariants verifies the maintained head: everything the shared
 // walk asserts of any partitioning (see Partitioning.check), and what
-// only its writer can — member lists stay sorted, radii are sound upper
-// bounds on the true ones, and the gid map is the one the lists imply.
+// only its writer can — member lists stay sorted, each group's extremes
+// are its members' and its radius is the exact one about its maintained
+// centroid, bit for bit, and the gid map is the one the lists imply.
 func (m *Maintainer) CheckInvariants() error {
 	p := m.p
+	if len(m.groups) != len(p.Groups) {
+		return fmt.Errorf("partition: the maintainer keeps state for %d groups of %d", len(m.groups), len(p.Groups))
+	}
 	gids, err := p.check(func(g *Group) error {
 		if !slices.IsSorted(g.Rows) {
 			return fmt.Errorf("partition: maintained group %d member list is not sorted", g.ID)
 		}
-		if exact := relation.Radius(p.Rel, p.AttrIdx, g.Rows, g.Centroid); g.Radius < exact-1e-9*(1+exact) {
-			return fmt.Errorf("partition: maintained group %d radius bound %g below true radius %g", g.ID, g.Radius, exact)
+		st := m.groups[g.ID]
+		if lo, hi := relation.Extremes(p.Rel, p.AttrIdx, g.Rows); !slices.Equal(lo, st.lo) || !slices.Equal(hi, st.hi) {
+			return fmt.Errorf("partition: maintained group %d extremes [%v, %v], its members' [%v, %v]", g.ID, st.lo, st.hi, lo, hi)
+		}
+		if exact := relation.Radius(p.Rel, p.AttrIdx, g.Rows, g.Centroid); g.Radius != exact {
+			return fmt.Errorf("partition: maintained group %d radius %g, not the exact %g", g.ID, g.Radius, exact)
 		}
 		return nil
 	})

@@ -549,7 +549,8 @@ func (p *Partitioning) check(own func(g *Group) error) ([]int, error) {
 
 // CheckInvariants verifies a built partitioning or a view of one:
 // everything check walks, and that every group respects the radius limit
-// when one is enforced (a maintained head may exceed it between heals; see
+// when one is enforced (a maintained head may exceed it: a delete moves a
+// centroid without a split, and duplicate points admit none; see
 // Maintainer.CheckInvariants). It returns the first violation found.
 func (p *Partitioning) CheckInvariants() error {
 	_, err := p.check(func(g *Group) error {

@@ -20,6 +20,22 @@ func spreadOver[T int64 | float64](col []T, rows []int, centre float64) (far flo
 	return far
 }
 
+// extremesOver is the least and greatest cell of col over rows (+Inf and
+// -Inf when there is none); NaN cells are stepped over.
+func extremesOver[T int64 | float64](col []T, rows []int) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, i := range rows {
+		v := float64(col[i])
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
+}
+
 // Sums computes the per-attribute sum of rows over the given numeric
 // column indices, one typed column at a time (a TEXT column reads NaN).
 func Sums(r *Relation, colIdx []int, rows []int) []float64 {
@@ -35,6 +51,25 @@ func Sums(r *Relation, colIdx []int, rows []int) []float64 {
 		}
 	}
 	return out
+}
+
+// Extremes computes the per-attribute least and greatest cell of rows over
+// the given numeric column indices, one typed column at a time. Because
+// fl(x − c) is monotone in x, the two bound Radius exactly: it is the
+// largest |lo − c| or |hi − c| over the attributes, bit for bit.
+func Extremes(r *Relation, colIdx []int, rows []int) (lo, hi []float64) {
+	lo, hi = make([]float64, len(colIdx)), make([]float64, len(colIdx))
+	for a, c := range colIdx {
+		switch col := r.cols[c]; col.typ {
+		case Float:
+			lo[a], hi[a] = extremesOver(col.f, rows)
+		case Int:
+			lo[a], hi[a] = extremesOver(col.i, rows)
+		default:
+			lo[a], hi[a] = math.Inf(1), math.Inf(-1)
+		}
+	}
+	return lo, hi
 }
 
 // Centroid computes the per-attribute mean of rows over the given numeric

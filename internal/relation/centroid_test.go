@@ -32,16 +32,22 @@ func centroidFixture(n int) (r *Relation, cols, rows []int) {
 	return r, cols, rows
 }
 
-// Sums, Centroid and Radius run a column at a time; the row-at-a-time walk
-// through Float they replaced is the oracle, and because each column is
-// still summed in row order the results are bit-identical.
+// Sums, Centroid, Radius and Extremes run a column at a time; the
+// row-at-a-time walk through Float they replaced is the oracle, and because
+// each column is still summed in row order the results are bit-identical.
+// The radius read off the extremes is Radius's, bit for bit.
 func TestCentroidRadiusMatchRowOracle(t *testing.T) {
 	r, cols, rows := centroidFixture(3000)
 	for _, rows := range [][]int{rows, rows[:1], nil} {
 		sums, radius := make([]float64, len(cols)), 0.0
+		lo, hi := make([]float64, len(cols)), make([]float64, len(cols))
+		for a := range cols {
+			lo[a], hi[a] = math.Inf(1), math.Inf(-1)
+		}
 		for _, i := range rows {
 			for a, c := range cols {
 				sums[a] += r.Float(i, c)
+				lo[a], hi[a] = min(lo[a], r.Float(i, c)), max(hi[a], r.Float(i, c))
 			}
 		}
 		got, centroid := Sums(r, cols, rows), Centroid(r, cols, rows)
@@ -62,11 +68,24 @@ func TestCentroidRadiusMatchRowOracle(t *testing.T) {
 		if got := Radius(r, cols, rows, centroid); got != radius {
 			t.Fatalf("%d rows: radius %v, row oracle %v", len(rows), got, radius)
 		}
+		gotLo, gotHi := Extremes(r, cols, rows)
+		fromExtremes := 0.0
+		for a := range cols {
+			if gotLo[a] != lo[a] || gotHi[a] != hi[a] {
+				t.Fatalf("%d rows, column %d: extremes [%v, %v], row oracle [%v, %v]", len(rows), a, gotLo[a], gotHi[a], lo[a], hi[a])
+			}
+			if len(rows) > 0 {
+				fromExtremes = max(fromExtremes, math.Abs(lo[a]-centroid[a]), math.Abs(hi[a]-centroid[a]))
+			}
+		}
+		if fromExtremes != radius {
+			t.Fatalf("%d rows: radius from the extremes %v, row oracle %v", len(rows), fromExtremes, radius)
+		}
 	}
 }
 
 // BenchmarkCentroidRadius is the gather under partition.Build and every
-// maintainer heal: one 20 000-row group of a 200 000-row table.
+// whole-group recomputation of a maintainer: one 20 000-row group of a 200 000-row table.
 func BenchmarkCentroidRadius(b *testing.B) {
 	r, cols, rows := centroidFixture(200_000)
 	b.ResetTimer()

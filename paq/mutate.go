@@ -281,9 +281,9 @@ func (s *Session) MaintStats() MaintStats {
 }
 
 // QualityBound reports the worst multiplicative SketchRefine quality
-// factor across the session's maintained partitionings (1 when nothing
-// has drifted; see partition.Maintainer.QualityBound). maximize selects
-// the sense of the queries being bounded.
+// factor across the session's maintained partitionings (1 until a
+// mutation touches one; see partition.Maintainer.QualityBound).
+// maximize selects the sense of the queries being bounded.
 func (s *Session) QualityBound(maximize bool) float64 {
 	bound := 1.0
 	s.readMaintainers(func(m *partition.Maintainer) {

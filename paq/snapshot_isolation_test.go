@@ -221,7 +221,7 @@ func TestSolveSnapshotIsolationDirect(t *testing.T) {
 }
 
 // TestSolveSnapshotIsolationSketchRefine runs the same interleaving
-// through SketchRefine, whose partitioning maintenance (splits, heals,
+// through SketchRefine, whose partitioning maintenance (splits, merges,
 // compaction remaps) rides along with the mutation stream. SketchRefine
 // is approximate, so there is no twin-objective identity; the isolation
 // claims still hold exactly: every package is built from rows live at
