@@ -41,15 +41,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable float metric.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket cumulative histogram. Buckets are upper
 // bounds in ascending order; +Inf is implicit.
 type Histogram struct {
@@ -95,7 +86,6 @@ const (
 type series struct {
 	labels []Label
 	ctr    *Counter
-	gauge  *Gauge
 	gaugeF func() float64
 	histo  *Histogram
 }
@@ -155,19 +145,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		s.ctr = &Counter{}
 	}
 	return s.ctr
-}
-
-// Gauge returns the settable gauge for (name, labels).
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	f := r.familyFor(name, help, typeGauge)
-	if f == nil {
-		return &Gauge{}
-	}
-	s := f.seriesFor(labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
 }
 
 // GaugeFunc registers a gauge series whose value is computed at
@@ -353,13 +330,6 @@ func (s *series) write(w io.Writer, name, key string) error {
 		return err
 	case s.gaugeF != nil:
 		v := s.gaugeF()
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil
-		}
-		_, err := fmt.Fprintf(w, "%s %s\n", key, formatValue(v))
-		return err
-	case s.gauge != nil:
-		v := s.gauge.Value()
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil
 		}

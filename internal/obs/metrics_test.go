@@ -16,8 +16,7 @@ func TestExpositionGolden(t *testing.T) {
 	cm := r.Counter("paqld_solves_total", "Solves by method.", Label{Name: "method", Value: "direct"})
 	cm.Inc()
 	r.Counter("paqld_solves_total", "Solves by method.", Label{Name: "method", Value: "sketchrefine"}).Add(2)
-	g := r.Gauge("paqld_queue_depth", "Queued requests.")
-	g.Set(7)
+	r.GaugeFunc("paqld_queue_depth", "Queued requests.", func() float64 { return 7 })
 	r.GaugeFunc("paqld_uptime_seconds", "Uptime.", func() float64 { return 1.5 })
 	h := r.Histogram("paqld_solve_seconds", "Solve latency.", []float64{0.1, 1})
 	h.Observe(0.05)
@@ -112,8 +111,8 @@ func TestGetOrCreate(t *testing.T) {
 		t.Fatal("same name returned distinct counters")
 	}
 	a.Inc()
-	detached := r.Gauge("x_total", "x") // type conflict
-	detached.Set(99)
+	detached := r.Histogram("x_total", "x", nil) // type conflict
+	detached.Observe(99)
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)

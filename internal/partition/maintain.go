@@ -21,6 +21,9 @@ import (
 //     quadrant recursion the offline builder uses;
 //   - a group falling below the fill floor is merged into its nearest
 //     sibling (and re-split if the merge overshoots τ);
+//   - an updated row leaves its groups at the cells the relation still
+//     holds, is written, and re-enters them as a fresh insert (UpdateRows),
+//     so no group holds a member at cells other than the relation's;
 //   - group centroids are maintained incrementally from running sums,
 //     and radii exactly from each group's least and greatest member cell
 //     on every partitioning attribute: an insert widens them, a merge
@@ -50,7 +53,7 @@ type MaintStats struct {
 	// underfull groups folded into a sibling.
 	Splits, Merges uint64
 	// Heals counts whole-group recomputations of an update's old group
-	// when the update came without its pre-image (Maintainer.Update).
+	// when its cells were overwritten before it left (Maintainer.Update).
 	Heals uint64
 	// Rebuilds counts full from-scratch repartitions. The maintainer
 	// itself never rebuilds — the field exists so callers can assert the
@@ -66,8 +69,7 @@ type gState struct {
 	sums []float64
 	// lo and hi hold the least and greatest member cell on each
 	// partitioning attribute (p.AttrIdx order), the group's radius in
-	// O(d). A member still waiting in the running UpdateFrom counts at its
-	// pre-image, as in the sums.
+	// O(d).
 	lo, hi []float64
 	// noSplit marks a group whose last radius-driven split attempt was
 	// degenerate (duplicate points); cleared on the next membership
@@ -99,11 +101,8 @@ type Maintainer struct {
 	// last representative flush (splits, merges, drops), forcing a full
 	// Reps rebuild instead of in-place cell updates.
 	structChanged bool
-	epoch         uint64 // numbers the running batch (see own)
-	// pendRows are the rows of the running UpdateFrom still to be re-routed
-	// and pendPre the cells their groups' sums hold for them (see exactState).
-	pendRows []int
-	pendPre  [][]float64
+	epoch         uint64    // numbers the running batch (see own)
+	cells         []float64 // scratch: a leaving row's numeric cells
 }
 
 // NewMaintainer wraps an existing head partitioning for incremental
@@ -111,6 +110,7 @@ type Maintainer struct {
 // are adopted as-is, their centroids and radii recomputed exactly.
 func NewMaintainer(p *Partitioning, _ MaintOptions) *Maintainer {
 	m := &Maintainer{p: p, numIdx: numericCols(p.Rel)}
+	m.cells = make([]float64, len(m.numIdx))
 	m.attrPos = make([]int, len(p.AttrIdx))
 	for a, idx := range p.AttrIdx {
 		m.attrPos[a] = slices.Index(m.numIdx, idx)
@@ -136,15 +136,9 @@ func (m *Maintainer) Stats() MaintStats { return m.stats }
 func (m *Maintainer) RestoreStats(st MaintStats) { m.stats = st }
 
 // exactState computes a group's bookkeeping from scratch and overwrites
-// its centroid and radius. A member still waiting in the running
-// UpdateFrom was just summed at its new cells, so those become its
-// pre-image — what it will take out when it leaves — before the gather,
-// which reads a waiting member at its pre-image.
+// its centroid and radius.
 func (m *Maintainer) exactState(g *Group) *gState {
 	st := &gState{sums: relation.Sums(m.p.Rel, m.numIdx, g.Rows), dirty: true}
-	for _, i := range m.waiting(g) {
-		m.pendPre[i] = numericCells(m.p.Rel, m.numIdx, m.pendRows[i], make([]float64, len(m.numIdx)))
-	}
 	st.lo, st.hi = make([]float64, len(m.attrPos)), make([]float64, len(m.attrPos))
 	m.gather(g, st, 0, len(m.attrPos))
 	g.Centroid = m.centroidOf(st, len(g.Rows))
@@ -153,35 +147,11 @@ func (m *Maintainer) exactState(g *Group) *gState {
 }
 
 // gather recomputes group g's extremes on partitioning attributes
-// [from, to) over its members, one typed column pass each. A member still
-// waiting in the running UpdateFrom is read at its pre-image, the cells
-// the group's sums hold for it, not at the new cells the relation shows.
+// [from, to) over its members, one typed column pass each.
 func (m *Maintainer) gather(g *Group, st *gState, from, to int) {
-	rows, waiting := g.Rows, m.waiting(g)
-	if len(waiting) > 0 {
-		rows = slices.DeleteFunc(slices.Clone(rows), func(r int) bool {
-			return slices.ContainsFunc(waiting, func(i int) bool { return m.pendRows[i] == r })
-		})
-	}
-	lo, hi := relation.Extremes(m.p.Rel, m.p.AttrIdx[from:to], rows)
+	lo, hi := relation.Extremes(m.p.Rel, m.p.AttrIdx[from:to], g.Rows)
 	copy(st.lo[from:to], lo)
 	copy(st.hi[from:to], hi)
-	for _, i := range waiting {
-		for a := from; a < to; a++ {
-			st.widen(a, m.pendPre[i][m.attrPos[a]])
-		}
-	}
-}
-
-// waiting returns the positions in pendRows of group g's members still
-// waiting in the running UpdateFrom.
-func (m *Maintainer) waiting(g *Group) (w []int) {
-	for i, r := range m.pendRows {
-		if _, ok := slices.BinarySearch(g.Rows, r); ok {
-			w = append(w, i)
-		}
-	}
-	return w
 }
 
 // widen takes cell v on partitioning attribute a into the extremes (a NaN
@@ -209,8 +179,8 @@ func (st *gState) radius(c []float64) float64 {
 	return r
 }
 
-// heal recomputes group gid from scratch: the settling of an update that
-// came without its pre-image.
+// heal recomputes group gid from scratch: the settling of an update whose
+// old cells were overwritten before the row left.
 func (m *Maintainer) heal(gid int) {
 	m.groups[gid] = m.exactState(&m.p.Groups[gid])
 	m.stats.Heals++
@@ -286,15 +256,15 @@ func (m *Maintainer) nearest(point []float64, skip int) int {
 // any group pushed past τ (or past ω when a radius limit is enforced)
 // is split in place. Call it after appending the rows to the relation.
 func (m *Maintainer) Insert(rows ...int) error {
-	return m.batch(rows, &m.stats.Inserts, func(_, row int) error { return m.insertOne(row) })
+	return m.batch(rows, &m.stats.Inserts, m.insertOne)
 }
 
 // batch runs one maintenance step per row, counting each, and refreshes
 // the representatives once at the end.
-func (m *Maintainer) batch(rows []int, count *uint64, step func(i, row int) error) error {
+func (m *Maintainer) batch(rows []int, count *uint64, step func(row int) error) error {
 	m.epoch++
-	for i, row := range rows {
-		if err := step(i, row); err != nil {
+	for _, row := range rows {
+		if err := step(row); err != nil {
 			return err
 		}
 		*count++
@@ -376,18 +346,20 @@ func (m *Maintainer) detach(row int) (int, error) {
 // tombstoning the rows in the relation (their cells must still be
 // readable, which relation.Delete guarantees).
 func (m *Maintainer) Delete(rows ...int) error {
-	cells := make([]float64, len(m.numIdx))
-	return m.batch(rows, &m.stats.Deletes, func(_, row int) error {
-		gid, err := m.detach(row)
-		if err == nil {
-			m.shrink(gid, numericCells(m.p.Rel, m.numIdx, row, cells))
-		}
-		return err
-	})
+	return m.batch(rows, &m.stats.Deletes, m.leave)
+}
+
+// leave takes row out of its group at the cells the relation holds for it.
+func (m *Maintainer) leave(row int) error {
+	gid, err := m.detach(row)
+	if err == nil {
+		m.shrink(gid, numericCells(m.p.Rel, m.numIdx, row, m.cells))
+	}
+	return err
 }
 
 // shrink settles group gid after detach took out a member whose numeric
-// cells read old while it was one (nil: not known, so the group is healed).
+// cells read old while it was one (nil: overwritten, so the group is healed).
 // Only an attribute on which the member held an extreme is gathered again.
 func (m *Maintainer) shrink(gid int, old []float64) {
 	g, st := &m.p.Groups[gid], m.groups[gid]
@@ -411,37 +383,51 @@ func (m *Maintainer) shrink(gid int, old []float64) {
 	m.mergeMaybe(gid)
 }
 
-// UpdateFrom re-routes live, distinct rows whose cells were overwritten in
-// place (relation.Set): each leaves its group as a deleted row does and
-// re-enters as a fresh insert. pre[i] is rows[i]'s NumericCells from before
-// the Set, which the maintainer must predate too (one built afterwards has
-// summed the new cells): the group subtracts it from its sums and compares
-// it with its extremes, so rows still waiting in the batch count at their
-// pre-images throughout. With pre == nil every row's group is healed
-// instead, O(|group|) per row.
-func (m *Maintainer) UpdateFrom(rows []int, pre [][]float64) error {
-	pre = slices.Clone(pre) // exactState replaces entries; the caller's serve every maintainer
-	defer func() { m.pendRows, m.pendPre = nil, nil }()
-	return m.batch(rows, &m.stats.Updates, func(i, row int) error {
-		if pre == nil {
-			return m.updateOne(row, nil)
+// UpdateRows overwrites live, distinct rows in place and re-routes them
+// through every maintainer in ms, all over the relation set writes to, one
+// row at a time: the row leaves its group in each at the cells the
+// relation still holds, set(i) writes rows[i]'s new cells, and the row
+// re-enters each as a fresh insert. The representatives are refreshed
+// once, at the end.
+func UpdateRows(ms []*Maintainer, rows []int, set func(i int) error) error {
+	for _, m := range ms {
+		m.epoch++
+	}
+	for i, row := range rows {
+		for _, m := range ms {
+			if err := m.leave(row); err != nil {
+				return err
+			}
 		}
-		m.pendRows, m.pendPre = rows[i+1:], pre[i+1:]
-		return m.updateOne(row, pre[i])
+		if err := set(i); err != nil {
+			return err
+		}
+		for _, m := range ms {
+			if err := m.insertOne(row); err != nil {
+				return err
+			}
+			m.stats.Updates++
+		}
+	}
+	for _, m := range ms {
+		m.flushReps()
+	}
+	return nil
+}
+
+// Update re-routes live, distinct rows whose cells relation.Set already
+// overwrote, healing each row's old group, O(|group|) per row: the frozen
+// benchmark ladder's path and the tests' reference (see UpdateRows).
+func (m *Maintainer) Update(rows ...int) error {
+	return m.batch(rows, &m.stats.Updates, func(row int) error {
+		gid, err := m.detach(row)
+		if err == nil {
+			m.shrink(gid, nil)
+			err = m.insertOne(row)
+		}
+		return err
 	})
 }
-
-func (m *Maintainer) updateOne(row int, pre []float64) error {
-	gid, err := m.detach(row)
-	if err != nil {
-		return err
-	}
-	m.shrink(gid, pre)
-	return m.insertOne(row)
-}
-
-// Update is UpdateFrom with no pre-image: call it after the cells change.
-func (m *Maintainer) Update(rows ...int) error { return m.UpdateFrom(rows, nil) }
 
 // splitMaybe splits a group violating τ (or ω) with the offline
 // builder's deterministic quadrant recursion. The first replacement

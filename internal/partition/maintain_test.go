@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -154,7 +155,7 @@ func newSide(t *testing.T, seed int64, omega float64) side {
 	return side{rel, NewMaintainer(p, MaintOptions{})}
 }
 
-// sameStructure holds the pre-image side to the reference: identical
+// sameStructure holds the UpdateRows side to the reference: identical
 // member lists and gid maps, centroids and representatives within the
 // package's one tolerance for running sums.
 func sameStructure(t *testing.T, at string, got, ref *Maintainer) {
@@ -185,11 +186,12 @@ func sameStructure(t *testing.T, at string, got, ref *Maintainer) {
 
 // applyOps drives one deterministic interleaving of inserts, deletes and
 // updates — draining the table to empty and refilling it half way —
-// through twin relations and maintainers: one is handed every update's
-// pre-image (UpdateFrom), the reference is told after the Set (Update) and
-// heals. After every op the two must agree (sameStructure), both pass
-// CheckInvariants when check is set, and healed, they are bit-equal. Odd
-// seeds enforce a radius limit. It returns the pre-image side.
+// through twin relations and maintainers: one re-routes every update
+// around its Set (UpdateRows), the reference is told after the Set
+// (Update) and heals. After every op the two must agree (sameStructure),
+// both pass CheckInvariants when check is set, and healed, they are
+// bit-equal. Odd seeds enforce a radius limit. It returns the UpdateRows
+// side.
 func applyOps(t *testing.T, seed int64, nOps int, check bool) (*relation.Relation, *Maintainer) {
 	t.Helper()
 	omega := float64(seed%2) * 12
@@ -231,13 +233,11 @@ func applyOps(t *testing.T, seed int64, nOps int, check bool) (*relation.Relatio
 			if col < 2 {
 				v = relation.F(rng.NormFloat64() * 30)
 			}
-			pre := NumericCells(got.rel, []int{row})
-			for _, s := range sides {
-				if err := s.rel.Set(row, col, v); err != nil {
-					t.Fatal(err)
-				}
+			err[0] = UpdateRows([]*Maintainer{got.m}, []int{row}, func(int) error { return got.rel.Set(row, col, v) })
+			if err := ref.rel.Set(row, col, v); err != nil {
+				t.Fatal(err)
 			}
-			err[0], err[1] = got.m.UpdateFrom([]int{row}, pre), ref.m.Update(row)
+			err[1] = ref.m.Update(row)
 			updates++
 		}
 		at := fmt.Sprintf("seed %d op %d", seed, op)
@@ -253,10 +253,10 @@ func applyOps(t *testing.T, seed int64, nOps int, check bool) (*relation.Relatio
 		}
 		sameStructure(t, at, got.m, ref.m)
 	}
-	// An update with its pre-image never recomputes a group whole; the
-	// reference heals the group each row leaves.
+	// An update that leaves before its Set never recomputes a group whole;
+	// the reference heals the group each row leaves.
 	if got.m.Stats().Heals != 0 || ref.m.Stats().Heals < updates/2 {
-		t.Errorf("seed %d: %d updates healed %d times with pre-images, %d times in the reference",
+		t.Errorf("seed %d: %d updates healed %d times through UpdateRows, %d times in the reference",
 			seed, updates, got.m.Stats().Heals, ref.m.Stats().Heals)
 	}
 	for gid := range got.m.p.Groups {
@@ -383,9 +383,9 @@ func TestMaintainerAliasedChunksSurviveInsert(t *testing.T) {
 // follows — splits, merges, dropped slots, a Compact + Remap, the
 // duplicate-point chunks that share one backing array — every kept view's
 // lists stay element for element what they were and each still passes
-// CheckInvariants against its own snapshot. Multi-row UpdateFrom batches
-// also put splits, merges and extreme regathers between a row's Set and
-// its re-routing, which must read the waiting rows at their pre-images.
+// CheckInvariants against its own snapshot. Multi-row UpdateRows batches
+// also put splits, merges and extreme regathers between one row's Set and
+// the next row's.
 func TestMaintainerViewsStayFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rel := relation.New("pts", reltest.Schema(
@@ -437,15 +437,14 @@ func TestMaintainerViewsStayFrozen(t *testing.T) {
 			err = m.Delete(rows...)
 		default:
 			rows := live[:25]
-			pre := NumericCells(rel, rows)
-			for i, row := range rows {
+			err = UpdateRows([]*Maintainer{m}, rows, func(i int) error {
 				for c, v := range point(i%5 == 0) {
-					if err := rel.Set(row, c, v); err != nil {
-						t.Fatal(err)
+					if err := rel.Set(rows[i], c, v); err != nil {
+						return err
 					}
 				}
-			}
-			err = m.UpdateFrom(rows, pre)
+				return nil
+			})
 		}
 		if err == nil && batch%30 == 29 {
 			err = p.Remap(rel.Compact())
@@ -473,15 +472,19 @@ func TestMaintainerViewsStayFrozen(t *testing.T) {
 }
 
 // A member list that lacks the row its gid map names is a breach only the
-// maintainer could have made: Delete and Update report it and leave both
-// as they were, rather than clearing the gid and leaving them to disagree.
+// maintainer could have made: Delete, Update and UpdateRows report it and
+// leave both as they were, rather than clearing the gid and leaving them
+// to disagree.
 func TestMaintainerReportsListGIDDisagreement(t *testing.T) {
 	rel := maintRel(60, 7)
 	m := newMaintained(t, rel, 20)
 	p := m.Partitioning()
 	row := p.Groups[0].Rows[1]
 	p.Groups[0].Rows = slices.Delete(slices.Clone(p.Groups[0].Rows), 1, 2)
-	for name, step := range map[string]func(...int) error{"Delete": m.Delete, "Update": m.Update} {
+	updateRows := func(rows ...int) error {
+		return UpdateRows([]*Maintainer{m}, rows, func(int) error { return nil })
+	}
+	for name, step := range map[string]func(...int) error{"Delete": m.Delete, "Update": m.Update, "UpdateRows": updateRows} {
 		if err := step(row); err == nil || !strings.HasPrefix(err.Error(), "partition:") {
 			t.Errorf("%s of a row its group's list lacks: error %v", name, err)
 		}
@@ -492,7 +495,8 @@ func TestMaintainerReportsListGIDDisagreement(t *testing.T) {
 }
 
 // Sums are never summed again on the write path — a group is recomputed
-// whole only when it is split or an update comes without its pre-image — so
+// whole only when it is split or an update's cells were written before it
+// left (Update) — so
 // rounding in the running sums could only grow. Over a long 50/30/20
 // insert/delete/update stream of Galaxy rows, every group's maintained sums
 // stay within 1e-12 of relation.Sums, relative to the sum of the
@@ -538,15 +542,15 @@ func TestMaintainerSumsDoNotDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 		upd := take(batch / 5)
-		pre := NumericCells(rel, upd)
-		for _, row := range upd {
+		err := UpdateRows([]*Maintainer{m}, upd, func(i int) error {
 			for c, v := range src.Row(rng.Intn(src.Len())) {
-				if err := rel.Set(row, c, v); err != nil {
-					t.Fatal(err)
+				if err := rel.Set(upd[i], c, v); err != nil {
+					return err
 				}
 			}
-		}
-		if err := m.UpdateFrom(upd, pre); err != nil {
+			return nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, upd...)
@@ -573,11 +577,91 @@ func TestMaintainerSumsDoNotDrift(t *testing.T) {
 	}
 }
 
+// UpdateRows takes each row out of its groups before set writes it, so
+// between two rows of one batch every group holds its members at the
+// cells the relation shows: inside set, before the write, each group's
+// sums are relation.Sums' of its members (within 1e-12 of the magnitudes
+// summed) and its extremes relation.Extremes', bit for bit. The batch
+// opens with a row that holds an extreme of its group, then moves rows
+// onto the centroid of the largest group g until it splits, and ends with
+// g's own members, still waiting in it when it splits.
+func TestUpdateRowsKeepsGroupsAtTheRelationsCells(t *testing.T) {
+	for _, omega := range []float64{0, 8} {
+		t.Run(fmt.Sprintf("omega%g", omega), func(t *testing.T) {
+			rel := maintRel(150, 13)
+			p, err := Build(rel, Options{Attrs: []string{"x", "y"}, SizeThreshold: 12, RadiusLimit: omega, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := NewMaintainer(p, MaintOptions{})
+			g := slices.MaxFunc(p.Groups, func(a, b Group) int { return len(a.Rows) - len(b.Rows) })
+			target, members := slices.Clone(g.Centroid), slices.Clone(g.Rows)
+			h := p.Groups[(g.ID+1)%len(p.Groups)].Rows
+			extreme := slices.MaxFunc(h, func(a, b int) int { return cmp.Compare(rel.Float(a, 0), rel.Float(b, 0)) })
+			rows := []int{extreme}
+			for _, r := range rel.AllRows() {
+				if len(rows) < 16 && r != extreme && p.GID[r] != g.ID {
+					rows = append(rows, r)
+				}
+			}
+			movers := len(rows)
+			rows = append(rows, members...)
+			rng := rand.New(rand.NewSource(14))
+			split := false
+			err = UpdateRows([]*Maintainer{m}, rows, func(i int) error {
+				for gid, grp := range p.Groups {
+					st, exact := m.groups[gid], relation.Sums(rel, m.numIdx, grp.Rows)
+					for pos, c := range m.numIdx {
+						scale := 0.0
+						for _, r := range grp.Rows {
+							scale += math.Abs(rel.Float(r, c))
+						}
+						if math.Abs(st.sums[pos]-exact[pos]) > 1e-12*scale {
+							t.Fatalf("before row %d: group %d sums %v, its members' %v", i, gid, st.sums, exact)
+						}
+					}
+					if lo, hi := relation.Extremes(rel, p.AttrIdx, grp.Rows); !slices.Equal(lo, st.lo) || !slices.Equal(hi, st.hi) {
+						t.Fatalf("before row %d: group %d extremes [%v, %v], its members' [%v, %v]", i, gid, st.lo, st.hi, lo, hi)
+					}
+				}
+				x, y := rng.NormFloat64()*10, rng.NormFloat64()*10
+				if i < movers {
+					x, y = target[0]+rng.Float64()*1e-3, target[1]+rng.Float64()*1e-3
+				}
+				if i == movers { // g's members, all still in the batch, sit in more than one group
+					gids := map[int]bool{}
+					for _, r := range members {
+						gids[p.GID[r]] = true
+					}
+					split = len(gids) > 1
+				}
+				for c, v := range []float64{x, y, rng.Float64()} {
+					if err := rel.Set(rows[i], c, relation.F(v)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err == nil {
+				err = m.CheckInvariants()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !split || m.Stats().Splits == 0 {
+				t.Errorf("the batch split no group still holding its later rows (split %v, %d splits)", split, m.Stats().Splits)
+			}
+		})
+	}
+}
+
 // BenchmarkMaintainer is the committed command behind ROADMAP 2(a)'s gate
 // (update ≤ 2 × (insert + delete) per row): paqbench's ingest setting —
 // 200 000 Galaxy rows, the ten workload attributes, τ = 10 % — in batches
-// of 100 with a View between them, reported per row. update hands over
-// pre-images (UpdateFrom); update_no_preimage is Update after the Set.
+// of 100 with a View between them, reported per row. update runs
+// UpdateRows, cell writes included: before the timer, one cell of each
+// column is rewritten to its own value, so the copy-on-write clone the View
+// forces is not timed. update_no_preimage is Update after the Set.
 // heals/op counts the whole-group recomputations per batch, which only
 // update_no_preimage makes.
 func BenchmarkMaintainer(b *testing.B) {
@@ -593,11 +677,19 @@ func BenchmarkMaintainer(b *testing.B) {
 				b.Fatal(err)
 			}
 			m := NewMaintainer(p, MaintOptions{})
+			set := func(row int, vs []relation.Value) error {
+				for c, v := range vs {
+					if err := rel.Set(row, c, v); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				p.View(rel.Snapshot())
-				rows := make([]int, batch)
+				rows, next := make([]int, batch), make([][]relation.Value, batch)
 				for j := range rows {
 					switch kind {
 					case "insert":
@@ -609,21 +701,21 @@ func BenchmarkMaintainer(b *testing.B) {
 							b.Fatal(err)
 						}
 					default:
-						rows[j] = n/2 + (i*batch+j)*7%(n/2)
+						rows[j], next[j] = n/2+(i*batch+j)*7%(n/2), vals(rng)
 					}
 				}
-				var pre [][]float64
-				if kind == "update" {
-					pre = NumericCells(rel, rows)
-				}
-				if strings.HasPrefix(kind, "update") {
-					for _, row := range rows {
-						for c, v := range vals(rng) {
-							if err := rel.Set(row, c, v); err != nil {
-								b.Fatal(err)
-							}
+				switch kind {
+				case "update":
+					err = set(rows[0], rel.Row(rows[0]))
+				case "update_no_preimage":
+					for j, row := range rows {
+						if err = set(row, next[j]); err != nil {
+							break
 						}
 					}
+				}
+				if err != nil {
+					b.Fatal(err)
 				}
 				b.StartTimer()
 				switch kind {
@@ -631,8 +723,10 @@ func BenchmarkMaintainer(b *testing.B) {
 					err = m.Insert(rows...)
 				case "delete":
 					err = m.Delete(rows...)
+				case "update":
+					err = UpdateRows([]*Maintainer{m}, rows, func(j int) error { return set(rows[j], next[j]) })
 				default:
-					err = m.UpdateFrom(rows, pre)
+					err = m.Update(rows...)
 				}
 				if err != nil {
 					b.Fatal(err)

@@ -370,16 +370,6 @@ func numericCells(rel *relation.Relation, numIdx []int, row int, dst []float64) 
 	return dst
 }
 
-// NumericCells gathers each row's cells on numericCols, the layout of every
-// Maintainer's sums over rel: read before a Set, UpdateFrom's pre-images.
-func NumericCells(rel *relation.Relation, rows []int) [][]float64 {
-	numIdx, out := numericCols(rel), make([][]float64, len(rows))
-	for i, row := range rows {
-		out[i] = numericCells(rel, numIdx, row, make([]float64, len(numIdx)))
-	}
-	return out
-}
-
 // repCol is R̃'s layout, known here and nowhere else: column 0 is gid,
 // column repCol(pos) the mean of the pos-th numeric column of the input.
 func repCol(pos int) int { return pos + 1 }

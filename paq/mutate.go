@@ -221,20 +221,22 @@ func (d *dataset) validateUpdate(rows []int, vals [][]relation.Value) error {
 }
 
 // applyUpdate is the post-validation, post-logging half of UpdateRows
-// (shared with WAL replay). Caller holds the write lock.
+// (shared with WAL replay): its Set loop runs inside partition.UpdateRows,
+// which takes each row out of every partitioning before its cells are
+// written. Caller holds the write lock.
 func (d *dataset) applyUpdate(rows []int, vals [][]relation.Value) error {
-	// Before the cells change: every maintainer exists (one made afterwards
-	// would have summed the new cells) and the old ones are read, once for
-	// all of them.
-	ms, pre := d.maintainers(), partition.NumericCells(d.rel, rows)
-	for i, row := range rows {
+	err := partition.UpdateRows(d.maintainers(), rows, func(i int) error {
 		for c, v := range vals[i] {
-			if err := d.rel.Set(row, c, v); err != nil {
+			if err := d.rel.Set(rows[i], c, v); err != nil {
 				return err // unreachable: validated before
 			}
 		}
+		return nil
+	})
+	if err == nil {
+		d.invalidateStale()
 	}
-	return d.propagate(ms, func(m *partition.Maintainer) error { return m.UpdateFrom(rows, pre) })
+	return err
 }
 
 // View runs fn with the session's relation under the dataset read
