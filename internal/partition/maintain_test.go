@@ -496,12 +496,11 @@ func TestMaintainerReportsListGIDDisagreement(t *testing.T) {
 
 // Sums are never summed again on the write path — a group is recomputed
 // whole only when it is split or an update's cells were written before it
-// left (Update) — so
-// rounding in the running sums could only grow. Over a long 50/30/20
-// insert/delete/update stream of Galaxy rows, every group's maintained sums
-// stay within 1e-12 of relation.Sums, relative to the sum of the
-// magnitudes added (the scale of a summation's rounding error; a column
-// like dec, of either sign, can sum to near zero).
+// left (Update) — so rounding in the running sums could only grow. Over a
+// long 50/30/20 insert/delete/update stream of Galaxy rows, every group's
+// maintained sums stay within 1e-12 of relation.Sums, relative to the sum
+// of the magnitudes added (the scale of a summation's rounding error; a
+// column like dec, of either sign, can sum to near zero).
 func TestMaintainerSumsDoNotDrift(t *testing.T) {
 	const n, batches, batch = 20_000, 300, 100
 	src := workload.Galaxy(n+batches*batch/2, 3)
