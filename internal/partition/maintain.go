@@ -24,6 +24,9 @@ import (
 //   - an updated row leaves its groups at the cells the relation still
 //     holds, is written, and re-enters them as a fresh insert (UpdateRows),
 //     so no group holds a member at cells other than the relation's;
+//   - a member list is copied at most once per View of the head, the
+//     first time maintenance edits it after the view, and edited in place
+//     from then on, across batches (own);
 //   - group centroids are maintained incrementally from running sums,
 //     and radii exactly from each group's least and greatest member cell
 //     on every partitioning attribute: an insert widens them, a merge
@@ -77,7 +80,10 @@ type gState struct {
 	noSplit bool
 	// dirty marks the group's representative row as stale.
 	dirty bool
-	stamp uint64 // the batch (Maintainer.epoch) that allocated the member list
+	// owned is one more than the head's view count (Partitioning.views)
+	// when own allocated the group's member list, zero when own did not
+	// allocate it: a list is the maintainer's alone until the next View.
+	owned uint64
 }
 
 // Maintainer is the one writer of a head Partitioning: it keeps it valid
@@ -101,7 +107,6 @@ type Maintainer struct {
 	// last representative flush (splits, merges, drops), forcing a full
 	// Reps rebuild instead of in-place cell updates.
 	structChanged bool
-	epoch         uint64    // numbers the running batch (see own)
 	cells         []float64 // scratch: a leaving row's numeric cells
 }
 
@@ -262,7 +267,6 @@ func (m *Maintainer) Insert(rows ...int) error {
 // batch runs one maintenance step per row, counting each, and refreshes
 // the representatives once at the end.
 func (m *Maintainer) batch(rows []int, count *uint64, step func(row int) error) error {
-	m.epoch++
 	for _, row := range rows {
 		if err := step(row); err != nil {
 			return err
@@ -273,18 +277,20 @@ func (m *Maintainer) batch(rows []int, count *uint64, step func(row int) error) 
 	return nil
 }
 
-// own returns group gid with a member list this batch may edit in place:
-// the batch's first touch clones the list, with headroom, and stamps the
-// group. The frozen-view rule rests on this alone: the only arrays written
-// in place were allocated here, in the running batch and under the caller's
-// write lock, so nothing taken between batches (a View, a Remap result) and
-// no other group (a degenerate split's chunks share one array, and start
-// unstamped as every exactState does) can alias them.
+// own returns group gid with a member list the maintainer may edit in
+// place: a list allocated before the latest View is cloned, with headroom,
+// once per view; one allocated since is edited in place, across batches,
+// until the next View. The frozen-view rule rests on this alone: every
+// reader outside the write lock reaches head lists through View, which
+// counts itself on the head under that lock, so no view holds an array
+// allocated here since the latest one; and no other group aliases it (a
+// degenerate split's chunks share one array, and start unowned, as every
+// exactState does).
 func (m *Maintainer) own(gid int) *Group {
 	g, st := &m.p.Groups[gid], m.groups[gid]
-	if st.stamp != m.epoch {
+	if st.owned != m.p.views+1 {
 		g.Rows = slices.Grow(slices.Clip(g.Rows), len(g.Rows)/8+8) // clipped, so Grow reallocates
-		st.stamp = m.epoch
+		st.owned = m.p.views + 1
 	}
 	return g
 }
@@ -390,9 +396,6 @@ func (m *Maintainer) shrink(gid int, old []float64) {
 // re-enters each as a fresh insert. The representatives are refreshed
 // once, at the end.
 func UpdateRows(ms []*Maintainer, rows []int, set func(i int) error) error {
-	for _, m := range ms {
-		m.epoch++
-	}
 	for i, row := range rows {
 		for _, m := range ms {
 			if err := m.leave(row); err != nil {

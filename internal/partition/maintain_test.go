@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/relation"
 	"repro/internal/reltest"
@@ -458,6 +459,125 @@ func TestMaintainerViewsStayFrozen(t *testing.T) {
 	}
 	if st := m.Stats(); st.Splits == 0 || st.Merges == 0 {
 		t.Errorf("the batches reached %d splits and %d merges", st.Splits, st.Merges)
+	}
+	for i, v := range views {
+		for gid, g := range v.view.Groups {
+			if !slices.Equal(g.Rows, v.rows[gid]) {
+				t.Fatalf("view %d: group %d's member list changed after the view was taken", i, gid)
+			}
+		}
+		if err := v.view.CheckInvariants(); err != nil {
+			t.Fatalf("view %d: %v", i, err)
+		}
+	}
+}
+
+// Views taken on an irregular schedule, so that member lists are edited in
+// place across several batches between two of them: every view stays what
+// it was when taken, and between two views a group's member list is copied
+// at most once — a new backing array appears at most once per group, unless
+// the list outgrew its capacity or a split or merge reshaped the groups.
+// Most batches rewrite rows with the cells they hold, so most rows re-enter
+// the group they left and most intervals see no split or merge.
+func TestMaintainerViewsStayFrozenAcrossBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	rel := maintRel(200, 23)
+	m := newMaintained(t, rel, 16)
+	p := m.Partitioning()
+	type kept struct {
+		view *Partitioning
+		rows [][]int
+	}
+	type seen struct {
+		data    *int
+		cap     int
+		copies  int
+		touched int
+	}
+	var (
+		views    []kept
+		interval map[*gState]*seen
+		reshapes uint64
+		checked  int // groups edited in two or more batches of one interval
+	)
+	closeInterval := func() {
+		if st := m.Stats(); st.Splits+st.Merges == reshapes {
+			for _, sn := range interval {
+				if sn.copies > 1 {
+					t.Fatalf("view %d: a member list was copied %d times since the view before", len(views), sn.copies)
+				}
+				if sn.touched > 1 {
+					checked++
+				}
+			}
+		}
+		interval, reshapes = map[*gState]*seen{}, m.Stats().Splits+m.Stats().Merges
+		for gid, g := range p.Groups {
+			interval[m.groups[gid]] = &seen{data: unsafe.SliceData(g.Rows), cap: cap(g.Rows)}
+		}
+	}
+	closeInterval()
+	for batch := 0; batch < 240; batch++ {
+		if rng.Intn(5) == 0 {
+			closeInterval()
+			v := kept{view: p.View(rel.Snapshot())}
+			for _, g := range v.view.Groups {
+				v.rows = append(v.rows, slices.Clone(g.Rows))
+			}
+			views = append(views, v)
+		}
+		live := rel.AllRows()
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		rows := live[:4]
+		for _, row := range rows {
+			if sn := interval[m.groups[p.GID[row]]]; sn != nil {
+				sn.touched++
+			}
+		}
+		var err error
+		switch batch % 8 {
+		case 3:
+			for i := 0; i < 2; i++ {
+				reltest.Append(rel, relation.F(rng.NormFloat64()*10), relation.F(rng.NormFloat64()*10), relation.F(rng.Float64()))
+			}
+			err = m.Insert(rel.Len()-2, rel.Len()-1)
+		case 7:
+			for _, row := range rows[:2] {
+				if err := rel.Delete(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = m.Delete(rows[:2]...)
+		default:
+			err = UpdateRows([]*Maintainer{m}, rows, func(i int) error {
+				for c := 0; c < rel.Schema().Len(); c++ {
+					if err := rel.Set(rows[i], c, rel.Value(rows[i], c)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+		if err == nil {
+			err = m.CheckInvariants()
+		}
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		for gid, g := range p.Groups {
+			sn := interval[m.groups[gid]]
+			if sn == nil || unsafe.SliceData(g.Rows) == sn.data {
+				continue
+			}
+			if len(g.Rows) <= sn.cap {
+				sn.copies++ // a copy, not growth
+			}
+			sn.data, sn.cap = unsafe.SliceData(g.Rows), cap(g.Rows)
+		}
+	}
+	closeInterval()
+	if len(views) < 20 || checked < 20 {
+		t.Fatalf("%d views and %d groups edited in several batches between two: the schedule tests nothing", len(views), checked)
 	}
 	for i, v := range views {
 		for gid, g := range v.view.Groups {

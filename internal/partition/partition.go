@@ -88,6 +88,10 @@ type Partitioning struct {
 	Workers int
 	// BuildTime is the offline partitioning cost (Figure 4).
 	BuildTime time.Duration
+	// views counts the Views taken of a head. A member list allocated
+	// since the latest one is seen by no reader, so its Maintainer edits
+	// it in place (see Maintainer.own).
+	views uint64
 }
 
 // resolveAttrs is the one place partitioning attributes are looked up and
@@ -429,8 +433,9 @@ func (p *Partitioning) Remap(remap []int) (err error) {
 	for g := range p.Groups {
 		rows := p.Groups[g].Rows
 		// Build the renumbered member list in fresh storage: a published
-		// view shares these slices with lock-free readers, and Remap runs
-		// in no Maintainer batch, so it owns none of them (Maintainer.own).
+		// view may share these slices with lock-free readers, and Remap
+		// does not know which lists the Maintainer cloned since the latest
+		// view (Maintainer.own).
 		fresh := make([]int, len(rows))
 		for i, r := range rows {
 			if r < 0 || r >= len(remap) || remap[r] < 0 {
@@ -473,13 +478,16 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 // on the head afterwards cannot tear it. It costs O(groups), not O(rows):
 // the Group structs are copied (the Maintainer replaces group fields), no
 // gid map is made, and member and centroid slices are shared read-only —
-// every maintenance path writes only storage allocated in the batch that
-// writes it (see Maintainer.own, Remap). Reps becomes its own relation
-// snapshot, so in-place representative refreshes copy-on-write around it.
+// View counts itself on the head, and the Maintainer writes in place only
+// member lists allocated since the latest view (see Maintainer.own,
+// Remap). Reps becomes its own relation snapshot, so in-place
+// representative refreshes copy-on-write around it.
 //
 // The caller holds the lock that serializes mutations while taking the
-// view (it reads the live structures).
+// view, and takes one view of a head at a time (it reads the live
+// structures and counts the view on the head).
 func (p *Partitioning) View(snap *relation.Relation) *Partitioning {
+	p.views++
 	v := *p
 	v.Rel, v.GID, v.Groups, v.Reps = snap, nil, slices.Clone(p.Groups), p.Reps.Snapshot()
 	return &v

@@ -3,6 +3,7 @@ package relation
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -94,4 +95,63 @@ func BenchmarkCentroidRadius(b *testing.B) {
 		sink += Radius(r, cols, rows, Centroid(r, cols, rows))
 	}
 	_ = sink
+}
+
+// BenchmarkGather is the gather under every ILP build (core.gather reads a
+// FloatColumn) over a 200 000-row column: every row (dense), a sorted 5 %
+// of them (sparse), and 1 000 sorted 200-row groups drawn at random, the
+// shape of a partitioning's member lists (groups). Each runs over the
+// contiguous column and over the same cells held in 256-row pages behind a
+// page table, the layout a page-granular copy-on-write would read through:
+// the "paged" rows price its extra load per row.
+func BenchmarkGather(b *testing.B) {
+	const pageShift, pageRows = 8, 1 << 8
+	r, _, _ := centroidFixture(200_000)
+	col := r.FloatColumn(1)
+	var pages [][]float64
+	for lo := 0; lo < len(col); lo += pageRows {
+		pages = append(pages, slices.Clone(col[lo:min(lo+pageRows, len(col))]))
+	}
+	rng := rand.New(rand.NewSource(9))
+	dense := r.AllRows()
+	var sparse []int
+	for _, i := range dense {
+		if rng.Intn(20) == 0 {
+			sparse = append(sparse, i)
+		}
+	}
+	perm := rng.Perm(len(dense))
+	groups := make([][]int, 1000)
+	for g := range groups {
+		groups[g] = slices.Clone(perm[g*200 : (g+1)*200])
+		slices.Sort(groups[g])
+	}
+	dst := make([]float64, len(dense))
+	contiguous := func(rows []int) {
+		for j, i := range rows {
+			dst[j] = col[i]
+		}
+	}
+	paged := func(rows []int) {
+		for j, i := range rows {
+			dst[j] = pages[i>>pageShift][i&(pageRows-1)]
+		}
+	}
+	for _, layout := range []struct {
+		name   string
+		gather func([]int)
+	}{{"contiguous", contiguous}, {"paged", paged}} {
+		for _, bc := range []struct {
+			name string
+			sets [][]int
+		}{{"dense", [][]int{dense}}, {"sparse", [][]int{sparse}}, {"groups", groups}} {
+			b.Run(bc.name+"/"+layout.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, rows := range bc.sets {
+						layout.gather(rows)
+					}
+				}
+			})
+		}
+	}
 }

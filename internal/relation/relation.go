@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -313,7 +314,9 @@ func (r *Relation) Identity() *Relation {
 // cowCol clones column col's backing array when a live snapshot may
 // share it, so the in-place write about to happen cannot be observed
 // through the snapshot's copied slice header. The clone keeps the old
-// capacity: at cap == len the next Append would copy the column again.
+// capacity (at cap == len the next Append would copy the column again),
+// and copies it whole rather than zeroing a fresh array first: a numeric
+// column's clone is written once, not twice.
 func (r *Relation) cowCol(col int) {
 	if r.shared == nil || !r.shared[col] {
 		return
@@ -321,11 +324,11 @@ func (r *Relation) cowCol(col int) {
 	c := r.cols[col]
 	switch c.typ {
 	case Float:
-		c.f = append(make([]float64, 0, cap(c.f)), c.f...)
+		c.f = slices.Clone(c.f[:cap(c.f)])[:len(c.f)]
 	case Int:
-		c.i = append(make([]int64, 0, cap(c.i)), c.i...)
+		c.i = slices.Clone(c.i[:cap(c.i)])[:len(c.i)]
 	default:
-		c.s = append(make([]string, 0, cap(c.s)), c.s...)
+		c.s = slices.Clone(c.s[:cap(c.s)])[:len(c.s)]
 	}
 	r.shared[col] = false
 }

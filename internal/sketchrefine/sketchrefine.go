@@ -119,8 +119,8 @@ type evaluator struct {
 // total. Member lists are ascending, so every group's rows come out in the
 // order a scan of the relation would give; they are not checked against
 // the relation's tombstones (see EvaluateCtx). When nothing filters,
-// rows[gid] is the member slice itself, shared read-only — every
-// maintenance path writes fresh storage, see partition.Partitioning.View;
+// rows[gid] is the member slice itself, shared read-only — maintenance
+// writes in place only lists no view holds, see partition.Partitioning.View;
 // otherwise — filtered — it is a fresh slice of exactly what passed the
 // filter's selection, bound once and run over each member list.
 func eligibleByGroup(spec *core.Spec, part *partition.Partitioning) (rows [][]int, gids []int, n int, filtered bool) {
