@@ -102,8 +102,7 @@ func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 	prob := &ilp.Problem{
 		LP: lp.Problem{
 			C:  make([]float64, n),
-			Lo: make([]float64, n),
-			Hi: make([]float64, n),
+			Hi: make([]float64, n), // Lo is nil: every lower bound is 0
 			A:  make([][]float64, 0, len(spec.Constraints)),
 			Op: make([]lp.ConstraintOp, 0, len(spec.Constraints)),
 			B:  make([]float64, 0, len(spec.Constraints)),
@@ -175,23 +174,14 @@ type Incumbent struct {
 // fast and must not call back into the evaluation.
 type IncumbentFunc func(Incumbent)
 
-// decode maps a solution vector over rows back to package coordinates:
-// the rows with a positive rounded multiplicity, and those
-// multiplicities, in one allocation sized to the package.
-func decode(rows []int, x []float64) (pkgRows, pkgMult []int) {
-	size := 0
-	for _, v := range x {
-		if int(math.Round(v)) > 0 {
-			size++
-		}
-	}
-	buf := make([]int, 2*size)
-	pkgRows, pkgMult = buf[:0:size], buf[size:size]
-	for j, v := range x {
-		if m := int(math.Round(v)); m > 0 {
-			pkgRows = append(pkgRows, rows[j])
-			pkgMult = append(pkgMult, m)
-		}
+// decode maps a solution's nonzero entries over rows, every one a
+// positive integer (the lower bounds are 0), back to package coordinates:
+// the rows and their multiplicities, in one allocation sized to the package.
+func decode(rows []int, entries []ilp.Entry) (pkgRows, pkgMult []int) {
+	buf := make([]int, 2*len(entries))
+	pkgRows, pkgMult = buf[:len(entries)], buf[len(entries):]
+	for k, e := range entries {
+		pkgRows[k], pkgMult[k] = rows[e.J], int(math.Round(e.X))
 	}
 	return pkgRows, pkgMult
 }
@@ -279,8 +269,8 @@ func Solve(ctx context.Context, spec *Spec, rows []int, hi []float64, opt ilp.Op
 		if spec.Objective != nil {
 			offset = spec.Objective.Offset
 		}
-		opt.OnIncumbent = func(x []float64, obj float64, nodes int) {
-			pkgRows, pkgMult := decode(rows, x)
+		opt.OnIncumbent = func(entries []ilp.Entry, obj float64, nodes int) {
+			pkgRows, pkgMult := decode(rows, entries)
 			fn(Incumbent{Rows: pkgRows, Mult: pkgMult, Objective: obj + offset, Nodes: nodes})
 		}
 	}
@@ -289,7 +279,7 @@ func Solve(ctx context.Context, spec *Spec, rows []int, hi []float64, opt ilp.Op
 	if err != nil {
 		return nil, stats, err
 	}
-	pkgRows, pkgMult := decode(rows, res.X)
+	pkgRows, pkgMult := decode(rows, res.Entries)
 	pkg, err := NewPackage(spec.Rel, pkgRows, pkgMult)
 	if err != nil {
 		return nil, stats, err

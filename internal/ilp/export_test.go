@@ -67,3 +67,16 @@ func SolveOverOracle(ctx context.Context, p *Problem, opt Options) (*Result, []f
 
 // AllocProblem is the knapsack fixture of the allocation gate.
 var AllocProblem = allocProblem
+
+// Dense expands r's entries to the n-vector they are the nonzeros of, or
+// nil without an incumbent, for tests that index the solution.
+func (r *Result) Dense(n int) []float64 {
+	if !r.HasIncumbent {
+		return nil
+	}
+	x := make([]float64, n)
+	for _, e := range r.Entries {
+		x[e.J] = e.X
+	}
+	return x
+}

@@ -482,8 +482,9 @@ func FuzzILP(f *testing.F) {
 				t.Fatalf("working set %d: %v", initial, err)
 			}
 			if res.HasIncumbent {
-				if worst, ok := rowSlack(&p.LP, res.X); !ok {
-					t.Fatalf("working set %d: incumbent %v is infeasible (relative violation %g)", initial, res.X, worst)
+				x := res.Dense(p.LP.NumVars())
+				if worst, ok := rowSlack(&p.LP, x); !ok {
+					t.Fatalf("working set %d: incumbent %v is infeasible (relative violation %g)", initial, x, worst)
 				}
 			}
 			switch {

@@ -93,11 +93,12 @@ type Options struct {
 	// OnIncumbent, when non-nil, is invoked from inside the search each
 	// time a strictly better integral incumbent is installed — the hook
 	// that turns a solve into an anytime computation. The callback
-	// receives the solution vector (read-only, valid during the call only:
-	// copy it to keep it), the objective in the problem's own sense, and the
-	// number of nodes explored so far. It runs synchronously on the solving
-	// goroutine: keep it cheap, and do not call back into the solver.
-	OnIncumbent func(x []float64, obj float64, nodes int)
+	// receives the incumbent's nonzero entries in ascending J (read-only,
+	// valid during the call only: copy them to keep them), the objective in
+	// the problem's own sense, and the number of nodes explored so far. It
+	// runs synchronously on the solving goroutine: keep it cheap, and do
+	// not call back into the solver.
+	OnIncumbent func(entries []Entry, obj float64, nodes int)
 }
 
 // DefaultMaxNodes is the node budget used when Options.MaxNodes is 0.
@@ -106,7 +107,7 @@ const DefaultMaxNodes = 200000
 // Result is the outcome of SolveCtx.
 type Result struct {
 	Status    Status
-	X         []float64 // integral solution (valid for Optimal, and for ResourceLimit when HasIncumbent)
+	Entries   []Entry // integral solution's nonzeros, ascending J (valid for Optimal, and for ResourceLimit when HasIncumbent)
 	Objective float64
 	// BestBound is the best proven bound on the optimum (meaningful for
 	// ResourceLimit: the true optimum lies between Objective and it).
@@ -232,16 +233,16 @@ type scratch struct {
 	inW                        []bool
 	slot                       []int32
 	lowNZ, cols                []int
-	pkg, best                  []term
+	pkg, best                  []Entry
 	pick                       picker
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// term is a nonzero entry xⱼ of a point.
-type term struct {
-	j int
-	x float64
+// Entry is a nonzero entry xⱼ of a point.
+type Entry struct {
+	J int
+	X float64
 }
 
 // solve is SolveCtx over whichever LP kernel newRelaxation builds, with a
@@ -405,6 +406,9 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	done := func(st Status) (*Result, error) {
 		tally()
 		res.Status, res.LPIterations = st, res.DualIterations+res.PrimalIterations
+		if res.HasIncumbent {
+			res.Entries = slices.Clone(best) // best goes back to the pool
+		}
 		return res, nil
 	}
 	better := func(a, b float64) bool { return internal(a) > internal(b) }
@@ -521,7 +525,7 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	// When rounding moved a value and a row no longer holds, it returns the
 	// column farthest from an integer, to branch on, with its value before
 	// rounding. Otherwise it improves the point by local search, installs it
-	// if better (best keeps its entries; res.X is moved by them), returns -1.
+	// if better (best keeps its entries), returns -1.
 	accept := func(x []float64) (q int, v float64) {
 		pkg = pkg[:0]
 		q, far := -1, 0.0
@@ -534,20 +538,20 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 				}
 			}
 			if xj != 0 {
-				pkg = append(pkg, term{j, xj})
+				pkg = append(pkg, Entry{j, xj})
 			}
 		}
 		for _, j := range lowNZ {
 			if !inW[j] {
-				pkg = append(pkg, term{j, baseLo[j]})
+				pkg = append(pkg, Entry{j, baseLo[j]})
 			}
 		}
-		slices.SortFunc(pkg, func(a, b term) int { return a.j - b.j }) // in order already, unless lowNZ added some
+		slices.SortFunc(pkg, func(a, b Entry) int { return a.J - b.J }) // in order already, unless lowNZ added some
 		// Sum over the package alone: a zero xⱼ's ±0 term moves no bit of a sum that is never −0.
 		clear(act)
 		for _, t := range pkg {
 			for i, row := range p.LP.A {
-				act[i] += row[t.j] * t.x
+				act[i] += row[t.J] * t.X
 			}
 		}
 		for i := range act {
@@ -559,36 +563,27 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 			sc.xs = slices.Grow(sc.xs[:0], n)[:n]
 			clear(sc.xs)
 			for _, t := range pkg {
-				sc.xs[t.j] = t.x
+				sc.xs[t.J] = t.X
 			}
 			localSearch(sc.xs)
 			pkg = pkg[:0]
 			for j, xj := range sc.xs {
 				if xj != 0 {
-					pkg = append(pkg, term{j, xj})
+					pkg = append(pkg, Entry{j, xj})
 				}
 			}
 		}
 		o := 0.0
 		for _, t := range pkg {
-			o += p.LP.C[t.j] * t.x
+			o += p.LP.C[t.J] * t.X
 		}
 		if res.HasIncumbent && !better(o, res.Objective) {
 			return -1, 0
 		}
-		if res.X == nil {
-			res.X = make([]float64, n)
-		}
-		for _, t := range best {
-			res.X[t.j] = 0
-		}
-		for _, t := range pkg {
-			res.X[t.j] = t.x
-		}
 		pkg, best = best, pkg
 		res.HasIncumbent, res.Objective, res.Incumbents = true, o, res.Incumbents+1
 		if opt.OnIncumbent != nil {
-			opt.OnIncumbent(res.X, o, res.Nodes)
+			opt.OnIncumbent(best, o, res.Nodes)
 		}
 		// Fix what the search sees: the columns, or every variable where
 		// local search can move any; the rest are tested on joining W.

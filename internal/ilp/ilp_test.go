@@ -38,8 +38,8 @@ func TestKnapsackSmall(t *testing.T) {
 	if r.Status != Optimal || math.Abs(r.Objective-220) > 1e-6 {
 		t.Fatalf("got %v obj %g, want optimal 220", r.Status, r.Objective)
 	}
-	if math.Round(r.X[0]) != 0 || math.Round(r.X[1]) != 1 || math.Round(r.X[2]) != 1 {
-		t.Errorf("solution %v, want [0 1 1]", r.X)
+	if x := r.Dense(3); math.Round(x[0]) != 0 || math.Round(x[1]) != 1 || math.Round(x[2]) != 1 {
+		t.Errorf("solution %v, want [0 1 1]", x)
 	}
 }
 
@@ -113,8 +113,8 @@ func TestRoundingKeepsRowsFeasible(t *testing.T) {
 		},
 	}
 	r := solveOK(t, p, Options{})
-	if r.Status != Optimal || r.X[0] != 0 {
-		t.Fatalf("got %v x = %v, want optimal x = [0]", r.Status, r.X)
+	if x := r.Dense(1); r.Status != Optimal || x[0] != 0 {
+		t.Fatalf("got %v x = %v, want optimal x = [0]", r.Status, x)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestMixedIntegerProblem(t *testing.T) {
 	if r.Status != Optimal || math.Abs(r.Objective-2.5) > 1e-6 {
 		t.Fatalf("got %v obj %g, want optimal 2.5", r.Status, r.Objective)
 	}
-	if math.Abs(r.X[0]-1) > 1e-6 {
-		t.Errorf("integer part x0 = %g, want 1", r.X[0])
+	if x := r.Dense(2); math.Abs(x[0]-1) > 1e-6 {
+		t.Errorf("integer part x0 = %g, want 1", x[0])
 	}
 }
 
@@ -408,15 +408,15 @@ func TestQuickSolutionIntegralFeasible(t *testing.T) {
 		if err != nil || r.Status != Optimal {
 			return false
 		}
-		lhs := 0.0
+		lhs, x := 0.0, r.Dense(n)
 		for j := 0; j < n; j++ {
-			if math.Abs(r.X[j]-math.Round(r.X[j])) > 1e-9 {
+			if math.Abs(x[j]-math.Round(x[j])) > 1e-9 {
 				return false
 			}
-			if r.X[j] < -1e-9 || r.X[j] > p.LP.Hi[j]+1e-9 {
+			if x[j] < -1e-9 || x[j] > p.LP.Hi[j]+1e-9 {
 				return false
 			}
-			lhs += row[j] * r.X[j]
+			lhs += row[j] * x[j]
 		}
 		return lhs <= p.LP.B[0]+1e-6
 	}

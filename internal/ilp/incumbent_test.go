@@ -49,7 +49,7 @@ func TestResourceLimitCarriesIncumbent(t *testing.T) {
 	}
 	// The incumbent must be integral and feasible.
 	lhs0, lhs1 := 0.0, 0.0
-	for j, x := range r.X {
+	for j, x := range r.Dense(p.LP.NumVars()) {
 		if x != math.Round(x) {
 			t.Fatalf("incumbent x[%d] = %g not integral", j, x)
 		}

@@ -75,8 +75,8 @@ func TestSiftUpperBoundOnly(t *testing.T) {
 	if res.Status != ilp.Optimal {
 		t.Fatalf("%v, want optimal", res.Status)
 	}
-	if res.X[150] != -3 || res.RootColumns <= 64 {
-		t.Errorf("x₁₅₀ = %v, root over %d variables; want −3, over more than the 64 best", res.X[150], res.RootColumns)
+	if x := res.Dense(200); x[150] != -3 || res.RootColumns <= 64 {
+		t.Errorf("x₁₅₀ = %v, root over %d variables; want −3, over more than the 64 best", x[150], res.RootColumns)
 	}
 }
 
@@ -109,8 +109,8 @@ func TestSiftedIntegralRootBreaksRow(t *testing.T) {
 	if res.Status != ilp.Optimal {
 		t.Fatalf("%v, want optimal", res.Status)
 	}
-	if res.X[0] != 0 || res.Rounds == 0 || res.WorkingSet >= n {
-		t.Errorf("x₀ = %v after %d rounds over %d; want 0, branched in a working-set round", res.X[0], res.Rounds, res.WorkingSet)
+	if x := res.Dense(n); x[0] != 0 || res.Rounds == 0 || res.WorkingSet >= n {
+		t.Errorf("x₀ = %v after %d rounds over %d; want 0, branched in a working-set round", x[0], res.Rounds, res.WorkingSet)
 	}
 }
 

@@ -93,7 +93,7 @@ func (s refineShape) problem(tb testing.TB) *ilp.Problem {
 func TestCoreIncumbentOnRefineShapes(t *testing.T) {
 	for _, s := range refineShapes {
 		first := -1
-		opt := ilp.Options{MaxNodes: 50000, Gap: 1e-4, OnIncumbent: func(_ []float64, _ float64, nodes int) {
+		opt := ilp.Options{MaxNodes: 50000, Gap: 1e-4, OnIncumbent: func(_ []ilp.Entry, _ float64, nodes int) {
 			if first < 0 {
 				first = nodes
 			}
@@ -242,15 +242,16 @@ func TestWorkingSetMatchesFullWidth(t *testing.T) {
 			continue
 		}
 		var differ []int
-		for j := range want.X {
-			if got.X[j] != want.X[j] {
+		gx, wx := got.Dense(p.LP.NumVars()), want.Dense(p.LP.NumVars())
+		for j := range wx {
+			if gx[j] != wx[j] {
 				differ = append(differ, j)
 			}
 		}
 		if len(differ) == 0 {
 			continue
 		}
-		for _, x := range [][]float64{got.X, want.X} {
+		for _, x := range [][]float64{gx, wx} {
 			if !rowsHold(p, x) {
 				t.Errorf("%s: package %v breaks a row", names[i], x)
 			}
@@ -333,9 +334,10 @@ func TestTreeIndependentOfPivotPath(t *testing.T) {
 				names[i], warm.Status, warm.Nodes, warm.Incumbents, cold.Status, cold.Nodes, cold.Incumbents)
 			continue
 		}
-		for j := range warm.X {
-			if warm.X[j] != cold.X[j] {
-				t.Errorf("%s: x[%d] = %g, oracle-driven %g", names[i], j, warm.X[j], cold.X[j])
+		wx, cx := warm.Dense(p.LP.NumVars()), cold.Dense(p.LP.NumVars())
+		for j := range wx {
+			if wx[j] != cx[j] {
+				t.Errorf("%s: x[%d] = %g, oracle-driven %g", names[i], j, wx[j], cx[j])
 				break
 			}
 		}

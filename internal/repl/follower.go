@@ -190,6 +190,12 @@ func (n *Node) bootstrap(t *tail) error {
 			return err
 		}
 	}
+	return n.openReplica(t)
+}
+
+// openReplica opens the tail's dataset from its local state, registers
+// it, and makes it the one the tail applies to, with no cursor.
+func (n *Node) openReplica(t *tail) error {
 	cfg := n.cfg.Dataset
 	cfg.DataDir = n.cfg.DataDir
 	ds, err := server.OpenDataset(t.name, cfg)
@@ -429,20 +435,10 @@ func (n *Node) resyncTail(t *tail) error {
 	if err := store.InstallSnapshot(t.dir, data); err != nil {
 		return fmt.Errorf("repl: resync %s: %w", t.name, err)
 	}
-	cfg := n.cfg.Dataset
-	cfg.DataDir = n.cfg.DataDir
-	ds, err := server.OpenDataset(t.name, cfg)
-	if err != nil {
+	if err := n.openReplica(t); err != nil {
 		return fmt.Errorf("repl: resync %s: %w", t.name, err)
 	}
-	// Same replica mark bootstrap sets: without it, background
-	// maintenance would compact or snapshot the re-opened replica,
-	// renumbering the physical rows the leader's stream addresses.
-	ds.SetReplica(true)
-	n.srv.Register(ds)
 	t.mu.Lock()
-	t.ds = ds
-	t.haveCursor = false
 	t.resyncs++
 	t.mu.Unlock()
 	return nil

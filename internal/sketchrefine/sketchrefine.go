@@ -539,7 +539,6 @@ func (ev *evaluator) hybridSketchFor(gid int) (*state, error) {
 	// the hybrid problem is their columns side by side.
 	nT := len(tupleRows)
 	prob.LP.C = append(prob.LP.C, reps.LP.C...)
-	prob.LP.Lo = append(prob.LP.Lo, reps.LP.Lo...)
 	prob.LP.Hi = append(prob.LP.Hi, reps.LP.Hi...)
 	for i := range prob.LP.A {
 		prob.LP.A[i] = append(prob.LP.A[i], reps.LP.A[i]...)
@@ -554,7 +553,7 @@ func (ev *evaluator) hybridSketchFor(gid int) (*state, error) {
 		// Hybrid incumbents span two domains (original tuples of one
 		// group plus other groups' representatives), so no single row
 		// mapping is faithful; forward objective progress only.
-		solverOpt.OnIncumbent = func(x []float64, obj float64, nodes int) {
+		solverOpt.OnIncumbent = func(_ []ilp.Entry, obj float64, nodes int) {
 			hook(core.Incumbent{Objective: obj + offset, Nodes: nodes})
 		}
 	}
@@ -565,17 +564,15 @@ func (ev *evaluator) hybridSketchFor(gid int) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &state{reps: make(map[int]int)}
-	for j, r := range tupleRows {
-		if m := int(math.Round(res.X[j])); m > 0 {
-			st.rows = append(st.rows, r)
-			st.mult = append(st.mult, m)
-		}
+	// The entries, positive integers in ascending J, split at nT: the
+	// group's tuples, then the other groups' representatives.
+	st, k := &state{reps: make(map[int]int)}, 0
+	for ; k < len(res.Entries) && res.Entries[k].J < nT; k++ {
+		e := res.Entries[k]
+		st.rows, st.mult = append(st.rows, tupleRows[e.J]), append(st.mult, int(math.Round(e.X)))
 	}
-	for k, g := range otherGids {
-		if m := int(math.Round(res.X[nT+k])); m > 0 {
-			st.reps[g] = m
-		}
+	for _, e := range res.Entries[k:] {
+		st.reps[otherGids[e.J-nT]] = int(math.Round(e.X))
 	}
 	return st, nil
 }

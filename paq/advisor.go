@@ -2,6 +2,7 @@ package paq
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -113,13 +114,14 @@ type AdvisorPass struct {
 }
 
 // AdvisorMaintain runs one partitioning-advisor maintenance pass: it
+// evicts the least-recently-resolved unpinned warm sets of the session's
+// shape beyond the WithWarmSetBudget (whichever session built them),
 // builds the partitionings of attribute sets the workload uses often
-// that are not warm, evicts the least-recently-resolved unpinned warm
-// sets of the session's shape beyond the WithWarmSetBudget — whichever
-// session built them — and, on a durable session, persists the
-// advisor's evidence so a restart keeps the tuning. The pass is meant
-// for a maintenance ticker (paqld runs it alongside snapshotting), off
-// the query path. A no-op under WithoutAdvisor.
+// that are not warm, most-used first, while the budget has room for
+// them, and, on a durable session, persists the advisor's evidence so
+// a restart keeps the tuning. The pass is meant for a maintenance ticker
+// (paqld runs it alongside snapshotting), off the query path. A no-op
+// under WithoutAdvisor.
 func (s *Session) AdvisorMaintain() AdvisorPass {
 	var pass AdvisorPass
 	if s.adv == nil {
@@ -127,18 +129,27 @@ func (s *Session) AdvisorMaintain() AdvisorPass {
 	}
 	d := s.d
 	d.dataMu.RLock()
+	var room int
+	pass.Evicted, room = s.evictWarmSets()
 	for _, h := range s.adv.HotSets() {
 		key := s.regKey(h.Attrs)
-		if e := d.entry(key, false); e != nil && e.part.Load() != nil {
+		e := d.entry(key, false)
+		pinned := e != nil && e.pinned.Load()
+		switch {
+		case e != nil && e.part.Load() != nil:
 			continue // warm already: not the pass's build, nor a use
+		case !pinned && room <= 0:
+			continue // the next pass would evict it, and the one after rebuild it
 		}
 		// Advisory: an unbuildable set is just skipped.
 		if _, err := s.resolve(key, h.Attrs, true); err == nil {
 			pass.Prewarmed = append(pass.Prewarmed, h.Key)
 			s.count(&s.advPrewarmed)
+			if !pinned {
+				room--
+			}
 		}
 	}
-	pass.Evicted = s.evictWarmSets()
 	d.dataMu.RUnlock()
 	if d.st != nil {
 		// Store writes run under the dataset write lock (briefly — the
@@ -153,14 +164,15 @@ func (s *Session) AdvisorMaintain() AdvisorPass {
 }
 
 // evictWarmSets drops the least-recently-resolved unpinned partitionings
-// of the session's shape beyond the budget, whoever built them. The
-// entry leaves the registry for every session of the shape; whichever
-// next asks for the set rebuilds it lazily through resolve. The caller
-// holds the dataset read lock.
-func (s *Session) evictWarmSets() []string {
+// of the session's shape beyond the budget, whoever built them, and
+// returns how many more the budget has room for. The entry leaves the
+// registry for every session of the shape; whichever next asks for the
+// set rebuilds it lazily through resolve. The caller holds the dataset
+// read lock.
+func (s *Session) evictWarmSets() (evicted []string, room int) {
 	budget := s.cfg.warmBudget
 	if budget < 0 {
-		return nil // unbounded
+		return nil, math.MaxInt // unbounded
 	}
 	d := s.d
 	var warm []*partEntry
@@ -171,13 +183,12 @@ func (s *Session) evictWarmSets() []string {
 		return nil
 	})
 	if len(warm) <= budget {
-		return nil
+		return nil, budget - len(warm)
 	}
 	// Recovered entries were never resolved (all 0): the key breaks ties.
 	slices.SortFunc(warm, func(a, b *partEntry) int {
 		return cmp.Or(cmp.Compare(a.lastUsed.Load(), b.lastUsed.Load()), cmp.Compare(a.key.attrs, b.key.attrs))
 	})
-	var evicted []string
 	d.regMu.Lock()
 	defer d.regMu.Unlock()
 	for _, e := range warm[:len(warm)-budget] {
@@ -189,7 +200,7 @@ func (s *Session) evictWarmSets() []string {
 		evicted = append(evicted, e.key.attrs)
 	}
 	d.dirty.Store(true)
-	return evicted
+	return evicted, 0
 }
 
 // saveAdvisorState flushes the advisor's evidence to the store's

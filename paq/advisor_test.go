@@ -234,6 +234,40 @@ func TestAdvisorEvictsColdWarmSets(t *testing.T) {
 	}
 }
 
+// TestAdvisorPassesSettleWithinBudget: with more hot sets than the
+// budget admits, a pass builds none past it. The first pass evicts the
+// least recently used of the two the queries built; later passes find the
+// budget full and neither rebuild the evicted set nor evict another, so
+// the partition builds stay at the queries' two.
+func TestAdvisorPassesSettleWithinBudget(t *testing.T) {
+	sess, err := paq.Open(paq.Table(abcRelation(60)), paq.WithWarmSetBudget(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{abcQueryA, abcQueryB} {
+		for i := 0; i < 3; i++ {
+			if _, err := sess.Prepare(q, paq.WithMethod(paq.MethodSketchRefine)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	builds := sess.AdvisorStats().PartBuilds
+	if pass := sess.AdvisorMaintain(); len(pass.Prewarmed) != 0 || strings.Join(pass.Evicted, " ") != "a" {
+		t.Fatalf("first pass prewarmed %v, evicted %v; want nothing, [a]", pass.Prewarmed, pass.Evicted)
+	}
+	for i := 2; i <= 4; i++ {
+		if pass := sess.AdvisorMaintain(); len(pass.Prewarmed) != 0 || len(pass.Evicted) != 0 {
+			t.Errorf("pass %d prewarmed %v, evicted %v; want nothing with the budget full", i, pass.Prewarmed, pass.Evicted)
+		}
+	}
+	if st := sess.AdvisorStats(); st.PartBuilds != builds {
+		t.Errorf("partition builds %d → %d over the passes; want no rebuild", builds, st.PartBuilds)
+	}
+	if ws := sess.WarmSets(); len(ws) != 1 || strings.Join(ws[0].Attrs, ",") != "b" {
+		t.Errorf("warm sets after the passes: %+v, want only [b]", ws)
+	}
+}
+
 // TestWarmSetBudgetCoversQueryBuiltSets: the budget bounds every
 // unpinned warm set of the shape, not only the ones a pass built — with
 // room for one, the pass keeps the set resolved last (here by an
