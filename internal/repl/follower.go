@@ -203,7 +203,8 @@ func (n *Node) openReplica(t *tail) error {
 		return err
 	}
 	// The replica mark keeps the dataset's physical row layout pinned to
-	// the leader's: no local compaction, no local snapshot folding.
+	// the leader's: no local compaction, no local snapshot folding, either
+	// of which would renumber the rows the leader's stream addresses.
 	ds.SetReplica(true)
 	n.srv.Register(ds)
 	t.mu.Lock()
