@@ -180,7 +180,7 @@ func (e *Engine) Evaluate(ctx context.Context, spec *core.Spec) Result {
 // constraints, objective, and input relation at the same version) under
 // one prefix are solved once and served from the cache afterwards, and
 // concurrent duplicates share a single solve. A caller serving several
-// partitionings from one engine passes each one's shape key as the
+// partitionings from one engine passes each one's attribute set as the
 // prefix, so answers refined over different partitionings never collide.
 //
 // Only definitive outcomes are cached: a package, or a proven

@@ -586,8 +586,8 @@ func minAbsLive(rel *relation.Relation, cols []int) float64 {
 // skipped and the function returns 0 — meaning "no positive ω achieves
 // the bound" — only when every value is zero.
 func RadiusForEpsilon(rel *relation.Relation, attrs []string, eps float64, maximize bool) (float64, error) {
-	if eps < 0 {
-		return 0, fmt.Errorf("partition: ε must be non-negative")
+	if !(eps >= 0) {
+		return 0, fmt.Errorf("partition: ε must be non-negative, got %g", eps)
 	}
 	attrIdx, err := resolveAttrs(rel, attrs)
 	if err != nil {

@@ -256,6 +256,16 @@ func TestRadiusForEpsilon(t *testing.T) {
 	}
 }
 
+// TestRadiusForEpsilonRejectsNaN: a NaN ε fails like a negative one
+// instead of returning ω = NaN, which Build would take as a radius limit.
+func TestRadiusForEpsilonRejectsNaN(t *testing.T) {
+	rel := relation.New("t", reltest.Schema(relation.Column{Name: "a", Type: relation.Float}))
+	reltest.Append(rel, relation.F(2))
+	if w, err := RadiusForEpsilon(rel, []string{"a"}, math.NaN(), true); err == nil {
+		t.Errorf("NaN ε accepted: ω = %g", w)
+	}
+}
+
 func TestBuildTimeRecorded(t *testing.T) {
 	rel := randomRel(t, 2000, 6)
 	p, err := Build(rel, Options{Attrs: []string{"x", "y"}, SizeThreshold: 100})

@@ -22,21 +22,21 @@ type WarmSet struct {
 	Uses            uint64 `json:"uses"`
 	LastUsedVersion uint64 `json:"last_used_version"`
 	// Pinned marks a session-wide partitioning (of this session or a
-	// same-shape clone), which the warm-set budget never evicts.
+	// clone), which the warm-set budget never evicts.
 	Pinned bool `json:"pinned,omitempty"`
 }
 
-// WarmSets lists the warm partitionings of the session's shape, sorted
-// by attribute key for determinism.
+// WarmSets lists the warm partitionings of the dataset, whichever
+// session built them, sorted by attribute key for determinism.
 func (s *Session) WarmSets() []WarmSet {
 	s.d.dataMu.RLock()
 	defer s.d.dataMu.RUnlock()
 	var entries []*partEntry
-	_ = s.d.each(s.shape, func(e *partEntry) error {
+	_ = s.d.each(func(e *partEntry) error {
 		entries = append(entries, e)
 		return nil
 	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key.attrs < entries[j].key.attrs })
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	out := make([]WarmSet, 0, len(entries))
 	for _, e := range entries {
 		p := e.part.Load()
@@ -46,7 +46,7 @@ func (s *Session) WarmSets() []WarmSet {
 			Pinned: e.pinned.Load(),
 		}
 		if s.adv != nil {
-			if si, ok := s.adv.SetInfo(e.key.attrs); ok {
+			if si, ok := s.adv.SetInfo(e.key); ok {
 				ws.Uses = si.Uses
 				ws.LastUsedVersion = si.LastVersion
 			}
@@ -114,8 +114,8 @@ type AdvisorPass struct {
 }
 
 // AdvisorMaintain runs one partitioning-advisor maintenance pass: it
-// evicts the least-recently-resolved unpinned warm sets of the session's
-// shape beyond the WithWarmSetBudget (whichever session built them),
+// evicts the least-recently-resolved unpinned warm sets of the dataset
+// beyond the WithWarmSetBudget (whichever session built them),
 // builds the partitionings of attribute sets the workload uses often
 // that are not warm, most-used first, while the budget has room for
 // them, and, on a durable session, persists the advisor's evidence so
@@ -132,7 +132,7 @@ func (s *Session) AdvisorMaintain() AdvisorPass {
 	var room int
 	pass.Evicted, room = s.evictWarmSets()
 	for _, h := range s.adv.HotSets() {
-		key := s.regKey(h.Attrs)
+		key := partKey(h.Attrs)
 		e := d.entry(key, false)
 		pinned := e != nil && e.pinned.Load()
 		switch {
@@ -164,11 +164,10 @@ func (s *Session) AdvisorMaintain() AdvisorPass {
 }
 
 // evictWarmSets drops the least-recently-resolved unpinned partitionings
-// of the session's shape beyond the budget, whoever built them, and
-// returns how many more the budget has room for. The entry leaves the
-// registry for every session of the shape; whichever next asks for the
-// set rebuilds it lazily through resolve. The caller holds the dataset
-// read lock.
+// beyond the budget, whoever built them, and returns how many more the
+// budget has room for. The entry leaves the registry for every session;
+// whichever next asks for the set rebuilds it lazily through resolve.
+// The caller holds the dataset read lock.
 func (s *Session) evictWarmSets() (evicted []string, room int) {
 	budget := s.cfg.warmBudget
 	if budget < 0 {
@@ -176,7 +175,7 @@ func (s *Session) evictWarmSets() (evicted []string, room int) {
 	}
 	d := s.d
 	var warm []*partEntry
-	_ = d.each(s.shape, func(e *partEntry) error {
+	_ = d.each(func(e *partEntry) error {
 		if !e.pinned.Load() {
 			warm = append(warm, e)
 		}
@@ -187,7 +186,7 @@ func (s *Session) evictWarmSets() (evicted []string, room int) {
 	}
 	// Recovered entries were never resolved (all 0): the key breaks ties.
 	slices.SortFunc(warm, func(a, b *partEntry) int {
-		return cmp.Or(cmp.Compare(a.lastUsed.Load(), b.lastUsed.Load()), cmp.Compare(a.key.attrs, b.key.attrs))
+		return cmp.Or(cmp.Compare(a.lastUsed.Load(), b.lastUsed.Load()), cmp.Compare(a.key, b.key))
 	})
 	d.regMu.Lock()
 	defer d.regMu.Unlock()
@@ -197,7 +196,7 @@ func (s *Session) evictWarmSets() (evicted []string, room int) {
 		}
 		delete(d.parts, e.key)
 		s.count(&s.advEvicted)
-		evicted = append(evicted, e.key.attrs)
+		evicted = append(evicted, e.key)
 	}
 	d.dirty.Store(true)
 	return evicted, 0

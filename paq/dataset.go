@@ -38,14 +38,14 @@ type dataset struct {
 	// DurStats reads (read lock).
 	st *store.Store
 
-	// regMu guards the registry: parts maps a shape (the sessions' τ and
-	// ω) and an attribute set to its partitioning; engines lists every
-	// registered solution cache over the relation. dirty (its own atomic)
-	// marks partitionings built or evicted since the last snapshot, so a
-	// restart keeps them; clock (also its own) ticks once per entry
-	// resolve hands out, the recency the warm-set budget evicts by.
+	// regMu guards the registry: parts maps an attribute set (partKey)
+	// to its partitioning; engines lists every registered solution cache
+	// over the relation. dirty (its own atomic) marks partitionings built
+	// or evicted since the last snapshot, so a restart keeps them; clock
+	// (also its own) ticks once per entry resolve hands out, the recency
+	// the warm-set budget evicts by.
 	regMu   sync.Mutex
-	parts   map[setKey]*partEntry
+	parts   map[string]*partEntry
 	engines []*engine.Engine
 	dirty   atomic.Bool
 	clock   atomic.Uint64
@@ -55,11 +55,6 @@ type dataset struct {
 	warm int
 }
 
-// setKey names one registry entry: the shape of the sessions it serves
-// (Session.shape) and its canonical attribute set (partKey, also the
-// advisor's name for the set).
-type setKey struct{ shape, attrs string }
-
 // partEntry is one registered partitioning. part is nil until a caller
 // builds it (concurrent callers queue on building; after a failed build
 // the entry stays registered and the next caller retries) and set exactly
@@ -67,10 +62,10 @@ type setKey struct{ shape, attrs string }
 // build. maint maintains it incrementally under dataset mutations
 // (created on the first one; only touched under the dataMu write lock).
 type partEntry struct {
-	key setKey
-	// cacheKey renders key once, as the prefix of the solution-cache keys
-	// solved over this partitioning.
-	cacheKey string
+	// key is the canonical attribute set (partKey, also the advisor's
+	// name for the set) and the prefix of the solution-cache keys solved
+	// over this partitioning.
+	key      string
 	building sync.Mutex
 	part     atomic.Pointer[partition.Partitioning]
 	maint    *partition.Maintainer
@@ -106,29 +101,27 @@ func (e *partEntry) viewAt(snap *relation.Relation) *partition.Partitioning {
 
 // entry returns the registry entry under key (built or not); with create
 // set, a missing one is registered unbuilt first.
-func (d *dataset) entry(key setKey, create bool) *partEntry {
+func (d *dataset) entry(key string, create bool) *partEntry {
 	d.regMu.Lock()
 	defer d.regMu.Unlock()
 	e := d.parts[key]
 	if e == nil && create {
-		e = &partEntry{key: key, cacheKey: key.shape + key.attrs}
+		e = &partEntry{key: key}
 		d.parts[key] = e
 	}
 	return e
 }
 
 // each is the one loop over "every partitioning over the relation": it
-// visits the built registry entries of the given shape — "" for every
-// shape (maintenance, compaction), a session's own for the ones that
-// session plans over (snapshot, MaintStats, QualityBound, WarmSets, the
-// warm-set budget).
+// visits the built registry entries (maintenance, compaction, snapshot,
+// MaintStats, QualityBound, WarmSets, the warm-set budget).
 // The caller holds dataMu; the write side for anything that touches a
 // maintainer or the partitioning itself.
-func (d *dataset) each(shape string, fn func(*partEntry) error) error {
+func (d *dataset) each(fn func(*partEntry) error) error {
 	d.regMu.Lock()
 	entries := make([]*partEntry, 0, len(d.parts))
-	for k, e := range d.parts {
-		if (shape == "" || k.shape == shape) && e.part.Load() != nil {
+	for _, e := range d.parts {
+		if e.part.Load() != nil {
 			entries = append(entries, e)
 		}
 	}
@@ -153,7 +146,7 @@ func (d *dataset) register(e *engine.Engine) {
 // maintainers lists the maintainer of every built partitioning, created on
 // first need. Caller holds the write lock, so no build is in flight.
 func (d *dataset) maintainers() (ms []*partition.Maintainer) {
-	_ = d.each("", func(e *partEntry) error {
+	_ = d.each(func(e *partEntry) error {
 		if e.maint == nil {
 			e.maint = partition.NewMaintainer(e.part.Load(), partition.MaintOptions{})
 		}

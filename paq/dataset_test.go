@@ -107,6 +107,71 @@ func TestCloseKeepsSiblingBuiltPartitionings(t *testing.T) {
 	}
 }
 
+// TestCloneRejectsDatasetOptions: τ, ω, durability and the warm-set
+// budget are fixed at Open, so a Clone that would change one fails — in
+// particular Clone(WithDurability) on an in-memory session, which would
+// otherwise return a clone whose mutations are never logged. Options
+// that restate the dataset's values, or change only the session, clone.
+func TestCloneRejectsDatasetOptions(t *testing.T) {
+	s, err := paq.Open(paq.Table(durTable(t, 100, 25)), durOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, o := range map[string]paq.Option{
+		"durability":      paq.WithDurability(t.TempDir()),
+		"tau":             paq.WithTau(0.5),
+		"tau tuples":      paq.WithTauTuples(25),
+		"radius limit":    paq.WithRadiusLimit(1),
+		"warm-set budget": paq.WithWarmSetBudget(2),
+	} {
+		if c, err := s.Clone(o); err == nil {
+			t.Errorf("Clone changing the %s succeeded (clone durable: %v)", name, c.DurStats().Durable)
+		}
+	}
+	if _, err := s.Clone(paq.WithTauTuples(40), paq.WithoutCache(), paq.WithMethod(paq.MethodDirect)); err != nil {
+		t.Errorf("Clone restating τ: %v", err)
+	}
+}
+
+// TestReopenWithOtherTau: a stored partitioning keeps the τ it was
+// built with — reopening the store under another τ warm-starts it with
+// no build — while a set first built after the reopen uses the opener's.
+func TestReopenWithOtherTau(t *testing.T) {
+	dir := t.TempDir()
+	s, err := paq.Open(paq.Table(durTable(t, 200, 26)), durOpts(paq.WithDurability(dir))...) // builds {cost, gain} at τ = 40
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := paq.Open(nil, durOpts(paq.WithTauTuples(25), paq.WithDurability(dir))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.DurStats().WarmPartitionings; got != 1 {
+		t.Errorf("%d warm partitionings, want 1", got)
+	}
+	tau := func(q string) int {
+		t.Helper()
+		stmt, err := re.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stmt.Plan().Partitioning.Tau
+	}
+	if got := tau(durQuery); got != 40 {
+		t.Errorf("stored set plans at τ = %d, want the stored 40", got)
+	}
+	if builds := re.AdvisorStats().PartBuilds; builds != 0 {
+		t.Errorf("preparing the stored set built %d partitionings, want 0", builds)
+	}
+	if got := tau(gainQuery); got != 25 {
+		t.Errorf("new set built at τ = %d, want the opener's 25", got)
+	}
+}
+
 // TestFailedOpenReleasesStore: every failing Open over a durable
 // directory closes the store it opened — no file handle into the
 // directory survives, and where the directory itself is sound a correct

@@ -82,10 +82,10 @@ func (s *Session) DurStats() DurStats {
 
 // recover rebuilds the dataset's warm state from a boot snapshot and
 // replays the WAL suffix. Called from Open before the dataset is
-// shared, so nothing runs beside it. shape is the opening session's: the
-// snapshot holds one partitioning per attribute set (see
-// snapshotLocked), and they re-register under it.
-func (d *dataset) recover(boot *store.Snapshot, shape string) error {
+// shared, so nothing runs beside it. Each stored partitioning keeps the
+// τ and ω it was built with, whatever the opener's; only sets built
+// after the reopen use the opener's.
+func (d *dataset) recover(boot *store.Snapshot) error {
 	// Warm-start every serialized partitioning: reconstruct the group
 	// structure and representatives without any quad-tree build, and
 	// resume its incremental maintenance with the persisted counters.
@@ -94,7 +94,7 @@ func (d *dataset) recover(boot *store.Snapshot, shape string) error {
 		if err != nil {
 			return fmt.Errorf("%w: restoring partitioning over %v: %v", ErrCorrupt, ps.Attrs, err)
 		}
-		e := d.entry(setKey{shape, partKey(ps.Attrs)}, true)
+		e := d.entry(partKey(ps.Attrs), true)
 		e.maint = partition.NewMaintainer(p, partition.MaintOptions{})
 		e.maint.RestoreStats(ps.Stats)
 		e.part.Store(p)
@@ -137,15 +137,13 @@ func (s *Session) Snapshot() error {
 // advisory state must never fail (or dirty) the snapshot.
 func (s *Session) snapshotLocked() error {
 	_ = s.saveAdvisorState()
-	return s.d.snapshotLocked(s.shape)
+	return s.d.snapshotLocked()
 }
 
 // snapshotLocked writes the snapshot. The persisted partitionings are
-// every built registry entry of the given shape — whichever session of
-// that shape built them — one PartState per attribute set; entries of
-// other shapes (a clone with its own τ or ω) are rebuilt on demand after
-// a restart. Caller holds the write lock.
-func (d *dataset) snapshotLocked(shape string) error {
+// every built registry entry, whichever session built it — one
+// PartState per attribute set. Caller holds the write lock.
+func (d *dataset) snapshotLocked() error {
 	if d.st == nil {
 		return fmt.Errorf("paq: session has no durability store (see WithDurability)")
 	}
@@ -164,7 +162,7 @@ func (d *dataset) snapshotLocked(shape string) error {
 		return err
 	}
 	snap := &store.Snapshot{Version: d.rel.Version(), Rel: d.rel}
-	_ = d.each(shape, func(e *partEntry) error {
+	_ = d.each(func(e *partEntry) error {
 		p := e.part.Load()
 		ps := store.PartState{Attrs: p.Attrs, Tau: p.Tau, Omega: p.Omega, Workers: p.Workers, Groups: p.Groups}
 		if e.maint != nil {
@@ -217,14 +215,14 @@ func (s *Session) Compact() (int, error) {
 }
 
 // compactLocked renumbers the relation and remaps every partitioning
-// over it — whatever its shape — through the renumbering.
+// over it through the renumbering.
 func (d *dataset) compactLocked() (int, error) {
 	reclaimed := d.rel.Len() - d.rel.Live()
 	remap := d.rel.Compact()
 	if remap == nil {
 		return 0, nil
 	}
-	if err := d.each("", func(e *partEntry) error { return e.part.Load().Remap(remap) }); err != nil {
+	if err := d.each(func(e *partEntry) error { return e.part.Load().Remap(remap) }); err != nil {
 		return reclaimed, fmt.Errorf("paq: compact: %w", err)
 	}
 	if d.st != nil {

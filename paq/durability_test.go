@@ -444,17 +444,17 @@ func TestEmptyRecoveredStateRejected(t *testing.T) {
 	}
 }
 
-// TestCompactRemapsClonePartitionings: a clone with a different τ
-// holds its own partitioning over the shared relation; mutations must
-// maintain it and Compact must remap it (and must not double-remap the
-// partitionings shared with same-shape clones).
+// TestCompactRemapsClonePartitionings: a clone partitioning on another
+// attribute set holds its own partitioning over the shared relation;
+// mutations must maintain it and Compact must remap it (and must not
+// double-remap the partitionings shared with other clones).
 func TestCompactRemapsClonePartitionings(t *testing.T) {
 	s, err := paq.Open(paq.Table(durTable(t, 400, 14)), durOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Different τ ⇒ private partitioning; same options ⇒ shared one.
-	private, err := s.Clone(paq.WithTauTuples(25))
+	// Other attribute set ⇒ its own partitioning; same options ⇒ shared one.
+	private, err := s.Clone(paq.WithPartitionAttrs("cost"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestCompactRemapsClonePartitionings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objP := solveObjective(t, private) // builds the clone's partitioning
+	objP := solveObjective(t, private) // over the clone's own partitioning
 	objS := solveObjective(t, shared)
 
 	rows := s.Rel().AllRows()

@@ -250,12 +250,12 @@ func (s *Session) View(fn func(rel *relation.Relation)) {
 	fn(s.d.rel)
 }
 
-// readMaintainers runs fn on the maintainer of every partitioning of the
-// session's shape that a mutation has touched, under the read lock.
+// readMaintainers runs fn on the maintainer of every partitioning that
+// a mutation has touched, under the read lock.
 func (s *Session) readMaintainers(fn func(*partition.Maintainer)) {
 	s.d.dataMu.RLock()
 	defer s.d.dataMu.RUnlock()
-	_ = s.d.each(s.shape, func(e *partEntry) error {
+	_ = s.d.each(func(e *partEntry) error {
 		if e.maint != nil {
 			fn(e.maint)
 		}
@@ -264,7 +264,7 @@ func (s *Session) readMaintainers(fn func(*partition.Maintainer)) {
 }
 
 // MaintStats sums the partition-maintenance counters across every warm
-// partitioning of the session (zero until the first mutation touches a
+// partitioning of the dataset (zero until the first mutation touches a
 // built partitioning). Rebuilds staying at zero is the contract that
 // ingestion never repartitions on the hot path.
 func (s *Session) MaintStats() MaintStats {
@@ -283,7 +283,7 @@ func (s *Session) MaintStats() MaintStats {
 }
 
 // QualityBound reports the worst multiplicative SketchRefine quality
-// factor across the session's maintained partitionings (1 until a
+// factor across the dataset's maintained partitionings (1 until a
 // mutation touches one; see partition.Maintainer.QualityBound).
 // maximize selects the sense of the queries being bounded.
 func (s *Session) QualityBound(maximize bool) float64 {

@@ -2,6 +2,7 @@ package paq
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/ilp"
@@ -9,31 +10,36 @@ import (
 
 // config is the resolved session configuration.
 type config struct {
-	method     Method
-	partAttrs  []string
+	method    Method
+	partAttrs []string
+	workers   int
+	seed      int64
+	timeLimit time.Duration
+	maxNodes  int
+	gap       float64
+	noCache   bool
+	warm      bool
+	noAdvisor bool
+	datasetConfig
+}
+
+// datasetConfig describes the dataset rather than a session (τ, ω,
+// durability, warm-set budget), so it is fixed at Open.
+type datasetConfig struct {
 	tauFrac    float64
 	tauAbs     int
 	radius     float64
-	workers    int
-	seed       int64
-	timeLimit  time.Duration
-	maxNodes   int
-	gap        float64
-	noCache    bool
-	warm       bool
 	durDir     string
-	noAdvisor  bool
 	warmBudget int
 }
 
 func defaults() config {
 	return config{
-		method:     MethodAuto,
-		tauFrac:    0.10,
-		timeLimit:  60 * time.Second,
-		maxNodes:   ilp.DefaultMaxNodes,
-		gap:        1e-4,
-		warmBudget: DefaultWarmSetBudget,
+		method:        MethodAuto,
+		timeLimit:     60 * time.Second,
+		maxNodes:      ilp.DefaultMaxNodes,
+		gap:           1e-4,
+		datasetConfig: datasetConfig{tauFrac: 0.10, warmBudget: DefaultWarmSetBudget},
 	}
 }
 
@@ -93,10 +99,11 @@ func WithPartitionAttrs(attrs ...string) Option {
 }
 
 // WithTau sets the partition size threshold τ as a fraction of the
-// relation (default 0.10, the paper's scalability setting).
+// relation (default 0.10, the paper's scalability setting; fixed at
+// Open). It and WithTauTuples both set τ: the last one given wins.
 func WithTau(frac float64) Option {
 	return opt(func(c *config) error {
-		if frac <= 0 || frac > 1 {
+		if !(frac > 0 && frac <= 1) {
 			return fmt.Errorf("paq: tau fraction %g out of (0, 1]", frac)
 		}
 		c.tauFrac = frac
@@ -105,8 +112,8 @@ func WithTau(frac float64) Option {
 	})
 }
 
-// WithTauTuples sets τ as an absolute number of tuples per group,
-// overriding WithTau.
+// WithTauTuples sets τ as an absolute number of tuples per group (see
+// WithTau: fixed at Open, and the last of the two given wins).
 func WithTauTuples(tau int) Option {
 	return opt(func(c *config) error {
 		if tau < 1 {
@@ -118,9 +125,13 @@ func WithTauTuples(tau int) Option {
 }
 
 // WithRadiusLimit enforces the radius condition ω on every partitioning
-// (Definition 2; see RadiusForEpsilon). Zero disables it (the default).
+// (Definition 2; see RadiusForEpsilon; fixed at Open). Zero or a
+// negative ω disables it (the default); NaN is an error.
 func WithRadiusLimit(omega float64) Option {
 	return opt(func(c *config) error {
+		if math.IsNaN(omega) {
+			return fmt.Errorf("paq: radius limit ω is NaN")
+		}
 		c.radius = omega
 		return nil
 	})
@@ -218,16 +229,15 @@ func WithoutAdvisor() Option {
 	})
 }
 
-// DefaultWarmSetBudget is how many unpinned warm partitionings of its
-// shape a session's maintenance pass keeps when WithWarmSetBudget is not
-// given.
+// DefaultWarmSetBudget is how many unpinned warm partitionings the
+// advisor's maintenance pass keeps when WithWarmSetBudget is not given.
 const DefaultWarmSetBudget = 8
 
 // WithWarmSetBudget bounds the number of warm partitionings of the
-// session's shape that the advisor's maintenance pass keeps, whichever
-// session built them; the least recently used sets beyond the budget are
-// evicted. A session-wide partitioning (of this session or a same-shape
-// clone) is pinned and never counts. Negative means unbounded.
+// dataset that the advisor's maintenance pass keeps, whichever session
+// built them; the least recently used sets beyond the budget are
+// evicted. A session-wide partitioning (of any session) is pinned and
+// never counts. Negative means unbounded. Fixed at Open.
 func WithWarmSetBudget(n int) Option {
 	return opt(func(c *config) error {
 		if n == 0 {
@@ -249,7 +259,7 @@ func WithWarmSetBudget(n int) Option {
 // of loading the source: the latest snapshot is loaded, the WAL suffix
 // replayed, and partitionings warm-start without repeating the offline
 // quad-tree build. The source may then be nil. See docs/PERSISTENCE.md
-// for the file formats and the recovery protocol.
+// for the file formats and the recovery protocol. Fixed at Open.
 func WithDurability(dir string) Option {
 	return opt(func(c *config) error {
 		if dir == "" {

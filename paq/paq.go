@@ -72,10 +72,6 @@ func Table(rel *relation.Relation) Source { return tableSource{rel: rel} }
 type Session struct {
 	d   *dataset
 	cfg config
-	// shape renders the partitioning shape this session plans over (τ as
-	// fraction and absolute, ω), the first half of its registry keys:
-	// sessions with equal shapes resolve to — and share — the same entries.
-	shape string
 
 	// adv is the session's adaptive planner + partitioning advisor (nil
 	// with WithoutAdvisor).
@@ -103,23 +99,22 @@ func newSession(d *dataset, cfg config) *Session {
 	s := &Session{
 		d:       d,
 		cfg:     cfg,
-		shape:   fmt.Sprintf("τ=%g/%d ω=%g|", cfg.tauFrac, cfg.tauAbs, cfg.radius),
 		engines: make(map[Method]*engine.Engine),
 		solvers: make(map[Method]Solver),
 	}
 	if !cfg.noAdvisor {
-		// A clone learns afresh: its options may change solver budgets or
-		// τ, which would invalidate the original's timing evidence.
+		// A clone learns afresh: its options may change solver budgets,
+		// which would invalidate the original's timing evidence.
 		s.adv = advisor.New()
 	}
 	// The session-wide set is pinned in the registry for as long as the
 	// dataset lives (a session has no end-of-life call): no session's
 	// warm-set budget may evict what another plans over by default.
 	if attrs := s.partitionAttrsFor(nil); len(attrs) > 0 {
-		d.entry(s.regKey(attrs), true).pinned.Store(true)
+		d.entry(partKey(attrs), true).pinned.Store(true)
 	}
-	// SketchRefine's solves key under their partitioning's cacheKey, so
-	// one engine serves every set.
+	// SketchRefine's solves key under their partitioning's key, so one
+	// engine serves every set.
 	for _, m := range Methods() {
 		e := &engine.Engine{NoCache: cfg.noCache}
 		s.engines[m] = e
@@ -154,7 +149,7 @@ func (s *Session) PinStats() PinStats {
 // Open loads and validates the input relation and returns a session
 // over it. Partitionings are built lazily on first need (or eagerly
 // with WithWarmPartitioning); solver budgets, the evaluation method,
-// and partitioning shape come from the options.
+// τ and ω come from the options.
 //
 // With WithDurability, Open first looks for durable state in the
 // directory: if a snapshot exists, the session recovers from it —
@@ -169,7 +164,7 @@ func Open(src Source, opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	d := &dataset{parts: make(map[setKey]*partEntry)}
+	d := &dataset{parts: make(map[string]*partEntry)}
 	var boot *store.Snapshot
 	var err error
 	opened := false
@@ -208,7 +203,7 @@ func Open(src Source, opts ...Option) (*Session, error) {
 	}
 	s := newSession(d, cfg)
 	if boot != nil {
-		if err := d.recover(boot, s.shape); err != nil {
+		if err := d.recover(boot); err != nil {
 			return nil, err
 		}
 	}
@@ -245,15 +240,17 @@ func (s *Session) Rel() *relation.Relation { return s.d.rel }
 // store and partitioning registry — with fresh engines, solution caches
 // and advisor, applying any additional options on top of the original
 // configuration. Partitionings are shared in both directions, whenever
-// built, as long as the clone keeps the partitioning shape; an option
-// that changes it (τ or the radius limit) makes the clone resolve to its
-// own registry entries, built lazily and maintained alongside.
+// built. τ, ω, durability and the warm-set budget describe the dataset
+// and are fixed at Open: an option that would change one is an error.
 func (s *Session) Clone(opts ...Option) (*Session, error) {
 	cfg := s.cfg
 	for _, o := range opts {
 		if err := o.apply(&cfg); err != nil {
 			return nil, err
 		}
+	}
+	if cfg.datasetConfig != s.cfg.datasetConfig {
+		return nil, fmt.Errorf("paq: Clone cannot change τ, ω, durability or the warm-set budget; they are fixed at Open")
 	}
 	c := newSession(s.d, cfg)
 	if cfg.warm {
@@ -295,8 +292,8 @@ func (s *Session) partitionAttrsFor(queryAttrs []string) []string {
 	return attrs
 }
 
-// partKey canonicalizes an attribute set: the advisor's name for it, and
-// (with the session's shape) its registry key.
+// partKey canonicalizes an attribute set: the advisor's name for it, its
+// registry key, and the solution-cache prefix of solves over it.
 func partKey(attrs []string) string {
 	lower := make([]string, len(attrs))
 	for i, a := range attrs {
@@ -306,19 +303,16 @@ func partKey(attrs []string) string {
 	return strings.Join(lower, ",")
 }
 
-// regKey is the registry key of attrs under this session's shape.
-func (s *Session) regKey(attrs []string) setKey { return setKey{s.shape, partKey(attrs)} }
-
 // resolve is the one function that maps an attribute set to a
 // partitioning: the registry entry under key (the caller's
-// s.regKey(attrs), precomputed on the pin path so steady-state pinning
+// partKey(attrs), precomputed on the pin path so steady-state pinning
 // allocates nothing), built first when it is not — racing callers block
 // on the one build — or, without build, a miss as (nil, nil). Each entry
 // handed out is stamped with the dataset clock, the recency the warm-set
 // budget evicts by. Execute re-resolves the set its plan captured
 // through here too, so an entry evicted meanwhile is rebuilt rather than
 // refined over stale row indices. The caller holds the dataset read lock.
-func (s *Session) resolve(key setKey, attrs []string, build bool) (*partEntry, error) {
+func (s *Session) resolve(key string, attrs []string, build bool) (*partEntry, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("paq: no numeric attributes to partition on")
 	}
@@ -411,7 +405,7 @@ func (s *Session) pinExec(st *Stmt, sp *obs.Span) (pinned, error) {
 			vsp.Finish()
 			return pinned{}, err
 		}
-		p.view, p.partKey = e.viewAt(p.snap), e.cacheKey
+		p.view, p.partKey = e.viewAt(p.snap), e.key
 		if vsp != nil {
 			vsp.SetAttrInt("groups", int64(p.view.NumGroups()))
 			vsp.Finish()
@@ -447,7 +441,7 @@ func (s *Session) Partitioning() (*PartitionInfo, error) {
 	attrs := s.partitionAttrsFor(nil)
 	s.d.dataMu.RLock()
 	defer s.d.dataMu.RUnlock()
-	e, err := s.resolve(s.regKey(attrs), attrs, true)
+	e, err := s.resolve(partKey(attrs), attrs, true)
 	if err != nil {
 		return nil, err
 	}

@@ -666,6 +666,39 @@ SUCH THAT COUNT(P.*) = 4 AND SUM(P.redshift) <= 3.0 MAXIMIZE SUM(P.petrorad)`
 	}
 }
 
+// TestWithTauRejectsNaN: a NaN τ fraction fails at Open, where the
+// range check catches every other bad fraction, not at the first build.
+func TestWithTauRejectsNaN(t *testing.T) {
+	if _, err := paq.Open(paq.Table(durTable(t, 50, 27)), paq.WithTau(math.NaN())); err == nil {
+		t.Error("Open accepted τ = NaN")
+	}
+}
+
+// TestWithRadiusLimitRejectsNaN: a NaN ω fails at Open (it would split
+// every group down to one row), while a negative ω still disables the
+// radius condition: it builds the groups no ω builds.
+func TestWithRadiusLimitRejectsNaN(t *testing.T) {
+	rel := durTable(t, 400, 28)
+	if _, err := paq.Open(paq.Table(rel), paq.WithRadiusLimit(math.NaN())); err == nil {
+		t.Error("Open accepted ω = NaN")
+	}
+	groups := func(opts ...paq.Option) int {
+		t.Helper()
+		sess, err := paq.Open(paq.Table(rel), append(opts, paq.WithTauTuples(40))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pi, err := sess.Partitioning()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pi.Groups
+	}
+	if neg, none := groups(paq.WithRadiusLimit(-1)), groups(); neg != none {
+		t.Errorf("negative ω built %d groups, no ω %d", neg, none)
+	}
+}
+
 // TestParseMethod pins the single source of method names.
 func TestParseMethod(t *testing.T) {
 	for in, want := range map[string]paq.Method{

@@ -18,7 +18,7 @@ import (
 func TestFailedBuildKeepsEntryRegistered(t *testing.T) {
 	s, _ := pinFixture(t, WithMethod(MethodDirect))
 	good, bad := []string{"cost", "gain"}, []string{"nosuch"}
-	key := s.regKey(good)
+	key := partKey(good)
 	resolve := func(attrs []string) (*partEntry, error) {
 		s.d.dataMu.RLock()
 		defer s.d.dataMu.RUnlock()

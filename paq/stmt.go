@@ -35,7 +35,7 @@ type Stmt struct {
 	// pinning an execution does not re-derive it (the pin path is
 	// allocation-free at steady state).
 	part    *partition.Partitioning
-	partKey setKey
+	partKey string
 	plan    *Plan
 	// shape is the advisor's structural query key (empty without an
 	// advisor); adaptive is the advisor's decision record for MethodAuto
@@ -73,7 +73,7 @@ type AdaptiveInfo struct {
 
 // Plan is the typed EXPLAIN output of a prepared statement: the chosen
 // evaluation method with the reason it was picked, the ILP size, and —
-// for SketchRefine — the partitioning shape.
+// for SketchRefine — the partitioning it refines over.
 type Plan struct {
 	// Method is the chosen evaluation strategy.
 	Method Method `json:"method"`
@@ -201,7 +201,7 @@ func (st *Stmt) resolveMethod(m Method, nBase int) error {
 	attrs := s.partitionAttrsFor(st.spec.QueryAttrs())
 	s.observeAttrDemand(attrs)
 	build := m == MethodSketchRefine || nBase > autoDirectMaxVars
-	e, err := s.resolve(s.regKey(attrs), attrs, build)
+	e, err := s.resolve(partKey(attrs), attrs, build)
 	if e != nil {
 		st.part, st.partKey = e.part.Load(), e.key
 	}
@@ -251,7 +251,7 @@ func (st *Stmt) resolveMethod(m Method, nBase int) error {
 		}
 	}
 	if st.method != MethodSketchRefine {
-		st.part, st.partKey = nil, setKey{}
+		st.part, st.partKey = nil, ""
 	}
 	return nil
 }
