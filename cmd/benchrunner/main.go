@@ -91,8 +91,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			// Crash a durable store mid-ingest at a randomized point (torn
 			// WAL tail included) and differentially verify the recovered
 			// session against a never-crashed twin: version, row contents,
-			// SketchRefine objectives within the quality bound, zero
-			// acknowledged-mutation loss, zero warm-start repartitions.
+			// bit-equal SketchRefine objectives, zero acknowledged-mutation
+			// loss, zero warm-start repartitions.
 			_, err := env.Recover(ctx, bench.RecoverConfig{Ops: *recoverN})
 			return err
 		}},
@@ -104,7 +104,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			// explicit promotion. Differentially verified against an
 			// in-memory twin fed only by acknowledgements: zero
 			// acked-mutation loss, cell-for-cell convergence, follower
-			// objectives within the quality bound, lag back to zero after
+			// objectives bit-equal to the twin's, lag back to zero after
 			// every fault.
 			_, err := env.Repl(ctx, bench.ReplConfig{Ops: *replN, Followers: *replF})
 			return err

@@ -169,7 +169,30 @@ func run(addr string, loads []string, galaxyN, tpchN int, seed int64, tau float6
 	}
 
 	registered := 0
-	announce := func(name string, ds *server.Dataset, t0 time.Time) error {
+	hasState := func(name string) bool {
+		if dataDir == "" {
+			return false
+		}
+		return store.HasState(filepath.Join(dataDir, name))
+	}
+	// load runs only when no durable state exists for the dataset (a nil
+	// load means there is some): recovery would discard the seed relation
+	// unread, so generating 10⁵ synthetic rows (or re-reading a CSV) on
+	// every warm restart would waste exactly the boot time durability is
+	// meant to save.
+	register := func(name string, load func() (*relation.Relation, error)) error {
+		t0 := time.Now()
+		var rel *relation.Relation
+		if !hasState(name) {
+			var err error
+			if rel, err = load(); err != nil {
+				return err
+			}
+		}
+		ds, err := server.NewDataset(name, rel, dcfg)
+		if err != nil {
+			return err
+		}
 		srv.Register(ds)
 		registered++
 		pi, err := ds.Partitioning()
@@ -185,34 +208,6 @@ func run(addr string, loads []string, galaxyN, tpchN int, seed int64, tau float6
 		log.Printf("dataset %q: %d rows, %d groups, partitioned in %v",
 			name, ds.Rel().Live(), pi.Groups, time.Since(t0).Round(time.Millisecond))
 		return nil
-	}
-	hasState := func(name string) bool {
-		if dataDir == "" {
-			return false
-		}
-		return store.HasState(filepath.Join(dataDir, name))
-	}
-	// load runs only when no durable state exists for the dataset:
-	// recovery would discard the seed relation unread, so generating
-	// 10⁵ synthetic rows (or re-reading a CSV) on every warm restart
-	// would waste exactly the boot time durability is meant to save.
-	register := func(name string, load func() (*relation.Relation, error)) error {
-		t0 := time.Now()
-		var ds *server.Dataset
-		var err error
-		if hasState(name) {
-			ds, err = server.OpenDataset(name, dcfg)
-		} else {
-			rel, lerr := load()
-			if lerr != nil {
-				return lerr
-			}
-			ds, err = server.NewDataset(name, rel, dcfg)
-		}
-		if err != nil {
-			return err
-		}
-		return announce(name, ds, t0)
 	}
 
 	if follow != "" {
@@ -260,16 +255,11 @@ func run(addr string, loads []string, galaxyN, tpchN int, seed int64, tau float6
 			if !e.IsDir() || srv.Dataset(name) != nil {
 				continue
 			}
-			if !store.HasState(filepath.Join(dataDir, name)) {
+			if !hasState(name) {
 				continue // not a dataset store (yet)
 			}
-			t0 := time.Now()
-			ds, err := server.OpenDataset(name, dcfg)
-			if err != nil {
+			if err := register(name, nil); err != nil {
 				return fmt.Errorf("recovering dataset %q: %w", name, err)
-			}
-			if err := announce(name, ds, t0); err != nil {
-				return err
 			}
 		}
 	}

@@ -94,7 +94,7 @@ func (e *Env) Ingest(ctx context.Context, cfg IngestConfig) (*IngestResult, erro
 	fmt.Fprintf(e.cfg.Out, "maintenance: %d splits, %d merges, %d heals, %d rebuilds; %d groups\n",
 		res.Maint.Splits, res.Maint.Merges, res.Maint.Heals, res.Maint.Rebuilds, pi.Groups)
 	var violation error
-	res.Queries, res.Bound, violation = e.solveDifferential(ctx, "maintained", "rebuilt", []*paq.Session{sess}, rebuilt)
+	res.Queries, res.Bound, violation = e.solveDifferential(ctx, "maintained", "rebuilt", []*paq.Session{sess}, rebuilt, false)
 	if violation != nil {
 		violation = fmt.Errorf("bench: ingest: %w", violation)
 	}

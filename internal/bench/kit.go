@@ -311,8 +311,9 @@ func agreeOnFeasibility(query string, subject, reference Measurement) error {
 
 // compareSolves checks one subject solve against its reference: they
 // must agree on feasibility, and when both answer the worse-over-better
-// objective ratio must stay within bound. A ratio that cannot be formed
-// (NaN, or a zero objective against a non-zero one) is a violation.
+// objective ratio must stay within bound. A bound of 1 demands
+// bit-equal objectives. A ratio that cannot be formed (NaN, or a zero
+// objective against a non-zero one) is a violation.
 func compareSolves(query string, subject, reference Measurement, bound float64) (DiffQuery, error) {
 	d := DiffQuery{Query: query, Subject: subject, Reference: reference, Ratio: math.NaN()}
 	if err := agreeOnFeasibility(query, subject, reference); err != nil || subject.Err != nil {
@@ -325,6 +326,10 @@ func compareSolves(query string, subject, reference Measurement, bound float64) 
 	d.Ratio = 1
 	if subject.Objective != reference.Objective {
 		d.Ratio = hi / lo
+		if bound == 1 {
+			return d, fmt.Errorf("%s: objective %g differs from the reference's %g, which it must equal bit for bit",
+				query, subject.Objective, reference.Objective)
+		}
 	}
 	if math.IsNaN(d.Ratio) || d.Ratio > bound {
 		return d, fmt.Errorf("%s: objective ratio %g exceeds quality bound %g (subject %g, reference %g)",
@@ -347,10 +352,13 @@ func solveSketchRefine(ctx context.Context, s *paq.Session, paql string) Measure
 // solveDifferential solves every non-hard Galaxy query on each subject
 // and once on the reference, prints the comparison table (columns named
 // by the two labels), and returns the rows, the bound they were held to
-// — per query the worst QualityBound any participating session reports —
-// and the first violation. Hard queries are skipped: they are
-// combinatorially hard for the ILP stand-in at any partitioning.
-func (e *Env) solveDifferential(ctx context.Context, subjectLabel, referenceLabel string, subjects []*paq.Session, reference *paq.Session) ([]DiffQuery, float64, error) {
+// and the first violation. With exact the bound is 1: a subject that
+// replays the reference's records through the same apply path must
+// return its objective bit for bit. Otherwise it is, per query, the
+// worst QualityBound any participating session reports. Hard queries
+// are skipped: they are combinatorially hard for the ILP stand-in at
+// any partitioning.
+func (e *Env) solveDifferential(ctx context.Context, subjectLabel, referenceLabel string, subjects []*paq.Session, reference *paq.Session, exact bool) ([]DiffQuery, float64, error) {
 	var (
 		rows      []DiffQuery
 		worst     float64
@@ -361,9 +369,12 @@ func (e *Env) solveDifferential(ctx context.Context, subjectLabel, referenceLabe
 		if err := ctx.Err(); err != nil {
 			return rows, worst, err
 		}
-		bound := reference.QualityBound(q.Maximize)
-		for _, s := range subjects {
-			bound = math.Max(bound, s.QualityBound(q.Maximize))
+		bound := 1.0
+		if !exact {
+			bound = reference.QualityBound(q.Maximize)
+			for _, s := range subjects {
+				bound = math.Max(bound, s.QualityBound(q.Maximize))
+			}
 		}
 		worst = math.Max(worst, bound)
 		ref := solveSketchRefine(ctx, reference, q.PaQL)

@@ -106,6 +106,26 @@ func TestKitCheckersCheck(t *testing.T) {
 	}
 }
 
+// TestCompareSolvesExact holds compareSolves to its bound of 1, the one
+// the recovery and replication differentials use: only bit-equal
+// objectives pass, even where the ratio reads 1 (opposite signs).
+func TestCompareSolvesExact(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		subject, reference float64
+		ok                 bool
+	}{
+		{"bit-equal", 10.757, 10.757, true},
+		{"one ulp apart", 10.757, math.Nextafter(10.757, 11), false},
+		{"opposite signs", -5, 5, false},
+	} {
+		_, err := compareSolves("Q", Measurement{Objective: tc.subject}, Measurement{Objective: tc.reference}, 1)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: compareSolves(%g, %g, bound 1) = %v, want ok=%v", tc.name, tc.subject, tc.reference, err, tc.ok)
+		}
+	}
+}
+
 // TestSinksAreOnePath is the property the two sinks exist to share: the
 // same seeded stream through the SDK and through paqld's HTTP API leaves
 // two relations the comparator calls equal, at equal versions — the

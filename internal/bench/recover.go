@@ -45,16 +45,15 @@ type RecoverResult struct {
 	// scratch. Speedup is Rebuild/Recover.
 	Recover, Rebuild time.Duration
 	Speedup          float64
-	// Bound is the worst quality bound across both sessions; every
-	// query's objective ratio must stay within it.
-	Bound   float64
+	// Queries holds the solve differential; every objective equals the
+	// twin's bit for bit.
 	Queries []DiffQuery
 	Elapsed time.Duration
 }
 
 // Recover runs the crash-recovery differential. Any divergence between
 // the recovered session and the never-crashed twin — version, row
-// contents, feasibility, objectives beyond the quality bound, a lost
+// contents, feasibility, an objective not bit-equal to the twin's, a lost
 // acknowledged mutation, or a full repartition on the warm-start path —
 // is an error.
 func (e *Env) Recover(ctx context.Context, cfg RecoverConfig) (*RecoverResult, error) {
@@ -177,7 +176,7 @@ func (e *Env) Recover(ctx context.Context, cfg RecoverConfig) (*RecoverResult, e
 		res.LiveRows, rec.Version(), res.ReplayedOps, res.Recover.Round(time.Millisecond),
 		res.Rebuild.Round(time.Millisecond), res.Speedup)
 	var violation error
-	res.Queries, res.Bound, violation = e.solveDifferential(ctx, "recovered", "twin", []*paq.Session{rec}, twin)
+	res.Queries, _, violation = e.solveDifferential(ctx, "recovered", "twin", []*paq.Session{rec}, twin, true)
 	if violation != nil {
 		violation = fmt.Errorf("bench: recover: %w", violation)
 	}

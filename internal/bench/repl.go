@@ -57,9 +57,6 @@ type ReplResult struct {
 	// (≥ 2); DrainedRecords what its final drain applied.
 	PromotedEpoch  uint64
 	DrainedRecords uint64
-	// Bound is the worst quality bound across all sessions; every
-	// follower's objective must stay within it of the twin's.
-	Bound float64
 	// InFlightReads counts solves the restarted follower served over
 	// its HTTP API while its tail was replaying the phase-2b mutation
 	// stream; InFlightInfeasible the subset that came back infeasible
@@ -237,7 +234,7 @@ func waitReplCaughtUp(ctx context.Context, f *replFollower, version uint64, time
 
 // Repl runs the leader/follower replication differential. Any
 // divergence between a replica and the twin — a lost acknowledged
-// mutation, a version mismatch, an objective beyond the quality bound,
+// mutation, a version mismatch, an objective not bit-equal to the twin's,
 // a follower that never returns to zero lag after a fault — is an
 // error.
 func (e *Env) Repl(ctx context.Context, cfg ReplConfig) (*ReplResult, error) {
@@ -422,7 +419,7 @@ func (e *Env) Repl(ctx context.Context, cfg ReplConfig) (*ReplResult, error) {
 
 	// ---- solve differential: followers vs twin -------------------------
 	var violation error
-	if res.Queries, res.Bound, violation = e.solveDifferential(ctx, "follower", "twin", sessions, twin); violation != nil {
+	if res.Queries, _, violation = e.solveDifferential(ctx, "follower", "twin", sessions, twin, true); violation != nil {
 		return fail("%w", violation)
 	}
 

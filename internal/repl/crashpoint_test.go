@@ -68,7 +68,7 @@ func TestCrashAtEveryStreamByte(t *testing.T) {
 		if err := store.InstallSnapshot(fdir, snap); err != nil {
 			t.Fatalf("cut %d: install: %v", cut, err)
 		}
-		ds1, err := server.OpenDataset("galaxy", fcfg)
+		ds1, err := server.NewDataset("galaxy", nil, fcfg)
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
@@ -85,7 +85,7 @@ func TestCrashAtEveryStreamByte(t *testing.T) {
 		// individually committed to the follower's own WAL, so the restart
 		// below recovers them all.
 
-		ds2, err := server.OpenDataset("galaxy", fcfg)
+		ds2, err := server.NewDataset("galaxy", nil, fcfg)
 		if err != nil {
 			t.Fatalf("cut %d: reopen after crash: %v", cut, err)
 		}

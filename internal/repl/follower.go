@@ -198,7 +198,7 @@ func (n *Node) bootstrap(t *tail) error {
 func (n *Node) openReplica(t *tail) error {
 	cfg := n.cfg.Dataset
 	cfg.DataDir = n.cfg.DataDir
-	ds, err := server.OpenDataset(t.name, cfg)
+	ds, err := server.NewDataset(t.name, nil, cfg)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ func resync(w http.ResponseWriter, why string) {
 // serve it — chained replication off a follower works — mutability is
 // gated separately.
 func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
-	n.streamReqs.add(1)
+	n.streamReqs.Add(1)
 	name := r.URL.Query().Get("dataset")
 	ds := n.srv.Dataset(name)
 	if ds == nil {
@@ -124,7 +124,7 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		if _, err := w.Write(seg[:nw]); err != nil {
 			return // follower hung up; it will resume from its cursor
 		}
-		n.bytesServed.add(uint64(nw))
+		n.bytesServed.Add(uint64(nw))
 		seg = seg[nw:]
 		if flusher != nil {
 			flusher.Flush()
@@ -151,7 +151,7 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 		return
 	}
-	n.snapshotsServed.add(1)
+	n.snapshotsServed.Add(1)
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(hdrEpoch, strconv.FormatUint(n.Epoch(), 10))
@@ -161,5 +161,5 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if _, err := w.Write(data); err != nil {
 		return
 	}
-	n.bytesServed.add(uint64(len(data)))
+	n.bytesServed.Add(uint64(len(data)))
 }

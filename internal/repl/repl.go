@@ -31,6 +31,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/server"
@@ -114,26 +115,9 @@ type Node struct {
 	wg      sync.WaitGroup
 
 	// Leader-side stream counters.
-	streamReqs      counter
-	snapshotsServed counter
-	bytesServed     counter
-}
-
-type counter struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-func (c *counter) add(d uint64) {
-	c.mu.Lock()
-	c.n += d
-	c.mu.Unlock()
-}
-
-func (c *counter) get() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
+	streamReqs      atomic.Uint64
+	snapshotsServed atomic.Uint64
+	bytesServed     atomic.Uint64
 }
 
 // NewNode wraps srv as a replication node and installs the mutation
@@ -530,9 +514,9 @@ func (n *Node) Stats() NodeStats {
 	}
 	role := n.role
 	n.mu.Unlock()
-	st.StreamRequests = n.streamReqs.get()
-	st.SnapshotsServed = n.snapshotsServed.get()
-	st.BytesServed = n.bytesServed.get()
+	st.StreamRequests = n.streamReqs.Load()
+	st.SnapshotsServed = n.snapshotsServed.Load()
+	st.BytesServed = n.bytesServed.Load()
 	if role == RoleFollower {
 		st.Leader = n.cfg.Leader
 		st.Tails = make(map[string]TailStats)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,9 +18,10 @@ import (
 	"repro/paq"
 )
 
-// dsConfig is the shared dataset shape: explicit partition attributes
-// so leader and follower key the same warm partitioning, and a fixed
-// seed so evaluations are deterministic.
+// dsConfig is the shared dataset shape: a fixed seed so evaluations are
+// deterministic. The explicit partition attributes only keep the
+// partitioning small; leader and follower plan over the same set under
+// any Attrs, the default included (TestFollowerPlansLikeLeader).
 func dsConfig(dataDir string) server.DatasetConfig {
 	return server.DatasetConfig{
 		Attrs:   []string{"ra", "dec"},
@@ -250,6 +252,91 @@ func TestFollowerReplicatesAndServes(t *testing.T) {
 	}
 	if ts, ok := stats.Replication.Tails["galaxy"]; !ok || ts.Lag != 0 {
 		t.Fatalf("stats tail block missing or lagging: %+v", stats.Replication.Tails)
+	}
+}
+
+// TestFollowerPlansLikeLeader: under the server's default (empty) Attrs
+// a follower plans every non-hard Galaxy template over its leader's
+// partitioning and answers it bit for bit at the same version, without
+// building a partitioning of its own.
+func TestFollowerPlansLikeLeader(t *testing.T) {
+	cfg := dsConfig(t.TempDir())
+	cfg.Attrs = nil
+	lsrv := server.New(server.Config{})
+	ds, err := server.NewDataset("galaxy", workload.Galaxy(600, 1), cfg)
+	if err != nil {
+		t.Fatalf("leader dataset: %v", err)
+	}
+	lsrv.Register(ds)
+	lnode, err := NewNode(lsrv, Config{Role: RoleLeader})
+	if err != nil {
+		t.Fatalf("leader node: %v", err)
+	}
+	leader := &testNode{node: lnode, srv: lsrv, ts: httptest.NewServer(lnode.Handler()), dir: cfg.DataDir}
+	t.Cleanup(leader.close)
+	mutate(t, leader.galaxy(t), rand.New(rand.NewSource(45)), 40)
+
+	cfg.DataDir = ""
+	fsrv := server.New(server.Config{})
+	fnode, err := NewNode(fsrv, Config{
+		Role:         RoleFollower,
+		Leader:       leader.ts.URL,
+		DataDir:      t.TempDir(),
+		Dataset:      cfg,
+		PollInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("follower node: %v", err)
+	}
+	if err := fnode.Start(); err != nil {
+		t.Fatalf("follower start: %v", err)
+	}
+	follower := &testNode{node: fnode, srv: fsrv, ts: httptest.NewServer(fnode.Handler())}
+	t.Cleanup(follower.close)
+	waitCaughtUp(t, follower, leader.galaxy(t).Version())
+	lead, fol := leader.galaxy(t), follower.galaxy(t)
+	assertSameData(t, lead, fol)
+
+	solve := func(sess *paq.Session, q workload.Query) (*paq.PartitionInfo, float64, error) {
+		st, err := sess.Prepare(q.PaQL, paq.WithMethod(paq.MethodSketchRefine))
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", q.Name, err)
+		}
+		pi := st.Plan().Partitioning
+		if pi == nil {
+			t.Fatalf("%s: SketchRefine plan names no partitioning", q.Name)
+		}
+		res, err := st.Execute(context.Background())
+		if err != nil {
+			return pi, 0, err
+		}
+		return pi, res.Objective, nil
+	}
+	queries, err := workload.GalaxyQueries(lead.Rel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	for _, q := range queries {
+		if q.Hard {
+			continue
+		}
+		ran++
+		lp, lobj, lerr := solve(lead, q)
+		fp, fobj, ferr := solve(fol, q)
+		if !slices.Equal(fp.Attrs, lp.Attrs) || fp.Groups != lp.Groups {
+			t.Errorf("%s: follower partitions on %v (%d groups), leader on %v (%d groups)",
+				q.Name, fp.Attrs, fp.Groups, lp.Attrs, lp.Groups)
+		}
+		if (ferr == nil) != (lerr == nil) || fobj != lobj {
+			t.Errorf("%s: follower answered %g (err %v), leader %g (err %v)", q.Name, fobj, ferr, lobj, lerr)
+		}
+	}
+	if ran == 0 {
+		t.Fatal("no non-hard templates ran")
+	}
+	if got := fol.AdvisorStats().PartBuilds; got != 0 {
+		t.Errorf("follower built %d partitionings, want 0 (inherited from the leader)", got)
 	}
 }
 

@@ -156,7 +156,7 @@ func TestFenceSurvivesRestart(t *testing.T) {
 
 	// Restart: a new server and node over the same data dir.
 	srv2 := server.New(server.Config{})
-	ds2, err := server.OpenDataset("galaxy", dsConfig(dir))
+	ds2, err := server.NewDataset("galaxy", nil, dsConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPromotedEpochSurvivesRestart(t *testing.T) {
 	follower.close()
 
 	srv2 := server.New(server.Config{})
-	ds2, err := server.OpenDataset("galaxy", dsConfig(fdir))
+	ds2, err := server.NewDataset("galaxy", nil, dsConfig(fdir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,11 @@ const (
 type DatasetConfig struct {
 	// Attrs are the partitioning attributes. Empty means every numeric
 	// column of the relation — a superset of any query's attributes, so
-	// SketchRefine can serve arbitrary queries over the dataset.
+	// SketchRefine can serve arbitrary queries over the dataset. The
+	// default is resolved by paq from the relation the session opens
+	// over, on every path: a dataset seeded from a relation, reopened from
+	// its store, or opened as a follower's replica plans over the same
+	// set.
 	Attrs []string
 	// TauFrac is the partition size threshold as a fraction of the
 	// dataset; 0 means 0.10 (the paper's scalability setting).
@@ -50,13 +54,12 @@ type DatasetConfig struct {
 	// snapshots live in DataDir/<name>. If that directory already holds
 	// state, registration recovers from it — the recovered dataset wins
 	// over the relation passed to NewDataset (which then only seeds a
-	// brand-new store).
+	// brand-new store, and may be nil).
 	DataDir string
 }
 
-// budgetOptions lowers the relation-independent configuration (solver
-// budgets, partitioning shape, concurrency) to paq session options.
-func (c DatasetConfig) budgetOptions() []paq.Option {
+// options lowers the config to the paq session options of dataset name.
+func (c DatasetConfig) options(name string) []paq.Option {
 	tl := c.TimeLimit
 	if tl == 0 {
 		tl = 30 * time.Second
@@ -66,6 +69,7 @@ func (c DatasetConfig) budgetOptions() []paq.Option {
 		paq.WithTimeLimit(tl),
 		paq.WithSeed(c.Seed),
 		paq.WithWarmPartitioning(),
+		paq.WithPartitionAttrs(c.Attrs...),
 	}
 	if c.TauFrac > 0 {
 		opts = append(opts, paq.WithTau(c.TauFrac))
@@ -76,23 +80,8 @@ func (c DatasetConfig) budgetOptions() []paq.Option {
 	if c.MaxNodes > 0 {
 		opts = append(opts, paq.WithNodeLimit(c.MaxNodes))
 	}
-	return opts
-}
-
-// options lowers the config to paq session options.
-func (c DatasetConfig) options(rel *relation.Relation) []paq.Option {
-	attrs := c.Attrs
-	if len(attrs) == 0 {
-		for i := 0; i < rel.Schema().Len(); i++ {
-			col := rel.Schema().Col(i)
-			if col.Type.Numeric() {
-				attrs = append(attrs, col.Name)
-			}
-		}
-	}
-	opts := c.budgetOptions()
-	if len(attrs) > 0 {
-		opts = append(opts, paq.WithPartitionAttrs(attrs...))
+	if c.DataDir != "" {
+		opts = append(opts, paq.WithDurability(filepath.Join(c.DataDir, name)))
 	}
 	return opts
 }
@@ -108,55 +97,24 @@ type Dataset struct {
 	replica atomic.Bool
 }
 
-// NewDataset builds a served dataset: it opens a paq session over the
-// relation with an eagerly warmed partitioning (the expensive part of
-// registration) and per-method solution caches. With DataDir set the
-// session is durable — and if the dataset's store directory already
-// holds a snapshot, the recovered state replaces rel entirely (its
-// partitionings warm-start from disk, skipping the offline build).
+// NewDataset builds a served dataset, the one constructor for every way
+// one is opened: it opens a paq session over the relation with an
+// eagerly warmed partitioning (the expensive part of registration) and
+// per-method solution caches. With DataDir set the session is durable —
+// and if the dataset's store directory already holds state, the
+// recovered state replaces rel entirely (its partitionings warm-start
+// from disk, skipping the offline build), so rel may be nil: a dataset
+// found on disk at boot, or a follower's replica. Otherwise rel must be
+// a non-empty relation.
 func NewDataset(name string, rel *relation.Relation, cfg DatasetConfig) (*Dataset, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: dataset has no name")
 	}
-	if rel == nil || rel.Len() == 0 {
-		return nil, fmt.Errorf("server: dataset %q is empty", name)
+	var src paq.Source
+	if rel != nil {
+		src = paq.Table(rel)
 	}
-	opts := cfg.options(rel)
-	if cfg.DataDir != "" {
-		opts = append(opts, paq.WithDurability(filepath.Join(cfg.DataDir, name)))
-	}
-	sess, err := paq.Open(paq.Table(rel), opts...)
-	if err != nil {
-		return nil, fmt.Errorf("server: dataset %q: %w", name, err)
-	}
-	return &Dataset{name: name, sess: sess, created: time.Now()}, nil
-}
-
-// OpenDataset recovers a durable dataset from DataDir/<name> alone — no
-// seed relation — for datasets discovered on disk at boot that no flag
-// or config mentions anymore. The schema (and with it the partitioning
-// attribute universe) comes from the snapshot; cfg supplies the solver
-// budgets.
-func OpenDataset(name string, cfg DatasetConfig) (*Dataset, error) {
-	if name == "" {
-		return nil, fmt.Errorf("server: dataset has no name")
-	}
-	if cfg.DataDir == "" {
-		return nil, fmt.Errorf("server: dataset %q: OpenDataset needs a data dir", name)
-	}
-	// options(nil) would resolve the partitioning attribute default from
-	// the relation, which is not loaded yet; with empty Attrs the warm
-	// build resolves the same all-numeric-columns default from the
-	// recovered schema and hits the restored partitioning. Explicit
-	// Attrs must still be passed through, or the warm build would key on
-	// the all-numeric default — missing the restored partitioning, paying
-	// a full rebuild at boot, and serving the wrong attribute set.
-	opts := append(cfg.budgetOptions(),
-		paq.WithDurability(filepath.Join(cfg.DataDir, name)))
-	if len(cfg.Attrs) > 0 {
-		opts = append(opts, paq.WithPartitionAttrs(cfg.Attrs...))
-	}
-	sess, err := paq.Open(nil, opts...)
+	sess, err := paq.Open(src, cfg.options(name)...)
 	if err != nil {
 		return nil, fmt.Errorf("server: dataset %q: %w", name, err)
 	}

@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/workload"
+	"repro/paq"
 )
 
 func durableConfig(dataDir string) DatasetConfig {
@@ -73,7 +76,7 @@ func TestDrainReopenZeroLoss(t *testing.T) {
 
 	// "Restart": a fresh server recovers the dataset from disk alone.
 	srv2 := New(Config{})
-	ds2, err := OpenDataset("galaxy", durableConfig(dataDir))
+	ds2, err := NewDataset("galaxy", nil, durableConfig(dataDir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +115,106 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.petrorad)`,
 	}
 	if dstat.Durability.SnapshotVersion != wantVersion {
 		t.Fatalf("stats snapshot_version = %d, want %d", dstat.Durability.SnapshotVersion, wantVersion)
+	}
+}
+
+// templateRun is one SketchRefine evaluation of a workload template:
+// the partitioning its plan names and the objective it returned.
+type templateRun struct {
+	attrs     []string
+	groups    int
+	objective float64
+	err       error
+}
+
+// runTemplates evaluates every non-hard Galaxy template with
+// SketchRefine on the dataset.
+func runTemplates(t *testing.T, ds *Dataset, queries []workload.Query) map[string]templateRun {
+	t.Helper()
+	out := make(map[string]templateRun)
+	for _, q := range queries {
+		if q.Hard {
+			continue
+		}
+		st, err := ds.Session().Prepare(q.PaQL, paq.WithMethod(paq.MethodSketchRefine))
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", q.Name, err)
+		}
+		pi := st.Plan().Partitioning
+		if pi == nil {
+			t.Fatalf("%s: SketchRefine plan names no partitioning", q.Name)
+		}
+		run := templateRun{attrs: pi.Attrs, groups: pi.Groups}
+		res, err := st.Execute(context.Background())
+		if run.err = err; err == nil {
+			run.objective = res.Objective
+		}
+		out[q.Name] = run
+	}
+	return out
+}
+
+// TestReopenPlansAsBeforeDrain: a durable dataset registered with the
+// default (empty) Attrs and reopened from its store alone plans every
+// non-hard Galaxy template over the partitioning it planned over before
+// the drain, returns the same objective bit for bit, and builds no
+// partitioning to do so.
+func TestReopenPlansAsBeforeDrain(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := durableConfig(dataDir)
+	if len(cfg.Attrs) != 0 {
+		t.Fatalf("fixture sets Attrs %v; the test is about the default", cfg.Attrs)
+	}
+	srv := New(Config{})
+	ds, err := NewDataset("galaxy", workload.Galaxy(1000, 3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Register(ds)
+	// Inserts only: the drain then folds the WAL without compacting, so
+	// the reopened dataset is at the version the templates ran at.
+	pool := workload.Galaxy(1100, 3)
+	var rows [][]relation.Value
+	for i := 1000; i < pool.Len(); i++ {
+		rows = append(rows, pool.Row(i))
+	}
+	if _, _, err := ds.Session().InsertRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	queries, err := workload.GalaxyQueries(ds.Rel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, version := runTemplates(t, ds, queries), ds.Version()
+	if err := srv.CloseDatasets(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds2, err := NewDataset("galaxy", nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds2.Close()
+	if got := ds2.Version(); got != version {
+		t.Fatalf("reopened at version %d, want %d", got, version)
+	}
+	after := runTemplates(t, ds2, queries)
+	if len(before) == 0 {
+		t.Fatal("no non-hard templates ran")
+	}
+	for name, b := range before {
+		a := after[name]
+		if !slices.Equal(a.attrs, b.attrs) || a.groups != b.groups {
+			t.Errorf("%s: reopened plan partitions on %v (%d groups), before the drain on %v (%d groups)",
+				name, a.attrs, a.groups, b.attrs, b.groups)
+		}
+		if (a.err == nil) != (b.err == nil) || a.objective != b.objective {
+			t.Errorf("%s: reopened answered %g (err %v), before the drain %g (err %v)",
+				name, a.objective, a.err, b.objective, b.err)
+		}
+	}
+	if got := ds2.Session().AdvisorStats().PartBuilds; got != 0 {
+		t.Errorf("reopened session built %d partitionings, want 0 (warm-started)", got)
 	}
 }
 

@@ -802,21 +802,18 @@ func (s *Server) respond(w http.ResponseWriter, req QueryRequest, stmt *paq.Stmt
 		resp.Rows[i] = PackageRow{Row: row, Mult: res.Mult[i]}
 	}
 	if req.IncludeTuples {
-		// Materialization reads the live relation after Execute released
-		// the dataset lock; take it again so a concurrent mutation cannot
-		// tear the tuple values mid-serialization.
-		s.Dataset(req.Dataset).Session().View(func(*relation.Relation) {
-			mat := res.Package().Materialize("package")
-			nCols := mat.Schema().Len()
-			resp.Tuples = make([][]string, 0, mat.Len())
-			for i := 0; i < mat.Len(); i++ {
-				tup := make([]string, nCols)
-				for c := range tup {
-					tup[c] = mat.Value(i, c).String()
-				}
-				resp.Tuples = append(resp.Tuples, tup)
+		// The package reads the snapshot its solve pinned, which no
+		// mutation touches: no lock, and no second lookup of the dataset.
+		mat := res.Package().Materialize("package")
+		nCols := mat.Schema().Len()
+		resp.Tuples = make([][]string, 0, mat.Len())
+		for i := 0; i < mat.Len(); i++ {
+			tup := make([]string, nCols)
+			for c := range tup {
+				tup[c] = mat.Value(i, c).String()
 			}
-		})
+			resp.Tuples = append(resp.Tuples, tup)
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -20,6 +20,53 @@ SELECT PACKAGE(I) AS P FROM items I REPEAT 0
 SUCH THAT COUNT(P.*) = 3
 MAXIMIZE SUM(P.gain)`
 
+// TestEmptyPartitionAttrsMeanEveryNumericColumn: WithPartitionAttrs with
+// no attributes plans every statement over the session-wide set — on a
+// fresh Open, on a Clone, and on a reopen from durable state, which
+// builds nothing — and a later explicit set still wins.
+func TestEmptyPartitionAttrsMeanEveryNumericColumn(t *testing.T) {
+	opts := []paq.Option{paq.WithTauTuples(40), paq.WithMethod(paq.MethodSketchRefine),
+		paq.WithPartitionAttrs(), paq.WithDurability(t.TempDir())}
+	attrsOf := func(s *paq.Session) string {
+		t.Helper()
+		st, err := s.Prepare(gainQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(st.Plan().Partitioning.Attrs, ",")
+	}
+	s, err := paq.Open(paq.Table(durTable(t, 200, 21)), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := attrsOf(s); got != "cost,gain" {
+		t.Errorf("open: gain query planned over %q, want every numeric column", got)
+	}
+	for want, opt := range map[string]paq.Option{"cost,gain": paq.WithPartitionAttrs(), "gain": paq.WithPartitionAttrs("gain")} {
+		clone, err := s.Clone(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := attrsOf(clone); got != want {
+			t.Errorf("clone: gain query planned over %q, want %q", got, want)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := paq.Open(nil, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := attrsOf(re); got != "cost,gain" {
+		t.Errorf("reopen: gain query planned over %q, want every numeric column", got)
+	}
+	if got := re.AdvisorStats().PartBuilds; got != 0 {
+		t.Errorf("reopen built %d partitionings, want 0", got)
+	}
+}
+
 // TestClonesShareLaterBuilds: the partitioning registry belongs to the
 // dataset, so a partitioning built after Clone() is still built once and
 // maintained once, whichever sibling asked first.

@@ -20,6 +20,11 @@ type config struct {
 	noCache   bool
 	warm      bool
 	noAdvisor bool
+
+	// numericAttrs fixes every numeric column as the partitioning
+	// attributes (WithPartitionAttrs with none); newSession resolves it
+	// into partAttrs from the relation's schema.
+	numericAttrs bool
 	datasetConfig
 }
 
@@ -84,16 +89,18 @@ func WithMethod(m Method) Option {
 }
 
 // WithPartitionAttrs fixes the partitioning attributes for every
-// statement (they must be numeric columns). Without it, each statement
+// statement (they must be numeric columns). With no attributes it fixes
+// the session-wide set, every numeric column of the relation — the set
+// WithWarmPartitioning builds — resolved from whichever relation the
+// session opens over, so a session recovered from durable state plans
+// exactly as the one that wrote it. Without it, each statement
 // partitions on its own query attributes — the paper's coverage-1
 // setting — building (and caching) one partitioning per distinct
 // attribute set.
 func WithPartitionAttrs(attrs ...string) Option {
 	return opt(func(c *config) error {
-		if len(attrs) == 0 {
-			return fmt.Errorf("paq: WithPartitionAttrs needs at least one attribute")
-		}
 		c.partAttrs = append([]string(nil), attrs...)
+		c.numericAttrs = len(attrs) == 0
 		return nil
 	})
 }

@@ -96,6 +96,9 @@ type Session struct {
 
 // newSession is the one constructor behind Open and Clone.
 func newSession(d *dataset, cfg config) *Session {
+	if cfg.numericAttrs {
+		cfg.partAttrs = numericColumns(d.rel.Schema())
+	}
 	s := &Session{
 		d:       d,
 		cfg:     cfg,
@@ -282,8 +285,12 @@ func (s *Session) partitionAttrsFor(queryAttrs []string) []string {
 	if len(queryAttrs) > 0 {
 		return queryAttrs
 	}
+	return numericColumns(s.d.rel.Schema())
+}
+
+// numericColumns is the session-wide set: every numeric column.
+func numericColumns(schema relation.Schema) []string {
 	var attrs []string
-	schema := s.d.rel.Schema()
 	for i := 0; i < schema.Len(); i++ {
 		if col := schema.Col(i); col.Type.Numeric() {
 			attrs = append(attrs, col.Name)
