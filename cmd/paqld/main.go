@@ -201,12 +201,12 @@ func run(addr string, loads []string, galaxyN, tpchN int, seed int64, tau float6
 		}
 		if d := ds.DurStats(); d.Durable && (d.ReplayedOps > 0 || d.WarmPartitionings > 0) {
 			log.Printf("dataset %q: recovered %d rows at version %d (%d WAL ops replayed, %d partitioning(s) warm-started) in %v",
-				name, ds.Rel().Live(), ds.Version(), d.ReplayedOps, d.WarmPartitionings,
+				name, ds.Rows(), ds.Version(), d.ReplayedOps, d.WarmPartitionings,
 				time.Since(t0).Round(time.Millisecond))
 			return nil
 		}
 		log.Printf("dataset %q: %d rows, %d groups, partitioned in %v",
-			name, ds.Rel().Live(), pi.Groups, time.Since(t0).Round(time.Millisecond))
+			name, ds.Rows(), pi.Groups, time.Since(t0).Round(time.Millisecond))
 		return nil
 	}
 

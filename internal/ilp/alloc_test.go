@@ -41,7 +41,8 @@ func allocKnapsack(n int) *Problem {
 // bound and scratch vectors, the first node chunk, the heap — and one
 // vector per installed incumbent when a callback wants a copy; a node
 // allocates nothing (the relaxation re-optimizes in place, nodes come
-// from the arena, reduced-cost fixing and local search reuse scratch).
+// from the arena, reduced-cost fixing and local search reuse scratch,
+// local search's point and block tops included).
 // So the bound is a constant, not a multiple of the node count, and it
 // is well below one allocation per node on this fixture.
 func TestSolveAllocationsBounded(t *testing.T) {

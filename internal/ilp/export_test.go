@@ -80,3 +80,7 @@ func (r *Result) Dense(n int) []float64 {
 	}
 	return x
 }
+
+// LocalSearch is the swap local search accept runs on an integral point,
+// over block tops sized by Blocks.
+var LocalSearch, Blocks = localSearch, blocks

@@ -228,13 +228,13 @@ func SolveCtx(ctx context.Context, p *Problem, opt Options) (*Result, error) {
 
 // scratch is a solve's storage sized by the variable count, reused across solves.
 type scratch struct {
-	baseLo, baseHi, rootDJ, xs []float64
-	rootAt                     []int8
-	inW                        []bool
-	slot                       []int32
-	lowNZ, cols                []int
-	pkg, best                  []Entry
-	pick                       picker
+	baseLo, baseHi, rootDJ, xs, tops []float64
+	rootAt                           []int8
+	inW                              []bool
+	slot                             []int32
+	lowNZ, cols                      []int
+	pkg, best                        []Entry
+	pick                             picker
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -266,7 +266,8 @@ type Entry struct {
 // Past Validate and the pass that sets the base bounds, it reads every
 // variable once per sifting round and once per working-set round, on the
 // pass that chooses the next W, and never per node or per incumbent (held
-// as its nonzero entries) but for local search over at most 4 000.
+// as its nonzero entries) but for local search over at most 4 000, whose
+// pair scan reads a block's top before the block's variables.
 func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxation func(*lp.Problem) (relaxation, error)) (*Result, error) {
 	n := p.LP.NumVars()
 	if p.Integer != nil && len(p.Integer) != n {
@@ -297,7 +298,7 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 	inW, sifted := slices.Grow(sc.inW[:0], n)[:n], n > 2*initial
 	pick.reset(initial, math.Inf(1))
 	defer func() {
-		*sc = scratch{baseLo, baseHi, rootDJ, sc.xs, rootAt, inW, slot, lowNZ, cols, pkg, best, *pick}
+		*sc = scratch{baseLo, baseHi, rootDJ, sc.xs, sc.tops, rootAt, inW, slot, lowNZ, cols, pkg, best, *pick}
 		scratchPool.Put(sc)
 	}()
 
@@ -468,57 +469,9 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		return false
 	}
 
-	// act is the row activity A·x of the point accept is looking at, and
-	// rowOK says whether row i holds at activity v.
+	// act is the row activity A·x of the point accept is looking at.
 	m := p.LP.NumRows()
 	act := make([]float64, m)
-	rowOK := func(i int, v float64) bool {
-		switch p.LP.Op[i] {
-		case lp.LE:
-			return v <= p.LP.B[i]+rowTol
-		case lp.GE:
-			return v >= p.LP.B[i]-rowTol
-		}
-		return math.Abs(v-p.LP.B[i]) <= rowTol
-	}
-
-	// localSearch improves an integral solution, whose activity is in act,
-	// by unit swaps from variable a to b that improve the objective and keep
-	// every row: on near-substitutable tuples they routinely lift plunge
-	// incumbents to (near-)optimal, so pruning and fixing finish the
-	// search. Skipped where the pair scan would dominate.
-	const localSearchMaxVars = 4000
-	localSearch := func(x []float64) {
-		feasibleAfter := func(a, b int) bool {
-			for i := 0; i < m; i++ {
-				if !rowOK(i, act[i]-p.LP.A[i][a]+p.LP.A[i][b]) {
-					return false
-				}
-			}
-			return true
-		}
-		for pass, improved := 0, true; pass < 4 && improved; pass++ {
-			improved = false
-			for a := 0; a < n; a++ {
-				if !p.integral(a) || x[a] <= baseLo[a]+1e-9 {
-					continue
-				}
-				for b := 0; b < n; b++ {
-					if b == a || !p.integral(b) || x[b] >= baseHi[b]-1e-9 || sense*(p.LP.C[b]-p.LP.C[a]) <= 1e-12 || !feasibleAfter(a, b) {
-						continue
-					}
-					x[a]--
-					x[b]++
-					for i := 0; i < m; i++ {
-						act[i] += p.LP.A[i][b] - p.LP.A[i][a]
-					}
-					if improved = true; x[a] <= baseLo[a]+1e-9 {
-						break
-					}
-				}
-			}
-		}
-	}
 
 	// accept rounds an integral LP solution, x over the columns, into pkg:
 	// its nonzero entries in ascending order, lowNZ's held ones included.
@@ -555,17 +508,17 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 			}
 		}
 		for i := range act {
-			if q >= 0 && !rowOK(i, act[i]) {
+			if q >= 0 && !rowOK(&p.LP, i, act[i]) {
 				return q, v
 			}
 		}
 		if n <= localSearchMaxVars {
-			sc.xs = slices.Grow(sc.xs[:0], n)[:n]
+			sc.xs, sc.tops = slices.Grow(sc.xs[:0], n)[:n], slices.Grow(sc.tops[:0], blocks(n))[:blocks(n)]
 			clear(sc.xs)
 			for _, t := range pkg {
 				sc.xs[t.J] = t.X
 			}
-			localSearch(sc.xs)
+			localSearch(p, sense, sc.xs, act, baseLo, baseHi, sc.tops)
 			pkg = pkg[:0]
 			for j, xj := range sc.xs {
 				if xj != 0 {
@@ -858,6 +811,92 @@ func solve(ctx context.Context, p *Problem, opt Options, initial int, newRelaxat
 		return done(Infeasible)
 	}
 	return done(Optimal)
+}
+
+// rowOK reports whether row i of q holds at activity v.
+func rowOK(q *lp.Problem, i int, v float64) bool {
+	switch q.Op[i] {
+	case lp.LE:
+		return v <= q.B[i]+rowTol
+	case lp.GE:
+		return v >= q.B[i]-rowTol
+	}
+	return math.Abs(v-q.B[i]) <= rowTol
+}
+
+// localSearchMaxVars bounds the problems local search runs on: above it
+// the pair scan would dominate the search.
+const localSearchMaxVars = 4000
+
+// swapBlock is how many variables, consecutive in index order, share a
+// top in local search's pair scan; n variables make blocks(n) blocks.
+const swapBlock = 64
+
+func blocks(n int) int { return (n + swapBlock - 1) / swapBlock }
+
+// localSearch improves x, an integral solution of p whose row activity
+// is act, within the bounds lo, hi, by unit swaps from variable a to b
+// that improve the objective (sense +1 maximizes, −1 minimizes) and keep
+// every row: on near-substitutable tuples they routinely lift plunge
+// incumbents to (near-)optimal, so pruning and fixing finish the search.
+// tops holds, for each block of swapBlock variables, the best sense·cⱼ of
+// its integral ones with room to rise; a's scan skips a block whose top
+// does not beat sense·cₐ by 1e-12 — rounding is monotone, so none of its
+// variables would — and reads only the others' variables. Each swap
+// refreshes the two blocks it touched. feasibleAfter asks the row that
+// refused the last candidate first.
+func localSearch(p *Problem, sense float64, x, act, lo, hi, tops []float64) {
+	n, m, c := len(x), len(act), p.LP.C
+	refresh := func(k int) {
+		tops[k] = math.Inf(-1)
+		for j := k * swapBlock; j < min(n, (k+1)*swapBlock); j++ {
+			if p.integral(j) && x[j] < hi[j]-1e-9 {
+				tops[k] = math.Max(tops[k], sense*c[j])
+			}
+		}
+	}
+	for k := range tops {
+		refresh(k)
+	}
+	last := 0
+	feasibleAfter := func(a, b int) bool {
+		for r := range m {
+			if i := (last + r) % m; !rowOK(&p.LP, i, act[i]-p.LP.A[i][a]+p.LP.A[i][b]) {
+				last = i
+				return false
+			}
+		}
+		return true
+	}
+	for pass, improved := 0, true; pass < 4 && improved; pass++ {
+		improved = false
+		for a := 0; a < n; a++ {
+			if !p.integral(a) || x[a] <= lo[a]+1e-9 {
+				continue
+			}
+		scan:
+			for k := range tops {
+				if tops[k]-sense*c[a] <= 1e-12 {
+					continue
+				}
+				for b := k * swapBlock; b < min(n, (k+1)*swapBlock); b++ {
+					if b == a || !p.integral(b) || x[b] >= hi[b]-1e-9 || sense*(c[b]-c[a]) <= 1e-12 || !feasibleAfter(a, b) {
+						continue
+					}
+					x[a]--
+					x[b]++
+					for i := 0; i < m; i++ {
+						act[i] += p.LP.A[i][b] - p.LP.A[i][a]
+					}
+					refresh(a / swapBlock)
+					refresh(k)
+					if improved = true; x[a] <= lo[a]+1e-9 {
+						break scan
+					}
+				}
+			}
+		}
+	}
 }
 
 // picker chooses on the one pass that offers it the candidates, in

@@ -147,6 +147,14 @@ func (d *Dataset) Created() time.Time { return d.created }
 // Rel returns the underlying relation.
 func (d *Dataset) Rel() *relation.Relation { return d.sess.Rel() }
 
+// Rows returns the live row count, read under the dataset read lock: a
+// concurrent insert or delete moves it.
+func (d *Dataset) Rows() int {
+	var n int
+	d.sess.View(func(rel *relation.Relation) { n = rel.Live() })
+	return n
+}
+
 // Partitioning describes the warm offline partitioning.
 func (d *Dataset) Partitioning() (*paq.PartitionInfo, error) { return d.sess.Partitioning() }
 

@@ -161,7 +161,7 @@ func (s *Server) registerCollectors() {
 		}
 	}
 	reg.CollectFunc("paqld_dataset_rows", "gauge", "Live rows per dataset.",
-		ds(func(d *Dataset) float64 { return float64(d.Rel().Live()) }))
+		ds(func(d *Dataset) float64 { return float64(d.Rows()) }))
 	reg.CollectFunc("paqld_dataset_version", "gauge", "Mutation version per dataset.",
 		ds(func(d *Dataset) float64 { return float64(d.Version()) }))
 	reg.CollectFunc("paqld_pins_total", "counter", "Snapshot pins per dataset.",

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
@@ -274,5 +275,51 @@ MAXIMIZE SUM(P.petrorad)`,
 	}
 	if inval == 0 {
 		t.Fatalf("no invalidations surfaced in /stats: %+v", st.Datasets["galaxy"].Caches)
+	}
+}
+
+// TestRowCountReadsRaceInserts: /stats, /datasets and the row gauge
+// read a dataset's live row count while inserts move it. Run under
+// -race: the count is read under the dataset's read lock.
+func TestRowCountReadsRaceInserts(t *testing.T) {
+	srv := New(Config{})
+	ds, err := NewDataset("galaxy", workload.Galaxy(400, 3), testDatasetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Register(ds)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	const inserts = 20
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range inserts {
+			ins := MutateRequest{Insert: [][]any{galaxyRowJSON(int64(9001+i), 10, 20, 18, 17.5, 17, 16.8, 16.5, 0.8, 9.5, 16.9)}}
+			if status, raw := postJSON(t, client, ts.URL+"/datasets/galaxy/rows", ins); status != http.StatusOK {
+				t.Errorf("insert %d: status %d: %s", i, status, raw)
+			}
+		}
+	}()
+	for range inserts {
+		for _, path := range []string{"/stats", "/datasets", "/metrics"} {
+			resp, err := client.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+			}
+		}
+	}
+	<-done
+	var got int
+	ds.Session().View(func(rel *relation.Relation) { got = rel.Live() })
+	if got != 400+inserts {
+		t.Errorf("%d live rows after %d inserts, want %d", got, inserts, 400+inserts)
 	}
 }

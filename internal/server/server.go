@@ -1018,7 +1018,7 @@ func (s *Server) Stats() StatsResponse {
 	defer s.mu.RUnlock()
 	for name, ds := range s.datasets {
 		dst := DatasetStats{
-			Rows:        ds.Rel().Live(),
+			Rows:        ds.Rows(),
 			Version:     ds.Version(),
 			Maintenance: maintJSON(ds.Session().MaintStats()),
 			Pinning:     pinJSON(ds.Session().PinStats()),
@@ -1067,7 +1067,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		}
 		info := DatasetInfo{
 			Name:    ds.Name(),
-			Rows:    ds.Rel().Live(),
+			Rows:    ds.Rows(),
 			Version: ds.Version(),
 			Columns: cols,
 			Methods: ds.Methods(),
