@@ -297,9 +297,20 @@ func TestRowCountReadsRaceInserts(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := range inserts {
-			ins := MutateRequest{Insert: [][]any{galaxyRowJSON(int64(9001+i), 10, 20, 18, 17.5, 17, 16.8, 16.5, 0.8, 9.5, 16.9)}}
-			if status, raw := postJSON(t, client, ts.URL+"/datasets/galaxy/rows", ins); status != http.StatusOK {
-				t.Errorf("insert %d: status %d: %s", i, status, raw)
+			raw, err := json.Marshal(MutateRequest{Insert: [][]any{galaxyRowJSON(int64(9001+i), 10, 20, 18, 17.5, 17, 16.8, 16.5, 0.8, 9.5, 16.9)}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := client.Post(ts.URL+"/datasets/galaxy/rows", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("insert %d: status %d", i, resp.StatusCode)
 			}
 		}
 	}()
