@@ -32,7 +32,7 @@
 // -trace prints the execution's span tree to stderr after solving —
 // where the time went: plan, snapshot pin, solve (sketch, each refine
 // group, ILP iterations), objective — with per-span durations and each
-// span's share of its parent.
+// span's share of its parent; a failed solve prints its tree too.
 //
 // Exit status: 0 for a proven optimum; 1 for operational failures
 // (I/O, infeasibility, timeouts); 2 for usage and PaQL parse errors —
@@ -217,6 +217,11 @@ func run(o options) (truncated bool, err error) {
 	}
 	res, err := stmt.Execute(ctx, execOpts...)
 	if err != nil {
+		// A failed traced execution still says where its time went.
+		var t interface{ Trace() *paq.TraceNode }
+		if o.trace && errors.As(err, &t) {
+			writeTrace(os.Stderr, t.Trace())
+		}
 		return false, err
 	}
 	if o.trace {

@@ -154,17 +154,17 @@ MAXIMIZE SUM(P.petrorad)`
 	}
 }
 
-// captureStdout runs fn with os.Stdout redirected into a pipe and
-// returns everything it printed.
-func captureStdout(t *testing.T, fn func()) string {
+// capture runs fn with *f (os.Stdout or os.Stderr) redirected into a
+// pipe and returns everything it printed there.
+func capture(t *testing.T, f **os.File, fn func()) string {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = orig }()
+	orig := *f
+	*f = w
+	defer func() { *f = orig }()
 	done := make(chan string)
 	go func() {
 		b, _ := io.ReadAll(r)
@@ -174,8 +174,29 @@ func captureStdout(t *testing.T, fn func()) string {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = orig
+	*f = orig
 	return <-done
+}
+
+// A failed -trace run prints the span tree it got before failing: an
+// infeasible query still shows its pin and solve.
+func TestTraceOnFailedExecute(t *testing.T) {
+	o := baseOpts(writeGalaxyCSV(t, 60, 1))
+	o.method = "direct"
+	o.trace = true
+	o.queryText = `SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
+SUCH THAT COUNT(P.*) = 3 AND SUM(P.redshift) <= -1
+MAXIMIZE SUM(P.petrorad)`
+	var err error
+	out := capture(t, &os.Stderr, func() { _, err = run(o) })
+	if !errors.Is(err, paq.ErrInfeasible) {
+		t.Fatalf("run: %v, want an infeasibility", err)
+	}
+	for _, span := range []string{"execute", "pin", "solve"} {
+		if !strings.Contains(out, span) {
+			t.Errorf("stderr lacks the %s span:\n%s", span, out)
+		}
+	}
 }
 
 // Regression: -explain on a valid query must exit 0 and print the
@@ -191,7 +212,7 @@ MAXIMIZE SUM(P.petrorad)`
 
 	var truncated bool
 	var err error
-	out := captureStdout(t, func() { truncated, err = run(o) })
+	out := capture(t, &os.Stdout, func() { truncated, err = run(o) })
 	if err != nil {
 		t.Fatalf("explain run failed: %v", err)
 	}

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/par"
@@ -92,7 +93,13 @@ type Partitioning struct {
 	// since the latest one is seen by no reader, so its Maintainer edits
 	// it in place (see Maintainer.own).
 	views uint64
+	// serial is a view's identity (see Serial); 0 on heads and on
+	// Restrict's derived views.
+	serial uint64
 }
+
+// viewSerials numbers every View taken in the process.
+var viewSerials atomic.Uint64
 
 // resolveAttrs is the one place partitioning attributes are looked up and
 // held to the package's rules: 1–30 distinct numeric columns (the quadrant
@@ -461,7 +468,7 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 		keep[r] = true
 	}
 	out := *p
-	out.GID = nil
+	out.GID, out.serial = nil, 0
 	var groups []Group
 	for _, g := range p.Groups { // g is a copy: centroid and radius stay the parent group's
 		g.Rows = slices.DeleteFunc(slices.Clone(g.Rows), func(r int) bool { return !keep[r] })
@@ -490,8 +497,17 @@ func (p *Partitioning) View(snap *relation.Relation) *Partitioning {
 	p.views++
 	v := *p
 	v.Rel, v.GID, v.Groups, v.Reps = snap, nil, slices.Clone(p.Groups), p.Reps.Snapshot()
+	v.serial = viewSerials.Add(1)
 	return &v
 }
+
+// Serial identifies a view: every View call stamps a number no other view
+// in the process carries, whether it follows a mutation or a rebuild of
+// the partitioning at the same version. Whatever was derived from one view
+// can be keyed on its serial without keeping the view, or the snapshot it
+// is bound to, alive. It is 0 on a head and on a Restrict-ed view, which
+// no key should match.
+func (p *Partitioning) Serial() uint64 { return p.serial }
 
 // drifted reports whether a stored mean has left the exact one by more
 // than the package's one tolerance for incrementally maintained sums.

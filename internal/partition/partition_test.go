@@ -211,6 +211,25 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
+// TestViewSerials: every View call is a new identity — also a second view
+// of one head at one version — and neither a head nor a Restrict-ed view
+// (which copies a view's struct) carries one.
+func TestViewSerials(t *testing.T) {
+	rel := randomRel(t, 200, 6)
+	p, err := Build(rel, Options{Attrs: []string{"x", "y"}, SizeThreshold: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := rel.Snapshot()
+	a, b := p.View(snap), p.View(snap)
+	if p.Serial() != 0 || a.Serial() == 0 || b.Serial() == 0 || a.Serial() == b.Serial() {
+		t.Errorf("serials: head %d, views %d and %d", p.Serial(), a.Serial(), b.Serial())
+	}
+	if r := a.Restrict([]int{0, 1, 2}); r.Serial() != 0 {
+		t.Errorf("a restricted view inherited serial %d", r.Serial())
+	}
+}
+
 func TestRadiusForEpsilon(t *testing.T) {
 	rel := relation.New("t", reltest.Schema(relation.Column{Name: "a", Type: relation.Float}))
 	for _, v := range []float64{2, 4, 8, -3} {

@@ -3,6 +3,7 @@ package sketchrefine
 import (
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -258,6 +259,45 @@ func TestUnfilteredPrepareAllocsIndependentOfRows(t *testing.T) {
 	}
 }
 
+// TestFilteredPrepareAllocsIndependentOfRows: with the layout of an
+// earlier evaluation over the same view supplied, a filtered spec's prepare
+// does no per-row work either — the same number of objects over a table
+// ten times the size — and the layout it reuses is the one it would lay
+// out.
+func TestFilteredPrepareAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(n int) float64 {
+		rel, head := galaxyPart(t, n)
+		part := head.View(rel.Snapshot())
+		spec := galaxySpec(part.Rel, true)
+		var memo atomic.Pointer[Layout]
+		if err := (&evaluator{spec: spec, part: part, opt: Options{Layout: &memo}}).prepare(nil); err != nil {
+			t.Fatal(err)
+		}
+		kept := memo.Load()
+		rows, gids, _, _ := eligibleByGroup(spec, part)
+		if kept == nil || !slices.Equal(kept.gids, gids) || !slices.EqualFunc(kept.rows, rows, slices.Equal) {
+			t.Fatalf("%d rows: the kept layout is not the filter's", n)
+		}
+		avg := testing.AllocsPerRun(20, func() {
+			ev := &evaluator{spec: spec, part: part, opt: Options{Layout: &memo}}
+			if err := ev.prepare(nil); err != nil {
+				t.Fatal(err)
+			}
+			if &ev.eligible[0] != &kept.rows[0] {
+				t.Fatal("prepare laid the rows out again")
+			}
+		})
+		if memo.Load() != kept {
+			t.Fatalf("%d rows: reusing the layout replaced it", n)
+		}
+		return avg
+	}
+	small, large := allocs(20_000), allocs(200_000)
+	if small != large {
+		t.Errorf("prepare with a kept layout allocates %.0f objects at 20 000 rows and %.0f at 200 000", small, large)
+	}
+}
+
 var benchSink [][]int
 
 // BenchmarkEligibility is the layer's rung on the ladder: what one
@@ -274,4 +314,23 @@ func BenchmarkEligibility(b *testing.B) {
 			}
 		})
 	}
+	// What a filtered statement's later executions over one view pay: its
+	// kept layout, reused.
+	b.Run("filtered_reused", func(b *testing.B) {
+		view := part.View(rel.Snapshot())
+		spec := galaxySpec(view.Rel, true)
+		var memo atomic.Pointer[Layout]
+		if err := (&evaluator{spec: spec, part: view, opt: Options{Layout: &memo}}).prepare(nil); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev := &evaluator{spec: spec, part: view, opt: Options{Layout: &memo}}
+			if err := ev.prepare(nil); err != nil {
+				b.Fatal(err)
+			}
+			benchSink = ev.eligible
+		}
+	})
 }

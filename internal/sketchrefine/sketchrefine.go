@@ -23,6 +23,9 @@
 // already holds (eligibleByGroup) — shared as they are when nothing
 // filters, one predicate pass over them otherwise — never from a scan of
 // the relation, and row i of the representative relation is group i's.
+// A filtered query's pass is paid once per partitioning view: its caller
+// may keep the result as a Layout (Options.Layout), row ids keyed on the
+// view's serial, and later evaluations over the same view reuse it.
 package sketchrefine
 
 import (
@@ -32,6 +35,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -64,6 +68,25 @@ type Options struct {
 	// when present — index the representative relation, not the input).
 	// The callback runs synchronously on the solving goroutine.
 	OnIncumbent core.IncumbentFunc
+	// Layout, when non-nil, is the caller's memo of the spec's eligible
+	// rows. A layout laid out over this very partitioning view (equal
+	// Serial) is reused as it is; otherwise a filtered spec's rows are
+	// laid out afresh and replace it. Every evaluation through one memo
+	// must be of one spec (its relation may be rebound to any snapshot).
+	// An unfiltered spec shares the member lists and never fills it; nil
+	// lays the rows out on every call.
+	Layout *atomic.Pointer[Layout]
+}
+
+// Layout is a filtered spec's eligible rows laid out along one partitioning
+// view: what eligibleByGroup returns, read-only, with the view's serial. It
+// holds row ids only — never the view or the snapshot it was bound to — so
+// a memo of it keeps nothing else alive.
+type Layout struct {
+	view uint64
+	rows [][]int
+	gids []int
+	n    int
 }
 
 // DefaultMaxBacktracks bounds the total number of backtracking steps
@@ -122,7 +145,10 @@ type evaluator struct {
 // rows[gid] is the member slice itself, shared read-only — maintenance
 // writes in place only lists no view holds, see partition.Partitioning.View;
 // otherwise — filtered — it is a fresh slice of exactly what passed the
-// filter's selection, bound once and run over each member list.
+// filter's selection, bound once and run over each member list. Those
+// slices are never written after they are returned, so a Layout may keep
+// them, and any number of later evaluations over the same view may share
+// them.
 func eligibleByGroup(spec *core.Spec, part *partition.Partitioning) (rows [][]int, gids []int, n int, filtered bool) {
 	rows = make([][]int, len(part.Groups))
 	gids = make([]int, 0, len(part.Groups))
@@ -240,15 +266,32 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partition
 	return pkg, stats, nil
 }
 
-// prepare lays the query's eligible rows out by group (sp, its span,
-// records how many and whether a filter was applied) and binds constraint
-// coefficients against both relations.
+// prepare lays the query's eligible rows out by group — or reuses the
+// memo's layout of them over this view — and binds constraint
+// coefficients against both relations. sp, its span, records how many
+// rows, whether a filter was applied and whether the layout was reused.
 func (ev *evaluator) prepare(sp *obs.Span) error {
-	eligible, gids, n, filtered := eligibleByGroup(ev.spec, ev.part)
-	ev.eligible, ev.gids = eligible, gids
+	// Serial 0 (a head, a restricted view) names no layout.
+	memo, view := ev.opt.Layout, ev.part.Serial()
+	keep := memo != nil && view != 0
+	var l *Layout
+	if keep {
+		l = memo.Load()
+	}
+	// Only a filtered layout is ever kept, so a reused one is filtered.
+	reused, filtered := l != nil && l.view == view, true
+	if !reused {
+		l = &Layout{view: view}
+		l.rows, l.gids, l.n, filtered = eligibleByGroup(ev.spec, ev.part)
+		if keep && filtered {
+			memo.Store(l)
+		}
+	}
+	ev.eligible, ev.gids = l.rows, l.gids
 	sp.SetAttrInt("groups", int64(len(ev.gids)))
-	sp.SetAttrInt("eligible_rows", int64(n))
+	sp.SetAttrInt("eligible_rows", int64(l.n))
 	sp.SetAttrBool("filtered", filtered)
+	sp.SetAttrBool("reused", reused)
 	for _, c := range ev.spec.Constraints {
 		onRel, err := c.Coef.Bind(ev.spec.Rel)
 		if err != nil {

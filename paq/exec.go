@@ -93,6 +93,34 @@ type Result struct {
 // unless the execution ran WithTrace.
 func (r *Result) Trace() *TraceNode { return r.trace.Node() }
 
+// tracedError is a failed traced execution's error: it reads and matches
+// (errors.Is/As) exactly like the error it carries, and adds the span tree
+// the execution had recorded when it failed.
+type tracedError struct {
+	err   error
+	trace *obs.Span
+}
+
+// Error implements the error interface, reading like the carried error.
+func (e *tracedError) Error() string { return e.err.Error() }
+
+// Unwrap exposes the carried error to errors.Is/As.
+func (e *tracedError) Unwrap() error { return e.err }
+
+// Trace snapshots the failed execution's span tree.
+func (e *tracedError) Trace() *TraceNode { return e.trace.Node() }
+
+// traced finishes a failed execution's root span and hands its tree back
+// with err; an untraced execution (root nil) returns err as it is.
+func traced(root *obs.Span, err error) error {
+	if root == nil {
+		return err
+	}
+	root.SetAttrStr("error", err.Error())
+	root.Finish()
+	return &tracedError{err: err, trace: root}
+}
+
 // Package returns the answer as a core package value (for
 // materialization into a relation via Package().Materialize).
 func (r *Result) Package() *Package { return r.pkg }
@@ -145,7 +173,9 @@ func WithTrace() ExecOption {
 // Execute evaluates the prepared statement and returns the answer
 // package. Failures map onto the typed taxonomy: errors.Is(err,
 // ErrInfeasible) for "no such package", ErrTimeout for an expired ctx
-// deadline, ErrBudget for exhausted solver budgets. Identical
+// deadline, ErrBudget for exhausted solver budgets. A failed execution
+// that ran WithTrace keeps its span tree: errors.As(err, &t), with t an
+// interface{ Trace() *TraceNode }, reaches it. Identical
 // statements (same constraints, objective, and relation) are answered
 // from the session's solution cache when possible.
 func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error) {
@@ -180,7 +210,7 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 	pin, err := st.sess.pinExec(st, pinSp)
 	pinSp.Finish()
 	if err != nil {
-		return nil, err
+		return nil, traced(root, err)
 	}
 	// Rebind the compiled spec to the snapshot (shallow copy: predicates
 	// and coefficients bind by attribute name at evaluation time). The
@@ -273,7 +303,7 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 		st.sess.reportOutcome(o)
 	}
 	if err != nil {
-		return nil, err
+		return nil, traced(root, err)
 	}
 	// Copy the package slices: the underlying *core.Package may live in
 	// the session's solution cache and be shared by every future cache
@@ -324,10 +354,14 @@ func (st *Stmt) solve(ctx context.Context, spec *core.Spec, view *partition.Part
 		}
 		return naive.Solve(ctx, spec, naive.Options{Timeout: s.cfg.timeLimit})
 	case MethodSketchRefine:
+		opt := sketchrefine.Options{Solver: s.cfg.solverOptions(), Seed: s.cfg.seed, OnIncumbent: hook}
+		// A row subset is laid out over its own restricted view: it
+		// neither reads nor replaces the statement's layout.
 		if ec.rows != nil {
 			view = view.Restrict(ec.rows)
+		} else {
+			opt.Layout = &st.layout
 		}
-		opt := sketchrefine.Options{Solver: s.cfg.solverOptions(), Seed: s.cfg.seed, OnIncumbent: hook}
 		if ec.seedSet {
 			opt.Seed = ec.seed
 		}

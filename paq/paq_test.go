@@ -302,6 +302,82 @@ SUCH THAT COUNT(P.*) = 1 MINIMIZE SUM(P.name)`)
 	})
 }
 
+// TestTracedFailureKeepsTrace: a failed execution that ran WithTrace
+// returns the span tree it recorded — reachable with errors.As through
+// Trace() — and still matches every sentinel it did untraced; an untraced
+// failure carries no tree.
+func TestTracedFailureKeepsTrace(t *testing.T) {
+	galaxy := workload.Galaxy(400, 3)
+	infeasibleQ := `SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
+SUCH THAT COUNT(P.*) = 3 AND SUM(P.redshift) <= -1 MINIMIZE SUM(P.r)`
+	type tracer interface{ Trace() *paq.TraceNode }
+	for _, tc := range []struct {
+		method paq.Method
+		want   []error
+	}{
+		{paq.MethodDirect, []error{paq.ErrInfeasible}},
+		{paq.MethodSketchRefine, []error{paq.ErrInfeasible, paq.ErrFalseInfeasible}},
+	} {
+		t.Run(string(tc.method), func(t *testing.T) {
+			sess, err := paq.Open(paq.Table(galaxy), paq.WithMethod(tc.method))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stmt, err := sess.Prepare(infeasibleQ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = stmt.Execute(context.Background(), paq.WithTrace())
+			for _, sentinel := range tc.want {
+				if !errors.Is(err, sentinel) {
+					t.Errorf("traced err %v does not match %v", err, sentinel)
+				}
+			}
+			var tr tracer
+			if !errors.As(err, &tr) {
+				t.Fatalf("traced err %v carries no trace", err)
+			}
+			root := tr.Trace()
+			if root == nil || root.Name != "execute" || root.Attrs["error"] != err.Error() {
+				t.Fatalf("trace root %+v, want an execute span naming the error", root)
+			}
+			var names []string
+			for _, c := range root.Children {
+				names = append(names, c.Name)
+			}
+			if !slices.Contains(names, "pin") || !slices.Contains(names, "solve") {
+				t.Errorf("trace children %v, want pin and solve", names)
+			}
+
+			_, err = stmt.Execute(context.Background())
+			if !errors.Is(err, paq.ErrInfeasible) {
+				t.Errorf("untraced err %v, want ErrInfeasible", err)
+			}
+			if errors.As(err, &tr) {
+				t.Errorf("untraced err %v carries a trace", err)
+			}
+		})
+	}
+	t.Run("timeout", func(t *testing.T) {
+		sess, err := paq.Open(paq.Table(galaxy), paq.WithMethod(paq.MethodDirect))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmt, err := sess.Prepare(infeasibleQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+		defer cancel()
+		<-ctx.Done()
+		_, err = stmt.Execute(ctx, paq.WithTrace())
+		var tr tracer
+		if !errors.Is(err, paq.ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) || !errors.As(err, &tr) {
+			t.Errorf("traced timeout %v: want ErrTimeout, its cause and a trace", err)
+		}
+	})
+}
+
 // TestIncumbentStreamDirect is the acceptance test for anytime results:
 // a DIRECT solve over the galaxy workload streams feasible packages whose
 // objectives improve monotonically toward the optimal package it returns.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/advisor"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/paql"
 	"repro/internal/partition"
+	"repro/internal/sketchrefine"
 	"repro/internal/translate"
 )
 
@@ -46,6 +48,11 @@ type Stmt struct {
 	// method resolution, plan build). Planning happens once per
 	// statement, so a traced Execute records it as the root's plan_ms.
 	planDur time.Duration
+	// layout is a filtered SketchRefine statement's eligible rows over
+	// the partitioning view it last ran on (sketchrefine.Options.Layout):
+	// row ids keyed on the view's serial, reused until the pin hands out
+	// another view, and never the view or its snapshot.
+	layout atomic.Pointer[sketchrefine.Layout]
 }
 
 // AdaptiveInfo is the advisor's decision record inside a plan: what the
@@ -94,8 +101,10 @@ type Plan struct {
 	Repeat int `json:"repeat"`
 	// DatasetVersion is the dataset version the statement was planned
 	// at. The plan is a snapshot: mutations after Prepare do not re-plan
-	// (Execute still sees the new data — the base relation is recomputed
-	// per solve), but row/variable counts here describe this version.
+	// (Execute still sees the new data — each solve takes the base
+	// relation at the version it pins; a filtered SketchRefine statement
+	// keeps its eligible row ids only while the pinned partitioning view
+	// stays the same), but row/variable counts here describe this version.
 	DatasetVersion uint64 `json:"dataset_version"`
 	// Objective renders the optimization criterion ("" for
 	// feasibility-only queries).
