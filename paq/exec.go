@@ -93,6 +93,10 @@ type Result struct {
 // unless the execution ran WithTrace.
 func (r *Result) Trace() *TraceNode { return r.trace.Node() }
 
+// Package returns the answer as a core package value (for
+// materialization into a relation via Package().Materialize).
+func (r *Result) Package() *Package { return r.pkg }
+
 // tracedError is a failed traced execution's error: it reads and matches
 // (errors.Is/As) exactly like the error it carries, and adds the span tree
 // the execution had recorded when it failed.
@@ -120,10 +124,6 @@ func traced(root *obs.Span, err error) error {
 	root.Finish()
 	return &tracedError{err: err, trace: root}
 }
-
-// Package returns the answer as a core package value (for
-// materialization into a relation via Package().Materialize).
-func (r *Result) Package() *Package { return r.pkg }
 
 // execCfg is the per-execution configuration.
 type execCfg struct {
