@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/relation"
@@ -61,17 +62,26 @@ func (c AttrCoef) Bind(r *relation.Relation) (Fill, error) { return gather(r, c.
 
 // gather binds the numeric column attr of r as a Fill of its cells.
 func gather(r *relation.Relation, attr string) (Fill, error) {
-	idx, err := r.Schema().MustLookup(attr)
+	idx, err := numericColumn(r, attr)
 	if err != nil {
 		return nil, err
 	}
-	switch r.Schema().Col(idx).Type {
-	case relation.Float:
-		return gatherColumn(r.FloatColumn(idx)), nil
-	case relation.Int:
+	if r.Schema().Col(idx).Type == relation.Int {
 		return gatherColumn(r.IntColumn(idx)), nil
 	}
-	return nil, fmt.Errorf("core: %w: aggregate over non-numeric column %q", relation.ErrTypeMismatch, attr)
+	return gatherColumn(r.FloatColumn(idx)), nil
+}
+
+// numericColumn resolves attr to the index of one of r's numeric columns.
+func numericColumn(r *relation.Relation, attr string) (int, error) {
+	idx, err := r.Schema().MustLookup(attr)
+	if err != nil {
+		return 0, err
+	}
+	if !r.Schema().Col(idx).Type.Numeric() {
+		return 0, fmt.Errorf("core: %w: aggregate over non-numeric column %q", relation.ErrTypeMismatch, attr)
+	}
+	return idx, nil
 }
 
 func gatherColumn[T int64 | float64](col []T) Fill {
@@ -140,15 +150,21 @@ func (c CondCoef) Bind(r *relation.Relation) (Fill, error) {
 	return func(rows []int, dst []float64) {
 		inner(rows, dst)
 		pass = pred(rows, pass)
-		k := 0
-		for j, i := range rows {
-			if k < len(pass) && pass[k] == i {
-				k++
-			} else {
-				dst[j] = 0
-			}
-		}
+		zeroFailing(rows, pass, dst)
 	}, nil
+}
+
+// zeroFailing zeroes dst[j] for every rows[j] not in pass, an ascending
+// subsequence of rows.
+func zeroFailing(rows, pass []int, dst []float64) {
+	k := 0
+	for j, i := range rows {
+		if k < len(pass) && pass[k] == i {
+			k++
+		} else {
+			dst[j] = 0
+		}
+	}
 }
 
 // String implements Coef.
@@ -230,4 +246,72 @@ func (c SumCoef) Attrs(dst []string) []string {
 		dst = p.Attrs(dst)
 	}
 	return dst
+}
+
+// coefRow computes c's coefficient at every candidate row of spec: a fresh
+// row that c's Fill gathers from spec.Rel by row id, unless spec.Cells
+// serves the cells. Then a bare attribute's row, and COUNT's, is a shared
+// slice clipped so that an append copies it, and every other row is
+// computed from the served cells with the Fill's operations in the Fill's
+// order, so that both sources give the same bits. A conditional
+// coefficient still selects by row id.
+func coefRow(c Coef, spec *Spec, rows []int) ([]float64, error) {
+	n := len(rows)
+	if spec.Cells != nil {
+		switch c := c.(type) {
+		case UnitCoef:
+			return spec.Cells(-1)[:n:n], nil
+		case AttrCoef:
+			idx, err := numericColumn(spec.Rel, c.Attr)
+			if err != nil {
+				return nil, err
+			}
+			return spec.Cells(idx)[:n:n], nil
+		case ShiftedAttrCoef:
+			attr, err := coefRow(AttrCoef{Attr: c.Attr}, spec, rows)
+			return mapRow(attr, err, func(v float64) float64 { return v + c.Shift })
+		case ScaledCoef:
+			inner, err := coefRow(c.Inner, spec, rows)
+			return mapRow(inner, err, func(v float64) float64 { return c.W * v })
+		case CondCoef:
+			inner, err := coefRow(c.Inner, spec, rows)
+			if err != nil {
+				return nil, err
+			}
+			row := slices.Clone(inner)
+			zeroFailing(rows, c.Pred.Bind(spec.Rel)(rows, nil), row)
+			return row, nil
+		case SumCoef:
+			row := make([]float64, n)
+			for _, p := range c.Parts {
+				term, err := coefRow(p, spec, rows)
+				if err != nil {
+					return nil, err
+				}
+				for j, v := range term {
+					row[j] += v
+				}
+			}
+			return row, nil
+		}
+	}
+	fill, err := c.Bind(spec.Rel)
+	if err != nil {
+		return nil, err
+	}
+	row := make([]float64, n)
+	fill(rows, row)
+	return row, nil
+}
+
+// mapRow returns a fresh row of f over in's cells, or err.
+func mapRow(in []float64, err error, f func(float64) float64) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(in))
+	for j, v := range in {
+		out[j] = f(v)
+	}
+	return out, nil
 }

@@ -88,7 +88,9 @@ func (s *EvalStats) Add(o *EvalStats) {
 // hi optionally overrides the per-variable upper bounds (used by the
 // sketch query's per-group count caps); nil applies the REPEAT bound.
 // Coefficients are bound to spec.Rel here, once; one that does not bind
-// (an unknown or non-numeric attribute) is the build's error.
+// (an unknown or non-numeric attribute) is the build's error. Their cells
+// come from spec.Cells when it is set, and the problem may then share
+// its rows with it: nothing may write a built problem's A or C in place.
 func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 	n := len(rows)
 	switch {
@@ -101,7 +103,6 @@ func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 	}
 	prob := &ilp.Problem{
 		LP: lp.Problem{
-			C:  make([]float64, n),
 			Hi: make([]float64, n), // Lo is nil: every lower bound is 0
 			A:  make([][]float64, 0, len(spec.Constraints)),
 			Op: make([]lp.ConstraintOp, 0, len(spec.Constraints)),
@@ -120,26 +121,24 @@ func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 		}
 	}
 	for _, c := range spec.Constraints {
-		fill, err := c.Coef.Bind(spec.Rel)
+		row, err := coefRow(c.Coef, spec, rows)
 		if err != nil {
 			return nil, fmt.Errorf("core: constraint %q: %w", c, err)
 		}
-		row := make([]float64, n)
-		fill(rows, row)
 		prob.LP.A = append(prob.LP.A, row)
 		prob.LP.Op = append(prob.LP.Op, c.Op)
 		prob.LP.B = append(prob.LP.B, c.RHS)
 	}
 	if spec.Objective != nil {
 		prob.LP.Maximize = spec.Objective.Maximize
-		fill, err := spec.Objective.Coef.Bind(spec.Rel)
+		c, err := coefRow(spec.Objective.Coef, spec, rows)
 		if err != nil {
 			return nil, fmt.Errorf("core: objective %q: %w", spec.Objective, err)
 		}
-		fill(rows, prob.LP.C)
+		prob.LP.C = c
 	} else {
 		// Vacuous objective: max Σ 0·xᵢ.
-		prob.LP.Maximize = true
+		prob.LP.C, prob.LP.Maximize = make([]float64, n), true
 	}
 	return prob, nil
 }

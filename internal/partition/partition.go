@@ -60,8 +60,9 @@ type Group struct {
 // (stated here once):
 //
 //   - A view (View, Restrict) is what a solve reads and nothing more:
-//     Groups and Reps over a pinned Rel. GID is nil, nothing writes it, and
-//     any number of goroutines may read it.
+//     Groups and Reps over a pinned Rel. GID is nil and any number of
+//     goroutines may read it. Nothing writes it but a View's group columns
+//     (GroupColumn), each written once, when first read.
 //   - A head (Build, FromGroups) is bound to the mutable relation and also
 //     carries GID. Its Maintainer is the only code that writes it or reads
 //     its GID — but for Remap, which renumbers rows after a compaction
@@ -96,6 +97,18 @@ type Partitioning struct {
 	// serial is a view's identity (see Serial); 0 on heads and on
 	// Restrict's derived views.
 	serial uint64
+	// cells holds a View's group columns (GroupColumn); nil wherever
+	// serial is 0.
+	cells *groupCells
+}
+
+// groupCells is a view's contiguous copy of the group columns its solves
+// have read: slot gid·(columns+1) + col+1 holds group gid's cells of column
+// col (−1: its ones), or nil until GroupColumn first fills it. The slot table is allocated on
+// the first read, so a view nobody refines costs one empty struct.
+type groupCells struct {
+	once  sync.Once
+	slots []atomic.Pointer[[]float64]
 }
 
 // viewSerials numbers every View taken in the process.
@@ -468,7 +481,7 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 		keep[r] = true
 	}
 	out := *p
-	out.GID, out.serial = nil, 0
+	out.GID, out.serial, out.cells = nil, 0, nil
 	var groups []Group
 	for _, g := range p.Groups { // g is a copy: centroid and radius stay the parent group's
 		g.Rows = slices.DeleteFunc(slices.Clone(g.Rows), func(r int) bool { return !keep[r] })
@@ -488,7 +501,10 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 // View counts itself on the head, and the Maintainer writes in place only
 // member lists allocated since the latest view (see Maintainer.own,
 // Remap). Reps becomes its own relation snapshot, so in-place
-// representative refreshes copy-on-write around it.
+// representative refreshes copy-on-write around it. The view's group
+// columns (GroupColumn) are its one write-once part: each starts empty,
+// is filled on first use, is never written again, and is dropped with the
+// view.
 //
 // The caller holds the lock that serializes mutations while taking the
 // view, and takes one view of a head at a time (it reads the live
@@ -497,8 +513,53 @@ func (p *Partitioning) View(snap *relation.Relation) *Partitioning {
 	p.views++
 	v := *p
 	v.Rel, v.GID, v.Groups, v.Reps = snap, nil, slices.Clone(p.Groups), p.Reps.Snapshot()
-	v.serial = viewSerials.Add(1)
+	v.serial, v.cells = viewSerials.Add(1), &groupCells{}
 	return &v
+}
+
+// GroupColumn returns group gid's cells of Rel's numeric column col as
+// float64 in member order (an Int cell converts as float64(v)) — for col
+// −1, a row of ones, COUNT's coefficient — and whether this call filled
+// them. A View keeps every column so read: the first call copies it out of
+// the snapshot, and every later call over the view — from any goroutine —
+// returns that same slice, which no one may write. A head or a
+// Restrict-ed view keeps nothing and returns nil.
+func (p *Partitioning) GroupColumn(gid, col int) (cells []float64, filled bool) {
+	c := p.cells
+	if c == nil {
+		return nil, false
+	}
+	width := p.Rel.Schema().Len() + 1
+	c.once.Do(func() { c.slots = make([]atomic.Pointer[[]float64], len(p.Groups)*width) })
+	slot := &c.slots[gid*width+col+1]
+	if got := slot.Load(); got != nil {
+		return *got, false
+	}
+	rows := p.Groups[gid].Rows
+	switch {
+	case col < 0:
+		cells = make([]float64, len(rows))
+		for j := range cells {
+			cells[j] = 1
+		}
+	case p.Rel.Schema().Col(col).Type == relation.Int:
+		cells = cellsAt(p.Rel.IntColumn(col), rows)
+	default:
+		cells = cellsAt(p.Rel.FloatColumn(col), rows)
+	}
+	// A racing reader may have filled the slot first: keep one copy.
+	if !slot.CompareAndSwap(nil, &cells) {
+		return *slot.Load(), false
+	}
+	return cells, true
+}
+
+func cellsAt[T int64 | float64](col []T, rows []int) []float64 {
+	out := make([]float64, len(rows))
+	for j, r := range rows {
+		out[j] = float64(col[r])
+	}
+	return out
 }
 
 // Serial identifies a view: every View call stamps a number no other view

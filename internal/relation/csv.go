@@ -92,6 +92,11 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 		return nil, fmt.Errorf("relation: CSV header: %w", err)
 	}
 	r := New(name, schema)
+	// One record slice and one row of values serve every line: Append
+	// keeps neither, and each record's fields are cut from a string of
+	// their own, so a string cell stays valid after the next Read.
+	cr.ReuseRecord = true
+	vals := make([]Value, len(cols))
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -100,7 +105,6 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("relation: reading CSV line %d: %w", line, err)
 		}
-		vals := make([]Value, len(rec))
 		for i, field := range rec {
 			switch cols[i].Type {
 			case Float:

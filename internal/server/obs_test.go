@@ -463,3 +463,86 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Errorf("explain request wrote a slow-log line: %s", buf.String())
 	}
 }
+
+// traceNames counts the spans of a tree by name.
+func traceNames(n *paq.TraceNode, into map[string]int) map[string]int {
+	into[n.Name]++
+	for _, c := range n.Children {
+		traceNames(c, into)
+	}
+	return into
+}
+
+// TestTracedFailureResponds: a traced execution that fails keeps its span
+// tree in the response. An infeasible verdict (200) carries the tree of
+// the solve that proved it; a timed-out one (504) carries it in the error
+// body, with the error on the root.
+func TestTracedFailureResponds(t *testing.T) {
+	_, ts := newObsServer(t, Config{})
+	status, raw := mustPostQuery(t, ts.Client(), ts.URL, QueryRequest{
+		Dataset: "galaxy", Query: obsInfeasibleQuery, Method: MethodDirect, Trace: true,
+	})
+	var qr QueryResponse
+	if err := json.Unmarshal(raw, &qr); err != nil || status != http.StatusOK || !qr.Infeasible {
+		t.Fatalf("infeasible query: status %d err %v (%s)", status, err, raw)
+	}
+	if qr.Trace == nil || qr.Trace.Name != "execute" {
+		t.Fatalf("infeasible traced query returned trace %+v", qr.Trace)
+	}
+	names := traceNames(qr.Trace, map[string]int{})
+	for _, want := range []string{"execute", "pin", "solve"} {
+		if names[want] == 0 {
+			t.Errorf("span %q missing from the infeasible query's trace (have %v)", want, names)
+		}
+	}
+
+	_, slow := newObsServer(t, Config{DefaultTimeout: time.Nanosecond})
+	status, raw = mustPostQuery(t, slow.Client(), slow.URL, QueryRequest{
+		Dataset: "galaxy", Query: obsFeasibleQuery, Method: MethodDirect, Trace: true,
+	})
+	var er errorResponse
+	if err := json.Unmarshal(raw, &er); err != nil || status != http.StatusGatewayTimeout {
+		t.Fatalf("timed-out query: status %d err %v (%s)", status, err, raw)
+	}
+	if er.Trace == nil || er.Trace.Name != "execute" || er.Trace.Attrs["error"] == nil {
+		t.Fatalf("timed-out traced query returned trace %+v", er.Trace)
+	}
+	if names := traceNames(er.Trace, map[string]int{}); names["solve"] == 0 {
+		t.Errorf("the timed-out query's trace has no solve span (have %v)", names)
+	}
+
+	// Untraced, a failure carries no tree.
+	status, raw = mustPostQuery(t, slow.Client(), slow.URL, QueryRequest{
+		Dataset: "galaxy", Query: obsFeasibleQuery, Method: MethodDirect,
+	})
+	if status != http.StatusGatewayTimeout || strings.Contains(string(raw), `"trace"`) {
+		t.Fatalf("untraced timed-out query: status %d body %s", status, raw)
+	}
+}
+
+// TestSlowQueryLogRecordsFailures: a failed execution over the slow-log
+// threshold is logged like a slow answer, with its error and span tree.
+func TestSlowQueryLogRecordsFailures(t *testing.T) {
+	var buf bytes.Buffer
+	_, ts := newObsServer(t, Config{SlowQuery: time.Nanosecond, SlowQueryLog: &buf, DefaultTimeout: time.Nanosecond})
+	status, raw := mustPostQuery(t, ts.Client(), ts.URL, QueryRequest{
+		Dataset: "galaxy", Query: obsFeasibleQuery, Method: MethodDirect,
+	})
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("solve: status %d (%s), want a timeout", status, raw)
+	}
+	line := strings.TrimSpace(buf.String())
+	if line == "" {
+		t.Fatal("no slow-log line for a timed-out query")
+	}
+	var entry obs.SlowEntry
+	if err := json.Unmarshal([]byte(line), &entry); err != nil {
+		t.Fatalf("slow-log line not JSON: %v\n%s", err, line)
+	}
+	if entry.Error == "" || entry.Query != obsFeasibleQuery || entry.Method != MethodDirect {
+		t.Errorf("entry %+v lacks the error or the request", entry)
+	}
+	if entry.DurationMS <= 0 || entry.Trace == nil || entry.Trace.Name != "execute" {
+		t.Errorf("entry lacks its timing or span tree: duration %v trace %+v", entry.DurationMS, entry.Trace)
+	}
+}

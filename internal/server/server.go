@@ -81,9 +81,9 @@ type Config struct {
 	// maintenance pass snapshots a durable dataset (truncating the log).
 	// 0 means 8 MiB; negative disables size-driven snapshots.
 	WALMaxBytes int64
-	// SlowQuery is the slow-query log threshold: a solve at or above it
-	// emits one structured JSON line (query, plan, dataset version, span
-	// tree) to SlowQueryLog. 0 disables the log. Enabling it turns on
+	// SlowQuery is the slow-query log threshold: an execution at or above
+	// it, failed or not, emits one structured JSON line (query, plan,
+	// dataset version, span tree, error) to SlowQueryLog. 0 disables the log. Enabling it turns on
 	// tracing for every solve — the log wants the span tree — so set it
 	// well above the typical solve time.
 	SlowQuery time.Duration
@@ -568,6 +568,8 @@ type QueryResponse struct {
 // errorResponse is the body of every non-200 response.
 type errorResponse struct {
 	Error string `json:"error"`
+	// Trace is a failed traced execution's span tree.
+	Trace *paq.TraceNode `json:"trace,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -716,6 +718,37 @@ func (s *Server) respond(w http.ResponseWriter, req QueryRequest, stmt *paq.Stmt
 		Dataset: req.Dataset,
 		Method:  string(stmt.Method()),
 	}
+	// A traced execution hands its span tree back with its result or,
+	// when it failed, with its error; a failure's time is its root span's.
+	var traced interface{ Trace() *paq.TraceNode }
+	var took time.Duration
+	if res != nil {
+		traced, took = res, res.Time
+	} else if errors.As(execErr, &traced) {
+		took = time.Duration(traced.Trace().DurationMS * float64(time.Millisecond))
+	}
+	if traced != nil && req.Trace {
+		resp.Trace = traced.Trace()
+	}
+	// Snapshotting the span tree is the expensive part of a slow-log
+	// line; check the threshold before building the entry.
+	if traced != nil && s.slow != nil && took >= s.slow.Threshold() {
+		e := obs.SlowEntry{
+			Dataset:    req.Dataset,
+			Query:      req.Query,
+			Method:     string(stmt.Method()),
+			DurationMS: float64(took) / float64(time.Millisecond),
+			Plan:       stmt.Plan(),
+			Trace:      traced.Trace(),
+		}
+		if res != nil {
+			e.Version, e.Cached = res.Version, res.Cached
+		}
+		if execErr != nil {
+			e.Error = execErr.Error()
+		}
+		s.slow.Observe(e)
+	}
 	if res != nil {
 		if st := res.Stats; st != nil {
 			s.ctr.solveNanos.Add(int64(st.SolveTime))
@@ -730,29 +763,11 @@ func (s *Server) respond(w http.ResponseWriter, req QueryRequest, stmt *paq.Stmt
 		resp.Incumbents = res.Incumbents
 		resp.Stats = statsJSON(res.Stats)
 		resp.TimeMS = float64(res.Time) / float64(time.Millisecond)
-		if req.Trace {
-			resp.Trace = res.Trace()
-		}
-		// Snapshotting the span tree is the expensive part of a slow-log
-		// line; check the threshold before building the entry.
-		if s.slow != nil && res.Time >= s.slow.Threshold() {
-			e := obs.SlowEntry{
-				Dataset:    req.Dataset,
-				Query:      req.Query,
-				Method:     string(stmt.Method()),
-				DurationMS: float64(res.Time) / float64(time.Millisecond),
-				Version:    res.Version,
-				Cached:     res.Cached,
-				Plan:       stmt.Plan(),
-				Trace:      res.Trace(),
-			}
-			if execErr != nil {
-				e.Error = execErr.Error()
-			}
-			s.slow.Observe(e)
-		}
 	}
 	if execErr != nil {
+		fail := func(status int, format string, args ...any) {
+			writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Trace: resp.Trace})
+		}
 		switch {
 		case errors.Is(execErr, paq.ErrInfeasible):
 			// A definitive verdict about the query, not a failure
@@ -764,16 +779,16 @@ func (s *Server) respond(w http.ResponseWriter, req QueryRequest, stmt *paq.Stmt
 			writeJSON(w, http.StatusOK, resp)
 		case errors.Is(execErr, paq.ErrTimeout):
 			s.ctr.timeouts.Add(1)
-			s.failf(w, http.StatusGatewayTimeout, "evaluation deadline exceeded")
+			fail(http.StatusGatewayTimeout, "evaluation deadline exceeded")
 		case errors.Is(execErr, context.Canceled):
 			// The client went away; nothing useful to write.
 			s.ctr.timeouts.Add(1)
-			s.failf(w, http.StatusGatewayTimeout, "request canceled")
+			fail(http.StatusGatewayTimeout, "request canceled")
 		default:
 			// Solver budget exhaustion and other evaluation failures:
 			// the query was valid but this budget could not answer it.
 			s.ctr.failures.Add(1)
-			s.failf(w, http.StatusUnprocessableEntity, "evaluation failed: %v", execErr)
+			fail(http.StatusUnprocessableEntity, "evaluation failed: %v", execErr)
 		}
 		return
 	}

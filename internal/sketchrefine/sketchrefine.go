@@ -25,7 +25,10 @@
 // the relation, and row i of the representative relation is group i's.
 // A filtered query's pass is paid once per partitioning view: its caller
 // may keep the result as a Layout (Options.Layout), row ids keyed on the
-// view's serial, and later evaluations over the same view reuse it.
+// view's serial, and later evaluations over the same view reuse it. An
+// unfiltered query's refine over a group reads the group's cells the same
+// way, once per view: from the view's contiguous group columns
+// (partition.Partitioning.GroupColumn), not gathered from the snapshot.
 package sketchrefine
 
 import (
@@ -128,6 +131,9 @@ type evaluator struct {
 	stats    *core.EvalStats
 	eligible [][]int // gid → base rows in that group, ascending
 	gids     []int   // gids with eligible rows, ascending
+	// viewCells: eligible[gid] is group gid's whole member list and the
+	// partitioning is a View, so a refine reads the view's group columns.
+	viewCells bool
 	// Per-constraint coefficients bound to the input relation and to the
 	// representative relation (whose row i is gid i).
 	consOnRel  []core.Fill
@@ -288,6 +294,7 @@ func (ev *evaluator) prepare(sp *obs.Span) error {
 		}
 	}
 	ev.eligible, ev.gids = l.rows, l.gids
+	ev.viewCells = !filtered && view != 0
 	sp.SetAttrInt("groups", int64(len(ev.gids)))
 	sp.SetAttrInt("eligible_rows", int64(l.n))
 	sp.SetAttrBool("filtered", filtered)
@@ -393,7 +400,9 @@ func weighted(v float64, coef core.Fill, rows, mult []int, coefs []float64) floa
 
 // refineGroup solves the refine query Q[Gⱼ]: choose original tuples from
 // group gid to replace its representatives, with every constraint's RHS
-// reduced by the rest of the partial package (p̄ⱼ in the paper).
+// reduced by the rest of the partial package (p̄ⱼ in the paper). Its span
+// records where the ILP's cells came from (cells: view or relation) and
+// how many group columns this refine filled.
 func (ev *evaluator) refineGroup(st *state, gid int) (*state, error) {
 	ctx, sp := obs.Start(ev.ctx, "refine_group")
 	defer sp.Finish()
@@ -413,8 +422,23 @@ func (ev *evaluator) refineGroup(st *state, gid int) (*state, error) {
 			Desc: c.Desc,
 		})
 	}
+	// A group refined whole reads its cells from the view: contiguous,
+	// and copied out of the snapshot only by the first refine to ask.
+	source, filled := "relation", 0
+	if ev.viewCells {
+		source = "view"
+		sub.Cells = func(col int) []float64 {
+			cells, fresh := ev.part.GroupColumn(gid, col)
+			if fresh {
+				filled++
+			}
+			return cells
+		}
+	}
 	ctx, hook := ev.subproblem(ctx, false)
 	pkg, stats, err := core.Solve(ctx, sub, ev.eligible[gid], nil, ev.opt.Solver, hook)
+	sp.SetAttrStr("cells", source)
+	sp.SetAttrInt("columns_filled", int64(filled))
 	ev.stats.Add(stats)
 	if err != nil {
 		return nil, err
