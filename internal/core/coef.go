@@ -12,40 +12,32 @@ import (
 	"repro/internal/relation"
 )
 
-// Coef computes the per-tuple coefficient of one linear package aggregate:
-// the contribution of tuple t to f(P) per unit of multiplicity. COUNT
+// Coef is the per-tuple coefficient of one linear package aggregate: the
+// contribution of tuple t to f(P) per unit of multiplicity. COUNT
 // contributes 1 per tuple, SUM(attr) contributes t.attr, the AVG rewrite
 // contributes t.attr − v, and conditional aggregates contribute through an
-// indicator. Coefficients bind to a relation once and are then gathered
-// a row list at a time, so the same Coef works on the input relation, on
-// partition groups (row subsets), and on representative relations — as
-// long as the referenced attributes exist in the schema.
+// indicator. A Coef is data: its arithmetic is written once, in coefRow,
+// over cells from either source a Cells describes — so the same Coef works
+// on the input relation, on partition groups (row subsets), and on
+// representative relations, as long as the referenced attributes exist in
+// the schema.
 type Coef interface {
-	// Bind resolves attribute references against a relation — column
-	// index and type, once — and returns the gather over its columns.
-	Bind(r *relation.Relation) (Fill, error)
 	fmt.Stringer
 	// Attrs appends the attribute names this coefficient reads.
 	Attrs(dst []string) []string
 }
 
-// Fill is a coefficient bound to one relation: it writes the coefficient
-// of rows[j] to dst[j], for every j (dst is at least as long as rows).
-// Like a relation.Selection it may keep scratch and holds the relation's
-// columns: one goroutine, dropped with the call that bound it.
-type Fill func(rows []int, dst []float64)
+// Cells serves the coefficient evaluator the candidate rows' numeric
+// cells laid out contiguously: Cells(col)[j] is column col's cell at
+// rows[j], as float64, and Cells(-1) is a row of ones, in slices the
+// evaluator may alias but never writes — a partition view's group columns
+// (partition.Partitioning.GroupColumn), for a group's whole member list.
+// Without one, the cells are gathered from the relation by row id
+// (relation.Relation.Cells).
+type Cells func(col int) []float64
 
 // UnitCoef contributes 1 per tuple: the COUNT(P.*) coefficient.
 type UnitCoef struct{}
-
-// Bind implements Coef.
-func (UnitCoef) Bind(*relation.Relation) (Fill, error) {
-	return func(rows []int, dst []float64) {
-		for j := range rows {
-			dst[j] = 1
-		}
-	}, nil
-}
 
 // String implements Coef.
 func (UnitCoef) String() string { return "1" }
@@ -57,21 +49,6 @@ func (UnitCoef) Attrs(dst []string) []string { return dst }
 // coefficient.
 type AttrCoef struct{ Attr string }
 
-// Bind implements Coef.
-func (c AttrCoef) Bind(r *relation.Relation) (Fill, error) { return gather(r, c.Attr) }
-
-// gather binds the numeric column attr of r as a Fill of its cells.
-func gather(r *relation.Relation, attr string) (Fill, error) {
-	idx, err := numericColumn(r, attr)
-	if err != nil {
-		return nil, err
-	}
-	if r.Schema().Col(idx).Type == relation.Int {
-		return gatherColumn(r.IntColumn(idx)), nil
-	}
-	return gatherColumn(r.FloatColumn(idx)), nil
-}
-
 // numericColumn resolves attr to the index of one of r's numeric columns.
 func numericColumn(r *relation.Relation, attr string) (int, error) {
 	idx, err := r.Schema().MustLookup(attr)
@@ -82,14 +59,6 @@ func numericColumn(r *relation.Relation, attr string) (int, error) {
 		return 0, fmt.Errorf("core: %w: aggregate over non-numeric column %q", relation.ErrTypeMismatch, attr)
 	}
 	return idx, nil
-}
-
-func gatherColumn[T int64 | float64](col []T) Fill {
-	return func(rows []int, dst []float64) {
-		for j, i := range rows {
-			dst[j] = float64(col[i])
-		}
-	}
 }
 
 // String implements Coef.
@@ -104,20 +73,6 @@ func (c AttrCoef) Attrs(dst []string) []string { return append(dst, c.Attr) }
 type ShiftedAttrCoef struct {
 	Attr  string
 	Shift float64
-}
-
-// Bind implements Coef.
-func (c ShiftedAttrCoef) Bind(r *relation.Relation) (Fill, error) {
-	attr, err := gather(r, c.Attr)
-	if err != nil {
-		return nil, err
-	}
-	return func(rows []int, dst []float64) {
-		attr(rows, dst)
-		for j := range rows {
-			dst[j] += c.Shift
-		}
-	}, nil
 }
 
 // String implements Coef.
@@ -137,21 +92,6 @@ func (c ShiftedAttrCoef) Attrs(dst []string) []string { return append(dst, c.Att
 type CondCoef struct {
 	Pred  relation.Predicate
 	Inner Coef
-}
-
-// Bind implements Coef.
-func (c CondCoef) Bind(r *relation.Relation) (Fill, error) {
-	inner, err := c.Inner.Bind(r)
-	if err != nil {
-		return nil, err
-	}
-	pred := c.Pred.Bind(r)
-	var pass []int
-	return func(rows []int, dst []float64) {
-		inner(rows, dst)
-		pass = pred(rows, pass)
-		zeroFailing(rows, pass, dst)
-	}, nil
 }
 
 // zeroFailing zeroes dst[j] for every rows[j] not in pass, an ascending
@@ -182,20 +122,6 @@ type ScaledCoef struct {
 	Inner Coef
 }
 
-// Bind implements Coef.
-func (c ScaledCoef) Bind(r *relation.Relation) (Fill, error) {
-	inner, err := c.Inner.Bind(r)
-	if err != nil {
-		return nil, err
-	}
-	return func(rows []int, dst []float64) {
-		inner(rows, dst)
-		for j := range rows {
-			dst[j] = c.W * dst[j]
-		}
-	}, nil
-}
-
 // String implements Coef.
 func (c ScaledCoef) String() string { return fmt.Sprintf("%g*%s", c.W, c.Inner) }
 
@@ -205,31 +131,6 @@ func (c ScaledCoef) Attrs(dst []string) []string { return c.Inner.Attrs(dst) }
 // SumCoef adds several coefficients: the per-tuple coefficient of a linear
 // combination of aggregates on one side of a comparison.
 type SumCoef struct{ Parts []Coef }
-
-// Bind implements Coef.
-func (c SumCoef) Bind(r *relation.Relation) (Fill, error) {
-	parts := make([]Fill, len(c.Parts))
-	for i, p := range c.Parts {
-		part, err := p.Bind(r)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = part
-	}
-	var term []float64
-	return func(rows []int, dst []float64) {
-		if cap(term) < len(rows) {
-			term = make([]float64, len(rows))
-		}
-		clear(dst[:len(rows)])
-		for _, part := range parts {
-			part(rows, term)
-			for j := range rows {
-				dst[j] += term[j]
-			}
-		}
-	}, nil
-}
 
 // String implements Coef.
 func (c SumCoef) String() string {
@@ -248,60 +149,67 @@ func (c SumCoef) Attrs(dst []string) []string {
 	return dst
 }
 
-// coefRow computes c's coefficient at every candidate row of spec: a fresh
-// row that c's Fill gathers from spec.Rel by row id, unless spec.Cells
-// serves the cells. Then a bare attribute's row, and COUNT's, is a shared
-// slice clipped so that an append copies it, and every other row is
-// computed from the served cells with the Fill's operations in the Fill's
-// order, so that both sources give the same bits. A conditional
-// coefficient still selects by row id.
-func coefRow(c Coef, spec *Spec, rows []int) ([]float64, error) {
+// coefRow is the one coefficient evaluator: c's coefficient at every row
+// of rows, over rel, with the cells served by cells, or gathered from rel
+// by row id when cells is nil. A bare attribute's row, and COUNT's, is the
+// served slice clipped so that an append copies it; every other row is
+// fresh. A conditional coefficient selects by row id. An attribute rel
+// does not have, or holds no numbers in, is the error.
+func coefRow(c Coef, rel *relation.Relation, cells Cells, rows []int) ([]float64, error) {
+	if cells == nil {
+		cells = func(col int) []float64 { return rel.Cells(col, rows) }
+	}
 	n := len(rows)
-	if spec.Cells != nil {
-		switch c := c.(type) {
-		case UnitCoef:
-			return spec.Cells(-1)[:n:n], nil
-		case AttrCoef:
-			idx, err := numericColumn(spec.Rel, c.Attr)
-			if err != nil {
-				return nil, err
-			}
-			return spec.Cells(idx)[:n:n], nil
-		case ShiftedAttrCoef:
-			attr, err := coefRow(AttrCoef{Attr: c.Attr}, spec, rows)
-			return mapRow(attr, err, func(v float64) float64 { return v + c.Shift })
-		case ScaledCoef:
-			inner, err := coefRow(c.Inner, spec, rows)
-			return mapRow(inner, err, func(v float64) float64 { return c.W * v })
-		case CondCoef:
-			inner, err := coefRow(c.Inner, spec, rows)
-			if err != nil {
-				return nil, err
-			}
-			row := slices.Clone(inner)
-			zeroFailing(rows, c.Pred.Bind(spec.Rel)(rows, nil), row)
-			return row, nil
-		case SumCoef:
-			row := make([]float64, n)
-			for _, p := range c.Parts {
-				term, err := coefRow(p, spec, rows)
-				if err != nil {
-					return nil, err
-				}
-				for j, v := range term {
-					row[j] += v
-				}
-			}
-			return row, nil
+	switch c := c.(type) {
+	case UnitCoef:
+		return cells(-1)[:n:n], nil
+	case AttrCoef:
+		idx, err := numericColumn(rel, c.Attr)
+		if err != nil {
+			return nil, err
 		}
+		return cells(idx)[:n:n], nil
+	case ShiftedAttrCoef:
+		attr, err := coefRow(AttrCoef{Attr: c.Attr}, rel, cells, rows)
+		return mapRow(attr, err, func(v float64) float64 { return v + c.Shift })
+	case ScaledCoef:
+		inner, err := coefRow(c.Inner, rel, cells, rows)
+		return mapRow(inner, err, func(v float64) float64 { return c.W * v })
+	case CondCoef:
+		inner, err := coefRow(c.Inner, rel, cells, rows)
+		if err != nil {
+			return nil, err
+		}
+		row := slices.Clone(inner)
+		zeroFailing(rows, c.Pred.Bind(rel)(rows, nil), row)
+		return row, nil
+	case SumCoef:
+		row := make([]float64, n)
+		for _, p := range c.Parts {
+			term, err := coefRow(p, rel, cells, rows)
+			if err != nil {
+				return nil, err
+			}
+			for j, v := range term {
+				row[j] += v
+			}
+		}
+		return row, nil
 	}
-	fill, err := c.Bind(spec.Rel)
+	return nil, fmt.Errorf("core: unknown coefficient kind %T", c)
+}
+
+// Weighted adds Σ mult[k]·c(rows[k]) over rel to v, a term at a time in
+// order: a package's aggregate, or a running sum over several row sets.
+func Weighted(v float64, c Coef, rel *relation.Relation, rows, mult []int) (float64, error) {
+	coefs, err := coefRow(c, rel, nil, rows)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	row := make([]float64, n)
-	fill(rows, row)
-	return row, nil
+	for k, x := range coefs {
+		v += float64(mult[k]) * x
+	}
+	return v, nil
 }
 
 // mapRow returns a fresh row of f over in's cells, or err.

@@ -11,9 +11,9 @@ import (
 )
 
 // coefAt is the oracle: a coefficient's value for one row, computed the
-// row-at-a-time way coefficients used to be bound — a cell read through
-// Relation.Float, composed in the order the kinds define. Fill is held to
-// it bit for bit: the ILP's matrix must not move by an ulp.
+// row-at-a-time way — a cell read through Relation.Float, composed in the
+// order the kinds define. coefRow is held to it bit for bit, from either
+// cell source: the ILP's matrix must not move by an ulp.
 func coefAt(c Coef, r *relation.Relation, row int) float64 {
 	switch c := c.(type) {
 	case UnitCoef:
@@ -70,11 +70,14 @@ func randomCoef(rng *rand.Rand, depth int) Coef {
 	return ShiftedAttrCoef{Attr: attrs[rng.Intn(len(attrs))], Shift: rng.NormFloat64()}
 }
 
-// TestFillMatchesRowOracle: every coefficient kind, nested at random over
-// a Float, a Float with NaN and -0 cells, and an Int column, fills exactly
-// the bits the row-at-a-time oracle computes — over ascending rows and
-// over a shuffled list with repeats, as a package's rows can be.
-func TestFillMatchesRowOracle(t *testing.T) {
+// TestCoefRowMatchesRowOracle: every coefficient kind, nested at random
+// over a Float, a Float with NaN and -0 cells, and an Int column, evaluates
+// to exactly the bits the row-at-a-time oracle computes — over ascending
+// rows and over a shuffled list with repeats, as a package's rows can be —
+// from both cell sources: gathered from the relation, and served as
+// slices the way a view's group columns are. A bare attribute's row and
+// COUNT's come back clipped (cap == len), and no served cell is written.
+func TestCoefRowMatchesRowOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	rel := relation.New("t", reltest.Schema(
 		relation.Column{Name: "x", Type: relation.Float},
@@ -94,24 +97,54 @@ func TestFillMatchesRowOracle(t *testing.T) {
 	ascending := rel.AllRows()
 	shuffled := append(append([]int(nil), ascending...), ascending[:50]...)
 	rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-	for trial := 0; trial < 300; trial++ {
-		coef := randomCoef(rng, 3)
-		fill, err := coef.Bind(rel)
-		if err != nil {
-			t.Fatalf("%s: %v", coef, err)
-		}
-		for _, rows := range [][]int{ascending, shuffled, ascending[:1], nil} {
-			got := make([]float64, len(rows)+1)
-			got[len(rows)] = 42 // Fill writes len(rows) values, no more
-			fill(rows, got)
+	// served lays rows' cells out per column (−1: ones), read row at a
+	// time, each slice with spare capacity an evaluator must not expose.
+	served := func(rows []int) map[int][]float64 {
+		cols := map[int][]float64{}
+		for col := -1; col < 3; col++ {
+			cells := make([]float64, len(rows), len(rows)+1)
 			for j, row := range rows {
-				if want := coefAt(coef, rel, row); math.Float64bits(got[j]) != math.Float64bits(want) {
-					t.Fatalf("%s, row %d: Fill gives %v (%#x), the row oracle %v (%#x)",
-						coef, row, got[j], math.Float64bits(got[j]), want, math.Float64bits(want))
+				cells[j] = 1
+				if col >= 0 {
+					cells[j] = rel.Float(row, col)
 				}
 			}
-			if got[len(rows)] != 42 {
-				t.Fatalf("%s: Fill wrote past len(rows)", coef)
+			cols[col] = cells
+		}
+		return cols
+	}
+	for trial := 0; trial < 300; trial++ {
+		coef := randomCoef(rng, 3)
+		for _, rows := range [][]int{ascending, shuffled, ascending[:1], nil} {
+			cols := served(rows)
+			orig := served(rows)
+			for _, cells := range []Cells{nil, func(col int) []float64 { return cols[col] }} {
+				got, err := coefRow(coef, rel, cells, rows)
+				if err != nil {
+					t.Fatalf("%s: %v", coef, err)
+				}
+				if len(got) != len(rows) {
+					t.Fatalf("%s: row of %d coefficients over %d rows", coef, len(got), len(rows))
+				}
+				switch coef.(type) {
+				case UnitCoef, AttrCoef:
+					if cap(got) != len(got) {
+						t.Fatalf("%s: row has cap %d over len %d: an append would write the source", coef, cap(got), len(got))
+					}
+				}
+				for j, row := range rows {
+					if want := coefAt(coef, rel, row); math.Float64bits(got[j]) != math.Float64bits(want) {
+						t.Fatalf("%s, row %d (served %v): coefRow gives %v (%#x), the row oracle %v (%#x)",
+							coef, row, cells != nil, got[j], math.Float64bits(got[j]), want, math.Float64bits(want))
+					}
+				}
+			}
+			for col, cells := range cols {
+				for j := range cells {
+					if math.Float64bits(cells[j]) != math.Float64bits(orig[col][j]) {
+						t.Fatalf("%s: served column %d written at %d", coef, col, j)
+					}
+				}
 			}
 		}
 	}

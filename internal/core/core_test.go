@@ -436,12 +436,10 @@ func TestCoefComposition(t *testing.T) {
 		ScaledCoef{W: 2, Inner: AttrCoef{Attr: "kcal"}},
 		CondCoef{Pred: relation.NewCompare("gluten", relation.EQ, relation.S("free")), Inner: UnitCoef{}},
 	}}
-	fill, err := coef.Bind(rel)
+	got, err := coefRow(coef, rel, nil, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]float64, 2)
-	fill([]int{0, 1}, got)
 	// pasta: 2*0.9 + 0 = 1.8; salad: 2*0.3 + 1 = 1.6.
 	if math.Abs(got[0]-1.8) > 1e-12 {
 		t.Errorf("coef(pasta) = %g, want 1.8", got[0])
@@ -470,8 +468,8 @@ func TestCoefBindErrors(t *testing.T) {
 		CondCoef{Pred: relation.True{}, Inner: AttrCoef{Attr: "missing"}},
 	}
 	for i, c := range cases {
-		if _, err := c.Bind(rel); err == nil {
-			t.Errorf("case %d (%s): bad coef bound successfully", i, c)
+		if _, err := coefRow(c, rel, nil, nil); err == nil {
+			t.Errorf("case %d (%s): bad coef evaluated successfully", i, c)
 		}
 	}
 }

@@ -87,10 +87,11 @@ func (s *EvalStats) Add(o *EvalStats) {
 //
 // hi optionally overrides the per-variable upper bounds (used by the
 // sketch query's per-group count caps); nil applies the REPEAT bound.
-// Coefficients are bound to spec.Rel here, once; one that does not bind
+// Coefficients are evaluated over spec.Rel; one that does not evaluate
 // (an unknown or non-numeric attribute) is the build's error. Their cells
-// come from spec.Cells when it is set, and the problem may then share
-// its rows with it: nothing may write a built problem's A or C in place.
+// come from spec.Cells when it is set, and the problem may share its rows
+// with either cell source: nothing may write a built problem's A or C in
+// place.
 func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 	n := len(rows)
 	switch {
@@ -121,7 +122,7 @@ func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 		}
 	}
 	for _, c := range spec.Constraints {
-		row, err := coefRow(c.Coef, spec, rows)
+		row, err := coefRow(c.Coef, spec.Rel, spec.Cells, rows)
 		if err != nil {
 			return nil, fmt.Errorf("core: constraint %q: %w", c, err)
 		}
@@ -131,7 +132,7 @@ func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 	}
 	if spec.Objective != nil {
 		prob.LP.Maximize = spec.Objective.Maximize
-		c, err := coefRow(spec.Objective.Coef, spec, rows)
+		c, err := coefRow(spec.Objective.Coef, spec.Rel, spec.Cells, rows)
 		if err != nil {
 			return nil, fmt.Errorf("core: objective %q: %w", spec.Objective, err)
 		}

@@ -53,17 +53,7 @@ func (p *Package) Distinct() int { return len(p.Rows) }
 
 // AggregateValue computes Σ_t coef(t)·mult(t) over the package.
 func (p *Package) AggregateValue(coef Coef) (float64, error) {
-	fill, err := coef.Bind(p.Rel)
-	if err != nil {
-		return 0, err
-	}
-	vals := make([]float64, len(p.Rows))
-	fill(p.Rows, vals)
-	s := 0.0
-	for k, v := range vals {
-		s += float64(p.Mult[k]) * v
-	}
-	return s, nil
+	return Weighted(0, coef, p.Rel, p.Rows, p.Mult)
 }
 
 // ObjectiveValue computes the spec objective over the package (including

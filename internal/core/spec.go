@@ -70,12 +70,10 @@ type Spec struct {
 	// Objective is the optimization criterion, or nil (feasibility-only;
 	// the translator adds the paper's vacuous objective "max Σ 0·x").
 	Objective *Objective
-	// Cells, when set, serves BuildILP the candidate rows' numeric cells
-	// laid out contiguously: Cells(col)[j] is column col's cell at rows[j],
-	// as float64, and Cells(-1) is a row of ones, in slices BuildILP may
-	// alias but never writes (a partition view's GroupColumn, for a
-	// group's whole member list). Nil gathers every cell from Rel by row id.
-	Cells func(col int) []float64
+	// Cells, when set, is the source of BuildILP's cells for the candidate
+	// rows (a partition view's group columns, for a group's whole member
+	// list). Nil gathers every cell from Rel by row id.
+	Cells Cells
 }
 
 // MaxMult returns the maximum multiplicity per tuple: Repeat+1, or
@@ -151,7 +149,7 @@ func (s *Spec) QueryAttrs() []string {
 }
 
 // Validate checks the spec against its relation — an ILP build over no
-// rows: an unknown or non-numeric attribute is what binding reports.
+// rows: an unknown or non-numeric attribute is what evaluating reports.
 func (s *Spec) Validate() error {
 	_, err := BuildILP(s, nil, nil)
 	return err

@@ -99,7 +99,7 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, er
 	n := len(rows)
 
 	// The ILP's matrix is every coefficient over the base relation, a
-	// column per constraint: bind and gather once, index by position.
+	// column per constraint: evaluate once, index by position.
 	prob, err := core.BuildILP(spec, rows, nil)
 	if err != nil {
 		return nil, err

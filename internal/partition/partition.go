@@ -103,13 +103,19 @@ type Partitioning struct {
 }
 
 // groupCells is a view's contiguous copy of the group columns its solves
-// have read: slot gid·(columns+1) + col+1 holds group gid's cells of column
-// col (−1: its ones), or nil until GroupColumn first fills it. The slot table is allocated on
-// the first read, so a view nobody refines costs one empty struct.
+// have read: groups[gid] is group gid's row of slots, nil until the group
+// is first read, and its slot col+1 holds the group's cells of column col
+// (−1: its ones), nil until GroupColumn first fills it. The table of
+// groups is allocated on the first read and a group's row on the group's
+// first read, so a view nobody refines costs one empty struct, and one
+// refined in a few groups a pointer per group and a row per group read.
 type groupCells struct {
-	once  sync.Once
-	slots []atomic.Pointer[[]float64]
+	once   sync.Once
+	groups []atomic.Pointer[cellSlots]
 }
+
+// cellSlots is one group's row of slots, one per column and one for ones.
+type cellSlots []atomic.Pointer[[]float64]
 
 // viewSerials numbers every View taken in the process.
 var viewSerials atomic.Uint64
@@ -529,37 +535,25 @@ func (p *Partitioning) GroupColumn(gid, col int) (cells []float64, filled bool) 
 	if c == nil {
 		return nil, false
 	}
-	width := p.Rel.Schema().Len() + 1
-	c.once.Do(func() { c.slots = make([]atomic.Pointer[[]float64], len(p.Groups)*width) })
-	slot := &c.slots[gid*width+col+1]
+	c.once.Do(func() { c.groups = make([]atomic.Pointer[cellSlots], len(p.Groups)) })
+	row := c.groups[gid].Load()
+	if row == nil {
+		fresh := make(cellSlots, p.Rel.Schema().Len()+1)
+		// A racing reader may have made the group's row first: keep one.
+		if row = &fresh; !c.groups[gid].CompareAndSwap(nil, row) {
+			row = c.groups[gid].Load()
+		}
+	}
+	slot := &(*row)[col+1]
 	if got := slot.Load(); got != nil {
 		return *got, false
 	}
-	rows := p.Groups[gid].Rows
-	switch {
-	case col < 0:
-		cells = make([]float64, len(rows))
-		for j := range cells {
-			cells[j] = 1
-		}
-	case p.Rel.Schema().Col(col).Type == relation.Int:
-		cells = cellsAt(p.Rel.IntColumn(col), rows)
-	default:
-		cells = cellsAt(p.Rel.FloatColumn(col), rows)
-	}
+	cells = p.Rel.Cells(col, p.Groups[gid].Rows)
 	// A racing reader may have filled the slot first: keep one copy.
 	if !slot.CompareAndSwap(nil, &cells) {
 		return *slot.Load(), false
 	}
 	return cells, true
-}
-
-func cellsAt[T int64 | float64](col []T, rows []int) []float64 {
-	out := make([]float64, len(rows))
-	for j, r := range rows {
-		out[j] = float64(col[r])
-	}
-	return out
 }
 
 // Serial identifies a view: every View call stamps a number no other view

@@ -10,6 +10,31 @@ func sumOver[T int64 | float64](col []T, rows []int) (s float64) {
 	return s
 }
 
+// cellsOver writes col's cells at rows to dst, in row order.
+func cellsOver[T int64 | float64](dst []float64, col []T, rows []int) {
+	for j, i := range rows {
+		dst[j] = float64(col[i])
+	}
+}
+
+// Cells gathers numeric column col's cells at rows into a fresh slice of
+// len(rows), in row order; an Int cell converts as float64(v). Column −1
+// reads a row of ones, COUNT's cells.
+func (r *Relation) Cells(col int, rows []int) []float64 {
+	out := make([]float64, len(rows))
+	switch {
+	case col < 0:
+		for j := range out {
+			out[j] = 1
+		}
+	case r.cols[col].typ == Int:
+		cellsOver(out, r.cols[col].i, rows)
+	default:
+		cellsOver(out, r.cols[col].f, rows)
+	}
+	return out
+}
+
 // spreadOver is the largest |cell − centre| of col over rows.
 func spreadOver[T int64 | float64](col []T, rows []int, centre float64) (far float64) {
 	for _, i := range rows {

@@ -134,10 +134,6 @@ type evaluator struct {
 	// viewCells: eligible[gid] is group gid's whole member list and the
 	// partitioning is a View, so a refine reads the view's group columns.
 	viewCells bool
-	// Per-constraint coefficients bound to the input relation and to the
-	// representative relation (whose row i is gid i).
-	consOnRel  []core.Fill
-	consOnReps []core.Fill
 
 	backtracks int
 }
@@ -273,9 +269,11 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partition
 }
 
 // prepare lays the query's eligible rows out by group — or reuses the
-// memo's layout of them over this view — and binds constraint
-// coefficients against both relations. sp, its span, records how many
-// rows, whether a filter was applied and whether the layout was reused.
+// memo's layout of them over this view — and checks that every
+// coefficient evaluates on the input relation, so that one which does not
+// fails with DIRECT's error rather than the sketch's over R̃. sp, its
+// span, records how many rows, whether a filter was applied and whether
+// the layout was reused.
 func (ev *evaluator) prepare(sp *obs.Span) error {
 	// Serial 0 (a head, a restricted view) names no layout.
 	memo, view := ev.opt.Layout, ev.part.Serial()
@@ -299,19 +297,7 @@ func (ev *evaluator) prepare(sp *obs.Span) error {
 	sp.SetAttrInt("eligible_rows", int64(l.n))
 	sp.SetAttrBool("filtered", filtered)
 	sp.SetAttrBool("reused", reused)
-	for _, c := range ev.spec.Constraints {
-		onRel, err := c.Coef.Bind(ev.spec.Rel)
-		if err != nil {
-			return fmt.Errorf("sketchrefine: constraint %q: %w", c, err)
-		}
-		onReps, err := c.Coef.Bind(ev.part.Reps)
-		if err != nil {
-			return fmt.Errorf("sketchrefine: constraint %q cannot be evaluated on representatives: %w", c, err)
-		}
-		ev.consOnRel = append(ev.consOnRel, onRel)
-		ev.consOnReps = append(ev.consOnReps, onReps)
-	}
-	return nil
+	return ev.spec.Validate()
 }
 
 // groupCap returns the sketch count cap for a group: |Gⱼ ∩ base|·(K+1),
@@ -366,8 +352,9 @@ var errRefineFailed = errors.New("sketchrefine: refinement failed")
 
 // contributions computes, for every constraint, the aggregate
 // contribution of the partial state excluding group skipGID's
-// representatives, term by term in order.
-func (ev *evaluator) contributions(st *state, skipGID int) []float64 {
+// representatives, term by term in order: the refined tuples over the
+// input relation, then the representatives over R̃ (whose row i is gid i).
+func (ev *evaluator) contributions(st *state, skipGID int) ([]float64, error) {
 	// Representatives in ascending gid order, not map order:
 	// floating-point addition is order-sensitive, and map iteration order
 	// would make the adjusted RHS — and with it the refine solutions —
@@ -379,23 +366,17 @@ func (ev *evaluator) contributions(st *state, skipGID int) []float64 {
 		}
 	}
 	out := make([]float64, len(ev.spec.Constraints))
-	coefs := make([]float64, max(len(st.rows), len(gids)))
-	for ci := range out {
-		v := weighted(0, ev.consOnRel[ci], st.rows, st.mult, coefs)
-		out[ci] = weighted(v, ev.consOnReps[ci], gids, mult, coefs)
+	for ci, c := range ev.spec.Constraints {
+		v, err := core.Weighted(0, c.Coef, ev.spec.Rel, st.rows, st.mult)
+		if err == nil {
+			v, err = core.Weighted(v, c.Coef, ev.part.Reps, gids, mult)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sketchrefine: constraint %q: %w", c, err)
+		}
+		out[ci] = v
 	}
-	return out
-}
-
-// weighted adds Σ mult[k]·coef(rows[k]) to v, a term at a time in order,
-// with coefs as scratch.
-func weighted(v float64, coef core.Fill, rows, mult []int, coefs []float64) float64 {
-	coefs = coefs[:len(rows)]
-	coef(rows, coefs)
-	for k, c := range coefs {
-		v += float64(mult[k]) * c
-	}
-	return v
+	return out, nil
 }
 
 // refineGroup solves the refine query Q[Gⱼ]: choose original tuples from
@@ -413,7 +394,10 @@ func (ev *evaluator) refineGroup(st *state, gid int) (*state, error) {
 		Repeat:    ev.spec.Repeat,
 		Objective: ev.spec.Objective,
 	}
-	rest := ev.contributions(st, gid)
+	rest, err := ev.contributions(st, gid)
+	if err != nil {
+		return nil, err
+	}
 	for ci, c := range ev.spec.Constraints {
 		sub.Constraints = append(sub.Constraints, core.Constraint{
 			Coef: c.Coef,

@@ -213,7 +213,7 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 		return nil, traced(root, err)
 	}
 	// Rebind the compiled spec to the snapshot (shallow copy: predicates
-	// and coefficients bind by attribute name at evaluation time). The
+	// and coefficients resolve attribute names at evaluation time). The
 	// solution cache keys on the relation's identity and version, so
 	// snapshot-bound solves share entries with head-bound ones.
 	spec := st.spec
