@@ -111,7 +111,7 @@ func main() {
 	flag.Float64Var(&o.tauFrac, "tau", 0.10, "sketchrefine: partition size threshold as a fraction of the data")
 	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "solver time limit per ILP")
 	flag.IntVar(&o.maxNodes, "maxnodes", paq.DefaultNodeLimit, "solver branch-and-bound node budget per ILP")
-	flag.IntVar(&o.workers, "workers", 0, "worker pool size for parallel partitioning (0 = GOMAXPROCS)")
+	flag.IntVar(&o.workers, "workers", 0, "worker pool size for the CSV decode and parallel partitioning (0 = GOMAXPROCS)")
 	flag.DurationVar(&o.deadline, "deadline", 0, "overall evaluation deadline (0 = none)")
 	flag.BoolVar(&o.explain, "explain", false, "print the statement's plan (method, partitioning, ILP size) without solving")
 	flag.BoolVar(&o.progress, "progress", false, "stream improving incumbents to stderr while solving")
@@ -180,7 +180,7 @@ func run(o options) (truncated bool, err error) {
 		}
 	}()
 	if o.appendPath != "" {
-		if err := appendCSV(sess, o.appendPath); err != nil {
+		if err := appendCSV(sess, o.appendPath, o.workers); err != nil {
 			return false, err
 		}
 	}
@@ -253,10 +253,11 @@ func run(o options) (truncated bool, err error) {
 }
 
 // appendCSV ingests every row of a CSV file (same column types as the
-// session's relation) through the live-dataset path, printing the
-// resulting dataset version and maintenance summary.
-func appendCSV(sess *paq.Session, path string) error {
-	extra, err := relation.LoadCSV(path)
+// session's relation), decoded on up to workers goroutines, through the
+// live-dataset path, printing the resulting dataset version and
+// maintenance summary.
+func appendCSV(sess *paq.Session, path string, workers int) error {
+	extra, err := relation.LoadCSVWorkers(path, workers)
 	if err != nil {
 		return err
 	}

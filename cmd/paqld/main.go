@@ -103,7 +103,7 @@ func main() {
 		tpchN    = flag.Int("tpch", 0, "preload the synthetic TPC-H dataset at this size (0 disables)")
 		seed     = flag.Int64("seed", 1, "generator seed for synthetic datasets")
 		tau      = flag.Float64("tau", 0.10, "partition size threshold as a fraction of each dataset")
-		workers  = flag.Int("workers", 0, "partition-build worker pool (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "CSV-load and partition-build worker pool (0 = GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "default per-request evaluation deadline")
 		maxTime  = flag.Duration("maxtimeout", 5*time.Minute, "cap on client-requested deadlines")
 		maxNodes = flag.Int("maxnodes", paq.DefaultNodeLimit, "solver branch-and-bound node budget per ILP")
@@ -233,7 +233,7 @@ func run(addr string, loads []string, galaxyN, tpchN int, seed int64, tau float6
 			return fmt.Errorf("bad -load %q, want name=path", spec)
 		}
 		if err := register(name, func() (*relation.Relation, error) {
-			rel, err := relation.LoadCSV(path)
+			rel, err := relation.LoadCSVWorkers(path, workers)
 			if err != nil {
 				return nil, fmt.Errorf("loading %q: %w", path, err)
 			}

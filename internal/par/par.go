@@ -1,12 +1,21 @@
 // Package par holds the one worker-pool idiom shared by the parallel
-// partitioning and the SDK's batch execution, so the clamping and
-// channel plumbing live in exactly one place.
+// partitioning, the SDK's batch execution and the CSV load, so the
+// clamping and channel plumbing live in exactly one place.
 package par
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
+
+// started counts the worker goroutines For has started.
+var started atomic.Uint64
+
+// Started returns how many worker goroutines For has started in this
+// process; a test reads it around a call to check that the call's
+// one-worker path started none.
+func Started() uint64 { return started.Load() }
 
 // For runs fn(0), …, fn(n−1) on at most workers goroutines and returns
 // when all calls have finished. workers ≤ 0 means runtime.GOMAXPROCS(0);
@@ -27,6 +36,7 @@ func For(n, workers int, fn func(i int)) {
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
+	started.Add(uint64(workers))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {

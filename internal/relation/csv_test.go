@@ -71,3 +71,32 @@ func TestReadCSVAllocationsPerRow(t *testing.T) {
 		t.Fatalf("ReadCSV allocates %.3f per row, want ≤ 1.05", perRow)
 	}
 }
+
+// TestCSVHeaderSuffixes: only ":f", ":i" and ":s" type a header field;
+// any other colon belongs to the column's name. Both loaders share the
+// header code.
+func TestCSVHeaderSuffixes(t *testing.T) {
+	data := []byte("time:zone,a:b:f,x:s,n:i\nutc+1,1.5,y,7\n")
+	want := mustSchema(
+		Column{Name: "time:zone", Type: String},
+		Column{Name: "a:b", Type: Float},
+		Column{Name: "x", Type: String},
+		Column{Name: "n", Type: Int},
+	)
+	read, err := ReadCSV("t", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := loadCSV(writeTemp(t, data), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Relation{"ReadCSV": read, "LoadCSV": loaded} {
+		if !r.Schema().Equal(want) {
+			t.Errorf("%s: schema %s, want %s", name, r.Schema(), want)
+		}
+		if got := r.Str(0, 0); got != "utc+1" {
+			t.Errorf("%s: time:zone cell %q", name, got)
+		}
+	}
+}

@@ -144,9 +144,10 @@ func WithRadiusLimit(omega float64) Option {
 	})
 }
 
-// WithWorkers bounds the goroutines used for parallel partitioning and
-// batch execution; 0 (the default) means GOMAXPROCS, 1 forces
-// sequential execution. Results are identical for every setting.
+// WithWorkers bounds the goroutines used for Open's CSV decode,
+// parallel partitioning and batch execution; 0 (the default) means
+// GOMAXPROCS, 1 forces sequential execution on the calling goroutine.
+// Results are identical for every setting.
 func WithWorkers(n int) Option {
 	return opt(func(c *config) error {
 		c.workers = n

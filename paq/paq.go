@@ -36,23 +36,26 @@ type Solver interface {
 	Solve(ctx context.Context, spec *core.Spec) (*Package, *Stats, error)
 }
 
-// Source is where Open loads the input relation from.
+// Source is where Open loads the input relation from; workers is the
+// session's WithWorkers bound.
 type Source interface {
-	load() (*relation.Relation, error)
+	load(workers int) (*relation.Relation, error)
 }
 
 type csvSource struct{ path string }
 
-func (s csvSource) load() (*relation.Relation, error) { return relation.LoadCSV(s.path) }
+func (s csvSource) load(workers int) (*relation.Relation, error) {
+	return relation.LoadCSVWorkers(s.path, workers)
+}
 
 // CSV sources the input relation from a typed CSV file (header fields
 // are name:type with type f=float, i=int, s=string, as written by the
-// datagen tool).
+// datagen tool). Open decodes the file on up to WithWorkers goroutines.
 func CSV(path string) Source { return csvSource{path: path} }
 
 type tableSource struct{ rel *relation.Relation }
 
-func (s tableSource) load() (*relation.Relation, error) {
+func (s tableSource) load(int) (*relation.Relation, error) {
 	if s.rel == nil {
 		return nil, fmt.Errorf("paq: nil relation")
 	}
@@ -197,7 +200,7 @@ func Open(src Source, opts ...Option) (*Session, error) {
 	case src == nil:
 		return nil, fmt.Errorf("paq: nil source")
 	default:
-		if d.rel, err = src.load(); err != nil {
+		if d.rel, err = src.load(cfg.workers); err != nil {
 			return nil, err
 		}
 		if d.rel.Len() == 0 {
