@@ -114,8 +114,8 @@ func randomTable(rng *rand.Rand, types []Type, n int, special bool) []byte {
 	return b.Bytes()
 }
 
-// csvSeeds are the inputs the differential test and the fuzz target
-// start from: loaders disagree most easily on the grammar's edges.
+// csvSeeds are the inputs the fuzz target starts from: loaders disagree
+// most easily on the grammar's edges.
 func csvSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(1))
 	seeds := [][]byte{
@@ -152,31 +152,28 @@ func csvSeeds() [][]byte {
 	return seeds
 }
 
-// TestLoadCSVMatchesReadCSV: for every seed and 1–4 ranges, LoadCSV
-// loads exactly what ReadCSV reads or fails with its error text.
+// TestLoadCSVMatchesReadCSV: a 20 000-row table with a TEXT column,
+// many ranges' worth, loads alike through LoadCSV on 1, 2, 3 and 7
+// ranges and through ReadCSV.
 func TestLoadCSVMatchesReadCSV(t *testing.T) {
-	for i, data := range csvSeeds() {
-		for ranges := 1; ranges <= 4; ranges++ {
-			if d := loadDiff(t, data, ranges); d != "" {
-				t.Errorf("seed %d, %d ranges: %s\n%q", i, ranges, d, data)
-			}
-		}
-	}
 	rng := rand.New(rand.NewSource(2))
 	big := randomTable(rng, []Type{String, Int, Float, Float, Float}, 20_000, false)
 	for _, ranges := range []int{1, 2, 3, 7} {
 		if d := loadDiff(t, big, ranges); d != "" {
-			t.Errorf("20 000 rows, %d ranges: %s", ranges, d)
+			t.Errorf("%d ranges: %s", ranges, d)
 		}
 	}
 }
 
 // FuzzLoadCSV is the differential fuzz target: any input, cut into 1–4
 // ranges (ranges of a few bytes on short inputs), loads through LoadCSV
-// exactly as through ReadCSV, or fails with the same error text.
+// exactly as through ReadCSV, or fails with the same error text. Every
+// seed is tried on every range count.
 func FuzzLoadCSV(f *testing.F) {
-	for i, data := range csvSeeds() {
-		f.Add(data, uint8(i))
+	for _, data := range csvSeeds() {
+		for ranges := uint8(0); ranges < 4; ranges++ {
+			f.Add(data, ranges)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, ranges uint8) {
 		if d := loadDiff(t, data, int(ranges%4)+1); d != "" {
