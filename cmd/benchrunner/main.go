@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			// the adaptive total solve time must not exceed the fixed
 			// heuristic's (within slack) with every objective inside the
 			// quality bound, and a close + reopen must restore the learned
-			// state: non-cold plans, zero partitioning builds on hot sets.
+			// state: non-cold plans, zero partitioning builds.
 			_, err := env.Advise(ctx, bench.AdviseConfig{Warmup: *adviseW, Rounds: *adviseR})
 			return err
 		}},

@@ -1,8 +1,6 @@
 // Package advisor is the workload-driven self-tuning subsystem: it
-// turns cheap observed execution signals into (1) an adaptive
-// evaluation-method choice per query shape and (2) a partitioning
-// advisor that mines recurring attribute sets so hot partitionings can
-// be pre-warmed and cold ones evicted under a budget.
+// turns cheap observed execution signals into an adaptive
+// evaluation-method choice per query shape.
 //
 // The design is deliberately statistics-free in the cost-model sense:
 // there is no selectivity estimation and nothing to keep calibrated.
@@ -25,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -53,13 +50,9 @@ const (
 	// for exploitation — speed never buys answers worse than this, unless
 	// every candidate is beyond it.
 	gapTolerance = 0.10
-	// hotUses is how many times an attribute set must recur before the
-	// partitioning advisor calls it hot.
-	hotUses = 3
-	// maxShapes and maxSets bound the tracked state; least-recently-seen
-	// entries are evicted past the cap.
+	// maxShapes bounds the tracked state; least-recently-seen shapes are
+	// evicted past the cap.
 	maxShapes = 256
-	maxSets   = 256
 )
 
 // Outcome is one execution's observed record, reported by the session
@@ -121,16 +114,6 @@ type Decision struct {
 	Scores []MethodScore `json:"scores,omitempty"`
 }
 
-// SetInfo describes one mined attribute set.
-type SetInfo struct {
-	Key   string   `json:"key"`
-	Attrs []string `json:"attrs"`
-	// Uses counts queries that wanted this set; LastVersion is the
-	// dataset version at its most recent use.
-	Uses        uint64 `json:"uses"`
-	LastVersion uint64 `json:"last_version"`
-}
-
 // Stats is a point-in-time snapshot of the advisor's counters.
 type Stats struct {
 	Outcomes  uint64 `json:"outcomes"`
@@ -138,8 +121,6 @@ type Stats struct {
 	Decisions uint64 `json:"decisions"`
 	Cold      uint64 `json:"cold_decisions"`
 	Probes    uint64 `json:"probes"`
-	Sets      int    `json:"sets_tracked"`
-	HotSets   int    `json:"hot_sets"`
 }
 
 // methodStats is the EWMA evidence for one (shape, method) pair.
@@ -163,32 +144,20 @@ type shapeState struct {
 	LastSeq    uint64                  `json:"last_seq"`
 }
 
-// setState is the mined record of one attribute set.
-type setState struct {
-	Attrs       []string `json:"attrs"`
-	Uses        uint64   `json:"uses"`
-	LastVersion uint64   `json:"last_version"`
-	LastSeq     uint64   `json:"last_seq"`
-}
-
 // Advisor is one session's adaptive state. Safe for concurrent use.
 type Advisor struct {
 	mu        sync.Mutex
-	seq       uint64 // logical clock: every Observe/Decide/ObserveSet tick
+	seq       uint64 // logical clock: every Observe/Decide tick
 	outcomes  uint64
 	decisions uint64
 	cold      uint64
 	probes    uint64
 	shapes    map[string]*shapeState
-	sets      map[string]*setState
 }
 
 // New returns an advisor with no evidence.
 func New() *Advisor {
-	return &Advisor{
-		shapes: make(map[string]*shapeState),
-		sets:   make(map[string]*setState),
-	}
+	return &Advisor{shapes: make(map[string]*shapeState)}
 }
 
 func (a *Advisor) shapeLocked(key string) *shapeState {
@@ -386,107 +355,37 @@ func (a *Advisor) Decide(shape, fallback string, candidates []string) Decision {
 	return dec
 }
 
-// trimLocked evicts least-recently-seen shapes and sets past their caps.
+// trimLocked evicts least-recently-seen shapes past the cap.
 func (a *Advisor) trimLocked() {
-	trimLRU(a.shapes, maxShapes, func(ss *shapeState) uint64 { return ss.LastSeq })
-	trimLRU(a.sets, maxSets, func(st *setState) uint64 { return st.LastSeq })
-}
-
-func trimLRU[V any](m map[string]V, max int, lastSeq func(V) uint64) {
-	for len(m) > max {
+	for len(a.shapes) > maxShapes {
 		victim, victimSeq := "", uint64(math.MaxUint64)
-		for k, v := range m {
-			if seq := lastSeq(v); seq < victimSeq {
-				victim, victimSeq = k, seq
+		for k, ss := range a.shapes {
+			if ss.LastSeq < victimSeq {
+				victim, victimSeq = k, ss.LastSeq
 			}
 		}
-		delete(m, victim)
+		delete(a.shapes, victim)
 	}
-}
-
-// ObserveSet records one query's demand for a partitioning attribute
-// set — the input to the hot-set miner.
-func (a *Advisor) ObserveSet(key string, attrs []string, version uint64) {
-	if key == "" {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.seq++
-	st := a.sets[key]
-	if st == nil {
-		st = &setState{Attrs: append([]string(nil), attrs...)}
-		a.sets[key] = st
-	}
-	st.Uses++
-	st.LastVersion = version
-	st.LastSeq = a.seq
-	a.trimLocked()
-}
-
-// HotSets returns the attribute sets recurring often enough to pre-warm,
-// most-used first (ties broken by key for determinism).
-func (a *Advisor) HotSets() []SetInfo {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []SetInfo
-	for k, st := range a.sets {
-		if st.Uses >= hotUses {
-			out = append(out, setInfoOf(k, st))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Uses != out[j].Uses {
-			return out[i].Uses > out[j].Uses
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-func setInfoOf(key string, st *setState) SetInfo {
-	return SetInfo{
-		Key:         key,
-		Attrs:       append([]string(nil), st.Attrs...),
-		Uses:        st.Uses,
-		LastVersion: st.LastVersion,
-	}
-}
-
-// SetInfo looks up one mined set (ok=false when never observed).
-func (a *Advisor) SetInfo(key string) (SetInfo, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st := a.sets[key]
-	if st == nil {
-		return SetInfo{}, false
-	}
-	return setInfoOf(key, st), true
 }
 
 // Stats snapshots the advisor's counters.
 func (a *Advisor) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Outcomes:  a.outcomes,
 		Shapes:    len(a.shapes),
 		Decisions: a.decisions,
 		Cold:      a.cold,
 		Probes:    a.probes,
-		Sets:      len(a.sets),
 	}
-	for _, s := range a.sets {
-		if s.Uses >= hotUses {
-			st.HotSets++
-		}
-	}
-	return st
 }
 
 // persistedState is the advisor's durable form (JSON inside the store's
 // framed sidecar file). The tuning constants are NOT persisted: a
 // restart keeps the evidence but follows the current process's tuning.
+// A state written with the attribute-set table ("sets") still loads:
+// decoding ignores the field.
 type persistedState struct {
 	Seq       uint64                 `json:"seq"`
 	Outcomes  uint64                 `json:"outcomes"`
@@ -494,7 +393,6 @@ type persistedState struct {
 	Cold      uint64                 `json:"cold"`
 	Probes    uint64                 `json:"probes"`
 	Shapes    map[string]*shapeState `json:"shapes"`
-	Sets      map[string]*setState   `json:"sets"`
 }
 
 // MarshalState serializes the advisor's evidence for persistence.
@@ -508,7 +406,6 @@ func (a *Advisor) MarshalState() ([]byte, error) {
 		Cold:      a.cold,
 		Probes:    a.probes,
 		Shapes:    a.shapes,
-		Sets:      a.sets,
 	})
 }
 
@@ -541,12 +438,6 @@ func (a *Advisor) RestoreState(data []byte) error {
 			}
 		}
 		a.shapes[k] = ss
-	}
-	a.sets = make(map[string]*setState)
-	for k, st := range ps.Sets {
-		if st != nil {
-			a.sets[k] = st
-		}
 	}
 	a.trimLocked()
 	return nil

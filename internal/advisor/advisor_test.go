@@ -116,33 +116,6 @@ func TestInfeasibleIsNotFailure(t *testing.T) {
 	}
 }
 
-// TestHotSetsAndEvictionOrder exercises the miner: recurrence makes a
-// set hot, and past maxSets the set table forgets the least recently
-// observed sets first.
-func TestHotSetsAndEvictionOrder(t *testing.T) {
-	a := New()
-	for i := 0; i < hotUses; i++ {
-		a.ObserveSet("price,weight", []string{"price", "weight"}, uint64(10+i))
-	}
-	a.ObserveSet("mass", []string{"mass"}, 20)
-	hot := a.HotSets()
-	if len(hot) != 1 || hot[0].Key != "price,weight" || hot[0].Uses != hotUses || hot[0].LastVersion != 10+hotUses-1 {
-		t.Fatalf("hot sets: %+v", hot)
-	}
-	for i := 0; i < maxSets-1; i++ {
-		a.ObserveSet(fmt.Sprintf("s%d", i), []string{"x"}, 30)
-	}
-	if _, ok := a.SetInfo("price,weight"); ok {
-		t.Fatal("least recently observed set survived the cap")
-	}
-	if _, ok := a.SetInfo("mass"); !ok {
-		t.Fatal("a set inside the cap was forgotten")
-	}
-	if got := a.Stats().Sets; got != maxSets {
-		t.Fatalf("tracked %d sets, cap is %d", got, maxSets)
-	}
-}
-
 // TestShapeCapEvictsLRU: the shape table stays bounded.
 func TestShapeCapEvictsLRU(t *testing.T) {
 	a := New()
@@ -161,39 +134,46 @@ func TestShapeCapEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestStateRoundtrip: marshal → restore preserves evidence, mined sets,
-// and counters; corrupt input errors without mutating state.
+// oldState is a sidecar as written while the advisor also kept an
+// attribute-set table ("sets"): the state TestStateRoundtrip builds, plus
+// one mined set.
+const oldState = `{"seq":5,"outcomes":3,"decisions":1,"cold":0,"probes":0,` +
+	`"shapes":{"q":{"methods":{"direct":{"n":3,"ms":7,"fail":0,"backtracks":0,"gap_n":3,"last_seq":3}},` +
+	`"best_obj":10,"has_best":true,"since_probe":1,"last_seq":5}},` +
+	`"sets":{"price":{"attrs":["price"],"uses":1,"last_version":42,"last_seq":4}}}`
+
+// TestStateRoundtrip: marshal → restore preserves evidence and counters,
+// a sidecar written with the attribute-set table restores the same, and
+// corrupt input errors without mutating state.
 func TestStateRoundtrip(t *testing.T) {
 	a := New()
 	feed(a, "q", "direct", 7, minSamples)
-	a.ObserveSet("price", []string{"price"}, 42)
 	a.Decide("q", "direct", []string{"direct"})
 
 	data, err := a.MarshalState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := New()
-	if err := b.RestoreState(data); err != nil {
-		t.Fatal(err)
-	}
-	as, bs := a.Stats(), b.Stats()
-	if as != bs {
-		t.Fatalf("stats diverge after restore: %+v vs %+v", as, bs)
-	}
-	si, ok := b.SetInfo("price")
-	if !ok || si.Uses != 1 || si.LastVersion != 42 {
-		t.Fatalf("set info lost: %+v ok=%v", si, ok)
-	}
-	dec := b.Decide("q", "direct", []string{"direct"})
-	if dec.Cold || dec.Scores[0].N != minSamples {
-		t.Fatalf("method evidence lost: %+v", dec)
-	}
+	as := a.Stats()
+	for name, in := range map[string][]byte{"current": data, "with sets": []byte(oldState)} {
+		b := New()
+		if err := b.RestoreState(in); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		bs := b.Stats()
+		if as != bs {
+			t.Fatalf("%s: stats diverge after restore: %+v vs %+v", name, as, bs)
+		}
+		dec := b.Decide("q", "direct", []string{"direct"})
+		if dec.Cold || dec.Scores[0].N != minSamples || dec.Scores[0].MeanMS != 7 {
+			t.Fatalf("%s: method evidence lost: %+v", name, dec)
+		}
 
-	if err := b.RestoreState([]byte("{not json")); err == nil {
-		t.Fatal("corrupt state restored silently")
-	}
-	if b.Stats().Outcomes != bs.Outcomes {
-		t.Fatal("failed restore mutated state")
+		if err := b.RestoreState([]byte("{not json")); err == nil {
+			t.Fatalf("%s: corrupt state restored silently", name)
+		}
+		if b.Stats().Outcomes != bs.Outcomes {
+			t.Fatalf("%s: failed restore mutated state", name)
+		}
 	}
 }

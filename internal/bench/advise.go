@@ -21,7 +21,7 @@ import (
 // the quality bound. The adaptive sessions are durable: after the
 // measured phase they are closed and reopened, and the restarted
 // session must come back with its learned state — non-cold plans and
-// zero partitioning builds on the hot attribute sets.
+// zero partitioning builds on the workload's attribute sets.
 type AdviseConfig struct {
 	// Warmup is the number of workload rounds the advisor learns over
 	// before measurement starts (0 means 8). It must cover the advisor's
@@ -97,7 +97,7 @@ type AdviseResult struct {
 	Queries                             []AdviseQueryResult
 	// Restart observability: per-dataset advisor state after close +
 	// reopen. RestartOutcomes must be restored (> 0), RestartPartBuilds
-	// must stay 0 (every hot set warm-started, none rebuilt), and
+	// must stay 0 (every built set warm-started, none rebuilt), and
 	// ColdPlans must be 0 (the restored evidence keeps every decision
 	// out of the cold-start fallback).
 	RestartOutcomes   uint64
@@ -149,10 +149,7 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 	for _, ds := range []Dataset{Galaxy, TPCH} {
 		p := &adviseSession{ds: ds, dir: filepath.Join(dir, string(ds)), queries: e.feasibleQueries(ds)}
 		opts := func(extra ...paq.Option) []paq.Option {
-			return e.sessionOpts(append([]paq.Option{
-				paq.WithSeed(e.cfg.Seed),
-				paq.WithWarmSetBudget(32),
-			}, extra...)...)
+			return e.sessionOpts(append([]paq.Option{paq.WithSeed(e.cfg.Seed)}, extra...)...)
 		}
 		var err error
 		if p.adaptive, err = paq.Open(paq.Table(e.rels[ds]), opts(paq.WithDurability(p.dir))...); err != nil {
@@ -178,7 +175,7 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 		return stmt, m
 	}
 
-	// --- warm-up: the advisor observes, probes, and pre-warms -----------
+	// --- warm-up: the advisor observes and probes ------------------------
 	// The fixed twin runs the same rounds so its lazily built
 	// partitionings are also paid for outside the measured phase.
 	for round := 0; round < cfg.Warmup; round++ {
@@ -191,7 +188,6 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 					return nil, fmt.Errorf("bench: advise: warmup %s/%s (fixed): %w", p.ds, q.Name, m.Err)
 				}
 			}
-			p.adaptive.AdvisorMaintain()
 		}
 	}
 
@@ -293,17 +289,13 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 	// --- restart: the learned state must survive a close + reopen -------
 	// Close snapshots the dataset (with its warm partitionings) and the
 	// advisor sidecar; the reopened session must plan non-cold and serve
-	// every hot attribute set from warm-started partitionings — zero
-	// builds.
+	// every attribute set the workload built from warm-started
+	// partitionings — zero builds.
 	for _, p := range pairs {
-		p.adaptive.AdvisorMaintain()
 		if err := p.adaptive.Close(); err != nil {
 			return nil, fmt.Errorf("bench: advise: closing %s: %w", p.ds, err)
 		}
-		reopened, err := paq.Open(nil, e.sessionOpts(
-			paq.WithSeed(e.cfg.Seed),
-			paq.WithWarmSetBudget(32),
-			paq.WithDurability(p.dir))...)
+		reopened, err := paq.Open(nil, e.sessionOpts(paq.WithSeed(e.cfg.Seed), paq.WithDurability(p.dir))...)
 		if err != nil {
 			return nil, fmt.Errorf("bench: advise: reopening %s: %w", p.ds, err)
 		}
@@ -330,7 +322,7 @@ func (e *Env) Advise(ctx context.Context, cfg AdviseConfig) (*AdviseResult, erro
 		}
 		if pb := reopened.AdvisorStats().PartBuilds; pb != 0 {
 			res.RestartPartBuilds += pb
-			violation("%s: %d partitioning build(s) after restart, want 0 (hot sets must warm-start)", p.ds, pb)
+			violation("%s: %d partitioning build(s) after restart, want 0 (built sets must warm-start)", p.ds, pb)
 		}
 		if err := reopened.Close(); err != nil {
 			return nil, fmt.Errorf("bench: advise: closing reopened %s: %w", p.ds, err)

@@ -252,10 +252,6 @@ func (s *Server) registerCollectors() {
 		adv(func(st paq.AdvisorStats) float64 { return float64(st.ColdDecisions) }))
 	reg.CollectFunc("paqld_advisor_probes_total", "counter", "Deliberate exploration probes per dataset.",
 		adv(func(st paq.AdvisorStats) float64 { return float64(st.Probes) }))
-	reg.CollectFunc("paqld_advisor_prewarmed_total", "counter", "Partitionings built by advisor maintenance passes per dataset.",
-		adv(func(st paq.AdvisorStats) float64 { return float64(st.Prewarmed) }))
-	reg.CollectFunc("paqld_advisor_evicted_total", "counter", "Warm partitionings evicted by the advisor per dataset.",
-		adv(func(st paq.AdvisorStats) float64 { return float64(st.Evicted) }))
 
 	// Replication: rendered only while a repl.Node has installed the
 	// provider.

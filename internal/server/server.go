@@ -360,11 +360,14 @@ func (s *Server) isDraining() bool {
 }
 
 // MaintainOnce runs one background-maintenance pass over every
-// dataset: a dataset whose tombstone ratio exceeds the configured
-// threshold is compacted (reclaiming resident memory), and a durable
-// dataset whose WAL has outgrown WALMaxBytes is snapshotted (folding
-// the log away). It returns a human-readable action log, one entry per
-// dataset acted on. paqld calls it on a timer; tests call it directly.
+// dataset: the advisor's evidence is written to a durable dataset's
+// sidecar (replicas included, so a promoted follower keeps its tuning),
+// a dataset whose tombstone ratio exceeds the configured threshold is
+// compacted (reclaiming resident memory), and a durable dataset whose
+// WAL has outgrown WALMaxBytes is snapshotted (folding the log away). It
+// returns a human-readable action log, one entry per dataset acted on
+// or sidecar write failed. paqld calls it on a timer; tests call it
+// directly.
 func (s *Server) MaintainOnce() []string {
 	s.mu.RLock()
 	datasets := make([]*Dataset, 0, len(s.datasets))
@@ -374,6 +377,9 @@ func (s *Server) MaintainOnce() []string {
 	s.mu.RUnlock()
 	var actions []string
 	for _, ds := range datasets {
+		if err := ds.Session().SaveAdvisorState(); err != nil {
+			actions = append(actions, fmt.Sprintf("%s: saving advisor state failed: %v", ds.Name(), err))
+		}
 		if ds.IsReplica() {
 			// A replica's layout mirrors its leader's byte-for-byte;
 			// compacting or snapshotting it locally would renumber rows out
@@ -408,42 +414,6 @@ func (s *Server) MaintainOnce() []string {
 			s.ctr.snapshots.Add(1)
 			actions = append(actions, fmt.Sprintf("%s: snapshotted (WAL was %d bytes)", ds.Name(), d.WALBytes))
 		}
-	}
-	return actions
-}
-
-// AdviseOnce runs one advisor maintenance pass over every dataset:
-// partitionings for hot attribute sets are pre-warmed, cold warm sets
-// beyond the budget evicted, and (on durable datasets) the advisor's
-// evidence persisted. Replicas are included — pre-warming only builds
-// in-memory quad-trees over the existing layout, never renumbers rows,
-// and a follower that is promoted wants its hot sets already warm. It
-// returns a human-readable action log; paqld calls it on the
-// maintenance timer, tests call it directly.
-func (s *Server) AdviseOnce() []string {
-	s.mu.RLock()
-	datasets := make([]*Dataset, 0, len(s.datasets))
-	for _, ds := range s.datasets {
-		datasets = append(datasets, ds)
-	}
-	s.mu.RUnlock()
-	var actions []string
-	for _, ds := range datasets {
-		pass := ds.Session().AdvisorMaintain()
-		if len(pass.Prewarmed) == 0 && len(pass.Evicted) == 0 {
-			continue
-		}
-		msg := ds.Name() + ":"
-		if len(pass.Prewarmed) > 0 {
-			msg += fmt.Sprintf(" prewarmed %v", pass.Prewarmed)
-		}
-		if len(pass.Evicted) > 0 {
-			msg += fmt.Sprintf(" evicted %v", pass.Evicted)
-		}
-		if pass.Persisted {
-			msg += " (persisted)"
-		}
-		actions = append(actions, msg)
 	}
 	return actions
 }
@@ -900,10 +870,8 @@ type DatasetStats struct {
 	// in-memory datasets).
 	Durability *DurJSON              `json:"durability,omitempty"`
 	Caches     map[string]CacheStats `json:"caches"`
-	// WarmSets lists the dataset's warm partitionings with the advisor's
-	// evidence (uses, last-used version, pinned) — what makes
-	// advisor evictions observable. Advisor is the adaptive planner's
-	// counter block.
+	// WarmSets lists the dataset's warm partitionings (attributes,
+	// groups). Advisor is the adaptive planner's counter block.
 	WarmSets []paq.WarmSet `json:"warm_sets,omitempty"`
 	Advisor  *AdvisorJSON  `json:"advisor,omitempty"`
 }

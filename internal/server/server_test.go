@@ -637,8 +637,7 @@ MAXIMIZE SUM(P.petrorad)`,
 }
 
 // TestAdvisorStatsExposed: warm partitionings and the adaptive
-// planner's counters are observable at /stats; the dataset's hot set is
-// its pinned, already-warm partitioning, so AdviseOnce has nothing to do.
+// planner's counters are observable at /stats.
 func TestAdvisorStatsExposed(t *testing.T) {
 	srv := New(Config{})
 	ds, err := NewDataset("galaxy", workload.Galaxy(500, 3), testDatasetConfig())
@@ -657,12 +656,6 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 			t.Fatalf("query %d: status %d: %s", i, status, raw)
 		}
 	}
-	// Three uses make the dataset's (fixed) attribute set hot; it is warm
-	// since registration, so the pass neither builds nor evicts anything.
-	if acts := srv.AdviseOnce(); len(acts) != 0 {
-		t.Fatalf("AdviseOnce acted on an already-warm pinned set: %v", acts)
-	}
-
 	resp, err := ts.Client().Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -683,23 +676,18 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 	if len(dst.WarmSets) == 0 {
 		t.Fatal("/stats reports no warm_sets")
 	}
-	var pinned bool
 	for _, ws := range dst.WarmSets {
-		pinned = pinned || ws.Pinned
-		if ws.Uses < 3 {
-			t.Errorf("warm set %v uses = %d, want the three queries counted", ws.Attrs, ws.Uses)
+		if len(ws.Attrs) == 0 || ws.Groups == 0 {
+			t.Errorf("warm set %+v: want its attributes and groups", ws)
 		}
-	}
-	if !pinned {
-		t.Errorf("warm sets %+v: want the session set pinned", dst.WarmSets)
 	}
 	if dst.Advisor == nil {
 		t.Fatal("/stats has no advisor block")
 	}
-	if dst.Advisor.Decisions < 3 || dst.Advisor.HotSets < 1 {
+	if dst.Advisor.Decisions < 3 || dst.Advisor.Outcomes < 1 {
 		t.Errorf("advisor block %+v does not reflect the workload", dst.Advisor)
 	}
-	for _, field := range []string{`"warm_sets"`, `"last_used_version"`, `"advisor"`, `"hot_sets"`} {
+	for _, field := range []string{`"warm_sets"`, `"groups"`, `"advisor"`, `"decisions"`} {
 		if !bytes.Contains(raw, []byte(field)) {
 			t.Errorf("/stats JSON is missing %s", field)
 		}

@@ -2,9 +2,7 @@ package paq_test
 
 import (
 	"context"
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -33,8 +31,6 @@ func abcRelation(n int) *relation.Relation {
 const (
 	abcQueryA = `SELECT PACKAGE(T) AS P FROM t T REPEAT 0
 SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.a)`
-	abcQueryB = `SELECT PACKAGE(T) AS P FROM t T REPEAT 0
-SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.b)`
 	abcQueryAB = `SELECT PACKAGE(T) AS P FROM t T REPEAT 0
 SUCH THAT COUNT(P.*) = 2 AND SUM(P.a) >= 0 MAXIMIZE SUM(P.b)`
 )
@@ -185,200 +181,6 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 	}
 }
 
-// TestAdvisorEvictsColdWarmSets: two attribute sets go hot, the budget
-// admits one — the maintenance pass finds both built by their queries,
-// evicts the least recently used, and WarmSets/AdvisorStats make the
-// eviction visible.
-func TestAdvisorEvictsColdWarmSets(t *testing.T) {
-	sess, err := paq.Open(paq.Table(abcRelation(60)), paq.WithWarmSetBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := sess.Prepare(abcQueryA, paq.WithMethod(paq.MethodSketchRefine)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := sess.Prepare(abcQueryB, paq.WithMethod(paq.MethodSketchRefine)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pass := sess.AdvisorMaintain()
-	if len(pass.Prewarmed) != 0 {
-		t.Fatalf("maintenance prewarmed %v, but both hot sets were already built", pass.Prewarmed)
-	}
-	if len(pass.Evicted) != 1 || pass.Evicted[0] != "a" {
-		t.Fatalf("evicted %v, want the LRU set [a]", pass.Evicted)
-	}
-	var keys []string
-	for _, ws := range sess.WarmSets() {
-		keys = append(keys, strings.Join(ws.Attrs, ","))
-		if ws.Attrs[0] == "b" && ws.Uses != 3 {
-			t.Errorf("surviving warm set %+v lost its advisor evidence", ws)
-		}
-	}
-	if len(keys) != 1 || keys[0] != "b" {
-		t.Errorf("warm sets after eviction: %v, want only [b]", keys)
-	}
-	if st := sess.AdvisorStats(); st.Evicted != 1 || st.Prewarmed != 0 {
-		t.Errorf("advisor stats %+v, want prewarmed=0 evicted=1", st)
-	}
-	// The evicted set is not gone forever: demand rebuilds it lazily.
-	stmt, err := sess.Prepare(abcQueryA, paq.WithMethod(paq.MethodSketchRefine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stmt.Execute(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAdvisorPassesSettleWithinBudget: with more hot sets than the
-// budget admits, a pass builds none past it. The first pass evicts the
-// least recently used of the two the queries built; later passes find the
-// budget full and neither rebuild the evicted set nor evict another, so
-// the partition builds stay at the queries' two.
-func TestAdvisorPassesSettleWithinBudget(t *testing.T) {
-	sess, err := paq.Open(paq.Table(abcRelation(60)), paq.WithWarmSetBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{abcQueryA, abcQueryB} {
-		for i := 0; i < 3; i++ {
-			if _, err := sess.Prepare(q, paq.WithMethod(paq.MethodSketchRefine)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	builds := sess.AdvisorStats().PartBuilds
-	if pass := sess.AdvisorMaintain(); len(pass.Prewarmed) != 0 || strings.Join(pass.Evicted, " ") != "a" {
-		t.Fatalf("first pass prewarmed %v, evicted %v; want nothing, [a]", pass.Prewarmed, pass.Evicted)
-	}
-	for i := 2; i <= 4; i++ {
-		if pass := sess.AdvisorMaintain(); len(pass.Prewarmed) != 0 || len(pass.Evicted) != 0 {
-			t.Errorf("pass %d prewarmed %v, evicted %v; want nothing with the budget full", i, pass.Prewarmed, pass.Evicted)
-		}
-	}
-	if st := sess.AdvisorStats(); st.PartBuilds != builds {
-		t.Errorf("partition builds %d → %d over the passes; want no rebuild", builds, st.PartBuilds)
-	}
-	if ws := sess.WarmSets(); len(ws) != 1 || strings.Join(ws[0].Attrs, ",") != "b" {
-		t.Errorf("warm sets after the passes: %+v, want only [b]", ws)
-	}
-}
-
-// TestWarmSetBudgetCoversQueryBuiltSets: the budget bounds every
-// unpinned warm set of the shape, not only the ones a pass built — with
-// room for one, the pass keeps the set resolved last (here by an
-// Execute's pin) and evicts the others, though no set is hot.
-func TestWarmSetBudgetCoversQueryBuiltSets(t *testing.T) {
-	sess, err := paq.Open(paq.Table(abcRelation(60)), paq.WithWarmSetBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stmtA *paq.Stmt
-	for _, q := range []string{abcQueryA, abcQueryB, abcQueryAB} {
-		stmt, err := sess.Prepare(q, paq.WithMethod(paq.MethodSketchRefine))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stmtA == nil {
-			stmtA = stmt
-		}
-	}
-	if _, err := stmtA.Execute(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	pass := sess.AdvisorMaintain()
-	if len(pass.Prewarmed) != 0 {
-		t.Errorf("pass prewarmed %v with no hot set", pass.Prewarmed)
-	}
-	if strings.Join(pass.Evicted, " ") != "b a,b" {
-		t.Errorf("evicted %v, want [b a,b] (least recently resolved first)", pass.Evicted)
-	}
-	ws := sess.WarmSets()
-	if len(ws) != 1 || strings.Join(ws[0].Attrs, ",") != "a" || ws[0].Pinned {
-		t.Fatalf("warm sets after the pass: %+v, want only the unpinned [a]", ws)
-	}
-}
-
-// TestSiblingSetsSurviveEviction: the budget is the registry's, so one
-// session's pass respects what its same-shape clones hold — a clone's
-// pinned session-wide set (however long unused) and a set a clone
-// resolved last both survive; the original's own stale set goes.
-func TestSiblingSetsSurviveEviction(t *testing.T) {
-	orig, err := paq.Open(paq.Table(abcRelation(60)), paq.WithWarmSetBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orig.Clone(paq.WithPartitionAttrs("c"), paq.WithWarmPartitioning()); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{abcQueryA, abcQueryB} {
-		if _, err := orig.Prepare(q, paq.WithMethod(paq.MethodSketchRefine)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sib, err := orig.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sib.Prepare(abcQueryA, paq.WithMethod(paq.MethodSketchRefine)); err != nil {
-		t.Fatal(err)
-	}
-	if pass := orig.AdvisorMaintain(); strings.Join(pass.Evicted, " ") != "b" {
-		t.Errorf("evicted %v, want only the original's stale [b]", pass.Evicted)
-	}
-	var got []string
-	for _, ws := range sib.WarmSets() {
-		got = append(got, fmt.Sprintf("%s pinned=%v", strings.Join(ws.Attrs, ","), ws.Pinned))
-	}
-	if want := "a pinned=false; c pinned=true"; strings.Join(got, "; ") != want {
-		t.Errorf("warm sets after the original's pass: %q, want %q", strings.Join(got, "; "), want)
-	}
-}
-
-// TestEvictionRacesResolves: one session's passes evict registry entries
-// while clones prepare and execute over the same sets — every execution
-// still succeeds (an evicted set is rebuilt by whichever asks next), and
-// the race detector checks the registry's recency and pin state.
-func TestEvictionRacesResolves(t *testing.T) {
-	orig, err := paq.Open(paq.Table(abcRelation(60)), paq.WithWarmSetBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g, q := range []string{abcQueryA, abcQueryB, abcQueryAB} {
-		sess, err := orig.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				stmt, err := sess.Prepare(q, paq.WithMethod(paq.MethodSketchRefine))
-				if err == nil {
-					_, err = stmt.Execute(context.Background())
-				}
-				if err != nil {
-					t.Errorf("clone %d, round %d: %v", g, i, err)
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 20; i++ {
-		orig.AdvisorMaintain()
-	}
-	wg.Wait()
-	orig.AdvisorMaintain()
-	if ws := orig.WarmSets(); len(ws) != 1 {
-		t.Errorf("%d warm sets after a final pass, budget is 1: %+v", len(ws), ws)
-	}
-}
-
 // TestStatementRefinesOverItsOwnSet: a statement partitions on its own
 // attributes (coverage 1, paper §4.1) even when a warm partitioning over
 // a superset of them exists — refining over the superset measurably
@@ -388,20 +190,13 @@ func TestStatementRefinesOverItsOwnSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mine demand for {a,b} without building anything (small input: auto
-	// plans direct), then let a pass build it.
-	for i := 0; i < 3; i++ {
-		stmt, err := sess.Prepare(abcQueryAB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stmt.Method() != paq.MethodDirect {
-			t.Fatalf("small auto query planned %s, want direct", stmt.Method())
-		}
+	// A SketchRefine statement over {a,b} builds the superset.
+	ab, err := sess.Prepare(abcQueryAB, paq.WithMethod(paq.MethodSketchRefine))
+	if err != nil {
+		t.Fatal(err)
 	}
-	pass := sess.AdvisorMaintain()
-	if len(pass.Prewarmed) != 1 || pass.Prewarmed[0] != "a,b" {
-		t.Fatalf("maintenance prewarmed %v, want [a,b]", pass.Prewarmed)
+	if pi := ab.Plan().Partitioning; pi == nil || strings.Join(pi.Attrs, ",") != "a,b" {
+		t.Fatalf("plan partitioning %+v, want [a,b]", pi)
 	}
 	stmt, err := sess.Prepare(abcQueryA, paq.WithMethod(paq.MethodSketchRefine))
 	if err != nil {
@@ -414,13 +209,14 @@ func TestStatementRefinesOverItsOwnSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := sess.AdvisorStats(); st.PartBuilds != 2 {
-		t.Errorf("part builds = %d, want the pass's and the statement's own", st.PartBuilds)
+		t.Errorf("part builds = %d, want the superset's and the statement's own", st.PartBuilds)
 	}
 }
 
 // TestAdvisorStatePersists: a durable session's advisor evidence and
-// warm sets survive Close/Open — the restarted session re-plans hot
-// queries without a cold phase and without rebuilding partitionings.
+// warm sets survive Close/Open — Close writes the advisor's sidecar with
+// the final snapshot — so the restarted session re-plans hot queries
+// without a cold phase and without rebuilding partitionings.
 func TestAdvisorStatePersists(t *testing.T) {
 	dir := t.TempDir()
 	rel := workload.Galaxy(2500, 7)
@@ -445,10 +241,6 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 	if got := sess.AdvisorStats().PartBuilds; got != 1 {
 		t.Fatalf("first session paid %d builds, want 1", got)
 	}
-	pass := sess.AdvisorMaintain()
-	if !pass.Persisted {
-		t.Fatal("maintenance pass did not persist advisor state")
-	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +251,7 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 	}
 	defer re.Close()
 	st := re.AdvisorStats()
-	if st.Outcomes < 3 || st.SetsTracked < 1 {
+	if st.Outcomes < 3 {
 		t.Fatalf("restored advisor stats %+v, want the first session's evidence", st)
 	}
 	if len(re.WarmSets()) == 0 {
@@ -484,8 +276,8 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 	}
 }
 
-// TestWithoutAdvisor pins the opt-out: no Adaptive block, no mining, no
-// outcome tracking — the session behaves exactly like the fixed
+// TestWithoutAdvisor pins the opt-out: no Adaptive block, no outcome
+// tracking — the session behaves exactly like the fixed
 // heuristic (the bench harness's A/B twin relies on this).
 func TestWithoutAdvisor(t *testing.T) {
 	sess, err := paq.Open(paq.Table(mealRelation()), paq.WithoutAdvisor())
@@ -503,10 +295,7 @@ func TestWithoutAdvisor(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sess.AdvisorStats()
-	if st.Enabled || st.Outcomes != 0 || st.Decisions != 0 || st.SetsTracked != 0 {
+	if st.Enabled || st.Outcomes != 0 || st.Decisions != 0 || st.Shapes != 0 {
 		t.Errorf("disabled advisor accumulated state: %+v", st)
-	}
-	if pass := sess.AdvisorMaintain(); len(pass.Prewarmed)+len(pass.Evicted) != 0 || pass.Persisted {
-		t.Errorf("disabled advisor's maintenance pass did work: %+v", pass)
 	}
 }

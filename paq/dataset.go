@@ -39,16 +39,14 @@ type dataset struct {
 	st *store.Store
 
 	// regMu guards the registry: parts maps an attribute set (partKey)
-	// to its partitioning; engines lists every registered solution cache
-	// over the relation. dirty (its own atomic) marks partitionings built
-	// or evicted since the last snapshot, so a restart keeps them; clock
-	// (also its own) ticks once per entry resolve hands out, the recency
-	// the warm-set budget evicts by.
+	// to its partitioning, and an entry is never removed; engines lists
+	// every registered solution cache over the relation. dirty (its own
+	// atomic) marks partitionings built since the last snapshot, so a
+	// restart keeps them.
 	regMu   sync.Mutex
 	parts   map[string]*partEntry
 	engines []*engine.Engine
 	dirty   atomic.Bool
-	clock   atomic.Uint64
 
 	// warm counts the partitionings recovery warm-started (see DurStats);
 	// written only before the dataset is shared.
@@ -62,18 +60,12 @@ type dataset struct {
 // build. maint maintains it incrementally under dataset mutations
 // (created on the first one; only touched under the dataMu write lock).
 type partEntry struct {
-	// key is the canonical attribute set (partKey, also the advisor's
-	// name for the set) and the prefix of the solution-cache keys solved
-	// over this partitioning.
+	// key is the canonical attribute set (partKey) and the prefix of the
+	// solution-cache keys solved over this partitioning.
 	key      string
 	building sync.Mutex
 	part     atomic.Pointer[partition.Partitioning]
 	maint    *partition.Maintainer
-	// lastUsed is the dataset clock when resolve last handed the entry
-	// out (0: never, since recovery). pinned marks a set some session
-	// plans over session-wide; the warm-set budget never evicts it.
-	lastUsed atomic.Uint64
-	pinned   atomic.Bool
 	// view caches the frozen partitioning view bound to the current
 	// pinned relation snapshot. Snapshot pointers are one-per-version
 	// (see pinCache), so pointer equality on view.Rel is exactly "view
@@ -114,7 +106,7 @@ func (d *dataset) entry(key string, create bool) *partEntry {
 
 // each is the one loop over "every partitioning over the relation": it
 // visits the built registry entries (maintenance, compaction, snapshot,
-// MaintStats, QualityBound, WarmSets, the warm-set budget).
+// MaintStats, QualityBound, WarmSets).
 // The caller holds dataMu; the write side for anything that touches a
 // maintainer or the partitioning itself.
 func (d *dataset) each(fn func(*partEntry) error) error {

@@ -154,9 +154,8 @@ func TestCloseKeepsSiblingBuiltPartitionings(t *testing.T) {
 	}
 }
 
-// TestCloneRejectsDatasetOptions: τ, ω, durability and the warm-set
-// budget are fixed at Open, so a Clone that would change one fails — in
-// particular Clone(WithDurability) on an in-memory session, which would
+// TestCloneRejectsDatasetOptions: τ, ω and durability are fixed at
+// Open, so a Clone that would change one fails — in particular Clone(WithDurability) on an in-memory session, which would
 // otherwise return a clone whose mutations are never logged. Options
 // that restate the dataset's values, or change only the session, clone.
 func TestCloneRejectsDatasetOptions(t *testing.T) {
@@ -165,11 +164,10 @@ func TestCloneRejectsDatasetOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, o := range map[string]paq.Option{
-		"durability":      paq.WithDurability(t.TempDir()),
-		"tau":             paq.WithTau(0.5),
-		"tau tuples":      paq.WithTauTuples(25),
-		"radius limit":    paq.WithRadiusLimit(1),
-		"warm-set budget": paq.WithWarmSetBudget(2),
+		"durability":   paq.WithDurability(t.TempDir()),
+		"tau":          paq.WithTau(0.5),
+		"tau tuples":   paq.WithTauTuples(25),
+		"radius limit": paq.WithRadiusLimit(1),
 	} {
 		if c, err := s.Clone(o); err == nil {
 			t.Errorf("Clone changing the %s succeeded (clone durable: %v)", name, c.DurStats().Durable)

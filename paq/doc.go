@@ -22,19 +22,18 @@
 // offline partitionings — lazily built, one per distinct attribute set
 // — are owned by the dataset, because the paper makes the partitioning
 // a property of the relation, built once and reused by every query. So
-// is what describes them: τ, ω, durability and the warm-set budget are
-// fixed at Open. What the Session itself holds is the rest of the
-// configuration, an adaptive advisor, and one solution cache per
-// evaluation strategy. Session.Clone returns a second view onto the
-// same dataset with its own configuration, advisor and caches: a
-// partitioning either of them builds — before or after the Clone —
-// serves both, every mutation maintains it once, and Close, Snapshot
-// and DurStats mean the same thing on either. A Stmt is a compiled
-// query with a typed Plan — the chosen evaluation method and why, the
-// partitioning, and the ILP size — so EXPLAIN is a first-class
-// operation. Execute streams improving incumbents of the underlying
-// branch-and-bound solve to an optional callback, turning every solve
-// into an anytime computation.
+// is what describes them: τ, ω and durability are fixed at Open. What
+// the Session itself holds is the rest of the configuration, an
+// adaptive advisor, and one solution cache per evaluation strategy.
+// Session.Clone returns a second view onto the same dataset with its own
+// configuration, advisor and caches: a partitioning either of them
+// builds — before or after the Clone — serves both, every mutation
+// maintains it once, and Close, Snapshot and DurStats mean the same
+// thing on either. A Stmt is a compiled query with a typed Plan — the
+// chosen evaluation method and why, the partitioning, and the ILP size —
+// so EXPLAIN is a first-class operation. Execute streams improving
+// incumbents of the underlying branch-and-bound solve to an optional
+// callback, turning every solve into an anytime computation.
 //
 // # Live datasets
 //

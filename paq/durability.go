@@ -150,8 +150,8 @@ func (d *dataset) snapshotLocked() error {
 	if d.rel.Len() == d.rel.Live() && !d.st.Dirty(d.rel.Version()) && !d.dirty.Load() {
 		// Nothing to fold in: no tombstones to reclaim, no WAL records,
 		// the latest snapshot already holds this exact version, and no
-		// partitioning was built or evicted since. Skip the O(dataset)
-		// rewrite — this is every read-only run's Close.
+		// partitioning was built since. Skip the O(dataset) rewrite —
+		// this is every read-only run's Close.
 		return nil
 	}
 	compacted, err := d.compactLocked()

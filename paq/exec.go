@@ -207,11 +207,8 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 	// never stalls behind this solve. Incumbent callbacks run outside
 	// any session lock, so they may issue mutations.
 	pinSp := root.Child("pin")
-	pin, err := st.sess.pinExec(st, pinSp)
+	pin := st.sess.pinExec(st, pinSp)
 	pinSp.Finish()
-	if err != nil {
-		return nil, traced(root, err)
-	}
 	// Rebind the compiled spec to the snapshot (shallow copy: predicates
 	// and coefficients resolve attribute names at evaluation time). The
 	// solution cache keys on the relation's identity and version, so
@@ -269,7 +266,7 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 	// mutation racing this solve must not make the reported objective
 	// disagree with the version the package was chosen at.
 	var obj float64
-	err = res.Err
+	err := res.Err
 	if err == nil {
 		objSp := root.Child("objective")
 		obj, err = res.Pkg.ObjectiveValue(spec)

@@ -127,10 +127,7 @@ func TestGroupCellsBuildBitIdentical(t *testing.T) {
 		if _, err := stmt.Execute(context.Background()); err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatal(err)
 		}
-		pin, err := s.pinExec(stmt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pin := s.pinExec(stmt, nil)
 		for gid, g := range pin.view.Groups {
 			for _, k := range kinds {
 				spec := &core.Spec{Rel: pin.snap, Constraints: []core.Constraint{{Coef: k, Op: lp.LE, RHS: 1}},
@@ -194,11 +191,8 @@ func TestGroupCellsBypassed(t *testing.T) {
 	if filled != 0 || slices.ContainsFunc(sources, func(c string) bool { return c != "relation" }) {
 		t.Fatalf("a row-subset execution read %v and filled %d columns", sources, filled)
 	}
-	pin, err := s.pinExec(stmt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head := s.d.entry(stmt.partKey, false).part.Load()
+	pin := s.pinExec(stmt, nil)
+	head := stmt.entry.part.Load()
 	for name, p := range map[string]*partition.Partitioning{"head": head, "restricted view": pin.view.Restrict(subset)} {
 		if cells, filled := p.GroupColumn(0, 0); cells != nil || filled {
 			t.Fatalf("the %s kept a column", name)
@@ -218,7 +212,7 @@ func TestGroupCellsDoNotOutliveTheirView(t *testing.T) {
 	if _, err := stmt.Execute(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	view := s.d.entry(stmt.partKey, false).view.Load()
+	view := stmt.entry.view.Load()
 	var kept []float64
 	for gid := range view.Groups {
 		if cells, filled := view.GroupColumn(gid, 0); !filled {
@@ -237,9 +231,7 @@ func TestGroupCellsDoNotOutliveTheirView(t *testing.T) {
 	if _, err := s.UpdateRows([]int{0}, [][]relation.Value{{relation.F(2), relation.F(5), relation.I(3), relation.F(0)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.pinExec(stmt, nil); err != nil {
-		t.Fatal(err)
-	}
+	s.pinExec(stmt, nil)
 	for got := 0; got < 2; {
 		runtime.GC()
 		select {

@@ -27,8 +27,7 @@ MAXIMIZE SUM(P.gain)`
 
 // memoFixture opens a SketchRefine session over n items rows with the
 // given options and prepares memoQuery on it. The unused column w keeps
-// the statement's attribute set apart from the session-wide one, so the
-// warm-set budget may evict it.
+// the statement's attribute set apart from the session-wide one.
 func memoFixture(t *testing.T, n int, opts ...Option) (*Session, *Stmt) {
 	t.Helper()
 	rel := relation.New("items", reltest.Schema(
@@ -156,13 +155,12 @@ func TestLayoutMemoFollowsVersions(t *testing.T) {
 	}
 }
 
-// TestLayoutMemoMissesOnRebuiltView: a partitioning evicted under the
-// warm-set budget and rebuilt at the same version is a new view — here,
-// after mutations, a different grouping of the same rows — so the next
-// execution lays its rows out again rather than reuse a layout of the
-// evicted partitioning's groups.
+// TestLayoutMemoMissesOnRebuiltView: a partitioning rebuilt at the same
+// version is a new view — here, after mutations, a different grouping of
+// the same rows — so the next execution lays its rows out again rather
+// than reuse a layout of the replaced partitioning's groups.
 func TestLayoutMemoMissesOnRebuiltView(t *testing.T) {
-	s, stmt := memoFixture(t, 300, WithTauTuples(30), WithoutCache(), WithWarmSetBudget(1))
+	s, stmt := memoFixture(t, 300, WithTauTuples(30), WithoutCache())
 	if _, reused := reusedLayout(t, stmt); reused {
 		t.Fatal("the first execution reused a layout")
 	}
@@ -183,17 +181,19 @@ func TestLayoutMemoMissesOnRebuiltView(t *testing.T) {
 	}
 	version, maintained := s.Version(), stmt.layout.Load()
 
-	// Resolving another set makes the statement's the least recent.
-	other, err := s.Prepare(`SELECT PACKAGE(I) AS P FROM items I REPEAT 0
-SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.cost)`)
+	// A fresh build of the statement's set becomes the entry's head, with
+	// no maintainer and no cached view yet, as a first build leaves it.
+	e := stmt.entry
+	s.d.dataMu.Lock()
+	p, err := partition.Build(s.d.rel, partition.Options{Attrs: e.part.Load().Attrs, SizeThreshold: s.tau(), RadiusLimit: s.cfg.radius, Workers: s.cfg.workers})
+	if err == nil {
+		e.part.Store(p)
+		e.maint = nil
+		e.view.Store(nil)
+	}
+	s.d.dataMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := other.Execute(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if pass := s.AdvisorMaintain(); !slices.Contains(pass.Evicted, stmt.partKey) {
-		t.Fatalf("the pass evicted %v, not the statement's set %q", pass.Evicted, stmt.partKey)
 	}
 	after, reused := reusedLayout(t, stmt)
 	if reused || s.Version() != version || stmt.layout.Load() == maintained {
@@ -252,7 +252,7 @@ func TestLayoutMemoDoesNotPinSnapshot(t *testing.T) {
 
 	collected := make(chan string, 3)
 	snap := s.d.pin.snap.Load()
-	view := s.d.entry(stmt.partKey, false).view.Load()
+	view := stmt.entry.view.Load()
 	runtime.SetFinalizer(snap, func(*relation.Relation) { collected <- "snapshot" })
 	runtime.SetFinalizer(view, func(*partition.Partitioning) { collected <- "view" })
 	runtime.SetFinalizer(&snap.FloatColumn(0)[0], func(*float64) { collected <- "cost column" })
@@ -263,9 +263,7 @@ func TestLayoutMemoDoesNotPinSnapshot(t *testing.T) {
 	if _, err := s.UpdateRows([]int{0}, [][]relation.Value{{relation.F(2), relation.F(5), relation.F(0)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.pinExec(stmt, nil); err != nil {
-		t.Fatal(err)
-	}
+	s.pinExec(stmt, nil)
 	for got := 0; got < 3; {
 		runtime.GC()
 		select {

@@ -29,13 +29,12 @@ type config struct {
 }
 
 // datasetConfig describes the dataset rather than a session (τ, ω,
-// durability, warm-set budget), so it is fixed at Open.
+// durability), so it is fixed at Open.
 type datasetConfig struct {
-	tauFrac    float64
-	tauAbs     int
-	radius     float64
-	durDir     string
-	warmBudget int
+	tauFrac float64
+	tauAbs  int
+	radius  float64
+	durDir  string
 }
 
 func defaults() config {
@@ -44,7 +43,7 @@ func defaults() config {
 		timeLimit:     60 * time.Second,
 		maxNodes:      ilp.DefaultMaxNodes,
 		gap:           1e-4,
-		datasetConfig: datasetConfig{tauFrac: 0.10, warmBudget: DefaultWarmSetBudget},
+		datasetConfig: datasetConfig{tauFrac: 0.10},
 	}
 }
 
@@ -226,32 +225,12 @@ func WithWarmPartitioning() Option {
 }
 
 // WithoutAdvisor disables the session's adaptive planner: MethodAuto
-// always follows the fixed heuristic, executions report no outcomes,
-// and no attribute-set mining, pre-warming, or eviction happens. The
-// seam for A/B comparisons (the bench harness's fixed-heuristic twin)
+// always follows the fixed heuristic and executions report no outcomes.
+// The seam for A/B comparisons (the bench harness's fixed-heuristic twin)
 // and for callers that need byte-stable planning.
 func WithoutAdvisor() Option {
 	return opt(func(c *config) error {
 		c.noAdvisor = true
-		return nil
-	})
-}
-
-// DefaultWarmSetBudget is how many unpinned warm partitionings the
-// advisor's maintenance pass keeps when WithWarmSetBudget is not given.
-const DefaultWarmSetBudget = 8
-
-// WithWarmSetBudget bounds the number of warm partitionings of the
-// dataset that the advisor's maintenance pass keeps, whichever session
-// built them; the least recently used sets beyond the budget are
-// evicted. A session-wide partitioning (of any session) is pinned and
-// never counts. Negative means unbounded. Fixed at Open.
-func WithWarmSetBudget(n int) Option {
-	return opt(func(c *config) error {
-		if n == 0 {
-			return fmt.Errorf("paq: warm-set budget must be positive (or negative for unbounded)")
-		}
-		c.warmBudget = n
 		return nil
 	})
 }

@@ -76,8 +76,7 @@ type Session struct {
 	d   *dataset
 	cfg config
 
-	// adv is the session's adaptive planner + partitioning advisor (nil
-	// with WithoutAdvisor).
+	// adv is the session's adaptive planner (nil with WithoutAdvisor).
 	adv *advisor.Advisor
 
 	// engines holds one solution cache per concrete method, fixed by
@@ -86,13 +85,10 @@ type Session struct {
 	engines map[Method]*engine.Engine
 	solvers map[Method]Solver
 
-	// mu guards the counters: partBuilds counts the offline partitioning
-	// builds this session paid; advPrewarmed and advEvicted
-	// AdvisorMaintain's builds and evictions.
-	mu           sync.Mutex
-	partBuilds   uint64
-	advPrewarmed uint64
-	advEvicted   uint64
+	// mu guards partBuilds, the offline partitioning builds this session
+	// paid.
+	mu         sync.Mutex
+	partBuilds uint64
 
 	incumbents atomic.Uint64
 }
@@ -112,12 +108,6 @@ func newSession(d *dataset, cfg config) *Session {
 		// A clone learns afresh: its options may change solver budgets,
 		// which would invalidate the original's timing evidence.
 		s.adv = advisor.New()
-	}
-	// The session-wide set is pinned in the registry for as long as the
-	// dataset lives (a session has no end-of-life call): no session's
-	// warm-set budget may evict what another plans over by default.
-	if attrs := s.partitionAttrsFor(nil); len(attrs) > 0 {
-		d.entry(partKey(attrs), true).pinned.Store(true)
 	}
 	// SketchRefine's solves key under their partitioning's key, so one
 	// engine serves every set.
@@ -246,8 +236,8 @@ func (s *Session) Rel() *relation.Relation { return s.d.rel }
 // store and partitioning registry — with fresh engines, solution caches
 // and advisor, applying any additional options on top of the original
 // configuration. Partitionings are shared in both directions, whenever
-// built. τ, ω, durability and the warm-set budget describe the dataset
-// and are fixed at Open: an option that would change one is an error.
+// built. τ, ω and durability describe the dataset and are fixed at
+// Open: an option that would change one is an error.
 func (s *Session) Clone(opts ...Option) (*Session, error) {
 	cfg := s.cfg
 	for _, o := range opts {
@@ -256,7 +246,7 @@ func (s *Session) Clone(opts ...Option) (*Session, error) {
 		}
 	}
 	if cfg.datasetConfig != s.cfg.datasetConfig {
-		return nil, fmt.Errorf("paq: Clone cannot change τ, ω, durability or the warm-set budget; they are fixed at Open")
+		return nil, fmt.Errorf("paq: Clone cannot change τ, ω or durability; they are fixed at Open")
 	}
 	c := newSession(s.d, cfg)
 	if cfg.warm {
@@ -302,8 +292,8 @@ func numericColumns(schema relation.Schema) []string {
 	return attrs
 }
 
-// partKey canonicalizes an attribute set: the advisor's name for it, its
-// registry key, and the solution-cache prefix of solves over it.
+// partKey canonicalizes an attribute set: its registry key and the
+// solution-cache prefix of solves over it.
 func partKey(attrs []string) string {
 	lower := make([]string, len(attrs))
 	for i, a := range attrs {
@@ -315,13 +305,10 @@ func partKey(attrs []string) string {
 
 // resolve is the one function that maps an attribute set to a
 // partitioning: the registry entry under key (the caller's
-// partKey(attrs), precomputed on the pin path so steady-state pinning
-// allocates nothing), built first when it is not — racing callers block
-// on the one build — or, without build, a miss as (nil, nil). Each entry
-// handed out is stamped with the dataset clock, the recency the warm-set
-// budget evicts by. Execute re-resolves the set its plan captured
-// through here too, so an entry evicted meanwhile is rebuilt rather than
-// refined over stale row indices. The caller holds the dataset read lock.
+// partKey(attrs)), built first when it is not — racing callers block on
+// the one build — or, without build, a miss as (nil, nil). An entry is
+// never removed, so a statement keeps the one it resolved. The caller
+// holds the dataset read lock.
 func (s *Session) resolve(key string, attrs []string, build bool) (*partEntry, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("paq: no numeric attributes to partition on")
@@ -333,7 +320,6 @@ func (s *Session) resolve(key string, attrs []string, build bool) (*partEntry, e
 	if err := s.build(e, attrs); err != nil {
 		return nil, err
 	}
-	e.lastUsed.Store(s.d.clock.Add(1))
 	return e, nil
 }
 
@@ -360,25 +346,10 @@ func (s *Session) build(e *partEntry, attrs []string) error {
 	}
 	e.part.Store(p)
 	s.d.dirty.Store(true)
-	s.count(&s.partBuilds)
-	return nil
-}
-
-// count bumps one of the session's mu-guarded counters.
-func (s *Session) count(c *uint64) {
 	s.mu.Lock()
-	*c++
+	s.partBuilds++
 	s.mu.Unlock()
-}
-
-// observeAttrDemand feeds the advisor's query-log miner: the attribute
-// set this statement would partition on, at the current dataset
-// version. No-op without an advisor.
-func (s *Session) observeAttrDemand(attrs []string) {
-	if s.adv == nil || len(attrs) == 0 {
-		return
-	}
-	s.adv.ObserveSet(partKey(attrs), attrs, s.d.rel.Version())
+	return nil
 }
 
 // pinned is everything one execution needs to solve lock-free: an
@@ -397,7 +368,7 @@ type pinned struct {
 // solve proceeds against the frozen state while ingest continues on
 // head. Steady state (no mutation since the last pin) allocates
 // nothing — the cached snapshot and view are reused.
-func (s *Session) pinExec(st *Stmt, sp *obs.Span) (pinned, error) {
+func (s *Session) pinExec(st *Stmt, sp *obs.Span) pinned {
 	d := s.d
 	t0 := time.Now()
 	d.dataMu.RLock()
@@ -408,20 +379,15 @@ func (s *Session) pinExec(st *Stmt, sp *obs.Span) (pinned, error) {
 	}
 	defer d.dataMu.RUnlock()
 	p := pinned{snap: d.pin.at(d.rel)}
-	if st.method == MethodSketchRefine {
+	if st.entry != nil {
 		vsp := sp.Child("partition_view")
-		e, err := s.resolve(st.partKey, st.part.Attrs, true)
-		if err != nil {
-			vsp.Finish()
-			return pinned{}, err
-		}
-		p.view, p.partKey = e.viewAt(p.snap), e.key
+		p.view, p.partKey = st.entry.viewAt(p.snap), st.entry.key
 		if vsp != nil {
 			vsp.SetAttrInt("groups", int64(p.view.NumGroups()))
 			vsp.Finish()
 		}
 	}
-	return p, nil
+	return p
 }
 
 // PartitionInfo describes one offline partitioning (for EXPLAIN plans

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/paql"
-	"repro/internal/partition"
 	"repro/internal/sketchrefine"
 	"repro/internal/translate"
 )
@@ -32,13 +31,11 @@ type Stmt struct {
 	spec   *core.Spec
 	method Method
 	reason string
-	// part is the partitioning the statement refines over (nil unless
-	// the method is sketchrefine); partKey is its registry key, kept so
-	// pinning an execution does not re-derive it (the pin path is
-	// allocation-free at steady state).
-	part    *partition.Partitioning
-	partKey string
-	plan    *Plan
+	// entry is the registry entry of the partitioning the statement
+	// refines over (nil unless the method is sketchrefine). Entries are
+	// never removed, so pinning an execution reads its view directly.
+	entry *partEntry
+	plan  *Plan
 	// shape is the advisor's structural query key (empty without an
 	// advisor); adaptive is the advisor's decision record for MethodAuto
 	// statements.
@@ -208,12 +205,9 @@ func (st *Stmt) resolveMethod(m Method, nBase int) error {
 	// Small auto inputs never pay a partitioning build just to offer the
 	// advisor an alternative — but an already-warm set costs nothing.
 	attrs := s.partitionAttrsFor(st.spec.QueryAttrs())
-	s.observeAttrDemand(attrs)
 	build := m == MethodSketchRefine || nBase > autoDirectMaxVars
 	e, err := s.resolve(partKey(attrs), attrs, build)
-	if e != nil {
-		st.part, st.partKey = e.part.Load(), e.key
-	}
+	st.entry = e
 	if m == MethodSketchRefine {
 		if err != nil {
 			return err
@@ -232,14 +226,15 @@ func (st *Stmt) resolveMethod(m Method, nBase int) error {
 	case err != nil:
 		fallbackReason = fmt.Sprintf("auto: %d eligible tuples exceed the single-ILP threshold, but no partitioning is available (%v); falling back to DIRECT", nBase, err)
 	default:
+		p := e.part.Load()
 		fallback = MethodSketchRefine
 		fallbackReason = fmt.Sprintf("auto: %d eligible tuples exceed the single-ILP threshold (%d); refining over %d groups (τ=%d)",
-			nBase, autoDirectMaxVars, st.part.NumGroups(), st.part.Tau)
+			nBase, autoDirectMaxVars, p.NumGroups(), p.Tau)
 	}
 	st.method, st.reason = fallback, fallbackReason
 	if s.adv != nil {
 		candidates := []string{string(MethodDirect)}
-		if st.part != nil {
+		if e != nil {
 			candidates = append(candidates, string(MethodSketchRefine))
 		}
 		dec := s.adv.Decide(st.shape, string(fallback), candidates)
@@ -260,7 +255,7 @@ func (st *Stmt) resolveMethod(m Method, nBase int) error {
 		}
 	}
 	if st.method != MethodSketchRefine {
-		st.part, st.partKey = nil, ""
+		st.entry = nil
 	}
 	return nil
 }
@@ -293,8 +288,8 @@ func (st *Stmt) buildPlan(nBase int) {
 	if spec.Objective != nil {
 		plan.Objective = spec.Objective.String()
 	}
-	if st.part != nil {
-		plan.Partitioning = infoOf(st.part)
+	if st.entry != nil {
+		plan.Partitioning = infoOf(st.entry.part.Load())
 	}
 	plan.Adaptive = st.adaptive
 	st.plan = plan
