@@ -365,9 +365,9 @@ func (s *Server) isDraining() bool {
 // a dataset whose tombstone ratio exceeds the configured threshold is
 // compacted (reclaiming resident memory), and a durable dataset whose
 // WAL has outgrown WALMaxBytes is snapshotted (folding the log away). It
-// returns a human-readable action log, one entry per dataset acted on
-// or sidecar write failed. paqld calls it on a timer; tests call it
-// directly.
+// returns a human-readable action log: one entry per dataset acted on,
+// and one per failed sidecar write. paqld calls it on a timer; tests
+// call it directly.
 func (s *Server) MaintainOnce() []string {
 	s.mu.RLock()
 	datasets := make([]*Dataset, 0, len(s.datasets))
