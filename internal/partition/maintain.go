@@ -441,7 +441,7 @@ func (m *Maintainer) splitMaybe(gid int) {
 		return
 	}
 	b := &treeBuilder{rel: m.p.Rel, attrIdx: m.p.AttrIdx}
-	parts := b.buildGroups(g.Rows, 0, m.p.Tau, m.p.Omega)
+	parts := b.buildGroups(g.Rows, 0, m.p.Tau, m.p.Omega, 1)
 	if len(parts) <= 1 {
 		// Degenerate (duplicate points): no split exists. Remember, so
 		// the next mutations don't retry until membership changes.

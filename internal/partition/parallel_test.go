@@ -147,22 +147,32 @@ func TestConcurrentBuildsShareNothing(t *testing.T) {
 // BenchmarkPartitionBuild measures the offline partitioning at several
 // worker counts; on a multi-core machine the GOMAXPROCS row should beat
 // workers=1 by roughly the core count (the quad-tree fan-out is
-// embarrassingly parallel below the first few levels).
+// embarrassingly parallel below the first few levels). The galaxy200k
+// rows are the sketchrefine workload's shape: 200 000 Galaxy rows on the
+// ten workload attributes with τ = 10 %, a root split into about a
+// thousand leaves.
 func BenchmarkPartitionBuild(b *testing.B) {
-	rel := workload.Galaxy(40000, 17)
-	attrs := []string{"ra", "dec", "redshift", "petrorad"}
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := Build(rel, Options{
-					Attrs:         attrs,
-					SizeThreshold: rel.Len()/10 + 1,
-					Workers:       workers,
-				})
-				if err != nil {
-					b.Fatal(err)
+	run := func(name string, rel *relation.Relation, attrs []string, workers ...int) {
+		for _, w := range workers {
+			b.Run(fmt.Sprintf("%sworkers=%d", name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_, err := Build(rel, Options{
+						Attrs:         attrs,
+						SizeThreshold: rel.Len()/10 + 1,
+						Workers:       w,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
+	run("", workload.Galaxy(40000, 17), []string{"ra", "dec", "redshift", "petrorad"}, 1, 2, 4, runtime.GOMAXPROCS(0))
+	galaxy := workload.Galaxy(200_000, 17)
+	queries, err := workload.GalaxyQueries(galaxy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("galaxy200k/", galaxy, workload.WorkloadAttrs(queries), 1, 2)
 }

@@ -8,7 +8,17 @@
 // The recursion mirrors the paper's SQL formulation: each round groups
 // tuples by gid, computes sizes, centroids, and radii with aggregate
 // queries over the substrate, and splits every violating group into
-// sub-quadrants around its centroid.
+// sub-quadrants around its centroid. A group's radius is computed only
+// for a group within τ, where it is stored if the group is a leaf and,
+// with ω > 0, decides whether it is one.
+//
+// Build runs on Options.Workers goroutines through par.For: a group's
+// attribute sums go one column to a worker, and a split's children are
+// built on the workers, which each child's own split shares out again.
+// Every result lands in a per-column or per-child slot and every column
+// is summed in row order, so the partitioning is bit-identical for every
+// worker count; one worker, like every Maintainer split, starts no
+// goroutine.
 package partition
 
 import (
@@ -34,12 +44,13 @@ type Options struct {
 	// attributes. Zero or negative disables the radius condition (the
 	// configuration the paper uses for all scalability experiments).
 	RadiusLimit float64
-	// Workers bounds the number of goroutines splitting quad-tree child
-	// groups concurrently. 0 means runtime.GOMAXPROCS(0); 1 forces the
-	// sequential build. The resulting partitioning — group IDs, member
-	// order, centroids, radii — is identical for every setting: children
-	// are split in a canonical quadrant order and results are stitched
-	// back positionally, so parallelism changes only the wall clock.
+	// Workers bounds the goroutines of the build: par.For sums a group's
+	// columns and builds a split's children on up to this many. 0 means
+	// runtime.GOMAXPROCS(0); 1 builds on the calling goroutine. The
+	// resulting partitioning — group IDs, member order, centroids, radii,
+	// R̃ — is identical for every setting: children are kept in a
+	// canonical quadrant order and results are stitched back
+	// positionally, so parallelism changes only the wall clock.
 	Workers int
 }
 
@@ -153,8 +164,8 @@ func resolveAttrs(rel *relation.Relation, attrs []string) ([]int, error) {
 
 // newHead is the one constructor of head partitionings: it validates the
 // parameters and assembles the groups groupsOf makes for the resolved
-// attribute columns.
-func newHead(rel *relation.Relation, attrs []string, tau int, omega float64, workers int, groupsOf func(attrIdx []int) []Group) (*Partitioning, error) {
+// attribute columns (exact: with their members' centroids; see assemble).
+func newHead(rel *relation.Relation, attrs []string, tau int, omega float64, workers int, exact bool, groupsOf func(attrIdx []int) []Group) (*Partitioning, error) {
 	if tau < 1 {
 		return nil, fmt.Errorf("partition: size threshold τ must be ≥ 1, got %d", tau)
 	}
@@ -170,7 +181,7 @@ func newHead(rel *relation.Relation, attrs []string, tau int, omega float64, wor
 		Omega:   omega,
 		Workers: workers,
 	}
-	if err := p.assemble(groupsOf(attrIdx), true); err != nil {
+	if err := p.assemble(groupsOf(attrIdx), true, exact); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -182,10 +193,13 @@ func Build(rel *relation.Relation, opt Options) (*Partitioning, error) {
 	if rel.Live() == 0 {
 		return nil, fmt.Errorf("partition: empty relation")
 	}
-	p, err := newHead(rel, opt.Attrs, opt.SizeThreshold, opt.RadiusLimit, opt.Workers, func(attrIdx []int) []Group {
+	p, err := newHead(rel, opt.Attrs, opt.SizeThreshold, opt.RadiusLimit, opt.Workers, true, func(attrIdx []int) []Group {
+		workers := opt.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
 		b := &treeBuilder{rel: rel, attrIdx: attrIdx}
-		b.setWorkers(opt.Workers)
-		return b.buildGroups(rel.AllRows(), 0, opt.SizeThreshold, opt.RadiusLimit)
+		return b.buildGroups(rel.AllRows(), 0, opt.SizeThreshold, opt.RadiusLimit, workers)
 	})
 	if err != nil {
 		return nil, err
@@ -202,13 +216,15 @@ func Build(rel *relation.Relation, opt Options) (*Partitioning, error) {
 // cover exactly the relation's live rows, each once; the caller can run
 // CheckInvariants for the full audit.
 func FromGroups(rel *relation.Relation, attrs []string, tau int, omega float64, workers int, groups []Group) (*Partitioning, error) {
-	return newHead(rel, attrs, tau, omega, workers, func([]int) []Group { return groups })
+	return newHead(rel, attrs, tau, omega, workers, false, func([]int) []Group { return groups })
 }
 
 // assemble is the tail of every constructor: it numbers the groups, maps
 // their rows when p is a head (a view has no gid map and cannot fail), and
-// builds R̃ from their members.
-func (p *Partitioning) assemble(groups []Group, head bool) (err error) {
+// builds R̃ from their members. exact says each group's Centroid is what
+// relation.Centroid computes over its members, as Build's are: R̃ then
+// copies those means and sums only the other numeric columns.
+func (p *Partitioning) assemble(groups []Group, head, exact bool) (err error) {
 	p.Groups = groups
 	for gid := range groups {
 		groups[gid].ID = gid
@@ -220,8 +236,20 @@ func (p *Partitioning) assemble(groups []Group, head bool) (err error) {
 	}
 	means := make([][]float64, len(groups))
 	numIdx := numericCols(p.Rel)
+	sum := numIdx
+	if exact {
+		sum = slices.DeleteFunc(slices.Clone(numIdx), func(c int) bool { return slices.Contains(p.AttrIdx, c) })
+	}
 	par.For(len(groups), p.Workers, func(gid int) {
-		means[gid] = relation.Centroid(p.Rel, numIdx, groups[gid].Rows)
+		rest, m := relation.Centroid(p.Rel, sum, groups[gid].Rows), make([]float64, len(numIdx))
+		for pos, c := range numIdx {
+			if a := slices.Index(p.AttrIdx, c); exact && a >= 0 {
+				m[pos] = groups[gid].Centroid[a]
+			} else {
+				m[pos], rest = rest[0], rest[1:]
+			}
+		}
+		means[gid] = m
 	})
 	p.Reps = newReps(p.Rel, numIdx, len(groups), func(gid int, dst []float64) { copy(dst, means[gid]) })
 	return nil
@@ -260,75 +288,24 @@ func gidMap(rel *relation.Relation, groups []Group) ([]int, error) {
 }
 
 // treeBuilder carries the shared state of one quad-tree construction:
-// the relation, the partitioning attributes, and the worker-pool tokens
-// that bound fan-out concurrency.
+// the relation and the partitioning attributes.
 type treeBuilder struct {
 	rel     *relation.Relation
 	attrIdx []int
-	// tokens is a counting semaphore of size workers−1 (the calling
-	// goroutine is the extra worker); nil disables concurrency.
-	tokens chan struct{}
-	// fanGate is the tree depth below which child subtrees may be handed
-	// to other goroutines. Past it the subtrees are too small to pay for
-	// goroutine scheduling, so the recursion continues inline.
-	fanGate int
-}
-
-// setWorkers configures the concurrency bound: 0 means GOMAXPROCS, 1
-// forces sequential, n>1 allows n goroutines to split concurrently.
-func (b *treeBuilder) setWorkers(workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return
-	}
-	b.tokens = make(chan struct{}, workers-1)
-	// Fan out while the frontier is still smaller than ~4× the worker
-	// count (quadrant splits at least double the frontier per level).
-	b.fanGate = 2
-	for 1<<uint(b.fanGate) < 4*workers {
-		b.fanGate++
-	}
-}
-
-// forEachChild runs fn for every child index. At shallow depths it
-// offloads children to pool goroutines when tokens are free, falling back
-// inline otherwise; results must be written to per-index slots, which
-// keeps the output independent of scheduling.
-func (b *treeBuilder) forEachChild(depth, n int, fn func(i int)) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		// The caller is itself a worker: the last child always runs inline.
-		if b.tokens != nil && depth < b.fanGate && i < n-1 {
-			select {
-			case b.tokens <- struct{}{}:
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					defer func() { <-b.tokens }()
-					fn(i)
-				}(i)
-				continue
-			default:
-			}
-		}
-		fn(i)
-	}
-	wg.Wait()
 }
 
 // buildGroups recursively splits rows into groups satisfying τ (and ω
-// when positive), returning them in canonical depth-first quadrant order
-// regardless of how many goroutines participated. It is the split rule of
-// Build and of the Maintainer's splits alike.
-func (b *treeBuilder) buildGroups(rows []int, depth, tau int, omega float64) []Group {
-	centroid := relation.Centroid(b.rel, b.attrIdx, rows)
-	radius := relation.Radius(b.rel, b.attrIdx, rows, centroid)
-	sizeOK := len(rows) <= tau
-	radiusOK := omega <= 0 || radius <= omega
-	if (sizeOK && radiusOK) || len(rows) <= 1 || depth >= maxDepth {
-		return []Group{{Rows: rows, Centroid: centroid, Radius: radius}}
+// when positive), returning them in canonical depth-first quadrant order.
+// It is the split rule of Build and of the Maintainer's splits alike.
+// workers bounds the goroutines the call runs on (1: the calling one).
+func (b *treeBuilder) buildGroups(rows []int, depth, tau int, omega float64, workers int) []Group {
+	centroid := b.centroid(rows, workers)
+	final := len(rows) <= 1 || depth >= maxDepth
+	if final || len(rows) <= tau {
+		radius := relation.Radius(b.rel, b.attrIdx, rows, centroid)
+		if final || omega <= 0 || radius <= omega {
+			return []Group{{Rows: rows, Centroid: centroid, Radius: radius}}
+		}
 	}
 	children := splitQuadrants(b.rel, b.attrIdx, rows, centroid)
 	if len(children) <= 1 {
@@ -340,42 +317,52 @@ func (b *treeBuilder) buildGroups(rows []int, depth, tau int, omega float64) []G
 		var out []Group
 		for len(rows) > 0 {
 			n := min(tau, len(rows))
-			out = append(out, b.buildGroups(rows[:n], maxDepth, tau, omega)...)
+			out = append(out, b.buildGroups(rows[:n], maxDepth, tau, omega, 1)...)
 			rows = rows[n:]
 		}
 		return out
 	}
+	// The children share the workers out, each keeping at least one.
 	sub := make([][]Group, len(children))
-	b.forEachChild(depth, len(children), func(i int) {
-		sub[i] = b.buildGroups(children[i], depth+1, tau, omega)
+	par.For(len(children), workers, func(i int) {
+		sub[i] = b.buildGroups(children[i], depth+1, tau, omega, max(1, workers/len(children)))
 	})
 	return slices.Concat(sub...)
 }
 
+// centroid is relation.Centroid of rows on the partitioning attributes,
+// their columns summed on up to workers goroutines.
+func (b *treeBuilder) centroid(rows []int, workers int) []float64 {
+	if workers <= 1 {
+		return relation.Centroid(b.rel, b.attrIdx, rows)
+	}
+	c := make([]float64, len(b.attrIdx))
+	par.For(len(c), workers, func(a int) { c[a] = relation.Centroid(b.rel, b.attrIdx[a:a+1], rows)[0] })
+	return c
+}
+
 // splitQuadrants distributes rows into sub-quadrants around the centroid:
 // tuples agreeing on which side of the centroid they fall, across all
-// attributes, share a quadrant. Children are returned ordered by quadrant
-// bitmask (not map iteration order), so the split — and with it every
-// group ID downstream — is deterministic across runs and worker counts.
+// attributes, share a quadrant. Each row costs one map lookup. Children
+// are returned ordered by quadrant bitmask, each with its rows in input
+// order, so the split — and with it every group ID downstream — is
+// deterministic across runs and worker counts.
 func splitQuadrants(rel *relation.Relation, attrIdx, rows []int, centroid []float64) [][]int {
-	byMask := make(map[uint64][]int)
-	for _, r := range rows {
-		var mask uint64
-		for a, c := range attrIdx {
-			if rel.Float(r, c) >= centroid[a] {
-				mask |= 1 << uint(a)
-			}
+	child := make(map[uint64]int) // quadrant → index in lists
+	var lists [][]int
+	var masks []uint64
+	for j, mask := range relation.QuadrantMasks(rel, attrIdx, rows, centroid) {
+		k, ok := child[mask]
+		if !ok {
+			k, child[mask] = len(lists), len(lists)
+			lists, masks = append(lists, nil), append(masks, mask)
 		}
-		byMask[mask] = append(byMask[mask], r)
-	}
-	masks := make([]uint64, 0, len(byMask))
-	for mask := range byMask {
-		masks = append(masks, mask)
+		lists[k] = append(lists[k], rows[j])
 	}
 	slices.Sort(masks)
-	out := make([][]int, 0, len(masks))
-	for _, mask := range masks {
-		out = append(out, byMask[mask])
+	out := make([][]int, len(masks))
+	for i, mask := range masks {
+		out[i] = lists[child[mask]]
 	}
 	return out
 }
@@ -495,7 +482,7 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 			groups = append(groups, g)
 		}
 	}
-	_ = out.assemble(groups, false)
+	_ = out.assemble(groups, false, false)
 	return &out
 }
 

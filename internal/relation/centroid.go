@@ -97,6 +97,33 @@ func Extremes(r *Relation, colIdx []int, rows []int) (lo, hi []float64) {
 	return lo, hi
 }
 
+// QuadrantMasks sets bit a of masks[j] when row rows[j]'s cell of column
+// colIdx[a] is at or above centre[a], one typed column at a time: the
+// quadrant of each row in the partitioner's split around a centroid.
+func QuadrantMasks(r *Relation, colIdx []int, rows []int, centre []float64) []uint64 {
+	masks := make([]uint64, len(rows))
+	for a, c := range colIdx {
+		if col := r.cols[c]; col.typ == Int {
+			markAbove(masks, col.i, rows, centre[a], 1<<a)
+		} else {
+			markAbove(masks, col.f, rows, centre[a], 1<<a)
+		}
+	}
+	return masks
+}
+
+// markAbove sets bit in masks[j] for every rows[j] whose cell of col is at
+// or above centre.
+func markAbove[T int64 | float64](masks []uint64, col []T, rows []int, centre float64, bit uint64) {
+	for j, i := range rows {
+		var set uint64 // assigned, not branched on: the side is a coin toss
+		if float64(col[i]) >= centre {
+			set = bit
+		}
+		masks[j] |= set
+	}
+}
+
 // Centroid computes the per-attribute mean of rows over the given numeric
 // column indices. It is the representative-tuple construction of the
 // paper's partitioner. Empty input returns a zero vector.

@@ -99,25 +99,128 @@ func parseHeader(header []string) (Schema, error) {
 
 // appendField decodes one CSV field as the column's type and appends it:
 // ParseFloat for DOUBLE, base-10 ParseInt for BIGINT, the field itself
-// for TEXT. Both loaders decode every cell here.
+// for TEXT, each number behind its exact fast path (parseDecimal,
+// parseDigits). ReadCSV decodes every cell here, and the range decode
+// every cell appendLeading does not take.
 func (c *column) appendField(field string) error {
 	switch c.typ {
 	case Float:
-		f, err := strconv.ParseFloat(field, 64)
-		if err != nil {
-			return err
+		f, n, ok := parseDecimal(field)
+		if !ok || n < len(field) {
+			var err error
+			if f, err = strconv.ParseFloat(field, 64); err != nil {
+				return err
+			}
 		}
 		c.f = append(c.f, f)
 	case Int:
-		n, err := strconv.ParseInt(field, 10, 64)
-		if err != nil {
-			return err
+		v, n, ok := parseDigits(field)
+		if !ok || n < len(field) {
+			var err error
+			if v, err = strconv.ParseInt(field, 10, 64); err != nil {
+				return err
+			}
 		}
-		c.i = append(c.i, n)
+		c.i = append(c.i, v)
 	default:
 		c.s = append(c.s, field)
 	}
 	return nil
+}
+
+// appendLeading decodes the number s starts with by the exact fast path
+// of a numeric column — parseDecimal for DOUBLE, parseDigits for BIGINT —
+// and appends it when it ends s or is followed by a ',', so that it is a
+// whole field. It returns the field's length, or −1 when it appended
+// nothing and the field is ParseFloat's or ParseInt's to decode.
+func (c *column) appendLeading(s string) int {
+	switch c.typ {
+	case Float:
+		if f, n, ok := parseDecimal(s); ok && (n == len(s) || s[n] == ',') {
+			c.f = append(c.f, f)
+			return n
+		}
+	case Int:
+		if v, n, ok := parseDigits(s); ok && (n == len(s) || s[n] == ',') {
+			c.i = append(c.i, v)
+			return n
+		}
+	}
+	return -1
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// leadingDigits returns the value and the count of the decimal digits s
+// starts with; the value wraps past 19 digits.
+func leadingDigits(s string) (v uint64, n int) {
+	for ; n < len(s); n++ {
+		d := s[n] - '0'
+		if d > 9 {
+			break
+		}
+		v = v*10 + uint64(d)
+	}
+	return v, n
+}
+
+// parseDecimal reads the longest prefix of s made of an optional '-' and
+// then digits with at most one '.', and reports its length. When it has
+// a digit and at most 15 significant digits, ok is true and f is
+// float64(mantissa) / 10^(digits after the point): both operands are
+// exact, so the one IEEE division rounds the exact quotient correctly
+// and f is strconv.ParseFloat's result for the prefix, bit for bit
+// (Clinger 1990, the case ParseFloat's own atof64exact takes); "-0" stays
+// −0. Anything else — a '+', an exponent, Inf or NaN, a space, more
+// digits, no digit at all — is ParseFloat's to decide.
+func parseDecimal(s string) (f float64, n int, ok bool) {
+	neg := len(s) > 0 && s[0] == '-'
+	if neg {
+		n = 1
+	}
+	mant, whole := leadingDigits(s[n:])
+	n += whole
+	frac := 0
+	if n < len(s) && s[n] == '.' {
+		var tail uint64
+		tail, frac = leadingDigits(s[n+1:])
+		n += 1 + frac
+		if frac < len(pow10) {
+			mant = mant*uint64(pow10[frac]) + tail
+		}
+	}
+	// 19 digits cannot wrap a uint64, and a mantissa below 10¹⁵ is one a
+	// float64 holds exactly, as it does 10^frac for frac ≤ 19.
+	if whole+frac == 0 || whole+frac > 19 || mant >= 1e15 {
+		return 0, n, false
+	}
+	f = float64(mant) / pow10[frac]
+	if neg {
+		f = -f
+	}
+	return f, n, true
+}
+
+// parseDigits reads the longest prefix of s made of an optional '-' and
+// then digits, and reports its length; ok is true, and v its value, when
+// it has 1 to 18 digits, which an int64 holds whatever they are. Any
+// other field is strconv.ParseInt's to decide.
+func parseDigits(s string) (v int64, n int, ok bool) {
+	neg := len(s) > 0 && s[0] == '-'
+	if neg {
+		n = 1
+	}
+	u, digits := leadingDigits(s[n:])
+	n += digits
+	if digits == 0 || digits > 18 {
+		return 0, n, false
+	}
+	if v = int64(u); neg {
+		v = -v
+	}
+	return v, n, true
 }
 
 // ReadCSV reads a relation written by WriteCSV, one record at a time
@@ -384,24 +487,29 @@ func decodeRange(f io.ReaderAt, rg *csvRange, cols []*column) bool {
 		}
 		for i := range win {
 			c := &win[i]
-			field := line
-			j := bytes.IndexByte(line, ',')
-			if i < len(win)-1 {
-				if j < 0 {
-					return false // too few fields
+			// A numeric cell is parsed in place, by the fast path up to the
+			// ',' that ends it when it can; a TEXT cell gets a string of its
+			// own, since the buffer is read over.
+			j := c.appendLeading(unsafe.String(unsafe.SliceData(line), len(line)))
+			if j < 0 {
+				if j = bytes.IndexByte(line, ','); j < 0 {
+					j = len(line)
 				}
-				field, line = line[:j], line[j+1:]
-			} else if j >= 0 {
+				s := unsafe.String(unsafe.SliceData(line), j)
+				if c.typ == String {
+					s = string(line[:j])
+				}
+				if c.appendField(s) != nil {
+					return false
+				}
+			}
+			switch {
+			case i < len(win)-1 && j == len(line):
+				return false // too few fields
+			case i < len(win)-1:
+				line = line[j+1:]
+			case j < len(line):
 				return false // too many fields
-			}
-			// A numeric cell is parsed in place; a TEXT cell gets a string
-			// of its own, since the buffer is read over.
-			s := unsafe.String(unsafe.SliceData(field), len(field))
-			if c.typ == String {
-				s = string(field)
-			}
-			if c.appendField(s) != nil {
-				return false
 			}
 		}
 		rows++

@@ -1,6 +1,9 @@
 package store
 
-import "path/filepath"
+import (
+	"bytes"
+	"path/filepath"
+)
 
 // advFile is the advisor-state sidecar inside a store directory. It is
 // deliberately NOT part of the snapshot: the snapshot format is strict
@@ -18,9 +21,18 @@ const advMagic = "PAQADV01"
 // SaveAdvisorState atomically persists the advisor's serialized
 // evidence next to the snapshot. Callable at any time — the sidecar is
 // independent of the WAL, so it works even on a closed or poisoned
-// store (a final flush on Close must not be refused).
+// store (a final flush on Close must not be refused). A payload equal to
+// the last one this store wrote is not written again: a maintenance
+// tick with no new evidence costs no file write and no fsync.
 func (s *Store) SaveAdvisorState(payload []byte) error {
-	return writeFramedFile(filepath.Join(s.dir, advFile), advMagic, payload)
+	if s.advSaved != nil && bytes.Equal(payload, s.advSaved) {
+		return nil
+	}
+	if err := writeFramedFile(filepath.Join(s.dir, advFile), advMagic, payload); err != nil {
+		return err
+	}
+	s.advSaved = bytes.Clone(payload)
+	return nil
 }
 
 // LoadAdvisorState reads the persisted advisor evidence. A missing

@@ -76,6 +76,11 @@ type Store struct {
 	// snapshot succeeds and re-roots the durable state. Accessed only
 	// under the owning session's locks, like the fields above.
 	poisoned error
+
+	// advSaved is the advisor payload this store last wrote to its
+	// sidecar (SaveAdvisorState); it lives here, not on a session,
+	// because every clone of a dataset shares the store.
+	advSaved []byte
 }
 
 // Stats is a point-in-time snapshot of the store's durability state

@@ -2,6 +2,8 @@ package paq_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -273,6 +275,55 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 	}
 	if got := re.AdvisorStats().PartBuilds; got != 0 {
 		t.Errorf("restarted session paid %d partitioning builds on the hot set, want 0", got)
+	}
+}
+
+// TestSaveAdvisorStateSkipsUnchangedEvidence: a maintenance tick with no
+// new outcome writes no sidecar — 100 saves leave the file as it was,
+// neither replaced nor touched — and one new outcome writes it again.
+func TestSaveAdvisorStateSkipsUnchangedEvidence(t *testing.T) {
+	dir := t.TempDir()
+	sess, err := paq.Open(paq.Table(workload.Galaxy(500, 7)), paq.WithDurability(dir), paq.WithoutCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	solve := func() {
+		t.Helper()
+		stmt, err := sess.Prepare(`SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
+SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stmt.Execute(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sidecar := filepath.Join(dir, "advisor.paqadv")
+	save := func() os.FileInfo {
+		t.Helper()
+		if err := sess.SaveAdvisorState(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(sidecar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	solve()
+	first := save()
+	for i := 0; i < 100; i++ {
+		if fi := save(); !os.SameFile(first, fi) || !fi.ModTime().Equal(first.ModTime()) {
+			t.Fatalf("save %d with no new outcome rewrote the sidecar", i+1)
+		}
+	}
+	solve()
+	if os.SameFile(first, save()) {
+		t.Fatal("a new outcome left the sidecar unwritten")
+	}
+	if got := sess.AdvisorStats().Outcomes; got != 2 {
+		t.Fatalf("%d outcomes, want 2", got)
 	}
 }
 
