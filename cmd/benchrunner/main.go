@@ -1,7 +1,7 @@
 // Command benchrunner runs the internal/bench experiments at a
 // configurable scale: the paper's evaluation tables and figures
 // (Section 5) and the operational differentials (ingest, recover, repl,
-// advise, qos, loadgen), each of which exits non-zero when its gate
+// qos, loadgen), each of which exits non-zero when its gate
 // fails.
 //
 // Usage:
@@ -65,8 +65,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ingestN  = fs.Int("ingestops", 1000, "ingest: interleaved insert/delete operations before the differential check")
 		recoverN = fs.Int("recoverops", 1000, "recover: acknowledged mutations before the randomized crash becomes possible")
 		replN    = fs.Int("replops", 400, "repl: acknowledged leader mutations before the failover")
-		adviseW  = fs.Int("advisewarmup", 8, "advise: workload rounds the advisor learns over before measurement")
-		adviseR  = fs.Int("adviserounds", 3, "advise: measured workload rounds")
 		replF    = fs.Int("followers", 2, "repl: follower count (minimum 2)")
 		qosN     = fs.Int("qossolves", 48, "qos: measured solves per phase (quiescent and saturated)")
 	)
@@ -107,17 +105,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			// objectives bit-equal to the twin's, lag back to zero after
 			// every fault.
 			_, err := env.Repl(ctx, bench.ReplConfig{Ops: *replN, Followers: *replF})
-			return err
-		}},
-		{"advise", func() error {
-			// An advisor-enabled session and a fixed-heuristic twin
-			// (WithoutAdvisor) evaluate the same mixed Galaxy + TPC-H
-			// workload with MethodAuto. After -advisewarmup learning rounds
-			// the adaptive total solve time must not exceed the fixed
-			// heuristic's (within slack) with every objective inside the
-			// quality bound, and a close + reopen must restore the learned
-			// state: non-cold plans, zero partitioning builds.
-			_, err := env.Advise(ctx, bench.AdviseConfig{Warmup: *adviseW, Rounds: *adviseR})
 			return err
 		}},
 		{"qos", func() error {

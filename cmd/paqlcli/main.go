@@ -24,9 +24,7 @@
 // maintained incrementally and the dataset version advances, exactly as
 // paqld's POST /datasets/{name}/rows does.
 // -explain prints the prepared statement's plan — the chosen method and
-// why (including the adaptive advisor's decision: cold-start fallback,
-// probe, or learned choice with per-method scores), the partitioning
-// shape, and the ILP size — without solving.
+// why, the partitioning shape, and the ILP size — without solving.
 // -progress streams improving incumbents (objective + elapsed time) to
 // stderr while the solve runs, the SDK's anytime-results hook.
 // -trace prints the execution's span tree to stderr after solving —

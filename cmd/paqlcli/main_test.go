@@ -199,10 +199,9 @@ MAXIMIZE SUM(P.petrorad)`
 	}
 }
 
-// Regression: -explain on a valid query must exit 0 and print the
-// plan's adaptive block — the advisor's decision is part of EXPLAIN
-// output, not an internal detail.
-func TestExplainPrintsAdaptiveBlock(t *testing.T) {
+// Regression: -explain on a valid query must exit 0 and print the plan
+// with the chosen method and why; on a broken one it must exit 2.
+func TestExplainExitCodes(t *testing.T) {
 	data := writeGalaxyCSV(t, 60, 1)
 	o := baseOpts(data)
 	o.explain = true
@@ -219,11 +218,10 @@ MAXIMIZE SUM(P.petrorad)`
 	if code := exitCode(err, truncated); code != 0 {
 		t.Errorf("explain run exit code %d, want 0", code)
 	}
-	if !strings.Contains(out, "adaptive:") {
-		t.Errorf("-explain output missing the adaptive block:\n%s", out)
-	}
-	if !strings.Contains(out, "method:") {
-		t.Errorf("-explain output missing the method line:\n%s", out)
+	for _, line := range []string{"method:", "reason:"} {
+		if !strings.Contains(out, line) {
+			t.Errorf("-explain output missing the %s line:\n%s", line, out)
+		}
 	}
 
 	// And the exit-code matrix must hold on the same query when it is

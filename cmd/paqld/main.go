@@ -42,9 +42,7 @@
 // warm-started instead of rebuilt. Datasets found under -data-dir that
 // no flag names are recovered and served too. A background maintenance
 // loop (-maintain-every) compacts datasets whose tombstone ratio
-// exceeds 25% and snapshots datasets whose WAL outgrows 8 MiB, and on
-// the same cadence persists the adaptive planner's learned state so a
-// restart keeps its tuning (see docs/ADVISOR.md). See
+// exceeds 25% and snapshots datasets whose WAL outgrows 8 MiB. See
 // docs/PERSISTENCE.md.
 //
 // A durable paqld also serves the replication endpoints (GET
@@ -111,7 +109,7 @@ func main() {
 		ingestIF = flag.Int("ingest-inflight", 0, "max concurrently applying mutation batches, a separate QoS class from -inflight (0 = same as -inflight)")
 		ingestQ  = flag.Int("ingest-queue", 0, "max mutation batches queued beyond -ingest-inflight (0 = 4x ingest-inflight, -1 = none)")
 		dataDir  = flag.String("data-dir", "", "durability root: per-dataset WAL + snapshots under <dir>/<name> (empty = in-memory only)")
-		maintEv  = flag.Duration("maintain-every", 15*time.Second, "background maintenance cadence (tombstone compaction, WAL-driven snapshots, advisor state); 0 disables")
+		maintEv  = flag.Duration("maintain-every", 15*time.Second, "background maintenance cadence (tombstone compaction, WAL-driven snapshots); 0 disables")
 		follow   = flag.String("follow", "", "run as a follower of this leader paqld base URL (requires -data-dir; dataset flags are ignored)")
 		replPoll = flag.Duration("repl-poll", 250*time.Millisecond, "follower: WAL tail poll cadence")
 		slowMS   = flag.Int64("slow-ms", 0, "slow-query threshold in milliseconds: solves at or above it log one JSON line (query, plan, span tree) to stderr; 0 disables")

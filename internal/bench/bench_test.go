@@ -472,48 +472,6 @@ func TestQoSVersionContract(t *testing.T) {
 	}
 }
 
-// TestAdviseDifferential is the acceptance gate for the adaptive
-// planner: on a mixed Galaxy + TPC-H workload the advisor-enabled
-// session must, after warm-up, not be slower than the fixed-heuristic
-// twin beyond the slack with every objective inside the quality bound,
-// and a close + reopen must restore the learned state — non-cold plans
-// and zero partitioning builds on the hot attribute sets.
-func TestAdviseDifferential(t *testing.T) {
-	var buf bytes.Buffer
-	e, err := NewEnv(Config{GalaxyN: 2500, TPCHN: 2500, Seed: 1, Out: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Advise(context.Background(), AdviseConfig{Rounds: 2})
-	if err != nil {
-		t.Fatalf("%v\n%s", err, buf.String())
-	}
-	if len(res.Queries) == 0 {
-		t.Fatal("no queries differentially checked")
-	}
-	for _, qr := range res.Queries {
-		if qr.Adaptive.Err != nil || qr.Fixed.Err != nil {
-			t.Errorf("%s/%s: adaptive err %v, fixed err %v", qr.Dataset, qr.Query, qr.Adaptive.Err, qr.Fixed.Err)
-		}
-		if qr.Chosen == "" || qr.Chosen == "auto" {
-			t.Errorf("%s/%s: plan never resolved auto to a concrete method (got %q)", qr.Dataset, qr.Query, qr.Chosen)
-		}
-	}
-	if res.AdaptiveTotal <= 0 || res.FixedTotal <= 0 {
-		t.Errorf("timings not measured: adaptive %v, fixed %v", res.AdaptiveTotal, res.FixedTotal)
-	}
-	if res.RestartOutcomes == 0 || res.RestartWarmSets == 0 {
-		t.Errorf("restart restored nothing: %d outcomes, %d warm sets", res.RestartOutcomes, res.RestartWarmSets)
-	}
-	if res.RestartPartBuilds != 0 || res.ColdPlans != 0 {
-		t.Errorf("restart cold-started: %d builds, %d cold plans", res.RestartPartBuilds, res.ColdPlans)
-	}
-	if !strings.Contains(buf.String(), "Adaptive planner") {
-		t.Error("missing printed header")
-	}
-	t.Log(buf.String())
-}
-
 // TestLoadGenObs drives the load generator: the differential burst plus
 // the mid-run /metrics validation, the quiesced /stats vs /metrics
 // cross-check, and the tracing-overhead gate, all against an in-process

@@ -12,12 +12,11 @@
 // the empirical approximation ratio ObjD/ObjS for maximization queries
 // (ObjS/ObjD for minimization).
 //
-// The operational half is six differentials over the live system —
-// Ingest, Recover, Repl, QoS, Advise, LoadGen — each a gate that returns
-// an error when a guarantee breaks (maintained vs rebuilt partitioning,
+// The operational half is five differentials over the live system —
+// Ingest, Recover, Repl, QoS, LoadGen — each a gate that returns an
+// error when a guarantee breaks (maintained vs rebuilt partitioning,
 // recovered vs never-crashed twin, replica vs acknowledgement-fed twin,
-// saturated vs quiescent latency, adaptive vs fixed planner, paqld vs
-// in-process answers). They share one kit (kit.go): one seeded mutation
+// saturated vs quiescent latency, paqld vs in-process answers). They share one kit (kit.go): one seeded mutation
 // stream, one relation comparator, one solve differential, one loopback
 // server, one JSON POST. They print their numbers and return them in
 // their *Result; the perf trajectory itself is benchmarks/paqbench and

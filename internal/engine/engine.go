@@ -317,7 +317,7 @@ func specKey(prefix string, spec *core.Spec) string {
 	// and its head at the same version hold identical data, so solves
 	// pinned to different snapshots of one dataset share cache entries.
 	fmt.Fprintf(&b, "rel=%p@v%d", spec.Rel.Identity(), spec.Rel.Version())
-	renderQuery(&b, spec, true)
+	renderQuery(&b, spec)
 	return b.String()
 }
 
@@ -327,47 +327,24 @@ func specKey(prefix string, spec *core.Spec) string {
 // relation their own way (a plan's displayed cache key) prefix it.
 func QueryKey(spec *core.Spec) string {
 	var b strings.Builder
-	renderQuery(&b, spec, true)
+	renderQuery(&b, spec)
 	return b.String()
 }
 
-// ShapeKey fingerprints a query's *structure* for the adaptive
-// planner: unlike SpecKey it deliberately ignores the data (no
-// relation identity, no version, no constraint right-hand sides — only
-// an order-of-magnitude size bucket), so executions of the same query
-// template at different constants and dataset versions pool their
-// observed outcomes. Two statements with equal shape keys are expected
-// to behave alike under each evaluation method — which is exactly the
-// granularity the advisor scores at. nBase is spec.CountBase(), which
-// the caller planning the statement has already taken.
-func ShapeKey(spec *core.Spec, nBase int) string {
-	var b strings.Builder
-	// log2 bucket of the eligible-row count: method trade-offs shift
-	// with problem size, but pooling within a 2x band keeps shapes warm
-	// across inserts and deletes.
-	bucket := 0
-	for n := nBase; n > 0; n >>= 1 {
-		bucket++
-	}
-	fmt.Fprintf(&b, "rel=%s;size=2^%d", spec.Rel.Name(), bucket)
-	renderQuery(&b, spec, false)
-	return b.String()
-}
-
-// renderQuery is the one renderer behind SpecKey, QueryKey and ShapeKey.
-// It appends the REPEAT bound, base predicate, restrictions, constraints
-// and objective to b, each introduced by ';'. With consts it prints the
-// constraint right-hand sides and the objective offset, which identify
-// one optimization problem; without, only the structure remains.
+// renderQuery is the one renderer behind SpecKey and QueryKey. It
+// appends the REPEAT bound, base predicate, restrictions, constraints
+// (with their right-hand sides) and objective (with its offset) to b,
+// each introduced by ';': together they identify one optimization
+// problem.
 //
 // Predicates without a faithful rendering — a FuncPred with no Desc
 // prints "<func>" — fall back to pointer identity so distinct anonymous
 // predicates never collide: top-level ones by predicate pointer, and
-// (with consts, where a collision would serve a wrong cached answer)
-// ones nested inside coefficient renderings, e.g. a CondCoef's gate, by
-// keying the whole spec on its own identity. The PaQL compiler always
-// sets Desc, so translated queries never pay either fallback.
-func renderQuery(b *strings.Builder, spec *core.Spec, consts bool) {
+// ones nested inside coefficient renderings, e.g. a CondCoef's gate
+// (where a collision would serve a wrong cached answer), by keying the
+// whole spec on its own identity. The PaQL compiler always sets Desc,
+// so translated queries never pay either fallback.
+func renderQuery(b *strings.Builder, spec *core.Spec) {
 	start := b.Len()
 	b.WriteString(";repeat=" + strconv.Itoa(spec.Repeat))
 	pred := func(tag string, p relation.Predicate) {
@@ -386,23 +363,18 @@ func renderQuery(b *strings.Builder, spec *core.Spec, consts bool) {
 	}
 	for _, c := range spec.Constraints {
 		fmt.Fprintf(b, ";cons=%s %s", c.Coef, c.Op)
-		if consts {
-			// strconv prints what %g would, minus a Fprintf per constant:
-			// SpecKey runs on every cached execution.
-			b.WriteString(" " + strconv.FormatFloat(c.RHS, 'g', -1, 64))
-		}
+		// strconv prints what %g would, minus a Fprintf per constant:
+		// SpecKey runs on every cached execution.
+		b.WriteString(" " + strconv.FormatFloat(c.RHS, 'g', -1, 64))
 	}
 	if o := spec.Objective; o != nil {
 		sense := "min"
 		if o.Maximize {
 			sense = "max"
 		}
-		fmt.Fprintf(b, ";obj=%s %s", sense, o.Coef)
-		if consts {
-			b.WriteString(" +" + strconv.FormatFloat(o.Offset, 'g', -1, 64))
-		}
+		fmt.Fprintf(b, ";obj=%s %s +%s", sense, o.Coef, strconv.FormatFloat(o.Offset, 'g', -1, 64))
 	}
-	if consts && strings.Contains(b.String()[start:], "<func>") {
+	if strings.Contains(b.String()[start:], "<func>") {
 		// An anonymous predicate leaked into a coefficient rendering;
 		// its text cannot distinguish different functions, so restrict
 		// the key to this exact spec value.

@@ -20,7 +20,7 @@ var sdkConsumers = []string{module + "/cmd", module + "/examples", module + "/in
 
 // sdkForbidden are the internal/ packages of the solve path, which no
 // consumer may import.
-var sdkForbidden = strings.Fields("advisor core engine ilp lp naive paql partition sketchrefine translate")
+var sdkForbidden = strings.Fields("core engine ilp lp naive paql partition sketchrefine translate")
 
 // dataOnly are the other internal/ packages: they carry data or
 // infrastructure, not evaluation, so consumers may import them.
@@ -41,7 +41,7 @@ var dataOnly = map[string]string{
 
 // noPanic are the internal/ packages a paqld request can reach; paq is
 // bound too.
-var noPanic = strings.Fields("advisor core engine ilp lp naive obs paql par partition relation repl server sketchrefine store translate")
+var noPanic = strings.Fields("core engine ilp lp naive obs paql par partition relation repl server sketchrefine store translate")
 
 // panicAllowed are the internal/ packages exempt from the no-panic
 // contract, with the reasons docs/INVARIANTS.md documents.

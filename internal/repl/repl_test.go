@@ -335,7 +335,7 @@ func TestFollowerPlansLikeLeader(t *testing.T) {
 	if ran == 0 {
 		t.Fatal("no non-hard templates ran")
 	}
-	if got := fol.AdvisorStats().PartBuilds; got != 0 {
+	if got := fol.PartBuilds(); got != 0 {
 		t.Errorf("follower built %d partitionings, want 0 (inherited from the leader)", got)
 	}
 }

@@ -227,32 +227,6 @@ func (s *Server) registerCollectors() {
 	reg.CollectFunc("paqld_snapshot_version", "gauge", "Latest snapshot's dataset version per durable dataset.",
 		dur(func(st paq.DurStats) float64 { return float64(st.SnapshotVersion) }))
 
-	// Advisor: samples only for advisor-enabled datasets.
-	adv := func(pick func(paq.AdvisorStats) float64) func() []obs.Sample {
-		return func() []obs.Sample {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			var out []obs.Sample
-			for name, d := range s.datasets {
-				st := d.Session().AdvisorStats()
-				if !st.Enabled {
-					continue
-				}
-				out = append(out, obs.Sample{
-					Labels: []obs.Label{{Name: "dataset", Value: name}},
-					Value:  pick(st),
-				})
-			}
-			return out
-		}
-	}
-	reg.CollectFunc("paqld_advisor_decisions_total", "counter", "Adaptive-planner decisions per dataset.",
-		adv(func(st paq.AdvisorStats) float64 { return float64(st.Decisions) }))
-	reg.CollectFunc("paqld_advisor_cold_decisions_total", "counter", "Decisions made on insufficient evidence per dataset.",
-		adv(func(st paq.AdvisorStats) float64 { return float64(st.ColdDecisions) }))
-	reg.CollectFunc("paqld_advisor_probes_total", "counter", "Deliberate exploration probes per dataset.",
-		adv(func(st paq.AdvisorStats) float64 { return float64(st.Probes) }))
-
 	// Replication: rendered only while a repl.Node has installed the
 	// provider.
 	replGauge := func(pick func(ReplMetrics) float64) func() []obs.Sample {

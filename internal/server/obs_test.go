@@ -120,7 +120,7 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestMetricsNamesAreLegal fills every family the server registers — a
-// durable dataset, the advisor on, replication metrics installed, the
+// durable dataset, replication metrics installed, the
 // runtime gauges — and holds each line of the exposition to the
 // Prometheus text grammar: every TYPE'd name and every label name legal,
 // every label value quoted and escaped, and every family with a sample.
@@ -281,7 +281,7 @@ func TestQueryTrace(t *testing.T) {
 	_, ts := newObsServer(t, Config{})
 	client := ts.Client()
 
-	// Warm the partitioning (and advisor) with an untraced twin first,
+	// Warm the partitioning with an untraced twin first,
 	// then trace queries it cannot have cached: each traced execution is
 	// a fresh solve against fully warm state, so its root is pure solve.
 	warm := QueryRequest{Dataset: "galaxy", Query: obsFeasibleQuery, Method: MethodSketchRefine}

@@ -3,11 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io/fs"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -217,7 +213,7 @@ func TestReopenPlansAsBeforeDrain(t *testing.T) {
 				name, a.objective, a.err, b.objective, b.err)
 		}
 	}
-	if got := ds2.Session().AdvisorStats().PartBuilds; got != 0 {
+	if got := ds2.Session().PartBuilds(); got != 0 {
 		t.Errorf("reopened session built %d partitionings, want 0 (warm-started)", got)
 	}
 }
@@ -310,84 +306,5 @@ func TestMaintainOnceSnapshotsBigWAL(t *testing.T) {
 	}
 	if got := srv.Stats().Snapshots; got != 1 {
 		t.Fatalf("stats snapshots = %d, want 1", got)
-	}
-}
-
-// TestMaintainOncePersistsAdvisorEvidence: every maintenance pass writes
-// each durable dataset's advisor evidence, a replica's included, so a
-// crash right after it loses none of the tuning.
-func TestMaintainOncePersistsAdvisorEvidence(t *testing.T) {
-	dataDir := t.TempDir()
-	srv := New(Config{TombstoneRatio: -1})
-	var datasets []*Dataset
-	for _, name := range []string{"leader", "replica"} {
-		ds, err := NewDataset(name, workload.Galaxy(300, 3), durableConfig(dataDir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ds.Close()
-		ds.SetReplica(name == "replica")
-		srv.Register(ds)
-		datasets = append(datasets, ds)
-		for _, limit := range []int{3, 4, 5} {
-			stmt, err := ds.Session().Prepare(fmt.Sprintf(`SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
-SUCH THAT COUNT(P.*) = 2 AND SUM(P.redshift) <= %d MAXIMIZE SUM(P.r)`, limit))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := stmt.Execute(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := ds.Session().AdvisorStats().Outcomes; got != 3 {
-			t.Fatalf("%s: %d outcomes observed, want 3", name, got)
-		}
-	}
-	if actions := srv.MaintainOnce(); len(actions) != 0 {
-		t.Fatalf("maintenance actions = %v, want none", actions)
-	}
-
-	// The crash image: each store directory as it is now, not Closed.
-	crashDir := t.TempDir()
-	for _, ds := range datasets {
-		copyDir(t, filepath.Join(dataDir, ds.Name()), filepath.Join(crashDir, ds.Name()))
-	}
-	for _, ds := range datasets {
-		re, err := NewDataset(ds.Name(), nil, durableConfig(crashDir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := re.Session().AdvisorStats().Outcomes, ds.Session().AdvisorStats().Outcomes
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%s: the crash image restores %d advisor outcomes, the live session has %d", ds.Name(), got, want)
-		}
-	}
-}
-
-// copyDir copies the regular files under src to dst.
-func copyDir(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

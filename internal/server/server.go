@@ -172,9 +172,9 @@ type Server struct {
 	methodMu  sync.Mutex
 	methodCtr map[string]*obs.Counter
 
-	// statsSeq numbers Stats() snapshots; the durability/QoS/advisor
-	// blocks carry it so a scraper interleaving /stats polls can order
-	// them without trusting wall clocks.
+	// statsSeq numbers Stats() snapshots; the durability/QoS blocks
+	// carry it so a scraper interleaving /stats polls can order them
+	// without trusting wall clocks.
 	statsSeq atomic.Uint64
 }
 
@@ -360,13 +360,11 @@ func (s *Server) isDraining() bool {
 }
 
 // MaintainOnce runs one background-maintenance pass over every
-// dataset: the advisor's evidence is written to a durable dataset's
-// sidecar (replicas included, so a promoted follower keeps its tuning),
-// a dataset whose tombstone ratio exceeds the configured threshold is
-// compacted (reclaiming resident memory), and a durable dataset whose
-// WAL has outgrown WALMaxBytes is snapshotted (folding the log away). It
-// returns a human-readable action log: one entry per dataset acted on,
-// and one per failed sidecar write. paqld calls it on a timer; tests
+// dataset: a dataset whose tombstone ratio exceeds the configured
+// threshold is compacted (reclaiming resident memory), and a durable
+// dataset whose WAL has outgrown WALMaxBytes is snapshotted (folding the
+// log away). Replicas are skipped. It returns a human-readable action
+// log: one entry per dataset acted on. paqld calls it on a timer; tests
 // call it directly.
 func (s *Server) MaintainOnce() []string {
 	s.mu.RLock()
@@ -377,9 +375,6 @@ func (s *Server) MaintainOnce() []string {
 	s.mu.RUnlock()
 	var actions []string
 	for _, ds := range datasets {
-		if err := ds.Session().SaveAdvisorState(); err != nil {
-			actions = append(actions, fmt.Sprintf("%s: saving advisor state failed: %v", ds.Name(), err))
-		}
 		if ds.IsReplica() {
 			// A replica's layout mirrors its leader's byte-for-byte;
 			// compacting or snapshotting it locally would renumber rows out
@@ -807,8 +802,8 @@ func (s *Server) respond(w http.ResponseWriter, req QueryRequest, stmt *paq.Stmt
 type StatsResponse struct {
 	UptimeMS float64 `json:"uptime_ms"`
 	// Seq numbers this snapshot: strictly increasing across Stats()
-	// calls, echoed into the QoS / durability / advisor blocks so a
-	// scraper can order interleaved polls without trusting wall clocks.
+	// calls, echoed into the QoS / durability blocks so a scraper can
+	// order interleaved polls without trusting wall clocks.
 	Seq         uint64 `json:"seq"`
 	Queries     uint64 `json:"queries"`
 	OK          uint64 `json:"ok"`
@@ -871,17 +866,8 @@ type DatasetStats struct {
 	Durability *DurJSON              `json:"durability,omitempty"`
 	Caches     map[string]CacheStats `json:"caches"`
 	// WarmSets lists the dataset's warm partitionings (attributes,
-	// groups). Advisor is the adaptive planner's counter block.
+	// groups).
 	WarmSets []paq.WarmSet `json:"warm_sets,omitempty"`
-	Advisor  *AdvisorJSON  `json:"advisor,omitempty"`
-}
-
-// AdvisorJSON is the /stats wire form of paq.AdvisorStats, stamped
-// with the dataset's registration time and the snapshot sequence.
-type AdvisorJSON struct {
-	paq.AdvisorStats
-	Since time.Time `json:"since"`
-	Seq   uint64    `json:"seq"`
 }
 
 // DurJSON is the wire form of paq.DurStats.
@@ -1016,9 +1002,6 @@ func (s *Server) Stats() StatsResponse {
 			dst.Caches[string(m)] = CacheStats{Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions, Invalidations: cs.Invalidations, Entries: cs.Entries}
 		}
 		dst.WarmSets = ds.Session().WarmSets()
-		if as := ds.Session().AdvisorStats(); as.Enabled {
-			dst.Advisor = &AdvisorJSON{AdvisorStats: as, Since: ds.Created(), Seq: seq}
-		}
 		resp.Datasets[name] = dst
 	}
 	return resp

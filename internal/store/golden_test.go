@@ -13,7 +13,7 @@ import (
 	"repro/internal/relation"
 )
 
-// The three on-disk formats, byte for byte, as written by the commit
+// The on-disk formats, byte for byte, as written by the commit
 // before the codec was merged into one place (PR 15). A diff here means
 // existing data directories and follower streams stop being readable:
 // bump the magic's version digit and write a migration, don't edit hex.
@@ -29,10 +29,6 @@ const (
 		000000000000e03f000000000000e83f03732d3003732d3103732d3203732d33
 		0101036d616702000000000000e03f020202000101000000000000c03f000000
 		000000c03f02020101000000000000e43f000000000000c03f02020101000300`
-
-	goldenAdvisor = `
-		50415141445630311900000000000000797cdbb37b22736861706573223a7b22
-		7131223a7b226e223a337d7d7d`
 )
 
 func unhex(t testing.TB, s string) []byte {
@@ -45,8 +41,8 @@ func unhex(t testing.TB, s string) []byte {
 }
 
 // TestOnDiskFormatsPinned writes a three-column store through the API
-// that predates the merged codec and compares wal.paqlog,
-// snapshot.paqsnap and advisor.paqadv with the committed bytes, then
+// that predates the merged codec and compares wal.paqlog and
+// snapshot.paqsnap with the committed bytes, then
 // reads the committed bytes back to the values that produced them.
 func TestOnDiskFormatsPinned(t *testing.T) {
 	rel := storeFixtureRel(t, 4)
@@ -58,7 +54,6 @@ func TestOnDiskFormatsPinned(t *testing.T) {
 	deleted := []int{1, 3}
 	updatedRows := []int{0}
 	updated := [][]relation.Value{{relation.I(1 << 40), relation.F(2.75), relation.S("β Ori")}}
-	advisor := []byte(`{"shapes":{"q1":{"n":3}}}`)
 	snap := &Snapshot{
 		Version: 4,
 		Rel:     rel,
@@ -86,12 +81,9 @@ func TestOnDiskFormatsPinned(t *testing.T) {
 	if err := s.LogUpdate(schema, 8, updatedRows, updated); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveAdvisorState(advisor); err != nil {
-		t.Fatal(err)
-	}
 	// The WAL is compared before the snapshot truncates it.
 	files := []struct{ name, golden string }{
-		{walFile, goldenWAL}, {advFile, goldenAdvisor}, {snapFile, goldenSnapshot},
+		{walFile, goldenWAL}, {snapFile, goldenSnapshot},
 	}
 	for _, f := range files {
 		if f.name == snapFile {
@@ -148,8 +140,5 @@ func TestOnDiskFormatsPinned(t *testing.T) {
 	}
 	if !reflect.DeepEqual(recs, want) {
 		t.Fatalf("replayed %+v, want %+v", recs, want)
-	}
-	if got, err := s.LoadAdvisorState(); err != nil || !bytes.Equal(got, advisor) {
-		t.Fatalf("advisor state = %q, %v", got, err)
 	}
 }

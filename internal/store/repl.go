@@ -225,7 +225,7 @@ func ReadSnapshotBytes(dir string) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, err := verifyFramed(path, snapMagic, data)
+	payload, err := verifyFramed(path, data)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -247,7 +247,7 @@ func InstallSnapshot(dir string, data []byte) error {
 		return err
 	}
 	path := filepath.Join(dir, snapFile)
-	payload, err := verifyFramed(path, snapMagic, data)
+	payload, err := verifyFramed(path, data)
 	if err != nil {
 		return err
 	}

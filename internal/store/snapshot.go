@@ -303,13 +303,13 @@ func writeSnapshotFile(path string, s *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	return writeFramedFile(path, snapMagic, payload)
+	return writeFramedFile(path, payload)
 }
 
 // readSnapshotFile loads and verifies a snapshot. A missing file is
 // (nil, nil): a fresh store.
 func readSnapshotFile(path string) (*Snapshot, error) {
-	payload, err := readFramedFile(path, snapMagic)
+	payload, err := readFramedFile(path)
 	if err != nil || payload == nil {
 		return nil, err
 	}
@@ -324,20 +324,20 @@ func readSnapshotFile(path string) (*Snapshot, error) {
 // uint64 payload length and the payload's CRC-32C.
 const framedHeader = 12
 
-// writeFramedFile frames a payload (magic + length + CRC-32C + payload)
-// and replaces path with it atomically — the one writer of the framing
-// the snapshot and the advisor sidecar share; verifyFramed reads it.
-func writeFramedFile(path, magic string, payload []byte) error {
-	header := make([]byte, len(magic)+framedHeader)
-	copy(header, magic)
-	binary.LittleEndian.PutUint64(header[len(magic):], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(header[len(magic)+8:], crc32.Checksum(payload, castagnoli))
+// writeFramedFile frames a payload (snapMagic + length + CRC-32C +
+// payload) and replaces path with it atomically — the one writer of the
+// snapshot's framing; verifyFramed reads it.
+func writeFramedFile(path string, payload []byte) error {
+	header := make([]byte, len(snapMagic)+framedHeader)
+	copy(header, snapMagic)
+	binary.LittleEndian.PutUint64(header[len(snapMagic):], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(header[len(snapMagic)+8:], crc32.Checksum(payload, castagnoli))
 	return WriteFileAtomic(path, header, payload)
 }
 
 // readFramedFile loads and verifies a framed file, returning its
 // payload. A missing file is (nil, nil).
-func readFramedFile(path, magic string) ([]byte, error) {
+func readFramedFile(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -345,23 +345,23 @@ func readFramedFile(path, magic string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return verifyFramed(path, magic, data)
+	return verifyFramed(path, data)
 }
 
 // verifyFramed checks a framed file's bytes — magic, length, checksum —
 // and returns the payload (aliasing data). It is the one reader of the
 // framing: local loads, the leader's snapshot shipping and the
 // follower's install all pass through it. Any mismatch is ErrCorrupt.
-func verifyFramed(path, magic string, data []byte) ([]byte, error) {
-	if len(data) < len(magic)+framedHeader {
+func verifyFramed(path string, data []byte) ([]byte, error) {
+	if len(data) < len(snapMagic)+framedHeader {
 		return nil, fmt.Errorf("%w: %s: truncated header", ErrCorrupt, path)
 	}
-	if string(data[:len(magic)]) != magic {
+	if string(data[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, path)
 	}
-	length := binary.LittleEndian.Uint64(data[len(magic):])
-	sum := binary.LittleEndian.Uint32(data[len(magic)+8:])
-	payload := data[len(magic)+framedHeader:]
+	length := binary.LittleEndian.Uint64(data[len(snapMagic):])
+	sum := binary.LittleEndian.Uint32(data[len(snapMagic)+8:])
+	payload := data[len(snapMagic)+framedHeader:]
 	if uint64(len(payload)) != length {
 		return nil, fmt.Errorf("%w: %s: holds %d payload bytes, header says %d", ErrCorrupt, path, len(payload), length)
 	}
@@ -379,8 +379,8 @@ const tmpSuffix = ".tmp"
 // to a temp file beside it, fsynced, renamed over the target, directory
 // fsynced. A crash at any point leaves either the old file or the new
 // one — never a torn mix. It is the store's one durable write besides
-// the WAL's frame append; snapshots, the advisor sidecar, shipped
-// snapshots and the replication state file all go through it.
+// the WAL's frame append; snapshots, shipped snapshots and the
+// replication state file all go through it.
 //
 // A filesystem that rejects fsync on a directory (EPERM) does not fail
 // the write: the rename is then as durable as the platform allows. Every

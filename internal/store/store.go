@@ -19,7 +19,6 @@
 //
 //	wal.paqlog        length-prefixed, CRC-32C-checksummed records
 //	snapshot.paqsnap  the latest snapshot (atomic tmp+rename)
-//	advisor.paqadv    advisor evidence, framed like the snapshot
 //
 // Each format decision has one owner. WAL frame: WAL.Stage writes it,
 // parseFrame reads it (the file scan, ReadWALSegment and ReadFrame only
@@ -76,11 +75,6 @@ type Store struct {
 	// snapshot succeeds and re-roots the durable state. Accessed only
 	// under the owning session's locks, like the fields above.
 	poisoned error
-
-	// advSaved is the advisor payload this store last wrote to its
-	// sidecar (SaveAdvisorState); it lives here, not on a session,
-	// because every clone of a dataset shares the store.
-	advSaved []byte
 }
 
 // Stats is a point-in-time snapshot of the store's durability state
@@ -121,7 +115,6 @@ func Open(dir string) (*Store, error) {
 	s := &Store{dir: dir}
 	snapPath := filepath.Join(dir, snapFile)
 	reapTmp(snapPath)
-	reapTmp(filepath.Join(dir, advFile))
 	snap, err := readSnapshotFile(snapPath)
 	if err != nil {
 		return nil, err

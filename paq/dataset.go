@@ -16,8 +16,7 @@ import (
 // per-version snapshot cache, the durability store, and the registry of
 // offline partitionings. The paper makes the partitioning a property of
 // the relation (§4.1: built once, reused by every query), so it lives
-// here — a Session only adds configuration, an advisor and solution
-// caches on top.
+// here — a Session only adds configuration and solution caches on top.
 //
 // Lock order: dataMu → partEntry.building → regMu → Session.mu, never
 // the reverse (the lockorder rule in internal/lint holds the package to

@@ -62,7 +62,7 @@ func TestEmptyPartitionAttrsMeanEveryNumericColumn(t *testing.T) {
 	if got := attrsOf(re); got != "cost,gain" {
 		t.Errorf("reopen: gain query planned over %q, want every numeric column", got)
 	}
-	if got := re.AdvisorStats().PartBuilds; got != 0 {
+	if got := re.PartBuilds(); got != 0 {
 		t.Errorf("reopen built %d partitionings, want 0", got)
 	}
 }
@@ -93,7 +93,7 @@ func TestClonesShareLaterBuilds(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if builds := s.AdvisorStats().PartBuilds + clone.AdvisorStats().PartBuilds; builds != 1 {
+	if builds := s.PartBuilds() + clone.PartBuilds(); builds != 1 {
 		t.Errorf("siblings paid %d partitioning builds for one attribute set, want 1", builds)
 	}
 	const k = 7
@@ -149,7 +149,7 @@ func TestCloseKeepsSiblingBuiltPartitionings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if builds := re.AdvisorStats().PartBuilds; builds != 0 {
+	if builds := re.PartBuilds(); builds != 0 {
 		t.Errorf("reopened session rebuilt %d partitionings, want 0", builds)
 	}
 }
@@ -209,7 +209,7 @@ func TestReopenWithOtherTau(t *testing.T) {
 	if got := tau(durQuery); got != 40 {
 		t.Errorf("stored set plans at τ = %d, want the stored 40", got)
 	}
-	if builds := re.AdvisorStats().PartBuilds; builds != 0 {
+	if builds := re.PartBuilds(); builds != 0 {
 		t.Errorf("preparing the stored set built %d partitionings, want 0", builds)
 	}
 	if got := tau(gainQuery); got != 25 {

@@ -23,15 +23,17 @@
 // — are owned by the dataset, because the paper makes the partitioning
 // a property of the relation, built once and reused by every query. So
 // is what describes them: τ, ω and durability are fixed at Open. What
-// the Session itself holds is the rest of the configuration, an
-// adaptive advisor, and one solution cache per evaluation strategy.
-// Session.Clone returns a second view onto the same dataset with its own
-// configuration, advisor and caches: a partitioning either of them
+// the Session itself holds is the rest of the configuration and one
+// solution cache per evaluation strategy. Session.Clone returns a second
+// view onto the same dataset with its own configuration and caches: a
+// partitioning either of them
 // builds — before or after the Clone — serves both, every mutation
 // maintains it once, and Close, Snapshot and DurStats mean the same
 // thing on either. A Stmt is a compiled query with a typed Plan — the
 // chosen evaluation method and why, the partitioning, and the ILP size —
-// so EXPLAIN is a first-class operation. Execute streams improving
+// so EXPLAIN is a first-class operation. MethodAuto chooses by size
+// alone, as the paper does: DIRECT while the eligible tuples fit a
+// single ILP (2 000 of them), SketchRefine beyond that. Execute streams improving
 // incumbents of the underlying branch-and-bound solve to an optional
 // callback, turning every solve into an anytime computation.
 //

@@ -129,14 +129,6 @@ func (d *dataset) recover(boot *store.Snapshot) error {
 func (s *Session) Snapshot() error {
 	s.d.dataMu.Lock()
 	defer s.d.dataMu.Unlock()
-	return s.snapshotLocked()
-}
-
-// snapshotLocked snapshots the dataset as this session sees it. The
-// advisor's evidence rides every flush as a best-effort sidecar write —
-// advisory state must never fail (or dirty) the snapshot.
-func (s *Session) snapshotLocked() error {
-	_ = s.saveAdvisorState()
 	return s.d.snapshotLocked()
 }
 
@@ -204,7 +196,7 @@ func (s *Session) Compact() (int, error) {
 	defer d.dataMu.Unlock()
 	reclaimed, err := d.compactLocked()
 	if err == nil && reclaimed > 0 && d.st != nil {
-		err = s.snapshotLocked()
+		err = d.snapshotLocked()
 	}
 	if err != nil && reclaimed > 0 && d.st != nil {
 		// Memory is compacted but the durable base is not (see
@@ -263,7 +255,7 @@ func (s *Session) close(renumber bool) error {
 	}
 	var err error
 	if renumber || d.rel.Len() == d.rel.Live() {
-		err = s.snapshotLocked()
+		err = d.snapshotLocked()
 	}
 	if cerr := d.st.Close(); err == nil {
 		err = cerr

@@ -2,11 +2,9 @@ package paq
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/naive"
@@ -244,8 +242,7 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 	}
 
 	// Bespoke executions (row subsets, reseeded refinement orders) bypass
-	// the solution cache and are not representative workload evidence, so
-	// they skip the advisor too. Only SketchRefine has an order to reseed.
+	// the solution cache. Only SketchRefine has an order to reseed.
 	bespoke := ec.rows != nil || (ec.seedSet && st.method == MethodSketchRefine)
 	solveSp := root.Child("solve")
 	sctx := obs.ContextWith(ctx, solveSp)
@@ -273,32 +270,6 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 		objSp.Finish()
 	}
 	err = mapEvalErr(err)
-	// Every real solve is evidence — a definitive "no such package" is a
-	// correct answer, timeouts and exhausted budgets are failures — but a
-	// cache hit's solve was paid before, and a canceled caller says
-	// nothing about the method.
-	if !bespoke && !res.Cached && !errors.Is(err, context.Canceled) {
-		o := advisor.Outcome{
-			Shape:   st.shape,
-			Method:  string(st.method),
-			SolveMS: float64(res.Time.Microseconds()) / 1000,
-		}
-		switch {
-		case err == nil:
-			o.Truncated = res.Stats != nil && res.Stats.Truncated
-			if res.Stats != nil {
-				o.Backtracks = res.Stats.Backtracks
-			}
-			if st.spec.Objective != nil {
-				o.HasObjective, o.Objective, o.Maximize = true, obj, st.spec.Objective.Maximize
-			}
-		case errors.Is(err, ErrInfeasible):
-			o.Infeasible = true
-		default:
-			o.Failed = true
-		}
-		st.sess.reportOutcome(o)
-	}
 	if err != nil {
 		return nil, traced(root, err)
 	}

@@ -12,10 +12,10 @@ type Method string
 // the repository: command-line flags, service requests, and benchmark
 // configurations all resolve through ParseMethod.
 const (
-	// MethodAuto lets Prepare choose: DIRECT for base relations small
-	// enough for a single ILP, SKETCHREFINE (over a lazily warmed
-	// partitioning) beyond that. The chosen method and the reason are
-	// reported in the statement's Plan.
+	// MethodAuto lets Prepare choose by size alone: DIRECT while the
+	// eligible tuples (the rows passing WHERE) fit a single ILP,
+	// SKETCHREFINE (over a lazily warmed partitioning) beyond that. The
+	// chosen method and the reason are reported in the statement's Plan.
 	MethodAuto Method = "auto"
 	// MethodDirect is the paper's DIRECT strategy (Section 3): translate
 	// the whole query into one ILP and hand it to the solver.

@@ -19,7 +19,6 @@ type config struct {
 	gap       float64
 	noCache   bool
 	warm      bool
-	noAdvisor bool
 
 	// numericAttrs fixes every numeric column as the partitioning
 	// attributes (WithPartitionAttrs with none); newSession resolves it
@@ -224,15 +223,13 @@ func WithWarmPartitioning() Option {
 	})
 }
 
-// WithoutAdvisor disables the session's adaptive planner: MethodAuto
-// always follows the fixed heuristic and executions report no outcomes.
-// The seam for A/B comparisons (the bench harness's fixed-heuristic twin)
-// and for callers that need byte-stable planning.
+// WithoutAdvisor is a no-op kept for source compatibility: MethodAuto
+// always follows the size rule, so there is no adaptive planner to
+// disable.
+//
+// Deprecated: drop the option; it changes nothing.
 func WithoutAdvisor() Option {
-	return opt(func(c *config) error {
-		c.noAdvisor = true
-		return nil
-	})
+	return opt(func(*config) error { return nil })
 }
 
 // WithDurability makes the session durable, persisting to dir: every

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -69,15 +68,11 @@ func Table(rel *relation.Relation) Source { return tableSource{rel: rel} }
 // relation, its lock, its durability store and its offline
 // partitionings belong to the dataset the session shares with every
 // Clone; the session itself holds only what differs between clones —
-// configuration, the advisor, one solution-caching engine per
-// evaluation strategy, and counters. A Session is safe for concurrent
-// use.
+// configuration, one solution-caching engine per evaluation strategy,
+// and counters. A Session is safe for concurrent use.
 type Session struct {
 	d   *dataset
 	cfg config
-
-	// adv is the session's adaptive planner (nil with WithoutAdvisor).
-	adv *advisor.Advisor
 
 	// engines holds one solution cache per concrete method, fixed by
 	// newSession; solvers holds SetSolver's overrides. Both are written
@@ -103,11 +98,6 @@ func newSession(d *dataset, cfg config) *Session {
 		cfg:     cfg,
 		engines: make(map[Method]*engine.Engine),
 		solvers: make(map[Method]Solver),
-	}
-	if !cfg.noAdvisor {
-		// A clone learns afresh: its options may change solver budgets,
-		// which would invalidate the original's timing evidence.
-		s.adv = advisor.New()
 	}
 	// SketchRefine's solves key under their partitioning's key, so one
 	// engine serves every set.
@@ -203,13 +193,6 @@ func Open(src Source, opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	if s.adv != nil && d.st != nil {
-		// Reload the advisor's persisted evidence; a missing or corrupt
-		// sidecar just starts the advisor cold — never a recovery failure.
-		if payload, err := d.st.LoadAdvisorState(); err == nil && payload != nil {
-			_ = s.adv.RestoreState(payload)
-		}
-	}
 	if cfg.warm {
 		if _, err := s.Partitioning(); err != nil {
 			return nil, err
@@ -233,8 +216,8 @@ func Open(src Source, opts ...Option) (*Session, error) {
 func (s *Session) Rel() *relation.Relation { return s.d.rel }
 
 // Clone returns a new session over the same dataset — relation, lock,
-// store and partitioning registry — with fresh engines, solution caches
-// and advisor, applying any additional options on top of the original
+// store and partitioning registry — with fresh engines and solution
+// caches, applying any additional options on top of the original
 // configuration. Partitionings are shared in both directions, whenever
 // built. τ, ω and durability describe the dataset and are fixed at
 // Open: an option that would change one is an error.
@@ -306,17 +289,13 @@ func partKey(attrs []string) string {
 // resolve is the one function that maps an attribute set to a
 // partitioning: the registry entry under key (the caller's
 // partKey(attrs)), built first when it is not — racing callers block on
-// the one build — or, without build, a miss as (nil, nil). An entry is
-// never removed, so a statement keeps the one it resolved. The caller
-// holds the dataset read lock.
-func (s *Session) resolve(key string, attrs []string, build bool) (*partEntry, error) {
+// the one build. An entry is never removed, so a statement keeps the one
+// it resolved. The caller holds the dataset read lock.
+func (s *Session) resolve(key string, attrs []string) (*partEntry, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("paq: no numeric attributes to partition on")
 	}
-	e := s.d.entry(key, build)
-	if e == nil || (!build && e.part.Load() == nil) {
-		return nil, nil
-	}
+	e := s.d.entry(key, true)
 	if err := s.build(e, attrs); err != nil {
 		return nil, err
 	}
@@ -417,7 +396,7 @@ func (s *Session) Partitioning() (*PartitionInfo, error) {
 	attrs := s.partitionAttrsFor(nil)
 	s.d.dataMu.RLock()
 	defer s.d.dataMu.RUnlock()
-	e, err := s.resolve(partKey(attrs), attrs, true)
+	e, err := s.resolve(partKey(attrs), attrs)
 	if err != nil {
 		return nil, err
 	}

@@ -77,20 +77,6 @@ func TestMealPlannerGolden(t *testing.T) {
 		Objective:      "MINIMIZE SUM(P.saturated_fat)",
 		CacheKey:       "9e30d99222edee85",
 	}
-	// The advisor is on by default, so the first-ever decision is a cold
-	// one: the heuristic's choice and reason verbatim, with the advisor's
-	// record attached. Pin its shape, then compare the rest exactly.
-	if a := plan.Adaptive; a == nil {
-		t.Fatal("plan has no Adaptive block (advisor should be on by default)")
-	} else {
-		if !a.Cold || a.Probe {
-			t.Errorf("first-ever decision cold=%v probe=%v, want cold non-probe", a.Cold, a.Probe)
-		}
-		if a.Chosen != paq.MethodDirect || a.Fallback != paq.MethodDirect {
-			t.Errorf("adaptive chose %s (fallback %s), want direct/direct", a.Chosen, a.Fallback)
-		}
-	}
-	want.Adaptive = plan.Adaptive
 	got := *plan
 	if got != want {
 		t.Errorf("plan snapshot drifted:\n got %+v\nwant %+v", got, want)

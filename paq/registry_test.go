@@ -22,7 +22,7 @@ func TestFailedBuildKeepsEntryRegistered(t *testing.T) {
 	resolve := func(attrs []string) (*partEntry, error) {
 		s.d.dataMu.RLock()
 		defer s.d.dataMu.RUnlock()
-		return s.resolve(key, attrs, true)
+		return s.resolve(key, attrs)
 	}
 	if _, err := resolve(bad); err == nil {
 		t.Fatal("build over an unknown attribute succeeded")
@@ -53,7 +53,7 @@ func TestFailedBuildKeepsEntryRegistered(t *testing.T) {
 			t.Errorf("caller %d resolved to an entry that is not the registered one", i)
 		}
 	}
-	if builds := s.AdvisorStats().PartBuilds; builds != 1 {
+	if builds := s.PartBuilds(); builds != 1 {
 		t.Errorf("%d partitioning builds counted, want 1", builds)
 	}
 }

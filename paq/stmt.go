@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/paql"
@@ -36,11 +35,6 @@ type Stmt struct {
 	// never removed, so pinning an execution reads its view directly.
 	entry *partEntry
 	plan  *Plan
-	// shape is the advisor's structural query key (empty without an
-	// advisor); adaptive is the advisor's decision record for MethodAuto
-	// statements.
-	shape    string
-	adaptive *AdaptiveInfo
 	// planDur is the wall-clock cost of Prepare (parse, translate,
 	// method resolution, plan build). Planning happens once per
 	// statement, so a traced Execute records it as the root's plan_ms.
@@ -50,29 +44,6 @@ type Stmt struct {
 	// row ids keyed on the view's serial, reused until the pin hands out
 	// another view, and never the view or its snapshot.
 	layout atomic.Pointer[sketchrefine.Layout]
-}
-
-// AdaptiveInfo is the advisor's decision record inside a plan: what the
-// bandit loop chose, against what fallback, and on what evidence — so
-// EXPLAIN shows not just the method but why the workload history picked
-// it.
-type AdaptiveInfo struct {
-	// Shape fingerprints the query's structure (constants abstracted
-	// away): statements with equal shapes share advisor evidence.
-	Shape string `json:"shape"`
-	// Chosen is the advisor's pick; Fallback what the fixed heuristic
-	// would have chosen.
-	Chosen   Method `json:"chosen"`
-	Fallback Method `json:"fallback"`
-	// Cold marks a decision made on insufficient evidence (the fallback
-	// wins); Probe a deliberate exploration of an under-sampled or stale
-	// alternative.
-	Cold  bool `json:"cold,omitempty"`
-	Probe bool `json:"probe,omitempty"`
-	// Reason is the advisor's one-line justification.
-	Reason string `json:"reason"`
-	// Scores snapshots the observed evidence per candidate.
-	Scores []advisor.MethodScore `json:"scores,omitempty"`
 }
 
 // Plan is the typed EXPLAIN output of a prepared statement: the chosen
@@ -109,9 +80,6 @@ type Plan struct {
 	// Partitioning describes the offline partitioning (sketchrefine
 	// only).
 	Partitioning *PartitionInfo `json:"partitioning,omitempty"`
-	// Adaptive is the advisor's decision record (MethodAuto statements
-	// on sessions with the advisor enabled; nil otherwise).
-	Adaptive *AdaptiveInfo `json:"adaptive,omitempty"`
 	// CacheKey fingerprints the optimization problem: two statements
 	// with equal keys describe the same problem and share solution-cache
 	// entries. Stable across sessions over identically named relations.
@@ -140,9 +108,6 @@ func (p *Plan) String() string {
 	if pi := p.Partitioning; pi != nil {
 		fmt.Fprintf(&b, "partitioning: %d groups, τ=%d, attrs [%s], built in %.0fms\n",
 			pi.Groups, pi.Tau, strings.Join(pi.Attrs, " "), pi.BuildMS)
-	}
-	if a := p.Adaptive; a != nil {
-		fmt.Fprintf(&b, "adaptive:     %s\n", a.Reason)
 	}
 	fmt.Fprintf(&b, "cache-key:    %s", p.CacheKey)
 	return b.String()
@@ -187,85 +152,45 @@ func (s *Session) Prepare(query string, opts ...Option) (*Stmt, error) {
 }
 
 // resolveMethod picks the statement's evaluation method, warming the
-// partitioning when SketchRefine needs one. For MethodAuto on a session
-// with the advisor enabled, the fixed heuristic only nominates the
-// fallback: the advisor's bandit loop decides among the candidates the
-// session can serve without building anything new, and the decision is
-// recorded in the plan's Adaptive block. nBase counts the eligible tuples.
+// partitioning when SketchRefine needs one. MethodAuto follows the size
+// rule: DIRECT while the nBase eligible tuples fit a single ILP,
+// SketchRefine beyond that — or DIRECT again when no partitioning can
+// be built.
 func (st *Stmt) resolveMethod(m Method, nBase int) error {
 	s := st.sess
-	if s.adv != nil {
-		st.shape = engine.ShapeKey(st.spec, nBase)
-	}
 	if m == MethodDirect || m == MethodNaive {
 		st.method = m
 		st.reason = "method fixed by WithMethod"
 		return nil
 	}
-	// Small auto inputs never pay a partitioning build just to offer the
-	// advisor an alternative — but an already-warm set costs nothing.
-	attrs := s.partitionAttrsFor(st.spec.QueryAttrs())
-	build := m == MethodSketchRefine || nBase > autoDirectMaxVars
-	e, err := s.resolve(partKey(attrs), attrs, build)
-	st.entry = e
-	if m == MethodSketchRefine {
-		if err != nil {
-			return err
-		}
-		st.method = m
-		st.reason = "method fixed by WithMethod"
+	if m != MethodSketchRefine && nBase <= autoDirectMaxVars {
+		st.method = MethodDirect
+		st.reason = fmt.Sprintf("auto: %d eligible tuples fit a single ILP (threshold %d)", nBase, autoDirectMaxVars)
 		return nil
 	}
-	// MethodAuto: compute the fixed heuristic's choice first — it is the
-	// answer without an advisor, and the advisor's fallback with one.
-	fallback := MethodDirect
-	var fallbackReason string
+	attrs := s.partitionAttrsFor(st.spec.QueryAttrs())
+	e, err := s.resolve(partKey(attrs), attrs)
 	switch {
-	case !build:
-		fallbackReason = fmt.Sprintf("auto: %d eligible tuples fit a single ILP (threshold %d)", nBase, autoDirectMaxVars)
+	case m == MethodSketchRefine && err != nil:
+		return err
+	case m == MethodSketchRefine:
+		st.method, st.entry = m, e
+		st.reason = "method fixed by WithMethod"
 	case err != nil:
-		fallbackReason = fmt.Sprintf("auto: %d eligible tuples exceed the single-ILP threshold, but no partitioning is available (%v); falling back to DIRECT", nBase, err)
+		st.method = MethodDirect
+		st.reason = fmt.Sprintf("auto: %d eligible tuples exceed the single-ILP threshold, but no partitioning is available (%v); falling back to DIRECT", nBase, err)
 	default:
 		p := e.part.Load()
-		fallback = MethodSketchRefine
-		fallbackReason = fmt.Sprintf("auto: %d eligible tuples exceed the single-ILP threshold (%d); refining over %d groups (τ=%d)",
+		st.method, st.entry = MethodSketchRefine, e
+		st.reason = fmt.Sprintf("auto: %d eligible tuples exceed the single-ILP threshold (%d); refining over %d groups (τ=%d)",
 			nBase, autoDirectMaxVars, p.NumGroups(), p.Tau)
-	}
-	st.method, st.reason = fallback, fallbackReason
-	if s.adv != nil {
-		candidates := []string{string(MethodDirect)}
-		if e != nil {
-			candidates = append(candidates, string(MethodSketchRefine))
-		}
-		dec := s.adv.Decide(st.shape, string(fallback), candidates)
-		st.method = Method(dec.Method)
-		// Cold decisions are the heuristic's verbatim: the plan reads
-		// identically to a session without the advisor.
-		if !dec.Cold {
-			st.reason = "adaptive: " + dec.Reason
-		}
-		st.adaptive = &AdaptiveInfo{
-			Shape:    shortHash(st.shape),
-			Chosen:   st.method,
-			Fallback: fallback,
-			Cold:     dec.Cold,
-			Probe:    dec.Probe,
-			Reason:   dec.Reason,
-			Scores:   dec.Scores,
-		}
-	}
-	if st.method != MethodSketchRefine {
-		st.entry = nil
 	}
 	return nil
 }
 
-// shortHash compresses a shape or cache key for display (the raw key
-// spells out the whole query structure); no key, no hash.
+// shortHash compresses a cache key for display (the raw key spells out
+// the whole query structure).
 func shortHash(key string) string {
-	if key == "" {
-		return ""
-	}
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:8])
 }
@@ -291,7 +216,6 @@ func (st *Stmt) buildPlan(nBase int) {
 	if st.entry != nil {
 		plan.Partitioning = infoOf(st.entry.part.Load())
 	}
-	plan.Adaptive = st.adaptive
 	st.plan = plan
 }
 
@@ -310,8 +234,8 @@ func (st *Stmt) QueryAttrs() []string { return st.spec.QueryAttrs() }
 
 // stableCacheKey fingerprints the optimization problem for display. It
 // is the engine's cache key — prefixed with the resolved method, since
-// each method has its own solution cache and the advisor may flip
-// methods between otherwise identical statements — with the relation's
+// each method has its own solution cache and MethodAuto may resolve
+// otherwise identical statements differently — with the relation's
 // memory address (process identity) replaced by its name, live size,
 // and dataset version, hashed so EXPLAIN output stays one line; equal
 // keys ⇒ the same method solving the same problem over identically
