@@ -192,11 +192,15 @@ func (e *Env) obsPhase(ctx context.Context, client *http.Client, base string, ca
 	// so a burst of host load during one run does not fail it, while a
 	// real tracing cost shows in every run.
 	if excess > 0 {
-		return fmt.Errorf("loadgen: tracing overhead gate failed: at the p95 pair the traced request is %.3fms over 1.05 × its untraced twin + 1ms in the best of %d runs (p95 untraced %.3fms, traced %.3fms)",
-			excess, traceAttempts, p95U, p95T)
+		return fmt.Errorf("%w: at the p95 pair the traced request is %.3fms over 1.05 × its untraced twin + 1ms in the best of %d runs (p95 untraced %.3fms, traced %.3fms)",
+			errTraceOverhead, excess, traceAttempts, p95U, p95T)
 	}
 	return nil
 }
+
+// errTraceOverhead is the tracing-overhead gate's failure; every other
+// check of the load generator has run when it is returned.
+var errTraceOverhead = errors.New("loadgen: tracing overhead gate failed")
 
 // traceAttempts is how many times traceOverhead runs its paired rounds.
 const traceAttempts = 3

@@ -147,7 +147,7 @@ func (m *Maintainer) exactState(g *Group) *gState {
 	st.lo, st.hi = make([]float64, len(m.attrPos)), make([]float64, len(m.attrPos))
 	m.gather(g, st, 0, len(m.attrPos))
 	g.Centroid = m.centroidOf(st, len(g.Rows))
-	g.Radius = st.radius(g.Centroid)
+	g.Radius = extremesRadius(st.lo, st.hi, g.Centroid)
 	return st
 }
 
@@ -170,12 +170,14 @@ func (st *gState) widen(a int, v float64) {
 	}
 }
 
-// radius is Definition 2's radius about centroid c, read off the extremes:
-// fl(x − c) is monotone in x, so it is relation.Radius's bit for bit.
-func (st *gState) radius(c []float64) float64 {
+// extremesRadius is Definition 2's radius about centroid c, read off the
+// least and greatest cell of each attribute: fl(x − c) is monotone in x,
+// so it is relation.Radius's bit for bit (a NaN distance is stepped over,
+// as there: a NaN centroid, or one at the one infinite cell, reads 0).
+func extremesRadius(lo, hi, c []float64) float64 {
 	r := 0.0
 	for a, ca := range c {
-		for _, v := range [2]float64{st.lo[a], st.hi[a]} {
+		for _, v := range [2]float64{lo[a], hi[a]} {
 			if d := math.Abs(v - ca); d > r {
 				r = d
 			}
@@ -223,7 +225,7 @@ func (m *Maintainer) centroidOf(st *gState, count int) []float64 {
 func (m *Maintainer) recentre(gid int) {
 	g, st := &m.p.Groups[gid], m.groups[gid]
 	g.Centroid = m.centroidOf(st, len(g.Rows))
-	g.Radius = st.radius(g.Centroid)
+	g.Radius = extremesRadius(st.lo, st.hi, g.Centroid)
 	st.noSplit = false
 	st.dirty = true
 }
@@ -441,7 +443,7 @@ func (m *Maintainer) splitMaybe(gid int) {
 		return
 	}
 	b := &treeBuilder{rel: m.p.Rel, attrIdx: m.p.AttrIdx}
-	parts := b.buildGroups(g.Rows, 0, m.p.Tau, m.p.Omega, 1)
+	parts := b.groups(g.Rows, m.p.Tau, m.p.Omega, 1)
 	if len(parts) <= 1 {
 		// Degenerate (duplicate points): no split exists. Remember, so
 		// the next mutations don't retry until membership changes.

@@ -8,17 +8,23 @@
 // The recursion mirrors the paper's SQL formulation: each round groups
 // tuples by gid, computes sizes, centroids, and radii with aggregate
 // queries over the substrate, and splits every violating group into
-// sub-quadrants around its centroid. A group's radius is computed only
-// for a group within τ, where it is stored if the group is a leaf and,
-// with ω > 0, decides whether it is one.
+// sub-quadrants around its centroid. Here the aggregate is one ordered
+// pass per attribute column over a split group's rows, which adds each
+// row's cell into its child's running sum and extremes
+// (relation.GroupStats): every child leaves the split with its centroid
+// and the least and greatest cell of each attribute, so a child within τ
+// reads its radius off them and a child above τ splits around the
+// centroid it has. No group's rows are gathered again.
 //
-// Build runs on Options.Workers goroutines through par.For: a group's
-// attribute sums go one column to a worker, and a split's children are
-// built on the workers, which each child's own split shares out again.
-// Every result lands in a per-column or per-child slot and every column
-// is summed in row order, so the partitioning is bit-identical for every
-// worker count; one worker, like every Maintainer split, starts no
-// goroutine.
+// Build runs on Options.Workers goroutines through par.For. A split cuts
+// its rows into one contiguous run per worker, which computes and numbers
+// its rows' quadrants and then moves them into the children; the column
+// passes go one column to a worker; and a split's children are built on
+// the workers, which each child's own split shares out again. Every
+// result lands in a per-run, per-column or per-child slot, runs are joined
+// in row order and every column is added up in row order, so the
+// partitioning is bit-identical for every worker count; one worker, like
+// every Maintainer split, starts no goroutine.
 package partition
 
 import (
@@ -44,13 +50,15 @@ type Options struct {
 	// attributes. Zero or negative disables the radius condition (the
 	// configuration the paper uses for all scalability experiments).
 	RadiusLimit float64
-	// Workers bounds the goroutines of the build: par.For sums a group's
-	// columns and builds a split's children on up to this many. 0 means
+	// Workers bounds the goroutines of the build: par.For splits a group's
+	// rows in one contiguous run per worker, adds up its columns one per
+	// worker, and builds a split's children on up to this many. 0 means
 	// runtime.GOMAXPROCS(0); 1 builds on the calling goroutine. The
 	// resulting partitioning — group IDs, member order, centroids, radii,
 	// R̃ — is identical for every setting: children are kept in a
-	// canonical quadrant order and results are stitched back
-	// positionally, so parallelism changes only the wall clock.
+	// canonical quadrant order, runs are joined in row order and results
+	// are stitched back positionally, so parallelism changes only the wall
+	// clock.
 	Workers int
 }
 
@@ -199,7 +207,7 @@ func Build(rel *relation.Relation, opt Options) (*Partitioning, error) {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		b := &treeBuilder{rel: rel, attrIdx: attrIdx}
-		return b.buildGroups(rel.AllRows(), 0, opt.SizeThreshold, opt.RadiusLimit, workers)
+		return b.groups(rel.AllRows(), opt.SizeThreshold, opt.RadiusLimit, workers)
 	})
 	if err != nil {
 		return nil, err
@@ -294,34 +302,60 @@ type treeBuilder struct {
 	attrIdx []int
 }
 
-// buildGroups recursively splits rows into groups satisfying τ (and ω
-// when positive), returning them in canonical depth-first quadrant order.
-// It is the split rule of Build and of the Maintainer's splits alike.
-// workers bounds the goroutines the call runs on (1: the calling one).
-func (b *treeBuilder) buildGroups(rows []int, depth, tau int, omega float64, workers int) []Group {
-	centroid := b.centroid(rows, workers)
-	final := len(rows) <= 1 || depth >= maxDepth
-	if final || len(rows) <= tau {
-		radius := relation.Radius(b.rel, b.attrIdx, rows, centroid)
-		if final || omega <= 0 || radius <= omega {
-			return []Group{{Rows: rows, Centroid: centroid, Radius: radius}}
+// node is a set of rows with its statistics on the partitioning
+// attributes: the centroid and the least and greatest cell of each.
+type node struct {
+	rows             []int
+	centroid, lo, hi []float64
+}
+
+// leaf is the group n makes as it stands.
+func (n node) leaf() Group {
+	return Group{Rows: n.rows, Centroid: n.centroid, Radius: extremesRadius(n.lo, n.hi, n.centroid)}
+}
+
+// groups partitions rows into groups satisfying τ (and ω when positive),
+// in canonical depth-first quadrant order: the split rule of Build and of
+// the Maintainer's splits alike. workers bounds the goroutines the call
+// runs on (1: the calling one).
+func (b *treeBuilder) groups(rows []int, tau int, omega float64, workers int) []Group {
+	root := b.nodes(rows, nil, [][]int{rows}, workers)[0]
+	return b.buildGroups(root, 0, tau, omega, workers)
+}
+
+// buildGroups recursively splits n. A split's children come with their
+// statistics, from one ordered pass per attribute column over n's rows, so
+// no node's rows are gathered again.
+func (b *treeBuilder) buildGroups(n node, depth, tau int, omega float64, workers int) []Group {
+	final := len(n.rows) <= 1 || depth >= maxDepth
+	if final || len(n.rows) <= tau {
+		if g := n.leaf(); final || omega <= 0 || g.Radius <= omega {
+			return []Group{g}
 		}
 	}
-	children := splitQuadrants(b.rel, b.attrIdx, rows, centroid)
-	if len(children) <= 1 {
+	lists, child := splitQuadrants(b.rel, b.attrIdx, n.rows, n.centroid, workers)
+	if len(lists) <= 1 {
 		// Degenerate split (all tuples in one quadrant, e.g. exact
 		// duplicates): fall back to chunking by τ, which always
 		// terminates and preserves the size condition. Radius is
 		// already as small as the data allows, so each chunk is a leaf
-		// (depth maxDepth) as it stands.
-		var out []Group
-		for len(rows) > 0 {
-			n := min(tau, len(rows))
-			out = append(out, b.buildGroups(rows[:n], maxDepth, tau, omega, 1)...)
-			rows = rows[n:]
+		// as it stands.
+		lists = lists[:0]
+		for from := 0; from < len(n.rows); from += tau {
+			to := min(from+tau, len(n.rows))
+			lists = append(lists, n.rows[from:to:to])
+			for j := from; j < to; j++ {
+				child[j] = int32(len(lists) - 1)
+			}
+		}
+		chunks := b.nodes(n.rows, child, lists, workers)
+		out := make([]Group, len(chunks))
+		for i, c := range chunks {
+			out[i] = c.leaf()
 		}
 		return out
 	}
+	children := b.nodes(n.rows, child, lists, workers)
 	// The children share the workers out, each keeping at least one.
 	sub := make([][]Group, len(children))
 	par.For(len(children), workers, func(i int) {
@@ -330,41 +364,87 @@ func (b *treeBuilder) buildGroups(rows []int, depth, tau int, omega float64, wor
 	return slices.Concat(sub...)
 }
 
-// centroid is relation.Centroid of rows on the partitioning attributes,
-// their columns summed on up to workers goroutines.
-func (b *treeBuilder) centroid(rows []int, workers int) []float64 {
-	if workers <= 1 {
-		return relation.Centroid(b.rel, b.attrIdx, rows)
+// nodes makes the nodes of lists, where rows[j] is a member of
+// lists[child[j]] and each list holds its rows in the order of rows: each
+// attribute column is read in one ordered pass over rows
+// (relation.GroupStats), the columns shared among the workers, so every
+// list's centroid is relation.Centroid's over it bit for bit.
+func (b *treeBuilder) nodes(rows []int, child []int32, lists [][]int, workers int) []node {
+	d, k := len(b.attrIdx), len(lists)
+	st := make([][]float64, d)
+	par.For(d, workers, func(a int) { st[a] = relation.GroupStats(b.rel, b.attrIdx[a], rows, child, k) })
+	stats := make([]float64, 3*d*k)
+	out := make([]node, k)
+	for i, list := range lists {
+		s := stats[3*d*i : 3*d*(i+1)]
+		n := node{rows: list, centroid: s[:d:d], lo: s[d : 2*d : 2*d], hi: s[2*d:]}
+		for a := range d {
+			n.centroid[a], n.lo[a], n.hi[a] = st[a][3*i]/float64(len(list)), st[a][3*i+1], st[a][3*i+2]
+		}
+		out[i] = n
 	}
-	c := make([]float64, len(b.attrIdx))
-	par.For(len(c), workers, func(a int) { c[a] = relation.Centroid(b.rel, b.attrIdx[a:a+1], rows)[0] })
-	return c
+	return out
 }
 
 // splitQuadrants distributes rows into sub-quadrants around the centroid:
 // tuples agreeing on which side of the centroid they fall, across all
-// attributes, share a quadrant. Each row costs one map lookup. Children
-// are returned ordered by quadrant bitmask, each with its rows in input
-// order, so the split — and with it every group ID downstream — is
-// deterministic across runs and worker counts.
-func splitQuadrants(rel *relation.Relation, attrIdx, rows []int, centroid []float64) [][]int {
-	child := make(map[uint64]int) // quadrant → index in lists
-	var lists [][]int
-	var masks []uint64
-	for j, mask := range relation.QuadrantMasks(rel, attrIdx, rows, centroid) {
-		k, ok := child[mask]
-		if !ok {
-			k, child[mask] = len(lists), len(lists)
-			lists, masks = append(lists, nil), append(masks, mask)
+// attributes, share a quadrant. It returns the children ordered by
+// quadrant bitmask, each with its rows in input order in a list of its
+// own (cap == len, so an in-place edit of one never reaches another), and
+// child[j], the index of rows[j]'s child. The rows are cut into one
+// contiguous run per worker: each run's masks are computed and numbered in
+// first-seen order on its worker, one map lookup per row; the numbers are
+// merged into mask order, and each run then moves its rows to its own
+// offsets in the children, the runs joined in row order. So the split —
+// and with it every group ID downstream — is deterministic across runs
+// and worker counts.
+func splitQuadrants(rel *relation.Relation, attrIdx, rows []int, centroid []float64, workers int) (lists [][]int, child []int32) {
+	runs := max(1, min(workers, len(rows)))
+	run := func(w int) (from, to int) { return w * len(rows) / runs, (w + 1) * len(rows) / runs }
+	child = make([]int32, len(rows))
+	seen := make([][]uint64, runs) // run w's masks, first seen first
+	at := make([][]int, runs)      // run w's rows per mask; then where the next goes
+	par.For(runs, workers, func(w int) {
+		from, to := run(w)
+		num := make(map[uint64]int32)
+		for j, mask := range relation.QuadrantMasks(rel, attrIdx, rows[from:to], centroid) {
+			id, ok := num[mask]
+			if !ok {
+				id, num[mask] = int32(len(seen[w])), int32(len(seen[w]))
+				seen[w], at[w] = append(seen[w], mask), append(at[w], 0)
+			}
+			child[from+j] = id
+			at[w][id]++
 		}
-		lists[k] = append(lists[k], rows[j])
-	}
+	})
+	masks := slices.Concat(seen...)
 	slices.Sort(masks)
-	out := make([][]int, len(masks))
-	for i, mask := range masks {
-		out[i] = lists[child[mask]]
+	masks = slices.Compact(masks)
+	index := make([][]int32, runs) // run w's number of a mask → its child
+	sizes := make([]int, len(masks))
+	for w := range runs {
+		index[w] = make([]int32, len(seen[w]))
+		for id, mask := range seen[w] {
+			k, _ := slices.BinarySearch(masks, mask)
+			index[w][id] = int32(k)
+			sizes[k], at[w][id] = sizes[k]+at[w][id], sizes[k]
+		}
 	}
-	return out
+	lists = make([][]int, len(masks))
+	for k, n := range sizes {
+		lists[k] = make([]int, n)
+	}
+	par.For(runs, workers, func(w int) {
+		from, to := run(w)
+		for j := from; j < to; j++ {
+			id := child[j]
+			k := index[w][id]
+			lists[k][at[w][id]] = rows[j]
+			at[w][id]++
+			child[j] = k
+		}
+	})
+	return lists, child
 }
 
 // numericCols lists the relation's numeric columns in schema order — the

@@ -97,6 +97,70 @@ func Extremes(r *Relation, colIdx []int, rows []int) (lo, hi []float64) {
 	return lo, hi
 }
 
+// GroupStats is Sums and Extremes of column col for many groups at once,
+// in one ordered pass over rows: rows[j]'s cell belongs to group group[j],
+// one of groups. Each group's cells are added in row order, so its sum is
+// Sums's over its own rows bit for bit, and its extremes are Extremes's
+// (NaN stepped over; +Inf and -Inf for a group with no cell). st holds
+// group k's sum, least and greatest cell at 3k, 3k+1 and 3k+2. A lone
+// group (group may then be nil) is added up in registers. A TEXT column
+// sums to NaN.
+func GroupStats(r *Relation, col int, rows []int, group []int32, groups int) (st []float64) {
+	st = make([]float64, 3*groups)
+	for k := 0; k < len(st); k += 3 {
+		st[k+1], st[k+2] = math.Inf(1), math.Inf(-1)
+	}
+	switch c := r.cols[col]; {
+	case c.typ == Float && groups == 1:
+		st[0], st[1], st[2] = statsOver(c.f, rows)
+	case c.typ == Float:
+		addGrouped(c.f, rows, group, st)
+	case c.typ == Int && groups == 1:
+		st[0], st[1], st[2] = statsOver(c.i, rows)
+	case c.typ == Int:
+		addGrouped(c.i, rows, group, st)
+	default:
+		for k := 0; k < len(st); k += 3 {
+			st[k] = math.NaN()
+		}
+	}
+	return st
+}
+
+// statsOver is sumOver and extremesOver in one pass: the compares run in
+// the shadow of the sum's chain of dependent adds, and cost nothing.
+func statsOver[T int64 | float64](col []T, rows []int) (sum, lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, i := range rows {
+		v := float64(col[i])
+		sum += v
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return sum, lo, hi
+}
+
+// addGrouped adds col's cell at each of rows into its group's running sum
+// and extremes in st, in row order.
+func addGrouped[T int64 | float64](col []T, rows []int, group []int32, st []float64) {
+	group = group[:len(rows)]
+	for j, i := range rows {
+		k := 3 * int(group[j])
+		acc, v := st[k:k+3:k+3], float64(col[i])
+		acc[0] += v
+		if v < acc[1] {
+			acc[1] = v
+		}
+		if v > acc[2] {
+			acc[2] = v
+		}
+	}
+}
+
 // QuadrantMasks sets bit a of masks[j] when row rows[j]'s cell of column
 // colIdx[a] is at or above centre[a], one typed column at a time: the
 // quadrant of each row in the partitioner's split around a centroid.

@@ -85,6 +85,41 @@ func TestCentroidRadiusMatchRowOracle(t *testing.T) {
 	}
 }
 
+// GroupStats over rows dealt at random among k groups gives every group
+// Sums's sum and Extremes's extremes over its own rows, bit for bit: one
+// group with a nil group list, an empty group beside k > 1, and NaN,
+// infinite and above-2^53 cells included.
+func TestGroupStatsMatchSumsExtremes(t *testing.T) {
+	r, cols, _ := centroidFixture(3000)
+	r.mustAppend(I(1<<53+1), F(math.NaN()), F(math.Inf(1)), F(math.Inf(-1)), F(1), F(2), F(3), F(4), F(5), F(6), F(7))
+	rows := r.AllRows()
+	rng := rand.New(rand.NewSource(9))
+	for _, k := range []int{1, 2, 7, 300} {
+		group, members := make([]int32, len(rows)), make([][]int, k+1) // group k stays empty
+		for j, row := range rows {
+			group[j] = int32(rng.Intn(k))
+			members[group[j]] = append(members[group[j]], row)
+		}
+		if k == 1 {
+			group, members = nil, members[:1]
+		}
+		for _, c := range cols {
+			st := GroupStats(r, c, rows, group, len(members))
+			for g, list := range members {
+				sum, lo, hi := Sums(r, []int{c}, list)[0], math.Inf(1), math.Inf(-1)
+				if len(list) > 0 {
+					l, h := Extremes(r, []int{c}, list)
+					lo, hi = l[0], h[0]
+				}
+				if math.Float64bits(st[3*g]) != math.Float64bits(sum) || st[3*g+1] != lo || st[3*g+2] != hi {
+					t.Fatalf("k=%d column %d group %d: sum %v [%v, %v], gathered %v [%v, %v]",
+						k, c, g, st[3*g], st[3*g+1], st[3*g+2], sum, lo, hi)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkCentroidRadius is the gather under partition.Build and every
 // whole-group recomputation of a maintainer: one 20 000-row group of a 200 000-row table.
 func BenchmarkCentroidRadius(b *testing.B) {

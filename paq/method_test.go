@@ -281,6 +281,47 @@ SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
 	}
 }
 
+// TestWithMethodSpellings: WithMethod takes a method as ParseMethod reads
+// it, so every spelling of a name plans that method, at Open and at
+// Prepare alike (3 000 rows, where auto would pick SketchRefine).
+func TestWithMethodSpellings(t *testing.T) {
+	const q = `SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0
+SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.r)`
+	rel := workload.Galaxy(3000, 7)
+	cases := []struct {
+		spelling paq.Method
+		want     paq.Method
+	}{
+		{"DIRECT", paq.MethodDirect},
+		{" direct", paq.MethodDirect},
+		{"Naive", paq.MethodNaive},
+		{"naive\t", paq.MethodNaive},
+		{"SketchRefine", paq.MethodSketchRefine},
+		{" AUTO ", paq.MethodSketchRefine},
+	}
+	for _, tc := range cases {
+		sess, err := paq.Open(paq.Table(rel), paq.WithMethod(tc.spelling), paq.WithoutCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		atOpen := must(sess.Prepare(q)).Plan()
+		other, err := paq.Open(paq.Table(rel), paq.WithoutCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		atPrepare := must(other.Prepare(q, paq.WithMethod(tc.spelling))).Plan()
+		for where, p := range map[string]*paq.Plan{"Open": atOpen, "Prepare": atPrepare} {
+			auto := strings.HasPrefix(p.Reason, "auto:")
+			if p.Method != tc.want || auto != (strings.TrimSpace(string(tc.spelling)) == "AUTO") {
+				t.Errorf("WithMethod(%q) at %s: planned %s (%q), want %s", tc.spelling, where, p.Method, p.Reason, tc.want)
+			}
+		}
+	}
+	if _, err := paq.Open(paq.Table(rel), paq.WithMethod("simplex")); err == nil {
+		t.Error("WithMethod(\"simplex\") opened a session")
+	}
+}
+
 // TestWithoutAdvisor: the option survives as a no-op — a session opened
 // with it plans exactly like one opened without it, on both sides of
 // the size rule.

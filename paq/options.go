@@ -74,14 +74,16 @@ func applyPrepare(cfg *config, opts []Option) error {
 }
 
 // WithMethod fixes the evaluation method instead of letting Prepare
-// choose. Valid at Open (session default) and at Prepare (per
+// choose, spelled as ParseMethod reads it (any case, surrounding space
+// ignored). Valid at Open (session default) and at Prepare (per
 // statement).
 func WithMethod(m Method) Option {
 	return prepareOpt(func(c *config) error {
-		if _, err := ParseMethod(string(m)); err != nil {
+		parsed, err := ParseMethod(string(m))
+		if err != nil {
 			return err
 		}
-		c.method = m
+		c.method = parsed
 		return nil
 	})
 }
