@@ -172,8 +172,9 @@ func (st *gState) widen(a int, v float64) {
 
 // extremesRadius is Definition 2's radius about centroid c, read off the
 // least and greatest cell of each attribute: fl(x − c) is monotone in x,
-// so it is relation.Radius's bit for bit (a NaN distance is stepped over,
-// as there: a NaN centroid, or one at the one infinite cell, reads 0).
+// so it is relation.Radius's bit for bit. A NaN distance (a NaN centroid,
+// or an infinite extreme minus an equal centroid) is stepped over, as
+// relation.Radius steps over it.
 func extremesRadius(lo, hi, c []float64) float64 {
 	r := 0.0
 	for a, ca := range c {
