@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/relation"
 	"repro/internal/reltest"
 )
@@ -55,7 +56,8 @@ func oracleRel(n int, seed int64, dupShare float64) *relation.Relation {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // matchGatherOracle checks every group in gids against relation.Centroid
-// and relation.Radius gathered over its members, in bits.
+// and relation.Radius gathered over its members, and its R̃ row against
+// relation.Centroid on every numeric column, in bits.
 func matchGatherOracle(t *testing.T, label string, p *Partitioning, gids []int) {
 	t.Helper()
 	for _, gid := range gids {
@@ -70,13 +72,75 @@ func matchGatherOracle(t *testing.T, label string, p *Partitioning, gids []int) 
 			t.Fatalf("%s: group %d radius = %v, gathered %v", label, gid, g.Radius, r)
 		}
 	}
+	matchRepsOracle(t, label, p, gids)
 }
 
-// TestBuildGroupsMatchGatherOracle holds every group Build and a
-// Maintainer split make to the plain gather over its members: its
-// centroid is relation.Centroid's and its radius relation.Radius's, bit
-// for bit, on NaN, all-NaN, ±Inf, large Int and duplicate cells, with
-// and without ω, on 1, 2 and 4 workers.
+// matchRepsOracle checks the R̃ row of every group in gids against
+// relation.Centroid over its members on every numeric column, in bits.
+func matchRepsOracle(t *testing.T, label string, p *Partitioning, gids []int) {
+	t.Helper()
+	numIdx := numericCols(p.Rel)
+	for _, gid := range gids {
+		for pos, want := range relation.Centroid(p.Rel, numIdx, p.Groups[gid].Rows) {
+			if got := p.Reps.Float(gid, repCol(pos)); !sameBits(got, want) {
+				t.Fatalf("%s: group %d R̃ %s = %v, gathered %v", label, gid, p.Reps.Schema().Col(repCol(pos)).Name, got, want)
+			}
+		}
+	}
+}
+
+// maintainedState is the statistic a Maintainer keeps of group gid: its
+// sum on every numeric column and its extremes on every attribute.
+func maintainedState(m *Maintainer, gid int) (sums, lo, hi []float64) {
+	st := m.groups[gid]
+	return st.sums, st.lo, st.hi
+}
+
+// matchMaintainerOracle makes a Maintainer of head p, which must start no
+// goroutine, and checks its statistic of every group against relation.Sums
+// and relation.Extremes gathered over the members, in bits.
+func matchMaintainerOracle(t *testing.T, label string, p *Partitioning) *Maintainer {
+	t.Helper()
+	before := par.Started()
+	m := NewMaintainer(p, MaintOptions{})
+	if par.Started() != before {
+		t.Fatalf("%s: NewMaintainer started %d goroutines", label, par.Started()-before)
+	}
+	numIdx := numericCols(p.Rel)
+	for gid, g := range p.Groups {
+		sums, lo, hi := maintainedState(m, gid)
+		wantLo, wantHi := relation.Extremes(p.Rel, p.AttrIdx, g.Rows)
+		for _, c := range []struct {
+			what      string
+			got, want []float64
+		}{{"sums", sums, relation.Sums(p.Rel, numIdx, g.Rows)}, {"lo", lo, wantLo}, {"hi", hi, wantHi}} {
+			if !slices.EqualFunc(c.got, c.want, sameBits) {
+				t.Fatalf("%s: group %d maintained %s %v, gathered %v", label, gid, c.what, c.got, c.want)
+			}
+		}
+	}
+	return m
+}
+
+// snapshotOf copies what the store serializes of p's groups.
+func snapshotOf(p *Partitioning) []Group {
+	groups := make([]Group, len(p.Groups))
+	for gid, g := range p.Groups {
+		groups[gid] = Group{Rows: slices.Clone(g.Rows), Centroid: slices.Clone(g.Centroid), Radius: g.Radius}
+	}
+	return groups
+}
+
+// TestBuildGroupsMatchGatherOracle holds every group Build, FromGroups
+// and a Maintainer split make to the plain gather over its members: its
+// centroid is relation.Centroid's, its radius relation.Radius's and its R̃
+// row relation.Centroid's on every numeric column, bit for bit, on NaN,
+// all-NaN, ±Inf, large Int and duplicate cells, with and without ω, on 1,
+// 2 and 4 workers. FromGroups restores both a Build's groups and those of
+// a head maintained through mixed batches; a Restrict-ed view is held to
+// it on R̃ (its centroids are the parent's); and a fresh Maintainer of
+// every head keeps each group's relation.Sums and relation.Extremes, bit
+// for bit.
 func TestBuildGroupsMatchGatherOracle(t *testing.T) {
 	rel := oracleRel(3000, 11, 0)
 	dups := oracleRel(3000, 12, 0.6)
@@ -102,7 +166,22 @@ func TestBuildGroupsMatchGatherOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			matchGatherOracle(t, fmt.Sprintf("%s/workers=%d", tc.name, workers), p, allGIDs(p))
+			label := fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			matchGatherOracle(t, label, p, allGIDs(p))
+			var every3rd []int
+			for r := 0; r < tc.rel.Len(); r += 3 {
+				every3rd = append(every3rd, r)
+			}
+			v := p.Restrict(every3rd)
+			matchRepsOracle(t, label+"/restrict", v, allGIDs(v))
+			q, err := FromGroups(tc.rel, p.Attrs, p.Tau, p.Omega, workers, snapshotOf(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchGatherOracle(t, label+"/from-groups", q, allGIDs(q))
+			matchMaintainerOracle(t, label+"/maintainer", p)
+			matchMaintainerOracle(t, label+"/from-groups/maintainer", q)
+			matchGatherOracle(t, label+"/from-groups/maintainer", q, allGIDs(q))
 		}
 	}
 
@@ -133,6 +212,65 @@ func TestBuildGroupsMatchGatherOracle(t *testing.T) {
 	}
 	if m.Stats().Splits == 0 {
 		t.Fatal("600 inserts at τ=50 split no group")
+	}
+
+	// A head maintained through mixed Insert, Delete and UpdateRows
+	// batches, whose running sums have left relation.Sums' bits, restored
+	// by FromGroups on 1 and 2 workers: the restored head and a fresh
+	// Maintainer of it carry every group's gathered statistic. The
+	// maintenance starts no goroutine.
+	rel = oracleRel(800, 15, 0.2)
+	more = oracleRel(400, 16, 0.2)
+	before := par.Started()
+	m = NewMaintainer(mustBuild(t, rel, []string{"x", "nan", "big"}, 60), MaintOptions{})
+	p = m.Partitioning()
+	rng := rand.New(rand.NewSource(17))
+	for b := 0; b < 40; b++ {
+		var ins []int
+		for j := 0; j < 10; j++ {
+			ins = append(ins, rel.Len())
+			reltest.Append(rel, more.Row(rng.Intn(more.Len()))...)
+		}
+		if err := m.Insert(ins...); err != nil {
+			t.Fatal(err)
+		}
+		live := rel.AllRows()
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		del, upd := live[:6], live[6:10]
+		for _, r := range del {
+			if err := rel.Delete(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Delete(del...); err != nil {
+			t.Fatal(err)
+		}
+		err := UpdateRows([]*Maintainer{m}, upd, func(i int) error {
+			for c, v := range more.Row(rng.Intn(more.Len())) {
+				if err := rel.Set(upd[i], c, v); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if par.Started() != before {
+		t.Fatalf("maintenance started %d goroutines", par.Started()-before)
+	}
+	if st := m.Stats(); st.Splits == 0 || st.Merges == 0 {
+		t.Fatalf("the batches split %d and merged %d groups: the schedule tests little", st.Splits, st.Merges)
+	}
+	for _, workers := range []int{1, 2} {
+		label := fmt.Sprintf("maintained/from-groups/workers=%d", workers)
+		q, err := FromGroups(rel, p.Attrs, p.Tau, p.Omega, workers, snapshotOf(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchMaintainerOracle(t, label+"/maintainer", q)
+		matchGatherOracle(t, label, q, allGIDs(q))
 	}
 }
 
