@@ -27,12 +27,14 @@ import (
 //   - a member list is copied at most once per View of the head, the
 //     first time maintenance edits it after the view, and edited in place
 //     from then on, across batches (own);
-//   - group centroids are maintained incrementally from running sums,
-//     and radii exactly from each group's least and greatest member cell
-//     on every partitioning attribute: an insert widens them, a merge
-//     takes both sides', and only a removed member that was one of them
-//     sends the maintainer back over the group's cells, for that one
-//     attribute.
+//   - each group's statistic, adopted as the head's constructor made it,
+//     is kept incrementally: running sums give the centroid and R̃ row, and
+//     the least and greatest member cell on each attribute the exact
+//     radius. An insert widens them, a merge takes both sides', and only a
+//     removed member that held one sends the maintainer back over the
+//     group's cells, for that attribute. A split's children take the
+//     builder's statistics; only a heal adds a group up whole. None of it
+//     starts a goroutine.
 //
 // SketchRefine's quality guarantees (Theorem 3) are stated in terms of
 // the maximum group radius; because maintenance keeps every radius exact,
@@ -64,16 +66,9 @@ type MaintStats struct {
 	Rebuilds uint64
 }
 
-// gState is the maintainer's bookkeeping for one group.
+// gState is the maintainer's bookkeeping for one group, beside the
+// group's statistic on the head.
 type gState struct {
-	// sums holds per-column value sums over the group's member rows for
-	// every numeric column of the relation (the representative tuple is
-	// sums/count). Indexed like Maintainer.numIdx.
-	sums []float64
-	// lo and hi hold the least and greatest member cell on each
-	// partitioning attribute (p.AttrIdx order), the group's radius in
-	// O(d).
-	lo, hi []float64
 	// noSplit marks a group whose last radius-driven split attempt was
 	// degenerate (duplicate points); cleared on the next membership
 	// change so the maintainer does not retry hopeless splits every op.
@@ -94,35 +89,25 @@ type gState struct {
 // around it), so update propagation is a stage of its own with its own
 // state. A Maintainer is not itself safe for concurrent use.
 type Maintainer struct {
-	p *Partitioning
-	// numIdx are the relation's numeric column indices in schema order
-	// (the representative relation's attribute order).
-	numIdx []int
-	// attrPos maps each partitioning attribute (p.AttrIdx order) to its
-	// position in numIdx.
-	attrPos []int
-	groups  []*gState
-	stats   MaintStats
+	p      *Partitioning
+	groups []*gState
+	stats  MaintStats
 	// structChanged records that the group set changed shape since the
 	// last representative flush (splits, merges, drops), forcing a full
 	// Reps rebuild instead of in-place cell updates.
 	structChanged bool
-	cells         []float64 // scratch: a leaving row's numeric cells
+	cells, point  []float64 // scratch: a row's numeric cells, and its point on the attributes
 }
 
 // NewMaintainer wraps an existing head partitioning for incremental
 // maintenance. The partitioning must satisfy its invariants; its groups
-// are adopted as-is, their centroids and radii recomputed exactly.
+// and their statistics are adopted as they are, in O(groups), without a
+// pass over the rows.
 func NewMaintainer(p *Partitioning, _ MaintOptions) *Maintainer {
-	m := &Maintainer{p: p, numIdx: numericCols(p.Rel)}
-	m.cells = make([]float64, len(m.numIdx))
-	m.attrPos = make([]int, len(p.AttrIdx))
-	for a, idx := range p.AttrIdx {
-		m.attrPos[a] = slices.Index(m.numIdx, idx)
-	}
+	m := &Maintainer{p: p, cells: make([]float64, len(p.numIdx)), point: make([]float64, len(p.AttrIdx))}
 	m.groups = make([]*gState, len(p.Groups))
-	for gid := range p.Groups {
-		m.groups[gid] = m.exactState(&p.Groups[gid])
+	for gid := range m.groups {
+		m.groups[gid] = &gState{}
 	}
 	return m
 }
@@ -139,36 +124,6 @@ func (m *Maintainer) Stats() MaintStats { return m.stats }
 // the counters of the maintainer it replaces, so a recovered service
 // reports cumulative (not since-boot) maintenance work.
 func (m *Maintainer) RestoreStats(st MaintStats) { m.stats = st }
-
-// exactState computes a group's bookkeeping from scratch and overwrites
-// its centroid and radius.
-func (m *Maintainer) exactState(g *Group) *gState {
-	st := &gState{sums: relation.Sums(m.p.Rel, m.numIdx, g.Rows), dirty: true}
-	st.lo, st.hi = make([]float64, len(m.attrPos)), make([]float64, len(m.attrPos))
-	m.gather(g, st, 0, len(m.attrPos))
-	g.Centroid = m.centroidOf(st, len(g.Rows))
-	g.Radius = extremesRadius(st.lo, st.hi, g.Centroid)
-	return st
-}
-
-// gather recomputes group g's extremes on partitioning attributes
-// [from, to) over its members, one typed column pass each.
-func (m *Maintainer) gather(g *Group, st *gState, from, to int) {
-	lo, hi := relation.Extremes(m.p.Rel, m.p.AttrIdx[from:to], g.Rows)
-	copy(st.lo[from:to], lo)
-	copy(st.hi[from:to], hi)
-}
-
-// widen takes cell v on partitioning attribute a into the extremes (a NaN
-// is stepped over, as relation.Extremes does).
-func (st *gState) widen(a int, v float64) {
-	if v < st.lo[a] {
-		st.lo[a] = v
-	}
-	if v > st.hi[a] {
-		st.hi[a] = v
-	}
-}
 
 // extremesRadius is Definition 2's radius about centroid c, read off the
 // least and greatest cell of each attribute: fl(x − c) is monotone in x,
@@ -187,37 +142,18 @@ func extremesRadius(lo, hi, c []float64) float64 {
 	return r
 }
 
-// heal recomputes group gid from scratch: the settling of an update whose
-// old cells were overwritten before the row left.
+// addUp sets group gid's statistic over its members from scratch, one
+// ordered pass per numeric column, and re-derives the group from it.
+func (m *Maintainer) addUp(gid int) {
+	m.p.fill(m.p.stats[gid:gid+1], m.p.Groups[gid:gid+1], m.p.cols, 1)
+	m.recentre(gid)
+}
+
+// heal adds group gid up whole: the settling of an update whose old cells
+// were overwritten before the row left.
 func (m *Maintainer) heal(gid int) {
-	m.groups[gid] = m.exactState(&m.p.Groups[gid])
+	m.addUp(gid)
 	m.stats.Heals++
-}
-
-// mean is a running sum over count members; an empty group reads zero.
-func mean(sum float64, count int) float64 {
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
-}
-
-// meansOf fills dst with group gid's mean on every numeric column, from
-// its running sums: its R̃ row.
-func (m *Maintainer) meansOf(gid int, dst []float64) {
-	for pos, s := range m.groups[gid].sums {
-		dst[pos] = mean(s, len(m.p.Groups[gid].Rows))
-	}
-}
-
-// centroidOf derives the partitioning-attribute centroid from running
-// sums.
-func (m *Maintainer) centroidOf(st *gState, count int) []float64 {
-	out := make([]float64, len(m.attrPos))
-	for a, pos := range m.attrPos {
-		out[a] = mean(st.sums[pos], count)
-	}
-	return out
 }
 
 // recentre re-derives group gid's centroid from its sums and its radius
@@ -225,8 +161,7 @@ func (m *Maintainer) centroidOf(st *gState, count int) []float64 {
 // touched.
 func (m *Maintainer) recentre(gid int) {
 	g, st := &m.p.Groups[gid], m.groups[gid]
-	g.Centroid = m.centroidOf(st, len(g.Rows))
-	g.Radius = extremesRadius(st.lo, st.hi, g.Centroid)
+	g.Centroid, g.Radius = m.p.centre(m.p.stats[gid], len(g.Rows))
 	st.noSplit = false
 	st.dirty = true
 }
@@ -288,7 +223,7 @@ func (m *Maintainer) batch(rows []int, count *uint64, step func(row int) error) 
 // counts itself on the head under that lock, so no view holds an array
 // allocated here since the latest one; and no other group aliases it (a
 // degenerate split's chunks share one array, and start unowned, as every
-// exactState does).
+// split's children do).
 func (m *Maintainer) own(gid int) *Group {
 	g, st := &m.p.Groups[gid], m.groups[gid]
 	if st.owned != m.p.views+1 {
@@ -307,22 +242,27 @@ func (m *Maintainer) insertOne(row int) error {
 	if m.p.GID[row] != -1 {
 		return fmt.Errorf("partition: row %d is already in group %d", row, m.p.GID[row])
 	}
-	// The row as a point over the partitioning attributes: its own centroid.
-	pt := relation.Centroid(m.p.Rel, m.p.AttrIdx, []int{row})
+	// The row's cells, read once; on the attributes, its point.
+	cells, pt := numericCells(m.p.Rel, m.p.numIdx, row, m.cells), m.point
+	for a, pos := range m.p.attrPos {
+		pt[a] = cells[pos]
+	}
 	gid := m.nearest(pt, -1)
 	if gid < 0 {
 		// Every group was deleted away: found a new first cell.
 		m.p.Groups = append(m.p.Groups, Group{ID: 0, Rows: []int{row}})
-		m.groups = append(m.groups, m.exactState(&m.p.Groups[0]))
+		m.p.stats = append(m.p.stats, m.p.newStats(1)...)
+		m.groups = append(m.groups, &gState{})
+		m.addUp(0)
 		m.p.GID[row] = 0
 		m.structChanged = true
 		return nil
 	}
-	g, st := m.own(gid), m.groups[gid]
+	g, st := m.own(gid), m.p.stats[gid]
 	at, _ := slices.BinarySearch(g.Rows, row)
 	g.Rows = slices.Insert(g.Rows, at, row)
-	for pos, c := range m.numIdx {
-		st.sums[pos] += m.p.Rel.Float(row, c)
+	for pos, v := range cells {
+		st.sums[pos] += v
 	}
 	for a, v := range pt {
 		st.widen(a, v)
@@ -362,16 +302,16 @@ func (m *Maintainer) Delete(rows ...int) error {
 func (m *Maintainer) leave(row int) error {
 	gid, err := m.detach(row)
 	if err == nil {
-		m.shrink(gid, numericCells(m.p.Rel, m.numIdx, row, m.cells))
+		m.shrink(gid, numericCells(m.p.Rel, m.p.numIdx, row, m.cells))
 	}
 	return err
 }
 
 // shrink settles group gid after detach took out a member whose numeric
 // cells read old while it was one (nil: overwritten, so the group is healed).
-// Only an attribute on which the member held an extreme is gathered again.
+// Only an attribute on which the member held an extreme is read again.
 func (m *Maintainer) shrink(gid int, old []float64) {
-	g, st := &m.p.Groups[gid], m.groups[gid]
+	g, st := &m.p.Groups[gid], m.p.stats[gid]
 	switch {
 	case len(g.Rows) == 0:
 		m.dropGroup(gid)
@@ -382,9 +322,10 @@ func (m *Maintainer) shrink(gid int, old []float64) {
 		for pos, v := range old {
 			st.sums[pos] -= v
 		}
-		for a, pos := range m.attrPos {
+		for a, pos := range m.p.attrPos {
 			if v := old[pos]; v == st.lo[a] || v == st.hi[a] {
-				m.gather(g, st, a, a+1)
+				cell := relation.GroupStats(m.p.Rel, m.p.AttrIdx[a], g.Rows, nil, 1)
+				st.lo[a], st.hi[a] = cell[1], cell[2]
 			}
 		}
 		m.recentre(gid)
@@ -443,29 +384,28 @@ func (m *Maintainer) splitMaybe(gid int) {
 	if len(g.Rows) <= m.p.Tau && (m.p.Omega <= 0 || g.Radius <= m.p.Omega || m.groups[gid].noSplit) {
 		return
 	}
-	b := &treeBuilder{rel: m.p.Rel, attrIdx: m.p.AttrIdx}
-	parts := b.groups(g.Rows, m.p.Tau, m.p.Omega, 1)
+	parts, stats := m.p.groups(g.Rows, m.p.Tau, m.p.Omega, 1)
 	if len(parts) <= 1 {
 		// Degenerate (duplicate points): no split exists. Remember, so
 		// the next mutations don't retry until membership changes.
 		m.groups[gid].noSplit = true
 		return
 	}
+	m.p.fill(stats, parts, m.p.cols[len(m.p.attrPos):], 1)
 	m.stats.Splits++
 	m.structChanged = true
 	for i, ng := range parts {
 		slot := gid
 		if i > 0 {
 			slot = len(m.p.Groups)
-			m.p.Groups = append(m.p.Groups, Group{})
+			m.p.Groups, m.p.stats = append(m.p.Groups, Group{}), append(m.p.stats, groupStat{})
 			m.groups = append(m.groups, nil)
 		}
 		ng.ID = slot
-		m.p.Groups[slot] = ng
+		m.p.Groups[slot], m.p.stats[slot], m.groups[slot] = ng, stats[i], &gState{}
 		for _, r := range ng.Rows {
 			m.p.GID[r] = slot
 		}
-		m.groups[slot] = m.exactState(&m.p.Groups[slot])
 	}
 }
 
@@ -481,7 +421,7 @@ func (m *Maintainer) mergeMaybe(gid int) {
 		return // the only group
 	}
 	m.stats.Merges++
-	t, ts, src := &m.p.Groups[best], m.groups[best], m.groups[gid]
+	t, ts, src := &m.p.Groups[best], m.p.stats[best], m.p.stats[gid]
 	t.Rows = mergeSorted(t.Rows, g.Rows)
 	for pos := range ts.sums {
 		ts.sums[pos] += src.sums[pos]
@@ -509,15 +449,13 @@ func (m *Maintainer) mergeMaybe(gid int) {
 func (m *Maintainer) dropGroup(gid int) {
 	last := len(m.p.Groups) - 1
 	if gid != last {
-		m.p.Groups[gid] = m.p.Groups[last]
+		m.p.Groups[gid], m.p.stats[gid], m.groups[gid] = m.p.Groups[last], m.p.stats[last], m.groups[last]
 		m.p.Groups[gid].ID = gid
-		m.groups[gid] = m.groups[last]
 		for _, r := range m.p.Groups[gid].Rows {
 			m.p.GID[r] = gid
 		}
 	}
-	m.p.Groups = m.p.Groups[:last]
-	m.groups = m.groups[:last]
+	m.p.Groups, m.p.stats, m.groups = m.p.Groups[:last], m.p.stats[:last], m.groups[:last]
 	m.structChanged = true
 }
 
@@ -525,15 +463,15 @@ func (m *Maintainer) dropGroup(gid int) {
 // updates in place for dirty groups, or a full (cheap, O(m)) rebuild
 // from the sums when the group set itself changed shape.
 func (m *Maintainer) flushReps() {
-	rebuilt, row := m.structChanged, make([]float64, len(m.numIdx))
+	p, rebuilt, row := m.p, m.structChanged, make([]float64, len(m.p.numIdx))
 	if rebuilt {
-		m.p.Reps = newReps(m.p.Rel, m.numIdx, len(m.groups), m.meansOf)
+		p.Reps = newReps(p.Rel, p.numIdx, p.Groups, p.stats)
 		m.structChanged = false
 	}
 	for gid, st := range m.groups {
 		if st.dirty && !rebuilt {
-			m.meansOf(gid, row)
-			setRep(m.p.Reps, gid, row)
+			p.stats[gid].means(len(p.Groups[gid].Rows), row)
+			setRep(p.Reps, gid, row)
 		}
 		st.dirty = false
 	}
@@ -544,13 +482,11 @@ func (m *Maintainer) flushReps() {
 // for a maintained partitioning are those of an offline partitioning built
 // with this radius limit.
 func (m *Maintainer) MaxRadiusBound() float64 {
-	max := 0.0
+	r := 0.0
 	for _, g := range m.p.Groups {
-		if g.Radius > max {
-			max = g.Radius
-		}
+		r = max(r, g.Radius)
 	}
-	return max
+	return r
 }
 
 // QualityBound returns the multiplicative factor F ≥ 1 by which a
@@ -591,14 +527,14 @@ func (m *Maintainer) QualityBound(maximize bool) float64 {
 // centroid, bit for bit, and the gid map is the one the lists imply.
 func (m *Maintainer) CheckInvariants() error {
 	p := m.p
-	if len(m.groups) != len(p.Groups) {
-		return fmt.Errorf("partition: the maintainer keeps state for %d groups of %d", len(m.groups), len(p.Groups))
+	if len(m.groups) != len(p.Groups) || len(p.stats) != len(p.Groups) {
+		return fmt.Errorf("partition: the maintainer keeps state for %d groups and statistics for %d, of %d", len(m.groups), len(p.stats), len(p.Groups))
 	}
 	gids, err := p.check(func(g *Group) error {
 		if !slices.IsSorted(g.Rows) {
 			return fmt.Errorf("partition: maintained group %d member list is not sorted", g.ID)
 		}
-		st := m.groups[g.ID]
+		st := p.stats[g.ID]
 		if lo, hi := relation.Extremes(p.Rel, p.AttrIdx, g.Rows); !slices.Equal(lo, st.lo) || !slices.Equal(hi, st.hi) {
 			return fmt.Errorf("partition: maintained group %d extremes [%v, %v], its members' [%v, %v]", g.ID, st.lo, st.hi, lo, hi)
 		}

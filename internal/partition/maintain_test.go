@@ -165,7 +165,7 @@ func sameStructure(t *testing.T, at string, got, ref *Maintainer) {
 	if !reflect.DeepEqual(p.GID, q.GID) || len(p.Groups) != len(q.Groups) {
 		t.Fatalf("%s: gid maps diverged (%d vs %d groups)", at, len(p.Groups), len(q.Groups))
 	}
-	row, refRow := make([]float64, len(got.numIdx)), make([]float64, len(got.numIdx))
+	row, refRow := make([]float64, len(p.numIdx)), make([]float64, len(p.numIdx))
 	for gid := range p.Groups {
 		if !reflect.DeepEqual(p.Groups[gid].Rows, q.Groups[gid].Rows) {
 			t.Fatalf("%s: group %d membership diverged", at, gid)
@@ -175,8 +175,8 @@ func sameStructure(t *testing.T, at string, got, ref *Maintainer) {
 				t.Fatalf("%s: group %d centroid %v vs reference %v", at, gid, p.Groups[gid].Centroid, q.Groups[gid].Centroid)
 			}
 		}
-		got.meansOf(gid, row)
-		ref.meansOf(gid, refRow)
+		p.stats[gid].means(len(p.Groups[gid].Rows), row)
+		q.stats[gid].means(len(q.Groups[gid].Rows), refRow)
 		for pos := range row {
 			if drifted(row[pos], refRow[pos]) || drifted(p.Reps.Float(gid, repCol(pos)), q.Reps.Float(gid, repCol(pos))) {
 				t.Fatalf("%s: group %d representative diverged on numeric column %d", at, gid, pos)
@@ -264,7 +264,7 @@ func applyOps(t *testing.T, seed int64, nOps int, check bool) (*relation.Relatio
 		got.m.heal(gid)
 		ref.m.heal(gid)
 		g, r := got.m.p.Groups[gid], ref.m.p.Groups[gid]
-		if !reflect.DeepEqual(got.m.groups[gid].sums, ref.m.groups[gid].sums) || !reflect.DeepEqual(g.Centroid, r.Centroid) || g.Radius != r.Radius {
+		if !reflect.DeepEqual(got.m.p.stats[gid].sums, ref.m.p.stats[gid].sums) || !reflect.DeepEqual(g.Centroid, r.Centroid) || g.Radius != r.Radius {
 			t.Fatalf("seed %d: healed group %d differs from the reference's", seed, gid)
 		}
 	}
@@ -676,13 +676,13 @@ func TestMaintainerSumsDoNotDrift(t *testing.T) {
 	}
 	worst := 0.0
 	for gid, g := range p.Groups {
-		exact := relation.Sums(rel, m.numIdx, g.Rows)
-		for pos, c := range m.numIdx {
+		exact := relation.Sums(rel, p.numIdx, g.Rows)
+		for pos, c := range p.numIdx {
 			scale := 0.0
 			for _, r := range g.Rows {
 				scale += math.Abs(rel.Float(r, c))
 			}
-			if e := math.Abs(m.groups[gid].sums[pos]-exact[pos]) / scale; e > worst {
+			if e := math.Abs(p.stats[gid].sums[pos]-exact[pos]) / scale; e > worst {
 				worst = e
 			}
 		}
@@ -729,8 +729,8 @@ func TestUpdateRowsKeepsGroupsAtTheRelationsCells(t *testing.T) {
 			split := false
 			err = UpdateRows([]*Maintainer{m}, rows, func(i int) error {
 				for gid, grp := range p.Groups {
-					st, exact := m.groups[gid], relation.Sums(rel, m.numIdx, grp.Rows)
-					for pos, c := range m.numIdx {
+					st, exact := p.stats[gid], relation.Sums(rel, p.numIdx, grp.Rows)
+					for pos, c := range p.numIdx {
 						scale := 0.0
 						for _, r := range grp.Rows {
 							scale += math.Abs(rel.Float(r, c))

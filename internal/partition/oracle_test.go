@@ -92,7 +92,7 @@ func matchRepsOracle(t *testing.T, label string, p *Partitioning, gids []int) {
 // maintainedState is the statistic a Maintainer keeps of group gid: its
 // sum on every numeric column and its extremes on every attribute.
 func maintainedState(m *Maintainer, gid int) (sums, lo, hi []float64) {
-	st := m.groups[gid]
+	st := m.p.stats[gid]
 	return st.sums, st.lo, st.hi
 }
 

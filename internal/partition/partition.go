@@ -14,7 +14,11 @@
 // (relation.GroupStats): every child leaves the split with its centroid
 // and the least and greatest cell of each attribute, so a child within τ
 // reads its radius off them and a child above τ splits around the
-// centroid it has. No group's rows are gathered again.
+// centroid it has; one more pass adds up the other numeric columns. No
+// group's rows are gathered again. A head keeps the result, one statistic
+// per group (groupStat), off which its centroids, radii and R̃ are read;
+// FromGroups makes it in one pass per column, and a Maintainer adopts it
+// and is its only editor.
 //
 // Build runs on Options.Workers goroutines through par.For. A split cuts
 // its rows into one contiguous run per worker, which computes and numbers
@@ -24,7 +28,7 @@
 // result lands in a per-run, per-column or per-child slot, runs are joined
 // in row order and every column is added up in row order, so the
 // partitioning is bit-identical for every worker count; one worker, like
-// every Maintainer split, starts no goroutine.
+// all Maintainer work, starts no goroutine.
 package partition
 
 import (
@@ -83,9 +87,10 @@ type Group struct {
 //     goroutines may read it. Nothing writes it but a View's group columns
 //     (GroupColumn), each written once, when first read.
 //   - A head (Build, FromGroups) is bound to the mutable relation and also
-//     carries GID. Its Maintainer is the only code that writes it or reads
-//     its GID — but for Remap, which renumbers rows after a compaction
-//     whether or not a maintainer exists yet. Solves never read a head.
+//     carries GID and each group's statistic. Its Maintainer is the only
+//     code that writes it or reads either — but for Remap, which renumbers
+//     rows after a compaction whether or not a maintainer exists yet.
+//     Solves never read a head.
 type Partitioning struct {
 	Rel   *relation.Relation
 	Attrs []string
@@ -94,6 +99,13 @@ type Partitioning struct {
 	// GID maps each row of Rel to its group index, -1 for a row in no
 	// group (tombstoned). Head partitionings only; nil on a view.
 	GID []int
+	// stats holds each group's statistic, indexed by gid. Head
+	// partitionings only; nil on a view.
+	stats []groupStat
+	// numIdx are Rel's numeric columns in schema order (R̃'s attribute
+	// order). cols lists their positions, the attributes' first: attrPos,
+	// attribute a's at attrPos[a], then the others'.
+	numIdx, cols, attrPos []int
 	// Groups holds the final groups, indexed by gid.
 	Groups []Group
 	// Reps is the representative relation R̃(gid, attrs…), one row per
@@ -171,9 +183,8 @@ func resolveAttrs(rel *relation.Relation, attrs []string) ([]int, error) {
 }
 
 // newHead is the one constructor of head partitionings: it validates the
-// parameters and assembles the groups groupsOf makes for the resolved
-// attribute columns (exact: with their members' centroids; see assemble).
-func newHead(rel *relation.Relation, attrs []string, tau int, omega float64, workers int, exact bool, groupsOf func(attrIdx []int) []Group) (*Partitioning, error) {
+// parameters and lays the statistic out for the resolved attributes.
+func newHead(rel *relation.Relation, attrs []string, tau int, omega float64, workers int) (*Partitioning, error) {
 	if tau < 1 {
 		return nil, fmt.Errorf("partition: size threshold τ must be ≥ 1, got %d", tau)
 	}
@@ -185,13 +196,17 @@ func newHead(rel *relation.Relation, attrs []string, tau int, omega float64, wor
 		Rel:     rel,
 		Attrs:   slices.Clone(attrs),
 		AttrIdx: attrIdx,
+		numIdx:  numericCols(rel),
 		Tau:     tau,
 		Omega:   omega,
 		Workers: workers,
 	}
-	if err := p.assemble(groupsOf(attrIdx), true, exact); err != nil {
-		return nil, err
+	for _, c := range slices.Concat(attrIdx, p.numIdx) {
+		if pos := slices.Index(p.numIdx, c); !slices.Contains(p.cols, pos) {
+			p.cols = append(p.cols, pos)
+		}
 	}
+	p.attrPos = p.cols[:len(attrIdx):len(attrIdx)]
 	return p, nil
 }
 
@@ -201,15 +216,17 @@ func Build(rel *relation.Relation, opt Options) (*Partitioning, error) {
 	if rel.Live() == 0 {
 		return nil, fmt.Errorf("partition: empty relation")
 	}
-	p, err := newHead(rel, opt.Attrs, opt.SizeThreshold, opt.RadiusLimit, opt.Workers, true, func(attrIdx []int) []Group {
-		workers := opt.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		b := &treeBuilder{rel: rel, attrIdx: attrIdx}
-		return b.groups(rel.AllRows(), opt.SizeThreshold, opt.RadiusLimit, workers)
-	})
+	p, err := newHead(rel, opt.Attrs, opt.SizeThreshold, opt.RadiusLimit, opt.Workers)
 	if err != nil {
+		return nil, err
+	}
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	rows := rel.AllRows()
+	groups, stats := p.groups(rows, opt.SizeThreshold, opt.RadiusLimit, workers)
+	if err := p.assemble(groups, stats, p.cols[len(p.attrPos):], rows); err != nil {
 		return nil, err
 	}
 	p.BuildTime = time.Since(start)
@@ -217,49 +234,55 @@ func Build(rel *relation.Relation, opt Options) (*Partitioning, error) {
 }
 
 // FromGroups reconstructs a partitioning from a serialized group set —
-// the warm-start path of the durability subsystem: groups (member rows,
-// centroids, radii) come from a snapshot, and the gid map and
-// representative relation are rebuilt from them without any quad-tree
-// recursion. The parameters are held to Build's rules and the groups must
-// cover exactly the relation's live rows, each once; the caller can run
-// CheckInvariants for the full audit.
+// the warm-start path of the durability subsystem: the member rows come
+// from a snapshot, and the gid map, each group's statistic (and from it
+// its centroid and radius) and the representative relation are rebuilt
+// from them without any quad-tree recursion. The parameters are held to
+// Build's rules and the groups must cover exactly the relation's live
+// rows, each once; the caller can run CheckInvariants for the full audit.
 func FromGroups(rel *relation.Relation, attrs []string, tau int, omega float64, workers int, groups []Group) (*Partitioning, error) {
-	return newHead(rel, attrs, tau, omega, workers, false, func([]int) []Group { return groups })
+	p, err := newHead(rel, attrs, tau, omega, workers)
+	if err == nil {
+		err = p.assemble(groups, p.newStats(len(groups)), p.cols, rel.AllRows())
+	}
+	if err != nil {
+		return nil, err
+	}
+	for gid, st := range p.stats {
+		groups[gid].Centroid, groups[gid].Radius = p.centre(st, len(groups[gid].Rows))
+	}
+	return p, nil
 }
 
-// assemble is the tail of every constructor: it numbers the groups, maps
-// their rows when p is a head (a view has no gid map and cannot fail), and
-// builds R̃ from their members. exact says each group's Centroid is what
-// relation.Centroid computes over its members, as Build's are: R̃ then
-// copies those means and sums only the other numeric columns.
-func (p *Partitioning) assemble(groups []Group, head, exact bool) (err error) {
+// assemble is the tail of every constructor: it numbers the groups,
+// completes their statistics on the numeric columns at positions pos, and
+// derives R̃ from them. A head (live: its relation's live rows) maps its
+// rows first, then adds the columns up in one pass over the live rows with
+// the gid map as index, keeps the statistics and reads each group's
+// centroid and radius off them; a view (nil live) has no gid map and
+// cannot fail, adds them up over its member lists and keeps its groups'
+// centroids and radii.
+func (p *Partitioning) assemble(groups []Group, stats []groupStat, pos, live []int) (err error) {
 	p.Groups = groups
 	for gid := range groups {
 		groups[gid].ID = gid
 	}
-	if head {
-		if p.GID, err = gidMap(p.Rel, groups); err != nil {
-			return err
-		}
+	if live == nil {
+		p.fill(stats, groups, pos, p.Workers)
+		p.Reps = newReps(p.Rel, p.numIdx, groups, stats)
+		return nil
 	}
-	means := make([][]float64, len(groups))
-	numIdx := numericCols(p.Rel)
-	sum := numIdx
-	if exact {
-		sum = slices.DeleteFunc(slices.Clone(numIdx), func(c int) bool { return slices.Contains(p.AttrIdx, c) })
+	if p.GID, err = gidMap(p.Rel, groups); err != nil {
+		return err
 	}
-	par.For(len(groups), p.Workers, func(gid int) {
-		rest, m := relation.Centroid(p.Rel, sum, groups[gid].Rows), make([]float64, len(numIdx))
-		for pos, c := range numIdx {
-			if a := slices.Index(p.AttrIdx, c); exact && a >= 0 {
-				m[pos] = groups[gid].Centroid[a]
-			} else {
-				m[pos], rest = rest[0], rest[1:]
-			}
+	if len(pos) > 0 {
+		idx := make([]int32, len(live))
+		for j, r := range live {
+			idx[j] = int32(p.GID[r])
 		}
-		means[gid] = m
-	})
-	p.Reps = newReps(p.Rel, numIdx, len(groups), func(gid int, dst []float64) { copy(dst, means[gid]) })
+		p.addStats(stats, pos, live, idx, p.Workers)
+	}
+	p.stats, p.Reps = stats, newReps(p.Rel, p.numIdx, groups, stats)
 	return nil
 }
 
@@ -272,12 +295,15 @@ func unassigned(gid []int, n int) []int {
 }
 
 // gidMap inverts member lists into the row → gid map over rel. The lists
-// must name exactly the live rows of rel, each once.
+// must be non-empty and name exactly the live rows of rel, each once.
 func gidMap(rel *relation.Relation, groups []Group) ([]int, error) {
 	n := rel.Len()
 	gids := unassigned(make([]int, 0, n), n)
 	covered := 0
 	for gid, g := range groups {
+		if len(g.Rows) == 0 {
+			return nil, fmt.Errorf("partition: group %d is empty", gid)
+		}
 		for _, r := range g.Rows {
 			if r < 0 || r >= n || rel.Deleted(r) {
 				return nil, fmt.Errorf("partition: group %d names invalid row %d", gid, r)
@@ -295,95 +321,130 @@ func gidMap(rel *relation.Relation, groups []Group) ([]int, error) {
 	return gids, nil
 }
 
-// treeBuilder carries the shared state of one quad-tree construction:
-// the relation and the partitioning attributes.
-type treeBuilder struct {
-	rel     *relation.Relation
-	attrIdx []int
+// groupStat is one group's statistic: its sum on every numeric column
+// (numIdx order) and its least and greatest cell on every partitioning
+// attribute (AttrIdx order). Its centroid and radius (centre) and its R̃
+// row (means) are read off it and the group's size.
+type groupStat struct {
+	sums, lo, hi []float64
 }
 
-// node is a set of rows with its statistics on the partitioning
-// attributes: the centroid and the least and greatest cell of each.
-type node struct {
-	rows             []int
-	centroid, lo, hi []float64
+// newStats allocates k statistics for p's columns in one block.
+func (p *Partitioning) newStats(k int) []groupStat {
+	n, d := len(p.numIdx), len(p.attrPos)
+	block, out := make([]float64, k*(n+2*d)), make([]groupStat, k)
+	for i := range out {
+		s := block[i*(n+2*d) : (i+1)*(n+2*d)]
+		out[i] = groupStat{s[:n:n], s[n : n+d : n+d], s[n+d:]}
+	}
+	return out
 }
 
-// leaf is the group n makes as it stands.
-func (n node) leaf() Group {
-	return Group{Rows: n.rows, Centroid: n.centroid, Radius: extremesRadius(n.lo, n.hi, n.centroid)}
+// addStats sets stats on the numeric columns at positions pos of numIdx —
+// the sum, and on an attribute the extremes — from one ordered
+// relation.GroupStats pass per column over rows, where rows[j] is a member
+// of group idx[j] (idx may be nil for a lone group), the columns shared
+// among the workers. Each group's cells are added in the order rows lists
+// them, so its sum is relation.Sums's over that list bit for bit.
+func (p *Partitioning) addStats(stats []groupStat, pos, rows []int, idx []int32, workers int) {
+	byCol := make([][]float64, len(pos))
+	par.For(len(pos), workers, func(i int) { byCol[i] = relation.GroupStats(p.Rel, p.numIdx[pos[i]], rows, idx, len(stats)) })
+	for k, s := range stats {
+		for i, at := range pos {
+			s.sums[at] = byCol[i][3*k]
+			if a := slices.Index(p.attrPos, at); a >= 0 {
+				s.lo[a], s.hi[a] = byCol[i][3*k+1], byCol[i][3*k+2]
+			}
+		}
+	}
+}
+
+// fill is addStats over the members of groups, listed group after group.
+func (p *Partitioning) fill(stats []groupStat, groups []Group, pos []int, workers int) {
+	var rows []int
+	var idx []int32
+	for k, g := range groups {
+		rows = append(rows, g.Rows...)
+		for range g.Rows {
+			idx = append(idx, int32(k))
+		}
+	}
+	p.addStats(stats, pos, rows, idx, workers)
+}
+
+// centre reads the centroid and radius of count members off st.
+func (p *Partitioning) centre(st groupStat, count int) ([]float64, float64) {
+	c := make([]float64, len(p.attrPos))
+	for a, pos := range p.attrPos {
+		c[a] = st.sums[pos] / float64(count)
+	}
+	return c, extremesRadius(st.lo, st.hi, c)
+}
+
+// means fills dst with the mean of count members on every numeric column:
+// a group's R̃ row.
+func (st groupStat) means(count int, dst []float64) {
+	for pos, s := range st.sums {
+		dst[pos] = s / float64(count)
+	}
+}
+
+// widen takes cell v on partitioning attribute a into the extremes (a NaN
+// is stepped over, as relation.GroupStats does).
+func (st groupStat) widen(a int, v float64) {
+	if v < st.lo[a] {
+		st.lo[a] = v
+	}
+	if v > st.hi[a] {
+		st.hi[a] = v
+	}
 }
 
 // groups partitions rows into groups satisfying τ (and ω when positive),
-// in canonical depth-first quadrant order: the split rule of Build and of
-// the Maintainer's splits alike. workers bounds the goroutines the call
-// runs on (1: the calling one).
-func (b *treeBuilder) groups(rows []int, tau int, omega float64, workers int) []Group {
-	root := b.nodes(rows, nil, [][]int{rows}, workers)[0]
-	return b.buildGroups(root, 0, tau, omega, workers)
+// in canonical depth-first quadrant order, each with its statistic on the
+// partitioning attributes (the caller adds up the other columns and reads
+// the centroids and radii off them): the split rule of Build and of the
+// Maintainer's splits alike. workers bounds the goroutines the call runs
+// on (1: the calling one).
+func (p *Partitioning) groups(rows []int, tau int, omega float64, workers int) ([]Group, []groupStat) {
+	root := p.newStats(1)
+	p.addStats(root, p.attrPos, rows, nil, workers)
+	return p.split(rows, root[0], 0, tau, omega, workers)
 }
 
-// buildGroups recursively splits n. A split's children come with their
-// statistics, from one ordered pass per attribute column over n's rows, so
-// no node's rows are gathered again.
-func (b *treeBuilder) buildGroups(n node, depth, tau int, omega float64, workers int) []Group {
-	final := len(n.rows) <= 1 || depth >= maxDepth
-	if final || len(n.rows) <= tau {
-		if g := n.leaf(); final || omega <= 0 || g.Radius <= omega {
-			return []Group{g}
-		}
+// split recursively splits rows, whose statistic on the attributes is st.
+// A split's children come with theirs, from one ordered pass per attribute
+// column over rows, so no node's rows are gathered again.
+func (p *Partitioning) split(rows []int, st groupStat, depth, tau int, omega float64, workers int) ([]Group, []groupStat) {
+	c, r := p.centre(st, len(rows))
+	if len(rows) <= 1 || depth >= maxDepth || len(rows) <= tau && (omega <= 0 || r <= omega) {
+		return []Group{{Rows: rows, Centroid: c, Radius: r}}, []groupStat{st}
 	}
-	lists, child := splitQuadrants(b.rel, b.attrIdx, n.rows, n.centroid, workers)
+	lists, child := splitQuadrants(p.Rel, p.AttrIdx, rows, c, workers)
 	if len(lists) <= 1 {
 		// Degenerate split (all tuples in one quadrant, e.g. exact
 		// duplicates): fall back to chunking by τ, which always
 		// terminates and preserves the size condition. Radius is
 		// already as small as the data allows, so each chunk is a leaf
-		// as it stands.
+		// as it stands: the children are at the depth limit.
 		lists = lists[:0]
-		for from := 0; from < len(n.rows); from += tau {
-			to := min(from+tau, len(n.rows))
-			lists = append(lists, n.rows[from:to:to])
+		for from := 0; from < len(rows); from += tau {
+			to := min(from+tau, len(rows))
+			lists = append(lists, rows[from:to:to])
 			for j := from; j < to; j++ {
 				child[j] = int32(len(lists) - 1)
 			}
 		}
-		chunks := b.nodes(n.rows, child, lists, workers)
-		out := make([]Group, len(chunks))
-		for i, c := range chunks {
-			out[i] = c.leaf()
-		}
-		return out
+		depth = maxDepth - 1
 	}
-	children := b.nodes(n.rows, child, lists, workers)
+	stats := p.newStats(len(lists))
+	p.addStats(stats, p.attrPos, rows, child, workers)
 	// The children share the workers out, each keeping at least one.
-	sub := make([][]Group, len(children))
-	par.For(len(children), workers, func(i int) {
-		sub[i] = b.buildGroups(children[i], depth+1, tau, omega, max(1, workers/len(children)))
+	groups, sub := make([][]Group, len(lists)), make([][]groupStat, len(lists))
+	par.For(len(lists), workers, func(i int) {
+		groups[i], sub[i] = p.split(lists[i], stats[i], depth+1, tau, omega, max(1, workers/len(lists)))
 	})
-	return slices.Concat(sub...)
-}
-
-// nodes makes the nodes of lists, where rows[j] is a member of
-// lists[child[j]] and each list holds its rows in the order of rows: each
-// attribute column is read in one ordered pass over rows
-// (relation.GroupStats), the columns shared among the workers, so every
-// list's centroid is relation.Centroid's over it bit for bit.
-func (b *treeBuilder) nodes(rows []int, child []int32, lists [][]int, workers int) []node {
-	d, k := len(b.attrIdx), len(lists)
-	st := make([][]float64, d)
-	par.For(d, workers, func(a int) { st[a] = relation.GroupStats(b.rel, b.attrIdx[a], rows, child, k) })
-	stats := make([]float64, 3*d*k)
-	out := make([]node, k)
-	for i, list := range lists {
-		s := stats[3*d*i : 3*d*(i+1)]
-		n := node{rows: list, centroid: s[:d:d], lo: s[d : 2*d : 2*d], hi: s[2*d:]}
-		for a := range d {
-			n.centroid[a], n.lo[a], n.hi[a] = st[a][3*i]/float64(len(list)), st[a][3*i+1], st[a][3*i+2]
-		}
-		out[i] = n
-	}
-	return out
+	return slices.Concat(groups...), slices.Concat(sub...)
 }
 
 // splitQuadrants distributes rows into sub-quadrants around the centroid:
@@ -476,10 +537,10 @@ func repCol(pos int) int { return pos + 1 }
 // relation (not just the partitioning attributes) — queries whose
 // attributes are not fully covered by the partitioning (coverage < 1,
 // Section 5.2.3) can then still be sketched; the representatives are
-// simply worse proxies on the uncovered attributes. mean fills dst with
-// group gid's means in numIdx order. It cannot fail: the columns are rel's
-// own plus the gid resolveAttrs made sure rel lacks, the cells numbers.
-func newReps(rel *relation.Relation, numIdx []int, groups int, mean func(gid int, dst []float64)) *relation.Relation {
+// simply worse proxies on the uncovered attributes. Row gid is read off
+// stats[gid] (groupStat.means). It cannot fail: the columns are rel's own
+// plus the gid resolveAttrs made sure rel lacks, the cells numbers.
+func newReps(rel *relation.Relation, numIdx []int, groups []Group, stats []groupStat) *relation.Relation {
 	cols := []relation.Column{{Name: "gid", Type: relation.Int}}
 	for _, c := range numIdx {
 		cols = append(cols, relation.Column{Name: rel.Schema().Col(c).Name, Type: relation.Float})
@@ -488,8 +549,8 @@ func newReps(rel *relation.Relation, numIdx []int, groups int, mean func(gid int
 	reps := relation.New(rel.Name()+"_reps", schema)
 	dst := make([]float64, len(numIdx))
 	vals := make([]relation.Value, len(cols))
-	for gid := 0; gid < groups; gid++ {
-		mean(gid, dst)
+	for gid, st := range stats {
+		st.means(len(groups[gid].Rows), dst)
 		vals[0] = relation.I(int64(gid))
 		for pos, v := range dst {
 			vals[repCol(pos)] = relation.F(v)
@@ -544,7 +605,8 @@ func (p *Partitioning) Remap(remap []int) (err error) {
 
 // Restrict derives a view over a subset of the rows, keeping the group
 // structure and dropping rows outside the subset, with representatives
-// recomputed from the members that remain. This is how the paper derives
+// recomputed from the members that remain (one pass per numeric column;
+// centroids and radii stay the parent's). This is how the paper derives
 // partitionings for scaled-down datasets ("randomly removing tuples from
 // the original partitions"), which preserves the size condition. Every
 // row must be in range.
@@ -554,7 +616,7 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 		keep[r] = true
 	}
 	out := *p
-	out.GID, out.serial, out.cells = nil, 0, nil
+	out.GID, out.stats, out.serial, out.cells = nil, nil, 0, nil
 	var groups []Group
 	for _, g := range p.Groups { // g is a copy: centroid and radius stay the parent group's
 		g.Rows = slices.DeleteFunc(slices.Clone(g.Rows), func(r int) bool { return !keep[r] })
@@ -562,7 +624,7 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 			groups = append(groups, g)
 		}
 	}
-	_ = out.assemble(groups, false, false)
+	_ = out.assemble(groups, out.newStats(len(groups)), out.cols, nil)
 	return &out
 }
 
@@ -570,7 +632,8 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 // immutable snapshot of its relation at the same version; Maintainer work
 // on the head afterwards cannot tear it. It costs O(groups), not O(rows):
 // the Group structs are copied (the Maintainer replaces group fields), no
-// gid map is made, and member and centroid slices are shared read-only —
+// gid map or statistic is carried, and member and centroid slices are
+// shared read-only —
 // View counts itself on the head, and the Maintainer writes in place only
 // member lists allocated since the latest view (see Maintainer.own,
 // Remap). Reps becomes its own relation snapshot, so in-place
@@ -585,7 +648,7 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 func (p *Partitioning) View(snap *relation.Relation) *Partitioning {
 	p.views++
 	v := *p
-	v.Rel, v.GID, v.Groups, v.Reps = snap, nil, slices.Clone(p.Groups), p.Reps.Snapshot()
+	v.Rel, v.GID, v.stats, v.Groups, v.Reps = snap, nil, nil, slices.Clone(p.Groups), p.Reps.Snapshot()
 	v.serial, v.cells = viewSerials.Add(1), &groupCells{}
 	return &v
 }
@@ -657,8 +720,6 @@ func (p *Partitioning) check(own func(g *Group) error) ([]int, error) {
 		switch {
 		case g.ID != gid:
 			return nil, fmt.Errorf("partition: group %d has ID %d", gid, g.ID)
-		case len(g.Rows) == 0:
-			return nil, fmt.Errorf("partition: group %d is empty", gid)
 		case len(g.Rows) > p.Tau:
 			return nil, fmt.Errorf("partition: group %d has %d > τ=%d rows", gid, len(g.Rows), p.Tau)
 		}
