@@ -258,10 +258,8 @@ func FromGroups(rel *relation.Relation, attrs []string, tau int, omega float64, 
 // completes their statistics on the numeric columns at positions pos, and
 // derives R̃ from them. A head (live: its relation's live rows) maps its
 // rows first, then adds the columns up in one pass over the live rows with
-// the gid map as index, keeps the statistics and reads each group's
-// centroid and radius off them; a view (nil live) has no gid map and
-// cannot fail, adds them up over its member lists and keeps its groups'
-// centroids and radii.
+// the gid map as index, and keeps the statistics; a view (nil live) has
+// no gid map and cannot fail, and adds them up over its member lists.
 func (p *Partitioning) assemble(groups []Group, stats []groupStat, pos, live []int) (err error) {
 	p.Groups = groups
 	for gid := range groups {
