@@ -157,9 +157,9 @@ func TestConcurrentBuildsShareNothing(t *testing.T) {
 // on one goroutine. galaxy200k/maintainer times NewMaintainer over the
 // built head, and galaxy200k/recover FromGroups over its groups and then
 // NewMaintainer, as a recovery does: with the head's statistic adopted as
-// it is, about 0.04 ms and 10–11 ms on 1 worker (8 ms on 2), against
-// 20–23 ms and 32–33 ms when NewMaintainer added every group up again
-// (12 alternating runs of 20 a side).
+// it is, about 0.04 ms, and 10–11 ms on 1 worker and 8 ms on 2, against
+// 20–24 ms and 30–36 ms when NewMaintainer added every group up again
+// (three sets of 10–12 alternating runs of 20 a side).
 func BenchmarkPartitionBuild(b *testing.B) {
 	run := func(name string, rel *relation.Relation, attrs []string, workers ...int) {
 		for _, w := range workers {
