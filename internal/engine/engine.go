@@ -331,11 +331,11 @@ func QueryKey(spec *core.Spec) string {
 	return b.String()
 }
 
-// renderQuery is the one renderer behind SpecKey and QueryKey. It
-// appends the REPEAT bound, base predicate, restrictions, constraints
-// (with their right-hand sides) and objective (with its offset) to b,
-// each introduced by ';': together they identify one optimization
-// problem.
+// renderQuery is the one renderer behind SpecKey and QueryKey, and its
+// renderFilter part behind FilterKey. It appends the REPEAT bound, base
+// predicate, restrictions, constraints (with their right-hand sides) and
+// objective (with its offset) to b, each introduced by ';': together
+// they identify one optimization problem.
 //
 // Predicates without a faithful rendering — a FuncPred with no Desc
 // prints "<func>" — fall back to pointer identity so distinct anonymous
@@ -347,20 +347,7 @@ func QueryKey(spec *core.Spec) string {
 func renderQuery(b *strings.Builder, spec *core.Spec) {
 	start := b.Len()
 	b.WriteString(";repeat=" + strconv.Itoa(spec.Repeat))
-	pred := func(tag string, p relation.Predicate) {
-		s := p.String()
-		if s == "<func>" {
-			fmt.Fprintf(b, ";%s=<func>@%p", tag, p)
-			return
-		}
-		fmt.Fprintf(b, ";%s=%s", tag, s)
-	}
-	if spec.Base != nil {
-		pred("base", spec.Base)
-	}
-	for _, r := range spec.Restrictions {
-		pred("restrict", r)
-	}
+	renderFilter(b, spec)
 	for _, c := range spec.Constraints {
 		fmt.Fprintf(b, ";cons=%s %s", c.Coef, c.Op)
 		// strconv prints what %g would, minus a Fprintf per constant:
@@ -379,5 +366,36 @@ func renderQuery(b *strings.Builder, spec *core.Spec) {
 		// its text cannot distinguish different functions, so restrict
 		// the key to this exact spec value.
 		fmt.Fprintf(b, ";spec=%p", spec)
+	}
+}
+
+// FilterKey is the part of QueryKey that decides which tuples are
+// eligible: the rendering of the base predicate and the restrictions, ""
+// when there are none. ok is false when a predicate, or one nested in
+// it, renders as "<func>": that text cannot tell two functions apart, so
+// the key identifies nothing.
+func FilterKey(spec *core.Spec) (key string, ok bool) {
+	var b strings.Builder
+	renderFilter(&b, spec)
+	key = b.String()
+	return key, !strings.Contains(key, "<func>")
+}
+
+// renderFilter appends the base predicate and the restrictions to b, each
+// introduced by ';'.
+func renderFilter(b *strings.Builder, spec *core.Spec) {
+	pred := func(tag string, p relation.Predicate) {
+		s := p.String()
+		if s == "<func>" {
+			fmt.Fprintf(b, ";%s=<func>@%p", tag, p)
+			return
+		}
+		fmt.Fprintf(b, ";%s=%s", tag, s)
+	}
+	if spec.Base != nil {
+		pred("base", spec.Base)
+	}
+	for _, r := range spec.Restrictions {
+		pred("restrict", r)
 	}
 }

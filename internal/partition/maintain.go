@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -97,6 +98,8 @@ type Maintainer struct {
 	// Reps rebuild instead of in-place cell updates.
 	structChanged bool
 	cells, point  []float64 // scratch: a row's numeric cells, and its point on the attributes
+	// order is nearest's attribute order, fixed at NewMaintainer.
+	order []int
 }
 
 // NewMaintainer wraps an existing head partitioning for incremental
@@ -104,7 +107,8 @@ type Maintainer struct {
 // and their statistics are adopted as they are, in O(groups), without a
 // pass over the rows.
 func NewMaintainer(p *Partitioning, _ MaintOptions) *Maintainer {
-	m := &Maintainer{p: p, cells: make([]float64, len(p.numIdx)), point: make([]float64, len(p.AttrIdx))}
+	m := &Maintainer{p: p, cells: make([]float64, len(p.numIdx)), point: make([]float64, len(p.AttrIdx)),
+		order: spreadOrder(p.Groups, len(p.AttrIdx))}
 	m.groups = make([]*gState, len(p.Groups))
 	for gid := range m.groups {
 		m.groups[gid] = &gState{}
@@ -166,32 +170,59 @@ func (m *Maintainer) recentre(gid int) {
 	st.dirty = true
 }
 
-// distInf is the L∞ distance between two points over the partitioning
-// attributes — the same metric as Definition 2's radius.
-func distInf(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		if v := math.Abs(a[i] - b[i]); v > d {
-			d = v
-		}
-	}
-	return d
-}
-
-// nearest returns the gid whose centroid is closest to point (lowest gid
-// on ties — deterministic), excluding skip (-1 for none); -1 when no
-// other group exists. It is the one routing scan, linear in the groups.
+// nearest returns the gid whose centroid is closest to point in L∞ over
+// the partitioning attributes — the metric of Definition 2's radius, NaN
+// differences stepped over — with the lowest gid on ties, excluding skip
+// (-1 for none); -1 when no other group exists. It is the one routing
+// scan, linear in the groups. A group's distance stops growing once it
+// reaches the best so far, which it can then no longer beat; reading the
+// attributes widest spread first (m.order) gets there soonest.
 func (m *Maintainer) nearest(point []float64, skip int) int {
 	best, bestD := -1, math.Inf(1)
 	for gid := range m.p.Groups {
 		if gid == skip {
 			continue
 		}
-		if d := distInf(point, m.p.Groups[gid].Centroid); d < bestD {
+		c, d := m.p.Groups[gid].Centroid, 0.0
+		for _, a := range m.order {
+			if v := math.Abs(point[a] - c[a]); v > d {
+				if d = v; d >= bestD {
+					break
+				}
+			}
+		}
+		if d < bestD {
 			best, bestD = gid, d
 		}
 	}
 	return best
+}
+
+// spreadOrder lists the attributes by the spread of the groups' centroids
+// on them, widest first, NaN coordinates left out; ties keep attribute
+// order.
+func spreadOrder(groups []Group, attrs int) []int {
+	spread := make([]float64, attrs)
+	for a := range spread {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, g := range groups {
+			if v := g.Centroid[a]; v < lo {
+				lo = v
+			}
+			if v := g.Centroid[a]; v > hi {
+				hi = v
+			}
+		}
+		if spread[a] = hi - lo; !(spread[a] >= 0) {
+			spread[a] = 0 // no group, or ±Inf at both ends
+		}
+	}
+	order := make([]int, attrs)
+	for a := range order {
+		order[a] = a
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(spread[b], spread[a]) })
+	return order
 }
 
 // Insert routes freshly appended (live) rows of the relation into the

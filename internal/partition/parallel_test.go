@@ -159,7 +159,8 @@ func TestConcurrentBuildsShareNothing(t *testing.T) {
 // NewMaintainer, as a recovery does: with the head's statistic adopted as
 // it is, about 0.04 ms, and 10–11 ms on 1 worker and 8 ms on 2, against
 // 20–24 ms and 30–36 ms when NewMaintainer added every group up again
-// (three sets of 10–12 alternating runs of 20 a side).
+// (three sets of 10–12 alternating runs of 20 a side). galaxy200k/nearest
+// times the Maintainer's routing of one table row to its group.
 func BenchmarkPartitionBuild(b *testing.B) {
 	run := func(name string, rel *relation.Relation, attrs []string, workers ...int) {
 		for _, w := range workers {
@@ -203,6 +204,23 @@ func BenchmarkPartitionBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 				NewMaintainer(q, MaintOptions{})
+			}
+		})
+		if w > 1 {
+			continue
+		}
+		// One routing call per op, to a table row's point (an insert's).
+		m := NewMaintainer(p, MaintOptions{})
+		points := make([][]float64, 4096)
+		for i := range points {
+			points[i] = make([]float64, len(p.AttrIdx))
+			for a, col := range p.AttrIdx {
+				points[i][a] = galaxy.Float(i*47, col)
+			}
+		}
+		b.Run("galaxy200k/nearest", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.nearest(points[i%len(points)], -1)
 			}
 		})
 	}

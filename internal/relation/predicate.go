@@ -210,10 +210,12 @@ func (p *Compare) Bind(r *Relation) Selection {
 	}
 }
 
-// String implements Predicate.
+// String implements Predicate. A string constant's quotes are doubled,
+// as PaQL writes them, so no constant can close its literal early and
+// read as more predicate: the rendering is a cache key.
 func (p *Compare) String() string {
 	if p.Const.Type() == String {
-		return fmt.Sprintf("%s %s '%s'", p.Col, p.Op, p.Const.s)
+		return fmt.Sprintf("%s %s '%s'", p.Col, p.Op, strings.ReplaceAll(p.Const.s, "'", "''"))
 	}
 	return fmt.Sprintf("%s %s %s", p.Col, p.Op, p.Const)
 }

@@ -362,6 +362,9 @@ MINIMIZE SUM(P.i)`, rBound),
 	if _, ok := root.Attrs["plan_ms"].(float64); !ok {
 		t.Errorf("root attrs %v lack plan_ms", root.Attrs)
 	}
+	if from, _ := root.Attrs["base_count"].(string); from != "memo" && from != "scan" {
+		t.Errorf("root attrs %v lack base_count", root.Attrs)
+	}
 	if _, ok := root.Attrs["plan_reason"].(string); !ok {
 		t.Errorf("root attrs %v lack plan_reason", root.Attrs)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -18,9 +19,9 @@ import (
 // the relation (§4.1: built once, reused by every query), so it lives
 // here — a Session only adds configuration and solution caches on top.
 //
-// Lock order: dataMu → partEntry.building → regMu → Session.mu, never
-// the reverse (the lockorder rule in internal/lint holds the package to
-// it).
+// Lock order: dataMu → partEntry.building → regMu → Session.mu →
+// countMemo.countMu, never the reverse (the lockorder rule in
+// internal/lint holds the package to it).
 type dataset struct {
 	rel *relation.Relation
 
@@ -50,6 +51,64 @@ type dataset struct {
 	// warm counts the partitionings recovery warm-started (see DurStats);
 	// written only before the dataset is shared.
 	warm int
+
+	// counts memoizes Prepare's base-relation sizes (baseCount).
+	counts countMemo
+}
+
+// maxBaseCounts caps the base-count memo: past it, an arbitrary entry
+// makes room. An entry costs about 55 bytes of map (Go 1.24, measured at
+// 1 024 entries) plus its key, the filter's rendering.
+const maxBaseCounts = 1024
+
+// countMemo holds, for one dataset version, the number of live rows that
+// pass each filter Prepare has planned at it, keyed by the filter's
+// canonical rendering (engine.FilterKey). Meeting another version empties
+// it, so an entry is only ever read at the version it was counted at.
+// countMu is a leaf: nothing is locked under it.
+type countMemo struct {
+	countMu sync.Mutex
+	ver     uint64
+	n       map[string]int
+}
+
+// baseCount returns how many live rows pass spec's filter — the base
+// relation's size, which planning needs — and where the number came
+// from: "memo", or "scan" when it was counted now. A filter with an
+// anonymous predicate has no key and is counted every time. The caller
+// holds the read lock, so the version cannot move; the count reads the
+// head, since a snapshot would make the next update clone every column.
+// Two Prepares that miss together both count.
+func (d *dataset) baseCount(spec *core.Spec) (int, string) {
+	key, ok := engine.FilterKey(spec)
+	if !ok {
+		return spec.CountBase(), "scan"
+	}
+	m, ver := &d.counts, d.rel.Version()
+	m.countMu.Lock()
+	n, hit := m.n[key]
+	hit = hit && m.ver == ver
+	m.countMu.Unlock()
+	if hit {
+		return n, "memo"
+	}
+	n = spec.CountBase()
+	m.countMu.Lock()
+	defer m.countMu.Unlock()
+	switch {
+	case m.n == nil:
+		m.n = make(map[string]int)
+	case m.ver != ver:
+		clear(m.n)
+	case len(m.n) >= maxBaseCounts:
+		for k := range m.n {
+			delete(m.n, k)
+			break
+		}
+	}
+	m.ver = ver
+	m.n[key] = n
+	return n, "scan"
 }
 
 // partEntry is one registered partitioning. part is nil until a caller

@@ -196,6 +196,7 @@ func (st *Stmt) Execute(ctx context.Context, opts ...ExecOption) (*Result, error
 		// root carries its cost and reason as attributes, not as a child.
 		root.SetAttrFloat("plan_ms", float64(st.planDur)/float64(time.Millisecond))
 		root.SetAttrStr("plan_reason", st.reason)
+		root.SetAttrStr("base_count", st.baseCount)
 	}
 
 	// Pin the execution: a brief read lock captures an immutable

@@ -39,6 +39,10 @@ type Stmt struct {
 	// method resolution, plan build). Planning happens once per
 	// statement, so a traced Execute records it as the root's plan_ms.
 	planDur time.Duration
+	// baseCount says where Prepare got the base relation's size, "memo"
+	// or "scan" (dataset.baseCount). A traced Execute records it on the
+	// root beside plan_ms.
+	baseCount string
 	// layout is a filtered SketchRefine statement's eligible rows over
 	// the partitioning view it last ran on (sketchrefine.Options.Layout):
 	// row ids keyed on the view's serial, reused until the pin hands out
@@ -141,8 +145,8 @@ func (s *Session) Prepare(query string, opts ...Option) (*Stmt, error) {
 	if err != nil {
 		return nil, mapTranslateErr(err)
 	}
-	st := &Stmt{sess: s, query: query, spec: spec}
-	nBase := spec.CountBase() // planning needs the base relation's size, not its rows
+	nBase, from := s.d.baseCount(spec) // planning needs the base relation's size, not its rows
+	st := &Stmt{sess: s, query: query, spec: spec, baseCount: from}
 	if err := st.resolveMethod(cfg.method, nBase); err != nil {
 		return nil, err
 	}
