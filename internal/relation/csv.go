@@ -399,18 +399,22 @@ func decodeCSV(f *os.File, name string, workers, nranges int) *Relation {
 
 	// Columns are made once, at the capacity row-at-a-time appends
 	// reach, and each range appends into its own window of them.
-	r := New(name, schema)
+	cols := make([]Cells, schema.Len())
 	if n > 0 {
-		for _, c := range r.cols {
-			switch c.typ {
+		for i := range cols {
+			switch schema.Col(i).Type {
 			case Float:
-				c.f = make([]float64, n, appendCap(n, 8, false))
+				cols[i].F = make([]float64, n, appendCap(n, 8, false))
 			case Int:
-				c.i = make([]int64, n, appendCap(n, 8, false))
+				cols[i].I = make([]int64, n, appendCap(n, 8, false))
 			default:
-				c.s = make([]string, n, appendCap(n, 16, true))
+				cols[i].S = make([]string, n, appendCap(n, 16, true))
 			}
 		}
+	}
+	r, err := FromColumns(name, schema, cols, n, uint64(n))
+	if err != nil {
+		return nil // not reached: cols were made from schema
 	}
 	par.For(nranges, workers, func(k int) {
 		rg := &ranges[k]
@@ -421,8 +425,6 @@ func decodeCSV(f *os.File, name string, workers, nranges int) *Relation {
 			return nil
 		}
 	}
-	r.n = n
-	r.version = uint64(n)
 	return r
 }
 

@@ -251,12 +251,36 @@ func (r *Relation) Live() int { return r.n - r.nDeleted }
 // bracket an unchanged relation.
 func (r *Relation) Version() uint64 { return r.version }
 
-// RestoreVersion overwrites the mutation counter. It exists solely for
-// the durability subsystem, which reconstructs a relation from a
-// snapshot row by row: the rebuild's own Appends must not read as new
-// mutations — the persisted version is authoritative, and WAL replay
-// depends on it lining up.
-func (r *Relation) RestoreVersion(v uint64) { r.version = v }
+// Cells is one column's cells for FromColumns: F holds a DOUBLE
+// column's, I a BIGINT column's and S a TEXT column's; the other two
+// are nil.
+type Cells struct {
+	F []float64
+	I []int64
+	S []string
+}
+
+// FromColumns makes a relation of n rows at the given version that
+// adopts cols, one per schema column, as its storage: nothing is copied,
+// and the caller no longer owns the slices. It is how a decoder that
+// fills typed columns itself (a snapshot, the CSV range decode) hands
+// them over. A column whose slice does not hold n cells of its schema
+// type is ErrTypeMismatch.
+func FromColumns(name string, schema Schema, cols []Cells, n int, version uint64) (*Relation, error) {
+	if len(cols) != schema.Len() {
+		return nil, fmt.Errorf("%w: %d columns for a schema of %d", ErrTypeMismatch, len(cols), schema.Len())
+	}
+	r := &Relation{name: name, schema: schema, cols: make([]*column, len(cols)), n: n, version: version}
+	for i, c := range cols {
+		// The slice the column's type names holds n cells, the others none.
+		typ := schema.Col(i).Type
+		if own := [...]int{Float: len(c.F), Int: len(c.I), String: len(c.S)}[typ]; own != n || len(c.F)+len(c.I)+len(c.S) != n {
+			return nil, fmt.Errorf("%w: column %q does not hold %d %s cells", ErrTypeMismatch, schema.Col(i).Name, n, typ)
+		}
+		r.cols[i] = &column{typ: typ, f: c.F, i: c.I, s: c.S}
+	}
+	return r, nil
+}
 
 // Snapshot returns an immutable, version-stamped view of the relation's
 // current state. The view shares column storage with the head relation:

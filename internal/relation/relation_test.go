@@ -525,3 +525,37 @@ func TestAppendAtomic(t *testing.T) {
 		t.Errorf("CheckRow rejected a valid row: %v", err)
 	}
 }
+
+// TestFromColumns: the relation adopts the slices as they are (a cell
+// written through the relation is the caller's slice's cell), carries the
+// given version, behaves like an appended one afterwards, and refuses a
+// column that does not hold n cells of its type.
+func TestFromColumns(t *testing.T) {
+	schema := mustSchema(Column{"name", String}, Column{"kcal", Float}, Column{"servings", Int})
+	kcal := []float64{1.5, -0.0, math.Inf(1)}
+	r, err := FromColumns("recipes", schema, []Cells{
+		{S: []string{"a", "", "β"}}, {F: kcal}, {I: []int64{math.MinInt64, 0, math.MaxInt64}},
+	}, 3, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 3 || r.Live() != 3 || r.Version() != 41 || r.Str(2, 0) != "β" || r.IntColumn(2)[0] != math.MinInt64 {
+		t.Fatalf("len %d live %d version %d, cells %v", r.Len(), r.Live(), r.Version(), r.Row(2))
+	}
+	if err := r.Set(0, 1, F(9)); err != nil || kcal[0] != 9 {
+		t.Fatalf("Set: %v; the adopted slice reads %v", err, kcal[0])
+	}
+	if err := r.Append(S("d"), F(2), I(4)); err != nil || r.Len() != 4 || r.Version() != 43 {
+		t.Fatalf("Append: %v; len %d version %d", err, r.Len(), r.Version())
+	}
+	for name, cols := range map[string][]Cells{
+		"short column":   {{S: []string{"a", "b"}}, {F: kcal}, {I: []int64{1, 2, 3}}},
+		"wrong type":     {{S: []string{"a", "b", "c"}}, {I: []int64{1, 2, 3}}, {I: []int64{1, 2, 3}}},
+		"two slices":     {{S: []string{"a", "b", "c"}, F: kcal}, {F: kcal}, {I: []int64{1, 2, 3}}},
+		"missing column": {{S: []string{"a", "b", "c"}}, {F: kcal}},
+	} {
+		if _, err := FromColumns("recipes", schema, cols, 3, 1); !errors.Is(err, ErrTypeMismatch) {
+			t.Errorf("%s: err = %v, want ErrTypeMismatch", name, err)
+		}
+	}
+}

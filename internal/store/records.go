@@ -1,11 +1,10 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
+	"math/bits"
 
 	"repro/internal/relation"
 )
@@ -73,70 +72,89 @@ func (k Kind) fields() (indices, rows, ok bool) {
 	return false, false, false
 }
 
-// --- primitive writers -------------------------------------------------
+// --- primitives --------------------------------------------------------
 
-type enc struct{ b bytes.Buffer }
+// enc appends the format's primitives to one byte slice. A writer that
+// knows its payload's size makes b at that capacity, so no write grows it.
+type enc struct{ b []byte }
 
-func (e *enc) uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	e.b.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-}
+func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
-func (e *enc) varint(v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	e.b.Write(tmp[:binary.PutVarint(tmp[:], v)])
-}
+func (e *enc) varint(v int64) { e.b = binary.AppendVarint(e.b, v) }
 
-func (e *enc) f64(v float64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-	e.b.Write(tmp[:])
-}
+func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
 
 func (e *enc) str(s string) {
 	e.uvarint(uint64(len(s)))
-	e.b.WriteString(s)
+	e.b = append(e.b, s...)
 }
 
-type dec struct{ r *bytes.Reader }
+// uvarintLen is the number of bytes enc.uvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-func (d *dec) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: truncated uvarint", ErrCorrupt)
-	}
-	return v, nil
+// varintLen is the number of bytes enc.varint writes for v (zig-zag,
+// as binary.AppendVarint).
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// strLen is the number of bytes enc.str writes for s.
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// dec is a cursor over a payload: b is what is left to read. The first
+// malformed read records err (ErrCorrupt) and empties b, so every read
+// after it fails too and returns zero: a decoder checks err before it
+// allocates from a decoded count, bounds its loops by it, and returns it
+// at the end.
+type dec struct {
+	b   []byte
+	err error
 }
 
-func (d *dec) varint() (int64, error) {
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: truncated varint", ErrCorrupt)
+func (d *dec) corrupt(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 	}
-	return v, nil
+	d.b = nil
 }
 
-func (d *dec) f64() (float64, error) {
-	var tmp [8]byte
-	if _, err := io.ReadFull(d.r, tmp[:]); err != nil {
-		return 0, fmt.Errorf("%w: truncated float", ErrCorrupt)
+func (d *dec) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.corrupt("truncated uvarint")
+		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])), nil
+	d.b = d.b[n:]
+	return v
 }
 
-func (d *dec) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
+func (d *dec) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.corrupt("truncated varint")
+		return 0
 	}
-	if n > uint64(d.r.Len()) {
-		return "", fmt.Errorf("%w: string of %d bytes exceeds remaining payload", ErrCorrupt, n)
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *dec) f64() float64 {
+	if len(d.b) < 8 {
+		d.corrupt("truncated float")
+		return 0
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return "", fmt.Errorf("%w: truncated string", ErrCorrupt)
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	return v
+}
+
+func (d *dec) str() string {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.corrupt("string of %d bytes exceeds remaining payload", n)
+		return ""
 	}
-	return string(buf), nil
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
 }
 
 // --- typed cells -------------------------------------------------------
@@ -167,26 +185,14 @@ func (e *enc) putCell(t relation.Type, v relation.Value) error {
 	return nil
 }
 
-func (d *dec) cell(t relation.Type) (relation.Value, error) {
+func (d *dec) cell(t relation.Type) relation.Value {
 	switch t {
 	case relation.Float:
-		f, err := d.f64()
-		if err != nil {
-			return relation.Value{}, err
-		}
-		return relation.F(f), nil
+		return relation.F(d.f64())
 	case relation.Int:
-		n, err := d.varint()
-		if err != nil {
-			return relation.Value{}, err
-		}
-		return relation.I(n), nil
+		return relation.I(d.varint())
 	default:
-		s, err := d.str()
-		if err != nil {
-			return relation.Value{}, err
-		}
-		return relation.S(s), nil
+		return relation.S(d.str())
 	}
 }
 
@@ -202,16 +208,12 @@ func (e *enc) putRow(schema relation.Schema, vals []relation.Value) error {
 	return nil
 }
 
-func (d *dec) row(schema relation.Schema) ([]relation.Value, error) {
+func (d *dec) row(schema relation.Schema) []relation.Value {
 	vals := make([]relation.Value, schema.Len())
 	for i := range vals {
-		v, err := d.cell(schema.Col(i).Type)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
+		vals[i] = d.cell(schema.Col(i).Type)
 	}
-	return vals, nil
+	return vals
 }
 
 // --- records -----------------------------------------------------------
@@ -234,8 +236,7 @@ func EncodeRecord(schema relation.Schema, rec *Record) ([]byte, error) {
 		return nil, fmt.Errorf("store: %s of %d rows with %d value tuples", rec.Kind, len(rec.Indices), len(rec.Rows))
 	}
 	n := rec.Ops()
-	e := &enc{}
-	e.b.WriteByte(byte(rec.Kind))
+	e := &enc{b: []byte{byte(rec.Kind)}}
 	e.uvarint(rec.PreVersion)
 	e.uvarint(uint64(n))
 	for i := 0; i < n; i++ {
@@ -251,7 +252,7 @@ func EncodeRecord(schema relation.Schema, rec *Record) ([]byte, error) {
 			}
 		}
 	}
-	return e.b.Bytes(), nil
+	return e.b, nil
 }
 
 // recordHeader parses the schema-independent head every record starts
@@ -266,20 +267,12 @@ func recordHeader(payload []byte) (kind Kind, preVersion, count uint64, body []b
 	if _, _, ok := kind.fields(); !ok {
 		return 0, 0, 0, nil, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, payload[0])
 	}
-	body = payload[1:]
-	preVersion, n := binary.Uvarint(body)
-	if n <= 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: truncated record pre-version", ErrCorrupt)
-	}
-	body = body[n:]
-	count, n = binary.Uvarint(body)
-	if n <= 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: truncated record batch count", ErrCorrupt)
-	}
+	d := &dec{b: payload[1:]}
+	preVersion, count = d.uvarint(), d.uvarint()
 	if count > maxBatchRows {
-		return 0, 0, 0, nil, fmt.Errorf("%w: batch claims %d rows", ErrCorrupt, count)
+		d.corrupt("batch claims %d rows", count)
 	}
-	return kind, preVersion, count, body[n:], nil
+	return kind, preVersion, count, d.b, d.err
 }
 
 // DecodeRecord parses one WAL payload against the schema its rows were
@@ -291,25 +284,20 @@ func DecodeRecord(schema relation.Schema, payload []byte) (*Record, error) {
 	}
 	hasIdx, hasRows, _ := kind.fields()
 	rec := &Record{Kind: kind, PreVersion: pre}
-	d := &dec{r: bytes.NewReader(body)}
-	for i := uint64(0); i < count; i++ {
+	d := &dec{b: body}
+	for i := uint64(0); i < count && d.err == nil; i++ {
 		if hasIdx {
-			r, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			rec.Indices = append(rec.Indices, int(r))
+			rec.Indices = append(rec.Indices, int(d.uvarint()))
 		}
 		if hasRows {
-			vals, err := d.row(schema)
-			if err != nil {
-				return nil, err
-			}
-			rec.Rows = append(rec.Rows, vals)
+			rec.Rows = append(rec.Rows, d.row(schema))
 		}
 	}
-	if d.r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %s record", ErrCorrupt, d.r.Len(), rec.Kind)
+	if len(d.b) != 0 {
+		d.corrupt("%d trailing bytes after %s record", len(d.b), rec.Kind)
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return rec, nil
 }

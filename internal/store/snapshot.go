@@ -1,12 +1,13 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -40,13 +41,16 @@ type Snapshot struct {
 }
 
 // encodeSnapshot renders the snapshot payload (framed and checksummed
-// by WriteSnapshot).
+// by WriteSnapshot) into one buffer made at its exact size.
 func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	rel := s.Rel
 	if rel == nil {
 		return nil, fmt.Errorf("store: snapshot of nil relation")
 	}
-	e := &enc{}
+	if rel.Live() != rel.Len() {
+		return nil, fmt.Errorf("store: snapshot of uncompacted relation (%d tombstones)", rel.Len()-rel.Live())
+	}
+	e := &enc{b: make([]byte, 0, snapshotSize(s))}
 	e.uvarint(s.Version)
 	e.str(rel.Name())
 	schema := rel.Schema()
@@ -54,24 +58,20 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	for i := 0; i < schema.Len(); i++ {
 		col := schema.Col(i)
 		e.str(col.Name)
-		e.b.WriteByte(byte(col.Type))
-	}
-	if rel.Live() != rel.Len() {
-		return nil, fmt.Errorf("store: snapshot of uncompacted relation (%d tombstones)", rel.Len()-rel.Live())
+		e.b = append(e.b, byte(col.Type))
 	}
 	e.uvarint(uint64(rel.Len()))
 	// Column-major, matching the relation's storage: one typed run per
-	// column compresses and decodes better than row-major boxing.
+	// column, written from the column's slice.
 	for c := 0; c < schema.Len(); c++ {
 		switch schema.Col(c).Type {
 		case relation.Float:
-			for r := 0; r < rel.Len(); r++ {
-				e.f64(rel.Float(r, c))
+			for _, v := range rel.FloatColumn(c) {
+				e.f64(v)
 			}
 		case relation.Int:
-			col := rel.IntColumn(c)
-			for r := 0; r < rel.Len(); r++ {
-				e.varint(col[r])
+			for _, v := range rel.IntColumn(c) {
+				e.varint(v)
 			}
 		default:
 			for r := 0; r < rel.Len(); r++ {
@@ -103,64 +103,96 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 			}
 			e.f64(g.Radius)
 		}
-		for _, v := range []uint64{p.Stats.Inserts, p.Stats.Deletes, p.Stats.Updates,
-			p.Stats.Splits, p.Stats.Merges, p.Stats.Heals, p.Stats.Rebuilds} {
-			e.uvarint(v)
+		for _, v := range statFields(&p.Stats) {
+			e.uvarint(*v)
 		}
 	}
-	return e.b.Bytes(), nil
+	return e.b, nil
 }
 
-// decodeSnapshot parses a snapshot payload.
+// snapshotSize is the length of encodeSnapshot's payload for s.
+func snapshotSize(s *Snapshot) int {
+	rel, schema := s.Rel, s.Rel.Schema()
+	n := uvarintLen(s.Version) + strLen(rel.Name()) + uvarintLen(uint64(schema.Len())) + uvarintLen(uint64(rel.Len()))
+	for c := 0; c < schema.Len(); c++ {
+		n += strLen(schema.Col(c).Name) + 1
+		switch schema.Col(c).Type {
+		case relation.Float:
+			n += 8 * rel.Len()
+		case relation.Int:
+			for _, v := range rel.IntColumn(c) {
+				n += varintLen(v)
+			}
+		default:
+			for r := 0; r < rel.Len(); r++ {
+				n += strLen(rel.Str(r, c))
+			}
+		}
+	}
+	n += uvarintLen(uint64(len(s.Parts)))
+	for _, p := range s.Parts {
+		n += uvarintLen(uint64(len(p.Attrs))) + uvarintLen(uint64(p.Tau)) + 8 +
+			varintLen(int64(p.Workers)) + uvarintLen(uint64(len(p.Groups)))
+		for _, a := range p.Attrs {
+			n += strLen(a)
+		}
+		for _, g := range p.Groups {
+			n += uvarintLen(uint64(len(g.Rows))) + uvarintLen(uint64(len(g.Centroid))) + 8*len(g.Centroid) + 8
+			prev := 0
+			for _, r := range g.Rows {
+				n += uvarintLen(uint64(r - prev))
+				prev = r
+			}
+		}
+		for _, v := range statFields(&p.Stats) {
+			n += uvarintLen(*v)
+		}
+	}
+	return n
+}
+
+// statFields lists a partitioning's maintenance counters in format order.
+func statFields(st *partition.MaintStats) []*uint64 {
+	return []*uint64{&st.Inserts, &st.Deletes, &st.Updates, &st.Splits, &st.Merges, &st.Heals, &st.Rebuilds}
+}
+
+// decodeSnapshot parses a snapshot payload, each column's run straight
+// into one typed slice the relation adopts.
 func decodeSnapshot(payload []byte) (*Snapshot, error) {
-	d := &dec{r: bytes.NewReader(payload)}
-	s := &Snapshot{}
-	var err error
-	if s.Version, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	name, err := d.str()
-	if err != nil {
-		return nil, err
-	}
-	ncols, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	d := &dec{b: payload}
+	s := &Snapshot{Version: d.uvarint()}
+	name, ncols := d.str(), d.uvarint()
 	if ncols > 1<<16 {
-		return nil, fmt.Errorf("%w: snapshot claims %d columns", ErrCorrupt, ncols)
+		d.corrupt("snapshot claims %d columns", ncols)
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	cols := make([]relation.Column, ncols)
-	for i := range cols {
-		if cols[i].Name, err = d.str(); err != nil {
-			return nil, err
+	for i := 0; i < len(cols) && d.err == nil; i++ {
+		if cols[i].Name = d.str(); len(d.b) == 0 {
+			d.corrupt("truncated column type")
+			break
 		}
-		t, err2 := d.r.ReadByte()
-		if err2 != nil {
-			return nil, fmt.Errorf("%w: truncated column type", ErrCorrupt)
-		}
-		switch relation.Type(t) {
-		case relation.Float, relation.Int, relation.String:
-			cols[i].Type = relation.Type(t)
-		default:
-			return nil, fmt.Errorf("%w: unknown column type %d", ErrCorrupt, t)
+		cols[i].Type, d.b = relation.Type(d.b[0]), d.b[1:]
+		if t := cols[i].Type; t != relation.Float && t != relation.Int && t != relation.String {
+			d.corrupt("unknown column type %d", t)
 		}
 	}
-	nrows, err := d.uvarint()
-	if err != nil {
-		return nil, err
+	nrows := d.uvarint()
+	switch {
+	case nrows > maxBatchRows:
+		d.corrupt("snapshot claims %d rows", nrows)
+	case ncols > 0 && nrows*ncols > uint64(len(d.b)):
+		// Every cell costs at least one payload byte, so a row count the
+		// remaining payload cannot possibly hold is corruption — caught
+		// BEFORE the columns are allocated, or a ~60-byte hostile file
+		// could demand gigabytes. (ncols ≤ 2^16 and nrows ≤ 2^28: no
+		// overflow.)
+		d.corrupt("snapshot claims %d×%d cells but only %d payload bytes remain", nrows, ncols, len(d.b))
 	}
-	if nrows > maxBatchRows {
-		return nil, fmt.Errorf("%w: snapshot claims %d rows", ErrCorrupt, nrows)
-	}
-	// Every cell costs at least one payload byte, so a row count the
-	// remaining payload cannot possibly hold is corruption — caught
-	// BEFORE the value grid is allocated, or a ~60-byte hostile file
-	// could demand gigabytes. (ncols ≤ 2^16 and nrows ≤ 2^28: no
-	// overflow.)
-	if ncols > 0 && nrows*ncols > uint64(d.r.Len()) {
-		return nil, fmt.Errorf("%w: snapshot claims %d×%d cells but only %d payload bytes remain",
-			ErrCorrupt, nrows, ncols, d.r.Len())
+	if d.err != nil {
+		return nil, d.err
 	}
 	for _, c := range cols {
 		if c.Name == "" {
@@ -173,125 +205,92 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	rel := relation.New(name, schema)
-	// Decode column-major into value grids, then append row-wise.
-	grid := make([][]relation.Value, nrows)
-	for r := range grid {
-		grid[r] = make([]relation.Value, ncols)
-	}
-	for c := uint64(0); c < ncols; c++ {
-		for r := uint64(0); r < nrows; r++ {
-			v, err := d.cell(cols[c].Type)
-			if err != nil {
-				return nil, err
+	cells := make([]relation.Cells, ncols)
+	for c, col := range cols {
+		switch col.Type {
+		case relation.Float:
+			if uint64(len(d.b)) < 8*nrows {
+				d.corrupt("column %q of %d floats runs past the payload", col.Name, nrows)
+				return nil, d.err
 			}
-			grid[r][c] = v
+			cells[c].F = make([]float64, nrows)
+			for r := range cells[c].F {
+				cells[c].F[r] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[8*r:]))
+			}
+			d.b = d.b[8*nrows:]
+		case relation.Int:
+			cells[c].I = make([]int64, nrows)
+			for r := range cells[c].I {
+				cells[c].I[r] = d.varint()
+			}
+		default:
+			cells[c].S = make([]string, nrows)
+			for r := range cells[c].S {
+				cells[c].S[r] = d.str()
+			}
+		}
+		if d.err != nil {
+			return nil, d.err
 		}
 	}
-	for _, vals := range grid {
-		if err := rel.Append(vals...); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
+	// The persisted version is the authoritative counter WAL replay
+	// lines up against.
+	if s.Rel, err = relation.FromColumns(name, schema, cells, int(nrows), s.Version); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	// The rebuild's Appends bumped the version once per row; the
-	// persisted version is the authoritative counter WAL replay lines
-	// up against.
-	rel.RestoreVersion(s.Version)
-	s.Rel = rel
 
-	nparts, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	nparts := d.uvarint()
 	if nparts > 1<<16 {
-		return nil, fmt.Errorf("%w: snapshot claims %d partitionings", ErrCorrupt, nparts)
+		d.corrupt("snapshot claims %d partitionings", nparts)
 	}
-	for pi := uint64(0); pi < nparts; pi++ {
+	for pi := uint64(0); pi < nparts && d.err == nil; pi++ {
 		var ps PartState
-		nattrs, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		nattrs := d.uvarint()
 		if nattrs > ncols {
-			return nil, fmt.Errorf("%w: partitioning claims %d attributes", ErrCorrupt, nattrs)
+			d.corrupt("partitioning claims %d attributes", nattrs)
 		}
-		for a := uint64(0); a < nattrs; a++ {
-			s, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			ps.Attrs = append(ps.Attrs, s)
+		for a := uint64(0); a < nattrs && d.err == nil; a++ {
+			ps.Attrs = append(ps.Attrs, d.str())
 		}
-		tau, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		ps.Tau = int(tau)
-		if ps.Omega, err = d.f64(); err != nil {
-			return nil, err
-		}
-		workers, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		ps.Workers = int(workers)
-		ngroups, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		ps.Tau, ps.Omega, ps.Workers = int(d.uvarint()), d.f64(), int(d.varint())
+		ngroups := d.uvarint()
 		if ngroups > nrows+1 {
-			return nil, fmt.Errorf("%w: partitioning claims %d groups over %d rows", ErrCorrupt, ngroups, nrows)
+			d.corrupt("partitioning claims %d groups over %d rows", ngroups, nrows)
 		}
-		for gi := uint64(0); gi < ngroups; gi++ {
+		for gi := uint64(0); gi < ngroups && d.err == nil; gi++ {
 			var g partition.Group
-			gn, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if gn > nrows {
-				return nil, fmt.Errorf("%w: group claims %d rows", ErrCorrupt, gn)
-			}
-			prev := uint64(0)
-			for ri := uint64(0); ri < gn; ri++ {
-				delta, err := d.uvarint()
-				if err != nil {
-					return nil, err
+			// A member costs at least one byte, as a cell does.
+			if gn := d.uvarint(); gn > nrows || gn > uint64(len(d.b)) {
+				d.corrupt("group claims %d rows", gn)
+			} else {
+				g.Rows = slices.Grow(g.Rows, int(gn))
+				for prev := uint64(0); len(g.Rows) < int(gn) && d.err == nil; {
+					if prev += d.uvarint(); prev >= nrows {
+						d.corrupt("group member %d out of range [0, %d)", prev, nrows)
+					}
+					g.Rows = append(g.Rows, int(prev))
 				}
-				prev += delta
-				if prev >= nrows {
-					return nil, fmt.Errorf("%w: group member %d out of range [0, %d)", ErrCorrupt, prev, nrows)
-				}
-				g.Rows = append(g.Rows, int(prev))
 			}
-			cn, err := d.uvarint()
-			if err != nil {
-				return nil, err
+			if cn := d.uvarint(); cn != nattrs {
+				d.corrupt("centroid of %d dims for %d attributes", cn, nattrs)
 			}
-			if cn != nattrs {
-				return nil, fmt.Errorf("%w: centroid of %d dims for %d attributes", ErrCorrupt, cn, nattrs)
+			g.Centroid = slices.Grow(g.Centroid, int(nattrs))
+			for len(g.Centroid) < int(nattrs) && d.err == nil {
+				g.Centroid = append(g.Centroid, d.f64())
 			}
-			for ci := uint64(0); ci < cn; ci++ {
-				v, err := d.f64()
-				if err != nil {
-					return nil, err
-				}
-				g.Centroid = append(g.Centroid, v)
-			}
-			if g.Radius, err = d.f64(); err != nil {
-				return nil, err
-			}
+			g.Radius = d.f64()
 			ps.Groups = append(ps.Groups, g)
 		}
-		for _, field := range []*uint64{&ps.Stats.Inserts, &ps.Stats.Deletes, &ps.Stats.Updates,
-			&ps.Stats.Splits, &ps.Stats.Merges, &ps.Stats.Heals, &ps.Stats.Rebuilds} {
-			if *field, err = d.uvarint(); err != nil {
-				return nil, err
-			}
+		for _, field := range statFields(&ps.Stats) {
+			*field = d.uvarint()
 		}
 		s.Parts = append(s.Parts, ps)
 	}
-	if d.r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot", ErrCorrupt, d.r.Len())
+	if len(d.b) != 0 {
+		d.corrupt("%d trailing bytes after snapshot", len(d.b))
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return s, nil
 }
