@@ -75,7 +75,7 @@ func checks(files []*file) map[string]check {
 		"nopanic":         nopanic,
 		"obsctx":          obsctx(spanFuncs(files)),
 		"lockorder_store": lockorder(module+"/internal/store", "syncCond", "mu", "syncMu"),
-		"lockorder_paq":   lockorder(module+"/paq", "", "dataMu", "building", "regMu", "mu", "countMu"),
+		"lockorder_paq":   lockorder(module+"/paq", "", "dataMu", "building", "regMu", "mu", "fillMu"),
 	}
 }
 

@@ -180,13 +180,18 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// The oracle allocates a slice per row before it reads a cell, and
-		// only the cells bound the row count; a snapshot of no columns that
-		// claims more rows than it has bytes would cost it gigabytes.
+		// only the cells bound its row count; a snapshot of no columns that
+		// claims more rows than it has bytes left would cost it gigabytes,
+		// and the decoder refuses it (a row costs a byte at the least), so
+		// such a payload is held to that refusal alone.
 		h := &dec{b: payload}
 		h.uvarint()
 		h.str()
-		if h.uvarint() == 0 && h.uvarint() > uint64(len(payload)) {
-			t.Skip("zero-column snapshot with an unbounded row count")
+		if h.uvarint() == 0 && h.uvarint() > uint64(len(h.b)) {
+			if _, err := decodeSnapshot(payload); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("zero-column snapshot claiming more rows than bytes: %v, want ErrCorrupt", err)
+			}
+			return
 		}
 		got, err := decodeSnapshot(payload)
 		want, oerr := oracleDecodeSnapshot(payload)
@@ -251,6 +256,34 @@ func TestDecodeSnapshotRefusesRowsThePayloadCannotHold(t *testing.T) {
 		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
 			t.Fatalf("%s: decoding %d bytes that claim 2^20 rows allocated %d bytes", typ, len(e.b), n)
 		}
+	}
+}
+
+// TestSnapshotWithNoColumnsHoldsNoRows: rows of no cells cost the
+// payload nothing, so the encoder refuses them and the decoder takes a
+// row count past the remaining bytes for corruption, before it
+// allocates anything per row.
+func TestSnapshotWithNoColumnsHoldsNoRows(t *testing.T) {
+	bare := relation.New("bare", reltest.Schema())
+	reltest.Append(bare)
+	if _, err := encodeSnapshot(&Snapshot{Version: 1, Rel: bare}); err == nil {
+		t.Fatal("encoded a row with no columns")
+	}
+	e := &enc{}
+	e.uvarint(1)
+	e.str("r")
+	e.uvarint(0)
+	e.uvarint(1 << 27)
+	e.b = append(e.b, 1, 2, 3, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeSnapshot(e.b)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("decoding %d bytes that claim 2^27 rows of no columns allocated %d bytes", len(e.b), n)
 	}
 }
 

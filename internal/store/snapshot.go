@@ -50,6 +50,11 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	if rel.Live() != rel.Len() {
 		return nil, fmt.Errorf("store: snapshot of uncompacted relation (%d tombstones)", rel.Len()-rel.Live())
 	}
+	if rel.Schema().Len() == 0 && rel.Len() > 0 {
+		// decodeSnapshot bounds the row count by the payload, a byte per
+		// row at the least, which a row of no cells does not pay.
+		return nil, fmt.Errorf("store: snapshot of %d rows with no columns", rel.Len())
+	}
 	e := &enc{b: make([]byte, 0, snapshotSize(s))}
 	e.uvarint(s.Version)
 	e.str(rel.Name())
@@ -183,12 +188,12 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 	switch {
 	case nrows > maxBatchRows:
 		d.corrupt("snapshot claims %d rows", nrows)
-	case ncols > 0 && nrows*ncols > uint64(len(d.b)):
-		// Every cell costs at least one payload byte, so a row count the
-		// remaining payload cannot possibly hold is corruption — caught
-		// BEFORE the columns are allocated, or a ~60-byte hostile file
-		// could demand gigabytes. (ncols ≤ 2^16 and nrows ≤ 2^28: no
-		// overflow.)
+	case nrows*max(ncols, 1) > uint64(len(d.b)):
+		// Every cell costs at least one payload byte, and encodeSnapshot
+		// writes no rows without columns, so a row count the remaining
+		// payload cannot possibly hold is corruption — caught BEFORE the
+		// columns are allocated, or a ~60-byte hostile file could demand
+		// gigabytes. (ncols ≤ 2^16 and nrows ≤ 2^28: no overflow.)
 		d.corrupt("snapshot claims %d×%d cells but only %d payload bytes remain", nrows, ncols, len(d.b))
 	}
 	if d.err != nil {

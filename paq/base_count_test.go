@@ -100,9 +100,9 @@ func TestBaseCountMemoMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, pins := s.d.pin.snap.Load(), s.d.pin.pins.Load()
+	pinned, pins := s.d.cur.Load().snap, s.d.pin.pins.Load()
 	checkAll(t, s, "open")
-	if s.d.pin.snap.Load() != pinned || s.d.pin.pins.Load() != pins {
+	if s.d.cur.Load().snap != pinned || s.d.pin.pins.Load() != pins {
 		t.Error("Prepare pinned a snapshot")
 	}
 
@@ -168,7 +168,7 @@ func TestBaseCountMemoMatchesScan(t *testing.T) {
 		for _, base := range []relation.Predicate{cheap, &relation.And{Kids: []relation.Predicate{st.spec.Base, cheap}}} {
 			spec := *st.spec
 			spec.Base = base
-			before := len(s.d.counts.n)
+			before := len(s.d.cur.Load().counts)
 			s.d.dataMu.RLock()
 			for range 2 {
 				if n, from := s.d.baseCount(&spec); n != spec.CountBase() || from != "scan" {
@@ -176,7 +176,7 @@ func TestBaseCountMemoMatchesScan(t *testing.T) {
 				}
 			}
 			s.d.dataMu.RUnlock()
-			if len(s.d.counts.n) != before {
+			if len(s.d.cur.Load().counts) != before {
 				t.Errorf("%s: the memo kept an anonymous filter", base)
 			}
 		}
@@ -186,7 +186,7 @@ func TestBaseCountMemoMatchesScan(t *testing.T) {
 		for k := 0; k < maxBaseCounts+50; k++ {
 			checkCount(t, s, fmt.Sprintf("I.cost <= %d / 7", k))
 		}
-		if n := len(s.d.counts.n); n != maxBaseCounts {
+		if n := len(s.d.cur.Load().counts); n != maxBaseCounts {
 			t.Errorf("the memo holds %d filters, want the cap %d", n, maxBaseCounts)
 		}
 		for _, w := range countWheres {

@@ -14,13 +14,13 @@ import (
 
 // dataset is the one owner of everything a Session and its Clones
 // share: the relation, the lock that orders mutations against pins, the
-// per-version snapshot cache, the durability store, and the registry of
-// offline partitionings. The paper makes the partitioning a property of
-// the relation (§4.1: built once, reused by every query), so it lives
-// here — a Session only adds configuration and solution caches on top.
+// current generation, the durability store, and the registry of offline
+// partitionings. The paper makes the partitioning a property of the
+// relation (§4.1: built once, reused by every query), so it lives here —
+// a Session only adds configuration and solution caches on top.
 //
 // Lock order: dataMu → partEntry.building → regMu → Session.mu →
-// countMemo.countMu, never the reverse (the lockorder rule in
+// generation.fillMu, never the reverse (the lockorder rule in
 // internal/lint holds the package to it).
 type dataset struct {
 	rel *relation.Relation
@@ -31,7 +31,12 @@ type dataset struct {
 	// partitioning view) and evaluate lock-free, so a mutation stream
 	// never stalls behind an in-flight solve and vice versa.
 	dataMu sync.RWMutex
-	pin    pinCache
+	pin    pinWaits
+
+	// cur is the generation of the relation's current version. Only
+	// advance stores it, under the write lock, so a reader holding the
+	// read lock loads the generation of the version it reads.
+	cur atomic.Pointer[generation]
 
 	// st is the durability store (nil for a purely in-memory dataset).
 	// All store operations run under the dataMu write lock except
@@ -51,64 +56,110 @@ type dataset struct {
 	// warm counts the partitionings recovery warm-started (see DurStats);
 	// written only before the dataset is shared.
 	warm int
-
-	// counts memoizes Prepare's base-relation sizes (baseCount).
-	counts countMemo
 }
 
-// maxBaseCounts caps the base-count memo: past it, an arbitrary entry
-// makes room. An entry costs about 55 bytes of map (Go 1.24, measured at
-// 1 024 entries) plus its key, the filter's rendering.
+// generation is what one dataset version fixes: the version itself and,
+// each taken on first need, the relation snapshot solves pin, every head
+// partitioning's view bound to that snapshot (keyed by the head, so a
+// rebuilt head never meets an older head's view), and the number of live
+// rows that pass each filter Prepare has planned at it (keyed by the
+// filter's canonical rendering, engine.FilterKey). It is not the
+// replication epoch, which is a leader's term.
+//
+// A generation never outlives its version: advance replaces it, and it is
+// garbage once the last solve that pinned from it ends. fillMu guards the
+// lazy fills and is a leaf: nothing is locked under it.
+type generation struct {
+	version uint64
+
+	fillMu sync.Mutex
+	snap   *relation.Relation
+	views  map[*partition.Partitioning]*partition.Partitioning
+	counts map[string]int
+}
+
+// maxBaseCounts caps a generation's base counts: past it, an arbitrary
+// entry makes room. An entry costs about 55 bytes of map (Go 1.24,
+// measured at 1 024 entries) plus its key, the filter's rendering.
 const maxBaseCounts = 1024
 
-// countMemo holds, for one dataset version, the number of live rows that
-// pass each filter Prepare has planned at it, keyed by the filter's
-// canonical rendering (engine.FilterKey). Meeting another version empties
-// it, so an entry is only ever read at the version it was counted at.
-// countMu is a leaf: nothing is locked under it.
-type countMemo struct {
-	countMu sync.Mutex
-	ver     uint64
-	n       map[string]int
+// snapshot returns the generation's snapshot of rel, taking it on the
+// first pin (Relation.Snapshot writes the head's copy-on-write flags, so
+// read-locked pinners take it under fillMu). Every later pin at the
+// version — a steady-state solve — reuses it and allocates nothing. The
+// caller holds the read lock.
+func (g *generation) snapshot(rel *relation.Relation) *relation.Relation {
+	g.fillMu.Lock()
+	defer g.fillMu.Unlock()
+	if g.snap == nil {
+		g.snap = rel.Snapshot()
+	}
+	return g.snap
+}
+
+// view returns head's frozen view bound to the generation's snapshot,
+// building it on first need. The caller holds the read lock and has
+// pinned the snapshot under it.
+func (g *generation) view(head *partition.Partitioning) *partition.Partitioning {
+	g.fillMu.Lock()
+	defer g.fillMu.Unlock()
+	v := g.views[head]
+	if v == nil {
+		v = head.View(g.snap)
+		g.views[head] = v
+	}
+	return v
 }
 
 // baseCount returns how many live rows pass spec's filter — the base
 // relation's size, which planning needs — and where the number came
 // from: "memo", or "scan" when it was counted now. A filter with an
 // anonymous predicate has no key and is counted every time. The caller
-// holds the read lock, so the version cannot move; the count reads the
-// head, since a snapshot would make the next update clone every column.
-// Two Prepares that miss together both count.
+// holds the read lock, so the generation cannot move; the count reads
+// the head, since a snapshot would make the next update clone every
+// column. Two Prepares that miss together both count.
 func (d *dataset) baseCount(spec *core.Spec) (int, string) {
 	key, ok := engine.FilterKey(spec)
 	if !ok {
 		return spec.CountBase(), "scan"
 	}
-	m, ver := &d.counts, d.rel.Version()
-	m.countMu.Lock()
-	n, hit := m.n[key]
-	hit = hit && m.ver == ver
-	m.countMu.Unlock()
+	g := d.cur.Load()
+	g.fillMu.Lock()
+	n, hit := g.counts[key]
+	g.fillMu.Unlock()
 	if hit {
 		return n, "memo"
 	}
 	n = spec.CountBase()
-	m.countMu.Lock()
-	defer m.countMu.Unlock()
-	switch {
-	case m.n == nil:
-		m.n = make(map[string]int)
-	case m.ver != ver:
-		clear(m.n)
-	case len(m.n) >= maxBaseCounts:
-		for k := range m.n {
-			delete(m.n, k)
+	g.fillMu.Lock()
+	defer g.fillMu.Unlock()
+	if len(g.counts) >= maxBaseCounts {
+		for k := range g.counts {
+			delete(g.counts, k)
 			break
 		}
 	}
-	m.ver = ver
-	m.n[key] = n
+	g.counts[key] = n
 	return n, "scan"
+}
+
+// advance ends the current version, wherever the version can move: a
+// mutation's apply (live or replayed), a compaction, and Open. It
+// installs a fresh generation at the relation's version and reclaims
+// solution-cache entries solved against older versions from every
+// registered engine. The caller holds the write lock (or, in Open, has
+// not shared the dataset yet), so no reader sees the swap half done.
+func (d *dataset) advance() {
+	d.cur.Store(&generation{
+		version: d.rel.Version(),
+		views:   make(map[*partition.Partitioning]*partition.Partitioning),
+		counts:  make(map[string]int),
+	})
+	d.regMu.Lock()
+	defer d.regMu.Unlock()
+	for _, e := range d.engines {
+		e.InvalidateRel(d.rel)
+	}
 }
 
 // partEntry is one registered partitioning. part is nil until a caller
@@ -124,29 +175,6 @@ type partEntry struct {
 	building sync.Mutex
 	part     atomic.Pointer[partition.Partitioning]
 	maint    *partition.Maintainer
-	// view caches the frozen partitioning view bound to the current
-	// pinned relation snapshot. Snapshot pointers are one-per-version
-	// (see pinCache), so pointer equality on view.Rel is exactly "view
-	// is current". viewMu serializes rebuilds after a mutation.
-	viewMu sync.Mutex
-	view   atomic.Pointer[partition.Partitioning]
-}
-
-// viewAt returns (building at most once per version) the frozen view of
-// the partitioning bound to the pinned snapshot snap. The caller must
-// hold the dataset read lock and have pinned snap under that same lock.
-func (e *partEntry) viewAt(snap *relation.Relation) *partition.Partitioning {
-	if v := e.view.Load(); v != nil && v.Rel == snap {
-		return v
-	}
-	e.viewMu.Lock()
-	defer e.viewMu.Unlock()
-	if v := e.view.Load(); v != nil && v.Rel == snap {
-		return v
-	}
-	v := e.part.Load().View(snap)
-	e.view.Store(v)
-	return v
 }
 
 // entry returns the registry entry under key (built or not); with create
@@ -206,77 +234,26 @@ func (d *dataset) maintainers() (ms []*partition.Maintainer) {
 	return ms
 }
 
-// propagate carries an applied mutation to everything derived from the
-// relation: step runs on every partitioning's maintainer, then
-// solution-cache entries solved against older versions are reclaimed.
-func (d *dataset) propagate(ms []*partition.Maintainer, step func(*partition.Maintainer) error) error {
-	for _, m := range ms {
-		if err := step(m); err != nil {
-			return err
-		}
-	}
-	d.invalidateStale()
-	return nil
-}
-
-// invalidateStale reclaims solution-cache entries solved against older
-// dataset versions from every registered engine. Caller holds the write
-// lock, so nothing waits on regMu meanwhile.
-func (d *dataset) invalidateStale() {
-	d.regMu.Lock()
-	defer d.regMu.Unlock()
-	for _, e := range d.engines {
-		e.InvalidateRel(d.rel)
-	}
-}
-
-// pinCache caches one immutable relation snapshot per version so that
-// pinning a solve at steady state (no mutation since the last pin) is
-// a single atomic load — no allocation, no copying.
-type pinCache struct {
-	// snapMu serializes snapshot creation (Relation.Snapshot writes the
-	// head's copy-on-write flags, so concurrent read-locked pinners must
-	// not race it).
-	snapMu sync.Mutex
-	snap   atomic.Pointer[relation.Relation]
-
-	// pins counts executions pinned; waitNanos and maxWait record the
-	// time spent acquiring the dataset read lock while pinning — the
-	// only instant a solve can wait on the mutation lock, so a bounded
-	// maxWait is the observable proof that ingest never blocks solves
-	// for longer than one in-flight batch apply.
+// pinWaits counts executions pinned; waitNanos and maxWait record the
+// time spent acquiring the dataset read lock while pinning — the only
+// instant a solve can wait on the mutation lock, so a bounded maxWait is
+// the observable proof that ingest never blocks solves for longer than
+// one in-flight batch apply.
+type pinWaits struct {
 	pins      atomic.Uint64
 	waitNanos atomic.Int64
 	maxWait   atomic.Int64
 }
 
 // observeWait records one pin's lock-acquisition wait.
-func (pc *pinCache) observeWait(wait time.Duration) {
-	pc.pins.Add(1)
+func (pw *pinWaits) observeWait(wait time.Duration) {
+	pw.pins.Add(1)
 	w := int64(wait)
-	pc.waitNanos.Add(w)
+	pw.waitNanos.Add(w)
 	for {
-		cur := pc.maxWait.Load()
-		if w <= cur || pc.maxWait.CompareAndSwap(cur, w) {
+		cur := pw.maxWait.Load()
+		if w <= cur || pw.maxWait.CompareAndSwap(cur, w) {
 			return
 		}
 	}
-}
-
-// at returns the cached snapshot of rel at its current version,
-// refreshing the cache if a mutation has moved the version since the
-// last pin. The caller must hold the dataset read lock (so the version
-// cannot move underneath the check).
-func (pc *pinCache) at(rel *relation.Relation) *relation.Relation {
-	if snap := pc.snap.Load(); snap != nil && snap.Version() == rel.Version() {
-		return snap
-	}
-	pc.snapMu.Lock()
-	defer pc.snapMu.Unlock()
-	if snap := pc.snap.Load(); snap != nil && snap.Version() == rel.Version() {
-		return snap
-	}
-	snap := rel.Snapshot()
-	pc.snap.Store(snap)
-	return snap
 }

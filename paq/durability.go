@@ -206,21 +206,22 @@ func (s *Session) Compact() (int, error) {
 	return reclaimed, err
 }
 
-// compactLocked renumbers the relation and remaps every partitioning
-// over it through the renumbering.
+// compactLocked renumbers the relation, advances to the version the
+// renumbering reached, and remaps every partitioning over it through the
+// renumbering.
 func (d *dataset) compactLocked() (int, error) {
 	reclaimed := d.rel.Len() - d.rel.Live()
 	remap := d.rel.Compact()
 	if remap == nil {
 		return 0, nil
 	}
+	d.advance()
 	if err := d.each(func(e *partEntry) error { return e.part.Load().Remap(remap) }); err != nil {
 		return reclaimed, fmt.Errorf("paq: compact: %w", err)
 	}
 	if d.st != nil {
 		d.st.NoteCompaction()
 	}
-	d.invalidateStale()
 	return reclaimed, nil
 }
 

@@ -212,7 +212,7 @@ func TestGroupCellsDoNotOutliveTheirView(t *testing.T) {
 	if _, err := stmt.Execute(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	view := stmt.entry.view.Load()
+	view := s.d.cur.Load().views[stmt.entry.part.Load()]
 	var kept []float64
 	for gid := range view.Groups {
 		if cells, filled := view.GroupColumn(gid, 0); !filled {

@@ -189,7 +189,6 @@ func TestLayoutMemoMissesOnRebuiltView(t *testing.T) {
 	if err == nil {
 		e.part.Store(p)
 		e.maint = nil
-		e.view.Store(nil)
 	}
 	s.d.dataMu.Unlock()
 	if err != nil {
@@ -251,8 +250,8 @@ func TestLayoutMemoDoesNotPinSnapshot(t *testing.T) {
 	}
 
 	collected := make(chan string, 3)
-	snap := s.d.pin.snap.Load()
-	view := stmt.entry.view.Load()
+	snap := s.d.cur.Load().snap
+	view := s.d.cur.Load().views[stmt.entry.part.Load()]
 	runtime.SetFinalizer(snap, func(*relation.Relation) { collected <- "snapshot" })
 	runtime.SetFinalizer(view, func(*partition.Partitioning) { collected <- "view" })
 	runtime.SetFinalizer(&snap.FloatColumn(0)[0], func(*float64) { collected <- "cost column" })

@@ -83,10 +83,11 @@ func commitFailed(err error) error {
 }
 
 // absorbLocked validates the record against the dataset and applies it —
-// the steps live mutations and WAL replay share. With logged set the
-// record is staged to the WAL between the two (write-ahead) and the
-// commit func returned; an empty batch is a no-op that stages nothing.
-// Caller holds the write lock.
+// the steps live mutations and WAL replay share — then advances to the
+// version the apply reached. With logged set the record is staged to the
+// WAL between the two (write-ahead) and the commit func returned; an
+// empty batch is a no-op that stages nothing. Caller holds the write
+// lock.
 func (d *dataset) absorbLocked(rec *store.Record, logged bool) (ids []int, commit func() error, err error) {
 	validate, apply, err := d.halves(rec)
 	if err == nil {
@@ -100,7 +101,9 @@ func (d *dataset) absorbLocked(rec *store.Record, logged bool) (ids []int, commi
 			return nil, nil, fmt.Errorf("paq: write-ahead log: %w", err)
 		}
 	}
-	if ids, err = apply(); err != nil && logged {
+	ids, err = apply()
+	d.advance()
+	if err != nil && logged {
 		// Validation makes this unreachable; if it happens anyway the WAL
 		// holds a record memory never absorbed, so no later record could
 		// replay — poison until a snapshot re-roots the base.
@@ -146,7 +149,12 @@ func (d *dataset) applyInsert(rows [][]relation.Value) ([]int, error) {
 			return nil, fmt.Errorf("paq: insert row %d: %w", i, err)
 		}
 	}
-	return ids, d.propagate(d.maintainers(), func(m *partition.Maintainer) error { return m.Insert(ids...) })
+	for _, m := range d.maintainers() {
+		if err := m.Insert(ids...); err != nil {
+			return nil, err
+		}
+	}
+	return ids, nil
 }
 
 // DeleteRows removes the given rows (by row index, as reported in
@@ -190,7 +198,12 @@ func (d *dataset) applyDelete(rows []int) error {
 			return err // unreachable: validated before
 		}
 	}
-	return d.propagate(d.maintainers(), func(m *partition.Maintainer) error { return m.Delete(rows...) })
+	for _, m := range d.maintainers() {
+		if err := m.Delete(rows...); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // UpdateRows overwrites the given live rows in place (vals[i] replaces
@@ -225,7 +238,7 @@ func (d *dataset) validateUpdate(rows []int, vals [][]relation.Value) error {
 // which takes each row out of every partitioning before its cells are
 // written. Caller holds the write lock.
 func (d *dataset) applyUpdate(rows []int, vals [][]relation.Value) error {
-	err := partition.UpdateRows(d.maintainers(), rows, func(i int) error {
+	return partition.UpdateRows(d.maintainers(), rows, func(i int) error {
 		for c, v := range vals[i] {
 			if err := d.rel.Set(rows[i], c, v); err != nil {
 				return err // unreachable: validated before
@@ -233,10 +246,6 @@ func (d *dataset) applyUpdate(rows []int, vals [][]relation.Value) error {
 		}
 		return nil
 	})
-	if err == nil {
-		d.invalidateStale()
-	}
-	return err
 }
 
 // View runs fn with the session's relation under the dataset read

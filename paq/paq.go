@@ -111,7 +111,7 @@ func newSession(d *dataset, cfg config) *Session {
 
 // PinStats reports how executions interacted with the mutation lock
 // while pinning their snapshots. Pins counts pinned executions (shared
-// across Clones, like the snapshot cache itself); WaitTotal and WaitMax
+// across Clones, like the snapshot they pin); WaitTotal and WaitMax
 // are the cumulative and worst-case time an execution spent acquiring
 // the dataset read lock before its solve went lock-free. A WaitMax
 // bounded by one mutation batch's apply time is the expected steady
@@ -124,11 +124,11 @@ type PinStats struct {
 
 // PinStats snapshots the session's pin-wait counters.
 func (s *Session) PinStats() PinStats {
-	pc := &s.d.pin
+	pw := &s.d.pin
 	return PinStats{
-		Pins:      pc.pins.Load(),
-		WaitTotal: time.Duration(pc.waitNanos.Load()),
-		WaitMax:   time.Duration(pc.maxWait.Load()),
+		Pins:      pw.pins.Load(),
+		WaitTotal: time.Duration(pw.waitNanos.Load()),
+		WaitMax:   time.Duration(pw.maxWait.Load()),
 	}
 }
 
@@ -187,6 +187,7 @@ func Open(src Source, opts ...Option) (*Session, error) {
 			return nil, fmt.Errorf("paq: input relation %q is empty", d.rel.Name())
 		}
 	}
+	d.advance()
 	s := newSession(d, cfg)
 	if boot != nil {
 		if err := d.recover(boot); err != nil {
@@ -346,7 +347,7 @@ type pinned struct {
 // the snapshot and partitioning view, then the lock is dropped and the
 // solve proceeds against the frozen state while ingest continues on
 // head. Steady state (no mutation since the last pin) allocates
-// nothing — the cached snapshot and view are reused.
+// nothing — the generation's snapshot and view are reused.
 func (s *Session) pinExec(st *Stmt, sp *obs.Span) pinned {
 	d := s.d
 	t0 := time.Now()
@@ -357,10 +358,11 @@ func (s *Session) pinExec(st *Stmt, sp *obs.Span) pinned {
 		sp.SetAttrFloat("lock_wait_ms", float64(wait)/float64(time.Millisecond))
 	}
 	defer d.dataMu.RUnlock()
-	p := pinned{snap: d.pin.at(d.rel)}
+	g := d.cur.Load()
+	p := pinned{snap: g.snapshot(d.rel)}
 	if st.entry != nil {
 		vsp := sp.Child("partition_view")
-		p.view, p.partKey = st.entry.viewAt(p.snap), st.entry.key
+		p.view, p.partKey = g.view(st.entry.part.Load()), st.entry.key
 		if vsp != nil {
 			vsp.SetAttrInt("groups", int64(p.view.NumGroups()))
 			vsp.Finish()

@@ -41,9 +41,9 @@ func pinFixture(t *testing.T, opts ...Option) (*Session, *Stmt) {
 }
 
 // Pinning an execution at steady state (no mutation since the last
-// pin) must allocate nothing: the cached snapshot — and for
-// SketchRefine the cached partitioning view — are reused, so the pin
-// is a read-lock acquisition plus atomic loads. This is what makes
+// pin) must allocate nothing: the generation's snapshot — and for
+// SketchRefine its partitioning view — are reused, so the pin is a
+// read-lock acquisition, a pointer load and two reads under fillMu. This is what makes
 // "solves never block ingest" cheap enough to do on every Execute.
 func TestPinExecSteadyStateAllocateZero(t *testing.T) {
 	run := func(t *testing.T, s *Session, stmt *Stmt) {
@@ -146,7 +146,7 @@ MAXIMIZE SUM(P.gain)`)
 	}
 
 	collected := make(chan string, 2)
-	snap := s.d.pin.snap.Load()
+	snap := s.d.cur.Load().snap
 	runtime.SetFinalizer(snap, func(*relation.Relation) { collected <- "snapshot" })
 	runtime.SetFinalizer(&snap.FloatColumn(0)[0], func(*float64) { collected <- "cost column" })
 	snap = nil
