@@ -43,7 +43,7 @@ func pinFixture(t *testing.T, opts ...Option) (*Session, *Stmt) {
 // Pinning an execution at steady state (no mutation since the last
 // pin) must allocate nothing: the generation's snapshot — and for
 // SketchRefine its partitioning view — are reused, so the pin is a
-// read-lock acquisition, a pointer load and two reads under fillMu. This is what makes
+// read-lock acquisition, a pointer load and a read or two under fillMu. This is what makes
 // "solves never block ingest" cheap enough to do on every Execute.
 func TestPinExecSteadyStateAllocateZero(t *testing.T) {
 	run := func(t *testing.T, s *Session, stmt *Stmt) {
