@@ -29,13 +29,15 @@ import (
 //     first time maintenance edits it after the view, and edited in place
 //     from then on, across batches (own);
 //   - each group's statistic, adopted as the head's constructor made it,
-//     is kept incrementally: running sums give the centroid and R̃ row, and
-//     the least and greatest member cell on each attribute the exact
-//     radius. An insert widens them, a merge takes both sides', and only a
-//     removed member that held one sends the maintainer back over the
-//     group's cells, for that attribute. A split's children take the
-//     builder's statistics; only a heal adds a group up whole. None of it
-//     starts a goroutine.
+//     is kept incrementally: running sums give the centroid (and, when a
+//     view is taken, the R̃ row), and the least and greatest member cell
+//     on each attribute the exact radius. An insert widens them, a merge
+//     takes both sides', and only a removed member that held one sends the
+//     maintainer back over the group's cells, for that attribute. A split's
+//     children take the builder's statistics; only a heal adds a group up
+//     whole. None of it starts a goroutine.
+//   - no R̃ is kept: a View builds its own from the statistics (newReps),
+//     so a batch, replayed or live, pays nothing for representatives.
 //
 // SketchRefine's quality guarantees (Theorem 3) are stated in terms of
 // the maximum group radius; because maintenance keeps every radius exact,
@@ -74,8 +76,6 @@ type gState struct {
 	// degenerate (duplicate points); cleared on the next membership
 	// change so the maintainer does not retry hopeless splits every op.
 	noSplit bool
-	// dirty marks the group's representative row as stale.
-	dirty bool
 	// owned is one more than the head's view count (Partitioning.views)
 	// when own allocated the group's member list, zero when own did not
 	// allocate it: a list is the maintainer's alone until the next View.
@@ -83,21 +83,17 @@ type gState struct {
 }
 
 // Maintainer is the one writer of a head Partitioning: it keeps it valid
-// and its representatives fresh under interleaved row inserts, deletes,
-// and updates, mutating Groups, GID and Reps in place, and it alone reads
-// GID. Solves never read the head — they read a View taken under the
+// under interleaved row inserts, deletes, and updates, mutating Groups,
+// GID and the group statistics in place, and it alone reads GID. It keeps
+// no R̃. Solves never read the head — they read a View taken under the
 // lock that serializes maintenance (paq's dataset holds a read-write lock
 // around it), so update propagation is a stage of its own with its own
 // state. A Maintainer is not itself safe for concurrent use.
 type Maintainer struct {
-	p      *Partitioning
-	groups []*gState
-	stats  MaintStats
-	// structChanged records that the group set changed shape since the
-	// last representative flush (splits, merges, drops), forcing a full
-	// Reps rebuild instead of in-place cell updates.
-	structChanged bool
-	cells, point  []float64 // scratch: a row's numeric cells, and its point on the attributes
+	p            *Partitioning
+	groups       []*gState
+	stats        MaintStats
+	cells, point []float64 // scratch: a row's numeric cells, and its point on the attributes
 	// order is nearest's attribute order, fixed at NewMaintainer.
 	order []int
 }
@@ -161,13 +157,11 @@ func (m *Maintainer) heal(gid int) {
 }
 
 // recentre re-derives group gid's centroid from its sums and its radius
-// from its extremes after its membership changed, and marks the group
-// touched.
+// from its extremes after its membership changed.
 func (m *Maintainer) recentre(gid int) {
-	g, st := &m.p.Groups[gid], m.groups[gid]
+	g := &m.p.Groups[gid]
 	g.Centroid, g.Radius = m.p.centre(m.p.stats[gid], len(g.Rows))
-	st.noSplit = false
-	st.dirty = true
+	m.groups[gid].noSplit = false
 }
 
 // nearest returns the gid whose centroid is closest to point in L∞ over
@@ -233,8 +227,7 @@ func (m *Maintainer) Insert(rows ...int) error {
 	return m.batch(rows, &m.stats.Inserts, m.insertOne)
 }
 
-// batch runs one maintenance step per row, counting each, and refreshes
-// the representatives once at the end.
+// batch runs one maintenance step per row, counting each.
 func (m *Maintainer) batch(rows []int, count *uint64, step func(row int) error) error {
 	for _, row := range rows {
 		if err := step(row); err != nil {
@@ -242,7 +235,6 @@ func (m *Maintainer) batch(rows []int, count *uint64, step func(row int) error) 
 		}
 		*count++
 	}
-	m.flushReps()
 	return nil
 }
 
@@ -286,7 +278,6 @@ func (m *Maintainer) insertOne(row int) error {
 		m.groups = append(m.groups, &gState{})
 		m.addUp(0)
 		m.p.GID[row] = 0
-		m.structChanged = true
 		return nil
 	}
 	g, st := m.own(gid), m.p.stats[gid]
@@ -368,8 +359,7 @@ func (m *Maintainer) shrink(gid int, old []float64) {
 // through every maintainer in ms, all over the relation set writes to, one
 // row at a time: the row leaves its group in each at the cells the
 // relation still holds, set(i) writes rows[i]'s new cells, and the row
-// re-enters each as a fresh insert. The representatives are refreshed
-// once, at the end.
+// re-enters each as a fresh insert.
 func UpdateRows(ms []*Maintainer, rows []int, set func(i int) error) error {
 	for i, row := range rows {
 		for _, m := range ms {
@@ -386,9 +376,6 @@ func UpdateRows(ms []*Maintainer, rows []int, set func(i int) error) error {
 			}
 			m.stats.Updates++
 		}
-	}
-	for _, m := range ms {
-		m.flushReps()
 	}
 	return nil
 }
@@ -424,7 +411,6 @@ func (m *Maintainer) splitMaybe(gid int) {
 	}
 	m.p.fill(stats, parts, m.p.cols[len(m.p.attrPos):], 1)
 	m.stats.Splits++
-	m.structChanged = true
 	for i, ng := range parts {
 		slot := gid
 		if i > 0 {
@@ -487,25 +473,6 @@ func (m *Maintainer) dropGroup(gid int) {
 		}
 	}
 	m.p.Groups, m.p.stats, m.groups = m.p.Groups[:last], m.p.stats[:last], m.groups[:last]
-	m.structChanged = true
-}
-
-// flushReps refreshes the representative relation after a batch: cell
-// updates in place for dirty groups, or a full (cheap, O(m)) rebuild
-// from the sums when the group set itself changed shape.
-func (m *Maintainer) flushReps() {
-	p, rebuilt, row := m.p, m.structChanged, make([]float64, len(m.p.numIdx))
-	if rebuilt {
-		p.Reps = newReps(p.Rel, p.numIdx, p.Groups, p.stats)
-		m.structChanged = false
-	}
-	for gid, st := range m.groups {
-		if st.dirty && !rebuilt {
-			p.stats[gid].means(len(p.Groups[gid].Rows), row)
-			setRep(p.Reps, gid, row)
-		}
-		st.dirty = false
-	}
 }
 
 // MaxRadiusBound returns the largest maintained group radius, which is

@@ -62,13 +62,18 @@ func TestMaintainerInsertRoutesAndSplits(t *testing.T) {
 	if m.Stats().Rebuilds != 0 {
 		t.Error("maintenance must never repartition from scratch")
 	}
-	// The audit compares representative values: a stale one is caught.
-	reps := m.Partitioning().Reps
+	// The audit compares representative values: a stale one in a view of
+	// the maintained head is caught (the head holds no R̃ to go stale).
+	v := m.Partitioning().View(rel.Snapshot())
+	if err := v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	reps := v.Representatives()
 	if err := reps.Set(0, 3, relation.F(reps.Float(0, 3)+1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckInvariants(); err == nil {
-		t.Error("a stale representative passed the maintainer's CheckInvariants")
+	if err := v.CheckInvariants(); err == nil {
+		t.Error("a stale representative passed the view's CheckInvariants")
 	}
 }
 
@@ -165,7 +170,7 @@ func sameStructure(t *testing.T, at string, got, ref *Maintainer) {
 	if !reflect.DeepEqual(p.GID, q.GID) || len(p.Groups) != len(q.Groups) {
 		t.Fatalf("%s: gid maps diverged (%d vs %d groups)", at, len(p.Groups), len(q.Groups))
 	}
-	row, refRow := make([]float64, len(p.numIdx)), make([]float64, len(p.numIdx))
+	reps, refReps := p.Representatives(), q.Representatives()
 	for gid := range p.Groups {
 		if !reflect.DeepEqual(p.Groups[gid].Rows, q.Groups[gid].Rows) {
 			t.Fatalf("%s: group %d membership diverged", at, gid)
@@ -175,10 +180,8 @@ func sameStructure(t *testing.T, at string, got, ref *Maintainer) {
 				t.Fatalf("%s: group %d centroid %v vs reference %v", at, gid, p.Groups[gid].Centroid, q.Groups[gid].Centroid)
 			}
 		}
-		p.stats[gid].means(len(p.Groups[gid].Rows), row)
-		q.stats[gid].means(len(q.Groups[gid].Rows), refRow)
-		for pos := range row {
-			if drifted(row[pos], refRow[pos]) || drifted(p.Reps.Float(gid, repCol(pos)), q.Reps.Float(gid, repCol(pos))) {
+		for pos := range p.numIdx {
+			if drifted(reps.Float(gid, repCol(pos)), refReps.Float(gid, repCol(pos))) {
 				t.Fatalf("%s: group %d representative diverged on numeric column %d", at, gid, pos)
 			}
 		}
@@ -305,12 +308,13 @@ func TestMaintainerDeterministic(t *testing.T) {
 			t.Fatalf("group %d membership diverged", gid)
 		}
 	}
-	if p1.Reps.Len() != p2.Reps.Len() {
+	r1, r2 := p1.Representatives(), p2.Representatives()
+	if r1.Len() != r2.Len() {
 		t.Fatal("representative relations diverged")
 	}
-	for i := 0; i < p1.Reps.Len(); i++ {
-		for c := 0; c < p1.Reps.Schema().Len(); c++ {
-			if !p1.Reps.Value(i, c).Equal(p2.Reps.Value(i, c)) {
+	for i := 0; i < r1.Len(); i++ {
+		for c := 0; c < r1.Schema().Len(); c++ {
+			if !r1.Value(i, c).Equal(r2.Value(i, c)) {
 				t.Fatalf("rep cell (%d,%d) diverged", i, c)
 			}
 		}

@@ -79,11 +79,11 @@ func matchGatherOracle(t *testing.T, label string, p *Partitioning, gids []int) 
 // relation.Centroid over its members on every numeric column, in bits.
 func matchRepsOracle(t *testing.T, label string, p *Partitioning, gids []int) {
 	t.Helper()
-	numIdx := numericCols(p.Rel)
+	numIdx, reps := numericCols(p.Rel), p.Representatives()
 	for _, gid := range gids {
 		for pos, want := range relation.Centroid(p.Rel, numIdx, p.Groups[gid].Rows) {
-			if got := p.Reps.Float(gid, repCol(pos)); !sameBits(got, want) {
-				t.Fatalf("%s: group %d R̃ %s = %v, gathered %v", label, gid, p.Reps.Schema().Col(repCol(pos)).Name, got, want)
+			if got := reps.Float(gid, repCol(pos)); !sameBits(got, want) {
+				t.Fatalf("%s: group %d R̃ %s = %v, gathered %v", label, gid, reps.Schema().Col(repCol(pos)).Name, got, want)
 			}
 		}
 	}

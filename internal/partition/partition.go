@@ -16,9 +16,9 @@
 // reads its radius off them and a child above τ splits around the
 // centroid it has; one more pass adds up the other numeric columns. No
 // group's rows are gathered again. A head keeps the result, one statistic
-// per group (groupStat), off which its centroids, radii and R̃ are read;
-// FromGroups makes it in one pass per column, and a Maintainer adopts it
-// and is its only editor.
+// per group (groupStat), off which its centroids and radii are read, and
+// R̃ is built whenever a view is taken (newReps); FromGroups makes it in one
+// pass per column, and a Maintainer adopts it and is its only editor.
 //
 // Build runs on Options.Workers goroutines through par.For. A split cuts
 // its rows into one contiguous run per worker, which computes and numbers
@@ -83,14 +83,15 @@ type Group struct {
 // (stated here once):
 //
 //   - A view (View, Restrict) is what a solve reads and nothing more:
-//     Groups and Reps over a pinned Rel. GID is nil and any number of
-//     goroutines may read it. Nothing writes it but a View's group columns
-//     (GroupColumn), each written once, when first read.
-//   - A head (Build, FromGroups) is bound to the mutable relation and also
-//     carries GID and each group's statistic. Its Maintainer is the only
-//     code that writes it or reads either — but for Remap, which renumbers
-//     rows after a compaction whether or not a maintainer exists yet.
-//     Solves never read a head.
+//     Groups and the R̃ built with it over a pinned Rel. GID is nil and any
+//     number of goroutines may read it. Nothing writes it but a View's group
+//     columns (GroupColumn), each written once, when first read.
+//   - A head (Build, FromGroups) is bound to the mutable relation and
+//     carries GID and each group's statistic instead of an R̃, which
+//     Representatives builds from the statistics on each call. Its
+//     Maintainer is the only code that writes it or reads either — but for
+//     Remap, which renumbers rows after a compaction whether or not a
+//     maintainer exists yet. Solves never read a head.
 type Partitioning struct {
 	Rel   *relation.Relation
 	Attrs []string
@@ -108,9 +109,9 @@ type Partitioning struct {
 	numIdx, cols, attrPos []int
 	// Groups holds the final groups, indexed by gid.
 	Groups []Group
-	// Reps is the representative relation R̃(gid, attrs…), one row per
-	// group, in gid order.
-	Reps *relation.Relation
+	// reps is a view's representative relation (see Representatives);
+	// nil on a head.
+	reps *relation.Relation
 	// Tau and Omega record the thresholds the partitioning was built
 	// with (Omega ≤ 0 when no radius condition was enforced).
 	Tau   int
@@ -235,11 +236,11 @@ func Build(rel *relation.Relation, opt Options) (*Partitioning, error) {
 
 // FromGroups reconstructs a partitioning from a serialized group set —
 // the warm-start path of the durability subsystem: the member rows come
-// from a snapshot, and the gid map, each group's statistic (and from it
-// its centroid and radius) and the representative relation are rebuilt
-// from them without any quad-tree recursion. The parameters are held to
-// Build's rules and the groups must cover exactly the relation's live
-// rows, each once; the caller can run CheckInvariants for the full audit.
+// from a snapshot, and the gid map and each group's statistic (and from it
+// its centroid and radius) are rebuilt from them without any quad-tree
+// recursion. The parameters are held to Build's rules and the groups must
+// cover exactly the relation's live rows, each once; the caller can run
+// CheckInvariants for the full audit.
 func FromGroups(rel *relation.Relation, attrs []string, tau int, omega float64, workers int, groups []Group) (*Partitioning, error) {
 	p, err := newHead(rel, attrs, tau, omega, workers)
 	if err == nil {
@@ -254,12 +255,12 @@ func FromGroups(rel *relation.Relation, attrs []string, tau int, omega float64, 
 	return p, nil
 }
 
-// assemble is the tail of every constructor: it numbers the groups,
-// completes their statistics on the numeric columns at positions pos, and
-// derives R̃ from them. A head (live: its relation's live rows) maps its
-// rows first, then adds the columns up in one pass over the live rows with
-// the gid map as index, and keeps the statistics; a view (nil live) has
-// no gid map and cannot fail, and adds them up over its member lists.
+// assemble is the tail of every constructor: it numbers the groups and
+// completes their statistics on the numeric columns at positions pos. A
+// head (live: its relation's live rows) maps its rows first, then adds the
+// columns up in one pass over the live rows with the gid map as index, and
+// keeps the statistics; a view (nil live) has no gid map and cannot fail,
+// adds them up over its member lists, and keeps the R̃ built from them.
 func (p *Partitioning) assemble(groups []Group, stats []groupStat, pos, live []int) (err error) {
 	p.Groups = groups
 	for gid := range groups {
@@ -267,7 +268,7 @@ func (p *Partitioning) assemble(groups []Group, stats []groupStat, pos, live []i
 	}
 	if live == nil {
 		p.fill(stats, groups, pos, p.Workers)
-		p.Reps = newReps(p.Rel, p.numIdx, groups, stats)
+		p.reps = newReps(p.Rel, p.numIdx, groups, stats)
 		return nil
 	}
 	if p.GID, err = gidMap(p.Rel, groups); err != nil {
@@ -280,7 +281,7 @@ func (p *Partitioning) assemble(groups []Group, stats []groupStat, pos, live []i
 		}
 		p.addStats(stats, pos, live, idx, p.Workers)
 	}
-	p.stats, p.Reps = stats, newReps(p.Rel, p.numIdx, groups, stats)
+	p.stats = stats
 	return nil
 }
 
@@ -322,7 +323,7 @@ func gidMap(rel *relation.Relation, groups []Group) ([]int, error) {
 // groupStat is one group's statistic: its sum on every numeric column
 // (numIdx order) and its least and greatest cell on every partitioning
 // attribute (AttrIdx order). Its centroid and radius (centre) and its R̃
-// row (means) are read off it and the group's size.
+// row (newReps) are read off it and the group's size.
 type groupStat struct {
 	sums, lo, hi []float64
 }
@@ -377,14 +378,6 @@ func (p *Partitioning) centre(st groupStat, count int) ([]float64, float64) {
 		c[a] = st.sums[pos] / float64(count)
 	}
 	return c, extremesRadius(st.lo, st.hi, c)
-}
-
-// means fills dst with the mean of count members on every numeric column:
-// a group's R̃ row.
-func (st groupStat) means(count int, dst []float64) {
-	for pos, s := range st.sums {
-		dst[pos] = s / float64(count)
-	}
 }
 
 // widen takes cell v on partitioning attribute a into the extremes (a NaN
@@ -530,40 +523,47 @@ func numericCells(rel *relation.Relation, numIdx []int, row int, dst []float64) 
 // column repCol(pos) the mean of the pos-th numeric column of the input.
 func repCol(pos int) int { return pos + 1 }
 
-// newReps materializes the representative relation R̃: one row per group
-// in gid order, gid plus the mean of every numeric attribute of the input
-// relation (not just the partitioning attributes) — queries whose
-// attributes are not fully covered by the partitioning (coverage < 1,
-// Section 5.2.3) can then still be sketched; the representatives are
-// simply worse proxies on the uncovered attributes. Row gid is read off
-// stats[gid] (groupStat.means). It cannot fail: the columns are rel's own
-// plus the gid resolveAttrs made sure rel lacks, the cells numbers.
+// newReps is R̃'s one constructor: one row per group in gid order, gid plus
+// the mean of every numeric attribute of the input relation (not just the
+// partitioning attributes) — queries whose attributes are not fully
+// covered by the partitioning (coverage < 1, Section 5.2.3) can then still
+// be sketched; the representatives are simply worse proxies on the
+// uncovered attributes. Row gid is stats[gid]'s sums over the group's
+// size, written column by column into typed storage the relation adopts,
+// at version len(groups) as if appended row by row. Nothing writes an R̃
+// after it is built. It cannot fail: the columns are rel's own plus the
+// gid resolveAttrs made sure rel lacks, the cells numbers.
 func newReps(rel *relation.Relation, numIdx []int, groups []Group, stats []groupStat) *relation.Relation {
-	cols := []relation.Column{{Name: "gid", Type: relation.Int}}
-	for _, c := range numIdx {
-		cols = append(cols, relation.Column{Name: rel.Schema().Col(c).Name, Type: relation.Float})
+	k := len(stats)
+	cols, cells := make([]relation.Column, repCol(len(numIdx))), make([]relation.Cells, repCol(len(numIdx)))
+	cols[0], cells[0].I = relation.Column{Name: "gid", Type: relation.Int}, make([]int64, k)
+	means := make([]float64, k*len(numIdx))
+	for gid, st := range stats {
+		cells[0].I[gid] = int64(gid)
+		n := float64(len(groups[gid].Rows))
+		for pos, s := range st.sums {
+			means[pos*k+gid] = s / n
+		}
+	}
+	for pos, c := range numIdx {
+		cols[repCol(pos)] = relation.Column{Name: rel.Schema().Col(c).Name, Type: relation.Float}
+		cells[repCol(pos)].F = means[pos*k : (pos+1)*k : (pos+1)*k]
 	}
 	schema, _ := relation.NewSchema(cols...)
-	reps := relation.New(rel.Name()+"_reps", schema)
-	dst := make([]float64, len(numIdx))
-	vals := make([]relation.Value, len(cols))
-	for gid, st := range stats {
-		st.means(len(groups[gid].Rows), dst)
-		vals[0] = relation.I(int64(gid))
-		for pos, v := range dst {
-			vals[repCol(pos)] = relation.F(v)
-		}
-		_ = reps.Append(vals...)
-	}
+	reps, _ := relation.FromColumns(rel.Name()+"_reps", schema, cells, k, uint64(k))
 	return reps
 }
 
-// setRep overwrites group gid's means in place; like newReps' Append, the
-// Set cannot fail.
-func setRep(reps *relation.Relation, gid int, mean []float64) {
-	for pos, v := range mean {
-		_ = reps.Set(gid, repCol(pos), relation.F(v))
+// Representatives returns R̃(gid, attrs…), one row per group in gid order.
+// A view returns the one it was built with, which no one writes and any
+// number of goroutines may read. A head stores none: each call builds a
+// fresh R̃ from its statistics, under whatever lock serializes its
+// Maintainer.
+func (p *Partitioning) Representatives() *relation.Relation {
+	if p.reps != nil {
+		return p.reps
 	}
+	return newReps(p.Rel, p.numIdx, p.Groups, p.stats)
 }
 
 // NumGroups returns the number of groups m.
@@ -572,7 +572,7 @@ func (p *Partitioning) NumGroups() int { return len(p.Groups) }
 // Remap rewrites every row index through the remap produced by
 // relation.Compact (old index → new index, -1 for physically removed
 // rows) and rebuilds the gid map for the compacted relation. Group
-// membership, centroids, radii, and representatives are untouched:
+// membership, centroids, radii, and statistics are untouched:
 // compaction only renumbers rows, it does not move tuples between
 // groups. A group still naming a removed row is an invariant violation
 // (tombstoned rows must have been maintained out of their groups before
@@ -602,8 +602,8 @@ func (p *Partitioning) Remap(remap []int) (err error) {
 }
 
 // Restrict derives a view over a subset of the rows, keeping the group
-// structure and dropping rows outside the subset, with representatives
-// recomputed from the members that remain (one pass per numeric column;
+// structure and dropping rows outside the subset, with an R̃ of its own
+// built from the members that remain (one pass per numeric column;
 // centroids and radii stay the parent's). This is how the paper derives
 // partitionings for scaled-down datasets ("randomly removing tuples from
 // the original partitions"), which preserves the size condition. Every
@@ -630,15 +630,13 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 // immutable snapshot of its relation at the same version; Maintainer work
 // on the head afterwards cannot tear it. It costs O(groups), not O(rows):
 // the Group structs are copied (the Maintainer replaces group fields), no
-// gid map or statistic is carried, and member and centroid slices are
-// shared read-only —
-// View counts itself on the head, and the Maintainer writes in place only
-// member lists allocated since the latest view (see Maintainer.own,
-// Remap). Reps becomes its own relation snapshot, so in-place
-// representative refreshes copy-on-write around it. The view's group
-// columns (GroupColumn) are its one write-once part: each starts empty,
-// is filled on first use, is never written again, and is dropped with the
-// view.
+// gid map or statistic is carried, member and centroid slices are shared
+// read-only — View counts itself on the head, and the Maintainer writes in
+// place only member lists allocated since the latest view (see
+// Maintainer.own, Remap) — and the view's R̃ is built from the head's
+// statistics, its own. The view's group columns (GroupColumn) are its one
+// write-once part: each starts empty, is filled on first use, is never
+// written again, and is dropped with the view.
 //
 // The caller holds the lock that serializes mutations while taking the
 // view, and takes one view of a head at a time (it reads the live
@@ -646,7 +644,7 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 func (p *Partitioning) View(snap *relation.Relation) *Partitioning {
 	p.views++
 	v := *p
-	v.Rel, v.GID, v.stats, v.Groups, v.Reps = snap, nil, nil, slices.Clone(p.Groups), p.Reps.Snapshot()
+	v.Rel, v.GID, v.stats, v.Groups, v.reps = snap, nil, nil, slices.Clone(p.Groups), p.Representatives()
 	v.serial, v.cells = viewSerials.Add(1), &groupCells{}
 	return &v
 }
@@ -698,15 +696,17 @@ func drifted(stored, exact float64) bool {
 	return math.Abs(exact-stored) > 1e-6*(1+math.Abs(exact))
 }
 
-// check is the walk under both CheckInvariants. It reads only what a view
-// carries: group g has ID g, is non-empty and within τ, and carries its
-// members' mean as centroid and — on every numeric column — as R̃ row g;
-// together the groups name exactly the live rows, each once. own adds the
-// caller's assertions on each group. The gid map the member lists imply
-// is returned for the caller that keeps one.
+// check is the walk under both CheckInvariants. It reads a view's groups
+// and R̃, or a head's groups and the R̃ its statistics give: group g has ID
+// g, is non-empty and within τ, and carries its members' mean as centroid
+// and — on every numeric column — as R̃ row g; together the groups name
+// exactly the live rows, each once. own adds the caller's assertions on
+// each group. The gid map the member lists imply is returned for the
+// caller that keeps one.
 func (p *Partitioning) check(own func(g *Group) error) ([]int, error) {
-	if p.Reps.Len() != len(p.Groups) {
-		return nil, fmt.Errorf("partition: %d representatives for %d groups", p.Reps.Len(), len(p.Groups))
+	reps := p.Representatives()
+	if reps.Len() != len(p.Groups) {
+		return nil, fmt.Errorf("partition: %d representatives for %d groups", reps.Len(), len(p.Groups))
 	}
 	gids, err := gidMap(p.Rel, p.Groups)
 	if err != nil {
@@ -726,13 +726,13 @@ func (p *Partitioning) check(own func(g *Group) error) ([]int, error) {
 				return nil, fmt.Errorf("partition: group %d centroid drift on %s: %g vs %g", gid, p.Attrs[a], g.Centroid[a], exact)
 			}
 		}
-		if got := p.Reps.IntColumn(0)[gid]; got != int64(gid) {
+		if got := reps.IntColumn(0)[gid]; got != int64(gid) {
 			return nil, fmt.Errorf("partition: representative row %d carries gid %d", gid, got)
 		}
 		for pos, exact := range relation.Centroid(p.Rel, numIdx, g.Rows) {
-			if got := p.Reps.Float(gid, repCol(pos)); drifted(got, exact) {
+			if got := reps.Float(gid, repCol(pos)); drifted(got, exact) {
 				return nil, fmt.Errorf("partition: representative %d stale on %s: %g vs %g",
-					gid, p.Reps.Schema().Col(repCol(pos)).Name, got, exact)
+					gid, reps.Schema().Col(repCol(pos)).Name, got, exact)
 			}
 		}
 		if err := own(g); err != nil {

@@ -36,18 +36,25 @@ func TestBuildSizeThreshold(t *testing.T) {
 	if p.NumGroups() < 1000/50 {
 		t.Errorf("only %d groups; with τ=50 and 1000 rows expected ≥ 20", p.NumGroups())
 	}
-	if p.Reps.Len() != p.NumGroups() {
-		t.Errorf("reps %d != groups %d", p.Reps.Len(), p.NumGroups())
+	reps := p.Representatives()
+	if reps.Len() != p.NumGroups() {
+		t.Errorf("reps %d != groups %d", reps.Len(), p.NumGroups())
 	}
 	// Representative schema: gid + attrs.
-	if p.Reps.Schema().Len() != 3 {
-		t.Errorf("reps schema %s, want (gid, x, y)", p.Reps.Schema())
+	if reps.Schema().Len() != 3 {
+		t.Errorf("reps schema %s, want (gid, x, y)", reps.Schema())
 	}
-	// The audit compares representative values, not just their count.
-	if err := p.Reps.Set(3, 2, relation.F(p.Reps.Float(3, 2)+1)); err != nil {
+	// The audit compares representative values, not just their count: a
+	// view's stale R̃ is caught (a head holds none to go stale).
+	v := p.View(rel.Snapshot())
+	if err := v.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.CheckInvariants(); err == nil {
+	vr := v.Representatives()
+	if err := vr.Set(3, 2, relation.F(vr.Float(3, 2)+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.CheckInvariants(); err == nil {
 		t.Error("a stale representative passed CheckInvariants")
 	}
 }
@@ -188,7 +195,7 @@ func TestRestrict(t *testing.T) {
 			t.Errorf("dropped row %d still present", i)
 		}
 	}
-	if sub.Reps.Len() != len(sub.Groups) {
+	if sub.Representatives().Len() != len(sub.Groups) {
 		t.Error("restricted reps out of sync")
 	}
 	// The other view, View, costs O(groups): at 10⁵ rows a gid map alone

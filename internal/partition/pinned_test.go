@@ -32,9 +32,10 @@ func fingerprint(p *Partitioning) uint64 {
 		}
 		put(math.Float64bits(g.Radius))
 	}
-	for i := 0; i < p.Reps.Len(); i++ {
-		for c := 0; c < p.Reps.Schema().Len(); c++ {
-			put(math.Float64bits(p.Reps.Float(i, c)))
+	reps := p.Representatives()
+	for i := 0; i < reps.Len(); i++ {
+		for c := 0; c < reps.Schema().Len(); c++ {
+			put(math.Float64bits(reps.Float(i, c)))
 		}
 	}
 	return h.Sum64()

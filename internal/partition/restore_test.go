@@ -55,9 +55,10 @@ func TestFromGroupsRoundTrip(t *testing.T) {
 		}
 	}
 	// Representatives are rebuilt, not serialized; they must agree.
-	for gid := 0; gid < p.Reps.Len(); gid++ {
-		for c := 0; c < p.Reps.Schema().Len(); c++ {
-			a, b := p.Reps.Float(gid, c), q.Reps.Float(gid, c)
+	pr, qr := p.Representatives(), q.Representatives()
+	for gid := 0; gid < pr.Len(); gid++ {
+		for c := 0; c < pr.Schema().Len(); c++ {
+			a, b := pr.Float(gid, c), qr.Float(gid, c)
 			if a != b {
 				t.Fatalf("rep[%d][%d] = %g, want %g", gid, c, b, a)
 			}

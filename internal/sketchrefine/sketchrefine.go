@@ -127,6 +127,7 @@ type evaluator struct {
 	ctx      context.Context
 	spec     *core.Spec
 	part     *partition.Partitioning
+	reps     *relation.Relation // part's R̃, read once per evaluation
 	opt      Options
 	stats    *core.EvalStats
 	eligible [][]int // gid → base rows in that group, ascending
@@ -222,7 +223,7 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partition
 	// and a refine query that times out with a usable package should
 	// degrade quality rather than fail the whole evaluation.
 	opt.Solver.AcceptIncumbent = true
-	ev := &evaluator{ctx: ctx, spec: spec, part: part, opt: opt, stats: stats}
+	ev := &evaluator{ctx: ctx, spec: spec, part: part, reps: part.Representatives(), opt: opt, stats: stats}
 	_, psp := obs.Start(ctx, "prepare")
 	err := ev.prepare(psp)
 	psp.Finish()
@@ -319,7 +320,7 @@ func (ev *evaluator) sketchColumns(gids []int) (spec *core.Spec, caps []float64)
 		caps[i] = ev.groupCap(gid)
 	}
 	return &core.Spec{
-		Rel:         ev.part.Reps,
+		Rel:         ev.reps,
 		Repeat:      -1, // repetition is governed by the per-group caps
 		Constraints: ev.spec.Constraints,
 		Objective:   ev.spec.Objective,
@@ -369,7 +370,7 @@ func (ev *evaluator) contributions(st *state, skipGID int) ([]float64, error) {
 	for ci, c := range ev.spec.Constraints {
 		v, err := core.Weighted(0, c.Coef, ev.spec.Rel, st.rows, st.mult)
 		if err == nil {
-			v, err = core.Weighted(v, c.Coef, ev.part.Reps, gids, mult)
+			v, err = core.Weighted(v, c.Coef, ev.reps, gids, mult)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("sketchrefine: constraint %q: %w", c, err)

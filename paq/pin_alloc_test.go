@@ -2,6 +2,7 @@ package paq
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -219,8 +220,9 @@ func TestInsertAfterUpdateAllocationIndependentOfRows(t *testing.T) {
 
 // Frozen views under load: a solve reads the view it pinned, lock-free,
 // while the next batches edit the head's member lists in place. Every view
-// kept from before a batch must stay element for element what it was and
-// pass CheckInvariants against its own snapshot, the head must pass its
+// kept from before a batch must stay element for element what it was, its
+// R̃ bit for bit after every later batch, and pass CheckInvariants against
+// its own snapshot, the head must pass its
 // own after every batch — the first is an update, so the maintainer has
 // to exist before the cells change — and the race detector must stay
 // silent about the solver goroutine.
@@ -246,6 +248,17 @@ func TestViewsStayFrozenWhileBatchesApply(t *testing.T) {
 	type kept struct {
 		view *partition.Partitioning
 		rows [][]int
+		reps []uint64 // the bits of every cell of the view's R̃, row by row
+	}
+	repBits := func(v *partition.Partitioning) []uint64 {
+		reps := v.Representatives()
+		var bits []uint64
+		for i := 0; i < reps.Len(); i++ {
+			for c := 0; c < reps.Schema().Len(); c++ {
+				bits = append(bits, math.Float64bits(reps.Float(i, c)))
+			}
+		}
+		return bits
 	}
 	var views []kept
 	rng := rand.New(rand.NewSource(3))
@@ -267,7 +280,7 @@ func TestViewsStayFrozenWhileBatchesApply(t *testing.T) {
 			}
 		}
 		p := s.pinExec(stmt, nil)
-		v := kept{view: p.view}
+		v := kept{view: p.view, reps: repBits(p.view)}
 		for _, g := range p.view.Groups {
 			v.rows = append(v.rows, slices.Clone(g.Rows))
 		}
@@ -294,6 +307,11 @@ func TestViewsStayFrozenWhileBatchesApply(t *testing.T) {
 				t.Fatalf("batch %d: %v", batch, err)
 			}
 		})
+		for i, v := range views {
+			if !slices.Equal(repBits(v.view), v.reps) {
+				t.Fatalf("batch %d: view %d's R̃ changed after it was pinned", batch, i)
+			}
+		}
 	}
 	halt()
 	if solved.Load() == 0 {
