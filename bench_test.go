@@ -116,7 +116,11 @@ func BenchmarkFigure1_SQLFormulation(b *testing.B) {
 		spec := fig1Spec(b, card)
 		b.Run("card="+itoa(card), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := naive.EvaluateCtx(context.Background(), spec, naive.Options{Timeout: 20 * time.Second}); err != nil {
+				_, stats, err := naive.Solve(context.Background(), spec, naive.Options{Timeout: 20 * time.Second})
+				if err == nil && stats.Truncated {
+					err = naive.ErrTimeout
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -26,8 +26,8 @@ import (
 	"repro/internal/lp"
 )
 
-// ErrTimeout is returned when enumeration exceeds the configured budget.
-// The best package found so far (possibly nil) accompanies it.
+// ErrTimeout is returned when enumeration exceeds the configured budget
+// before it finds any package (see Solve).
 var ErrTimeout = errors.New("naive: evaluation timed out")
 
 // ErrUnsupported is returned for specs the self-join formulation cannot
@@ -38,13 +38,6 @@ var ErrUnsupported = errors.New("naive: self-join formulation requires REPEAT 0 
 type Options struct {
 	// Timeout bounds wall-clock enumeration time; 0 means no limit.
 	Timeout time.Duration
-}
-
-// Result carries the outcome and measurement of a naive evaluation.
-type Result struct {
-	Package    *core.Package
-	Objective  float64
-	Candidates int // combinations fully or partially enumerated
 }
 
 // Cardinality extracts the strict cardinality c from a spec, or an error
@@ -62,38 +55,21 @@ func Cardinality(spec *core.Spec) (int, error) {
 	return 0, ErrUnsupported
 }
 
-// Solve is EvaluateCtx as an evaluation strategy, under the budget rule
-// the ILP-based strategies follow (AcceptIncumbent): an enumeration that
-// ran out of Options.Timeout with a package in hand returns it, marked
-// Truncated, unless ctx was canceled or its deadline passed — then the
-// context's error is returned.
+// Solve runs the self-join baseline on a compiled package query, under
+// the budget rule the ILP-based strategies follow (AcceptIncumbent): an
+// enumeration that ran out of Options.Timeout with a package in hand
+// returns it, marked Truncated, and one with none returns ErrTimeout; one
+// stopped because ctx was canceled or its deadline passed returns the
+// context's error.
 func Solve(ctx context.Context, spec *core.Spec, opt Options) (*core.Package, *core.EvalStats, error) {
-	t0 := time.Now()
-	res, err := EvaluateCtx(ctx, spec, opt)
-	stats := &core.EvalStats{Subproblems: 1, SolveTime: time.Since(t0)}
-	switch {
-	case errors.Is(err, ErrTimeout) && ctx.Err() != nil:
-		return nil, stats, ctx.Err()
-	case errors.Is(err, ErrTimeout) && res.Package != nil:
-		stats.Truncated = true
-		return res.Package, stats, nil
-	case err != nil:
-		return nil, stats, err
-	}
-	return res.Package, stats, nil
-}
-
-// EvaluateCtx runs the self-join baseline on a compiled package query.
-// Cancellation or a context deadline stops the enumeration and is
-// reported as ErrTimeout alongside the best package found so far,
-// exactly like Options.Timeout.
-func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, error) {
+	stats := &core.EvalStats{Subproblems: 1}
+	defer func(t0 time.Time) { stats.SolveTime = time.Since(t0) }(time.Now())
 	if spec.Repeat != 0 {
-		return nil, ErrUnsupported
+		return nil, stats, ErrUnsupported
 	}
 	card, err := Cardinality(spec)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	rows := spec.BaseRows()
 	n := len(rows)
@@ -102,7 +78,7 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, er
 	// column per constraint: evaluate once, index by position.
 	prob, err := core.BuildILP(spec, rows, nil)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	type boundCons struct {
 		coef []float64
@@ -123,13 +99,15 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, er
 		maximize = spec.Objective.Maximize
 	}
 
-	res := &Result{Objective: math.NaN()}
+	best := math.NaN()
 	var bestRows []int
 	deadline := time.Time{}
 	if opt.Timeout > 0 {
 		deadline = time.Now().Add(opt.Timeout)
 	}
 	timedOut := false
+	// polls counts complete candidates; every 4096th checks the budget.
+	polls := 0
 
 	// Running partial sums per constraint and for the objective, exactly
 	// what a nested-loop join pipeline would carry between join levels.
@@ -140,16 +118,10 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, er
 	var rec func(start int) bool
 	rec = func(start int) bool {
 		if len(chosen) == card {
-			res.Candidates++
-			if res.Candidates%4096 == 0 {
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					timedOut = true
-					return false
-				}
-				if ctx.Err() != nil {
-					timedOut = true
-					return false
-				}
+			polls++
+			if polls%4096 == 0 && (!deadline.IsZero() && time.Now().After(deadline) || ctx.Err() != nil) {
+				timedOut = true
+				return false
 			}
 			for ci, c := range cons {
 				switch c.op {
@@ -167,20 +139,16 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, er
 					}
 				}
 			}
-			better := math.IsNaN(res.Objective)
+			better := math.IsNaN(best)
 			if !better && objCoef != nil {
 				if maximize {
-					better = objSum > res.Objective
+					better = objSum > best
 				} else {
-					better = objSum < res.Objective
+					better = objSum < best
 				}
 			}
 			if better {
-				if objCoef != nil {
-					res.Objective = objSum
-				} else {
-					res.Objective = 0
-				}
+				best = objSum // 0 without an objective
 				bestRows = append(bestRows[:0], chosen...)
 			}
 			return true
@@ -210,25 +178,22 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, opt Options) (*Result, er
 	}
 	rec(0)
 
-	if bestRows != nil {
-		mult := make([]int, len(bestRows))
-		for i := range mult {
-			mult[i] = 1
-		}
-		pkg, err := core.NewPackage(spec.Rel, bestRows, mult)
-		if err != nil {
-			return nil, err
-		}
-		res.Package = pkg
-		if spec.Objective != nil {
-			res.Objective += spec.Objective.Offset
-		}
+	switch {
+	case timedOut && ctx.Err() != nil:
+		return nil, stats, ctx.Err()
+	case timedOut && bestRows == nil:
+		return nil, stats, ErrTimeout
+	case bestRows == nil:
+		return nil, stats, core.ErrInfeasible
 	}
-	if timedOut {
-		return res, ErrTimeout
+	mult := make([]int, len(bestRows))
+	for i := range mult {
+		mult[i] = 1
 	}
-	if res.Package == nil {
-		return res, core.ErrInfeasible
+	pkg, err := core.NewPackage(spec.Rel, bestRows, mult)
+	if err != nil {
+		return nil, stats, err
 	}
-	return res, nil
+	stats.Truncated = timedOut
+	return pkg, stats, nil
 }

@@ -45,7 +45,7 @@ func TestNaiveMatchesDirect(t *testing.T) {
 	for _, card := range []int{1, 2, 3} {
 		for _, maximize := range []bool{true, false} {
 			s := spec(rel, card, float64(card)*6, maximize)
-			nv, err := EvaluateCtx(context.Background(), s, Options{})
+			nv, _, err := Solve(context.Background(), s, Options{})
 			if err != nil {
 				t.Fatalf("card %d: naive: %v", card, err)
 			}
@@ -53,11 +53,12 @@ func TestNaiveMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatalf("card %d: direct: %v", card, err)
 			}
+			nObj, _ := nv.ObjectiveValue(s)
 			dObj, _ := dPkg.ObjectiveValue(s)
-			if math.Abs(nv.Objective-dObj) > 1e-6 {
-				t.Errorf("card %d max=%v: naive %g != direct %g", card, maximize, nv.Objective, dObj)
+			if math.Abs(nObj-dObj) > 1e-6 {
+				t.Errorf("card %d max=%v: naive %g != direct %g", card, maximize, nObj, dObj)
 			}
-			ok, _ := nv.Package.IsFeasible(s)
+			ok, _ := nv.IsFeasible(s)
 			if !ok {
 				t.Errorf("card %d: naive package infeasible", card)
 			}
@@ -68,7 +69,7 @@ func TestNaiveMatchesDirect(t *testing.T) {
 func TestNaiveInfeasible(t *testing.T) {
 	rel := itemsRel(10, 2)
 	s := spec(rel, 3, 0.5, true) // three tuples of a ≥ 1 cannot sum ≤ 0.5
-	_, err := EvaluateCtx(context.Background(), s, Options{})
+	_, _, err := Solve(context.Background(), s, Options{})
 	if !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v, want infeasible", err)
 	}
@@ -83,12 +84,12 @@ func TestNaiveUnsupportedSpecs(t *testing.T) {
 			{Coef: core.AttrCoef{Attr: "a"}, Op: lp.LE, RHS: 5},
 		},
 	}
-	if _, err := EvaluateCtx(context.Background(), noCard, Options{}); !errors.Is(err, ErrUnsupported) {
+	if _, _, err := Solve(context.Background(), noCard, Options{}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("no-cardinality spec: err = %v, want unsupported", err)
 	}
 	withRepeat := spec(rel, 2, 10, true)
 	withRepeat.Repeat = 1
-	if _, err := EvaluateCtx(context.Background(), withRepeat, Options{}); !errors.Is(err, ErrUnsupported) {
+	if _, _, err := Solve(context.Background(), withRepeat, Options{}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("repeat spec: err = %v, want unsupported", err)
 	}
 }
@@ -96,9 +97,18 @@ func TestNaiveUnsupportedSpecs(t *testing.T) {
 func TestNaiveTimeout(t *testing.T) {
 	rel := itemsRel(200, 4)
 	s := spec(rel, 5, 30, true)
-	_, err := EvaluateCtx(context.Background(), s, Options{Timeout: time.Millisecond})
-	if err != nil && !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want timeout or fast success", err)
+	// C(200, 5) candidates do not fit in the budget: the enumeration
+	// stops, with the best package so far (Truncated) or with none.
+	pkg, stats, err := Solve(context.Background(), s, Options{Timeout: time.Millisecond})
+	switch {
+	case errors.Is(err, ErrTimeout):
+		if pkg != nil {
+			t.Fatal("a timeout with no package returned one")
+		}
+	case err != nil:
+		t.Fatalf("err = %v, want timeout or a truncated package", err)
+	case !stats.Truncated:
+		t.Fatal("the enumeration ran past its budget to the end")
 	}
 }
 
@@ -106,11 +116,11 @@ func TestNaiveBasePredicate(t *testing.T) {
 	rel := itemsRel(20, 5)
 	s := spec(rel, 2, 12, true)
 	s.Base = relation.NewCompare("a", relation.LE, relation.F(5))
-	nv, err := EvaluateCtx(context.Background(), s, Options{})
+	nv, _, err := Solve(context.Background(), s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range nv.Package.Rows {
+	for _, r := range nv.Rows {
 		if rel.Float(r, 0) > 5 {
 			t.Errorf("tuple %d violates base predicate", r)
 		}
@@ -121,11 +131,11 @@ func TestNaiveFeasibilityOnly(t *testing.T) {
 	rel := itemsRel(15, 6)
 	s := spec(rel, 2, 100, true)
 	s.Objective = nil
-	nv, err := EvaluateCtx(context.Background(), s, Options{})
+	nv, _, err := Solve(context.Background(), s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nv.Package == nil || nv.Package.Size() != 2 {
+	if nv == nil || nv.Size() != 2 {
 		t.Fatal("feasibility-only naive evaluation failed")
 	}
 }
@@ -152,7 +162,7 @@ func TestQuickNaiveAgreesWithDirect(t *testing.T) {
 		rel := itemsRel(8+rng.Intn(10), seed)
 		card := 1 + rng.Intn(3)
 		s := spec(rel, card, rng.Float64()*float64(card)*10, rng.Intn(2) == 0)
-		nv, nErr := EvaluateCtx(context.Background(), s, Options{})
+		nv, _, nErr := Solve(context.Background(), s, Options{})
 		dPkg, _, dErr := core.Direct(context.Background(), s, ilp.Options{}, nil)
 		if errors.Is(nErr, core.ErrInfeasible) || errors.Is(dErr, core.ErrInfeasible) {
 			return errors.Is(nErr, core.ErrInfeasible) && errors.Is(dErr, core.ErrInfeasible)
@@ -160,8 +170,9 @@ func TestQuickNaiveAgreesWithDirect(t *testing.T) {
 		if nErr != nil || dErr != nil {
 			return false
 		}
+		nObj, _ := nv.ObjectiveValue(s)
 		dObj, _ := dPkg.ObjectiveValue(s)
-		return math.Abs(nv.Objective-dObj) < 1e-6
+		return math.Abs(nObj-dObj) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -25,9 +25,10 @@ import (
 //   - an updated row leaves its groups at the cells the relation still
 //     holds, is written, and re-enters them as a fresh insert (UpdateRows),
 //     so no group holds a member at cells other than the relation's;
-//   - a member list is copied at most once per View of the head, the
-//     first time maintenance edits it after the view, and edited in place
-//     from then on, across batches (own);
+//   - a member list is copied at most once per snapshot of the relation,
+//     the first time maintenance edits it after the snapshot, and edited
+//     in place from then on, across batches (own) — the rule the
+//     relation's own columns follow (relation.Stamp);
 //   - each group's statistic, adopted as the head's constructor made it,
 //     is kept incrementally: running sums give the centroid (and, when a
 //     view is taken, the R̃ row), and the least and greatest member cell
@@ -76,9 +77,10 @@ type gState struct {
 	// degenerate (duplicate points); cleared on the next membership
 	// change so the maintainer does not retry hopeless splits every op.
 	noSplit bool
-	// owned is one more than the head's view count (Partitioning.views)
-	// when own allocated the group's member list, zero when own did not
-	// allocate it: a list is the maintainer's alone until the next View.
+	// owned is the relation's copy-on-write stamp (relation.Stamp) when
+	// own allocated the group's member list, zero when own did not
+	// allocate it: a list is the maintainer's alone until the next
+	// snapshot of the relation.
 	owned uint64
 }
 
@@ -239,19 +241,20 @@ func (m *Maintainer) batch(rows []int, count *uint64, step func(row int) error) 
 }
 
 // own returns group gid with a member list the maintainer may edit in
-// place: a list allocated before the latest View is cloned, with headroom,
-// once per view; one allocated since is edited in place, across batches,
-// until the next View. The frozen-view rule rests on this alone: every
-// reader outside the write lock reaches head lists through View, which
-// counts itself on the head under that lock, so no view holds an array
-// allocated here since the latest one; and no other group aliases it (a
+// place, by the relation's copy-on-write rule (relation.Stamp): a list
+// allocated before p.Rel's latest snapshot is cloned, with headroom, once
+// per snapshot, and one allocated since is edited in place across batches.
+// The frozen-view rule rests on this alone: a reader outside the write
+// lock reaches head lists only through a View bound to a snapshot at the
+// head's version, and every edit here comes with a version bump, so that
+// snapshot follows the edit; and no other group aliases the list (a
 // degenerate split's chunks share one array, and start unowned, as every
 // split's children do).
 func (m *Maintainer) own(gid int) *Group {
-	g, st := &m.p.Groups[gid], m.groups[gid]
-	if st.owned != m.p.views+1 {
+	g, st, rel := &m.p.Groups[gid], m.groups[gid], m.p.Rel
+	if !rel.Owns(st.owned) {
 		g.Rows = slices.Grow(slices.Clip(g.Rows), len(g.Rows)/8+8) // clipped, so Grow reallocates
-		st.owned = m.p.views + 1
+		st.owned = rel.Stamp()
 	}
 	return g
 }

@@ -122,10 +122,6 @@ type Partitioning struct {
 	Workers int
 	// BuildTime is the offline partitioning cost (Figure 4).
 	BuildTime time.Duration
-	// views counts the Views taken of a head. A member list allocated
-	// since the latest one is seen by no reader, so its Maintainer edits
-	// it in place (see Maintainer.own).
-	views uint64
 	// serial is a view's identity (see Serial); 0 on heads and on
 	// Restrict's derived views.
 	serial uint64
@@ -587,7 +583,7 @@ func (p *Partitioning) Remap(remap []int) (err error) {
 		// Build the renumbered member list in fresh storage: a published
 		// view may share these slices with lock-free readers, and Remap
 		// does not know which lists the Maintainer cloned since the latest
-		// view (Maintainer.own).
+		// snapshot (Maintainer.own).
 		fresh := make([]int, len(rows))
 		for i, r := range rows {
 			if r < 0 || r >= len(remap) || remap[r] < 0 {
@@ -631,18 +627,17 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 // on the head afterwards cannot tear it. It costs O(groups), not O(rows):
 // the Group structs are copied (the Maintainer replaces group fields), no
 // gid map or statistic is carried, member and centroid slices are shared
-// read-only — View counts itself on the head, and the Maintainer writes in
-// place only member lists allocated since the latest view (see
-// Maintainer.own, Remap) — and the view's R̃ is built from the head's
-// statistics, its own. The view's group columns (GroupColumn) are its one
-// write-once part: each starts empty, is filled on first use, is never
-// written again, and is dropped with the view.
+// read-only — the Maintainer writes in place only member lists allocated
+// since the latest snapshot of the relation (see Maintainer.own, Remap) —
+// and the view's R̃ is built from the head's statistics, its own. The
+// view's group columns (GroupColumn) are its one write-once part: each
+// starts empty, is filled on first use, is never written again, and is
+// dropped with the view.
 //
-// The caller holds the lock that serializes mutations while taking the
-// view, and takes one view of a head at a time (it reads the live
-// structures and counts the view on the head).
+// View writes nothing on the head, so any number of goroutines may take
+// views of it at once; the caller holds the lock that serializes
+// mutations, and snap was taken after the head's latest mutation.
 func (p *Partitioning) View(snap *relation.Relation) *Partitioning {
-	p.views++
 	v := *p
 	v.Rel, v.GID, v.stats, v.Groups, v.reps = snap, nil, nil, slices.Clone(p.Groups), p.Representatives()
 	v.serial, v.cells = viewSerials.Add(1), &groupCells{}

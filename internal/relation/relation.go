@@ -111,15 +111,15 @@ func (v Value) num() float64 {
 	}
 }
 
-// column is the typed backing store for one attribute.
+// column is the typed backing store for one attribute. stamp is its
+// backing array's copy-on-write stamp on a head (see Relation.Stamp).
 type column struct {
-	typ Type
-	f   []float64
-	i   []int64
-	s   []string
+	typ   Type
+	f     []float64
+	i     []int64
+	s     []string
+	stamp uint64
 }
-
-func newColumn(t Type) *column { return &column{typ: t} }
 
 func (c *column) appendValue(v Value) error {
 	switch c.typ {
@@ -208,14 +208,13 @@ type Relation struct {
 	// Copy-on-write snapshot bookkeeping. head is set on snapshots and
 	// points at the relation the snapshot was taken from (the identity
 	// every version of a dataset shares); immutable marks a snapshot.
-	// shared/sharedDel are head-side flags: column i's backing array
-	// (resp. the tombstone bitmap) may be referenced by a live snapshot,
-	// so the next in-place write to it must clone first. Appends never
-	// need a clone — they write at physical indices no snapshot reaches.
+	// snaps counts the snapshots taken of a head, and delStamp is the
+	// tombstone bitmap's stamp (see Stamp). Appends never need a clone —
+	// they write at physical indices no snapshot reaches.
 	head      *Relation
 	immutable bool
-	shared    []bool
-	sharedDel bool
+	snaps     uint64
+	delStamp  uint64
 	// liveOnce/liveRows cache the live-row index on snapshots: a
 	// snapshot's row set is frozen, so AllRows/Select(nil) compute it
 	// once and every caller shares the same slice (read-only).
@@ -227,7 +226,7 @@ type Relation struct {
 func New(name string, schema Schema) *Relation {
 	r := &Relation{name: name, schema: schema, cols: make([]*column, schema.Len())}
 	for i := 0; i < schema.Len(); i++ {
-		r.cols[i] = newColumn(schema.Col(i).Type)
+		r.cols[i] = &column{typ: schema.Col(i).Type, stamp: r.Stamp()}
 	}
 	return r
 }
@@ -277,23 +276,25 @@ func FromColumns(name string, schema Schema, cols []Cells, n int, version uint64
 		if own := [...]int{Float: len(c.F), Int: len(c.I), String: len(c.S)}[typ]; own != n || len(c.F)+len(c.I)+len(c.S) != n {
 			return nil, fmt.Errorf("%w: column %q does not hold %d %s cells", ErrTypeMismatch, schema.Col(i).Name, n, typ)
 		}
-		r.cols[i] = &column{typ: typ, f: c.F, i: c.I, s: c.S}
+		r.cols[i] = &column{typ: typ, f: c.F, i: c.I, s: c.S, stamp: r.Stamp()}
 	}
 	return r, nil
 }
 
 // Snapshot returns an immutable, version-stamped view of the relation's
 // current state. The view shares column storage with the head relation:
-// taking one copies only the slice headers, and later head mutations
-// clone just the columns (or tombstone bitmap) they touch, so snapshots
-// are cheap regardless of relation size. Snapshots reject every
-// mutating method with ErrImmutable; Snapshot of a snapshot returns the
-// snapshot itself.
+// taking one copies only the slice headers and counts the snapshot on
+// the head, which ends the head's current copy-on-write epoch (see
+// Stamp): later head mutations clone just the columns (or tombstone
+// bitmap) they touch, each at most once per snapshot, so snapshots are
+// cheap regardless of relation size. Snapshots reject every mutating
+// method with ErrImmutable; Snapshot of a snapshot returns the snapshot
+// itself.
 //
 // Concurrency contract: Snapshot must be serialized with mutations
-// (callers hold the same narrow lock that guards Append/Set/Delete),
-// but once taken, a snapshot may be read freely — without any lock —
-// while the head keeps mutating.
+// (callers hold the same narrow lock that guards Append/Set/Delete) and
+// with other Snapshots of the head, but once taken, a snapshot may be
+// read freely — without any lock — while the head keeps mutating.
 func (r *Relation) Snapshot() *Relation {
 	if r.immutable {
 		return r
@@ -303,13 +304,7 @@ func (r *Relation) Snapshot() *Relation {
 		cc := *c
 		cols[i] = &cc
 	}
-	if r.shared == nil {
-		r.shared = make([]bool, len(r.cols))
-	}
-	for i := range r.shared {
-		r.shared[i] = true
-	}
-	r.sharedDel = r.deleted != nil
+	r.snaps++
 	return &Relation{
 		name:      r.name,
 		schema:    r.schema,
@@ -323,6 +318,20 @@ func (r *Relation) Snapshot() *Relation {
 	}
 }
 
+// Stamp is the copy-on-write stamp a head writer gives storage it
+// allocates or clones now: one more than the number of snapshots taken of
+// the head so far, so zero is never current. Stamp and Owns are the one
+// copy-on-write rule of a head and of everything maintained over it (a
+// partitioning's member lists too), read under the lock that serializes
+// mutations.
+func (r *Relation) Stamp() uint64 { return r.snaps + 1 }
+
+// Owns reports whether storage stamped s was allocated since the latest
+// Snapshot: no snapshot, and no view bound to one, can reach it, so the
+// writer may edit it in place. Otherwise the writer clones it first and
+// stamps the clone, so storage is cloned at most once per snapshot.
+func (r *Relation) Owns(s uint64) bool { return s == r.Stamp() }
+
 // Identity returns the head relation this value is a version of:
 // snapshots return the relation they were taken from, heads return
 // themselves. Two views of the same dataset share an identity even
@@ -335,38 +344,38 @@ func (r *Relation) Identity() *Relation {
 	return r
 }
 
-// cowCol clones column col's backing array when a live snapshot may
-// share it, so the in-place write about to happen cannot be observed
-// through the snapshot's copied slice header. The clone keeps the old
-// capacity (at cap == len the next Append would copy the column again),
-// and copies it whole rather than zeroing a fresh array first: a numeric
-// column's clone is written once, not twice.
+// cowCol clones column col's backing array unless the head owns it (see
+// Stamp), so the in-place write about to happen cannot be observed
+// through a snapshot's copied slice header.
 func (r *Relation) cowCol(col int) {
-	if r.shared == nil || !r.shared[col] {
+	c := r.cols[col]
+	if r.Owns(c.stamp) {
 		return
 	}
-	c := r.cols[col]
-	switch c.typ {
-	case Float:
-		c.f = slices.Clone(c.f[:cap(c.f)])[:len(c.f)]
-	case Int:
-		c.i = slices.Clone(c.i[:cap(c.i)])[:len(c.i)]
-	default:
-		c.s = slices.Clone(c.s[:cap(c.s)])[:len(c.s)]
-	}
-	r.shared[col] = false
+	c.f, c.i, c.s = cowClone(c.f), cowClone(c.i), cowClone(c.s)
+	c.stamp = r.Stamp()
 }
 
-// cowDeleted clones the tombstone bitmap when a live snapshot may share
-// it (see cowCol).
+// cowClone copies a backing array whole, capacity included (at cap ==
+// len the next Append would copy the column again), rather than zeroing
+// a fresh array first: a numeric column's clone is written once, not
+// twice. An empty slice (a column's other two) is returned as it is.
+func cowClone[T any](s []T) []T {
+	if len(s) == 0 {
+		return s
+	}
+	return slices.Clone(s[:cap(s)])[:len(s)]
+}
+
+// cowDeleted clones the tombstone bitmap unless the head owns it (see
+// cowCol).
 func (r *Relation) cowDeleted() {
-	if !r.sharedDel {
+	if r.Owns(r.delStamp) {
 		return
 	}
 	nd := make([]bool, len(r.deleted), r.n)
 	copy(nd, r.deleted)
-	r.deleted = nd
-	r.sharedDel = false
+	r.deleted, r.delStamp = nd, r.Stamp()
 }
 
 // Deleted reports whether a row has been tombstoned.
@@ -389,8 +398,7 @@ func (r *Relation) Delete(row int) error {
 		return fmt.Errorf("relation: row %d is already deleted", row)
 	}
 	if r.deleted == nil {
-		r.deleted = make([]bool, r.n)
-		r.sharedDel = false
+		r.deleted, r.delStamp = make([]bool, r.n), r.Stamp()
 	} else {
 		r.cowDeleted()
 		if len(r.deleted) < r.n {
@@ -660,46 +668,33 @@ func (r *Relation) Compact() []int {
 	// Copy survivors into right-sized fresh arrays: filtering in place
 	// would keep the old backing capacity (and, for TEXT columns, the
 	// tombstoned rows' string headers) reachable — the memory this
-	// operation exists to release.
+	// operation exists to release. The fresh arrays are seen by no
+	// snapshot, so they carry the current stamp, and the bitmap is gone.
 	for _, c := range r.cols {
-		switch c.typ {
-		case Float:
-			kept := make([]float64, 0, next)
-			for i, v := range c.f {
-				if remap[i] >= 0 {
-					kept = append(kept, v)
-				}
-			}
-			c.f = kept
-		case Int:
-			kept := make([]int64, 0, next)
-			for i, v := range c.i {
-				if remap[i] >= 0 {
-					kept = append(kept, v)
-				}
-			}
-			c.i = kept
-		default:
-			kept := make([]string, 0, next)
-			for i, v := range c.s {
-				if remap[i] >= 0 {
-					kept = append(kept, v)
-				}
-			}
-			c.s = kept
-		}
+		c.f, c.i, c.s = survivors(c.f, remap, next), survivors(c.i, remap, next), survivors(c.s, remap, next)
+		c.stamp = r.Stamp()
 	}
 	r.n = next
 	r.deleted = nil
 	r.nDeleted = 0
-	// Every column now owns a fresh backing array and the bitmap is
-	// gone, so no snapshot shares this storage anymore.
-	for i := range r.shared {
-		r.shared[i] = false
-	}
-	r.sharedDel = false
 	r.version++
 	return remap
+}
+
+// survivors copies the cells whose rows remap keeps into a fresh array of
+// the n survivors. An empty slice (a column's other two) is returned as
+// it is.
+func survivors[T any](cells []T, remap []int, n int) []T {
+	if len(cells) == 0 {
+		return cells
+	}
+	kept := make([]T, 0, n)
+	for i, v := range cells {
+		if remap[i] >= 0 {
+			kept = append(kept, v)
+		}
+	}
+	return kept
 }
 
 // AllRows returns the indices of every live row, in ascending order

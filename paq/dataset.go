@@ -84,10 +84,11 @@ type generation struct {
 const maxBaseCounts = 1024
 
 // snapshot returns the generation's snapshot of rel, taking it on the
-// first pin (Relation.Snapshot writes the head's copy-on-write flags, so
-// read-locked pinners take it under fillMu). Every later pin at the
-// version — a steady-state solve — reuses it and allocates nothing. The
-// caller holds the read lock.
+// first pin (Relation.Snapshot counts itself on the head, so read-locked
+// pinners take it under fillMu). Every later pin at the version — a
+// steady-state solve — reuses it and allocates nothing, and the head's
+// storage (columns, tombstones, member lists) is cloned at most once per
+// snapshot, so at most once per version. The caller holds the read lock.
 func (g *generation) snapshot(rel *relation.Relation) *relation.Relation {
 	g.fillMu.Lock()
 	defer g.fillMu.Unlock()
@@ -116,8 +117,9 @@ func (g *generation) view(head *partition.Partitioning) *partition.Partitioning 
 // from: "memo", or "scan" when it was counted now. A filter with an
 // anonymous predicate has no key and is counted every time. The caller
 // holds the read lock, so the generation cannot move; the count reads
-// the head, since a snapshot would make the next update clone every
-// column. Two Prepares that miss together both count.
+// the head, since taking a snapshot for it would make the next mutation
+// clone whatever storage it touches. Two Prepares that miss together both
+// count.
 func (d *dataset) baseCount(spec *core.Spec) (int, string) {
 	key, ok := engine.FilterKey(spec)
 	if !ok {
