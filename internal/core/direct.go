@@ -94,13 +94,8 @@ func (s *EvalStats) Add(o *EvalStats) {
 // place.
 func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 	n := len(rows)
-	switch {
-	case spec.Rel == nil:
-		return nil, fmt.Errorf("core: spec has no input relation")
-	case spec.Repeat < -1:
-		return nil, fmt.Errorf("core: invalid repeat %d", spec.Repeat)
-	case hi != nil && len(hi) != n:
-		return nil, fmt.Errorf("core: hi has length %d, want %d", len(hi), n)
+	if err := spec.check(n, hi); err != nil {
+		return nil, err
 	}
 	prob := &ilp.Problem{
 		LP: lp.Problem{
@@ -124,7 +119,7 @@ func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 	for _, c := range spec.Constraints {
 		row, err := coefRow(c.Coef, spec.Rel, spec.Cells, rows)
 		if err != nil {
-			return nil, fmt.Errorf("core: constraint %q: %w", c, err)
+			return nil, constraintError(c, err)
 		}
 		prob.LP.A = append(prob.LP.A, row)
 		prob.LP.Op = append(prob.LP.Op, c.Op)
@@ -134,7 +129,7 @@ func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 		prob.LP.Maximize = spec.Objective.Maximize
 		c, err := coefRow(spec.Objective.Coef, spec.Rel, spec.Cells, rows)
 		if err != nil {
-			return nil, fmt.Errorf("core: objective %q: %w", spec.Objective, err)
+			return nil, objectiveError(spec.Objective, err)
 		}
 		prob.LP.C = c
 	} else {
@@ -142,6 +137,30 @@ func BuildILP(spec *Spec, rows []int, hi []float64) (*ilp.Problem, error) {
 		prob.LP.C, prob.LP.Maximize = make([]float64, n), true
 	}
 	return prob, nil
+}
+
+// check is what BuildILP holds a spec to before it evaluates a
+// coefficient, over n candidate rows with upper bounds hi (nil: REPEAT's).
+func (s *Spec) check(n int, hi []float64) error {
+	switch {
+	case s.Rel == nil:
+		return fmt.Errorf("core: spec has no input relation")
+	case s.Repeat < -1:
+		return fmt.Errorf("core: invalid repeat %d", s.Repeat)
+	case hi != nil && len(hi) != n:
+		return fmt.Errorf("core: hi has length %d, want %d", len(hi), n)
+	}
+	return nil
+}
+
+// constraintError and objectiveError name the clause whose coefficient
+// did not evaluate.
+func constraintError(c Constraint, err error) error {
+	return fmt.Errorf("core: constraint %q: %w", c, err)
+}
+
+func objectiveError(o *Objective, err error) error {
+	return fmt.Errorf("core: objective %q: %w", o, err)
 }
 
 // Incumbent is one improving feasible solution surfaced while a solve

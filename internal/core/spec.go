@@ -110,6 +110,9 @@ func (s *Spec) FilterRows(rows []int) []int {
 // restriction — what a tuple must pass to be in the base relation — or
 // nil when the query eliminates no tuple up front.
 func (s *Spec) Filter() relation.Predicate {
+	if len(s.Restrictions) == 0 {
+		return s.Base // nil when nothing filters, with nothing allocated
+	}
 	kids := make([]relation.Predicate, 0, 1+len(s.Restrictions))
 	if s.Base != nil {
 		kids = append(kids, s.Base)
@@ -148,9 +151,23 @@ func (s *Spec) QueryAttrs() []string {
 	return out
 }
 
-// Validate checks the spec against its relation — an ILP build over no
-// rows: an unknown or non-numeric attribute is what evaluating reports.
+// Validate checks the spec against its relation as an ILP build over no
+// rows does — the same checks, every coefficient evaluated, the same
+// errors — without allocating the problem: an unknown or non-numeric
+// attribute is what evaluating reports.
 func (s *Spec) Validate() error {
-	_, err := BuildILP(s, nil, nil)
-	return err
+	if err := s.check(0, nil); err != nil {
+		return err
+	}
+	for _, c := range s.Constraints {
+		if _, err := coefRow(c.Coef, s.Rel, s.Cells, nil); err != nil {
+			return constraintError(c, err)
+		}
+	}
+	if s.Objective != nil {
+		if _, err := coefRow(s.Objective.Coef, s.Rel, s.Cells, nil); err != nil {
+			return objectiveError(s.Objective, err)
+		}
+	}
+	return nil
 }

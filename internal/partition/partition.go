@@ -84,8 +84,10 @@ type Group struct {
 //
 //   - A view (View, Restrict) is what a solve reads and nothing more:
 //     Groups and the R̃ built with it over a pinned Rel. GID is nil and any
-//     number of goroutines may read it. Nothing writes it but a View's group
-//     columns (GroupColumn), each written once, when first read.
+//     number of goroutines may read it. Nothing writes it but a View's
+//     write-once parts (viewParts): its group columns (GroupColumn), its
+//     member layout (Members) and R̃'s row of ones (RepresentativeOnes),
+//     each written once, when first read.
 //   - A head (Build, FromGroups) is bound to the mutable relation and
 //     carries GID and each group's statistic instead of an R̃, which
 //     Representatives builds from the statistics on each call. Its
@@ -125,9 +127,42 @@ type Partitioning struct {
 	// serial is a view's identity (see Serial); 0 on heads and on
 	// Restrict's derived views.
 	serial uint64
-	// cells holds a View's group columns (GroupColumn); nil wherever
-	// serial is 0.
-	cells *groupCells
+	// parts holds a View's write-once parts; nil wherever serial is 0.
+	parts *viewParts
+}
+
+// viewParts is what a View derives from its groups once, on first use, and
+// then only reads: its group columns (GroupColumn), its member layout
+// (Members) and R̃'s row of ones (RepresentativeOnes). Each part starts
+// empty, is written once, is never written again and is dropped with the
+// view, so a view nobody reads costs one struct of empty parts.
+type viewParts struct {
+	cells      groupCells
+	layoutOnce sync.Once
+	layout     memberLayout
+	onesOnce   sync.Once
+	ones       []float64
+}
+
+// memberLayout is every group's member list by gid (rows[gid] is
+// Groups[gid].Rows itself), the gids of the groups that have members,
+// ascending, and the members' total.
+type memberLayout struct {
+	rows [][]int
+	gids []int
+	n    int
+}
+
+// layMembers lays groups out as a memberLayout, sharing their lists.
+func layMembers(groups []Group) memberLayout {
+	l := memberLayout{rows: make([][]int, len(groups)), gids: make([]int, 0, len(groups))}
+	for gid, g := range groups {
+		if len(g.Rows) == 0 {
+			continue
+		}
+		l.rows[gid], l.gids, l.n = g.Rows, append(l.gids, gid), l.n+len(g.Rows)
+	}
+	return l
 }
 
 // groupCells is a view's contiguous copy of the group columns its solves
@@ -610,7 +645,7 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 		keep[r] = true
 	}
 	out := *p
-	out.GID, out.stats, out.serial, out.cells = nil, nil, 0, nil
+	out.GID, out.stats, out.serial, out.parts = nil, nil, 0, nil
 	var groups []Group
 	for _, g := range p.Groups { // g is a copy: centroid and radius stay the parent group's
 		g.Rows = slices.DeleteFunc(slices.Clone(g.Rows), func(r int) bool { return !keep[r] })
@@ -630,9 +665,10 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 // read-only — the Maintainer writes in place only member lists allocated
 // since the latest snapshot of the relation (see Maintainer.own, Remap) —
 // and the view's R̃ is built from the head's statistics, its own. The
-// view's group columns (GroupColumn) are its one write-once part: each
-// starts empty, is filled on first use, is never written again, and is
-// dropped with the view.
+// view's write-once parts — its group columns (GroupColumn), its member
+// layout (Members) and R̃'s row of ones (RepresentativeOnes) — each start
+// empty, are filled on first use, are never written again, and are dropped
+// with the view; every statement over the view shares them.
 //
 // View writes nothing on the head, so any number of goroutines may take
 // views of it at once; the caller holds the lock that serializes
@@ -640,7 +676,7 @@ func (p *Partitioning) Restrict(rows []int) *Partitioning {
 func (p *Partitioning) View(snap *relation.Relation) *Partitioning {
 	v := *p
 	v.Rel, v.GID, v.stats, v.Groups, v.reps = snap, nil, nil, slices.Clone(p.Groups), p.Representatives()
-	v.serial, v.cells = viewSerials.Add(1), &groupCells{}
+	v.serial, v.parts = viewSerials.Add(1), &viewParts{}
 	return &v
 }
 
@@ -652,10 +688,10 @@ func (p *Partitioning) View(snap *relation.Relation) *Partitioning {
 // returns that same slice, which no one may write. A head or a
 // Restrict-ed view keeps nothing and returns nil.
 func (p *Partitioning) GroupColumn(gid, col int) (cells []float64, filled bool) {
-	c := p.cells
-	if c == nil {
+	if p.parts == nil {
 		return nil, false
 	}
+	c := &p.parts.cells
 	c.once.Do(func() { c.groups = make([]atomic.Pointer[cellSlots], len(p.Groups)) })
 	row := c.groups[gid].Load()
 	if row == nil {
@@ -675,6 +711,41 @@ func (p *Partitioning) GroupColumn(gid, col int) (cells []float64, filled bool) 
 		return *slot.Load(), false
 	}
 	return cells, true
+}
+
+// Members lays the groups out by gid — rows[gid] is group gid's member
+// list itself, shared read-only — with gids the groups that have members,
+// ascending, and n their total: the eligible rows of a query that filters
+// nothing. A View lays them out on its first call, and every later call,
+// from any goroutine, returns those same slices with kept set; a head or a
+// Restrict-ed view keeps nothing and lays them out on every call.
+func (p *Partitioning) Members() (rows [][]int, gids []int, n int, kept bool) {
+	if p.parts == nil {
+		l := layMembers(p.Groups)
+		return l.rows, l.gids, l.n, false
+	}
+	kept = true
+	p.parts.layoutOnce.Do(func() { p.parts.layout, kept = layMembers(p.Groups), false })
+	l := &p.parts.layout
+	return l.rows, l.gids, l.n, kept
+}
+
+// RepresentativeOnes returns a row of ones, one per group: COUNT's
+// coefficient over every row of R̃, in gid order. A View makes it on its
+// first call, and every later call returns that same slice, which no one
+// may write; a head or a Restrict-ed view keeps nothing and returns nil.
+func (p *Partitioning) RepresentativeOnes() []float64 {
+	if p.parts == nil {
+		return nil
+	}
+	p.parts.onesOnce.Do(func() {
+		ones := make([]float64, len(p.Groups))
+		for i := range ones {
+			ones[i] = 1
+		}
+		p.parts.ones = ones
+	})
+	return p.parts.ones
 }
 
 // Serial identifies a view: every View call stamps a number no other view

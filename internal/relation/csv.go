@@ -400,17 +400,8 @@ func decodeCSV(f *os.File, name string, workers, nranges int) *Relation {
 	// Columns are made once, at the capacity row-at-a-time appends
 	// reach, and each range appends into its own window of them.
 	cols := make([]Cells, schema.Len())
-	if n > 0 {
-		for i := range cols {
-			switch schema.Col(i).Type {
-			case Float:
-				cols[i].F = make([]float64, n, appendCap(n, 8, false))
-			case Int:
-				cols[i].I = make([]int64, n, appendCap(n, 8, false))
-			default:
-				cols[i].S = make([]string, n, appendCap(n, 16, true))
-			}
-		}
+	for i := range cols {
+		cols[i] = MakeCells(schema.Col(i).Type, n)
 	}
 	r, err := FromColumns(name, schema, cols, n, uint64(n))
 	if err != nil {
@@ -554,6 +545,25 @@ func eachLine(f io.ReaderAt, off, end int64, buf []byte, fn func(line []byte) bo
 // sizeClasses are the Go runtime's small-object allocation sizes
 // (runtime/sizeclasses.go).
 var sizeClasses = []int{0, 8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280, 1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200, 3456, 4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192, 9472, 9728, 10240, 10880, 12288, 13568, 14336, 16384, 18432, 19072, 20480, 21760, 24576, 27264, 28672, 32768}
+
+// MakeCells makes a column of n zero cells of typ, for a decoder that
+// fills typed columns itself (the CSV range decode, a store snapshot) to
+// fill and hand to FromColumns, at the capacity n row-at-a-time appends
+// reach (appendCap): the first Append after the load then copies no
+// column. At n = 0 it makes none, as no appends would.
+func MakeCells(typ Type, n int) Cells {
+	var c Cells
+	switch {
+	case n == 0:
+	case typ == Float:
+		c.F = make([]float64, n, appendCap(n, 8, false))
+	case typ == Int:
+		c.I = make([]int64, n, appendCap(n, 8, false))
+	default:
+		c.S = make([]string, n, appendCap(n, 16, true))
+	}
+	return c
+}
 
 // appendCap returns the capacity a slice of elemSize-byte elements
 // reaches when n elements are appended to it one at a time from nil:

@@ -23,21 +23,31 @@
 // already holds (eligibleByGroup) — shared as they are when nothing
 // filters, one predicate pass over them otherwise — never from a scan of
 // the relation, and row i of the representative relation is group i's.
-// A filtered query's pass is paid once per partitioning view: its caller
-// may keep the result as a Layout (Options.Layout), row ids keyed on the
-// view's serial, and later evaluations over the same view reuse it. An
-// unfiltered query's refine over a group reads the group's cells the same
-// way, once per view: from the view's contiguous group columns
-// (partition.Partitioning.GroupColumn), not gathered from the snapshot.
+// What a view fixes is built once per view: an unfiltered query's layout
+// is the view's own (partition.Partitioning.Members), shared by every
+// statement over it, and a filtered query's pass is paid once per view and
+// statement — its caller may keep the result as a Layout (Options.Layout),
+// row ids keyed on the view's serial, and later evaluations over the same
+// view reuse it. An unfiltered query's refine over a group reads the
+// group's cells the same way, once per view: from the view's contiguous
+// group columns (partition.Partitioning.GroupColumn), not gathered from
+// the snapshot; a sketch over every group reads R̃'s own columns.
+//
+// Outside its ILPs an evaluation's bookkeeping follows the package, not
+// the group count: the unrefined representatives are a short list sorted
+// by gid, and a seeded refinement order is a permutation computed once per
+// (seed, size) and then only applied.
 package sketchrefine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,11 +67,11 @@ type Options struct {
 	// benchmark harness, which still sets it.
 	HybridSketch bool
 	// Seed, when nonzero, shuffles the initial refinement order
-	// (Algorithm 2 starts from an arbitrary order) with a private
-	// generator seeded here. Equal seeds give equal orders, every
-	// evaluation is reproducible, and a seed can be shared across
-	// concurrent evaluations safely. Zero keeps the deterministic
-	// ascending group order.
+	// (Algorithm 2 starts from an arbitrary order) as Shuffle on a fresh
+	// math/rand generator seeded here would (refineOrder). Equal seeds
+	// give equal orders, every evaluation is reproducible, and a seed can
+	// be shared across concurrent evaluations safely. Zero keeps the
+	// deterministic ascending group order.
 	Seed int64
 	// OnIncumbent, when non-nil, receives every improving incumbent of
 	// every ILP subproblem (sketch, hybrid sketch, and refine solves) as
@@ -71,20 +81,23 @@ type Options struct {
 	// when present — index the representative relation, not the input).
 	// The callback runs synchronously on the solving goroutine.
 	OnIncumbent core.IncumbentFunc
-	// Layout, when non-nil, is the caller's memo of the spec's eligible
-	// rows. A layout laid out over this very partitioning view (equal
-	// Serial) is reused as it is; otherwise a filtered spec's rows are
-	// laid out afresh and replace it. Every evaluation through one memo
-	// must be of one spec (its relation may be rebound to any snapshot).
-	// An unfiltered spec shares the member lists and never fills it; nil
-	// lays the rows out on every call.
+	// Layout, when non-nil, is the caller's memo of a filtered spec's
+	// eligible rows. A layout laid out over this very partitioning view
+	// (equal Serial) is reused as it is; otherwise the rows are laid out
+	// afresh and replace it. Every evaluation through one memo must be of
+	// one spec (its relation may be rebound to any snapshot). An
+	// unfiltered spec never fills it: it reads the view's own layout of
+	// the member lists (partition.Partitioning.Members), which every
+	// statement over the view shares. Nil lays a filtered spec's rows out
+	// on every call.
 	Layout *atomic.Pointer[Layout]
 }
 
 // Layout is a filtered spec's eligible rows laid out along one partitioning
 // view: what eligibleByGroup returns, read-only, with the view's serial. It
 // holds row ids only — never the view or the snapshot it was bound to — so
-// a memo of it keeps nothing else alive.
+// a memo of it keeps nothing else alive. An unfiltered spec's layout is
+// the view's (partition.Partitioning.Members), kept by the view itself.
 type Layout struct {
 	view uint64
 	rows [][]int
@@ -103,23 +116,44 @@ const DefaultMaxBacktracks = 1000
 var ErrFalseInfeasible = errors.New("sketchrefine: no package found (query infeasible, or false infeasibility — see Section 4.4)")
 
 // state is the partial package during refinement: tuples already chosen
-// for refined groups plus representative multiplicities of the rest.
+// for refined groups plus the representatives of the rest. It is never
+// written once made; a refine makes the next one.
 type state struct {
 	rows []int // chosen tuple rows (refined groups)
 	mult []int
-	reps map[int]int // gid → representative multiplicity (unrefined)
+	// reps are the unrefined groups' representatives, one per group the
+	// package holds, ascending by gid: an ILP's entries come out in
+	// ascending variable order over ascending gids.
+	reps []rep
 }
 
-func (s *state) clone() *state {
-	c := &state{
-		rows: append([]int(nil), s.rows...),
-		mult: append([]int(nil), s.mult...),
-		reps: make(map[int]int, len(s.reps)),
+// rep is one unrefined group's representative and its multiplicity.
+type rep struct{ gid, mult int }
+
+// repMult is group gid's representative multiplicity, 0 when the state
+// holds none for it.
+func (s *state) repMult(gid int) int {
+	i, ok := slices.BinarySearchFunc(s.reps, gid, func(r rep, gid int) int { return cmp.Compare(r.gid, gid) })
+	if !ok {
+		return 0
 	}
-	for g, m := range s.reps {
-		c.reps[g] = m
+	return s.reps[i].mult
+}
+
+// refined is the state with group gid's representatives replaced by the
+// tuples rows at multiplicities mult.
+func (s *state) refined(gid int, rows, mult []int) *state {
+	next := &state{
+		rows: slices.Concat(s.rows, rows),
+		mult: slices.Concat(s.mult, mult),
+		reps: make([]rep, 0, len(s.reps)),
 	}
-	return c
+	for _, r := range s.reps {
+		if r.gid != gid {
+			next.reps = append(next.reps, r)
+		}
+	}
+	return next
 }
 
 // evaluator carries the immutable evaluation context.
@@ -144,41 +178,40 @@ type evaluator struct {
 // are group gid's eligible rows, gids the groups that have any, n their
 // total. Member lists are ascending, so every group's rows come out in the
 // order a scan of the relation would give; they are not checked against
-// the relation's tombstones (see EvaluateCtx). When nothing filters,
-// rows[gid] is the member slice itself, shared read-only — maintenance
-// writes in place only lists no view holds, see partition.Partitioning.View;
-// otherwise — filtered — it is a fresh slice of exactly what passed the
-// filter's selection, bound once and run over each member list. Those
-// slices are never written after they are returned, so a Layout may keep
-// them, and any number of later evaluations over the same view may share
-// them.
+// the relation's tombstones (see EvaluateCtx). When nothing filters, it is
+// the partitioning's own layout of its member lists
+// (partition.Partitioning.Members): rows[gid] is the member slice itself,
+// shared read-only — maintenance writes in place only lists no view holds,
+// see partition.Partitioning.View — and a view lays it out once, for every
+// statement over it. Otherwise — filtered — rows[gid] is a fresh slice of
+// exactly what passed the filter's selection, bound once and run over each
+// member list. Those slices are never written after they are returned, so
+// a Layout may keep them, and any number of later evaluations over the
+// same view may share them.
 func eligibleByGroup(spec *core.Spec, part *partition.Partitioning) (rows [][]int, gids []int, n int, filtered bool) {
+	pred := spec.Filter()
+	if pred == nil {
+		rows, gids, n, _ = part.Members()
+		return rows, gids, n, false
+	}
 	rows = make([][]int, len(part.Groups))
 	gids = make([]int, 0, len(part.Groups))
-	var sel relation.Selection
-	var passed []int // one group's, before it is copied out at its own length
-	if pred := spec.Filter(); pred != nil {
-		sel = pred.Bind(spec.Rel)
-		largest := 0
-		for _, g := range part.Groups {
-			largest = max(largest, len(g.Rows))
-		}
-		passed = make([]int, largest)
+	sel := pred.Bind(spec.Rel)
+	largest := 0
+	for _, g := range part.Groups {
+		largest = max(largest, len(g.Rows))
 	}
+	passed := make([]int, largest) // one group's, before it is copied out at its own length
 	for gid := range part.Groups {
-		members := part.Groups[gid].Rows
-		if sel != nil {
-			passed = sel(members, passed)
-			members = slices.Clone(passed)
-		}
-		if len(members) == 0 {
+		passed = sel(part.Groups[gid].Rows, passed)
+		if len(passed) == 0 {
 			continue
 		}
-		rows[gid] = members
+		rows[gid] = slices.Clone(passed)
 		gids = append(gids, gid)
-		n += len(members)
+		n += len(passed)
 	}
-	return rows, gids, n, sel != nil
+	return rows, gids, n, true
 }
 
 // subproblem numbers the next ILP solve in evaluation order — the solves
@@ -269,33 +302,40 @@ func EvaluateCtx(ctx context.Context, spec *core.Spec, part *partition.Partition
 	return pkg, stats, nil
 }
 
-// prepare lays the query's eligible rows out by group — or reuses the
-// memo's layout of them over this view — and checks that every
-// coefficient evaluates on the input relation, so that one which does not
-// fails with DIRECT's error rather than the sketch's over R̃. sp, its
-// span, records how many rows, whether a filter was applied and whether
-// the layout was reused.
+// prepare lays the query's eligible rows out by group — or reuses a
+// layout of them over this view: the view's own when nothing filters, the
+// memo's otherwise — and checks that every coefficient evaluates on the
+// input relation, so that one which does not fails with DIRECT's error
+// rather than the sketch's over R̃. sp, its span, records how many rows,
+// whether a filter was applied and whether the layout was reused. Over a
+// view whose layout is already laid out, an unfiltered prepare allocates
+// nothing.
 func (ev *evaluator) prepare(sp *obs.Span) error {
-	// Serial 0 (a head, a restricted view) names no layout.
-	memo, view := ev.opt.Layout, ev.part.Serial()
-	keep := memo != nil && view != 0
-	var l *Layout
-	if keep {
-		l = memo.Load()
-	}
-	// Only a filtered layout is ever kept, so a reused one is filtered.
-	reused, filtered := l != nil && l.view == view, true
-	if !reused {
-		l = &Layout{view: view}
-		l.rows, l.gids, l.n, filtered = eligibleByGroup(ev.spec, ev.part)
-		if keep && filtered {
-			memo.Store(l)
+	var n int
+	var reused bool
+	view, filtered := ev.part.Serial(), ev.spec.Filter() != nil
+	if !filtered {
+		ev.eligible, ev.gids, n, reused = ev.part.Members()
+	} else {
+		// Serial 0 (a head, a restricted view) names no layout.
+		memo := ev.opt.Layout
+		keep := memo != nil && view != 0
+		var l *Layout
+		if keep {
+			l = memo.Load()
 		}
+		if reused = l != nil && l.view == view; !reused {
+			l = &Layout{view: view}
+			l.rows, l.gids, l.n, _ = eligibleByGroup(ev.spec, ev.part)
+			if keep {
+				memo.Store(l)
+			}
+		}
+		ev.eligible, ev.gids, n = l.rows, l.gids, l.n
 	}
-	ev.eligible, ev.gids = l.rows, l.gids
 	ev.viewCells = !filtered && view != 0
 	sp.SetAttrInt("groups", int64(len(ev.gids)))
-	sp.SetAttrInt("eligible_rows", int64(l.n))
+	sp.SetAttrInt("eligible_rows", int64(n))
 	sp.SetAttrBool("filtered", filtered)
 	sp.SetAttrBool("reused", reused)
 	return ev.spec.Validate()
@@ -313,18 +353,40 @@ func (ev *evaluator) groupCap(gid int) float64 {
 // sketchColumns describes the given groups' representatives as the
 // columns of a sketch query: the query over R̃ — whose candidate rows are
 // the gids themselves, one row of R̃ per group in gid order — and the
-// per-group count caps.
+// per-group count caps. Over every group (the gids are then R̃'s rows in
+// order) the query reads R̃'s cells as they are (repCells); over fewer it
+// gathers them.
 func (ev *evaluator) sketchColumns(gids []int) (spec *core.Spec, caps []float64) {
 	caps = make([]float64, len(gids))
 	for i, gid := range gids {
 		caps[i] = ev.groupCap(gid)
 	}
-	return &core.Spec{
+	spec = &core.Spec{
 		Rel:         ev.reps,
 		Repeat:      -1, // repetition is governed by the per-group caps
 		Constraints: ev.spec.Constraints,
 		Objective:   ev.spec.Objective,
-	}, caps
+	}
+	if len(gids) == ev.reps.Len() {
+		spec.Cells = ev.repCells
+	}
+	return spec, caps
+}
+
+// repCells serves a sketch over every group R̃'s own cells: a Float
+// column of R̃ is the candidate rows' cells in order, aliased — R̃ is never
+// written once built — and COUNT's row of ones is the view's. A column of
+// another type (R̃'s gid), or the ones of a partitioning that keeps none,
+// is gathered.
+func (ev *evaluator) repCells(col int) []float64 {
+	if col >= 0 {
+		if cells := ev.reps.FloatColumn(col); cells != nil {
+			return cells
+		}
+	} else if ones := ev.part.RepresentativeOnes(); ones != nil {
+		return ones
+	}
+	return ev.reps.Cells(col, ev.gids)
 }
 
 // sketch solves the sketch query Q[R̃] over the representative tuples,
@@ -340,9 +402,9 @@ func (ev *evaluator) sketch() (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &state{reps: make(map[int]int)}
+	out := &state{reps: make([]rep, len(pkg.Rows))}
 	for k, gid := range pkg.Rows {
-		out.reps[gid] = pkg.Mult[k]
+		out.reps[k] = rep{gid, pkg.Mult[k]}
 	}
 	return out, nil
 }
@@ -356,14 +418,14 @@ var errRefineFailed = errors.New("sketchrefine: refinement failed")
 // representatives, term by term in order: the refined tuples over the
 // input relation, then the representatives over R̃ (whose row i is gid i).
 func (ev *evaluator) contributions(st *state, skipGID int) ([]float64, error) {
-	// Representatives in ascending gid order, not map order:
-	// floating-point addition is order-sensitive, and map iteration order
+	// Representatives in ascending gid order, as the state holds them:
+	// floating-point addition is order-sensitive, and any other order
 	// would make the adjusted RHS — and with it the refine solutions —
 	// differ between otherwise identical runs.
-	var gids, mult []int
-	for _, gid := range ev.gids {
-		if m := st.reps[gid]; gid != skipGID && m != 0 {
-			gids, mult = append(gids, gid), append(mult, m)
+	gids, mult := make([]int, 0, len(st.reps)), make([]int, 0, len(st.reps))
+	for _, r := range st.reps {
+		if r.gid != skipGID && r.mult != 0 {
+			gids, mult = append(gids, r.gid), append(mult, r.mult)
 		}
 	}
 	out := make([]float64, len(ev.spec.Constraints))
@@ -428,11 +490,7 @@ func (ev *evaluator) refineGroup(st *state, gid int) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	next := st.clone()
-	delete(next.reps, gid)
-	next.rows = append(next.rows, pkg.Rows...)
-	next.mult = append(next.mult, pkg.Mult...)
-	return next, nil
+	return st.refined(gid, pkg.Rows, pkg.Mult), nil
 }
 
 // refine implements Algorithm 2: traverse the search tree of group
@@ -444,22 +502,65 @@ func (ev *evaluator) refine(st *state) (*state, error) {
 	return final, err
 }
 
-// initialOrder returns the unrefined groups in the (possibly shuffled)
-// starting order.
+// initialOrder returns the unrefined groups in the starting order:
+// ascending, or with a seed, shuffled by the seed's permutation.
 func (ev *evaluator) initialOrder(st *state) []int {
-	order := make([]int, 0, len(st.reps))
-	for _, gid := range ev.gids {
-		if _, ok := st.reps[gid]; ok {
-			order = append(order, gid)
+	order := make([]int, len(st.reps))
+	perm := refineOrder(ev.opt.Seed, len(st.reps))
+	for k := range order {
+		i := k
+		if perm != nil {
+			i = perm[k]
 		}
-	}
-	if ev.opt.Seed != 0 {
-		rng := rand.New(rand.NewSource(ev.opt.Seed))
-		rng.Shuffle(len(order), func(i, j int) {
-			order[i], order[j] = order[j], order[i]
-		})
+		order[k] = st.reps[i].gid
 	}
 	return order
+}
+
+// orderKey names one refinement-order permutation.
+type orderKey struct {
+	seed int64
+	n    int
+}
+
+// maxRefineOrders bounds the permutations kept: a full memo is emptied
+// before the next one is added, so a caller cycling through seeds cannot
+// grow it without bound. One seed's orders for every package size up to
+// the bound fit.
+const maxRefineOrders = 1024
+
+// refineOrders memoizes refineOrder's permutations.
+var refineOrders = struct {
+	sync.Mutex
+	m map[orderKey][]int
+}{m: make(map[orderKey][]int)}
+
+// refineOrder returns the permutation of n items that Shuffle applies on
+// a fresh rand.New(rand.NewSource(seed)): item perm[k] of the ascending
+// order lands at position k. Shuffle's swaps depend on positions alone,
+// so shuffling the identity once gives the order for any n items. Each
+// (seed, n) is computed once and shared read-only by every later
+// evaluation (up to maxRefineOrders of them); seed 0 is nil, no shuffle.
+func refineOrder(seed int64, n int) []int {
+	if seed == 0 {
+		return nil
+	}
+	key := orderKey{seed, n}
+	refineOrders.Lock()
+	defer refineOrders.Unlock()
+	if perm, ok := refineOrders.m[key]; ok {
+		return perm
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	if len(refineOrders.m) >= maxRefineOrders {
+		clear(refineOrders.m)
+	}
+	refineOrders.m[key] = perm
+	return perm
 }
 
 // refineRec is one node of the search tree. It returns the completed
@@ -479,7 +580,7 @@ func (ev *evaluator) refineRec(st *state, queue []int, isRoot bool, maxBT int) (
 		}
 		gid := pending[0]
 		pending = pending[1:]
-		if st.reps[gid] == 0 {
+		if st.repMult(gid) == 0 {
 			// Skip groups with no representative in the sketch package
 			// (multiplicities are always positive when present).
 			continue
@@ -531,18 +632,17 @@ func remove(xs []int, x int) []int {
 // prioritize moves the given gids (if present) to the front of the queue,
 // preserving relative order otherwise.
 func prioritize(queue, front []int) []int {
-	inFront := make(map[int]bool, len(front))
-	for _, g := range front {
-		inFront[g] = true
-	}
+	front = slices.Clone(front)
+	slices.Sort(front)
+	inFront := func(g int) bool { _, ok := slices.BinarySearch(front, g); return ok }
 	out := make([]int, 0, len(queue))
 	for _, g := range queue {
-		if inFront[g] {
+		if inFront(g) {
 			out = append(out, g)
 		}
 	}
 	for _, g := range queue {
-		if !inFront[g] {
+		if !inFront(g) {
 			out = append(out, g)
 		}
 	}
@@ -617,14 +717,15 @@ func (ev *evaluator) hybridSketchFor(gid int) (*state, error) {
 		return nil, err
 	}
 	// The entries, positive integers in ascending J, split at nT: the
-	// group's tuples, then the other groups' representatives.
-	st, k := &state{reps: make(map[int]int)}, 0
+	// group's tuples, then the other groups' representatives, ascending
+	// by gid as otherGids is.
+	st, k := &state{}, 0
 	for ; k < len(res.Entries) && res.Entries[k].J < nT; k++ {
 		e := res.Entries[k]
 		st.rows, st.mult = append(st.rows, tupleRows[e.J]), append(st.mult, int(math.Round(e.X)))
 	}
 	for _, e := range res.Entries[k:] {
-		st.reps[otherGids[e.J-nT]] = int(math.Round(e.X))
+		st.reps = append(st.reps, rep{otherGids[e.J-nT], int(math.Round(e.X))})
 	}
 	return st, nil
 }

@@ -232,6 +232,39 @@ func TestDecodeSnapshotAllocationsIndependentOfRows(t *testing.T) {
 	}
 }
 
+// TestDecodedColumnsHaveAppendHeadroom: a decoded snapshot's columns —
+// integer, float and text — carry the capacity a CSV load gives them, so
+// the first insert after recovery copies no column: the numeric columns'
+// backing arrays stay where they were and the Append allocates nothing.
+func TestDecodedColumnsHaveAppendHeadroom(t *testing.T) {
+	for _, n := range []int{1000, 100_000} {
+		payload, err := encodeSnapshot(&Snapshot{Version: uint64(n), Rel: storeFixtureRel(t, n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeSnapshot(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := got.Rel
+		ids, mags := &rel.IntColumn(0)[0], &rel.FloatColumn(1)[0]
+		row := []relation.Value{relation.I(int64(n)), relation.F(1.5), relation.S("new")}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = rel.Append(row...)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+			t.Errorf("%d rows: the first Append after the decode allocated %d objects", n, allocs)
+		}
+		if &rel.IntColumn(0)[0] != ids || &rel.FloatColumn(1)[0] != mags {
+			t.Errorf("%d rows: the first Append after the decode copied a numeric column", n)
+		}
+	}
+}
+
 // TestDecodeSnapshotRefusesRowsThePayloadCannotHold: a payload that
 // claims more cells than it has bytes is ErrCorrupt before a column is
 // allocated, so a few hostile bytes cannot make the decoder allocate

@@ -210,26 +210,26 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	// Columns get the append headroom a CSV load gives them, so the first
+	// insert after recovery copies none.
 	cells := make([]relation.Cells, ncols)
 	for c, col := range cols {
+		if col.Type == relation.Float && uint64(len(d.b)) < 8*nrows {
+			d.corrupt("column %q of %d floats runs past the payload", col.Name, nrows)
+			return nil, d.err
+		}
+		cells[c] = relation.MakeCells(col.Type, int(nrows))
 		switch col.Type {
 		case relation.Float:
-			if uint64(len(d.b)) < 8*nrows {
-				d.corrupt("column %q of %d floats runs past the payload", col.Name, nrows)
-				return nil, d.err
-			}
-			cells[c].F = make([]float64, nrows)
 			for r := range cells[c].F {
 				cells[c].F[r] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[8*r:]))
 			}
 			d.b = d.b[8*nrows:]
 		case relation.Int:
-			cells[c].I = make([]int64, nrows)
 			for r := range cells[c].I {
 				cells[c].I[r] = d.varint()
 			}
 		default:
-			cells[c].S = make([]string, nrows)
 			for r := range cells[c].S {
 				cells[c].S[r] = d.str()
 			}
